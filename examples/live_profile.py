@@ -7,13 +7,13 @@ observability plane on:
 * a :class:`~repro.obs.watch.SweepWatcher` renders an in-place progress
   table (percent of simulated time, events/sec, ETA) fed by the sampler's
   ticks — the same machinery behind
-  ``python -m repro.scenarios run fig4 --obs --watch``;
+  ``python -m repro.scenarios run fig4 --instrument live --watch``;
 * each cell's :class:`~repro.obs.profiler.HostProfiler` attributes the host
   CPU to named buckets (``dispatch:<protocol>``, ``timer``, ``sim.kernel``,
   ``crypto.verify``, ``ledger.append`` / ``ledger.merge``), printed as a
   top-10 table at the end.
 
-Because obs is strictly observational, the cells' outcomes are byte-identical
+Because instrumentation is strictly observational, the cells' outcomes are byte-identical
 to an unwatched run.
 
 Run with::
@@ -30,7 +30,7 @@ from repro.scenarios.runner import ScenarioRunner
 def main() -> None:
     # Two small attack cells: one per coalition attack kind.
     specs = [
-        spec.with_overrides(obs=True)
+        spec.with_overrides(instrument="live")
         for spec in registry.expand("fig4", "small")
         if spec.n == 9 and (spec.cross_partition_delay or "") == "1000ms"
     ]

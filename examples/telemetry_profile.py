@@ -11,7 +11,7 @@ Demonstrates the instrumentation subsystem:
    and byte counts, per-phase latency percentiles, and the
    detection → exclusion → merge recovery timeline;
 3. export the snapshot as JSON and flattened CSV — the same artefacts
-   ``python -m repro.scenarios sweep --telemetry`` stores per cell and
+   ``python -m repro.scenarios sweep --instrument metrics`` stores per cell and
    ``python -m repro.scenarios report`` renders.
 
 Run with::
@@ -22,16 +22,17 @@ Run with::
 import tempfile
 from pathlib import Path
 
-from repro import telemetry
+from repro import obs
 from repro.analysis.metrics import format_table
 from repro.experiments.fig4_disagreements import run_attack_cell
-from repro.telemetry.report import build_tables
+from repro.obs.export import snapshot_rows, write_csv, write_json
+from repro.obs.report import build_tables
 
 
 def main() -> None:
-    registry = telemetry.TelemetryRegistry()
+    registry = obs.TelemetryRegistry()
     print("running one instrumented coalition-attack cell (n=9, binary attack)...")
-    with telemetry.activate(registry):
+    with obs.activate(obs.Probe(metrics=registry)):
         result = run_attack_cell(
             n=9,
             attack_kind="binary",
@@ -60,9 +61,9 @@ def main() -> None:
         print(f"  {at:8.3f}s  {mark}")
 
     out_dir = Path(tempfile.mkdtemp())
-    json_path = telemetry.write_json(snapshot, out_dir / "profile.json")
-    csv_path = telemetry.write_csv(
-        telemetry.snapshot_rows(snapshot, cell="fig4 n=9"), out_dir / "profile.csv"
+    json_path = write_json(snapshot, out_dir / "profile.json")
+    csv_path = write_csv(
+        snapshot_rows(snapshot, cell="fig4 n=9"), out_dir / "profile.csv"
     )
     print(f"\nexported {json_path} and {csv_path}")
 

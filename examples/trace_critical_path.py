@@ -19,15 +19,14 @@ Run with::
     python examples/trace_critical_path.py
 """
 
+from repro import obs
 from repro.experiments.fig4_disagreements import run_attack_cell
-from repro.tracing import core as tracing_core
-from repro.tracing.core import TraceRuntime
-from repro.tracing.critical_path import critical_path, render_critical_path
+from repro.obs import TraceRuntime, critical_path, render_critical_path
 
 
 def main() -> None:
     runtime = TraceRuntime.enabled()
-    with tracing_core.activate(runtime):
+    with obs.activate(obs.Probe(trace=runtime)):
         result = run_attack_cell(
             n=9, attack_kind="binary", cross_partition_delay="1000ms", seed=1
         )

@@ -15,7 +15,7 @@ def percentiles(
     Returns ``{"p50": ..., "p95": ..., ...}`` keyed by the requested points
     (trailing ``.0`` stripped, so ``99.9`` becomes ``"p99.9"``).  The single
     quantile implementation shared by :func:`summarize_latencies` and the
-    telemetry :class:`~repro.telemetry.core.Histogram`.
+    telemetry :class:`~repro.obs.metrics.Histogram`.
     """
     ordered = sorted(float(v) for v in samples)
     result: Dict[str, float] = {}

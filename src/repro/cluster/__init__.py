@@ -14,10 +14,11 @@ The package splits into:
 * :mod:`repro.cluster.protocol` — the worker↔launcher JSON-lines protocol
   (ready/connected/obs/report frames, epoch offsets).
 * :mod:`repro.cluster.worker` — the per-replica subprocess entry point; with
-  ``--obs`` it activates tracing + sampling and streams live obs frames.
-* :mod:`repro.cluster.watch` — launcher-side aggregation plane: live
-  dashboard, Prometheus/JSON serve surface, cross-replica invariant
-  monitors, causal flight-dump and trace merging.
+  ``--obs`` its probe carries every back-end (the simulator's ``"all"``
+  level) and it streams live obs frames.
+* :mod:`repro.cluster.watch` — launcher-side aggregation plane: the
+  per-replica rows of the shared :class:`~repro.obs.watch.Watcher`,
+  cross-replica invariant monitors, causal flight-dump and trace merging.
 * :mod:`repro.cluster.launcher` — spawns workers, watches for crashes,
   aggregates their reports and writes the forensics artifacts.
 """

@@ -11,8 +11,9 @@ violated zero-loss accounting or tripped an online invariant monitor.
 
 Observability flags:
 
-* ``--obs`` — activate the tracing/sampling stack in every worker; workers
-  stream live obs frames and ship their spans for the merged cluster trace.
+* ``--obs`` — the cluster's single instrumentation switch: every worker
+  traces, samples and monitors; workers stream live obs frames and ship
+  their spans for the merged cluster trace.
 * ``--watch`` — live per-replica dashboard on stderr (in-place on a TTY).
 * ``--serve PORT`` — loopback HTTP endpoint with Prometheus ``/metrics`` and
   JSON ``/state`` (implies nothing else; combine with ``--obs`` for the full

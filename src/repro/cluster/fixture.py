@@ -52,9 +52,9 @@ class ClusterSpec:
         base_port: first TCP port; replica ``i`` listens on ``base_port + i``
             (``tcp`` only).
         timeout: per-worker wall-clock budget in seconds.
-        obs: activate the observability stack in every worker (tracing +
-            streaming sampler + invariant monitors) and stream periodic obs
-            frames to the launcher.  Strictly observational: the committed
+        obs: give every worker a fully instrumented probe (metrics, tracing
+            with invariant monitors, streaming sampler) and stream periodic
+            obs frames to the launcher.  Strictly observational: the committed
             chain of a given seed is identical with ``obs`` on or off.
     """
 

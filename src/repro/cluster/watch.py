@@ -1,25 +1,23 @@
 """Launcher-side aggregation plane: live dashboard, monitors, forensics.
 
 :class:`ClusterWatcher` is the single sink for every protocol frame the
-collector threads parse off worker stdout.  It folds them into three views:
+collector threads parse off worker stdout.  The pump, the renderer and the
+serve surface are :class:`repro.obs.watch.Watcher`'s; this module adds what
+is specific to a cluster:
 
-* a **live dashboard** — one row per replica (status, connected peers,
-  committed, tx/s, sliding p99 time-to-commit, mempool depth, age of the
-  last obs frame), redrawn in place on a TTY exactly like the sweep watcher;
-* **serve state** — :meth:`state` (JSON) and :meth:`prometheus_text`
-  (Prometheus text format), the duck-typed surface
-  :class:`repro.obs.serve.WatchServer` publishes over loopback HTTP;
+* the **replica row** — status, connected peers, committed, tx/s, sliding
+  p99 time-to-commit, mempool depth, age of the last obs frame; a wedged or
+  killed worker stalls *its row* (age climbing, status degraded) while the
+  dashboard keeps refreshing;
 * **forensics** — per-worker flight-ring increments and epoch offsets
   accumulated as they stream in, plus per-worker spans/events from final
   reports, causally merged onto one shared cluster clock for the flight dump
-  and the Chrome trace artifact.
-
-The drain loop follows the sweep watcher's robustness rule: frames arrive
-through a queue read with a short timeout, and every timeout still refreshes
-the rendering, so a wedged or killed worker stalls *its row* (age climbing,
-status degraded) instead of freezing the dashboard.  A SIGKILL'd worker's
-already-shipped ring increments stay in the watcher — its last causal events
-survive it, which is the whole point of crash forensics.
+  and the Chrome trace artifact.  A SIGKILL'd worker's already-shipped ring
+  increments stay in the watcher — its last causal events survive it, which
+  is the whole point of crash forensics — and every event that did *not*
+  make it (evicted from a worker ring before shipping, cut from an oversized
+  frame, dropped by the launcher's own retention) is counted per replica and
+  stated in the dump's header.
 
 The watcher also runs the launcher-level online invariant monitor that no
 single worker can check: **cross-replica commit agreement**.  Workers attach
@@ -32,15 +30,15 @@ aggregated here with replica attribution.
 
 from __future__ import annotations
 
-import json
-import sys
-import threading
+import dataclasses
 from collections import deque
 from time import perf_counter
-from typing import Any, Deque, Dict, List, Optional, TextIO
+from typing import Any, Deque, Dict, Iterable, List, Optional
 
 from repro.cluster import protocol as wire
-from repro.tracing.recorder import merge_worker_events
+from repro.obs.export import chrome_trace, write_json, write_jsonl
+from repro.obs.recorder import flight_header, merge_worker_events
+from repro.obs.watch import Sample, Watcher
 
 #: Flight events retained per replica at the launcher (newest kept).  Workers
 #: ship bounded increments; this bounds the launcher against long runs.
@@ -52,41 +50,47 @@ FLIGHT_RETAIN_PER_REPLICA = 4096
 STALL_AFTER_S = 2.0
 
 
+@dataclasses.dataclass
 class ReplicaRow:
     """Latest known state of one replica, as seen from its frames."""
 
-    __slots__ = (
-        "replica_id",
-        "status",
-        "peers",
-        "committed",
-        "total",
-        "blocks",
-        "tx_per_s",
-        "events_per_sec",
-        "mempool",
-        "latency",
-        "frames",
-        "spans",
-        "violations",
-        "last_frame_wall",
+    HEADER = (
+        f"  {'replica':<8} {'status':<11} {'peers':>5} {'tx':>7} "
+        f"{'tx/s':>8} {'p99(ms)':>8} {'mempool':>8} {'age':>6}"
+    )
+    LABEL = ("replica", "replica_id")
+    METRICS = (
+        ("repro_cluster_replica_committed_total", "counter", "committed"),
+        ("repro_cluster_replica_tx_per_s", "gauge", "tx_per_s"),
+        ("repro_cluster_replica_peers", "gauge", "peers"),
+        ("repro_cluster_replica_mempool", "gauge", "mempool"),
+        ("repro_cluster_commit_latency_seconds", "gauge", "latency"),
+        ("repro_cluster_replica_frame_age_seconds", "gauge", "frame_age_s"),
+        ("repro_cluster_replica_ring_skipped_total", "counter", "ring_skipped"),
+        ("repro_cluster_replica_recorder_evicted_total", "counter", "recorder_evicted"),
     )
 
-    def __init__(self, replica_id: int) -> None:
-        self.replica_id = replica_id
-        self.status = "starting"
-        self.peers = 0
-        self.committed = 0
-        self.total: Optional[int] = None
-        self.blocks = 0
-        self.tx_per_s = 0.0
-        self.events_per_sec = 0.0
-        self.mempool = 0
-        self.latency: Dict[str, float] = {}
-        self.frames = 0
-        self.spans = 0
-        self.violations = 0
-        self.last_frame_wall: Optional[float] = None
+    replica_id: int
+    status: str = "starting"
+    peers: int = 0
+    committed: int = 0
+    total: Optional[int] = None
+    blocks: int = 0
+    tx_per_s: float = 0.0
+    events_per_sec: float = 0.0
+    mempool: int = 0
+    latency: Dict[str, float] = dataclasses.field(default_factory=dict)
+    frames: int = 0
+    spans: int = 0
+    violations: int = 0
+    last_frame_wall: Optional[float] = None
+    #: Forensics loss accounting, summed over this replica's frames: flight
+    #: events cut from oversized frames (or dropped by the launcher's
+    #: retention), events its recorder evicted before they could be shipped,
+    #: and spans/events cut from its final report.
+    ring_skipped: int = 0
+    recorder_evicted: int = 0
+    spans_truncated: int = 0
 
     def frame_age_s(self) -> Optional[float]:
         """Seconds since this replica's last obs frame (None before the first)."""
@@ -102,47 +106,45 @@ class ReplicaRow:
             and self.status not in ("done", "crashed", "terminated")
         )
 
+    def line(self) -> str:
+        p99 = self.latency.get("p99")
+        p99_text = f"{p99 * 1000.0:7.1f}" if p99 is not None else "     --"
+        age = self.frame_age_s()
+        age_text = f"{age:5.1f}s" if age is not None else "    --"
+        status = "stalled" if self.stalled() else self.status
+        return (
+            f"  {self.replica_id:<8} {status:<11} {self.peers:>5} "
+            f"{self.committed:>7} {self.tx_per_s:>8.1f} {p99_text:>8} "
+            f"{self.mempool:>8} {age_text:>6}"
+        )
+
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "replica_id": self.replica_id,
-            "status": self.status,
-            "peers": self.peers,
-            "committed": self.committed,
-            "total": self.total,
-            "blocks": self.blocks,
-            "tx_per_s": self.tx_per_s,
-            "events_per_sec": self.events_per_sec,
-            "mempool": self.mempool,
-            "latency": dict(self.latency),
-            "frames": self.frames,
-            "spans": self.spans,
-            "violations": self.violations,
-            "frame_age_s": self.frame_age_s(),
-            "stalled": self.stalled(),
-        }
+        row = dataclasses.asdict(self)
+        del row["last_frame_wall"]
+        row["frame_age_s"] = self.frame_age_s()
+        row["stalled"] = self.stalled()
+        return row
 
 
-class ClusterWatcher:
+class ClusterWatcher(Watcher):
     """Aggregates worker protocol frames; renders, serves and merges them."""
 
+    row_type = ReplicaRow
+    rows_key = "replicas"
+    FAMILIES = (
+        ("repro_cluster_replicas", "gauge"),
+        ("repro_cluster_obs_frames_total", "counter"),
+        ("repro_cluster_violations_total", "counter"),
+    )
+
     def __init__(
-        self,
-        n: int,
-        total_transactions: int = 0,
-        out: Optional[TextIO] = None,
-        render: bool = False,
-        refresh_s: float = 0.5,
-        poll_s: float = 0.2,
+        self, n: int, total_transactions: int = 0, render: bool = False, **options: Any
     ) -> None:
+        super().__init__(render=render, **options)
         self.n = n
         self.total_transactions = total_transactions
-        self.out = out if out is not None else sys.stderr
-        self.render_enabled = render
-        self.refresh_s = refresh_s
-        self.poll_s = poll_s
-        self.rows: Dict[int, ReplicaRow] = {
-            replica_id: ReplicaRow(replica_id) for replica_id in range(n)
-        }
+        for replica_id in range(n):
+            self.row(replica_id)
         #: Launcher-detected + worker-reported invariant violations.
         self.violations: List[Dict[str, Any]] = []
         self.obs_frames = 0
@@ -152,38 +154,28 @@ class ClusterWatcher:
         #: instance -> {replica_id: block digest} for the agreement monitor.
         self._digests: Dict[int, Dict[int, str]] = {}
         self._disagreed: set = set()
-        self._lock = threading.Lock()
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-        self._last_render = 0.0
-        self._rendered_lines = 0
-        self._isatty = bool(getattr(self.out, "isatty", lambda: False)())
 
     # -- ingestion -------------------------------------------------------------
 
-    def ingest(self, frame: Dict[str, Any]) -> None:
-        """Fold one protocol frame into the aggregate state (thread-safe)."""
+    def fold(self, frame: Dict[str, Any]) -> None:
+        """Fold one protocol frame into the aggregate state."""
         event = frame.get("event")
         replica_id = frame.get("replica_id")
         if not isinstance(replica_id, int):
             return
-        with self._lock:
-            row = self.rows.get(replica_id)
-            if row is None:
-                row = self.rows[replica_id] = ReplicaRow(replica_id)
-            if event == wire.EVENT_READY:
-                row.status = "ready"
-                offset = frame.get("epoch_offset")
-                if isinstance(offset, (int, float)):
-                    self._epoch_offsets[replica_id] = float(offset)
-            elif event == wire.EVENT_CONNECTED:
-                row.status = "connected"
-                row.peers = len(frame.get("peers") or ())
-            elif event == wire.EVENT_OBS:
-                self._ingest_obs(row, frame)
-            elif event == wire.EVENT_REPORT:
-                self._ingest_report(row, frame)
-        self._maybe_render()
+        row = self.row(replica_id)
+        if event == wire.EVENT_READY:
+            row.status = "ready"
+            offset = frame.get("epoch_offset")
+            if isinstance(offset, (int, float)):
+                self._epoch_offsets[replica_id] = float(offset)
+        elif event == wire.EVENT_CONNECTED:
+            row.status = "connected"
+            row.peers = len(frame.get("peers") or ())
+        elif event == wire.EVENT_OBS:
+            self._ingest_obs(row, frame)
+        elif event == wire.EVENT_REPORT:
+            self._ingest_report(row, frame)
 
     def _ingest_obs(self, row: ReplicaRow, frame: Dict[str, Any]) -> None:
         replica_id = row.replica_id
@@ -207,6 +199,8 @@ class ClusterWatcher:
             record = dict(violation)
             record["replica_id"] = replica_id
             self.violations.append(record)
+        row.ring_skipped += int(frame.get("ring_skipped") or 0)
+        row.recorder_evicted += int(frame.get("recorder_evicted") or 0)
         ring = frame.get("ring") or ()
         if ring:
             buffer = self._flight.get(replica_id)
@@ -214,6 +208,8 @@ class ClusterWatcher:
                 buffer = self._flight[replica_id] = deque(
                     maxlen=FLIGHT_RETAIN_PER_REPLICA
                 )
+            # The launcher's own retention is one more place events get lost.
+            row.ring_skipped += max(0, len(buffer) + len(ring) - buffer.maxlen)
             buffer.extend(ring)
         commits = frame.get("commits")
         if isinstance(commits, dict):
@@ -261,6 +257,7 @@ class ClusterWatcher:
         obs = frame.get("obs")
         if isinstance(obs, dict):
             self._report_obs[replica_id] = obs
+            row.spans_truncated += int(obs.get("spans_truncated") or 0)
             monitors = obs.get("monitors")
             if isinstance(monitors, dict):
                 for violation in monitors.get("violations") or ():
@@ -273,162 +270,33 @@ class ClusterWatcher:
     def note_crash(self, replica_id: int, exit_code: Any) -> None:
         """Mark a replica that exited without a report (collector-thread safe)."""
         with self._lock:
-            row = self.rows.get(replica_id)
-            if row is None:
-                row = self.rows[replica_id] = ReplicaRow(replica_id)
-            row.status = "crashed"
+            self.row(replica_id).status = "crashed"
         self._maybe_render()
 
-    # -- queue pump ------------------------------------------------------------
+    # -- what the Watcher renders and serves ------------------------------------
 
-    def start(self, queue: Any) -> None:
-        """Drain ``queue`` on a daemon thread until :meth:`finish`."""
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._pump, args=(queue,), name="cluster-watch", daemon=True
-        )
-        self._thread.start()
-
-    def _pump(self, queue: Any) -> None:
-        import queue as queue_mod
-
-        while True:
-            try:
-                frame = queue.get(timeout=self.poll_s)
-            except queue_mod.Empty:
-                # No frame is still news: ages climb, stalled rows degrade.
-                self._maybe_render()
-                if self._stop.is_set():
-                    return
-                continue
-            except (OSError, EOFError, ValueError):
-                return
-            self.ingest(frame)
-
-    def finish(self) -> None:
-        """Stop the pump after a final drain pass and render the end state."""
-        self._stop.set()
-        thread = self._thread
-        if thread is not None:
-            thread.join(timeout=max(self.poll_s * 10, 2.0))
-            self._thread = None
-        if self.render_enabled:
-            self.render(force=True)
-
-    # -- rendering -------------------------------------------------------------
-
-    def _maybe_render(self) -> None:
-        if not self.render_enabled:
-            return
-        if perf_counter() - self._last_render >= self.refresh_s:
-            self.render()
-
-    def render(self, force: bool = False) -> None:
-        now = perf_counter()
-        if not force and now - self._last_render < self.refresh_s:
-            return
-        self._last_render = now
-        with self._lock:
-            lines = self._table_lines()
-        if self._isatty:
-            if self._rendered_lines:
-                self.out.write(f"\x1b[{self._rendered_lines}F\x1b[J")
-            self.out.write("\n".join(lines) + "\n")
-            self._rendered_lines = len(lines)
-        else:
-            for line in lines:
-                self.out.write(line + "\n")
-        self.out.flush()
-
-    def _table_lines(self) -> List[str]:
-        committed = min(
-            (row.committed for row in self.rows.values()), default=0
-        )
+    def headline(self) -> str:
+        committed = min((row.committed for row in self.rows.values()), default=0)
         total = self.total_transactions or max(
             (row.total or 0 for row in self.rows.values()), default=0
         )
         header = f"cluster: {committed}/{total} tx committed everywhere"
         if self.violations:
             header += f"  !! {len(self.violations)} violation(s)"
-        lines = [
-            header,
-            (
-                f"  {'replica':<8} {'status':<11} {'peers':>5} {'tx':>7} "
-                f"{'tx/s':>8} {'p99(ms)':>8} {'mempool':>8} {'age':>6}"
-            ),
-        ]
-        for replica_id in sorted(self.rows):
-            row = self.rows[replica_id]
-            p99 = row.latency.get("p99")
-            p99_text = f"{p99 * 1000.0:7.1f}" if p99 is not None else "     --"
-            age = row.frame_age_s()
-            age_text = f"{age:5.1f}s" if age is not None else "    --"
-            status = "stalled" if row.stalled() else row.status
-            lines.append(
-                f"  {replica_id:<8} {status:<11} {row.peers:>5} "
-                f"{row.committed:>7} {row.tx_per_s:>8.1f} {p99_text:>8} "
-                f"{row.mempool:>8} {age_text:>6}"
-            )
-        return lines
+        return header
 
-    # -- serve surface (WatchServer reads these) -------------------------------
+    def totals(self) -> Dict[str, Any]:
+        return {
+            "n": self.n,
+            "total_transactions": self.total_transactions,
+            "obs_frames": self.obs_frames,
+            "violations": list(self.violations),
+        }
 
-    def state(self) -> Dict[str, Any]:
-        with self._lock:
-            return {
-                "n": self.n,
-                "total_transactions": self.total_transactions,
-                "obs_frames": self.obs_frames,
-                "violations": list(self.violations),
-                "replicas": [
-                    self.rows[replica_id].to_dict()
-                    for replica_id in sorted(self.rows)
-                ],
-            }
-
-    def prometheus_text(self) -> str:
-        """Prometheus text-format gauges of the live cluster state."""
-        state = self.state()
-        lines = [
-            "# TYPE repro_cluster_replicas gauge",
-            f"repro_cluster_replicas {state['n']}",
-            "# TYPE repro_cluster_obs_frames_total counter",
-            f"repro_cluster_obs_frames_total {state['obs_frames']}",
-            "# TYPE repro_cluster_violations_total counter",
-            f"repro_cluster_violations_total {len(state['violations'])}",
-            "# TYPE repro_cluster_replica_committed_total counter",
-            "# TYPE repro_cluster_replica_tx_per_s gauge",
-            "# TYPE repro_cluster_replica_peers gauge",
-            "# TYPE repro_cluster_replica_mempool gauge",
-            "# TYPE repro_cluster_commit_latency_seconds gauge",
-            "# TYPE repro_cluster_replica_frame_age_seconds gauge",
-        ]
-        for row in state["replicas"]:
-            label = f'replica="{row["replica_id"]}"'
-            lines.append(
-                f"repro_cluster_replica_committed_total{{{label}}} "
-                f"{row['committed']}"
-            )
-            lines.append(
-                f"repro_cluster_replica_tx_per_s{{{label}}} "
-                f"{row['tx_per_s']:.3f}"
-            )
-            lines.append(f"repro_cluster_replica_peers{{{label}}} {row['peers']}")
-            lines.append(
-                f"repro_cluster_replica_mempool{{{label}}} {row['mempool']}"
-            )
-            for quantile, value in sorted(row["latency"].items()):
-                lines.append(
-                    f"repro_cluster_commit_latency_seconds"
-                    f'{{{label},quantile="{quantile}"}} {value:.6f}'
-                )
-            age = row["frame_age_s"]
-            if age is not None:
-                lines.append(
-                    f"repro_cluster_replica_frame_age_seconds{{{label}}} "
-                    f"{age:.3f}"
-                )
-        return "\n".join(lines) + "\n"
+    def total_samples(self, state: Dict[str, Any]) -> Iterable[Sample]:
+        yield "repro_cluster_replicas", {}, state["n"]
+        yield "repro_cluster_obs_frames_total", {}, state["obs_frames"]
+        yield "repro_cluster_violations_total", {}, len(state["violations"])
 
     # -- forensics: causal merge across workers --------------------------------
 
@@ -454,7 +322,7 @@ class ClusterWatcher:
         Returns ``{"spans": [...], "events": [...]}`` with ``start``/``end``
         (spans) and ``t`` (events) shifted by each worker's epoch offset and
         normalised so the earliest point is zero — the shape
-        :func:`repro.tracing.export.chrome_trace_from_records` consumes.
+        :func:`repro.obs.export.chrome_trace` consumes.
         """
         with self._lock:
             report_obs = {
@@ -490,22 +358,26 @@ class ClusterWatcher:
         return {"spans": spans, "events": events}
 
     def write_flight_dump(self, path: Any) -> str:
-        """Write the merged flight-recorder timeline as JSONL; returns path."""
-        from repro.tracing.recorder import dump_merged_jsonl
+        """Write the merged flight-recorder timeline as JSONL; returns path.
 
-        return dump_merged_jsonl(path, self.merged_flight_events())
+        The first line is the header stating how many events the workers
+        recorded and how many of them the dump retains.
+        """
+        events = self.merged_flight_events()
+        with self._lock:
+            evicted = sum(row.recorder_evicted for row in self.rows.values())
+            skipped = sum(row.ring_skipped for row in self.rows.values())
+        header = flight_header(
+            len(events) + evicted + skipped, len(events), evicted, skipped
+        )
+        return write_jsonl([header, *events], path)
 
     def write_chrome_trace(self, path: Any) -> str:
         """Write the merged cluster Chrome trace JSON; returns the path."""
-        from repro.tracing.export import chrome_trace_from_records
-
         merged = self.merged_spans()
-        trace = chrome_trace_from_records(
+        trace = chrome_trace(
             merged["spans"],
             merged["events"],
             clock="cluster wall-clock seconds (epoch-aligned), scaled to us",
         )
-        path = str(path)
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(trace, handle)
-        return path
+        return write_json(trace, path, indent=None)

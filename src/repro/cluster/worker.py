@@ -11,17 +11,20 @@ stdout: ``ready`` once the listener is bound, ``connected`` once every peer
 dial completed, periodic ``obs`` frames while ``--obs`` is set, and exactly
 one final ``report``.
 
-With ``--obs`` the worker activates the full observability stack the
-simulator cells enjoy — a telemetry registry, a tracing runtime (tracer in a
-per-replica id namespace, flight recorder, online invariant monitors with the
-ledger baseline registered) and a :class:`~repro.obs.series.StreamingSampler`
-— and streams periodic obs frames: committed counters, events/sec, mempool
-depth, sliding p50/p99 time-to-commit, per-instance commit digests (the
-launcher's cross-replica agreement input), any monitor violations and the
-flight-recorder ring increment since the previous frame.  The final report
-additionally carries the worker's spans and trace events so the launcher can
-merge one cluster-wide causal trace.  Without ``--obs`` the worker emits zero
-obs frames and its report is byte-identical to the plain protocol.
+The worker always counts (a metrics registry — its snapshot rides in the
+report).  With ``--obs`` its :class:`~repro.obs.core.Probe` carries every
+back-end, the ``"all"`` level of a simulator cell — the trace runtime
+(tracer in a per-replica id namespace, flight recorder, online invariant
+monitors with the ledger baseline registered) and a
+:class:`~repro.obs.series.StreamingSampler` — and it streams periodic obs
+frames: committed counters, events/sec, mempool depth, sliding p50/p99
+time-to-commit, per-instance commit digests (the launcher's cross-replica
+agreement input), any monitor violations and the flight-recorder ring
+increment since the previous frame, with a count of whatever that increment
+had to leave out.  The final report additionally carries the worker's spans
+and trace events so the launcher can merge one cluster-wide causal trace.
+Without ``--obs`` the worker emits zero obs frames and its report is
+byte-identical to the plain protocol.
 
 ``SIGTERM`` drains cleanly: the worker stops waiting, emits its report with
 ``"status": "terminated"`` and exits 0, so a launcher-initiated shutdown is
@@ -39,7 +42,11 @@ from typing import Any, Dict, List, Optional
 from repro.cluster import protocol as wire
 from repro.cluster.fixture import ClusterSpec, build_node, endpoints_for
 from repro.network.asyncio_transport import AsyncioTransport
-from repro.telemetry.core import TelemetryRegistry
+from repro.obs.core import Probe
+from repro.obs.metrics import TelemetryRegistry
+from repro.obs.profiler import HostProfiler
+from repro.obs.series import StreamingSampler
+from repro.obs.trace import TraceRuntime, replica_id_base
 
 #: How often the commit-completion poll wakes up.
 POLL_INTERVAL_S = 0.02
@@ -77,21 +84,45 @@ class _ObsShipper:
 
     Holds the incremental-shipping cursors: the flight-ring sequence number
     and violation count already sent, and the committed count at the previous
-    frame (for the per-frame tx/s rate).
+    frame (for the per-frame tx/s rate) — plus the running totals of what the
+    shipped forensics left out, so no hole in a merged flight dump or trace
+    goes unreported.
     """
 
-    def __init__(self, replica_id, replica, transport, tracing, sampler, loop):
+    def __init__(self, replica_id, replica, transport, probe, loop):
         self.replica_id = replica_id
         self.replica = replica
         self.transport = transport
-        self.tracing = tracing
-        self.sampler = sampler
+        self.trace = probe.trace
+        self.sampler = probe.sampler
         self.loop = loop
         self.frames_sent = 0
+        #: Flight events cut from oversized frames / evicted from the ring
+        #: before a frame could carry them, over the whole run.
+        self.ring_skipped = 0
+        self.recorder_evicted = 0
         self._last_ring_seq = -1
         self._last_violations = 0
         self._last_committed = 0
         self._last_t: Optional[float] = None
+
+    def _ring_increment(self) -> Dict[str, Any]:
+        """Flight events recorded since the previous frame, newest
+        ``MAX_RING_EVENTS_PER_FRAME`` at most, with the exact loss: sequence
+        numbers are dense, so what was recorded since the cursor and is
+        neither still in the ring (``evicted``) nor in the frame (``skipped``)
+        is known, not guessed."""
+        recorder = self.trace.recorder
+        newest_seq = recorder.recorded - 1
+        ring = recorder.events_since(self._last_ring_seq)
+        evicted = newest_seq - self._last_ring_seq - len(ring)
+        skipped = max(0, len(ring) - wire.MAX_RING_EVENTS_PER_FRAME)
+        if skipped:
+            ring = ring[skipped:]
+        self._last_ring_seq = newest_seq
+        self.ring_skipped += skipped
+        self.recorder_evicted += evicted
+        return {"ring": ring, "ring_skipped": skipped, "recorder_evicted": evicted}
 
     def frame(self) -> Dict[str, Any]:
         now = self.loop.time()
@@ -115,14 +146,7 @@ class _ObsShipper:
             str(instance): by_instance[instance].block_hash for instance in recent
         }
 
-        recorder = self.tracing.recorder
-        ring = recorder.events_since(self._last_ring_seq)
-        if len(ring) > wire.MAX_RING_EVENTS_PER_FRAME:
-            ring = ring[-wire.MAX_RING_EVENTS_PER_FRAME :]
-        if ring:
-            self._last_ring_seq = ring[-1]["seq"]
-
-        monitors = self.tracing.monitors
+        monitors = self.trace.monitors
         fresh_violations = [
             violation.to_dict()
             for violation in monitors.violations[self._last_violations :]
@@ -142,27 +166,29 @@ class _ObsShipper:
             "peers": len(transport.connected_peers()),
             "messages_delivered": transport.messages_delivered,
             "commit_latency": self.sampler.quantile_current("commit_latency_s"),
-            "spans": len(self.tracing.tracer.spans),
+            "spans": len(self.trace.tracer.spans),
             "commits": commits,
             "violations": fresh_violations,
-            "ring": ring,
+            **self._ring_increment(),
         }
 
     def report_extra(self) -> Dict[str, Any]:
-        """The obs block of the final report: spans, events, monitor status."""
-        tracer = self.tracing.tracer
-        spans = [span.to_dict() for span in tracer.spans]
-        if len(spans) > wire.MAX_REPORT_SPANS:
-            spans = spans[-wire.MAX_REPORT_SPANS :]
-        events = tracer.events
-        if len(events) > wire.MAX_REPORT_SPANS:
-            events = events[-wire.MAX_REPORT_SPANS :]
+        """The obs block of the final report: spans, events, monitor status,
+        and how much of each the size caps cut."""
+        tracer = self.trace.tracer
+        spans = tracer.span_records()[-wire.MAX_REPORT_SPANS :]
+        events = tracer.events[-wire.MAX_REPORT_SPANS :]
         return {
             "frames_sent": self.frames_sent,
             "spans": spans,
             "events": events,
-            "monitors": self.tracing.monitors.status(),
-            "recorder_events": len(self.tracing.recorder),
+            "spans_truncated": (
+                len(tracer.spans) - len(spans) + len(tracer.events) - len(events)
+            ),
+            "ring_skipped": self.ring_skipped,
+            "recorder_evicted": self.recorder_evicted,
+            "monitors": self.trace.monitors.status(),
+            "recorder_events": len(self.trace.recorder),
         }
 
 
@@ -179,35 +205,30 @@ async def _run(spec: ClusterSpec, replica_id: int, args) -> int:
     loop.add_signal_handler(signal.SIGTERM, _on_sigterm)
     loop.add_signal_handler(signal.SIGINT, _on_sigterm)
 
-    telemetry = TelemetryRegistry()
     node = build_node(spec, replica_id)
     replica = node.replica
 
-    tracing = obs = None
     if args.obs:
-        from repro.obs.core import ObsRuntime
-        from repro.tracing.core import TraceRuntime, replica_id_base
-
-        tracing = TraceRuntime.enabled(
-            recorder_capacity=args.ring, id_base=replica_id_base(replica_id)
+        probe = Probe(
+            metrics=TelemetryRegistry(),
+            trace=TraceRuntime.enabled(
+                recorder_capacity=args.ring, id_base=replica_id_base(replica_id)
+            ),
+            sampler=StreamingSampler(cadence_s=args.obs_cadence),
+            profiler=HostProfiler(),
         )
-        tracing.monitors.register_ledger(
+        probe.monitors.register_ledger(
             replica_id, replica.blockchain.conserved_total()
         )
-        obs = ObsRuntime.enabled(cadence_s=args.obs_cadence)
         mempool = replica.blockchain.mempool
-        obs.sampler.register_gauge("mempool.pending", lambda: float(len(mempool)))
-        obs.sampler.register_gauge(
+        probe.sampler.register_gauge("mempool.pending", lambda: float(len(mempool)))
+        probe.sampler.register_gauge(
             "mempool.pending_bytes", lambda: float(mempool.pending_bytes)
         )
+    else:
+        probe = Probe(metrics=TelemetryRegistry())
 
-    transport = AsyncioTransport(
-        replica_id,
-        endpoints_for(spec),
-        telemetry=telemetry,
-        tracing=tracing,
-        obs=obs,
-    )
+    transport = AsyncioTransport(replica_id, endpoints_for(spec), probe=probe)
     transport.add_process(replica)
     await transport.start()
     offset = wire.epoch_offset(loop)
@@ -239,7 +260,7 @@ async def _run(spec: ClusterSpec, replica_id: int, args) -> int:
     shipper: Optional[_ObsShipper] = None
     obs_timer: Optional[int] = None
     if args.obs:
-        shipper = _ObsShipper(replica_id, replica, transport, tracing, obs.sampler, loop)
+        shipper = _ObsShipper(replica_id, replica, transport, probe, loop)
 
         def _ship() -> None:
             nonlocal obs_timer
@@ -311,7 +332,7 @@ async def _run(spec: ClusterSpec, replica_id: int, args) -> int:
             "bytes_sent": transport.bytes_sent,
         },
         "chain": replica.chain_summary(),
-        "telemetry": telemetry.snapshot(),
+        "telemetry": probe.metrics.snapshot(),
     }
     if shipper is not None:
         # One last frame so the launcher's dashboard/forensics see the final

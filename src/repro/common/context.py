@@ -1,20 +1,19 @@
-"""A reusable module-level activation scope.
+"""A module-level activation scope.
 
-Both the telemetry registry and the tracing runtime follow the same pattern: a
-module-level *current value* that deep call stacks read at construction time
-(``NetworkSimulator`` defaults its ``telemetry``/``tracing`` arguments to it)
-and that a context manager installs/restores around a scenario cell.  This
-module factors the pattern out so the two subsystems — and any future one —
-share one implementation with identical nesting and shielding semantics:
+The instrumentation layer keeps one *current value* that deep call stacks
+read at construction time (``NetworkSimulator`` and ``ZLBSystem.create``
+default their ``probe`` argument to it) and that a context manager
+installs/restores around a scenario cell — see :data:`repro.obs.core.SCOPE`,
+the only instance:
 
-* ``scope.current()`` returns the installed value or ``None`` (disabled);
+* ``scope.value`` is the installed value or ``None`` (disabled);
 * ``scope.activate(value)`` installs ``value`` for the enclosed block and
   restores the previous value on exit, exceptions included;
 * ``scope.activate(None)`` explicitly *shields* the block, disabling the
   subsystem even when an outer activation is in effect.
 
-The simulation is single-threaded by design, so a plain module-level slot is
-sufficient (no thread-local indirection on the hot ``current()`` path).
+The simulation is single-threaded by design, so a plain slot is sufficient
+(no thread-local indirection, and hot paths may read ``value`` directly).
 """
 
 from __future__ import annotations
@@ -24,17 +23,13 @@ from typing import Any, Iterator, Optional
 
 
 class ActivationScope:
-    """One module-level current-value slot with context-managed installs."""
+    """One current-value slot with context-managed installs."""
 
-    __slots__ = ("name", "_current")
+    __slots__ = ("value",)
 
-    def __init__(self, name: str):
-        self.name = name
-        self._current: Optional[Any] = None
-
-    def current(self) -> Optional[Any]:
-        """The active value installed by :meth:`activate`, or ``None``."""
-        return self._current
+    def __init__(self) -> None:
+        #: The active value installed by :meth:`activate`, or ``None``.
+        self.value: Optional[Any] = None
 
     @contextlib.contextmanager
     def activate(self, value: Optional[Any]) -> Iterator[Optional[Any]]:
@@ -43,9 +38,9 @@ class ActivationScope:
         ``activate(None)`` explicitly disables the subsystem for the block
         (useful to shield a sub-run from an outer activation).
         """
-        previous = self._current
-        self._current = value
+        previous = self.value
+        self.value = value
         try:
             yield value
         finally:
-            self._current = previous
+            self.value = previous

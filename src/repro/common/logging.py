@@ -2,8 +2,8 @@
 
 Every :class:`~repro.network.simulator.Process` owns a ``log`` attribute — a
 :class:`ReplicaLogAdapter` that prefixes each record with the replica id, the
-current *simulated* time and the active trace context (when the tracing layer
-is enabled), so interleaved log lines from many replicas stay attributable::
+current *simulated* time and the active trace context (when the run is
+traced), so interleaved log lines from many replicas stay attributable::
 
     WARNING repro.replica [t=3.141593s r=4 trace=t2:s17] unrouted message ...
 
@@ -48,9 +48,9 @@ class ReplicaLogAdapter(logging.LoggerAdapter):
         transport = getattr(proc, "_transport", None)
         now = transport.now if transport is not None else 0.0
         trace = ""
-        tracing = getattr(proc, "tracing", None)
-        if tracing is not None:
-            ctx = tracing.tracer.current_ctx
+        probe = getattr(proc, "probe", None)
+        if probe is not None and probe.trace is not None:
+            ctx = probe.trace.tracer.current_ctx
             if ctx is not None:
                 trace = f" trace=t{ctx.trace_id}:s{ctx.span_id}"
         return (

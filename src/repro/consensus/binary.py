@@ -41,6 +41,7 @@ from repro.consensus.certificates import (
 from repro.consensus.host import ProtocolHost
 from repro.crypto.hashing import hash_payload
 from repro.network.topic import TopicLike, as_topic
+from repro.obs.trace import topic_trace_attrs
 
 #: Callback signature: (context, decided_value, certificate)
 DecideCallback = Callable[[str, int, Certificate], None]
@@ -75,16 +76,13 @@ class BinaryConsensus:
         self.topic = as_topic(context)
         self.context = self.topic.canonical
         self.on_decide = on_decide
-        # Telemetry (None when disabled); latency runs from first activity.
-        self._telemetry = host.telemetry
+        # Instrumentation (None when off): latency and one span run from
+        # first activity to the decision; round/decide events feed the
+        # critical-path analysis.
+        self._probe = host.probe
         self._started_at: Optional[float] = None
-        # Tracing (None when disabled): one span from first activity to the
-        # decision; round/decide events feed the critical-path analysis.
-        self._tracing = getattr(host, "tracing", None)
         self._span = None
-        if self._tracing is not None:
-            from repro.tracing.core import topic_trace_attrs
-
+        if self._probe is not None:
             self._trace_attrs = topic_trace_attrs(self.topic)
         self.round = 0
         self.estimate: Optional[int] = None
@@ -123,17 +121,17 @@ class BinaryConsensus:
     def _trace_started(self) -> None:
         if self._started_at is None:
             self._started_at = self.host.now
-            tracing = self._tracing
-            if tracing is not None:
-                self._span = tracing.tracer.start_span(
+            probe = self._probe
+            if probe is not None:
+                self._span = probe.start_span(
                     "bin", self.host.replica_id, self._started_at, **self._trace_attrs
                 )
 
     def _start_round(self, round_number: int) -> None:
         self.round = round_number
-        tracing = self._tracing
-        if tracing is not None:
-            tracing.tracer.event(
+        probe = self._probe
+        if probe is not None:
+            probe.event(
                 "bin.round",
                 self.host.replica_id,
                 self.host.now,
@@ -305,30 +303,23 @@ class BinaryConsensus:
         self.decided = True
         self.decision = value
         self.decision_certificate = certificate
-        telemetry = self._telemetry
-        if telemetry is not None:
-            telemetry.counter("consensus.binary.decided", value=value).inc()
-            telemetry.histogram("consensus.binary.rounds").observe(self.round + 1)
-            telemetry.histogram("consensus.binary.certificate_votes").observe(
-                len(certificate.votes)
-            )
+        probe = self._probe
+        if probe is not None:
+            now = self.host.now
+            probe.count("consensus.binary.decided", value=value)
+            probe.observe("consensus.binary.rounds", self.round + 1)
+            probe.observe("consensus.binary.certificate_votes", len(certificate.votes))
             if self._started_at is not None:
-                telemetry.histogram("consensus.binary.decide_s").observe(
-                    self.host.now - self._started_at
-                )
-        tracing = self._tracing
-        if tracing is not None:
-            tracer = tracing.tracer
-            tracer.event(
+                probe.observe("consensus.binary.decide_s", now - self._started_at)
+            probe.event(
                 "bin.decide",
                 self.host.replica_id,
-                self.host.now,
+                now,
                 round=self.round,
                 value=value,
                 **self._trace_attrs,
             )
-            if self._span is not None:
-                tracer.finish(self._span, self.host.now)
+            probe.finish(self._span, now)
         decide_vote = make_vote(
             self.host, self.context, 0, VoteKind.DECIDE, value_digest(value)
         )

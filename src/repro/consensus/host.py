@@ -22,15 +22,10 @@ from repro.crypto.signatures import SignedPayload, Signer
 class ProtocolHost:
     """Interface a replica exposes to its protocol components."""
 
-    #: Telemetry registry of the run, or None when telemetry is disabled.
-    #: Components cache this once (``tel = host.telemetry``) and guard every
-    #: instrumented path with ``if tel is not None`` — the zero-overhead
-    #: contract of :mod:`repro.telemetry`.
-    telemetry: Optional[Any] = None
-
-    #: Tracing runtime of the run, or None when tracing is disabled; the same
-    #: cache-once / ``is not None`` contract (see :mod:`repro.tracing`).
-    tracing: Optional[Any] = None
+    #: The run's :class:`~repro.obs.core.Probe`, or None (uninstrumented).
+    #: Components cache it once (``probe = host.probe``) and guard every
+    #: instrumented path with one ``if probe is not None``.
+    probe: Optional[Any] = None
 
     # -- identity and committee ------------------------------------------------
 
@@ -128,8 +123,7 @@ class SimpleHost(ProtocolHost):
         self._signer = signer
         self._registry = registry
         self._transport = transport
-        self.telemetry = getattr(transport, "telemetry", None)
-        self.tracing = getattr(transport, "tracing", None)
+        self.probe = getattr(transport, "probe", None)
         self.decisions: Dict[str, Any] = {}
 
     @property

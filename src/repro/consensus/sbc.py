@@ -138,18 +138,17 @@ class SetByzantineConsensus:
         #: ``("excl", epoch)``; sub-component topics extend it with
         #: ``("rbc"|"bin", slot)``.
         self.topic: Topic = as_topic(protocol_prefix).child(instance)
-        # Telemetry (None when disabled); the SBC latency runs from instance
+        # Instrumentation (None when off); the SBC latency runs from instance
         # creation (the replica starts the instance when it proposes or first
-        # hears of it) to local decision, in simulated time.
-        self._telemetry = host.telemetry
+        # hears of it) to local decision.
+        self._probe = host.probe
         self._created_at = host.now
-        # Tracing (None when disabled): the instance span opens under the
-        # active context — the proposer's root span, or the delivery span of
-        # whatever message caused a lazy start — and closes at the decision.
-        self._tracing = getattr(host, "tracing", None)
+        # The instance span opens under the active context — the proposer's
+        # root span, or the delivery span of whatever message caused a lazy
+        # start — and closes at the decision.
         self._span = None
-        if self._tracing is not None:
-            self._span = self._tracing.tracer.start_span(
+        if self._probe is not None:
+            self._span = self._probe.start_span(
                 "sbc", host.replica_id, self._created_at, instance=instance
             )
         self.slots: Tuple[ReplicaId, ...] = tuple(sorted(host.committee()))
@@ -312,29 +311,22 @@ class SetByzantineConsensus:
             if self._bits[slot] == 1:
                 justification.extend(self._rbc[slot].collected_votes)
         self.decided = True
-        telemetry = self._telemetry
-        if telemetry is not None:
+        probe = self._probe
+        if probe is not None:
+            now = self.host.now
             included = sum(1 for bit in self._bits.values() if bit == 1)
-            telemetry.counter("consensus.sbc.decided").inc()
-            telemetry.histogram("consensus.sbc.decide_s").observe(
-                self.host.now - self._created_at
-            )
-            telemetry.histogram("consensus.sbc.included_slots").observe(included)
-            telemetry.histogram("consensus.sbc.justification_votes").observe(
-                len(justification)
-            )
-        tracing = self._tracing
-        if tracing is not None:
-            tracer = tracing.tracer
-            tracer.event(
+            probe.count("consensus.sbc.decided")
+            probe.observe("consensus.sbc.decide_s", now - self._created_at)
+            probe.observe("consensus.sbc.included_slots", included)
+            probe.observe("consensus.sbc.justification_votes", len(justification))
+            probe.event(
                 "sbc.decide",
                 self.host.replica_id,
-                self.host.now,
+                now,
                 instance=self.instance,
-                included=sum(1 for bit in self._bits.values() if bit == 1),
+                included=included,
             )
-            if self._span is not None:
-                tracer.finish(self._span, self.host.now)
+            probe.finish(self._span, now)
         self.decision = SBCDecision(
             instance=self.instance,
             bitmask=dict(self._bits),

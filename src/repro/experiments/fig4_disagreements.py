@@ -32,15 +32,12 @@ def run_attack_cell(
     delay: str = "aws",
     workload_transactions: Optional[int] = None,
     batch_size: int = 10,
-    telemetry=None,
 ) -> SystemResult:
     """One Figure 4 cell: one run of ZLB under one attack and one delay.
 
     ``delay`` is the base model between non-partitioned links (the paper uses
     the AWS-like distribution); ``workload_transactions`` defaults to the
-    paper's 12 transfers per replica.  ``telemetry`` optionally instruments
-    the run with a :class:`~repro.telemetry.TelemetryRegistry` (defaults to
-    the active registry, usually None).
+    paper's 12 transfers per replica.
     """
     if deceitful is None:
         fault_config = FaultConfig.paper_attack(n, benign=benign)
@@ -59,7 +56,6 @@ def run_attack_cell(
         batch_size=batch_size,
         max_time=max_time,
         max_events=max_events,
-        telemetry=telemetry,
     )
     return system.run_instances(instances, until=max_time)
 

@@ -5,11 +5,9 @@ Replicas batch pending requests into proposals of ``batch_size`` transactions
 id, preserves arrival order and drops transactions once they are decided.
 
 Occupancy is tracked incrementally — ``len()`` in transactions and
-:attr:`Mempool.pending_bytes` in estimated wire bytes — and gauge hooks
-(:meth:`Mempool.add_gauge_hook`) fire after every mutation so telemetry
-gauges and live-observability samplers can mirror the pool without polling
-it.  Multiple subscribers coexist: the telemetry layer and the obs plane
-each register their own hook.
+:attr:`Mempool.pending_bytes` in estimated wire bytes — and the optional
+:attr:`Mempool.hook` fires after every mutation so occupancy gauges can
+mirror the pool without polling it.
 """
 
 from __future__ import annotations
@@ -32,32 +30,14 @@ class Mempool:
         self.dropped = 0
         #: Transactions rejected because their id was already pending.
         self.duplicates = 0
-        #: Hooks invoked with the pool after every mutation (telemetry
-        #: gauges, obs samplers).  Kept as a list so subscribers compose.
-        self._gauge_hooks: List[Callable[["Mempool"], None]] = []
-
-    @property
-    def gauge_hook(self) -> Optional[Callable[["Mempool"], None]]:
-        """The first registered hook (legacy single-subscriber view)."""
-        return self._gauge_hooks[0] if self._gauge_hooks else None
-
-    @gauge_hook.setter
-    def gauge_hook(self, hook: Optional[Callable[["Mempool"], None]]) -> None:
-        # Legacy assignment semantics: replace every subscriber (None clears).
-        self._gauge_hooks = [hook] if hook is not None else []
-
-    def add_gauge_hook(self, hook: Callable[["Mempool"], None]) -> None:
-        """Subscribe ``hook`` to mutations without displacing other hooks."""
-        self._gauge_hooks.append(hook)
+        #: Called with the pool after every mutation, or None (the default):
+        #: the owning replica's occupancy gauges.
+        self.hook: Optional[Callable[["Mempool"], None]] = None
 
     @property
     def pending_bytes(self) -> int:
         """Estimated wire size of every pending transaction."""
         return self._pending_bytes
-
-    def _notify(self) -> None:
-        for hook in self._gauge_hooks:
-            hook(self)
 
     def add(self, transaction: Transaction) -> bool:
         """Add a transaction; returns False when duplicate or pool is full."""
@@ -69,7 +49,8 @@ class Mempool:
             return False
         self._pending[transaction.tx_id] = transaction
         self._pending_bytes += transaction.wire_size()
-        self._notify()
+        if self.hook is not None:
+            self.hook(self)
         return True
 
     def add_all(self, transactions: Iterable[Transaction]) -> int:
@@ -98,8 +79,8 @@ class Mempool:
         for transaction in batch:
             del self._pending[transaction.tx_id]
             self._pending_bytes -= transaction.wire_size()
-        if batch:
-            self._notify()
+        if batch and self.hook is not None:
+            self.hook(self)
         return batch
 
     def remove_decided(self, tx_ids: Iterable[str]) -> int:
@@ -110,8 +91,8 @@ class Mempool:
             if transaction is not None:
                 self._pending_bytes -= transaction.wire_size()
                 removed += 1
-        if removed:
-            self._notify()
+        if removed and self.hook is not None:
+            self.hook(self)
         return removed
 
     def clear(self) -> None:
@@ -120,4 +101,5 @@ class Mempool:
             return
         self._pending.clear()
         self._pending_bytes = 0
-        self._notify()
+        if self.hook is not None:
+            self.hook(self)

@@ -18,18 +18,17 @@ loop), so the by-reference sharing assumptions *within* one process still
 hold; across processes the codec produces equal, independently-verifiable
 copies.
 
-The observability seam mirrors the simulator's, across process boundaries:
-a bound tracing runtime stamps the active :class:`~repro.tracing.core
-.TraceContext` onto every outgoing envelope (``on_send``), the codec carries
-it on the wire, deliveries open child spans under the decoded context, and
-timer callbacks restore the context captured at ``schedule`` time — so one
-payment's causal span tree crosses every worker process it touches.  A bound
-obs runtime gets per-protocol-group message counts fed into its
-:class:`~repro.obs.series.StreamingSampler` exactly like the simulator does.
-
-The telemetry counters mirror the simulator's (``net.messages_sent``,
-``net.bytes_sent``, ``net.messages_delivered``, ``net.messages_dropped``), so
-snapshots from a real cluster and a simulated run line up column for column.
+The instrumentation seam is the simulator's, across process boundaries: the
+bound :class:`~repro.obs.core.Probe` stamps the active
+:class:`~repro.obs.trace.TraceContext` onto every outgoing envelope
+(``on_send``), the codec carries it on the wire, deliveries open child spans
+under the decoded context, and timer callbacks restore the context captured
+at ``schedule`` time — so one payment's causal span tree crosses every worker
+process it touches.  The same hooks feed the same counters
+(``net.messages_sent``, ``net.bytes_sent``, ``net.messages_delivered``,
+``net.messages_dropped``) and per-protocol-group rate series as the
+simulator's, so snapshots from a real cluster and a simulated run line up
+column for column.
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ from repro.network.codec import (
 )
 from repro.network.message import Message
 from repro.network.transport import Process, Transport
-from repro.telemetry.core import protocol_group
 
 log = get_logger("repro.net")
 
@@ -98,17 +96,13 @@ class AsyncioTransport(Transport):
         self,
         replica_id: ReplicaId,
         endpoints: Dict[ReplicaId, Endpoint],
-        telemetry=None,
-        tracing=None,
-        obs=None,
+        probe=None,
     ):
         if replica_id not in endpoints:
             raise SimulationError(f"no endpoint declared for replica {replica_id}")
         self.replica_id = replica_id
         self.endpoints: Dict[ReplicaId, Endpoint] = dict(endpoints)
-        self.telemetry = telemetry
-        self.tracing = tracing
-        self.obs = obs
+        self.probe = probe
         self._membership: Tuple[ReplicaId, ...] = tuple(sorted(endpoints))
         self._processes: Dict[ReplicaId, Process] = {}
         self._disconnected: Set[ReplicaId] = set()
@@ -188,19 +182,19 @@ class AsyncioTransport(Transport):
             raise SimulationError("timer delay must be non-negative")
         loop = self._require_loop()
         timer_id = next(self._timer_ids)
-        tracing = self.tracing
+        probe = self.probe
         # Capture the context active *now*, restore it around the firing —
         # same contract as the simulator's timer events, so delayed
         # continuations stay on their causal chain under real time too.
-        ctx = tracing.tracer.current_ctx if tracing is not None else None
+        ctx = probe.timer_context() if probe is not None else None
 
         def _fire() -> None:
             self._timers.pop(timer_id, None)
             try:
-                if tracing is None:
+                if probe is None:
                     callback()
                 else:
-                    tracing.fire_timer(callback, ctx, self.now, owner)
+                    probe.fire_timer(callback, ctx, self.now, owner)
             except Exception:  # noqa: BLE001 - a timer must not kill the loop
                 log.exception("timer callback failed at replica %s", owner)
 
@@ -296,28 +290,16 @@ class AsyncioTransport(Transport):
     def _count_sent(self, message: Message, count: int) -> None:
         self.messages_sent += count
         self.bytes_sent += message.size_bytes() * count
-        telemetry = self.telemetry
-        if telemetry is not None:
-            group = protocol_group(message.topic)
-            telemetry.counter(
-                "net.messages_sent", protocol=group, kind=message.kind
-            ).inc(count)
-            telemetry.counter(
-                "net.bytes_sent", protocol=group, kind=message.kind
-            ).inc(message.size_bytes() * count)
-        tracing = self.tracing
-        if tracing is not None:
-            # Stamps the active trace context onto the envelope (the codec
-            # then carries it across the socket) and records the send.
-            tracing.on_send(message, self.now)
-        obs = self.obs
-        if obs is not None:
-            obs.sampler.count_message(protocol_group(message.topic), count)
+        probe = self.probe
+        if probe is not None:
+            # Also stamps the active trace context onto the envelope (the
+            # codec then carries it across the socket).
+            probe.on_send(message, self.now, count)
 
     def _count_dropped(self, count: int = 1) -> None:
         self.messages_dropped += count
-        if self.telemetry is not None:
-            self.telemetry.counter("net.messages_dropped").inc(count)
+        if self.probe is not None:
+            self.probe.count("net.messages_dropped", count)
 
     def _write_frame(self, recipient: ReplicaId, frame: bytes) -> bool:
         writer = self._writers.get(recipient)
@@ -353,13 +335,12 @@ class AsyncioTransport(Transport):
 
     def _dispatch(self, process: Process, message: Message) -> None:
         self.messages_delivered += 1
-        if self.telemetry is not None:
-            self.telemetry.counter("net.messages_delivered").inc()
+        probe = self.probe
         try:
-            if self.tracing is None:
+            if probe is None:
                 process.on_message(message)
             else:
-                self.tracing.deliver(process, message, self.now)
+                probe.deliver(process, message, self.now)
         except Exception:  # noqa: BLE001 - a bad message must not kill the loop
             log.exception(
                 "replica %s failed handling %s", process.replica_id, message.describe()

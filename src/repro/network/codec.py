@@ -277,7 +277,7 @@ def decode_message(data: bytes) -> Message:
         wire_ctx = fields[5]
         if not isinstance(wire_ctx, tuple) or len(wire_ctx) != 2:
             raise CodecError("wire trace context is not a (trace, span) pair")
-        from repro.tracing.core import TraceContext
+        from repro.obs.trace import TraceContext
 
         message.trace_ctx = TraceContext(wire_ctx[0], wire_ctx[1])
     return message

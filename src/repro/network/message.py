@@ -39,7 +39,7 @@ class Message:
         body: free-form payload dictionary (shared, never copied).
         uid: unique, monotonically increasing message id (simulation-local);
             useful for deterministic tie-breaking and debugging.
-        trace_ctx: optional :class:`~repro.tracing.core.TraceContext` stamped
+        trace_ctx: optional :class:`~repro.obs.trace.TraceContext` stamped
             by the simulator at submission time when tracing is enabled
             (``None`` otherwise); deliveries open child spans under it.
     """

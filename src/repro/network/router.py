@@ -22,7 +22,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.network.simulator import Process
 from repro.network.topic import Segment, Topic, TopicLike, as_topic
-from repro.telemetry.core import protocol_group
+from repro.obs.metrics import protocol_group
 
 #: Handler signature: (topic, sender, kind, body).
 Handler = Callable[[Topic, Any, str, Dict[str, Any]], None]
@@ -127,25 +127,20 @@ class RoutedProcess(Process):
         self.unrouted_messages = 0
 
     def on_message(self, message) -> None:
-        obs = self.obs
-        if obs is None:
-            if not self.router.dispatch(
-                message.topic, message.sender, message.kind, message.body
-            ):
-                self._note_unrouted(message)
-            return
-        # Profiled path: attribute dispatch wall time to the message's
-        # topic-prefix bucket (``dispatch:sbc:rbc`` etc.) as a child of the
-        # kernel's ``sim.kernel`` section.
-        profiler = obs.profiler
-        profiler.enter("dispatch:" + protocol_group(message.topic))
+        probe = self.probe
+        if probe is not None:
+            # Attribute dispatch wall time to the message's topic-prefix
+            # bucket (``dispatch:sbc:rbc`` etc.), a child of the kernel's
+            # ``sim.kernel`` section.
+            probe.enter("dispatch:" + protocol_group(message.topic))
         try:
             if not self.router.dispatch(
                 message.topic, message.sender, message.kind, message.body
             ):
                 self._note_unrouted(message)
         finally:
-            profiler.exit()
+            if probe is not None:
+                probe.exit()
 
     def _note_unrouted(self, message) -> None:
         self.unrouted_messages += 1

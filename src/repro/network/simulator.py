@@ -35,11 +35,7 @@ from repro.network.delays import ConstantDelay, DelayModel
 from repro.network.message import Message
 from repro.network.transport import Process, Transport
 from repro.obs import core as obs_core
-from repro.obs.core import ObsRuntime
-from repro.telemetry import core as telemetry_core
-from repro.telemetry.core import TelemetryRegistry, protocol_group
-from repro.tracing import core as tracing_core
-from repro.tracing.core import TraceRuntime
+from repro.obs.core import Probe
 
 __all__ = [
     "NetworkSimulator",
@@ -122,28 +118,20 @@ class NetworkSimulator(Transport):
         self,
         delay_model: Optional[DelayModel] = None,
         config: Optional[SimulationConfig] = None,
-        telemetry: Optional[TelemetryRegistry] = None,
-        tracing: Optional[TraceRuntime] = None,
-        obs: Optional[ObsRuntime] = None,
+        probe: Optional[Probe] = None,
     ):
         self.delay_model = delay_model or ConstantDelay(0.01)
         self.config = config or SimulationConfig()
-        #: The run's telemetry registry, or None (disabled — the default).
-        #: Falls back to the registry installed by ``telemetry.activate`` so a
-        #: scenario cell can instrument the whole stack it builds.
-        self.telemetry = telemetry if telemetry is not None else telemetry_core.current()
-        #: The run's tracing runtime, or None (disabled — the default); the
-        #: same activation fallback as telemetry.  Tracing is observational
-        #: only — it consumes no randomness and schedules nothing, so seeded
-        #: runs are bit-identical with it on or off.
-        self.tracing = tracing if tracing is not None else tracing_core.current()
-        #: The run's live-observability runtime, or None (disabled — the
-        #: default); same activation fallback and same observational-only
-        #: guarantee as tracing.  The sampler adopts this simulator's horizon
-        #: and pending-events gauge at construction.
-        self.obs = obs if obs is not None else obs_core.current()
-        if self.obs is not None:
-            self.obs.sampler.attach(self)
+        #: The run's probe, or None (uninstrumented — the default).  Falls
+        #: back to the probe installed by ``obs.activate`` so a scenario cell
+        #: can instrument the whole stack it builds.  Instrumentation is
+        #: observational only — it consumes no randomness and schedules
+        #: nothing, so seeded runs are bit-identical with it on or off.
+        self.probe = probe if probe is not None else obs_core.current()
+        if self.probe is not None and self.probe.sampler is not None:
+            # The sampler adopts this simulator's horizon and pending-events
+            # gauge.
+            self.probe.sampler.attach(self)
         self.rng = random.Random(self.config.seed)
         self._queue: List[_Event] = []
         self._sequence = itertools.count()
@@ -216,30 +204,16 @@ class NetworkSimulator(Transport):
     def submit(self, message: Message) -> None:
         """Queue ``message`` for delivery after a sampled delay."""
         self.messages_sent += 1
-        telemetry = self.telemetry
-        if telemetry is not None:
-            group = protocol_group(message.topic)
-            telemetry.counter(
-                "net.messages_sent", protocol=group, kind=message.kind
-            ).inc()
-            telemetry.counter(
-                "net.bytes_sent", protocol=group, kind=message.kind
-            ).inc(message.size_bytes())
-        tracing = self.tracing
-        if tracing is not None:
-            tracing.on_send(message, self._now)
-        obs = self.obs
-        if obs is not None:
-            obs.sampler.count_message(protocol_group(message.topic))
+        probe = self.probe
+        if probe is not None:
+            probe.on_send(message, self._now)
         if (
             message.sender in self._disconnected
             or message.recipient in self._disconnected
         ):
             self.messages_dropped += 1
-            if telemetry is not None:
-                telemetry.counter("net.messages_dropped").inc()
-            if tracing is not None:
-                tracing.on_drop(message, self._now)
+            if probe is not None:
+                probe.on_drop(message, self._now)
             return
         delay = self.delay_model.sample(message.sender, message.recipient, self.rng)
         if delay < 0:
@@ -266,30 +240,16 @@ class NetworkSimulator(Transport):
         if count == 0:
             return
         self.messages_sent += count
-        telemetry = self.telemetry
-        if telemetry is not None:
-            group = protocol_group(message.topic)
-            telemetry.counter(
-                "net.messages_sent", protocol=group, kind=message.kind
-            ).inc(count)
-            telemetry.counter(
-                "net.bytes_sent", protocol=group, kind=message.kind
-            ).inc(message.size_bytes() * count)
-        tracing = self.tracing
-        if tracing is not None:
+        probe = self.probe
+        if probe is not None:
             # One stamped envelope serves every recipient; each delivery then
             # opens its own child span under the shared context.
-            tracing.on_send(message, self._now)
-        obs = self.obs
-        if obs is not None:
-            obs.sampler.count_message(protocol_group(message.topic), count)
+            probe.on_send(message, self._now, count)
         sender = message.sender
         if sender in self._disconnected:
             self.messages_dropped += count
-            if telemetry is not None:
-                telemetry.counter("net.messages_dropped").inc(count)
-            if tracing is not None:
-                tracing.on_drop(message, self._now, count=count)
+            if probe is not None:
+                probe.on_drop(message, self._now, count)
             return
         # Filter disconnected targets *before* sampling: the scalar submission
         # loop never consumed randomness for dropped recipients, and the
@@ -304,8 +264,8 @@ class NetworkSimulator(Transport):
             dropped = count - len(reachable)
             if dropped:
                 self.messages_dropped += dropped
-                if telemetry is not None:
-                    telemetry.counter("net.messages_dropped").inc(dropped)
+                if probe is not None:
+                    probe.count("net.messages_dropped", dropped)
             if not reachable:
                 return
             delays = self.delay_model.sample_many(
@@ -345,12 +305,12 @@ class NetworkSimulator(Transport):
             callback=callback,
         )
         event.owner = owner
-        tracing = self.tracing
-        if tracing is not None:
+        probe = self.probe
+        if probe is not None:
             # Capture the active context so the callback runs on the causal
             # chain that scheduled it (e.g. the delivery that armed a grace
             # timer), not on whatever happens to be active when it fires.
-            event.trace_ctx = tracing.tracer.current_ctx
+            event.trace_ctx = probe.timer_context()
         heapq.heappush(self._queue, event)
         self._timers[event.seq] = event
         self._pending += 1
@@ -390,17 +350,16 @@ class NetworkSimulator(Transport):
         self._start_processes()
         deadline = self.config.max_time if until is None else until
         budget = self.config.max_events if max_events is None else max_events
-        telemetry = self.telemetry
-        tracing = self.tracing
-        obs = self.obs
-        sampler = obs.sampler if obs is not None else None
-        profiler = obs.profiler if obs is not None else None
-        if profiler is not None:
+        probe = self.probe
+        metrics = sampler = None
+        if probe is not None:
+            metrics = probe.metrics
+            sampler = probe.sampler
             # The whole loop runs as one ``sim.kernel`` section: dispatch,
             # timer and ledger children claim their share on the stack, and
             # the kernel's remaining *self* time is exactly the scheduling
             # overhead (heap ops, delivery bookkeeping).
-            profiler.enter("sim.kernel")
+            probe.enter("sim.kernel")
         processed = 0
         try:
             while self._queue and processed < budget:
@@ -422,30 +381,16 @@ class NetworkSimulator(Transport):
                 self.events_processed += 1
                 self._pending -= 1
                 if (
-                    telemetry is not None
+                    metrics is not None
                     and self.events_processed % QUEUE_DEPTH_SAMPLE_EVERY == 0
                 ):
-                    telemetry.histogram("net.queue_depth").observe(len(self._queue))
+                    metrics.observe("net.queue_depth", len(self._queue))
                 if kind == _Event.TIMER:
                     assert event.callback is not None
-                    if profiler is not None:
-                        profiler.enter("timer")
-                        try:
-                            if tracing is None:
-                                event.callback()
-                            else:
-                                tracing.fire_timer(
-                                    event.callback,
-                                    event.trace_ctx,
-                                    self._now,
-                                    event.owner,
-                                )
-                        finally:
-                            profiler.exit()
-                    elif tracing is None:
+                    if probe is None:
                         event.callback()
                     else:
-                        tracing.fire_timer(
+                        probe.fire_timer(
                             event.callback, event.trace_ctx, self._now, event.owner
                         )
                 elif kind == _Event.BROADCAST:
@@ -503,10 +448,10 @@ class NetworkSimulator(Transport):
                         self.events_processed += 1
                         self._pending -= 1
                         if (
-                            telemetry is not None
+                            metrics is not None
                             and self.events_processed % QUEUE_DEPTH_SAMPLE_EVERY == 0
                         ):
-                            telemetry.histogram("net.queue_depth").observe(len(queue))
+                            metrics.observe("net.queue_depth", len(queue))
                 else:
                     assert event.message is not None
                     self._deliver(event.message)
@@ -521,35 +466,27 @@ class NetworkSimulator(Transport):
                 time=self._now, events=processed, exhausted_budget=False
             )
         finally:
-            if profiler is not None:
-                profiler.exit()
+            if probe is not None:
+                probe.exit()
 
     def _deliver(self, message: Message) -> None:
-        tracing = self.tracing
-        if message.recipient in self._disconnected:
-            self.messages_dropped += 1
-            if self.telemetry is not None:
-                self.telemetry.counter("net.messages_dropped").inc()
-            if tracing is not None:
-                tracing.on_drop(message, self._now)
-            return
-        process = self._processes.get(message.recipient)
+        probe = self.probe
+        recipient = message.recipient
+        process = (
+            None if recipient in self._disconnected else self._processes.get(recipient)
+        )
         if process is None:
             self.messages_dropped += 1
-            if self.telemetry is not None:
-                self.telemetry.counter("net.messages_dropped").inc()
-            if tracing is not None:
-                tracing.on_drop(message, self._now)
+            if probe is not None:
+                probe.on_drop(message, self._now)
             return
         self.messages_delivered += 1
-        if self.telemetry is not None:
-            self.telemetry.counter("net.messages_delivered").inc()
-        if tracing is None:
+        if probe is None:
             process.on_message(message)
         else:
-            # The runtime records the delivery and dispatches inside a child
+            # Counts the delivery and, when tracing, dispatches inside a child
             # span of the message's context (one span per recipient).
-            tracing.deliver(process, message, self._now)
+            probe.deliver(process, message, self._now)
 
     def pending_events(self) -> int:
         """Number of queued (non-cancelled) deliveries and timers, O(1).

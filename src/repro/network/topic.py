@@ -45,7 +45,7 @@ class Topic:
         self._canonical: Optional[str] = None
         self._hash = hash(segments)
         #: Telemetry cache: the low-cardinality protocol group of this topic,
-        #: filled in by :func:`repro.telemetry.protocol_group` on first use.
+        #: filled in by :func:`repro.obs.metrics.protocol_group` on first use.
         self._group: Optional[str] = None
 
     # -- construction --------------------------------------------------------

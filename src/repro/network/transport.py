@@ -58,19 +58,12 @@ class Clock:
 
 
 class Transport(Clock):
-    """A clock plus message delivery, membership and link control.
+    """A clock plus message delivery, membership and link control."""
 
-    The three observability attributes follow the repo-wide zero-overhead
-    contract: processes cache them once at bind time and guard every
-    instrumented path with ``is not None``.
-    """
-
-    #: Telemetry registry of the run, or None when telemetry is disabled.
-    telemetry: Optional[Any] = None
-    #: Tracing runtime of the run, or None when tracing is disabled.
-    tracing: Optional[Any] = None
-    #: Live-observability runtime of the run, or None when disabled.
-    obs: Optional[Any] = None
+    #: The run's :class:`~repro.obs.core.Probe`, or None (uninstrumented).
+    #: Processes cache it once at bind time and guard every instrumented
+    #: path with one ``is not None``.
+    probe: Optional[Any] = None
 
     # -- membership ----------------------------------------------------------
 
@@ -117,13 +110,10 @@ class Process:
     def __init__(self, replica_id: ReplicaId):
         self.replica_id = replica_id
         self._transport: Optional[Transport] = None
-        #: Cached telemetry registry (or None when disabled); set at bind time
-        #: so hot protocol paths pay a plain attribute load plus a None check.
-        self.telemetry: Optional[Any] = None
-        #: Cached tracing runtime (or None when disabled); same contract.
-        self.tracing: Optional[Any] = None
-        #: Cached obs runtime (or None when disabled); same contract.
-        self.obs: Optional[Any] = None
+        #: The transport's probe (or None when uninstrumented), cached at
+        #: bind time so hot protocol paths pay a plain attribute load plus a
+        #: None check.
+        self.probe: Optional[Any] = None
         #: Per-replica logger injecting id, transport time and trace context.
         self.log = replica_logger(self)
 
@@ -132,9 +122,7 @@ class Process:
     def bind(self, transport: Transport) -> None:
         """Attach the process to a transport (called by ``add_process``)."""
         self._transport = transport
-        self.telemetry = transport.telemetry
-        self.tracing = transport.tracing
-        self.obs = transport.obs
+        self.probe = transport.probe
 
     @property
     def transport(self) -> Transport:
@@ -143,11 +131,6 @@ class Process:
                 f"process {self.replica_id} is not attached to a transport"
             )
         return self._transport
-
-    @property
-    def simulator(self) -> Transport:
-        """Backwards-compatible alias of :attr:`transport`."""
-        return self.transport
 
     @property
     def now(self) -> float:

@@ -1,29 +1,49 @@
-"""Live observability: streaming series, host-CPU profiling, watch & SLO gates.
+"""Instrumentation: one handle, one activation scope, one guard.
 
-The third zero-overhead-when-disabled pillar next to :mod:`repro.telemetry`
-(end-of-run aggregates) and :mod:`repro.tracing` (causal spans): while a run
-*executes*, the obs runtime streams time-series samples into bounded ring
-buffers, attributes host CPU time to topic-prefix/phase buckets, publishes
-per-cell progress to a live sweep watcher and feeds the declarative SLO gates
-that guard whole scenario families in CI.
+Everything that *watches* the protocol lives here.  Instrumented code holds a
+single :class:`Probe` (or ``None`` — see :mod:`repro.obs.core` for the
+disabled-mode contract) whose back-ends answer four questions:
 
-Everything is observational: the runtime consumes no randomness and schedules
-nothing, so fixed-seed runs are byte-identical with obs on or off.
+* counts and latencies — :mod:`repro.obs.metrics`, compared across a sweep by
+  :mod:`repro.obs.report`;
+* where did the time go — :mod:`repro.obs.profiler` (host CPU per bucket) and
+  :mod:`repro.obs.critical_path` (time-to-commit per protocol phase);
+* what happened before the crash — :mod:`repro.obs.trace` (causal spans),
+  :mod:`repro.obs.recorder` (flight recorder) and :mod:`repro.obs.monitors`
+  (online invariant monitors);
+* watch it live — :mod:`repro.obs.series` (streamed samples),
+  :mod:`repro.obs.watch` (terminal dashboard), :mod:`repro.obs.serve`
+  (``/metrics`` and ``/state``) and :mod:`repro.obs.gates` (SLO gates).
+
+:mod:`repro.obs.export` writes every artefact (JSON, JSONL, CSV, Prometheus
+text, Chrome trace).  Typical use::
+
+    from repro import obs
+
+    probe = obs.Probe.at_level("all")
+    with obs.activate(probe):
+        system = ZLBSystem.create(...)   # picks up the active probe
+        system.run_instances(2)
+    print(probe.metrics.snapshot()["histograms"])
+    print(obs.render_critical_path(obs.critical_path(probe.trace.tracer)))
 """
 
-from repro.obs.core import ObsRuntime, activate, current, current_profiler
-from repro.obs.gates import SLO, GateCheck, GateReport
+from repro.obs.core import LEVELS, Probe, activate, current
+from repro.obs.critical_path import critical_path, render_critical_path
+from repro.obs.metrics import TelemetryRegistry
 from repro.obs.profiler import HostProfiler
 from repro.obs.series import StreamingSampler
+from repro.obs.trace import TraceRuntime
 
 __all__ = [
-    "ObsRuntime",
+    "LEVELS",
+    "Probe",
     "activate",
     "current",
-    "current_profiler",
+    "critical_path",
+    "render_critical_path",
+    "TelemetryRegistry",
     "HostProfiler",
     "StreamingSampler",
-    "SLO",
-    "GateCheck",
-    "GateReport",
+    "TraceRuntime",
 ]

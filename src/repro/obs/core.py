@@ -1,17 +1,39 @@
-"""The obs runtime and its activation scope.
+"""The one instrumentation handle (:class:`Probe`) and its activation scope.
 
-Mirrors the telemetry/tracing convention exactly: instrumented code holds
-either a real :class:`ObsRuntime` or ``None`` and guards every hot-path site
-with ``if obs is not None`` — disabled observability is a single pointer
-comparison.  A module-level :class:`~repro.common.context.ActivationScope`
-lets a scenario cell runner activate the runtime without threading it through
-every constructor; ``NetworkSimulator`` defaults its ``obs`` argument to
-:func:`current`.
+**The disabled-mode contract.**  Every instrumented layer — transports,
+processes, protocol hosts, the blockchain manager — holds a single ``probe``
+attribute that is either ``None`` (the default) or a live :class:`Probe`.  A
+call site reads it once, guards once, and then speaks verbs::
 
-This module must stay leaf-level (it is imported by the network simulator
-and the ledger's transaction verify path): only :mod:`repro.common.context`
-and the obs siblings, which themselves import nothing above
-:mod:`repro.telemetry.core`.
+    probe = self.probe
+    if probe is not None:
+        probe.count("rbc.delivered")
+        probe.event("rbc.deliver", replica, now, instance=3)
+
+so an uninstrumented run pays one pointer comparison per site and not a
+single Python call: there is no null-object probe and no helper in front of
+the guard.  A live probe carries up to four back-ends — ``metrics``
+(:class:`~repro.obs.metrics.TelemetryRegistry`), ``trace``
+(:class:`~repro.obs.trace.TraceRuntime`), ``profiler``
+(:class:`~repro.obs.profiler.HostProfiler`) and ``sampler``
+(:class:`~repro.obs.series.StreamingSampler`) — and each verb is bound at
+construction to its back-end's method or, when that back-end is absent, to
+one shared no-op.  The few sites that need a back-end itself (the tracer to
+install a context, the invariant ``monitors``) read the slot under a second
+check.
+
+Everything here is observational: no back-end consumes randomness or
+schedules anything, so fixed-seed runs are byte-identical at every
+instrumentation level.
+
+:func:`activate` installs a probe for a block of code; constructors that
+build a stack (``NetworkSimulator``, ``ZLBSystem.create``) default their
+``probe`` argument to :func:`current`.  This is the only activation scope in
+the code base.
+
+This module is imported by the network simulator and the ledger's verify
+path, so it imports nothing above :mod:`repro.common.context` and its obs
+siblings.
 """
 
 from __future__ import annotations
@@ -20,91 +42,245 @@ from time import perf_counter_ns
 from typing import Any, Callable, Dict, Optional
 
 from repro.common.context import ActivationScope
+from repro.obs.metrics import TelemetryRegistry, protocol_group
 from repro.obs.profiler import HostProfiler
-from repro.obs.series import (
-    DEFAULT_CADENCE_S,
-    DEFAULT_QUANTILE_WINDOW,
-    DEFAULT_RING_POINTS,
-    StreamingSampler,
-)
+from repro.obs.series import StreamingSampler
+from repro.obs.trace import TraceContext, TraceRuntime
+
+#: What ``ScenarioSpec.instrument`` and ``--instrument`` accept besides "":
+#: metrics only, trace only, the live plane (sampler + profiler), everything.
+LEVELS = ("metrics", "trace", "live", "all")
 
 
-class ObsRuntime:
-    """One run's live-observability state: sampler + profiler + publisher."""
+def _noop(*args: Any, **kwargs: Any) -> None:
+    """What every verb of an absent back-end is bound to."""
 
-    __slots__ = ("sampler", "profiler", "publisher", "cell", "_created_ns")
+
+class Probe:
+    """One run's instrumentation: back-end slots plus the verbs bound to them."""
+
+    __slots__ = (
+        "metrics", "trace", "monitors", "sampler", "profiler", "publisher",
+        "cell", "_created_ns",
+        # metrics verbs
+        "count", "observe", "gauge", "mark",
+        # trace verbs
+        "event", "start_span", "finish",
+        # profiler verbs
+        "enter", "exit",
+        # sampler verb
+        "sample",
+    )
 
     def __init__(
         self,
-        sampler: StreamingSampler,
-        profiler: HostProfiler,
+        metrics: Optional[TelemetryRegistry] = None,
+        trace: Optional[TraceRuntime] = None,
+        sampler: Optional[StreamingSampler] = None,
+        profiler: Optional[HostProfiler] = None,
         publisher: Optional[Callable[[Dict[str, Any]], None]] = None,
         cell: Optional[str] = None,
     ) -> None:
+        self.metrics = metrics
+        self.trace = trace
+        #: The trace back-end's online invariant monitors, or None.
+        self.monitors = trace.monitors if trace is not None else None
         self.sampler = sampler
         self.profiler = profiler
         self.publisher = publisher
         self.cell = cell
         self._created_ns = perf_counter_ns()
+        #: ``count(name, amount=1, **labels)``
+        self.count = metrics.count if metrics is not None else _noop
+        #: ``observe(name, value, **labels)`` — one histogram sample
+        self.observe = metrics.observe if metrics is not None else _noop
+        #: ``gauge(name, value, **labels)``
+        self.gauge = metrics.set_gauge if metrics is not None else _noop
+        #: ``mark(timeline, label, at)``
+        self.mark = metrics.mark if metrics is not None else _noop
+        tracer = trace.tracer if trace is not None else None
+        #: ``event(name, replica, at, **attrs)`` — structured point event
+        self.event = tracer.event if tracer is not None else _noop
+        #: ``start_span(name, replica, at, parent=None, **attrs)`` → span or None
+        self.start_span = tracer.start_span if tracer is not None else _noop
+        #: ``finish(span, at)``
+        self.finish = tracer.finish if tracer is not None else _noop
+        #: ``enter(bucket)`` / ``exit()`` — host-CPU bracket
+        self.enter = profiler.enter if profiler is not None else _noop
+        self.exit = profiler.exit if profiler is not None else _noop
+        #: ``sample(series, value)`` — one streamed latency observation
+        self.sample = sampler.observe if sampler is not None else _noop
 
     @classmethod
-    def enabled(
+    def at_level(
         cls,
-        cadence_s: float = DEFAULT_CADENCE_S,
-        ring_points: int = DEFAULT_RING_POINTS,
-        quantile_window: int = DEFAULT_QUANTILE_WINDOW,
+        level: str,
         publisher: Optional[Callable[[Dict[str, Any]], None]] = None,
         cell: Optional[str] = None,
-    ) -> "ObsRuntime":
-        """A fully wired runtime (the only constructor call sites need)."""
-        sampler = StreamingSampler(
-            cadence_s=cadence_s,
-            ring_points=ring_points,
-            quantile_window=quantile_window,
+    ) -> "Probe":
+        """The probe of one instrumentation level (see :data:`LEVELS`).
+
+        A ``publisher`` adds the live plane whatever the level: a watcher
+        needs the sampler's progress ticks even around a bare cell.
+        """
+        if level and level not in LEVELS:
+            raise ValueError(
+                f"unknown instrumentation level {level!r}; known: {', '.join(LEVELS)}"
+            )
+        live = level in ("live", "all") or publisher is not None
+        return cls(
+            metrics=TelemetryRegistry() if level in ("metrics", "all") else None,
+            trace=TraceRuntime.enabled() if level in ("trace", "all") else None,
+            sampler=StreamingSampler(publisher=publisher) if live else None,
+            profiler=HostProfiler() if live else None,
             publisher=publisher,
+            cell=cell,
         )
-        return cls(sampler, HostProfiler(), publisher=publisher, cell=cell)
 
-    def publish(self, event: Dict[str, Any]) -> None:
-        """Forward a progress event to the publisher, if any."""
-        publisher = self.publisher
-        if publisher is not None:
-            publisher(event)
+    # -- transport hooks ---------------------------------------------------------
+    #
+    # Both transports call these under their one guard; each fans out to the
+    # back-ends present.
 
-    def wall_ns(self) -> int:
-        """Wall nanoseconds since the runtime was created."""
-        return perf_counter_ns() - self._created_ns
+    def on_send(self, message: Any, now: float, count: int = 1) -> None:
+        """One submission reaching ``count`` recipients: count it, stamp the
+        active trace context on the envelope, feed the per-group rate series."""
+        metrics = self.metrics
+        sampler = self.sampler
+        if metrics is not None or sampler is not None:
+            group = protocol_group(message.topic)
+            if metrics is not None:
+                kind = message.kind
+                metrics.count("net.messages_sent", count, protocol=group, kind=kind)
+                metrics.count(
+                    "net.bytes_sent",
+                    message.size_bytes() * count,
+                    protocol=group,
+                    kind=kind,
+                )
+            if sampler is not None:
+                sampler.count_message(group, count)
+        trace = self.trace
+        if trace is not None:
+            if message.trace_ctx is None:
+                message.trace_ctx = trace.tracer.current_ctx
+            if trace.recorder is not None:
+                trace.recorder.record_message(now, message.sender, "send", message)
 
-    def snapshot(self, top: Optional[int] = None) -> Dict[str, Any]:
-        """JSON-serialisable snapshot: series + totals + quantiles + profile.
+    def on_drop(self, message: Any, now: float, count: int = 1) -> None:
+        self.count("net.messages_dropped", count)
+        trace = self.trace
+        if trace is not None and trace.recorder is not None:
+            trace.recorder.record_message(
+                now, message.sender, "drop", message, count=count
+            )
 
-        The profile's attribution denominator is the runtime's own lifetime,
+    def deliver(self, process: Any, message: Any, now: float) -> None:
+        """Dispatch a delivery — when traced, inside a child span of the
+        message's context that everything sent while handling chains off."""
+        self.count("net.messages_delivered")
+        trace = self.trace
+        if trace is not None and trace.recorder is not None:
+            trace.recorder.record_message(now, message.recipient, "deliver", message)
+        ctx = message.trace_ctx
+        if trace is None or ctx is None:
+            process.on_message(message)
+            return
+        tracer = trace.tracer
+        span = tracer.start_span(
+            f"{protocol_group(message.topic)}/{message.kind}",
+            message.recipient,
+            now,
+            parent=ctx,
+            sender=message.sender,
+            topic=message.topic.canonical,
+        )
+        previous = tracer.activate(span.ctx)
+        try:
+            process.on_message(message)
+        finally:
+            tracer.restore(previous)
+            tracer.finish(span, now)
+
+    def timer_context(self) -> Optional[TraceContext]:
+        """The trace context a timer captures at scheduling time."""
+        trace = self.trace
+        return trace.tracer.current_ctx if trace is not None else None
+
+    def fire_timer(
+        self,
+        callback: Callable[[], None],
+        ctx: Optional[TraceContext],
+        now: float,
+        owner: Any,
+    ) -> None:
+        """Run a timer callback in the ``timer`` CPU bucket, under the trace
+        context captured when it was scheduled."""
+        self.enter("timer")
+        try:
+            trace = self.trace
+            if trace is None:
+                callback()
+                return
+            if trace.recorder is not None:
+                trace.recorder.record(
+                    now,
+                    owner,
+                    "timer",
+                    f"timer fired (owner={owner})",
+                    trace=ctx.fmt() if ctx is not None else None,
+                )
+            previous = trace.tracer.activate(ctx)
+            try:
+                callback()
+            finally:
+                trace.tracer.restore(previous)
+        finally:
+            self.exit()
+
+    # -- end-of-run artefacts ----------------------------------------------------
+
+    def live_snapshot(self) -> Dict[str, Any]:
+        """Series + totals + quantiles + CPU profile of the live plane.
+
+        The profile's attribution denominator is the probe's own lifetime,
         so ``attributed_pct`` answers "how much of this cell's host CPU did
         named buckets account for".
         """
         snap = self.sampler.snapshot()
         snap["cell"] = self.cell
-        snap["profile"] = self.profiler.report(top=top, wall_ns=self.wall_ns())
+        snap["profile"] = self.profiler.report(
+            wall_ns=perf_counter_ns() - self._created_ns
+        )
         return snap
 
-
-# -- the current runtime -------------------------------------------------------
-
-_SCOPE = ActivationScope("obs")
-
-
-def current() -> Optional[ObsRuntime]:
-    """The active runtime installed by :func:`activate`, or ``None``."""
-    return _SCOPE.current()
-
-
-def activate(runtime: Optional[ObsRuntime]):
-    """Install ``runtime`` for the enclosed block (``None`` shields)."""
-    return _SCOPE.activate(runtime)
+    def artefacts(self) -> Dict[str, Dict[str, Any]]:
+        """What a result store persists next to the row, by record key:
+        ``telemetry`` (metrics snapshot), ``trace`` (summary) and ``obs``
+        (live snapshot) — each only when its back-end is present."""
+        found: Dict[str, Dict[str, Any]] = {}
+        if self.metrics is not None:
+            found["telemetry"] = self.metrics.snapshot()
+        if self.trace is not None:
+            found["trace"] = self.trace.summary()
+        if self.sampler is not None and self.profiler is not None:
+            found["obs"] = self.live_snapshot()
+        return found
 
 
-def current_profiler() -> Optional[HostProfiler]:
-    """The active runtime's profiler, or ``None`` — one call for hot paths
-    (the transaction verify path) that only bracket CPU sections."""
-    runtime = _SCOPE.current()
-    return runtime.profiler if runtime is not None else None
+# -- the current probe ---------------------------------------------------------
+
+#: The only activation scope in ``src/repro``.  Hot paths that cannot be
+#: handed a probe (``Transaction.verify_signatures``) read ``SCOPE.value``
+#: directly — one attribute load, no call.
+SCOPE = ActivationScope()
+
+
+def current() -> Optional[Probe]:
+    """The active probe installed by :func:`activate`, or ``None``."""
+    return SCOPE.value
+
+
+def activate(probe: Optional[Probe]):
+    """Install ``probe`` for the enclosed block; ``activate(None)`` shields it."""
+    return SCOPE.activate(probe)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.tracing.core import Tracer
+from repro.obs.trace import Tracer
 
 #: Phase order in reports; ``total`` is propose -> commit.
 PHASES = ("mempool", "rbc", "binary", "commit")
@@ -30,8 +30,8 @@ PHASES = ("mempool", "rbc", "binary", "commit")
 
 def critical_path(tracer: Tracer) -> Dict[str, Any]:
     """Aggregate phase attribution across all committed instances."""
-    # repro.analysis imports lazily, mirroring telemetry's Histogram: this
-    # module is re-exported by the package the simulator imports.
+    # repro.analysis imports lazily, like the metrics Histogram: this module
+    # is re-exported by the package the simulator imports.
     from repro.analysis.metrics import percentiles
 
     samples: Dict[str, List[float]] = {phase: [] for phase in PHASES}

@@ -1,0 +1,241 @@
+"""Every artefact the instrumentation writes, in one place.
+
+Four generic writers — JSON, JSONL, CSV over flat dict rows, Prometheus text
+over ``(family, labels, value)`` samples — and one Chrome-trace builder; the
+rest of the module flattens the back-ends' snapshots into the rows those
+writers take.  Exporters never touch live metric objects, so they work
+identically on a run that just finished and on a snapshot replayed from a
+scenario result store.
+
+The Chrome trace event format (the ``traceEvents`` array understood by
+``chrome://tracing`` and https://ui.perfetto.dev) maps naturally onto traced
+runs: one *process* row per replica, one *thread* row per trace (so a
+consensus instance's causal tree reads left to right on its own lane),
+complete ``"X"`` events for spans and instant ``"i"`` events for the
+structured point events.  Timestamps are seconds scaled to microseconds, the
+format's native unit.
+"""
+
+from __future__ import annotations
+
+import csv
+import json
+import os
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+
+from repro.obs.metrics import split_metric_key
+
+#: Column order of metric CSV exports; metric-specific fields fill what applies.
+METRIC_COLUMNS = (
+    "cell", "type", "metric", "labels", "value", "count", "mean", "std",
+    "ci95", "p50", "p95", "p99", "min", "max",
+)
+
+#: The summary fields a histogram row fills.
+_HISTOGRAM_FIELDS = ("count", "mean", "std", "ci95", "p50", "p95", "p99", "min", "max")
+
+#: Column order of sampled time-series CSV exports (plot-ready long form).
+SERIES_COLUMNS = ("cell", "series", "t", "value")
+
+#: Seconds -> Chrome trace microseconds.
+_US = 1_000_000.0
+
+
+# -- writers -------------------------------------------------------------------
+
+
+def _open_for_write(path: Any, newline: Optional[str] = None):
+    path = os.fspath(path)
+    directory = os.path.dirname(path)
+    if directory:
+        os.makedirs(directory, exist_ok=True)
+    return open(path, "w", encoding="utf-8", newline=newline)
+
+
+def write_json(payload: Any, path: Any, indent: Optional[int] = 2) -> str:
+    """Write ``payload`` as one JSON document (sorted keys); returns the path."""
+    with _open_for_write(path) as handle:
+        json.dump(payload, handle, indent=indent, sort_keys=True)
+        handle.write("\n")
+    return os.fspath(path)
+
+
+def write_jsonl(records: Iterable[Dict[str, Any]], path: Any) -> str:
+    """Write one JSON object per line (sorted keys); returns the path."""
+    with _open_for_write(path) as handle:
+        for record in records:
+            handle.write(json.dumps(record, sort_keys=True))
+            handle.write("\n")
+    return os.fspath(path)
+
+
+def write_csv(
+    rows: Iterable[Dict[str, Any]],
+    path: Any,
+    columns: Sequence[str] = METRIC_COLUMNS,
+) -> str:
+    """Write flat dict rows under a ``columns`` header; returns the path."""
+    with _open_for_write(path, newline="") as handle:
+        writer = csv.DictWriter(handle, fieldnames=columns, extrasaction="ignore")
+        writer.writeheader()
+        writer.writerows(rows)
+    return os.fspath(path)
+
+
+def prometheus_text(
+    families: Sequence[Tuple[str, str]],
+    samples: Iterable[Tuple[str, Dict[str, Any], Any]],
+) -> str:
+    """Prometheus text exposition of ``(family, labels, value)`` samples.
+
+    ``families`` declares every ``(name, type)`` up front, in output order, so
+    a family with no sample yet still announces its ``# TYPE`` line.
+    """
+    by_family: Dict[str, List[str]] = {name: [] for name, _ in families}
+    for family, labels, value in samples:
+        rendered = ",".join(
+            '{}="{}"'.format(
+                key, str(label).replace("\\", "\\\\").replace('"', '\\"')
+            )
+            for key, label in labels.items()
+        )
+        number = f"{value:.6f}" if isinstance(value, float) else str(value)
+        by_family[family].append(
+            f"{family}{{{rendered}}} {number}" if rendered else f"{family} {number}"
+        )
+    lines: List[str] = []
+    for name, kind in families:
+        lines.append(f"# TYPE {name} {kind}")
+        lines.extend(by_family[name])
+    return "\n".join(lines) + "\n"
+
+
+# -- metric snapshots ----------------------------------------------------------
+
+
+def snapshot_rows(snapshot: Dict[str, Any], cell: str = "") -> List[Dict[str, Any]]:
+    """Flatten a metrics snapshot into one dict row per metric.
+
+    ``cell`` tags every row (the spec label when exporting a sweep), so rows
+    from many cells concatenate into one comparable table.
+    """
+    rows: List[Dict[str, Any]] = []
+
+    def add(kind: str, key: str, **fields: Any) -> None:
+        name, labels = split_metric_key(key)
+        rendered = ",".join(f"{k}={v}" for k, v in sorted(labels.items()))
+        metric = name + fields.pop("suffix", "")
+        rows.append(
+            {"cell": cell, "type": kind, "metric": metric, "labels": rendered, **fields}
+        )
+
+    for key, value in snapshot.get("counters", {}).items():
+        add("counter", key, value=value)
+    for key, summary in snapshot.get("gauges", {}).items():
+        add(
+            "gauge",
+            key,
+            value=summary.get("value"),
+            min=summary.get("min"),
+            max=summary.get("max"),
+            count=summary.get("writes"),
+        )
+    for key, summary in snapshot.get("histograms", {}).items():
+        add(
+            "histogram",
+            key,
+            **{field: summary.get(field) for field in _HISTOGRAM_FIELDS},
+        )
+    for key, summary in snapshot.get("timelines", {}).items():
+        for mark, at in summary.get("first", {}).items():
+            add("timeline", key, suffix=f".{mark}", value=at)
+    return rows
+
+
+# -- sampled time series -------------------------------------------------------
+
+
+def series_rows(snapshots: Iterable[Dict[str, Any]]) -> Iterator[Dict[str, Any]]:
+    """One ``{cell, series, t, value}`` row per sampled point.
+
+    Each snapshot must carry a ``cell`` label next to its ``series`` (the
+    shape :meth:`repro.obs.core.Probe.live_snapshot` produces).
+    """
+    for snap in snapshots:
+        cell = snap.get("cell")
+        for name, series in snap.get("series", {}).items():
+            for sim_time, value in series["points"]:
+                yield {"cell": cell, "series": name, "t": sim_time, "value": value}
+
+
+# -- traces --------------------------------------------------------------------
+
+
+def chrome_trace(
+    spans: Sequence[Dict[str, Any]],
+    events: Sequence[Dict[str, Any]] = (),
+    clock: str = "simulated seconds, scaled to us",
+) -> Dict[str, Any]:
+    """A Chrome trace object from span records and structured point events.
+
+    ``spans`` are :meth:`~repro.obs.trace.Span.to_dict` records — straight
+    off one tracer, or merged from several cluster workers with
+    ``start``/``end`` already mapped onto the shared cluster clock.
+    """
+    trace_events: List[Dict[str, Any]] = []
+    for span in spans:
+        args: Dict[str, Any] = {"trace": span["trace"], "span": span["span"]}
+        if span.get("parent") is not None:
+            args["parent"] = span["parent"]
+        if span.get("attrs"):
+            args.update(span["attrs"])
+        start = span["start"]
+        end = span["end"] if span.get("end") is not None else start
+        trace_events.append(
+            {
+                "name": span["name"],
+                "ph": "X",
+                "pid": _pid(span.get("replica")),
+                "tid": span["trace"],
+                "ts": start * _US,
+                "dur": (end - start) * _US,
+                "args": args,
+            }
+        )
+    for event in events:
+        trace_events.append(
+            {
+                "name": event["name"],
+                "ph": "i",
+                "s": "t",
+                "pid": _pid(event.get("replica")),
+                "tid": event["trace"] if event.get("trace") is not None else 0,
+                "ts": event["t"] * _US,
+                "args": dict(event.get("attrs") or {}),
+            }
+        )
+    return {
+        "traceEvents": trace_events,
+        "displayTimeUnit": "ms",
+        "otherData": {
+            "traces": len({span["trace"] for span in spans}),
+            "clock": clock,
+        },
+    }
+
+
+def _pid(replica: Any) -> int:
+    """Replica id as a Chrome process id (non-int replicas hash stably)."""
+    if isinstance(replica, int):
+        return replica
+    return abs(hash(str(replica))) % 1_000_000 if replica is not None else 0
+
+
+def span_tree(spans: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
+    """Span records nested under their parents: a list of per-trace roots."""
+    nodes = {span["span"]: {**span, "children": []} for span in spans}
+    roots: List[Dict[str, Any]] = []
+    for node in nodes.values():
+        parent = nodes.get(node["parent"]) if node["parent"] is not None else None
+        (parent["children"] if parent is not None else roots).append(node)
+    return roots

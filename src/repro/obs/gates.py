@@ -9,8 +9,8 @@ A scenario family declares its service-level objectives right next to its
 
 Gate evaluation reads the result store: host seconds come from the
 ``wall_clock_s`` every record carries; event rate and commit-latency p99 come
-from the obs snapshot persisted next to obs-enabled records.  Cells recorded
-without obs are reported as *skipped* for rate/latency objectives — never
+from the live snapshot persisted next to ``instrument="live"`` records.  Cells
+recorded without it are reported as *skipped* for rate/latency objectives — never
 silently passed — so a gate run states exactly what it did and did not check.
 
 ``python -m repro.scenarios report --gate`` renders the checks and exits
@@ -98,7 +98,7 @@ def _observed_value(record: Dict[str, Any], metric: str) -> Tuple[Optional[float
         return float(record.get("wall_clock_s", 0.0)), ""
     obs = record.get("obs")
     if not obs:
-        return None, "no obs snapshot recorded (re-run with --obs)"
+        return None, "no obs snapshot recorded (re-run with --instrument live)"
     if metric == "min_events_per_sec":
         totals = obs.get("totals", {})
         rate = totals.get("events_per_sec")

@@ -1,11 +1,8 @@
-"""Telemetry primitives and the per-run registry.
+"""Metric primitives and the per-run registry (the ``metrics`` back-end).
 
-The subsystem follows one rule everywhere: **instrumented code holds either a
-real :class:`TelemetryRegistry` or ``None``**, and every hot-path site guards
-with ``if telemetry is not None``.  Disabled telemetry is therefore a single
-pointer comparison — no null-object method calls, no metric allocation, no
-string formatting — which is what lets the simulator, the broadcast layer and
-the consensus components stay permanently instrumented.
+Answers "how many, how long": instrumented code reaches the registry through
+the ``count`` / ``observe`` / ``gauge`` / ``mark`` verbs of its
+:class:`~repro.obs.core.Probe`.
 
 Primitives:
 
@@ -22,11 +19,6 @@ Metrics are identified by name plus optional low-cardinality labels, created
 lazily on first touch and snapshotted into a plain JSON-serialisable dict that
 the scenario :class:`~repro.scenarios.store.ResultStore` persists next to each
 result row.
-
-A module-level *current registry* (:func:`activate` / :func:`current`) lets
-deep call stacks — e.g. a scenario cell runner three layers above
-``ZLBSystem.create`` — enable telemetry without threading the registry through
-every constructor.
 """
 
 from __future__ import annotations
@@ -36,11 +28,9 @@ import time
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 # NOTE: this module must not import other repro packages at module level —
-# the network simulator imports it, so a top-level import of e.g.
-# repro.analysis would close an import cycle.  Summaries import
+# the network simulator imports it (through repro.obs.core), so a top-level
+# import of e.g. repro.analysis would close an import cycle.  Summaries import
 # repro.analysis.metrics lazily inside Histogram.snapshot instead.
-# (repro.common.context is leaf-level — stdlib only — and therefore safe.)
-from repro.common.context import ActivationScope
 
 #: Labels are rendered into metric keys as ``name{k=v,k2=v2}``.
 MetricKey = str
@@ -258,6 +248,20 @@ class TelemetryRegistry:
             timeline = self._timelines[key] = Timeline()
         return timeline
 
+    # -- write verbs (what a Probe binds) ---------------------------------------
+
+    def count(self, name: str, amount: float = 1, **labels: Any) -> None:
+        self.counter(name, **labels).inc(amount)
+
+    def observe(self, name: str, value: float, **labels: Any) -> None:
+        self.histogram(name, **labels).observe(value)
+
+    def set_gauge(self, name: str, value: float, **labels: Any) -> None:
+        self.gauge(name, **labels).set(value)
+
+    def mark(self, name: str, label: str, at: float) -> None:
+        self.timeline(name).mark(label, at)
+
     # -- scoped timing ---------------------------------------------------------
 
     @contextlib.contextmanager
@@ -306,32 +310,6 @@ class TelemetryRegistry:
                 for key in sorted(self._timelines)
             },
         }
-
-
-# -- the current registry ------------------------------------------------------
-
-#: Activation state shared with the tracing layer's equivalent scope (see
-#: :mod:`repro.common.context` for the nesting/shielding semantics).
-_SCOPE = ActivationScope("telemetry")
-
-
-def current() -> Optional[TelemetryRegistry]:
-    """The active registry installed by :func:`activate`, or ``None``.
-
-    Instrumented constructors (``NetworkSimulator``, ``ZLBSystem.create``)
-    default their ``telemetry`` argument to this, so activating a registry
-    around a scenario cell instruments the whole stack it builds.
-    """
-    return _SCOPE.current()
-
-
-def activate(registry: Optional[TelemetryRegistry]):
-    """Install ``registry`` as the current registry for the enclosed block.
-
-    ``activate(None)`` explicitly disables telemetry for the block (useful to
-    shield a sub-run from an outer registry).
-    """
-    return _SCOPE.activate(registry)
 
 
 def protocol_group(protocol: Any) -> str:

@@ -29,7 +29,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.common.logging import get_logger
 
-logger = get_logger("repro.tracing.monitors")
+logger = get_logger("repro.obs.monitors")
 
 
 class InvariantViolationError(RuntimeError):

@@ -29,7 +29,6 @@ buckets instead of an anonymous remainder.
 from __future__ import annotations
 
 import contextlib
-import json
 from time import perf_counter_ns
 from typing import Any, Dict, Iterator, List, Optional
 
@@ -83,10 +82,6 @@ class HostProfiler:
             self.exit()
 
     # -- reporting -------------------------------------------------------------
-
-    def measured_ns(self) -> int:
-        """Total wall nanoseconds inside root-level sections."""
-        return self._root_ns
 
     def report(
         self, top: Optional[int] = None, wall_ns: Optional[int] = None
@@ -150,12 +145,3 @@ def render_report(report: Dict[str, Any], title: str = "host-CPU profile") -> st
     if report.get("truncated_buckets"):
         lines.append(f"... {report['truncated_buckets']} more bucket(s) truncated")
     return "\n".join(lines)
-
-
-def write_report(path: str, report: Dict[str, Any], **extra: Any) -> None:
-    """Persist a report (plus context fields such as the cell label) as JSON."""
-    payload = dict(extra)
-    payload["profile"] = report
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")

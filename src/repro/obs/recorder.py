@@ -8,19 +8,21 @@ number stamped at record time; because the simulator is single-threaded and
 processes events in timestamp order, sorting the union of all buffers by
 ``(t, seq)`` reconstructs the causal order of everything retained.
 
-The recorder is only ever touched from :class:`~repro.tracing.core
-.TraceRuntime` hooks (enabled mode) — the disabled path never sees it.  Dumps
-are JSONL (one event per line) so they stream into ``jq``/pandas unchanged;
-:meth:`render` produces the compact text block pytest attaches to failing
-test reports.
+The recorder is only ever touched from :class:`~repro.obs.trace.TraceRuntime`
+hooks (enabled mode) — the disabled path never sees it.  Dumps are JSONL: a
+header record stating how much was recorded, retained, evicted and skipped —
+a truncated dump says it is truncated — then one event per line, so they
+stream into ``jq``/pandas unchanged; :meth:`render` produces the compact text
+block pytest attaches to failing test reports.
 """
 
 from __future__ import annotations
 
 import collections
 import itertools
-import json
 from typing import Any, Deque, Dict, List, Optional
+
+from repro.obs.export import write_jsonl
 
 #: Default per-replica ring capacity; enough to hold several consensus
 #: instances' worth of traffic at small n without unbounded growth.
@@ -103,6 +105,11 @@ class FlightRecorder:
         """Total events ever recorded, including those already evicted."""
         return self._recorded
 
+    @property
+    def evicted(self) -> int:
+        """Events recorded but already pushed out of their ring."""
+        return self._recorded - len(self)
+
     def events(self) -> List[Dict[str, Any]]:
         """All retained events merged across replicas, in causal order.
 
@@ -110,22 +117,15 @@ class FlightRecorder:
         by ``(t, seq)`` — sequence number breaking simultaneous-event ties in
         record order — *is* the causal order of the retained suffix.
         """
-        merged = [
-            event for buffer in self._buffers.values() for event in buffer
-        ]
-        merged.sort(key=lambda event: (event["t"], event["seq"]))
-        return merged
+        return self.events_since(-1)
 
     # -- dumping -----------------------------------------------------------------
 
     def dump_jsonl(self, path: Any) -> str:
-        """Write the causally-ordered event log as JSONL; returns the path."""
-        path = str(path)
-        with open(path, "w", encoding="utf-8") as handle:
-            for event in self.events():
-                handle.write(json.dumps(event, sort_keys=True))
-                handle.write("\n")
-        return path
+        """Write the header and the causally-ordered event log; returns the path."""
+        events = self.events()
+        header = flight_header(self._recorded, len(events), evicted=self.evicted)
+        return write_jsonl([header, *events], path)
 
     def render(self, limit: int = 40) -> str:
         """Human-readable tail of the event log (pytest failure reports)."""
@@ -188,15 +188,20 @@ def merge_worker_events(
     return merged
 
 
-def dump_merged_jsonl(path: Any, events: List[Dict[str, Any]]) -> str:
-    """Write a merged cluster timeline as JSONL; returns the path.
+def flight_header(
+    recorded: int, retained: int, evicted: int = 0, skipped: int = 0
+) -> Dict[str, Any]:
+    """The first line of every flight dump: how complete the dump is.
 
-    Same one-event-per-line shape as :meth:`FlightRecorder.dump_jsonl`, so
-    the ``scenarios trace`` tooling and ``jq``/pandas consume both alike.
+    ``evicted`` events fell off a recorder ring before anyone read them;
+    ``skipped`` events were still in a worker's ring but cut from an obs
+    frame (or dropped by the launcher's own retention) on the way to a
+    merged dump.  ``recorded == retained + evicted + skipped``.
     """
-    path = str(path)
-    with open(path, "w", encoding="utf-8") as handle:
-        for event in events:
-            handle.write(json.dumps(event, sort_keys=True))
-            handle.write("\n")
-    return path
+    return {
+        "header": "flight-dump",
+        "recorded": recorded,
+        "retained": retained,
+        "evicted": evicted,
+        "skipped": skipped,
+    }

@@ -1,8 +1,9 @@
-"""Comparative telemetry reports across a scenario sweep.
+"""Comparative metric reports across a scenario sweep.
 
 Consumes the records of a :class:`~repro.scenarios.store.ResultStore` (each
-holding a spec, a result row and — when the cell ran with telemetry enabled —
-a snapshot) and renders aligned text tables comparing cells side by side:
+holding a spec, a result row and — when the cell ran with the ``metrics``
+back-end — a snapshot under ``"telemetry"``) and renders aligned text tables
+comparing cells side by side:
 
 * **messages by protocol** — per-protocol/kind message and byte counts from
   the network simulator;
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.telemetry.core import split_metric_key
+from repro.obs.metrics import split_metric_key
 
 Record = Dict[str, Any]
 Table = Tuple[str, List[Dict[str, Any]]]
@@ -211,7 +212,8 @@ def render_report(
     if not cells:
         return (
             "no telemetry metrics in the store — run a simulation family with "
-            "--telemetry (or ScenarioSpec(telemetry=True)) to record snapshots"
+            "--instrument metrics (or ScenarioSpec(instrument=\"metrics\")) to "
+            "record snapshots"
         )
     sections = [f"telemetry report — {len(cells)} instrumented cells"]
     for title, rows in build_tables(records, metric_filter):

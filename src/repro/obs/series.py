@@ -17,18 +17,17 @@ one point per series into a bounded ring buffer:
 
 Ring buffers cap memory for arbitrarily long runs; when a ring wraps, the
 oldest points fall off and ``snapshot()`` reports how many were dropped so
-exports never silently pretend to be complete.
+exports (:func:`repro.obs.export.series_rows`) never silently pretend to be
+complete.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 from collections import deque
 from time import perf_counter_ns
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Optional, Tuple
 
-from repro.telemetry.core import Histogram
+from repro.obs.metrics import Histogram
 
 #: Default sampling cadence in simulated seconds.
 DEFAULT_CADENCE_S = 0.25
@@ -232,50 +231,3 @@ class StreamingSampler:
             },
             "totals": totals,
         }
-
-
-# -- exports -------------------------------------------------------------------
-
-
-def write_series_jsonl(path: str, snapshots: List[Dict[str, Any]]) -> int:
-    """Append-one-line-per-point JSONL export of sampler snapshots.
-
-    Each snapshot dict must carry a ``cell`` label next to its ``series``
-    (the shape :meth:`repro.obs.core.ObsRuntime.snapshot` produces).
-    Returns the number of points written.
-    """
-    written = 0
-    with open(path, "w", encoding="utf-8") as handle:
-        for snap in snapshots:
-            cell = snap.get("cell")
-            for name, series in snap.get("series", {}).items():
-                for sim_time, value in series["points"]:
-                    handle.write(
-                        json.dumps(
-                            {
-                                "cell": cell,
-                                "series": name,
-                                "t": sim_time,
-                                "value": value,
-                            },
-                            sort_keys=True,
-                        )
-                    )
-                    handle.write("\n")
-                    written += 1
-    return written
-
-
-def write_series_csv(path: str, snapshots: List[Dict[str, Any]]) -> int:
-    """Plot-ready long-form CSV (cell, series, t, value) of sampler snapshots."""
-    written = 0
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["cell", "series", "t", "value"])
-        for snap in snapshots:
-            cell = snap.get("cell")
-            for name, series in snap.get("series", {}).items():
-                for sim_time, value in series["points"]:
-                    writer.writerow([cell, name, sim_time, value])
-                    written += 1
-    return written

@@ -1,16 +1,13 @@
-"""Local HTTP endpoint exposing live sweep state.
+"""Local HTTP endpoint exposing a watcher's live state.
 
-``python -m repro.scenarios sweep --watch --serve PORT`` starts a
-:class:`WatchServer` next to the terminal watcher: ``GET /metrics`` returns
-the sweep state as Prometheus text format, ``GET /state`` as JSON.  The
+``python -m repro.scenarios sweep --watch --serve PORT`` (a
+:class:`~repro.obs.watch.SweepWatcher`) and ``python -m repro.cluster --serve
+PORT`` (a :class:`~repro.cluster.watch.ClusterWatcher`) start a
+:class:`WatchServer` next to the terminal table: ``GET /metrics`` returns the
+watcher's state as Prometheus text format, ``GET /state`` as JSON.  The
 server binds loopback only, runs on a daemon thread, and reads the same
-watcher object the terminal renders from — it adds no publishers, no extra
-queues and no load on the workers.
-
-The watcher is duck-typed: anything with thread-safe ``prometheus_text()``
-and ``state()`` methods serves — :class:`~repro.obs.watch.SweepWatcher` for
-simulator sweeps, :class:`~repro.cluster.watch.ClusterWatcher` for real
-clusters (``python -m repro.cluster --serve PORT``).
+:class:`~repro.obs.watch.Watcher` the terminal renders from — it adds no
+publishers, no extra queues and no load on the workers.
 """
 
 from __future__ import annotations
@@ -18,11 +15,13 @@ from __future__ import annotations
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Optional
+from typing import Optional
+
+from repro.obs.watch import Watcher
 
 
 class _WatchHandler(BaseHTTPRequestHandler):
-    watcher: Any  # set on the handler subclass by WatchServer
+    watcher: Watcher  # set on the handler subclass by WatchServer
 
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
         if self.path == "/metrics":
@@ -49,7 +48,7 @@ class _WatchHandler(BaseHTTPRequestHandler):
 class WatchServer:
     """Loopback HTTP server publishing a watcher's state."""
 
-    def __init__(self, watcher: Any, port: int, host: str = "127.0.0.1"):
+    def __init__(self, watcher: Watcher, port: int, host: str = "127.0.0.1"):
         handler = type("BoundWatchHandler", (_WatchHandler,), {"watcher": watcher})
         self._server = ThreadingHTTPServer((host, port), handler)
         self._thread: Optional[threading.Thread] = None

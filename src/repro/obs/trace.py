@@ -1,9 +1,11 @@
-"""Causal tracing over the simulator's Topic/Router envelopes.
+"""Causal tracing over the transports' Topic/Router envelopes (the ``trace``
+back-end).
 
-The layer mirrors the telemetry contract exactly: **instrumented code holds
-either a real :class:`TraceRuntime` or ``None``**, and every hot-path site
-guards with ``if tracing is not None`` — disabled tracing is a single pointer
-comparison.  When enabled, causality flows through three mechanisms:
+Answers "what caused what, and what happened before the crash": a
+:class:`TraceRuntime` bundles the span/event :class:`Tracer` with the flight
+recorder and the online invariant monitors, and rides in the ``trace`` slot
+of a :class:`~repro.obs.core.Probe`.  Causality flows through three
+mechanisms:
 
 * every :class:`~repro.network.message.Message` carries an optional
   ``trace_ctx`` (trace id + parent span id), stamped from the *active* context
@@ -30,12 +32,9 @@ phases from the span tree.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
-from repro.common.context import ActivationScope
-from repro.telemetry.core import protocol_group
-
-# NOTE: like repro.telemetry.core, this module is imported by the network
+# NOTE: like repro.obs.metrics, this module is imported by the network
 # simulator and must not import repro.network (or anything that imports it)
 # at module level; topic helpers are imported lazily where needed.
 
@@ -204,8 +203,14 @@ class Tracer:
         self.spans.append(span)
         return span
 
-    def finish(self, span: Span, at: float) -> None:
-        span.end = at
+    def finish(self, span: Optional[Span], at: float) -> None:
+        """Close ``span`` (``None`` — a span never opened — is ignored)."""
+        if span is not None:
+            span.end = at
+
+    def span_records(self) -> List[Dict[str, Any]]:
+        """Every span as a plain dict — what the exporters and the wire take."""
+        return [span.to_dict() for span in self.spans]
 
     # -- structured events -------------------------------------------------------
 
@@ -259,9 +264,8 @@ def topic_trace_attrs(topic: Any) -> Dict[str, Any]:
 class TraceRuntime:
     """Bundles the tracer with the flight recorder and invariant monitors.
 
-    This is the object the :class:`~repro.network.simulator.NetworkSimulator`
-    holds (or ``None``); its hook methods are only ever reached when tracing
-    is enabled, so they can afford per-call work the bare path cannot.
+    The transports drive it through the hooks of the
+    :class:`~repro.obs.core.Probe` that carries it.
     """
 
     __slots__ = ("tracer", "recorder", "monitors")
@@ -289,8 +293,8 @@ class TraceRuntime:
         ``id_base`` namespaces span/trace ids (see :class:`Tracer`); cluster
         workers pass :func:`replica_id_base` so per-process traces merge.
         """
-        from repro.tracing.monitors import MonitorSet
-        from repro.tracing.recorder import FlightRecorder
+        from repro.obs.monitors import MonitorSet
+        from repro.obs.recorder import FlightRecorder
 
         recorder = FlightRecorder(capacity=recorder_capacity)
         monitors = MonitorSet(recorder=recorder, dump_path=dump_path, strict=strict)
@@ -298,75 +302,11 @@ class TraceRuntime:
             tracer=Tracer(id_base=id_base), recorder=recorder, monitors=monitors
         )
 
-    # -- simulator hooks -----------------------------------------------------------
-
-    def on_send(self, message: Any, now: float) -> None:
-        """Stamp the active context onto an outgoing envelope and record it."""
-        if message.trace_ctx is None:
-            message.trace_ctx = self.tracer._active
-        recorder = self.recorder
-        if recorder is not None:
-            recorder.record_message(now, message.sender, "send", message)
-
-    def on_drop(self, message: Any, now: float, count: int = 1) -> None:
-        recorder = self.recorder
-        if recorder is not None:
-            recorder.record_message(now, message.sender, "drop", message, count=count)
-
-    def deliver(self, process: Any, message: Any, now: float) -> None:
-        """Dispatch a delivery inside a child span of the message's context."""
-        recorder = self.recorder
-        if recorder is not None:
-            recorder.record_message(now, message.recipient, "deliver", message)
-        ctx = message.trace_ctx
-        if ctx is None:
-            process.on_message(message)
-            return
-        tracer = self.tracer
-        span = tracer.start_span(
-            f"{protocol_group(message.topic)}/{message.kind}",
-            message.recipient,
-            now,
-            parent=ctx,
-            sender=message.sender,
-            topic=message.topic.canonical,
-        )
-        previous = tracer.activate(span.ctx)
-        try:
-            process.on_message(message)
-        finally:
-            tracer.restore(previous)
-            tracer.finish(span, now)
-
-    def fire_timer(
-        self,
-        callback: Callable[[], None],
-        ctx: Optional[TraceContext],
-        now: float,
-        owner: Any,
-    ) -> None:
-        """Run a timer callback under the context captured at scheduling time."""
-        recorder = self.recorder
-        if recorder is not None:
-            recorder.record(
-                now,
-                owner,
-                "timer",
-                f"timer fired (owner={owner})",
-                trace=ctx.fmt() if ctx is not None else None,
-            )
-        tracer = self.tracer
-        previous = tracer.activate(ctx)
-        try:
-            callback()
-        finally:
-            tracer.restore(previous)
-
     # -- summaries -------------------------------------------------------------------
 
     def summary(self) -> Dict[str, Any]:
         """JSON-serialisable digest persisted by the scenario runner."""
-        from repro.tracing.critical_path import critical_path
+        from repro.obs.critical_path import critical_path
 
         tracer = self.tracer
         summary: Dict[str, Any] = {
@@ -394,27 +334,3 @@ def replica_id_base(replica_id: int) -> int:
     ``id_base=0`` namespace of a launcher-side (or simulator) tracer.
     """
     return (replica_id + 1) * _ID_BASE_STRIDE
-
-
-# -- the current runtime ---------------------------------------------------------
-
-#: Activation state; same nesting/shielding semantics as telemetry's scope.
-_SCOPE = ActivationScope("tracing")
-
-
-def current() -> Optional[TraceRuntime]:
-    """The active runtime installed by :func:`activate`, or ``None``.
-
-    ``NetworkSimulator`` and ``ZLBSystem.create`` default their ``tracing``
-    argument to this, so activating a runtime around a scenario cell traces
-    the whole stack it builds.
-    """
-    return _SCOPE.current()
-
-
-def activate(runtime: Optional[TraceRuntime]):
-    """Install ``runtime`` as the current tracing runtime for the block.
-
-    ``activate(None)`` explicitly disables tracing for the block.
-    """
-    return _SCOPE.activate(runtime)

@@ -1,53 +1,229 @@
-"""Live sweep watcher: per-cell progress streamed over a queue.
+"""Live watching: progress events folded into a table, rendered and served.
 
-Workers (or the serial runner) publish small progress dicts — ``cell-start``,
-sampler ``tick`` and ``cell-end`` events — and the parent-side
-:class:`SweepWatcher` folds them into a table of in-flight and finished
-cells, rendered in place on a TTY (ANSI cursor-up redraw) or as periodic
-plain lines otherwise.
+Producers publish small event dicts over a queue (or straight into
+:meth:`Watcher.ingest`) and a parent-side :class:`Watcher` folds them into a
+table of rows, rendered in place on a TTY (ANSI cursor-up redraw) or as
+periodic plain lines otherwise, and exposed as :meth:`Watcher.state` (JSON)
+and :meth:`Watcher.prometheus_text` for :class:`repro.obs.serve.WatchServer`.
+
+:class:`Watcher` owns everything that is the same for every table — the
+queue pump, throttled rendering, the serve surface; a concrete watcher says
+what a row is (a *row type*: header, line, ``to_dict``, which ``to_dict``
+fields are Prometheus series) and how one event folds into the rows.  :class:`SweepWatcher` (one row per
+scenario cell: ``cell-start`` / sampler ``tick`` / ``cell-end`` events) lives
+here; :class:`repro.cluster.watch.ClusterWatcher` (one row per replica
+process) adds the cluster's safety monitors and forensics on top.
 
 Robustness rule: the drain loop *never blocks indefinitely*.  It reads the
-queue with a short timeout and re-checks its stop flag between reads, so a
-worker that dies mid-cell (killed, OOM, crashed) stalls its row at the last
-published tick instead of deadlocking the sweep; the pool's own failure
-handling still surfaces the error.  Publishing uses ``put_nowait`` and
-swallows queue failures — observability must never take down the run it is
-observing.
+queue with a short timeout, refreshes the rendering on every timeout and
+re-checks its stop flag, so a producer that dies mid-run (killed, OOM,
+crashed) stalls its row at the last published event instead of deadlocking
+or freezing the table.  Publishing uses ``put_nowait`` and swallows queue
+failures — observation must never take down the run it is observing.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import queue as queue_mod
 import sys
 import threading
 from time import perf_counter
-from typing import Any, Dict, List, Optional, TextIO
+from typing import Any, Dict, Iterable, List, Optional, Sequence, TextIO, Tuple
+
+from repro.obs.export import prometheus_text
+
+Sample = Tuple[str, Dict[str, Any], Any]
 
 
+class Watcher:
+    """Queue pump, throttled renderer and serve surface of one table of rows.
+
+    Subclasses set :attr:`row_type` — a class with ``HEADER``, ``line()``,
+    ``to_dict()``, ``LABEL`` (Prometheus label name, ``to_dict`` key of its
+    value) and ``METRICS`` (``(family, type, to_dict key)`` triples; a dict
+    value fans out into one ``quantile``-labelled sample per item, ``None``
+    is skipped) — plus :attr:`rows_key` and :attr:`FAMILIES`, and implement
+    :meth:`fold`, :meth:`headline`, :meth:`totals` and :meth:`total_samples`.
+    """
+
+    #: The class of one table row.
+    row_type: Any = None
+    #: Key of the row list in :meth:`state`.
+    rows_key = "rows"
+    #: ``(family, type)`` of the table-level Prometheus series.
+    FAMILIES: Sequence[Tuple[str, str]] = ()
+
+    def __init__(
+        self,
+        out: Optional[TextIO] = None,
+        render: bool = True,
+        refresh_s: float = 0.5,
+        poll_s: float = 0.2,
+    ) -> None:
+        self.out = out if out is not None else sys.stderr
+        self.render_enabled = render
+        self.refresh_s = refresh_s
+        self.poll_s = poll_s
+        self.rows: Dict[Any, Any] = {}
+        self._lock = threading.Lock()
+        self._stop = threading.Event()
+        self._thread: Optional[threading.Thread] = None
+        self._last_render = 0.0
+        self._rendered_lines = 0
+        self._isatty = bool(getattr(self.out, "isatty", lambda: False)())
+
+    # -- what a concrete watcher provides ----------------------------------------
+
+    def fold(self, event: Dict[str, Any]) -> None:
+        """Fold one event into :attr:`rows` (called with the lock held)."""
+        raise NotImplementedError
+
+    def headline(self) -> str:
+        """First line of the rendered table (lock held)."""
+        raise NotImplementedError
+
+    def totals(self) -> Dict[str, Any]:
+        """Table-level keys of :meth:`state` (lock held)."""
+        raise NotImplementedError
+
+    def total_samples(self, state: Dict[str, Any]) -> Iterable[Sample]:
+        """Table-level Prometheus samples, from a :meth:`state` snapshot."""
+        raise NotImplementedError
+
+    # -- ingestion ---------------------------------------------------------------
+
+    def ingest(self, event: Dict[str, Any]) -> None:
+        """Fold one event into the table (thread-safe)."""
+        with self._lock:
+            self.fold(event)
+        self._maybe_render()
+
+    def row(self, key: Any, *args: Any) -> Any:
+        """The row for ``key``, created on first sight (lock held)."""
+        row = self.rows.get(key)
+        if row is None:
+            row = self.rows[key] = self.row_type(*args, key)
+        return row
+
+    # -- queue pump ----------------------------------------------------------------
+
+    def start(self, queue: Any) -> None:
+        """Drain ``queue`` on a daemon thread until :meth:`finish`."""
+        self._stop.clear()
+        self._thread = threading.Thread(
+            target=self._pump, args=(queue,), name="obs-watch", daemon=True
+        )
+        self._thread.start()
+
+    def _pump(self, queue: Any) -> None:
+        while True:
+            try:
+                event = queue.get(timeout=self.poll_s)
+            except queue_mod.Empty:
+                # No event is still news: ETAs and ages move, stalled rows
+                # degrade.
+                self._maybe_render()
+                if self._stop.is_set():
+                    return
+                continue
+            except (OSError, EOFError, ValueError):
+                # Queue torn down underneath us (pool shutdown) — stop quietly.
+                return
+            self.ingest(event)
+
+    def finish(self) -> None:
+        """Stop the pump after one final drain pass and render the end state."""
+        self._stop.set()
+        thread = self._thread
+        if thread is not None:
+            thread.join(timeout=max(self.poll_s * 10, 2.0))
+            self._thread = None
+        if self.render_enabled:
+            self.render(force=True)
+
+    # -- rendering -----------------------------------------------------------------
+
+    def _maybe_render(self) -> None:
+        if self.render_enabled:
+            self.render()
+
+    def render(self, force: bool = False) -> None:
+        now = perf_counter()
+        if not force and now - self._last_render < self.refresh_s:
+            return
+        self._last_render = now
+        with self._lock:
+            lines = self._table_lines()
+        if self._isatty and self._rendered_lines:
+            # In-place redraw: move the cursor up over the previous frame.
+            self.out.write(f"\x1b[{self._rendered_lines}F\x1b[J")
+        self.out.write("\n".join(lines) + "\n")
+        self._rendered_lines = len(lines)
+        self.out.flush()
+
+    def _table_lines(self) -> List[str]:
+        lines = [self.headline(), self.row_type.HEADER]
+        lines.extend(self.rows[key].line() for key in sorted(self.rows))
+        return lines
+
+    # -- serve surface (WatchServer reads these) -------------------------------------
+
+    def state(self) -> Dict[str, Any]:
+        with self._lock:
+            state = self.totals()
+            state[self.rows_key] = [
+                self.rows[key].to_dict() for key in sorted(self.rows)
+            ]
+            return state
+
+    def prometheus_text(self) -> str:
+        """Prometheus text format of the current :meth:`state`."""
+        state = self.state()
+        samples = list(self.total_samples(state))
+        label, label_key = self.row_type.LABEL
+        for row in state[self.rows_key]:
+            labels = {label: row[label_key]}
+            for family, _, key in self.row_type.METRICS:
+                value = row[key]
+                if isinstance(value, dict):
+                    samples.extend(
+                        (family, {**labels, "quantile": quantile}, item)
+                        for quantile, item in sorted(value.items())
+                    )
+                elif value is not None:
+                    samples.append((family, labels, value))
+        families = [(family, kind) for family, kind, _ in self.row_type.METRICS]
+        return prometheus_text([*self.FAMILIES, *families], samples)
+
+
+# -- the sweep table -----------------------------------------------------------
+
+
+@dataclasses.dataclass
 class CellProgress:
     """Latest known state of one sweep cell."""
 
-    __slots__ = (
-        "cell",
-        "key",
-        "status",
-        "sim_time",
-        "max_time",
-        "events",
-        "events_per_sec",
-        "started_wall",
-        "wall_s",
+    HEADER = (
+        f"  {'cell':<40} {'%':>6} {'events/s':>10} "
+        f"{'sim-time':>10} {'eta':>8} {'status':<8}"
+    )
+    LABEL = ("cell", "cell")
+    METRICS = (
+        ("repro_cell_progress", "gauge", "pct"),
+        ("repro_cell_events_per_sec", "gauge", "events_per_sec"),
+        ("repro_cell_sim_time_seconds", "gauge", "sim_time"),
     )
 
-    def __init__(self, cell: str, key: str) -> None:
-        self.cell = cell
-        self.key = key
-        self.status = "running"
-        self.sim_time = 0.0
-        self.max_time: Optional[float] = None
-        self.events = 0
-        self.events_per_sec = 0.0
-        self.started_wall = perf_counter()
-        self.wall_s: Optional[float] = None
+    cell: str
+    key: str
+    status: str = "running"
+    sim_time: float = 0.0
+    max_time: Optional[float] = None
+    events: int = 0
+    events_per_sec: float = 0.0
+    started_wall: float = dataclasses.field(default_factory=perf_counter)
+    wall_s: Optional[float] = None
 
     @property
     def pct(self) -> Optional[float]:
@@ -64,216 +240,99 @@ class CellProgress:
         elapsed = perf_counter() - self.started_wall
         return elapsed * (1.0 - pct) / pct
 
+    def line(self) -> str:
+        pct = self.pct
+        pct_text = f"{pct * 100.0:5.1f}%" if pct is not None else "    --"
+        eta = self.eta_s()
+        eta_text = f"{eta:7.1f}s" if eta is not None else "      --"
+        return (
+            f"  {self.cell[:40]:<40} {pct_text:>6} "
+            f"{self.events_per_sec:>10.0f} {self.sim_time:>9.2f}s "
+            f"{eta_text:>8} {self.status:<8}"
+        )
+
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "cell": self.cell,
-            "key": self.key,
-            "status": self.status,
-            "sim_time": self.sim_time,
-            "max_time": self.max_time,
-            "events": self.events,
-            "events_per_sec": self.events_per_sec,
-            "pct": self.pct,
-            "eta_s": self.eta_s(),
-            "wall_s": self.wall_s,
-        }
+        row = dataclasses.asdict(self)
+        del row["started_wall"]
+        row["pct"] = self.pct
+        row["eta_s"] = self.eta_s()
+        return row
 
 
-class SweepWatcher:
-    """Parent-side aggregator and renderer of streamed cell progress."""
+class SweepWatcher(Watcher):
+    """Per-cell progress of a scenario sweep."""
 
-    def __init__(
-        self,
-        total_cells: int = 0,
-        out: Optional[TextIO] = None,
-        refresh_s: float = 0.5,
-        poll_s: float = 0.2,
-    ) -> None:
+    row_type = CellProgress
+    rows_key = "cells"
+    FAMILIES = (
+        ("repro_sweep_cells_total", "gauge"),
+        ("repro_sweep_cells_completed", "gauge"),
+    )
+
+    def __init__(self, total_cells: int = 0, **options: Any) -> None:
+        super().__init__(**options)
         self.total_cells = total_cells
-        self.out = out if out is not None else sys.stderr
-        self.refresh_s = refresh_s
-        self.poll_s = poll_s
-        self.cells: Dict[str, CellProgress] = {}
         self.completed = 0
         self.cached = 0
-        self._lock = threading.Lock()
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-        self._last_render = 0.0
-        self._rendered_lines = 0
-        self._isatty = bool(getattr(self.out, "isatty", lambda: False)())
 
-    # -- ingestion -------------------------------------------------------------
-
-    def ingest(self, event: Dict[str, Any]) -> None:
-        """Fold one progress event into the table (thread-safe)."""
+    def fold(self, event: Dict[str, Any]) -> None:
         kind = event.get("kind")
         key = str(event.get("key", ""))
-        with self._lock:
-            cell = self.cells.get(key)
-            if cell is None:
-                cell = self.cells[key] = CellProgress(
-                    str(event.get("cell", key)), key
-                )
-            if kind == "tick":
-                cell.sim_time = float(event.get("sim_time") or 0.0)
-                if event.get("max_time"):
-                    cell.max_time = float(event["max_time"])
-                cell.events = int(event.get("events") or 0)
-                cell.events_per_sec = float(event.get("events_per_sec") or 0.0)
-            elif kind == "cell-end":
-                if cell.status != "done":
-                    cell.status = "done"
-                    self.completed += 1
-                cell.wall_s = float(event.get("wall_s") or 0.0)
-                if event.get("sim_time"):
-                    cell.sim_time = float(event["sim_time"])
-            elif kind == "cell-start" and event.get("max_time"):
+        cell = self.row(key, str(event.get("cell", key)))
+        if kind == "tick":
+            cell.sim_time = float(event.get("sim_time") or 0.0)
+            if event.get("max_time"):
                 cell.max_time = float(event["max_time"])
-        self._maybe_render()
+            cell.events = int(event.get("events") or 0)
+            cell.events_per_sec = float(event.get("events_per_sec") or 0.0)
+        elif kind == "cell-end":
+            if cell.status != "done":
+                cell.status = "done"
+                self.completed += 1
+            cell.wall_s = float(event.get("wall_s") or 0.0)
+            if event.get("sim_time"):
+                cell.sim_time = float(event["sim_time"])
+        elif kind == "cell-start" and event.get("max_time"):
+            cell.max_time = float(event["max_time"])
 
     def note_cached(self, count: int) -> None:
         """Record cells satisfied from the store (they never stream events)."""
         with self._lock:
             self.cached += count
 
-    # -- queue pump ------------------------------------------------------------
-
-    def start(self, queue: Any) -> None:
-        """Drain ``queue`` on a daemon thread until :meth:`finish`."""
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._pump, args=(queue,), name="obs-watch", daemon=True
-        )
-        self._thread.start()
-
-    def _pump(self, queue: Any) -> None:
-        import queue as queue_mod
-
-        while True:
-            try:
-                event = queue.get(timeout=self.poll_s)
-            except queue_mod.Empty:
-                if self._stop.is_set():
-                    return
-                continue
-            except (OSError, EOFError, ValueError):
-                # Queue torn down underneath us (pool shutdown) — stop quietly.
-                return
-            self.ingest(event)
-
-    def finish(self) -> None:
-        """Stop the pump after one final drain pass and render the end state."""
-        self._stop.set()
-        thread = self._thread
-        if thread is not None:
-            thread.join(timeout=max(self.poll_s * 10, 2.0))
-            self._thread = None
-        self.render(force=True)
-
-    # -- rendering -------------------------------------------------------------
-
-    def _maybe_render(self) -> None:
-        now = perf_counter()
-        if now - self._last_render >= self.refresh_s:
-            self.render()
-
-    def render(self, force: bool = False) -> None:
-        now = perf_counter()
-        if not force and now - self._last_render < self.refresh_s:
-            return
-        self._last_render = now
-        with self._lock:
-            lines = self._table_lines()
-        if self._isatty:
-            # In-place redraw: move the cursor up over the previous frame.
-            if self._rendered_lines:
-                self.out.write(f"\x1b[{self._rendered_lines}F\x1b[J")
-            self.out.write("\n".join(lines) + "\n")
-            self._rendered_lines = len(lines)
-        else:
-            self.out.write(lines[0] + "\n")
-            for line in lines[1:]:
-                self.out.write(line + "\n")
-        self.out.flush()
-
-    def _table_lines(self) -> List[str]:
+    def headline(self) -> str:
         done = self.completed + self.cached
-        total = self.total_cells or (len(self.cells) + self.cached)
-        lines = [
-            f"sweep: {done}/{total} cells done"
-            + (f" ({self.cached} cached)" if self.cached else "")
-        ]
-        header = (
-            f"  {'cell':<40} {'%':>6} {'events/s':>10} "
-            f"{'sim-time':>10} {'eta':>8} {'status':<8}"
+        total = self.total_cells or (len(self.rows) + self.cached)
+        return f"sweep: {done}/{total} cells done" + (
+            f" ({self.cached} cached)" if self.cached else ""
         )
-        lines.append(header)
-        for key in sorted(self.cells):
-            cell = self.cells[key]
-            pct = cell.pct
-            pct_text = f"{pct * 100.0:5.1f}%" if pct is not None else "    --"
-            eta = cell.eta_s()
-            eta_text = f"{eta:7.1f}s" if eta is not None else "      --"
-            lines.append(
-                f"  {cell.cell[:40]:<40} {pct_text:>6} "
-                f"{cell.events_per_sec:>10.0f} {cell.sim_time:>9.2f}s "
-                f"{eta_text:>8} {cell.status:<8}"
-            )
-        return lines
 
-    # -- snapshots (the HTTP server reads these) -------------------------------
+    def totals(self) -> Dict[str, Any]:
+        return {
+            "total_cells": self.total_cells,
+            "completed": self.completed,
+            "cached": self.cached,
+        }
 
-    def state(self) -> Dict[str, Any]:
-        with self._lock:
-            return {
-                "total_cells": self.total_cells,
-                "completed": self.completed,
-                "cached": self.cached,
-                "cells": [
-                    self.cells[key].to_dict() for key in sorted(self.cells)
-                ],
-            }
-
-    def prometheus_text(self) -> str:
-        """Prometheus text-format gauges of the current sweep state."""
-        state = self.state()
-        lines = [
-            "# TYPE repro_sweep_cells_total gauge",
-            f"repro_sweep_cells_total {state['total_cells']}",
-            "# TYPE repro_sweep_cells_completed gauge",
-            f"repro_sweep_cells_completed {state['completed'] + state['cached']}",
-            "# TYPE repro_cell_progress gauge",
-            "# TYPE repro_cell_events_per_sec gauge",
-            "# TYPE repro_cell_sim_time_seconds gauge",
-        ]
-        for cell in state["cells"]:
-            label = cell["cell"].replace("\\", "\\\\").replace('"', '\\"')
-            pct = cell["pct"] if cell["pct"] is not None else 0.0
-            lines.append(f'repro_cell_progress{{cell="{label}"}} {pct:.6f}')
-            lines.append(
-                f'repro_cell_events_per_sec{{cell="{label}"}} '
-                f"{cell['events_per_sec']:.3f}"
-            )
-            lines.append(
-                f'repro_cell_sim_time_seconds{{cell="{label}"}} '
-                f"{cell['sim_time']:.6f}"
-            )
-        return "\n".join(lines) + "\n"
+    def total_samples(self, state: Dict[str, Any]) -> Iterable[Sample]:
+        yield "repro_sweep_cells_total", {}, state["total_cells"]
+        yield "repro_sweep_cells_completed", {}, state["completed"] + state["cached"]
 
 
-def queue_publisher(queue: Any, cell: str, key: str):
-    """A worker-side publisher closing over the cell identity.
+def cell_publisher(sink, cell: str, key: str):
+    """A producer-side publisher stamping events with the cell identity.
 
-    Uses ``put_nowait`` and swallows failures: a full or torn-down queue must
-    degrade to lost progress frames, never to a blocked or crashed worker.
+    ``sink`` is the watcher's ``ingest`` (in-process cells) or a queue's
+    ``put_nowait`` (pool workers).  Failures are swallowed: a full or
+    torn-down queue must degrade to lost progress frames, never to a blocked
+    or crashed worker.
     """
 
     def publish(event: Dict[str, Any]) -> None:
         event.setdefault("cell", cell)
         event["key"] = key
         try:
-            queue.put_nowait(event)
+            sink(event)
         except Exception:
             pass
 

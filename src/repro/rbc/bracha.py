@@ -31,6 +31,7 @@ from repro.consensus.certificates import (
 from repro.consensus.host import ProtocolHost
 from repro.crypto.hashing import hash_payload
 from repro.network.topic import TopicLike, as_topic
+from repro.obs.trace import topic_trace_attrs
 
 #: Callback signature: (proposer, value, ready_certificate)
 DeliverCallback = Callable[[ReplicaId, Any, Certificate], None]
@@ -59,18 +60,14 @@ class ReliableBroadcast:
         self.on_deliver = on_deliver
         self.delivered = False
         self.delivered_value: Any = None
-        # Telemetry (None when disabled): phase latencies are measured in
-        # simulated time from the first local activity of the instance.
-        self._telemetry = host.telemetry
+        # Instrumentation (None when off): phase latencies are measured from
+        # the first local activity of the instance, a span covers first
+        # activity to delivery, and phase events carry the instance/slot for
+        # the critical-path analysis.
+        self._probe = host.probe
         self._started_at: Optional[float] = None
-        # Tracing (None when disabled): a span covers first activity to
-        # delivery, and phase events carry the instance/slot for the
-        # critical-path analysis.
-        self._tracing = getattr(host, "tracing", None)
         self._span = None
-        if self._tracing is not None:
-            from repro.tracing.core import topic_trace_attrs
-
+        if self._probe is not None:
             self._trace_attrs = topic_trace_attrs(self.topic)
         # Protocol state.
         self._echo_sent = False
@@ -94,24 +91,27 @@ class ReliableBroadcast:
     def _mark_started(self) -> None:
         if self._started_at is None:
             self._started_at = self.host.now
-            tracing = self._tracing
-            if tracing is not None:
-                self._span = tracing.tracer.start_span(
+            probe = self._probe
+            if probe is not None:
+                self._span = probe.start_span(
                     "rbc", self.host.replica_id, self._started_at, **self._trace_attrs
                 )
 
-    def _observe_phase(self, name: str) -> None:
-        if self._telemetry is not None and self._started_at is not None:
-            self._telemetry.histogram(name).observe(self.host.now - self._started_at)
+    def _phase(self, phase: str, histogram: Optional[str] = None) -> None:
+        """Emit the ``rbc.<phase>`` event and the since-start latency sample
+        (callers guard: only reached with a live probe)."""
+        probe = self._probe
+        host = self.host
+        now = host.now
+        if histogram is not None and self._started_at is not None:
+            probe.observe(histogram, now - self._started_at)
+        probe.event("rbc." + phase, host.replica_id, now, **self._trace_attrs)
 
     def broadcast(self, value: Any) -> None:
         """Called by the proposer to disseminate ``value``."""
         self._mark_started()
-        tracing = self._tracing
-        if tracing is not None:
-            tracing.tracer.event(
-                "rbc.init", self.host.replica_id, self.host.now, **self._trace_attrs
-            )
+        if self._probe is not None:
+            self._phase("init")
         digest = hash_payload(value)
         vote = make_vote(self.host, self.context, 0, VoteKind.RBC_INIT, digest)
         self.collected_votes.append(vote)
@@ -125,12 +125,8 @@ class ReliableBroadcast:
         if self._echo_sent:
             return
         self._echo_sent = True
-        self._observe_phase("rbc.init_to_echo_s")
-        tracing = self._tracing
-        if tracing is not None:
-            tracing.tracer.event(
-                "rbc.echo", self.host.replica_id, self.host.now, **self._trace_attrs
-            )
+        if self._probe is not None:
+            self._phase("echo", "rbc.init_to_echo_s")
         vote = make_vote(self.host, self.context, 0, VoteKind.RBC_ECHO, digest)
         self.collected_votes.append(vote)
         self.host.emit(
@@ -143,12 +139,8 @@ class ReliableBroadcast:
         if self._ready_sent:
             return
         self._ready_sent = True
-        self._observe_phase("rbc.init_to_ready_s")
-        tracing = self._tracing
-        if tracing is not None:
-            tracing.tracer.event(
-                "rbc.ready", self.host.replica_id, self.host.now, **self._trace_attrs
-            )
+        if self._probe is not None:
+            self._phase("ready", "rbc.init_to_ready_s")
         vote = make_vote(self.host, self.context, 0, VoteKind.RBC_READY, digest)
         self.collected_votes.append(vote)
         value = self._values.get(digest)
@@ -269,18 +261,10 @@ class ReliableBroadcast:
         self.delivered = True
         self.delivered_value = self._values[digest]
         certificate = Certificate.from_votes(ready.values())
-        if self._telemetry is not None:
-            self._observe_phase("rbc.deliver_s")
-            self._telemetry.counter("rbc.delivered").inc()
-            self._telemetry.histogram("rbc.certificate_votes").observe(
-                len(certificate.votes)
-            )
-        tracing = self._tracing
-        if tracing is not None:
-            tracer = tracing.tracer
-            tracer.event(
-                "rbc.deliver", self.host.replica_id, self.host.now, **self._trace_attrs
-            )
-            if self._span is not None:
-                tracer.finish(self._span, self.host.now)
+        probe = self._probe
+        if probe is not None:
+            self._phase("deliver", "rbc.deliver_s")
+            probe.count("rbc.delivered")
+            probe.observe("rbc.certificate_votes", len(certificate.votes))
+            probe.finish(self._span, self.host.now)
         self.on_deliver(self.proposer, self.delivered_value, certificate)

@@ -16,8 +16,8 @@ Layout:
 * :mod:`repro.scenarios.library` — the built-in families (fig3-fig6, table1,
   appendix-b, sec53, quickstart, churn, crash-recovery, jitter-stress);
 * :mod:`repro.scenarios.cli` — ``python -m repro.scenarios
-  list|run|sweep|report`` (``--telemetry`` instruments cells; ``report``
-  renders the stored snapshots as comparative tables).
+  list|run|sweep|trace|report`` (``--instrument LEVEL`` instruments cells;
+  ``report`` renders the stored snapshots as comparative tables).
 """
 
 from repro.scenarios.registry import (

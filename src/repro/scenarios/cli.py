@@ -5,29 +5,28 @@
     python -m repro.scenarios list
     python -m repro.scenarios run fig3 --scale small
     python -m repro.scenarios sweep fig4 --scale small --jobs 2 --out results.jsonl
-    python -m repro.scenarios sweep fig4 --telemetry --out results.jsonl
+    python -m repro.scenarios sweep fig4 --instrument metrics --out results.jsonl
     python -m repro.scenarios report results.jsonl --metric rbc
 
 ``list`` shows every registered family with its cell counts; ``run`` executes
 one family and prints the result rows as a table; ``sweep`` executes one or
 more families against a JSONL :class:`ResultStore`, so re-running the same
-sweep serves every already-computed cell from cache.  ``--telemetry``
-instruments every cell (per-protocol message counts, per-phase latency
-histograms, recovery timelines) and ``report`` renders the stored snapshots
-as comparative tables, optionally exporting them as CSV/JSON.
-
-``run``/``sweep`` also drive the live observability plane::
+sweep serves every already-computed cell from cache.  ``--instrument LEVEL``
+instruments every cell: ``metrics`` (per-protocol message counts, per-phase
+latency histograms, recovery timelines — ``report`` renders the stored
+snapshots as comparative tables, optionally exporting them as CSV/JSON),
+``trace`` (causal spans and invariant monitors), ``live`` (time series and
+host-CPU attribution) or ``all``::
 
     python -m repro.scenarios sweep fig4 --jobs 4 --watch --serve 9100
-    python -m repro.scenarios run fig4 --obs --profile-out profile.json
+    python -m repro.scenarios run fig4 --instrument live --profile-out profile.json
     python -m repro.scenarios report results.jsonl --gate
 
 ``--watch`` renders an in-place terminal table of per-cell progress (percent
 complete, events/sec, simulated time, ETA) streamed from the workers;
 ``--serve PORT`` additionally exposes the same state as Prometheus text
-(``/metrics``) and JSON (``/state``) on loopback.  ``--obs`` samples
-time-series metrics and host-CPU attribution into the result store;
-``--profile-out`` / ``--series-out`` / ``--series-csv`` export them.
+(``/metrics``) and JSON (``/state``) on loopback.  ``--profile-out`` /
+``--series-out`` / ``--series-csv`` export what the ``live`` level stored.
 ``report --gate`` evaluates each family's declared SLOs against the stored
 records and exits non-zero on breach.
 
@@ -51,6 +50,7 @@ from typing import List, Optional
 
 from repro.analysis.metrics import format_table
 from repro.common.errors import ConfigurationError
+from repro.obs.core import LEVELS
 from repro.scenarios import registry
 from repro.scenarios.runner import RunOutcome, ScenarioRunner
 from repro.scenarios.store import ResultStore
@@ -80,31 +80,23 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _run_families(
+    args: argparse.Namespace,
     families: List[str],
-    scale: str,
-    jobs: int,
     store: Optional[ResultStore],
-    quiet: bool,
     print_rows: bool = False,
-    telemetry: bool = False,
-    report_telemetry: bool = False,
-    obs: bool = False,
-    watch: bool = False,
-    serve: Optional[int] = None,
-    profile_out: Optional[str] = None,
-    series_out: Optional[str] = None,
-    series_csv: Optional[str] = None,
 ) -> int:
+    """Run ``families`` under the shared run/sweep options of ``args``."""
+    instrument = _instrument_level(args)
     watcher = None
     server = None
-    if watch or serve is not None:
+    if args.watch or args.serve is not None:
         from repro.obs.watch import SweepWatcher
 
         watcher = SweepWatcher(out=sys.stderr)
-        if serve is not None:
+        if args.serve is not None:
             from repro.obs.serve import WatchServer
 
-            server = WatchServer(watcher, port=serve)
+            server = WatchServer(watcher, port=args.serve)
             server.start()
             print(
                 f"serving sweep state on http://127.0.0.1:{server.port} "
@@ -114,17 +106,15 @@ def _run_families(
     obs_snapshots: List[dict] = []
     try:
         for name in families:
-            specs = registry.expand(name, scale)
-            if telemetry:
-                specs = [spec.with_overrides(telemetry=True) for spec in specs]
-            if obs:
-                specs = [spec.with_overrides(obs=True) for spec in specs]
+            specs = registry.expand(name, args.scale)
+            if instrument:
+                specs = [spec.with_overrides(instrument=instrument) for spec in specs]
             runner = ScenarioRunner(
                 store=store,
-                jobs=jobs,
+                jobs=args.jobs,
                 # The watcher owns the terminal; per-cell progress lines would
                 # tear its in-place table.
-                progress=None if quiet or watcher is not None else _progress,
+                progress=None if args.quiet or watcher is not None else _progress,
                 watch=watcher,
             )
             report = runner.run(specs)
@@ -137,10 +127,11 @@ def _run_families(
             obs_snapshots.extend(
                 outcome.obs for outcome in report.outcomes if outcome.obs
             )
-            if report_telemetry:
-                # `run --telemetry` renders the snapshots inline: without a store
-                # they would otherwise be collected and silently discarded.
-                from repro.telemetry.report import render_report
+            if print_rows and instrument in ("metrics", "all"):
+                # `run --instrument metrics` renders the snapshots inline:
+                # without a store they would otherwise be collected and
+                # silently discarded.
+                from repro.obs.report import render_report
 
                 records = [
                     {
@@ -154,7 +145,9 @@ def _run_families(
     finally:
         if server is not None:
             server.stop()
-    _export_obs(obs_snapshots, profile_out, series_out, series_csv, print_rows)
+    _export_obs(
+        obs_snapshots, args.profile_out, args.series_out, args.series_csv, print_rows
+    )
     return 0
 
 
@@ -168,8 +161,14 @@ def _export_obs(
     """Render and export the obs snapshots a run/sweep collected."""
     if not snapshots:
         return
+    from repro.obs.export import (
+        SERIES_COLUMNS,
+        series_rows,
+        write_csv,
+        write_json,
+        write_jsonl,
+    )
     from repro.obs.profiler import render_report as render_profile
-    from repro.obs.series import write_series_csv, write_series_jsonl
 
     if render_profiles:
         for snap in snapshots:
@@ -184,80 +183,50 @@ def _export_obs(
             )
             print(render_profile(profile, title=f"profile {snap.get('cell')}"))
     if profile_out:
-        import json
-
-        with open(profile_out, "w", encoding="utf-8") as handle:
-            json.dump(
-                [
-                    {"cell": snap.get("cell"), "profile": snap.get("profile")}
-                    for snap in snapshots
-                ],
-                handle,
-                indent=2,
-                sort_keys=True,
-            )
-            handle.write("\n")
+        write_json(
+            [
+                {"cell": snap.get("cell"), "profile": snap.get("profile")}
+                for snap in snapshots
+            ],
+            profile_out,
+        )
         print(f"profile report: {profile_out}")
-    if series_out:
-        points = write_series_jsonl(series_out, snapshots)
-        print(f"time series: {series_out} ({points} points)")
-    if series_csv:
-        points = write_series_csv(series_csv, snapshots)
-        print(f"time series csv: {series_csv} ({points} points)")
+    if series_out or series_csv:
+        points = list(series_rows(snapshots))
+        if series_out:
+            write_jsonl(points, series_out)
+            print(f"time series: {series_out} ({len(points)} points)")
+        if series_csv:
+            write_csv(points, series_csv, columns=SERIES_COLUMNS)
+            print(f"time series csv: {series_csv} ({len(points)} points)")
 
 
-def _obs_flags(args: argparse.Namespace) -> bool:
-    """--obs, or any flag that needs obs snapshots to produce its artifact."""
-    return bool(
-        args.obs or args.profile_out or args.series_out or args.series_csv
-    )
+def _instrument_level(args: argparse.Namespace) -> str:
+    """``--instrument``, widened to include the live plane when an export
+    flag needs its snapshots to produce an artefact."""
+    level = args.instrument
+    if args.profile_out or args.series_out or args.series_csv:
+        return "live" if level in ("", "live") else "all"
+    return level
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     store = ResultStore(args.out) if args.out else None
-    return _run_families(
-        [args.family],
-        args.scale,
-        args.jobs,
-        store,
-        args.quiet,
-        print_rows=True,
-        telemetry=args.telemetry,
-        report_telemetry=args.telemetry,
-        obs=_obs_flags(args),
-        watch=args.watch,
-        serve=args.serve,
-        profile_out=args.profile_out,
-        series_out=args.series_out,
-        series_csv=args.series_csv,
-    )
+    return _run_families(args, [args.family], store, print_rows=True)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     store = ResultStore(args.out)
-    code = _run_families(
-        args.families,
-        args.scale,
-        args.jobs,
-        store,
-        args.quiet,
-        telemetry=args.telemetry,
-        obs=_obs_flags(args),
-        watch=args.watch,
-        serve=args.serve,
-        profile_out=args.profile_out,
-        series_out=args.series_out,
-        series_csv=args.series_csv,
-    )
+    code = _run_families(args, args.families, store)
     print(f"results: {store.path} ({len(store)} cells cached)")
     return code
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.tracing import core as tracing_core
-    from repro.tracing.core import TraceRuntime
-    from repro.tracing.critical_path import render_critical_path
-    from repro.tracing.export import write_chrome_trace, write_span_tree
+    from repro.obs import core as obs_core
+    from repro.obs.critical_path import render_critical_path
+    from repro.obs.export import chrome_trace, span_tree, write_json
+    from repro.obs.trace import TraceRuntime
 
     specs = registry.expand(args.family, args.scale)
     if not 0 <= args.cell < len(specs):
@@ -267,11 +236,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    spec = specs[args.cell].with_overrides(tracing=True)
+    spec = specs[args.cell].with_overrides(instrument="trace")
     print(f"tracing cell: {spec.label()}", flush=True)
 
     runtime = TraceRuntime.enabled(dump_path=args.dump)
-    with tracing_core.activate(runtime):
+    with obs_core.activate(obs_core.Probe(trace=runtime)):
         row = registry.run_spec(spec)
     # End-of-run zero-loss accounting, for rows that carry the ledger totals
     # (coalition-attack families do; fault-free families have nothing to seize).
@@ -290,9 +259,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         f"events: {summary['events']}"
     )
     print(render_critical_path(summary["critical_path"]))
-    print(f"chrome trace: {write_chrome_trace(runtime.tracer, args.out)}")
+    spans = runtime.tracer.span_records()
+    trace = chrome_trace(spans, runtime.tracer.events)
+    print(f"chrome trace: {write_json(trace, args.out, indent=None)}")
     if args.tree:
-        print(f"span tree: {write_span_tree(runtime.tracer, args.tree)}")
+        print(f"span tree: {write_json(span_tree(spans), args.tree)}")
 
     monitors = runtime.monitors
     if monitors.ok:
@@ -307,8 +278,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.telemetry.export import snapshot_rows, write_csv, write_json
-    from repro.telemetry.report import render_report, telemetry_cells
+    from repro.obs.export import snapshot_rows, write_csv, write_json
+    from repro.obs.report import render_report, telemetry_cells
 
     store = ResultStore(args.store)
     records = store.records(args.family)
@@ -381,16 +352,14 @@ def build_parser() -> argparse.ArgumentParser:
             "--quiet", action="store_true", help="suppress per-cell progress lines"
         )
         p.add_argument(
-            "--telemetry",
-            action="store_true",
-            help="instrument every cell and store telemetry snapshots "
-            "(see the `report` subcommand)",
-        )
-        p.add_argument(
-            "--obs",
-            action="store_true",
-            help="instrument every cell with the live observability plane "
-            "(streamed time series, host-CPU profile) and store snapshots",
+            "--instrument",
+            choices=LEVELS,
+            default="",
+            metavar="LEVEL",
+            help="instrument every cell and store what the level collects: "
+            "metrics (counters and latency histograms, see `report`), trace "
+            "(causal spans, invariant monitors), live (streamed time series, "
+            "host-CPU profile, feeds `report --gate`) or all",
         )
         p.add_argument(
             "--watch",
@@ -411,21 +380,21 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             metavar="PATH",
             help="write per-cell host-CPU attribution reports as JSON "
-            "(implies --obs)",
+            "(implies --instrument live)",
         )
         p.add_argument(
             "--series-out",
             default=None,
             metavar="PATH",
             help="write sampled time series as JSONL, one point per line "
-            "(implies --obs)",
+            "(implies --instrument live)",
         )
         p.add_argument(
             "--series-csv",
             default=None,
             metavar="PATH",
             help="write sampled time series as plot-ready long-form CSV "
-            "(implies --obs)",
+            "(implies --instrument live)",
         )
         p.add_argument(
             "--log-level",

@@ -18,18 +18,15 @@ sweep of the same specs produce identical rows.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import time
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.obs import core as obs_core
-from repro.obs.watch import SweepWatcher
+from repro.obs.watch import SweepWatcher, cell_publisher
 from repro.scenarios import registry
 from repro.scenarios.spec import ScenarioSpec
 from repro.scenarios.store import ResultStore
-from repro.telemetry import core as telemetry_core
-from repro.tracing import core as tracing_core
 
 ProgressCallback = Callable[["RunOutcome", int, int], None]
 
@@ -46,22 +43,6 @@ def _init_watch_worker(queue: Any) -> None:
     _WATCH_SINK = queue.put_nowait
 
 
-def _cell_publisher(
-    sink: Callable[[Dict[str, Any]], None], cell: str, key: str
-) -> Callable[[Dict[str, Any]], None]:
-    """Stamp events with the cell identity; never let publishing fail a run."""
-
-    def publish(event: Dict[str, Any]) -> None:
-        event.setdefault("cell", cell)
-        event["key"] = key
-        try:
-            sink(event)
-        except Exception:
-            pass
-
-    return publish
-
-
 @dataclasses.dataclass
 class RunOutcome:
     """One executed (or cache-served) cell."""
@@ -70,11 +51,12 @@ class RunOutcome:
     row: Dict[str, Any]
     cached: bool
     wall_clock_s: float
-    #: Telemetry snapshot of the cell (None unless ``spec.telemetry``).
+    #: What ``spec.instrument`` collected (see ``Probe.artefacts``), each None
+    #: unless the level includes its back-end: the metrics snapshot, ...
     telemetry: Optional[Dict[str, Any]] = None
-    #: Trace summary of the cell (None unless ``spec.tracing``).
+    #: ... the trace summary ...
     trace: Optional[Dict[str, Any]] = None
-    #: Obs snapshot — series, quantiles, CPU profile (None unless ``spec.obs``).
+    #: ... and the live snapshot — series, quantiles, CPU profile.
     obs: Optional[Dict[str, Any]] = None
 
 
@@ -94,67 +76,46 @@ class SweepReport:
 
 def _execute_cell(
     payload: str,
-) -> Tuple[
-    str,
-    Dict[str, Any],
-    float,
-    Optional[Dict[str, Any]],
-    Optional[Dict[str, Any]],
-    Optional[Dict[str, Any]],
-]:
+) -> Tuple[str, Dict[str, Any], float, Dict[str, Dict[str, Any]]]:
     """Worker entry point: run one spec from its JSON form.
 
     Module-level so ``multiprocessing`` can pickle it; returns the spec hash
     alongside the row so the parent can reorder results deterministically.
-    When the spec asks for telemetry (tracing), a fresh registry (trace
-    runtime) is activated around the cell — every instrumented constructor
-    below (simulators, ZLB systems) picks it up — and its snapshot (summary)
-    rides along with the row.
+    When the spec asks for instrumentation, a fresh probe of that level is
+    activated around the cell — every instrumented constructor below
+    (simulators, ZLB systems) picks it up — and what it collected rides along
+    with the row, keyed like the store record (``telemetry``/``trace``/``obs``).
 
-    The obs runtime follows the same convention with one twist: it is also
-    activated — without touching the spec or its hash — when a watch sink is
-    installed, because the live watcher needs the sampler's progress ticks.
-    Obs is purely observational (no randomness, no scheduling), so watching a
-    bare cell cannot perturb it; the snapshot is only *persisted* when the
-    spec itself asked for obs.
+    One twist: with a watch sink installed the probe also carries the live
+    plane — without touching the spec or its hash — because the live watcher
+    needs the sampler's progress ticks.  Instrumentation is purely
+    observational (no randomness, no scheduling), so watching a bare cell
+    cannot perturb it; the live snapshot is only *persisted* when the spec
+    itself asked for it.
     """
     spec = ScenarioSpec.from_json(payload)
     start = time.perf_counter()
     sink = _WATCH_SINK
     publisher = None
     if sink is not None:
-        publisher = _cell_publisher(sink, spec.label(), spec.spec_hash)
+        publisher = cell_publisher(sink, spec.label(), spec.spec_hash)
         publisher({"kind": "cell-start", "max_time": spec.max_time})
-    with contextlib.ExitStack() as stack:
-        active = None
-        runtime = None
-        obs_runtime = None
-        if spec.telemetry:
-            active = stack.enter_context(
-                telemetry_core.activate(telemetry_core.TelemetryRegistry())
-            )
-        if spec.tracing:
-            runtime = stack.enter_context(
-                tracing_core.activate(tracing_core.TraceRuntime.enabled())
-            )
-        if spec.obs or publisher is not None:
-            obs_runtime = stack.enter_context(
-                obs_core.activate(
-                    obs_core.ObsRuntime.enabled(
-                        publisher=publisher, cell=spec.label()
-                    )
-                )
-            )
+    artefacts: Dict[str, Dict[str, Any]] = {}
+    if spec.instrument or publisher is not None:
+        probe = obs_core.Probe.at_level(
+            spec.instrument, publisher=publisher, cell=spec.label()
+        )
+        with obs_core.activate(probe):
+            row = registry.run_spec(spec)
+        artefacts = probe.artefacts()
+        if spec.instrument not in ("live", "all"):
+            artefacts.pop("obs", None)
+    else:
         row = registry.run_spec(spec)
     elapsed = time.perf_counter() - start
-    snapshot = active.snapshot() if active is not None else None
-    trace = runtime.summary() if runtime is not None else None
-    obs_snap = (
-        obs_runtime.snapshot() if obs_runtime is not None and spec.obs else None
-    )
     if publisher is not None:
         publisher({"kind": "cell-end", "wall_s": elapsed})
-    return spec.spec_hash, row, elapsed, snapshot, trace, obs_snap
+    return spec.spec_hash, row, elapsed, artefacts
 
 
 class ScenarioRunner:
@@ -250,17 +211,9 @@ class ScenarioRunner:
             _WATCH_SINK = self.watch.ingest
         try:
             for index, spec in pending:
-                _, row, elapsed, snapshot, trace, obs_snap = _execute_cell(
-                    spec.to_json()
-                )
+                _, row, elapsed, artefacts = _execute_cell(spec.to_json())
                 yield index, RunOutcome(
-                    spec=spec,
-                    row=row,
-                    cached=False,
-                    wall_clock_s=elapsed,
-                    telemetry=snapshot,
-                    trace=trace,
-                    obs=obs_snap,
+                    spec=spec, row=row, cached=False, wall_clock_s=elapsed, **artefacts
                 )
         finally:
             if self.watch is not None:
@@ -299,23 +252,16 @@ class ScenarioRunner:
             initializer=initializer,
             initargs=initargs,
         ) as pool:
-            for (
-                spec_hash,
-                row,
-                elapsed,
-                snapshot,
-                trace,
-                obs_snap,
-            ) in pool.imap_unordered(_execute_cell, payloads):
+            for spec_hash, row, elapsed, artefacts in pool.imap_unordered(
+                _execute_cell, payloads
+            ):
                 index = by_hash[spec_hash].pop(0)
                 yield index, RunOutcome(
                     spec=specs_by_index[index],
                     row=row,
                     cached=False,
                     wall_clock_s=elapsed,
-                    telemetry=snapshot,
-                    trace=trace,
-                    obs=obs_snap,
+                    **artefacts,
                 )
 
     def _notify(self, outcome: RunOutcome, completed: int, total: int) -> None:

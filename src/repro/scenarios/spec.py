@@ -29,6 +29,7 @@ from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from repro.common.config import FaultConfig
 from repro.common.errors import ConfigurationError
+from repro.obs.core import LEVELS
 
 #: Bump when the spec schema changes incompatibly; part of the content hash so
 #: stale caches never alias new semantics.
@@ -63,20 +64,15 @@ class ScenarioSpec:
         instances: consensus instances each active replica is asked to run.
         seed: seed for every random stream of the run.
         max_time: simulated-time stop condition in seconds.
-        telemetry: instrument the cell with a
-            :class:`~repro.telemetry.TelemetryRegistry`; the snapshot is
-            persisted next to the result row and rendered by
-            ``python -m repro.scenarios report``.  Part of the content hash,
-            so instrumented and bare runs of the same cell cache separately.
-        tracing: instrument the cell with a causal
-            :class:`~repro.tracing.TraceRuntime` (spans, flight recorder,
-            invariant monitors); the trace summary is persisted next to the
-            result row.  Same hash convention as ``telemetry``.
-        obs: instrument the cell with a live
-            :class:`~repro.obs.ObsRuntime` (streaming sampler, host-CPU
-            profiler); the snapshot — time series, quantiles and the CPU
-            attribution report — is persisted next to the result row and
-            feeds the SLO gates.  Same hash convention as ``telemetry``.
+        instrument: instrumentation level of the cell — ``""`` (bare, the
+            default) or one of :data:`repro.obs.core.LEVELS`: ``"metrics"``
+            (counters and latency histograms, rendered by ``python -m
+            repro.scenarios report``), ``"trace"`` (causal spans, flight
+            recorder, invariant monitors), ``"live"`` (streamed time series
+            and host-CPU profile, feeding the SLO gates) or ``"all"``.  What
+            the level's back-ends collected is persisted next to the result
+            row.  Part of the content hash, so instrumented and bare runs of
+            the same cell cache separately.
         params: extra family-specific knobs as sorted ``(key, value)`` pairs.
     """
 
@@ -93,9 +89,7 @@ class ScenarioSpec:
     instances: int = 2
     seed: int = 1
     max_time: float = 300.0
-    telemetry: bool = False
-    tracing: bool = False
-    obs: bool = False
+    instrument: str = ""
     params: Tuple[Tuple[str, Any], ...] = ()
 
     def __post_init__(self) -> None:
@@ -108,6 +102,11 @@ class ScenarioSpec:
             params = tuple(sorted((str(k), v) for k, v in params))
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "max_time", float(self.max_time))
+        if self.instrument and self.instrument not in LEVELS:
+            raise ConfigurationError(
+                f"unknown instrumentation level {self.instrument!r}; "
+                f"known: {', '.join(LEVELS)}"
+            )
 
     # -- family-specific knobs -------------------------------------------------
 
@@ -158,21 +157,11 @@ class ScenarioSpec:
     def to_dict(self) -> Dict[str, Any]:
         """Plain-dict form; JSON-serialisable and accepted by :meth:`from_dict`.
 
-        The ``telemetry``, ``tracing`` and ``obs`` flags are only serialised
-        when set, so bare (uninstrumented) cells keep the hashes they had
-        before the flags existed and old result stores stay valid.
+        ``instrument`` is only serialised when set, so bare (uninstrumented)
+        cells keep the hashes they had before the field existed and old
+        result stores stay valid.
         """
-        data = self._base_dict()
-        if self.telemetry:
-            data["telemetry"] = True
-        if self.tracing:
-            data["tracing"] = True
-        if self.obs:
-            data["obs"] = True
-        return data
-
-    def _base_dict(self) -> Dict[str, Any]:
-        return {
+        data = {
             "schema": SPEC_SCHEMA_VERSION,
             "family": self.family,
             "n": self.n,
@@ -189,6 +178,9 @@ class ScenarioSpec:
             "max_time": self.max_time,
             "params": {key: value for key, value in self.params},
         }
+        if self.instrument:
+            data["instrument"] = self.instrument
+        return data
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioSpec":
@@ -232,12 +224,8 @@ class ScenarioSpec:
         for key, value in self.params:
             parts.append(f"{key}={value}")
         parts.append(f"seed={self.seed}")
-        if self.telemetry:
-            parts.append("telemetry")
-        if self.tracing:
-            parts.append("tracing")
-        if self.obs:
-            parts.append("obs")
+        if self.instrument:
+            parts.append(self.instrument)
         return " ".join(parts)
 
 

@@ -73,7 +73,7 @@ class ResultStore:
         """Full records (spec, row, telemetry, cost), optionally by family.
 
         This is what ``python -m repro.scenarios report`` consumes: records of
-        telemetry-enabled cells carry the snapshot under ``"telemetry"``.
+        metrics-instrumented cells carry the snapshot under ``"telemetry"``.
         Records are deep copies — mutating them cannot corrupt the in-memory
         cache index behind :meth:`get`.
         """
@@ -100,12 +100,11 @@ class ResultStore:
     ) -> Dict[str, Any]:
         """Append one result record and index it.
 
-        ``telemetry`` is the cell's snapshot dict (only present for cells run
-        with ``spec.telemetry``); it is stored verbatim so reports can be
-        rendered from the JSONL file long after the sweep.  ``trace`` is the
-        cell's trace summary (only for cells run with ``spec.tracing``) and
-        ``obs`` its live-observability snapshot (time series, quantiles, CPU
-        profile — only for cells run with ``spec.obs``), same convention.
+        ``telemetry`` (metrics snapshot), ``trace`` (trace summary) and
+        ``obs`` (live snapshot: time series, quantiles, CPU profile) are what
+        the cell's ``spec.instrument`` level collected; each is stored
+        verbatim so reports can be rendered from the JSONL file long after
+        the sweep.
         """
         record = {
             "hash": spec.spec_hash,

@@ -203,7 +203,7 @@ class ASMRReplica(BaseReplica):
         self.catchup_blocks_verified = 0
         self._pending_confirms: Dict[int, List[Tuple[ReplicaId, Dict[str, Any]]]] = {}
         self._buffered_membership: List[Tuple[Topic, ReplicaId, str, Dict[str, Any]]] = []
-        #: Open per-instance root spans (tracing enabled only).
+        #: Open per-instance root spans (traced runs only).
         self._instance_spans: Dict[int, Any] = {}
 
         router = self.router
@@ -249,15 +249,15 @@ class ASMRReplica(BaseReplica):
             started_at=self.now,
         )
         self.instances[instance] = record
-        tracing = self.tracing
-        span = None
-        if tracing is not None:
+        probe = self.probe
+        tracer = None
+        if probe is not None and probe.trace is not None:
             # The instance's span: everything this replica proposes for the
             # instance — the INIT broadcast and the whole causal cascade it
             # triggers at other replicas — chains under it.  A proposer
             # starting cold opens a fresh trace; a lazy start (triggered by
             # another replica's message) chains under that delivery instead.
-            tracer = tracing.tracer
+            tracer = probe.trace.tracer
             span = tracer.start_span(
                 "asmr.instance",
                 self.replica_id,
@@ -279,14 +279,12 @@ class ASMRReplica(BaseReplica):
             # The instance's ("sbc", epoch, instance) prefix shadows the lazy
             # fallback registered at ("sbc",).
             self.router.register(component.topic, component.handle)
-            if tracing is not None:
-                tracing.tracer.event(
-                    "sbc.propose", self.replica_id, self.now, instance=instance
-                )
+            if probe is not None:
+                probe.event("sbc.propose", self.replica_id, self.now, instance=instance)
             component.propose(self.proposal_factory(instance))
         finally:
-            if span is not None:
-                tracing.tracer.restore(previous)
+            if tracer is not None:
+                tracer.restore(previous)
 
     # -- ① consensus ---------------------------------------------------------------------
 
@@ -296,30 +294,21 @@ class ASMRReplica(BaseReplica):
             return
         record.decision = decision
         record.decided_at = self.now
-        if self.telemetry is not None:
-            self.telemetry.histogram("asmr.instance_decide_s").observe(
-                record.decided_at - record.started_at
-            )
-        tracing = self.tracing
-        if tracing is not None:
-            tracer = tracing.tracer
-            tracer.event(
+        probe = self.probe
+        if probe is not None:
+            now = record.decided_at
+            probe.observe("asmr.instance_decide_s", now - record.started_at)
+            probe.event(
                 "asmr.decide",
                 self.replica_id,
-                self.now,
+                now,
                 instance=decision.instance,
                 digest=decision.digest,
             )
-            span = self._instance_spans.pop(decision.instance, None)
-            if span is not None:
-                tracer.finish(span, self.now)
-            if tracing.monitors is not None:
-                tracing.monitors.on_decision(
-                    self.replica_id,
-                    record.epoch,
-                    decision.instance,
-                    decision.digest,
-                    self.now,
+            probe.finish(self._instance_spans.pop(decision.instance, None), now)
+            if probe.monitors is not None:
+                probe.monitors.on_decision(
+                    self.replica_id, record.epoch, decision.instance, decision.digest, now
                 )
         if self.on_commit is not None:
             self.on_commit(decision.instance, decision)
@@ -368,15 +357,12 @@ class ASMRReplica(BaseReplica):
                 and len(record.matching_confirmations) + 1 >= self.confirmation_quorum()
             ):
                 record.confirmed_at = self.now
-                if self.telemetry is not None and record.decided_at is not None:
-                    self.telemetry.histogram("asmr.confirm_s").observe(
-                        record.confirmed_at - record.decided_at
+                if self.probe is not None and record.decided_at is not None:
+                    self.probe.observe(
+                        "asmr.confirm_s", record.confirmed_at - record.decided_at
                     )
             return
         # Disagreement: another honest replica decided a different set.
-        if self.telemetry is not None and not record.conflicting_digests:
-            self.telemetry.counter("zlb.disagreement_instances").inc()
-            self.telemetry.timeline("zlb.recovery").mark("disagreement", self.now)
         if not record.conflicting_digests:
             self.log.info(
                 "disagreement on instance %s: remote %s decided %s, local %s",
@@ -385,19 +371,20 @@ class ASMRReplica(BaseReplica):
                 remote_digest,
                 local.digest,
             )
-            tracing = self.tracing
-            if tracing is not None:
-                tracing.tracer.event(
+            probe = self.probe
+            if probe is not None:
+                now = self.now
+                probe.count("zlb.disagreement_instances")
+                probe.mark("zlb.recovery", "disagreement", now)
+                probe.event(
                     "asmr.disagreement",
                     self.replica_id,
-                    self.now,
+                    now,
                     instance=instance,
                     remote=sender,
                 )
-                if tracing.monitors is not None:
-                    tracing.monitors.on_disagreement(
-                        self.replica_id, instance, self.now
-                    )
+                if probe.monitors is not None:
+                    probe.monitors.on_disagreement(self.replica_id, instance, now)
         record.conflicting_digests.add(str(remote_digest))
         self._record_disagreeing_slots(record, body)
         self._reconcile(record, body)
@@ -478,10 +465,9 @@ class ASMRReplica(BaseReplica):
         return recovery_threshold(self.committee_size())
 
     def _after_pof_update(self) -> None:
-        if self.telemetry is not None:
-            self.telemetry.gauge("zlb.pofs", replica=self.replica_id).set(
-                len(self.pofs)
-            )
+        probe = self.probe
+        if probe is not None:
+            probe.gauge("zlb.pofs", len(self.pofs), replica=self.replica_id)
         if self.pofs and self.detected_at is None:
             if len(self.pofs) >= self.pof_threshold():
                 self.detected_at = self.now
@@ -490,10 +476,8 @@ class ASMRReplica(BaseReplica):
                     len(self.pofs),
                     sorted(self.pofs),
                 )
-                if self.telemetry is not None:
-                    self.telemetry.timeline("zlb.recovery").mark(
-                        "detected", self.detected_at
-                    )
+                if probe is not None:
+                    probe.mark("zlb.recovery", "detected", self.detected_at)
         self._maybe_start_membership_change()
 
     # -- ③/④ membership change --------------------------------------------------------------------
@@ -512,8 +496,8 @@ class ASMRReplica(BaseReplica):
             for culprit, pof in self.pofs.items()
             if culprit in set(self.committee())
         }
-        if self.telemetry is not None:
-            self.telemetry.timeline("zlb.recovery").mark("exclusion_started", self.now)
+        if self.probe is not None:
+            self.probe.mark("zlb.recovery", "exclusion_started", self.now)
         self.log.info(
             "membership change started (epoch %s): excluding %s",
             self.epoch,
@@ -541,10 +525,10 @@ class ASMRReplica(BaseReplica):
                 self._buffered_membership.append((message_topic, sender, kind, body))
 
     def _on_membership_complete(self, outcome: MembershipOutcome) -> None:
-        if self.telemetry is not None:
-            timeline = self.telemetry.timeline("zlb.recovery")
-            timeline.mark("excluded", outcome.exclusion_decided_at)
-            timeline.mark("included", outcome.inclusion_decided_at)
+        probe = self.probe
+        if probe is not None:
+            probe.mark("zlb.recovery", "excluded", outcome.exclusion_decided_at)
+            probe.mark("zlb.recovery", "included", outcome.inclusion_decided_at)
         self.membership_outcomes.append(outcome)
         self.excluded_replicas.update(outcome.excluded)
         self.log.info(

@@ -33,6 +33,7 @@ from repro.consensus.host import ProtocolHost
 from repro.consensus.proofs import ProofOfFraud
 from repro.consensus.sbc import SBCDecision, SetByzantineConsensus
 from repro.network.topic import Topic, topic
+from repro.obs.core import Probe
 from repro.smr.pool import CandidatePool
 
 
@@ -99,7 +100,12 @@ class _RestrictedHost(ProtocolHost):
     def __init__(self, base: ProtocolHost, committee: Iterable[ReplicaId]):
         self._base = base
         self._committee = sorted(committee)
-        self.telemetry = base.telemetry
+        # The restricted consensus reports metrics only: its trace events
+        # would carry the epoch where ASMR instances carry the instance
+        # number, aliasing instance ids in the critical-path analysis.
+        probe = base.probe
+        if probe is not None and probe.metrics is not None:
+            self.probe = Probe(metrics=probe.metrics)
 
     @property
     def replica_id(self) -> ReplicaId:
@@ -220,10 +226,10 @@ class MembershipChange:
 
     def _on_exclusion_decided(self, decision: SBCDecision) -> None:
         self.exclusion_decided_at = self.host.now
-        telemetry = self.host.telemetry
-        if telemetry is not None:
-            telemetry.histogram("membership.exclusion_s").observe(
-                self.exclusion_decided_at - self.started_at
+        probe = self.host.probe
+        if probe is not None:
+            probe.observe(
+                "membership.exclusion_s", self.exclusion_decided_at - self.started_at
             )
         culprit_set: Set[ReplicaId] = set()
         for payload_list in decision.decided_payloads():
@@ -278,13 +284,13 @@ class MembershipChange:
         self.included = choose_included(len(self.excluded), decided_lists)
         self.pool.mark_included(self.included)
         assert self.exclusion_decided_at is not None
-        telemetry = self.host.telemetry
-        if telemetry is not None:
-            telemetry.histogram("membership.inclusion_s").observe(
-                self.host.now - self.exclusion_decided_at
+        probe = self.host.probe
+        if probe is not None:
+            probe.observe(
+                "membership.inclusion_s", self.host.now - self.exclusion_decided_at
             )
-            telemetry.counter("membership.excluded_replicas").inc(len(self.excluded))
-            telemetry.counter("membership.included_replicas").inc(len(self.included))
+            probe.count("membership.excluded_replicas", len(self.excluded))
+            probe.count("membership.included_replicas", len(self.included))
         self.outcome = MembershipOutcome(
             epoch=self.epoch,
             excluded=list(self.excluded),

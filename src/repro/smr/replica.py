@@ -67,44 +67,39 @@ class BaseReplica(RoutedProcess, ProtocolHost):
 
     # -- ProtocolHost: crypto ------------------------------------------------------
     #
-    # Each primitive runs inside its own profiler bucket when the obs plane is
-    # active (``crypto.sign`` / ``crypto.verify``), so signing and
-    # verification cost is attributed separately from protocol dispatch; the
-    # ``obs is None`` fast path keeps disabled-mode overhead at one attribute
-    # load per call.
+    # With a live probe each primitive runs inside its own CPU bucket
+    # (``crypto.sign`` / ``crypto.verify``), so signing and verification cost
+    # is attributed separately from protocol dispatch.
 
     def sign(self, payload: Any) -> SignedPayload:
-        obs = self.obs
-        if obs is None:
+        probe = self.probe
+        if probe is None:
             return self._signer.sign(payload)
-        profiler = obs.profiler
-        profiler.enter("crypto.sign")
+        probe.enter("crypto.sign")
         try:
             return self._signer.sign(payload)
         finally:
-            profiler.exit()
+            probe.exit()
 
     def verify(self, payload: Any, signed: SignedPayload) -> bool:
-        obs = self.obs
-        if obs is None:
+        probe = self.probe
+        if probe is None:
             return self._registry.verify(payload, signed)
-        profiler = obs.profiler
-        profiler.enter("crypto.verify")
+        probe.enter("crypto.verify")
         try:
             return self._registry.verify(payload, signed)
         finally:
-            profiler.exit()
+            probe.exit()
 
     def verify_digest(self, digest: str, signed: SignedPayload) -> bool:
-        obs = self.obs
-        if obs is None:
+        probe = self.probe
+        if probe is None:
             return self._registry.verify_digest(digest, signed)
-        profiler = obs.profiler
-        profiler.enter("crypto.verify")
+        probe.enter("crypto.verify")
         try:
             return self._registry.verify_digest(digest, signed)
         finally:
-            profiler.exit()
+            probe.exit()
 
     @property
     def verification_token(self) -> int:

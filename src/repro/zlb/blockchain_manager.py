@@ -14,8 +14,8 @@ The BM sits between the payment application and ASMR:
   deposit accounts (the application punishment of Alg. 1 line 38).
 
 Rejections at every stage are tallied in :class:`LedgerStats` and mirrored to
-telemetry counters when a registry is attached (``ledger.*``), so experiment
-reports can show how much adversarial traffic the execution layer filtered.
+``ledger.*`` counters when a probe is attached, so experiment reports can
+show how much adversarial traffic the execution layer filtered.
 """
 
 from __future__ import annotations
@@ -98,12 +98,10 @@ class BlockchainManager:
         self.merge_outcomes: List[MergeOutcome] = []
         self.transactions_committed = 0
         self.stats = LedgerStats()
-        #: Telemetry registry mirrored by the stats counters; attached by the
-        #: owning replica at bind time (None = disabled, zero overhead).
-        self.telemetry = None
-        #: Obs runtime whose profiler brackets the append/merge/validate hot
-        #: paths; attached by the owning replica at bind time (same contract).
-        self.obs = None
+        #: The owning replica's probe, attached at bind time (None =
+        #: uninstrumented): mirrors the stats counters and brackets the
+        #: append/merge/validate hot paths as CPU buckets.
+        self.probe = None
         #: Screening report of the most recent commit (observability).
         self.last_append_report: Optional[AppendReport] = None
 
@@ -141,40 +139,40 @@ class BlockchainManager:
         if not isinstance(payload, list):
             self._reject_proposal()
             return False
-        obs = self.obs
-        if obs is not None:
-            with obs.profiler.section("ledger.validate"):
-                return self._validate_proposal_body(payload)
-        return self._validate_proposal_body(payload)
-
-    def _validate_proposal_body(self, payload: List[Any]) -> bool:
-        view = self.record.utxos.overlay()
-        for item in payload:
-            if not isinstance(item, Transaction):
-                self._reject_proposal()
-                return False
-            if self.record.contains_tx(item.tx_id):
-                continue
-            if not item.is_valid_cached():
-                self._reject_proposal()
-                return False
-            if not view.can_apply(item):
-                self._reject_proposal()
-                return False
-            try:
-                view.apply_transaction(item)
-            except InvalidTransactionError:
-                # Input exists but its recorded account/amount disagree with
-                # the branch's UTXO table.
-                self._reject_proposal()
-                return False
+        probe = self.probe
+        if probe is not None:
+            probe.enter("ledger.validate")
+        try:
+            view = self.record.utxos.overlay()
+            for item in payload:
+                if not isinstance(item, Transaction):
+                    self._reject_proposal()
+                    return False
+                if self.record.contains_tx(item.tx_id):
+                    continue
+                if not item.is_valid_cached():
+                    self._reject_proposal()
+                    return False
+                if not view.can_apply(item):
+                    self._reject_proposal()
+                    return False
+                try:
+                    view.apply_transaction(item)
+                except InvalidTransactionError:
+                    # Input exists but its recorded account/amount disagree
+                    # with the branch's UTXO table.
+                    self._reject_proposal()
+                    return False
+        finally:
+            if probe is not None:
+                probe.exit()
         self.stats.proposals_validated += 1
         return True
 
     def _reject_proposal(self) -> None:
         self.stats.proposals_rejected += 1
-        if self.telemetry is not None:
-            self.telemetry.counter("ledger.proposals_rejected").inc()
+        if self.probe is not None:
+            self.probe.count("ledger.proposals_rejected")
 
     def commit_decision(self, instance: int, decision: SBCDecision) -> Block:
         """Turn an SBC decision into the next block on the local branch.
@@ -188,9 +186,9 @@ class BlockchainManager:
         case duplicates, intra-block conflicts and non-executable
         transactions are dropped and counted.
         """
-        obs = self.obs
-        if obs is not None:
-            obs.profiler.enter("ledger.append")
+        probe = self.probe
+        if probe is not None:
+            probe.enter("ledger.append")
         try:
             transactions = _flatten_payloads(decision.decided_payloads())
             report = self.record.filter_for_append(
@@ -205,8 +203,8 @@ class BlockchainManager:
                 validate=False,
             )
         finally:
-            if obs is not None:
-                obs.profiler.exit()
+            if probe is not None:
+                probe.exit()
         self.blocks_by_instance[instance] = block
         self.mempool.remove_decided(block.tx_ids())
         self.transactions_committed += len(block.transactions)
@@ -218,16 +216,14 @@ class BlockchainManager:
         stats.commit_invalid += report.invalid
         stats.commit_conflicting += report.conflicting
         stats.commit_phantom += report.phantom
-        if self.telemetry is not None and report.rejected:
+        if self.probe is not None and report.rejected:
             for reason, count in (
                 ("invalid", report.invalid),
                 ("conflicting", report.conflicting),
                 ("phantom", report.phantom),
             ):
                 if count:
-                    self.telemetry.counter(
-                        "ledger.commit_rejected", reason=reason
-                    ).inc(count)
+                    self.probe.count("ledger.commit_rejected", count, reason=reason)
 
     def merge_remote_decision(
         self, instance: int, remote_proposals: Dict[ReplicaId, Any]
@@ -240,9 +236,9 @@ class BlockchainManager:
         the deposit (the coalition's realised gain), phantom inputs are
         rejected outright.
         """
-        obs = self.obs
-        if obs is not None:
-            obs.profiler.enter("ledger.merge")
+        probe = self.probe
+        if probe is not None:
+            probe.enter("ledger.merge")
         try:
             transactions = _flatten_payloads(remote_proposals.values())
             local_block = self.blocks_by_instance.get(instance)
@@ -260,27 +256,25 @@ class BlockchainManager:
                 conflicting_block, fork_height=fork_height
             )
         finally:
-            if obs is not None:
-                obs.profiler.exit()
+            if probe is not None:
+                probe.exit()
         self.merge_outcomes.append(outcome)
         self.stats.merge_rejected += outcome.rejected_transactions
         self.stats.merge_phantom_inputs += outcome.phantom_inputs
-        if self.telemetry is not None:
+        if probe is not None:
             if outcome.rejected_transactions:
-                self.telemetry.counter("ledger.merge_rejected").inc(
-                    outcome.rejected_transactions
-                )
+                probe.count("ledger.merge_rejected", outcome.rejected_transactions)
             if outcome.phantom_inputs:
-                self.telemetry.counter("ledger.merge_phantom_inputs").inc(
-                    outcome.phantom_inputs
-                )
+                probe.count("ledger.merge_phantom_inputs", outcome.phantom_inputs)
             if outcome.realized_gain:
                 # Per-merge realised gain can be negative (RefundInputs
                 # recoveries), so the cumulative net is a gauge, not a
                 # monotonic counter.
-                self.telemetry.gauge(
-                    "ledger.realized_gain", replica=self.replica_id
-                ).set(self.record.realized_attack_gain)
+                probe.gauge(
+                    "ledger.realized_gain",
+                    self.record.realized_attack_gain,
+                    replica=self.replica_id,
+                )
         self.mempool.remove_decided(conflicting_block.tx_ids())
         self.transactions_committed += outcome.merged_transactions
         return outcome
@@ -290,8 +284,8 @@ class BlockchainManager:
         total = 0
         for replica in replicas:
             total += self.record.punish_account(replica_deposit_account(replica))
-        if self.telemetry is not None and total:
-            self.telemetry.counter("ledger.seized_deposit").inc(total)
+        if self.probe is not None and total:
+            self.probe.count("ledger.seized_deposit", total)
         return total
 
     # -- observability -------------------------------------------------------------------------

@@ -31,9 +31,9 @@ class ZLBReplica(ASMRReplica):
         standby: bool = False,
     ):
         self.blockchain = blockchain
-        #: Admission sim-times of pending transactions, recorded only while
-        #: the obs plane is active (feeds the time-to-commit sliding series).
-        self._obs_admit: Optional[Dict[str, float]] = None
+        #: Admission times of pending transactions, recorded only while a
+        #: sampler is live (feeds the time-to-commit sliding series).
+        self._admitted_at: Optional[Dict[str, float]] = None
         super().__init__(
             replica_id=replica_id,
             committee=committee,
@@ -54,38 +54,30 @@ class ZLBReplica(ASMRReplica):
 
     def bind(self, transport) -> None:
         super().bind(transport)
-        telemetry = self.telemetry
-        # The manager mirrors its LedgerStats rejection counters to telemetry
-        # once a registry is attached (stays None — zero overhead — otherwise).
-        self.blockchain.telemetry = telemetry
-        if telemetry is not None:
+        probe = self.probe
+        self.blockchain.probe = probe
+        if probe is not None:
             # Mempool occupancy gauges, updated by the pool itself on every
-            # mutation (the ``gauge_hook`` satellite of the mempool).
+            # mutation.
             replica = self.replica_id
-            pending = telemetry.gauge("mempool.pending", replica=replica)
-            pending_bytes = telemetry.gauge("mempool.pending_bytes", replica=replica)
 
             def _update(pool) -> None:
-                pending.set(len(pool))
-                pending_bytes.set(pool.pending_bytes)
+                probe.gauge("mempool.pending", len(pool), replica=replica)
+                probe.gauge("mempool.pending_bytes", pool.pending_bytes, replica=replica)
 
-            self.blockchain.mempool.add_gauge_hook(_update)
+            self.blockchain.mempool.hook = _update
             _update(self.blockchain.mempool)
-        obs = self.obs
-        # The manager brackets its append/merge/validate hot paths with
-        # profiler sections once a runtime is attached (None otherwise).
-        self.blockchain.obs = obs
-        if obs is not None:
-            self._obs_admit = {}
+            if probe.sampler is not None:
+                self._admitted_at = {}
 
     # -- ASMR hooks ---------------------------------------------------------------
 
     def _make_proposal(self, instance: int) -> List[Transaction]:
         batch = self.blockchain.next_proposal(instance)
-        tracing = self.tracing
-        if tracing is not None and batch:
+        probe = self.probe
+        if probe is not None and batch:
             # Closes the per-transaction mempool wait opened by mempool.admit.
-            tracing.tracer.event(
+            probe.event(
                 "mempool.batch",
                 self.replica_id,
                 self.now,
@@ -99,66 +91,66 @@ class ZLBReplica(ASMRReplica):
 
     def _commit(self, instance: int, decision: SBCDecision) -> None:
         block = self.blockchain.commit_decision(instance, decision)
-        admit = self._obs_admit
-        if admit is not None:
-            observe = self.obs.sampler.observe
-            now = self.now
+        probe = self.probe
+        if probe is None:
+            return
+        now = self.now
+        admitted = self._admitted_at
+        if admitted is not None:
             for tx in block.transactions:
-                admitted_at = admit.pop(tx.tx_id, None)
+                admitted_at = admitted.pop(tx.tx_id, None)
                 if admitted_at is not None:
-                    observe("commit_latency_s", now - admitted_at)
-        if self.telemetry is not None:
-            self.telemetry.counter("zlb.blocks_committed").inc()
-            self.telemetry.counter("zlb.transactions_committed").inc(
-                len(block.transactions)
-            )
-        tracing = self.tracing
-        if tracing is not None:
-            tracing.tracer.event(
-                "zlb.commit",
-                self.replica_id,
-                self.now,
-                instance=instance,
-                txs=len(block.transactions),
-                height=block.index,
-            )
+                    probe.sample("commit_latency_s", now - admitted_at)
+        probe.count("zlb.blocks_committed")
+        probe.count("zlb.transactions_committed", len(block.transactions))
+        probe.event(
+            "zlb.commit",
+            self.replica_id,
+            now,
+            instance=instance,
+            txs=len(block.transactions),
+            height=block.index,
+        )
+        monitors = probe.monitors
+        if monitors is not None:
             report = self.blockchain.last_append_report
-            tracing.monitors.on_commit(
+            monitors.on_commit(
                 self.replica_id,
                 instance,
                 report.invalid if report is not None else 0,
                 report.phantom if report is not None else 0,
                 self.blockchain.conserved_total(),
-                self.now,
+                now,
             )
 
     def _merge(self, instance: int, remote_proposals: Dict[ReplicaId, Any]) -> None:
         outcome = self.blockchain.merge_remote_decision(instance, remote_proposals)
-        if self.telemetry is not None:
-            self.telemetry.counter("zlb.merges").inc()
-            self.telemetry.counter("zlb.merged_transactions").inc(
-                outcome.merged_transactions
-            )
-            self.telemetry.timeline("zlb.recovery").mark("merged", self.now)
-        tracing = self.tracing
-        if tracing is not None:
-            tracing.tracer.event(
-                "zlb.merge",
-                self.replica_id,
-                self.now,
-                instance=instance,
-                merged=outcome.merged_transactions,
-                refunded=outcome.refunded_amount,
-            )
-            tracing.monitors.on_merge(
-                self.replica_id, instance, self.blockchain.conserved_total(), self.now
+        probe = self.probe
+        if probe is None:
+            return
+        now = self.now
+        probe.count("zlb.merges")
+        probe.count("zlb.merged_transactions", outcome.merged_transactions)
+        probe.mark("zlb.recovery", "merged", now)
+        probe.event(
+            "zlb.merge",
+            self.replica_id,
+            now,
+            instance=instance,
+            merged=outcome.merged_transactions,
+            refunded=outcome.refunded_amount,
+        )
+        monitors = probe.monitors
+        if monitors is not None:
+            monitors.on_merge(
+                self.replica_id, instance, self.blockchain.conserved_total(), now
             )
 
     def _exclude(self, excluded: List[ReplicaId]) -> None:
         self.blockchain.punish_replicas(excluded)
-        tracing = self.tracing
-        if tracing is not None:
-            tracing.monitors.on_punish(
+        probe = self.probe
+        if probe is not None and probe.monitors is not None:
+            probe.monitors.on_punish(
                 self.replica_id, self.blockchain.conserved_total(), self.now
             )
 
@@ -167,26 +159,25 @@ class ZLBReplica(ASMRReplica):
     def submit_transaction(self, transaction: Transaction) -> bool:
         """Client entry point: enqueue a payment request at this replica."""
         accepted = self.blockchain.submit_transaction(transaction)
-        if accepted and self._obs_admit is not None:
-            self._obs_admit[transaction.tx_id] = self.now
-        tracing = self.tracing
-        if accepted and tracing is not None:
+        probe = self.probe
+        if accepted and probe is not None:
+            now = self.now
+            if self._admitted_at is not None:
+                self._admitted_at[transaction.tx_id] = now
             # Opens the per-transaction mempool wait; closed by mempool.batch.
-            tracing.tracer.event(
-                "mempool.admit", self.replica_id, self.now, tx=transaction.tx_id
-            )
+            probe.event("mempool.admit", self.replica_id, now, tx=transaction.tx_id)
         return accepted
 
     def submit_transactions(self, transactions) -> int:
         """Enqueue many payment requests; returns how many were accepted."""
-        admit = self._obs_admit
-        if admit is None:
+        admitted = self._admitted_at
+        if admitted is None:
             return self.blockchain.submit_transactions(transactions)
         accepted = 0
         now = self.now
         for transaction in transactions:
             if self.blockchain.submit_transaction(transaction):
-                admit[transaction.tx_id] = now
+                admitted[transaction.tx_id] = now
                 accepted += 1
         return accepted
 

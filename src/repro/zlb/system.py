@@ -32,12 +32,8 @@ from repro.analysis.metrics import RunMetrics
 from repro.network.delays import DelayModel, PartitionedDelay, delay_model_from_name
 from repro.network.simulator import NetworkSimulator
 from repro.obs import core as obs_core
-from repro.obs.core import ObsRuntime
+from repro.obs.core import Probe
 from repro.smr.pool import CandidatePool
-from repro.telemetry import core as telemetry_core
-from repro.telemetry.core import TelemetryRegistry
-from repro.tracing import core as tracing_core
-from repro.tracing.core import TraceRuntime
 from repro.zlb.blockchain_manager import BlockchainManager, replica_deposit_account
 from repro.zlb.node import ZLBReplica
 from repro.zlb.payment import DepositPolicy
@@ -100,7 +96,7 @@ class SystemResult:
     realized_gain: int = 0
     #: Value seized from the coalition (slashed deposits plus confiscations).
     seized_deposit: int = 0
-    #: Telemetry snapshot of the run (None when telemetry is disabled).
+    #: Metrics snapshot of the run (None without a metrics back-end).
     telemetry: Optional[Dict[str, Any]] = None
 
     @property
@@ -189,11 +185,6 @@ class ZLBSystem:
         """
         return self.simulator
 
-    @property
-    def telemetry(self) -> Optional[TelemetryRegistry]:
-        """The run's telemetry registry (owned by the simulator), or None."""
-        return self.simulator.telemetry
-
     # -- construction ----------------------------------------------------------------
 
     @staticmethod
@@ -210,31 +201,26 @@ class ZLBSystem:
         batch_size: Optional[int] = None,
         max_time: float = 3_600.0,
         max_events: Optional[int] = None,
-        telemetry: Optional[TelemetryRegistry] = None,
-        tracing: Optional[TraceRuntime] = None,
-        obs: Optional[ObsRuntime] = None,
+        probe: Optional[Probe] = None,
     ) -> "ZLBSystem":
         """Build a complete deployment; see the class docstring for the pieces.
 
-        ``telemetry`` instruments the whole stack (simulator, broadcast,
-        consensus, membership, blockchain managers); it defaults to the
-        registry installed by :func:`repro.telemetry.activate`, i.e. None —
-        disabled — unless a scenario cell activated one.  ``tracing`` follows
-        the same convention with :func:`repro.tracing.activate`; when a
-        runtime carries invariant monitors they are configured here with the
-        honest set, the expected-disagreement flag, and each replica's
-        conserved-value baseline.
+        ``probe`` instruments the whole stack (simulator, broadcast,
+        consensus, membership, blockchain managers); it defaults to the probe
+        installed by :func:`repro.obs.activate`, i.e. None — uninstrumented —
+        unless a scenario cell activated one.  When the probe carries
+        invariant monitors they are configured here with the honest set, the
+        expected-disagreement flag, and each replica's conserved-value
+        baseline.
         """
         n = fault_config.n
-        telemetry = telemetry if telemetry is not None else telemetry_core.current()
-        tracing = tracing if tracing is not None else tracing_core.current()
-        obs = obs if obs is not None else obs_core.current()
-        if obs is not None:
+        probe = probe if probe is not None else obs_core.current()
+        if probe is not None:
             # The whole construction — genesis build, key provisioning,
             # workload signing and submission — runs as one root
-            # ``system.build`` profiler section (crypto.verify children claim
+            # ``system.build`` CPU bucket (crypto.verify children claim
             # their share); closed right before the system is returned.
-            obs.profiler.enter("system.build")
+            probe.enter("system.build")
         protocol_config = protocol_config or ProtocolConfig(
             batch_size=batch_size or 50
         )
@@ -269,9 +255,7 @@ class ZLBSystem:
                     seed=seed, max_time=max_time, max_events=max_events
                 )
             ),
-            telemetry=telemetry,
-            tracing=tracing,
-            obs=obs,
+            probe=probe,
         )
 
         committee = list(range(n))
@@ -356,8 +340,8 @@ class ZLBSystem:
             simulator.add_process(replica)
             replicas[replica_id] = replica
 
-        if tracing is not None and tracing.monitors is not None:
-            tracing.monitors.configure(
+        if probe is not None and probe.monitors is not None:
+            probe.monitors.configure(
                 honest={
                     replica_id
                     for replica_id in committee
@@ -366,7 +350,7 @@ class ZLBSystem:
                 expect_disagreement=attack is not None,
             )
             for replica_id, replica in replicas.items():
-                tracing.monitors.register_ledger(
+                probe.monitors.register_ledger(
                     replica_id, replica.blockchain.conserved_total()
                 )
 
@@ -381,23 +365,23 @@ class ZLBSystem:
         )
         if workload_transactions > 0:
             system.submit_workload(workload_transactions)
-        if obs is not None:
-            # Aggregate mempool occupancy across the active committee, pulled
-            # once per sampler tick (standby pools never receive traffic).
-            active = [
-                replica
-                for replica in replicas.values()
-                if not replica.standby
-            ]
-            obs.sampler.register_gauge(
-                "mempool.pending",
-                lambda: sum(len(r.blockchain.mempool) for r in active),
-            )
-            obs.sampler.register_gauge(
-                "mempool.pending_bytes",
-                lambda: sum(r.blockchain.mempool.pending_bytes for r in active),
-            )
-            obs.profiler.exit()
+        if probe is not None:
+            if probe.sampler is not None:
+                # Aggregate mempool occupancy across the active committee,
+                # pulled once per sampler tick (standby pools never receive
+                # traffic).
+                active = [
+                    replica for replica in replicas.values() if not replica.standby
+                ]
+                probe.sampler.register_gauge(
+                    "mempool.pending",
+                    lambda: sum(len(r.blockchain.mempool) for r in active),
+                )
+                probe.sampler.register_gauge(
+                    "mempool.pending_bytes",
+                    lambda: sum(r.blockchain.mempool.pending_bytes for r in active),
+                )
+            probe.exit()
         return system
 
     # -- workload -------------------------------------------------------------------------
@@ -516,6 +500,7 @@ class ZLBSystem:
             if not final_committee:
                 final_committee = list(replica.committee())
 
+        probe = self.simulator.probe
         return SystemResult(
             n=self.fault_config.n,
             fault_config=self.fault_config,
@@ -540,8 +525,8 @@ class ZLBSystem:
             realized_gain=realized_gain,
             seized_deposit=seized,
             telemetry=(
-                self.simulator.telemetry.snapshot()
-                if self.simulator.telemetry is not None
+                probe.metrics.snapshot()
+                if probe is not None and probe.metrics is not None
                 else None
             ),
         )

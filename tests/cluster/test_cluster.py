@@ -362,7 +362,13 @@ class TestClusterCLI:
         # causal events (its increments survived it at the launcher).
         flight_path = artifacts / "cluster-flight.jsonl"
         assert flight_path.exists(), stdout + stderr
-        events = [json.loads(line) for line in flight_path.open()]
+        header, *events = [json.loads(line) for line in flight_path.open()]
+        # The dump states how complete it is, and the counts add up.
+        assert header["header"] == "flight-dump"
+        assert header["retained"] == len(events)
+        assert header["recorded"] == (
+            header["retained"] + header["evicted"] + header["skipped"]
+        )
         victim_events = [event for event in events if event["worker"] == 3]
         assert victim_events, "dead replica left no events in the dump"
         assert all("t_cluster" in event for event in events)

@@ -213,7 +213,14 @@ class TestCausalMerge:
         )
         watcher.note_crash(1, -9)
         path = watcher.write_flight_dump(tmp_path / "flight.jsonl")
-        lines = [json.loads(line) for line in open(path)]
+        header, *lines = [json.loads(line) for line in open(path)]
+        assert header == {
+            "header": "flight-dump",
+            "recorded": 1,
+            "retained": 1,
+            "evicted": 0,
+            "skipped": 0,
+        }
         assert any(
             line["worker"] == 1 and line["detail"] == "last words"
             for line in lines
@@ -268,3 +275,97 @@ class TestCausalMerge:
         assert {"asmr.instance", "zlb.commit"} <= names
         pids = {event["pid"] for event in trace["traceEvents"]}
         assert pids == {0, 1}
+
+
+class TestLossAccounting:
+    """A truncated forensic artefact must say it is truncated — exactly."""
+
+    def _shipper(self, ring_capacity):
+        from types import SimpleNamespace
+
+        from repro.cluster.worker import _ObsShipper
+        from repro.obs import HostProfiler, Probe, StreamingSampler, TraceRuntime
+
+        probe = Probe(
+            trace=TraceRuntime.enabled(recorder_capacity=ring_capacity),
+            sampler=StreamingSampler(),
+            profiler=HostProfiler(),
+        )
+        blockchain = SimpleNamespace(
+            transactions_committed=0, blocks_by_instance={}, mempool=[]
+        )
+        transport = SimpleNamespace(messages_delivered=0, connected_peers=lambda: [])
+        loop = SimpleNamespace(time=lambda: 1.0)
+        shipper = _ObsShipper(
+            0, SimpleNamespace(blockchain=blockchain), transport, probe, loop
+        )
+        return shipper, probe.trace.recorder
+
+    def test_oversized_frame_reports_what_it_skipped(self):
+        shipper, recorder = self._shipper(ring_capacity=512)
+        for i in range(300):
+            recorder.record(float(i), replica=0, kind="send", detail=f"e{i}")
+        frame = shipper.frame()
+        assert len(frame["ring"]) == wire.MAX_RING_EVENTS_PER_FRAME == 256
+        assert frame["ring_skipped"] == 44
+        assert frame["recorder_evicted"] == 0
+        # The newest events are the ones kept, and the cursor moved past all.
+        assert frame["ring"][-1]["detail"] == "e299"
+        assert frame["ring"][0]["detail"] == "e44"
+        follow_up = shipper.frame()
+        assert follow_up["ring"] == []
+        assert follow_up["ring_skipped"] == follow_up["recorder_evicted"] == 0
+
+    def test_ring_overflow_between_frames_is_reported_as_evicted(self):
+        shipper, recorder = self._shipper(ring_capacity=100)
+        for i in range(300):
+            recorder.record(float(i), replica=0, kind="send", detail=f"e{i}")
+        frame = shipper.frame()
+        assert len(frame["ring"]) == 100
+        assert frame["recorder_evicted"] == 200
+        assert frame["ring_skipped"] == 0
+        extra = shipper.report_extra()
+        assert extra["recorder_evicted"] == 200 and extra["ring_skipped"] == 0
+        assert extra["spans_truncated"] == 0
+
+    def test_watcher_sums_losses_and_the_merged_dump_states_them(self, tmp_path):
+        shipper, recorder = self._shipper(ring_capacity=512)
+        for i in range(300):
+            recorder.record(float(i), replica=0, kind="send", detail=f"e{i}")
+        watcher = ClusterWatcher(n=1)
+        watcher.ingest(wire.ready_frame(0, offset=0.0))
+        watcher.ingest(shipper.frame())
+        for i in range(300, 310):
+            recorder.record(float(i), replica=0, kind="send", detail=f"e{i}")
+        watcher.ingest(shipper.frame())
+        row = watcher.state()["replicas"][0]
+        assert row["ring_skipped"] == 44 and row["recorder_evicted"] == 0
+        assert (
+            'repro_cluster_replica_ring_skipped_total{replica="0"} 44'
+            in watcher.prometheus_text()
+        )
+        path = watcher.write_flight_dump(tmp_path / "flight.jsonl")
+        header, *events = [json.loads(line) for line in open(path)]
+        assert header == {
+            "header": "flight-dump",
+            "recorded": 310,
+            "retained": 266,
+            "evicted": 0,
+            "skipped": 44,
+        }
+        assert len(events) == 266
+
+    def test_report_truncation_is_counted(self):
+        watcher = ClusterWatcher(n=1)
+        watcher.ingest(
+            {
+                "event": wire.EVENT_REPORT,
+                "replica_id": 0,
+                "status": "ok",
+                "committed": 1,
+                "total_transactions": 1,
+                "blocks": 1,
+                "obs": {"spans": [], "events": [], "spans_truncated": 7},
+            }
+        )
+        assert watcher.state()["replicas"][0]["spans_truncated"] == 7

@@ -3,7 +3,7 @@
 Tests under ``tests/zlb`` and ``tests/integration`` run whole committees
 through the simulator; when one fails, the assertion message alone rarely
 says *which* message or timer led up to the bad state.  The autouse fixture
-below activates a :class:`~repro.tracing.TraceRuntime` (tracing is strictly
+below activates a trace-only :class:`~repro.obs.Probe` (tracing is strictly
 observational — it consumes no randomness and schedules no events, so
 seeded runs are byte-identical with or without it) and, on failure, the
 flight recorder's causally-ordered tail of delivery/timer events is appended
@@ -16,8 +16,7 @@ import os
 
 import pytest
 
-from repro.tracing import core as tracing_core
-from repro.tracing.core import TraceRuntime
+from repro import obs
 
 #: Suites that get the recorder; everything else runs untouched.
 _FLIGHT_SUITES = ("tests/zlb", "tests/integration")
@@ -32,13 +31,13 @@ def _wants_recorder(item) -> bool:
 
 @pytest.fixture(autouse=True)
 def flight_recorder(request):
-    """Activate a trace runtime around simulation-heavy tests (else no-op)."""
+    """Activate a tracing probe around simulation-heavy tests (else no-op)."""
     if not _wants_recorder(request.node):
         yield None
         return
-    runtime = TraceRuntime.enabled(recorder_capacity=256)
+    runtime = obs.TraceRuntime.enabled(recorder_capacity=256)
     request.node._flight_recorder = runtime.recorder
-    with tracing_core.activate(runtime):
+    with obs.activate(obs.Probe(trace=runtime)):
         yield runtime
 
 

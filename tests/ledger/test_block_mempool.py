@@ -143,10 +143,10 @@ class TestMempool:
         pool.add(txs[0])  # duplicate
         assert pool.pending_bytes == txs[0].wire_size()
 
-    def test_gauge_hook_fires_on_every_mutation(self, workload):
+    def test_hook_fires_on_every_mutation(self, workload):
         pool = Mempool()
         seen = []
-        pool.gauge_hook = lambda p: seen.append((len(p), p.pending_bytes))
+        pool.hook = lambda p: seen.append((len(p), p.pending_bytes))
         txs = workload.batch(2)
         pool.add(txs[0])
         pool.add(txs[0])  # rejected duplicate: no mutation, no callback
@@ -159,11 +159,11 @@ class TestMempool:
         assert seen[0] == (1, txs[0].wire_size())
         assert seen[-1] == (0, 0)
 
-    def test_gauge_hook_fires_on_non_empty_clear(self, workload):
+    def test_hook_fires_on_non_empty_clear(self, workload):
         pool = Mempool()
         pool.add_all(workload.batch(2))
         seen = []
-        pool.gauge_hook = lambda p: seen.append((len(p), p.pending_bytes))
+        pool.hook = lambda p: seen.append((len(p), p.pending_bytes))
         pool.clear()
         assert seen == [(0, 0)]
 

@@ -98,12 +98,12 @@ class TestAsyncioTransport:
         asyncio.run(scenario())
 
     def test_counters_and_telemetry_names_match_simulator(self, tmp_path):
-        from repro.telemetry.core import TelemetryRegistry
+        from repro.obs import Probe, TelemetryRegistry
 
         async def scenario():
             endpoints = _uds_endpoints(tmp_path, 2)
             telemetry = TelemetryRegistry()
-            t0 = AsyncioTransport(0, endpoints, telemetry=telemetry)
+            t0 = AsyncioTransport(0, endpoints, probe=Probe(metrics=telemetry))
             t1 = AsyncioTransport(1, endpoints)
             p0, p1 = Recorder(0), Recorder(1)
             t0.add_process(p0)

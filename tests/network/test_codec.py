@@ -36,7 +36,7 @@ from repro.network.codec import (
 )
 from repro.network.message import Message
 from repro.network.topic import Topic
-from repro.tracing.core import TraceContext
+from repro.obs.trace import TraceContext
 
 
 def roundtrip(value):

@@ -8,7 +8,7 @@ from repro.network.message import Message
 from repro.network.router import RoutedProcess, Router
 from repro.network.simulator import NetworkSimulator
 from repro.network.topic import Topic, as_topic, topic
-from repro.telemetry.core import protocol_group
+from repro.obs.metrics import protocol_group
 
 
 class TestTopic:

@@ -34,8 +34,6 @@ class TestSeam:
         process = Recorder(0)
         simulator.add_process(process)
         assert process.transport is simulator
-        # Backwards-compatible alias kept for simulator-era call sites.
-        assert process.simulator is simulator
         assert process.now == simulator.now
 
     def test_unbound_process_raises(self):

@@ -129,7 +129,7 @@ class TestGateCLI:
         assert "breach" in out
 
     def test_cells_without_obs_report_skipped_checks(self, tmp_path, capsys):
-        # A fig4 record recorded without --obs: the rate/latency objectives
+        # A fig4 record recorded without the live level: the rate/latency objectives
         # must surface as skipped (with a reason), not silently pass.
         path = tmp_path / "results.jsonl"
         record = {
@@ -144,4 +144,4 @@ class TestGateCLI:
         assert main(["report", str(path), "--gate"]) == 0
         out = capsys.readouterr().out
         assert "skipped" in out
-        assert "re-run with --obs" in out
+        assert "re-run with --instrument live" in out

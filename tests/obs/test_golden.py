@@ -1,0 +1,131 @@
+"""Instrumentation must be *observational*: fixed-seed runs are byte-identical.
+
+No back-end consumes randomness or schedules events.  This module drives the
+same golden Figure 4 cell as ``tests/experiments/test_fig4_golden.py`` at every
+instrumentation level — bare, ``metrics``, ``trace``, ``live`` and ``all`` —
+and requires every run to agree on every outcome down to the last float bit
+of the simulated clock.
+
+It also checks the direction nobody else does: after an ``all`` cell, a bare
+cell in the *same process* must produce the very row a bare cell produces
+first thing in a fresh process, with no probe left active — instrumentation
+leaves nothing behind in the activation scope or in module-level state.
+
+And it pins the acceptance property of the profiler on a real cell: at least
+80% of the cell's host CPU must land in named buckets.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+from repro import obs
+from repro.experiments.fig4_disagreements import run_attack_cell
+from repro.scenarios import registry
+
+#: Golden outcomes of the cell (same constants as the dispatch-parity test).
+GOLDEN = {
+    "disagreements": 2,
+    "committed_transactions": 78,
+    "messages_sent": 11685,
+    "messages_delivered": 11685,
+    "simulated_time": 16.686154595607622,
+}
+
+#: Index of the golden cell (n=9, binary attack, 1000 ms, seed 1) in the
+#: registered fig4 grid.
+GOLDEN_CELL = 6
+
+
+def _run_cell():
+    return run_attack_cell(
+        n=9, attack_kind="binary", cross_partition_delay="1000ms", seed=1
+    )
+
+
+@pytest.mark.parametrize("instrument", ["", "metrics", "trace", "live", "all"])
+def test_golden_cell_is_byte_identical_at_every_level(instrument):
+    probe = obs.Probe.at_level(instrument) if instrument else None
+    with obs.activate(probe):
+        result = _run_cell()
+    assert {key: getattr(result, key) for key in GOLDEN} == GOLDEN
+    assert obs.current() is None
+    if probe is not None:
+        # Each level collected exactly its own artefacts.
+        expected = {
+            "metrics": {"telemetry"},
+            "trace": {"trace"},
+            "live": {"obs"},
+            "all": {"telemetry", "trace", "obs"},
+        }[instrument]
+        assert set(probe.artefacts()) == expected
+
+
+_LEAK_SCRIPT = """
+import json, sys
+from repro import obs
+from repro.scenarios import registry
+from repro.scenarios.runner import ScenarioRunner
+
+bare = registry.expand("fig4", "small")[CELL]
+for level in sys.argv[1:]:
+    row = ScenarioRunner().run([bare.with_overrides(instrument=level)]).outcomes[0].row
+print(json.dumps({"row": row, "active": obs.current() is not None}, sort_keys=True))
+"""
+
+
+def _run_in_fresh_process(*levels):
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
+    env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run(
+        [sys.executable, "-c", _LEAK_SCRIPT.replace("CELL", str(GOLDEN_CELL)), *levels],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+    )
+    return done.stdout.strip().splitlines()[-1]
+
+
+def test_bare_cell_after_a_fully_instrumented_one_is_untouched():
+    spec = registry.expand("fig4", "small")[GOLDEN_CELL]
+    assert (spec.n, spec.attack, spec.cross_partition_delay, spec.seed) == (
+        9, "binary", "1000ms", 1,
+    )
+    first_in_process = _run_in_fresh_process("")
+    after_all = _run_in_fresh_process("all", "")
+    assert after_all == first_in_process
+    assert json.loads(after_all)["active"] is False
+    assert json.loads(after_all)["row"]["committed_transactions"] == 78
+
+
+def test_golden_cell_profile_attributes_most_host_cpu():
+    probe = obs.Probe.at_level("live", cell="golden")
+    with obs.activate(probe):
+        _run_cell()
+    snap = probe.live_snapshot()
+
+    profile = snap["profile"]
+    assert profile["attributed_pct"] >= 0.8
+    buckets = {row["bucket"] for row in profile["buckets"]}
+    # The named hot paths of the run must all show up.
+    assert "sim.kernel" in buckets
+    assert "system.build" in buckets
+    assert "ledger.append" in buckets
+    assert any(name.startswith("dispatch:") for name in buckets)
+    # Crypto primitives are attributed separately from protocol dispatch.
+    assert "crypto.sign" in buckets
+    assert "crypto.verify" in buckets
+
+    # The sampler streamed real series alongside: event rate, per-protocol
+    # message rates and the commit-latency sliding quantiles.
+    series = snap["series"]
+    assert len(series["events_per_sec"]["points"]) > 10
+    assert any(name.startswith("msgs_per_sec:") for name in series)
+    assert snap["quantiles"]["commit_latency_s"]["count"] > 0
+    assert snap["totals"]["events_processed"] > 0

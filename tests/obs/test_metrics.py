@@ -1,4 +1,4 @@
-"""Unit tests for the telemetry primitives and registry."""
+"""Unit tests for the metric primitives, the registry and the activation scope."""
 
 import math
 import timeit
@@ -6,14 +6,13 @@ import timeit
 import pytest
 
 from repro.analysis.metrics import percentiles, summarize_latencies
-from repro.telemetry import (
+from repro.obs import Probe, activate, current
+from repro.obs.metrics import (
     Counter,
     Gauge,
     Histogram,
     TelemetryRegistry,
     Timeline,
-    activate,
-    current,
     metric_key,
     protocol_group,
     split_metric_key,
@@ -179,21 +178,21 @@ class TestActivation:
         assert current() is None
 
     def test_activate_installs_and_restores(self):
-        registry = TelemetryRegistry()
-        with activate(registry) as active:
-            assert active is registry
-            assert current() is registry
+        probe = Probe(metrics=TelemetryRegistry())
+        with activate(probe) as active:
+            assert active is probe
+            assert current() is probe
         assert current() is None
 
     def test_nested_activation_restores_outer(self):
-        outer, inner = TelemetryRegistry(), TelemetryRegistry()
+        outer, inner = Probe(), Probe()
         with activate(outer):
             with activate(inner):
                 assert current() is inner
             assert current() is outer
 
     def test_activate_none_shields_block(self):
-        outer = TelemetryRegistry()
+        outer = Probe()
         with activate(outer):
             with activate(None):
                 assert current() is None
@@ -219,11 +218,11 @@ class TestDisabledModeNoOp:
                     )
 
         simulator = NetworkSimulator(config=SimulationConfig(seed=1))
-        assert simulator.telemetry is None
+        assert simulator.probe is None
         a, b = Echo(0), Echo(1)
         simulator.add_process(a)
         simulator.add_process(b)
-        assert a.telemetry is None
+        assert a.probe is None
         simulator.submit(
             Message(sender=0, recipient=1, protocol="ping", kind="PING", body={"hops": 10})
         )
@@ -234,19 +233,19 @@ class TestDisabledModeNoOp:
         """The instrumented-but-disabled hot path must cost no more than a
         None comparison: benchmark the guard against a bare loop body and
         allow a generous margin so the test never flakes on CI."""
-        telemetry = None
-        registry = TelemetryRegistry()
+        probe = None
+        live = Probe(metrics=TelemetryRegistry())
 
         def disabled():
-            if telemetry is not None:
-                telemetry.counter("x").inc()
+            if probe is not None:
+                probe.count("x")
 
         def bare():
             pass
 
         def enabled():
-            if registry is not None:
-                registry.counter("x").inc()
+            if live is not None:
+                live.count("x")
 
         iterations = 50_000
         bare_s = min(timeit.repeat(bare, number=iterations, repeat=5))

@@ -1,4 +1,4 @@
-"""Telemetry wired through the stack, the scenario runner and the report CLI.
+"""Metrics wired through the stack, the scenario runner and the report CLI.
 
 A tiny instrumented family (one fault-free committee cell) keeps the module
 fast; the full coalition-attack telemetry (recovery timeline included) runs
@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from repro import telemetry
+from repro import obs
 from repro.common.config import FaultConfig
 from repro.experiments.fig4_disagreements import run_attack_cell
 from repro.scenarios import registry
@@ -17,8 +17,8 @@ from repro.scenarios.registry import ScenarioFamily
 from repro.scenarios.runner import ScenarioRunner
 from repro.scenarios.spec import ScenarioSpec
 from repro.scenarios.store import ResultStore
-from repro.telemetry.export import snapshot_rows, write_csv, write_json
-from repro.telemetry.report import build_tables, render_report, telemetry_cells
+from repro.obs.export import snapshot_rows, write_csv, write_json
+from repro.obs.report import build_tables, render_report, telemetry_cells
 from repro.zlb.system import ZLBSystem
 
 TINY_FAMILY = "telemetry-tiny"
@@ -66,8 +66,8 @@ def _register_tiny_family():
 @pytest.fixture(scope="module")
 def attack_snapshot():
     """One instrumented coalition-attack run (shared across tests)."""
-    registry_ = telemetry.TelemetryRegistry()
-    with telemetry.activate(registry_):
+    registry_ = obs.TelemetryRegistry()
+    with obs.activate(obs.Probe(metrics=registry_)):
         result = run_attack_cell(
             n=9,
             attack_kind="binary",
@@ -81,13 +81,12 @@ def attack_snapshot():
 
 class TestStackInstrumentation:
     def test_fault_free_run_records_core_metrics(self):
-        registry_ = telemetry.TelemetryRegistry()
         system = ZLBSystem.create(
             FaultConfig(n=4),
             seed=3,
             workload_transactions=20,
             batch_size=10,
-            telemetry=registry_,
+            probe=obs.Probe(metrics=obs.TelemetryRegistry()),
         )
         result = system.run_instances(1)
         snapshot = result.telemetry
@@ -112,7 +111,7 @@ class TestStackInstrumentation:
         system = ZLBSystem.create(
             FaultConfig(n=4), seed=3, workload_transactions=10, batch_size=10
         )
-        assert system.telemetry is None
+        assert system.simulator.probe is None
         result = system.run_instances(1)
         assert result.telemetry is None
 
@@ -150,19 +149,10 @@ class TestStackInstrumentation:
 
 
 class TestScenarioIntegration:
-    def test_spec_hash_stable_without_telemetry(self):
-        bare = ScenarioSpec(family=TINY_FAMILY, n=4)
-        assert "telemetry" not in bare.to_dict()
-        instrumented = bare.with_overrides(telemetry=True)
-        assert instrumented.to_dict()["telemetry"] is True
-        assert bare.spec_hash != instrumented.spec_hash
-        round_tripped = ScenarioSpec.from_json(instrumented.to_json())
-        assert round_tripped == instrumented
-
     def test_runner_persists_and_replays_snapshot(self, tmp_path):
         store = ResultStore(tmp_path / "results.jsonl")
         specs = [
-            spec.with_overrides(telemetry=True) for spec in _tiny_grid("small")
+            spec.with_overrides(instrument="metrics") for spec in _tiny_grid("small")
         ]
         report = ScenarioRunner(store=store).run(specs)
         outcome = report.outcomes[0]
@@ -191,7 +181,7 @@ class TestScenarioIntegration:
         out = str(tmp_path / "results.jsonl")
         store = ResultStore(out)
         specs = [
-            spec.with_overrides(telemetry=True) for spec in _tiny_grid("small")
+            spec.with_overrides(instrument="metrics") for spec in _tiny_grid("small")
         ]
         ScenarioRunner(store=store).run(specs)
 
@@ -231,12 +221,12 @@ class TestScenarioIntegration:
 
 class TestExporters:
     def test_snapshot_rows_cover_every_metric_type(self):
-        registry_ = telemetry.TelemetryRegistry()
+        registry_ = obs.TelemetryRegistry()
         registry_.counter("c", protocol="rbc").inc(2)
         registry_.gauge("g").set(4)
         registry_.histogram("h").observe(1.0)
         registry_.timeline("t").mark("start", 0.5)
-        rows = snapshot_rows(registry_, cell="cell-a")
+        rows = snapshot_rows(registry_.snapshot(), cell="cell-a")
         by_type = {row["type"] for row in rows}
         assert by_type == {"counter", "gauge", "histogram", "timeline"}
         assert all(row["cell"] == "cell-a" for row in rows)
@@ -245,13 +235,13 @@ class TestExporters:
         assert timeline_row["value"] == 0.5
 
     def test_write_json_and_csv(self, tmp_path):
-        registry_ = telemetry.TelemetryRegistry()
+        registry_ = obs.TelemetryRegistry()
         registry_.histogram("lat").observe(2.0)
-        json_path = write_json(registry_, tmp_path / "snap.json")
+        json_path = write_json(registry_.snapshot(), tmp_path / "snap.json")
         loaded = json.load(open(json_path, encoding="utf-8"))
         assert loaded["histograms"]["lat"]["count"] == 1
         csv_path = write_csv(
-            snapshot_rows(registry_, cell="x"), tmp_path / "snap.csv"
+            snapshot_rows(registry_.snapshot(), cell="x"), tmp_path / "snap.csv"
         )
         lines = open(csv_path, encoding="utf-8").read().splitlines()
         assert len(lines) == 2 and lines[1].startswith("x,histogram,lat")

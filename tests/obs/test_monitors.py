@@ -5,12 +5,12 @@ import json
 import pytest
 
 from repro.network.message import Message
-from repro.tracing.core import TraceContext, TraceRuntime
-from repro.tracing.monitors import (
+from repro.obs.trace import TraceContext, TraceRuntime
+from repro.obs.monitors import (
     InvariantViolationError,
     MonitorSet,
 )
-from repro.tracing.recorder import FlightRecorder
+from repro.obs.recorder import FlightRecorder
 
 
 class TestFlightRecorder:
@@ -60,13 +60,37 @@ class TestFlightRecorder:
         recorder.record(1.0, replica=0, kind="send", detail="a")
         recorder.record(2.0, replica=1, kind="deliver", detail="b")
         path = recorder.dump_jsonl(tmp_path / "dump.jsonl")
-        lines = [
+        header, *lines = [
             json.loads(line)
             for line in open(path, encoding="utf-8")
             if line.strip()
         ]
+        assert header == {
+            "header": "flight-dump",
+            "recorded": 2,
+            "retained": 2,
+            "evicted": 0,
+            "skipped": 0,
+        }
         assert [line["detail"] for line in lines] == ["a", "b"]
         assert lines[0]["t"] <= lines[1]["t"]
+
+    def test_dump_header_reports_exact_eviction(self, tmp_path):
+        # A truncated forensic dump must say it is truncated, and by how much.
+        recorder = FlightRecorder(capacity=4)
+        for i in range(10):
+            recorder.record(float(i), replica=0, kind="timer", detail=f"e{i}")
+        assert recorder.evicted == 6
+        path = recorder.dump_jsonl(tmp_path / "dump.jsonl")
+        header, *events = [json.loads(line) for line in open(path, encoding="utf-8")]
+        assert header == {
+            "header": "flight-dump",
+            "recorded": 10,
+            "retained": 4,
+            "evicted": 6,
+            "skipped": 0,
+        }
+        assert [event["detail"] for event in events] == ["e6", "e7", "e8", "e9"]
 
 
 class TestAgreementMonitor:
@@ -143,11 +167,12 @@ class TestValidityAndSupplyMonitors:
         assert violation.detail["minted"] == 777
         # The first violation dumped the recorder, causally ordered.
         assert monitors.dump_written
-        events = [
+        header, *events = [
             json.loads(line)
             for line in open(dump_path, encoding="utf-8")
             if line.strip()
         ]
+        assert header["recorded"] == header["retained"] == 2
         assert [event["detail"] for event in events] == [
             "PROPOSE batch-1",
             "DECIDE batch-1",

@@ -9,7 +9,8 @@ the parent's self time) and nothing lost (attribution stays near 100%).
 import json
 import time
 
-from repro.obs.profiler import HostProfiler, render_report, write_report
+from repro.obs.export import write_json
+from repro.obs.profiler import HostProfiler, render_report
 
 
 def _spin(seconds: float) -> None:
@@ -84,7 +85,7 @@ class TestReport:
 
     def test_write_report_is_valid_json(self, tmp_path):
         path = tmp_path / "profile.json"
-        write_report(path, self._profile().report(), cell="synthetic")
+        write_json({"cell": "synthetic", "profile": self._profile().report()}, path)
         payload = json.loads(path.read_text())
         assert payload["cell"] == "synthetic"
         names = {b["bucket"] for b in payload["profile"]["buckets"]}

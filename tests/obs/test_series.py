@@ -5,13 +5,8 @@ import json
 
 import pytest
 
-from repro.obs.series import (
-    SeriesRing,
-    SlidingQuantile,
-    StreamingSampler,
-    write_series_csv,
-    write_series_jsonl,
-)
+from repro.obs.export import SERIES_COLUMNS, series_rows, write_csv, write_jsonl
+from repro.obs.series import SeriesRing, SlidingQuantile, StreamingSampler
 
 
 class TestSeriesRing:
@@ -103,7 +98,8 @@ class TestExports:
 
     def test_jsonl_export_one_point_per_line(self, tmp_path):
         path = tmp_path / "series.jsonl"
-        written = write_series_jsonl(str(path), self._snapshots())
+        written = len(list(series_rows(self._snapshots())))
+        write_jsonl(series_rows(self._snapshots()), path)
         lines = [json.loads(line) for line in path.read_text().splitlines()]
         assert written == len(lines) > 0
         assert {line["cell"] for line in lines} == {"cell-a"}
@@ -113,7 +109,8 @@ class TestExports:
 
     def test_csv_export_is_long_form(self, tmp_path):
         path = tmp_path / "series.csv"
-        written = write_series_csv(str(path), self._snapshots())
+        written = len(list(series_rows(self._snapshots())))
+        write_csv(series_rows(self._snapshots()), path, columns=SERIES_COLUMNS)
         with open(path, newline="") as handle:
             rows = list(csv.reader(handle))
         assert rows[0] == ["cell", "series", "t", "value"]

@@ -8,7 +8,8 @@ from repro.common.config import SimulationConfig
 from repro.network.message import Message
 from repro.network.simulator import NetworkSimulator, Process
 from repro.network.router import RoutedProcess
-from repro.tracing.core import TraceContext, TraceRuntime, Tracer, topic_trace_attrs
+from repro.obs import Probe
+from repro.obs.trace import TraceContext, TraceRuntime, Tracer, topic_trace_attrs
 
 
 def make_simulator(runtime=None, delay="200ms"):
@@ -17,7 +18,7 @@ def make_simulator(runtime=None, delay="200ms"):
     return NetworkSimulator(
         delay_model=delay_model_from_name(delay),
         config=SimulationConfig(seed=1),
-        tracing=runtime,
+        probe=Probe(trace=runtime) if runtime is not None else None,
     )
 
 
@@ -29,7 +30,7 @@ class Echo(Process):
         self.seen = []
 
     def on_message(self, message):
-        self.seen.append((message.trace_ctx, self.tracing.tracer.current_ctx))
+        self.seen.append((message.trace_ctx, self.probe.trace.tracer.current_ctx))
         if message.body["hops"] > 0:
             self.send_to(
                 message.sender, "ping", "PING", {"hops": message.body["hops"] - 1}
@@ -88,10 +89,10 @@ class TestBroadcastPropagation:
 
         class Caster(Process):
             def on_start(self):
-                root = self.tracing.tracer.start_trace("root", self.replica_id, self.now)
-                previous = self.tracing.tracer.activate(root.ctx)
+                root = self.probe.trace.tracer.start_trace("root", self.replica_id, self.now)
+                previous = self.probe.trace.tracer.activate(root.ctx)
                 self.broadcast("fanout", "HELLO", {}, include_self=False)
-                self.tracing.tracer.restore(previous)
+                self.probe.trace.tracer.restore(previous)
 
         caster = Caster(0)
         sinks = [Sink(i) for i in (1, 2, 3)]
@@ -117,14 +118,14 @@ class TestTimerPropagation:
 
         class Armer(Process):
             def on_start(self):
-                root = self.tracing.tracer.start_trace("root", self.replica_id, self.now)
-                previous = self.tracing.tracer.activate(root.ctx)
+                root = self.probe.trace.tracer.start_trace("root", self.replica_id, self.now)
+                previous = self.probe.trace.tracer.activate(root.ctx)
                 self.set_timer(1.0, lambda: observed.append(
-                    self.tracing.tracer.current_ctx
+                    self.probe.trace.tracer.current_ctx
                 ))
-                self.tracing.tracer.restore(previous)
+                self.probe.trace.tracer.restore(previous)
                 # Outside the activation the context is gone again.
-                assert self.tracing.tracer.current_ctx is None
+                assert self.probe.trace.tracer.current_ctx is None
 
         simulator.add_process(Armer(0))
         simulator.run()
@@ -140,7 +141,7 @@ class TestTimerPropagation:
 
         class Armer(Process):
             def on_start(self):
-                self.set_timer(1.0, lambda: fired.append(self.tracing.tracer.current_ctx))
+                self.set_timer(1.0, lambda: fired.append(self.probe.trace.tracer.current_ctx))
 
         simulator.add_process(Armer(0))
         simulator.run()
@@ -159,23 +160,23 @@ class TestRouterPropagation:
                 self.router.register(
                     ("proto", "deep"),
                     lambda topic, sender, kind, body: observed.append(
-                        ("deep", self.tracing.tracer.current_ctx)
+                        ("deep", self.probe.trace.tracer.current_ctx)
                     ),
                 )
                 self.router.register(
                     ("proto",),
                     lambda topic, sender, kind, body: observed.append(
-                        ("shallow", self.tracing.tracer.current_ctx)
+                        ("shallow", self.probe.trace.tracer.current_ctx)
                     ),
                 )
 
         class Sender(Process):
             def on_start(self):
-                root = self.tracing.tracer.start_trace("root", self.replica_id, self.now)
-                previous = self.tracing.tracer.activate(root.ctx)
+                root = self.probe.trace.tracer.start_trace("root", self.replica_id, self.now)
+                previous = self.probe.trace.tracer.activate(root.ctx)
                 self.send_to(1, ("proto", "deep", 5), "K", {})
                 self.send_to(1, ("proto", "other"), "K", {})
-                self.tracing.tracer.restore(previous)
+                self.probe.trace.tracer.restore(previous)
 
         simulator.add_process(Sender(0))
         simulator.add_process(Routed(1))
@@ -203,18 +204,18 @@ class TestTopicTraceAttrs:
 
 
 class TestDisabledModeNoOp:
-    """The zero-overhead-when-disabled contract, mirroring telemetry's."""
+    """The zero-overhead-when-disabled contract, on the trace verbs."""
 
     def test_disabled_simulator_stamps_nothing(self):
         simulator = make_simulator(None)
-        assert simulator.tracing is None
+        assert simulator.probe is None
         seen = []
 
-        class Probe(Process):
+        class Sink(Process):
             def on_message(self, message):
                 seen.append(message.trace_ctx)
 
-        simulator.add_process(Probe(1))
+        simulator.add_process(Sink(1))
         probe_message = Message(
             sender=0, recipient=1, protocol="ping", kind="PING", body={}
         )
@@ -227,19 +228,19 @@ class TestDisabledModeNoOp:
 
     def test_disabled_guard_overhead_is_a_pointer_check(self):
         """The hot-path guard must cost no more than a None comparison."""
-        tracing = None
-        tracer = Tracer()
+        probe = None
+        live = Probe(trace=TraceRuntime(Tracer()))
 
         def disabled():
-            if tracing is not None:
-                tracer.event("x", 0, 0.0)
+            if probe is not None:
+                probe.event("x", 0, 0.0)
 
         def bare():
             pass
 
         def enabled():
-            if tracer is not None:
-                tracer.event("x", 0, 0.0)
+            if live is not None:
+                live.event("x", 0, 0.0)
 
         iterations = 50_000
         bare_s = min(timeit.repeat(bare, number=iterations, repeat=5))

@@ -8,36 +8,13 @@ import pytest
 from repro.scenarios import registry
 from repro.scenarios.cli import main
 from repro.scenarios.runner import ScenarioRunner
-from repro.scenarios.spec import ScenarioSpec
 from repro.scenarios.store import ResultStore
-
-
-class TestSpecTracingFlag:
-    def test_flag_absent_from_dict_when_disabled(self):
-        spec = ScenarioSpec(family="fig3", n=10)
-        assert "tracing" not in spec.to_dict()
-
-    def test_hash_unchanged_for_bare_cells(self):
-        # Cells without the flag keep their pre-flag hashes (cache validity).
-        bare = ScenarioSpec(family="fig3", n=10)
-        explicit = ScenarioSpec(family="fig3", n=10, tracing=False)
-        assert bare.spec_hash == explicit.spec_hash
-
-    def test_traced_cell_hashes_separately(self):
-        bare = ScenarioSpec(family="fig3", n=10)
-        traced = bare.with_overrides(tracing=True)
-        assert bare.spec_hash != traced.spec_hash
-        assert "tracing" in traced.label()
-
-    def test_json_round_trip(self):
-        traced = ScenarioSpec(family="fig3", n=10, tracing=True)
-        assert ScenarioSpec.from_json(traced.to_json()) == traced
 
 
 class TestRunnerTracePersistence:
     def test_trace_summary_persisted_and_cache_served(self, tmp_path):
         path = tmp_path / "results.jsonl"
-        spec = registry.expand("fig3", "small")[0].with_overrides(tracing=True)
+        spec = registry.expand("fig3", "small")[0].with_overrides(instrument="trace")
 
         first = ScenarioRunner(store=ResultStore(path)).run([spec])
         outcome = first.outcomes[0]
@@ -129,10 +106,12 @@ class TestLoggingWiring:
     def test_replica_logger_includes_active_trace(self):
         from repro.common.config import SimulationConfig
         from repro.network.simulator import NetworkSimulator, Process
-        from repro.tracing.core import TraceRuntime
+        from repro.obs import Probe, TraceRuntime
 
         runtime = TraceRuntime.enabled()
-        simulator = NetworkSimulator(config=SimulationConfig(seed=1), tracing=runtime)
+        simulator = NetworkSimulator(
+            config=SimulationConfig(seed=1), probe=Probe(trace=runtime)
+        )
         process = Process(3)
         simulator.add_process(process)
         span = runtime.tracer.start_trace("root", replica=3, at=0.0)

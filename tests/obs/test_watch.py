@@ -8,7 +8,7 @@ import time
 import urllib.request
 
 from repro.obs.serve import WatchServer
-from repro.obs.watch import CellProgress, SweepWatcher, queue_publisher
+from repro.obs.watch import CellProgress, SweepWatcher, cell_publisher
 
 
 def _tick(key, sim_time, max_time=10.0, events=100, rate=50.0):
@@ -92,7 +92,7 @@ class TestWatcherIngest:
 
 def _doomed_worker(queue):
     """Publish a cell-start and one tick, then die without a cell-end."""
-    publish = queue_publisher(queue, "doomed", "doomed")
+    publish = cell_publisher(queue.put_nowait, "doomed", "doomed")
     publish({"kind": "cell-start", "max_time": 10.0})
     publish(_tick("doomed", 3.0))
     queue.close()

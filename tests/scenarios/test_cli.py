@@ -68,7 +68,7 @@ class TestObsFlags:
 
     def test_obs_snapshots_are_stored_and_cached(self, tmp_path, capsys):
         out_path = str(tmp_path / "results.jsonl")
-        assert main(["run", "appendix-b", "--obs", "--out", out_path, "--quiet"]) == 0
+        assert main(["run", "appendix-b", "--instrument", "live", "--out", out_path, "--quiet"]) == 0
         capsys.readouterr()
         with open(out_path) as handle:
             records = [json.loads(line) for line in handle]
@@ -76,6 +76,6 @@ class TestObsFlags:
         assert all("profile" in record["obs"] for record in records)
         # Obs-enabled specs hash differently from bare ones, so the obs run
         # caches under its own key and a repeat run is served from cache.
-        assert main(["run", "appendix-b", "--obs", "--out", out_path, "--quiet"]) == 0
+        assert main(["run", "appendix-b", "--instrument", "live", "--out", out_path, "--quiet"]) == 0
         out = capsys.readouterr().out
         assert "5 cache hits" in out

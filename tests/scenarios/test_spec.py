@@ -57,6 +57,58 @@ class TestHash:
         assert ScenarioSpec.from_json(spec.to_json()).spec_hash == spec.spec_hash
 
 
+class TestInstrumentLevel:
+    """The one instrumentation field (replaces three per-pillar booleans)."""
+
+    #: Recorded at the commit before the field existed: bare cells must keep
+    #: their hashes (and so their store cache keys) for ever.
+    PINNED_BARE_HASHES = {
+        "fig3": "f1f2fae8d793fa42",
+        "fig4": "093a268de455cb19",
+    }
+    PINNED_BARE_JSON = (
+        '{"attack":null,"batch_size":10,"benign":0,"cross_partition_delay":null,'
+        '"deceitful":null,"delay":"aws","enforce_model":true,"family":"fig3",'
+        '"instances":2,"max_time":300.0,"n":10,"params":{},"schema":1,"seed":1,'
+        '"workload_transactions":0}'
+    )
+
+    def test_bare_spec_serialisation_and_hash_are_pinned(self):
+        bare = ScenarioSpec(family="fig3", n=10)
+        assert "instrument" not in bare.to_dict()
+        assert bare.to_json() == self.PINNED_BARE_JSON
+        assert bare.spec_hash == self.PINNED_BARE_HASHES["fig3"]
+        assert _attack_spec().spec_hash == self.PINNED_BARE_HASHES["fig4"]
+        explicit = ScenarioSpec(family="fig3", n=10, instrument="")
+        assert explicit.spec_hash == bare.spec_hash
+
+    def test_registered_bare_cells_keep_their_hashes(self):
+        from repro.scenarios import registry
+
+        hashes = [spec.spec_hash for spec in registry.expand("fig4", "small")[:3]]
+        assert hashes == ["e35d9c3abd7ae21c", "fe49db62c2e4fc9f", "84e346443cf46aae"]
+
+    @pytest.mark.parametrize("level", ["metrics", "trace", "live", "all"])
+    def test_each_level_hashes_labels_and_round_trips(self, level):
+        bare = ScenarioSpec(family="fig3", n=10)
+        instrumented = bare.with_overrides(instrument=level)
+        assert instrumented.to_dict()["instrument"] == level
+        assert instrumented.spec_hash != bare.spec_hash
+        assert level in instrumented.label()
+        assert ScenarioSpec.from_json(instrumented.to_json()) == instrumented
+
+    def test_levels_hash_apart(self):
+        hashes = {
+            ScenarioSpec(family="fig3", n=10, instrument=level).spec_hash
+            for level in ("", "metrics", "trace", "live", "all")
+        }
+        assert len(hashes) == 5
+
+    def test_unknown_level_rejected(self):
+        with pytest.raises(ConfigurationError):
+            ScenarioSpec(family="fig3", n=10, instrument="everything")
+
+
 class TestRoundTrip:
     def test_dict_round_trip_is_identity(self):
         spec = _attack_spec(params={"rounds": 2, "label": "x"})
