@@ -178,40 +178,33 @@ class ReliableBroadcastAttack(AttackStrategy):
         slot = _slot_of(protocol, "rbc")
         if slot is None or slot not in self.variants:
             return False
-        if kind not in (
-            ReliableBroadcast.INIT,
-            ReliableBroadcast.ECHO,
-            ReliableBroadcast.READY,
-        ):
+        vote_kind = ReliableBroadcast.VOTE_KINDS.get(kind)
+        if vote_kind is None:
             return False
         if kind == ReliableBroadcast.INIT and slot != replica.replica_id:
             # Only the proposer equivocates on INIT; other coalition members
             # never legitimately send INIT in the first place.
             return True
-        vote_kind = {
-            ReliableBroadcast.INIT: VoteKind.RBC_INIT,
-            ReliableBroadcast.ECHO: VoteKind.RBC_ECHO,
-            ReliableBroadcast.READY: VoteKind.RBC_READY,
-        }[kind]
+
+        def forge(value: Any, targets: List[ReplicaId]) -> None:
+            # The wire shapes of rbc/bracha.py: only INIT ships the value.
+            digest = hash_payload(value)
+            vote = make_vote(replica, protocol, 0, vote_kind, digest)
+            forged_body = {"digest": digest, "vote": vote.to_payload()}
+            if kind == ReliableBroadcast.INIT:
+                forged_body = {"value": value, **forged_body}
+            replica.broadcast(protocol, kind, forged_body, recipients=targets)
+
         recipient_set = set(recipients)
         for partition_index, partition in enumerate(self.plan.partition.partitions):
             targets = [r for r in partition if r in recipient_set]
-            if not targets:
-                continue
-            value = self.variant_for(slot, partition_index)
-            digest = hash_payload(value)
-            vote = make_vote(replica, protocol, 0, vote_kind, digest)
-            forged_body = {"value": value, "digest": digest, "vote": vote.to_payload()}
-            replica.broadcast(protocol, kind, forged_body, recipients=targets)
+            if targets:
+                forge(self.variant_for(slot, partition_index), targets)
         bridge_targets = [
             r for r in recipient_set if self.plan.partition.partition_of(r) is None
         ]
         if bridge_targets:
-            value = self.variant_for(slot, 0)
-            digest = hash_payload(value)
-            vote = make_vote(replica, protocol, 0, vote_kind, digest)
-            forged_body = {"value": value, "digest": digest, "vote": vote.to_payload()}
-            replica.broadcast(protocol, kind, forged_body, recipients=bridge_targets)
+            forge(self.variant_for(slot, 0), bridge_targets)
         return True
 
 

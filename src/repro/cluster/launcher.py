@@ -66,13 +66,17 @@ class WorkerHandle:
     process: subprocess.Popen
     report: Optional[Dict[str, Any]] = None
     ready: bool = False
+    #: Set by the stdout collector at end of stream: only then is a missing
+    #: report final (a worker exits right after printing it, and the
+    #: collector thread may not have read that last line yet).
+    stdout_closed: bool = False
     stderr_tail: List[str] = dataclasses.field(default_factory=list)
 
     @property
     def crashed(self) -> bool:
         """Exited without delivering a report (distinct from a clean drain)."""
         code = self.process.returncode
-        return code is not None and self.report is None
+        return code is not None and self.stdout_closed and self.report is None
 
 
 @dataclasses.dataclass
@@ -231,6 +235,7 @@ def _worker_argv(spec: ClusterSpec, replica_id: int) -> List[str]:
 def _collect_stdout(handle: WorkerHandle, frames: "queue_mod.Queue") -> None:
     stream = handle.process.stdout
     if stream is None:
+        handle.stdout_closed = True
         return
     for line in stream:
         payload = wire.parse_line(line)
@@ -247,6 +252,7 @@ def _collect_stdout(handle: WorkerHandle, frames: "queue_mod.Queue") -> None:
             frames.put_nowait(payload)
         except Exception:  # noqa: BLE001 - obs must never block the collector
             pass
+    handle.stdout_closed = True
 
 
 def _collect_stderr(handle: WorkerHandle) -> None:

@@ -209,6 +209,19 @@ class BinaryConsensus:
                 self._broadcast_aux(round_number)
                 self._try_resolve_round(round_number)
 
+    def recheck(self) -> None:
+        """Re-apply the thresholds to the votes held (the committee shrank)."""
+        if self.decided:
+            return
+        for round_number, per_round in list(self._bval_received.items()):
+            for value, senders in per_round.items():
+                if len(senders) >= self._support():
+                    self._broadcast_bval(round_number, value)
+                if len(senders) >= self._quorum():
+                    self._bin_values.setdefault(round_number, set()).add(value)
+        if self.started:
+            self._try_resolve_round(self.round)
+
     def _handle_aux(self, sender: ReplicaId, body: Dict[str, Any]) -> None:
         round_number = int(body.get("round", 0))
         value = 1 if body.get("value") else 0

@@ -21,7 +21,7 @@ the confirmation phase.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.common.types import ReplicaId, byzantine_tolerance
 from repro.consensus.binary import BinaryConsensus
@@ -46,6 +46,9 @@ class SBCDecision:
         instance: the ASMR consensus index.
         bitmask: slot -> 0/1 binary decision.
         proposals: slot -> proposal payload, for slots decided 1.
+        proposal_digests: slot -> digest of that payload — the digest its
+            reliable broadcast delivered under; hashed here only for a
+            decision built without them.
         binary_certificates: slot -> quorum certificate justifying the bit.
         rbc_certificates: slot -> quorum of READY votes justifying the delivered
             proposal content (only for slots decided 1).
@@ -70,11 +73,18 @@ class SBCDecision:
     #: invariant — e.g. a commit path skipping signature re-verification —
     #: must re-screen these payloads in full.
     unvalidated_slots: Tuple[ReplicaId, ...] = ()
+    proposal_digests: Dict[ReplicaId, str] = dataclasses.field(default_factory=dict)
     #: Memoised digest — a decision is immutable once built, and the digest is
     #: re-read on every confirmation exchange (a hot path at large n).
     _digest: Optional[str] = dataclasses.field(
         default=None, init=False, repr=False, compare=False
     )
+
+    def __post_init__(self) -> None:
+        digests = self.proposal_digests
+        for slot, value in self.proposals.items():
+            if slot not in digests:
+                digests[slot] = hash_payload(value)
 
     @property
     def digest(self) -> str:
@@ -82,7 +92,7 @@ class SBCDecision:
         digest = self._digest
         if digest is None:
             included = sorted(
-                (slot, hash_payload(self.proposals[slot]))
+                (slot, self.proposal_digests[slot])
                 for slot, bit in self.bitmask.items()
                 if bit == 1
             )
@@ -108,9 +118,7 @@ class SBCDecision:
             "instance": self.instance,
             "digest": self.digest,
             "bitmask": dict(self.bitmask),
-            "proposal_digests": {
-                slot: hash_payload(value) for slot, value in self.proposals.items()
-            },
+            "proposal_digests": dict(self.proposal_digests),
         }
 
 
@@ -220,6 +228,32 @@ class SetByzantineConsensus:
             component = None
         if component is not None:
             component.handle(sender, kind, body)
+
+    def drop_slots(self, slots: Iterable[ReplicaId]) -> None:
+        """The host's committee lost ``slots`` (the exclusion consensus
+        shrinks while it runs, Alg. 1 lines 23–27): forget their broadcasts
+        and binary instances and re-apply every threshold to what is left."""
+        if self.decided:
+            return
+        gone = set(slots)
+        self.slots = tuple(slot for slot in self.slots if slot not in gone)
+        for per_slot in (
+            self._rbc,
+            self._binary,
+            self._bits,
+            self._proposals,
+            self._rejected_proposals,
+            self._binary_certs,
+            self._rbc_certs,
+        ):
+            for slot in gone:
+                per_slot.pop(slot, None)
+        self._adopted_slots -= gone
+        for slot in self.slots:
+            self._rbc[slot].recheck()
+            self._binary[slot].recheck()
+        self._maybe_start_zero_phase()
+        self._maybe_complete()
 
     # -- sub-component callbacks --------------------------------------------------------
 
@@ -344,5 +378,10 @@ class SetByzantineConsensus:
             },
             decided_at=self.host.now,
             unvalidated_slots=tuple(sorted(self._adopted_slots)),
+            proposal_digests={
+                slot: self._rbc[slot].delivered_digest
+                for slot, bit in self._bits.items()
+                if bit == 1
+            },
         )
         self.on_decide(self.decision)

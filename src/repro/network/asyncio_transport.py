@@ -292,8 +292,6 @@ class AsyncioTransport(Transport):
         self.bytes_sent += message.size_bytes() * count
         probe = self.probe
         if probe is not None:
-            # Also stamps the active trace context onto the envelope (the
-            # codec then carries it across the socket).
             probe.on_send(message, self.now, count)
 
     def _count_dropped(self, count: int = 1) -> None:
@@ -348,35 +346,38 @@ class AsyncioTransport(Transport):
 
     def submit(self, message: Message) -> None:
         """Send a point-to-point message (local loopback or socket frame)."""
-        self._count_sent(message, 1)
+        if self.probe is not None:
+            self.probe.stamp(message)
         if (
             message.sender in self._disconnected
             or message.recipient in self._disconnected
         ):
             self._count_dropped()
-            return
-        if message.recipient in self._processes:
+        elif message.recipient in self._processes:
             # Local delivery stays asynchronous (never re-entrant from send),
             # matching the simulator's queue semantics.
             self._require_loop().call_soon(self._deliver_local, message)
-            return
-        if not self._write_frame(message.recipient, frame_message(message)):
+        elif not self._write_frame(message.recipient, frame_message(message)):
             self._count_dropped()
+        self._count_sent(message, 1)
 
     def submit_broadcast(self, message: Message, targets: Sequence[ReplicaId]) -> None:
         """Fan a broadcast envelope out to every target.
 
-        The frame is encoded once (with ``recipient`` unset — receivers stamp
-        themselves) and written to each remote peer; local targets get a
-        recipient-stamped copy of the envelope through the loopback path.
+        The envelope is encoded once (with ``recipient`` unset — receivers
+        stamp themselves): the frame is written to each remote peer, and
+        building it memoises the size the byte counters read, which is why
+        the send is counted last.  Local targets get a recipient-stamped copy
+        of the envelope through the loopback path.
         """
         count = len(targets)
         if count == 0:
             return
-        self._count_sent(message, count)
+        if self.probe is not None:
+            self.probe.stamp(message)
         if message.sender in self._disconnected:
             self._count_dropped(count)
-            return
+            targets = ()  # nothing goes out; the send is still counted below
         frame: Optional[bytes] = None
         loop = self._require_loop()
         for target in targets:
@@ -390,6 +391,7 @@ class AsyncioTransport(Transport):
                 frame = frame_message(message)
             if not self._write_frame(target, frame):
                 self._count_dropped()
+        self._count_sent(message, count)
 
     # -- receiving -----------------------------------------------------------
 

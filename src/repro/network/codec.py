@@ -284,10 +284,20 @@ def decode_message(data: bytes) -> Message:
 
 
 def frame_message(message: Message) -> bytes:
-    """Length-prefixed frame of the envelope (what stream transports write)."""
+    """Length-prefixed frame of the envelope (what stream transports write).
+
+    Also memoises the envelope's bare size (see :func:`message_frame_size`)
+    from the bytes just built, so a transport that frames before it counts
+    never encodes the body a second time: a traced envelope is the bare one
+    plus its context tail (``P5;`` and ``P6;`` are equally long).
+    """
     payload = encode_message(message)
     if len(payload) > MAX_FRAME_BYTES:
         raise CodecError(f"frame of {len(payload)} bytes exceeds MAX_FRAME_BYTES")
+    if message._size is None:
+        ctx = message.trace_ctx
+        tail = len(encode_value((ctx.trace_id, ctx.span_id))) if ctx is not None else 0
+        message._size = FRAME_HEADER_SIZE + len(payload) - tail
     return struct.pack(">I", len(payload)) + payload
 
 

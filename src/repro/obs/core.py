@@ -160,12 +160,22 @@ class Probe:
                 )
             if sampler is not None:
                 sampler.count_message(group, count)
+        self.stamp(message)
         trace = self.trace
-        if trace is not None:
-            if message.trace_ctx is None:
-                message.trace_ctx = trace.tracer.current_ctx
-            if trace.recorder is not None:
-                trace.recorder.record_message(now, message.sender, "send", message)
+        if trace is not None and trace.recorder is not None:
+            trace.recorder.record_message(now, message.sender, "send", message)
+
+    def stamp(self, message: Any) -> None:
+        """Stamp the active trace context on an envelope that carries none.
+
+        ``on_send`` does it for every submission; the socket transport calls
+        it earlier, because the context has to be on the envelope before the
+        frame is encoded and the frame is what yields the size ``on_send``
+        counts.
+        """
+        trace = self.trace
+        if trace is not None and message.trace_ctx is None:
+            message.trace_ctx = trace.tracer.current_ctx
 
     def on_drop(self, message: Any, now: float, count: int = 1) -> None:
         self.count("net.messages_dropped", count)

@@ -1,13 +1,34 @@
 """Bracha reliable broadcast with accountable (signed) echoes.
 
-One instance disseminates one proposer's value to the whole committee:
+One instance disseminates one proposer's value to the whole committee.  Only
+``INIT`` ships the value unasked; the votes carry its digest:
 
-* the proposer broadcasts ``INIT(value)``;
-* on ``INIT``, replicas broadcast a signed ``ECHO(digest, value)``;
+* the proposer broadcasts ``INIT{value, digest, vote}``;
+* on ``INIT``, replicas broadcast a signed ``ECHO{digest, vote}``;
 * on a quorum (``ceil(2n/3)``) of matching ``ECHO`` or ``ceil(n/3)`` matching
-  ``READY``, replicas broadcast a signed ``READY(digest)``;
-* on a quorum of matching ``READY`` carrying the value, the value is
-  *delivered*.
+  ``READY``, replicas broadcast a signed ``READY{digest, vote}``;
+* on a quorum of matching ``READY`` *and* the value whose hash is the digest,
+  the value is *delivered*.
+
+**Pull on miss.**  A replica whose ``INIT`` is late, lost or withheld learns
+the digest from the votes.  Once ``recovery_threshold`` (``ceil(n/3)``)
+distinct remote signers have vouched for a digest — by ``ECHO`` or ``READY`` —
+whose value it lacks, it sends ``FETCH{digest}`` to the *first* of them.  Only
+when that is not enough does it ask further vouchers, in the order they
+vouched and never more than ``recovery_threshold`` per digest: one more for
+every ``VALUE`` whose hash mismatches, all of them once the ``READY`` quorum
+is in and the value is all that delivery waits for.  It stores the first
+``VALUE{digest, value}`` whose hash matches.  So a value crosses a link once
+when the ``INIT`` is on time, and one extra link per replica its ``INIT`` was
+late for (under geo-distributed delays the echoes of near replicas routinely
+beat a far proposer's ``INIT``).  Among ``recovery_threshold`` vouchers one is
+correct whenever fewer than a third of the committee is not, and a correct
+voucher either holds the value or is pulling it too: a ``FETCH`` that arrives
+before the value is answered when the value does.  The serving side answers
+at most once per ``(requester, digest)``, only committee members, only for a
+digest it holds or has seen vouched for, and keeps answering after the
+instance delivered.  A ``VALUE`` nobody asked that sender for, a second one,
+or one whose hash mismatches is dropped without being stored.
 
 The signed INIT/ECHO/READY votes double as accountability material: a replica
 that echoes two different digests for the same instance produces a proof of
@@ -43,6 +64,15 @@ class ReliableBroadcast:
     INIT = "INIT"
     ECHO = "ECHO"
     READY = "READY"
+    FETCH = "FETCH"
+    VALUE = "VALUE"
+
+    #: The signed vote each vote-carrying message kind must embed.
+    VOTE_KINDS = {
+        INIT: VoteKind.RBC_INIT,
+        ECHO: VoteKind.RBC_ECHO,
+        READY: VoteKind.RBC_READY,
+    }
 
     def __init__(
         self,
@@ -60,6 +90,7 @@ class ReliableBroadcast:
         self.on_deliver = on_deliver
         self.delivered = False
         self.delivered_value: Any = None
+        self.delivered_digest: Optional[str] = None
         # Instrumentation (None when off): phase latencies are measured from
         # the first local activity of the instance, a span covers first
         # activity to delivery, and phase events carry the instance/slot for
@@ -74,7 +105,17 @@ class ReliableBroadcast:
         self._ready_sent = False
         self._echo_votes: Dict[str, Dict[ReplicaId, SignedVote]] = {}
         self._ready_votes: Dict[str, Dict[ReplicaId, SignedVote]] = {}
+        #: digest -> value, hash-checked before it is stored.
         self._values: Dict[str, Any] = {}
+        # Pull-on-miss state, by digest: the first ``recovery_threshold``
+        # distinct remote signers that vouched for a value we lack (arrival
+        # order), how many of them a FETCH went to (always a prefix) and
+        # whether each answered, the requesters already served, and the
+        # requesters to serve once the value is here.
+        self._vouchers: Dict[str, List[ReplicaId]] = {}
+        self._asked: Dict[str, Dict[ReplicaId, bool]] = {}
+        self._served: Dict[str, Set[ReplicaId]] = {}
+        self._waiting: Dict[str, List[ReplicaId]] = {}
         # Every verified vote seen, kept for accountability cross-checks.
         self.collected_votes: List[SignedVote] = []
 
@@ -121,7 +162,7 @@ class ReliableBroadcast:
             {"value": value, "digest": digest, "vote": vote.to_payload()},
         )
 
-    def _send_echo(self, value: Any, digest: str) -> None:
+    def _send_echo(self, digest: str) -> None:
         if self._echo_sent:
             return
         self._echo_sent = True
@@ -129,11 +170,7 @@ class ReliableBroadcast:
             self._phase("echo", "rbc.init_to_echo_s")
         vote = make_vote(self.host, self.context, 0, VoteKind.RBC_ECHO, digest)
         self.collected_votes.append(vote)
-        self.host.emit(
-            self.topic,
-            self.ECHO,
-            {"value": value, "digest": digest, "vote": vote.to_payload()},
-        )
+        self.host.emit(self.topic, self.ECHO, {"digest": digest, "vote": vote.to_payload()})
 
     def _send_ready(self, digest: str) -> None:
         if self._ready_sent:
@@ -143,11 +180,15 @@ class ReliableBroadcast:
             self._phase("ready", "rbc.init_to_ready_s")
         vote = make_vote(self.host, self.context, 0, VoteKind.RBC_READY, digest)
         self.collected_votes.append(vote)
-        value = self._values.get(digest)
-        self.host.emit(
+        self.host.emit(self.topic, self.READY, {"digest": digest, "vote": vote.to_payload()})
+
+    def _send_value(self, requester: ReplicaId, digest: str) -> None:
+        self._served.setdefault(digest, set()).add(requester)
+        self.host.emit_to(
+            requester,
             self.topic,
-            self.READY,
-            {"digest": digest, "value": value, "vote": vote.to_payload()},
+            self.VALUE,
+            {"digest": digest, "value": self._values[digest]},
         )
 
     # -- receiving ----------------------------------------------------------------
@@ -158,22 +199,24 @@ class ReliableBroadcast:
         if self.delivered:
             # Keep collecting signed votes after delivery: a deceitful replica
             # equivocating towards the other partition leaves its conflicting
-            # vote here, ready for cross-checking during confirmation.
-            kind_map = {
-                self.INIT: VoteKind.RBC_INIT,
-                self.ECHO: VoteKind.RBC_ECHO,
-                self.READY: VoteKind.RBC_READY,
-            }
-            expected = kind_map.get(kind)
+            # vote here, ready for cross-checking during confirmation.  And
+            # keep serving the value: a slower replica may still be pulling it.
+            expected = self.VOTE_KINDS.get(kind)
             if expected is not None:
                 self._verified_vote(body, sender, expected)
+            elif kind == self.FETCH:
+                self._handle_fetch(sender, body)
             return
-        if kind == self.INIT:
-            self._handle_init(sender, body)
-        elif kind == self.ECHO:
+        if kind == self.ECHO:
             self._handle_echo(sender, body)
         elif kind == self.READY:
             self._handle_ready(sender, body)
+        elif kind == self.INIT:
+            self._handle_init(sender, body)
+        elif kind == self.FETCH:
+            self._handle_fetch(sender, body)
+        elif kind == self.VALUE:
+            self._handle_value(sender, body)
 
     def _verified_vote(
         self, body: Dict[str, Any], sender: ReplicaId, expected_kind: VoteKind
@@ -200,52 +243,107 @@ class ReliableBroadcast:
         vote = self._verified_vote(body, sender, VoteKind.RBC_INIT)
         if vote is None:
             return
-        digest = body["digest"]
-        if hash_payload(body.get("value")) != digest:
-            return
-        self._values[digest] = body.get("value")
-        self._send_echo(body.get("value"), digest)
+        digest = vote.value_digest
+        value = body.get("value")
+        if digest not in self._values:
+            if hash_payload(value) != digest:
+                return
+            self._store(digest, value)
+        self._send_echo(digest)
 
     def _handle_echo(self, sender: ReplicaId, body: Dict[str, Any]) -> None:
         vote = self._verified_vote(body, sender, VoteKind.RBC_ECHO)
         if vote is None:
             return
-        digest = body["digest"]
-        value = body.get("value")
-        if value is not None:
-            # Message bodies cross the simulated wire by reference, so every
-            # honest echo carries the *same* value object the INIT did; an
-            # identity match against the already-verified stored value skips
-            # the O(|value|) rehash.  Any other object (equivocation, a
-            # tampered body) still pays the full digest check.
-            stored = self._values.get(digest)
-            if stored is None:
-                if hash_payload(value) != digest:
-                    return
-                self._values[digest] = value
-            elif stored is not value and hash_payload(value) != digest:
-                return
+        digest = vote.value_digest
         votes = self._echo_votes.setdefault(digest, {})
         votes.setdefault(sender, vote)
         if len(votes) >= self._quorum():
             self._send_ready(digest)
+        if digest not in self._values:
+            self._vouched(sender, digest)
         self._maybe_deliver(digest)
 
     def _handle_ready(self, sender: ReplicaId, body: Dict[str, Any]) -> None:
         vote = self._verified_vote(body, sender, VoteKind.RBC_READY)
         if vote is None:
             return
-        digest = body["digest"]
-        value = body.get("value")
-        if value is not None and digest not in self._values:
-            # Once a verified value is stored the setdefault below was a
-            # no-op either way, so the rehash is only needed on first sight.
-            if hash_payload(value) == digest:
-                self._values[digest] = value
+        digest = vote.value_digest
         votes = self._ready_votes.setdefault(digest, {})
         votes.setdefault(sender, vote)
         if len(votes) >= self._ready_support():
             self._send_ready(digest)
+        if digest not in self._values:
+            self._vouched(sender, digest)
+        self._maybe_deliver(digest)
+
+    def recheck(self) -> None:
+        """Re-apply the thresholds to the votes held (the committee shrank)."""
+        for digest, votes in list(self._echo_votes.items()):
+            if len(votes) >= self._quorum():
+                self._send_ready(digest)
+        for digest, votes in list(self._ready_votes.items()):
+            if len(votes) >= self._ready_support():
+                self._send_ready(digest)
+            self._maybe_deliver(digest)
+
+    # -- pull on miss ---------------------------------------------------------------
+
+    def _vouched(self, sender: ReplicaId, digest: str) -> None:
+        """``sender`` signed for ``digest`` and we lack the value: once
+        ``recovery_threshold`` distinct remote signers did, ask the first."""
+        if sender == self.host.replica_id:
+            return
+        vouchers = self._vouchers.setdefault(digest, [])
+        cap = self._ready_support()
+        if sender in vouchers or len(vouchers) >= cap:
+            return
+        vouchers.append(sender)
+        if len(vouchers) == cap:
+            self._fetch(digest, 1)
+
+    def _fetch(self, digest: str, upto: int) -> None:
+        """Have a FETCH out to the first ``upto`` vouchers of ``digest``."""
+        asked = self._asked.setdefault(digest, {})
+        for voucher in self._vouchers.get(digest, ())[len(asked):upto]:
+            asked[voucher] = False
+            self.host.emit_to(voucher, self.topic, self.FETCH, {"digest": digest})
+
+    def _handle_fetch(self, sender: ReplicaId, body: Dict[str, Any]) -> None:
+        digest = body.get("digest")
+        if not isinstance(digest, str) or sender not in self.host.committee():
+            return
+        if sender in self._served.get(digest, ()):
+            return
+        if digest in self._values:
+            self._send_value(sender, digest)
+        elif digest in self._vouchers:
+            # Vouched for but not here yet (we may be pulling it ourselves):
+            # answer when it lands.
+            waiting = self._waiting.setdefault(digest, [])
+            if sender not in waiting:
+                waiting.append(sender)
+
+    def _handle_value(self, sender: ReplicaId, body: Dict[str, Any]) -> None:
+        digest = body.get("digest")
+        asked = self._asked.get(digest) if isinstance(digest, str) else None
+        if asked is None or asked.get(sender) is not False:
+            return
+        asked[sender] = True
+        if digest in self._values:
+            return
+        value = body.get("value")
+        if hash_payload(value) == digest:
+            self._store(digest, value)
+        else:
+            self._fetch(digest, len(asked) + 1)
+
+    def _store(self, digest: str, value: Any) -> None:
+        """Keep a hash-checked value, serve whoever waited for it, and deliver
+        if the READY quorum was only waiting for the value."""
+        self._values[digest] = value
+        for requester in self._waiting.pop(digest, ()):
+            self._send_value(requester, digest)
         self._maybe_deliver(digest)
 
     def _maybe_deliver(self, digest: str) -> None:
@@ -255,11 +353,14 @@ class ReliableBroadcast:
         if len(ready) < self._quorum():
             return
         if digest not in self._values:
-            # The value has not reached us yet; deliver as soon as it does
-            # (a later ECHO/READY carrying it will retrigger this check).
+            # The value is all that is missing: ask every voucher not asked
+            # yet.  ``_store`` retriggers this check when the INIT or a
+            # pulled VALUE brings it.
+            self._fetch(digest, self._ready_support())
             return
         self.delivered = True
         self.delivered_value = self._values[digest]
+        self.delivered_digest = digest
         certificate = Certificate.from_votes(ready.values())
         probe = self._probe
         if probe is not None:

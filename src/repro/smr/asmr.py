@@ -3,9 +3,11 @@
 Each replica runs the five phases of Figure 2 for every consensus index:
 
 ① **ASMR consensus** — one accountable SBC instance decides a set of proposals.
-② **Confirmation** — the replica broadcasts its decision (digest, content and
-   certificates) and waits for matching confirmations; a conflicting
-   confirmation reveals a disagreement.
+② **Confirmation** — the replica broadcasts its decision (digest, bitmask,
+   per-slot proposal digests and certificates — never the proposals) and
+   waits for matching confirmations; a conflicting confirmation reveals a
+   disagreement, and only then are the proposals this replica lacks pulled
+   from that confirmation's sender.
 ③ **Exclusion consensus** — once ``ceil(n/3)`` proofs of fraud are gathered
    the replica stops its pending consensus and runs the exclusion consensus of
    the membership change (Alg. 1).
@@ -50,15 +52,20 @@ DEFAULT_CONFIRMATION_DELTA = 5.0 / 9.0
 
 #: Bounded identity-keyed memos for the CONFIRM disagreement path.  CONFIRM
 #: bodies cross the simulated wire *by reference*: every recipient dispatches
-#: the same dict object, so parsing the carried certificates and hashing the
-#: carried proposals once per broadcast (instead of once per recipient)
-#: changes nothing but the host clock.  Entries pin the keyed object itself,
+#: the same dict object, so parsing the carried certificates once per
+#: broadcast (instead of once per recipient) changes nothing but the host
+#: clock.  Entries pin the keyed object itself,
 #: which keeps its ``id()`` stable for the lifetime of the cache entry;
 #: clear-on-cap bounds memory on arbitrarily long runs.
 _MEMO_MAX = 1 << 14
+
+#: Consensus messages for instances past the local target are kept for replay
+#: (see ``ASMRReplica._route_lazy_sbc``): this many instances past it, this
+#: many messages per sender.
+AHEAD_WINDOW = 8
+AHEAD_PER_SENDER = 1024
 _CONFIRM_GROUPED: Dict[int, Tuple[Any, GroupedVotes]] = {}
 _LOCAL_GROUPED: Dict[int, Tuple[Any, GroupedVotes]] = {}
-_PROPOSAL_DIGESTS: Dict[int, Tuple[Any, str]] = {}
 
 
 def _confirm_grouped_votes(body: Dict[str, Any]) -> GroupedVotes:
@@ -96,23 +103,6 @@ def _decision_grouped_votes(decision: Any) -> GroupedVotes:
     return grouped
 
 
-def _proposal_digest(value: Any) -> str:
-    """``hash_payload(value)`` memoised by object identity.
-
-    Proposal payloads are immutable once broadcast and shared by reference
-    between the local decision record and every CONFIRM that carries them.
-    """
-    key = id(value)
-    hit = _PROPOSAL_DIGESTS.get(key)
-    if hit is not None and hit[0] is value:
-        return hit[1]
-    digest = hash_payload(value)
-    if len(_PROPOSAL_DIGESTS) >= _MEMO_MAX:
-        _PROPOSAL_DIGESTS.clear()
-    _PROPOSAL_DIGESTS[key] = (value, digest)
-    return digest
-
-
 @dataclasses.dataclass
 class InstanceRecord:
     """Book-keeping for one consensus index at one replica."""
@@ -130,6 +120,21 @@ class InstanceRecord:
     # Slots on which some remote decision disagreed with ours.
     disagreeing_slots: Set[ReplicaId] = dataclasses.field(default_factory=set)
     matching_confirmations: Set[ReplicaId] = dataclasses.field(default_factory=set)
+    # Reconciliation pulls.  Senders whose conflicting CONFIRM was processed
+    # (one each); for each missing (slot, digest) the confirmers asked for it
+    # and whether each replied — every confirmer once, until a reply checks
+    # out or ``recovery_threshold`` of them were asked; the hash-checked
+    # replies; the remote decisions (slot -> digest) whose merge waits for a
+    # reply; and the (requester, slot) pairs this replica already served.
+    conflicting_senders: Set[ReplicaId] = dataclasses.field(default_factory=set)
+    pulls_asked: Dict[Tuple[ReplicaId, str], Dict[ReplicaId, bool]] = dataclasses.field(
+        default_factory=dict
+    )
+    pulled: Dict[Tuple[ReplicaId, str], Any] = dataclasses.field(default_factory=dict)
+    pending_merges: List[Dict[ReplicaId, str]] = dataclasses.field(default_factory=list)
+    pulls_served: Set[Tuple[ReplicaId, ReplicaId]] = dataclasses.field(
+        default_factory=set
+    )
 
     @property
     def disagreed(self) -> bool:
@@ -203,6 +208,8 @@ class ASMRReplica(BaseReplica):
         self.catchup_blocks_verified = 0
         self._pending_confirms: Dict[int, List[Tuple[ReplicaId, Dict[str, Any]]]] = {}
         self._buffered_membership: List[Tuple[Topic, ReplicaId, str, Dict[str, Any]]] = []
+        #: Consensus messages for instances past ``target_instances``, by sender.
+        self._ahead: Dict[ReplicaId, List[Tuple[Topic, str, Dict[str, Any]]]] = {}
         #: Open per-instance root spans (traced runs only).
         self._instance_spans: Dict[int, Any] = {}
 
@@ -225,6 +232,10 @@ class ASMRReplica(BaseReplica):
         self.target_instances += count
         if self._transport is not None and not self.standby:
             self._maybe_start_next_instance()
+            ahead, self._ahead = self._ahead, {}
+            for sender, messages in ahead.items():
+                for message_topic, kind, body in messages:
+                    self.route(message_topic, sender, kind, body)
 
     def _maybe_start_next_instance(self) -> None:
         if self.standby or self.fault is FaultKind.BENIGN:
@@ -330,7 +341,7 @@ class ASMRReplica(BaseReplica):
             "instance": decision.instance,
             "digest": decision.digest,
             "bitmask": dict(decision.bitmask),
-            "proposals": dict(decision.proposals),
+            "proposal_digests": dict(decision.proposal_digests),
             "binary_certificates": {
                 slot: cert.to_payload()
                 for slot, cert in decision.binary_certificates.items()
@@ -362,7 +373,11 @@ class ASMRReplica(BaseReplica):
                         "asmr.confirm_s", record.confirmed_at - record.decided_at
                     )
             return
-        # Disagreement: another honest replica decided a different set.
+        # Disagreement: another honest replica decided a different set.  One
+        # conflicting CONFIRM per sender is all an honest sender produces.
+        if sender in record.conflicting_senders:
+            return
+        record.conflicting_senders.add(sender)
         if not record.conflicting_digests:
             self.log.info(
                 "disagreement on instance %s: remote %s decided %s, local %s",
@@ -387,7 +402,7 @@ class ASMRReplica(BaseReplica):
                     probe.monitors.on_disagreement(self.replica_id, instance, now)
         record.conflicting_digests.add(str(remote_digest))
         self._record_disagreeing_slots(record, body)
-        self._reconcile(record, body)
+        self._reconcile(record, sender, body)
         self._extract_pofs_from_confirm(record, body)
 
     def _process_pending_confirms(self, instance: int) -> None:
@@ -398,28 +413,121 @@ class ASMRReplica(BaseReplica):
         local = record.decision
         assert local is not None
         remote_bitmask = body.get("bitmask", {})
-        remote_proposals = body.get("proposals", {})
+        remote_digests = body.get("proposal_digests", {})
         slots = set(local.bitmask) | set(remote_bitmask)
         for slot in slots:
             local_bit = local.bitmask.get(slot, 0)
             remote_bit = remote_bitmask.get(slot, 0)
             if local_bit != remote_bit:
                 record.disagreeing_slots.add(slot)
-                continue
-            if local_bit == 1 and remote_bit == 1:
-                local_digest = _proposal_digest(local.proposals.get(slot))
-                remote_digest = _proposal_digest(remote_proposals.get(slot))
-                if local_digest != remote_digest:
-                    record.disagreeing_slots.add(slot)
+            elif local_bit == 1 and local.proposal_digests.get(slot) != remote_digests.get(slot):
+                record.disagreeing_slots.add(slot)
 
     # -- ⑤ reconciliation -------------------------------------------------------------------
 
-    def _reconcile(self, record: InstanceRecord, body: Dict[str, Any]) -> None:
-        remote_proposals = body.get("proposals", {})
-        if not isinstance(remote_proposals, dict) or not remote_proposals:
+    def _reconcile(self, record: InstanceRecord, sender: ReplicaId, body: Dict[str, Any]) -> None:
+        """Merge the remote decision, pulling the proposals we lack first.
+
+        A proposal decided here under the same digest is already local; any
+        other ``(slot, digest)`` still missing is asked of this CONFIRM's
+        sender — so a confirmer that withholds its reply delays the merge only
+        until the next one confirms the same digest — up to
+        ``recovery_threshold`` confirmers per ``(slot, digest)``.
+        """
+        remote_digests = body.get("proposal_digests")
+        if self.on_merge is None or not isinstance(remote_digests, dict) or not remote_digests:
             return
-        if self.on_merge is not None:
-            self.on_merge(record.instance, remote_proposals)
+        if not all(isinstance(digest, str) for digest in remote_digests.values()):
+            return
+        local_digests = record.decision.proposal_digests
+        cap = recovery_threshold(len(record.committee))
+        wanted = {}
+        for slot, digest in remote_digests.items():
+            key = (slot, digest)
+            if local_digests.get(slot) == digest or key in record.pulled:
+                continue
+            asked = record.pulls_asked.setdefault(key, {})
+            if len(asked) < cap:
+                asked[sender] = False
+                wanted[slot] = digest
+        if wanted:
+            self.emit_to(
+                sender,
+                self.CONFIRM_TOPIC.child(record.instance),
+                "PULL",
+                {"instance": record.instance, "wanted": wanted},
+            )
+        record.pending_merges.append(remote_digests)
+        self._run_ready_merges(record)
+
+    def _run_ready_merges(self, record: InstanceRecord) -> None:
+        """Hand ``on_merge`` every waiting remote decision whose proposals are
+        all here, in the order their CONFIRMs arrived."""
+        local = record.decision
+        waiting: List[Dict[ReplicaId, str]] = []
+        for remote_digests in record.pending_merges:
+            proposals: Dict[ReplicaId, Any] = {}
+            for slot, digest in remote_digests.items():
+                if local.proposal_digests.get(slot) == digest:
+                    proposals[slot] = local.proposals[slot]
+                elif (slot, digest) in record.pulled:
+                    proposals[slot] = record.pulled[(slot, digest)]
+                else:
+                    waiting.append(remote_digests)
+                    break
+            else:
+                self.on_merge(record.instance, proposals)
+        record.pending_merges = waiting
+
+    def _record_named_in(self, body: Dict[str, Any]) -> Optional[InstanceRecord]:
+        instance = body.get("instance")
+        return self.instances.get(instance) if isinstance(instance, int) else None
+
+    def _handle_pull(self, sender: ReplicaId, body: Dict[str, Any]) -> None:
+        """Serve decided proposals to a replica whose decision conflicts: only
+        what this replica decided under the digest asked for, once per
+        (requester, slot), only to members of the instance's committee."""
+        record = self._record_named_in(body)
+        wanted = body.get("wanted")
+        if record is None or record.decision is None or not isinstance(wanted, dict):
+            return
+        if sender not in record.committee:
+            return
+        decision = record.decision
+        proposals = {}
+        for slot, digest in wanted.items():
+            if (sender, slot) in record.pulls_served:
+                continue
+            if slot in decision.proposals and decision.proposal_digests[slot] == digest:
+                record.pulls_served.add((sender, slot))
+                proposals[slot] = decision.proposals[slot]
+        if proposals:
+            self.emit_to(
+                sender,
+                self.CONFIRM_TOPIC.child(record.instance),
+                "PROPOSALS",
+                {"instance": record.instance, "proposals": proposals},
+            )
+
+    def _handle_proposals(self, sender: ReplicaId, body: Dict[str, Any]) -> None:
+        """Keep the pulled proposals this replica asked ``sender`` for and
+        whose hash is the digest ``sender`` confirmed; drop everything else,
+        and anything ``sender`` sends for the same slot afterwards."""
+        record = self._record_named_in(body)
+        proposals = body.get("proposals")
+        if record is None or not isinstance(proposals, dict):
+            return
+        stored = False
+        for key, asked in record.pulls_asked.items():
+            slot, digest = key
+            if asked.get(sender) is not False or slot not in proposals:
+                continue
+            asked[sender] = True
+            if key not in record.pulled and hash_payload(proposals[slot]) == digest:
+                record.pulled[key] = proposals[slot]
+                stored = True
+        if stored:
+            self._run_ready_merges(record)
 
     # -- accountability: PoF extraction and gossip ----------------------------------------------
 
@@ -484,6 +592,7 @@ class ASMRReplica(BaseReplica):
 
     def _maybe_start_membership_change(self) -> None:
         if self.membership_change is not None:
+            self.membership_change.learn_pofs(self.pofs)
             return
         if len(self.pofs) < self.pof_threshold():
             return
@@ -644,7 +753,12 @@ class ASMRReplica(BaseReplica):
     # -- message routing ---------------------------------------------------------------------------------------
 
     def _route_confirm(self, message_topic: Topic, sender: ReplicaId, kind: str, body: Dict[str, Any]) -> None:
-        self._handle_confirm(sender, body)
+        if kind == "CONFIRM":
+            self._handle_confirm(sender, body)
+        elif kind == "PULL":
+            self._handle_pull(sender, body)
+        elif kind == "PROPOSALS":
+            self._handle_proposals(sender, body)
 
     def _route_pofs(self, message_topic: Topic, sender: ReplicaId, kind: str, body: Dict[str, Any]) -> None:
         self._handle_pofs(sender, body)
@@ -679,7 +793,16 @@ class ASMRReplica(BaseReplica):
         if epoch != self.epoch or instance in self.instances:
             return
         if instance > self.target_instances:
-            # Never seen and beyond anything we expect to run: ignore.
+            # Beyond anything this replica was asked to run.  On real sockets
+            # each replica's driver budgets instances on its own clock, so a
+            # peer can be there first: keep the message until
+            # ``submit_instances`` catches up (which replays it: still ahead,
+            # it lands here again).  Far ahead, or past the sender's share of
+            # the buffer, it is dropped.
+            if instance <= self.target_instances + AHEAD_WINDOW:
+                kept = self._ahead.setdefault(sender, [])
+                if len(kept) < AHEAD_PER_SENDER:
+                    kept.append((message_topic, kind, body))
             return
         # Catch up with the instance another replica already started.
         while self.next_instance <= instance:

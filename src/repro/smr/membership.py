@@ -14,13 +14,15 @@ A membership change runs two consecutive consensus instances:
   proposals so that exactly ``|excluded|`` candidates join, picked evenly
   across proposals (Alg. 1 lines 41–48).
 
-Implementation note (documented deviation): the paper lets replicas shrink
-``C'`` *while* the exclusion consensus runs as new PoFs arrive (lines 23–27).
-Here honest replicas fix ``C'`` from the PoFs they hold when the change starts
-and keep re-broadcasting newly learnt PoFs; because PoFs are extracted from the
-same pair of conflicting certificates exchanged all-to-all during
-confirmation, honest replicas hold identical PoF sets in every scenario the
-simulator exercises, so the fixed-committee run decides the same exclusions.
+Honest replicas do not all start from the same PoFs: a replica whose first
+conflicting confirmation proves exactly ``ceil(n/3)`` culprits starts with a
+``C'`` that still contains the rest, and nobody else runs those members'
+slots.  As in the paper (lines 23–27), ``C'`` therefore shrinks *while* the
+exclusion consensus runs: :meth:`MembershipChange.learn_pofs` removes every
+newly proven culprit from the restricted committee, drops its slot from the
+running consensus and re-applies the thresholds.  Inclusion traffic that
+reaches a replica before its own exclusion consensus decided is kept and
+replayed when its inclusion consensus starts.
 """
 
 from __future__ import annotations
@@ -114,6 +116,11 @@ class _RestrictedHost(ProtocolHost):
     def committee(self) -> Sequence[ReplicaId]:
         return list(self._committee)
 
+    def remove(self, members: Iterable[ReplicaId]) -> None:
+        """Shrink the view; thresholds are read from it on every check."""
+        gone = set(members)
+        self._committee = [m for m in self._committee if m not in gone]
+
     @property
     def now(self) -> float:
         return self._base.now
@@ -186,21 +193,26 @@ class MembershipChange:
         )
         self.inclusion: Optional[SetByzantineConsensus] = None
         self._inclusion_host: Optional[_RestrictedHost] = None
+        self._inclusion_topic = topic("incl").child(epoch)
+        #: Inclusion messages of replicas whose exclusion decided before ours.
+        self._early_inclusion: List[tuple] = []
 
     # -- routing -----------------------------------------------------------------
 
     def owns_topic(self, message_topic: Topic) -> bool:
         """True when ``message_topic`` belongs to this membership change epoch."""
-        if self.exclusion.owns_topic(message_topic):
-            return True
-        return self.inclusion is not None and self.inclusion.owns_topic(message_topic)
+        return self.exclusion.owns_topic(message_topic) or self._inclusion_topic.is_prefix_of(
+            message_topic
+        )
 
     def handle(self, message_topic: Topic, sender: ReplicaId, kind: str, body: Dict[str, Any]) -> None:
         """Route messages to the exclusion or inclusion consensus."""
         if self.exclusion.owns_topic(message_topic):
             self.exclusion.handle(message_topic, sender, kind, body)
-        elif self.inclusion is not None and self.inclusion.owns_topic(message_topic):
+        elif self.inclusion is not None:
             self.inclusion.handle(message_topic, sender, kind, body)
+        else:
+            self._early_inclusion.append((message_topic, sender, kind, body))
 
     # -- exclusion consensus -------------------------------------------------------
 
@@ -208,6 +220,20 @@ class MembershipChange:
         """Propose this replica's PoF set to the exclusion consensus."""
         proposal = [pof.to_payload() for _, pof in sorted(self.pofs.items())]
         self.exclusion.propose(proposal)
+
+    def learn_pofs(self, pofs: Dict[ReplicaId, ProofOfFraud]) -> None:
+        """Alg. 1 lines 23–27: culprits proven while the exclusion consensus
+        runs leave ``C'``, and every threshold is checked again."""
+        if self.exclusion.decided:
+            return
+        culprits = [member for member in self.exclusion_committee if member in pofs]
+        if not culprits:
+            return
+        for culprit in culprits:
+            self.pofs[culprit] = pofs[culprit]
+            self.exclusion_committee.remove(culprit)
+        self._exclusion_host.remove(culprits)
+        self.exclusion.drop_slots(culprits)
 
     def _validate_exclusion_proposal(self, proposer: ReplicaId, value: Any) -> bool:
         """Exclusion proposals must be lists of valid PoFs on current members."""
@@ -264,6 +290,9 @@ class MembershipChange:
         )
         proposal = self.pool.take(len(self.excluded))
         self.inclusion.propose(list(proposal))
+        early, self._early_inclusion = self._early_inclusion, []
+        for message in early:
+            self.inclusion.handle(*message)
 
     def _validate_inclusion_proposal(self, proposer: ReplicaId, value: Any) -> bool:
         """Inclusion proposals must be lists of available pool candidates."""

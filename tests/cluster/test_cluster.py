@@ -129,6 +129,81 @@ class TestInProcessCluster:
         asyncio.run(scenario())
 
 
+class TestWireBudget:
+    """Proposals cross each link once: votes and confirmations carry digests."""
+
+    @staticmethod
+    def _frame_sizes(tmp_path, batch_size):
+        """Run one full-batch instance on an in-process n=4 committee; return
+        the frame sizes seen per message kind and the set of block hashes."""
+        spec = _spec(
+            tmp_path,
+            transactions=4 * batch_size,
+            batch_size=batch_size,
+            accounts=max(8, batch_size),
+        )
+        sizes = {}
+
+        async def scenario():
+            transports, nodes = [], []
+            for replica_id in spec.committee:
+                node = build_node(spec, replica_id)
+                transport = AsyncioTransport(replica_id, endpoints_for(spec))
+                transport.add_process(node.replica)
+
+                def tapped(message, deliver=node.replica.on_message):
+                    sizes.setdefault(message.kind, []).append(message.size_bytes())
+                    deliver(message)
+
+                node.replica.on_message = tapped
+                await transport.start()
+                transports.append(transport)
+                nodes.append(node)
+            try:
+                for transport in transports:
+                    await transport.connect(timeout=10)
+                for node in nodes:
+                    node.replica.submit_transactions(node.share)
+                for transport in transports:
+                    transport.start_processes()
+                for node in nodes:
+                    node.replica.submit_instances(1)
+                loop = asyncio.get_running_loop()
+                deadline = loop.time() + spec.timeout
+                while loop.time() < deadline and not all(
+                    len(sizes.get("CONFIRM", ())) == spec.n * spec.n
+                    and 0 in node.replica.blockchain.blocks_by_instance
+                    for node in nodes
+                ):
+                    await asyncio.sleep(0.02)
+                return {
+                    node.replica.blockchain.blocks_by_instance[0].block_hash
+                    for node in nodes
+                }
+            finally:
+                for transport in transports:
+                    await transport.close()
+
+        return sizes, asyncio.run(scenario())
+
+    def test_vote_and_confirm_frames_do_not_grow_with_the_batch(self, tmp_path):
+        (tmp_path / "small").mkdir()
+        (tmp_path / "large").mkdir()
+        small, small_hashes = self._frame_sizes(tmp_path / "small", 5)
+        large, large_hashes = self._frame_sizes(tmp_path / "large", 50)
+        assert len(small_hashes) == 1 and len(large_hashes) == 1
+        # The proposal itself grows with the batch, and only INIT carries it.
+        assert min(large["INIT"]) > 5 * max(small["INIT"])
+        for sizes in (small, large):
+            assert max(sizes["ECHO"]) < 1024 and max(sizes["READY"]) < 1024
+            assert "FETCH" not in sizes and "PULL" not in sizes
+        # CONFIRM is digests and certificates: the same few KB for 20 or 200
+        # transfers a block (the count of signatures in a certificate may
+        # differ by one per slot), and smaller than one 50-transfer proposal.
+        assert max(large["CONFIRM"]) < 2 * min(small["CONFIRM"])
+        assert max(large["CONFIRM"]) < min(large["INIT"])
+
+
 def _run_cluster_cli(args, timeout=120):
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
@@ -319,9 +394,12 @@ class TestClusterCLI:
                 sys.executable, "-m", "repro.cluster",
                 "--n", "4",
                 "--transport", "uds",
-                "--transactions", "4000",
+                # Sized so the run outlasts the kill below with a wide margin:
+                # 12000 transfers take ~19 s here since proposals travel once
+                # (4000 took ~12 s before that, ~6 s after).
+                "--transactions", "12000",
                 "--batch-size", "10",
-                "--accounts", "64",
+                "--accounts", "256",
                 "--timeout", "90",
                 "--obs",
                 "--artifacts", str(artifacts),
@@ -347,7 +425,7 @@ class TestClusterCLI:
                     victim = pids[0]
                 time.sleep(0.1)
             assert victim is not None, "worker 3 never appeared"
-            # Let the victim finish its startup (keys + 4000-tx workload
+            # Let the victim finish its startup (keys + 12000-tx workload
             # build) and ship a few obs frames (flight-ring increments), so
             # forensics have something to say about it when it dies.
             time.sleep(8.0)

@@ -28,6 +28,25 @@ def attach_component(replica: BaseReplica, component) -> None:
     replica.router.register(component.topic, component.handle)
 
 
+def tap(replicas) -> List[Any]:
+    """Record every message delivered to any of ``replicas``, in delivery
+    order (before the replica's own fault/attack filtering sees it)."""
+    seen: List[Any] = []
+    for replica in replicas:
+
+        def tapped(message, deliver=replica.on_message):
+            seen.append(message)
+            deliver(message)
+
+        replica.on_message = tapped
+    return seen
+
+
+def of_kind(seen: Sequence[Any], kind: str) -> List[Any]:
+    """The recorded messages of one kind."""
+    return [message for message in seen if message.kind == kind]
+
+
 def build_cluster(
     n: int,
     delay: Optional[DelayModel] = None,

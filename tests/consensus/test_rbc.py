@@ -2,11 +2,14 @@
 
 import pytest
 
-from repro.common.types import FaultKind
+from repro.adversary.behaviors import PassiveStrategy
+from repro.common.types import FaultKind, recovery_threshold
+from repro.consensus.certificates import VoteKind, make_vote
+from repro.crypto.hashing import hash_payload
 from repro.network.delays import UniformDelay
 from repro.rbc.bracha import ReliableBroadcast
 
-from tests.consensus.harness import attach_single_context, build_cluster
+from tests.consensus.harness import attach_single_context, build_cluster, of_kind, tap
 
 
 def _attach_rbc(replicas, context, proposer, deliveries):
@@ -107,3 +110,216 @@ class TestReliableBroadcast:
         simulator.run()
         # Each replica saw its own INIT/ECHO/READY votes plus everyone else's.
         assert all(len(c.collected_votes) >= 6 for c in components)
+
+
+# -- digest-only ECHO/READY with pull-on-miss ----------------------------------
+
+CONTEXT = "rbc:0:0"
+VALUE = {"batch": list(range(50))}
+DIGEST = hash_payload(VALUE)
+
+
+class _DropInit(PassiveStrategy):
+    """The proposer's INIT never reaches this replica."""
+
+    def filter_incoming(self, replica, message):
+        return message.kind != ReliableBroadcast.INIT
+
+
+class _LyingVoucher(PassiveStrategy):
+    """Answers every FETCH with a value that does not hash to the digest."""
+
+    def filter_incoming(self, replica, message):
+        if message.kind == ReliableBroadcast.FETCH:
+            replica.send_to(
+                message.sender,
+                message.topic,
+                ReliableBroadcast.VALUE,
+                {"digest": message.body["digest"], "value": "garbage"},
+            )
+            return False
+        return True
+
+
+def _vote_body(replica, kind, digest=DIGEST):
+    vote = make_vote(replica, CONTEXT, 0, kind, digest)
+    return {"digest": digest, "vote": vote.to_payload()}
+
+
+class TestPullOnMiss:
+    @pytest.mark.parametrize("n", [4, 7])
+    def test_withheld_init_is_pulled_within_the_request_cap(self, n):
+        simulator, replicas, _ = build_cluster(n)
+        victim = n - 1
+        replicas[victim].attack_strategy = _DropInit()
+        seen = tap(replicas)
+        deliveries = {}
+        components = _attach_rbc(replicas, CONTEXT, 0, deliveries)
+        components[0].broadcast(VALUE)
+        simulator.run()
+        # Totality: the replica that never saw the INIT delivers the same value.
+        assert set(deliveries) == set(range(n))
+        assert all(value == VALUE for _, value, _ in deliveries.values())
+        # It asked the first voucher, then — the READY quorum landing before
+        # the answer on these equal links — the rest of the first ceil(n/3):
+        # every other replica vouched, the cap held, nobody else asked.
+        fetches = of_kind(seen, ReliableBroadcast.FETCH)
+        assert {message.sender for message in fetches} == {victim}
+        assert len(fetches) == recovery_threshold(n)
+        assert len({message.recipient for message in fetches}) == len(fetches)
+        values = of_kind(seen, ReliableBroadcast.VALUE)
+        assert 1 <= len(values) <= recovery_threshold(n)
+        assert {message.recipient for message in values} == {victim}
+        # The value crossed each link once: votes carry the digest only.
+        for kind in (ReliableBroadcast.ECHO, ReliableBroadcast.READY):
+            assert all(set(message.body) == {"digest", "vote"} for message in of_kind(seen, kind))
+
+    def test_a_late_init_costs_one_request_not_one_per_voucher(self):
+        # Echoes of near replicas beat a far proposer's INIT: one voucher is
+        # asked at the threshold, nobody else once the INIT is in.
+        simulator, replicas, _ = build_cluster(7)
+        seen = tap(replicas)
+        deliveries = {}
+        late = _attach_rbc(replicas, CONTEXT, 0, deliveries)[6]
+        for signer in (1, 2, 3, 4):
+            late.handle(signer, ReliableBroadcast.ECHO, _vote_body(replicas[signer], VoteKind.RBC_ECHO))
+        late.handle(
+            0,
+            ReliableBroadcast.INIT,
+            {"value": VALUE, **_vote_body(replicas[0], VoteKind.RBC_INIT)},
+        )
+        for signer in (0, 1, 2, 3, 4):
+            late.handle(signer, ReliableBroadcast.READY, _vote_body(replicas[signer], VoteKind.RBC_READY))
+        assert late.delivered
+        simulator.run()
+        fetches = of_kind(seen, ReliableBroadcast.FETCH)
+        assert [(message.sender, message.recipient) for message in fetches] == [(6, 1)]
+
+    def test_the_ready_quorum_asks_every_voucher_left(self):
+        simulator, replicas, _ = build_cluster(7)
+        seen = tap(replicas)
+        blocked = _attach_rbc(replicas, CONTEXT, 0, {})[6]
+        for signer in (1, 2, 3, 4, 5):
+            blocked.handle(signer, ReliableBroadcast.READY, _vote_body(replicas[signer], VoteKind.RBC_READY))
+            blocked.handle(signer, ReliableBroadcast.ECHO, _vote_body(replicas[signer], VoteKind.RBC_ECHO))
+        simulator.run()
+        # The cap: the first ceil(7/3) = 3 vouchers, once each, although five
+        # replicas vouched twice.
+        fetches = [m for m in of_kind(seen, ReliableBroadcast.FETCH) if m.sender == 6]
+        assert [message.recipient for message in fetches] == [1, 2, 3]
+
+    def test_no_pull_when_the_init_arrives(self):
+        simulator, replicas, _ = build_cluster(7)
+        seen = tap(replicas)
+        components = _attach_rbc(replicas, CONTEXT, 0, {})
+        components[0].broadcast(VALUE)
+        simulator.run()
+        assert not of_kind(seen, ReliableBroadcast.FETCH)
+        assert not of_kind(seen, ReliableBroadcast.VALUE)
+
+    def test_fetch_is_served_once_per_requester_even_after_delivery(self):
+        simulator, replicas, _ = build_cluster(4)
+        deliveries = {}
+        components = _attach_rbc(replicas, CONTEXT, 0, deliveries)
+        components[0].broadcast(VALUE)
+        simulator.run()
+        assert components[0].delivered
+        seen = tap(replicas)
+        for _ in range(3):
+            replicas[1].send_to(0, CONTEXT, ReliableBroadcast.FETCH, {"digest": DIGEST})
+        replicas[2].send_to(0, CONTEXT, ReliableBroadcast.FETCH, {"digest": DIGEST})
+        simulator.run()
+        served = of_kind(seen, ReliableBroadcast.VALUE)
+        assert sorted(message.recipient for message in served) == [1, 2]
+        assert all(message.body == {"digest": DIGEST, "value": VALUE} for message in served)
+
+    def test_fetch_for_unknown_digest_or_from_outsider_is_ignored(self):
+        simulator, replicas, _ = build_cluster(4)
+        components = _attach_rbc(replicas, CONTEXT, 0, {})
+        components[0].broadcast(VALUE)
+        simulator.run()
+        seen = tap(replicas)
+        replicas[1].send_to(
+            0, CONTEXT, ReliableBroadcast.FETCH, {"digest": hash_payload("never broadcast")}
+        )
+        replicas[1].send_to(0, CONTEXT, ReliableBroadcast.FETCH, {"digest": ["not", "a", "digest"]})
+        replicas[1].send_to(0, CONTEXT, ReliableBroadcast.FETCH, {})
+        # Replica 99 is not in the committee (and not on the network: a served
+        # request would fail loudly in the simulator).
+        components[0].handle(99, ReliableBroadcast.FETCH, {"digest": DIGEST})
+        simulator.run()
+        assert not of_kind(seen, ReliableBroadcast.VALUE)
+        assert components[0]._served == {} and components[0]._waiting == {}
+
+    def test_value_nobody_asked_for_is_not_stored(self):
+        simulator, replicas, _ = build_cluster(4)
+        components = _attach_rbc(replicas, CONTEXT, 0, {})
+        # Correct hash, but replica 3 never asked replica 2 for anything.
+        replicas[2].send_to(
+            3, CONTEXT, ReliableBroadcast.VALUE, {"digest": DIGEST, "value": VALUE}
+        )
+        simulator.run()
+        assert components[3]._values == {}
+
+    def test_mismatching_value_is_dropped_and_a_correct_voucher_still_serves(self):
+        simulator, replicas, _ = build_cluster(4)
+        victim, liar = 3, 0
+        replicas[victim].attack_strategy = _DropInit()
+        replicas[liar].attack_strategy = _LyingVoucher()
+        seen = tap(replicas)
+        deliveries = {}
+        components = _attach_rbc(replicas, CONTEXT, 0, deliveries)
+        components[0].broadcast(VALUE)
+        simulator.run()
+        lies = [
+            message
+            for message in of_kind(seen, ReliableBroadcast.VALUE)
+            if message.body["value"] == "garbage"
+        ]
+        assert [message.recipient for message in lies] == [victim]
+        # The lie came first, so it met the hash check, not a delivered instance.
+        assert of_kind(seen, ReliableBroadcast.VALUE)[0] is lies[0]
+        # Each voucher was asked once, the liar included.
+        fetches = of_kind(seen, ReliableBroadcast.FETCH)
+        assert sorted(message.recipient for message in fetches) == [0, 1]
+        assert components[victim]._values == {DIGEST: VALUE}
+        assert deliveries[victim][1] == VALUE
+
+    def test_fetch_that_beats_the_value_is_answered_when_it_lands(self):
+        # A replica can vouch by READY amplification before it holds the
+        # value; a FETCH reaching it then must not be lost.
+        simulator, replicas, _ = build_cluster(7)
+        seen = tap(replicas)
+        components = _attach_rbc(replicas, CONTEXT, 0, {})
+        holder = components[6]
+        for signer in (1, 2):
+            holder.handle(signer, ReliableBroadcast.ECHO, _vote_body(replicas[signer], VoteKind.RBC_ECHO))
+        holder.handle(5, ReliableBroadcast.FETCH, {"digest": DIGEST})
+        holder.handle(5, ReliableBroadcast.FETCH, {"digest": DIGEST})
+        simulator.run()
+        assert not of_kind(seen, ReliableBroadcast.VALUE)
+        holder.handle(
+            0,
+            ReliableBroadcast.INIT,
+            {"value": VALUE, **_vote_body(replicas[0], VoteKind.RBC_INIT)},
+        )
+        simulator.run()
+        served = of_kind(seen, ReliableBroadcast.VALUE)
+        assert [(message.sender, message.recipient) for message in served] == [(6, 5)]
+
+    def test_late_init_completes_a_delivery_that_waited_for_the_value(self):
+        # READY quorum first, value last: the INIT itself must trigger delivery.
+        simulator, replicas, _ = build_cluster(4)
+        deliveries = {}
+        components = _attach_rbc(replicas, CONTEXT, 0, deliveries)
+        late = components[3]
+        for signer in (0, 1, 2):
+            late.handle(signer, ReliableBroadcast.READY, _vote_body(replicas[signer], VoteKind.RBC_READY))
+        assert not late.delivered
+        late.handle(
+            0,
+            ReliableBroadcast.INIT,
+            {"value": VALUE, **_vote_body(replicas[0], VoteKind.RBC_INIT)},
+        )
+        assert late.delivered and late.delivered_value == VALUE
+        assert late.delivered_digest == DIGEST

@@ -15,8 +15,14 @@ commit and call the change out in the commit message.
 
 from repro.experiments.fig4_disagreements import run_attack_cell
 
-#: Outcomes of the golden cell, recorded from the seed implementation
-#: (string-keyed demux, per-recipient heap events) at seed 1.
+#: Outcomes of the golden cell at seed 1 — the one copy: the transport-seam
+#: pin (``tests/network/test_transport.py``) and the instrumentation pin
+#: (``tests/obs/test_golden.py``) import it.  Re-recorded when ECHO / READY /
+#: CONFIRM went digest-only with pull-on-miss (a protocol change: only INIT
+#: ships a proposal unasked, a late value is fetched) and the exclusion
+#: committee began to shrink while its consensus runs; before that: 78
+#: committed, 11 685 messages, clock 16.686154595607622, replica 5 decided
+#: [0], 7 [].
 GOLDEN = {
     "disagreements": 2,
     "disagreement_instances": [0],
@@ -29,9 +35,9 @@ GOLDEN = {
         2: [0, 1],
         3: [0, 1],
         4: [0, 1],
-        5: [0],
+        5: [],
         6: [0, 1],
-        7: [],
+        7: [0],
         8: [0, 1],
         9: [],
         10: [],
@@ -39,9 +45,9 @@ GOLDEN = {
         12: [],
     },
     "committed_transactions": 78,
-    "messages_sent": 11685,
-    "messages_delivered": 11685,
-    "simulated_time": 16.686154595607622,
+    "messages_sent": 11868,
+    "messages_delivered": 11868,
+    "simulated_time": 18.116196451486925,
 }
 
 

@@ -230,3 +230,73 @@ def unused_tcp_base_port():
     with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as probe:
         probe.bind(("127.0.0.1", 0))
         return probe.getsockname()[1]
+
+
+class TestEncodeOnce:
+    """The socket path encodes each outgoing envelope exactly once."""
+
+    @staticmethod
+    def _count_encodes(monkeypatch):
+        from repro.network import codec
+
+        calls = []
+        original = codec.encode_message
+
+        def counting(message, include_trace=True):
+            calls.append(message.kind)
+            return original(message, include_trace)
+
+        monkeypatch.setattr(codec, "encode_message", counting)
+        return calls
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_one_encode_per_broadcast_and_exact_bare_size(
+        self, tmp_path, monkeypatch, traced
+    ):
+        from repro.network.codec import message_frame_size
+        from repro.network.message import Message
+        from repro.obs import Probe, TelemetryRegistry
+        from repro.obs.trace import TraceRuntime
+
+        async def scenario():
+            endpoints = _uds_endpoints(tmp_path, 3)
+            probe = Probe(
+                metrics=TelemetryRegistry(),
+                trace=TraceRuntime.enabled() if traced else None,
+            )
+            transports, processes = [], []
+            for replica_id in sorted(endpoints):
+                transport = AsyncioTransport(
+                    replica_id, endpoints, probe=probe if replica_id == 0 else None
+                )
+                process = Recorder(replica_id)
+                transport.add_process(process)
+                await transport.start()
+                transports.append(transport)
+                processes.append(process)
+            for transport in transports:
+                await transport.connect()
+            try:
+                if traced:
+                    tracer = probe.trace.tracer
+                    span = tracer.start_span("test", 0, 0.0)
+                    tracer.activate(span.ctx)
+                calls = self._count_encodes(monkeypatch)
+                body = {"payload": list(range(200))}
+                processes[0].broadcast("proto", "DATA", body)
+                processes[0].send_to(2, "proto", "DATA", body)
+                assert calls == ["DATA", "DATA"]
+                # Counted from the frame just built: 3 + 1 bare envelopes (the
+                # broadcast one with no recipient stamped), the trace tail
+                # excluded whether or not one rode along.
+                bare_broadcast = Message(0, None, "proto", "DATA", body)
+                bare_unicast = Message(0, 2, "proto", "DATA", body)
+                assert transports[0].bytes_sent == 3 * message_frame_size(
+                    bare_broadcast
+                ) + message_frame_size(bare_unicast)
+                await asyncio.sleep(0.2)
+                assert [kind for _, kind, _ in processes[2].got] == ["DATA", "DATA"]
+            finally:
+                await _close_all(transports)
+
+        asyncio.run(scenario())

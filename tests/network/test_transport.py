@@ -13,6 +13,8 @@ from repro.network.message import Message
 from repro.network.simulator import NetworkSimulator
 from repro.network.transport import Clock, Process, Transport
 
+from tests.experiments.test_fig4_golden import GOLDEN
+
 
 class Recorder(Process):
     def __init__(self, rid):
@@ -74,30 +76,20 @@ class TestSeam:
 class TestGoldenPin:
     """Fixed-seed fig4 cell must stay byte-identical across the seam."""
 
-    GOLDEN = {
-        "disagreements": 2,
-        "excluded": [0, 1, 2, 3],
-        "included": [9, 10, 11, 12],
-        "committed_transactions": 78,
-        "messages_sent": 11685,
-        "messages_delivered": 11685,
-        "simulated_time": 16.686154595607622,
-    }
-
     def test_simulator_as_transport_keeps_fig4_golden(self):
         result = run_attack_cell(
             n=9, attack_kind="binary", cross_partition_delay="1000ms", seed=1
         )
-        assert result.disagreements == self.GOLDEN["disagreements"]
-        assert result.excluded == self.GOLDEN["excluded"]
-        assert result.included == self.GOLDEN["included"]
+        assert result.disagreements == GOLDEN["disagreements"]
+        assert result.excluded == GOLDEN["excluded"]
+        assert result.included == GOLDEN["included"]
         assert (
-            result.committed_transactions == self.GOLDEN["committed_transactions"]
+            result.committed_transactions == GOLDEN["committed_transactions"]
         )
-        assert result.messages_sent == self.GOLDEN["messages_sent"]
-        assert result.messages_delivered == self.GOLDEN["messages_delivered"]
+        assert result.messages_sent == GOLDEN["messages_sent"]
+        assert result.messages_delivered == GOLDEN["messages_delivered"]
         # Bit-exact final clock: the seeded RNG consumption order is pinned.
-        assert result.simulated_time == self.GOLDEN["simulated_time"]
+        assert result.simulated_time == GOLDEN["simulated_time"]
 
 
 class TestSizeBytesTelemetryParity:

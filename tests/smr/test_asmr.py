@@ -3,11 +3,14 @@
 import pytest
 
 from repro.common.config import ProtocolConfig, SimulationConfig
+from repro.crypto.hashing import hash_payload
 from repro.crypto.keys import KeyRegistry
 from repro.network.delays import ConstantDelay
 from repro.network.simulator import NetworkSimulator
 from repro.smr.asmr import ASMRReplica
 from repro.smr.pool import CandidatePool
+
+from tests.consensus.harness import of_kind, tap
 
 
 def build_asmr_cluster(n=4, instances=2, seed=0, config=None):
@@ -86,3 +89,167 @@ class TestASMRFaultFree:
         replicas, _, _ = build_asmr_cluster(n=4, instances=1)
         assert replicas[0].total_disagreeing_slots() == 0
         assert replicas[0].disagreement_instances() == []
+
+
+# -- digest-only CONFIRM, proposals pulled on disagreement ----------------------
+
+
+def _cluster_with_merges(n=4, instances=1):
+    """A decided fault-free committee plus everything delivered and merged after."""
+    keys = KeyRegistry.provision(range(n))
+    simulator = NetworkSimulator(ConstantDelay(0.01), SimulationConfig(seed=0))
+    replicas, merges = [], {i: [] for i in range(n)}
+    for replica_id in range(n):
+        replica = ASMRReplica(
+            replica_id=replica_id,
+            committee=list(range(n)),
+            signer=keys.signer_for(replica_id),
+            registry=keys.registry,
+            pool=CandidatePool([]),
+            config=ProtocolConfig(batch_size=10),
+            proposal_factory=lambda k, rid=replica_id: {"instance": k, "from": rid},
+            on_merge=lambda k, proposals, rid=replica_id: merges[rid].append((k, proposals)),
+        )
+        simulator.add_process(replica)
+        replicas.append(replica)
+    seen = tap(replicas)
+    for replica in replicas:
+        replica.submit_instances(instances)
+    simulator.run()
+    return simulator, replicas, merges, seen
+
+
+class TestConfirmationPull:
+    TOPIC = ASMRReplica.CONFIRM_TOPIC.child(0)
+
+    def test_confirm_carries_digests_and_agreement_pulls_nothing(self):
+        _, replicas, merges, seen = _cluster_with_merges()
+        confirms = of_kind(seen, "CONFIRM")
+        assert confirms
+        decision = replicas[0].instances[0].decision
+        for message in confirms:
+            assert "proposals" not in message.body
+            assert message.body["proposal_digests"] == {
+                slot: hash_payload(value) for slot, value in decision.proposals.items()
+            }
+        assert not of_kind(seen, "PULL") and not of_kind(seen, "PROPOSALS")
+        assert all(not merged for merged in merges.values())
+
+    def _forged_confirm(self, wanted):
+        return {
+            "instance": 0,
+            "digest": "a decision nobody else made",
+            "bitmask": {slot: 1 for slot in wanted},
+            "proposal_digests": dict(wanted),
+            "binary_certificates": {},
+            "rbc_certificates": {},
+        }
+
+    def test_conflicting_proposals_are_pulled_per_confirmer_and_hash_checked(self):
+        simulator, replicas, merges, seen = _cluster_with_merges()
+        local = replicas[0].instances[0].decision
+        wanted = {2: hash_payload("theirs")}
+        # Slot 1 is confirmed under the digest decided here: nothing to pull.
+        confirm = self._forged_confirm({1: local.proposal_digests[1], **wanted})
+        del seen[:]
+        replicas[3].send_to(0, self.TOPIC, "CONFIRM", confirm)
+        replicas[3].send_to(0, self.TOPIC, "CONFIRM", confirm)
+        simulator.run()
+        # One request for the one (slot, digest) missing here, to whoever
+        # confirmed it; the same sender confirming again is not asked again.
+        pulls = of_kind(seen, "PULL")
+        assert [(m.sender, m.recipient, m.body["wanted"]) for m in pulls] == [(0, 3, wanted)]
+        # Replica 3 never decided that digest, so it serves nothing.
+        assert not of_kind(seen, "PROPOSALS")
+        assert merges[0] == []
+
+        # Replies: from a replica that was not asked, for a slot that was not
+        # asked, and with the wrong content, are dropped without being stored.
+        reply = {"instance": 0, "proposals": {2: "theirs"}}
+        replicas[2].send_to(0, self.TOPIC, "PROPOSALS", reply)
+        replicas[3].send_to(0, self.TOPIC, "PROPOSALS", {"instance": 0, "proposals": {1: "unasked"}})
+        replicas[3].send_to(0, self.TOPIC, "PROPOSALS", {"instance": 0, "proposals": {2: "forged"}})
+        simulator.run()
+        assert replicas[0].instances[0].pulled == {} and merges[0] == []
+        # An asked sender gets one answer per slot: what it sends after the
+        # forgery is not even hashed.
+        replicas[3].send_to(0, self.TOPIC, "PROPOSALS", reply)
+        simulator.run()
+        assert replicas[0].instances[0].pulled == {} and merges[0] == []
+
+    def test_a_withholding_confirmer_does_not_block_the_merge(self):
+        simulator, replicas, merges, seen = _cluster_with_merges()
+        local = replicas[0].instances[0].decision
+        wanted = {2: hash_payload("theirs")}
+        confirm = self._forged_confirm({1: local.proposal_digests[1], **wanted})
+        del seen[:]
+        # Replica 3 confirms first and never answers its PULL; replica 2
+        # confirms the same digest later and is asked too; replica 1 is the
+        # third confirmer of it, one more than ceil(4/3) = 2 get asked.
+        for confirmer in (3, 2, 1):
+            replicas[confirmer].send_to(0, self.TOPIC, "CONFIRM", confirm)
+            simulator.run()
+        pulls = of_kind(seen, "PULL")
+        assert [(m.recipient, m.body["wanted"]) for m in pulls] == [(3, wanted), (2, wanted)]
+        assert merges[0] == []
+        reply = {"instance": 0, "proposals": {2: "theirs"}}
+        replicas[2].send_to(0, self.TOPIC, "PROPOSALS", reply)
+        replicas[2].send_to(0, self.TOPIC, "PROPOSALS", reply)
+        simulator.run()
+        # All three waiting merges run, with the local copy of slot 1 and the
+        # pulled copy of slot 2; a fourth confirmer then needs no pull at all.
+        expected = (0, {1: local.proposals[1], 2: "theirs"})
+        assert merges[0] == [expected] * 3
+        assert replicas[0].instances[0].pending_merges == []
+        del seen[:]
+        replicas[0]._handle_confirm(99, confirm)
+        simulator.run()
+        assert not of_kind(seen, "PULL") and merges[0] == [expected] * 4
+
+    def test_pull_is_served_once_and_only_for_what_was_decided(self):
+        simulator, replicas, _, seen = _cluster_with_merges()
+        decision = replicas[0].instances[0].decision
+        wanted = {2: decision.proposal_digests[2], 3: hash_payload("not decided here")}
+        del seen[:]
+        for _ in range(2):
+            replicas[1].send_to(0, self.TOPIC, "PULL", {"instance": 0, "wanted": wanted})
+        replicas[1].send_to(0, ASMRReplica.CONFIRM_TOPIC.child(7), "PULL", {"instance": 7, "wanted": wanted})
+        replicas[1].send_to(0, self.TOPIC, "PULL", {"instance": [0], "wanted": wanted})
+        replicas[1].send_to(0, self.TOPIC, "PULL", {"instance": 0, "wanted": "everything"})
+        # Not a member of the instance's committee.
+        replicas[0]._handle_pull(99, {"instance": 0, "wanted": wanted})
+        simulator.run()
+        served = of_kind(seen, "PROPOSALS")
+        assert [(m.sender, m.recipient, m.body["proposals"]) for m in served] == [
+            (0, 1, {2: decision.proposals[2]})
+        ]
+
+
+class TestAheadOfTarget:
+    def test_messages_past_the_target_are_replayed_when_the_target_catches_up(self):
+        # On real sockets each replica's driver budgets instances on its own
+        # clock: three replicas run ahead, the fourth asks for the later
+        # instances only afterwards and must still decide them.
+        keys = KeyRegistry.provision(range(4))
+        simulator = NetworkSimulator(ConstantDelay(0.01), SimulationConfig(seed=0))
+        replicas = []
+        for replica_id in range(4):
+            replica = ASMRReplica(
+                replica_id=replica_id,
+                committee=list(range(4)),
+                signer=keys.signer_for(replica_id),
+                registry=keys.registry,
+                pool=CandidatePool([]),
+                config=ProtocolConfig(batch_size=10),
+            )
+            simulator.add_process(replica)
+            replicas.append(replica)
+        for replica in replicas:
+            replica.submit_instances(1 if replica.replica_id == 0 else 3)
+        replicas[0].set_timer(5.0, lambda: replicas[0].submit_instances(2))
+        simulator.run()
+        for replica in replicas:
+            assert replica.decided_instances() == [0, 1, 2]
+        digests = {r.instances[2].decision.digest for r in replicas}
+        assert len(digests) == 1
+        assert replicas[0]._ahead == {}
