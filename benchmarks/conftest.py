@@ -1,9 +1,10 @@
 """Shared benchmark configuration.
 
-Every benchmark runs the reduced sweep by default (see DESIGN.md §5); set
-``REPRO_SCALE=full`` to run the paper-scale sweeps.  Heavy end-to-end attack
-simulations use ``benchmark.pedantic`` with a single round so the whole
-benchmark suite completes in minutes on a laptop.
+Every benchmark runs laptop-sized cells (the ``small`` grids, or one n = 9
+attack cell); the paper-scale sweeps are ``python -m repro.scenarios sweep
+--scale full``.  Heavy end-to-end attack simulations use
+``benchmark.pedantic`` with a single round so the whole benchmark suite
+completes in minutes on a laptop.
 """
 
 import pathlib

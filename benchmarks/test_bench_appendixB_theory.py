@@ -3,11 +3,11 @@
 import pytest
 
 from repro.analysis.zero_loss import g_function, minimum_blockdepth
-from repro.experiments.appendix_b import run_appendix_b
+from repro.scenarios import expand, run_specs
 
 
 def test_bench_appendix_b_table(benchmark):
-    rows = benchmark(run_appendix_b)
+    rows = benchmark(run_specs, expand("appendix-b"))
     benchmark.extra_info["rows"] = rows
     by_case = {(row["delta"], row["rho"]): row["min_blockdepth"] for row in rows}
     # Paper: m = 4 (rho = 0.55) and m = 28 (rho = 0.9) at delta = 0.5 with

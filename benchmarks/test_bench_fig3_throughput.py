@@ -8,13 +8,12 @@ ahead of ZLB below ~40 replicas and behind above.
 
 import pytest
 
-from repro.experiments.common import figure_sizes
-from repro.experiments.fig3_throughput import run_fig3, run_measured_comparison
+from repro.scenarios import expand, run_specs
+from repro.scenarios.library import run_measured_comparison
 
 
 def test_bench_fig3_model_series(benchmark):
-    sizes = figure_sizes()
-    rows = benchmark(run_fig3, sizes)
+    rows = benchmark(run_specs, expand("fig3", "small"))
     benchmark.extra_info["rows"] = rows
     by_n = {row["n"]: row for row in rows}
     largest = by_n[max(by_n)]

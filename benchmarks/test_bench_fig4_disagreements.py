@@ -7,20 +7,20 @@ replicas, partitioned honest replicas, accountability, membership change.
 
 import pytest
 
-from repro.experiments.fig4_disagreements import run_attack_cell
+from repro.scenarios import ScenarioSpec, run_system
+from repro.scenarios.library import SWEEP_SEEDS
+
+
+def _cell(n: int, attack: str, delay: str, seed: int = 1) -> ScenarioSpec:
+    return ScenarioSpec(
+        family="fig4", n=n, attack=attack, cross_partition_delay=delay, seed=seed
+    )
 
 
 @pytest.mark.parametrize("delay", ["1000ms", "500ms", "gamma"])
 def test_bench_fig4_binary_attack(benchmark, small_attack_n, delay):
     result = benchmark.pedantic(
-        run_attack_cell,
-        kwargs={
-            "n": small_attack_n,
-            "attack_kind": "binary",
-            "cross_partition_delay": delay,
-            "instances": 2,
-        },
-        rounds=1,
+        run_system, args=(_cell(small_attack_n, "binary", delay),), rounds=1
     )
     benchmark.extra_info["delay"] = delay
     benchmark.extra_info["disagreements"] = result.disagreements
@@ -36,14 +36,7 @@ def test_bench_fig4_binary_attack(benchmark, small_attack_n, delay):
 @pytest.mark.parametrize("delay", ["1000ms", "500ms"])
 def test_bench_fig4_reliable_broadcast_attack(benchmark, small_attack_n, delay):
     result = benchmark.pedantic(
-        run_attack_cell,
-        kwargs={
-            "n": small_attack_n,
-            "attack_kind": "rbbcast",
-            "cross_partition_delay": delay,
-            "instances": 2,
-        },
-        rounds=1,
+        run_system, args=(_cell(small_attack_n, "rbbcast", delay),), rounds=1
     )
     benchmark.extra_info["delay"] = delay
     benchmark.extra_info["disagreements"] = result.disagreements
@@ -61,12 +54,11 @@ def test_fig4_shape_disagreements_decrease_with_scale():
     not yet visible, while the per-replica disagreement rate — the quantity
     the absolute drop follows from at n = 20..100 — already decreases.
     """
-    from repro.experiments.common import PAPER_SWEEP_SEEDS
 
     def mean_rate(n: int) -> float:
         counts = [
-            run_attack_cell(n, "binary", "1000ms", seed=seed, instances=2).disagreements
-            for seed in PAPER_SWEEP_SEEDS
+            run_system(_cell(n, "binary", "1000ms", seed)).disagreements
+            for seed in SWEEP_SEEDS["full"]
         ]
         return sum(counts) / len(counts) / n
 

@@ -2,21 +2,20 @@
 
 import pytest
 
-from repro.experiments.fig4_disagreements import run_attack_cell
-from repro.experiments.fig5_membership import run_catchup_timing
+from repro.scenarios import ScenarioSpec, run_system
+from repro.scenarios.library import run_catchup_timing
+
+
+def _binary_cell(n: int, delay: str) -> ScenarioSpec:
+    return ScenarioSpec(
+        family="fig5", n=n, attack="binary", cross_partition_delay=delay
+    )
 
 
 @pytest.mark.parametrize("delay", ["1000ms", "500ms"])
 def test_bench_fig5_detect_exclude_include(benchmark, small_attack_n, delay):
     result = benchmark.pedantic(
-        run_attack_cell,
-        kwargs={
-            "n": small_attack_n,
-            "attack_kind": "binary",
-            "cross_partition_delay": delay,
-            "instances": 2,
-        },
-        rounds=1,
+        run_system, args=(_binary_cell(small_attack_n, delay),), rounds=1
     )
     benchmark.extra_info["delay"] = delay
     benchmark.extra_info["detect_s"] = result.detect_time
@@ -32,8 +31,8 @@ def test_bench_fig5_detect_exclude_include(benchmark, small_attack_n, delay):
 
 def test_fig5_detection_grows_with_delay():
     """Higher injected delays delay detection (Fig. 5 left)."""
-    fast = run_attack_cell(9, "binary", "500ms", seed=1, instances=2)
-    slow = run_attack_cell(9, "binary", "2000ms", seed=1, instances=2)
+    fast = run_system(_binary_cell(9, "500ms"))
+    slow = run_system(_binary_cell(9, "2000ms"))
     if fast.detect_time is not None and slow.detect_time is not None:
         assert slow.detect_time >= fast.detect_time
 

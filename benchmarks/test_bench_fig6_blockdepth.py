@@ -2,21 +2,19 @@
 
 import pytest
 
-from repro.analysis.zero_loss import minimum_blockdepth
-from repro.experiments.fig6_blockdepth import run_fig6, theoretical_blockdepth_curve
+from repro.analysis.zero_loss import minimum_blockdepth, theoretical_blockdepth_curve
+from repro.scenarios import expand, run_specs
 
 
 def test_bench_fig6_measured_blockdepth(benchmark, small_attack_n):
-    rows = benchmark.pedantic(
-        run_fig6,
-        kwargs={
-            "sizes": [small_attack_n],
-            "delays": ["1000ms"],
-            "attacks": ["binary"],
-            "instances": 2,
-        },
-        rounds=1,
-    )
+    specs = [
+        spec
+        for spec in expand("fig6", "small")
+        if (spec.n, spec.attack, spec.cross_partition_delay)
+        == (small_attack_n, "binary", "1000ms")
+    ]
+    rows = benchmark.pedantic(run_specs, args=(specs,), rounds=1)
+    assert len(rows) == 1
     benchmark.extra_info["rows"] = rows
     for row in rows:
         assert row["min_blockdepth"] >= 0

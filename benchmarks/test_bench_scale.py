@@ -4,53 +4,32 @@ The acceptance point of the kernel-scaling work (verified-signature and
 certificate-validity caches, memoised vote payloads, batched delay sampling,
 coalesced delivery): the paper's largest plotted committee — ``n = 100``
 under both coalition attacks — must complete in **minutes**, not hours, in a
-single Python process.  The benchmark runs the ``scale`` scenario family's
-cells, enforces a per-cell budget, and writes a ``BENCH_scale.json``
-artifact (consumed by the CI ``scale-bench`` job) so the scaling trajectory
-accumulates across PRs.
+single Python process.  Both tests run the registered ``scale`` family.
 
 The analytic model cells (fig3 at n=100–300) always run — they cost
 milliseconds and pin the family's plumbing.  The simulated n=100 attack
 cells take minutes each, so they only run when ``REPRO_BENCH_SCALE=1`` is
-set (the CI job and local artifact regeneration set it; plain tier-1
-``pytest`` stays fast).
+set (CI's ``tier1-bench`` job sets it; plain tier-1 ``pytest`` stays fast).
 """
 
-import json
 import os
-import pathlib
-import platform
-import time
 
 import pytest
 
-from repro.experiments.fig4_disagreements import run_attack_cell
-from repro.scenarios.registry import expand
-from repro.scenarios.scale import ATTACK_MAX_EVENTS, run_scale_cells
-
-pytestmark = pytest.mark.bench
-
-_ARTIFACT_PATH = pathlib.Path(
-    os.environ.get("REPRO_BENCH_SCALE_OUT", "BENCH_scale.json")
-)
+from repro.scenarios import ScenarioRunner, expand, run_specs
 
 #: Wall-clock budget of one simulated n=100 attack cell, in seconds.  "Runs
-#: in minutes" with headroom for slow shared CI runners; the recorded local
-#: numbers (see the committed BENCH_scale.json) sit well below it.
+#: in minutes" with headroom for slow shared CI runners (286 s and 435 s when
+#: last recorded).
 ATTACK_CELL_BUDGET_S = 900.0
 
-#: The two heavyweight cells of the family's full grid.
-ATTACK_KINDS = ("binary", "rbbcast")
 
-
-def _model_specs():
-    return [
-        spec for spec in expand("scale", "small") if spec.param("mode") == "model"
-    ]
+def _scale_specs(mode):
+    return [spec for spec in expand("scale", "full") if spec.param("mode") == mode]
 
 
 def test_scale_model_cells_cover_paper_and_beyond():
-    rows = run_scale_cells(_model_specs(), jobs=1)
+    rows = run_specs(_scale_specs("model"))
     assert [row["n"] for row in rows] == [100, 200, 300]
     for row in rows:
         # The analytic model must stay well-behaved past the paper's plots:
@@ -65,58 +44,18 @@ def test_scale_model_cells_cover_paper_and_beyond():
     reason="n=100 attack cells take minutes; set REPRO_BENCH_SCALE=1 to run",
 )
 def test_scale_attack_cells_within_budget():
-    cells = {}
-
-    start = time.perf_counter()
-    model_rows = run_scale_cells(_model_specs(), jobs=1)
-    cells["fig3 n=100-300 model"] = {
-        "cells": len(model_rows),
-        "wall_s": round(time.perf_counter() - start, 2),
-    }
-
-    for attack in ATTACK_KINDS:
-        start = time.perf_counter()
-        # Mirrors the scale family's attack specs: one SBC instance (message
-        # volume grows ~n^3) and a raised livelock guard — the cell must run
-        # to completion, not die on the default 5M-event cap.
-        result = run_attack_cell(
-            n=100,
-            attack_kind=attack,
-            cross_partition_delay="1000ms",
-            seed=1,
-            instances=1,
-            max_events=ATTACK_MAX_EVENTS,
-        )
-        wall = time.perf_counter() - start
-        cells[f"fig4 n=100 {attack}"] = {
-            "wall_s": round(wall, 2),
-            "simulated_s": round(result.simulated_time, 3),
-            "messages_delivered": result.messages_delivered,
-            "messages_per_sec": round(result.messages_delivered / wall),
-            "disagreements": result.disagreements,
-            "committed_transactions": result.committed_transactions,
-            "recovered": result.recovered,
-        }
-
-    report = {
-        "benchmark": "scale",
-        "host": platform.node(),
-        "platform": platform.system().lower(),
-        "python": platform.python_version(),
-        "attack_cell_budget_s": ATTACK_CELL_BUDGET_S,
-        "cells": cells,
-    }
-    _ARTIFACT_PATH.write_text(json.dumps(report, indent=2) + "\n")
-
-    for attack in ATTACK_KINDS:
-        cell = cells[f"fig4 n=100 {attack}"]
+    outcomes = ScenarioRunner().run(_scale_specs("attack")).outcomes
+    assert [outcome.spec.attack for outcome in outcomes] == ["binary", "rbbcast"]
+    for outcome in outcomes:
         # The attack must actually land, commit real transactions and
         # recover — a cell that stalls or degenerates (e.g. one that dies on
         # the livelock guard mid-attack) would trivially "fit the budget".
-        assert cell["disagreements"] > 0
-        assert cell["committed_transactions"] > 0
-        assert cell["recovered"]
-        assert cell["wall_s"] <= ATTACK_CELL_BUDGET_S, (
-            f"n=100 {attack} attack cell took {cell['wall_s']}s — above the "
-            f"{ATTACK_CELL_BUDGET_S}s scale budget"
+        row = outcome.row
+        assert row["n"] == 100
+        assert row["disagreements"] > 0
+        assert row["committed_transactions"] > 0
+        assert row["recovered"]
+        assert outcome.wall_clock_s <= ATTACK_CELL_BUDGET_S, (
+            f"{outcome.spec.label()} took {outcome.wall_clock_s:.0f}s — above "
+            f"the {ATTACK_CELL_BUDGET_S}s scale budget"
         )

@@ -8,7 +8,7 @@ linear growth with the block size.
 
 import pytest
 
-from repro.experiments.table1_merge import TABLE1_SIZES, build_merge_fixture
+from repro.scenarios.library import build_merge_fixture, merge_two_blocks
 
 
 @pytest.mark.parametrize("blocksize", [100, 1_000, 10_000])
@@ -32,8 +32,6 @@ def test_bench_table1_merge_conflicting_block(benchmark, blocksize):
 
 def test_table1_merge_time_scales_linearly():
     """Sanity check on the Table 1 shape: 10x transactions => ~10x merge time."""
-    from repro.experiments.table1_merge import merge_two_blocks
-
     small = min(merge_two_blocks(100, seed=s) for s in range(3))
     large = min(merge_two_blocks(1_000, seed=s) for s in range(3))
     assert large > small

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Telemetry walkthrough: profile a coalition attack end to end.
+"""Metrics walkthrough: profile a coalition attack end to end.
 
 Demonstrates the instrumentation subsystem:
 
@@ -16,7 +16,7 @@ Demonstrates the instrumentation subsystem:
 
 Run with::
 
-    python examples/telemetry_profile.py
+    python examples/metrics_profile.py
 """
 
 import tempfile
@@ -24,21 +24,19 @@ from pathlib import Path
 
 from repro import obs
 from repro.analysis.metrics import format_table
-from repro.experiments.fig4_disagreements import run_attack_cell
 from repro.obs.export import snapshot_rows, write_csv, write_json
 from repro.obs.report import build_tables
+from repro.scenarios import ScenarioSpec, run_system
 
 
 def main() -> None:
     registry = obs.TelemetryRegistry()
     print("running one instrumented coalition-attack cell (n=9, binary attack)...")
     with obs.activate(obs.Probe(metrics=registry)):
-        result = run_attack_cell(
-            n=9,
-            attack_kind="binary",
-            cross_partition_delay="1000ms",
-            seed=1,
-            instances=2,
+        result = run_system(
+            ScenarioSpec(
+                family="fig4", n=9, attack="binary", cross_partition_delay="1000ms"
+            )
         )
     print(
         f"recovered={result.recovered}  excluded={result.excluded}  "

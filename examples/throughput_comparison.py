@@ -11,12 +11,13 @@ Run with::
 """
 
 from repro.analysis.metrics import format_table
-from repro.experiments.fig3_throughput import run_fig3, run_measured_comparison
+from repro.scenarios import expand, run_specs
+from repro.scenarios.library import run_measured_comparison
 
 
 def main() -> None:
     print("=== Figure 3 (phase-level model, tx/s) ===")
-    rows = run_fig3([10, 20, 30, 40, 50, 60, 70, 80, 90])
+    rows = run_specs(expand("fig3", "full"))
     print(format_table(rows))
     print()
     largest = rows[-1]

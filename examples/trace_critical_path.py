@@ -20,15 +20,17 @@ Run with::
 """
 
 from repro import obs
-from repro.experiments.fig4_disagreements import run_attack_cell
 from repro.obs import TraceRuntime, critical_path, render_critical_path
+from repro.scenarios import ScenarioSpec, run_system
 
 
 def main() -> None:
     runtime = TraceRuntime.enabled()
     with obs.activate(obs.Probe(trace=runtime)):
-        result = run_attack_cell(
-            n=9, attack_kind="binary", cross_partition_delay="1000ms", seed=1
+        result = run_system(
+            ScenarioSpec(
+                family="fig4", n=9, attack="binary", cross_partition_delay="1000ms"
+            )
         )
 
     print(

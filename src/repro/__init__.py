@@ -12,7 +12,7 @@ Quickstart::
     from repro.common import FaultConfig
 
     system = ZLBSystem.create(FaultConfig(n=7), seed=1)
-    result = system.run_rounds(3)
+    result = system.run_instances(3)
     print(result.chain_summary())
 
 See README.md and the examples/ directory for full walkthroughs.

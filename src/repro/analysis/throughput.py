@@ -2,7 +2,7 @@
 
 The paper measures absolute throughput on 90 AWS machines; a message-level
 pure-Python simulation of 90 replicas exchanging millions of signed messages
-per instance cannot reproduce absolute numbers (see DESIGN.md §2).  This model
+per instance cannot reproduce absolute numbers.  This model
 reproduces the *shape* of Figure 3 from the cost terms the paper itself uses
 to explain the results:
 
@@ -21,7 +21,7 @@ to explain the results:
 
 The constants were calibrated so that the n = 90 ordering and ratios match the
 paper (Red Belly ≥ ZLB ≈ 5–6× HotStuff, Polygraph crossing ZLB around 40
-replicas); EXPERIMENTS.md records the calibrated outputs next to the paper's.
+replicas); ``python -m repro.scenarios run fig3`` prints the calibrated outputs.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ class ProtocolCostModel:
         return self.transactions_per_instance(n) / self.instance_latency(n, mean_delay)
 
 
-#: Calibrated cost models (see module docstring and EXPERIMENTS.md).
+#: Calibrated cost models (see module docstring).
 _PROTOCOL_MODELS: Dict[str, ProtocolCostModel] = {
     "zlb": ProtocolCostModel(
         name="ZLB",

@@ -9,7 +9,7 @@ the branch bound ``a <= (n - (f - q)) / (ceil(2n/3) - (f - q))``.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Dict, List, Sequence
 
 from repro.common.errors import ConfigurationError
 from repro.common.types import quorum_size
@@ -86,6 +86,21 @@ def minimum_blockdepth(a: int, b: float, rho: float, max_m: int = 100_000) -> in
     while g_function(a, b, rho, m) < 0 and m <= max_m:
         m += 1
     return m
+
+
+def theoretical_blockdepth_curve(
+    deposit_factor: float = 0.1,
+    branches: int = 3,
+    probabilities: Sequence[float] = (0.1, 0.3, 0.5, 0.55, 0.7, 0.9),
+) -> List[Dict[str, float]]:
+    """Pure-theory companion curve of Fig. 6: m as a function of rho."""
+    return [
+        {
+            "rho": rho,
+            "min_blockdepth": minimum_blockdepth(branches, deposit_factor, rho),
+        }
+        for rho in probabilities
+    ]
 
 
 def tolerated_attack_probability(a: int, b: float, m: int) -> float:

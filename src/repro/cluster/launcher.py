@@ -107,8 +107,8 @@ class ClusterResult:
     def to_json(self, full: bool = False) -> Dict[str, Any]:
         """JSON-serialisable summary.
 
-        The default is the *compact* form committed as ``BENCH_cluster.json``:
-        cluster aggregates plus per-replica counters — no raw latency arrays,
+        The default is the *compact* form ``python -m repro.cluster --json``
+        writes: cluster aggregates plus per-replica counters — no raw latency arrays,
         no telemetry snapshots, no span sets (those can run to megabytes; the
         artifacts directory is where the big forensics files go).  ``full``
         restores the exhaustive per-replica reports.

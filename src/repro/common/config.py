@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
 from typing import Optional
 
 from repro.common.errors import ConfigurationError
@@ -149,17 +148,3 @@ class SimulationConfig:
             raise ConfigurationError("max_time must be positive")
         if self.max_events <= 0:
             raise ConfigurationError("max_events must be positive")
-
-
-def experiment_scale(default: str = "small") -> str:
-    """Return the experiment scale ("small" or "full") from ``REPRO_SCALE``.
-
-    The paper's sweeps run with up to 100 replicas; the reduced sweeps keep the
-    default test/benchmark run fast (see DESIGN.md §5).
-    """
-    value = os.environ.get("REPRO_SCALE", default).strip().lower()
-    if value not in ("small", "full"):
-        raise ConfigurationError(
-            f"REPRO_SCALE must be 'small' or 'full', got {value!r}"
-        )
-    return value

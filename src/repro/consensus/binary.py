@@ -21,7 +21,7 @@ equivocation checks because BV-broadcast legitimately echoes both values.
 
 The deterministic fallback value (``round mod 2``) replaces DBFT's weak
 coordinator; it preserves safety unconditionally and terminates in every
-scenario the simulator exercises (see DESIGN.md §6 for the discussion).
+scenario the simulator exercises.
 """
 
 from __future__ import annotations

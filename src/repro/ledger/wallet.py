@@ -10,9 +10,8 @@ Two key flavours mirror the replica-side schemes:
   public key, exactly like Bitcoin; verification is self-contained.
 * Simulated wallets (default) use the fast keyed-hash scheme.  The address is
   derived from the wallet name and the verification material is shared
-  simulation infrastructure (see DESIGN.md §2 on substitutions); within the
-  simulation no component ever forges another account's signature, so UTXO
-  safety arguments are unaffected.
+  simulation infrastructure; within the simulation no component ever forges
+  another account's signature, so UTXO safety arguments are unaffected.
 """
 
 from __future__ import annotations

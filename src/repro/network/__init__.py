@@ -4,9 +4,9 @@ Protocol code talks to an abstract :class:`~repro.network.transport.Transport`
 (send, broadcast, timers, clock, membership).  Two backends implement it:
 
 * :class:`~repro.network.simulator.NetworkSimulator` — the deterministic
-  discrete-event simulator the paper's experiments run on (see DESIGN.md §2),
-  with pluggable :mod:`delay models <repro.network.delays>` including the
-  partition-aware delays used to mount the coalition attacks of §5.2–§5.3.
+  discrete-event simulator the paper's experiments run on, with pluggable
+  :mod:`delay models <repro.network.delays>` including the partition-aware
+  delays used to mount the coalition attacks of §5.2–§5.3.
 * :class:`~repro.network.asyncio_transport.AsyncioTransport` — real TCP or
   UNIX-domain sockets with wall-clock timers, used by the ``python -m
   repro.cluster`` launcher to run the unmodified protocol stack as separate

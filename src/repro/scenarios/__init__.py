@@ -7,14 +7,16 @@ expanded, executed serially or in parallel, and cached by content hash.
 
 Layout:
 
-* :mod:`repro.scenarios.spec` — the frozen spec value object (hash + JSON);
+* :mod:`repro.scenarios.spec` — the frozen spec value object (hash + JSON)
+  and the one way to deploy it: ``system_for(spec)`` / ``run_system(spec)``;
 * :mod:`repro.scenarios.registry` — named families, ``@scenario`` decorator,
   sweep-grid expansion;
 * :mod:`repro.scenarios.runner` — serial / ``multiprocessing`` execution with
   progress callbacks and wall-clock accounting;
 * :mod:`repro.scenarios.store` — the JSONL result cache keyed by spec hash;
 * :mod:`repro.scenarios.library` — the built-in families (fig3-fig6, table1,
-  appendix-b, sec53, quickstart, churn, crash-recovery, jitter-stress);
+  appendix-b, sec53, quickstart, churn, crash-recovery, jitter-stress) and
+  :mod:`repro.scenarios.scale` (``scale``);
 * :mod:`repro.scenarios.cli` — ``python -m repro.scenarios
   list|run|sweep|trace|report`` (``--instrument LEVEL`` instruments cells;
   ``report`` renders the stored snapshots as comparative tables).
@@ -32,7 +34,12 @@ from repro.scenarios.registry import (
     scenario,
 )
 from repro.scenarios.runner import RunOutcome, ScenarioRunner, SweepReport, run_family, run_specs
-from repro.scenarios.spec import SPEC_SCHEMA_VERSION, ScenarioSpec
+from repro.scenarios.spec import (
+    SPEC_SCHEMA_VERSION,
+    ScenarioSpec,
+    run_system,
+    system_for,
+)
 from repro.scenarios.store import ResultStore
 
 __all__ = [
@@ -52,5 +59,7 @@ __all__ = [
     "run_spec",
     "run_family",
     "run_specs",
+    "run_system",
     "scenario",
+    "system_for",
 ]

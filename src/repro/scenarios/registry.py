@@ -16,10 +16,11 @@ Families register themselves with the :func:`scenario` decorator::
     def _run_fig4_cell(spec: ScenarioSpec) -> Dict[str, object]:
         ...
 
-The built-in library (:mod:`repro.scenarios.library`) registers every paper
-experiment (fig3-fig6, table1, appendix B, §5.3, quickstart) plus the
-non-paper families; it is imported lazily on first lookup so importing this
-module never drags in the whole stack.
+The built-in library (:mod:`repro.scenarios.library`, plus the ``scale``
+family in :mod:`repro.scenarios.scale`) registers every paper experiment
+(fig3-fig6, table1, appendix B, §5.3, quickstart) and the non-paper families;
+it is imported lazily on first lookup so importing this module never drags in
+the whole stack.
 """
 
 from __future__ import annotations
@@ -117,6 +118,7 @@ def _ensure_library() -> None:
     global _LIBRARY_LOADED
     if not _LIBRARY_LOADED:
         import repro.scenarios.library  # noqa: F401  (registers on import)
+        import repro.scenarios.scale  # noqa: F401  (registers on import)
 
         _LIBRARY_LOADED = True
 

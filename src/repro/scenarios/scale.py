@@ -1,10 +1,10 @@
 """The ``scale`` scenario family: committees of hundreds of replicas.
 
 The paper's sweeps stop at ``n = 100``; this family exists to exercise (and
-keep exercising, via the ``scale-bench`` CI job) the kernel optimisations that
-make three-digit committees practical in a single Python process: the
-verified-signature and certificate-validity caches, memoised vote payloads,
-batched delay sampling and coalesced same-broadcast delivery.
+keep exercising, via ``benchmarks/test_bench_scale.py``) the kernel
+optimisations that make three-digit committees practical in a single Python
+process: the verified-signature and certificate-validity caches, memoised
+vote payloads, batched delay sampling and coalesced same-broadcast delivery.
 
 Two kinds of cells share the family, told apart by the ``mode`` param:
 
@@ -16,18 +16,17 @@ Two kinds of cells share the family, told apart by the ``mode`` param:
   real client workload) at ``n = 100``.  These are the heavyweight cells the
   scale benchmark budgets.
 
-Independent cells run in parallel through the scenario runner's process pool
-when ``REPRO_SCALE_JOBS`` is set (see :func:`run_scale_cells`): simulated
-instances are single-threaded by design (determinism), so the parallelism
-lives at the sweep-cell boundary, one seeded simulation per worker.
+Simulated instances are single-threaded by design (determinism), so the
+parallelism lives at the sweep-cell boundary: ``--jobs`` runs one seeded
+simulation per worker.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List
 
 from repro.obs.gates import SLO
+from repro.scenarios.library import attack_row, throughput_row
 from repro.scenarios.registry import scenario
 from repro.scenarios.spec import ScenarioSpec
 
@@ -93,48 +92,6 @@ def _scale_grid(scale: str) -> List[ScenarioSpec]:
 )
 def _run_scale_cell(spec: ScenarioSpec) -> Dict[str, Any]:
     mode = spec.param("mode", "model")
-    if mode == "model":
-        from repro.analysis.throughput import ThroughputModel, available_protocols
-        from repro.network.delays import AwsRegionDelay
-
-        model = ThroughputModel(AwsRegionDelay())
-        row: Dict[str, Any] = {"n": spec.n, "mode": mode}
-        for protocol in available_protocols():
-            row[protocol] = round(model.throughput(protocol, spec.n), 1)
-        return row
-    from repro.scenarios.library import _run_attack_spec
-
-    row = _run_attack_spec(spec)
+    row = throughput_row(spec.n) if mode == "model" else attack_row(spec)
     row["mode"] = mode
     return row
-
-
-def scale_jobs(default: int = 1) -> int:
-    """Worker count for scale sweeps, from the ``REPRO_SCALE_JOBS`` flag.
-
-    Defaults to serial execution: parallel cells trade determinism of *wall
-    clock* (never of results — each cell is its own seeded simulation) for
-    throughput, so the flag is opt-in.
-    """
-    value = os.environ.get("REPRO_SCALE_JOBS", "").strip()
-    if not value:
-        return default
-    jobs = int(value)
-    if jobs < 1:
-        raise ValueError(f"REPRO_SCALE_JOBS must be >= 1, got {value!r}")
-    return jobs
-
-
-def run_scale_cells(
-    specs: Sequence[ScenarioSpec], jobs: Optional[int] = None
-) -> List[Dict[str, Any]]:
-    """Run scale cells, fanning out across processes when jobs > 1.
-
-    A thin wrapper over :class:`~repro.scenarios.runner.ScenarioRunner` (no
-    store: benchmark cells must re-run, never serve from cache) that the
-    scale benchmark and ad-hoc sweeps share.
-    """
-    from repro.scenarios.runner import ScenarioRunner
-
-    runner = ScenarioRunner(store=None, jobs=jobs if jobs is not None else scale_jobs())
-    return runner.run(list(specs)).rows

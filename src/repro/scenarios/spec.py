@@ -18,6 +18,9 @@ object.  Two properties make the rest of the subsystem work:
 Family-specific knobs that do not warrant a first-class field live in
 ``params``, a sorted tuple of ``(key, value)`` pairs (accepted as a mapping
 for convenience) that participates in the hash like every other field.
+
+A spec is also the one way to build a cell: :func:`system_for` deploys the
+committee it describes, :func:`run_system` runs it to its stop conditions.
 """
 
 from __future__ import annotations
@@ -49,17 +52,18 @@ class ScenarioSpec:
             the attack": the paper's ``d = ceil(5n/9) - 1`` when an attack is
             set, 0 otherwise.
         benign: number of benign (crash-mute) replicas.
-        enforce_model: validate the fault mix against the paper's admissible
-            region (disable for deliberately out-of-model sweeps, §5.3 style).
+        enforce_model: validate an explicit ``deceitful`` count against the
+            paper's admissible region (disable for deliberately out-of-model
+            sweeps, §5.3 style).
         delay: base delay-model name (``"aws"``, ``"gamma"``, ``"200ms"``,
             ``"jitter"``, ``"lossy"``, ...).
         attack: ``"binary"`` / ``"rbbcast"`` coalition attack, or ``None``.
         cross_partition_delay: delay-model name injected between honest
             partitions while the attack runs (ignored without an attack).
-        workload_transactions: client transfers submitted before the run.
-            For coalition-attack families, 0 means "the family default" (the
-            paper's 12 transfers per replica); the registered grids spell the
-            resolved value out so each cell's hash records what actually runs.
+        workload_transactions: client transfers submitted before the run;
+            0 means the paper's 12 transfers per replica.  The registered
+            attack grids spell the resolved value out so each cell's hash
+            records what actually runs.
         batch_size: transactions per proposal.
         instances: consensus instances each active replica is asked to run.
         seed: seed for every random stream of the run.
@@ -227,6 +231,34 @@ class ScenarioSpec:
         if self.instrument:
             parts.append(self.instrument)
         return " ".join(parts)
+
+
+def system_for(spec: ScenarioSpec) -> "ZLBSystem":
+    """Deploy the committee ``spec`` describes on a fresh simulator.
+
+    The one place a spec becomes a :class:`~repro.zlb.system.ZLBSystem`: fault
+    mix, coalition attack and partition delays, client workload, seed and stop
+    conditions all come from the spec.  The ``max_events`` param raises the
+    simulator's livelock guard (the n=100 ``scale`` cells need more than the
+    default 5M events).
+    """
+    from repro.zlb.system import ZLBSystem
+
+    return ZLBSystem.create(
+        spec.fault_config(),
+        seed=spec.seed,
+        delay=spec.delay,
+        attack=spec.attack_spec(),
+        workload_transactions=spec.workload_transactions or 12 * spec.n,
+        batch_size=spec.batch_size,
+        max_time=spec.max_time,
+        max_events=spec.param("max_events"),
+    )
+
+
+def run_system(spec: ScenarioSpec) -> "SystemResult":
+    """Build ``spec``'s system and run its ``instances`` to ``max_time``."""
+    return system_for(spec).run_instances(spec.instances, until=spec.max_time)
 
 
 def spec_key(spec_or_hash: Union[ScenarioSpec, str]) -> str:

@@ -8,7 +8,6 @@ from repro.common.config import (
     FaultConfig,
     ProtocolConfig,
     SimulationConfig,
-    experiment_scale,
 )
 from repro.common.errors import ConfigurationError
 from repro.common.types import FaultKind
@@ -93,18 +92,3 @@ class TestSimulationConfig:
             SimulationConfig(max_time=0)
         with pytest.raises(ConfigurationError):
             SimulationConfig(max_events=0)
-
-
-class TestExperimentScale:
-    def test_default_is_small(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SCALE", raising=False)
-        assert experiment_scale() == "small"
-
-    def test_full_scale(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALE", "full")
-        assert experiment_scale() == "full"
-
-    def test_invalid_scale_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALE", "huge")
-        with pytest.raises(ConfigurationError):
-            experiment_scale()

@@ -1,37 +1,35 @@
-"""Tests for the experiment drivers (fast paths only; heavy cells run in benchmarks/)."""
+"""Tests for the paper's figures as registered families (fast paths only;
+heavy cells run in benchmarks/)."""
 
-import pytest
-
-from repro.experiments.appendix_b import run_appendix_b
-from repro.experiments.common import attack_sizes, figure_sizes, sweep_seeds
-from repro.experiments.fig3_throughput import run_fig3
-from repro.experiments.fig5_membership import run_catchup_timing
-from repro.experiments.fig6_blockdepth import theoretical_blockdepth_curve
-from repro.experiments.table1_merge import merge_two_blocks, run_table1
+from repro.analysis.zero_loss import theoretical_blockdepth_curve
+from repro.scenarios import expand, run_specs
+from repro.scenarios.library import merge_two_blocks, run_catchup_timing
 
 
 class TestSweepConfiguration:
-    def test_small_scale_defaults(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SCALE", raising=False)
-        assert max(attack_sizes()) <= 20
-        assert sweep_seeds() == [1]
+    def test_small_scale_defaults(self):
+        assert expand("fig4") == expand("fig4", "small")
+        for name in ("fig4", "fig5", "fig6", "sec53"):
+            specs = expand(name, "small")
+            assert max(spec.n for spec in specs) <= 20
+            assert {spec.seed for spec in specs} == {1}
 
-    def test_full_scale(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALE", "full")
-        assert 90 in figure_sizes()
-        assert 100 in attack_sizes()
-        assert len(sweep_seeds()) >= 3
+    def test_full_scale(self):
+        assert 90 in {spec.n for spec in expand("fig3", "full")}
+        for name in ("fig4", "fig5", "fig6", "sec53"):
+            specs = expand(name, "full")
+            assert 100 in {spec.n for spec in specs}
+            assert len({spec.seed for spec in specs}) >= 3
 
 
 class TestFig3Rows:
     def test_rows_cover_all_protocols(self):
-        rows = run_fig3([10, 90])
+        rows = run_specs(expand("fig3", "small"))
         assert {"ZLB", "Polygraph", "HotStuff", "Red Belly"} <= set(rows[0])
-        assert [row["n"] for row in rows] == [10, 90]
+        assert [row["n"] for row in rows] == [10, 20, 40, 60, 90]
 
     def test_paper_shape(self):
-        rows = run_fig3([10, 40, 90])
-        by_n = {row["n"]: row for row in rows}
+        by_n = {row["n"]: row for row in run_specs(expand("fig3", "small"))}
         assert by_n[90]["Red Belly"] > by_n[90]["ZLB"] > by_n[90]["HotStuff"]
         assert by_n[10]["Polygraph"] > by_n[10]["ZLB"]
         assert by_n[90]["Polygraph"] < by_n[90]["ZLB"]
@@ -39,7 +37,8 @@ class TestFig3Rows:
 
 class TestTable1:
     def test_merge_time_positive_and_monotone(self):
-        rows = run_table1(sizes=(100, 1_000), repetitions=1)
+        rows = run_specs(expand("table1", "small"))
+        assert [row["blocksize_txs"] for row in rows] == [100, 1_000]
         assert rows[0]["merge_time_ms"] > 0
         assert rows[1]["merge_time_ms"] > rows[0]["merge_time_ms"]
 
@@ -66,7 +65,7 @@ class TestAppendixB:
     def test_rows_match_paper_within_rounding(self):
         by_case = {
             (row["delta"], row["rho"]): row["min_blockdepth"]
-            for row in run_appendix_b()
+            for row in run_specs(expand("appendix-b"))
         }
         assert abs(by_case[(0.5, 0.55)] - 4) <= 1
         assert abs(by_case[(0.5, 0.9)] - 28) <= 1

@@ -13,7 +13,13 @@ stack, re-record the golden values (see the module-level dict) in the same
 commit and call the change out in the commit message.
 """
 
-from repro.experiments.fig4_disagreements import run_attack_cell
+from repro.scenarios import ScenarioSpec, run_system
+
+#: The golden cell; everything it does not name is the spec's default (aws
+#: base delay, 12 transfers per replica, batches of 10, 2 instances, seed 1).
+GOLDEN_SPEC = ScenarioSpec(
+    family="fig4", n=9, attack="binary", cross_partition_delay="1000ms"
+)
 
 #: Outcomes of the golden cell at seed 1 — the one copy: the transport-seam
 #: pin (``tests/network/test_transport.py``) and the instrumentation pin
@@ -52,9 +58,7 @@ GOLDEN = {
 
 
 def test_fig4_binary_attack_cell_matches_golden_outcomes():
-    result = run_attack_cell(
-        n=9, attack_kind="binary", cross_partition_delay="1000ms", seed=1
-    )
+    result = run_system(GOLDEN_SPEC)
     assert result.disagreements == GOLDEN["disagreements"]
     assert sorted(result.disagreement_instances) == GOLDEN["disagreement_instances"]
     assert sorted(result.disagreeing_pairs) == GOLDEN["disagreeing_pairs"]

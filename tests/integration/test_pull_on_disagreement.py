@@ -14,7 +14,7 @@ import pytest
 from repro import obs
 from repro.common.config import FaultConfig
 from repro.common.types import recovery_threshold
-from repro.experiments.fig4_disagreements import run_attack_cell
+from repro.scenarios import ScenarioSpec, run_system
 from repro.zlb.system import AttackSpec, ZLBSystem
 
 from tests.consensus.harness import of_kind, tap
@@ -80,7 +80,15 @@ def test_rbbcast_cell_recovers_when_one_replica_starts_from_fewer_pofs(seed):
     # On these seeds one honest replica's first conflicting CONFIRM proves
     # three of the four culprits: its exclusion committee has to shrink while
     # the consensus runs (Alg. 1 lines 23-27), or nobody is ever excluded.
-    result = run_attack_cell(9, "rbbcast", "1000ms", seed=seed, instances=2)
+    result = run_system(
+        ScenarioSpec(
+            family="fig4",
+            n=9,
+            attack="rbbcast",
+            cross_partition_delay="1000ms",
+            seed=seed,
+        )
+    )
     assert result.disagreements > 0
     assert result.excluded == [0, 1, 2, 3] and result.included == [9, 10, 11, 12]
     assert result.recovered

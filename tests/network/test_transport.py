@@ -8,12 +8,12 @@ change that shifts the event schedule fails next to the code that caused it.
 """
 
 from repro.common.errors import SimulationError
-from repro.experiments.fig4_disagreements import run_attack_cell
 from repro.network.message import Message
 from repro.network.simulator import NetworkSimulator
 from repro.network.transport import Clock, Process, Transport
+from repro.scenarios import run_system
 
-from tests.experiments.test_fig4_golden import GOLDEN
+from tests.experiments.test_fig4_golden import GOLDEN, GOLDEN_SPEC
 
 
 class Recorder(Process):
@@ -77,9 +77,7 @@ class TestGoldenPin:
     """Fixed-seed fig4 cell must stay byte-identical across the seam."""
 
     def test_simulator_as_transport_keeps_fig4_golden(self):
-        result = run_attack_cell(
-            n=9, attack_kind="binary", cross_partition_delay="1000ms", seed=1
-        )
+        result = run_system(GOLDEN_SPEC)
         assert result.disagreements == GOLDEN["disagreements"]
         assert result.excluded == GOLDEN["excluded"]
         assert result.included == GOLDEN["included"]

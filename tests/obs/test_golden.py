@@ -23,10 +23,9 @@ import sys
 import pytest
 
 from repro import obs
-from repro.experiments.fig4_disagreements import run_attack_cell
-from repro.scenarios import registry
+from repro.scenarios import registry, run_system
 
-from tests.experiments.test_fig4_golden import GOLDEN
+from tests.experiments.test_fig4_golden import GOLDEN, GOLDEN_SPEC
 
 #: The fields of the golden cell pinned at every instrumentation level.
 PINNED = (
@@ -42,17 +41,11 @@ PINNED = (
 GOLDEN_CELL = 6
 
 
-def _run_cell():
-    return run_attack_cell(
-        n=9, attack_kind="binary", cross_partition_delay="1000ms", seed=1
-    )
-
-
 @pytest.mark.parametrize("instrument", ["", "metrics", "trace", "live", "all"])
 def test_golden_cell_is_byte_identical_at_every_level(instrument):
     probe = obs.Probe.at_level(instrument) if instrument else None
     with obs.activate(probe):
-        result = _run_cell()
+        result = run_system(GOLDEN_SPEC)
     assert {key: getattr(result, key) for key in PINNED} == {
         key: GOLDEN[key] for key in PINNED
     }
@@ -114,7 +107,7 @@ def test_bare_cell_after_a_fully_instrumented_one_is_untouched():
 def test_golden_cell_profile_attributes_most_host_cpu():
     probe = obs.Probe.at_level("live", cell="golden")
     with obs.activate(probe):
-        _run_cell()
+        run_system(GOLDEN_SPEC)
     snap = probe.live_snapshot()
 
     profile = snap["profile"]

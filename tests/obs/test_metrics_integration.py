@@ -11,8 +11,7 @@ import pytest
 
 from repro import obs
 from repro.common.config import FaultConfig
-from repro.experiments.fig4_disagreements import run_attack_cell
-from repro.scenarios import registry
+from repro.scenarios import registry, run_system
 from repro.scenarios.registry import ScenarioFamily
 from repro.scenarios.runner import ScenarioRunner
 from repro.scenarios.spec import ScenarioSpec
@@ -39,15 +38,7 @@ def _tiny_grid(scale):
 
 
 def _run_tiny_cell(spec):
-    system = ZLBSystem.create(
-        spec.fault_config(),
-        seed=spec.seed,
-        workload_transactions=spec.workload_transactions,
-        batch_size=spec.batch_size,
-        max_time=spec.max_time,
-    )
-    result = system.run_instances(spec.instances, until=spec.max_time)
-    return {"n": spec.n, "committed": result.committed_transactions}
+    return {"n": spec.n, "committed": run_system(spec).committed_transactions}
 
 
 @pytest.fixture(autouse=True)
@@ -68,13 +59,10 @@ def attack_snapshot():
     """One instrumented coalition-attack run (shared across tests)."""
     registry_ = obs.TelemetryRegistry()
     with obs.activate(obs.Probe(metrics=registry_)):
-        result = run_attack_cell(
-            n=9,
-            attack_kind="binary",
-            cross_partition_delay="1000ms",
-            seed=1,
-            instances=2,
-            max_time=300.0,
+        result = run_system(
+            ScenarioSpec(
+                family="fig4", n=9, attack="binary", cross_partition_delay="1000ms"
+            )
         )
     return result, registry_.snapshot()
 

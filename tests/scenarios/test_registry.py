@@ -91,6 +91,10 @@ class TestLibrary:
         with pytest.raises(ConfigurationError):
             registry.expand("fig4", "huge")
 
+    def test_attack_family_rejects_a_spec_without_attack(self):
+        with pytest.raises(ConfigurationError):
+            registry.run_spec(ScenarioSpec(family="fig4", n=9))
+
     def test_run_spec_dispatches_to_family(self):
         row = registry.run_spec(ScenarioSpec(family="fig3", n=10, seed=0, instances=0))
         assert row["n"] == 10

@@ -1,11 +1,13 @@
 """Spec hashing, round-trips and derived configuration."""
 
 import dataclasses
+import hashlib
 
 import pytest
 
 from repro.common.config import FaultConfig
 from repro.common.errors import ConfigurationError
+from repro.scenarios import expand, run_system
 from repro.scenarios.spec import ScenarioSpec
 
 
@@ -82,11 +84,33 @@ class TestInstrumentLevel:
         explicit = ScenarioSpec(family="fig3", n=10, instrument="")
         assert explicit.spec_hash == bare.spec_hash
 
-    def test_registered_bare_cells_keep_their_hashes(self):
-        from repro.scenarios import registry
+    #: One digest per (family, scale): sha256 over the newline-joined spec
+    #: hashes of the grid, 16 hex digits.  A cell that changes here orphans
+    #: every stored result of its family.
+    PINNED_GRID_DIGESTS = {
+        "appendix-b": ("4f41a89e1eb09bae", "4f41a89e1eb09bae"),
+        "churn": ("de7694a8bde20cb9", "77446244ea7604ce"),
+        "crash-recovery": ("f41174b9a7270d66", "44fe79728017edaf"),
+        "fig3": ("1c7c35d3a5b5938d", "2e3987b940c04c20"),
+        "fig4": ("74968f1e29bfd865", "c9f4a71317c9c39a"),
+        "fig5": ("3187838de4dfcd1f", "6655e2e9ab716c01"),
+        "fig6": ("69eba215b337db7c", "bad1828daabf005d"),
+        "jitter-stress": ("4ad8ceb3895f5feb", "46c77cb69910373c"),
+        "quickstart": ("5252b4d87f0c3d8a", "5252b4d87f0c3d8a"),
+        "scale": ("f2656a3009818463", "d10e5bc868273c38"),
+        "sec53": ("45f0001578b66cec", "3147fddcb63f3d4c"),
+        "table1": ("3a53e09c4049bc35", "78ce2137571dfa46"),
+    }
 
-        hashes = [spec.spec_hash for spec in registry.expand("fig4", "small")[:3]]
-        assert hashes == ["e35d9c3abd7ae21c", "fe49db62c2e4fc9f", "84e346443cf46aae"]
+    def test_registered_bare_cells_keep_their_hashes(self):
+        def digest(name, scale):
+            hashes = "\n".join(spec.spec_hash for spec in expand(name, scale))
+            return hashlib.sha256(hashes.encode()).hexdigest()[:16]
+
+        assert {
+            name: (digest(name, "small"), digest(name, "full"))
+            for name in self.PINNED_GRID_DIGESTS
+        } == self.PINNED_GRID_DIGESTS
 
     @pytest.mark.parametrize("level", ["metrics", "trace", "live", "all"])
     def test_each_level_hashes_labels_and_round_trips(self, level):
@@ -137,6 +161,16 @@ class TestDerivedConfig:
     def test_explicit_deceitful_wins(self):
         fault = _attack_spec(deceitful=3).fault_config()
         assert fault.deceitful == 3
+
+    def test_out_of_model_coalition_needs_enforcement_off(self):
+        # d = 7 of n = 9 is past the paper's d < 5n/9: the attack families
+        # used to run it anyway, whatever ``enforce_model`` said.
+        spec = _attack_spec(deceitful=7)
+        with pytest.raises(ConfigurationError):
+            run_system(spec)
+        result = run_system(spec.with_overrides(enforce_model=False))
+        assert result.fault_config.deceitful == 7
+        assert result.disagreements > 0
 
     def test_attack_spec_materialised(self):
         attack = _attack_spec(attack="rbbcast").attack_spec()

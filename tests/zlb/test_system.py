@@ -1,7 +1,10 @@
 """End-to-end tests of the ZLB system (fault-free runs)."""
 
+import textwrap
+
 import pytest
 
+import repro
 from repro.common.config import FaultConfig
 from repro.zlb.system import AttackSpec, ZLBSystem
 
@@ -85,3 +88,10 @@ class TestSystemConstruction:
         )
         standby = [r for r in system.replicas.values() if r.standby]
         assert len(standby) == 3
+
+
+def test_package_docstring_quickstart_runs(capsys):
+    """The snippet in ``repro.__doc__`` is the first code a reader copies."""
+    snippet = repro.__doc__.split("Quickstart::")[1].split("See README.md")[0]
+    exec(textwrap.dedent(snippet), {})
+    assert "'committed_transactions': 200" in capsys.readouterr().out
