@@ -5,6 +5,42 @@ decision is a *signed vote*: a replica signs the tuple (context, round, kind,
 value).  A :class:`Certificate` bundles a quorum (``ceil(2|C|/3)``) of such
 votes for the same value; conflicting certificates are the raw material from
 which proofs of fraud are extracted (:mod:`repro.consensus.proofs`).
+
+Wire layouts
+------------
+
+``to_payload()`` is what message bodies and the codec's ``signed-vote`` /
+``certificate`` / ``proof-of-fraud`` objects carry; ``*_from_payload`` accept
+exactly these tuples and nothing else.  They are positional — no field names
+on the wire — and say each thing once::
+
+    vote         (context, round, kind, value_digest,
+                  signer, signature, scheme, payload_hash[, signature_signer])
+    certificate  (context, round, kind, value_digest, scheme, payload_hash,
+                  [(signer, signature) | vote, ...])
+    proof        (culprit, vote, vote)
+
+``signature``, ``scheme`` and ``payload_hash`` are the fields of the vote's
+:class:`~repro.crypto.signatures.SignedPayload`; its own ``signer`` is written
+(as the ninth field) only when it differs from the vote's, which an honest
+vote's never does.  A certificate states its step and the ``scheme`` /
+``payload_hash`` of its first vote once, and every vote that restates exactly
+that — all of them, in a certificate honest replicas built — shrinks to
+``(signer, signature)``: 42 encoded bytes a vote under the simulated (HMAC)
+scheme, against 223 for a vote on its own.
+
+The fallback — a vote that differs from the header in any field keeps its
+full tuple *in its list position* — is what makes the encoding lossless
+rather than normalising: a decoded object ``==`` the one encoded, vote order
+included.  Without it a certificate smuggling in a foreign-context vote, a
+vote attributed to another signer, a second scheme or a wrong payload hash
+would decode into a *different* certificate, and :meth:`Certificate.verify`
+("mixes unrelated votes"), :func:`verify_vote` (signer attribution) and the
+key registry's hash binding would judge something the sender never sent —
+conflicting certificates are evidence, so they must arrive as they were made.
+
+The pre-image a replica signs is :func:`vote_payload`, not any of the above:
+the wire form can change without invalidating a signature.
 """
 
 from __future__ import annotations
@@ -112,24 +148,29 @@ class SignedVote:
             and self.value_digest != other.value_digest
         )
 
-    def to_payload(self) -> Dict[str, Any]:
-        """Wire payload of the vote, built once per object.
+    def to_payload(self) -> Tuple[Any, ...]:
+        """Wire tuple of the vote (layout in the module docstring), built once
+        per object.
 
         ``_send_echo``/``_send_ready`` previously re-built (and canonical
-        encoding re-encoded) this dict for every broadcast fan-out; the memo
-        makes it one construction per vote.  Callers must treat the returned
-        dict as immutable — message bodies already are.
+        encoding re-encoded) this payload for every broadcast fan-out; the
+        memo makes it one construction per vote.
         """
         cached = self.__dict__.get("_payload")
         if cached is None:
-            cached = {
-                "context": self.context,
-                "round": self.round,
-                "kind": self.kind.value,
-                "value_digest": self.value_digest,
-                "signer": self.signer,
-                "signature": self.signature.to_payload(),
-            }
+            signature = self.signature
+            cached = (
+                self.context,
+                self.round,
+                self.kind.value,
+                self.value_digest,
+                self.signer,
+                signature.signature,
+                signature.scheme,
+                signature.payload_hash,
+            )
+            if signature.signer != self.signer:
+                cached += (signature.signer,)
             object.__setattr__(self, "_payload", cached)
         return cached
 
@@ -216,14 +257,42 @@ class Certificate:
         """The distinct replicas whose votes are included."""
         return {vote.signer for vote in self.votes}
 
-    def to_payload(self) -> Dict[str, Any]:
-        return {
-            "context": self.context,
-            "round": self.round,
-            "kind": self.kind.value,
-            "value_digest": self.value_digest,
-            "votes": [vote.to_payload() for vote in self.votes],
-        }
+    def to_payload(self) -> Tuple[Any, ...]:
+        """Wire tuple of the certificate (layout in the module docstring).
+
+        The statement and the signed hash are written once, taken from the
+        certificate and its first vote; a vote that restates them is reduced
+        to ``(signer, signature)`` and any other vote keeps its full tuple.
+        """
+        context, round_number, kind = self.context, self.round, self.kind
+        value_digest = self.value_digest
+        scheme = payload_hash = ""
+        if self.votes:
+            first = self.votes[0].signature
+            scheme, payload_hash = first.scheme, first.payload_hash
+        entries = [
+            (vote.signer, vote.signature.signature)
+            if (
+                vote.context == context
+                and vote.round == round_number
+                and vote.kind == kind
+                and vote.value_digest == value_digest
+                and vote.signature.signer == vote.signer
+                and vote.signature.scheme == scheme
+                and vote.signature.payload_hash == payload_hash
+            )
+            else vote.to_payload()
+            for vote in self.votes
+        ]
+        return (
+            context,
+            round_number,
+            kind.value,
+            value_digest,
+            scheme,
+            payload_hash,
+            entries,
+        )
 
     def _content_key(self) -> Tuple[Any, ...]:
         """Content identity of the certificate, memoised on the instance.
@@ -366,32 +435,94 @@ class Certificate:
         )
 
 
-def certificate_from_payload(payload: Dict[str, Any]) -> Certificate:
-    """Rebuild a certificate from its wire payload (inverse of ``to_payload``)."""
-    votes = tuple(vote_from_payload(entry) for entry in payload["votes"])
-    return Certificate(
-        context=payload["context"],
-        round=payload["round"],
-        kind=VoteKind(payload["kind"]),
-        value_digest=payload["value_digest"],
-        votes=votes,
-    )
+def certificate_from_payload(payload: Tuple[Any, ...]) -> Certificate:
+    """Rebuild a certificate from its wire tuple (inverse of ``to_payload``).
+
+    Raises ``TypeError`` / ``ValueError`` for anything but the documented
+    layout with exactly typed fields, like :func:`vote_from_payload`.
+    """
+    if type(payload) is not tuple:
+        raise TypeError("certificate payload is not a tuple")
+    context, round_number, kind, value_digest, scheme, payload_hash, entries = payload
+    if not (
+        type(context) is str
+        and type(round_number) is int
+        and type(value_digest) is str
+        and type(scheme) is str
+        and type(payload_hash) is str
+        and type(entries) is list
+    ):
+        raise TypeError("certificate payload has a field of the wrong type")
+    kind = VoteKind(kind)
+    votes: List[SignedVote] = []
+    for entry in entries:
+        if type(entry) is not tuple:
+            raise TypeError("certificate vote entry is not a tuple")
+        if entry[2:]:
+            # More than (signer, signature): a vote that does not restate the
+            # header travels as its own full tuple.
+            votes.append(vote_from_payload(entry))
+            continue
+        signer, signature = entry
+        if type(signature) is not bytes:
+            raise TypeError("certificate vote signature is not bytes")
+        if type(signer) is not int:
+            hash(signer)  # signers key dicts: an unhashable one is a TypeError
+        votes.append(
+            SignedVote(
+                context,
+                round_number,
+                kind,
+                value_digest,
+                signer,
+                SignedPayload(signer, payload_hash, signature, scheme),
+            )
+        )
+    return Certificate(context, round_number, kind, value_digest, tuple(votes))
 
 
-def vote_from_payload(payload: Dict[str, Any]) -> SignedVote:
-    """Rebuild a signed vote from its wire payload."""
-    signature = payload["signature"]
-    signed = SignedPayload(
-        signer=signature["signer"],
-        payload_hash=signature["payload_hash"],
-        signature=signature["signature"],
-        scheme=signature["scheme"],
-    )
+def vote_from_payload(payload: Tuple[Any, ...]) -> SignedVote:
+    """Rebuild a signed vote from its wire tuple (inverse of ``to_payload``).
+
+    The tuple comes off the wire, so arity and the exact type of every field
+    are checked here and anything else raises ``TypeError`` / ``ValueError``,
+    which every handler treats as "drop the message": a ``str`` signature or
+    a list-valued scheme would otherwise only surface as a ``TypeError`` from
+    inside signature verification.
+    """
+    if type(payload) is not tuple:
+        raise TypeError("vote payload is not a tuple")
+    (
+        context,
+        round_number,
+        kind,
+        value_digest,
+        signer,
+        signature,
+        scheme,
+        payload_hash,
+        *signed_by,
+    ) = payload
+    if not (
+        type(context) is str
+        and type(round_number) is int
+        and type(value_digest) is str
+        and type(signature) is bytes
+        and type(scheme) is str
+        and type(payload_hash) is str
+    ):
+        raise TypeError("vote payload has a field of the wrong type")
+    if type(signer) is not int:
+        hash(signer)  # signers key dicts: an unhashable one is a TypeError
+    signature_signer = signer
+    if signed_by:
+        (signature_signer,) = signed_by
+        hash(signature_signer)
     return SignedVote(
-        context=payload["context"],
-        round=payload["round"],
-        kind=VoteKind(payload["kind"]),
-        value_digest=payload["value_digest"],
-        signer=payload["signer"],
-        signature=signed,
+        context,
+        round_number,
+        VoteKind(kind),
+        value_digest,
+        signer,
+        SignedPayload(signature_signer, payload_hash, signature, scheme),
     )

@@ -49,19 +49,22 @@ class ProofOfFraud:
             and verify_vote(self.second, verifier)
         )
 
-    def to_payload(self) -> Dict[str, Any]:
-        return {
-            "culprit": self.culprit,
-            "first": self.first.to_payload(),
-            "second": self.second.to_payload(),
-        }
+    def to_payload(self) -> Tuple[Any, ...]:
+        """Wire tuple ``(culprit, first, second)``, each vote as its own tuple
+        (:meth:`SignedVote.to_payload`)."""
+        return (self.culprit, self.first.to_payload(), self.second.to_payload())
 
     @staticmethod
-    def from_payload(payload: Dict[str, Any]) -> "ProofOfFraud":
+    def from_payload(payload: Tuple[Any, ...]) -> "ProofOfFraud":
+        """Inverse of :meth:`to_payload`; ``TypeError`` / ``ValueError`` for
+        any other shape, like :func:`vote_from_payload`."""
+        if type(payload) is not tuple:
+            raise TypeError("proof-of-fraud payload is not a tuple")
+        culprit, first, second = payload
+        if type(culprit) is not int:
+            hash(culprit)  # culprits key dicts: an unhashable one is a TypeError
         return ProofOfFraud(
-            culprit=payload["culprit"],
-            first=vote_from_payload(payload["first"]),
-            second=vote_from_payload(payload["second"]),
+            culprit, vote_from_payload(first), vote_from_payload(second)
         )
 
 

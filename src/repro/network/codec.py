@@ -22,6 +22,20 @@ by ``;``::
     D<count>;(<k><v>)*  dict (insertion order, any encodable key)
     O<name><payload>  registered object (name is an encoded str)
 
+Signed votes, certificates and proofs of fraud — whether as registered
+objects or as the ``to_payload()`` tuples protocol bodies carry under ``vote``,
+``certificate``, ``binary_certificates`` / ``rbc_certificates`` and ``pofs`` —
+are *positional*: a tuple costs one node per field where a string-keyed dict
+costs two plus the key bytes, and a certificate states what was signed once
+instead of once per vote (the layouts, and the per-vote fallback that keeps
+them lossless, are in :mod:`repro.consensus.certificates`).  At n=4 an
+``ECHO`` frame is about 350 B and a ``CONFIRM`` about 3 KB.
+
+Nothing a peer announces is trusted: lengths and counts are bounded by the
+bytes that are left (:func:`_read_length`), and whatever else hostile bytes
+trip over leaves :func:`decode_value` / :func:`decode_message` as
+:class:`CodecError`.
+
 Deterministic by construction: the same value always encodes to the same
 bytes within a process (dicts keep insertion order — protocol bodies are
 built deterministically), so content digests of encoded frames are stable.
@@ -77,8 +91,10 @@ def register_object(
 ) -> None:
     """Register a wire-encodable object type.
 
-    ``encode`` maps an instance to an encodable value (typically a payload
-    dict); ``decode`` inverts it.  Registration is idempotent per name.
+    ``encode`` maps an instance to an encodable value (a payload tuple or
+    dict); ``decode`` inverts it and raises ``TypeError`` / ``ValueError`` /
+    ``KeyError`` for a payload of any other shape.  Registration is
+    idempotent per name.
     """
     _TO_WIRE[cls] = (name, encode)
     _FROM_WIRE[name] = decode
@@ -164,8 +180,28 @@ def encode_value(value: Any) -> bytes:
 
 
 def _read_length(data: bytes, pos: int) -> Tuple[int, int]:
+    """The length or element count written at ``pos`` and where its content starts.
+
+    An announced number is not trusted: it must be written the way ``%d``
+    writes it (``int()`` alone also takes ``+2``, `` 2`` and ``2_0``) and lie in
+    ``0 <= n <= len(data) - start``.  Every element occupies at least one
+    byte, so the same bound holds for counts, and ``L999999999;`` costs one
+    comparison instead of a billion loop turns; a negative length would move
+    ``pos`` backwards.  This runs once per node, hence slices and comparisons
+    only: the last announced byte exists exactly when the bound holds.
+    """
     end = data.index(b";", pos)
-    return int(data[pos:end]), end + 1
+    digits = data[pos:end]
+    length = int(digits)
+    if (
+        length < 0
+        or digits != b"%d" % length
+        or not data[end + length : end + length + 1]
+    ):
+        raise CodecError(
+            f"length {digits!r} at offset {pos} is malformed or exceeds the buffer"
+        )
+    return length, end + 1
 
 
 def _decode_at(data: bytes, pos: int) -> Tuple[Any, int]:
@@ -221,10 +257,23 @@ def _decode_at(data: bytes, pos: int) -> Tuple[Any, int]:
 
 
 def decode_value(data: bytes) -> Any:
-    """Decode bytes produced by :func:`encode_value`."""
+    """Decode bytes produced by :func:`encode_value`.
+
+    The bytes come from a peer, so whatever they make the walk or a registered
+    ``decode`` raise — running off the buffer, an unhashable dict key, a
+    payload of the wrong shape, nesting past the recursion limit — surfaces
+    as :class:`CodecError`, the one exception a transport has to expect.
+    """
     try:
         value, pos = _decode_at(data, 0)
-    except (IndexError, ValueError, struct.error) as exc:
+    except (
+        LookupError,
+        ValueError,
+        TypeError,
+        AttributeError,
+        RecursionError,
+        struct.error,
+    ) as exc:
         raise CodecError(f"truncated or corrupt wire value: {exc}") from exc
     if pos != len(data):
         raise CodecError(f"{len(data) - pos} trailing bytes after wire value")
@@ -266,6 +315,8 @@ def decode_message(data: bytes) -> Message:
     if not isinstance(fields, tuple) or len(fields) not in (5, 6):
         raise CodecError("wire envelope is not a 5- or 6-tuple")
     sender, recipient, topic_text, kind, body = fields[:5]
+    if type(topic_text) is not str or type(kind) is not str or type(body) is not dict:
+        raise CodecError("wire envelope has a topic, kind or body of the wrong type")
     message = Message(
         sender=sender,
         recipient=recipient,

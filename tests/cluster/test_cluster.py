@@ -195,7 +195,12 @@ class TestWireBudget:
         # The proposal itself grows with the batch, and only INIT carries it.
         assert min(large["INIT"]) > 5 * max(small["INIT"])
         for sizes in (small, large):
-            assert max(sizes["ECHO"]) < 1024 and max(sizes["READY"]) < 1024
+            # A vote is one positional tuple (347-349 B a frame; the keyed
+            # dict-in-dict form it replaced was 461-465 B), and a certificate
+            # states its step once and then lists (signer, signature) pairs
+            # (CONFIRM 3 075 B at n=4; repeating the step per vote was 9 928).
+            assert max(sizes["ECHO"]) < 400 and max(sizes["READY"]) < 400
+            assert max(sizes["CONFIRM"]) < 4096
             assert "FETCH" not in sizes and "PULL" not in sizes
         # CONFIRM is digests and certificates: the same few KB for 20 or 200
         # transfers a block (the count of signatures in a certificate may

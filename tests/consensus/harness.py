@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.common.config import SimulationConfig
+from repro.common.config import ProtocolConfig, SimulationConfig
 from repro.common.types import FaultKind
 from repro.crypto.keys import KeyRegistry
 from repro.network.delays import ConstantDelay, DelayModel
 from repro.network.simulator import NetworkSimulator
 from repro.network.topic import TopicLike, as_topic
+from repro.smr.asmr import ASMRReplica
+from repro.smr.pool import CandidatePool
 from repro.smr.replica import BaseReplica
 
 
@@ -76,3 +78,39 @@ def build_cluster(
         simulator.add_process(replica)
         replicas.append(replica)
     return simulator, replicas, keys
+
+
+def _small_proposal(instance: int, replica_id: int) -> Dict[str, int]:
+    return {"instance": instance, "from": replica_id}
+
+
+def decided_asmr_committee(
+    n: int = 4,
+    proposal_factory: Callable[[int, int], Any] = _small_proposal,
+):
+    """``n`` fault-free ASMR replicas that decided and confirmed instance 0.
+
+    ``proposal_factory(instance, replica_id)`` makes each proposal.  Returns
+    ``(simulator, replicas, seen)`` with ``seen`` the :func:`tap` of
+    everything delivered so far and from now on.
+    """
+    keys = KeyRegistry.provision(range(n))
+    simulator = NetworkSimulator(ConstantDelay(0.01), SimulationConfig(seed=0))
+    replicas = []
+    for replica_id in range(n):
+        replica = ASMRReplica(
+            replica_id=replica_id,
+            committee=list(range(n)),
+            signer=keys.signer_for(replica_id),
+            registry=keys.registry,
+            pool=CandidatePool([]),
+            config=ProtocolConfig(batch_size=10),
+            proposal_factory=lambda k, rid=replica_id: proposal_factory(k, rid),
+        )
+        simulator.add_process(replica)
+        replicas.append(replica)
+    seen = tap(replicas)
+    for replica in replicas:
+        replica.submit_instances(1)
+    simulator.run()
+    return simulator, replicas, seen

@@ -1,5 +1,7 @@
 """Unit tests for signed votes, certificates and proofs of fraud."""
 
+import dataclasses
+
 import pytest
 
 from repro.common.errors import InvalidCertificateError
@@ -21,6 +23,8 @@ from repro.consensus.proofs import (
     merge_pofs,
 )
 from repro.crypto.keys import KeyRegistry
+from repro.crypto.signatures import EcdsaSigner
+from repro.network.codec import decode_value, encode_value
 
 
 class _Host:
@@ -282,3 +286,167 @@ class TestCertificateValidityCache:
         tampered = Certificate.from_votes([forged] + votes[1:])
         with pytest.raises(InvalidCertificateError):
             tampered.verify(_TokenHost(keys, 0), committee=range(7))
+
+
+# -- wire payloads: positional, factored, lossless -------------------------------
+
+
+def _over_the_wire(payload):
+    return decode_value(encode_value(payload))
+
+
+def _resigned(vote, **changes):
+    return dataclasses.replace(
+        vote, signature=dataclasses.replace(vote.signature, **changes)
+    )
+
+
+def _ecdsa_vote(replica_id, like):
+    """``like``'s statement signed by ``replica_id`` under the other scheme."""
+    signature = EcdsaSigner(replica_id).sign(like.vote_payload())
+    return dataclasses.replace(like, signer=replica_id, signature=signature)
+
+
+#: Certificates whose votes do *not* all restate the header: each must reach
+#: the far side exactly as built, so that it is judged there as it is here.
+AWKWARD_CERTIFICATES = {
+    "quorum": lambda votes, other: votes,
+    "foreign-context vote": lambda votes, other: [votes[0], other, *votes[2:]],
+    "first vote foreign": lambda votes, other: [other, *votes[1:]],
+    "vote attributed to another signer": lambda votes, other: [
+        votes[0], dataclasses.replace(votes[1], signer=6), *votes[2:]
+    ],
+    "mixed schemes": lambda votes, other: [
+        *votes[:2], _ecdsa_vote(2, votes[2]), *votes[3:]
+    ],
+    "wrong payload hash": lambda votes, other: [
+        *votes[:3], _resigned(votes[3], payload_hash="0" * 64), votes[4]
+    ],
+    "first vote has the wrong payload hash": lambda votes, other: [
+        _resigned(votes[0], payload_hash="0" * 64), *votes[1:]
+    ],
+    "duplicate signers": lambda votes, other: [votes[0], votes[0], votes[1], *votes],
+    "no votes": lambda votes, other: [],
+}
+
+
+class TestWirePayloads:
+    """``to_payload`` -> codec -> ``from_payload`` changes nothing a verifier sees."""
+
+    @staticmethod
+    def _verdict(certificate, host):
+        try:
+            certificate.verify(host, committee=range(7))
+        except InvalidCertificateError as error:
+            return str(error)
+        return "valid"
+
+    @pytest.mark.parametrize("case", sorted(AWKWARD_CERTIFICATES))
+    def test_certificate_is_lossless_and_judged_the_same(self, keys, hosts, case):
+        from repro.consensus.certificates import _clear_memos
+
+        votes = [_vote(host, value="x") for host in hosts[:5]]
+        other = _vote(hosts[1], value="x", context="bin:9:9")
+        certificate = Certificate(
+            "bin:0:1", 0, VoteKind.AUX, "x", tuple(AWKWARD_CERTIFICATES[case](votes, other))
+        )
+        rebuilt = certificate_from_payload(_over_the_wire(certificate.to_payload()))
+        assert rebuilt == certificate
+        assert rebuilt._content_key() == certificate._content_key()
+        host = _TokenHost(keys, 0)
+        _clear_memos()
+        before = self._verdict(certificate, host)
+        per_vote = [verify_vote(vote, host) for vote in certificate.votes]
+        _clear_memos()
+        assert self._verdict(rebuilt, host) == before
+        assert [verify_vote(vote, host) for vote in rebuilt.votes] == per_vote
+        assert (before == "valid") == (case in ("quorum", "duplicate signers"))
+
+    def test_votes_that_restate_the_header_shrink_and_the_rest_do_not(self, hosts):
+        votes = [_vote(host, value="x") for host in hosts[:5]]
+        stray = dataclasses.replace(votes[2], signer=6)
+        payload = Certificate(
+            "bin:0:1", 0, VoteKind.AUX, "x", (*votes[:2], stray, *votes[3:])
+        ).to_payload()
+        header, entries = payload[:-1], payload[-1]
+        signature = votes[0].signature
+        assert header == (
+            "bin:0:1", 0, "aux", "x", signature.scheme, signature.payload_hash
+        )
+        # The stray vote keeps its full tuple, in its own position.
+        assert [len(entry) for entry in entries] == [2, 2, 9, 2, 2]
+        assert entries[0] == (0, signature.signature)
+        assert entries[2] == stray.to_payload()
+
+    def test_one_more_vote_costs_a_signer_and_a_signature(self, hosts):
+        # header + k x (signer, signature): the step, scheme and signed hash
+        # are not repeated per vote, which is what CONFIRM and DECIDE are made of.
+        votes = [_vote(host, value="x") for host in hosts]
+        sizes = [
+            len(encode_value(Certificate.from_votes(votes[:k]).to_payload()))
+            for k in range(1, 8)
+        ]
+        steps = [after - before for before, after in zip(sizes, sizes[1:])]
+        assert len(votes[0].signature.signature) == 32
+        assert all(32 < step <= 64 for step in steps), steps
+        assert len(encode_value(votes[0].to_payload())) > 3 * max(steps)
+
+    def test_vote_names_its_signature_signer_only_when_it_differs(self, hosts):
+        vote = _vote(hosts[2])
+        forged = dataclasses.replace(vote, signer=3)
+        assert len(vote.to_payload()) == 8 and len(forged.to_payload()) == 9
+        for original in (vote, forged):
+            rebuilt = vote_from_payload(_over_the_wire(original.to_payload()))
+            assert rebuilt == original
+            assert rebuilt.signature.signer == 2
+            assert verify_vote(rebuilt, hosts[0]) == (original is vote)
+
+    @pytest.mark.parametrize(
+        "case", ["genuine", "blames someone else", "second vote misattributed", "no conflict"]
+    )
+    def test_proof_of_fraud_is_lossless_and_judged_the_same(self, hosts, case):
+        first, second = _vote(hosts[3], value="x"), _vote(hosts[3], value="y")
+        pof = {
+            "genuine": ProofOfFraud(3, first, second),
+            "blames someone else": ProofOfFraud(4, first, second),
+            "second vote misattributed": ProofOfFraud(
+                3, first, dataclasses.replace(_vote(hosts[5], value="y"), signer=3)
+            ),
+            "no conflict": ProofOfFraud(3, first, first),
+        }[case]
+        rebuilt = ProofOfFraud.from_payload(_over_the_wire(pof.to_payload()))
+        assert rebuilt == pof
+        assert rebuilt.is_well_formed() == pof.is_well_formed()
+        assert rebuilt.verify(hosts[0]) == pof.verify(hosts[0]) == (case == "genuine")
+
+    def test_the_keyed_dict_forms_are_gone(self, hosts):
+        vote = _vote(hosts[0])
+        signature = vote.signature
+        keyed_vote = {
+            "context": vote.context,
+            "round": vote.round,
+            "kind": vote.kind.value,
+            "value_digest": vote.value_digest,
+            "signer": vote.signer,
+            "signature": {
+                "signer": signature.signer,
+                "payload_hash": signature.payload_hash,
+                "signature": signature.signature,
+                "scheme": signature.scheme,
+            },
+        }
+        keyed_certificate = {
+            "context": vote.context,
+            "round": vote.round,
+            "kind": vote.kind.value,
+            "value_digest": vote.value_digest,
+            "votes": [keyed_vote],
+        }
+        keyed_pof = {"culprit": 0, "first": keyed_vote, "second": keyed_vote}
+        for parse, keyed in (
+            (vote_from_payload, keyed_vote),
+            (certificate_from_payload, keyed_certificate),
+            (ProofOfFraud.from_payload, keyed_pof),
+        ):
+            with pytest.raises(TypeError):
+                parse(keyed)

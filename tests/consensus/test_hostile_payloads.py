@@ -1,0 +1,306 @@
+"""Type-confused signed objects are dropped by every handler, never raised.
+
+A peer can send a vote, certificate or proof of fraud made of perfectly legal
+wire primitives in the wrong places — a ``str`` where the signature bytes go,
+a list for the scheme, a field too few.  Such a body decodes cleanly, so the
+codec cannot stop it; ``vote_from_payload`` / ``certificate_from_payload`` /
+``ProofOfFraud.from_payload`` must, with the ``TypeError`` / ``ValueError``
+every handler already treats as "drop it".  Before they checked field types
+the str signature travelled on to ``hmac.compare_digest`` and the list scheme
+into a cache key, and the ``TypeError`` came out of ``handle`` — logged and
+survived on the asyncio transport, fatal to a simulator run.
+
+Every case goes through the real codec (``encode_message`` ->
+``decode_message``) into the real handler, next to the untouched body as a
+control that the handler would have acted on it.
+"""
+
+import pytest
+
+from repro.consensus.binary import BinaryConsensus, value_digest
+from repro.consensus.certificates import Certificate, VoteKind, make_vote
+from repro.consensus.proofs import ProofOfFraud
+from repro.crypto.hashing import hash_payload
+from repro.network.codec import decode_message, encode_message
+from repro.network.message import Message
+from repro.rbc.bracha import ReliableBroadcast
+from repro.smr.membership import MembershipChange
+from repro.smr.pool import CandidatePool
+
+from tests.consensus.harness import build_cluster, decided_asmr_committee, of_kind, tap
+
+
+def _delivered(kind, body, sender=1, topic="t"):
+    """``body`` as the far side of a socket gets it."""
+    return decode_message(encode_message(Message(sender, None, topic, kind, body))).body
+
+
+def _with(payload, index, value):
+    return payload[:index] + (value,) + payload[index + 1 :]
+
+
+VOTE_FIELDS = (
+    "context", "round", "kind", "value_digest", "signer", "signature", "scheme", "payload_hash",
+)  # fmt: skip
+
+#: name -> vote tuple -> a payload that is not a vote.
+CONFUSED_VOTES = {
+    "signature is a str": lambda v: _with(v, 5, v[5].hex()),
+    "signature is a list": lambda v: _with(v, 5, list(v[5])),
+    "scheme is a list": lambda v: _with(v, 6, [v[6]]),
+    "payload hash is bytes": lambda v: _with(v, 7, v[7].encode()),
+    "context is bytes": lambda v: _with(v, 0, v[0].encode()),
+    "round is a str": lambda v: _with(v, 1, str(v[1])),
+    "round is a bool": lambda v: _with(v, 1, bool(v[1])),
+    "kind is a list": lambda v: _with(v, 2, [v[2]]),
+    "kind is unknown": lambda v: _with(v, 2, "bval"),
+    "value digest is an int": lambda v: _with(v, 3, 7),
+    "signer is a list": lambda v: _with(v, 4, [v[4]]),
+    "signature signer is a list": lambda v: v + ([v[4]],),
+    "a field short": lambda v: v[:-1],
+    "two fields long": lambda v: v + (v[4], v[4]),
+    "a list": list,
+    "the keyed dict": lambda v: dict(zip(VOTE_FIELDS, v)),
+    "nothing": lambda v: (),
+}
+
+#: name -> certificate tuple -> a payload that is not a certificate.
+CONFUSED_CERTIFICATES = {
+    "entry signature is a str": lambda c: _with(
+        c, 6, [(c[6][0][0], c[6][0][1].hex()), *c[6][1:]]
+    ),
+    "entry signature is a list": lambda c: _with(
+        c, 6, [(c[6][0][0], list(c[6][0][1])), *c[6][1:]]
+    ),
+    "entry signer is a list": lambda c: _with(
+        c, 6, [([c[6][0][0]], c[6][0][1]), *c[6][1:]]
+    ),
+    "entry is a list": lambda c: _with(c, 6, [list(c[6][0]), *c[6][1:]]),
+    "entry has three fields": lambda c: _with(c, 6, [c[6][0] + (0,), *c[6][1:]]),
+    "entry is a confused vote": lambda c: _with(
+        c, 6, [c[:4] + (c[6][0][0], c[6][0][1].hex()) + c[4:6], *c[6][1:]]
+    ),
+    "entries are a tuple": lambda c: _with(c, 6, tuple(c[6])),
+    "entries are a dict": lambda c: _with(c, 6, dict(c[6])),
+    "scheme is a list": lambda c: _with(c, 4, [c[4]]),
+    "payload hash is an int": lambda c: _with(c, 5, 7),
+    "round is a str": lambda c: _with(c, 1, str(c[1])),
+    "kind is unknown": lambda c: _with(c, 2, "bval"),
+    "a field short": lambda c: c[:-1],
+    "a list": list,
+    "the keyed dict": lambda c: dict(
+        zip(("context", "round", "kind", "value_digest", "scheme", "payload_hash", "votes"), c)
+    ),
+}
+
+#: name -> proof tuple -> a payload that is not a proof of fraud.
+CONFUSED_PROOFS = {
+    "culprit is a list": lambda p: _with(p, 0, [p[0]]),
+    "first vote is confused": lambda p: _with(p, 1, _with(p[1], 5, p[1][5].hex())),
+    "second vote is a dict": lambda p: _with(p, 2, dict(zip(VOTE_FIELDS, p[2]))),
+    "a field short": lambda p: p[:-1],
+    "a list": list,
+    "the keyed dict": lambda p: dict(zip(("culprit", "first", "second"), p)),
+}
+
+
+def confused(table):
+    return pytest.mark.parametrize("confusion", sorted(table))
+
+
+class TestReliableBroadcast:
+    CONTEXT = "rbc:0:0"
+
+    def _instance(self):
+        simulator, replicas, _ = build_cluster(4)
+        seen = tap(replicas)
+        component = ReliableBroadcast(
+            host=replicas[0],
+            context=self.CONTEXT,
+            proposer=0,
+            on_deliver=lambda *delivery: None,
+        )
+        return simulator, replicas, seen, component
+
+    def _body(self, replica, kind):
+        digest = hash_payload("value")
+        vote = make_vote(replica, self.CONTEXT, 0, kind, digest)
+        return {"digest": digest, "vote": vote.to_payload()}
+
+    @confused(CONFUSED_VOTES)
+    def test_handle_drops_a_confused_echo(self, confusion):
+        simulator, replicas, seen, component = self._instance()
+        body = self._body(replicas[1], VoteKind.RBC_ECHO)
+        hostile = {**body, "vote": CONFUSED_VOTES[confusion](body["vote"])}
+        component.handle(1, "ECHO", _delivered("ECHO", hostile))
+        simulator.run()
+        assert component.collected_votes == [] and component._echo_votes == {}
+        assert component._vouchers == {} and seen == []
+        component.handle(1, "ECHO", _delivered("ECHO", body))
+        assert len(component.collected_votes) == 1 and len(component._echo_votes) == 1
+
+    @confused(CONFUSED_VOTES)
+    def test_handle_drops_a_confused_ready_after_delivery(self, confusion):
+        # Votes are still collected after delivery (they are PoF material).
+        simulator, replicas, seen, component = self._instance()
+        component.delivered = True
+        body = self._body(replicas[2], VoteKind.RBC_READY)
+        hostile = {**body, "vote": CONFUSED_VOTES[confusion](body["vote"])}
+        component.handle(2, "READY", _delivered("READY", hostile))
+        assert component.collected_votes == []
+        component.handle(2, "READY", _delivered("READY", body))
+        assert len(component.collected_votes) == 1
+
+
+class TestBinaryConsensus:
+    CONTEXT = "bin:0:0"
+
+    def _instance(self):
+        simulator, replicas, _ = build_cluster(4)
+        seen = tap(replicas)
+        decided = []
+        component = BinaryConsensus(
+            host=replicas[0],
+            context=self.CONTEXT,
+            on_decide=lambda context, value, certificate: decided.append(value),
+        )
+        return simulator, replicas, seen, component, decided
+
+    @confused(CONFUSED_VOTES)
+    def test_handle_aux_drops_a_confused_vote(self, confusion):
+        simulator, replicas, seen, component, _ = self._instance()
+        vote = make_vote(replicas[1], self.CONTEXT, 0, VoteKind.AUX, value_digest(1))
+        body = {"round": 0, "value": 1, "vote": vote.to_payload()}
+        hostile = {**body, "vote": CONFUSED_VOTES[confusion](body["vote"])}
+        component.handle(1, "AUX", _delivered("AUX", hostile))
+        simulator.run()
+        assert component.collected_votes == [] and component._aux_votes == {}
+        assert seen == []
+        component.handle(1, "AUX", _delivered("AUX", body))
+        assert component.collected_votes == [vote]
+
+    @confused(CONFUSED_CERTIFICATES)
+    def test_handle_decide_drops_a_confused_certificate(self, confusion):
+        simulator, replicas, seen, component, decided = self._instance()
+        certificate = Certificate.from_votes(
+            make_vote(replica, self.CONTEXT, 0, VoteKind.AUX, value_digest(0))
+            for replica in replicas[1:]
+        )
+        body = {"value": 0, "certificate": certificate.to_payload()}
+        hostile = {
+            **body, "certificate": CONFUSED_CERTIFICATES[confusion](body["certificate"])
+        }
+        component.handle(1, "DECIDE", _delivered("DECIDE", hostile))
+        simulator.run()
+        assert not component.decided and decided == []
+        assert component.collected_votes == [] and seen == []
+        component.handle(1, "DECIDE", _delivered("DECIDE", body))
+        assert component.decided and decided == [0]
+
+
+def _equivocation(replica):
+    first, second = (
+        make_vote(replica, "sbc:0:0:bin:0", 0, VoteKind.AUX, value_digest(value))
+        for value in (0, 1)
+    )
+    return ProofOfFraud(culprit=replica.replica_id, first=first, second=second)
+
+
+class TestAccountability:
+    def _conflicting_confirm(self, replicas, seen):
+        """Replica 3's CONFIRM, rewritten to a different decision whose slot-0
+        certificate has replicas 1-3 sign the *other* binary value: taken at
+        face value it convicts all three at replica 0."""
+        body = dict(of_kind(seen, "CONFIRM")[0].body)
+        local = replicas[0].instances[0].decision.binary_certificates[0]
+        other = value_digest(1 - (local.value_digest == value_digest(1)))
+        certificate = Certificate.from_votes(
+            make_vote(replica, local.context, local.round, VoteKind.AUX, other)
+            for replica in replicas[1:]
+        )
+        body["digest"] = "a decision nobody else made"
+        body["binary_certificates"] = {
+            **body["binary_certificates"], 0: certificate.to_payload()
+        }
+        return body
+
+    @confused(CONFUSED_CERTIFICATES)
+    def test_a_conflicting_confirm_with_a_confused_certificate_convicts_nobody(
+        self, confusion
+    ):
+        simulator, replicas, seen = decided_asmr_committee()
+        body = self._conflicting_confirm(replicas, seen)
+        certificates = body["binary_certificates"]
+        hostile = {
+            **body,
+            "binary_certificates": {
+                **certificates, 0: CONFUSED_CERTIFICATES[confusion](certificates[0])
+            },
+        }
+        del seen[:]
+        replicas[0]._handle_confirm(3, _delivered("CONFIRM", hostile, sender=3))
+        simulator.run()
+        assert replicas[0].pofs == {} and not of_kind(seen, "POFS")
+        assert replicas[0].detected_at is None
+        replicas[0]._handle_confirm(2, _delivered("CONFIRM", body, sender=2))
+        assert sorted(replicas[0].pofs) == [1, 2, 3]
+
+    @confused(CONFUSED_PROOFS)
+    def test_handle_pofs_drops_a_confused_proof(self, confusion):
+        simulator, replicas, seen = decided_asmr_committee()
+        proof = _equivocation(replicas[3]).to_payload()
+        del seen[:]
+        hostile = {"pofs": [CONFUSED_PROOFS[confusion](proof)]}
+        replicas[0]._handle_pofs(1, _delivered("POFS", hostile))
+        simulator.run()
+        assert replicas[0].pofs == {} and seen == []
+        replicas[0]._handle_pofs(1, _delivered("POFS", {"pofs": [proof]}))
+        assert sorted(replicas[0].pofs) == [3]
+
+    @confused(CONFUSED_PROOFS)
+    def test_exclusion_proposal_with_a_confused_proof_is_invalid(self, confusion):
+        _, replicas, _ = build_cluster(4)
+        proof = _equivocation(replicas[3])
+        change = MembershipChange(
+            host=replicas[0],
+            epoch=0,
+            committee=range(4),
+            pofs={3: proof},
+            pool=CandidatePool(range(4, 8)),
+            on_complete=lambda outcome: None,
+        )
+        genuine = proof.to_payload()
+        for proposal, valid in (
+            ([CONFUSED_PROOFS[confusion](genuine)], False),
+            ([genuine, CONFUSED_PROOFS[confusion](genuine)], False),
+            ([genuine], True),
+        ):
+            value = _delivered("INIT", {"value": proposal})["value"]
+            assert change._validate_exclusion_proposal(1, value) is valid
+        assert sorted(change.pofs) == [3]
+
+    @confused(CONFUSED_CERTIFICATES)
+    def test_handle_catchup_skips_a_confused_certificate(self, confusion):
+        simulator, replicas, seen = decided_asmr_committee()
+        decision = replicas[1].instances[0].decision
+        certificates = {
+            slot: certificate.to_payload()
+            for slot, certificate in decision.binary_certificates.items()
+        }
+        certificates[0] = CONFUSED_CERTIFICATES[confusion](certificates[0])
+        block = {
+            "instance": 0,
+            "digest": decision.digest,
+            "bitmask": dict(decision.bitmask),
+            "proposals": dict(decision.proposals),
+            "binary_certificates": certificates,
+            "committee": [0, 1, 2, 3],
+        }
+        body = {"blocks": [block], "epoch": 0, "committee": [0, 1, 2, 3]}
+        del seen[:]
+        before = (replicas[0].epoch, replicas[0].committee(), replicas[0].decided_instances())
+        replicas[0]._handle_catchup(1, _delivered("CATCHUP", body))
+        simulator.run()
+        assert replicas[0].catchup_completed_at is not None
+        after = (replicas[0].epoch, replicas[0].committee(), replicas[0].decided_instances())
+        assert after == before and seen == []

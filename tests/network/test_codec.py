@@ -6,7 +6,10 @@ protocol object — must encode to bytes and decode back to an **equal** value,
 and decoded signed content must still verify against the same PKI.
 """
 
+import time
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.consensus.certificates import (
     Certificate,
@@ -37,6 +40,8 @@ from repro.network.codec import (
 from repro.network.message import Message
 from repro.network.topic import Topic
 from repro.obs.trace import TraceContext
+
+from tests.consensus.harness import decided_asmr_committee
 
 
 def roundtrip(value):
@@ -337,3 +342,180 @@ class TestMessageEnvelopes:
         )
         decoded = decode_message(encode_message(message))
         assert decoded.body == message.body
+
+
+# -- hostile bytes -----------------------------------------------------------------
+
+
+class TestAnnouncedLengths:
+    """A length or count a peer announces is bounded by the bytes that follow.
+
+    Before the bound ``L3000000;S-4;`` built a three-million-element list out
+    of 13 bytes (the negative length walks ``pos`` backwards, so each element
+    re-reads the same four bytes) and ``L999999999;S-4;`` would have held the
+    event loop for minutes — ahead of any look at the envelope.
+    """
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"L3000000;S-4;",
+            b"L999999999;S-4;",
+            b"P999999999;S-4;",
+            b"D999999999;S-4;N",
+            b"S-4;",
+            b"B-1;",
+            b"S+2;ab",
+            b"S 2;ab",
+            b"S2_0;" + b"a" * 20,
+            b"S02;ab",
+            b"S3;ab",
+            b"L2;N",
+        ],
+    )
+    def test_rejected_at_once(self, data):
+        started = time.perf_counter()
+        with pytest.raises(CodecError):
+            decode_value(data)
+        assert time.perf_counter() - started < 0.05
+
+    def test_exact_lengths_still_decode(self):
+        assert decode_value(b"S0;") == "" and decode_value(b"L0;") == []
+        assert decode_value(b"S2;ab") == "ab" and decode_value(b"L2;NN") == [None, None]
+        assert decode_value(b"D1;S0;B0;") == {"": b""}
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"D1;L0;N",  # unhashable dict key
+            b"OL0;N",  # unhashable object name
+            b"OS14;signed-payloadD0;",  # registered decoder handed the wrong shape
+            b"OS11;signed-voteL0;",
+            b"L1;" * 5000 + b"N",  # nesting past the recursion limit
+        ],
+    )
+    def test_whatever_else_goes_wrong_is_a_codec_error(self, data):
+        with pytest.raises(CodecError):
+            decode_value(data)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            (1, None, 7, "K", {}),
+            (1, None, b"t", "K", {}),
+            (1, None, "t", ["K"], {}),
+            (1, None, "t", "K", [("n", 7)]),
+        ],
+    )
+    def test_envelope_fields_of_the_wrong_type_are_a_codec_error(self, fields):
+        with pytest.raises(CodecError):
+            decode_message(encode_value(fields))
+
+
+#: Anything a body may carry: every primitive, every container, hashable keys.
+_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | st.floats(allow_nan=False)
+    | st.text(max_size=12)
+    | st.binary(max_size=12)
+)
+_keys = st.recursive(
+    st.integers(-(2**40), 2**40) | st.text(max_size=6) | st.binary(max_size=6),
+    lambda children: st.tuples(children, children),
+    max_leaves=3,
+)
+_values = st.recursive(
+    _scalars,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(_keys, children, max_size=4),
+    max_leaves=20,
+)
+
+
+def _same(decoded, value):
+    """Equal *and* of the same types all the way down (``1 == True == 1.0``)."""
+    if type(decoded) is not type(value):
+        return False
+    if isinstance(value, (list, tuple)):
+        return len(decoded) == len(value) and all(map(_same, decoded, value))
+    if isinstance(value, dict):
+        return len(decoded) == len(value) and all(
+            _same(dk, k) and _same(dv, v)
+            for (dk, dv), (k, v) in zip(decoded.items(), value.items())
+        )
+    return decoded == value
+
+
+def _frames_of_every_kind():
+    """One real frame of each kind an n=4 committee puts on the wire."""
+    simulator, replicas, seen = decided_asmr_committee(
+        proposal_factory=lambda k, rid: TransferWorkload(num_accounts=4, seed=rid).batch(2)
+    )
+    first, second = (
+        make_vote(replicas[3], "sbc:0:0:bin:0", 0, VoteKind.AUX, hash_payload(value))
+        for value in (0, 1)
+    )
+    replicas[0]._broadcast_pofs([ProofOfFraud(culprit=3, first=first, second=second)])
+    simulator.run()
+    frames = {}
+    for message in seen:
+        frames.setdefault(message.kind, encode_message(message))
+    return frames
+
+
+@pytest.fixture(scope="module")
+def frames():
+    return _frames_of_every_kind()
+
+
+KINDS = ("INIT", "ECHO", "READY", "AUX", "DECIDE", "CONFIRM", "POFS")
+
+
+def _decodes_or_codec_error(data):
+    try:
+        message = decode_message(data)
+    except CodecError:
+        return
+    assert isinstance(message, Message)
+
+
+class TestFuzzedDecode:
+    """The decode half of the robustness bar: hostile bytes cost a CodecError."""
+
+    def test_every_kind_was_captured_and_decodes(self, frames):
+        assert set(KINDS) <= set(frames)
+        for kind in KINDS:
+            assert decode_message(frames[kind]).kind == kind
+        assert b"transaction" in frames["INIT"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(_values)
+    def test_random_nested_values_roundtrip(self, value):
+        assert _same(decode_value(encode_value(value)), value)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.binary(max_size=64)
+        | st.text(alphabet="NTFIRSBLPDO0123456789;-", max_size=32).map(str.encode)
+    )
+    def test_random_bytes_decode_or_raise_codec_error(self, data):
+        _decodes_or_codec_error(data)
+
+    @settings(max_examples=1500, deadline=None)
+    @given(st.sampled_from(KINDS), st.floats(0, 1, exclude_max=True), st.integers(0, 255))
+    def test_single_byte_mutations_decode_or_raise_codec_error(
+        self, frames, kind, where, byte
+    ):
+        frame = frames[kind]
+        position = int(where * len(frame))
+        _decodes_or_codec_error(frame[:position] + bytes([byte]) + frame[position + 1 :])
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_every_truncation_raises_codec_error(self, frames, kind):
+        frame = frames[kind]
+        for length in range(len(frame)):
+            with pytest.raises(CodecError):
+                decode_message(frame[:length])
