@@ -4,7 +4,8 @@ The paper (§2, §3) reasons about a committee of ``n`` replicas identified by
 integers, quorum thresholds of ``2n/3`` and recovery thresholds of ``n/3``.
 This module centralises those computations so every protocol uses exactly the
 same arithmetic (ceilings matter: a quorum is ``ceil(2n/3)`` and the recovery
-threshold is ``ceil(n/3)``).
+threshold is ``ceil(n/3)``; both are computed in integers, ``ceil(a/3) ==
+(a + 2) // 3``, because every handler asks for them on every message).
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ def quorum_size(n: int) -> int:
     """Return the certificate/quorum threshold ``ceil(2n/3)`` for ``n`` replicas."""
     if n <= 0:
         raise ValueError(f"committee size must be positive, got {n}")
-    return math.ceil(2 * n / 3)
+    return (2 * n + 2) // 3
 
 
 def recovery_threshold(n: int) -> int:
@@ -63,14 +64,14 @@ def recovery_threshold(n: int) -> int:
     """
     if n <= 0:
         raise ValueError(f"committee size must be positive, got {n}")
-    return math.ceil(n / 3)
+    return (n + 2) // 3
 
 
 def byzantine_tolerance(n: int) -> int:
     """Return the classic bound: the largest ``f`` with ``f < n/3``."""
     if n <= 0:
         raise ValueError(f"committee size must be positive, got {n}")
-    return math.ceil(n / 3) - 1
+    return (n + 2) // 3 - 1
 
 
 def deceitful_ratio(deceitful: int, n: int) -> float:

@@ -47,19 +47,14 @@ from repro.obs.trace import topic_trace_attrs
 DecideCallback = Callable[[str, int, Certificate], None]
 
 
-#: The binary domain has two canonical digests; computing them once turns the
-#: per-message digest churn of BVAL/AUX handling into dict probes.
-_VALUE_DIGESTS: Dict[int, str] = {}
+#: The binary domain has two values, hence two canonical digests, indexed by
+#: the value they stand for.
+_DIGEST_OF = (hash_payload(["binary-value", 0]), hash_payload(["binary-value", 1]))
 
 
 def value_digest(value: int) -> str:
     """Canonical digest of a binary value used in votes and certificates."""
-    value = int(value)
-    digest = _VALUE_DIGESTS.get(value)
-    if digest is None:
-        digest = hash_payload(["binary-value", value])
-        _VALUE_DIGESTS[value] = digest
-    return digest
+    return _DIGEST_OF[1 if value else 0]
 
 
 class BinaryConsensus:
@@ -96,6 +91,10 @@ class BinaryConsensus:
         self._bin_values: Dict[int, Set[int]] = {}
         self._aux_sent: Dict[int, bool] = {}
         self._aux_votes: Dict[int, Dict[ReplicaId, SignedVote]] = {}
+        #: Per round, how many of ``_aux_votes`` (the first AUX per sender)
+        #: stand for 0 and for 1: what a round's resolution reads, kept as
+        #: the votes arrive instead of recounted from them on every arrival.
+        self._aux_counts: Dict[int, List[int]] = {}
         # All verified AUX/DECIDE votes observed, for accountability.
         self.collected_votes: List[SignedVote] = []
 
@@ -167,7 +166,7 @@ class BinaryConsensus:
         else:
             chosen = sorted(bin_values)[0]
         vote = make_vote(
-            self.host, self.context, round_number, VoteKind.AUX, value_digest(chosen)
+            self.host, self.context, round_number, VoteKind.AUX, _DIGEST_OF[chosen]
         )
         self.collected_votes.append(vote)
         self.host.emit(
@@ -237,7 +236,7 @@ class BinaryConsensus:
             or vote.context != self.context
             or vote.round != round_number
             or vote.kind != VoteKind.AUX
-            or vote.value_digest != value_digest(value)
+            or vote.value_digest != _DIGEST_OF[value]
         ):
             return
         if not verify_vote(vote, self.host):
@@ -251,7 +250,9 @@ class BinaryConsensus:
         votes = self._aux_votes.setdefault(round_number, {})
         # Only the first AUX per sender counts for the protocol; additional
         # conflicting ones remain in collected_votes for PoF extraction.
-        votes.setdefault(sender, vote)
+        if sender not in votes:
+            votes[sender] = vote
+            self._aux_counts.setdefault(round_number, [0, 0])[value] += 1
         if self.started:
             self._try_resolve_round(self.round)
 
@@ -266,7 +267,7 @@ class BinaryConsensus:
             certificate = certificate_from_payload(payload)
         except (KeyError, ValueError, TypeError):
             return
-        if certificate.value_digest != value_digest(value):
+        if certificate.value_digest != _DIGEST_OF[value]:
             return
         if certificate.kind != VoteKind.AUX or certificate.context != self.context:
             return
@@ -285,29 +286,29 @@ class BinaryConsensus:
             return
         if not self._aux_sent.get(round_number):
             self._broadcast_aux(round_number)
-        votes = self._aux_votes.get(round_number, {})
-        supporting = {
-            sender: vote
-            for sender, vote in votes.items()
-            if _digest_to_value(vote.value_digest) in bin_values
-        }
-        if len(supporting) < self._quorum():
+        counts = self._aux_counts.get(round_number)
+        if counts is None:
             return
-        values = {_digest_to_value(vote.value_digest) for vote in supporting.values()}
+        # First AUX votes, per value, that lie in ``bin_values``.
+        zeros = counts[0] if 0 in bin_values else 0
+        ones = counts[1] if 1 in bin_values else 0
+        if zeros + ones < self._quorum():
+            return
         fallback = round_number % 2
-        if len(values) == 1:
-            value = values.pop()
+        if zeros and ones:
+            self.estimate = fallback
+        else:
+            value = 1 if ones else 0
             if value == fallback:
+                digest = _DIGEST_OF[value]
                 certificate = Certificate.from_votes(
                     vote
-                    for vote in supporting.values()
-                    if _digest_to_value(vote.value_digest) == value
+                    for vote in self._aux_votes[round_number].values()
+                    if vote.value_digest == digest
                 )
                 self._decide(value, certificate, rebroadcast=True)
                 return
             self.estimate = value
-        else:
-            self.estimate = fallback
         self._start_round(round_number + 1)
 
     def _decide(self, value: int, certificate: Certificate, rebroadcast: bool) -> None:
@@ -334,7 +335,7 @@ class BinaryConsensus:
             )
             probe.finish(self._span, now)
         decide_vote = make_vote(
-            self.host, self.context, 0, VoteKind.DECIDE, value_digest(value)
+            self.host, self.context, 0, VoteKind.DECIDE, _DIGEST_OF[value]
         )
         self.collected_votes.append(decide_vote)
         if rebroadcast:
@@ -348,8 +349,3 @@ class BinaryConsensus:
                 },
             )
         self.on_decide(self.context, value, certificate)
-
-
-def _digest_to_value(digest: str) -> int:
-    """Map a binary-value digest back to 0/1 (digests are from a 2-element set)."""
-    return 1 if digest == value_digest(1) else 0

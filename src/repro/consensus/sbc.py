@@ -146,6 +146,7 @@ class SetByzantineConsensus:
         #: ``("excl", epoch)``; sub-component topics extend it with
         #: ``("rbc"|"bin", slot)``.
         self.topic: Topic = as_topic(protocol_prefix).child(instance)
+        self._depth = len(self.topic.segments)
         # Instrumentation (None when off); the SBC latency runs from instance
         # creation (the replica starts the instance when it proposes or first
         # hears of it) to local decision.
@@ -214,12 +215,10 @@ class SetByzantineConsensus:
     def handle(self, topic: Topic, sender: ReplicaId, kind: str, body: Dict[str, Any]) -> None:
         """Route a message to the owning sub-component: O(1) dict lookups on
         the ``(layer, slot)`` segments below the instance's base topic."""
-        segments = topic.segments
-        base_len = len(self.topic.segments)
-        if len(segments) != base_len + 2:
+        try:
+            layer, slot = topic.segments[self._depth :]
+        except ValueError:
             return
-        layer = segments[base_len]
-        slot = segments[base_len + 1]
         if layer == "rbc":
             component = self._rbc.get(slot)
         elif layer == "bin":

@@ -1,10 +1,18 @@
 """Hierarchical topic router: longest-prefix dispatch over topic segments.
 
-A :class:`Router` maps topic *prefixes* to handlers.  Dispatch walks the
-segments of an incoming topic through a trie of dicts — O(depth) dict lookups
-— and invokes the handler registered at the **deepest** matching prefix, so a
-specific registration (``("sbc", 0, 3)`` — one consensus instance) shadows a
-general fallback (``("sbc",)`` — "unknown instance, create it lazily").
+A :class:`Router` maps topic *prefixes* to handlers and invokes the handler
+registered at the **deepest** matching prefix, so a specific registration
+(``("sbc", 0, 3)`` — one consensus instance) shadows a general fallback
+(``("sbc",)`` — "unknown instance, create it lazily").
+
+It keeps one dict per registered prefix *length*, keyed by the prefix's
+segment tuple, and dispatch probes ``segments[:length]`` from the longest
+registered length down: a message for a live consensus instance is found by
+the first lookup, and the number of lookups is bounded by the handful of
+lengths in use (three on a ZLB replica), whatever the topic's depth.  The
+tables hold one entry per *registered* prefix and nothing per topic seen —
+no resolved-route cache to invalidate on ``register`` / ``unregister``, and
+nothing a peer inventing topics can grow.
 
 This replaces the seed's routing scheme, where every delivered message was
 matched against each hosted component with ``protocol.startswith(...)`` chains
@@ -18,6 +26,7 @@ protocol strings again.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.network.simulator import Process
@@ -27,24 +36,18 @@ from repro.obs.metrics import protocol_group
 #: Handler signature: (topic, sender, kind, body).
 Handler = Callable[[Topic, Any, str, Dict[str, Any]], None]
 
-
-class _Node:
-    """One trie node: children per segment plus an optional handler."""
-
-    __slots__ = ("children", "handler")
-
-    def __init__(self):
-        self.children: Dict[Segment, _Node] = {}
-        self.handler: Optional[Handler] = None
+#: Handlers of every registered prefix of one length, by segment tuple.
+_Table = Dict[Tuple[Segment, ...], Handler]
 
 
 class Router:
     """Longest-prefix handler registry over topic segments."""
 
-    __slots__ = ("_root",)
+    __slots__ = ("_tables",)
 
     def __init__(self):
-        self._root = _Node()
+        #: ``(prefix length, table)`` pairs, longest first, none empty.
+        self._tables: List[Tuple[int, _Table]] = []
 
     def register(self, prefix: TopicLike, handler: Handler) -> None:
         """Register ``handler`` for every topic under ``prefix``.
@@ -53,68 +56,51 @@ class Router:
         the same prefix replaces the previous handler (components re-register
         across epochs).
         """
-        node = self._root
-        for segment in as_topic(prefix).segments:
-            child = node.children.get(segment)
-            if child is None:
-                child = _Node()
-                node.children[segment] = child
-            node = child
-        node.handler = handler
+        segments = as_topic(prefix).segments
+        depth = len(segments)
+        for length, table in self._tables:
+            if length == depth:
+                table[segments] = handler
+                return
+        self._tables.append((depth, {segments: handler}))
+        self._tables.sort(key=itemgetter(0), reverse=True)
 
     def unregister(self, prefix: TopicLike) -> bool:
-        """Remove the handler at exactly ``prefix``; prunes empty trie nodes.
+        """Remove the handler at exactly ``prefix``; drops a table it empties.
 
         Returns False when no handler was registered at that prefix.
         """
-        path: List[Tuple[_Node, Segment]] = []
-        node = self._root
-        for segment in as_topic(prefix).segments:
-            child = node.children.get(segment)
-            if child is None:
-                return False
-            path.append((node, segment))
-            node = child
-        if node.handler is None:
-            return False
-        node.handler = None
-        # Prune nodes that no longer carry handlers or children.
-        for parent, segment in reversed(path):
-            child = parent.children[segment]
-            if child.handler is None and not child.children:
-                del parent.children[segment]
-            else:
-                break
-        return True
+        segments = as_topic(prefix).segments
+        depth = len(segments)
+        for index, (length, table) in enumerate(self._tables):
+            if length == depth:
+                if table.pop(segments, None) is None:
+                    return False
+                if not table:
+                    del self._tables[index]
+                return True
+        return False
 
     def resolve(self, topic: TopicLike) -> Optional[Handler]:
         """The handler the router would dispatch ``topic`` to, or None."""
-        node = self._root
-        found = node.handler
-        for segment in as_topic(topic).segments:
-            node = node.children.get(segment)
-            if node is None:
-                break
-            if node.handler is not None:
-                found = node.handler
-        return found
+        segments = as_topic(topic).segments
+        for length, table in self._tables:
+            handler = table.get(segments[:length])
+            if handler is not None:
+                return handler
+        return None
 
     def dispatch(self, topic: Topic, sender: Any, kind: str, body: Dict[str, Any]) -> bool:
         """Route one message; returns False when no prefix matched."""
-        node = self._root
-        found = node.handler
-        children = node.children
-        for segment in topic.segments:
-            node = children.get(segment)
-            if node is None:
-                break
-            if node.handler is not None:
-                found = node.handler
-            children = node.children
-        if found is None:
-            return False
-        found(topic, sender, kind, body)
-        return True
+        segments = topic.segments
+        for length, table in self._tables:
+            # A topic shorter than ``length`` slices to itself and cannot
+            # equal a key of that table: every key there has ``length`` items.
+            handler = table.get(segments[:length])
+            if handler is not None:
+                handler(topic, sender, kind, body)
+                return True
+        return False
 
 
 class RoutedProcess(Process):

@@ -19,6 +19,16 @@ number of *pending broadcasts* rather than the number of pending deliveries —
 and when consecutive recipients of the same broadcast would be popped
 back-to-back anyway, the run loop chains them inline without the heap
 round-trip (same delivery order, same counters, fewer heap operations).
+
+The heap holds ``(time, seq, event)`` tuples, not events: ``seq`` comes from
+one counter and is unique, so two entries always differ within their first two
+fields and ordering is a C tuple compare that never reaches the event object
+(events define no ordering at all).  ``seq`` is also the submission order —
+timers and deliveries due at the same instant fire in the order they were
+submitted — and a broadcast that re-enters the heap, whether displaced by an
+earlier event or parked when a run stops, does so as ``(next_time, seq,
+event)`` with its **original** ``seq``: its remaining recipients tie-break
+exactly as the per-recipient events they stand for would have.
 """
 
 from __future__ import annotations
@@ -52,7 +62,7 @@ QUEUE_DEPTH_SAMPLE_EVERY = 64
 
 
 class _Event:
-    """Internal event record ordered by (time, sequence number).
+    """Internal event record; its ``(time, seq)`` key lives in the heap entry.
 
     Three kinds share the class: point-to-point DELIVERY, TIMER callbacks and
     BROADCAST fan-out events.  A broadcast event carries its whole delivery
@@ -63,8 +73,6 @@ class _Event:
     """
 
     __slots__ = (
-        "time",
-        "seq",
         "kind",
         "message",
         "callback",
@@ -81,14 +89,10 @@ class _Event:
 
     def __init__(
         self,
-        time: float,
-        seq: int,
         kind: str,
         message: Optional[Message] = None,
         callback: Optional[Callable[[], None]] = None,
     ):
-        self.time = time
-        self.seq = seq
         self.kind = kind
         self.message = message
         self.callback = callback
@@ -100,9 +104,6 @@ class _Event:
         #: around the callback so delayed continuations stay causal).
         self.owner: Optional[ReplicaId] = None
         self.trace_ctx = None
-
-    def __lt__(self, other: "_Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
 
 class NetworkSimulator(Transport):
@@ -133,7 +134,7 @@ class NetworkSimulator(Transport):
             # gauge.
             self.probe.sampler.attach(self)
         self.rng = random.Random(self.config.seed)
-        self._queue: List[_Event] = []
+        self._queue: List[Tuple[float, int, _Event]] = []
         self._sequence = itertools.count()
         self._processes: Dict[ReplicaId, Process] = {}
         #: Cached sorted membership view, rebuilt only when membership changes.
@@ -218,13 +219,10 @@ class NetworkSimulator(Transport):
         delay = self.delay_model.sample(message.sender, message.recipient, self.rng)
         if delay < 0:
             raise SimulationError(f"negative delay {delay} sampled")
-        event = _Event(
-            time=self._now + delay,
-            seq=next(self._sequence),
-            kind=_Event.DELIVERY,
-            message=message,
+        heapq.heappush(
+            self._queue,
+            (self._now + delay, next(self._sequence), _Event(_Event.DELIVERY, message)),
         )
-        heapq.heappush(self._queue, event)
         self._pending += 1
 
     def submit_broadcast(
@@ -282,14 +280,9 @@ class NetworkSimulator(Transport):
                 raise SimulationError(f"negative delay {delay} sampled")
             append((now + delay, order, target))
         deliveries.sort()
-        event = _Event(
-            time=deliveries[0][0],
-            seq=next(self._sequence),
-            kind=_Event.BROADCAST,
-            message=message,
-        )
+        event = _Event(_Event.BROADCAST, message)
         event.deliveries = deliveries
-        heapq.heappush(self._queue, event)
+        heapq.heappush(self._queue, (deliveries[0][0], next(self._sequence), event))
         self._pending += len(deliveries)
 
     def schedule(
@@ -298,12 +291,7 @@ class NetworkSimulator(Transport):
         """Schedule ``callback`` after ``delay`` seconds; returns a timer id."""
         if delay < 0:
             raise SimulationError("timer delay must be non-negative")
-        event = _Event(
-            time=self._now + delay,
-            seq=next(self._sequence),
-            kind=_Event.TIMER,
-            callback=callback,
-        )
+        event = _Event(_Event.TIMER, callback=callback)
         event.owner = owner
         probe = self.probe
         if probe is not None:
@@ -311,10 +299,11 @@ class NetworkSimulator(Transport):
             # chain that scheduled it (e.g. the delivery that armed a grace
             # timer), not on whatever happens to be active when it fires.
             event.trace_ctx = probe.timer_context()
-        heapq.heappush(self._queue, event)
-        self._timers[event.seq] = event
+        seq = next(self._sequence)
+        heapq.heappush(self._queue, (self._now + delay, seq, event))
+        self._timers[seq] = event
         self._pending += 1
-        return event.seq
+        return seq
 
     def cancel(self, timer_id: int) -> None:
         """Cancel a pending timer; firing or fired timers are ignored."""
@@ -361,20 +350,22 @@ class NetworkSimulator(Transport):
             # overhead (heap ops, delivery bookkeeping).
             probe.enter("sim.kernel")
         processed = 0
+        queue = self._queue
         try:
-            while self._queue and processed < budget:
-                event = self._queue[0]
-                if event.time > deadline:
+            while queue and processed < budget:
+                time, seq, event = queue[0]
+                if time > deadline:
                     break
-                heapq.heappop(self._queue)
+                heapq.heappop(queue)
                 kind = event.kind
                 if kind == _Event.TIMER:
                     # Drop the bookkeeping entry whether the timer fires or was
                     # cancelled — cancelled entries must not outlive their event.
-                    self._timers.pop(event.seq, None)
+                    self._timers.pop(seq, None)
                     if event.cancelled:
                         continue
-                self._now = max(self._now, event.time)
+                if time > self._now:
+                    self._now = time
                 if sampler is not None and self._now >= sampler.next_tick:
                     sampler.tick(self._now, self.events_processed)
                 processed += 1
@@ -384,7 +375,7 @@ class NetworkSimulator(Transport):
                     metrics is not None
                     and self.events_processed % QUEUE_DEPTH_SAMPLE_EVERY == 0
                 ):
-                    metrics.observe("net.queue_depth", len(self._queue))
+                    metrics.observe("net.queue_depth", len(queue))
                 if kind == _Event.TIMER:
                     assert event.callback is not None
                     if probe is None:
@@ -399,8 +390,6 @@ class NetworkSimulator(Transport):
                     cursor = event.cursor
                     message = event.message
                     total = len(deliveries)
-                    queue = self._queue
-                    seq = event.seq
                     while True:
                         message.recipient = deliveries[cursor][2]
                         cursor += 1
@@ -409,9 +398,10 @@ class NetworkSimulator(Transport):
                             break
                         next_time = deliveries[cursor][0]
                         if processed >= budget or next_time > deadline:
+                            # Out of budget or past the deadline: park the
+                            # rest under the original ``seq``.
                             event.cursor = cursor
-                            event.time = next_time
-                            heapq.heappush(queue, event)
+                            heapq.heappush(queue, (next_time, seq, event))
                             self._deliver(message)
                             break
                         self._deliver(message)
@@ -420,20 +410,18 @@ class NetworkSimulator(Transport):
                             # the run (stop predicates are pure, so the extra
                             # call is harmless).
                             event.cursor = cursor
-                            event.time = next_time
-                            heapq.heappush(queue, event)
+                            heapq.heappush(queue, (next_time, seq, event))
                             break
                         # Chain the next recipient inline only when this event
-                        # would be popped right back anyway: no queued event —
+                        # would be popped right back anyway: no queued entry —
                         # including any just submitted by the delivery above —
                         # orders before (next_time, seq).  Otherwise re-enter
                         # the heap with the original sequence number so
                         # tie-breaking matches the per-recipient event scheme
                         # exactly.
-                        if queue and (queue[0].time, queue[0].seq) < (next_time, seq):
+                        if queue and queue[0] < (next_time, seq):
                             event.cursor = cursor
-                            event.time = next_time
-                            heapq.heappush(queue, event)
+                            heapq.heappush(queue, (next_time, seq, event))
                             break
                         # Replay the per-event bookkeeping the outer loop
                         # would have done for the chained recipient.  The
@@ -458,7 +446,7 @@ class NetworkSimulator(Transport):
                 if stop_when is not None and stop_when():
                     break
             else:
-                if self._queue and processed >= budget:
+                if queue and processed >= budget:
                     return SimulationResult(
                         time=self._now, events=processed, exhausted_budget=True
                     )

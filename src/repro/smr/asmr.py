@@ -727,7 +727,8 @@ class ASMRReplica(BaseReplica):
                 try:
                     certificate = certificate_from_payload(payload)
                 except (KeyError, TypeError, ValueError):
-                    continue
+                    # A certificate that does not parse is an invalid one.
+                    break
                 if not certificate.is_valid(self, committee):
                     break
             else:

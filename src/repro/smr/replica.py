@@ -6,7 +6,7 @@ A :class:`BaseReplica` is both a :class:`~repro.network.router.RoutedProcess`
 :class:`~repro.consensus.host.ProtocolHost` (components use it for identity,
 signing, verification and emission).  Components register a handler per topic
 prefix — e.g. one Set Byzantine Consensus instance owns ``("sbc", epoch,
-instance)`` — and incoming messages reach them in O(topic depth) dict lookups.
+instance)`` — and an incoming message reaches its instance in one dict lookup.
 
 The emission path carries the hook where deceitful behaviour plugs in: when an
 :class:`~repro.adversary.behaviors.AttackStrategy` is installed, outgoing

@@ -390,7 +390,12 @@ class TestClusterCLI:
         # code + log line), never as a hang until the outer test timeout —
         # and, with obs on, the launcher must write a causally merged flight
         # dump that still carries the dead replica's last shipped events.
+        import urllib.request
+
+        from repro.cluster.launcher import _free_tcp_port
+
         artifacts = tmp_path / "artifacts"
+        port = _free_tcp_port()
         env = dict(os.environ)
         src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
         env["PYTHONPATH"] = os.path.abspath(src)
@@ -401,12 +406,14 @@ class TestClusterCLI:
                 "--transport", "uds",
                 # Sized so the run outlasts the kill below with a wide margin:
                 # 12000 transfers take ~19 s here since proposals travel once
-                # (4000 took ~12 s before that, ~6 s after).
+                # (4000 took ~12 s before that, ~6 s after), and the kill
+                # comes with the victim's first frame.
                 "--transactions", "12000",
                 "--batch-size", "10",
                 "--accounts", "256",
                 "--timeout", "90",
                 "--obs",
+                "--serve", str(port),
                 "--artifacts", str(artifacts),
                 "--log-level", "error",
             ],
@@ -415,30 +422,54 @@ class TestClusterCLI:
             text=True,
             env=env,
         )
+
+        def victim_reported():
+            """True once the launcher holds an obs frame of replica 3: a
+            worker ships its first one after its first broadcast, so by then
+            the forensics have something to say about it when it dies."""
+            try:
+                with urllib.request.urlopen(
+                    f"http://127.0.0.1:{port}/state", timeout=2
+                ) as response:
+                    state = json.loads(response.read().decode())
+            except (OSError, ValueError):
+                return False
+            return any(
+                row["replica_id"] == 3 and (row["frames"] or row["committed"])
+                for row in state.get("replicas", ())
+            )
+
         try:
-            # Give the cluster time to boot its workers, then kill one.
-            victim = None
-            deadline = time.monotonic() + 30
-            while time.monotonic() < deadline and victim is None:
-                pgrep = subprocess.run(
-                    ["pgrep", "-f", "repro.cluster.worker.*--replica-id 3"],
-                    capture_output=True,
-                    text=True,
-                )
-                pids = [int(p) for p in pgrep.stdout.split()]
-                if pids:
-                    victim = pids[0]
-                time.sleep(0.1)
-            assert victim is not None, "worker 3 never appeared"
-            # Let the victim finish its startup (keys + 12000-tx workload
-            # build) and ship a few obs frames (flight-ring increments), so
-            # forensics have something to say about it when it dies.
-            time.sleep(8.0)
-            os.kill(victim, signal.SIGKILL)
+            # Kill on evidence, not on a clock: how long worker 3 takes to
+            # build its keys and its share of the workload depends on what
+            # else the host is doing.
+            deadline = time.monotonic() + 60
+            while not victim_reported():
+                if proc.poll() is not None or time.monotonic() > deadline:
+                    proc.kill()
+                    stdout, stderr = proc.communicate()
+                    pytest.fail(
+                        "replica 3 never reported a frame (launcher exit code "
+                        f"{proc.returncode})\n{stdout}\n{stderr}"
+                    )
+                time.sleep(0.05)
+            # Only this launcher's own child: another cluster's worker 3 (or
+            # a shell quoting the pattern) must not take the bullet.
+            pgrep = subprocess.run(
+                ["pgrep", "-P", str(proc.pid), "-f", "worker.*--replica-id 3"],
+                capture_output=True,
+                text=True,
+            )
+            pids = [int(p) for p in pgrep.stdout.split()]
+            assert len(pids) == 1, f"worker 3 of launcher {proc.pid}: {pids}"
+            os.kill(pids[0], signal.SIGKILL)
             stdout, stderr = proc.communicate(timeout=120)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            raise
+        finally:
+            # A hang (TimeoutExpired) or a failed assertion above must not
+            # leave five processes running into the next test.
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
         assert proc.returncode != 0
         assert "crashed" in stdout + stderr
         # The merged flight dump exists and names the dead replica's last

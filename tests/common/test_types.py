@@ -1,5 +1,7 @@
 """Unit tests for the quorum/threshold arithmetic in repro.common.types."""
 
+import math
+
 import pytest
 
 from repro.common.types import (
@@ -44,6 +46,23 @@ class TestRecoveryThreshold:
     def test_rejects_non_positive(self):
         with pytest.raises(ValueError):
             recovery_threshold(0)
+
+
+class TestIntegerThresholdsAreTheCeilings:
+    """The thresholds are computed in integers; they must be the paper's
+    ceilings for every committee size anyone could run."""
+
+    def test_every_committee_size_up_to_ten_thousand(self):
+        for n in range(1, 10_001):
+            assert quorum_size(n) == math.ceil(2 * n / 3), n
+            assert recovery_threshold(n) == math.ceil(n / 3), n
+            assert byzantine_tolerance(n) == math.ceil(n / 3) - 1, n
+
+    @pytest.mark.parametrize("threshold", [quorum_size, recovery_threshold, byzantine_tolerance])
+    @pytest.mark.parametrize("n", [0, -1, -3])
+    def test_non_positive_sizes_stay_errors(self, threshold, n):
+        with pytest.raises(ValueError):
+            threshold(n)
 
 
 class TestByzantineTolerance:

@@ -1,9 +1,11 @@
 """Tests for the accountable binary Byzantine consensus."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.common.types import FaultKind
 from repro.consensus.binary import BinaryConsensus, value_digest
+from repro.consensus.certificates import Certificate, VoteKind, make_vote
 from repro.network.delays import UniformDelay
 
 from tests.consensus.harness import attach_single_context, build_cluster
@@ -131,3 +133,177 @@ class TestBinaryConsensusRobustness:
             components[replica_id].propose(1)
         simulator.run()
         assert {v for v, _ in decisions.values()} == {1}
+
+
+def _digest_to_value(digest):
+    return 1 if digest == value_digest(1) else 0
+
+
+class _RescanningBinaryConsensus(BinaryConsensus):
+    """The reference: round resolution as it was before the per-round tally,
+    recounting the round's first-AUX votes from ``_aux_votes`` on every call."""
+
+    def _try_resolve_round(self, round_number):
+        if self.decided or round_number != self.round:
+            return
+        bin_values = self._bin_values.get(round_number, set())
+        if not bin_values:
+            return
+        if not self._aux_sent.get(round_number):
+            self._broadcast_aux(round_number)
+        votes = self._aux_votes.get(round_number, {})
+        supporting = {
+            sender: vote
+            for sender, vote in votes.items()
+            if _digest_to_value(vote.value_digest) in bin_values
+        }
+        if len(supporting) < self._quorum():
+            return
+        values = {_digest_to_value(vote.value_digest) for vote in supporting.values()}
+        fallback = round_number % 2
+        if len(values) == 1:
+            value = values.pop()
+            if value == fallback:
+                certificate = Certificate.from_votes(
+                    vote
+                    for vote in supporting.values()
+                    if _digest_to_value(vote.value_digest) == value
+                )
+                self._decide(value, certificate, rebroadcast=True)
+                return
+            self.estimate = value
+        else:
+            self.estimate = fallback
+        self._start_round(round_number + 1)
+
+
+_BITS = st.integers(0, 1)
+
+
+@st.composite
+def _aux_schedules(draw):
+    """A committee size and a shuffled schedule for replica 0's instance:
+    ``propose``, and for every round 0-2 and sender the BVALs it backs and its
+    AUX — sometimes sent twice, sometimes followed by the other value — plus
+    up to two members leaving the committee.  Shuffling is what delivers AUX
+    before ``bin_values`` fills, before ``propose`` and for rounds not yet
+    reached."""
+    n = draw(st.sampled_from([4, 7]))
+    ops = [("propose", draw(_BITS))]
+    for round_number in range(3):
+        for sender in range(n):
+            for value in sorted(draw(st.sets(_BITS, min_size=1))):
+                ops.append(("bval", sender, round_number, value))
+            value = draw(_BITS)
+            ops.append(("aux", sender, round_number, value))
+            again = draw(st.sampled_from(["no", "no", "duplicate", "conflict"]))
+            if again != "no":
+                other = value if again == "duplicate" else 1 - value
+                ops.append(("aux", sender, round_number, other))
+    leavers = st.lists(st.integers(1, n - 1), unique=True, max_size=(n - 1) // 3)
+    ops.extend(("shrink", member) for member in draw(leavers))
+    return n, draw(st.permutations(ops))
+
+
+class TestAuxTallyMatchesRescan:
+    """The per-round ``[count_0, count_1]`` kept by ``_handle_aux`` resolves
+    rounds exactly as rescanning every first AUX did: same decision, round,
+    estimate, certificate (votes and their order) and broadcasts, after every
+    single arrival."""
+
+    CONTEXT = "bin:0:0"
+
+    def _instance(self, cls, n):
+        simulator, replicas, _ = build_cluster(n)
+        decided = []
+        component = cls(
+            host=replicas[0],
+            context=self.CONTEXT,
+            on_decide=lambda context, value, certificate: decided.append(value),
+        )
+        return simulator, replicas, component, decided
+
+    @staticmethod
+    def _view(simulator, component, decided):
+        certificate = component.decision_certificate
+        # Nothing is ever run: the queue is everything the instance broadcast.
+        sent = [
+            (event.message.kind, event.message.body)
+            for _, _, event in sorted(simulator._queue, key=lambda entry: entry[1])
+        ]
+        return (
+            component.decided,
+            component.decision,
+            decided,
+            component.round,
+            component.estimate,
+            certificate and (certificate.round, certificate.value_digest, certificate.votes),
+            component.collected_votes,
+            sent,
+        )
+
+    def _apply(self, op, replicas, component):
+        if op[0] == "propose":
+            component.propose(op[1])
+        elif op[0] == "shrink":
+            host = replicas[0]
+            host.update_committee(m for m in host.committee() if m != op[1])
+            component.recheck()
+        elif op[0] == "bval":
+            _, sender, round_number, value = op
+            component.handle(sender, "BVAL", {"round": round_number, "value": value})
+        else:
+            _, sender, round_number, value = op
+            vote = make_vote(
+                replicas[sender], self.CONTEXT, round_number, VoteKind.AUX, value_digest(value)
+            )
+            component.handle(
+                sender, "AUX", {"round": round_number, "value": value, "vote": vote.to_payload()}
+            )
+
+    @settings(max_examples=200, deadline=None)
+    @given(_aux_schedules())
+    # All ones, in order: round 0 (fallback 0) moves on with estimate 1,
+    # round 1 decides 1 — the path every benign slot takes.
+    @example(
+        (
+            4,
+            [("propose", 1)]
+            + [(kind, sender, round_number, 1)
+               for round_number in (0, 1) for kind in ("bval", "aux") for sender in range(4)],
+        )
+    )
+    # Round 0's AUX quorum waits for ``bin_values``; replica 1's second,
+    # conflicting AUX must not count; the committee then shrinks to 3.
+    @example(
+        (
+            4,
+            [("aux", 1, 0, 0), ("aux", 1, 0, 1), ("aux", 2, 0, 0), ("aux", 1, 0, 0),
+             ("aux", 2, 1, 0), ("propose", 0), ("bval", 1, 0, 0), ("bval", 2, 0, 0),
+             ("shrink", 3), ("bval", 3, 0, 0), ("aux", 3, 0, 0)],
+        )
+    )
+    def test_same_outcome_after_every_arrival(self, schedule):
+        n, ops = schedule
+        tallied = self._instance(BinaryConsensus, n)
+        rescanned = self._instance(_RescanningBinaryConsensus, n)
+        for op in ops:
+            views = []
+            for simulator, replicas, component, decided in (tallied, rescanned):
+                self._apply(op, replicas, component)
+                views.append(self._view(simulator, component, decided))
+            assert views[0] == views[1], op
+
+    def test_the_examples_reach_decisions(self):
+        """The comparison above is not vacuous: an all-ones schedule decides 1
+        in round 1, on the certificate of the three AUX that made the quorum."""
+        simulator, replicas, component, decided = self._instance(BinaryConsensus, 4)
+        for round_number in (0, 1):
+            for kind in ("bval", "aux"):
+                for sender in (2, 0, 3, 1):
+                    self._apply((kind, sender, round_number, 1), replicas, component)
+            if round_number == 0:
+                assert not component.decided
+                component.propose(1)
+        assert decided == [1] and component.round == 1
+        assert [vote.signer for vote in component.decision_certificate.votes] == [0, 2, 3]

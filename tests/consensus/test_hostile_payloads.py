@@ -21,9 +21,11 @@ from repro.consensus.binary import BinaryConsensus, value_digest
 from repro.consensus.certificates import Certificate, VoteKind, make_vote
 from repro.consensus.proofs import ProofOfFraud
 from repro.crypto.hashing import hash_payload
+from repro.crypto.signatures import SimulatedSigner
 from repro.network.codec import decode_message, encode_message
 from repro.network.message import Message
 from repro.rbc.bracha import ReliableBroadcast
+from repro.smr.asmr import ASMRReplica
 from repro.smr.membership import MembershipChange
 from repro.smr.pool import CandidatePool
 
@@ -279,28 +281,77 @@ class TestAccountability:
             assert change._validate_exclusion_proposal(1, value) is valid
         assert sorted(change.pofs) == [3]
 
-    @confused(CONFUSED_CERTIFICATES)
-    def test_handle_catchup_skips_a_confused_certificate(self, confusion):
-        simulator, replicas, seen = decided_asmr_committee()
-        decision = replicas[1].instances[0].decision
+    @staticmethod
+    def _catchup_block(replica, instance, confuse=None):
+        """The block ``_send_catchup`` builds for ``instance``, slot 0's
+        certificate optionally confused."""
+        decision = replica.instances[instance].decision
         certificates = {
             slot: certificate.to_payload()
             for slot, certificate in decision.binary_certificates.items()
         }
-        certificates[0] = CONFUSED_CERTIFICATES[confusion](certificates[0])
-        block = {
-            "instance": 0,
+        if confuse is not None:
+            certificates[0] = confuse(certificates[0])
+        return {
+            "instance": instance,
             "digest": decision.digest,
             "bitmask": dict(decision.bitmask),
             "proposals": dict(decision.proposals),
             "binary_certificates": certificates,
             "committee": [0, 1, 2, 3],
         }
+
+    @confused(CONFUSED_CERTIFICATES)
+    def test_handle_catchup_skips_a_confused_certificate(self, confusion):
+        simulator, replicas, seen = decided_asmr_committee()
+        block = self._catchup_block(replicas[1], 0, CONFUSED_CERTIFICATES[confusion])
         body = {"blocks": [block], "epoch": 0, "committee": [0, 1, 2, 3]}
         del seen[:]
         before = (replicas[0].epoch, replicas[0].committee(), replicas[0].decided_instances())
         replicas[0]._handle_catchup(1, _delivered("CATCHUP", body))
         simulator.run()
         assert replicas[0].catchup_completed_at is not None
+        # A certificate that does not parse is an invalid one: the block's
+        # three good certificates do not make it a verified block.
+        assert replicas[0].catchup_blocks_verified == 0
         after = (replicas[0].epoch, replicas[0].committee(), replicas[0].decided_instances())
         assert after == before and seen == []
+
+    def test_catchup_counts_only_blocks_whose_certificates_all_parse(self):
+        """Two decided blocks reach a standby over the wire, the second with
+        a type-confused certificate: one block verifies, nothing raises, and
+        the standby still joins.  The same body untouched verifies both."""
+        simulator, replicas, _ = decided_asmr_committee()
+        for replica in replicas:
+            replica.submit_instances(1)
+        simulator.run()
+        assert all(replica.decided_instances() == [0, 1] for replica in replicas)
+        confuse = CONFUSED_CERTIFICATES["entry signature is a str"]
+        for standby_id, second_block, verified in (
+            (4, self._catchup_block(replicas[1], 1, confuse), 1),
+            (5, self._catchup_block(replicas[1], 1), 2),
+        ):
+            joined = [0, 1, 2, 3, standby_id]
+            standby = ASMRReplica(
+                replica_id=standby_id,
+                committee=[0, 1, 2, 3],
+                signer=SimulatedSigner(standby_id),
+                registry=replicas[0].registry,
+                standby=True,
+            )
+            simulator.add_process(standby)
+            body = {
+                "blocks": [self._catchup_block(replicas[1], 0), second_block],
+                "epoch": 1,
+                "committee": joined,
+                "target_instances": 2,
+                "next_instance": 2,
+            }
+            replicas[1].emit_to(
+                standby_id, ASMRReplica.CATCHUP_TOPIC, "CATCHUP", _delivered("CATCHUP", body)
+            )
+            simulator.run()
+            assert standby.catchup_completed_at is not None
+            assert standby.catchup_blocks_verified == verified
+            assert not standby.standby
+            assert (standby.epoch, standby.committee(), standby.next_instance) == (1, joined, 2)

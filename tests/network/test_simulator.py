@@ -6,6 +6,7 @@ from repro.common.config import SimulationConfig
 from repro.common.errors import SimulationError
 from repro.network.delays import ConstantDelay, UniformDelay
 from repro.network.message import Message, estimate_size_bytes
+from repro.network import simulator as simulator_module
 from repro.network.simulator import NetworkSimulator, Process
 
 
@@ -337,6 +338,123 @@ class TestPendingEventsCounter:
         assert sim.pending_events() == 1
         sim.run(until=10.0)
         assert sim.pending_events() == 0
+
+
+class TestEventOrdering:
+    """The heap is keyed by ``(time, seq)``: ``seq`` is the submission order,
+    it is unique, and a broadcast keeps the one it was submitted under."""
+
+    class _Logger(Process):
+        def __init__(self, replica_id, log):
+            super().__init__(replica_id)
+            self.log = log
+
+        def on_message(self, message):
+            self.log.append((round(self.now, 9), message.kind, self.replica_id))
+
+    def _committee(self, delay_model, size=6, seed=3):
+        sim = NetworkSimulator(delay_model, SimulationConfig(seed=seed))
+        log = []
+        processes = [self._Logger(i, log) for i in range(size)]
+        for process in processes:
+            sim.add_process(process)
+        return sim, processes, log
+
+    def test_same_instant_fires_in_submission_order(self):
+        sim, processes, log = self._committee(ConstantDelay(0.5), size=3)
+        processes[0].send_to(1, "p", "first", {})
+        sim.schedule(0.5, lambda: log.append("timer-a"))
+        processes[0].broadcast("p", "cast", {})
+        sim.schedule(0.5, lambda: log.append("timer-b"))
+        processes[2].send_to(0, "p", "last", {})
+        sim.run()
+        assert log == [
+            (0.5, "first", 1),
+            "timer-a",
+            (0.5, "cast", 0),
+            (0.5, "cast", 1),
+            (0.5, "cast", 2),
+            "timer-b",
+            (0.5, "last", 0),
+        ]
+
+    def _load(self, sim, processes, log):
+        """Two interleaving broadcasts, a point-to-point and two timers."""
+        processes[0].broadcast("p", "A", {})
+        sim.schedule(0.2, lambda: log.append("timer-1"))
+        processes[1].broadcast("p", "B", {})
+        processes[2].send_to(3, "p", "C", {})
+        sim.schedule(0.35, lambda: log.append("timer-2"))
+
+    @staticmethod
+    def _queued_seqs(sim):
+        return {
+            event.message.kind: seq
+            for _, seq, event in sim._queue
+            if event.message is not None
+        }
+
+    @pytest.mark.parametrize("delays", [UniformDelay.from_mean(0.2), ConstantDelay(0.25)])
+    def test_parked_broadcast_resumes_with_its_seq_and_recipient_order(self, delays):
+        sim, processes, expected = self._committee(delays)
+        self._load(sim, processes, expected)
+        submitted = self._queued_seqs(sim)
+        assert submitted == {"A": 0, "B": 2, "C": 3}
+        total = sim.run().events
+        assert total == len(expected) == 6 + 6 + 1 + 2
+
+        def replay(step):
+            sim, processes, log = self._committee(delays)
+            self._load(sim, processes, log)
+            parked = 0
+            while sim.pending_events():
+                step(sim, log)
+                queued = self._queued_seqs(sim)
+                parked += len(queued)
+                # Whatever is still queued kept the seq it was submitted under.
+                assert queued.items() <= submitted.items()
+            assert parked and log == expected
+            assert sim.events_processed == total
+
+        # max_events: every budget from one event a call upwards parks a
+        # broadcast somewhere in its schedule.
+        for budget in range(1, 6):
+            replay(lambda sim, log: sim.run(max_events=budget))
+        # until: advance the deadline in steps finer than the delays (the
+        # clock only moves with events, so the deadline is the test's own).
+        deadlines = (0.03 * step for step in range(1, 1000))
+        replay(lambda sim, log: sim.run(until=next(deadlines)))
+        # stop_when: stop after every single delivery or timer.
+        def one_more(sim, log):
+            seen = len(log)
+            sim.run(stop_when=lambda: len(log) > seen)
+        replay(one_more)
+
+    def test_equal_time_events_never_compare_event_objects(self, monkeypatch):
+        def compared(self, other):
+            raise AssertionError("two _Event objects were compared")
+
+        # ``heapq`` orders with ``<`` alone.
+        monkeypatch.setattr(simulator_module._Event, "__lt__", compared, raising=False)
+        sim, processes, log = self._committee(ConstantDelay(0.1), size=4)
+        for index in range(250):
+            sim.schedule(0.1, lambda index=index: log.append(index))
+            processes[index % 4].send_to(0, "p", "unicast", {"index": index})
+            processes[index % 4].broadcast("p", "cast", {})
+            sim.schedule(0.1, lambda: None)
+        assert len(sim._queue) == 1000
+        assert len({time for time, _, _ in sim._queue}) == 1
+        assert sim.run().events == 250 * (1 + 1 + 4 + 1)
+        # Pops came out in submission order: timer, unicast, 4-way broadcast.
+        assert log[:6] == [
+            0,
+            (0.1, "unicast", 0),
+            (0.1, "cast", 0),
+            (0.1, "cast", 1),
+            (0.1, "cast", 2),
+            (0.1, "cast", 3),
+        ]
+        assert [entry for entry in log if isinstance(entry, int)] == list(range(250))
 
 
 class TestDeterminism:

@@ -111,10 +111,74 @@ class TestRouter:
         assert not router.unregister(topic("nope"))
 
     def test_unregister_prunes_trie(self):
+        """Unregister leaves no empty table behind: a router that has lost
+        every prefix of some length stops probing that length."""
         router = Router()
+        router.register(topic("a"), lambda *a: None)
         router.register(topic("a", "b", "c"), lambda *a: None)
-        router.unregister(topic("a", "b", "c"))
-        assert not router._root.children
+        assert [length for length, _ in router._tables] == [3, 1]
+        assert router.unregister(topic("a", "b", "c"))
+        assert [length for length, _ in router._tables] == [1]
+        assert not router.unregister(topic("a", "b", "c"))
+        assert router.unregister(topic("a"))
+        assert router._tables == []
+
+    def test_deeper_prefix_registered_later_takes_the_next_message(self):
+        """Nothing is remembered per topic: a prefix registered after a
+        shallower one already served that very topic shadows it at once, and
+        unregistering it falls back."""
+        router = Router()
+        log = []
+        routed = topic("sbc", 0, 3, "rbc", 5)
+        router.register(topic("sbc"), self._record(log, "fallback"))
+        router.dispatch(routed, 0, "INIT", {})
+        router.register(topic("sbc", 0, 3), self._record(log, "instance"))
+        router.dispatch(routed, 0, "ECHO", {})
+        assert router.unregister(topic("sbc", 0, 3))
+        router.dispatch(routed, 0, "READY", {})
+        assert [(name, kind) for name, _, _, kind in log] == [
+            ("fallback", "INIT"),
+            ("instance", "ECHO"),
+            ("fallback", "READY"),
+        ]
+
+    def test_root_prefix_catches_everything(self):
+        router = Router()
+        log = []
+        router.register((), self._record(log, "root"))
+        router.register(topic("sbc", 0), self._record(log, "epoch"))
+        assert router.dispatch(topic("anything", 7), 0, "K", {})
+        assert router.dispatch(topic("sbc"), 0, "K", {})
+        assert router.dispatch(topic("sbc", 0, 1), 0, "K", {})
+        assert [name for name, *_ in log] == ["root", "root", "epoch"]
+        assert router.resolve(()) is router.resolve(topic("sbc", 1))
+
+    def test_a_topic_shorter_than_a_registered_prefix_does_not_match_it(self):
+        router = Router()
+        router.register(topic("sbc", 0, 3), lambda *a: None)
+        assert not router.dispatch(topic("sbc", 0), 0, "K", {})
+        assert router.resolve(topic("sbc")) is None
+
+    def test_unknown_topics_leave_the_tables_the_size_they_were(self):
+        """A peer inventing instances costs a lookup each and no memory: the
+        tables hold registered prefixes, never topics seen."""
+        router = Router()
+        seen = []
+        router.register(topic("sbc"), lambda t, *rest: seen.append(t))
+        router.register(topic("sbc", 0, 3), lambda *a: None)
+        router.register(topic("asmr", "confirm"), lambda *a: None)
+
+        def sizes():
+            return [(length, len(table)) for length, table in router._tables]
+
+        before = sizes()
+        for instance in range(10_000):
+            # Built directly: interning would park them in the topic table.
+            unknown = Topic(("sbc", 0, 4 + instance, "bin", 1))
+            assert router.dispatch(unknown, 0, "AUX", {})
+            assert not router.dispatch(Topic(("nope", instance)), 0, "AUX", {})
+        assert len(seen) == 10_000
+        assert sizes() == before == [(3, 1), (2, 1), (1, 1)]
 
     def test_reregister_replaces_handler(self):
         router = Router()
