@@ -5,7 +5,9 @@ integers, quorum thresholds of ``2n/3`` and recovery thresholds of ``n/3``.
 This module centralises those computations so every protocol uses exactly the
 same arithmetic (ceilings matter: a quorum is ``ceil(2n/3)`` and the recovery
 threshold is ``ceil(n/3)``; both are computed in integers, ``ceil(a/3) ==
-(a + 2) // 3``, because every handler asks for them on every message).
+(a + 2) // 3``).  Handlers test both on every message and read them off their
+host, which re-derives them when its committee changes
+(:meth:`repro.consensus.host.ProtocolHost._set_committee`).
 """
 
 from __future__ import annotations

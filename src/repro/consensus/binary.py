@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Set
 
-from repro.common.types import ReplicaId, quorum_size, recovery_threshold
+from repro.common.types import ReplicaId
 from repro.consensus.certificates import (
     Certificate,
     SignedVote,
@@ -97,14 +97,6 @@ class BinaryConsensus:
         self._aux_counts: Dict[int, List[int]] = {}
         # All verified AUX/DECIDE votes observed, for accountability.
         self.collected_votes: List[SignedVote] = []
-
-    # -- thresholds ---------------------------------------------------------------
-
-    def _quorum(self) -> int:
-        return quorum_size(self.host.committee_size())
-
-    def _support(self) -> int:
-        return recovery_threshold(self.host.committee_size())
 
     # -- API ----------------------------------------------------------------------
 
@@ -189,20 +181,21 @@ class BinaryConsensus:
             self._handle_decide(sender, body)
 
     def _handle_bval(self, sender: ReplicaId, body: Dict[str, Any]) -> None:
-        if self.decided or not self.started:
-            # BVAL before propose() still counts: buffer by processing it, the
-            # estimate is unknown but thresholds are per-value anyway.
-            if self.decided:
-                return
-        round_number = int(body.get("round", 0))
+        if self.decided:
+            return
+        # BVAL before propose() still counts: buffer by processing it, the
+        # estimate is unknown but thresholds are per-value anyway.
+        round_number = body.get("round", 0)
+        if type(round_number) is not int or round_number < 0:
+            return
         value = 1 if body.get("value") else 0
         per_round = self._bval_received.setdefault(round_number, {0: set(), 1: set()})
         per_round[value].add(sender)
         support = len(per_round[value])
-        if support >= self._support():
+        if support >= self.host.support:
             # Echo the value once enough replicas back it (BV-broadcast rule).
             self._broadcast_bval(round_number, value)
-        if support >= self._quorum():
+        if support >= self.host.quorum:
             self._bin_values.setdefault(round_number, set()).add(value)
             if round_number == self.round and self.started:
                 self._broadcast_aux(round_number)
@@ -214,15 +207,17 @@ class BinaryConsensus:
             return
         for round_number, per_round in list(self._bval_received.items()):
             for value, senders in per_round.items():
-                if len(senders) >= self._support():
+                if len(senders) >= self.host.support:
                     self._broadcast_bval(round_number, value)
-                if len(senders) >= self._quorum():
+                if len(senders) >= self.host.quorum:
                     self._bin_values.setdefault(round_number, set()).add(value)
         if self.started:
             self._try_resolve_round(self.round)
 
     def _handle_aux(self, sender: ReplicaId, body: Dict[str, Any]) -> None:
-        round_number = int(body.get("round", 0))
+        round_number = body.get("round", 0)
+        if type(round_number) is not int or round_number < 0:
+            return
         value = 1 if body.get("value") else 0
         payload = body.get("vote")
         if payload is None:
@@ -292,7 +287,7 @@ class BinaryConsensus:
         # First AUX votes, per value, that lie in ``bin_values``.
         zeros = counts[0] if 0 in bin_values else 0
         ones = counts[1] if 1 in bin_values else 0
-        if zeros + ones < self._quorum():
+        if zeros + ones < self.host.quorum:
             return
         fallback = round_number % 2
         if zeros and ones:

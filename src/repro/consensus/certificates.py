@@ -108,6 +108,12 @@ class VoteKind(enum.Enum):
         )
 
 
+#: Wire value -> member.  The parsers subscript it: an unknown kind is a
+#: ``KeyError`` and an unhashable one a ``TypeError``, which every handler
+#: drops, and a vote crosses the wire without an ``enum`` frame.
+_KIND_OF: Dict[str, VoteKind] = {kind.value: kind for kind in VoteKind}
+
+
 @dataclasses.dataclass(frozen=True)
 class SignedVote:
     """A vote: (context, round, kind, value) signed by ``signer``.
@@ -193,7 +199,9 @@ def _vote_digest(
     context: str, round_number: int, kind: VoteKind, value_digest: str
 ) -> str:
     """Memoised canonical digest of a vote payload."""
-    key = (context, round_number, kind.value, value_digest)
+    # ``_value_`` is the member's own attribute; ``.value`` is a descriptor
+    # that costs two frames, and this runs once per vote verified.
+    key = (context, round_number, kind._value_, value_digest)
     digest = _VOTE_DIGESTS.get(key)
     if digest is None:
         if len(_VOTE_DIGESTS) >= _MEMO_MAX:
@@ -235,12 +243,16 @@ def verify_vote(vote: SignedVote, verifier: Any) -> bool:
     registry's verified-signature cache turn the fan-out re-verification of a
     vote into two dict probes.
     """
-    if vote.signature.signer != vote.signer:
+    signature = vote.signature
+    if signature.signer != vote.signer:
         return False
-    verify_digest = getattr(verifier, "verify_digest", None)
-    if verify_digest is not None:
-        return verify_digest(vote.payload_digest(), vote.signature)
-    return verifier.verify(vote.vote_payload(), vote.signature)
+    try:
+        verify_digest = verifier.verify_digest
+    except AttributeError:
+        return verifier.verify(vote.vote_payload(), signature)
+    return verify_digest(
+        _vote_digest(vote.context, vote.round, vote.kind, vote.value_digest), signature
+    )
 
 
 @dataclasses.dataclass
@@ -438,8 +450,8 @@ class Certificate:
 def certificate_from_payload(payload: Tuple[Any, ...]) -> Certificate:
     """Rebuild a certificate from its wire tuple (inverse of ``to_payload``).
 
-    Raises ``TypeError`` / ``ValueError`` for anything but the documented
-    layout with exactly typed fields, like :func:`vote_from_payload`.
+    Raises ``TypeError`` / ``ValueError`` / ``KeyError`` for anything but the
+    documented layout with exactly typed fields, like :func:`vote_from_payload`.
     """
     if type(payload) is not tuple:
         raise TypeError("certificate payload is not a tuple")
@@ -453,7 +465,7 @@ def certificate_from_payload(payload: Tuple[Any, ...]) -> Certificate:
         and type(entries) is list
     ):
         raise TypeError("certificate payload has a field of the wrong type")
-    kind = VoteKind(kind)
+    kind = _KIND_OF[kind]
     votes: List[SignedVote] = []
     for entry in entries:
         if type(entry) is not tuple:
@@ -485,8 +497,9 @@ def vote_from_payload(payload: Tuple[Any, ...]) -> SignedVote:
     """Rebuild a signed vote from its wire tuple (inverse of ``to_payload``).
 
     The tuple comes off the wire, so arity and the exact type of every field
-    are checked here and anything else raises ``TypeError`` / ``ValueError``,
-    which every handler treats as "drop the message": a ``str`` signature or
+    are checked here and anything else raises ``TypeError`` / ``ValueError`` /
+    ``KeyError`` (an unknown kind), which every handler treats as "drop the
+    message": a ``str`` signature or
     a list-valued scheme would otherwise only surface as a ``TypeError`` from
     inside signature verification.
     """
@@ -521,7 +534,7 @@ def vote_from_payload(payload: Tuple[Any, ...]) -> SignedVote:
     return SignedVote(
         context,
         round_number,
-        VoteKind(kind),
+        _KIND_OF[kind],
         value_digest,
         signer,
         SignedPayload(signature_signer, payload_hash, signature, scheme),

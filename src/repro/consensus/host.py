@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
-from repro.common.types import ReplicaId
+from repro.common.types import ReplicaId, quorum_size, recovery_threshold
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.signatures import SignedPayload, Signer
 
@@ -41,6 +41,26 @@ class ProtocolHost:
     def committee_size(self) -> int:
         """Size of the current committee."""
         return len(self.committee())
+
+    #: The two thresholds every component tests on every message:
+    #: ``ceil(2n/3)`` (quorum) and ``ceil(n/3)`` (echo / ready / pull support)
+    #: over the *current* committee.  A host assigns its committee through
+    #: :meth:`_set_committee` and nowhere else, which stores both as plain
+    #: attributes beside it; one that never does has neither, and its first
+    #: threshold read is an ``AttributeError``.
+    quorum: int
+    support: int
+
+    def _set_committee(self, committee: Iterable[ReplicaId]) -> None:
+        """The one place ``_committee`` is assigned: the thresholds follow it.
+
+        An empty committee has none — ``ValueError``, as asking for one
+        always was.
+        """
+        self._committee: List[ReplicaId] = sorted(committee)
+        size = len(self._committee)
+        self.quorum = quorum_size(size)
+        self.support = recovery_threshold(size)
 
     # -- time -------------------------------------------------------------------
 
@@ -72,7 +92,7 @@ class ProtocolHost:
     #: ``verify_digest(digest, signed)`` (digest-first verification through
     #: the registry's verified-signature cache) and ``verification_token``
     #: (the registry's cache identity).  Both are optional — callers discover
-    #: them with ``getattr`` so minimal test hosts keep working.
+    #: them by attribute lookup so minimal test hosts keep working.
 
     # -- communication -------------------------------------------------------------
 
@@ -119,7 +139,7 @@ class SimpleHost(ProtocolHost):
         transport: Any,
     ):
         self._replica_id = replica_id
-        self._committee: List[ReplicaId] = sorted(committee)
+        self._set_committee(committee)
         self._signer = signer
         self._registry = registry
         self._transport = transport
@@ -135,7 +155,7 @@ class SimpleHost(ProtocolHost):
 
     def update_committee(self, committee: Iterable[ReplicaId]) -> None:
         """Replace the committee view (used by membership changes)."""
-        self._committee = sorted(committee)
+        self._set_committee(committee)
 
     @property
     def now(self) -> float:

@@ -214,6 +214,8 @@ class AwsRegionDelay(DelayModel):
     def sample(self, sender: ReplicaId, recipient: ReplicaId, rng: random.Random) -> float:
         count = self._region_count
         base = self._pair_latency[sender % count][recipient % count]
+        # ``sample_many`` spells ``uniform``'s expression out; ``TestSampleMany``
+        # holds the two bit-identical.
         jitter = rng.uniform(-self.jitter_fraction, self.jitter_fraction) * base
         return max(0.0005, base + jitter)
 
@@ -222,15 +224,18 @@ class AwsRegionDelay(DelayModel):
     ) -> List[float]:
         count = self._region_count
         row = self._pair_latency[sender % count]
-        uniform = rng.uniform
-        jitter_fraction = self.jitter_fraction
-        delays: List[float] = []
-        append = delays.append
-        for target in targets:
-            base = row[target % count]
-            delay = base + uniform(-jitter_fraction, jitter_fraction) * base
-            append(delay if delay > 0.0005 else 0.0005)
-        return delays
+        draw = rng.random
+        # ``rng.uniform(low, high)`` is ``low + (high - low) * rng.random()``:
+        # the same draws and the same float expression, without its frame.
+        low = -self.jitter_fraction
+        span = self.jitter_fraction - low
+        return [
+            delay
+            if (delay := (base := row[target % count]) + (low + span * draw()) * base)
+            > 0.0005
+            else 0.0005
+            for target in targets
+        ]
 
     def mean_delay(self) -> float:
         total = 0.0

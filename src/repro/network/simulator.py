@@ -78,6 +78,7 @@ class _Event:
         "callback",
         "cancelled",
         "deliveries",
+        "fanout",
         "cursor",
         "owner",
         "trace_ctx",
@@ -98,6 +99,8 @@ class _Event:
         self.callback = callback
         self.cancelled = False
         self.deliveries: Optional[List[Tuple[float, int, ReplicaId]]] = None
+        #: ``len(deliveries)``, kept so re-entering the run loop costs no call.
+        self.fanout = 0
         self.cursor = 0
         #: Timer bookkeeping: scheduling replica and, when tracing is
         #: enabled, the trace context captured at scheduling time (restored
@@ -272,18 +275,20 @@ class NetworkSimulator(Transport):
         else:
             reachable = list(enumerate(targets))
             delays = self.delay_model.sample_many(sender, targets, self.rng)
+        if min(delays) < 0:
+            raise SimulationError(f"negative delay {min(delays)} sampled")
         now = self._now
-        deliveries: List[Tuple[float, int, ReplicaId]] = []
-        append = deliveries.append
-        for (order, target), delay in zip(reachable, delays):
-            if delay < 0:
-                raise SimulationError(f"negative delay {delay} sampled")
-            append((now + delay, order, target))
-        deliveries.sort()
+        deliveries = sorted(
+            [
+                (now + delay, order, target)
+                for (order, target), delay in zip(reachable, delays)
+            ]
+        )
         event = _Event(_Event.BROADCAST, message)
         event.deliveries = deliveries
+        event.fanout = fanout = len(deliveries)
         heapq.heappush(self._queue, (deliveries[0][0], next(self._sequence), event))
-        self._pending += len(deliveries)
+        self._pending += fanout
 
     def schedule(
         self, delay: float, callback: Callable[[], None], owner: Optional[ReplicaId] = None
@@ -351,6 +356,9 @@ class NetworkSimulator(Transport):
             probe.enter("sim.kernel")
         processed = 0
         queue = self._queue
+        # Both containers are only ever mutated in place, never rebound.
+        disconnected = self._disconnected
+        processes = self._processes
         try:
             while queue and processed < budget:
                 time, seq, event = queue[0]
@@ -389,45 +397,52 @@ class NetworkSimulator(Transport):
                     assert deliveries is not None and event.message is not None
                     cursor = event.cursor
                     message = event.message
-                    total = len(deliveries)
+                    total = event.fanout
                     while True:
-                        message.recipient = deliveries[cursor][2]
+                        recipient = deliveries[cursor][2]
+                        message.recipient = recipient
                         cursor += 1
+                        # ``_deliver`` in line: one frame and one ``dict.get``
+                        # less per recipient, which is most of what runs here.
+                        # The two are twins — change the drop accounting or
+                        # the probe hooks in both.
+                        if recipient in disconnected or recipient not in processes:
+                            self.messages_dropped += 1
+                            if probe is not None:
+                                probe.on_drop(message, self._now)
+                        else:
+                            self.messages_delivered += 1
+                            if probe is None:
+                                processes[recipient].on_message(message)
+                            else:
+                                probe.deliver(processes[recipient], message, self._now)
                         if cursor == total:
-                            self._deliver(message)
                             break
                         next_time = deliveries[cursor][0]
-                        if processed >= budget or next_time > deadline:
-                            # Out of budget or past the deadline: park the
-                            # rest under the original ``seq``.
-                            event.cursor = cursor
-                            heapq.heappush(queue, (next_time, seq, event))
-                            self._deliver(message)
-                            break
-                        self._deliver(message)
-                        if stop_when is not None and stop_when():
-                            # Park the rest; the post-event check below stops
-                            # the run (stop predicates are pure, so the extra
-                            # call is harmless).
-                            event.cursor = cursor
-                            heapq.heappush(queue, (next_time, seq, event))
-                            break
-                        # Chain the next recipient inline only when this event
-                        # would be popped right back anyway: no queued entry —
-                        # including any just submitted by the delivery above —
-                        # orders before (next_time, seq).  Otherwise re-enter
-                        # the heap with the original sequence number so
-                        # tie-breaking matches the per-recipient event scheme
-                        # exactly.
-                        if queue and queue[0] < (next_time, seq):
+                        # Park the rest under the original ``seq`` when the
+                        # run is out of budget, past the deadline or stopped
+                        # (the post-event check below ends it; stop predicates
+                        # are pure, so the extra call is harmless), or when a
+                        # queued entry — including any the delivery above just
+                        # submitted — orders before (next_time, seq).  Heap
+                        # keys are unique, so pushing after the delivery pops
+                        # in the same order as pushing before it, and ties
+                        # break exactly as per-recipient events would.
+                        if (
+                            processed >= budget
+                            or next_time > deadline
+                            or (stop_when is not None and stop_when())
+                            or (queue and queue[0] < (next_time, seq))
+                        ):
                             event.cursor = cursor
                             heapq.heappush(queue, (next_time, seq, event))
                             break
-                        # Replay the per-event bookkeeping the outer loop
-                        # would have done for the chained recipient.  The
-                        # sampled queue depth is identical to the heap
-                        # round-trip scheme: the pop there happened before the
-                        # sample, so this in-flight broadcast never counted.
+                        # Chain the next recipient in line, replaying the
+                        # per-event bookkeeping the outer loop would have
+                        # done for it.  The sampled queue depth is identical
+                        # to the heap round-trip scheme: the pop there
+                        # happened before the sample, so this in-flight
+                        # broadcast never counted.
                         if next_time > self._now:
                             self._now = next_time
                         if sampler is not None and self._now >= sampler.next_tick:
@@ -458,6 +473,14 @@ class NetworkSimulator(Transport):
                 probe.exit()
 
     def _deliver(self, message: Message) -> None:
+        """Deliver one point-to-point message, or drop and count it.
+
+        The broadcast loop in :meth:`run` applies the same policy in line and
+        must change with this.  Point-to-point events are too few to earn
+        that (258 of the 113 858 deliveries of a benign n=20 cell, 473 of
+        52 502 under the n=18 attack: ``FETCH`` / ``VALUE``, ``PULL`` /
+        ``PROPOSALS`` and catch-up), so they keep the method.
+        """
         probe = self.probe
         recipient = message.recipient
         process = (

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Set
 
-from repro.common.types import ReplicaId, quorum_size, recovery_threshold
+from repro.common.types import ReplicaId
 from repro.consensus.certificates import (
     Certificate,
     SignedVote,
@@ -118,14 +118,6 @@ class ReliableBroadcast:
         self._waiting: Dict[str, List[ReplicaId]] = {}
         # Every verified vote seen, kept for accountability cross-checks.
         self.collected_votes: List[SignedVote] = []
-
-    # -- thresholds -------------------------------------------------------------
-
-    def _quorum(self) -> int:
-        return quorum_size(self.host.committee_size())
-
-    def _ready_support(self) -> int:
-        return recovery_threshold(self.host.committee_size())
 
     # -- sending ----------------------------------------------------------------
 
@@ -258,7 +250,7 @@ class ReliableBroadcast:
         digest = vote.value_digest
         votes = self._echo_votes.setdefault(digest, {})
         votes.setdefault(sender, vote)
-        if len(votes) >= self._quorum():
+        if len(votes) >= self.host.quorum:
             self._send_ready(digest)
         if digest not in self._values:
             self._vouched(sender, digest)
@@ -271,7 +263,7 @@ class ReliableBroadcast:
         digest = vote.value_digest
         votes = self._ready_votes.setdefault(digest, {})
         votes.setdefault(sender, vote)
-        if len(votes) >= self._ready_support():
+        if len(votes) >= self.host.support:
             self._send_ready(digest)
         if digest not in self._values:
             self._vouched(sender, digest)
@@ -280,10 +272,10 @@ class ReliableBroadcast:
     def recheck(self) -> None:
         """Re-apply the thresholds to the votes held (the committee shrank)."""
         for digest, votes in list(self._echo_votes.items()):
-            if len(votes) >= self._quorum():
+            if len(votes) >= self.host.quorum:
                 self._send_ready(digest)
         for digest, votes in list(self._ready_votes.items()):
-            if len(votes) >= self._ready_support():
+            if len(votes) >= self.host.support:
                 self._send_ready(digest)
             self._maybe_deliver(digest)
 
@@ -295,7 +287,7 @@ class ReliableBroadcast:
         if sender == self.host.replica_id:
             return
         vouchers = self._vouchers.setdefault(digest, [])
-        cap = self._ready_support()
+        cap = self.host.support
         if sender in vouchers or len(vouchers) >= cap:
             return
         vouchers.append(sender)
@@ -350,13 +342,13 @@ class ReliableBroadcast:
         if self.delivered:
             return
         ready = self._ready_votes.get(digest, {})
-        if len(ready) < self._quorum():
+        if len(ready) < self.host.quorum:
             return
         if digest not in self._values:
             # The value is all that is missing: ask every voucher not asked
             # yet.  ``_store`` retriggers this check when the INIT or a
             # pulled VALUE brings it.
-            self._fetch(digest, self._ready_support())
+            self._fetch(digest, self.host.support)
             return
         self.delivered = True
         self.delivered_value = self._values[digest]

@@ -570,7 +570,7 @@ class ASMRReplica(BaseReplica):
         """Number of distinct culprits required to start a membership change."""
         if self.config.pof_threshold is not None:
             return self.config.pof_threshold
-        return recovery_threshold(self.committee_size())
+        return self.support
 
     def _after_pof_update(self) -> None:
         probe = self.probe

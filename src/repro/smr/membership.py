@@ -101,7 +101,7 @@ class _RestrictedHost(ProtocolHost):
 
     def __init__(self, base: ProtocolHost, committee: Iterable[ReplicaId]):
         self._base = base
-        self._committee = sorted(committee)
+        self._set_committee(committee)
         # The restricted consensus reports metrics only: its trace events
         # would carry the epoch where ASMR instances carry the instance
         # number, aliasing instance ids in the critical-path analysis.
@@ -117,9 +117,9 @@ class _RestrictedHost(ProtocolHost):
         return list(self._committee)
 
     def remove(self, members: Iterable[ReplicaId]) -> None:
-        """Shrink the view; thresholds are read from it on every check."""
+        """Shrink the view; ``quorum`` and ``support`` are re-assigned with it."""
         gone = set(members)
-        self._committee = [m for m in self._committee if m not in gone]
+        self._set_committee(m for m in self._committee if m not in gone)
 
     @property
     def now(self) -> float:

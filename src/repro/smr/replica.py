@@ -16,7 +16,7 @@ Honest replicas have no strategy and broadcast uniformly.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, Optional, Sequence
 
 from repro.common.types import FaultKind, ReplicaId
 from repro.consensus.host import ProtocolHost
@@ -39,7 +39,7 @@ class BaseReplica(RoutedProcess, ProtocolHost):
         fault: FaultKind = FaultKind.HONEST,
     ):
         RoutedProcess.__init__(self, replica_id)
-        self._committee: List[ReplicaId] = sorted(committee)
+        self._set_committee(committee)
         self._signer = signer
         self._registry = registry
         self.fault = fault
@@ -63,7 +63,7 @@ class BaseReplica(RoutedProcess, ProtocolHost):
 
     def update_committee(self, committee: Iterable[ReplicaId]) -> None:
         """Replace this replica's committee view (membership changes)."""
-        self._committee = sorted(committee)
+        self._set_committee(committee)
 
     # -- ProtocolHost: crypto ------------------------------------------------------
     #

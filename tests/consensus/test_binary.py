@@ -157,7 +157,7 @@ class _RescanningBinaryConsensus(BinaryConsensus):
             for sender, vote in votes.items()
             if _digest_to_value(vote.value_digest) in bin_values
         }
-        if len(supporting) < self._quorum():
+        if len(supporting) < self.host.quorum:
             return
         values = {_digest_to_value(vote.value_digest) for vote in supporting.values()}
         fallback = round_number % 2

@@ -106,6 +106,19 @@ CONFUSED_PROOFS = {
 }
 
 
+#: name -> a BVAL / AUX ``round`` no honest replica sends.  ``int()`` raised
+#: on the first four (``ValueError``, ``TypeError`` twice, ``OverflowError``)
+#: and took the others for a round.
+HOSTILE_ROUNDS = {
+    "a str": "x",
+    "None": None,
+    "a list": [1],
+    "an infinite float": 1e400,
+    "a bool": True,
+    "negative": -1,
+}
+
+
 def confused(table):
     return pytest.mark.parametrize("confusion", sorted(table))
 
@@ -174,6 +187,30 @@ class TestBinaryConsensus:
         vote = make_vote(replicas[1], self.CONTEXT, 0, VoteKind.AUX, value_digest(1))
         body = {"round": 0, "value": 1, "vote": vote.to_payload()}
         hostile = {**body, "vote": CONFUSED_VOTES[confusion](body["vote"])}
+        component.handle(1, "AUX", _delivered("AUX", hostile))
+        simulator.run()
+        assert component.collected_votes == [] and component._aux_votes == {}
+        assert seen == []
+        component.handle(1, "AUX", _delivered("AUX", body))
+        assert component.collected_votes == [vote]
+
+    @confused(HOSTILE_ROUNDS)
+    def test_handle_bval_drops_a_round_that_is_not_one(self, confusion):
+        simulator, replicas, seen, component, _ = self._instance()
+        body = {"round": 0, "value": 1}
+        hostile = {**body, "round": HOSTILE_ROUNDS[confusion]}
+        component.handle(1, "BVAL", _delivered("BVAL", hostile))
+        simulator.run()
+        assert component._bval_received == {} and seen == []
+        component.handle(1, "BVAL", _delivered("BVAL", body))
+        assert component._bval_received == {0: {0: set(), 1: {1}}}
+
+    @confused(HOSTILE_ROUNDS)
+    def test_handle_aux_drops_a_round_that_is_not_one(self, confusion):
+        simulator, replicas, seen, component, _ = self._instance()
+        vote = make_vote(replicas[1], self.CONTEXT, 0, VoteKind.AUX, value_digest(1))
+        body = {"round": 0, "value": 1, "vote": vote.to_payload()}
+        hostile = {**body, "round": HOSTILE_ROUNDS[confusion]}
         component.handle(1, "AUX", _delivered("AUX", hostile))
         simulator.run()
         assert component.collected_votes == [] and component._aux_votes == {}

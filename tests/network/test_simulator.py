@@ -8,6 +8,7 @@ from repro.network.delays import ConstantDelay, UniformDelay
 from repro.network.message import Message, estimate_size_bytes
 from repro.network import simulator as simulator_module
 from repro.network.simulator import NetworkSimulator, Process
+from repro.obs.core import Probe
 
 
 class Recorder(Process):
@@ -455,6 +456,67 @@ class TestEventOrdering:
             (0.1, "cast", 3),
         ]
         assert [entry for entry in log if isinstance(entry, int)] == list(range(250))
+
+
+class TestFanOutDelivery:
+    """The run loop delivers a fan-out's recipients itself: whoever went away
+    between ``submit_broadcast`` and its turn is dropped and counted there, and
+    the rest of that fan-out is served as scheduled."""
+
+    class _Probe(Probe):
+        def __init__(self):
+            super().__init__()
+            self.dropped = []
+
+        def on_drop(self, message, now, count=1):
+            self.dropped.append((message.kind, message.recipient, count))
+            super().on_drop(message, now, count)
+
+    def _run(self, delays, probe=None, victims=()):
+        """Two interleaving six-way broadcasts; the first delivery of all
+        disconnects ``victims[0]`` and unregisters ``victims[1]``."""
+        sim = NetworkSimulator(delays, SimulationConfig(seed=5), probe=probe)
+        log = []
+
+        class Logger(Process):
+            def on_message(self, message):
+                log.append((message.kind, self.replica_id))
+                if victims and len(log) == 1:
+                    sim.disconnect(victims[0])
+                    sim.remove_process(victims[1])
+
+        processes = [Logger(i) for i in range(6)]
+        for process in processes:
+            sim.add_process(process)
+        processes[0].broadcast("p", "A", {})
+        processes[1].broadcast("p", "B", {})
+        sim.run()
+        assert sim.pending_events() == 0
+        return sim, log
+
+    @pytest.mark.parametrize("probed", [False, True], ids=["bare", "probed"])
+    @pytest.mark.parametrize("delays", [UniformDelay.from_mean(0.2), ConstantDelay(0.25)])
+    def test_recipients_gone_before_their_turn_are_dropped_and_the_rest_served(
+        self, delays, probed
+    ):
+        _, schedule = self._run(delays)
+        assert len(schedule) == 12
+        # The third and the fifth recipient of A: both broadcasts still owe
+        # them a delivery, and A has recipients to serve after each.
+        order_of_a = [recipient for kind, recipient in schedule if kind == "A"]
+        victims = (order_of_a[2], order_of_a[4])
+        probe = self._Probe() if probed else None
+        sim, log = self._run(delays, probe, victims)
+        expected = schedule[:1] + [entry for entry in schedule[1:] if entry[1] not in victims]
+        dropped = [entry for entry in schedule[1:] if entry[1] in victims]
+        assert log == expected and len(dropped) >= 3
+        assert [recipient for kind, recipient in log if kind == "A"][-1] == order_of_a[5]
+        assert sim.messages_sent == 12
+        assert sim.messages_delivered == len(expected)
+        assert sim.messages_dropped == len(dropped)
+        assert sim.messages_sent == sim.messages_delivered + sim.messages_dropped
+        if probed:
+            assert probe.dropped == [(kind, recipient, 1) for kind, recipient in dropped]
 
 
 class TestDeterminism:

@@ -83,6 +83,33 @@ class TestShrinkingExclusionCommittee:
         assert len({tuple(outcome.included) for outcome in outcomes.values()}) == 1
         assert len(outcomes[0].included) == 3
 
+    def test_the_exclusion_consensus_decides_at_the_shrunken_quorum(self):
+        # Replica 0 starts from two of the three PoFs and never hears replica
+        # 3: every step holds three votes (0, 1, 2) against a quorum of 4 of
+        # C' = {0..4}.
+        culprits = (4, 5, 6)
+        simulator, changes, outcomes, pofs, _, _ = _changes(
+            7, culprits, lambda rid: (5, 6) if rid == 0 else culprits
+        )
+        deliver = changes[0].host.on_message
+        changes[0].host.on_message = lambda message: message.sender == 3 or deliver(message)
+        for change in changes.values():
+            change.start()
+        simulator.run()
+        view = changes[0]._exclusion_host
+        assert (len(view.committee()), view.quorum, view.support) == (5, 4, 2)
+        assert sorted(outcomes) == [1, 2, 3] and not changes[0].exclusion.decided
+        # The third PoF: C' = {0..3}, and ``drop_slots`` -> ``recheck`` finds
+        # the same three votes to be the quorum of 3 they now are.
+        changes[0].learn_pofs(pofs)
+        assert (len(view.committee()), view.quorum, view.support) == (4, 3, 2)
+        simulator.run()
+        assert changes[0].exclusion.decided and sorted(outcomes) == [0, 1, 2, 3]
+        decision = changes[0].exclusion.decision
+        for certificate in decision.binary_certificates.values():
+            assert certificate.signers() <= {0, 1, 2} and len(certificate.votes) == 3
+        assert outcomes[0].excluded == outcomes[1].excluded == [4, 5, 6]
+
     def test_known_culprits_and_a_decided_exclusion_are_left_alone(self):
         culprits = (3,)
         simulator, changes, outcomes, pofs, _, _ = _changes(4, culprits, lambda rid: culprits)
