@@ -26,21 +26,23 @@ scenario the simulator exercises.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.common.types import ReplicaId
 from repro.consensus.certificates import (
     Certificate,
+    CollectedVotes,
     SignedVote,
     VoteKind,
     certificate_from_payload,
+    collect_vote,
     make_vote,
     verify_vote,
     vote_from_payload,
 )
 from repro.consensus.host import ProtocolHost
 from repro.crypto.hashing import hash_payload
-from repro.network.topic import TopicLike, as_topic
+from repro.network.topic import Topic, TopicLike, as_topic
 from repro.obs.trace import topic_trace_attrs
 
 #: Callback signature: (context, decided_value, certificate)
@@ -55,6 +57,42 @@ _DIGEST_OF = (hash_payload(["binary-value", 0]), hash_payload(["binary-value", 1
 def value_digest(value: int) -> str:
     """Canonical digest of a binary value used in votes and certificates."""
     return _DIGEST_OF[1 if value else 0]
+
+
+class _Round:
+    """What one round of an instance holds; a message fetches it once."""
+
+    __slots__ = (
+        "number",
+        "bval_sent",
+        "bval_received",
+        "bin_values",
+        "aux_sent",
+        "aux_votes",
+        "aux_counts",
+    )
+
+    def __init__(self, number: int):
+        self.number = number
+        #: Values this replica BV-broadcast, and who BV-broadcast each value.
+        self.bval_sent: Set[int] = set()
+        self.bval_received: Tuple[Set[ReplicaId], Set[ReplicaId]] = (set(), set())
+        self.bin_values: Set[int] = set()
+        self.aux_sent = False
+        #: The first AUX per sender, and how many of them stand for 0 and for
+        #: 1: what the round's resolution reads, kept as the votes arrive
+        #: instead of recounted from them on every arrival.
+        self.aux_votes: Dict[ReplicaId, SignedVote] = {}
+        self.aux_counts = [0, 0]
+
+
+class _Rounds(dict):
+    """Rounds by number; subscripting one that is not there yet creates it
+    (callers validate the number first: ``get`` and iteration create nothing)."""
+
+    def __missing__(self, number: int) -> _Round:
+        state = self[number] = _Round(number)
+        return state
 
 
 class BinaryConsensus:
@@ -85,18 +123,18 @@ class BinaryConsensus:
         self.decision: Optional[int] = None
         self.decision_certificate: Optional[Certificate] = None
         self.started = False
-        # Per-round state.
-        self._bval_sent: Dict[int, Set[int]] = {}
-        self._bval_received: Dict[int, Dict[int, Set[ReplicaId]]] = {}
-        self._bin_values: Dict[int, Set[int]] = {}
-        self._aux_sent: Dict[int, bool] = {}
-        self._aux_votes: Dict[int, Dict[ReplicaId, SignedVote]] = {}
-        #: Per round, how many of ``_aux_votes`` (the first AUX per sender)
-        #: stand for 0 and for 1: what a round's resolution reads, kept as
-        #: the votes arrive instead of recounted from them on every arrival.
-        self._aux_counts: Dict[int, List[int]] = {}
+        #: Per-round state, created by the first valid message of a round.
+        self._rounds = _Rounds()
+        #: The rounds a BVAL arrived for, in the order of their first one:
+        #: the order ``recheck`` re-applies the thresholds in.
+        self._bval_rounds: List[_Round] = []
         # All verified AUX/DECIDE votes observed, for accountability.
-        self.collected_votes: List[SignedVote] = []
+        self._collected: CollectedVotes = {}
+
+    @property
+    def collected_votes(self) -> List[SignedVote]:
+        """Every verified vote seen, a statement once, in arrival order."""
+        return list(self._collected.values())
 
     # -- API ----------------------------------------------------------------------
 
@@ -130,29 +168,31 @@ class BinaryConsensus:
                 **self._trace_attrs,
             )
         assert self.estimate is not None
-        self._broadcast_bval(round_number, self.estimate)
+        state = self._rounds[round_number]
+        self._broadcast_bval(state, self.estimate)
         # Messages for this round may have arrived while we were still in an
         # earlier round; re-evaluate so progress does not stall at the tail.
-        if self._bin_values.get(round_number):
-            self._broadcast_aux(round_number)
-            self._try_resolve_round(round_number)
+        if state.bin_values:
+            self._broadcast_aux(state)
+            self._try_resolve_round(state)
 
-    def _broadcast_bval(self, round_number: int, value: int) -> None:
-        sent = self._bval_sent.setdefault(round_number, set())
+    def _broadcast_bval(self, state: _Round, value: int) -> None:
+        sent = state.bval_sent
         if value in sent:
             return
         sent.add(value)
         self.host.emit(
-            self.topic, self.BVAL, {"round": round_number, "value": value}
+            self.topic, self.BVAL, {"round": state.number, "value": value}
         )
 
-    def _broadcast_aux(self, round_number: int) -> None:
-        if self._aux_sent.get(round_number):
+    def _broadcast_aux(self, state: _Round) -> None:
+        if state.aux_sent:
             return
-        bin_values = self._bin_values.get(round_number, set())
+        bin_values = state.bin_values
         if not bin_values:
             return
-        self._aux_sent[round_number] = True
+        state.aux_sent = True
+        round_number = state.number
         if self.estimate in bin_values:
             chosen = self.estimate
         else:
@@ -160,7 +200,7 @@ class BinaryConsensus:
         vote = make_vote(
             self.host, self.context, round_number, VoteKind.AUX, _DIGEST_OF[chosen]
         )
-        self.collected_votes.append(vote)
+        collect_vote(self._collected, vote)
         self.host.emit(
             self.topic,
             self.AUX,
@@ -169,8 +209,13 @@ class BinaryConsensus:
 
     # -- message handling -----------------------------------------------------------
 
-    def handle(self, sender: ReplicaId, kind: str, body: Dict[str, Any]) -> None:
-        """Process a message of this instance."""
+    def handle(self, topic: Topic, sender: ReplicaId, kind: str, body: Dict[str, Any]) -> None:
+        """Process a message of this instance.
+
+        The router's handler signature: the component is registered under its
+        own ``topic`` and has no use for the argument (a message sent *below*
+        that topic matches the route too and is read as sent on it; what binds
+        a vote to the instance is its signed context)."""
         if self._started_at is None:
             self._trace_started()
         if kind == self.BVAL:
@@ -185,45 +230,59 @@ class BinaryConsensus:
             return
         # BVAL before propose() still counts: buffer by processing it, the
         # estimate is unknown but thresholds are per-value anyway.
-        round_number = body.get("round", 0)
+        try:
+            round_number = body["round"]
+        except KeyError:
+            round_number = 0
         if type(round_number) is not int or round_number < 0:
             return
-        value = 1 if body.get("value") else 0
-        per_round = self._bval_received.setdefault(round_number, {0: set(), 1: set()})
-        per_round[value].add(sender)
-        support = len(per_round[value])
-        if support >= self.host.support:
+        try:
+            value = 1 if body["value"] else 0
+        except KeyError:
+            value = 0
+        state = self._rounds[round_number]
+        received = state.bval_received
+        if not (received[0] or received[1]):
+            self._bval_rounds.append(state)
+        senders = received[value]
+        senders.add(sender)
+        support = len(senders)
+        host = self.host
+        if support >= host.support:
             # Echo the value once enough replicas back it (BV-broadcast rule).
-            self._broadcast_bval(round_number, value)
-        if support >= self.host.quorum:
-            self._bin_values.setdefault(round_number, set()).add(value)
+            self._broadcast_bval(state, value)
+        if support >= host.quorum:
+            state.bin_values.add(value)
             if round_number == self.round and self.started:
-                self._broadcast_aux(round_number)
-                self._try_resolve_round(round_number)
+                self._broadcast_aux(state)
+                self._try_resolve_round(state)
 
     def recheck(self) -> None:
         """Re-apply the thresholds to the votes held (the committee shrank)."""
         if self.decided:
             return
-        for round_number, per_round in list(self._bval_received.items()):
-            for value, senders in per_round.items():
+        for state in self._bval_rounds:
+            for value, senders in enumerate(state.bval_received):
                 if len(senders) >= self.host.support:
-                    self._broadcast_bval(round_number, value)
+                    self._broadcast_bval(state, value)
                 if len(senders) >= self.host.quorum:
-                    self._bin_values.setdefault(round_number, set()).add(value)
+                    state.bin_values.add(value)
         if self.started:
-            self._try_resolve_round(self.round)
+            self._try_resolve_round(self._rounds[self.round])
 
     def _handle_aux(self, sender: ReplicaId, body: Dict[str, Any]) -> None:
-        round_number = body.get("round", 0)
+        try:
+            round_number = body["round"]
+        except KeyError:
+            round_number = 0
         if type(round_number) is not int or round_number < 0:
             return
-        value = 1 if body.get("value") else 0
-        payload = body.get("vote")
-        if payload is None:
-            return
         try:
-            vote = vote_from_payload(payload)
+            value = 1 if body["value"] else 0
+        except KeyError:
+            value = 0
+        try:
+            vote = vote_from_payload(body["vote"])
         except (KeyError, ValueError, TypeError):
             return
         if (
@@ -239,17 +298,22 @@ class BinaryConsensus:
         # Votes are collected even after deciding: the confirmation phase
         # cross-checks them against other replicas' certificates to extract
         # proofs of fraud from later rounds of an attacked instance.
-        self.collected_votes.append(vote)
+        collect_vote(self._collected, vote)
         if self.decided:
             return
-        votes = self._aux_votes.setdefault(round_number, {})
+        rounds = self._rounds
+        state = rounds[round_number]
+        votes = state.aux_votes
         # Only the first AUX per sender counts for the protocol; additional
         # conflicting ones remain in collected_votes for PoF extraction.
         if sender not in votes:
             votes[sender] = vote
-            self._aux_counts.setdefault(round_number, [0, 0])[value] += 1
+            state.aux_counts[value] += 1
         if self.started:
-            self._try_resolve_round(self.round)
+            # Whatever round the vote was for, it is the current one that an
+            # arrival re-examines.
+            current = self.round
+            self._try_resolve_round(state if round_number == current else rounds[current])
 
     def _handle_decide(self, sender: ReplicaId, body: Dict[str, Any]) -> None:
         if self.decided:
@@ -268,22 +332,22 @@ class BinaryConsensus:
             return
         if not certificate.is_valid(self.host, self.host.committee()):
             return
-        self.collected_votes.extend(certificate.votes)
+        for vote in certificate.votes:
+            collect_vote(self._collected, vote)
         self._decide(value, certificate, rebroadcast=True)
 
     # -- round resolution --------------------------------------------------------------
 
-    def _try_resolve_round(self, round_number: int) -> None:
+    def _try_resolve_round(self, state: _Round) -> None:
+        round_number = state.number
         if self.decided or round_number != self.round:
             return
-        bin_values = self._bin_values.get(round_number, set())
+        bin_values = state.bin_values
         if not bin_values:
             return
-        if not self._aux_sent.get(round_number):
-            self._broadcast_aux(round_number)
-        counts = self._aux_counts.get(round_number)
-        if counts is None:
-            return
+        if not state.aux_sent:
+            self._broadcast_aux(state)
+        counts = state.aux_counts
         # First AUX votes, per value, that lie in ``bin_values``.
         zeros = counts[0] if 0 in bin_values else 0
         ones = counts[1] if 1 in bin_values else 0
@@ -298,7 +362,7 @@ class BinaryConsensus:
                 digest = _DIGEST_OF[value]
                 certificate = Certificate.from_votes(
                     vote
-                    for vote in self._aux_votes[round_number].values()
+                    for vote in state.aux_votes.values()
                     if vote.value_digest == digest
                 )
                 self._decide(value, certificate, rebroadcast=True)
@@ -332,7 +396,7 @@ class BinaryConsensus:
         decide_vote = make_vote(
             self.host, self.context, 0, VoteKind.DECIDE, _DIGEST_OF[value]
         )
-        self.collected_votes.append(decide_vote)
+        collect_vote(self._collected, decide_vote)
         if rebroadcast:
             self.host.emit(
                 self.topic,

@@ -232,6 +232,21 @@ def make_vote(
     )
 
 
+#: The verified votes one component has seen, in arrival order, keyed by what
+#: a vote states there: ``(signer, kind value, round, value_digest)`` (the
+#: kind's value, because hashing a member is a Python frame).
+CollectedVotes = Dict[Tuple[ReplicaId, str, int, str], SignedVote]
+
+
+def collect_vote(collected: CollectedVotes, vote: SignedVote) -> None:
+    """Keep ``vote`` unless ``collected`` holds the statement already: a replay
+    adds nothing, and a signer's conflicting statements are all kept, which
+    is what a proof of fraud is extracted from."""
+    key = (vote.signer, vote.kind._value_, vote.round, vote.value_digest)
+    if key not in collected:
+        collected[key] = vote
+
+
 def verify_vote(vote: SignedVote, verifier: Any) -> bool:
     """Verify a vote's signature (``verifier`` exposes ``verify(payload, signed)``).
 
@@ -250,9 +265,14 @@ def verify_vote(vote: SignedVote, verifier: Any) -> bool:
         verify_digest = verifier.verify_digest
     except AttributeError:
         return verifier.verify(vote.vote_payload(), signature)
-    return verify_digest(
-        _vote_digest(vote.context, vote.round, vote.kind, vote.value_digest), signature
-    )
+    # ``_vote_digest`` with its hit read in place: every recipient of a
+    # broadcast vote but the first finds the digest here.
+    kind = vote.kind
+    try:
+        digest = _VOTE_DIGESTS[vote.context, vote.round, kind._value_, vote.value_digest]
+    except KeyError:
+        digest = _vote_digest(vote.context, vote.round, kind, vote.value_digest)
+    return verify_digest(digest, signature)
 
 
 @dataclasses.dataclass

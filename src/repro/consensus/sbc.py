@@ -21,13 +21,14 @@ the confirmation phase.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.common.types import ReplicaId, byzantine_tolerance
 from repro.consensus.binary import BinaryConsensus
 from repro.consensus.certificates import Certificate, SignedVote
 from repro.consensus.host import ProtocolHost
 from repro.crypto.hashing import hash_payload
+from repro.network.router import Handler
 from repro.network.topic import Topic, TopicLike, as_topic
 from repro.rbc.bracha import ReliableBroadcast
 
@@ -212,9 +213,19 @@ class SetByzantineConsensus:
         if slot in self._rbc:
             self._rbc[slot].broadcast(payload)
 
+    def routes(self) -> Iterator[Tuple[Topic, Handler]]:
+        """What a router registers for the instance: every component under
+        its own topic, and the instance prefix as the fallback that drops
+        what no component owns."""
+        yield self.topic, self.handle
+        for components in (self._rbc, self._binary):
+            for component in components.values():
+                yield component.topic, component.handle
+
     def handle(self, topic: Topic, sender: ReplicaId, kind: str, body: Dict[str, Any]) -> None:
         """Route a message to the owning sub-component: O(1) dict lookups on
-        the ``(layer, slot)`` segments below the instance's base topic."""
+        the ``(layer, slot)`` segments below the instance's base topic.  An
+        unknown layer or slot is dropped here."""
         try:
             layer, slot = topic.segments[self._depth :]
         except ValueError:
@@ -226,7 +237,7 @@ class SetByzantineConsensus:
         else:
             component = None
         if component is not None:
-            component.handle(sender, kind, body)
+            component.handle(topic, sender, kind, body)
 
     def drop_slots(self, slots: Iterable[ReplicaId]) -> None:
         """The host's committee lost ``slots`` (the exclusion consensus

@@ -113,6 +113,8 @@ class RoutedProcess(Process):
         self.unrouted_messages = 0
 
     def on_message(self, message) -> None:
+        # ``BaseReplica.on_message`` writes this out after its own filters
+        # (one frame per delivery): change the two together.
         probe = self.probe
         if probe is not None:
             # Attribute dispatch wall time to the message's topic-prefix

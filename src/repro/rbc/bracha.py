@@ -43,15 +43,17 @@ from typing import Any, Callable, Dict, List, Optional, Set
 from repro.common.types import ReplicaId
 from repro.consensus.certificates import (
     Certificate,
+    CollectedVotes,
     SignedVote,
     VoteKind,
+    collect_vote,
     make_vote,
     verify_vote,
     vote_from_payload,
 )
 from repro.consensus.host import ProtocolHost
 from repro.crypto.hashing import hash_payload
-from repro.network.topic import TopicLike, as_topic
+from repro.network.topic import Topic, TopicLike, as_topic
 from repro.obs.trace import topic_trace_attrs
 
 #: Callback signature: (proposer, value, ready_certificate)
@@ -117,7 +119,12 @@ class ReliableBroadcast:
         self._served: Dict[str, Set[ReplicaId]] = {}
         self._waiting: Dict[str, List[ReplicaId]] = {}
         # Every verified vote seen, kept for accountability cross-checks.
-        self.collected_votes: List[SignedVote] = []
+        self._collected: CollectedVotes = {}
+
+    @property
+    def collected_votes(self) -> List[SignedVote]:
+        """Every verified vote seen, a statement once, in arrival order."""
+        return list(self._collected.values())
 
     # -- sending ----------------------------------------------------------------
 
@@ -147,7 +154,7 @@ class ReliableBroadcast:
             self._phase("init")
         digest = hash_payload(value)
         vote = make_vote(self.host, self.context, 0, VoteKind.RBC_INIT, digest)
-        self.collected_votes.append(vote)
+        collect_vote(self._collected, vote)
         self.host.emit(
             self.topic,
             self.INIT,
@@ -161,7 +168,7 @@ class ReliableBroadcast:
         if self._probe is not None:
             self._phase("echo", "rbc.init_to_echo_s")
         vote = make_vote(self.host, self.context, 0, VoteKind.RBC_ECHO, digest)
-        self.collected_votes.append(vote)
+        collect_vote(self._collected, vote)
         self.host.emit(self.topic, self.ECHO, {"digest": digest, "vote": vote.to_payload()})
 
     def _send_ready(self, digest: str) -> None:
@@ -171,7 +178,7 @@ class ReliableBroadcast:
         if self._probe is not None:
             self._phase("ready", "rbc.init_to_ready_s")
         vote = make_vote(self.host, self.context, 0, VoteKind.RBC_READY, digest)
-        self.collected_votes.append(vote)
+        collect_vote(self._collected, vote)
         self.host.emit(self.topic, self.READY, {"digest": digest, "vote": vote.to_payload()})
 
     def _send_value(self, requester: ReplicaId, digest: str) -> None:
@@ -185,9 +192,15 @@ class ReliableBroadcast:
 
     # -- receiving ----------------------------------------------------------------
 
-    def handle(self, sender: ReplicaId, kind: str, body: Dict[str, Any]) -> None:
-        """Process a message of this instance."""
-        self._mark_started()
+    def handle(self, topic: Topic, sender: ReplicaId, kind: str, body: Dict[str, Any]) -> None:
+        """Process a message of this instance.
+
+        The router's handler signature: the component is registered under its
+        own ``topic`` and has no use for the argument (a message sent *below*
+        that topic matches the route too and is read as sent on it; what binds
+        a vote to the instance is its signed context)."""
+        if self._started_at is None:
+            self._mark_started()
         if self.delivered:
             # Keep collecting signed votes after delivery: a deceitful replica
             # equivocating towards the other partition leaves its conflicting
@@ -213,20 +226,18 @@ class ReliableBroadcast:
     def _verified_vote(
         self, body: Dict[str, Any], sender: ReplicaId, expected_kind: VoteKind
     ) -> Optional[SignedVote]:
-        payload = body.get("vote")
-        if payload is None:
-            return None
         try:
-            vote = vote_from_payload(payload)
+            vote = vote_from_payload(body["vote"])
+            digest = body["digest"]
         except (KeyError, ValueError, TypeError):
             return None
         if vote.signer != sender or vote.context != self.context:
             return None
-        if vote.kind != expected_kind or vote.value_digest != body.get("digest"):
+        if vote.kind != expected_kind or vote.value_digest != digest:
             return None
         if not verify_vote(vote, self.host):
             return None
-        self.collected_votes.append(vote)
+        collect_vote(self._collected, vote)
         return vote
 
     def _handle_init(self, sender: ReplicaId, body: Dict[str, Any]) -> None:

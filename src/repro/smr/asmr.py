@@ -151,8 +151,10 @@ class ASMRReplica(BaseReplica):
     * ``("asmr", "confirm")`` / ``("asmr", "pofs")`` / ``("asmr", "catchup")``
       for the confirmation/accountability/catch-up phases;
     * ``("sbc",)`` as a fallback that lazily starts consensus instances other
-      replicas already began (each started instance then registers its own,
-      deeper ``("sbc", epoch, instance)`` prefix, shadowing the fallback);
+      replicas already began (each started instance then registers its
+      :meth:`~repro.consensus.sbc.SetByzantineConsensus.routes` — its
+      components' topics and its own, deeper ``("sbc", epoch, instance)``
+      prefix — shadowing the fallback);
     * ``("excl",)`` / ``("incl",)`` forwarding to the active membership change
       or buffering until one starts.
     """
@@ -287,9 +289,12 @@ class ASMRReplica(BaseReplica):
                 protocol_prefix=self.SBC_ROOT.child(self.epoch),
             )
             self._sbc[instance] = component
-            # The instance's ("sbc", epoch, instance) prefix shadows the lazy
-            # fallback registered at ("sbc",).
-            self.router.register(component.topic, component.handle)
+            # Each broadcast and binary consensus owns its topic, so a message
+            # reaches it from the router; the instance's ("sbc", epoch,
+            # instance) prefix shadows the lazy fallback registered at
+            # ("sbc",) for whatever else is sent under it.
+            for route, handler in component.routes():
+                self.router.register(route, handler)
             if probe is not None:
                 probe.event("sbc.propose", self.replica_id, self.now, instance=instance)
             component.propose(self.proposal_factory(instance))
@@ -670,7 +675,8 @@ class ASMRReplica(BaseReplica):
         for instance in aborted:
             old_component = self._sbc.pop(instance, None)
             if old_component is not None:
-                self.router.unregister(old_component.topic)
+                for route, _ in old_component.routes():
+                    self.router.unregister(route)
             del self.instances[instance]
         if aborted:
             self.next_instance = min(self.next_instance, aborted[0])

@@ -5,8 +5,9 @@ A :class:`BaseReplica` is both a :class:`~repro.network.router.RoutedProcess`
 :class:`~repro.network.router.Router`) and a
 :class:`~repro.consensus.host.ProtocolHost` (components use it for identity,
 signing, verification and emission).  Components register a handler per topic
-prefix — e.g. one Set Byzantine Consensus instance owns ``("sbc", epoch,
-instance)`` — and an incoming message reaches its instance in one dict lookup.
+prefix — e.g. the reliable broadcast of one slot of one Set Byzantine
+Consensus instance owns ``("sbc", epoch, instance, "rbc", slot)`` — and an
+incoming message reaches its component in one dict lookup.
 
 The emission path carries the hook where deceitful behaviour plugs in: when an
 :class:`~repro.adversary.behaviors.AttackStrategy` is installed, outgoing
@@ -25,6 +26,7 @@ from repro.crypto.signatures import SignedPayload, Signer
 from repro.network.message import Message
 from repro.network.router import RoutedProcess
 from repro.network.topic import Topic, TopicLike
+from repro.obs.metrics import protocol_group
 
 
 class BaseReplica(RoutedProcess, ProtocolHost):
@@ -154,7 +156,19 @@ class BaseReplica(RoutedProcess, ProtocolHost):
             self, message
         ):
             return
-        RoutedProcess.on_message(self, message)
+        # ``RoutedProcess.on_message`` written out (one frame per delivery):
+        # change the two together.
+        probe = self.probe
+        if probe is not None:
+            probe.enter("dispatch:" + protocol_group(message.topic))
+        try:
+            if not self.router.dispatch(
+                message.topic, message.sender, message.kind, message.body
+            ):
+                self._note_unrouted(message)
+        finally:
+            if probe is not None:
+                probe.exit()
 
     def on_unrouted(self, message: Message) -> None:
         """Hook for subclasses that create handlers lazily (e.g. new instances)."""

@@ -9,24 +9,15 @@ from repro.common.types import FaultKind
 from repro.crypto.keys import KeyRegistry
 from repro.network.delays import ConstantDelay, DelayModel
 from repro.network.simulator import NetworkSimulator
-from repro.network.topic import TopicLike, as_topic
 from repro.smr.asmr import ASMRReplica
 from repro.smr.pool import CandidatePool
 from repro.smr.replica import BaseReplica
 
 
-def attach_single_context(replica: BaseReplica, component, context: TopicLike) -> None:
-    """Register an RBC/binary component (``handle(sender, kind, body)``) at
-    its topic on the replica's router."""
-    replica.router.register(
-        as_topic(context),
-        lambda topic, sender, kind, body: component.handle(sender, kind, body),
-    )
-
-
 def attach_component(replica: BaseReplica, component) -> None:
-    """Register a topic-owning component (``.topic`` + ``handle(topic, ...)``),
-    e.g. a Set Byzantine Consensus instance, on the replica's router."""
+    """Register a topic-owning component (``.topic`` + ``handle(topic, ...)``)
+    — a reliable broadcast, a binary consensus, a Set Byzantine Consensus
+    instance — on the replica's router."""
     replica.router.register(component.topic, component.handle)
 
 

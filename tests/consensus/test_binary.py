@@ -5,10 +5,18 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.common.types import FaultKind
 from repro.consensus.binary import BinaryConsensus, value_digest
-from repro.consensus.certificates import Certificate, VoteKind, make_vote
+from repro.consensus.certificates import (
+    Certificate,
+    VoteKind,
+    collect_vote,
+    make_vote,
+    verify_vote,
+    vote_from_payload,
+)
+from repro.consensus.proofs import extract_pofs_from_votes
 from repro.network.delays import UniformDelay
 
-from tests.consensus.harness import attach_single_context, build_cluster
+from tests.consensus.harness import attach_component, build_cluster
 
 
 def _attach_binary(replicas, context, decisions):
@@ -21,7 +29,7 @@ def _attach_binary(replicas, context, decisions):
                 rid, (value, cert)
             ),
         )
-        attach_single_context(replica, component, context)
+        attach_component(replica, component)
         components.append(component)
     return components
 
@@ -102,6 +110,31 @@ class TestBinaryConsensusCertificates:
         )
 
 
+    def test_a_replayed_aux_is_collected_once(self):
+        """Resending one valid signed AUX, before the decision or after it,
+        adds nothing to ``collected_votes``; the same replica signing the
+        other value for the round does, and the pair is the proof of fraud."""
+        _, replicas, _ = build_cluster(4)
+        component = _attach_binary(replicas, "bin:0:0", {})[3]
+
+        def aux(value):
+            vote = make_vote(replicas[1], "bin:0:0", 0, VoteKind.AUX, value_digest(value))
+            return vote, {"round": 0, "value": value, "vote": vote.to_payload()}
+
+        first, body = aux(1)
+        for decided in (False, True):
+            component.decided = decided
+            for _ in range(500):
+                component.handle(component.topic, 1, BinaryConsensus.AUX, body)
+        assert component.collected_votes == [first]
+        second, body = aux(0)
+        for _ in range(2):
+            component.handle(component.topic, 1, BinaryConsensus.AUX, body)
+        assert component.collected_votes == [first, second]
+        (pof,) = extract_pofs_from_votes(component.collected_votes)
+        assert pof.culprit == 1 and pof.verify(replicas[0])
+
+
 class TestBinaryConsensusRobustness:
     def test_duplicate_propose_is_ignored(self):
         simulator, replicas, _ = build_cluster(4)
@@ -139,9 +172,110 @@ def _digest_to_value(digest):
     return 1 if digest == value_digest(1) else 0
 
 
-class _RescanningBinaryConsensus(BinaryConsensus):
-    """The reference: round resolution as it was before the per-round tally,
-    recounting the round's first-AUX votes from ``_aux_votes`` on every call."""
+class _FourDictBinaryConsensus(BinaryConsensus):
+    """The reference: a round's state as it was before the per-round record —
+    ``_bval_sent`` / ``_bval_received`` / ``_bin_values`` / ``_aux_sent`` /
+    ``_aux_votes``, each a dict by round number probed on its own — and a
+    round's resolution as it was before the tally, recounting the round's
+    first-AUX votes on every call.  Votes are collected as the instance under
+    test collects them; everything else a message touches is overridden."""
+
+    def __init__(self, host, context, on_decide):
+        super().__init__(host, context, on_decide)
+        self._bval_sent = {}
+        self._bval_received = {}
+        self._bin_values = {}
+        self._aux_sent = {}
+        self._aux_votes = {}
+
+    def _start_round(self, round_number):
+        self.round = round_number
+        self._broadcast_bval(round_number, self.estimate)
+        if self._bin_values.get(round_number):
+            self._broadcast_aux(round_number)
+            self._try_resolve_round(round_number)
+
+    def _broadcast_bval(self, round_number, value):
+        sent = self._bval_sent.setdefault(round_number, set())
+        if value in sent:
+            return
+        sent.add(value)
+        self.host.emit(self.topic, self.BVAL, {"round": round_number, "value": value})
+
+    def _broadcast_aux(self, round_number):
+        if self._aux_sent.get(round_number):
+            return
+        bin_values = self._bin_values.get(round_number, set())
+        if not bin_values:
+            return
+        self._aux_sent[round_number] = True
+        chosen = self.estimate if self.estimate in bin_values else sorted(bin_values)[0]
+        vote = make_vote(self.host, self.context, round_number, VoteKind.AUX, value_digest(chosen))
+        collect_vote(self._collected, vote)
+        self.host.emit(
+            self.topic,
+            self.AUX,
+            {"round": round_number, "value": chosen, "vote": vote.to_payload()},
+        )
+
+    def _handle_bval(self, sender, body):
+        if self.decided:
+            return
+        round_number = body.get("round", 0)
+        if type(round_number) is not int or round_number < 0:
+            return
+        value = 1 if body.get("value") else 0
+        per_round = self._bval_received.setdefault(round_number, {0: set(), 1: set()})
+        per_round[value].add(sender)
+        support = len(per_round[value])
+        if support >= self.host.support:
+            self._broadcast_bval(round_number, value)
+        if support >= self.host.quorum:
+            self._bin_values.setdefault(round_number, set()).add(value)
+            if round_number == self.round and self.started:
+                self._broadcast_aux(round_number)
+                self._try_resolve_round(round_number)
+
+    def recheck(self):
+        if self.decided:
+            return
+        for round_number, per_round in list(self._bval_received.items()):
+            for value, senders in per_round.items():
+                if len(senders) >= self.host.support:
+                    self._broadcast_bval(round_number, value)
+                if len(senders) >= self.host.quorum:
+                    self._bin_values.setdefault(round_number, set()).add(value)
+        if self.started:
+            self._try_resolve_round(self.round)
+
+    def _handle_aux(self, sender, body):
+        round_number = body.get("round", 0)
+        if type(round_number) is not int or round_number < 0:
+            return
+        value = 1 if body.get("value") else 0
+        payload = body.get("vote")
+        if payload is None:
+            return
+        try:
+            vote = vote_from_payload(payload)
+        except (KeyError, ValueError, TypeError):
+            return
+        if (
+            vote.signer != sender
+            or vote.context != self.context
+            or vote.round != round_number
+            or vote.kind != VoteKind.AUX
+            or vote.value_digest != value_digest(value)
+        ):
+            return
+        if not verify_vote(vote, self.host):
+            return
+        collect_vote(self._collected, vote)
+        if self.decided:
+            return
+        self._aux_votes.setdefault(round_number, {}).setdefault(sender, vote)
+        if self.started:
+            self._try_resolve_round(self.round)
 
     def _try_resolve_round(self, round_number):
         if self.decided or round_number != self.round:
@@ -183,14 +317,14 @@ _BITS = st.integers(0, 1)
 @st.composite
 def _aux_schedules(draw):
     """A committee size and a shuffled schedule for replica 0's instance:
-    ``propose``, and for every round 0-2 and sender the BVALs it backs and its
+    ``propose``, and for every round 0-3 and sender the BVALs it backs and its
     AUX — sometimes sent twice, sometimes followed by the other value — plus
-    up to two members leaving the committee.  Shuffling is what delivers AUX
-    before ``bin_values`` fills, before ``propose`` and for rounds not yet
-    reached."""
+    up to two members leaving the committee.  Shuffling is what delivers BVAL
+    and AUX out of round order: before ``bin_values`` fills, before
+    ``propose``, for rounds not yet reached and for rounds left behind."""
     n = draw(st.sampled_from([4, 7]))
     ops = [("propose", draw(_BITS))]
-    for round_number in range(3):
+    for round_number in range(4):
         for sender in range(n):
             for value in sorted(draw(st.sets(_BITS, min_size=1))):
                 ops.append(("bval", sender, round_number, value))
@@ -206,10 +340,11 @@ def _aux_schedules(draw):
 
 
 class TestAuxTallyMatchesRescan:
-    """The per-round ``[count_0, count_1]`` kept by ``_handle_aux`` resolves
-    rounds exactly as rescanning every first AUX did: same decision, round,
-    estimate, certificate (votes and their order) and broadcasts, after every
-    single arrival."""
+    """One record per round, with its ``[count_0, count_1]`` kept by
+    ``_handle_aux``, runs an instance exactly as the four per-round dicts and
+    a rescan of every first AUX did: same decision, round, estimate,
+    certificate (votes and their order), collected votes and broadcasts (in
+    the same order), after every single arrival."""
 
     CONTEXT = "bin:0:0"
 
@@ -224,7 +359,44 @@ class TestAuxTallyMatchesRescan:
         return simulator, replicas, component, decided
 
     @staticmethod
-    def _view(simulator, component, decided):
+    def _round_states(component):
+        """Per-round state in one shape, whichever way it is held."""
+        if isinstance(component, _FourDictBinaryConsensus):
+            numbers = set().union(
+                component._bval_sent,
+                component._bval_received,
+                component._bin_values,
+                component._aux_sent,
+                component._aux_votes,
+            )
+            return {
+                number: (
+                    component._bval_sent.get(number, set()),
+                    tuple(component._bval_received.get(number, {0: set(), 1: set()}).values()),
+                    component._bin_values.get(number, set()),
+                    component._aux_sent.get(number, False),
+                    component._aux_votes.get(number, {}),
+                )
+                for number in numbers
+            }
+        for state in component._rounds.values():
+            tally = [0, 0]
+            for vote in state.aux_votes.values():
+                tally[_digest_to_value(vote.value_digest)] += 1
+            assert state.aux_counts == tally
+        return {
+            number: (
+                state.bval_sent,
+                state.bval_received,
+                state.bin_values,
+                state.aux_sent,
+                state.aux_votes,
+            )
+            for number, state in component._rounds.items()
+        }
+
+    @classmethod
+    def _view(cls, simulator, component, decided):
         certificate = component.decision_certificate
         # Nothing is ever run: the queue is everything the instance broadcast.
         sent = [
@@ -240,6 +412,7 @@ class TestAuxTallyMatchesRescan:
             certificate and (certificate.round, certificate.value_digest, certificate.votes),
             component.collected_votes,
             sent,
+            cls._round_states(component),
         )
 
     def _apply(self, op, replicas, component):
@@ -251,13 +424,16 @@ class TestAuxTallyMatchesRescan:
             component.recheck()
         elif op[0] == "bval":
             _, sender, round_number, value = op
-            component.handle(sender, "BVAL", {"round": round_number, "value": value})
+            component.handle(
+                component.topic, sender, "BVAL", {"round": round_number, "value": value}
+            )
         else:
             _, sender, round_number, value = op
             vote = make_vote(
                 replicas[sender], self.CONTEXT, round_number, VoteKind.AUX, value_digest(value)
             )
             component.handle(
+                component.topic,
                 sender, "AUX", {"round": round_number, "value": value, "vote": vote.to_payload()}
             )
 
@@ -286,7 +462,7 @@ class TestAuxTallyMatchesRescan:
     def test_same_outcome_after_every_arrival(self, schedule):
         n, ops = schedule
         tallied = self._instance(BinaryConsensus, n)
-        rescanned = self._instance(_RescanningBinaryConsensus, n)
+        rescanned = self._instance(_FourDictBinaryConsensus, n)
         for op in ops:
             views = []
             for simulator, replicas, component, decided in (tallied, rescanned):

@@ -147,11 +147,11 @@ class TestReliableBroadcast:
         simulator, replicas, seen, component = self._instance()
         body = self._body(replicas[1], VoteKind.RBC_ECHO)
         hostile = {**body, "vote": CONFUSED_VOTES[confusion](body["vote"])}
-        component.handle(1, "ECHO", _delivered("ECHO", hostile))
+        component.handle(component.topic, 1, "ECHO", _delivered("ECHO", hostile))
         simulator.run()
         assert component.collected_votes == [] and component._echo_votes == {}
         assert component._vouchers == {} and seen == []
-        component.handle(1, "ECHO", _delivered("ECHO", body))
+        component.handle(component.topic, 1, "ECHO", _delivered("ECHO", body))
         assert len(component.collected_votes) == 1 and len(component._echo_votes) == 1
 
     @confused(CONFUSED_VOTES)
@@ -161,9 +161,9 @@ class TestReliableBroadcast:
         component.delivered = True
         body = self._body(replicas[2], VoteKind.RBC_READY)
         hostile = {**body, "vote": CONFUSED_VOTES[confusion](body["vote"])}
-        component.handle(2, "READY", _delivered("READY", hostile))
+        component.handle(component.topic, 2, "READY", _delivered("READY", hostile))
         assert component.collected_votes == []
-        component.handle(2, "READY", _delivered("READY", body))
+        component.handle(component.topic, 2, "READY", _delivered("READY", body))
         assert len(component.collected_votes) == 1
 
 
@@ -187,23 +187,25 @@ class TestBinaryConsensus:
         vote = make_vote(replicas[1], self.CONTEXT, 0, VoteKind.AUX, value_digest(1))
         body = {"round": 0, "value": 1, "vote": vote.to_payload()}
         hostile = {**body, "vote": CONFUSED_VOTES[confusion](body["vote"])}
-        component.handle(1, "AUX", _delivered("AUX", hostile))
+        component.handle(component.topic, 1, "AUX", _delivered("AUX", hostile))
         simulator.run()
-        assert component.collected_votes == [] and component._aux_votes == {}
+        assert component.collected_votes == [] and component._rounds == {}
         assert seen == []
-        component.handle(1, "AUX", _delivered("AUX", body))
+        component.handle(component.topic, 1, "AUX", _delivered("AUX", body))
         assert component.collected_votes == [vote]
+        assert list(component._rounds) == [0] and component._rounds[0].aux_votes == {1: vote}
 
     @confused(HOSTILE_ROUNDS)
     def test_handle_bval_drops_a_round_that_is_not_one(self, confusion):
         simulator, replicas, seen, component, _ = self._instance()
         body = {"round": 0, "value": 1}
         hostile = {**body, "round": HOSTILE_ROUNDS[confusion]}
-        component.handle(1, "BVAL", _delivered("BVAL", hostile))
+        component.handle(component.topic, 1, "BVAL", _delivered("BVAL", hostile))
         simulator.run()
-        assert component._bval_received == {} and seen == []
-        component.handle(1, "BVAL", _delivered("BVAL", body))
-        assert component._bval_received == {0: {0: set(), 1: {1}}}
+        assert component._rounds == {} and component._bval_rounds == [] and seen == []
+        component.handle(component.topic, 1, "BVAL", _delivered("BVAL", body))
+        assert list(component._rounds) == [0]
+        assert component._rounds[0].bval_received == (set(), {1})
 
     @confused(HOSTILE_ROUNDS)
     def test_handle_aux_drops_a_round_that_is_not_one(self, confusion):
@@ -211,12 +213,28 @@ class TestBinaryConsensus:
         vote = make_vote(replicas[1], self.CONTEXT, 0, VoteKind.AUX, value_digest(1))
         body = {"round": 0, "value": 1, "vote": vote.to_payload()}
         hostile = {**body, "round": HOSTILE_ROUNDS[confusion]}
-        component.handle(1, "AUX", _delivered("AUX", hostile))
+        component.handle(component.topic, 1, "AUX", _delivered("AUX", hostile))
         simulator.run()
-        assert component.collected_votes == [] and component._aux_votes == {}
+        assert component.collected_votes == [] and component._rounds == {}
         assert seen == []
-        component.handle(1, "AUX", _delivered("AUX", body))
+        component.handle(component.topic, 1, "AUX", _delivered("AUX", body))
         assert component.collected_votes == [vote]
+        assert list(component._rounds) == [0] and component._rounds[0].aux_votes == {1: vote}
+
+    def test_missing_fields_read_as_their_defaults(self):
+        """Fields are read by subscript; what is not there still reads as
+        ``dict.get`` read it: round 0, value 0, and no vote is no AUX."""
+        simulator, replicas, seen, component, _ = self._instance()
+        vote = make_vote(replicas[1], self.CONTEXT, 0, VoteKind.AUX, value_digest(0))
+        component.handle(component.topic, 1, "AUX", _delivered("AUX", {"round": 0, "value": 0}))
+        assert component.collected_votes == [] and component._rounds == {}
+        component.handle(component.topic, 1, "AUX", _delivered("AUX", {"vote": vote.to_payload()}))
+        assert component.collected_votes == [vote]
+        assert component._rounds[0].aux_votes == {1: vote}
+        assert component._rounds[0].aux_counts == [1, 0]
+        component.handle(component.topic, 2, "BVAL", _delivered("BVAL", {}))
+        assert list(component._rounds) == [0]
+        assert component._rounds[0].bval_received == ({2}, set())
 
     @confused(CONFUSED_CERTIFICATES)
     def test_handle_decide_drops_a_confused_certificate(self, confusion):
@@ -229,11 +247,11 @@ class TestBinaryConsensus:
         hostile = {
             **body, "certificate": CONFUSED_CERTIFICATES[confusion](body["certificate"])
         }
-        component.handle(1, "DECIDE", _delivered("DECIDE", hostile))
+        component.handle(component.topic, 1, "DECIDE", _delivered("DECIDE", hostile))
         simulator.run()
         assert not component.decided and decided == []
         assert component.collected_votes == [] and seen == []
-        component.handle(1, "DECIDE", _delivered("DECIDE", body))
+        component.handle(component.topic, 1, "DECIDE", _delivered("DECIDE", body))
         assert component.decided and decided == [0]
 
 

@@ -5,11 +5,12 @@ import pytest
 from repro.adversary.behaviors import PassiveStrategy
 from repro.common.types import FaultKind, recovery_threshold
 from repro.consensus.certificates import VoteKind, make_vote
+from repro.consensus.proofs import extract_pofs_from_votes
 from repro.crypto.hashing import hash_payload
 from repro.network.delays import UniformDelay
 from repro.rbc.bracha import ReliableBroadcast
 
-from tests.consensus.harness import attach_single_context, build_cluster, of_kind, tap
+from tests.consensus.harness import attach_component, build_cluster, of_kind, tap
 
 
 def _attach_rbc(replicas, context, proposer, deliveries):
@@ -23,7 +24,7 @@ def _attach_rbc(replicas, context, proposer, deliveries):
                 rid, (p, value, cert)
             ),
         )
-        attach_single_context(replica, component, context)
+        attach_component(replica, component)
         components.append(component)
     return components
 
@@ -146,6 +147,31 @@ def _vote_body(replica, kind, digest=DIGEST):
     return {"digest": digest, "vote": vote.to_payload()}
 
 
+class TestCollectedVotes:
+    def test_a_replayed_echo_is_collected_once(self):
+        """Resending one valid signed ECHO, before delivery or after it, adds
+        nothing to what ends up in ``SBCDecision.justification_votes``; the
+        same replica signing a second digest does, and the pair is the proof
+        of fraud."""
+        _, replicas, _ = build_cluster(4)
+        component = _attach_rbc(replicas, CONTEXT, 0, {})[3]
+        echo = _vote_body(replicas[1], VoteKind.RBC_ECHO)
+        for delivered in (False, True):
+            component.delivered = delivered
+            for _ in range(500):
+                component.handle(component.topic, 1, ReliableBroadcast.ECHO, echo)
+        assert [vote.to_payload() for vote in component.collected_votes] == [echo["vote"]]
+        other = _vote_body(replicas[1], VoteKind.RBC_ECHO, digest=hash_payload("other"))
+        for _ in range(2):
+            component.handle(component.topic, 1, ReliableBroadcast.ECHO, other)
+        assert [vote.to_payload() for vote in component.collected_votes] == [
+            echo["vote"],
+            other["vote"],
+        ]
+        (pof,) = extract_pofs_from_votes(component.collected_votes)
+        assert pof.culprit == 1 and pof.verify(replicas[0])
+
+
 class TestPullOnMiss:
     @pytest.mark.parametrize("n", [4, 7])
     def test_withheld_init_is_pulled_within_the_request_cap(self, n):
@@ -182,14 +208,15 @@ class TestPullOnMiss:
         deliveries = {}
         late = _attach_rbc(replicas, CONTEXT, 0, deliveries)[6]
         for signer in (1, 2, 3, 4):
-            late.handle(signer, ReliableBroadcast.ECHO, _vote_body(replicas[signer], VoteKind.RBC_ECHO))
+            late.handle(late.topic, signer, ReliableBroadcast.ECHO, _vote_body(replicas[signer], VoteKind.RBC_ECHO))
         late.handle(
+            late.topic,
             0,
             ReliableBroadcast.INIT,
             {"value": VALUE, **_vote_body(replicas[0], VoteKind.RBC_INIT)},
         )
         for signer in (0, 1, 2, 3, 4):
-            late.handle(signer, ReliableBroadcast.READY, _vote_body(replicas[signer], VoteKind.RBC_READY))
+            late.handle(late.topic, signer, ReliableBroadcast.READY, _vote_body(replicas[signer], VoteKind.RBC_READY))
         assert late.delivered
         simulator.run()
         fetches = of_kind(seen, ReliableBroadcast.FETCH)
@@ -200,8 +227,8 @@ class TestPullOnMiss:
         seen = tap(replicas)
         blocked = _attach_rbc(replicas, CONTEXT, 0, {})[6]
         for signer in (1, 2, 3, 4, 5):
-            blocked.handle(signer, ReliableBroadcast.READY, _vote_body(replicas[signer], VoteKind.RBC_READY))
-            blocked.handle(signer, ReliableBroadcast.ECHO, _vote_body(replicas[signer], VoteKind.RBC_ECHO))
+            blocked.handle(blocked.topic, signer, ReliableBroadcast.READY, _vote_body(replicas[signer], VoteKind.RBC_READY))
+            blocked.handle(blocked.topic, signer, ReliableBroadcast.ECHO, _vote_body(replicas[signer], VoteKind.RBC_ECHO))
         simulator.run()
         # The cap: the first ceil(7/3) = 3 vouchers, once each, although five
         # replicas vouched twice.
@@ -246,7 +273,7 @@ class TestPullOnMiss:
         replicas[1].send_to(0, CONTEXT, ReliableBroadcast.FETCH, {})
         # Replica 99 is not in the committee (and not on the network: a served
         # request would fail loudly in the simulator).
-        components[0].handle(99, ReliableBroadcast.FETCH, {"digest": DIGEST})
+        components[0].handle(components[0].topic, 99, ReliableBroadcast.FETCH, {"digest": DIGEST})
         simulator.run()
         assert not of_kind(seen, ReliableBroadcast.VALUE)
         assert components[0]._served == {} and components[0]._waiting == {}
@@ -293,12 +320,13 @@ class TestPullOnMiss:
         components = _attach_rbc(replicas, CONTEXT, 0, {})
         holder = components[6]
         for signer in (1, 2):
-            holder.handle(signer, ReliableBroadcast.ECHO, _vote_body(replicas[signer], VoteKind.RBC_ECHO))
-        holder.handle(5, ReliableBroadcast.FETCH, {"digest": DIGEST})
-        holder.handle(5, ReliableBroadcast.FETCH, {"digest": DIGEST})
+            holder.handle(holder.topic, signer, ReliableBroadcast.ECHO, _vote_body(replicas[signer], VoteKind.RBC_ECHO))
+        holder.handle(holder.topic, 5, ReliableBroadcast.FETCH, {"digest": DIGEST})
+        holder.handle(holder.topic, 5, ReliableBroadcast.FETCH, {"digest": DIGEST})
         simulator.run()
         assert not of_kind(seen, ReliableBroadcast.VALUE)
         holder.handle(
+            holder.topic,
             0,
             ReliableBroadcast.INIT,
             {"value": VALUE, **_vote_body(replicas[0], VoteKind.RBC_INIT)},
@@ -314,9 +342,10 @@ class TestPullOnMiss:
         components = _attach_rbc(replicas, CONTEXT, 0, deliveries)
         late = components[3]
         for signer in (0, 1, 2):
-            late.handle(signer, ReliableBroadcast.READY, _vote_body(replicas[signer], VoteKind.RBC_READY))
+            late.handle(late.topic, signer, ReliableBroadcast.READY, _vote_body(replicas[signer], VoteKind.RBC_READY))
         assert not late.delivered
         late.handle(
+            late.topic,
             0,
             ReliableBroadcast.INIT,
             {"value": VALUE, **_vote_body(replicas[0], VoteKind.RBC_INIT)},

@@ -10,6 +10,7 @@ import pytest
 
 from repro.common.config import FaultConfig
 from repro.common.types import recovery_threshold
+from repro.network.router import Router
 from repro.zlb.system import AttackSpec, ZLBSystem
 
 
@@ -92,6 +93,44 @@ class TestColludingMajorityRecovery:
     def test_zero_loss_no_deposit_shortfall(self, attack_run):
         _, _, result = attack_run
         assert result.deposit_shortfall == 0
+
+
+def test_a_restarted_instance_leaves_no_route_behind(monkeypatch):
+    """The membership change restarts the aborted instance under the next
+    epoch: every route of the replaced ``SetByzantineConsensus`` — its prefix
+    and its 2n component topics — leaves the router with it."""
+    dropped = []
+    unregister = Router.unregister
+    monkeypatch.setattr(
+        Router,
+        "unregister",
+        lambda router, prefix: dropped.append(prefix) or unregister(router, prefix),
+    )
+    system = ZLBSystem.create(
+        FaultConfig.paper_attack(9),
+        seed=2,
+        delay="aws",
+        attack=AttackSpec(kind="binary", cross_partition_delay="1000ms"),
+        workload_transactions=60,
+        batch_size=10,
+        max_time=600,
+    )
+    assert system.run_instances(2).recovered
+    assert dropped and len(dropped) % (2 * 9 + 1) == 0
+    assert {len(prefix.segments) for prefix in dropped} == {3, 5}
+    for replica in system.honest_replicas():
+        live = {
+            route.segments: handler
+            for component in replica._sbc.values()
+            for route, handler in component.routes()
+        }
+        routed = {
+            segments: handler
+            for length, table in replica.router._tables
+            for segments, handler in table.items()
+            if length > 1 and segments[0] == "sbc"
+        }
+        assert routed == live and len(live) == len(replica._sbc) * (2 * 9 + 1)
 
 
 class TestReliableBroadcastAttack:

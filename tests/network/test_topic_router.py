@@ -166,6 +166,7 @@ class TestRouter:
         seen = []
         router.register(topic("sbc"), lambda t, *rest: seen.append(t))
         router.register(topic("sbc", 0, 3), lambda *a: None)
+        router.register(topic("sbc", 0, 3, "bin", 1), lambda *a: None)
         router.register(topic("asmr", "confirm"), lambda *a: None)
 
         def sizes():
@@ -178,7 +179,7 @@ class TestRouter:
             assert router.dispatch(unknown, 0, "AUX", {})
             assert not router.dispatch(Topic(("nope", instance)), 0, "AUX", {})
         assert len(seen) == 10_000
-        assert sizes() == before == [(3, 1), (2, 1), (1, 1)]
+        assert sizes() == before == [(5, 1), (3, 1), (2, 1), (1, 1)]
 
     def test_reregister_replaces_handler(self):
         router = Router()

@@ -6,7 +6,9 @@ from repro.common.config import ProtocolConfig, SimulationConfig
 from repro.crypto.hashing import hash_payload
 from repro.crypto.keys import KeyRegistry
 from repro.network.delays import ConstantDelay
+from repro.network.message import Message
 from repro.network.simulator import NetworkSimulator
+from repro.network.topic import topic
 from repro.smr.asmr import ASMRReplica
 from repro.smr.pool import CandidatePool
 
@@ -223,6 +225,33 @@ class TestConfirmationPull:
         assert [(m.sender, m.recipient, m.body["proposals"]) for m in served] == [
             (0, 1, {2: decision.proposals[2]})
         ]
+
+
+class TestInstanceRoutes:
+    def test_an_unknown_slot_or_layer_of_a_live_instance_is_dropped_by_it(self):
+        """The instance prefix catches what no component's topic does: not
+        unrouted, not a lazy start, nothing sent in reply."""
+        replicas, _, simulator = build_asmr_cluster(n=4, instances=1)
+        replica = replicas[0]
+        component = replica._sbc[0]
+        assert [len(table) for _, table in replica.router._tables] == [2 * 4, 1, 3, 3]
+        seen = tap(replicas)
+        for stray in (
+            topic("sbc", 0, 0, "rbc", 99),
+            topic("sbc", 0, 0, "bin", "x"),
+            topic("sbc", 0, 0, "pbft", 1),
+            topic("sbc", 0, 0, "rbc"),
+            topic("sbc", 0, 0),
+        ):
+            assert replica.router.resolve(stray) == component.handle
+            replica.on_message(Message(1, 0, stray, "ECHO", {}))
+        simulator.run()
+        assert replica.unrouted_messages == 0 and sorted(replica.instances) == [0]
+        assert [message for message in seen if message.sender == 0] == []
+        # What a component owns goes to it without passing the instance, and
+        # so does anything sent below its topic: a prefix is what a route is.
+        for owned in (topic("sbc", 0, 0, "rbc", 1), topic("sbc", 0, 0, "rbc", 1, "deeper")):
+            assert replica.router.resolve(owned) == component._rbc[1].handle
 
 
 class TestAheadOfTarget:
