@@ -168,7 +168,7 @@ class SignedVote:
             cached = (
                 self.context,
                 self.round,
-                self.kind.value,
+                self.kind._value_,
                 self.value_digest,
                 self.signer,
                 signature.signature,
@@ -190,7 +190,7 @@ def vote_payload(context: Any, round_number: int, kind: VoteKind, value_digest: 
     return {
         "context": str(context),
         "round": round_number,
-        "kind": kind.value,
+        "kind": kind._value_,
         "value_digest": value_digest,
     }
 
@@ -319,7 +319,7 @@ class Certificate:
         return (
             context,
             round_number,
-            kind.value,
+            kind._value_,
             value_digest,
             scheme,
             payload_hash,

@@ -71,21 +71,41 @@ class ProofOfFraud:
 #: Grouping key of a vote: one entry per (signer, context, round, kind).
 VoteGroupKey = Tuple[ReplicaId, str, int, str]
 
-#: Votes grouped for equivocation checks: key -> first vote seen per digest.
-GroupedVotes = Dict[VoteGroupKey, Dict[str, SignedVote]]
+
+class GroupedVotes(Dict[VoteGroupKey, Dict[str, SignedVote]]):
+    """Votes grouped for equivocation checks: key -> first vote seen per digest.
+
+    ``equivocating`` lists the keys whose group holds two digests on its own,
+    found while grouping, so that a cross-check against another set
+    (:func:`extract_pofs_from_grouped`) never rescans this one for them.
+    """
+
+    __slots__ = ("equivocating",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.equivocating: List[VoteGroupKey] = []
 
 
 def group_votes(votes: Iterable[SignedVote]) -> GroupedVotes:
     """Group ``votes`` by (signer, context, round, kind), first per digest.
 
-    The insertion order of both levels matches the vote order, which
+    The insertion order of the groups matches the vote order, which
     :func:`extract_pofs_from_grouped` relies on to pick the same PoF votes
     as the flat :func:`extract_pofs_from_votes` scan.
     """
-    grouped: GroupedVotes = {}
+    grouped = GroupedVotes()
+    equivocating = grouped.equivocating
     for vote in votes:
-        key = (vote.signer, vote.context, vote.round, vote.kind.value)
-        grouped.setdefault(key, {}).setdefault(vote.value_digest, vote)
+        # ``_value_``: the member's own attribute, not the two-frame descriptor.
+        key = (vote.signer, vote.context, vote.round, vote.kind._value_)
+        by_value = grouped.get(key)
+        if by_value is None:
+            grouped[key] = {vote.value_digest: vote}
+        elif vote.value_digest not in by_value:
+            by_value[vote.value_digest] = vote
+            if len(by_value) == 2:
+                equivocating.append(key)
     return grouped
 
 
@@ -120,36 +140,47 @@ def extract_pofs_from_grouped(
     """:func:`extract_pofs_from_votes` over two pre-grouped vote sets.
 
     Equivalent to the flat scan over the concatenation *first votes then
-    second votes* — group order (first's keys in order, then second-only
-    keys) and per-digest vote selection (first's vote wins a digest seen in
-    both) reproduce the setdefault semantics exactly.  The hot CONFIRM path
-    uses this to group each side once (the local justification per decision,
-    the remote certificates per broadcast body) instead of re-grouping their
-    concatenation for every recipient.
+    second votes*: a culprit's PoF comes from its earliest conflicting group
+    (first's keys in order, then second-only keys) and first's vote wins a
+    digest seen in both, the setdefault semantics exactly.  The hot CONFIRM
+    path groups each side once (the local justification per decision, the
+    remote certificates per broadcast body) and ``first`` is the large side,
+    so only ``second`` is scanned: a group conflicts after the merge when it
+    already did on its own side (``equivocating``) or when ``second`` brings
+    a digest ``first`` lacks.  The two sets are then walked — no lookup —
+    only until every culprit found has met its earliest conflicting group.
 
     ``skip`` drops culprits that already have a PoF (per-signer selection is
     independent, so this cannot change which *new* culprits are found).
     """
+    conflicting: Set[VoteGroupKey] = {
+        key
+        for side in (first, second)
+        for key in side.equivocating
+        if key[0] not in skip
+    }
+    for key, theirs in second.items():
+        if key[0] in skip:
+            continue
+        mine = first.get(key)
+        if mine is not None:
+            for digest in theirs:
+                if digest not in mine:
+                    conflicting.add(key)
+                    break
     pofs: Dict[ReplicaId, ProofOfFraud] = {}
-    for key, by_value in first.items():
-        signer = key[0]
-        if signer in skip or signer in pofs:
-            continue
-        extra = second.get(key)
-        if extra:
-            merged = dict(by_value)
-            for digest, vote in extra.items():
-                merged.setdefault(digest, vote)
-        else:
-            merged = by_value
-        if len(merged) >= 2:
-            pofs[signer] = _pof_from_group(signer, merged)
-    for key, by_value in second.items():
-        signer = key[0]
-        if signer in skip or signer in pofs or key in first:
-            continue
-        if len(by_value) >= 2:
-            pofs[signer] = _pof_from_group(signer, by_value)
+    # Culprits still owed their earliest conflicting group.
+    pending = {key[0] for key in conflicting}
+    for side in (first, second):
+        for key in side:
+            if not pending:
+                break
+            signer = key[0]
+            if signer in pending and key in conflicting:
+                pofs[signer] = _pof_from_group(
+                    signer, {**second.get(key, {}), **first.get(key, {})}
+                )
+                pending.remove(signer)
     return [pofs[culprit] for culprit in sorted(pofs)]
 
 

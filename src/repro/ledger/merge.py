@@ -21,11 +21,13 @@ Two properties make the record *execution-validated*:
   rejected instead of funded.
 * **Fork awareness.**  Every state mutation is journalled (created ids,
   consumed UTXOs), so :meth:`view_at` can reconstruct the UTXO view at any
-  block height as a cheap overlay.  Reconciliation replays the remote branch
-  on a view based at the fork point, tracking the branch's divergent balances,
-  and accounts the coalition's *actually realised* gain — the value of inputs
-  genuinely spent on both branches — which is what the zero-loss analysis of
-  Appendix B must compare against the seized deposits.
+  block height as a cheap overlay, and :meth:`branch_balance_deltas` can
+  replay a remote branch on a view based at the fork point, before or after
+  its merge, for whoever wants the branch's divergent balances.
+  Reconciliation itself only merges, and accounts the coalition's *actually
+  realised* gain — the value of inputs genuinely spent on both branches —
+  which is what the zero-loss analysis of Appendix B must compare against the
+  seized deposits.
 
 Merged transactions are fully verified — shape, signatures and execution
 semantics.  A conflicting branch may have been decided by a colluding quorum
@@ -90,11 +92,6 @@ class MergeOutcome:
     #: refunds for genuinely double-spent inputs, minus refunds recovered when
     #: a previously-funded input became spendable again (Alg. 2 lines 24–28).
     realized_gain: int = 0
-    #: Per-account balance change of the remote branch relative to the fork
-    #: base (the divergent balances the conflicting branch created).  Only
-    #: populated when the caller knows the fork point — without one there is
-    #: no base to diverge from.
-    branch_balance_deltas: Dict[str, int] = dataclasses.field(default_factory=dict)
 
 
 class BlockchainRecord:
@@ -161,11 +158,15 @@ class BlockchainRecord:
         return tx_id in self.known_tx_ids
 
     def _record_delta(
-        self, created_ids: Iterable[str], consumed: Iterable[UTXO]
+        self, created_ids: Sequence[str], consumed: Iterable[UTXO]
     ) -> None:
         """Journal one mutation, cancelling transient outputs (created and
-        consumed within the same delta) so rewinding never sees them."""
+        consumed within the same delta) so rewinding never sees them.  A
+        mutation that created and consumed nothing leaves no entry for
+        :meth:`view_at` to walk."""
         consumed = list(consumed)
+        if not consumed and not created_ids:
+            return
         for utxo in consumed:
             self._consumed[utxo.utxo_id] = utxo
         transient = set(created_ids) & {utxo.utxo_id for utxo in consumed}
@@ -305,13 +306,32 @@ class BlockchainRecord:
                     view.add(utxo)
         return view
 
-    def branch_view(self, fork_height: Optional[int] = None) -> UTXOView:
-        """View a conflicting branch starts from: the state at the fork point
-        (or the current state when the fork point is unknown)."""
+    def branch_balance_deltas(
+        self, block: Block, fork_height: Optional[int]
+    ) -> Dict[str, int]:
+        """Per-account balance change of a conflicting ``block`` relative to
+        the state at ``fork_height`` — the divergent balances its branch
+        created.  ``{}`` when the fork point is unknown (``None``): without
+        one there is no base to diverge from.
+
+        A read-only query: the block is replayed, best effort, on an overlay
+        of :meth:`view_at` (a transaction that is neither part of the record
+        nor valid, or whose inputs the branch cannot spend, is skipped), so
+        it answers the same before and after :meth:`merge_block` merged it.
+        """
         if fork_height is None:
-            return self.utxos.overlay()
-        fork_height = max(0, min(fork_height, self.height))
-        return self.view_at(fork_height)
+            return {}
+        branch = self.view_at(max(0, min(fork_height, self.height))).overlay()
+        known_tx_ids = self.known_tx_ids
+        for transaction in block.transactions:
+            if transaction.tx_id not in known_tx_ids and not transaction.is_valid_cached():
+                continue
+            if branch.can_apply(transaction):
+                try:
+                    branch.apply_transaction(transaction)
+                except (InvalidTransactionError, LedgerError):
+                    pass
+        return branch.balance_deltas()
 
     # -- deposits and punishment ------------------------------------------------
 
@@ -334,8 +354,7 @@ class BlockchainRecord:
             self.utxos.remove(utxo.utxo_id)
             seized.append(utxo)
             confiscated += utxo.amount
-        if seized:
-            self._record_delta((), seized)
+        self._record_delta((), seized)
         self.deposit += confiscated
         self.seized_total += confiscated
         return confiscated
@@ -359,9 +378,7 @@ class BlockchainRecord:
 
     # -- Algorithm 2: merging a conflicting block --------------------------------
 
-    def merge_block(
-        self, block: Block, fork_height: Optional[int] = None
-    ) -> MergeOutcome:
+    def merge_block(self, block: Block) -> MergeOutcome:
         """Merge a conflicting block received from another branch (Alg. 2).
 
         Every transaction not already known is screened (shape, phantom
@@ -374,19 +391,8 @@ class BlockchainRecord:
         accounts are confiscated.  Finally, ``RefundInputs`` re-fills the
         deposit with any previously-refunded input that has become spendable
         again.
-
-        ``fork_height`` (when known) bases the remote branch's copy-on-write
-        view at the fork point, so the outcome reports the branch's divergent
-        balances relative to the common prefix.
         """
         outcome = MergeOutcome()
-        # Remote-branch replay (divergent balances) only makes sense relative
-        # to a known fork point; merging without one skips the bookkeeping.
-        # The replay runs on an overlay stacked on the fork-base view, so its
-        # balance deltas describe the remote branch alone (not the rewind).
-        branch_state = (
-            self.branch_view(fork_height).overlay() if fork_height is not None else None
-        )
         created_ids: List[str] = []
         consumed: List[UTXO] = []
         # Inputs consumed earlier *within this merge* (the journal's consumed
@@ -403,8 +409,6 @@ class BlockchainRecord:
         for transaction in block.transactions:
             if transaction.tx_id in known_tx_ids:
                 outcome.already_known += 1
-                if branch_state is not None:
-                    self._track_branch(branch_state, transaction)
                 continue
             if not transaction.is_valid_cached():
                 # Full verification, signatures included: the remote branch
@@ -428,10 +432,6 @@ class BlockchainRecord:
                 outcome.rejected_transactions += 1
                 outcome.phantom_inputs += phantom
                 continue
-            # Replay on the remote branch's view *before* the canonical commit
-            # mutates the live table the view overlays.
-            if branch_state is not None:
-                self._track_branch(branch_state, transaction)
             before = len(consumed)
             self._commit_tx_merge(transaction, outcome, created_ids, consumed)
             outcome.merged_transactions += 1
@@ -450,22 +450,7 @@ class BlockchainRecord:
         self.merged_blocks.append(block)
         self._record_delta(created_ids, consumed)
         outcome.deposit_after = self.deposit
-        if branch_state is not None:
-            outcome.branch_balance_deltas = branch_state.balance_deltas()
         return outcome
-
-    @staticmethod
-    def _track_branch(
-        branch_state: Optional[UTXOView], transaction: Transaction
-    ) -> None:
-        """Best-effort replay of a merged transaction on the remote branch's
-        copy-on-write view (divergent-balance accounting only)."""
-        if branch_state is None or not branch_state.can_apply(transaction):
-            return
-        try:
-            branch_state.apply_transaction(transaction)
-        except (InvalidTransactionError, LedgerError):
-            pass
 
     def _commit_tx_merge(
         self,

@@ -234,8 +234,8 @@ class UTXOView:
 
     * stateful proposal validation (does this batch apply to my branch?),
     * the append path's intra-block conflict screening, and
-    * per-branch fork state during reconciliation (the remote branch's view
-      of balances while its blocks are merged).
+    * a remote branch's divergent balances, replayed from the fork point
+      when somebody asks (``BlockchainRecord.branch_balance_deltas``).
 
     Views are cheap to create and discard; committing one is simply applying
     the accepted transactions to the base table.

@@ -80,9 +80,11 @@ class DelayModel:
         list must equal ``[self.sample(sender, t, rng) for t in targets]``
         including RNG consumption order, so seeded runs are byte-identical
         whether the kernel batches or not.  Subclasses override this to hoist
-        per-call lookups out of the fan-out loop; composite models (loss,
-        partitions) keep the base implementation because their per-target
-        branching *is* the RNG order.
+        per-call lookups out of the fan-out loop.  A composite model's
+        per-target branching *is* its RNG order: :class:`PartitionedDelay`
+        batches and keeps that order (it can tell which model a target draws
+        from without drawing), :class:`LossyDelay` and
+        :class:`HighJitterDelay` draw to decide and inherit this loop.
         """
         sample = self.sample
         return [sample(sender, target, rng) for target in targets]
@@ -338,6 +340,24 @@ class PartitionedDelay(DelayModel):
         if self.partition.crosses_partitions(sender, recipient):
             return self.cross_partition.sample(sender, recipient, rng)
         return self.base.sample(sender, recipient, rng)
+
+    def sample_many(
+        self, sender: ReplicaId, targets: Sequence[ReplicaId], rng: random.Random
+    ) -> List[float]:
+        side_of = self.partition.index.get
+        side = side_of(sender)
+        if side is None:
+            # A bridging sender crosses nothing: the whole fan-out is the
+            # base model's.
+            return self.base.sample_many(sender, targets, rng)
+        base = self.base.sample
+        cross = self.cross_partition.sample
+        return [
+            (base if (other := side_of(target)) is None or other == side else cross)(
+                sender, target, rng
+            )
+            for target in targets
+        ]
 
     def mean_delay(self) -> float:
         return self.base.mean_delay()

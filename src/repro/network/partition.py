@@ -11,7 +11,7 @@ belongs to, and whether a link crosses partitions.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.types import ReplicaId, ReplicaSet, as_replica_set
@@ -25,21 +25,28 @@ class PartitionSpec:
         partitions: tuple of frozensets of replica ids, one per partition.
         bridging: replicas (typically the deceitful coalition) that are not in
             any partition and communicate normally with everyone.
+        index: partitioned replica -> its partition's position in
+            ``partitions``, built once from them; every other replica
+            (bridging or unknown to the spec) is absent.
     """
 
     partitions: Tuple[ReplicaSet, ...]
     bridging: ReplicaSet = frozenset()
+    index: Mapping[ReplicaId, int] = dataclasses.field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
-        seen: set = set()
-        for partition in self.partitions:
-            overlap = seen & set(partition)
+        index: Dict[ReplicaId, int] = {}
+        for position, partition in enumerate(self.partitions):
+            overlap = index.keys() & partition
             if overlap:
                 raise ConfigurationError(
                     f"replicas {sorted(overlap)} appear in multiple partitions"
                 )
-            seen.update(partition)
-        overlap = seen & set(self.bridging)
+            index.update(dict.fromkeys(partition, position))
+        object.__setattr__(self, "index", index)
+        overlap = index.keys() & self.bridging
         if overlap:
             raise ConfigurationError(
                 f"bridging replicas {sorted(overlap)} also appear in a partition"
@@ -52,15 +59,13 @@ class PartitionSpec:
 
     def partition_of(self, replica: ReplicaId) -> Optional[int]:
         """Return the partition index of ``replica`` or None if it bridges."""
-        for index, partition in enumerate(self.partitions):
-            if replica in partition:
-                return index
-        return None
+        return self.index.get(replica)
 
     def crosses_partitions(self, sender: ReplicaId, recipient: ReplicaId) -> bool:
         """True when both endpoints are partitioned and in different partitions."""
-        sender_partition = self.partition_of(sender)
-        recipient_partition = self.partition_of(recipient)
+        index = self.index
+        sender_partition = index.get(sender)
+        recipient_partition = index.get(recipient)
         if sender_partition is None or recipient_partition is None:
             return False
         return sender_partition != recipient_partition

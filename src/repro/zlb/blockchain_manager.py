@@ -230,31 +230,22 @@ class BlockchainManager:
     ) -> MergeOutcome:
         """Reconciliation: merge a conflicting decision's transactions (Alg. 2).
 
-        The remote branch forked from ours at the parent of our block for
-        ``instance``, so its transactions are merged against a copy-on-write
-        view based there: inputs genuinely spent on our branch are funded from
-        the deposit (the coalition's realised gain), phantom inputs are
-        rejected outright.
+        Inputs genuinely spent on our branch are funded from the deposit (the
+        coalition's realised gain), phantom inputs are rejected outright.  The
+        remote branch forked from ours at the parent of our block for
+        ``instance``: ``record.branch_balance_deltas(block, that height)``
+        reports its divergent balances to whoever asks, the merge does not.
         """
         probe = self.probe
         if probe is not None:
             probe.enter("ledger.merge")
         try:
-            transactions = _flatten_payloads(remote_proposals.values())
-            local_block = self.blocks_by_instance.get(instance)
-            # Without a local block for the instance the fork point is unknown:
-            # pass None (merge against current state) rather than the current
-            # height, which view_at would treat as "rewind everything journalled
-            # since the last block" (prior merges, punishments).
-            fork_height = local_block.index - 1 if local_block is not None else None
             conflicting_block = Block(
                 index=instance + 1,
                 parent_hash="remote-branch",
-                transactions=tuple(transactions),
+                transactions=tuple(_flatten_payloads(remote_proposals.values())),
             )
-            outcome = self.record.merge_block(
-                conflicting_block, fork_height=fork_height
-            )
+            outcome = self.record.merge_block(conflicting_block)
         finally:
             if probe is not None:
                 probe.exit()

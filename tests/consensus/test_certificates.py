@@ -3,6 +3,7 @@
 import dataclasses
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.common.errors import InvalidCertificateError
 from repro.common.types import quorum_size
@@ -19,11 +20,13 @@ from repro.consensus.proofs import (
     ProofOfFraud,
     culprits,
     extract_pofs_from_certificates,
+    extract_pofs_from_grouped,
     extract_pofs_from_votes,
+    group_votes,
     merge_pofs,
 )
 from repro.crypto.keys import KeyRegistry
-from repro.crypto.signatures import EcdsaSigner
+from repro.crypto.signatures import EcdsaSigner, SignedPayload
 from repro.network.codec import decode_value, encode_value
 
 
@@ -189,6 +192,96 @@ class TestProofOfFraud:
         rebuilt = ProofOfFraud.from_payload(pof.to_payload())
         assert rebuilt.culprit == 3
         assert rebuilt.verify(hosts[0])
+
+
+def _unsigned_votes(steps):
+    """One distinguishable vote per ``(signer, context, round, kind, value)``
+    step: the signature carries the step's position, so two votes for one
+    digest differ and the test sees which of them a PoF kept."""
+    return [
+        SignedVote(
+            context=context,
+            round=round_number,
+            kind=kind,
+            value_digest=value,
+            signer=signer,
+            signature=SignedPayload(signer, "hash", b"%d" % position, "test"),
+        )
+        for position, (signer, context, round_number, kind, value) in enumerate(steps)
+    ]
+
+
+_STEP = st.tuples(
+    st.integers(0, 3),
+    st.sampled_from(["rbc:0:1", "bin:0:1"]),
+    st.integers(0, 1),
+    st.sampled_from([VoteKind.RBC_ECHO, VoteKind.AUX]),
+    st.sampled_from(["x", "y", "z"]),
+)
+
+
+class TestGroupedExtractionMatchesFlatScan:
+    """``extract_pofs_from_grouped`` scans only its second set; the flat scan
+    over both sets' votes is the reference for culprits, their order and the
+    two votes each PoF keeps."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(_STEP, max_size=24),
+        st.lists(_STEP, max_size=12),
+        st.sets(st.integers(0, 3)),
+    )
+    # Signer 0 equivocates in two groups of ``first`` only, completed in the
+    # opposite order to the one they were opened in.
+    @example(
+        [
+            (0, "rbc:0:1", 0, VoteKind.RBC_ECHO, "x"),
+            (0, "bin:0:1", 0, VoteKind.AUX, "x"),
+            (0, "bin:0:1", 0, VoteKind.AUX, "y"),
+            (0, "rbc:0:1", 0, VoteKind.RBC_ECHO, "y"),
+        ],
+        [(1, "rbc:0:1", 0, VoteKind.RBC_ECHO, "x")],
+        set(),
+    )
+    # ... the same inside ``second`` only, in groups ``first`` never saw.
+    @example(
+        [(1, "rbc:0:1", 0, VoteKind.RBC_ECHO, "x")],
+        [
+            (0, "rbc:0:1", 0, VoteKind.RBC_ECHO, "x"),
+            (0, "bin:0:1", 0, VoteKind.AUX, "x"),
+            (0, "bin:0:1", 0, VoteKind.AUX, "y"),
+            (0, "rbc:0:1", 0, VoteKind.RBC_ECHO, "y"),
+        ],
+        set(),
+    )
+    # Signer 2 conflicts across the sets in two groups (``second`` lists them
+    # in the other order) and repeats a digest ``first`` already holds;
+    # signer 3 equivocates inside ``second`` in a group ``first`` has too.
+    @example(
+        [
+            (2, "rbc:0:1", 0, VoteKind.RBC_ECHO, "x"),
+            (2, "bin:0:1", 1, VoteKind.AUX, "x"),
+            (3, "bin:0:1", 0, VoteKind.AUX, "z"),
+        ],
+        [
+            (2, "bin:0:1", 1, VoteKind.AUX, "x"),
+            (2, "bin:0:1", 1, VoteKind.AUX, "y"),
+            (2, "rbc:0:1", 0, VoteKind.RBC_ECHO, "y"),
+            (3, "bin:0:1", 0, VoteKind.AUX, "x"),
+            (3, "bin:0:1", 0, VoteKind.AUX, "y"),
+        ],
+        {1},
+    )
+    def test_same_pofs_as_the_flat_scan(self, first_steps, second_steps, skip):
+        votes = _unsigned_votes(first_steps + second_steps)
+        first, second = votes[: len(first_steps)], votes[len(first_steps) :]
+        expected = [
+            pof for pof in extract_pofs_from_votes(first + second)
+            if pof.culprit not in skip
+        ]
+        found = extract_pofs_from_grouped(group_votes(first), group_votes(second), skip)
+        assert found == expected
+        assert all(pof.is_well_formed() for pof in found)
 
 
 class _TokenHost(_Host):

@@ -14,6 +14,7 @@ chain and the zero-loss accounting measured nothing.  These tests pin the fix:
 import pytest
 
 from repro.common.config import FaultConfig
+from repro.crypto.hashing import hash_payload
 from repro.zlb.system import AttackSpec, ZLBSystem
 
 
@@ -135,3 +136,43 @@ class TestDoubleSpendSpendsRealCoins:
         }
         assert len(gains) == 1
         assert gains.pop() > 0
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_merged_ledgers_agree_after_recovery(seed):
+    """The benchmark's ``sim-attack-n18`` construction at n=9: whatever order
+    the conflicting decisions reached them in, and however often, the honest
+    committee replicas that decided the instance merge their way to one
+    ledger — the merge's outcome, pinned apart from the fig4 golden."""
+    n = 9
+    fault_config = FaultConfig.paper_attack(n)
+    system = ZLBSystem.create(
+        fault_config,
+        seed=seed,
+        delay="aws",
+        attack=AttackSpec(kind="rbbcast", cross_partition_delay="1000ms"),
+        workload_transactions=12 * n,
+        batch_size=10,
+        max_time=300.0,
+    )
+    result = system.run_instances(1, until=300.0)
+    assert result.recovered
+    assert result.deposit_shortfall == 0
+    assert result.realized_gain <= result.seized_deposit
+    ledgers = {}
+    for replica in system.honest_replicas():
+        if 0 not in replica.decided_instances():
+            continue
+        record = replica.blockchain.record
+        summary = record.summary()
+        # How many confirmers a replica heard the same decision from.
+        del summary["merged_blocks"]
+        ledgers[replica.replica_id] = (
+            summary,
+            hash_payload(record.utxos.to_payload()),
+            replica.blockchain.conserved_total(),
+        )
+    assert len(ledgers) == n - fault_config.deceitful
+    first, *others = ledgers.values()
+    assert first[0]["realized_attack_gain"] == result.realized_gain > 0
+    assert all(other == first for other in others)

@@ -95,7 +95,7 @@ class TestMergePhantomRejection:
         record = BlockchainRecord(genesis_allocations=allocations, initial_deposit=2_000)
         record.append_block([tx_bob])
         block = Block(index=1, parent_hash="x", transactions=(tx_carol,))
-        outcome = record.merge_block(block, fork_height=0)
+        outcome = record.merge_block(block)
         assert outcome.refunded_inputs == 1
         assert outcome.realized_gain == 1_000
         assert record.realized_attack_gain == 1_000
@@ -111,7 +111,7 @@ class TestMergePhantomRejection:
             genesis_allocations=allocations, initial_deposit=2_000
         )
         block = Block(index=1, parent_hash="x", transactions=(tx_bob, tx_carol))
-        outcome = record.merge_block(block, fork_height=0)
+        outcome = record.merge_block(block)
         assert outcome.merged_transactions == 2
         assert outcome.rejected_transactions == 0
         assert outcome.phantom_inputs == 0
@@ -156,7 +156,7 @@ class TestMergePhantomRejection:
         record = BlockchainRecord(genesis_allocations=allocations, initial_deposit=1_000)
         record.append_block([tx_bob])
         record.merge_block(
-            Block(index=1, parent_hash="x", transactions=(tx_carol,)), fork_height=0
+            Block(index=1, parent_hash="x", transactions=(tx_carol,))
         )
         assert record.realized_attack_gain == 500
         # Make the refunded UTXO spendable again (as if recreated on a third
@@ -196,13 +196,48 @@ class TestForkViews:
         tx_bob, tx_carol, allocations = double_spend_pair(amount=1_000)
         record = BlockchainRecord(genesis_allocations=allocations, initial_deposit=2_000)
         record.append_block([tx_bob])
-        outcome = record.merge_block(
-            Block(index=1, parent_hash="x", transactions=(tx_carol,)), fork_height=0
-        )
+        block = Block(index=1, parent_hash="x", transactions=(tx_carol,))
+        record.merge_block(block)
+        deltas = record.branch_balance_deltas(block, fork_height=0)
         carol_account = tx_carol.outputs[0].account
         alice_account = tx_carol.inputs[0].account
-        assert outcome.branch_balance_deltas[carol_account] == 1_000
-        assert outcome.branch_balance_deltas[alice_account] == -1_000
+        assert deltas[carol_account] == 1_000
+        assert deltas[alice_account] == -1_000
+        # Without a fork point there is no base to diverge from.
+        assert record.branch_balance_deltas(block, fork_height=None) == {}
+
+    def test_branch_balance_deltas_is_a_read_only_query(self):
+        """Asked before or after the merge, the report is the same and leaves
+        the record exactly as it found it."""
+        tx_bob, tx_carol, allocations = double_spend_pair(amount=1_000)
+        record = BlockchainRecord(genesis_allocations=allocations, initial_deposit=2_000)
+        record.append_block([tx_bob])
+        unsigned = Transaction(
+            inputs=tx_carol.inputs, outputs=(TxOutput("nobody", 1_000),)
+        )
+        block = Block(
+            index=1,
+            parent_hash="x",
+            transactions=(tx_carol, unsigned, _phantom_transaction(Wallet("ro-ghost"))),
+        )
+
+        def state():
+            return record.summary(), record.utxos.to_payload(), len(record._journal)
+
+        before_state = state()
+        before = record.branch_balance_deltas(block, fork_height=0)
+        assert state() == before_state
+        outcome = record.merge_block(block)
+        assert (outcome.merged_transactions, outcome.rejected_transactions) == (1, 2)
+        after_state = state()
+        assert record.branch_balance_deltas(block, fork_height=0) == before
+        assert state() == after_state
+        # Only the valid transfer diverged: the unsigned and the phantom
+        # transaction moved nothing on the branch either.
+        assert before == {
+            tx_carol.outputs[0].account: 1_000,
+            tx_carol.inputs[0].account: -1_000,
+        }
 
     def test_view_at_survives_punishment_and_merge(self):
         tx_bob, tx_carol, allocations = double_spend_pair(amount=800)
@@ -210,7 +245,7 @@ class TestForkViews:
         alice_account = allocations[0][0]
         record.append_block([tx_bob])
         record.merge_block(
-            Block(index=1, parent_hash="x", transactions=(tx_carol,)), fork_height=0
+            Block(index=1, parent_hash="x", transactions=(tx_carol,))
         )
         record.punish_account(tx_carol.outputs[0].account)
         view = record.view_at(0)

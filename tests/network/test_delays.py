@@ -252,6 +252,27 @@ class TestSampleMany:
         # pairs, so the per-target branch order is exercised end to end.
         self._assert_bit_identical(model, sender=0, targets=[0, 1, 2, 3, 4, 5, 6])
 
+    @pytest.mark.parametrize(
+        "sender", [0, 1, 6, 9], ids=["side-0", "side-1", "bridging", "unknown"]
+    )
+    def test_partitioned_attack_composite(self, sender):
+        """The attack cells' model (aws inside, a uniform second across): one
+        fan-out reaching same-side, cross-side, bridging and unknown replicas
+        (a candidate included after the split), in an order that alternates
+        between the two models."""
+        partition = PartitionSpec.split_evenly([0, 1, 2, 3, 4, 5], 2, bridging=[6, 7])
+        model = PartitionedDelay(
+            base=AwsRegionDelay(),
+            cross_partition=UniformDelay.from_mean(1.0),
+            partition=partition,
+        )
+        targets = [6, 0, 1, 9, 2, 3, 7, 5, 4, 10, 1, 0]
+        self._assert_bit_identical(model, sender, targets)
+        cross = [t for t in targets if partition.crosses_partitions(sender, t)]
+        assert len(cross) == (0 if sender in (6, 9) else 4)
+        delays = model.sample_many(sender, targets, random.Random(7))
+        assert [d >= 0.5 for d in delays] == [t in cross for t in targets]
+
     def test_aws_table_matches_region_lookup(self, rng):
         # The precomputed pair table must agree with the string-keyed lookup
         # for every (sender, recipient) region combination.

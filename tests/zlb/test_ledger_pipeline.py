@@ -2,7 +2,7 @@
 
 Covers the stateful proposal validator (phantom inputs and double spends are
 rejected before consensus votes for them), the counted commit-path screening,
-fork-aware reconciliation through :meth:`merge_remote_decision`, the workload
+reconciliation through :meth:`merge_remote_decision`, the workload
 routing fix (benign replicas receive no traffic) and the pinned
 ``SystemResult.recovered`` predicate.
 """
@@ -11,8 +11,9 @@ import pytest
 
 from repro.common.config import FaultConfig
 from repro.common.types import FaultKind, recovery_threshold
+from repro.ledger.merge import BlockchainRecord
 from repro.ledger.transaction import TxInput, build_transfer
-from repro.ledger.utxo import UTXOTable
+from repro.ledger.utxo import UTXO, UTXOTable
 from repro.ledger.wallet import Wallet
 from repro.ledger.workload import TransferWorkload, double_spend_pair
 from repro.zlb.blockchain_manager import BlockchainManager
@@ -158,14 +159,18 @@ class TestMergeRemoteDecision:
         assert outcome.merged_transactions == 1
         assert outcome.realized_gain == 500
         assert manager.realized_attack_gain() == 500
-        # Fork-aware: the remote branch spent Alice's coin towards Carol.
+        # Fork-aware on request: the remote branch, forked at the parent of
+        # our block for the instance, spent Alice's coin towards Carol.
         carol_account = tx_carol.outputs[0].account
-        assert outcome.branch_balance_deltas[carol_account] == 500
+        remote_block = manager.record.merged_blocks[-1]
+        fork_height = manager.blocks_by_instance[0].index - 1
+        deltas = manager.record.branch_balance_deltas(remote_block, fork_height)
+        assert deltas[carol_account] == 500
 
     def test_unknown_fork_point_merges_against_current_state(self):
         """Without a local block for the instance the fork point is unknown:
-        the merge must run against current state (no branch rewind), not
-        view_at(current height) which would unwind prior merges."""
+        the merge runs against current state all the same, and there is no
+        base for the branch's balances to diverge from."""
         tx_bob, tx_carol, allocations = double_spend_pair(amount=500, seed=8)
         manager = BlockchainManager(
             replica_id=0, genesis_allocations=allocations, initial_deposit=1_000
@@ -173,7 +178,54 @@ class TestMergeRemoteDecision:
         # No blocks_by_instance entry for instance 3.
         outcome = manager.merge_remote_decision(3, {2: [tx_carol]})
         assert outcome.merged_transactions == 1
-        assert outcome.branch_balance_deltas == {}
+        remote_block = manager.record.merged_blocks[-1]
+        assert manager.record.branch_balance_deltas(remote_block, None) == {}
+
+    def test_merge_never_rewinds_the_journal(self, monkeypatch):
+        tx_bob, tx_carol, allocations = double_spend_pair(amount=500, seed=5)
+        manager = BlockchainManager(
+            replica_id=0, genesis_allocations=allocations, initial_deposit=1_000
+        )
+        manager.record.append_block([tx_bob])
+        manager.blocks_by_instance[0] = manager.record.blocks[-1]
+        rewinds = []
+        view_at = BlockchainRecord.view_at
+        monkeypatch.setattr(
+            BlockchainRecord,
+            "view_at",
+            lambda record, height: rewinds.append(height) or view_at(record, height),
+        )
+        assert manager.merge_remote_decision(0, {2: [tx_carol]}).realized_gain == 500
+        assert rewinds == []
+        manager.record.branch_balance_deltas(manager.record.merged_blocks[-1], 0)
+        assert rewinds == [0]
+
+    def test_repeat_merge_changes_nothing_but_still_refunds(self):
+        """A decision already merged from another confirmer: nothing merges,
+        nothing is journalled, and ``RefundInputs`` still runs."""
+        tx_bob, tx_carol, allocations = double_spend_pair(amount=500, seed=5)
+        manager = BlockchainManager(
+            replica_id=0, genesis_allocations=allocations, initial_deposit=1_000
+        )
+        record = manager.record
+        record.append_block([tx_bob])
+        manager.blocks_by_instance[0] = record.blocks[-1]
+        manager.merge_remote_decision(0, {2: [tx_carol]})
+        first, journal = record.summary(), len(record._journal)
+
+        outcome = manager.merge_remote_decision(0, {2: [tx_carol]})
+        assert (outcome.already_known, outcome.merged_transactions) == (1, 0)
+        assert record.summary() == {**first, "merged_blocks": 2}
+        assert len(record._journal) == journal
+
+        # The input the deposit funded becomes spendable again: the next
+        # repeat claws the gain back, and that mutation is journalled.
+        spent = tx_carol.inputs[0]
+        record.utxos.add(UTXO(utxo_id=spent.utxo_id, account=spent.account, amount=500))
+        outcome = manager.merge_remote_decision(0, {2: [tx_carol]})
+        assert outcome.realized_gain == -500
+        assert record.realized_attack_gain == 0 and record.deposit == 1_000
+        assert len(record._journal) == journal + 1
 
 
 class TestWorkloadRouting:
