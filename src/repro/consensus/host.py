@@ -15,8 +15,7 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.common.types import ReplicaId, quorum_size, recovery_threshold
-from repro.crypto.keys import KeyRegistry
-from repro.crypto.signatures import SignedPayload, Signer
+from repro.crypto.signatures import SignedPayload
 
 
 class ProtocolHost:
@@ -113,82 +112,3 @@ class ProtocolHost:
     def emit_to(self, recipient: ReplicaId, protocol: Any, kind: str, body: Dict[str, Any]) -> None:
         """Send a protocol message to a single replica."""
         raise NotImplementedError
-
-    # -- notifications from components ------------------------------------------------
-
-    def component_decided(self, protocol: Any, decision: Any) -> None:
-        """Called by a component when it reaches a decision."""
-        raise NotImplementedError
-
-
-class SimpleHost(ProtocolHost):
-    """A concrete host used by unit tests and by the replica implementations.
-
-    It binds a :class:`~repro.network.transport.Process`-like transport (any
-    object with ``broadcast``/``send_to``/``set_timer``/``now`` — a process
-    bound to either transport backend qualifies), a signer and a key
-    registry.  Decisions are collected into :attr:`decisions`.
-    """
-
-    def __init__(
-        self,
-        replica_id: ReplicaId,
-        committee: Sequence[ReplicaId],
-        signer: Signer,
-        registry: KeyRegistry,
-        transport: Any,
-    ):
-        self._replica_id = replica_id
-        self._set_committee(committee)
-        self._signer = signer
-        self._registry = registry
-        self._transport = transport
-        self.probe = getattr(transport, "probe", None)
-        self.decisions: Dict[str, Any] = {}
-
-    @property
-    def replica_id(self) -> ReplicaId:
-        return self._replica_id
-
-    def committee(self) -> Sequence[ReplicaId]:
-        return list(self._committee)
-
-    def update_committee(self, committee: Iterable[ReplicaId]) -> None:
-        """Replace the committee view (used by membership changes)."""
-        self._set_committee(committee)
-
-    @property
-    def now(self) -> float:
-        return self._transport.now
-
-    def schedule(self, delay: float, callback) -> int:
-        return self._transport.set_timer(delay, callback)
-
-    def sign(self, payload: Any) -> SignedPayload:
-        return self._signer.sign(payload)
-
-    def verify(self, payload: Any, signed: SignedPayload) -> bool:
-        return self._registry.verify(payload, signed)
-
-    def verify_digest(self, digest: str, signed: SignedPayload) -> bool:
-        return self._registry.verify_digest(digest, signed)
-
-    @property
-    def verification_token(self) -> int:
-        return self._registry.verification_token
-
-    def emit(
-        self,
-        protocol: str,
-        kind: str,
-        body: Dict[str, Any],
-        recipients: Optional[Iterable[ReplicaId]] = None,
-    ) -> None:
-        targets = list(recipients) if recipients is not None else list(self._committee)
-        self._transport.broadcast(protocol, kind, body, recipients=targets)
-
-    def emit_to(self, recipient: ReplicaId, protocol: str, kind: str, body: Dict[str, Any]) -> None:
-        self._transport.send_to(recipient, protocol, kind, body)
-
-    def component_decided(self, protocol: str, decision: Any) -> None:
-        self.decisions[protocol] = decision

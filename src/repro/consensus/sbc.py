@@ -28,7 +28,7 @@ from repro.consensus.binary import BinaryConsensus
 from repro.consensus.certificates import Certificate, SignedVote
 from repro.consensus.host import ProtocolHost
 from repro.crypto.hashing import hash_payload
-from repro.network.router import Handler
+from repro.network.router import Handler, Router
 from repro.network.topic import Topic, TopicLike, as_topic
 from repro.rbc.bracha import ReliableBroadcast
 
@@ -147,7 +147,9 @@ class SetByzantineConsensus:
         #: ``("excl", epoch)``; sub-component topics extend it with
         #: ``("rbc"|"bin", slot)``.
         self.topic: Topic = as_topic(protocol_prefix).child(instance)
-        self._depth = len(self.topic.segments)
+        #: Where :meth:`attach` registered the instance's routes, until
+        #: :meth:`detach`.
+        self._router: Optional[Router] = None
         # Instrumentation (None when off); the SBC latency runs from instance
         # creation (the replica starts the instance when it proposes or first
         # hears of it) to local decision.
@@ -199,12 +201,6 @@ class SetByzantineConsensus:
                 ),
             )
 
-    # -- routing -------------------------------------------------------------------
-
-    def owns_topic(self, topic: Topic) -> bool:
-        """True when ``topic`` belongs to this SBC instance."""
-        return self.topic.is_prefix_of(topic)
-
     # -- API -------------------------------------------------------------------------
 
     def propose(self, payload: Any) -> None:
@@ -213,43 +209,52 @@ class SetByzantineConsensus:
         if slot in self._rbc:
             self._rbc[slot].broadcast(payload)
 
+    # -- routing -------------------------------------------------------------------
+
     def routes(self) -> Iterator[Tuple[Topic, Handler]]:
-        """What a router registers for the instance: every component under
-        its own topic, and the instance prefix as the fallback that drops
-        what no component owns."""
+        """The instance's routes: every component under its own topic, and
+        the instance prefix as the fallback for what no component owns."""
         yield self.topic, self.handle
         for components in (self._rbc, self._binary):
             for component in components.values():
                 yield component.topic, component.handle
 
+    def attach(self, router: Router) -> None:
+        """Register :meth:`routes` with ``router``: a message then reaches its
+        component in one lookup.  The instance alone adds and removes them."""
+        self._router = router
+        for route, handler in self.routes():
+            router.register(route, handler)
+
+    def detach(self) -> None:
+        """Remove exactly what :meth:`attach` registered and is still there."""
+        router, self._router = self._router, None
+        if router is not None:
+            for route, _ in self.routes():
+                router.unregister(route)
+
     def handle(self, topic: Topic, sender: ReplicaId, kind: str, body: Dict[str, Any]) -> None:
-        """Route a message to the owning sub-component: O(1) dict lookups on
-        the ``(layer, slot)`` segments below the instance's base topic.  An
-        unknown layer or slot is dropped here."""
-        try:
-            layer, slot = topic.segments[self._depth :]
-        except ValueError:
-            return
-        if layer == "rbc":
-            component = self._rbc.get(slot)
-        elif layer == "bin":
-            component = self._binary.get(slot)
-        else:
-            component = None
-        if component is not None:
-            component.handle(topic, sender, kind, body)
+        """The instance prefix's handler: a topic under it that no component
+        owns — an unknown layer, an unknown or dropped slot — is dropped.
+        A method rather than a no-op lambda only because
+        ``zlbbench/trace.py::_targets`` rebinds it by name."""
 
     def drop_slots(self, slots: Iterable[ReplicaId]) -> None:
         """The host's committee lost ``slots`` (the exclusion consensus
         shrinks while it runs, Alg. 1 lines 23–27): forget their broadcasts
-        and binary instances and re-apply every threshold to what is left."""
+        and binary instances — their routes go with them, so what is still
+        sent to one falls to :meth:`handle` — and re-apply every threshold to
+        what is left."""
         if self.decided:
             return
         gone = set(slots)
         self.slots = tuple(slot for slot in self.slots if slot not in gone)
+        for components in (self._rbc, self._binary):
+            for slot in gone:
+                component = components.pop(slot, None)
+                if component is not None and self._router is not None:
+                    self._router.unregister(component.topic)
         for per_slot in (
-            self._rbc,
-            self._binary,
             self._bits,
             self._proposals,
             self._rejected_proposals,

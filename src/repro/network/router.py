@@ -9,7 +9,8 @@ It keeps one dict per registered prefix *length*, keyed by the prefix's
 segment tuple, and dispatch probes ``segments[:length]`` from the longest
 registered length down: a message for a live consensus instance is found by
 the first lookup, and the number of lookups is bounded by the handful of
-lengths in use (three on a ZLB replica), whatever the topic's depth.  The
+lengths in use (four on a ZLB replica, a fifth while a membership change
+runs), whatever the topic's depth.  The
 tables hold one entry per *registered* prefix and nothing per topic seen —
 no resolved-route cache to invalidate on ``register`` / ``unregister``, and
 nothing a peer inventing topics can grow.
@@ -135,7 +136,3 @@ class RoutedProcess(Process):
         # Cold path: unrouted traffic is a routing-table bug or late
         # cross-epoch chatter — worth a debug line either way.
         self.log.debug("unrouted message: %s", message.describe())
-        self.on_unrouted(message)
-
-    def on_unrouted(self, message) -> None:
-        """Hook for subclasses that create handlers lazily."""

@@ -64,12 +64,13 @@ QUEUE_DEPTH_SAMPLE_EVERY = 64
 class _Event:
     """Internal event record; its ``(time, seq)`` key lives in the heap entry.
 
-    Three kinds share the class: point-to-point DELIVERY, TIMER callbacks and
-    BROADCAST fan-out events.  A broadcast event carries its whole delivery
-    schedule (``deliveries`` is a list of ``(time, order, recipient)`` sorted
-    by delivery time) and re-enters the heap, keeping its sequence number,
-    until ``cursor`` reaches the end — which reproduces exactly the ordering
-    a per-recipient event scheme would yield, with one heap entry.
+    Two kinds share the class: TIMER callbacks and BROADCAST fan-out events
+    (a point-to-point message is a fan-out of one).  A broadcast event
+    carries its whole delivery schedule (``deliveries`` is a list of
+    ``(time, order, recipient)`` sorted by delivery time) and re-enters the
+    heap, keeping its sequence number, until ``cursor`` reaches the end —
+    which reproduces exactly the ordering a per-recipient event scheme would
+    yield, with one heap entry.
     """
 
     __slots__ = (
@@ -84,7 +85,6 @@ class _Event:
         "trace_ctx",
     )
 
-    DELIVERY = "delivery"
     TIMER = "timer"
     BROADCAST = "broadcast"
 
@@ -222,10 +222,10 @@ class NetworkSimulator(Transport):
         delay = self.delay_model.sample(message.sender, message.recipient, self.rng)
         if delay < 0:
             raise SimulationError(f"negative delay {delay} sampled")
-        heapq.heappush(
-            self._queue,
-            (self._now + delay, next(self._sequence), _Event(_Event.DELIVERY, message)),
-        )
+        event = _Event(_Event.BROADCAST, message)
+        event.deliveries = [(self._now + delay, 0, message.recipient)]
+        event.fanout = 1
+        heapq.heappush(self._queue, (self._now + delay, next(self._sequence), event))
         self._pending += 1
 
     def submit_broadcast(
@@ -392,7 +392,7 @@ class NetworkSimulator(Transport):
                         probe.fire_timer(
                             event.callback, event.trace_ctx, self._now, event.owner
                         )
-                elif kind == _Event.BROADCAST:
+                else:
                     deliveries = event.deliveries
                     assert deliveries is not None and event.message is not None
                     cursor = event.cursor
@@ -402,10 +402,6 @@ class NetworkSimulator(Transport):
                         recipient = deliveries[cursor][2]
                         message.recipient = recipient
                         cursor += 1
-                        # ``_deliver`` in line: one frame and one ``dict.get``
-                        # less per recipient, which is most of what runs here.
-                        # The two are twins — change the drop accounting or
-                        # the probe hooks in both.
                         if recipient in disconnected or recipient not in processes:
                             self.messages_dropped += 1
                             if probe is not None:
@@ -415,6 +411,9 @@ class NetworkSimulator(Transport):
                             if probe is None:
                                 processes[recipient].on_message(message)
                             else:
+                                # Counts the delivery and, when tracing,
+                                # dispatches inside a child span of the
+                                # message's context (one span per recipient).
                                 probe.deliver(processes[recipient], message, self._now)
                         if cursor == total:
                             break
@@ -455,9 +454,6 @@ class NetworkSimulator(Transport):
                             and self.events_processed % QUEUE_DEPTH_SAMPLE_EVERY == 0
                         ):
                             metrics.observe("net.queue_depth", len(queue))
-                else:
-                    assert event.message is not None
-                    self._deliver(event.message)
                 if stop_when is not None and stop_when():
                     break
             else:
@@ -471,33 +467,6 @@ class NetworkSimulator(Transport):
         finally:
             if probe is not None:
                 probe.exit()
-
-    def _deliver(self, message: Message) -> None:
-        """Deliver one point-to-point message, or drop and count it.
-
-        The broadcast loop in :meth:`run` applies the same policy in line and
-        must change with this.  Point-to-point events are too few to earn
-        that (258 of the 113 858 deliveries of a benign n=20 cell, 473 of
-        52 502 under the n=18 attack: ``FETCH`` / ``VALUE``, ``PULL`` /
-        ``PROPOSALS`` and catch-up), so they keep the method.
-        """
-        probe = self.probe
-        recipient = message.recipient
-        process = (
-            None if recipient in self._disconnected else self._processes.get(recipient)
-        )
-        if process is None:
-            self.messages_dropped += 1
-            if probe is not None:
-                probe.on_drop(message, self._now)
-            return
-        self.messages_delivered += 1
-        if probe is None:
-            process.on_message(message)
-        else:
-            # Counts the delivery and, when tracing, dispatches inside a child
-            # span of the message's context (one span per recipient).
-            probe.deliver(process, message, self._now)
 
     def pending_events(self) -> int:
         """Number of queued (non-cancelled) deliveries and timers, O(1).

@@ -28,7 +28,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set,
 
 from repro.common.config import ProtocolConfig
 from repro.common.types import FaultKind, ReplicaId, recovery_threshold
-from repro.consensus.certificates import Certificate, certificate_from_payload
+from repro.consensus.certificates import certificate_from_payload
 from repro.consensus.proofs import (
     GroupedVotes,
     ProofOfFraud,
@@ -40,7 +40,6 @@ from repro.consensus.sbc import SBCDecision, SetByzantineConsensus
 from repro.crypto.hashing import hash_payload
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.signatures import Signer
-from repro.network.message import Message
 from repro.network.topic import Topic, topic
 from repro.smr.membership import MembershipChange, MembershipOutcome
 from repro.smr.pool import CandidatePool
@@ -151,12 +150,17 @@ class ASMRReplica(BaseReplica):
     * ``("asmr", "confirm")`` / ``("asmr", "pofs")`` / ``("asmr", "catchup")``
       for the confirmation/accountability/catch-up phases;
     * ``("sbc",)`` as a fallback that lazily starts consensus instances other
-      replicas already began (each started instance then registers its
-      :meth:`~repro.consensus.sbc.SetByzantineConsensus.routes` — its
-      components' topics and its own, deeper ``("sbc", epoch, instance)``
-      prefix — shadowing the fallback);
-    * ``("excl",)`` / ``("incl",)`` forwarding to the active membership change
-      or buffering until one starts.
+      replicas already began;
+    * ``("excl",)`` / ``("incl",)`` as a fallback that parks what no started
+      consensus of a membership change owns yet, and drops what belongs to an
+      epoch that is over.
+
+    Every Set Byzantine Consensus — of phase ①, exclusion or inclusion — is
+    reached the same way: when it starts, its
+    :meth:`~repro.consensus.sbc.SetByzantineConsensus.attach` registers its
+    components' topics and its own prefix (``("sbc", epoch, instance)``,
+    ``("excl", epoch)``, ``("incl", epoch)``), shadowing the fallback, until
+    ``detach`` (instance replaced, membership change complete).
     """
 
     CONFIRM_TOPIC = topic("asmr", "confirm")
@@ -209,7 +213,9 @@ class ASMRReplica(BaseReplica):
         self.catchup_completed_at: Optional[float] = None
         self.catchup_blocks_verified = 0
         self._pending_confirms: Dict[int, List[Tuple[ReplicaId, Dict[str, Any]]]] = {}
-        self._buffered_membership: List[Tuple[Topic, ReplicaId, str, Dict[str, Any]]] = []
+        #: Exclusion / inclusion messages no started consensus owns yet, in
+        #: arrival order (see ``_park_membership``).
+        self._parked_membership: List[Tuple[Topic, ReplicaId, str, Dict[str, Any]]] = []
         #: Consensus messages for instances past ``target_instances``, by sender.
         self._ahead: Dict[ReplicaId, List[Tuple[Topic, str, Dict[str, Any]]]] = {}
         #: Open per-instance root spans (traced runs only).
@@ -220,8 +226,8 @@ class ASMRReplica(BaseReplica):
         router.register(self.POFS_TOPIC, self._route_pofs)
         router.register(self.CATCHUP_TOPIC, self._route_catchup)
         router.register(self.SBC_ROOT, self._route_lazy_sbc)
-        router.register(self.EXCLUSION_ROOT, self._route_membership)
-        router.register(self.INCLUSION_ROOT, self._route_membership)
+        router.register(self.EXCLUSION_ROOT, self._park_membership)
+        router.register(self.INCLUSION_ROOT, self._park_membership)
 
     # -- driving the replica -----------------------------------------------------------
 
@@ -289,12 +295,9 @@ class ASMRReplica(BaseReplica):
                 protocol_prefix=self.SBC_ROOT.child(self.epoch),
             )
             self._sbc[instance] = component
-            # Each broadcast and binary consensus owns its topic, so a message
-            # reaches it from the router; the instance's ("sbc", epoch,
-            # instance) prefix shadows the lazy fallback registered at
-            # ("sbc",) for whatever else is sent under it.
-            for route, handler in component.routes():
-                self.router.register(route, handler)
+            # Its ("sbc", epoch, instance) prefix now shadows the lazy
+            # fallback registered at ("sbc",).
+            component.attach(self.router)
             if probe is not None:
                 probe.event("sbc.propose", self.replica_id, self.now, instance=instance)
             component.propose(self.proposal_factory(instance))
@@ -617,26 +620,31 @@ class ASMRReplica(BaseReplica):
             self.epoch,
             sorted(relevant_pofs),
         )
-        self.membership_change = MembershipChange(
+        self.membership_change = change = MembershipChange(
             host=self,
             epoch=self.epoch,
             committee=self.committee(),
             pofs=relevant_pofs,
             pool=self.pool,
             on_complete=self._on_membership_complete,
+            on_inclusion_started=self._on_inclusion_started,
         )
-        self.membership_change.start()
-        self._replay_buffered_membership()
+        change.exclusion.attach(self.router)
+        change.start()
+        self._replay_parked_membership()
 
-    def _replay_buffered_membership(self) -> None:
-        buffered, self._buffered_membership = self._buffered_membership, []
-        for message_topic, sender, kind, body in buffered:
-            if self.membership_change is not None and self.membership_change.owns_topic(
-                message_topic
-            ):
-                self.membership_change.handle(message_topic, sender, kind, body)
-            else:
-                self._buffered_membership.append((message_topic, sender, kind, body))
+    def _on_inclusion_started(self) -> None:
+        """The inclusion consensus has proposed: what beat it here is parked."""
+        self.membership_change.inclusion.attach(self.router)
+        self._replay_parked_membership()
+
+    def _replay_parked_membership(self) -> None:
+        """A consensus of the membership change just attached its routes:
+        route what was parked again, in arrival order.  What is still early
+        lands on ``_park_membership`` and parks again, in the same order."""
+        parked, self._parked_membership = self._parked_membership, []
+        for message_topic, sender, kind, body in parked:
+            self.route(message_topic, sender, kind, body)
 
     def _on_membership_complete(self, outcome: MembershipOutcome) -> None:
         probe = self.probe
@@ -663,6 +671,8 @@ class ASMRReplica(BaseReplica):
         # Clear the treated PoFs (Alg. 1 line 39) and prepare the next epoch.
         for culprit in outcome.excluded:
             self.pofs.pop(culprit, None)
+        self.membership_change.exclusion.detach()
+        self.membership_change.inclusion.detach()
         self.membership_change = None
         self.epoch += 1
         # Restart the aborted consensus instances with the new committee
@@ -675,8 +685,7 @@ class ASMRReplica(BaseReplica):
         for instance in aborted:
             old_component = self._sbc.pop(instance, None)
             if old_component is not None:
-                for route, _ in old_component.routes():
-                    self.router.unregister(route)
+                old_component.detach()
             del self.instances[instance]
         if aborted:
             self.next_instance = min(self.next_instance, aborted[0])
@@ -773,15 +782,17 @@ class ASMRReplica(BaseReplica):
     def _route_catchup(self, message_topic: Topic, sender: ReplicaId, kind: str, body: Dict[str, Any]) -> None:
         self._handle_catchup(sender, body)
 
-    def _route_membership(self, message_topic: Topic, sender: ReplicaId, kind: str, body: Dict[str, Any]) -> None:
-        """Forward exclusion/inclusion traffic to the active membership change,
-        buffering messages that no active change owns (other epochs, or phases
-        this replica has not reached yet)."""
-        change = self.membership_change
-        if change is not None and change.owns_topic(message_topic):
-            change.handle(message_topic, sender, kind, body)
-        else:
-            self._buffered_membership.append((message_topic, sender, kind, body))
+    def _park_membership(self, message_topic: Topic, sender: ReplicaId, kind: str, body: Dict[str, Any]) -> None:
+        """Fallback at ``("excl",)`` / ``("incl",)``, reached while no started
+        consensus owns the deeper ``(root, epoch)`` prefix.  This epoch's (a
+        phase this replica has not reached) or a later one's is kept, in
+        arrival order, for ``_replay_parked_membership``; a finished epoch has
+        no consensus left to hear it and is dropped."""
+        segments = message_topic.segments
+        if len(segments) > 1 and type(segments[1]) is int and segments[1] >= self.epoch:
+            self._parked_membership.append((message_topic, sender, kind, body))
+        elif self.probe is not None:
+            self.probe.count("membership.stale_messages")
 
     def _route_lazy_sbc(self, message_topic: Topic, sender: ReplicaId, kind: str, body: Dict[str, Any]) -> None:
         """Create consensus instances lazily when another replica started first.

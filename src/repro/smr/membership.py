@@ -20,9 +20,14 @@ conflicting confirmation proves exactly ``ceil(n/3)`` culprits starts with a
 slots.  As in the paper (lines 23–27), ``C'`` therefore shrinks *while* the
 exclusion consensus runs: :meth:`MembershipChange.learn_pofs` removes every
 newly proven culprit from the restricted committee, drops its slot from the
-running consensus and re-applies the thresholds.  Inclusion traffic that
-reaches a replica before its own exclusion consensus decided is kept and
-replayed when its inclusion consensus starts.
+running consensus and re-applies the thresholds.
+
+A change knows no router.  The replica attaches the routes of the exclusion
+consensus when it builds the change and those of the inclusion consensus on
+``on_inclusion_started``, and detaches both when the change completes.
+Inclusion traffic that reaches a replica before its own exclusion consensus
+decided finds no route yet: the replica parks it and routes it again in that
+callback.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from repro.common.types import ReplicaId
 from repro.consensus.host import ProtocolHost
 from repro.consensus.proofs import ProofOfFraud
 from repro.consensus.sbc import SBCDecision, SetByzantineConsensus
-from repro.network.topic import Topic, topic
+from repro.network.topic import topic
 from repro.obs.core import Probe
 from repro.smr.pool import CandidatePool
 
@@ -151,9 +156,6 @@ class _RestrictedHost(ProtocolHost):
     def emit_to(self, recipient, protocol, kind, body):
         self._base.emit_to(recipient, protocol, kind, body)
 
-    def component_decided(self, protocol, decision):
-        self._base.component_decided(protocol, decision)
-
 
 class MembershipChange:
     """One epoch of exclusion + inclusion consensus at a single replica."""
@@ -166,6 +168,7 @@ class MembershipChange:
         pofs: Dict[ReplicaId, ProofOfFraud],
         pool: CandidatePool,
         on_complete: Callable[[MembershipOutcome], None],
+        on_inclusion_started: Callable[[], None],
     ):
         self.host = host
         self.epoch = epoch
@@ -173,6 +176,9 @@ class MembershipChange:
         self.pofs = dict(pofs)
         self.pool = pool
         self.on_complete = on_complete
+        #: Called once ``inclusion`` exists and has proposed: the caller
+        #: attaches its routes.
+        self.on_inclusion_started = on_inclusion_started
         self.started_at = host.now
         self.exclusion_decided_at: Optional[float] = None
         self.outcome: Optional[MembershipOutcome] = None
@@ -193,26 +199,6 @@ class MembershipChange:
         )
         self.inclusion: Optional[SetByzantineConsensus] = None
         self._inclusion_host: Optional[_RestrictedHost] = None
-        self._inclusion_topic = topic("incl").child(epoch)
-        #: Inclusion messages of replicas whose exclusion decided before ours.
-        self._early_inclusion: List[tuple] = []
-
-    # -- routing -----------------------------------------------------------------
-
-    def owns_topic(self, message_topic: Topic) -> bool:
-        """True when ``message_topic`` belongs to this membership change epoch."""
-        return self.exclusion.owns_topic(message_topic) or self._inclusion_topic.is_prefix_of(
-            message_topic
-        )
-
-    def handle(self, message_topic: Topic, sender: ReplicaId, kind: str, body: Dict[str, Any]) -> None:
-        """Route messages to the exclusion or inclusion consensus."""
-        if self.exclusion.owns_topic(message_topic):
-            self.exclusion.handle(message_topic, sender, kind, body)
-        elif self.inclusion is not None:
-            self.inclusion.handle(message_topic, sender, kind, body)
-        else:
-            self._early_inclusion.append((message_topic, sender, kind, body))
 
     # -- exclusion consensus -------------------------------------------------------
 
@@ -290,9 +276,7 @@ class MembershipChange:
         )
         proposal = self.pool.take(len(self.excluded))
         self.inclusion.propose(list(proposal))
-        early, self._early_inclusion = self._early_inclusion, []
-        for message in early:
-            self.inclusion.handle(*message)
+        self.on_inclusion_started()
 
     def _validate_inclusion_proposal(self, proposer: ReplicaId, value: Any) -> bool:
         """Inclusion proposals must be lists of available pool candidates."""

@@ -138,9 +138,6 @@ class BaseReplica(RoutedProcess, ProtocolHost):
     def emit_to(self, recipient: ReplicaId, protocol: TopicLike, kind: str, body: Dict[str, Any]) -> None:
         self.send_to(recipient, protocol, kind, body)
 
-    def component_decided(self, protocol: TopicLike, decision: Any) -> None:
-        """Components deliver decisions through dedicated callbacks instead."""
-
     # -- message routing ------------------------------------------------------------------
 
     def route(self, topic: Topic, sender: ReplicaId, kind: str, body: Dict[str, Any]) -> bool:
@@ -169,6 +166,3 @@ class BaseReplica(RoutedProcess, ProtocolHost):
         finally:
             if probe is not None:
                 probe.exit()
-
-    def on_unrouted(self, message: Message) -> None:
-        """Hook for subclasses that create handlers lazily (e.g. new instances)."""

@@ -16,9 +16,14 @@ from repro.smr.replica import BaseReplica
 
 def attach_component(replica: BaseReplica, component) -> None:
     """Register a topic-owning component (``.topic`` + ``handle(topic, ...)``)
-    — a reliable broadcast, a binary consensus, a Set Byzantine Consensus
-    instance — on the replica's router."""
+    — a reliable broadcast, a binary consensus — on the replica's router.  (A
+    Set Byzantine Consensus instance attaches its own routes.)"""
     replica.router.register(component.topic, component.handle)
+
+
+def router_tables(router) -> Dict[int, Dict[tuple, Any]]:
+    """A copy of the router's tables: prefix length -> segments -> handler."""
+    return {length: dict(table) for length, table in router._tables}
 
 
 def tap(replicas) -> List[Any]:

@@ -8,7 +8,7 @@ re-derives them whenever the committee changes.
 import pytest
 
 from repro.common.types import quorum_size, recovery_threshold
-from repro.consensus.host import ProtocolHost, SimpleHost
+from repro.consensus.host import ProtocolHost
 from repro.crypto.keys import KeyRegistry
 from repro.smr.membership import _RestrictedHost
 from repro.smr.replica import BaseReplica
@@ -21,19 +21,13 @@ def _follows(host):
     return (host.quorum, host.support) == (quorum_size(size), recovery_threshold(size))
 
 
-def _simple_host(committee):
-    keys = KeyRegistry.provision(range(1))
-    return SimpleHost(0, committee, keys.signer_for(0), keys.registry, transport=None)
-
-
 def _replica(committee):
     keys = KeyRegistry.provision(range(1))
     return BaseReplica(0, committee, keys.signer_for(0), keys.registry)
 
 
-@pytest.mark.parametrize("build", [_simple_host, _replica], ids=["SimpleHost", "BaseReplica"])
-def test_update_committee_moves_both_thresholds(build):
-    host = build(range(40))
+def test_update_committee_moves_both_thresholds():
+    host = _replica(range(40))
     assert _follows(host)
     # Growing, shrinking and back again: nothing is left over from before.
     for size in [*SIZES, *reversed(SIZES)]:
@@ -62,11 +56,10 @@ def test_a_host_that_never_sets_its_committee_has_no_thresholds():
         Bare().support
 
 
-@pytest.mark.parametrize("build", [_simple_host, _replica], ids=["SimpleHost", "BaseReplica"])
-def test_an_empty_committee_is_refused_where_it_is_assigned(build):
+def test_an_empty_committee_is_refused_where_it_is_assigned():
     with pytest.raises(ValueError):
-        build([])
-    host = build(range(4))
+        _replica([])
+    host = _replica(range(4))
     with pytest.raises(ValueError):
         host.update_committee([])
     restricted = _RestrictedHost(host, range(4))

@@ -325,6 +325,7 @@ class TestAccountability:
             pofs={3: proof},
             pool=CandidatePool(range(4, 8)),
             on_complete=lambda outcome: None,
+            on_inclusion_started=lambda: None,
         )
         genuine = proof.to_payload()
         for proposal, valid in (

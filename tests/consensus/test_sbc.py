@@ -6,7 +6,7 @@ from repro.common.types import FaultKind
 from repro.consensus.sbc import SetByzantineConsensus
 from repro.network.delays import UniformDelay
 
-from tests.consensus.harness import attach_component, build_cluster
+from tests.consensus.harness import build_cluster, decided_asmr_committee, router_tables
 
 
 def _attach_sbc(replicas, instance, decisions, validator=None):
@@ -20,7 +20,7 @@ def _attach_sbc(replicas, instance, decisions, validator=None):
             ),
             proposal_validator=validator,
         )
-        attach_component(replica, component)
+        component.attach(replica.router)
         components.append(component)
     return components
 
@@ -130,7 +130,7 @@ class TestSBCFaultTolerance:
                 on_decide=lambda d, rid=rid: decisions.setdefault(rid, d),
                 proposal_validator=validator,
             )
-            attach_component(replica, component)
+            component.attach(replica.router)
             components.append(component)
         for replica_id, payload in proposals.items():
             components[replica_id].propose(payload)
@@ -159,7 +159,7 @@ class TestSBCFaultTolerance:
             on_decide=lambda d: decisions.setdefault(0, d),
             proposal_validator=lambda slot, value: slot != 1,
         )
-        attach_component(replicas[0], component)
+        component.attach(replicas[0].router)
         # Deliveries: slot 0 accepted, slot 1 rejected, slot 3 still pending.
         component._on_rbc_deliver(0, ["tx-0"], None)
         component._on_rbc_deliver(1, ["tx-1"], None)
@@ -188,3 +188,62 @@ class TestSBCDecisionObject:
         assert set(decision.binary_certificates) == {0, 1, 2, 3}
         for certificate in decision.binary_certificates.values():
             certificate.verify(replicas[0], committee=range(4))
+
+
+class TestRouteLifecycle:
+    def _component(self, replica):
+        return SetByzantineConsensus(host=replica, instance=0, on_decide=lambda d: None)
+
+    def test_attach_then_detach_leaves_the_router_as_found(self):
+        _, replicas, _ = build_cluster(4)
+        router = replicas[0].router
+        router.register(("sbc",), lambda *message: None)
+        router.register(("asmr", "confirm", 0), lambda *message: None)
+        before = router_tables(router)
+        component = self._component(replicas[0])
+        assert router_tables(router) == before  # building an instance registers nothing
+        component.attach(router)
+        routed = {
+            segments: handler
+            for length, table in router_tables(router).items()
+            for segments, handler in table.items()
+            if segments not in before.get(length, {})
+        }
+        assert routed == {route.segments: handler for route, handler in component.routes()}
+        assert len(routed) == 2 * 4 + 1
+        component.detach()
+        assert router_tables(router) == before
+        component.detach()  # nothing left to remove, nothing else touched
+        assert router_tables(router) == before
+
+    def test_a_dropped_slot_is_unregistered_with_its_components(self):
+        _, replicas, _ = build_cluster(4)
+        router = replicas[0].router
+        before = router_tables(router)
+        component = self._component(replicas[0])
+        component.attach(router)
+        gone = [component._rbc[3].topic, component._binary[3].topic]
+        component.drop_slots([3])
+        assert [router.resolve(route) for route in gone] == [component.handle] * 2
+        assert {s: h for table in router_tables(router).values() for s, h in table.items()} == {
+            route.segments: handler for route, handler in component.routes()
+        }
+        component.detach()
+        assert router_tables(router) == before
+
+    def test_a_decided_asmr_instance_detaches_to_the_replicas_root_routes(self):
+        _, replicas, _ = decided_asmr_committee()
+        replica = replicas[0]
+        assert len(router_tables(replica.router)[5]) == 2 * 4
+        replica._sbc[0].detach()
+        assert sorted(s for table in router_tables(replica.router).values() for s in table) == sorted(
+            root.segments
+            for root in (
+                replica.CONFIRM_TOPIC,
+                replica.POFS_TOPIC,
+                replica.CATCHUP_TOPIC,
+                replica.SBC_ROOT,
+                replica.EXCLUSION_ROOT,
+                replica.INCLUSION_ROOT,
+            )
+        )

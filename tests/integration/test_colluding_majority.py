@@ -11,6 +11,9 @@ import pytest
 from repro.common.config import FaultConfig
 from repro.common.types import recovery_threshold
 from repro.network.router import Router
+from repro.network.topic import topic
+from repro.obs.core import Probe
+from repro.obs.metrics import TelemetryRegistry
 from repro.zlb.system import AttackSpec, ZLBSystem
 
 
@@ -116,6 +119,9 @@ def test_a_restarted_instance_leaves_no_route_behind(monkeypatch):
         max_time=600,
     )
     assert system.run_instances(2).recovered
+    # The exclusion and inclusion consensus detach their routes too: count
+    # the restarted instances' alone.
+    dropped = [prefix for prefix in dropped if prefix.segments[0] == "sbc"]
     assert dropped and len(dropped) % (2 * 9 + 1) == 0
     assert {len(prefix.segments) for prefix in dropped} == {3, 5}
     for replica in system.honest_replicas():
@@ -131,6 +137,38 @@ def test_a_restarted_instance_leaves_no_route_behind(monkeypatch):
             if length > 1 and segments[0] == "sbc"
         }
         assert routed == live and len(live) == len(replica._sbc) * (2 * 9 + 1)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_recovery_leaves_no_membership_route_and_nothing_parked(seed):
+    """The benchmark's attack cell at n=9.  Once the change completed, its two
+    consensus instances are off the router, everything parked on the way was
+    routed to them, and their late traffic is dropped on arrival (at the
+    parent commit every replica kept it: 52-64 messages each at n=18)."""
+    system = ZLBSystem.create(
+        FaultConfig.paper_attack(9),
+        seed=seed,
+        delay="aws",
+        attack=AttackSpec(kind="rbbcast", cross_partition_delay="1000ms"),
+        workload_transactions=12 * 9,
+        batch_size=10,
+        max_time=300.0,
+    )
+    assert system.run_instances(1, until=300.0).recovered
+    for replica in system.honest_replicas():
+        assert replica.membership_change is None and replica.epoch == 1
+        assert replica._parked_membership == []
+        assert sorted(
+            segments
+            for _, table in replica.router._tables
+            for segments in table
+            if segments[0] in ("excl", "incl")
+        ) == [("excl",), ("incl",)]
+        replica.probe = Probe(metrics=TelemetryRegistry())
+        late = topic("incl", 0, "bin", replica.replica_id)
+        assert replica.route(late, replica.replica_id, "BVAL", {"round": 0, "value": 1})
+        assert replica._parked_membership == []
+        assert replica.probe.metrics.snapshot()["counters"] == {"membership.stale_messages": 1}
 
 
 class TestReliableBroadcastAttack:

@@ -18,7 +18,6 @@ from repro.consensus.certificates import (
     make_vote,
     verify_vote,
 )
-from repro.consensus.host import SimpleHost
 from repro.consensus.proofs import ProofOfFraud
 from repro.crypto.hashing import hash_payload
 from repro.crypto.keys import KeyRegistry
@@ -40,6 +39,7 @@ from repro.network.codec import (
 from repro.network.message import Message
 from repro.network.topic import Topic
 from repro.obs.trace import TraceContext
+from repro.smr.replica import BaseReplica
 
 from tests.consensus.harness import decided_asmr_committee
 
@@ -48,33 +48,11 @@ def roundtrip(value):
     return decode_value(encode_value(value))
 
 
-class _RecordingTransport:
-    """Minimal transport double for building a SimpleHost."""
-
-    now = 0.0
-    telemetry = None
-    tracing = None
-
-    def broadcast(self, *args, **kwargs):
-        pass
-
-    def send_to(self, *args, **kwargs):
-        pass
-
-    def set_timer(self, delay, callback):
-        return 0
-
-
 def _provisioned_hosts(committee):
+    """Unbound replicas: signing and verifying need no transport."""
     keys = KeyRegistry.provision(committee)
     return keys, {
-        replica: SimpleHost(
-            replica_id=replica,
-            committee=committee,
-            signer=keys.signer_for(replica),
-            registry=keys.registry,
-            transport=_RecordingTransport(),
-        )
+        replica: BaseReplica(replica, committee, keys.signer_for(replica), keys.registry)
         for replica in committee
     }
 

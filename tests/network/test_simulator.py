@@ -379,6 +379,36 @@ class TestEventOrdering:
             (0.5, "last", 0),
         ]
 
+    @pytest.mark.parametrize(
+        "gone", [None, "disconnected", "disconnected in flight", "removed in flight"]
+    )
+    def test_a_send_to_is_a_fan_out_of_one(self, gone):
+        def run(submit):
+            sim, processes, log = self._committee(UniformDelay.from_mean(0.2), size=3)
+            if gone == "disconnected":
+                sim.disconnect(1)
+            processes[0].send_to(2, "p", "before", {})
+            submit(processes[0])
+            processes[2].send_to(1, "p", "after", {})
+            queued = sim.pending_events()
+            if gone == "disconnected in flight":
+                sim.disconnect(1)
+            elif gone == "removed in flight":
+                sim.remove_process(1)
+            events = sim.run().events
+            counters = (sim.messages_sent, sim.messages_delivered, sim.messages_dropped)
+            return log, queued, events, sim.now, counters, sim.pending_events()
+
+        direct = run(lambda process: process.send_to(1, "p", "x", {}))
+        cast = run(lambda process: process.broadcast("p", "x", {}, recipients=[1]))
+        assert direct == cast
+        log, queued, events, _, (sent, delivered, dropped), left = direct
+        assert (sent, left, sent - dropped) == (3, 0, delivered) and delivered == len(log)
+        assert sorted(kind for _, kind, _ in log) == (
+            ["before"] if gone else ["after", "before", "x"]
+        )
+        assert queued == events == (1 if gone == "disconnected" else 3)
+
     def _load(self, sim, processes, log):
         """Two interleaving broadcasts, a point-to-point and two timers."""
         processes[0].broadcast("p", "A", {})

@@ -1,14 +1,21 @@
 """Membership change (Alg. 1) driven directly on a small simulated committee."""
 
+from repro.common.config import ProtocolConfig, SimulationConfig
 from repro.common.types import FaultKind
 from repro.consensus.certificates import VoteKind, make_vote
 from repro.consensus.proofs import ProofOfFraud
 from repro.crypto.hashing import hash_payload
-from repro.network.topic import topic
+from repro.crypto.keys import KeyRegistry
+from repro.network.delays import ConstantDelay
+from repro.network.simulator import NetworkSimulator
+from repro.network.topic import Topic, topic
+from repro.obs.core import Probe
+from repro.obs.metrics import TelemetryRegistry
+from repro.smr.asmr import ASMRReplica
 from repro.smr.membership import MembershipChange
 from repro.smr.pool import CandidatePool
 
-from tests.consensus.harness import build_cluster
+from tests.consensus.harness import build_cluster, router_tables, tap
 
 
 def _pof(replica):
@@ -23,38 +30,82 @@ def _pof(replica):
 def _changes(n, culprits, known_to):
     """One MembershipChange per honest replica of an ``n`` committee whose
     ``culprits`` are mute; ``known_to(replica_id)`` names the culprits that
-    replica holds a PoF for when its change starts.  A ``gates[replica_id]``
-    returning False for a topic holds the message back in ``held``."""
+    replica holds a PoF for when its change starts.  The replicas are bare:
+    each one's ``("excl",)`` / ``("incl",)`` root parks what no attached
+    consensus owns and routes it again when the inclusion consensus attaches,
+    and a completed change stays attached — it keeps answering a peer that is
+    behind.  Returns ``(simulator, changes, outcomes, pofs)``."""
     simulator, replicas, _ = build_cluster(
         n, faults={culprit: FaultKind.BENIGN for culprit in culprits}
     )
     pofs = {culprit: _pof(replicas[culprit]) for culprit in culprits}
-    changes, outcomes, held = {}, {}, []
-    gates = {}
+    changes, outcomes = {}, {}
     for replica in replicas:
         rid = replica.replica_id
         if rid in culprits:
             continue
-        change = MembershipChange(
+        parked = []
+
+        def park(*message, parked=parked):
+            parked.append(message)
+
+        def inclusion_started(replica=replica, parked=parked):
+            changes[replica.replica_id].inclusion.attach(replica.router)
+            early, parked[:] = list(parked), []
+            for message in early:
+                replica.route(*message)
+
+        replica.router.register(topic("excl"), park)
+        replica.router.register(topic("incl"), park)
+        changes[rid] = MembershipChange(
             host=replica,
             epoch=0,
             committee=range(n),
             pofs={culprit: pofs[culprit] for culprit in known_to(rid)},
             pool=CandidatePool(range(n, 2 * n)),
             on_complete=lambda outcome, rid=rid: outcomes.setdefault(rid, outcome),
+            on_inclusion_started=inclusion_started,
         )
-        changes[rid] = change
+        changes[rid].exclusion.attach(replica.router)
+    return simulator, changes, outcomes, pofs
 
-        def handler(message_topic, sender, kind, body, rid=rid, change=change):
-            gate = gates.get(rid)
-            if gate is not None and not gate(message_topic):
-                held.append((rid, message_topic, sender, kind, body))
-            else:
-                change.handle(message_topic, sender, kind, body)
 
-        replica.router.register(topic("excl"), handler)
-        replica.router.register(topic("incl"), handler)
-    return simulator, changes, outcomes, pofs, gates, held
+def _replicas(n, culprits, known_to):
+    """The same committee as real ASMR replicas, each with its membership
+    change started (exclusion proposal sent) from the PoFs of
+    ``known_to(replica_id)``.  Returns ``(simulator, replicas, changes,
+    pofs)``, the middle two by honest replica id."""
+    keys = KeyRegistry.provision(range(n))
+    simulator = NetworkSimulator(ConstantDelay(0.01), SimulationConfig(seed=0))
+    replicas = {}
+    for rid in range(n):
+        replicas[rid] = ASMRReplica(
+            replica_id=rid,
+            committee=list(range(n)),
+            signer=keys.signer_for(rid),
+            registry=keys.registry,
+            pool=CandidatePool(range(n, 2 * n)),
+            # Whatever a replica knows when the test begins starts its change.
+            config=ProtocolConfig(pof_threshold=1),
+            fault=FaultKind.BENIGN if rid in culprits else FaultKind.HONEST,
+        )
+        simulator.add_process(replicas[rid])
+    pofs = {culprit: _pof(replicas[culprit]) for culprit in culprits}
+    honest = {rid: replica for rid, replica in replicas.items() if rid not in culprits}
+    for rid, replica in honest.items():
+        replica.pofs.update({culprit: pofs[culprit] for culprit in known_to(rid)})
+        replica._maybe_start_membership_change()
+    changes = {rid: replica.membership_change for rid, replica in honest.items()}
+    return simulator, honest, changes, pofs
+
+
+def _outcomes(replicas):
+    """The completed membership change of each replica that has one."""
+    return {
+        rid: replica.membership_outcomes[0]
+        for rid, replica in replicas.items()
+        if replica.membership_outcomes
+    }
 
 
 class TestShrinkingExclusionCommittee:
@@ -62,7 +113,7 @@ class TestShrinkingExclusionCommittee:
         # Replica 0 starts from two of the three PoFs: its C' still holds
         # replica 4, whose slot nobody else runs.
         culprits = (4, 5, 6)
-        simulator, changes, outcomes, pofs, _, _ = _changes(
+        simulator, changes, outcomes, pofs = _changes(
             7, culprits, lambda rid: (5, 6) if rid == 0 else culprits
         )
         for change in changes.values():
@@ -83,12 +134,44 @@ class TestShrinkingExclusionCommittee:
         assert len({tuple(outcome.included) for outcome in outcomes.values()}) == 1
         assert len(outcomes[0].included) == 3
 
+    def test_a_dropped_slot_loses_its_routes(self):
+        culprits = (4, 5, 6)
+        simulator, changes, _, pofs = _changes(
+            7, culprits, lambda rid: (5, 6) if rid == 0 else culprits
+        )
+        # Replica 0 never hears replica 3, so its exclusion consensus is
+        # still undecided once slot 4 is gone.
+        replica = changes[0].host
+        deliver = replica.on_message
+        replica.on_message = lambda message: message.sender == 3 or deliver(message)
+        for change in changes.values():
+            change.start()
+        simulator.run()
+        exclusion, router = changes[0].exclusion, replica.router
+        dropped = [exclusion._rbc[4], exclusion._binary[4]]
+        assert [router.resolve(c.topic) for c in dropped] == [c.handle for c in dropped]
+        changes[0].learn_pofs({4: pofs[4]})
+        assert exclusion.slots == (0, 1, 2, 3) and not exclusion.decided
+        assert {route.segments: handler for route, handler in exclusion.routes()} == {
+            segments: handler
+            for table in router_tables(router).values()
+            for segments, handler in table.items()
+            if segments[:2] == ("excl", 0)
+        }
+        # What is still sent to the slot lands on the instance prefix (not on
+        # the root that parks), which drops it: nothing is answered.
+        sent = simulator.messages_sent
+        for component, kind in zip(dropped, ("ECHO", "BVAL")):
+            assert router.resolve(component.topic) == exclusion.handle
+            assert replica.route(component.topic, 1, kind, {"round": 0, "value": 1})
+        assert simulator.messages_sent == sent
+
     def test_the_exclusion_consensus_decides_at_the_shrunken_quorum(self):
         # Replica 0 starts from two of the three PoFs and never hears replica
         # 3: every step holds three votes (0, 1, 2) against a quorum of 4 of
         # C' = {0..4}.
         culprits = (4, 5, 6)
-        simulator, changes, outcomes, pofs, _, _ = _changes(
+        simulator, changes, outcomes, pofs = _changes(
             7, culprits, lambda rid: (5, 6) if rid == 0 else culprits
         )
         deliver = changes[0].host.on_message
@@ -112,7 +195,7 @@ class TestShrinkingExclusionCommittee:
 
     def test_known_culprits_and_a_decided_exclusion_are_left_alone(self):
         culprits = (3,)
-        simulator, changes, outcomes, pofs, _, _ = _changes(4, culprits, lambda rid: culprits)
+        simulator, changes, outcomes, pofs = _changes(4, culprits, lambda rid: culprits)
         changes[0].learn_pofs(pofs)
         assert changes[0].exclusion_committee == [0, 1, 2]
         for change in changes.values():
@@ -127,26 +210,105 @@ class TestShrinkingExclusionCommittee:
 class TestEarlyInclusionTraffic:
     def test_inclusion_messages_that_beat_the_local_exclusion_are_replayed(self):
         culprits = (4, 5, 6)
-        simulator, changes, outcomes, _, gates, held = _changes(
-            7, culprits, lambda rid: culprits
-        )
+        simulator, replicas, changes, _ = _replicas(7, culprits, lambda rid: culprits)
         # Replica 0 is slow: everything the others send it for the exclusion
         # consensus waits, while they decide it (3 of 4), run the inclusion
         # consensus and send replica 0 all of that as well.
-        gates[0] = lambda message_topic: message_topic.segments[0] != "excl"
-        for change in changes.values():
-            change.start()
+        late = replicas[0]
+        deliver, held = late.on_message, []
+        late.on_message = lambda message: (
+            held.append(message) if message.topic.segments[0] == "excl" else deliver(message)
+        )
         simulator.run()
-        assert sorted(outcomes) == [1, 2, 3]
-        late = changes[0]
-        assert late.inclusion is None and late._early_inclusion
-        assert all(late.owns_topic(message[0]) for message in late._early_inclusion)
+        assert sorted(_outcomes(replicas)) == [1, 2, 3]
+        # With no inclusion consensus to hear it, all of it sits in the
+        # replica's one list, in arrival order.
+        parked = list(late._parked_membership)
+        assert changes[0].inclusion is None and parked
+        assert {message[0].segments[:2] for message in parked} == {("incl", 0)}
         # The exclusion traffic lands: replica 0 decides, starts its inclusion
-        # consensus and completes it from what it kept.
-        del gates[0]
-        for _, message_topic, sender, kind, body in held:
-            late.handle(message_topic, sender, kind, body)
+        # consensus, routes what it kept again — same messages, same order —
+        # and completes from it.
+        replayed = []
+        route = late.route
+        late.route = lambda *message: replayed.append(message) or route(*message)
+        late.on_message = deliver
+        for message in held:
+            deliver(message)
         simulator.run()
-        assert late._early_inclusion == []
-        assert outcomes[0].excluded == outcomes[1].excluded == [4, 5, 6]
-        assert outcomes[0].included == outcomes[1].included
+        assert replayed == parked and late._parked_membership == []
+        outcomes = _outcomes(replicas)
+        assert sorted(outcomes) == [0, 1, 2, 3]
+        assert {tuple(outcome.excluded) for outcome in outcomes.values()} == {culprits}
+        assert len({tuple(outcome.included) for outcome in outcomes.values()}) == 1
+
+    def test_a_replica_left_behind_by_detached_peers_is_stuck_in_inclusion(self):
+        # The scenario of ``test_the_exclusion_consensus_decides_at_the_
+        # shrunken_quorum`` on real replicas.  There the peers' completed
+        # changes keep answering; a real replica detaches when it completes
+        # (before PR 24: ``membership_change = None``, same effect), so
+        # replica 0 — which never hears replica 3 — decides the exclusion,
+        # proposes to an inclusion consensus nobody runs any more and cannot
+        # fetch slot 3's value.  A known gap (ROADMAP item 6 (f)), pinned so a
+        # change to it is seen; the catch-up of a late member is its fix.
+        culprits = (4, 5, 6)
+        simulator, replicas, changes, pofs = _replicas(
+            7, culprits, lambda rid: (5, 6) if rid == 0 else culprits
+        )
+        deliver = replicas[0].on_message
+        replicas[0].on_message = lambda message: message.sender == 3 or deliver(message)
+        simulator.run()
+        assert sorted(_outcomes(replicas)) == [1, 2, 3] and not changes[0].exclusion.decided
+        changes[0].learn_pofs(pofs)
+        simulator.run()
+        assert changes[0].exclusion.decided and changes[0].excluded == [4, 5, 6]
+        assert changes[0].inclusion is not None and not changes[0].inclusion.decided
+        assert sorted(_outcomes(replicas)) == [1, 2, 3]
+        # It hears everybody and the same late start completes.
+        simulator, replicas, changes, pofs = _replicas(
+            7, culprits, lambda rid: (5, 6) if rid == 0 else culprits
+        )
+        simulator.run()
+        changes[0].learn_pofs(pofs)
+        simulator.run()
+        outcomes = _outcomes(replicas)
+        assert sorted(outcomes) == [0, 1, 2, 3]
+        assert len({tuple(outcome.included) for outcome in outcomes.values()}) == 1
+
+    def test_a_completed_change_leaves_only_the_root_fallbacks(self):
+        culprits = (4, 5, 6)
+        simulator, replicas, changes, _ = _replicas(7, culprits, lambda rid: culprits)
+        started = router_tables(replicas[0].router)
+        assert len(started[4]) == 2 * 4 and ("excl", 0) in started[2]
+        simulator.run()
+        assert sorted(_outcomes(replicas)) == [0, 1, 2, 3]
+        for replica in replicas.values():
+            assert replica.membership_change is None and replica.epoch == 1
+            membership = [
+                segments
+                for table in router_tables(replica.router).values()
+                for segments in table
+                if segments[0] in ("excl", "incl")
+            ]
+            assert sorted(membership) == [("excl",), ("incl",)]
+        # What the change registered and nothing else is gone.
+        del started[4], started[2][("excl", 0)]
+        assert router_tables(replicas[0].router) == started
+
+    def test_traffic_of_a_finished_epoch_is_dropped_and_counted(self):
+        culprits = (4, 5, 6)
+        simulator, replicas, changes, _ = _replicas(7, culprits, lambda rid: culprits)
+        seen = tap([replicas[0]])
+        simulator.run()
+        replica = replicas[0]
+        replica.probe = Probe(metrics=TelemetryRegistry())
+        stale = [m for m in seen if m.topic.segments[0] in ("excl", "incl")][:5]
+        for message in stale:
+            replica.on_message(message)
+        assert len(stale) == 5 and replica._parked_membership == []
+        counters = replica.probe.metrics.snapshot()["counters"]
+        assert counters["membership.stale_messages"] == 5
+        # The next epoch's is early, not stale: it waits for that change.
+        early = stale[0].topic.segments[:1] + (1,) + stale[0].topic.segments[2:]
+        replica.route(Topic.of(*early), 1, stale[0].kind, stale[0].body)
+        assert [message[0].segments for message in replica._parked_membership] == [early]
