@@ -44,7 +44,6 @@ from repro.cluster.fixture import ClusterSpec, build_node, endpoints_for
 from repro.network.asyncio_transport import AsyncioTransport
 from repro.obs.core import Probe
 from repro.obs.metrics import TelemetryRegistry
-from repro.obs.profiler import HostProfiler
 from repro.obs.series import StreamingSampler
 from repro.obs.trace import TraceRuntime, replica_id_base
 
@@ -215,7 +214,6 @@ async def _run(spec: ClusterSpec, replica_id: int, args) -> int:
                 recorder_capacity=args.ring, id_base=replica_id_base(replica_id)
             ),
             sampler=StreamingSampler(cadence_s=args.obs_cadence),
-            profiler=HostProfiler(),
         )
         probe.monitors.register_ledger(
             replica_id, replica.blockchain.conserved_total()

@@ -15,7 +15,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.common.errors import InvalidTransactionError
 from repro.crypto.hashing import hash_payload
 from repro.crypto.signatures import SignedPayload
-from repro.obs.core import SCOPE as _PROBE_SCOPE
 from repro.ledger.wallet import (
     Wallet,
     address_matches_material,
@@ -197,33 +196,24 @@ class Transaction:
 
     def verify_signatures(self) -> None:
         """Check that every source account signed the body and owns its address."""
-        # No owner to hand a probe down here: read the activation slot
-        # directly (one attribute load, no call when nothing is active).
-        probe = _PROBE_SCOPE.value
-        if probe is not None:
-            probe.enter("crypto.verify")
-        try:
-            body = self.body_payload()
-            for account in self.source_accounts:
-                signed = self.signatures.get(account)
-                material = self.public_materials.get(account)
-                if signed is None or material is None:
-                    raise InvalidTransactionError(
-                        f"missing signature or key material for source account {account}"
-                    )
-                if not address_matches_material(
-                    account, signed.scheme, material, self.signer_names.get(account)
-                ):
-                    raise InvalidTransactionError(
-                        f"address {account} is not bound to the provided key material"
-                    )
-                if not verify_wallet_signature(body, signed, material):
-                    raise InvalidTransactionError(
-                        f"invalid signature for source account {account}"
-                    )
-        finally:
-            if probe is not None:
-                probe.exit()
+        body = self.body_payload()
+        for account in self.source_accounts:
+            signed = self.signatures.get(account)
+            material = self.public_materials.get(account)
+            if signed is None or material is None:
+                raise InvalidTransactionError(
+                    f"missing signature or key material for source account {account}"
+                )
+            if not address_matches_material(
+                account, signed.scheme, material, self.signer_names.get(account)
+            ):
+                raise InvalidTransactionError(
+                    f"address {account} is not bound to the provided key material"
+                )
+            if not verify_wallet_signature(body, signed, material):
+                raise InvalidTransactionError(
+                    f"invalid signature for source account {account}"
+                )
 
     def verify(self) -> None:
         """Full stateless verification: shape plus signatures."""

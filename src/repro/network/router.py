@@ -32,7 +32,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.network.simulator import Process
 from repro.network.topic import Segment, Topic, TopicLike, as_topic
-from repro.obs.metrics import protocol_group
 
 #: Handler signature: (topic, sender, kind, body).
 Handler = Callable[[Topic, Any, str, Dict[str, Any]], None]
@@ -116,20 +115,10 @@ class RoutedProcess(Process):
     def on_message(self, message) -> None:
         # ``BaseReplica.on_message`` writes this out after its own filters
         # (one frame per delivery): change the two together.
-        probe = self.probe
-        if probe is not None:
-            # Attribute dispatch wall time to the message's topic-prefix
-            # bucket (``dispatch:sbc:rbc`` etc.), a child of the kernel's
-            # ``sim.kernel`` section.
-            probe.enter("dispatch:" + protocol_group(message.topic))
-        try:
-            if not self.router.dispatch(
-                message.topic, message.sender, message.kind, message.body
-            ):
-                self._note_unrouted(message)
-        finally:
-            if probe is not None:
-                probe.exit()
+        if not self.router.dispatch(
+            message.topic, message.sender, message.kind, message.body
+        ):
+            self._note_unrouted(message)
 
     def _note_unrouted(self, message) -> None:
         self.unrouted_messages += 1

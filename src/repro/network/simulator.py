@@ -349,124 +349,113 @@ class NetworkSimulator(Transport):
         if probe is not None:
             metrics = probe.metrics
             sampler = probe.sampler
-            # The whole loop runs as one ``sim.kernel`` section: dispatch,
-            # timer and ledger children claim their share on the stack, and
-            # the kernel's remaining *self* time is exactly the scheduling
-            # overhead (heap ops, delivery bookkeeping).
-            probe.enter("sim.kernel")
         processed = 0
         queue = self._queue
         # Both containers are only ever mutated in place, never rebound.
         disconnected = self._disconnected
         processes = self._processes
-        try:
-            while queue and processed < budget:
-                time, seq, event = queue[0]
-                if time > deadline:
-                    break
-                heapq.heappop(queue)
-                kind = event.kind
-                if kind == _Event.TIMER:
-                    # Drop the bookkeeping entry whether the timer fires or was
-                    # cancelled — cancelled entries must not outlive their event.
-                    self._timers.pop(seq, None)
-                    if event.cancelled:
-                        continue
-                if time > self._now:
-                    self._now = time
-                if sampler is not None and self._now >= sampler.next_tick:
-                    sampler.tick(self._now, self.events_processed)
-                processed += 1
-                self.events_processed += 1
-                self._pending -= 1
-                if (
-                    metrics is not None
-                    and self.events_processed % QUEUE_DEPTH_SAMPLE_EVERY == 0
-                ):
-                    metrics.observe("net.queue_depth", len(queue))
-                if kind == _Event.TIMER:
-                    assert event.callback is not None
-                    if probe is None:
-                        event.callback()
-                    else:
-                        probe.fire_timer(
-                            event.callback, event.trace_ctx, self._now, event.owner
-                        )
+        while queue and processed < budget:
+            time, seq, event = queue[0]
+            if time > deadline:
+                break
+            heapq.heappop(queue)
+            kind = event.kind
+            if kind == _Event.TIMER:
+                # Drop the bookkeeping entry whether the timer fires or was
+                # cancelled — cancelled entries must not outlive their event.
+                self._timers.pop(seq, None)
+                if event.cancelled:
+                    continue
+            if time > self._now:
+                self._now = time
+            if sampler is not None and self._now >= sampler.next_tick:
+                sampler.tick(self._now, self.events_processed)
+            processed += 1
+            self.events_processed += 1
+            self._pending -= 1
+            if (
+                metrics is not None
+                and self.events_processed % QUEUE_DEPTH_SAMPLE_EVERY == 0
+            ):
+                metrics.observe("net.queue_depth", len(queue))
+            if kind == _Event.TIMER:
+                assert event.callback is not None
+                if probe is None:
+                    event.callback()
                 else:
-                    deliveries = event.deliveries
-                    assert deliveries is not None and event.message is not None
-                    cursor = event.cursor
-                    message = event.message
-                    total = event.fanout
-                    while True:
-                        recipient = deliveries[cursor][2]
-                        message.recipient = recipient
-                        cursor += 1
-                        if recipient in disconnected or recipient not in processes:
-                            self.messages_dropped += 1
-                            if probe is not None:
-                                probe.on_drop(message, self._now)
-                        else:
-                            self.messages_delivered += 1
-                            if probe is None:
-                                processes[recipient].on_message(message)
-                            else:
-                                # Counts the delivery and, when tracing,
-                                # dispatches inside a child span of the
-                                # message's context (one span per recipient).
-                                probe.deliver(processes[recipient], message, self._now)
-                        if cursor == total:
-                            break
-                        next_time = deliveries[cursor][0]
-                        # Park the rest under the original ``seq`` when the
-                        # run is out of budget, past the deadline or stopped
-                        # (the post-event check below ends it; stop predicates
-                        # are pure, so the extra call is harmless), or when a
-                        # queued entry — including any the delivery above just
-                        # submitted — orders before (next_time, seq).  Heap
-                        # keys are unique, so pushing after the delivery pops
-                        # in the same order as pushing before it, and ties
-                        # break exactly as per-recipient events would.
-                        if (
-                            processed >= budget
-                            or next_time > deadline
-                            or (stop_when is not None and stop_when())
-                            or (queue and queue[0] < (next_time, seq))
-                        ):
-                            event.cursor = cursor
-                            heapq.heappush(queue, (next_time, seq, event))
-                            break
-                        # Chain the next recipient in line, replaying the
-                        # per-event bookkeeping the outer loop would have
-                        # done for it.  The sampled queue depth is identical
-                        # to the heap round-trip scheme: the pop there
-                        # happened before the sample, so this in-flight
-                        # broadcast never counted.
-                        if next_time > self._now:
-                            self._now = next_time
-                        if sampler is not None and self._now >= sampler.next_tick:
-                            sampler.tick(self._now, self.events_processed)
-                        processed += 1
-                        self.events_processed += 1
-                        self._pending -= 1
-                        if (
-                            metrics is not None
-                            and self.events_processed % QUEUE_DEPTH_SAMPLE_EVERY == 0
-                        ):
-                            metrics.observe("net.queue_depth", len(queue))
-                if stop_when is not None and stop_when():
-                    break
-            else:
-                if queue and processed >= budget:
-                    return SimulationResult(
-                        time=self._now, events=processed, exhausted_budget=True
+                    probe.fire_timer(
+                        event.callback, event.trace_ctx, self._now, event.owner
                     )
-            return SimulationResult(
-                time=self._now, events=processed, exhausted_budget=False
-            )
-        finally:
-            if probe is not None:
-                probe.exit()
+            else:
+                deliveries = event.deliveries
+                assert deliveries is not None and event.message is not None
+                cursor = event.cursor
+                message = event.message
+                total = event.fanout
+                while True:
+                    recipient = deliveries[cursor][2]
+                    message.recipient = recipient
+                    cursor += 1
+                    if recipient in disconnected or recipient not in processes:
+                        self.messages_dropped += 1
+                        if probe is not None:
+                            probe.on_drop(message, self._now)
+                    else:
+                        self.messages_delivered += 1
+                        if probe is None:
+                            processes[recipient].on_message(message)
+                        else:
+                            # Counts the delivery and, when tracing,
+                            # dispatches inside a child span of the
+                            # message's context (one span per recipient).
+                            probe.deliver(processes[recipient], message, self._now)
+                    if cursor == total:
+                        break
+                    next_time = deliveries[cursor][0]
+                    # Park the rest under the original ``seq`` when the
+                    # run is out of budget, past the deadline or stopped
+                    # (the post-event check below ends it; stop predicates
+                    # are pure, so the extra call is harmless), or when a
+                    # queued entry — including any the delivery above just
+                    # submitted — orders before (next_time, seq).  Heap
+                    # keys are unique, so pushing after the delivery pops
+                    # in the same order as pushing before it, and ties
+                    # break exactly as per-recipient events would.
+                    if (
+                        processed >= budget
+                        or next_time > deadline
+                        or (stop_when is not None and stop_when())
+                        or (queue and queue[0] < (next_time, seq))
+                    ):
+                        event.cursor = cursor
+                        heapq.heappush(queue, (next_time, seq, event))
+                        break
+                    # Chain the next recipient in line, replaying the
+                    # per-event bookkeeping the outer loop would have
+                    # done for it.  The sampled queue depth is identical
+                    # to the heap round-trip scheme: the pop there
+                    # happened before the sample, so this in-flight
+                    # broadcast never counted.
+                    if next_time > self._now:
+                        self._now = next_time
+                    if sampler is not None and self._now >= sampler.next_tick:
+                        sampler.tick(self._now, self.events_processed)
+                    processed += 1
+                    self.events_processed += 1
+                    self._pending -= 1
+                    if (
+                        metrics is not None
+                        and self.events_processed % QUEUE_DEPTH_SAMPLE_EVERY == 0
+                    ):
+                        metrics.observe("net.queue_depth", len(queue))
+            if stop_when is not None and stop_when():
+                break
+        else:
+            if queue and processed >= budget:
+                return SimulationResult(
+                    time=self._now, events=processed, exhausted_budget=True
+                )
+        return SimulationResult(time=self._now, events=processed, exhausted_budget=False)
 
     def pending_events(self) -> int:
         """Number of queued (non-cancelled) deliveries and timers, O(1).

@@ -86,11 +86,6 @@ class Topic:
             self._canonical = text
         return text
 
-    def is_prefix_of(self, other: "Topic") -> bool:
-        """True when this topic is a (non-strict) path prefix of ``other``."""
-        segments = self.segments
-        return other.segments[: len(segments)] == segments
-
     def __len__(self) -> int:
         return len(self.segments)
 

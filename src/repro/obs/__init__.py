@@ -6,8 +6,8 @@ disabled-mode contract) whose back-ends answer four questions:
 
 * counts and latencies — :mod:`repro.obs.metrics`, compared across a sweep by
   :mod:`repro.obs.report`;
-* where did the time go — :mod:`repro.obs.profiler` (host CPU per bucket) and
-  :mod:`repro.obs.critical_path` (time-to-commit per protocol phase);
+* where did the time go — :mod:`repro.obs.critical_path` (time-to-commit
+  per protocol phase);
 * what happened before the crash — :mod:`repro.obs.trace` (causal spans),
   :mod:`repro.obs.recorder` (flight recorder) and :mod:`repro.obs.monitors`
   (online invariant monitors);
@@ -31,7 +31,6 @@ text, Chrome trace).  Typical use::
 from repro.obs.core import LEVELS, Probe, activate, current
 from repro.obs.critical_path import critical_path, render_critical_path
 from repro.obs.metrics import TelemetryRegistry
-from repro.obs.profiler import HostProfiler
 from repro.obs.series import StreamingSampler
 from repro.obs.trace import TraceRuntime
 
@@ -43,7 +42,6 @@ __all__ = [
     "critical_path",
     "render_critical_path",
     "TelemetryRegistry",
-    "HostProfiler",
     "StreamingSampler",
     "TraceRuntime",
 ]

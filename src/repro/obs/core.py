@@ -12,10 +12,9 @@ call site reads it once, guards once, and then speaks verbs::
 
 so an uninstrumented run pays one pointer comparison per site and not a
 single Python call: there is no null-object probe and no helper in front of
-the guard.  A live probe carries up to four back-ends — ``metrics``
+the guard.  A live probe carries up to three back-ends — ``metrics``
 (:class:`~repro.obs.metrics.TelemetryRegistry`), ``trace``
-(:class:`~repro.obs.trace.TraceRuntime`), ``profiler``
-(:class:`~repro.obs.profiler.HostProfiler`) and ``sampler``
+(:class:`~repro.obs.trace.TraceRuntime`) and ``sampler``
 (:class:`~repro.obs.series.StreamingSampler`) — and each verb is bound at
 construction to its back-end's method or, when that back-end is absent, to
 one shared no-op.  The few sites that need a back-end itself (the tracer to
@@ -31,24 +30,21 @@ build a stack (``NetworkSimulator``, ``ZLBSystem.create``) default their
 ``probe`` argument to :func:`current`.  This is the only activation scope in
 the code base.
 
-This module is imported by the network simulator and the ledger's verify
-path, so it imports nothing above :mod:`repro.common.context` and its obs
-siblings.
+This module is imported by the network simulator, so it imports nothing
+above :mod:`repro.common.context` and its obs siblings.
 """
 
 from __future__ import annotations
 
-from time import perf_counter_ns
 from typing import Any, Callable, Dict, Optional
 
 from repro.common.context import ActivationScope
 from repro.obs.metrics import TelemetryRegistry, protocol_group
-from repro.obs.profiler import HostProfiler
 from repro.obs.series import StreamingSampler
 from repro.obs.trace import TraceContext, TraceRuntime
 
 #: What ``ScenarioSpec.instrument`` and ``--instrument`` accept besides "":
-#: metrics only, trace only, the live plane (sampler + profiler), everything.
+#: metrics only, trace only, the live plane (streaming sampler), everything.
 LEVELS = ("metrics", "trace", "live", "all")
 
 
@@ -60,14 +56,11 @@ class Probe:
     """One run's instrumentation: back-end slots plus the verbs bound to them."""
 
     __slots__ = (
-        "metrics", "trace", "monitors", "sampler", "profiler", "publisher",
-        "cell", "_created_ns",
+        "metrics", "trace", "monitors", "sampler", "cell",
         # metrics verbs
         "count", "observe", "gauge", "mark",
         # trace verbs
         "event", "start_span", "finish",
-        # profiler verbs
-        "enter", "exit",
         # sampler verb
         "sample",
     )
@@ -77,8 +70,6 @@ class Probe:
         metrics: Optional[TelemetryRegistry] = None,
         trace: Optional[TraceRuntime] = None,
         sampler: Optional[StreamingSampler] = None,
-        profiler: Optional[HostProfiler] = None,
-        publisher: Optional[Callable[[Dict[str, Any]], None]] = None,
         cell: Optional[str] = None,
     ) -> None:
         self.metrics = metrics
@@ -86,10 +77,7 @@ class Probe:
         #: The trace back-end's online invariant monitors, or None.
         self.monitors = trace.monitors if trace is not None else None
         self.sampler = sampler
-        self.profiler = profiler
-        self.publisher = publisher
         self.cell = cell
-        self._created_ns = perf_counter_ns()
         #: ``count(name, amount=1, **labels)``
         self.count = metrics.count if metrics is not None else _noop
         #: ``observe(name, value, **labels)`` — one histogram sample
@@ -105,9 +93,6 @@ class Probe:
         self.start_span = tracer.start_span if tracer is not None else _noop
         #: ``finish(span, at)``
         self.finish = tracer.finish if tracer is not None else _noop
-        #: ``enter(bucket)`` / ``exit()`` — host-CPU bracket
-        self.enter = profiler.enter if profiler is not None else _noop
-        self.exit = profiler.exit if profiler is not None else _noop
         #: ``sample(series, value)`` — one streamed latency observation
         self.sample = sampler.observe if sampler is not None else _noop
 
@@ -132,8 +117,6 @@ class Probe:
             metrics=TelemetryRegistry() if level in ("metrics", "all") else None,
             trace=TraceRuntime.enabled() if level in ("trace", "all") else None,
             sampler=StreamingSampler(publisher=publisher) if live else None,
-            profiler=HostProfiler() if live else None,
-            publisher=publisher,
             cell=cell,
         )
 
@@ -224,44 +207,32 @@ class Probe:
         now: float,
         owner: Any,
     ) -> None:
-        """Run a timer callback in the ``timer`` CPU bucket, under the trace
-        context captured when it was scheduled."""
-        self.enter("timer")
+        """Run a timer callback under the trace context captured when it was
+        scheduled."""
+        trace = self.trace
+        if trace is None:
+            callback()
+            return
+        if trace.recorder is not None:
+            trace.recorder.record(
+                now,
+                owner,
+                "timer",
+                f"timer fired (owner={owner})",
+                trace=ctx.fmt() if ctx is not None else None,
+            )
+        previous = trace.tracer.activate(ctx)
         try:
-            trace = self.trace
-            if trace is None:
-                callback()
-                return
-            if trace.recorder is not None:
-                trace.recorder.record(
-                    now,
-                    owner,
-                    "timer",
-                    f"timer fired (owner={owner})",
-                    trace=ctx.fmt() if ctx is not None else None,
-                )
-            previous = trace.tracer.activate(ctx)
-            try:
-                callback()
-            finally:
-                trace.tracer.restore(previous)
+            callback()
         finally:
-            self.exit()
+            trace.tracer.restore(previous)
 
     # -- end-of-run artefacts ----------------------------------------------------
 
     def live_snapshot(self) -> Dict[str, Any]:
-        """Series + totals + quantiles + CPU profile of the live plane.
-
-        The profile's attribution denominator is the probe's own lifetime,
-        so ``attributed_pct`` answers "how much of this cell's host CPU did
-        named buckets account for".
-        """
+        """Series + totals + quantiles of the live plane."""
         snap = self.sampler.snapshot()
         snap["cell"] = self.cell
-        snap["profile"] = self.profiler.report(
-            wall_ns=perf_counter_ns() - self._created_ns
-        )
         return snap
 
     def artefacts(self) -> Dict[str, Dict[str, Any]]:
@@ -273,16 +244,14 @@ class Probe:
             found["telemetry"] = self.metrics.snapshot()
         if self.trace is not None:
             found["trace"] = self.trace.summary()
-        if self.sampler is not None and self.profiler is not None:
+        if self.sampler is not None:
             found["obs"] = self.live_snapshot()
         return found
 
 
 # -- the current probe ---------------------------------------------------------
 
-#: The only activation scope in ``src/repro``.  Hot paths that cannot be
-#: handed a probe (``Transaction.verify_signatures``) read ``SCOPE.value``
-#: directly — one attribute load, no call.
+#: The only activation scope in ``src/repro``.
 SCOPE = ActivationScope()
 
 

@@ -25,29 +25,13 @@ Record = Dict[str, Any]
 Table = Tuple[str, List[Dict[str, Any]]]
 
 
-def cell_label(record: Record) -> str:
-    """Compact cell identity: the spec label when available, else the hash."""
-    spec = record.get("spec") or {}
-    parts: List[str] = [str(record.get("family", spec.get("family", "?")))]
-    if spec.get("n"):
-        parts.append(f"n={spec['n']}")
-    if spec.get("attack"):
-        parts.append(f"attack={spec['attack']}")
-        if spec.get("cross_partition_delay"):
-            parts.append(f"cross={spec['cross_partition_delay']}")
-    elif spec.get("delay") and spec.get("delay") != "aws":
-        parts.append(f"delay={spec['delay']}")
-    if spec.get("seed") is not None:
-        parts.append(f"seed={spec['seed']}")
-    return " ".join(parts)
-
-
 def telemetry_cells(records: Iterable[Record]) -> List[Tuple[str, Dict[str, Any]]]:
     """``(label, snapshot)`` for every record that carries telemetry.
 
-    Structurally empty snapshots — instrumented cells of model-only families
-    that never build a simulator — are skipped: they contain nothing a report
-    could render.
+    The label is the one the store wrote (``spec.label()``, params included),
+    else the spec hash.  Structurally empty snapshots — instrumented cells of
+    model-only families that never build a simulator — are skipped: they
+    contain nothing a report could render.
     """
     cells: List[Tuple[str, Dict[str, Any]]] = []
     for record in records:
@@ -56,7 +40,7 @@ def telemetry_cells(records: Iterable[Record]) -> List[Tuple[str, Dict[str, Any]
             snapshot.get(section)
             for section in ("counters", "gauges", "histograms", "timelines")
         ):
-            cells.append((cell_label(record), snapshot))
+            cells.append((record.get("label") or record.get("hash", "?"), snapshot))
     return cells
 
 

@@ -15,18 +15,18 @@ sweep serves every already-computed cell from cache.  ``--instrument LEVEL``
 instruments every cell: ``metrics`` (per-protocol message counts, per-phase
 latency histograms, recovery timelines — ``report`` renders the stored
 snapshots as comparative tables, optionally exporting them as CSV/JSON),
-``trace`` (causal spans and invariant monitors), ``live`` (time series and
-host-CPU attribution) or ``all``::
+``trace`` (causal spans and invariant monitors), ``live`` (time series) or
+``all``::
 
     python -m repro.scenarios sweep fig4 --jobs 4 --watch --serve 9100
-    python -m repro.scenarios run fig4 --instrument live --profile-out profile.json
+    python -m repro.scenarios run fig4 --instrument live --series-out series.jsonl
     python -m repro.scenarios report results.jsonl --gate
 
 ``--watch`` renders an in-place terminal table of per-cell progress (percent
 complete, events/sec, simulated time, ETA) streamed from the workers;
 ``--serve PORT`` additionally exposes the same state as Prometheus text
-(``/metrics``) and JSON (``/state``) on loopback.  ``--profile-out`` /
-``--series-out`` / ``--series-csv`` export what the ``live`` level stored.
+(``/metrics``) and JSON (``/state``) on loopback.  ``--series-out`` /
+``--series-csv`` export what the ``live`` level stored.
 ``report --gate`` evaluates each family's declared SLOs against the stored
 records and exits non-zero on breach.
 
@@ -136,6 +136,7 @@ def _run_families(
                 records = [
                     {
                         "family": outcome.spec.family,
+                        "label": outcome.spec.label(),
                         "spec": outcome.spec.to_dict(),
                         "telemetry": outcome.telemetry,
                     }
@@ -145,67 +146,32 @@ def _run_families(
     finally:
         if server is not None:
             server.stop()
-    _export_obs(
-        obs_snapshots, args.profile_out, args.series_out, args.series_csv, print_rows
-    )
+    _export_obs(obs_snapshots, args.series_out, args.series_csv)
     return 0
 
 
 def _export_obs(
-    snapshots: List[dict],
-    profile_out: Optional[str],
-    series_out: Optional[str],
-    series_csv: Optional[str],
-    render_profiles: bool,
+    snapshots: List[dict], series_out: Optional[str], series_csv: Optional[str]
 ) -> None:
-    """Render and export the obs snapshots a run/sweep collected."""
-    if not snapshots:
+    """Export the time series of the obs snapshots a run/sweep collected."""
+    if not snapshots or not (series_out or series_csv):
         return
-    from repro.obs.export import (
-        SERIES_COLUMNS,
-        series_rows,
-        write_csv,
-        write_json,
-        write_jsonl,
-    )
-    from repro.obs.profiler import render_report as render_profile
+    from repro.obs.export import SERIES_COLUMNS, series_rows, write_csv, write_jsonl
 
-    if render_profiles:
-        for snap in snapshots:
-            profile = dict(snap.get("profile") or {})
-            if not profile:
-                continue
-            top = profile.get("buckets", [])[:10]
-            truncated = len(profile.get("buckets", [])) - len(top)
-            profile["buckets"] = top
-            profile["truncated_buckets"] = (
-                profile.get("truncated_buckets", 0) + truncated
-            )
-            print(render_profile(profile, title=f"profile {snap.get('cell')}"))
-    if profile_out:
-        write_json(
-            [
-                {"cell": snap.get("cell"), "profile": snap.get("profile")}
-                for snap in snapshots
-            ],
-            profile_out,
-        )
-        print(f"profile report: {profile_out}")
-    if series_out or series_csv:
-        points = list(series_rows(snapshots))
-        if series_out:
-            write_jsonl(points, series_out)
-            print(f"time series: {series_out} ({len(points)} points)")
-        if series_csv:
-            write_csv(points, series_csv, columns=SERIES_COLUMNS)
-            print(f"time series csv: {series_csv} ({len(points)} points)")
+    points = list(series_rows(snapshots))
+    if series_out:
+        write_jsonl(points, series_out)
+        print(f"time series: {series_out} ({len(points)} points)")
+    if series_csv:
+        write_csv(points, series_csv, columns=SERIES_COLUMNS)
+        print(f"time series csv: {series_csv} ({len(points)} points)")
 
 
 def _instrument_level(args: argparse.Namespace) -> str:
     """``--instrument``, widened to include the live plane when an export
     flag needs its snapshots to produce an artefact."""
     level = args.instrument
-    if args.profile_out or args.series_out or args.series_csv:
+    if args.series_out or args.series_csv:
         return "live" if level in ("", "live") else "all"
     return level
 
@@ -359,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="instrument every cell and store what the level collects: "
             "metrics (counters and latency histograms, see `report`), trace "
             "(causal spans, invariant monitors), live (streamed time series, "
-            "host-CPU profile, feeds `report --gate`) or all",
+            "feeds `report --gate`) or all",
         )
         p.add_argument(
             "--watch",
@@ -374,13 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="PORT",
             help="expose watch state over loopback HTTP "
             "(Prometheus text on /metrics, JSON on /state); implies --watch",
-        )
-        p.add_argument(
-            "--profile-out",
-            default=None,
-            metavar="PATH",
-            help="write per-cell host-CPU attribution reports as JSON "
-            "(implies --instrument live)",
         )
         p.add_argument(
             "--series-out",

@@ -73,7 +73,7 @@ class ScenarioSpec:
             (counters and latency histograms, rendered by ``python -m
             repro.scenarios report``), ``"trace"`` (causal spans, flight
             recorder, invariant monitors), ``"live"`` (streamed time series
-            and host-CPU profile, feeding the SLO gates) or ``"all"``.  What
+            feeding the SLO gates) or ``"all"``.  What
             the level's back-ends collected is persisted next to the result
             row.  Part of the content hash, so instrumented and bare runs of
             the same cell cache separately.

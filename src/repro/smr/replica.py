@@ -26,7 +26,6 @@ from repro.crypto.signatures import SignedPayload, Signer
 from repro.network.message import Message
 from repro.network.router import RoutedProcess
 from repro.network.topic import Topic, TopicLike
-from repro.obs.metrics import protocol_group
 
 
 class BaseReplica(RoutedProcess, ProtocolHost):
@@ -68,40 +67,15 @@ class BaseReplica(RoutedProcess, ProtocolHost):
         self._set_committee(committee)
 
     # -- ProtocolHost: crypto ------------------------------------------------------
-    #
-    # With a live probe each primitive runs inside its own CPU bucket
-    # (``crypto.sign`` / ``crypto.verify``), so signing and verification cost
-    # is attributed separately from protocol dispatch.
 
     def sign(self, payload: Any) -> SignedPayload:
-        probe = self.probe
-        if probe is None:
-            return self._signer.sign(payload)
-        probe.enter("crypto.sign")
-        try:
-            return self._signer.sign(payload)
-        finally:
-            probe.exit()
+        return self._signer.sign(payload)
 
     def verify(self, payload: Any, signed: SignedPayload) -> bool:
-        probe = self.probe
-        if probe is None:
-            return self._registry.verify(payload, signed)
-        probe.enter("crypto.verify")
-        try:
-            return self._registry.verify(payload, signed)
-        finally:
-            probe.exit()
+        return self._registry.verify(payload, signed)
 
     def verify_digest(self, digest: str, signed: SignedPayload) -> bool:
-        probe = self.probe
-        if probe is None:
-            return self._registry.verify_digest(digest, signed)
-        probe.enter("crypto.verify")
-        try:
-            return self._registry.verify_digest(digest, signed)
-        finally:
-            probe.exit()
+        return self._registry.verify_digest(digest, signed)
 
     @property
     def verification_token(self) -> int:
@@ -155,14 +129,7 @@ class BaseReplica(RoutedProcess, ProtocolHost):
             return
         # ``RoutedProcess.on_message`` written out (one frame per delivery):
         # change the two together.
-        probe = self.probe
-        if probe is not None:
-            probe.enter("dispatch:" + protocol_group(message.topic))
-        try:
-            if not self.router.dispatch(
-                message.topic, message.sender, message.kind, message.body
-            ):
-                self._note_unrouted(message)
-        finally:
-            if probe is not None:
-                probe.exit()
+        if not self.router.dispatch(
+            message.topic, message.sender, message.kind, message.body
+        ):
+            self._note_unrouted(message)

@@ -99,8 +99,7 @@ class BlockchainManager:
         self.transactions_committed = 0
         self.stats = LedgerStats()
         #: The owning replica's probe, attached at bind time (None =
-        #: uninstrumented): mirrors the stats counters and brackets the
-        #: append/merge/validate hot paths as CPU buckets.
+        #: uninstrumented): mirrors the stats counters.
         self.probe = None
         #: Screening report of the most recent commit (observability).
         self.last_append_report: Optional[AppendReport] = None
@@ -139,33 +138,26 @@ class BlockchainManager:
         if not isinstance(payload, list):
             self._reject_proposal()
             return False
-        probe = self.probe
-        if probe is not None:
-            probe.enter("ledger.validate")
-        try:
-            view = self.record.utxos.overlay()
-            for item in payload:
-                if not isinstance(item, Transaction):
-                    self._reject_proposal()
-                    return False
-                if self.record.contains_tx(item.tx_id):
-                    continue
-                if not item.is_valid_cached():
-                    self._reject_proposal()
-                    return False
-                if not view.can_apply(item):
-                    self._reject_proposal()
-                    return False
-                try:
-                    view.apply_transaction(item)
-                except InvalidTransactionError:
-                    # Input exists but its recorded account/amount disagree
-                    # with the branch's UTXO table.
-                    self._reject_proposal()
-                    return False
-        finally:
-            if probe is not None:
-                probe.exit()
+        view = self.record.utxos.overlay()
+        for item in payload:
+            if not isinstance(item, Transaction):
+                self._reject_proposal()
+                return False
+            if self.record.contains_tx(item.tx_id):
+                continue
+            if not item.is_valid_cached():
+                self._reject_proposal()
+                return False
+            if not view.can_apply(item):
+                self._reject_proposal()
+                return False
+            try:
+                view.apply_transaction(item)
+            except InvalidTransactionError:
+                # Input exists but its recorded account/amount disagree
+                # with the branch's UTXO table.
+                self._reject_proposal()
+                return False
         self.stats.proposals_validated += 1
         return True
 
@@ -186,25 +178,18 @@ class BlockchainManager:
         case duplicates, intra-block conflicts and non-executable
         transactions are dropped and counted.
         """
-        probe = self.probe
-        if probe is not None:
-            probe.enter("ledger.append")
-        try:
-            transactions = _flatten_payloads(decision.decided_payloads())
-            report = self.record.filter_for_append(
-                transactions, assume_verified=not decision.unvalidated_slots
-            )
-            self._count_commit_report(report)
-            self.last_append_report = report
-            block = self.record.append_block(
-                report.accepted,
-                proposers=tuple(decision.included_slots()),
-                timestamp=decision.decided_at,
-                validate=False,
-            )
-        finally:
-            if probe is not None:
-                probe.exit()
+        transactions = _flatten_payloads(decision.decided_payloads())
+        report = self.record.filter_for_append(
+            transactions, assume_verified=not decision.unvalidated_slots
+        )
+        self._count_commit_report(report)
+        self.last_append_report = report
+        block = self.record.append_block(
+            report.accepted,
+            proposers=tuple(decision.included_slots()),
+            timestamp=decision.decided_at,
+            validate=False,
+        )
         self.blocks_by_instance[instance] = block
         self.mempool.remove_decided(block.tx_ids())
         self.transactions_committed += len(block.transactions)
@@ -236,22 +221,16 @@ class BlockchainManager:
         ``instance``: ``record.branch_balance_deltas(block, that height)``
         reports its divergent balances to whoever asks, the merge does not.
         """
-        probe = self.probe
-        if probe is not None:
-            probe.enter("ledger.merge")
-        try:
-            conflicting_block = Block(
-                index=instance + 1,
-                parent_hash="remote-branch",
-                transactions=tuple(_flatten_payloads(remote_proposals.values())),
-            )
-            outcome = self.record.merge_block(conflicting_block)
-        finally:
-            if probe is not None:
-                probe.exit()
+        conflicting_block = Block(
+            index=instance + 1,
+            parent_hash="remote-branch",
+            transactions=tuple(_flatten_payloads(remote_proposals.values())),
+        )
+        outcome = self.record.merge_block(conflicting_block)
         self.merge_outcomes.append(outcome)
         self.stats.merge_rejected += outcome.rejected_transactions
         self.stats.merge_phantom_inputs += outcome.phantom_inputs
+        probe = self.probe
         if probe is not None:
             if outcome.rejected_transactions:
                 probe.count("ledger.merge_rejected", outcome.rejected_transactions)

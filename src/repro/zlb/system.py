@@ -215,12 +215,6 @@ class ZLBSystem:
         """
         n = fault_config.n
         probe = probe if probe is not None else obs_core.current()
-        if probe is not None:
-            # The whole construction — genesis build, key provisioning,
-            # workload signing and submission — runs as one root
-            # ``system.build`` CPU bucket (crypto.verify children claim
-            # their share); closed right before the system is returned.
-            probe.enter("system.build")
         protocol_config = protocol_config or ProtocolConfig(
             batch_size=batch_size or 50
         )
@@ -365,23 +359,18 @@ class ZLBSystem:
         )
         if workload_transactions > 0:
             system.submit_workload(workload_transactions)
-        if probe is not None:
-            if probe.sampler is not None:
-                # Aggregate mempool occupancy across the active committee,
-                # pulled once per sampler tick (standby pools never receive
-                # traffic).
-                active = [
-                    replica for replica in replicas.values() if not replica.standby
-                ]
-                probe.sampler.register_gauge(
-                    "mempool.pending",
-                    lambda: sum(len(r.blockchain.mempool) for r in active),
-                )
-                probe.sampler.register_gauge(
-                    "mempool.pending_bytes",
-                    lambda: sum(r.blockchain.mempool.pending_bytes for r in active),
-                )
-            probe.exit()
+        if probe is not None and probe.sampler is not None:
+            # Aggregate mempool occupancy across the active committee, pulled
+            # once per sampler tick (standby pools never receive traffic).
+            active = [replica for replica in replicas.values() if not replica.standby]
+            probe.sampler.register_gauge(
+                "mempool.pending",
+                lambda: sum(len(r.blockchain.mempool) for r in active),
+            )
+            probe.sampler.register_gauge(
+                "mempool.pending_bytes",
+                lambda: sum(r.blockchain.mempool.pending_bytes for r in active),
+            )
         return system
 
     # -- workload -------------------------------------------------------------------------

@@ -284,12 +284,11 @@ class TestLossAccounting:
         from types import SimpleNamespace
 
         from repro.cluster.worker import _ObsShipper
-        from repro.obs import HostProfiler, Probe, StreamingSampler, TraceRuntime
+        from repro.obs import Probe, StreamingSampler, TraceRuntime
 
         probe = Probe(
             trace=TraceRuntime.enabled(recorder_capacity=ring_capacity),
             sampler=StreamingSampler(),
-            profiler=HostProfiler(),
         )
         blockchain = SimpleNamespace(
             transactions_committed=0, blocks_by_instance={}, mempool=[]

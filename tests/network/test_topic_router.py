@@ -34,13 +34,6 @@ class TestTopic:
         assert from_tuple is topic("asmr", "confirm", 2)
         assert as_topic(from_tuple) is from_tuple
 
-    def test_prefix_relation(self):
-        base = topic("sbc", 0)
-        assert base.is_prefix_of(topic("sbc", 0, 3, "rbc", 5))
-        assert base.is_prefix_of(base)
-        assert not base.is_prefix_of(topic("sbc", 1, 3))
-        assert not topic("excl").is_prefix_of(topic("sbc", 0))
-
     def test_equality_and_hash(self):
         assert topic("a", 1) == topic("a", 1)
         assert topic("a", 1) != topic("a", 2)

@@ -11,8 +11,8 @@ cell in the *same process* must produce the very row a bare cell produces
 first thing in a fresh process, with no probe left active — instrumentation
 leaves nothing behind in the activation scope or in module-level state.
 
-And it pins the acceptance property of the profiler on a real cell: at least
-80% of the cell's host CPU must land in named buckets.
+And it pins what the ``live`` level's sampler streams on a real cell: event
+rate, per-protocol message rates, commit-latency quantiles and totals.
 """
 
 import json
@@ -104,26 +104,13 @@ def test_bare_cell_after_a_fully_instrumented_one_is_untouched():
     )
 
 
-def test_golden_cell_profile_attributes_most_host_cpu():
+def test_golden_cell_sampler_streams_series_quantiles_and_totals():
     probe = obs.Probe.at_level("live", cell="golden")
     with obs.activate(probe):
         run_system(GOLDEN_SPEC)
     snap = probe.live_snapshot()
 
-    profile = snap["profile"]
-    assert profile["attributed_pct"] >= 0.8
-    buckets = {row["bucket"] for row in profile["buckets"]}
-    # The named hot paths of the run must all show up.
-    assert "sim.kernel" in buckets
-    assert "system.build" in buckets
-    assert "ledger.append" in buckets
-    assert any(name.startswith("dispatch:") for name in buckets)
-    # Crypto primitives are attributed separately from protocol dispatch.
-    assert "crypto.sign" in buckets
-    assert "crypto.verify" in buckets
-
-    # The sampler streamed real series alongside: event rate, per-protocol
-    # message rates and the commit-latency sliding quantiles.
+    assert snap["cell"] == "golden"
     series = snap["series"]
     assert len(series["events_per_sec"]["points"]) > 10
     assert any(name.startswith("msgs_per_sec:") for name in series)

@@ -193,11 +193,43 @@ class TestScenarioIntegration:
         assert main(["report", out]) == 0
         assert "no telemetry" in capsys.readouterr().out
 
+    def test_report_csv_keeps_cells_differing_only_in_params_apart(
+        self, tmp_path, capsys
+    ):
+        from repro.scenarios.cli import main
+
+        out = str(tmp_path / "churn.jsonl")
+        store = ResultStore(out)
+        base = ScenarioSpec(family="churn", n=4, seed=1, instrument="metrics")
+        for rounds in (2, 3):
+            store.put(
+                base.with_overrides(params={"rounds": rounds}),
+                {},
+                telemetry={"counters": {"zlb.merges": rounds}},
+            )
+        csv_path = str(tmp_path / "churn.csv")
+        assert main(["report", out, "--csv", csv_path]) == 0
+        capsys.readouterr()
+        lines = open(csv_path, encoding="utf-8").read().splitlines()[1:]
+        cells = {line.split(",")[0] for line in lines}
+        assert cells == {
+            "churn n=4 rounds=2 seed=1 metrics",
+            "churn n=4 rounds=3 seed=1 metrics",
+        }
+
+    def test_run_renders_inline_telemetry_under_the_spec_label(self, capsys):
+        from repro.scenarios.cli import main
+
+        assert main(["run", TINY_FAMILY, "--instrument", "metrics", "--quiet"]) == 0
+        printed = capsys.readouterr().out
+        assert "telemetry report — 1 instrumented cells" in printed
+        assert "telemetry-tiny n=4 seed=7 metrics" in printed
+
     def test_metric_filter_restricts_histograms(self, attack_snapshot):
         _, snapshot = attack_snapshot
         records = [
-            {"family": "fig4", "spec": {"family": "fig4", "n": 9, "seed": 1},
-             "telemetry": snapshot}
+            {"family": "fig4", "label": "fig4 n=9 seed=1",
+             "spec": {"family": "fig4", "n": 9, "seed": 1}, "telemetry": snapshot}
         ]
         tables = dict(build_tables(records, metric_filter="rbc."))
         histogram_rows = tables["latency histograms (s)"]
@@ -236,10 +268,30 @@ class TestExporters:
 
     def test_telemetry_cells_skips_bare_records(self):
         records = [
-            {"family": "a", "spec": {"family": "a"}},
-            {"family": "b", "spec": {"family": "b", "n": 3},
+            {"family": "a", "label": "a seed=1", "spec": {"family": "a"}},
+            {"family": "b", "label": "b n=3 seed=1", "spec": {"family": "b", "n": 3},
              "telemetry": {"counters": {"c": 1}}},
         ]
         cells = telemetry_cells(records)
         assert len(cells) == 1
         assert cells[0][0].startswith("b")
+
+    def test_telemetry_cells_fall_back_to_the_spec_hash(self):
+        records = [
+            {"family": "a", "hash": "3f9c", "spec": {"family": "a"},
+             "telemetry": {"counters": {"c": 1}}},
+        ]
+        assert telemetry_cells(records) == [("3f9c", {"counters": {"c": 1}})]
+
+    def test_cells_differing_only_in_params_get_distinct_labels(self, tmp_path):
+        store = ResultStore(str(tmp_path / "churn.jsonl"))
+        base = ScenarioSpec(family="churn", n=4, seed=1)
+        for rounds in (2, 3):
+            store.put(
+                base.with_overrides(params={"rounds": rounds}),
+                {},
+                telemetry={"counters": {"c": rounds}},
+            )
+        labels = [label for label, _ in telemetry_cells(store.records())]
+        assert len(labels) == 2 and len(set(labels)) == 2
+        assert "rounds=2" in labels[0] and "rounds=3" in labels[1]

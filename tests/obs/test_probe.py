@@ -1,23 +1,26 @@
 """The Probe handle: verb binding, levels, artefacts, transport hooks."""
 
+import ast
+import importlib
+import inspect
+
 import pytest
 
-from repro.obs import Probe, TraceRuntime
+from repro.obs import Probe, StreamingSampler, TraceRuntime
 from repro.obs.core import LEVELS, _noop
+from repro.obs.trace import TraceContext
 
 
 class TestVerbBinding:
     def test_metrics_only_probe_binds_other_verbs_to_the_shared_noop(self):
         probe = Probe.at_level("metrics")
-        assert probe.trace is None and probe.profiler is None and probe.sampler is None
-        for verb in ("event", "start_span", "finish", "enter", "exit", "sample"):
+        assert probe.trace is None and probe.sampler is None
+        for verb in ("event", "start_span", "finish", "sample"):
             assert getattr(probe, verb) is _noop
         # The no-op swallows every call shape its live counterparts take.
         assert probe.start_span("rbc", 0, 0.0, instance=3) is None
         probe.finish(None, 1.0)
         probe.event("rbc.deliver", 0, 1.0, instance=3)
-        probe.enter("dispatch:sbc:rbc")
-        probe.exit()
         probe.sample("commit_latency_s", 0.1)
         # ... while the metrics verbs are live.
         probe.count("c", 2, protocol="rbc")
@@ -49,6 +52,31 @@ class TestVerbBinding:
         assert fired == [1]
         assert probe.artefacts() == {}
 
+    def test_fire_timer_runs_under_the_captured_context_and_restores_it(self):
+        probe = Probe(trace=TraceRuntime.enabled())
+        tracer = probe.trace.tracer
+        captured = TraceContext(trace_id=4, span_id=9)
+        outer = TraceContext(trace_id=1, span_id=1)
+        tracer.activate(outer)
+        seen = []
+        probe.fire_timer(lambda: seen.append(tracer.current_ctx), captured, 2.5, owner=3)
+        assert seen == [captured]
+        assert tracer.current_ctx is outer
+        (event,) = probe.trace.recorder.events_since(-1)
+        assert (event["type"], event["replica"], event["t"]) == ("timer", 3, 2.5)
+        assert event["trace"] == "t4:s9"
+
+    def test_fire_timer_restores_the_context_when_the_callback_raises(self):
+        probe = Probe(trace=TraceRuntime.enabled())
+        tracer = probe.trace.tracer
+
+        def boom():
+            raise RuntimeError("timer failed")
+
+        with pytest.raises(RuntimeError):
+            probe.fire_timer(boom, TraceContext(trace_id=2, span_id=2), 0.0, owner=0)
+        assert tracer.current_ctx is None
+
 
 class TestLevels:
     @pytest.mark.parametrize("level", LEVELS)
@@ -57,7 +85,6 @@ class TestLevels:
         assert (probe.metrics is not None) == (level in ("metrics", "all"))
         assert (probe.trace is not None) == (level in ("trace", "all"))
         assert (probe.sampler is not None) == (level in ("live", "all"))
-        assert (probe.profiler is not None) == (level in ("live", "all"))
         keys = {"metrics": {"telemetry"}, "trace": {"trace"}, "live": {"obs"}}
         expected = {"telemetry", "trace", "obs"} if level == "all" else keys[level]
         assert set(probe.artefacts()) == expected
@@ -66,8 +93,43 @@ class TestLevels:
         events = []
         probe = Probe.at_level("", publisher=events.append)
         assert probe.metrics is None and probe.trace is None
-        assert probe.sampler is not None and probe.profiler is not None
+        assert probe.sampler.publisher == events.append
+
+    def test_live_builds_a_sampler_and_nothing_else(self):
+        probe = Probe.at_level("live")
+        assert isinstance(probe.sampler, StreamingSampler)
+        assert probe.metrics is None and probe.trace is None and probe.monitors is None
+        assert probe.count is _noop and probe.event is _noop
+        assert probe.sample == probe.sampler.observe
+
+    def test_live_snapshot_is_the_sampler_snapshot_plus_the_cell(self):
+        probe = Probe.at_level("live", cell="c1")
+        probe.sample("commit_latency_s", 0.25)
+        snap = probe.live_snapshot()
+        assert set(snap) == {
+            "cadence_s", "series", "message_totals", "quantiles", "totals", "cell",
+        }
+        assert snap["cell"] == "c1"
+        assert snap["quantiles"]["commit_latency_s"]
+        assert probe.artefacts()["obs"]["cell"] == "c1"
+
+    def test_no_host_profiler_and_no_publisher_slot(self):
+        assert not {"profiler", "enter", "exit", "publisher"} & set(Probe.__slots__)
 
     def test_unknown_level_rejected(self):
         with pytest.raises(ValueError):
             Probe.at_level("verbose")
+
+
+class TestLayering:
+    @pytest.mark.parametrize("module", ["repro.network.router", "repro.smr.replica"])
+    def test_dispatch_and_crypto_paths_do_not_import_obs(self, module):
+        tree = ast.parse(inspect.getsource(importlib.import_module(module)))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported.add(node.module or "")
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+        assert imported
+        assert not [name for name in imported if name.startswith("repro.obs")]

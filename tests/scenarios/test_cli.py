@@ -2,7 +2,7 @@
 
 import json
 
-from repro.scenarios.cli import main
+from repro.scenarios.cli import _instrument_level, build_parser, main
 
 
 class TestList:
@@ -41,7 +41,6 @@ class TestObsFlags:
         assert "cells done" in err
 
     def test_obs_artifacts_are_written(self, tmp_path, capsys):
-        profile = tmp_path / "profile.json"
         series = tmp_path / "series.jsonl"
         series_csv = tmp_path / "series.csv"
         assert (
@@ -50,8 +49,6 @@ class TestObsFlags:
                     "run",
                     "appendix-b",
                     "--quiet",
-                    "--profile-out",
-                    str(profile),
                     "--series-out",
                     str(series),
                     "--series-csv",
@@ -61,10 +58,19 @@ class TestObsFlags:
             == 0
         )
         capsys.readouterr()
-        payload = json.loads(profile.read_text())
-        assert len(payload) == 5  # one report per cell
-        assert all("profile" in entry for entry in payload)
         assert series.exists() and series_csv.exists()
+
+    def test_series_export_widens_the_level_to_the_live_plane(self):
+        parser = build_parser()
+
+        def level(*argv):
+            return _instrument_level(parser.parse_args(["run", "appendix-b", *argv]))
+
+        assert level() == ""
+        assert level("--instrument", "trace") == "trace"
+        assert level("--series-out", "s.jsonl") == "live"
+        assert level("--instrument", "live", "--series-csv", "s.csv") == "live"
+        assert level("--instrument", "metrics", "--series-csv", "s.csv") == "all"
 
     def test_obs_snapshots_are_stored_and_cached(self, tmp_path, capsys):
         out_path = str(tmp_path / "results.jsonl")
@@ -73,7 +79,6 @@ class TestObsFlags:
         with open(out_path) as handle:
             records = [json.loads(line) for line in handle]
         assert all("obs" in record for record in records)
-        assert all("profile" in record["obs"] for record in records)
         # Obs-enabled specs hash differently from bare ones, so the obs run
         # caches under its own key and a repeat run is served from cache.
         assert main(["run", "appendix-b", "--instrument", "live", "--out", out_path, "--quiet"]) == 0
