@@ -40,7 +40,10 @@ key registry's hash binding would judge something the sender never sent —
 conflicting certificates are evidence, so they must arrive as they were made.
 
 The pre-image a replica signs is :func:`vote_payload`, not any of the above:
-the wire form can change without invalidating a signature.
+the wire form can change without invalidating a signature.  Its canonical
+digest is computed once per process per statement (``_VOTE_DIGESTS``) and
+serves signing and verifying alike: :func:`make_vote` hands it to the signer,
+:func:`verify_vote` to the key registry.
 """
 
 from __future__ import annotations
@@ -55,8 +58,9 @@ from repro.crypto.signatures import SignedPayload, payload_digest
 
 #: Canonical-payload digests of votes, keyed by the vote identity tuple
 #: ``(context, round, kind, value_digest)``.  Recipients rebuild their own
-#: :class:`SignedVote` objects from a shared broadcast body, so a per-object
-#: memo alone would re-encode the same payload once per recipient; the
+#: :class:`SignedVote` objects from a shared broadcast body, and every
+#: honest replica signs the same statement, so a per-object memo alone would
+#: re-encode the same payload once per recipient and once per signer; the
 #: module-level map makes each distinct vote payload canonicalised exactly
 #: once per process.  Content-addressed, so sharing across runs is safe.
 _VOTE_DIGESTS: Dict[Tuple[str, int, str, str], str] = {}
@@ -219,11 +223,15 @@ def make_vote(
     """Create a vote signed by ``host`` (any object exposing ``sign`` and ``replica_id``).
 
     ``context`` accepts a string or a Topic; votes carry the canonical string.
+    ``host.sign(payload, digest)`` gets the statement's memoised digest, so
+    a statement every replica signs is encoded once per process, not once
+    per signer.
     """
-    payload = vote_payload(context, round_number, kind, value_digest)
-    signature = host.sign(payload)
+    context = str(context)
+    digest = _vote_digest(context, round_number, kind, value_digest)
+    signature = host.sign(vote_payload(context, round_number, kind, value_digest), digest)
     return SignedVote(
-        context=str(context),
+        context=context,
         round=round_number,
         kind=kind,
         value_digest=value_digest,

@@ -79,8 +79,15 @@ class ProtocolHost:
 
     # -- cryptography -------------------------------------------------------------
 
-    def sign(self, payload: Any) -> SignedPayload:
-        """Sign a payload with this replica's key."""
+    def sign(self, payload: Any, digest: Optional[str] = None) -> SignedPayload:
+        """Sign a payload with this replica's key.
+
+        ``digest``, when given, is the caller's statement that it is the
+        payload's canonical digest (as for ``verify_digest``).  The host
+        forwards it to its :class:`~repro.crypto.signatures.Signer`, which
+        then does not encode the payload; ``make_vote`` passes the vote
+        digest the verifiers memoise.
+        """
         raise NotImplementedError
 
     def verify(self, payload: Any, signed: SignedPayload) -> bool:

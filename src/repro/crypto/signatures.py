@@ -57,8 +57,15 @@ class Signer:
     def __init__(self, replica: ReplicaId):
         self.replica = replica
 
-    def sign(self, payload: Any) -> SignedPayload:
-        """Sign ``payload`` and return a :class:`SignedPayload`."""
+    def sign(self, payload: Any, digest: Optional[str] = None) -> SignedPayload:
+        """Sign ``payload`` and return a :class:`SignedPayload`.
+
+        ``digest`` is the caller's statement that it is ``payload``'s
+        canonical digest (:func:`payload_digest`) — the contract of
+        :meth:`~repro.crypto.keys.KeyRegistry.verify_digest` — and spares
+        encoding the payload; without it the payload is encoded here.  The
+        signature is the same either way.
+        """
         raise NotImplementedError
 
     def public_material(self) -> Any:
@@ -107,8 +114,9 @@ class EcdsaSigner(Signer):
         super().__init__(replica)
         self._keypair = keypair or ecdsa_generate_keypair(seed=replica)
 
-    def sign(self, payload: Any) -> SignedPayload:
-        digest = payload_digest(payload)
+    def sign(self, payload: Any, digest: Optional[str] = None) -> SignedPayload:
+        if digest is None:
+            digest = payload_digest(payload)
         signature = ecdsa_sign(self._keypair.private_key, digest.encode("ascii"))
         return SignedPayload(
             signer=self.replica,
@@ -158,9 +166,10 @@ class SimulatedSigner(Signer):
         ).digest()
         self._root_secret = root_secret
 
-    def sign(self, payload: Any) -> SignedPayload:
-        digest = payload_digest(payload)
-        tag = hmac.new(self._secret, digest.encode("ascii"), hashlib.sha256).digest()
+    def sign(self, payload: Any, digest: Optional[str] = None) -> SignedPayload:
+        if digest is None:
+            digest = payload_digest(payload)
+        tag = hmac.digest(self._secret, digest.encode("ascii"), "sha256")
         return SignedPayload(
             signer=self.replica,
             payload_hash=digest,
@@ -188,7 +197,7 @@ class SimulatedScheme(SignatureScheme):
         secret = hashlib.sha256(
             public_material + b":" + str(signed.signer).encode("ascii")
         ).digest()
-        expected = hmac.new(secret, digest.encode("ascii"), hashlib.sha256).digest()
+        expected = hmac.digest(secret, digest.encode("ascii"), "sha256")
         return hmac.compare_digest(expected, signed.signature)
 
 

@@ -269,8 +269,8 @@ def run_catchup_timing(
             def __init__(self, replica_id: int):
                 self.replica_id = replica_id
 
-            def sign(self, payload):
-                return keys.signer_for(self.replica_id).sign(payload)
+            def sign(self, payload, digest=None):
+                return keys.signer_for(self.replica_id).sign(payload, digest)
 
             def verify(self, payload, signed):
                 return keys.registry.verify(payload, signed)

@@ -133,8 +133,8 @@ class _RestrictedHost(ProtocolHost):
     def schedule(self, delay: float, callback) -> int:
         return self._base.schedule(delay, callback)
 
-    def sign(self, payload: Any):
-        return self._base.sign(payload)
+    def sign(self, payload: Any, digest: Optional[str] = None):
+        return self._base.sign(payload, digest)
 
     def verify(self, payload: Any, signed) -> bool:
         return self._base.verify(payload, signed)

@@ -68,8 +68,8 @@ class BaseReplica(RoutedProcess, ProtocolHost):
 
     # -- ProtocolHost: crypto ------------------------------------------------------
 
-    def sign(self, payload: Any) -> SignedPayload:
-        return self._signer.sign(payload)
+    def sign(self, payload: Any, digest: Optional[str] = None) -> SignedPayload:
+        return self._signer.sign(payload, digest)
 
     def verify(self, payload: Any, signed: SignedPayload) -> bool:
         return self._registry.verify(payload, signed)

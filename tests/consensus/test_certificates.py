@@ -8,13 +8,16 @@ from hypothesis import example, given, settings, strategies as st
 from repro.common.errors import InvalidCertificateError
 from repro.common.types import quorum_size
 from repro.consensus.certificates import (
+    _VOTE_DIGESTS,
     Certificate,
     SignedVote,
     VoteKind,
+    _clear_memos,
     certificate_from_payload,
     make_vote,
     verify_vote,
     vote_from_payload,
+    vote_payload,
 )
 from repro.consensus.proofs import (
     ProofOfFraud,
@@ -37,8 +40,8 @@ class _Host:
         self._keys = keys
         self.replica_id = replica_id
 
-    def sign(self, payload):
-        return self._keys.signer_for(self.replica_id).sign(payload)
+    def sign(self, payload, digest=None):
+        return self._keys.signer_for(self.replica_id).sign(payload, digest)
 
     def verify(self, payload, signed):
         return self._keys.registry.verify(payload, signed)
@@ -78,6 +81,40 @@ class TestSignedVote:
     def test_payload_roundtrip(self, hosts):
         vote = _vote(hosts[2])
         assert vote_from_payload(vote.to_payload()) == vote
+
+    @pytest.mark.parametrize("memo", ["warm", "cleared"])
+    @pytest.mark.parametrize("use_ecdsa", [False, True], ids=["hmac", "ecdsa"])
+    def test_signature_equals_signing_the_payload(self, memo, use_ecdsa):
+        # make_vote signs the digest _VOTE_DIGESTS holds for the statement;
+        # whether another replica put it there or this call computes it, the
+        # signature is the one signing the encoded payload gives.
+        keys = KeyRegistry.provision(range(3), use_ecdsa=use_ecdsa)
+        statement = ("bin:0:1", 2, VoteKind.AUX, "x")
+        key = ("bin:0:1", 2, "aux", "x")
+        make_vote(_Host(keys, 0), *statement)
+        assert key in _VOTE_DIGESTS
+        if memo == "cleared":
+            _clear_memos()
+        vote = make_vote(_Host(keys, 1), *statement)
+        assert key in _VOTE_DIGESTS
+        assert vote.signature == keys.signer_for(1).sign(vote_payload(*statement))
+        assert verify_vote(vote, keys.registry)
+
+    def test_host_with_only_an_identity_and_a_signer(self):
+        # The least a host can be, and what the benchmark's probes hand to
+        # make_vote: replica_id plus a signer's own bound ``sign``.
+        class VoteHost:
+            __slots__ = ("replica_id", "sign")
+
+            def __init__(self, signer):
+                self.replica_id = signer.replica
+                self.sign = signer.sign
+
+        keys = KeyRegistry.provision(range(4))
+        vote = make_vote(VoteHost(keys.signer_for(2)), "bin:3:1", 1, VoteKind.DECIDE, "v")
+        assert vote.signer == 2
+        assert vote_from_payload(vote.to_payload()) == vote
+        assert verify_vote(vote_from_payload(vote.to_payload()), keys.registry)
 
     def test_conflicts_with(self, hosts):
         vote_a = _vote(hosts[0], value="a")

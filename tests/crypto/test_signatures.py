@@ -100,6 +100,32 @@ class TestPayloadDigest:
         assert payload_digest({"a": 1}) != payload_digest({"a": 2})
 
 
+#: A vote statement, its canonical digest and replica 3's tag over it under
+#: the default root secret: a change to the encoder moves the first pin, a
+#: change to the MAC the second, and every signature a run makes with them.
+PINNED_PAYLOAD = {"context": "bin:0:1", "round": 0, "kind": "aux", "value_digest": "x"}
+PINNED_DIGEST = "227e5fbf1b579a73e8889409f1dd99df4cc6a53008064a6f3e465ad37acc4532"
+PINNED_TAG = "712d0a4aafdd9b34a05fa75d016c85bea8882181925ad91e4ed8e7c198530979"
+
+
+class TestSignGivenDigest:
+    """``sign(payload, digest)`` skips the encoding and changes no byte."""
+
+    @pytest.mark.parametrize("signer", [SimulatedSigner(3), EcdsaSigner(3)], ids=["hmac", "ecdsa"])
+    @pytest.mark.parametrize("payload", [PINNED_PAYLOAD, "x", {"vote": 1, "round": 3}])
+    def test_signature_is_byte_identical(self, signer, payload):
+        assert signer.sign(payload, payload_digest(payload)) == signer.sign(payload)
+
+    def test_hmac_tag_is_pinned(self):
+        assert payload_digest(PINNED_PAYLOAD) == PINNED_DIGEST
+        signer = SimulatedSigner(3, root_secret=b"repro-simulated")
+        for signed in (signer.sign(PINNED_PAYLOAD), signer.sign(PINNED_PAYLOAD, PINNED_DIGEST)):
+            assert signed.payload_hash == PINNED_DIGEST
+            assert signed.signature.hex() == PINNED_TAG
+        keys = KeyRegistry.provision(range(4))
+        assert keys.registry.verify(PINNED_PAYLOAD, signer.sign(PINNED_PAYLOAD))
+
+
 class TestVerifiedSignatureCache:
     """The registry memoises cryptographic verdicts; caching must never
     change *what* verifies — only how often the HMAC/ECDSA math runs."""

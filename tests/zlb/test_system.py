@@ -6,6 +6,7 @@ import pytest
 
 import repro
 from repro.common.config import FaultConfig
+from repro.consensus.certificates import _VOTE_DIGESTS, _clear_memos
 from repro.zlb.system import AttackSpec, ZLBSystem
 
 
@@ -88,6 +89,40 @@ class TestSystemConstruction:
         )
         standby = [r for r in system.replicas.values() if r.standby]
         assert len(standby) == 3
+
+
+def _benign_fingerprint():
+    system = ZLBSystem.create(
+        FaultConfig(n=7), seed=2, delay="aws", workload_transactions=60, batch_size=10
+    )
+    result = system.run_instances(2)
+    return (
+        system.simulator.events_processed,
+        result.messages_sent,
+        result.messages_delivered,
+        result.committed_transactions,
+        result.simulated_time,
+    )
+
+
+def test_a_cell_after_another_in_one_process_equals_a_fresh_one():
+    """Signing and verifying read process-wide memos (``_VOTE_DIGESTS``,
+    ``_CERT_VALIDITY``): whatever an earlier cell left in them must not move a
+    later cell's schedule."""
+    attack = ZLBSystem.create(
+        FaultConfig.paper_attack(9),
+        seed=1,
+        delay="aws",
+        attack=AttackSpec(kind="rbbcast", cross_partition_delay="1000ms"),
+        workload_transactions=12 * 9,
+        batch_size=10,
+        max_time=300.0,
+    )
+    assert attack.run_instances(1, until=300.0).disagreements
+    assert _VOTE_DIGESTS
+    after_attack = _benign_fingerprint()
+    _clear_memos()
+    assert _benign_fingerprint() == after_attack
 
 
 def test_package_docstring_quickstart_runs(capsys):
