@@ -33,6 +33,7 @@ from typing import List, Optional
 
 from repro.cluster.fixture import ClusterSpec
 from repro.cluster.launcher import run_cluster
+from repro.common.errors import ConfigurationError
 from repro.common.logging import configure_logging
 
 
@@ -105,17 +106,21 @@ def _parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
 def main(argv: Optional[List[str]] = None) -> int:
     args = _parse_args(argv)
     configure_logging(args.log_level)
-    spec = ClusterSpec(
-        n=args.n,
-        transport=args.transport,
-        transactions=args.transactions,
-        batch_size=args.batch_size,
-        accounts=args.accounts,
-        seed=args.seed,
-        base_port=args.base_port,
-        timeout=args.timeout,
-        obs=args.obs,
-    )
+    try:
+        spec = ClusterSpec(
+            n=args.n,
+            transport=args.transport,
+            transactions=args.transactions,
+            batch_size=args.batch_size,
+            accounts=args.accounts,
+            seed=args.seed,
+            base_port=args.base_port,
+            timeout=args.timeout,
+            obs=args.obs,
+        )
+    except ConfigurationError as error:
+        print(f"repro.cluster: error: {error}", file=sys.stderr)
+        return 2
     result = run_cluster(
         spec,
         watch=args.watch,

@@ -28,12 +28,16 @@ from repro.common.types import ReplicaId
 from repro.crypto.keys import KeyRegistry
 from repro.ledger.block import make_genesis_block
 from repro.ledger.transaction import Transaction
-from repro.ledger.workload import TransferWorkload
+from repro.ledger.workload import TransferWorkload, funded_utxos
 from repro.network.asyncio_transport import Endpoint
 from repro.smr.pool import CandidatePool
 from repro.zlb.blockchain_manager import BlockchainManager, replica_deposit_account
 from repro.zlb.node import ZLBReplica
 from repro.zlb.payment import DepositPolicy
+
+#: The client workload every worker rebuilds (``TransferWorkload`` keywords);
+#: :class:`ClusterSpec` bounds its transfer count by the UTXOs these fund.
+_WORKLOAD = dict(initial_balance=1_000_000, transfer_amount=10, utxos_per_account=128)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -46,7 +50,9 @@ class ClusterSpec:
         transport: ``"uds"`` or ``"tcp"``.
         transactions: total client transfers driven through the cluster.
         batch_size: transactions per proposal.
-        accounts: number of funded client accounts in the workload.
+        accounts: number of funded client accounts in the workload; each
+            pays at most 128 transfers, so ``transactions`` may not exceed
+            ``128 × accounts``.
         seed: seed for keys, workload and genesis (determinism anchor).
         socket_dir: directory for UNIX-domain socket files (``uds`` only).
         base_port: first TCP port; replica ``i`` listens on ``base_port + i``
@@ -78,6 +84,13 @@ class ClusterSpec:
             raise ConfigurationError("transactions must be non-negative")
         if self.batch_size <= 0:
             raise ConfigurationError("batch_size must be positive")
+        funded = funded_utxos(**_WORKLOAD)
+        if self.transactions > self.accounts * funded:
+            raise ConfigurationError(
+                f"{self.transactions} transfers need --accounts "
+                f"{math.ceil(self.transactions / funded)} or more: each "
+                f"account is funded with {funded} UTXOs, one per transfer"
+            )
 
     @property
     def committee(self) -> List[ReplicaId]:
@@ -146,9 +159,7 @@ def build_node(spec: ClusterSpec, replica_id: ReplicaId) -> ClusterNode:
             f"replica {replica_id} is not in the committee of size {spec.n}"
         )
     keys = KeyRegistry.provision(committee)
-    workload = TransferWorkload(
-        num_accounts=spec.accounts, seed=spec.seed, initial_balance=1_000_000
-    )
+    workload = TransferWorkload(num_accounts=spec.accounts, seed=spec.seed, **_WORKLOAD)
     deposit_policy = DepositPolicy(
         gain_bound=100_000, deposit_factor=1.0, finalization_blockdepth=5
     )
@@ -156,7 +167,7 @@ def build_node(spec: ClusterSpec, replica_id: ReplicaId) -> ClusterNode:
     per_replica_deposit = deposit_policy.per_replica_deposit(spec.n)
     for member in committee:
         allocations.append((replica_deposit_account(member), per_replica_deposit))
-    genesis_block, genesis_utxos = make_genesis_block(allocations)
+    genesis_block, genesis_utxos = make_genesis_block(allocations, prefix=workload.genesis)
 
     blockchain = BlockchainManager(
         replica_id=replica_id,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.common.errors import LedgerError
 from repro.common.types import ReplicaId
 from repro.crypto.hashing import hash_payload
 from repro.crypto.merkle import merkle_root
@@ -89,17 +90,37 @@ GENESIS_PARENT = "0" * 64
 
 
 def make_genesis_block(
-    allocations: Sequence[Tuple[str, int]], timestamp: float = 0.0
+    allocations: Sequence[Tuple[str, int]],
+    timestamp: float = 0.0,
+    prefix: Optional[Tuple[Block, Sequence[UTXO]]] = None,
 ) -> Tuple[Block, List[UTXO]]:
     """Create the genesis block assigning initial balances.
 
     Returns the block and the initial UTXO set (one UTXO per allocation).  The
     genesis transactions have no inputs; they are exempt from the normal
     verification path and only ever applied at chain construction.
+
+    ``prefix`` is a genesis ``(block, utxos)`` built over a leading run of
+    ``allocations``.  Allocation ``i`` has nonce ``i``, so its transactions
+    and UTXOs are exactly the first ones here: they are reused, checked
+    against the allocations without hashing, and only the allocations after
+    them are hashed.
     """
     transactions: List[Transaction] = []
     utxos: List[UTXO] = []
-    for index, (account, amount) in enumerate(allocations):
+    if prefix is not None:
+        prefix_block, prefix_utxos = prefix
+        if len(prefix_utxos) > len(allocations):
+            raise LedgerError("genesis prefix is longer than the allocations")
+        for utxo, (account, amount) in zip(prefix_utxos, allocations):
+            if utxo.account != account or utxo.amount != amount:
+                raise LedgerError(
+                    f"genesis prefix output {utxo.utxo_id} does not match its allocation"
+                )
+        transactions.extend(prefix_block.transactions)
+        utxos.extend(prefix_utxos)
+    for index in range(len(utxos), len(allocations)):
+        account, amount = allocations[index]
         # The nonce is the allocation index so that identical (account, amount)
         # allocations still yield distinct transactions and distinct UTXO ids.
         transaction = Transaction(

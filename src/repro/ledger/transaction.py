@@ -279,7 +279,8 @@ def build_transfer(
     transaction = Transaction(
         inputs=tuple(inputs), outputs=tuple(outputs), nonce=nonce
     )
-    signed = wallet.sign(transaction.body_payload())
+    # The id is the body's canonical digest: sign under it, encoding once.
+    signed = wallet.sign(transaction.body_payload(), transaction.tx_id)
     transaction.signatures[wallet.address] = signed
     transaction.public_materials[wallet.address] = wallet.public_material()
     transaction.signer_names[wallet.address] = wallet.name
@@ -318,9 +319,9 @@ def build_multi_source_transfer(
     transaction = Transaction(
         inputs=tuple(all_inputs), outputs=tuple(outputs), nonce=nonce
     )
-    body = transaction.body_payload()
+    body, tx_id = transaction.body_payload(), transaction.tx_id
     for wallet, _ in wallets_and_inputs:
-        transaction.signatures[wallet.address] = wallet.sign(body)
+        transaction.signatures[wallet.address] = wallet.sign(body, tx_id)
         transaction.public_materials[wallet.address] = wallet.public_material()
         transaction.signer_names[wallet.address] = wallet.name
     return transaction

@@ -60,9 +60,13 @@ class Wallet:
         """Name of the signature scheme used by this wallet."""
         return self._signer.scheme_name
 
-    def sign(self, payload: Any) -> SignedPayload:
-        """Sign an arbitrary payload (normally a transaction body)."""
-        return self._signer.sign(payload)
+    def sign(self, payload: Any, digest: Optional[str] = None) -> SignedPayload:
+        """Sign an arbitrary payload (normally a transaction body).
+
+        ``digest``, when given, is ``payload``'s canonical digest, as
+        :meth:`~repro.crypto.signatures.Signer.sign` takes it.
+        """
+        return self._signer.sign(payload, digest)
 
     def __repr__(self) -> str:
         return f"Wallet(name={self.name!r}, address={self.address!r})"

@@ -21,6 +21,12 @@ from repro.ledger.utxo import UTXOTable
 from repro.ledger.wallet import Wallet
 
 
+def funded_utxos(initial_balance: int, transfer_amount: int, utxos_per_account: int) -> int:
+    """Genesis UTXOs of each :class:`TransferWorkload` account: the number of
+    transfers it can pay, one UTXO each."""
+    return max(1, min(utxos_per_account, initial_balance // transfer_amount))
+
+
 class TransferWorkload:
     """A funded population of wallets issuing random unit transfers.
 
@@ -55,14 +61,17 @@ class TransferWorkload:
             for index in range(num_accounts)
         ]
         self._nonces: Dict[str, int] = {wallet.address: 0 for wallet in self.wallets}
-        chunks = max(1, min(utxos_per_account, initial_balance // transfer_amount))
+        chunks = funded_utxos(initial_balance, transfer_amount, utxos_per_account)
         genesis_allocations = [
             (wallet.address, transfer_amount)
             for wallet in self.wallets
             for _ in range(chunks)
         ]
         self.genesis_allocations = genesis_allocations
-        _, genesis_utxos = make_genesis_block(genesis_allocations)
+        #: ``(block, utxos)`` over :attr:`genesis_allocations`: the prefix a
+        #: deployment's genesis extends with its deposits.
+        self.genesis = make_genesis_block(genesis_allocations)
+        genesis_utxos = self.genesis[1]
         self.view = UTXOTable(genesis_utxos)
         # Only genesis UTXOs are ever selected, so transfers stay independent.
         self._spendable: Dict[str, List[str]] = {}

@@ -279,9 +279,11 @@ class ZLBSystem:
                 allocations.append((wallet.address, attack.double_spend_amount))
 
         # Build the deployment genesis once and share it across every
-        # replica's blockchain manager (hashing ~thousands of genesis
-        # transactions per replica was pure construction overhead).
-        genesis_block, genesis_utxos = make_genesis_block(allocations)
+        # replica's blockchain manager; it extends the workload's genesis, so
+        # only the deposits and attacker allocations are hashed here.
+        genesis_block, genesis_utxos = make_genesis_block(
+            allocations, prefix=workload.genesis
+        )
         deployment_view = UTXOTable(genesis_utxos)
 
         # Attack variants spend *real* coins: the conflicting transfers are

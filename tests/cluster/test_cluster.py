@@ -18,6 +18,7 @@ import time
 import pytest
 
 from repro.cluster.fixture import ClusterSpec, build_node, endpoints_for
+from repro.common.errors import ConfigurationError
 from repro.network.asyncio_transport import AsyncioTransport
 
 
@@ -65,6 +66,14 @@ class TestFixture:
         assert _spec(tmp_path).instances_needed == 1
         assert _spec(tmp_path, transactions=200, batch_size=10).instances_needed == 5
         assert _spec(tmp_path, transactions=0).instances_needed == 0
+
+    def test_unfundable_spec_names_the_least_accounts(self, tmp_path):
+        # 16 accounts fund 16 x 128 = 2 048 transfers, one UTXO each.
+        assert _spec(tmp_path, accounts=16, transactions=2048).accounts == 16
+        with pytest.raises(ConfigurationError, match="--accounts 17 "):
+            _spec(tmp_path, accounts=16, transactions=2049)
+        with pytest.raises(ConfigurationError, match="--accounts 17 "):
+            _spec(tmp_path, accounts=16, transactions=2100)
 
 
 class TestInProcessCluster:
@@ -223,6 +232,12 @@ def _run_cluster_cli(args, timeout=120):
 
 
 class TestClusterCLI:
+    def test_unfundable_spec_fails_before_any_worker_starts(self):
+        proc = _run_cluster_cli(["--transactions", "2100"])
+        assert proc.returncode != 0
+        assert "--accounts 17" in proc.stderr
+        assert "zero-loss" not in proc.stdout
+
     def test_uds_smoke_commits_and_reports(self, tmp_path):
         out_path = tmp_path / "cluster.json"
         proc = _run_cluster_cli(

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.common.errors import InvalidTransactionError
+from repro.crypto.signatures import payload_digest
 from repro.ledger.block import make_genesis_block
 from repro.ledger.transaction import (
     PAPER_TX_SIZE_BYTES,
@@ -197,3 +198,51 @@ class TestWallet:
 
     def test_auto_named_wallets_differ(self):
         assert Wallet().address != Wallet().address
+
+
+class TestIdIsTheSignedDigest:
+    """A builder signs under the memoised id; nothing a verifier sees moves."""
+
+    def _single(self, use_ecdsa):
+        alice = Wallet("pin-alice", use_ecdsa=use_ecdsa, seed=1)
+        bob = Wallet("pin-bob", use_ecdsa=use_ecdsa, seed=2)
+        _, utxos = make_genesis_block([(alice.address, 100), (bob.address, 60)])
+        table = UTXOTable(utxos)
+        inputs = table.select_inputs(alice.address, 100)
+        return build_transfer(alice, inputs, [(bob.address, 70)], nonce=3), [alice]
+
+    def _multi(self, use_ecdsa):
+        alice = Wallet("pin-alice", use_ecdsa=use_ecdsa, seed=1)
+        bob = Wallet("pin-bob", use_ecdsa=use_ecdsa, seed=2)
+        _, utxos = make_genesis_block([(alice.address, 100), (bob.address, 60)])
+        table = UTXOTable(utxos)
+        tx = build_multi_source_transfer(
+            [
+                (alice, table.select_inputs(alice.address, 100)),
+                (bob, table.select_inputs(bob.address, 60)),
+            ],
+            [("acct-carol", 150)],
+            nonce=4,
+        )
+        return tx, [alice, bob]
+
+    @pytest.mark.parametrize("use_ecdsa", [False, True], ids=["hmac", "ecdsa"])
+    @pytest.mark.parametrize("shape", ["_single", "_multi"])
+    def test_id_equals_each_signed_digest(self, shape, use_ecdsa):
+        tx, wallets = getattr(self, shape)(use_ecdsa)
+        body = tx.body_payload()
+        for wallet in wallets:
+            signed = tx.signatures[wallet.address]
+            assert tx.tx_id == payload_digest(body) == signed.payload_hash
+            assert signed == wallet.sign(body)
+        tx.verify()
+
+    def test_pinned_hmac_tag(self):
+        """Id and tag as computed before transfers were signed under their id."""
+        tx, (alice,) = self._single(use_ecdsa=False)
+        assert tx.tx_id == (
+            "fb19134ccc7f4421fe007e11391d2c8935eac070e08d34e163f793b1c380be10"
+        )
+        assert tx.signatures[alice.address].signature.hex() == (
+            "825f163334c5dfd9861f4bd9255c9dbb1762a06e23fff077010bb8e0323fd26a"
+        )

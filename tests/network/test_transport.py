@@ -3,7 +3,7 @@
 The refactor that carved :class:`~repro.network.transport.Transport` out of
 :class:`~repro.network.simulator.NetworkSimulator` must be byte-identically
 behaviour-preserving: the fixed-seed fig4 golden cell is asserted here *again*
-(in addition to ``tests/experiments/test_fig4_golden.py``) so a transport-layer
+(in addition to ``tests/scenarios/test_fig4_golden.py``) so a transport-layer
 change that shifts the event schedule fails next to the code that caused it.
 """
 
@@ -13,7 +13,7 @@ from repro.network.simulator import NetworkSimulator
 from repro.network.transport import Clock, Process, Transport
 from repro.scenarios import run_system
 
-from tests.experiments.test_fig4_golden import GOLDEN, GOLDEN_SPEC
+from tests.scenarios.test_fig4_golden import GOLDEN, GOLDEN_SPEC
 
 
 class Recorder(Process):

@@ -1,7 +1,7 @@
 """Instrumentation must be *observational*: fixed-seed runs are byte-identical.
 
 No back-end consumes randomness or schedules events.  This module drives the
-same golden Figure 4 cell as ``tests/experiments/test_fig4_golden.py`` at every
+same golden Figure 4 cell as ``tests/scenarios/test_fig4_golden.py`` at every
 instrumentation level — bare, ``metrics``, ``trace``, ``live`` and ``all`` —
 and requires every run to agree on every outcome down to the last float bit
 of the simulated clock.
@@ -25,7 +25,7 @@ import pytest
 from repro import obs
 from repro.scenarios import registry, run_system
 
-from tests.experiments.test_fig4_golden import GOLDEN, GOLDEN_SPEC
+from tests.scenarios.test_fig4_golden import GOLDEN, GOLDEN_SPEC
 
 #: The fields of the golden cell pinned at every instrumentation level.
 PINNED = (
