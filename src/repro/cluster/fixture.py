@@ -2,12 +2,12 @@
 
 A real cluster has no central ``ZLBSystem.create`` call: each OS process must
 construct its own replica, and all of them must agree on the genesis block,
-the PKI and the client workload *without exchanging a byte*.  This module
-makes that reconstruction a pure function of :class:`ClusterSpec` — the same
-spec (committee size, seed, workload shape) always yields the same genesis
-UTXO ids, the same provisioned keys and the same transaction stream,
-mirroring the construction order of :meth:`repro.zlb.system.ZLBSystem.create`
-(workload allocations first, then one deposit account per committee member).
+the PKI and the client workload *without exchanging a byte*.  They do,
+because each calls the simulator's own constructor,
+:func:`repro.zlb.system.deploy`, with the same arguments: a fault-free
+committee of the spec's size and no standby pool (``pool_size=0``) — so a
+simulator cell created with ``pool_size=0`` and the same seed and workload
+builds the very same genesis.  A worker builds only its own replica.
 
 The workload is split the way :meth:`ZLBSystem.submit_workload` spreads it in
 simulation — transaction ``i`` goes to replica ``i % n`` — so simulated and
@@ -20,24 +20,16 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
-from repro.common.config import ProtocolConfig
+from repro.common.config import FaultConfig
 from repro.common.errors import ConfigurationError
 from repro.common.types import ReplicaId
-from repro.crypto.keys import KeyRegistry
-from repro.ledger.block import make_genesis_block
 from repro.ledger.transaction import Transaction
-from repro.ledger.workload import TransferWorkload, funded_utxos
+from repro.ledger.workload import funded_utxos
 from repro.network.asyncio_transport import Endpoint
-from repro.smr.pool import CandidatePool
-from repro.zlb.blockchain_manager import BlockchainManager, replica_deposit_account
 from repro.zlb.node import ZLBReplica
-from repro.zlb.payment import DepositPolicy
-
-#: The client workload every worker rebuilds (``TransferWorkload`` keywords);
-#: :class:`ClusterSpec` bounds its transfer count by the UTXOs these fund.
-_WORKLOAD = dict(initial_balance=1_000_000, transfer_amount=10, utxos_per_account=128)
+from repro.zlb.system import deploy
 
 
 @dataclasses.dataclass(frozen=True)
@@ -50,9 +42,9 @@ class ClusterSpec:
         transport: ``"uds"`` or ``"tcp"``.
         transactions: total client transfers driven through the cluster.
         batch_size: transactions per proposal.
-        accounts: number of funded client accounts in the workload; each
-            pays at most 128 transfers, so ``transactions`` may not exceed
-            ``128 × accounts``.
+        accounts: number of funded client accounts in the workload, at least
+            two; each pays at most 128 transfers, so ``transactions`` may not
+            exceed ``128 × accounts``.
         seed: seed for keys, workload and genesis (determinism anchor).
         socket_dir: directory for UNIX-domain socket files (``uds`` only).
         base_port: first TCP port; replica ``i`` listens on ``base_port + i``
@@ -84,11 +76,12 @@ class ClusterSpec:
             raise ConfigurationError("transactions must be non-negative")
         if self.batch_size <= 0:
             raise ConfigurationError("batch_size must be positive")
-        funded = funded_utxos(**_WORKLOAD)
-        if self.transactions > self.accounts * funded:
+        funded = funded_utxos()
+        least = max(2, math.ceil(self.transactions / funded))
+        if self.accounts < least:
             raise ConfigurationError(
-                f"{self.transactions} transfers need --accounts "
-                f"{math.ceil(self.transactions / funded)} or more: each "
+                f"{self.transactions} transfers need --accounts {least} or "
+                f"more: a transfer moves coins between two accounts, and each "
                 f"account is funded with {funded} UTXOs, one per transfer"
             )
 
@@ -148,53 +141,22 @@ class ClusterNode:
 def build_node(spec: ClusterSpec, replica_id: ReplicaId) -> ClusterNode:
     """Deterministically rebuild replica ``replica_id`` of the deployment.
 
-    Mirrors ``ZLBSystem.create`` exactly: same key provisioning, same genesis
-    allocation order (workload accounts, then per-replica deposits), same
-    batch size — so every worker derives the identical genesis block hash and
-    UTXO table, and cross-replica signatures verify.
+    Every worker deploys the same spec, so all of them derive the identical
+    genesis block hash and UTXO table, and cross-replica signatures verify.
     """
-    committee = spec.committee
-    if replica_id not in committee:
-        raise ConfigurationError(
-            f"replica {replica_id} is not in the committee of size {spec.n}"
-        )
-    keys = KeyRegistry.provision(committee)
-    workload = TransferWorkload(num_accounts=spec.accounts, seed=spec.seed, **_WORKLOAD)
-    deposit_policy = DepositPolicy(
-        gain_bound=100_000, deposit_factor=1.0, finalization_blockdepth=5
-    )
-    allocations: List[Tuple[str, int]] = list(workload.genesis_allocations)
-    per_replica_deposit = deposit_policy.per_replica_deposit(spec.n)
-    for member in committee:
-        allocations.append((replica_deposit_account(member), per_replica_deposit))
-    genesis_block, genesis_utxos = make_genesis_block(allocations, prefix=workload.genesis)
-
-    blockchain = BlockchainManager(
-        replica_id=replica_id,
-        initial_deposit=deposit_policy.coalition_deposit,
+    deployment = deploy(
+        FaultConfig(n=spec.n),
+        seed=spec.seed,
+        pool_size=0,
+        workload_accounts=spec.accounts,
         batch_size=spec.batch_size,
-        genesis=(genesis_block, genesis_utxos),
     )
-    replica = ZLBReplica(
-        replica_id=replica_id,
-        committee=committee,
-        signer=keys.signer_for(replica_id),
-        registry=keys.registry,
-        blockchain=blockchain,
-        pool=CandidatePool([]),
-        config=ProtocolConfig(batch_size=spec.batch_size),
-    )
-
-    transactions = workload.batch(spec.transactions)
-    share = [
-        transaction
-        for index, transaction in enumerate(transactions)
-        if index % spec.n == replica_id
-    ]
+    replica = deployment.replica(replica_id)
+    transactions = deployment.workload.batch(spec.transactions)
     return ClusterNode(
         replica=replica,
-        share=share,
+        share=transactions[replica_id :: spec.n],
         total_transactions=len(transactions),
         instances_needed=spec.instances_needed,
-        conserved_baseline=blockchain.conserved_total(),
+        conserved_baseline=replica.blockchain.conserved_total(),
     )

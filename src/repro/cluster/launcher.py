@@ -32,6 +32,7 @@ Failure handling is explicit rather than hopeful:
 from __future__ import annotations
 
 import dataclasses
+import json
 import os
 import queue as queue_mod
 import socket
@@ -202,34 +203,15 @@ def _is_free(port: int) -> bool:
 
 
 def _worker_argv(spec: ClusterSpec, replica_id: int) -> List[str]:
-    argv = [
+    return [
         sys.executable,
         "-m",
         "repro.cluster.worker",
         "--replica-id",
         str(replica_id),
-        "--n",
-        str(spec.n),
-        "--transport",
-        spec.transport,
-        "--socket-dir",
-        spec.socket_dir,
-        "--base-port",
-        str(spec.base_port),
-        "--transactions",
-        str(spec.transactions),
-        "--batch-size",
-        str(spec.batch_size),
-        "--accounts",
-        str(spec.accounts),
-        "--seed",
-        str(spec.seed),
-        "--timeout",
-        str(spec.timeout),
+        "--spec",
+        json.dumps(dataclasses.asdict(spec)),
     ]
-    if spec.obs:
-        argv.append("--obs")
-    return argv
 
 
 def _collect_stdout(handle: WorkerHandle, frames: "queue_mod.Queue") -> None:

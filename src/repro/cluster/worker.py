@@ -1,18 +1,19 @@
 """Per-replica subprocess: one ZLB node on an asyncio transport.
 
 Launched by :mod:`repro.cluster.launcher` as ``python -m repro.cluster.worker
---replica-id I ...``.  The worker rebuilds its slice of the deployment from
-the :class:`~repro.cluster.fixture.ClusterSpec` encoded in its flags, serves
+--replica-id I --spec JSON``, where ``JSON`` is the launcher's
+:class:`~repro.cluster.fixture.ClusterSpec` as a dict of its fields.  The
+worker rebuilds its slice of the deployment from that spec, serves
 its endpoint, dials its peers, feeds its workload share into the mempool and
 runs consensus until every transaction in the cluster is committed locally.
 
 It speaks the one-line-JSON protocol of :mod:`repro.cluster.protocol` on
 stdout: ``ready`` once the listener is bound, ``connected`` once every peer
-dial completed, periodic ``obs`` frames while ``--obs`` is set, and exactly
-one final ``report``.
+dial completed, periodic ``obs`` frames while the spec's ``obs`` is set, and
+exactly one final ``report``.
 
 The worker always counts (a metrics registry — its snapshot rides in the
-report).  With ``--obs`` its :class:`~repro.obs.core.Probe` carries every
+report).  With ``obs`` set its :class:`~repro.obs.core.Probe` carries every
 back-end, the ``"all"`` level of a simulator cell — the trace runtime
 (tracer in a per-replica id namespace, flight recorder, online invariant
 monitors with the ledger baseline registered) and a
@@ -23,7 +24,7 @@ agreement input), any monitor violations and the flight-recorder ring
 increment since the previous frame, with a count of whatever that increment
 had to leave out.  The final report additionally carries the worker's spans
 and trace events so the launcher can merge one cluster-wide causal trace.
-Without ``--obs`` the worker emits zero obs frames and its report is
+Without it the worker emits zero obs frames and its report is
 byte-identical to the plain protocol.
 
 ``SIGTERM`` drains cleanly: the worker stops waiting, emits its report with
@@ -35,9 +36,10 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import json
 import signal
 import sys
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cluster import protocol as wire
 from repro.cluster.fixture import ClusterSpec, build_node, endpoints_for
@@ -46,36 +48,28 @@ from repro.obs.core import Probe
 from repro.obs.metrics import TelemetryRegistry
 from repro.obs.series import StreamingSampler
 from repro.obs.trace import TraceRuntime, replica_id_base
+from repro.zlb.system import register_replicas
 
 #: How often the commit-completion poll wakes up.
 POLL_INTERVAL_S = 0.02
 
-#: Default cadence of obs frames in wall-clock seconds.
+#: Cadence of obs frames in wall-clock seconds.
 DEFAULT_OBS_CADENCE_S = 0.25
 
-#: Default per-replica flight-recorder ring capacity.
+#: Per-replica flight-recorder ring capacity.
 DEFAULT_RING_CAPACITY = 512
 
 #: Per-instance commit digests carried per obs frame (newest instances).
 COMMIT_DIGEST_WINDOW = 8
 
 
-def _parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
+def _parse_args(argv: Optional[List[str]] = None) -> Tuple[int, ClusterSpec]:
+    """``(replica id, spec)`` from the command line the launcher wrote."""
     parser = argparse.ArgumentParser(prog="repro.cluster.worker")
     parser.add_argument("--replica-id", type=int, required=True)
-    parser.add_argument("--n", type=int, required=True)
-    parser.add_argument("--transport", choices=("uds", "tcp"), default="uds")
-    parser.add_argument("--socket-dir", default="")
-    parser.add_argument("--base-port", type=int, default=0)
-    parser.add_argument("--transactions", type=int, default=200)
-    parser.add_argument("--batch-size", type=int, default=50)
-    parser.add_argument("--accounts", type=int, default=16)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--timeout", type=float, default=60.0)
-    parser.add_argument("--obs", action="store_true")
-    parser.add_argument("--obs-cadence", type=float, default=DEFAULT_OBS_CADENCE_S)
-    parser.add_argument("--ring", type=int, default=DEFAULT_RING_CAPACITY)
-    return parser.parse_args(argv)
+    parser.add_argument("--spec", required=True, help="the ClusterSpec as JSON")
+    args = parser.parse_args(argv)
+    return args.replica_id, ClusterSpec(**json.loads(args.spec))
 
 
 class _ObsShipper:
@@ -191,7 +185,7 @@ class _ObsShipper:
         }
 
 
-async def _run(spec: ClusterSpec, replica_id: int, args) -> int:
+async def _run(spec: ClusterSpec, replica_id: int) -> int:
     loop = asyncio.get_running_loop()
     stop = asyncio.Event()
     terminated = False
@@ -207,22 +201,16 @@ async def _run(spec: ClusterSpec, replica_id: int, args) -> int:
     node = build_node(spec, replica_id)
     replica = node.replica
 
-    if args.obs:
+    if spec.obs:
         probe = Probe(
             metrics=TelemetryRegistry(),
             trace=TraceRuntime.enabled(
-                recorder_capacity=args.ring, id_base=replica_id_base(replica_id)
+                recorder_capacity=DEFAULT_RING_CAPACITY,
+                id_base=replica_id_base(replica_id),
             ),
-            sampler=StreamingSampler(cadence_s=args.obs_cadence),
+            sampler=StreamingSampler(cadence_s=DEFAULT_OBS_CADENCE_S),
         )
-        probe.monitors.register_ledger(
-            replica_id, replica.blockchain.conserved_total()
-        )
-        mempool = replica.blockchain.mempool
-        probe.sampler.register_gauge("mempool.pending", lambda: float(len(mempool)))
-        probe.sampler.register_gauge(
-            "mempool.pending_bytes", lambda: float(mempool.pending_bytes)
-        )
+        register_replicas(probe, [replica])
     else:
         probe = Probe(metrics=TelemetryRegistry())
 
@@ -257,15 +245,17 @@ async def _run(spec: ClusterSpec, replica_id: int, args) -> int:
 
     shipper: Optional[_ObsShipper] = None
     obs_timer: Optional[int] = None
-    if args.obs:
+    if spec.obs:
         shipper = _ObsShipper(replica_id, replica, transport, probe, loop)
 
         def _ship() -> None:
             nonlocal obs_timer
             wire.emit(shipper.frame())
-            obs_timer = transport.schedule(args.obs_cadence, _ship, owner=replica_id)
+            obs_timer = transport.schedule(
+                DEFAULT_OBS_CADENCE_S, _ship, owner=replica_id
+            )
 
-        obs_timer = transport.schedule(args.obs_cadence, _ship, owner=replica_id)
+        obs_timer = transport.schedule(DEFAULT_OBS_CADENCE_S, _ship, owner=replica_id)
 
     started_at = loop.time()
     accepted = replica.submit_transactions(node.share)
@@ -344,20 +334,8 @@ async def _run(spec: ClusterSpec, replica_id: int, args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _parse_args(argv)
-    spec = ClusterSpec(
-        n=args.n,
-        transport=args.transport,
-        transactions=args.transactions,
-        batch_size=args.batch_size,
-        accounts=args.accounts,
-        seed=args.seed,
-        socket_dir=args.socket_dir,
-        base_port=args.base_port,
-        timeout=args.timeout,
-        obs=args.obs,
-    )
-    return asyncio.run(_run(spec, args.replica_id, args))
+    replica_id, spec = _parse_args(argv)
+    return asyncio.run(_run(spec, replica_id))
 
 
 if __name__ == "__main__":

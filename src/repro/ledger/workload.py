@@ -21,7 +21,16 @@ from repro.ledger.utxo import UTXOTable
 from repro.ledger.wallet import Wallet
 
 
-def funded_utxos(initial_balance: int, transfer_amount: int, utxos_per_account: int) -> int:
+#: :class:`TransferWorkload`'s defaults: each account's balance, the value of
+#: one transfer, and the most genesis UTXOs an account is funded with.
+INITIAL_BALANCE, TRANSFER_AMOUNT, UTXOS_PER_ACCOUNT = 1_000_000, 10, 128
+
+
+def funded_utxos(
+    initial_balance: int = INITIAL_BALANCE,
+    transfer_amount: int = TRANSFER_AMOUNT,
+    utxos_per_account: int = UTXOS_PER_ACCOUNT,
+) -> int:
     """Genesis UTXOs of each :class:`TransferWorkload` account: the number of
     transfers it can pay, one UTXO each."""
     return max(1, min(utxos_per_account, initial_balance // transfer_amount))
@@ -42,11 +51,11 @@ class TransferWorkload:
     def __init__(
         self,
         num_accounts: int = 32,
-        initial_balance: int = 1_000_000,
-        transfer_amount: int = 10,
+        initial_balance: int = INITIAL_BALANCE,
+        transfer_amount: int = TRANSFER_AMOUNT,
         seed: int = 0,
         use_ecdsa: bool = False,
-        utxos_per_account: int = 128,
+        utxos_per_account: int = UTXOS_PER_ACCOUNT,
     ):
         if num_accounts < 2:
             raise ConfigurationError("need at least two accounts to transfer")

@@ -1,11 +1,14 @@
 """The ZLB system orchestrator: a full deployment on the network simulator.
 
-:class:`ZLBSystem` assembles everything the paper's experiments need: a
-committee of :class:`~repro.zlb.node.ZLBReplica` processes (honest, deceitful
-and benign according to a :class:`~repro.common.config.FaultConfig`), a pool of
-standby candidates for inclusion, a client workload, a deposit policy and —
-optionally — one of the two coalition attacks together with the partition
-delays that §5.2–§5.3 inject between honest partitions.
+:func:`deploy` is the one constructor of a deployment: from a
+:class:`~repro.common.config.FaultConfig` and a seed it provisions the keys,
+the client workload, the genesis, the deposit policy and — optionally — one of
+the two coalition attacks, and builds any of its
+:class:`~repro.zlb.node.ZLBReplica` processes on request.  :class:`ZLBSystem`
+puts every committee member (honest, deceitful and benign) and a pool of
+standby candidates for inclusion on the simulator, with the partition delays
+that §5.2–§5.3 inject between honest partitions; a cluster worker
+(:mod:`repro.cluster.fixture`) builds only its own replica.
 """
 
 from __future__ import annotations
@@ -18,16 +21,17 @@ from repro.adversary.attacks import (
     BinaryConsensusAttack,
     ReliableBroadcastAttack,
 )
+from repro.adversary.behaviors import AttackStrategy
 from repro.adversary.coalition import CoalitionPlan
 from repro.common.config import FaultConfig, ProtocolConfig, SimulationConfig
 from repro.common.errors import ConfigurationError
 from repro.common.types import FaultKind, ReplicaId, recovery_threshold
-from repro.crypto.keys import KeyRegistry
+from repro.crypto.keys import KeyRegistry, ProvisionedKeys
+from repro.ledger.block import Block, make_genesis_block
 from repro.ledger.transaction import Transaction, build_transfer
-from repro.ledger.utxo import UTXOTable
+from repro.ledger.utxo import UTXO, UTXOTable
 from repro.ledger.wallet import Wallet
 from repro.ledger.workload import TransferWorkload
-from repro.ledger.block import make_genesis_block
 from repro.analysis.metrics import RunMetrics
 from repro.network.delays import DelayModel, PartitionedDelay, delay_model_from_name
 from repro.network.simulator import NetworkSimulator
@@ -153,26 +157,177 @@ class SystemResult:
         return {}
 
 
+@dataclasses.dataclass
+class Deployment:
+    """What every replica of one deployment is built from (see :func:`deploy`)."""
+
+    fault_config: FaultConfig
+    committee: List[ReplicaId]
+    #: Standby candidates for inclusion, numbered after the committee.
+    pool_ids: List[ReplicaId]
+    keys: ProvisionedKeys
+    workload: TransferWorkload
+    deposit_policy: DepositPolicy
+    protocol_config: ProtocolConfig
+    plan: CoalitionPlan
+    #: The deployment genesis ``(block, utxos)`` every replica starts from.
+    genesis: Tuple[Block, List[UTXO]]
+    #: The coalition's shared attack, given to every deceitful member.
+    strategy: Optional[AttackStrategy] = None
+
+    def replica(self, replica_id: ReplicaId) -> ZLBReplica:
+        """Build member ``replica_id`` with its own blockchain manager."""
+        if replica_id not in self.keys.signers:
+            raise ConfigurationError(
+                f"replica {replica_id} is not in a deployment of "
+                f"{len(self.committee)} replicas and {len(self.pool_ids)} candidates"
+            )
+        standby = replica_id not in self.committee
+        fault = FaultKind.HONEST if standby else self.plan.fault_of(replica_id)
+        replica = ZLBReplica(
+            replica_id=replica_id,
+            committee=self.committee,
+            signer=self.keys.signer_for(replica_id),
+            registry=self.keys.registry,
+            blockchain=BlockchainManager(
+                replica_id=replica_id,
+                initial_deposit=self.deposit_policy.coalition_deposit,
+                batch_size=self.protocol_config.batch_size,
+                genesis=self.genesis,
+            ),
+            pool=CandidatePool(self.pool_ids),
+            config=self.protocol_config,
+            fault=fault,
+            standby=standby,
+        )
+        if fault is FaultKind.DECEITFUL and self.strategy is not None:
+            replica.attack_strategy = self.strategy
+        return replica
+
+
+def deploy(
+    fault_config: FaultConfig,
+    seed: int = 0,
+    protocol_config: Optional[ProtocolConfig] = None,
+    deposit_policy: Optional[DepositPolicy] = None,
+    attack: Optional[AttackSpec] = None,
+    pool_size: Optional[int] = None,
+    workload_accounts: int = 16,
+    batch_size: Optional[int] = None,
+) -> Deployment:
+    """Assemble a deployment as a pure function of its arguments.
+
+    Any process that calls this with the same arguments derives the same
+    keys, workload and genesis, so replicas built in different processes
+    verify each other's signatures and agree on every genesis UTXO id.  The
+    genesis allocates the workload's accounts, then one deposit per
+    committee and pool member, then the attacker wallets; ``pool_size``
+    defaults to ``n``.
+    """
+    n = fault_config.n
+    protocol_config = protocol_config or ProtocolConfig(batch_size=batch_size or 50)
+    deposit_policy = deposit_policy or DepositPolicy(
+        gain_bound=100_000, deposit_factor=1.0, finalization_blockdepth=5
+    )
+    pool_size = n if pool_size is None else pool_size
+    plan = CoalitionPlan.from_fault_config(
+        fault_config, branches=attack.branches if attack else None
+    )
+    committee = list(range(n))
+    pool_ids = list(range(n, n + pool_size))
+    keys = KeyRegistry.provision(committee + pool_ids)
+
+    workload = TransferWorkload(num_accounts=workload_accounts, seed=seed)
+    allocations: List[Tuple[str, int]] = list(workload.genesis_allocations)
+    per_replica_deposit = deposit_policy.per_replica_deposit(n)
+    for replica_id in committee + pool_ids:
+        allocations.append((replica_deposit_account(replica_id), per_replica_deposit))
+
+    # The reliable broadcast attack needs funded attacker accounts whose
+    # UTXOs the coalition double-spends towards different partitions, so
+    # their allocations must be part of the deployment genesis *before* it is
+    # built: genesis UTXO ids depend on each allocation's position.
+    attacker_wallets: Dict[ReplicaId, Wallet] = {}
+    if attack is not None and attack.is_rbc_attack:
+        for slot in sorted(plan.deceitful):
+            wallet = Wallet(name=f"attacker-{seed}-{slot}")
+            attacker_wallets[slot] = wallet
+            allocations.append((wallet.address, attack.double_spend_amount))
+
+    # The genesis extends the workload's, so only the deposits and attacker
+    # allocations are hashed here; every replica shares it.
+    genesis = make_genesis_block(allocations, prefix=workload.genesis)
+
+    strategy: Optional[AttackStrategy] = None
+    if attack is not None and attack.is_rbc_attack:
+        # Attack variants spend *real* coins: the conflicting transfers are
+        # built from the deployment genesis UTXOs the coalition actually
+        # owns, so every partition commits a transaction contesting a genuine
+        # output and the merge accounts the coalition's actually-realised gain.
+        strategy = ReliableBroadcastAttack(
+            plan,
+            _build_double_spend_variants(
+                plan,
+                wallets=attacker_wallets,
+                view=UTXOTable(genesis[1]),
+                amount=attack.double_spend_amount,
+            ),
+        )
+    elif attack is not None:
+        strategy = BinaryConsensusAttack(plan)
+
+    return Deployment(
+        fault_config=fault_config,
+        committee=committee,
+        pool_ids=pool_ids,
+        keys=keys,
+        workload=workload,
+        deposit_policy=deposit_policy,
+        protocol_config=protocol_config,
+        plan=plan,
+        genesis=genesis,
+        strategy=strategy,
+    )
+
+
+def register_replicas(probe: Optional[Probe], replicas: Sequence[ZLBReplica]) -> None:
+    """Show a probe the replicas of this process: each one's conserved-value
+    baseline to its invariant monitors, and the active ones' aggregate
+    mempool occupancy to its sampler (standby pools never receive traffic)."""
+    if probe is None:
+        return
+    if probe.monitors is not None:
+        for replica in replicas:
+            probe.monitors.register_ledger(
+                replica.replica_id, replica.blockchain.conserved_total()
+            )
+    if probe.sampler is not None:
+        active = [replica for replica in replicas if not replica.standby]
+        probe.sampler.register_gauge(
+            "mempool.pending",
+            lambda: sum(len(r.blockchain.mempool) for r in active),
+        )
+        probe.sampler.register_gauge(
+            "mempool.pending_bytes",
+            lambda: sum(r.blockchain.mempool.pending_bytes for r in active),
+        )
+
+
 class ZLBSystem:
     """A deployed ZLB committee (plus candidate pool) on the simulator."""
 
     def __init__(
         self,
-        fault_config: FaultConfig,
+        deployment: Deployment,
         simulator: NetworkSimulator,
         replicas: Dict[ReplicaId, ZLBReplica],
-        plan: CoalitionPlan,
-        workload: TransferWorkload,
-        deposit_policy: DepositPolicy,
-        protocol_config: ProtocolConfig,
     ):
-        self.fault_config = fault_config
+        self.deployment = deployment
+        self.fault_config = deployment.fault_config
+        self.plan = deployment.plan
+        self.workload = deployment.workload
         self.simulator = simulator
         self.replicas = replicas
-        self.plan = plan
-        self.workload = workload
-        self.deposit_policy = deposit_policy
-        self.protocol_config = protocol_config
         self.instances_requested = 0
 
     @property
@@ -213,18 +368,18 @@ class ZLBSystem:
         expected-disagreement flag, and each replica's conserved-value
         baseline.
         """
-        n = fault_config.n
         probe = probe if probe is not None else obs_core.current()
-        protocol_config = protocol_config or ProtocolConfig(
-            batch_size=batch_size or 50
+        deployment = deploy(
+            fault_config,
+            seed=seed,
+            protocol_config=protocol_config,
+            deposit_policy=deposit_policy,
+            attack=attack,
+            pool_size=pool_size,
+            workload_accounts=workload_accounts,
+            batch_size=batch_size,
         )
-        deposit_policy = deposit_policy or DepositPolicy(
-            gain_bound=100_000, deposit_factor=1.0, finalization_blockdepth=5
-        )
-        pool_size = n if pool_size is None else pool_size
-        plan = CoalitionPlan.from_fault_config(
-            fault_config, branches=attack.branches if attack else None
-        )
+        plan = deployment.plan
 
         # Delay model: base everywhere, slowed links between honest partitions
         # while an attack is running.
@@ -251,128 +406,25 @@ class ZLBSystem:
             ),
             probe=probe,
         )
-
-        committee = list(range(n))
-        pool_ids = list(range(n, n + pool_size))
-        keys = KeyRegistry.provision(committee + pool_ids)
-
-        # Client workload and genesis allocations.
-        workload = TransferWorkload(
-            num_accounts=workload_accounts, seed=seed, initial_balance=1_000_000
-        )
-        allocations: List[Tuple[str, int]] = list(workload.genesis_allocations)
-        per_replica_deposit = deposit_policy.per_replica_deposit(n)
-        for replica_id in committee + pool_ids:
-            allocations.append(
-                (replica_deposit_account(replica_id), per_replica_deposit)
-            )
-
-        # The reliable broadcast attack needs funded attacker accounts whose
-        # UTXOs the coalition double-spends towards different partitions, so
-        # their allocations must be part of the deployment genesis *before*
-        # it is built: genesis UTXO ids depend on each allocation's position.
-        attacker_wallets: Dict[ReplicaId, Wallet] = {}
-        if attack is not None and attack.is_rbc_attack:
-            for slot in sorted(plan.deceitful):
-                wallet = Wallet(name=f"attacker-{seed}-{slot}")
-                attacker_wallets[slot] = wallet
-                allocations.append((wallet.address, attack.double_spend_amount))
-
-        # Build the deployment genesis once and share it across every
-        # replica's blockchain manager; it extends the workload's genesis, so
-        # only the deposits and attacker allocations are hashed here.
-        genesis_block, genesis_utxos = make_genesis_block(
-            allocations, prefix=workload.genesis
-        )
-        deployment_view = UTXOTable(genesis_utxos)
-
-        # Attack variants spend *real* coins: the conflicting transfers are
-        # built from the deployment genesis UTXOs the coalition actually owns,
-        # so every partition commits a transaction contesting a genuine output
-        # and the merge accounts the coalition's actually-realised gain.
-        attack_variants: Dict[ReplicaId, List[Any]] = {}
-        if attacker_wallets:
-            attack_variants = _build_double_spend_variants(
-                plan,
-                wallets=attacker_wallets,
-                view=deployment_view,
-                amount=attack.double_spend_amount,
-            )
-
-        # Shared attack strategy object for the whole coalition.
-        strategy = None
-        if attack is not None:
-            if attack.is_rbc_attack:
-                strategy = ReliableBroadcastAttack(plan, attack_variants)
-            else:
-                strategy = BinaryConsensusAttack(plan)
-
         replicas: Dict[ReplicaId, ZLBReplica] = {}
-        for replica_id in committee + pool_ids:
-            fault = (
-                plan.fault_of(replica_id)
-                if replica_id in set(committee)
-                else FaultKind.HONEST
-            )
-            blockchain = BlockchainManager(
-                replica_id=replica_id,
-                initial_deposit=deposit_policy.coalition_deposit,
-                batch_size=protocol_config.batch_size,
-                genesis=(genesis_block, genesis_utxos),
-            )
-            replica = ZLBReplica(
-                replica_id=replica_id,
-                committee=committee,
-                signer=keys.signer_for(replica_id),
-                registry=keys.registry,
-                blockchain=blockchain,
-                pool=CandidatePool(pool_ids),
-                config=protocol_config,
-                fault=fault,
-                standby=replica_id not in set(committee),
-            )
-            if fault is FaultKind.DECEITFUL and strategy is not None:
-                replica.attack_strategy = strategy
+        for replica_id in deployment.committee + deployment.pool_ids:
+            replica = replicas[replica_id] = deployment.replica(replica_id)
             simulator.add_process(replica)
-            replicas[replica_id] = replica
 
         if probe is not None and probe.monitors is not None:
             probe.monitors.configure(
                 honest={
                     replica_id
-                    for replica_id in committee
+                    for replica_id in deployment.committee
                     if plan.fault_of(replica_id) is FaultKind.HONEST
                 },
                 expect_disagreement=attack is not None,
             )
-            for replica_id, replica in replicas.items():
-                probe.monitors.register_ledger(
-                    replica_id, replica.blockchain.conserved_total()
-                )
+        register_replicas(probe, list(replicas.values()))
 
-        system = ZLBSystem(
-            fault_config=fault_config,
-            simulator=simulator,
-            replicas=replicas,
-            plan=plan,
-            workload=workload,
-            deposit_policy=deposit_policy,
-            protocol_config=protocol_config,
-        )
+        system = ZLBSystem(deployment, simulator, replicas)
         if workload_transactions > 0:
             system.submit_workload(workload_transactions)
-        if probe is not None and probe.sampler is not None:
-            # Aggregate mempool occupancy across the active committee, pulled
-            # once per sampler tick (standby pools never receive traffic).
-            active = [replica for replica in replicas.values() if not replica.standby]
-            probe.sampler.register_gauge(
-                "mempool.pending",
-                lambda: sum(len(r.blockchain.mempool) for r in active),
-            )
-            probe.sampler.register_gauge(
-                "mempool.pending_bytes",
-                lambda: sum(r.blockchain.mempool.pending_bytes for r in active),
-            )
         return system
 
     # -- workload -------------------------------------------------------------------------

@@ -8,6 +8,7 @@ including crash detection and SIGTERM draining.
 """
 
 import asyncio
+import dataclasses
 import json
 import os
 import signal
@@ -17,9 +18,13 @@ import time
 
 import pytest
 
+from repro.cluster import worker
 from repro.cluster.fixture import ClusterSpec, build_node, endpoints_for
+from repro.cluster.launcher import _worker_argv
+from repro.common.config import FaultConfig
 from repro.common.errors import ConfigurationError
 from repro.network.asyncio_transport import AsyncioTransport
+from repro.zlb.system import ZLBSystem
 
 
 def _spec(tmp_path, **overrides):
@@ -74,21 +79,46 @@ class TestFixture:
             _spec(tmp_path, accounts=16, transactions=2049)
         with pytest.raises(ConfigurationError, match="--accounts 17 "):
             _spec(tmp_path, accounts=16, transactions=2100)
+        # A transfer needs a payer and a payee, whatever the workload's size.
+        with pytest.raises(ConfigurationError, match="--accounts 2 "):
+            _spec(tmp_path, accounts=1, transactions=20)
+
+    def test_spec_crosses_the_process_boundary_intact(self):
+        spec = ClusterSpec(
+            n=7,
+            transport="tcp",
+            transactions=300,
+            batch_size=9,
+            accounts=3,
+            seed=11,
+            socket_dir="/nonexistent/sockets",
+            base_port=40123,
+            timeout=12.5,
+            obs=True,
+        )
+        defaults = ClusterSpec()
+        for field in dataclasses.fields(ClusterSpec):
+            assert getattr(spec, field.name) != getattr(defaults, field.name), field
+        argv = _worker_argv(spec, 5)
+        assert argv[1:3] == ["-m", "repro.cluster.worker"]
+        assert worker._parse_args(argv[3:]) == (5, spec)
 
 
-class TestInProcessCluster:
-    def test_uds_cluster_commits_whole_workload_zero_loss(self, tmp_path):
-        spec = _spec(tmp_path)
+def _run_in_process(spec):
+    """Boot ``spec``'s committee on asyncio transports in this process, drive
+    its whole workload until every replica committed it (or the spec's
+    timeout), close the sockets and return the nodes."""
 
-        async def scenario():
-            transports, nodes = [], []
-            for replica_id in spec.committee:
-                node = build_node(spec, replica_id)
-                transport = AsyncioTransport(replica_id, endpoints_for(spec))
-                transport.add_process(node.replica)
-                await transport.start()
-                transports.append(transport)
-                nodes.append(node)
+    async def scenario():
+        transports, nodes = [], []
+        for replica_id in spec.committee:
+            node = build_node(spec, replica_id)
+            transport = AsyncioTransport(replica_id, endpoints_for(spec))
+            transport.add_process(node.replica)
+            await transport.start()
+            transports.append(transport)
+            nodes.append(node)
+        try:
             for transport in transports:
                 await transport.connect(timeout=10)
             for node in nodes:
@@ -99,43 +129,91 @@ class TestInProcessCluster:
                 node.replica.submit_instances(node.instances_needed)
 
             deadline = asyncio.get_running_loop().time() + spec.timeout
-            try:
-                while asyncio.get_running_loop().time() < deadline:
-                    done = all(
-                        node.replica.blockchain.transactions_committed
-                        >= node.total_transactions
-                        for node in nodes
-                    )
-                    if done:
-                        break
-                    for node in nodes:
-                        replica = node.replica
-                        if (
-                            replica.blockchain.transactions_committed
-                            < node.total_transactions
-                            and replica.next_instance >= replica.target_instances
-                            and len(replica.decided_instances())
-                            >= replica.target_instances
-                        ):
-                            replica.submit_instances(1)
-                    await asyncio.sleep(0.02)
+            while asyncio.get_running_loop().time() < deadline:
+                done = all(
+                    node.replica.blockchain.transactions_committed
+                    >= node.total_transactions
+                    for node in nodes
+                )
+                if done:
+                    break
                 for node in nodes:
-                    blockchain = node.replica.blockchain
-                    assert (
-                        blockchain.transactions_committed >= node.total_transactions
-                    )
-                    assert blockchain.conserved_total() == node.conserved_baseline
-                    assert blockchain.stats.commit_rejected == 0
-                # Every replica commits the same chain.
-                heights = {
-                    node.replica.blockchain.chain_height() for node in nodes
-                }
-                assert len(heights) == 1
-            finally:
-                for transport in transports:
-                    await transport.close()
+                    replica = node.replica
+                    if (
+                        replica.blockchain.transactions_committed
+                        < node.total_transactions
+                        and replica.next_instance >= replica.target_instances
+                        and len(replica.decided_instances())
+                        >= replica.target_instances
+                    ):
+                        replica.submit_instances(1)
+                await asyncio.sleep(0.02)
+        finally:
+            for transport in transports:
+                await transport.close()
+        return nodes
 
-        asyncio.run(scenario())
+    return asyncio.run(scenario())
+
+
+def _committed_ids(blockchain):
+    return {
+        transaction.tx_id
+        for block in blockchain.blocks_by_instance.values()
+        for transaction in block.transactions
+    }
+
+
+class TestInProcessCluster:
+    def test_uds_cluster_commits_whole_workload_zero_loss(self, tmp_path):
+        nodes = _run_in_process(_spec(tmp_path))
+        for node in nodes:
+            blockchain = node.replica.blockchain
+            assert blockchain.transactions_committed >= node.total_transactions
+            assert blockchain.conserved_total() == node.conserved_baseline
+            assert blockchain.stats.commit_rejected == 0
+        # Every replica commits the same chain.
+        heights = {node.replica.blockchain.chain_height() for node in nodes}
+        assert len(heights) == 1
+
+    def test_simulator_and_cluster_agree_on_a_benign_spec(self, tmp_path):
+        # One constructor builds both backends' replicas: a simulator cell
+        # with no standby pool is the cluster's deployment, so the same spec
+        # commits the same transfers onto the same genesis and ends with the
+        # same UTXO set on both.
+        spec = _spec(tmp_path)
+        system = ZLBSystem.create(
+            FaultConfig(n=spec.n),
+            seed=spec.seed,
+            pool_size=0,
+            workload_accounts=spec.accounts,
+            workload_transactions=spec.transactions,
+            batch_size=spec.batch_size,
+        )
+        result = system.run_instances(spec.instances_needed)
+        nodes = _run_in_process(spec)
+
+        def view(blockchain):
+            return (
+                blockchain.record.blocks[0].block_hash,
+                frozenset(_committed_ids(blockchain)),
+                tuple(sorted(utxo.utxo_id for utxo in blockchain.record.utxos)),
+                blockchain.conserved_total(),
+            )
+
+        simulated = {view(r.blockchain) for r in system.replicas.values()}
+        real = {view(node.replica.blockchain) for node in nodes}
+        assert len(simulated) == 1
+        assert real == simulated
+        _, committed, utxo_ids, _ = simulated.pop()
+        assert len(committed) == spec.transactions
+        # 128 UTXOs per account and one deposit per replica at genesis; a
+        # transfer spends one and creates one.
+        assert len(utxo_ids) == spec.accounts * 128 + spec.n
+        assert result.excluded == []
+        for node in nodes:
+            assert node.replica.membership_outcomes == []
+            assert list(node.replica.committee()) == spec.committee
 
 
 class TestWireBudget:
@@ -218,6 +296,25 @@ class TestWireBudget:
         assert max(large["CONFIRM"]) < min(large["INIT"])
 
 
+#: The keys of a worker report with observability off.
+REPORT_KEYS = {
+    "event",
+    "status",
+    "replica_id",
+    "accepted",
+    "committed",
+    "total_transactions",
+    "blocks",
+    "duration_s",
+    "commit_latencies_s",
+    "conserved_ok",
+    "commit_rejected",
+    "transport",
+    "chain",
+    "telemetry",
+}
+
+
 def _run_cluster_cli(args, timeout=120):
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
@@ -233,10 +330,14 @@ def _run_cluster_cli(args, timeout=120):
 
 class TestClusterCLI:
     def test_unfundable_spec_fails_before_any_worker_starts(self):
-        proc = _run_cluster_cli(["--transactions", "2100"])
-        assert proc.returncode != 0
-        assert "--accounts 17" in proc.stderr
-        assert "zero-loss" not in proc.stdout
+        for args, least in (
+            (["--transactions", "2100"], 17),
+            (["--accounts", "1", "--transactions", "20", "--batch-size", "5"], 2),
+        ):
+            proc = _run_cluster_cli(args)
+            assert proc.returncode == 2, proc.stdout + proc.stderr
+            assert f"--accounts {least} " in proc.stderr
+            assert "zero-loss" not in proc.stdout
 
     def test_uds_smoke_commits_and_reports(self, tmp_path):
         out_path = tmp_path / "cluster.json"
@@ -274,29 +375,20 @@ class TestClusterCLI:
         # Acceptance pin: with observability off, the worker report carries
         # exactly the pre-obs key set — no trace fields leak in, and the
         # JSON bytes a no-obs consumer parses are structurally identical.
+        # Run over both transports: this is the test that boots TCP (a
+        # free port window picked by the launcher, handed to each worker).
         from repro.cluster.launcher import run_cluster
 
-        spec = _spec(tmp_path, n=2, transactions=10, batch_size=5)
-        result = run_cluster(spec)
-        assert result.ok, result.crashes
-        assert result.obs_frames == 0
-        for report in result.reports.values():
-            assert set(report.keys()) == {
-                "event",
-                "status",
-                "replica_id",
-                "accepted",
-                "committed",
-                "total_transactions",
-                "blocks",
-                "duration_s",
-                "commit_latencies_s",
-                "conserved_ok",
-                "commit_rejected",
-                "transport",
-                "chain",
-                "telemetry",
-            }
+        for transport in ("uds", "tcp"):
+            spec = _spec(
+                tmp_path, n=2, transactions=10, batch_size=5, transport=transport
+            )
+            result = run_cluster(spec)
+            assert result.ok, (transport, result.crashes)
+            assert result.obs_frames == 0
+            assert result.spec.transport == transport
+            for report in result.reports.values():
+                assert set(report.keys()) == REPORT_KEYS, transport
 
     def test_obs_cluster_merges_one_trace_across_processes(self, tmp_path):
         # Tentpole acceptance: an n=4 run with tracing produces ONE merged
