@@ -41,9 +41,10 @@ conflicting certificates are evidence, so they must arrive as they were made.
 
 The pre-image a replica signs is :func:`vote_payload`, not any of the above:
 the wire form can change without invalidating a signature.  Its canonical
-digest is computed once per process per statement (``_VOTE_DIGESTS``) and
-serves signing and verifying alike: :func:`make_vote` hands it to the signer,
-:func:`verify_vote` to the key registry.
+digest is computed once per process per statement while the statement's
+instance is live (``_VOTE_DIGESTS``) and serves signing and verifying alike:
+:func:`make_vote` hands it to the signer, :func:`verify_vote` to the key
+registry.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ import enum
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.common.errors import InvalidCertificateError
+from repro.common.memo import AgedMemo
 from repro.common.types import ReplicaId, quorum_size
 from repro.crypto.signatures import SignedPayload, payload_digest
 
@@ -61,26 +63,34 @@ from repro.crypto.signatures import SignedPayload, payload_digest
 #: :class:`SignedVote` objects from a shared broadcast body, and every
 #: honest replica signs the same statement, so a per-object memo alone would
 #: re-encode the same payload once per recipient and once per signer; the
-#: module-level map makes each distinct vote payload canonicalised exactly
-#: once per process.  Content-addressed, so sharing across runs is safe.
-_VOTE_DIGESTS: Dict[Tuple[str, int, str, str], str] = {}
+#: module-level map makes each distinct vote payload canonicalised once per
+#: process while its instance is live.  Content-addressed, so sharing across
+#: runs is safe.
+_VOTE_DIGESTS: AgedMemo = AgedMemo(cap=1 << 20)
 
 #: Per-signer signature validity of certificates, keyed by certificate
-#: content (see :meth:`Certificate.cache_key`).  A certificate is re-verified
+#: content (see :meth:`Certificate._content_key`).  A certificate is re-verified
 #: by every recipient and again by the exclusion consensus against shrinking
 #: committees; with the validity map cached, each re-check is set arithmetic.
-_CERT_VALIDITY: Dict[Tuple[Any, ...], Dict[ReplicaId, bool]] = {}
+_CERT_VALIDITY: AgedMemo = AgedMemo(cap=1 << 20)
 
-#: Bound for both memo tables — far above one run's distinct votes, so the
-#: reset only triggers in long-lived sweep workers (where re-computing is
-#: merely a warm-up cost, never a correctness issue).
-_MEMO_MAX = 1 << 20
+
+def retire_memos(horizon: int, depth: int) -> None:
+    """Instances up to ``horizon`` are retired: age both memo tables.
+
+    A statement or a certificate belongs to one instance, so neither table
+    keeps an entry long after its instance retired (how:
+    :mod:`repro.common.memo`); the cap of a generation bounds what hostile
+    input can add.
+    """
+    _VOTE_DIGESTS.retire(horizon, depth)
+    _CERT_VALIDITY.retire(horizon, depth)
 
 
 def _clear_memos() -> None:
     """Drop the module-level memo tables (exposed for tests)."""
-    _VOTE_DIGESTS.clear()
-    _CERT_VALIDITY.clear()
+    _VOTE_DIGESTS.reset()
+    _CERT_VALIDITY.reset()
 
 
 class VoteKind(enum.Enum):
@@ -206,14 +216,12 @@ def _vote_digest(
     # ``_value_`` is the member's own attribute; ``.value`` is a descriptor
     # that costs two frames, and this runs once per vote verified.
     key = (context, round_number, kind._value_, value_digest)
-    digest = _VOTE_DIGESTS.get(key)
-    if digest is None:
-        if len(_VOTE_DIGESTS) >= _MEMO_MAX:
-            _VOTE_DIGESTS.clear()
-        digest = payload_digest(
-            vote_payload(context, round_number, kind, value_digest)
-        )
-        _VOTE_DIGESTS[key] = digest
+    try:
+        return _VOTE_DIGESTS[key]
+    except KeyError:
+        pass
+    digest = payload_digest(vote_payload(context, round_number, kind, value_digest))
+    _VOTE_DIGESTS[key] = digest
     return digest
 
 
@@ -383,7 +391,10 @@ class Certificate:
         validity: Optional[Dict[ReplicaId, bool]] = None
         if token is not None:
             global_key = (token,) + self._content_key()
-            validity = _CERT_VALIDITY.get(global_key)
+            try:
+                validity = _CERT_VALIDITY[global_key]
+            except KeyError:
+                pass
         if validity is None:
             validity = {}
             for vote in self.votes:
@@ -393,8 +404,6 @@ class Certificate:
                 # matching the vote-order scan this map replaces.
                 validity[vote.signer] = ok if previous is None else (previous and ok)
             if global_key is not None:
-                if len(_CERT_VALIDITY) >= _MEMO_MAX:
-                    _CERT_VALIDITY.clear()
                 _CERT_VALIDITY[global_key] = validity
         self._validity = validity
         self._validity_token = token

@@ -21,6 +21,7 @@ from repro.common.types import ReplicaId
 from repro.consensus.certificates import (
     Certificate,
     SignedVote,
+    VoteKind,
     verify_vote,
     vote_from_payload,
 )
@@ -107,6 +108,30 @@ def group_votes(votes: Iterable[SignedVote]) -> GroupedVotes:
             if len(by_value) == 2:
                 equivocating.append(key)
     return grouped
+
+
+def accountable_votes(votes: Sequence[SignedVote]) -> List[SignedVote]:
+    """What a decision's justification keeps once its instance retired.
+
+    A CONFIRM is cross-checked through the AUX votes of its binary
+    certificates and the READY votes of its RBC certificates only, so a local
+    vote of another kind can take part in a proof of fraud only inside a group
+    that equivocates on its own.  Keeping every AUX and READY vote and every
+    vote of such a group, in order, leaves :func:`extract_pofs_from_grouped`
+    the same result against any CONFIRM — the same groups conflict, in the
+    same order, holding the same votes.
+    """
+    kept = (VoteKind.AUX, VoteKind.RBC_READY)
+    # A group is one kind's: only the other kinds need grouping.
+    equivocating = set(
+        group_votes([vote for vote in votes if vote.kind not in kept]).equivocating
+    )
+    return [
+        vote
+        for vote in votes
+        if vote.kind in kept
+        or (vote.signer, vote.context, vote.round, vote.kind._value_) in equivocating
+    ]
 
 
 def _pof_from_group(signer: ReplicaId, by_value: Dict[str, SignedVote]) -> ProofOfFraud:

@@ -55,7 +55,9 @@ class SBCDecision:
             proposal content (only for slots decided 1).
         justification_votes: every signed vote collected while deciding; used
             by the confirmation phase to extract proofs of fraud when two
-            replicas end up with conflicting decisions.
+            replicas end up with conflicting decisions.  Narrowed to
+            :func:`~repro.consensus.proofs.accountable_votes` when the
+            replica retires the instance.
         decided_at: simulated time of the local decision.
     """
 

@@ -9,9 +9,10 @@ certificates and proofs of fraud are validated by calling
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Iterable, Optional, Tuple
+from typing import Any, Dict, Iterable, Optional
 
 from repro.common.errors import InvalidSignatureError
+from repro.common.memo import AgedMemo
 from repro.common.types import ReplicaId
 from repro.crypto.signatures import (
     EcdsaSigner,
@@ -21,12 +22,6 @@ from repro.crypto.signatures import (
     payload_digest,
     scheme_for,
 )
-
-#: Safety valve for the verified-signature cache: a long-lived process running
-#: many simulations back to back must not accumulate entries without bound.
-#: One run's distinct votes fit comfortably; past the cap the cache resets and
-#: simply re-verifies (correctness never depends on a hit).
-_VERIFIED_CACHE_MAX = 1 << 20
 
 #: Process-unique registry tokens: caches living outside the registry (e.g.
 #: certificate validity maps) key their entries by this token so verdicts
@@ -46,14 +41,17 @@ class KeyRegistry:
         self._schemes: Dict[ReplicaId, str] = {}
         #: Verified-signature cache: ``(signer, payload_hash, signature,
         #: scheme) -> bool``.  The key covers every input of the cryptographic
-        #: check, so each distinct signature is verified exactly once per
-        #: deployment — re-checks (certificates re-validated against shrinking
-        #: committees, catch-up blocks, every recipient of a broadcast vote)
-        #: become one dict probe.  Tampering any component of the signature
-        #: changes the key and therefore misses the cache; tampering the
-        #: *payload* is caught by the digest comparison done before the cache
-        #: is ever consulted.
-        self._verified: Dict[Tuple[ReplicaId, str, bytes, str], bool] = {}
+        #: check, so each distinct signature is verified once while its
+        #: instance is live — re-checks (certificates re-validated against
+        #: shrinking committees, every recipient of a broadcast vote) become
+        #: one dict probe.  A signature is about one instance, so the cache
+        #: ages with the replicas' retirement horizon (:meth:`retire`, see
+        #: :mod:`repro.common.memo`); one looked up again after that, such as
+        #: a late catch-up certificate, is simply verified again.  Tampering
+        #: any component of the signature changes the key and therefore
+        #: misses the cache; tampering the *payload* is caught by the digest
+        #: comparison done before the cache is ever consulted.
+        self._verified: AgedMemo = AgedMemo(cap=1 << 20)
         #: Unique identity of this registry for external verification caches.
         self.verification_token: int = next(_REGISTRY_TOKENS)
 
@@ -63,9 +61,9 @@ class KeyRegistry:
             # Overwriting a key changes what verifies: drop the replica's
             # cached verdicts and retire the token so external caches keyed
             # by it go stale too (rare — provisioning and inclusion only).
-            self._verified = {
-                key: ok for key, ok in self._verified.items() if key[0] != replica
-            }
+            for generation in (self._verified, self._verified.previous):
+                for key in [key for key in generation if key[0] == replica]:
+                    del generation[key]
             self.verification_token = next(_REGISTRY_TOKENS)
         self._public[replica] = public_material
         self._schemes[replica] = scheme
@@ -104,9 +102,10 @@ class KeyRegistry:
         if digest != signed.payload_hash:
             return False
         key = (signed.signer, signed.payload_hash, signed.signature, signed.scheme)
-        cached = self._verified.get(key)
-        if cached is not None:
-            return cached
+        try:
+            return self._verified[key]
+        except KeyError:
+            pass
         material = self._public.get(signed.signer)
         if material is None:
             return False
@@ -114,10 +113,12 @@ class KeyRegistry:
             return False
         scheme = scheme_for(signed.scheme)
         ok = scheme.verify_digest(digest, signed, material)
-        if len(self._verified) >= _VERIFIED_CACHE_MAX:
-            self._verified.clear()
         self._verified[key] = ok
         return ok
+
+    def retire(self, horizon: int, depth: int) -> None:
+        """Instances up to ``horizon`` are retired: age the verdict cache."""
+        self._verified.retire(horizon, depth)
 
     def require_valid(self, payload: Any, signed: SignedPayload) -> None:
         """Raise :class:`InvalidSignatureError` when verification fails."""

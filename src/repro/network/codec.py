@@ -320,7 +320,7 @@ def decode_message(data: bytes) -> Message:
     message = Message(
         sender=sender,
         recipient=recipient,
-        protocol=Topic.parse(topic_text),
+        protocol=Topic.from_wire(topic_text),
         kind=kind,
         body=body,
     )

@@ -35,7 +35,8 @@ class Topic:
     """An interned, immutable protocol path.
 
     Use :func:`topic` (or :meth:`Topic.of`) to construct; direct instantiation
-    bypasses interning and is reserved for the intern table itself.
+    bypasses interning and is reserved for the intern table itself and for
+    :meth:`from_wire`.
     """
 
     __slots__ = ("segments", "_canonical", "_hash", "_group")
@@ -70,6 +71,17 @@ class Topic:
         return Topic.of(
             *(int(part) if part.isdigit() else part for part in text.split(":"))
         )
+
+    @staticmethod
+    def from_wire(text: str) -> "Topic":
+        """:meth:`parse` for a topic a peer sent: the interned topic when one
+        exists, a private one otherwise, so a peer inventing topics grows no
+        table here.  Routing reads segments, so both dispatch alike."""
+        segments = tuple(
+            int(part) if part.isdigit() else part for part in text.split(":")
+        )
+        existing = _INTERNED.get(segments)
+        return existing if existing is not None else Topic(segments)
 
     def child(self, *suffix: Segment) -> "Topic":
         """The interned topic extending this one with ``suffix`` segments."""

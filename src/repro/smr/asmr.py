@@ -16,6 +16,21 @@ Each replica runs the five phases of Figure 2 for every consensus index:
 ⑤ **Reconciliation** — the decisions of the conflicting branches are merged
    (the Blockchain Manager turns this into a block merge, Alg. 2).
 
+**Retirement.**  A replica holds a window of instances, not its history.  On
+deciding instance ``k`` it retires every instance ``i <= k - m`` (``m``, the
+finalization blockdepth of §5 / Appendix B) that it decided, saw no
+conflicting digest for, and got a matching CONFIRM for from every other member
+of ``i``'s committee: nobody can still need a FETCH/VALUE or a vote from it.
+The instance's Set Byzantine Consensus detaches — broadcasts, binary
+instances, votes and its 2n + 1 routes go — and what it sends afterwards falls
+to the lazy-start fallback, which drops and counts it.  The record and the
+decision stay: digest, bitmask, proposals and both certificate maps, which the
+chain, catch-up and a PULL read, and the justification narrowed to the votes a
+late conflicting CONFIRM can still be cross-checked against
+(:func:`~repro.consensus.proofs.accountable_votes`).  The per-vote memos age
+with the same horizon (:mod:`repro.common.memo`).  Retirement sends nothing,
+so it moves no schedule.
+
 The replica is application-agnostic: the payment system plugs in through the
 ``proposal_factory`` (what to propose), ``proposal_validator`` (is a proposal
 acceptable) and the ``on_commit`` / ``on_merge`` / ``on_exclude`` callbacks.
@@ -27,11 +42,13 @@ import dataclasses
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.common.config import ProtocolConfig
+from repro.common.memo import AgedMemo
 from repro.common.types import FaultKind, ReplicaId, recovery_threshold
-from repro.consensus.certificates import certificate_from_payload
+from repro.consensus.certificates import VoteKind, certificate_from_payload, retire_memos
 from repro.consensus.proofs import (
     GroupedVotes,
     ProofOfFraud,
+    accountable_votes,
     extract_pofs_from_grouped,
     group_votes,
     merge_pofs,
@@ -49,56 +66,51 @@ from repro.smr.replica import BaseReplica
 #: (the paper requires messages from more than (delta + 1/3) * n replicas).
 DEFAULT_CONFIRMATION_DELTA = 5.0 / 9.0
 
-#: Bounded identity-keyed memos for the CONFIRM disagreement path.  CONFIRM
-#: bodies cross the simulated wire *by reference*: every recipient dispatches
-#: the same dict object, so parsing the carried certificates once per
-#: broadcast (instead of once per recipient) changes nothing but the host
-#: clock.  Entries pin the keyed object itself,
-#: which keeps its ``id()`` stable for the lifetime of the cache entry;
-#: clear-on-cap bounds memory on arbitrarily long runs.
-_MEMO_MAX = 1 << 14
-
-#: Consensus messages for instances past the local target are kept for replay
-#: (see ``ASMRReplica._route_lazy_sbc``): this many instances past it, this
-#: many messages per sender.
+#: Consensus messages and CONFIRMs for instances past the local target are
+#: kept for replay (see ``ASMRReplica._route_lazy_sbc`` and
+#: ``_handle_confirm``): this many instances past it, this many messages per
+#: sender.
 AHEAD_WINDOW = 8
 AHEAD_PER_SENDER = 1024
-_CONFIRM_GROUPED: Dict[int, Tuple[Any, GroupedVotes]] = {}
-_LOCAL_GROUPED: Dict[int, Tuple[Any, GroupedVotes]] = {}
+
+#: The votes of a CONFIRM body's certificates, grouped, by ``id(body)``: the
+#: identity memo of the disagreement path.  CONFIRM bodies cross the simulated
+#: wire *by reference*: every recipient dispatches the same dict object, so
+#: parsing the carried certificates once per broadcast (instead of once per
+#: recipient) changes nothing but the host clock.  Entries pin the keyed
+#: object itself, which keeps its ``id()`` stable for the lifetime of the
+#: entry; the memo ages with the retirement horizon.
+_CONFIRM_GROUPED: AgedMemo = AgedMemo(cap=1 << 14)
 
 
 def _confirm_grouped_votes(body: Dict[str, Any]) -> GroupedVotes:
-    """Votes carried by a CONFIRM body's certificates, parsed+grouped once."""
+    """Votes carried by a CONFIRM body's certificates, parsed+grouped once.
+
+    A binary certificate is read for its AUX votes and an RBC certificate
+    for its READY votes — all an honest one holds — so a retired decision's
+    narrowed justification (:func:`accountable_votes`) meets any CONFIRM as
+    the full one did.
+    """
     key = id(body)
-    hit = _CONFIRM_GROUPED.get(key)
-    if hit is not None and hit[0] is body:
-        return hit[1]
+    try:
+        hit = _CONFIRM_GROUPED[key]
+        if hit[0] is body:
+            return hit[1]
+    except KeyError:
+        pass
     votes: List[Any] = []
-    for payload in list(body.get("binary_certificates", {}).values()) + list(
-        body.get("rbc_certificates", {}).values()
+    for group, kind in (
+        ("binary_certificates", VoteKind.AUX),
+        ("rbc_certificates", VoteKind.RBC_READY),
     ):
-        try:
-            certificate = certificate_from_payload(payload)
-        except (KeyError, TypeError, ValueError):
-            continue
-        votes.extend(certificate.votes)
-    if len(_CONFIRM_GROUPED) >= _MEMO_MAX:
-        _CONFIRM_GROUPED.clear()
+        for payload in body.get(group, {}).values():
+            try:
+                certificate = certificate_from_payload(payload)
+            except (KeyError, TypeError, ValueError):
+                continue
+            votes += [vote for vote in certificate.votes if vote.kind is kind]
     grouped = group_votes(votes)
     _CONFIRM_GROUPED[key] = (body, grouped)
-    return grouped
-
-
-def _decision_grouped_votes(decision: Any) -> GroupedVotes:
-    """The decision's justification votes grouped once per decision object."""
-    key = id(decision)
-    hit = _LOCAL_GROUPED.get(key)
-    if hit is not None and hit[0] is decision:
-        return hit[1]
-    if len(_LOCAL_GROUPED) >= _MEMO_MAX:
-        _LOCAL_GROUPED.clear()
-    grouped = group_votes(decision.justification_votes)
-    _LOCAL_GROUPED[key] = (decision, grouped)
     return grouped
 
 
@@ -133,6 +145,12 @@ class InstanceRecord:
     pending_merges: List[Dict[ReplicaId, str]] = dataclasses.field(default_factory=list)
     pulls_served: Set[Tuple[ReplicaId, ReplicaId]] = dataclasses.field(
         default_factory=set
+    )
+    #: The decision's justification votes grouped, once the first conflicting
+    #: CONFIRM needs them (a disagreed instance never retires, so they never
+    #: go stale).
+    justification_groups: Optional[GroupedVotes] = dataclasses.field(
+        default=None, repr=False
     )
 
     @property
@@ -185,9 +203,13 @@ class ASMRReplica(BaseReplica):
         on_merge: Optional[Callable[[int, Dict[ReplicaId, Any]], None]] = None,
         on_exclude: Optional[Callable[[List[ReplicaId]], None]] = None,
         standby: bool = False,
+        finalization_blockdepth: int = 5,
     ):
         super().__init__(replica_id, committee, signer, registry, fault=fault)
         self.config = config or ProtocolConfig()
+        #: ``m``: how far behind the decided head an instance retires (the
+        #: payment layer's finalization blockdepth; 5 is its default too).
+        self.finalization_blockdepth = finalization_blockdepth
         self.pool = pool or CandidatePool([])
         self.proposal_factory = proposal_factory or (
             lambda instance: {"instance": instance, "proposer": replica_id, "txs": []}
@@ -212,7 +234,10 @@ class ASMRReplica(BaseReplica):
         self.excluded_replicas: Set[ReplicaId] = set()
         self.catchup_completed_at: Optional[float] = None
         self.catchup_blocks_verified = 0
+        #: CONFIRMs for instances not decided here yet, and how many each
+        #: sender has waiting (see ``_handle_confirm``).
         self._pending_confirms: Dict[int, List[Tuple[ReplicaId, Dict[str, Any]]]] = {}
+        self._pending_confirms_by: Dict[ReplicaId, int] = {}
         #: Exclusion / inclusion messages no started consensus owns yet, in
         #: arrival order (see ``_park_membership``).
         self._parked_membership: List[Tuple[Topic, ReplicaId, str, Dict[str, Any]]] = []
@@ -335,6 +360,31 @@ class ASMRReplica(BaseReplica):
             self._broadcast_confirmation(decision)
         self._process_pending_confirms(decision.instance)
         self._maybe_start_next_instance()
+        horizon = decision.instance - self.finalization_blockdepth
+        if horizon >= 0:
+            self._retire(horizon)
+
+    def _retire(self, horizon: int) -> None:
+        """Retire every live instance up to ``horizon`` that is settled here
+        (see the module docstring), and age the memos with the horizon."""
+        me = self.replica_id
+        for instance in [instance for instance in self._sbc if instance <= horizon]:
+            record = self.instances[instance]
+            decision = record.decision
+            # A conflicting digest is what merges and pulls wait on.
+            if decision is None or record.disagreed:
+                continue
+            confirmed = record.matching_confirmations
+            if any(member != me and member not in confirmed for member in record.committee):
+                continue
+            self._sbc.pop(instance).detach()
+            decision.justification_votes = accountable_votes(decision.justification_votes)
+            if self.probe is not None:
+                self.probe.count("asmr.retired_instances")
+        depth = self.finalization_blockdepth
+        self._registry.retire(horizon, depth)
+        retire_memos(horizon, depth)
+        _CONFIRM_GROUPED.retire(horizon, depth)
 
     # -- ② confirmation --------------------------------------------------------------------
 
@@ -362,10 +412,23 @@ class ASMRReplica(BaseReplica):
         self.emit(self.CONFIRM_TOPIC.child(decision.instance), "CONFIRM", body)
 
     def _handle_confirm(self, sender: ReplicaId, body: Dict[str, Any]) -> None:
-        instance = int(body.get("instance", -1))
-        record = self.instances.get(instance)
+        instance = body.get("instance")
+        record = self.instances.get(instance) if type(instance) is int else None
         if record is None or record.decision is None:
-            self._pending_confirms.setdefault(instance, []).append((sender, body))
+            # Not decided here yet: wait for the decision, as far ahead and as
+            # many per sender as ``_ahead`` keeps consensus traffic.  Anything
+            # else (an instance that is not an int, one far ahead, a flood)
+            # is dropped and counted.
+            parked = self._pending_confirms_by.get(sender, 0)
+            if (
+                type(instance) is int
+                and 0 <= instance <= self.target_instances + AHEAD_WINDOW
+                and parked < AHEAD_PER_SENDER
+            ):
+                self._pending_confirms.setdefault(instance, []).append((sender, body))
+                self._pending_confirms_by[sender] = parked + 1
+            elif self.probe is not None:
+                self.probe.count("asmr.dropped_confirms")
             return
         local = record.decision
         remote_digest = body.get("digest")
@@ -415,6 +478,7 @@ class ASMRReplica(BaseReplica):
 
     def _process_pending_confirms(self, instance: int) -> None:
         for sender, body in self._pending_confirms.pop(instance, []):
+            self._pending_confirms_by[sender] -= 1
             self._handle_confirm(sender, body)
 
     def _record_disagreeing_slots(self, record: InstanceRecord, body: Dict[str, Any]) -> None:
@@ -489,7 +553,7 @@ class ASMRReplica(BaseReplica):
 
     def _record_named_in(self, body: Dict[str, Any]) -> Optional[InstanceRecord]:
         instance = body.get("instance")
-        return self.instances.get(instance) if isinstance(instance, int) else None
+        return self.instances.get(instance) if type(instance) is int else None
 
     def _handle_pull(self, sender: ReplicaId, body: Dict[str, Any]) -> None:
         """Serve decided proposals to a replica whose decision conflicts: only
@@ -540,16 +604,17 @@ class ASMRReplica(BaseReplica):
     # -- accountability: PoF extraction and gossip ----------------------------------------------
 
     def _extract_pofs_from_confirm(self, record: InstanceRecord, body: Dict[str, Any]) -> None:
-        local = record.decision
-        assert local is not None
         # Equivalent to extracting over justification votes + the body's
         # certificate votes, but each side is grouped once (per decision /
         # per broadcast body) and culprits that already have a PoF are
         # skipped — merge_pofs would drop them anyway.
+        local = record.justification_groups
+        if local is None:
+            local = record.justification_groups = group_votes(
+                record.decision.justification_votes
+            )
         new_pofs = extract_pofs_from_grouped(
-            _decision_grouped_votes(local),
-            _confirm_grouped_votes(body),
-            skip=self.pofs,
+            local, _confirm_grouped_votes(body), skip=self.pofs
         )
         added = merge_pofs(self.pofs, new_pofs, verifier=self)
         if added:
@@ -808,7 +873,12 @@ class ASMRReplica(BaseReplica):
         epoch, instance = segments[1], segments[2]
         if not isinstance(epoch, int) or not isinstance(instance, int):
             return
-        if epoch != self.epoch or instance in self.instances:
+        if epoch != self.epoch:
+            return
+        if instance in self.instances:
+            if instance not in self._sbc and self.probe is not None:
+                # Retired: every member confirmed it, nobody needs an answer.
+                self.probe.count("asmr.retired_messages")
             return
         if instance > self.target_instances:
             # Beyond anything this replica was asked to run.  On real sockets

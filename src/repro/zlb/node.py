@@ -29,6 +29,7 @@ class ZLBReplica(ASMRReplica):
         config: Optional[ProtocolConfig] = None,
         fault: FaultKind = FaultKind.HONEST,
         standby: bool = False,
+        finalization_blockdepth: int = 5,
     ):
         self.blockchain = blockchain
         #: Admission times of pending transactions, recorded only while a
@@ -48,6 +49,7 @@ class ZLBReplica(ASMRReplica):
             on_merge=self._merge,
             on_exclude=self._exclude,
             standby=standby,
+            finalization_blockdepth=finalization_blockdepth,
         )
 
     # -- lifecycle ------------------------------------------------------------------

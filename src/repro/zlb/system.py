@@ -199,6 +199,7 @@ class Deployment:
             config=self.protocol_config,
             fault=fault,
             standby=standby,
+            finalization_blockdepth=self.deposit_policy.finalization_blockdepth,
         )
         if fault is FaultKind.DECEITFUL and self.strategy is not None:
             replica.attack_strategy = self.strategy

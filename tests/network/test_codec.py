@@ -6,6 +6,7 @@ protocol object — must encode to bytes and decode back to an **equal** value,
 and decoded signed content must still verify against the same PKI.
 """
 
+import sys
 import time
 
 import pytest
@@ -37,6 +38,7 @@ from repro.network.codec import (
     registered_kinds,
 )
 from repro.network.message import Message
+from repro.network.router import Router
 from repro.network.topic import Topic
 from repro.obs.trace import TraceContext
 from repro.smr.replica import BaseReplica
@@ -223,6 +225,24 @@ class TestMessageEnvelopes:
         assert decoded.topic is message.topic  # interning survives the wire
         assert decoded.kind == "INIT"
         assert decoded.body == message.body
+
+    def test_invented_topics_intern_nothing(self):
+        """A peer can put any topic in an envelope: decoding 10 000 invented
+        ones adds nothing to the intern table, and what they decode to still
+        routes by its segments."""
+        interned = sys.modules["repro.network.topic"]._INTERNED
+        before = len(interned)
+        decoded = [
+            decode_message(encode_value((1, 0, f"junk:{index}:rbc", "ECHO", {})))
+            for index in range(10_000)
+        ]
+        assert len(interned) == before
+        assert decoded[7].topic == Topic.of("junk", 7, "rbc")
+        router, seen = Router(), []
+        router.register(("junk", 7), lambda topic, *_: seen.append(topic.segments))
+        assert router.dispatch(decoded[7].topic, 1, "ECHO", {})
+        assert not router.dispatch(decoded[8].topic, 1, "ECHO", {})
+        assert seen == [("junk", 7, "rbc")]
 
     def test_frame_is_header_plus_payload(self):
         message = Message(sender=0, recipient=1, protocol="t", kind="K", body={})
