@@ -22,6 +22,12 @@ by ``;``::
     D<count>;(<k><v>)*  dict (insertion order, any encodable key)
     O<name><payload>  registered object (name is an encoded str)
 
+Each half is one pass.  The decoder is one loop that reads scalars in place
+and keeps the open containers on an explicit stack: a node costs no Python
+frame, and a length or an integer one builtin call (``bytes.index``, to find
+where its digits end).  The encoder appends every node to one ``bytearray``.
+Neither half nests deeper than :data:`MAX_DEPTH` containers.
+
 Signed votes, certificates and proofs of fraud — whether as registered
 objects or as the ``to_payload()`` tuples protocol bodies carry under ``vote``,
 ``certificate``, ``binary_certificates`` / ``rbc_certificates`` and ``pofs`` —
@@ -31,10 +37,14 @@ instead of once per vote (the layouts, and the per-vote fallback that keeps
 them lossless, are in :mod:`repro.consensus.certificates`).  At n=4 an
 ``ECHO`` frame is about 350 B and a ``CONFIRM`` about 3 KB.
 
-Nothing a peer announces is trusted: lengths and counts are bounded by the
-bytes that are left (:func:`_read_length`), and whatever else hostile bytes
-trip over leaves :func:`decode_value` / :func:`decode_message` as
-:class:`CodecError`.
+Nothing a peer announces is trusted, and only canonical bytes are accepted:
+a length, count or integer must be written the way ``%d`` writes it (no
+``+``, space, ``_``, leading zero or ``-0``), a length or count must fit in
+the bytes that are left, a float must re-pack to its own eight bytes and a
+dict must hold as many distinct keys as it announces.  So every accepted value
+without a registered object re-encodes to exactly the bytes it came from.
+Nesting past :data:`MAX_DEPTH`, and whatever else hostile bytes trip over,
+leaves :func:`decode_value` / :func:`decode_message` as :class:`CodecError`.
 
 Deterministic by construction: the same value always encodes to the same
 bytes within a process (dicts keep insertion order — protocol bodies are
@@ -70,6 +80,15 @@ FRAME_HEADER_SIZE = 4
 #: Upper bound on a single frame (sanity check against corrupt prefixes).
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
+#: Deepest nesting either half accepts, counting each list, tuple, dict and
+#: registered object (one level above its payload) open at once.  The deepest
+#: frame the protocol sends is a ``CATCHUP`` at 11 (blocks, proposals,
+#: transactions, their inputs); an ``INIT`` is 8 and every other kind at most 6
+#: (``tests/network/test_codec.py::TestDepthBound``).
+MAX_DEPTH = 32
+
+_DOUBLE = struct.Struct(">d")
+
 
 class CodecError(ValueError):
     """Raised when a value cannot be encoded or a buffer cannot be decoded."""
@@ -77,8 +96,8 @@ class CodecError(ValueError):
 
 # -- object registry ---------------------------------------------------------
 
-#: type -> (wire name, to-encodable converter).
-_TO_WIRE: Dict[Type[Any], Tuple[str, Callable[[Any], Any]]] = {}
+#: type -> (the bytes that open its encoding, to-encodable converter).
+_TO_WIRE: Dict[Type[Any], Tuple[bytes, Callable[[Any], Any]]] = {}
 #: wire name -> from-encodable constructor.
 _FROM_WIRE: Dict[str, Callable[[Any], Any]] = {}
 
@@ -96,7 +115,8 @@ def register_object(
     ``KeyError`` for a payload of any other shape.  Registration is
     idempotent per name.
     """
-    _TO_WIRE[cls] = (name, encode)
+    raw = name.encode("ascii")
+    _TO_WIRE[cls] = (b"OS%d;%b" % (len(raw), raw), encode)
     _FROM_WIRE[name] = decode
 
 
@@ -108,152 +128,192 @@ def registered_kinds() -> List[str]:
 # -- encoding ----------------------------------------------------------------
 
 
-def _encode_into(value: Any, out: List[bytes]) -> None:
-    if value is None:
-        out.append(b"N")
-        return
+def _too_deep() -> CodecError:
+    return CodecError(f"value nests deeper than MAX_DEPTH ({MAX_DEPTH})")
+
+
+def _encode_into(value: Any, out: bytearray, depth: int) -> None:
+    """Append ``value``'s encoding to ``out``; a container here is level ``depth``."""
     kind = type(value)
-    if kind is bool:
-        out.append(b"T" if value else b"F")
-        return
-    if kind is int:
-        out.append(b"I%d;" % value)
-        return
-    if kind is float:
-        out.append(b"R" + struct.pack(">d", value))
-        return
     if kind is str:
-        raw = value.encode("utf-8")
-        out.append(b"S%d;" % len(raw))
-        out.append(raw)
-        return
-    if kind is bytes:
-        out.append(b"B%d;" % len(value))
-        out.append(value)
-        return
-    if kind is list:
-        out.append(b"L%d;" % len(value))
+        raw = value.encode()
+        out += b"S%d;" % len(raw)
+        out += raw
+    elif kind is int:
+        out += b"I%d;" % value
+    elif kind is tuple:
+        if depth > MAX_DEPTH:
+            raise _too_deep()
+        out += b"P%d;" % len(value)
         for item in value:
-            _encode_into(item, out)
-        return
-    if kind is tuple:
-        out.append(b"P%d;" % len(value))
-        for item in value:
-            _encode_into(item, out)
-        return
-    if kind is dict:
-        out.append(b"D%d;" % len(value))
+            _encode_into(item, out, depth + 1)
+    elif kind is bytes:
+        out += b"B%d;" % len(value)
+        out += value
+    elif kind is dict:
+        if depth > MAX_DEPTH:
+            raise _too_deep()
+        out += b"D%d;" % len(value)
         for key, item in value.items():
-            _encode_into(key, out)
-            _encode_into(item, out)
-        return
-    registered = _TO_WIRE.get(kind)
-    if registered is not None:
-        name, encode = registered
-        out.append(b"O")
-        raw = name.encode("ascii")
-        out.append(b"S%d;" % len(raw))
-        out.append(raw)
-        _encode_into(encode(value), out)
-        return
-    # Subclasses of registered types (rare) and exotic ints/strs fall through
-    # to an exact-type retry before giving up.
-    for base, (name, encode) in _TO_WIRE.items():
-        if isinstance(value, base):
-            out.append(b"O")
-            raw = name.encode("ascii")
-            out.append(b"S%d;" % len(raw))
-            out.append(raw)
-            _encode_into(encode(value), out)
-            return
-    raise CodecError(f"cannot encode value of type {kind.__name__}: {value!r}")
+            _encode_into(key, out, depth + 1)
+            _encode_into(item, out, depth + 1)
+    elif kind is list:
+        if depth > MAX_DEPTH:
+            raise _too_deep()
+        out += b"L%d;" % len(value)
+        for item in value:
+            _encode_into(item, out, depth + 1)
+    elif value is None:
+        out += b"N"
+    elif kind is bool:
+        out += b"T" if value else b"F"
+    elif kind is float:
+        out += b"R"
+        out += _DOUBLE.pack(value)
+    else:
+        registered = _TO_WIRE.get(kind)
+        if registered is None:
+            # Subclasses of registered types (rare) fall back to an
+            # isinstance scan before giving up.
+            for base, candidate in _TO_WIRE.items():
+                if isinstance(value, base):
+                    registered = candidate
+                    break
+            else:
+                raise CodecError(
+                    f"cannot encode value of type {kind.__name__}: {value!r}"
+                )
+        if depth > MAX_DEPTH:
+            raise _too_deep()
+        prefix, encode = registered
+        out += prefix
+        _encode_into(encode(value), out, depth + 1)
 
 
 def encode_value(value: Any) -> bytes:
     """Encode any supported value to its canonical wire bytes."""
-    out: List[bytes] = []
-    _encode_into(value, out)
-    return b"".join(out)
+    out = bytearray()
+    _encode_into(value, out, 1)
+    return bytes(out)
 
 
 # -- decoding ----------------------------------------------------------------
 
+#: Tags as the ints ``data[pos]`` reads.
+_N, _T, _F, _I, _R, _S, _B, _L, _P, _D, _O = b"NTFIRSBLPDO"
+#: Tags followed by a length or a count.
+_COUNTED = b"SBLPD"
 
-def _read_length(data: bytes, pos: int) -> Tuple[int, int]:
-    """The length or element count written at ``pos`` and where its content starts.
 
-    An announced number is not trusted: it must be written the way ``%d``
-    writes it (``int()`` alone also takes ``+2``, `` 2`` and ``2_0``) and lie in
-    ``0 <= n <= len(data) - start``.  Every element occupies at least one
-    byte, so the same bound holds for counts, and ``L999999999;`` costs one
-    comparison instead of a billion loop turns; a negative length would move
-    ``pos`` backwards.  This runs once per node, hence slices and comparisons
-    only: the last announced byte exists exactly when the bound holds.
+def _decode_at(data: bytes, pos: int, stop: int) -> Tuple[Any, int]:
+    """The value written at ``data[pos:stop]`` and the offset just past it.
+
+    One loop over the bytes.  The innermost open container is ``items``: a
+    list of preallocated slots, or the dict being filled, whose pending key is
+    ``key``.  ``opener`` is its tag, ``index`` its next slot and ``size`` its
+    slot count (two per dict entry, a registered object's name and payload);
+    the containers around it wait in ``parent``, a chain of tuples, and
+    ``items`` is ``None`` while none is open.
     """
-    end = data.index(b";", pos)
-    digits = data[pos:end]
-    length = int(digits)
-    if (
-        length < 0
-        or digits != b"%d" % length
-        or not data[end + length : end + length + 1]
-    ):
-        raise CodecError(
-            f"length {digits!r} at offset {pos} is malformed or exceeds the buffer"
-        )
-    return length, end + 1
-
-
-def _decode_at(data: bytes, pos: int) -> Tuple[Any, int]:
-    tag = data[pos : pos + 1]
-    pos += 1
-    if tag == b"N":
-        return None, pos
-    if tag == b"T":
-        return True, pos
-    if tag == b"F":
-        return False, pos
-    if tag == b"I":
-        end = data.index(b";", pos)
-        return int(data[pos:end]), end + 1
-    if tag == b"R":
-        return struct.unpack(">d", data[pos : pos + 8])[0], pos + 8
-    if tag == b"S":
-        length, pos = _read_length(data, pos)
-        return data[pos : pos + length].decode("utf-8"), pos + length
-    if tag == b"B":
-        length, pos = _read_length(data, pos)
-        return data[pos : pos + length], pos + length
-    if tag == b"L":
-        count, pos = _read_length(data, pos)
-        items = []
-        for _ in range(count):
-            item, pos = _decode_at(data, pos)
-            items.append(item)
-        return items, pos
-    if tag == b"P":
-        count, pos = _read_length(data, pos)
-        items = []
-        for _ in range(count):
-            item, pos = _decode_at(data, pos)
-            items.append(item)
-        return tuple(items), pos
-    if tag == b"D":
-        count, pos = _read_length(data, pos)
-        mapping: Dict[Any, Any] = {}
-        for _ in range(count):
-            key, pos = _decode_at(data, pos)
-            value, pos = _decode_at(data, pos)
-            mapping[key] = value
-        return mapping, pos
-    if tag == b"O":
-        name, pos = _decode_at(data, pos)
-        payload, pos = _decode_at(data, pos)
-        decode = _FROM_WIRE.get(name)
-        if decode is None:
-            raise CodecError(f"unknown wire object kind {name!r}")
-        return decode(payload), pos
-    raise CodecError(f"unknown wire tag {tag!r} at offset {pos - 1}")
+    depth = opener = index = size = 0
+    items = key = parent = None
+    while True:
+        tag = data[pos]
+        if tag in _COUNTED:
+            # An announced number is not trusted: it must be written the way
+            # ``%d`` writes it and lie in ``0 <= n <= stop - start``.  Every
+            # element takes at least a byte, so the same bound holds for
+            # counts, and ``L999999999;`` costs one comparison instead of a
+            # billion loop turns.
+            end = data.index(b";", pos + 1)
+            digits = data[pos + 1 : end]
+            length = int(digits)
+            if length < 0 or digits != b"%d" % length or end + length >= stop:
+                raise CodecError(
+                    f"length {digits!r} at offset {pos + 1} is malformed or "
+                    "exceeds the buffer"
+                )
+            pos = end + 1
+            if tag == _S:
+                value = str(data[pos : pos + length], "utf-8")
+                pos += length
+            elif tag == _B:
+                value = data[pos : pos + length]
+                pos += length
+            elif not length:
+                value = [] if tag == _L else () if tag == _P else {}
+            else:
+                if depth == MAX_DEPTH:
+                    raise _too_deep()
+                depth += 1
+                parent = (opener, items, index, size, key, parent)
+                if tag == _D:
+                    opener, items, index, size = tag, {}, 0, 2 * length
+                else:
+                    opener, items, index, size = tag, [None] * length, 0, length
+                continue
+        elif tag == _I:
+            end = data.index(b";", pos + 1)
+            digits = data[pos + 1 : end]
+            value = int(digits)
+            if digits != b"%d" % value:
+                raise CodecError(f"integer {digits!r} at offset {pos + 1} is not canonical")
+            pos = end + 1
+        elif tag == _N:
+            value = None
+            pos += 1
+        elif tag == _T:
+            value = True
+            pos += 1
+        elif tag == _F:
+            value = False
+            pos += 1
+        elif tag == _R:
+            raw = data[pos + 1 : pos + 9]
+            (value,) = _DOUBLE.unpack(raw)
+            if _DOUBLE.pack(value) != raw:
+                raise CodecError(f"float at offset {pos + 1} does not round-trip")
+            pos += 9
+        elif tag == _O:
+            if depth == MAX_DEPTH:
+                raise _too_deep()
+            depth += 1
+            parent = (opener, items, index, size, key, parent)
+            opener, items, index, size = tag, [None, None], 0, 2
+            pos += 1
+            continue
+        else:
+            raise CodecError(f"unknown wire tag {bytes((tag,))!r} at offset {pos}")
+        # ``value`` is complete: it fills the next slot of the innermost open
+        # container, and every container that completes fills its parent's.
+        while items is not None:
+            if opener != _D:
+                items[index] = value
+            elif index & 1:
+                items[key] = value
+            else:
+                key = value
+            index += 1
+            if index < size:
+                break
+            value = items
+            if opener == _P:
+                value = tuple(items)
+            elif opener == _D:
+                if 2 * len(items) != size:
+                    raise CodecError(f"dict ending at offset {pos} repeats a key")
+            elif opener == _O:
+                name, payload = items
+                try:
+                    decode = _FROM_WIRE[name]
+                except KeyError:
+                    raise CodecError(f"unknown wire object kind {name!r}") from None
+                value = decode(payload)
+            depth -= 1
+            opener, items, index, size, key, parent = parent
+        else:
+            # No container is open: ``value`` is the whole value.
+            return value, pos
 
 
 def decode_value(data: bytes) -> Any:
@@ -261,22 +321,16 @@ def decode_value(data: bytes) -> Any:
 
     The bytes come from a peer, so whatever they make the walk or a registered
     ``decode`` raise — running off the buffer, an unhashable dict key, a
-    payload of the wrong shape, nesting past the recursion limit — surfaces
-    as :class:`CodecError`, the one exception a transport has to expect.
+    payload of the wrong shape — surfaces as :class:`CodecError`, the one
+    exception a transport has to expect.
     """
+    stop = len(data)
     try:
-        value, pos = _decode_at(data, 0)
-    except (
-        LookupError,
-        ValueError,
-        TypeError,
-        AttributeError,
-        RecursionError,
-        struct.error,
-    ) as exc:
+        value, pos = _decode_at(data, 0, stop)
+    except (LookupError, ValueError, TypeError, AttributeError, struct.error) as exc:
         raise CodecError(f"truncated or corrupt wire value: {exc}") from exc
-    if pos != len(data):
-        raise CodecError(f"{len(data) - pos} trailing bytes after wire value")
+    if pos != stop:
+        raise CodecError(f"{stop - pos} trailing bytes after wire value")
     return value
 
 
@@ -309,20 +363,31 @@ def decode_message(data: bytes) -> Message:
     The decoded envelope gets a fresh local ``uid`` (uids are process-local
     tie-breakers, not wire identity).  Both envelope shapes decode: the bare
     5-tuple and the traced 6-tuple, whose ``(trace_id, span_id)`` tail is
-    restored as the message's ``trace_ctx``.
+    restored as the message's ``trace_ctx``.  Every field a transport reads
+    before a handler sees the message is type-checked here: an unhashable
+    recipient or a topic segment ``int`` refuses (``"²"`` is a digit) would
+    otherwise raise out of the reader instead of costing one dropped frame.
     """
     fields = decode_value(data)
-    if not isinstance(fields, tuple) or len(fields) not in (5, 6):
+    if type(fields) is not tuple or len(fields) not in (5, 6):
         raise CodecError("wire envelope is not a 5- or 6-tuple")
     sender, recipient, topic_text, kind, body = fields[:5]
-    if type(topic_text) is not str or type(kind) is not str or type(body) is not dict:
-        raise CodecError("wire envelope has a topic, kind or body of the wrong type")
+    if (
+        type(sender) is not int
+        or (recipient is not None and type(recipient) is not int)
+        or type(topic_text) is not str
+        or type(kind) is not str
+        or type(body) is not dict
+    ):
+        raise CodecError(
+            "wire envelope has a sender, recipient, topic, kind or body of the wrong type"
+        )
+    try:
+        topic = Topic.from_wire(topic_text)
+    except ValueError as exc:
+        raise CodecError(f"wire topic {topic_text!r} does not parse: {exc}") from exc
     message = Message(
-        sender=sender,
-        recipient=recipient,
-        protocol=Topic.from_wire(topic_text),
-        kind=kind,
-        body=body,
+        sender=sender, recipient=recipient, protocol=topic, kind=kind, body=body
     )
     if len(fields) == 6 and fields[5] is not None:
         wire_ctx = fields[5]

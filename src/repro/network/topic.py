@@ -29,6 +29,8 @@ Segment = Union[str, int]
 TopicLike = Union["Topic", str, Tuple[Segment, ...]]
 
 _INTERNED: Dict[Tuple[Segment, ...], "Topic"] = {}
+#: Canonical text -> interned topic, filled by :meth:`Topic.from_wire`.
+_BY_TEXT: Dict[str, "Topic"] = {}
 
 
 class Topic:
@@ -76,12 +78,26 @@ class Topic:
     def from_wire(text: str) -> "Topic":
         """:meth:`parse` for a topic a peer sent: the interned topic when one
         exists, a private one otherwise, so a peer inventing topics grows no
-        table here.  Routing reads segments, so both dispatch alike."""
+        table here.  Routing reads segments, so both dispatch alike.
+
+        An interned topic is found by its text in one probe once it has been
+        parsed here.  Only the text a topic prints as is indexed, and only when
+        it parses back to that topic — ``("sbc", "0")`` prints as ``sbc:0``,
+        which parses to ``("sbc", 0)`` — so the index returns exactly what the
+        parse would and holds no more entries than the intern table."""
+        try:
+            return _BY_TEXT[text]
+        except KeyError:
+            pass
         segments = tuple(
             int(part) if part.isdigit() else part for part in text.split(":")
         )
         existing = _INTERNED.get(segments)
-        return existing if existing is not None else Topic(segments)
+        if existing is None:
+            return Topic(segments)
+        if existing.canonical == text:
+            _BY_TEXT[text] = existing
+        return existing
 
     def child(self, *suffix: Segment) -> "Topic":
         """The interned topic extending this one with ``suffix`` segments."""

@@ -8,6 +8,7 @@ without spawning subprocesses.
 
 import asyncio
 import os
+import struct
 
 import pytest
 
@@ -207,6 +208,30 @@ class TestAsyncioTransport:
             await asyncio.sleep(0.1)
             try:
                 assert depth["max"] == 1
+            finally:
+                await _close_all(transports)
+
+        asyncio.run(scenario())
+
+    def test_an_undecodable_envelope_costs_one_drop_not_the_connection(self, tmp_path):
+        # A recipient of the wrong type used to reach _deliver_local, whose
+        # set lookup raised TypeError and killed the reader: every later
+        # frame from that peer was lost, and none was counted as dropped.
+        from repro.network.codec import encode_value
+
+        async def scenario():
+            endpoints = _uds_endpoints(tmp_path, 1)
+            transports, processes = await _boot(endpoints)
+            try:
+                _, writer = await asyncio.open_unix_connection(endpoints[0].path)
+                for index, recipient in enumerate((None, [], None)):
+                    payload = encode_value((7, recipient, "proto", "HELLO", {"x": index}))
+                    writer.write(struct.pack(">I", len(payload)) + payload)
+                await writer.drain()
+                await asyncio.sleep(0.2)
+                assert processes[0].got == [(7, "HELLO", {"x": 0}), (7, "HELLO", {"x": 2})]
+                assert transports[0].messages_dropped == 1
+                writer.close()
             finally:
                 await _close_all(transports)
 

@@ -6,11 +6,12 @@ protocol object — must encode to bytes and decode back to an **equal** value,
 and decoded signed content must still verify against the same PKI.
 """
 
+import hashlib
 import sys
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.consensus.certificates import (
     Certificate,
@@ -26,8 +27,10 @@ from repro.crypto.signatures import SignedPayload
 from repro.ledger.block import Block, make_genesis_block
 from repro.ledger.transaction import TxInput, TxOutput
 from repro.ledger.workload import TransferWorkload
+from repro.network import codec
 from repro.network.codec import (
     FRAME_HEADER_SIZE,
+    MAX_DEPTH,
     CodecError,
     decode_message,
     decode_value,
@@ -231,18 +234,43 @@ class TestMessageEnvelopes:
         ones adds nothing to the intern table, and what they decode to still
         routes by its segments."""
         interned = sys.modules["repro.network.topic"]._INTERNED
-        before = len(interned)
+        by_text = sys.modules["repro.network.topic"]._BY_TEXT
+        before = len(interned), len(by_text)
         decoded = [
             decode_message(encode_value((1, 0, f"junk:{index}:rbc", "ECHO", {})))
             for index in range(10_000)
         ]
-        assert len(interned) == before
+        assert (len(interned), len(by_text)) == before
         assert decoded[7].topic == Topic.of("junk", 7, "rbc")
         router, seen = Router(), []
         router.register(("junk", 7), lambda topic, *_: seen.append(topic.segments))
         assert router.dispatch(decoded[7].topic, 1, "ECHO", {})
         assert not router.dispatch(decoded[8].topic, 1, "ECHO", {})
         assert seen == [("junk", 7, "rbc")]
+
+    def test_an_interned_topic_is_found_by_its_text(self):
+        by_text = sys.modules["repro.network.topic"]._BY_TEXT
+        topic = Topic.of("wire", 3, "rbc", 1)
+        assert "wire:3:rbc:1" not in by_text
+        assert Topic.from_wire("wire:3:rbc:1") is topic
+        assert by_text["wire:3:rbc:1"] is topic
+        assert Topic.from_wire("wire:3:rbc:1") is topic
+
+    def test_the_text_index_returns_what_the_parse_returns(self):
+        """``("lookalike", "0")`` prints as ``lookalike:0``, which parses to
+        ``("lookalike", 0)``: the text indexes whichever topic the parse finds,
+        and never one whose text does not parse back to it."""
+        by_text = sys.modules["repro.network.topic"]._BY_TEXT
+        text_segment = Topic.of("lookalike", "0")
+        private = Topic.from_wire("lookalike:0")
+        assert private is not text_segment and private.segments == ("lookalike", 0)
+        assert "lookalike:0" not in by_text
+        int_segment = Topic.of("lookalike", 0)
+        assert Topic.from_wire("lookalike:0") is int_segment
+        assert by_text["lookalike:0"] is int_segment
+        # Text the topic does not print as still finds it, unindexed.
+        assert Topic.from_wire("lookalike:00") is int_segment
+        assert "lookalike:00" not in by_text
 
     def test_frame_is_header_plus_payload(self):
         message = Message(sender=0, recipient=1, protocol="t", kind="K", body={})
@@ -389,7 +417,7 @@ class TestAnnouncedLengths:
             b"OL0;N",  # unhashable object name
             b"OS14;signed-payloadD0;",  # registered decoder handed the wrong shape
             b"OS11;signed-voteL0;",
-            b"L1;" * 5000 + b"N",  # nesting past the recursion limit
+            b"L1;" * 5000 + b"N",  # nesting past MAX_DEPTH
         ],
     )
     def test_whatever_else_goes_wrong_is_a_codec_error(self, data):
@@ -403,11 +431,50 @@ class TestAnnouncedLengths:
             (1, None, b"t", "K", {}),
             (1, None, "t", ["K"], {}),
             (1, None, "t", "K", [("n", 7)]),
+            (1, [], "t", "K", {}),
+            (1, "2", "t", "K", {}),
+            (None, 2, "t", "K", {}),
+            (True, 2, "t", "K", {}),
         ],
     )
     def test_envelope_fields_of_the_wrong_type_are_a_codec_error(self, fields):
         with pytest.raises(CodecError):
             decode_message(encode_value(fields))
+
+    @pytest.mark.parametrize(
+        "text", ["t:²", "t:" + "9" * 5000], ids=["superscript-two", "5000-digits"]
+    )
+    def test_a_topic_segment_int_refuses_is_a_codec_error(self, text):
+        # "²".isdigit() holds and int() refuses it: the ValueError used to
+        # leave decode_message as itself, past a reader's CodecError handler.
+        with pytest.raises(CodecError):
+            decode_message(encode_value((1, None, text, "K", {})))
+
+
+class TestCanonicalBytes:
+    """Only the bytes the encoder writes decode: a number is written the way
+    ``%d`` writes it, and a dict holds every key it announces."""
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"I05;",
+            b"I+5;",
+            b"I 5;",
+            b"I5_0;",
+            b"I-0;",
+            b"I;",
+            b"D2;I1;NI1;N",  # a repeated key
+            b"D2;I1;NTN",  # True == 1: the same key twice
+        ],
+    )
+    def test_non_canonical_bytes_are_refused(self, data):
+        with pytest.raises(CodecError):
+            decode_value(data)
+
+    def test_canonical_neighbours_decode(self):
+        assert [decode_value(b) for b in (b"I5;", b"I-5;", b"I0;", b"I50;")] == [5, -5, 0, 50]
+        assert decode_value(b"D2;I1;NI2;N") == {1: None, 2: None}
 
 
 #: Anything a body may carry: every primitive, every container, hashable keys.
@@ -447,8 +514,8 @@ def _same(decoded, value):
     return decoded == value
 
 
-def _frames_of_every_kind():
-    """One real frame of each kind an n=4 committee puts on the wire."""
+def _messages_of_every_kind():
+    """One real message of each kind an n=4 committee puts on the wire."""
     simulator, replicas, seen = decided_asmr_committee(
         proposal_factory=lambda k, rid: TransferWorkload(num_accounts=4, seed=rid).batch(2)
     )
@@ -458,10 +525,20 @@ def _frames_of_every_kind():
     )
     replicas[0]._broadcast_pofs([ProofOfFraud(culprit=3, first=first, second=second)])
     simulator.run()
-    frames = {}
+    replicas[0]._send_catchup(1)
+    simulator.run()
+    messages = {}
     for message in seen:
-        frames.setdefault(message.kind, encode_message(message))
-    return frames
+        messages.setdefault(message.kind, message)
+    return messages
+
+
+def _frames_of_every_kind():
+    """One real frame of each kind an n=4 committee puts on the wire."""
+    return {
+        kind: encode_message(message)
+        for kind, message in _messages_of_every_kind().items()
+    }
 
 
 @pytest.fixture(scope="module")
@@ -480,6 +557,32 @@ def _decodes_or_codec_error(data):
     assert isinstance(message, Message)
 
 
+def _plain(value):
+    """Primitives and containers only: no registered object anywhere."""
+    if type(value) in (list, tuple):
+        return all(map(_plain, value))
+    if type(value) is dict:
+        return all(_plain(key) and _plain(item) for key, item in value.items())
+    return value is None or type(value) in (bool, int, float, str, bytes)
+
+
+def _accepted_only_if_canonical(data):
+    """Bytes that decode to a value without a registered object are exactly
+    the bytes that value encodes to."""
+    try:
+        value = decode_value(data)
+    except CodecError:
+        return
+    if _plain(value):
+        assert encode_value(value) == data
+
+
+#: Hostile bytes: anything at all, and strings over the codec's own alphabet.
+_hostile_bytes = st.binary(max_size=64) | st.text(
+    alphabet="NTFIRSBLPDO0123456789;-", max_size=32
+).map(str.encode)
+
+
 class TestFuzzedDecode:
     """The decode half of the robustness bar: hostile bytes cost a CodecError."""
 
@@ -495,12 +598,13 @@ class TestFuzzedDecode:
         assert _same(decode_value(encode_value(value)), value)
 
     @settings(max_examples=500, deadline=None)
-    @given(
-        st.binary(max_size=64)
-        | st.text(alphabet="NTFIRSBLPDO0123456789;-", max_size=32).map(str.encode)
-    )
+    @given(_hostile_bytes)
+    @example(b"P2;I07;S0;")
+    @example(b"L1;D2;S1;kNS1;kT")
+    @example(b"I-0;")
     def test_random_bytes_decode_or_raise_codec_error(self, data):
         _decodes_or_codec_error(data)
+        _accepted_only_if_canonical(data)
 
     @settings(max_examples=1500, deadline=None)
     @given(st.sampled_from(KINDS), st.floats(0, 1, exclude_max=True), st.integers(0, 255))
@@ -509,7 +613,9 @@ class TestFuzzedDecode:
     ):
         frame = frames[kind]
         position = int(where * len(frame))
-        _decodes_or_codec_error(frame[:position] + bytes([byte]) + frame[position + 1 :])
+        mutated = frame[:position] + bytes([byte]) + frame[position + 1 :]
+        _decodes_or_codec_error(mutated)
+        _accepted_only_if_canonical(mutated)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_every_truncation_raises_codec_error(self, frames, kind):
@@ -517,3 +623,123 @@ class TestFuzzedDecode:
         for length in range(len(frame)):
             with pytest.raises(CodecError):
                 decode_message(frame[:length])
+
+
+# -- nesting -----------------------------------------------------------------------
+
+
+def _depth(frame, monkeypatch):
+    """How deep ``frame`` nests: the least ``MAX_DEPTH`` it decodes under."""
+    for bound in range(1, MAX_DEPTH + 1):
+        monkeypatch.setattr(codec, "MAX_DEPTH", bound)
+        try:
+            decode_value(frame)
+        except CodecError:
+            continue
+        return bound
+    raise AssertionError("frame nests past MAX_DEPTH")
+
+
+def _nested(levels, innermost=None):
+    value = innermost
+    for _ in range(levels):
+        value = [value]
+    return value
+
+
+class TestDepthBound:
+    """One nesting bound for both halves, far above any frame the protocol sends."""
+
+    def test_deepest_frame_of_every_kind(self, frames, monkeypatch):
+        # A CATCHUP nests deepest: envelope, body, blocks, block, proposals,
+        # one proposal, transaction, its payload, inputs, input, its payload.
+        depths = {kind: _depth(frame, monkeypatch) for kind, frame in frames.items()}
+        assert depths == {
+            "INIT": 8,
+            "ECHO": 3,
+            "READY": 3,
+            "BVAL": 2,
+            "AUX": 3,
+            "DECIDE": 5,
+            "CONFIRM": 6,
+            "POFS": 5,
+            "CATCHUP": 11,
+        }
+        assert 2 * max(depths.values()) < MAX_DEPTH
+
+    def test_decode_at_the_bound_and_past_it(self):
+        assert decode_value(b"L1;" * MAX_DEPTH + b"N") == _nested(MAX_DEPTH)
+        with pytest.raises(CodecError, match="MAX_DEPTH"):
+            decode_value(b"L1;" * (MAX_DEPTH + 1) + b"N")
+
+    def test_encode_at_the_bound_and_past_it(self):
+        assert encode_value(_nested(MAX_DEPTH)) == b"L1;" * MAX_DEPTH + b"N"
+        with pytest.raises(CodecError, match="MAX_DEPTH"):
+            encode_value(_nested(MAX_DEPTH + 1))
+
+    def test_a_registered_object_is_one_level_above_its_payload(self):
+        output = TxOutput(account="bob", amount=7)  # its payload is a dict
+        at_bound = encode_value(_nested(MAX_DEPTH - 2, output))
+        assert decode_value(at_bound) == _nested(MAX_DEPTH - 2, output)
+        with pytest.raises(CodecError, match="MAX_DEPTH"):
+            encode_value(_nested(MAX_DEPTH - 1, output))
+        with pytest.raises(CodecError, match="MAX_DEPTH"):
+            decode_value(b"L1;" + at_bound)
+
+    def test_nesting_thousands_deep_is_a_codec_error_both_ways(self):
+        with pytest.raises(CodecError):
+            encode_value(_nested(3000))
+        with pytest.raises(CodecError):
+            decode_value(b"P1;" * 3000 + b"N")
+
+
+# -- the wire is byte-identical ------------------------------------------------------
+
+
+def _init_of_50_transfers():
+    """The INIT of a committee whose proposals are 50 transfers each."""
+    _, _, seen = decided_asmr_committee(
+        proposal_factory=lambda k, rid: TransferWorkload(num_accounts=8, seed=rid).batch(50)
+    )
+    return next(message for message in seen if message.kind == "INIT")
+
+
+#: ``size_bytes()`` and the sha256 of each frame, as the recursive codec wrote
+#: them; the single-pass walks must write every byte the same.
+WIRE_PINS = {
+    "AUX": (290, "a310a36cd512ea8e3c99e88b620047f7d45b36ba32c7641eec656da8de5d6821"),
+    "BVAL": (62, "feeedfc48148e24de96f36533af08c133c685dd2e74d672a87940f9c673447b2"),
+    "CATCHUP": (7674, "673458c0cf9dfb03297667db8a9f6ff3d9751cc7f77228367737476c80417a4e"),
+    "CONFIRM": (3072, "6eac5a5ee7a68d0bcd703f88a2b4065a1f895d8a0d02f8937bebc4416026d2a4"),
+    "DECIDE": (612, "fb67a65375d5873fcf56c5e94a2f80af61e3f77b5f63fda210c8c7e7160ef535"),
+    "ECHO": (351, "332c3e6f7d838358d9b1e735bd4da213d81c3278b2773a81fa30e3464409585b"),
+    "INIT": (1876, "8113c67ad02c1bae5fab6f31cf15f1b374c9a5393c2d9f05b87d2dd89ac2ee03"),
+    "INIT-50": (38215, "b1f2b437d6ccb6a097fcba7510170a42e3fbf20699a33c39c8aff5e242d933ff"),
+    "POFS": (495, "a61a70a4eabcc4bc8e6eb37e7640ad2ad36eeb44cb06a5bd6ee715cab323ee73"),
+    "READY": (353, "1557cddfde1490c9c793242528c9299d071c89af39a5016c8ce42c6519a5d3d8"),
+}
+
+
+class TestWireIsByteIdentical:
+    @pytest.fixture(scope="class")
+    def sent(self):
+        messages = _messages_of_every_kind()
+        messages["INIT-50"] = _init_of_50_transfers()
+        return messages
+
+    def test_every_frame_and_size_is_pinned(self, sent):
+        assert {
+            kind: (message.size_bytes(), hashlib.sha256(encode_message(message)).hexdigest())
+            for kind, message in sent.items()
+        } == WIRE_PINS
+
+    def test_every_frame_decodes_to_what_was_sent(self, sent):
+        for message in sent.values():
+            decoded = decode_message(encode_message(message))
+            assert decoded.topic is message.topic
+            assert (decoded.sender, decoded.recipient, decoded.kind) == (
+                message.sender,
+                message.recipient,
+                message.kind,
+            )
+            assert _same(decoded.body, message.body)
