@@ -23,9 +23,7 @@ import tempfile
 from pathlib import Path
 
 from repro import obs
-from repro.analysis.metrics import format_table
-from repro.obs.export import snapshot_rows, write_csv, write_json
-from repro.obs.report import build_tables
+from repro.obs.export import render_report, snapshot_rows, write_csv, write_json
 from repro.scenarios import ScenarioSpec, run_system
 
 
@@ -44,14 +42,8 @@ def main() -> None:
     )
 
     snapshot = registry.snapshot()
-    records = [
-        {"family": "fig4", "spec": {"family": "fig4", "n": 9, "attack": "binary",
-                                    "seed": 1}, "telemetry": snapshot}
-    ]
-
-    for title, rows in build_tables(records, metric_filter="rbc."):
-        print(f"\n== {title} ==")
-        print(format_table(rows[:12]))
+    print()
+    print(render_report([("fig4 n=9", snapshot)], metric_filter="rbc."))
 
     timeline = snapshot["timelines"]["zlb.recovery"]["first"]
     print("\nrecovery timeline (simulated seconds):")

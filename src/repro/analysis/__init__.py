@@ -1,4 +1,4 @@
-"""Analysis utilities: zero-loss theory, throughput model and run metrics."""
+"""Analysis utilities: zero-loss theory, throughput model and latency summaries."""
 
 from repro.analysis.zero_loss import (
     branch_bound,
@@ -8,7 +8,7 @@ from repro.analysis.zero_loss import (
     minimum_blockdepth,
     tolerated_attack_probability,
 )
-from repro.analysis.metrics import RunMetrics, percentiles, summarize_latencies
+from repro.analysis.metrics import percentiles, summarize_latencies
 from repro.analysis.throughput import (
     ProtocolCostModel,
     ThroughputModel,
@@ -22,7 +22,6 @@ __all__ = [
     "g_function",
     "minimum_blockdepth",
     "tolerated_attack_probability",
-    "RunMetrics",
     "percentiles",
     "summarize_latencies",
     "ProtocolCostModel",

@@ -149,8 +149,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"  obs frames received: {result.obs_frames}")
     for violation in result.violations:
         print(
-            f"  INVARIANT VIOLATION [{violation.get('invariant')}] "
-            f"{violation.get('detail')}"
+            f"  INVARIANT VIOLATION [{violation['name']}] "
+            f"replica {violation['replica_id']}: {violation['detail']}"
         )
     for replica_id, code in sorted(result.crashes.items()):
         print(f"  replica {replica_id} crashed (exit code {code})")

@@ -9,8 +9,9 @@ time-to-commit.
 Every frame also feeds the :class:`~repro.cluster.watch.ClusterWatcher`
 aggregation plane: a live in-place dashboard (``watch=True``), a loopback
 HTTP endpoint serving Prometheus ``/metrics`` and JSON ``/state``
-(``serve_port=``), the cross-replica commit-agreement monitor, and the
-crash-forensics store (flight-ring increments + epoch offsets).  With
+(``serve_port=``), the cross-replica agreement check (the simulator's
+:class:`~repro.obs.monitors.MonitorSet` over the workers' commit digests), and
+the crash-forensics store (flight-ring increments + epoch offsets).  With
 ``spec.obs`` and an ``artifacts_dir``, the launcher writes a causally merged
 Chrome trace of the whole cluster after the run — and, on any crash or
 invariant violation, a merged flight dump whose timeline includes the dead
@@ -95,7 +96,8 @@ class ClusterResult:
     zero_loss: bool
     crashes: Dict[int, int]  # replica id -> exit code
     reports: Dict[int, Dict[str, Any]]
-    #: Invariant violations (worker-local monitors + launcher agreement).
+    #: Invariant violations, worker-local and the launcher's agreement trips
+    #: alike: ``InvariantViolation.to_dict()`` plus ``replica_id``.
     violations: List[Dict[str, Any]] = dataclasses.field(default_factory=list)
     #: Obs frames received across all workers (0 in a no-obs run).
     obs_frames: int = 0

@@ -11,21 +11,25 @@ is specific to a cluster:
   dashboard keeps refreshing;
 * **forensics** — per-worker flight-ring increments and epoch offsets
   accumulated as they stream in, plus per-worker spans/events from final
-  reports, causally merged onto one shared cluster clock for the flight dump
-  and the Chrome trace artifact.  A SIGKILL'd worker's already-shipped ring
+  reports, merged onto one shared cluster clock by
+  :func:`~repro.obs.recorder.merge_worker_events` for the flight dump and the
+  Chrome trace artifact.  A SIGKILL'd worker's already-shipped ring
   increments stay in the watcher — its last causal events survive it, which
   is the whole point of crash forensics — and every event that did *not*
   make it (evicted from a worker ring before shipping, cut from an oversized
   frame, dropped by the launcher's own retention) is counted per replica and
-  stated in the dump's header.
+  stated in the dump's header;
+* **cross-replica commit agreement**, the invariant no single worker can
+  check: the per-instance block digests workers attach to their obs frames
+  feed the same :class:`~repro.obs.monitors.MonitorSet` a simulated run uses,
+  so a conflicting commit trips ``agreement`` once per instance (safety, not
+  liveness — lag is fine).
 
-The watcher also runs the launcher-level online invariant monitor that no
-single worker can check: **cross-replica commit agreement**.  Workers attach
-per-instance block digests to their obs frames; the first instance where two
-replicas disagree raises a violation (safety, not liveness — lag is fine,
-conflicting commits are not).  Worker-local monitors (zero-loss accounting,
-supply conservation) stream their violations in the same frames and are
-aggregated here with replica attribution.
+Every entry of :attr:`ClusterWatcher.violations` — the launcher's own trips
+and the worker-local ones (supply conservation, validity, zero loss) shipped
+in obs frames and reports — is one
+:meth:`~repro.obs.monitors.InvariantViolation.to_dict` plus the
+``replica_id`` it is attributed to.
 """
 
 from __future__ import annotations
@@ -37,7 +41,8 @@ from typing import Any, Deque, Dict, Iterable, List, Optional
 
 from repro.cluster import protocol as wire
 from repro.obs.export import chrome_trace, write_json, write_jsonl
-from repro.obs.recorder import flight_header, merge_worker_events
+from repro.obs.monitors import MonitorSet
+from repro.obs.recorder import REPORT_CLOCK, flight_header, merge_worker_events
 from repro.obs.watch import Sample, Watcher
 
 #: Flight events retained per replica at the launcher (newest kept).  Workers
@@ -145,15 +150,14 @@ class ClusterWatcher(Watcher):
         self.total_transactions = total_transactions
         for replica_id in range(n):
             self.row(replica_id)
-        #: Launcher-detected + worker-reported invariant violations.
+        #: Launcher-detected and worker-reported invariant violations.
         self.violations: List[Dict[str, Any]] = []
+        #: Cross-replica agreement over the commit digests workers ship.
+        self.monitors = MonitorSet()
         self.obs_frames = 0
         self._epoch_offsets: Dict[int, float] = {}
         self._flight: Dict[int, Deque[Dict[str, Any]]] = {}
         self._report_obs: Dict[int, Dict[str, Any]] = {}
-        #: instance -> {replica_id: block digest} for the agreement monitor.
-        self._digests: Dict[int, Dict[int, str]] = {}
-        self._disagreed: set = set()
 
     # -- ingestion -------------------------------------------------------------
 
@@ -195,10 +199,7 @@ class ClusterWatcher(Watcher):
         if isinstance(latency, dict) and latency:
             row.latency = {key: float(value) for key, value in latency.items()}
         for violation in frame.get("violations") or ():
-            row.violations += 1
-            record = dict(violation)
-            record["replica_id"] = replica_id
-            self.violations.append(record)
+            self._record(row, violation)
         row.ring_skipped += int(frame.get("ring_skipped") or 0)
         row.recorder_evicted += int(frame.get("recorder_evicted") or 0)
         ring = frame.get("ring") or ()
@@ -211,38 +212,24 @@ class ClusterWatcher(Watcher):
             # The launcher's own retention is one more place events get lost.
             row.ring_skipped += max(0, len(buffer) + len(ring) - buffer.maxlen)
             buffer.extend(ring)
-        commits = frame.get("commits")
-        if isinstance(commits, dict):
-            self._check_agreement(replica_id, commits)
-
-    def _check_agreement(self, replica_id: int, commits: Dict[str, str]) -> None:
-        """Cross-replica commit agreement: same instance ⇒ same block digest."""
-        for instance_key, digest in commits.items():
+        tripped = len(self.monitors.violations)
+        at = frame.get("t")
+        for instance, digest in (frame.get("commits") or {}).items():
             try:
-                instance = int(instance_key)
+                instance = int(instance)
             except (TypeError, ValueError):
-                continue
-            seen = self._digests.setdefault(instance, {})
-            seen[replica_id] = digest
-            if instance in self._disagreed:
-                continue
-            distinct = set(seen.values())
-            if len(distinct) > 1:
-                self._disagreed.add(instance)
-                self.violations.append(
-                    {
-                        "invariant": "commit-agreement",
-                        "replica_id": replica_id,
-                        "instance": instance,
-                        "detail": (
-                            f"instance {instance} committed with conflicting "
-                            f"digests across replicas: "
-                            + ", ".join(
-                                f"r{rid}={seen[rid][:12]}" for rid in sorted(seen)
-                            )
-                        ),
-                    }
-                )
+                continue  # not an instance number: nothing to compare
+            self.monitors.on_decision(replica_id, 0, instance, digest, at)
+        for violation in self.monitors.violations[tripped:]:
+            self._record(row, violation.to_dict())
+
+    def _record(self, row: ReplicaRow, violation: Dict[str, Any]) -> None:
+        """Keep ``violation``, attributed to ``row``'s replica, once: a
+        worker's report repeats what its obs frames already shipped."""
+        record = dict(violation, replica_id=row.replica_id)
+        if record not in self.violations:
+            row.violations += 1
+            self.violations.append(record)
 
     def _ingest_report(self, row: ReplicaRow, frame: Dict[str, Any]) -> None:
         replica_id = row.replica_id
@@ -258,14 +245,8 @@ class ClusterWatcher(Watcher):
         if isinstance(obs, dict):
             self._report_obs[replica_id] = obs
             row.spans_truncated += int(obs.get("spans_truncated") or 0)
-            monitors = obs.get("monitors")
-            if isinstance(monitors, dict):
-                for violation in monitors.get("violations") or ():
-                    record = dict(violation)
-                    record["replica_id"] = replica_id
-                    if record not in self.violations:
-                        row.violations += 1
-                        self.violations.append(record)
+            for violation in (obs.get("monitors") or {}).get("violations") or ():
+                self._record(row, violation)
 
     def note_crash(self, replica_id: int, exit_code: Any) -> None:
         """Mark a replica that exited without a report (collector-thread safe)."""
@@ -317,45 +298,24 @@ class ClusterWatcher(Watcher):
         return merge_worker_events(events_by_worker, offsets)
 
     def merged_spans(self) -> Dict[str, List[Dict[str, Any]]]:
-        """Per-worker report spans/events mapped onto the cluster clock.
+        """Per-worker report spans/events on the cluster clock.
 
-        Returns ``{"spans": [...], "events": [...]}`` with ``start``/``end``
-        (spans) and ``t`` (events) shifted by each worker's epoch offset and
-        normalised so the earliest point is zero — the shape
-        :func:`repro.obs.export.chrome_trace` consumes.
+        Returns ``{"spans": [...], "events": [...]}`` — one
+        :func:`~repro.obs.recorder.merge_worker_events` pass over both, so
+        they share one zero — the shape :func:`repro.obs.export.chrome_trace`
+        consumes.
         """
         with self._lock:
-            report_obs = {
-                replica_id: obs for replica_id, obs in self._report_obs.items()
+            records = {
+                replica_id: [*(obs.get("spans") or ()), *(obs.get("events") or ())]
+                for replica_id, obs in self._report_obs.items()
             }
             offsets = dict(self._epoch_offsets)
-        spans: List[Dict[str, Any]] = []
-        events: List[Dict[str, Any]] = []
-        for replica_id, obs in report_obs.items():
-            offset = offsets.get(replica_id, 0.0)
-            for span in obs.get("spans") or ():
-                shifted = dict(span)
-                shifted["start"] = span["start"] + offset
-                if span.get("end") is not None:
-                    shifted["end"] = span["end"] + offset
-                spans.append(shifted)
-            for event in obs.get("events") or ():
-                shifted = dict(event)
-                shifted["t"] = event["t"] + offset
-                events.append(shifted)
-        base = min(
-            [span["start"] for span in spans] + [event["t"] for event in events],
-            default=0.0,
-        )
-        for span in spans:
-            span["start"] -= base
-            if span.get("end") is not None:
-                span["end"] -= base
-        for event in events:
-            event["t"] -= base
-        spans.sort(key=lambda span: (span["start"], str(span["replica"])))
-        events.sort(key=lambda event: (event["t"], str(event["replica"])))
-        return {"spans": spans, "events": events}
+        merged = merge_worker_events(records, offsets, clock=REPORT_CLOCK)
+        return {
+            "spans": [record for record in merged if "start" in record],
+            "events": [record for record in merged if "start" not in record],
+        }
 
     def write_flight_dump(self, path: Any) -> str:
         """Write the merged flight-recorder timeline as JSONL; returns path.

@@ -5,15 +5,15 @@ single :class:`Probe` (or ``None`` — see :mod:`repro.obs.core` for the
 disabled-mode contract) whose back-ends answer four questions:
 
 * counts and latencies — :mod:`repro.obs.metrics`, compared across a sweep by
-  :mod:`repro.obs.report`;
+  :func:`repro.obs.export.render_report`;
 * where did the time go — :mod:`repro.obs.critical_path` (time-to-commit
   per protocol phase);
 * what happened before the crash — :mod:`repro.obs.trace` (causal spans),
   :mod:`repro.obs.recorder` (flight recorder) and :mod:`repro.obs.monitors`
   (online invariant monitors);
 * watch it live — :mod:`repro.obs.series` (streamed samples),
-  :mod:`repro.obs.watch` (terminal dashboard), :mod:`repro.obs.serve`
-  (``/metrics`` and ``/state``) and :mod:`repro.obs.gates` (SLO gates).
+  :mod:`repro.obs.watch` (terminal dashboard) and :mod:`repro.obs.serve`
+  (``/metrics`` and ``/state``).
 
 :mod:`repro.obs.export` writes every artefact (JSON, JSONL, CSV, Prometheus
 text, Chrome trace).  Typical use::

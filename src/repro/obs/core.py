@@ -230,7 +230,7 @@ class Probe:
     # -- end-of-run artefacts ----------------------------------------------------
 
     def live_snapshot(self) -> Dict[str, Any]:
-        """Series + totals + quantiles of the live plane."""
+        """Series + totals of the live plane."""
         snap = self.sampler.snapshot()
         snap["cell"] = self.cell
         return snap

@@ -3,9 +3,10 @@
 Four generic writers — JSON, JSONL, CSV over flat dict rows, Prometheus text
 over ``(family, labels, value)`` samples — and one Chrome-trace builder; the
 rest of the module flattens the back-ends' snapshots into the rows those
-writers take.  Exporters never touch live metric objects, so they work
-identically on a run that just finished and on a snapshot replayed from a
-scenario result store.
+writers take — the rows ``python -m repro.scenarios report`` prints
+(:func:`render_report`) and its ``--csv`` writes.  Exporters never touch live
+metric objects, so they work identically on a run that just finished and on
+a snapshot replayed from a scenario result store.
 
 The Chrome trace event format (the ``traceEvents`` array understood by
 ``chrome://tracing`` and https://ui.perfetto.dev) maps naturally onto traced
@@ -150,6 +151,75 @@ def snapshot_rows(snapshot: Dict[str, Any], cell: str = "") -> List[Dict[str, An
         for mark, at in summary.get("first", {}).items():
             add("timeline", key, suffix=f".{mark}", value=at)
     return rows
+
+
+# -- result stores -------------------------------------------------------------
+
+
+def telemetry_cells(
+    records: Iterable[Dict[str, Any]]
+) -> List[Tuple[str, Dict[str, Any]]]:
+    """``(label, snapshot)`` for every result-store record carrying telemetry.
+
+    The label is the one the store wrote (``spec.label()``, params included),
+    else the spec hash.  Structurally empty snapshots — instrumented cells of
+    model-only families that never build a simulator — are skipped: they hold
+    no row.
+    """
+    cells: List[Tuple[str, Dict[str, Any]]] = []
+    for record in records:
+        snapshot = record.get("telemetry")
+        if snapshot and any(
+            snapshot.get(section)
+            for section in ("counters", "gauges", "histograms", "timelines")
+        ):
+            cells.append((record.get("label") or record.get("hash", "?"), snapshot))
+    return cells
+
+
+def report_rows(
+    cells: Iterable[Tuple[str, Dict[str, Any]]], metric_filter: Optional[str] = None
+) -> List[Dict[str, Any]]:
+    """Every cell's :func:`snapshot_rows` whose ``metric`` contains
+    ``metric_filter``: what ``report`` prints and ``report --csv`` writes."""
+    return [
+        row
+        for label, snapshot in cells
+        for row in snapshot_rows(snapshot, cell=label)
+        if metric_filter is None or metric_filter in row["metric"]
+    ]
+
+
+def render_report(
+    cells: Sequence[Tuple[str, Dict[str, Any]]], metric_filter: Optional[str] = None
+) -> str:
+    """:func:`report_rows` as text: one aligned table per metric type, rows
+    ordered by metric so the cells of a sweep sit side by side."""
+    from repro.analysis.metrics import format_table
+
+    if not cells:
+        return (
+            "no telemetry metrics in the store — run a simulation family with "
+            "--instrument metrics (or ScenarioSpec(instrument=\"metrics\")) to "
+            "record snapshots"
+        )
+    rows = sorted(
+        report_rows(cells, metric_filter),
+        key=lambda row: (row["metric"], row["labels"], row["cell"]),
+    )
+    tables: Dict[str, List[Dict[str, Any]]] = {}
+    for row in rows:
+        tables.setdefault(row["type"], []).append(
+            {
+                key: round(value, 4) if isinstance(value, float) else value
+                for key, value in row.items()
+                if key != "type"
+            }
+        )
+    sections = [f"telemetry report — {len(cells)} instrumented cells"]
+    for kind, table in sorted(tables.items()):
+        sections.append(f"\n== {kind} ==\n{format_table(table)}")
+    return "\n".join(sections)
 
 
 # -- sampled time series -------------------------------------------------------

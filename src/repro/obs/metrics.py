@@ -23,9 +23,7 @@ result row.
 
 from __future__ import annotations
 
-import contextlib
-import time
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 # NOTE: this module must not import other repro packages at module level —
 # the network simulator imports it (through repro.obs.core), so a top-level
@@ -261,26 +259,6 @@ class TelemetryRegistry:
 
     def mark(self, name: str, label: str, at: float) -> None:
         self.timeline(name).mark(label, at)
-
-    # -- scoped timing ---------------------------------------------------------
-
-    @contextlib.contextmanager
-    def phase_timer(
-        self,
-        name: str,
-        clock: Callable[[], float] = time.perf_counter,
-        **labels: Any,
-    ) -> Iterator[None]:
-        """Observe the duration of the enclosed block into a histogram.
-
-        ``clock`` defaults to wall-clock; pass a simulated clock (e.g.
-        ``lambda: host.now``) to time simulated phases instead.
-        """
-        started = clock()
-        try:
-            yield
-        finally:
-            self.histogram(name, **labels).observe(clock() - started)
 
     # -- snapshot --------------------------------------------------------------
 

@@ -5,7 +5,8 @@ The paper's safety claims become live assertions instead of post-hoc checks:
 * **agreement** — two honest replicas must never decide different sets for
   the same ``(epoch, instance)``; a coalition attack is *expected* to break
   this on the attacked branch, so the expectation is configurable and the
-  monitor only trips on disagreement that the scenario did not stage;
+  monitor only trips on disagreement that the scenario did not stage, once
+  per instance (the cluster launcher runs it over its workers' commits);
 * **validity** — a committed block must contain no invalid and no phantom
   (never-screened) transactions: the commit path's ``AppendReport`` says so;
 * **supply conservation** — per replica, ``utxos.total_supply() + deposit``
@@ -157,18 +158,19 @@ class MonitorSet:
         if self.expect_disagreement:
             return
         for other, other_digest in branch.items():
-            if other != replica and other_digest != digest:
+            if other_digest != digest:
                 self._trip(
                     "agreement",
                     replica,
                     at,
-                    key=(epoch, instance, min(replica, other), max(replica, other)),
+                    key=(epoch, instance),
                     epoch=epoch,
                     instance=instance,
                     other=other,
                     digest=digest,
                     other_digest=other_digest,
                 )
+                return
 
     def on_disagreement(self, replica: Any, instance: int, at: float) -> None:
         """A replica observed a conflicting confirmation (phase ②)."""

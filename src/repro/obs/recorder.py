@@ -152,39 +152,55 @@ class FlightRecorder:
 # -- cross-process merging -----------------------------------------------------
 
 
+#: How :func:`merge_worker_events` maps a record's time fields onto the
+#: cluster clock: a flight event keeps its worker-clock ``t`` and gains
+#: ``t_cluster``; a report span (``start``/``end``) or trace event (``t``) is
+#: shifted in place.
+FLIGHT_CLOCK = {"t": "t_cluster"}
+REPORT_CLOCK = {"start": "start", "end": "end", "t": "t"}
+
+
 def merge_worker_events(
-    events_by_worker: Dict[Any, List[Dict[str, Any]]],
+    records_by_worker: Dict[Any, List[Dict[str, Any]]],
     offsets: Optional[Dict[Any, float]] = None,
+    clock: Dict[str, str] = FLIGHT_CLOCK,
 ) -> List[Dict[str, Any]]:
-    """Causally merge per-worker flight-recorder events into one timeline.
+    """Causally merge per-worker records into one timeline.
 
-    Each worker of a real cluster records event times on its *own* monotonic
-    clock, so raw ``t`` values are not comparable across processes.  Workers
-    report an epoch offset estimate (``time.time() - loop.time()``, sampled
-    once at startup); adding it maps every event onto the shared wall clock.
-    The merged timeline is normalised to start at zero (``t_cluster``) and
-    sorted by ``(t_cluster, worker, seq)`` — within one worker that preserves
-    the true causal record order, across workers it is as causal as NTP-grade
-    clock agreement allows, which is exactly what a post-mortem needs.
+    Each worker of a real cluster records times on its *own* monotonic clock,
+    so raw times are not comparable across processes.  Workers report an
+    epoch offset estimate (``time.time() - loop.time()``, sampled once at
+    startup); adding it maps every record onto the shared wall clock.  The
+    merged timeline is normalised so its earliest point is zero and sorted by
+    ``(time, worker, seq)`` — within one worker that preserves the true causal
+    record order, across workers it is as causal as NTP-grade clock agreement
+    allows, which is exactly what a post-mortem needs.
 
-    Every merged event keeps its original fields and gains ``worker`` (the
-    reporting replica) and ``t_cluster``.
+    Every merged record is a copy that gains ``worker`` (the reporting
+    replica).  ``clock`` maps each time field a record may set to the field
+    its cluster time is written to (:data:`FLIGHT_CLOCK`,
+    :data:`REPORT_CLOCK`); a record's time is the first of those it sets.
     """
     offsets = offsets or {}
+    targets = tuple(clock.values())
+
+    def timed(entry: Dict[str, Any]) -> List[str]:
+        return [target for target in targets if entry.get(target) is not None]
+
     merged: List[Dict[str, Any]] = []
-    for worker, events in events_by_worker.items():
+    for worker, records in records_by_worker.items():
         offset = offsets.get(worker, 0.0)
-        for event in events:
-            entry = dict(event)
-            entry["worker"] = worker
-            entry["t_cluster"] = event["t"] + offset
+        for record in records:
+            entry = dict(record, worker=worker)
+            for source, target in clock.items():
+                if record.get(source) is not None:
+                    entry[target] = record[source] + offset
             merged.append(entry)
-    if not merged:
-        return merged
-    base = min(event["t_cluster"] for event in merged)
-    for event in merged:
-        event["t_cluster"] -= base
-    merged.sort(key=lambda e: (e["t_cluster"], str(e["worker"]), e["seq"]))
+    base = min((entry[t] for entry in merged for t in timed(entry)), default=0.0)
+    for entry in merged:
+        for target in timed(entry):
+            entry[target] -= base
+    merged.sort(key=lambda e: (e[timed(e)[0]], str(e["worker"]), e.get("seq", 0)))
     return merged
 
 

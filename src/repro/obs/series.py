@@ -12,8 +12,7 @@ one point per series into a bounded ring buffer:
   seconds, from counters bumped by ``NetworkSimulator.submit[_broadcast]``;
 * registered pull gauges (mempool depth / pending bytes, pending events);
 * sliding p50/p99 of observed latency series (time-to-commit), windowed so
-  the quantiles track the run's current behaviour, with an exact-count
-  reservoir histogram keeping whole-run quantiles for the SLO gates.
+  the quantiles track the run's current behaviour.
 
 Ring buffers cap memory for arbitrarily long runs; when a ring wraps, the
 oldest points fall off and ``snapshot()`` reports how many were dropped so
@@ -26,8 +25,6 @@ from __future__ import annotations
 from collections import deque
 from time import perf_counter_ns
 from typing import Any, Callable, Deque, Dict, Optional, Tuple
-
-from repro.obs.metrics import Histogram
 
 #: Default sampling cadence in simulated seconds.
 DEFAULT_CADENCE_S = 0.25
@@ -57,15 +54,13 @@ class SeriesRing:
 class SlidingQuantile:
     """Sliding window over the most recent observations of one series."""
 
-    __slots__ = ("window", "overall")
+    __slots__ = ("window",)
 
     def __init__(self, window: int) -> None:
         self.window: Deque[float] = deque(maxlen=window)
-        self.overall = Histogram()
 
     def observe(self, value: float) -> None:
         self.window.append(value)
-        self.overall.observe(value)
 
     def current(self) -> Dict[str, float]:
         from repro.analysis.metrics import percentiles
@@ -204,7 +199,7 @@ class StreamingSampler:
     # -- snapshot / export -----------------------------------------------------
 
     def snapshot(self) -> Dict[str, Any]:
-        """Plain-dict form: series points, whole-run totals and quantiles."""
+        """Plain-dict form: series points and whole-run totals."""
         wall_s = (perf_counter_ns() - self._started_wall_ns) / 1e9
         totals: Dict[str, Any] = {
             "events_processed": self._events_processed,
@@ -225,9 +220,5 @@ class StreamingSampler:
                 for name, ring in sorted(self._rings.items())
             },
             "message_totals": dict(sorted(self._message_counts.items())),
-            "quantiles": {
-                name: quantile.overall.snapshot()
-                for name, quantile in sorted(self._quantiles.items())
-            },
             "totals": totals,
         }

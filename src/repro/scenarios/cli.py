@@ -13,22 +13,19 @@ one family and prints the result rows as a table; ``sweep`` executes one or
 more families against a JSONL :class:`ResultStore`, so re-running the same
 sweep serves every already-computed cell from cache.  ``--instrument LEVEL``
 instruments every cell: ``metrics`` (per-protocol message counts, per-phase
-latency histograms, recovery timelines — ``report`` renders the stored
-snapshots as comparative tables, optionally exporting them as CSV/JSON),
-``trace`` (causal spans and invariant monitors), ``live`` (time series) or
-``all``::
+latency histograms, recovery timelines — ``report`` prints the stored
+snapshots' rows, one table per metric type, and ``--csv`` writes the same
+rows), ``trace`` (causal spans and invariant monitors), ``live`` (time
+series) or ``all``::
 
     python -m repro.scenarios sweep fig4 --jobs 4 --watch --serve 9100
     python -m repro.scenarios run fig4 --instrument live --series-out series.jsonl
-    python -m repro.scenarios report results.jsonl --gate
 
 ``--watch`` renders an in-place terminal table of per-cell progress (percent
 complete, events/sec, simulated time, ETA) streamed from the workers;
 ``--serve PORT`` additionally exposes the same state as Prometheus text
 (``/metrics``) and JSON (``/state``) on loopback.  ``--series-out`` /
 ``--series-csv`` export what the ``live`` level stored.
-``report --gate`` evaluates each family's declared SLOs against the stored
-records and exits non-zero on breach.
 
 ``trace`` replays a single cell with causal tracing on::
 
@@ -131,18 +128,13 @@ def _run_families(
                 # `run --instrument metrics` renders the snapshots inline:
                 # without a store they would otherwise be collected and
                 # silently discarded.
-                from repro.obs.report import render_report
+                from repro.obs.export import render_report, telemetry_cells
 
                 records = [
-                    {
-                        "family": outcome.spec.family,
-                        "label": outcome.spec.label(),
-                        "spec": outcome.spec.to_dict(),
-                        "telemetry": outcome.telemetry,
-                    }
+                    {"label": outcome.spec.label(), "telemetry": outcome.telemetry}
                     for outcome in report.outcomes
                 ]
-                print(render_report(records))
+                print(render_report(telemetry_cells(records)))
     finally:
         if server is not None:
             server.stop()
@@ -244,50 +236,23 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.obs.export import snapshot_rows, write_csv, write_json
-    from repro.obs.report import render_report, telemetry_cells
+    from repro.obs.export import (
+        render_report,
+        report_rows,
+        telemetry_cells,
+        write_csv,
+        write_json,
+    )
 
-    store = ResultStore(args.store)
-    records = store.records(args.family)
-    if not args.gate:
-        print(render_report(records, metric_filter=args.metric))
-    cells = telemetry_cells(records)
+    cells = telemetry_cells(ResultStore(args.store).records(args.family))
+    print(render_report(cells, metric_filter=args.metric))
     if args.json and cells:
         write_json([snapshot for _, snapshot in cells], args.json)
         print(f"json: {args.json}")
     if args.csv and cells:
-        rows = [
-            row
-            for label, snapshot in cells
-            for row in snapshot_rows(snapshot, cell=label)
-        ]
-        write_csv(rows, args.csv)
+        write_csv(report_rows(cells, args.metric), args.csv)
         print(f"csv: {args.csv}")
-    if args.gate:
-        return _evaluate_gates(records, args.slo or [])
     return 0
-
-
-def _evaluate_gates(records: List[dict], overrides: List[str]) -> int:
-    """Evaluate declared (and overridden) family SLOs; exit 1 on breach."""
-    from repro.obs.gates import (
-        SLO,
-        evaluate_records,
-        parse_slo_overrides,
-        render_gate_report,
-    )
-
-    slos = {
-        family.name: family.slo
-        for family in registry.iter_families()
-        if family.slo is not None
-    }
-    for family_name, metrics in parse_slo_overrides(overrides).items():
-        base = slos.get(family_name, SLO())
-        slos[family_name] = base.merged(metrics)
-    report = evaluate_records(slos, records)
-    print(render_gate_report(report))
-    return 0 if report.ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -325,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="instrument every cell and store what the level collects: "
             "metrics (counters and latency histograms, see `report`), trace "
             "(causal spans, invariant monitors), live (streamed time series, "
-            "feeds `report --gate`) or all",
+            "see --series-out) or all",
         )
         p.add_argument(
             "--watch",
@@ -426,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     report = sub.add_parser(
         "report",
-        help="render comparative telemetry tables from a result store",
+        help="print the stored metric snapshots, one table per metric type",
     )
     report.add_argument(
         "store",
@@ -438,25 +403,12 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument(
         "--metric",
         default=None,
-        help="substring filter on histogram/gauge metric names (e.g. 'rbc')",
+        help="substring filter on metric names, for the text report and --csv "
+        "alike (e.g. 'rbc.')",
     )
     report.add_argument("--csv", default=None, help="export flattened metrics as CSV")
     report.add_argument(
         "--json", default=None, help="export the raw snapshots as JSON"
-    )
-    report.add_argument(
-        "--gate",
-        action="store_true",
-        help="evaluate each family's declared SLOs against the stored "
-        "records and exit non-zero on any breach",
-    )
-    report.add_argument(
-        "--slo",
-        action="append",
-        default=None,
-        metavar="FAMILY:METRIC=VALUE",
-        help="override (or inject) one SLO limit for the gate evaluation; "
-        "repeatable (e.g. fig4-recovery:min_events_per_sec=1e12)",
     )
     report.set_defaults(func=_cmd_report)
     return parser

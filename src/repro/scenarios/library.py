@@ -49,7 +49,6 @@ from repro.ledger.block import Block
 from repro.ledger.merge import BlockchainRecord
 from repro.ledger.workload import conflicting_blocks_workload
 from repro.network.delays import AwsRegionDelay
-from repro.obs.gates import SLO
 from repro.scenarios.registry import expand_grid, scenario
 from repro.scenarios.spec import ScenarioSpec, run_system, system_for
 from repro.zlb.system import ZLBSystem
@@ -83,11 +82,6 @@ def _attack_grid(
     return _paper_workload(expand_grid(family, axes, base=base))
 
 
-def _metrics_row(result) -> Dict[str, Any]:
-    """Flatten a :class:`~repro.zlb.system.SystemResult` into a plain row."""
-    return result.to_metrics().to_row()
-
-
 def attack_row(spec: ScenarioSpec) -> Dict[str, Any]:
     """Shared cell body of every coalition-attack family."""
     attack = spec.attack_spec()
@@ -96,7 +90,7 @@ def attack_row(spec: ScenarioSpec) -> Dict[str, Any]:
             f"family {spec.family!r} runs a coalition attack; the spec names none"
         )
     result = run_system(spec)
-    row = _metrics_row(result)
+    row = result.to_row()
     row.update(
         {
             "attack": attack.kind,
@@ -134,8 +128,6 @@ def _fig3_grid(scale: str) -> List[ScenarioSpec]:
     description="Throughput of ZLB vs Polygraph/HotStuff/Red Belly (phase model)",
     grid=_fig3_grid,
     tags=("paper", "model"),
-    # Analytical model cells — only their host-side cost is gated.
-    slo=SLO(max_host_seconds=30.0),
 )
 def _run_fig3_cell(spec: ScenarioSpec) -> Dict[str, Any]:
     row = throughput_row(spec.n)
@@ -219,13 +211,6 @@ def _fig4_grid(scale: str) -> List[ScenarioSpec]:
     description="Disagreeing decisions per committee size under both attacks",
     grid=_fig4_grid,
     tags=("paper", "attack"),
-    # Generous floors: catch order-of-magnitude regressions (a stalled event
-    # loop, a quadratic merge) without flaking on slow CI runners.
-    slo=SLO(
-        min_events_per_sec=250.0,
-        max_p99_commit_s=120.0,
-        max_host_seconds=120.0,
-    ),
 )
 def _run_fig4_cell(spec: ScenarioSpec) -> Dict[str, Any]:
     return attack_row(spec)
@@ -476,7 +461,7 @@ def _quickstart_grid(scale: str) -> List[ScenarioSpec]:
     tags=("example",),
 )
 def _run_quickstart_cell(spec: ScenarioSpec) -> Dict[str, Any]:
-    row = _metrics_row(run_system(spec))
+    row = run_system(spec).to_row()
     row.update({"seed": spec.seed, "delay": spec.delay})
     return row
 
@@ -614,7 +599,7 @@ def _run_crash_recovery_cell(spec: ScenarioSpec) -> Dict[str, Any]:
     system.submit_workload(spec.workload_transactions)
     final = system.run_instances(phase_instances, until=spec.max_time)
 
-    row = _metrics_row(final)
+    row = final.to_row()
     # run_instances reports cumulative commits; per-phase deltas are what a
     # reader of "committed during the outage" expects.
     committed_outage = outage.committed_transactions - healthy.committed_transactions
@@ -668,7 +653,7 @@ def _run_jitter_stress_cell(spec: ScenarioSpec) -> Dict[str, Any]:
     start = time.perf_counter()
     system = system_for(spec)
     result = system.run_instances(spec.instances, until=spec.max_time)
-    row = _metrics_row(result)
+    row = result.to_row()
     row.update(
         {
             "seed": spec.seed,

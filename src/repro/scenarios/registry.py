@@ -30,7 +30,6 @@ import itertools
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError
-from repro.obs.gates import SLO
 from repro.scenarios.spec import ScenarioSpec
 
 GridBuilder = Callable[[str], List[ScenarioSpec]]
@@ -48,9 +47,6 @@ class ScenarioFamily:
     build: GridBuilder
     run: CellRunner
     tags: Tuple[str, ...] = ()
-    #: Declarative service-level objectives evaluated by
-    #: ``python -m repro.scenarios report --gate`` (None = family not gated).
-    slo: Optional[SLO] = None
 
     def expand(self, scale: str = "small") -> List[ScenarioSpec]:
         """Expand the sweep grid at the given scale."""
@@ -83,13 +79,8 @@ def scenario(
     description: str = "",
     grid: GridBuilder,
     tags: Sequence[str] = (),
-    slo: Optional[SLO] = None,
 ) -> Callable[[CellRunner], CellRunner]:
-    """Decorator registering the decorated function as a family's cell runner.
-
-    ``slo`` declares the family's service-level objectives right next to the
-    registration; ``report --gate`` evaluates them against recorded cells.
-    """
+    """Decorator registering the decorated function as a family's cell runner."""
 
     def wrap(run: CellRunner) -> CellRunner:
         doc = (run.__doc__ or "").strip()
@@ -100,7 +91,6 @@ def scenario(
                 build=grid,
                 run=run,
                 tags=tuple(tags),
-                slo=slo,
             )
         )
         return run

@@ -56,7 +56,7 @@ class RunOutcome:
     telemetry: Optional[Dict[str, Any]] = None
     #: ... the trace summary ...
     trace: Optional[Dict[str, Any]] = None
-    #: ... and the live snapshot — series, totals, quantiles.
+    #: ... and the live snapshot — series and totals.
     obs: Optional[Dict[str, Any]] = None
 
 

@@ -72,8 +72,8 @@ class ScenarioSpec:
             default) or one of :data:`repro.obs.core.LEVELS`: ``"metrics"``
             (counters and latency histograms, rendered by ``python -m
             repro.scenarios report``), ``"trace"`` (causal spans, flight
-            recorder, invariant monitors), ``"live"`` (streamed time series
-            feeding the SLO gates) or ``"all"``.  What
+            recorder, invariant monitors), ``"live"`` (streamed time series,
+            exported with ``--series-out``) or ``"all"``.  What
             the level's back-ends collected is persisted next to the result
             row.  Part of the content hash, so instrumented and bare runs of
             the same cell cache separately.

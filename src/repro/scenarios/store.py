@@ -101,7 +101,7 @@ class ResultStore:
         """Append one result record and index it.
 
         ``telemetry`` (metrics snapshot), ``trace`` (trace summary) and
-        ``obs`` (live snapshot: time series, totals, quantiles) are what
+        ``obs`` (live snapshot: time series and totals) are what
         the cell's ``spec.instrument`` level collected; each is stored
         verbatim so reports can be rendered from the JSONL file long after
         the sweep.

@@ -32,7 +32,6 @@ from repro.ledger.transaction import Transaction, build_transfer
 from repro.ledger.utxo import UTXO, UTXOTable
 from repro.ledger.wallet import Wallet
 from repro.ledger.workload import TransferWorkload
-from repro.analysis.metrics import RunMetrics
 from repro.network.delays import DelayModel, PartitionedDelay, delay_model_from_name
 from repro.network.simulator import NetworkSimulator
 from repro.obs import core as obs_core
@@ -122,31 +121,50 @@ class SystemResult:
             return 0.0
         return self.committed_transactions / self.simulated_time
 
-    def to_metrics(self) -> RunMetrics:
-        """Convert into the flat :class:`RunMetrics` record used by harnesses."""
-        return RunMetrics(
-            n=self.n,
-            deceitful=self.fault_config.deceitful,
-            benign=self.fault_config.benign,
-            simulated_time=self.simulated_time,
-            messages_sent=self.messages_sent,
-            messages_delivered=self.messages_delivered,
-            decided_instances=max(
+    @property
+    def attacker_net_gain(self) -> int:
+        """The coalition's profit after recovery: realised gain minus seizures.
+
+        The paper's zero-loss claim is exactly that this is ≤ 0 in
+        expectation for a correctly-sized deposit policy.
+        """
+        return self.realized_gain - self.seized_deposit
+
+    @property
+    def zero_loss(self) -> bool:
+        """True when the seized deposits covered everything the coalition
+        actually realised (and the shared deposit never went negative)."""
+        return self.attacker_net_gain <= 0 and self.deposit_shortfall == 0
+
+    def to_row(self) -> Dict[str, Any]:
+        """The flat row every deploying scenario family starts from."""
+
+        def seconds(at: Optional[float]) -> Optional[float]:
+            return round(at, 3) if at else None
+
+        return {
+            "n": self.n,
+            "deceitful": self.fault_config.deceitful,
+            "benign": self.fault_config.benign,
+            "simulated_time_s": round(self.simulated_time, 3),
+            "decided_instances": max(
                 (len(d["decided_instances"]) for d in self.per_replica.values()),
                 default=0,
             ),
-            committed_transactions=self.committed_transactions,
-            disagreements=self.disagreements,
-            disagreement_instances=len(self.disagreement_instances),
-            realized_gain=self.realized_gain,
-            seized_deposit=self.seized_deposit,
-            detect_time=self.detect_time,
-            exclusion_time=self.exclusion_time,
-            inclusion_time=self.inclusion_time,
-            excluded_replicas=len(self.excluded),
-            included_replicas=len(self.included),
-            deposit_shortfall=self.deposit_shortfall,
-        )
+            "committed_transactions": self.committed_transactions,
+            "throughput_tx_s": round(self.throughput_tx_per_sec, 1),
+            "disagreements": self.disagreements,
+            "disagreement_instances": len(self.disagreement_instances),
+            "detect_time_s": seconds(self.detect_time),
+            "exclusion_time_s": seconds(self.exclusion_time),
+            "inclusion_time_s": seconds(self.inclusion_time),
+            "excluded_replicas": len(self.excluded),
+            "included_replicas": len(self.included),
+            "deposit_shortfall": self.deposit_shortfall,
+            "realized_gain": self.realized_gain,
+            "seized_deposit": self.seized_deposit,
+            "attacker_net_gain": self.attacker_net_gain,
+        }
 
     def chain_summary(self) -> Dict[str, Any]:
         """Chain summary of the lowest-id honest replica."""

@@ -390,6 +390,56 @@ class TestClusterCLI:
             for report in result.reports.values():
                 assert set(report.keys()) == REPORT_KEYS, transport
 
+    def test_violations_fail_the_run_and_are_printed_by_name(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # Both sources reach ClusterResult in one shape, ahead of the real
+        # workers' frames: a worker's MonitorSet trip shipped in an obs frame,
+        # and the launcher's agreement trip on two conflicting commits.
+        from repro.cluster import __main__ as cli
+        from repro.cluster import launcher
+        from repro.cluster import protocol as wire
+        from repro.obs.monitors import MonitorSet
+
+        monitors = MonitorSet()
+        monitors.register_ledger(0, conserved_total=100)
+        monitors.on_commit(
+            0, instance=0, invalid=0, phantom=0, conserved_total=101, at=1.0
+        )
+        injected = [
+            {
+                "event": wire.EVENT_OBS,
+                "replica_id": 0,
+                "t": 1.0,
+                "violations": [monitors.violations[0].to_dict()],
+                "commits": {"999": "a" * 16},
+            },
+            {"event": wire.EVENT_OBS, "replica_id": 1, "t": 1.0,
+             "commits": {"999": "b" * 16}},
+        ]
+
+        class InjectingWatcher(launcher.ClusterWatcher):
+            def start(self, queue):
+                for frame in injected:
+                    queue.put(frame)
+                super().start(queue)
+
+        monkeypatch.setattr(launcher, "ClusterWatcher", InjectingWatcher)
+        spec = _spec(tmp_path, n=2, transactions=10, batch_size=5, obs=True)
+        result = launcher.run_cluster(spec, artifacts_dir=str(tmp_path / "out"))
+        assert not result.ok and not result.crashes
+        assert sorted((v["name"], v["replica_id"]) for v in result.violations) == [
+            ("agreement", 1),
+            ("supply-conservation", 0),
+        ]
+        assert result.flight_dump is not None and os.path.exists(result.flight_dump)
+
+        monkeypatch.setattr(cli, "run_cluster", lambda *args, **kwargs: result)
+        assert cli.main(["--n", "2"]) == 1
+        out = capsys.readouterr().out
+        assert "INVARIANT VIOLATION [supply-conservation] replica 0:" in out
+        assert "INVARIANT VIOLATION [agreement] replica 1:" in out
+
     def test_obs_cluster_merges_one_trace_across_processes(self, tmp_path):
         # Tentpole acceptance: an n=4 run with tracing produces ONE merged
         # span tree whose root-to-commit path crosses >= 3 distinct worker

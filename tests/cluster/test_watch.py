@@ -14,6 +14,7 @@ from time import perf_counter
 
 from repro.cluster import protocol as wire
 from repro.cluster.watch import STALL_AFTER_S, ClusterWatcher
+from repro.obs.monitors import MonitorSet
 
 
 def _obs_frame(replica_id, **overrides):
@@ -78,16 +79,30 @@ class TestIngestion:
         assert row["committed"] == 40
 
     def test_worker_violations_are_attributed(self):
-        watcher = ClusterWatcher(n=2)
-        watcher.ingest(
-            _obs_frame(
-                1,
-                violations=[{"invariant": "zero-loss", "detail": "supply drift"}],
-            )
+        # What a worker's MonitorSet ships after a minting commit: its obs
+        # frames carry each trip once, its final report repeats them all.
+        monitors = MonitorSet()
+        monitors.register_ledger(1, conserved_total=100)
+        monitors.on_commit(
+            1, instance=3, invalid=0, phantom=0, conserved_total=101, at=2.5
         )
-        assert len(watcher.violations) == 1
-        assert watcher.violations[0]["replica_id"] == 1
-        assert watcher.violations[0]["invariant"] == "zero-loss"
+        trip = monitors.violations[0].to_dict()
+        watcher = ClusterWatcher(n=2)
+        watcher.ingest(_obs_frame(1, violations=[trip]))
+        watcher.ingest(
+            {
+                "event": wire.EVENT_REPORT,
+                "replica_id": 1,
+                "status": "ok",
+                "committed": 1,
+                "total_transactions": 1,
+                "blocks": 1,
+                "obs": {"monitors": {"violations": [trip]}},
+            }
+        )
+        assert watcher.violations == [dict(trip, replica_id=1)]
+        assert watcher.violations[0]["name"] == "supply-conservation"
+        assert watcher.state()["replicas"][1]["violations"] == 1
 
 
 class TestAgreementMonitor:
@@ -103,12 +118,12 @@ class TestAgreementMonitor:
         watcher.ingest(_obs_frame(1, commits={"2": "bbbbbbbbbbbbbbbb"}))
         # A third sighting of the same disagreement must not duplicate it.
         watcher.ingest(_obs_frame(2, commits={"2": "aaaaaaaaaaaaaaaa"}))
-        agreement = [
-            v for v in watcher.violations if v["invariant"] == "commit-agreement"
-        ]
+        agreement = [v for v in watcher.violations if v["name"] == "agreement"]
         assert len(agreement) == 1
-        assert agreement[0]["instance"] == 2
-        assert "conflicting" in agreement[0]["detail"]
+        (violation,) = agreement
+        assert violation["replica_id"] == violation["replica"] == 1
+        assert violation["detail"]["instance"] == 2
+        assert violation["detail"]["digest"] != violation["detail"]["other_digest"]
 
     def test_lagging_replica_is_not_a_violation(self):
         # Safety, not liveness: one replica being instances behind is fine.
@@ -116,6 +131,42 @@ class TestAgreementMonitor:
         watcher.ingest(_obs_frame(0, commits={"0": "abc", "5": "xyz"}))
         watcher.ingest(_obs_frame(1, commits={"0": "abc"}))
         assert watcher.violations == []
+
+    def test_each_conflicting_instance_trips_once(self):
+        watcher = ClusterWatcher(n=2)
+        watcher.ingest(_obs_frame(0, t=1.0, commits={"3": "aa", "4": "cc"}))
+        for t in (2.0, 3.0):  # workers re-ship recent commits every frame
+            watcher.ingest(_obs_frame(1, t=t, commits={"3": "bb", "4": "dd"}))
+        assert [v["detail"]["instance"] for v in watcher.violations] == [3, 4]
+        assert all(v["at"] == 2.0 for v in watcher.violations)
+        assert watcher.state()["replicas"][1]["violations"] == 2
+        assert watcher.state()["replicas"][0]["violations"] == 0
+
+    def test_launcher_and_worker_trips_share_one_shape(self):
+        monitors = MonitorSet()
+        monitors.register_ledger(0, conserved_total=100)
+        monitors.on_commit(0, instance=1, invalid=1, phantom=0, conserved_total=100, at=1.0)
+        watcher = ClusterWatcher(n=2)
+        watcher.ingest(
+            _obs_frame(
+                0,
+                commits={"1": "aa"},
+                violations=[monitors.violations[0].to_dict()],
+            )
+        )
+        watcher.ingest(_obs_frame(1, commits={"1": "bb"}))
+        worker, launcher = watcher.violations
+        assert (worker["name"], launcher["name"]) == ("validity", "agreement")
+        assert set(worker) == set(launcher) == {
+            "name", "replica", "at", "detail", "replica_id"
+        }
+
+    def test_a_commit_key_that_is_no_instance_is_ignored(self):
+        watcher = ClusterWatcher(n=2)
+        watcher.ingest(_obs_frame(0, commits={"1": "aa", "x": "zz"}))
+        watcher.ingest(_obs_frame(1, commits={"1": "aa", "x": "yy"}))
+        assert watcher.violations == []
+        assert watcher.obs_frames == 2
 
 
 class TestStallTolerance:
@@ -275,6 +326,11 @@ class TestCausalMerge:
         assert {"asmr.instance", "zlb.commit"} <= names
         pids = {event["pid"] for event in trace["traceEvents"]}
         assert pids == {0, 1}
+
+    def test_no_reports_merge_to_empty_spans_and_events(self):
+        watcher = ClusterWatcher(n=2)
+        watcher.ingest(wire.ready_frame(0, offset=100.0))
+        assert watcher.merged_spans() == {"spans": [], "events": []}
 
 
 class TestLossAccounting:

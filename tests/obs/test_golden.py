@@ -114,5 +114,5 @@ def test_golden_cell_sampler_streams_series_quantiles_and_totals():
     series = snap["series"]
     assert len(series["events_per_sec"]["points"]) > 10
     assert any(name.startswith("msgs_per_sec:") for name in series)
-    assert snap["quantiles"]["commit_latency_s"]["count"] > 0
+    assert series["commit_latency_s.p99"]["points"]
     assert snap["totals"]["events_processed"] > 0

@@ -150,28 +150,6 @@ class TestRegistry:
         assert round_tripped["histograms"]["lat"]["count"] == 1
         assert round_tripped["timelines"]["story"]["first"]["start"] == 0.0
 
-    def test_phase_timer_wall_clock(self):
-        registry = TelemetryRegistry()
-        with registry.phase_timer("phase"):
-            pass
-        summary = registry.histogram("phase").snapshot()
-        assert summary["count"] == 1
-        assert summary["mean"] >= 0.0
-
-    def test_phase_timer_custom_clock(self):
-        registry = TelemetryRegistry()
-        ticks = iter([10.0, 12.5])
-        with registry.phase_timer("sim", clock=lambda: next(ticks)):
-            pass
-        assert registry.histogram("sim").snapshot()["mean"] == pytest.approx(2.5)
-
-    def test_phase_timer_observes_on_exception(self):
-        registry = TelemetryRegistry()
-        with pytest.raises(RuntimeError):
-            with registry.phase_timer("failing"):
-                raise RuntimeError("boom")
-        assert registry.histogram("failing").count == 1
-
 
 class TestActivation:
     def test_default_is_disabled(self):

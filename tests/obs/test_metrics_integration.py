@@ -5,7 +5,9 @@ fast; the full coalition-attack telemetry (recovery timeline included) runs
 once and is shared by the assertions that need it.
 """
 
+import csv
 import json
+import re
 
 import pytest
 
@@ -16,11 +18,33 @@ from repro.scenarios.registry import ScenarioFamily
 from repro.scenarios.runner import ScenarioRunner
 from repro.scenarios.spec import ScenarioSpec
 from repro.scenarios.store import ResultStore
-from repro.obs.export import snapshot_rows, write_csv, write_json
-from repro.obs.report import build_tables, render_report, telemetry_cells
+from repro.obs.export import (
+    render_report,
+    report_rows,
+    snapshot_rows,
+    telemetry_cells,
+    write_csv,
+    write_json,
+)
 from repro.zlb.system import ZLBSystem
 
 TINY_FAMILY = "telemetry-tiny"
+
+
+def _printed_rows(text):
+    """``(cell, type, metric, labels)`` of every row the text report prints,
+    its columns cut where the dashes of each table's header rule run."""
+    rows = []
+    for section in text.split("\n== ")[1:]:
+        title, header, rule, *lines = section.splitlines()
+        spans = [match.span() for match in re.finditer(r"-+", rule)]
+        names = [header[start:end].strip() for start, end in spans]
+        for line in lines:
+            if not line:
+                break
+            row = dict(zip(names, (line[start:end].strip() for start, end in spans)))
+            rows.append((row["cell"], title.rstrip("= "), row["metric"], row["labels"]))
+    return rows
 
 
 def _tiny_grid(scale):
@@ -177,8 +201,8 @@ class TestScenarioIntegration:
         json_path = str(tmp_path / "metrics.json")
         assert main(["report", out, "--csv", csv_path, "--json", json_path]) == 0
         printed = capsys.readouterr().out
-        assert "messages by protocol" in printed
-        assert "latency histograms" in printed
+        assert "== counter ==" in printed and "== histogram ==" in printed
+        assert "net.messages_sent" in printed
         assert "rbc.deliver_s" in printed
         header = open(csv_path, encoding="utf-8").readline()
         assert header.startswith("cell,type,metric")
@@ -225,18 +249,50 @@ class TestScenarioIntegration:
         assert "telemetry report — 1 instrumented cells" in printed
         assert "telemetry-tiny n=4 seed=7 metrics" in printed
 
-    def test_metric_filter_restricts_histograms(self, attack_snapshot):
+    def test_metric_filter_restricts_rows(self, attack_snapshot):
         _, snapshot = attack_snapshot
-        records = [
-            {"family": "fig4", "label": "fig4 n=9 seed=1",
-             "spec": {"family": "fig4", "n": 9, "seed": 1}, "telemetry": snapshot}
-        ]
-        tables = dict(build_tables(records, metric_filter="rbc."))
-        histogram_rows = tables["latency histograms (s)"]
-        assert histogram_rows
-        assert all(row["metric"].startswith("rbc.") for row in histogram_rows)
-        rendered = render_report(records, metric_filter="rbc.")
-        assert "timelines" in rendered  # timelines are not filtered away
+        cells = [("fig4 n=9 seed=1", snapshot)]
+        rows = report_rows(cells, metric_filter="rbc.")
+        assert any(row["type"] == "histogram" for row in rows)
+        assert all("rbc." in row["metric"] for row in rows)
+        rendered = render_report(cells, metric_filter="rbc.")
+        assert "== histogram ==" in rendered
+        assert "== timeline ==" not in rendered  # zlb.recovery.* is filtered
+
+    @pytest.mark.parametrize("metric_filter", [None, "rbc."])
+    def test_text_report_and_csv_carry_the_same_rows(
+        self, attack_snapshot, tmp_path, capsys, metric_filter
+    ):
+        from repro.scenarios.cli import main
+
+        _, snapshot = attack_snapshot
+        out = str(tmp_path / "attack.jsonl")
+        spec = ScenarioSpec(
+            family="fig4",
+            n=9,
+            attack="binary",
+            cross_partition_delay="1000ms",
+            instrument="metrics",
+        )
+        ResultStore(out).put(spec, {}, telemetry=snapshot)
+        flags = ["--metric", metric_filter] if metric_filter else []
+        assert main(["report", out, *flags]) == 0
+        printed = _printed_rows(capsys.readouterr().out)
+        csv_path = str(tmp_path / "attack.csv")
+        assert main(["report", out, "--csv", csv_path, *flags]) == 0
+        capsys.readouterr()
+        with open(csv_path, newline="", encoding="utf-8") as handle:
+            exported = [
+                (row["cell"], row["type"], row["metric"], row["labels"])
+                for row in csv.DictReader(handle)
+            ]
+        assert sorted(printed) == sorted(exported)
+        kinds = {kind for _, kind, _, _ in exported}
+        if metric_filter is None:
+            assert kinds == {"counter", "gauge", "histogram", "timeline"}
+        else:
+            assert exported
+            assert all(metric_filter in metric for _, _, metric, _ in exported)
 
 
 class TestExporters:
@@ -265,6 +321,53 @@ class TestExporters:
         )
         lines = open(csv_path, encoding="utf-8").read().splitlines()
         assert len(lines) == 2 and lines[1].startswith("x,histogram,lat")
+
+    def test_report_without_telemetry_says_how_to_record_it(self):
+        assert "--instrument metrics" in render_report([])
+
+    def test_report_prints_one_table_per_type_in_metric_order(self):
+        cells = [
+            ("cell-b", {"counters": {"z": 1, "a": 2}, "gauges": {"g": {"value": 1 / 3}}}),
+            ("cell-a", {"counters": {"z": 3}}),
+        ]
+        text = render_report(cells)
+        assert text.splitlines()[0] == "telemetry report — 2 instrumented cells"
+        assert text.index("== counter ==") < text.index("== gauge ==")
+        counter_lines = text.split("== counter ==\n")[1].split("\n\n")[0].splitlines()
+        assert [line.split()[:2] for line in counter_lines[2:]] == [
+            ["cell-b", "a"],
+            ["cell-a", "z"],
+            ["cell-b", "z"],
+        ]
+        assert "0.3333 " in text  # floats are rounded to four places
+
+    def test_report_rows_filter_on_any_part_of_the_metric_name(self):
+        cells = [
+            ("x", {"counters": {"rbc.deliver": 1, "bin.decide": 2}}),
+            ("y", {"histograms": {"rbc.deliver_s": {"count": 1}}}),
+        ]
+        assert [row["metric"] for row in report_rows(cells, "deliver")] == [
+            "rbc.deliver",
+            "rbc.deliver_s",
+        ]
+        assert [row["cell"] for row in report_rows(cells)] == ["x", "x", "y"]
+        assert report_rows(cells, "nothing-matches") == []
+
+    def test_report_csv_honours_the_metric_filter(self, tmp_path, capsys):
+        from repro.scenarios.cli import main
+
+        out = str(tmp_path / "store.jsonl")
+        ResultStore(out).put(
+            ScenarioSpec(family="fig4", n=4, seed=1),
+            {},
+            telemetry={"counters": {"rbc.sent": 4, "bin.sent": 5}},
+        )
+        csv_path = str(tmp_path / "rows.csv")
+        assert main(["report", out, "--metric", "rbc.", "--csv", csv_path]) == 0
+        printed = capsys.readouterr().out
+        assert "rbc.sent" in printed and "bin.sent" not in printed
+        with open(csv_path, newline="", encoding="utf-8") as handle:
+            assert [row["metric"] for row in csv.DictReader(handle)] == ["rbc.sent"]
 
     def test_telemetry_cells_skips_bare_records(self):
         records = [

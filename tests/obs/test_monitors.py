@@ -10,7 +10,7 @@ from repro.obs.monitors import (
     InvariantViolationError,
     MonitorSet,
 )
-from repro.obs.recorder import FlightRecorder
+from repro.obs.recorder import REPORT_CLOCK, FlightRecorder, merge_worker_events
 
 
 class TestFlightRecorder:
@@ -93,6 +93,73 @@ class TestFlightRecorder:
         assert [event["detail"] for event in events] == ["e6", "e7", "e8", "e9"]
 
 
+class TestMergeWorkerEvents:
+    """One merge serves flight events, report spans and trace events."""
+
+    def test_flight_events_keep_worker_time_and_gain_cluster_time(self):
+        merged = merge_worker_events(
+            {
+                0: [{"seq": 1, "t": 10.0}, {"seq": 2, "t": 12.0}],
+                1: [{"seq": 1, "t": 6.0}],
+            },
+            offsets={0: 1000.0, 1: 1005.0},
+        )
+        assert [(e["worker"], e["t"], e["t_cluster"]) for e in merged] == [
+            (0, 10.0, 0.0),
+            (1, 6.0, 1.0),
+            (0, 12.0, 2.0),
+        ]
+
+    def test_report_records_shift_onto_one_zero(self):
+        merged = merge_worker_events(
+            {
+                0: [
+                    {"name": "span", "start": 10.0, "end": 11.0},
+                    {"name": "event", "t": 10.5},
+                ],
+                1: [{"name": "span", "start": 7.0, "end": 9.0}],
+            },
+            offsets={0: 100.0, 1: 104.0},
+            clock=REPORT_CLOCK,
+        )
+        assert [(r["worker"], r["name"]) for r in merged] == [
+            (0, "span"),
+            (0, "event"),
+            (1, "span"),
+        ]
+        assert (merged[0]["start"], merged[0]["end"]) == (0.0, 1.0)
+        assert merged[1]["t"] == 0.5
+        assert (merged[2]["start"], merged[2]["end"]) == (1.0, 3.0)
+        assert all("t_cluster" not in record for record in merged)
+
+    def test_an_open_span_keeps_no_end(self):
+        (span,) = merge_worker_events(
+            {0: [{"start": 5.0, "end": None}]}, {0: 1.0}, clock=REPORT_CLOCK
+        )
+        assert span == {"start": 0.0, "end": None, "worker": 0}
+
+    def test_ties_break_by_worker_then_seq(self):
+        merged = merge_worker_events(
+            {
+                1: [{"seq": 2, "t": 1.0}, {"seq": 1, "t": 1.0}],
+                0: [{"seq": 5, "t": 1.0}],
+            }
+        )
+        assert [(e["worker"], e["seq"]) for e in merged] == [(0, 5), (1, 1), (1, 2)]
+
+    def test_the_workers_records_are_left_untouched(self):
+        flight = {0: [{"seq": 1, "t": 3.0}]}
+        spans = {0: [{"start": 3.0, "end": 4.0}]}
+        merge_worker_events(flight, {0: 2.0})
+        merge_worker_events(spans, {0: 2.0}, clock=REPORT_CLOCK)
+        assert flight == {0: [{"seq": 1, "t": 3.0}]}
+        assert spans == {0: [{"start": 3.0, "end": 4.0}]}
+
+    def test_nothing_to_merge(self):
+        assert merge_worker_events({}) == []
+        assert merge_worker_events({0: [], 1: []}, clock=REPORT_CLOCK) == []
+
+
 class TestAgreementMonitor:
     def test_matching_decisions_stay_green(self):
         monitors = MonitorSet()
@@ -119,6 +186,48 @@ class TestAgreementMonitor:
         monitors.configure(honest={0, 1})
         monitors.on_decision(0, epoch=0, instance=1, digest="d1", at=1.0)
         monitors.on_decision(5, epoch=0, instance=1, digest="d2", at=1.1)
+        assert monitors.ok
+
+    def test_each_disagreeing_instance_trips_once(self):
+        monitors = MonitorSet()
+        for instance in (1, 2):
+            monitors.on_decision(0, epoch=0, instance=instance, digest="a", at=1.0)
+            monitors.on_decision(1, epoch=0, instance=instance, digest="b", at=1.1)
+            monitors.on_decision(2, epoch=0, instance=instance, digest="c", at=1.2)
+            monitors.on_decision(3, epoch=0, instance=instance, digest="a", at=1.3)
+        assert [v.detail["instance"] for v in monitors.violations] == [1, 2]
+        assert [v.replica for v in monitors.violations] == [1, 1]
+
+    def test_the_same_instance_in_a_later_epoch_trips_again(self):
+        monitors = MonitorSet()
+        for epoch in (0, 1):
+            monitors.on_decision(0, epoch=epoch, instance=4, digest="a", at=1.0)
+            monitors.on_decision(1, epoch=epoch, instance=4, digest="b", at=1.1)
+        assert [v.detail["epoch"] for v in monitors.violations] == [0, 1]
+
+    def test_violation_names_both_digests(self):
+        monitors = MonitorSet()
+        monitors.on_decision(0, epoch=0, instance=7, digest="a", at=1.0)
+        monitors.on_decision(2, epoch=0, instance=7, digest="b", at=2.5)
+        assert monitors.violations[0].to_dict() == {
+            "name": "agreement",
+            "replica": 2,
+            "at": 2.5,
+            "detail": {
+                "epoch": 0,
+                "instance": 7,
+                "other": 0,
+                "digest": "b",
+                "other_digest": "a",
+            },
+        }
+
+    def test_a_replica_repeating_its_decision_stays_green(self):
+        # A cluster worker re-ships its recent commits in every obs frame.
+        monitors = MonitorSet()
+        for at in (1.0, 2.0, 3.0):
+            monitors.on_decision(0, epoch=0, instance=1, digest="d", at=at)
+        monitors.on_decision(1, epoch=0, instance=1, digest="d", at=3.5)
         assert monitors.ok
 
 

@@ -107,10 +107,13 @@ class TestLevels:
         probe.sample("commit_latency_s", 0.25)
         snap = probe.live_snapshot()
         assert set(snap) == {
-            "cadence_s", "series", "message_totals", "quantiles", "totals", "cell",
+            "cadence_s", "series", "message_totals", "totals", "cell",
         }
         assert snap["cell"] == "c1"
-        assert snap["quantiles"]["commit_latency_s"]
+        assert probe.sampler.quantile_current("commit_latency_s") == {
+            "p50": 0.25,
+            "p99": 0.25,
+        }
         assert probe.artefacts()["obs"]["cell"] == "c1"
 
     def test_no_host_profiler_and_no_publisher_slot(self):

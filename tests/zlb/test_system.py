@@ -57,9 +57,9 @@ class TestFaultFreeRun:
 
     def test_metrics_conversion(self, fault_free_result):
         _, result = fault_free_result
-        metrics = result.to_metrics()
-        assert metrics.n == 4
-        assert metrics.committed_transactions == result.committed_transactions
+        row = result.to_row()
+        assert row["n"] == 4
+        assert row["committed_transactions"] == result.committed_transactions
 
 
 class TestSystemConstruction:
