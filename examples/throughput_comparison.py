@@ -2,8 +2,9 @@
 """Figure 3 walkthrough: ZLB vs Polygraph, HotStuff and Red Belly throughput.
 
 Prints the calibrated phase-level model series over the paper's committee
-sizes (the reproduction of Figure 3's shape) and, optionally, a measured
-comparison of the actual message-level implementations at a small scale.
+sizes (the reproduction of Figure 3's shape; Polygraph appears only there),
+then a measured comparison of the message-level implementations at n = 7:
+ZLB, Red Belly (the same ZLB deployment with confirmation off) and HotStuff.
 
 Run with::
 

@@ -3,8 +3,9 @@
 The package implements the paper's contribution (accountable SMR with
 membership change, block merge, zero-loss payments) and every substrate it
 depends on (discrete-event network simulation, ECDSA, reliable broadcast,
-binary and set Byzantine consensus, Polygraph accountability, HotStuff /
-Red Belly / Polygraph baselines) in pure Python.
+binary and set Byzantine consensus, Polygraph accountability, the HotStuff
+baseline) in pure Python.  The Red Belly baseline is a ZLB deployment with
+confirmation off.
 
 Quickstart::
 

@@ -2,24 +2,13 @@
 
 * :mod:`repro.baselines.hotstuff` — the leader-based SMR at the heart of
   Facebook Libra: linear communication, one proposal per consensus instance.
-* :mod:`repro.baselines.redbelly` — the Red Belly Blockchain: SBC without
-  accountability, the fastest of the compared systems but unable to tolerate
-  ``f >= n/3``.
-* :mod:`repro.baselines.polygraph_chain` — a blockchain on Polygraph's
-  accountable consensus: it detects deceitful replicas after a disagreement
-  but, unlike ZLB, never excludes them nor merges the branches, so it cannot
-  recover.
+
+Red Belly, the fastest of the compared systems but unable to tolerate
+``f >= n/3``, runs the same SBC as ZLB without accountability, so it is not
+a module here: it is a ZLB deployment with confirmation off
+(``ZLBSystem.create(..., confirmation=False, pool_size=0)``).
 """
 
 from repro.baselines.hotstuff import HotStuffReplica, HotStuffCluster
-from repro.baselines.redbelly import RedBellyReplica, RedBellyCluster
-from repro.baselines.polygraph_chain import PolygraphReplica, PolygraphCluster
 
-__all__ = [
-    "HotStuffReplica",
-    "HotStuffCluster",
-    "RedBellyReplica",
-    "RedBellyCluster",
-    "PolygraphReplica",
-    "PolygraphCluster",
-]
+__all__ = ["HotStuffReplica", "HotStuffCluster"]

@@ -102,31 +102,26 @@ class FaultConfig:
 
 @dataclasses.dataclass(frozen=True)
 class ProtocolConfig:
-    """Protocol-level knobs shared by ZLB and the baselines.
+    """Protocol-level knobs of an SBC replica (ZLB, or Red Belly without
+    confirmation).
 
     Attributes:
         batch_size: transactions per proposal (the paper uses 10,000).
-        confirmation_enabled: run the optional confirmation phase (§4.1.1 ②).
-        accountability_enabled: attach certificates to decisions (Polygraph).
+        confirmation_enabled: run the confirmation phase (§4.1.1 ②), the
+            source of every proof of fraud; off, the replica is Red Belly.
         pof_threshold: number of PoFs required to start a membership change;
             ``None`` means the paper default ``ceil(n/3)``.
-        max_pending_instances: how many consensus instances may run
-            concurrently with confirmation/reconciliation of earlier ones.
     """
 
     batch_size: int = 10_000
     confirmation_enabled: bool = True
-    accountability_enabled: bool = True
     pof_threshold: Optional[int] = None
-    max_pending_instances: int = 4
 
     def __post_init__(self) -> None:
         if self.batch_size <= 0:
             raise ConfigurationError("batch_size must be positive")
         if self.pof_threshold is not None and self.pof_threshold <= 0:
             raise ConfigurationError("pof_threshold must be positive when set")
-        if self.max_pending_instances <= 0:
-            raise ConfigurationError("max_pending_instances must be positive")
 
 
 @dataclasses.dataclass(frozen=True)

@@ -35,9 +35,5 @@ class InvalidTransactionError(LedgerError):
     """Raised when a transaction is malformed, unsigned or double-spending."""
 
 
-class InsufficientDepositError(LedgerError):
-    """Raised when a deposit cannot cover a required refund."""
-
-
 class SimulationError(ReproError):
     """Raised when the discrete-event simulator is used incorrectly."""

@@ -108,19 +108,6 @@ class VoteKind(enum.Enum):
     DECIDE = "decide"
     PROPOSAL = "proposal"
 
-    @staticmethod
-    def equivocation_checked() -> Tuple["VoteKind", ...]:
-        """Kinds for which two different signed values in the same context
-        constitute a proof of fraud."""
-        return (
-            VoteKind.RBC_INIT,
-            VoteKind.RBC_ECHO,
-            VoteKind.RBC_READY,
-            VoteKind.AUX,
-            VoteKind.DECIDE,
-            VoteKind.PROPOSAL,
-        )
-
 
 #: Wire value -> member.  The parsers subscript it: an unknown kind is a
 #: ``KeyError`` and an unhashable one a ``TypeError``, which every handler

@@ -241,13 +241,6 @@ class BlockchainRecord:
             batch_spent.update(tx_input.utxo_id for tx_input in transaction.inputs)
         return report
 
-    def validate_for_append(
-        self, transactions: Iterable[Transaction]
-    ) -> List[Transaction]:
-        """Filter ``transactions`` down to the valid, applicable, non-duplicate
-        ones (the list-only form of :meth:`filter_for_append`)."""
-        return self.filter_for_append(transactions).accepted
-
     def append_block(
         self,
         transactions: Iterable[Transaction],

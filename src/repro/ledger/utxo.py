@@ -339,14 +339,6 @@ class UTXOView:
 
     # -- introspection -------------------------------------------------------
 
-    def added_utxos(self) -> List[UTXO]:
-        """Outputs created in this view (not present in the base)."""
-        return list(self._added.values())
-
-    def removed_ids(self) -> Set[str]:
-        """Base outputs consumed by this view."""
-        return set(self._removed)
-
     def balance_deltas(self) -> Dict[str, int]:
         """Per-account balance change of this view relative to its base."""
         return dict(self._balance_delta)

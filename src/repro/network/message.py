@@ -138,12 +138,6 @@ class Message:
         return f"Message({self.describe()}, uid={self.uid})"
 
 
-def reset_message_counter() -> None:
-    """Reset the global message uid counter (test isolation helper)."""
-    global _message_counter
-    _message_counter = itertools.count()
-
-
 def estimate_size_bytes(body: Dict[str, Any], base_overhead: int = 64) -> int:
     """Rough wire-size estimate of a message body, used by the cost models.
 

@@ -195,10 +195,6 @@ class Process:
         """Schedule ``callback`` to run after ``delay`` transport seconds."""
         return self.transport.schedule(delay, callback, owner=self.replica_id)
 
-    def cancel_timer(self, timer_id: int) -> None:
-        """Cancel a previously scheduled timer (no-op if already fired)."""
-        self.transport.cancel(timer_id)
-
     # -- protocol hooks ------------------------------------------------------
 
     def on_start(self) -> None:

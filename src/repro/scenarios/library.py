@@ -24,7 +24,8 @@ configuration.
 
 Three measurements that are not sweeps live next to their figure:
 :func:`run_measured_comparison` (Fig. 3 on the message-level
-implementations), :func:`run_catchup_timing` (Fig. 5, right) and
+implementations: ZLB, Red Belly as ZLB with confirmation off, and HotStuff),
+:func:`run_catchup_timing` (Fig. 5, right) and
 :func:`build_merge_fixture` / :func:`merge_two_blocks` (Table 1).
 """
 
@@ -40,7 +41,6 @@ from repro.analysis.zero_loss import (
     minimum_blockdepth,
 )
 from repro.baselines.hotstuff import HotStuffCluster
-from repro.baselines.redbelly import RedBellyCluster
 from repro.common.config import FaultConfig
 from repro.common.errors import ConfigurationError
 from repro.consensus.certificates import Certificate, VoteKind, make_vote
@@ -140,46 +140,36 @@ def run_measured_comparison(
 ) -> Dict[str, Dict[str, float]]:
     """Measured comparison of the real message-level implementations at small n.
 
+    Red Belly is the ZLB deployment with confirmation off (and no candidate
+    pool): the same SBC, with no proof of fraud and no membership change.
     Absolute tx/s at toy scale do not carry the paper's verification and
     bandwidth costs (those are what the calibrated model captures); the
     structural quantity that transfers is *transactions decided per consensus
     instance*: SBC-style protocols decide up to n proposals per instance while
     HotStuff decides exactly one.
     """
-    results: Dict[str, Dict[str, float]] = {}
 
-    zlb = ZLBSystem.create(
-        FaultConfig(n=n),
-        seed=seed,
-        delay="aws",
-        workload_transactions=transactions,
-        batch_size=batch_size,
-    )
-    outcome = zlb.run_instances(2)
-    zlb_instances = max(
-        len(d["decided_instances"]) for d in outcome.per_replica.values()
-    )
-    results["ZLB"] = {
-        "tx_per_sec": outcome.throughput_tx_per_sec,
-        "tx_per_instance": outcome.committed_transactions / max(zlb_instances, 1),
+    def measure_sbc(**options: Any) -> Dict[str, float]:
+        outcome = ZLBSystem.create(
+            FaultConfig(n=n),
+            seed=seed,
+            delay="aws",
+            workload_transactions=transactions,
+            batch_size=batch_size,
+            **options,
+        ).run_instances(2)
+        instances = max(
+            len(d["decided_instances"]) for d in outcome.per_replica.values()
+        )
+        return {
+            "tx_per_sec": outcome.throughput_tx_per_sec,
+            "tx_per_instance": outcome.committed_transactions / max(instances, 1),
+        }
+
+    results = {
+        "ZLB": measure_sbc(),
+        "Red Belly": measure_sbc(confirmation=False, pool_size=0),
     }
-
-    redbelly = RedBellyCluster(
-        n,
-        delay=AwsRegionDelay(),
-        seed=seed,
-        batch_size=batch_size,
-        workload_transactions=transactions,
-    )
-    redbelly.run_instances(2)
-    simulated = max(redbelly.simulator.now, 1e-9)
-    rb_committed = max(redbelly.committed_transactions())
-    rb_instances = max(len(r.decided_instances()) for r in redbelly.replicas)
-    results["Red Belly"] = {
-        "tx_per_sec": rb_committed / simulated,
-        "tx_per_instance": rb_committed / max(rb_instances, 1),
-    }
-
     hotstuff = HotStuffCluster(n, delay=AwsRegionDelay(), seed=seed)
     hotstuff.submit_payloads(
         [{"batch": list(range(batch_size))} for _ in range(6)]

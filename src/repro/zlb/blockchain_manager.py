@@ -79,17 +79,14 @@ class BlockchainManager:
     def __init__(
         self,
         replica_id: ReplicaId,
-        genesis_allocations: Sequence[Tuple[str, int]] = (),
+        genesis: Tuple[Block, Sequence[UTXO]],
         initial_deposit: int = 0,
         batch_size: int = 10_000,
-        genesis: Optional[Tuple[Block, Sequence[UTXO]]] = None,
     ):
         self.replica_id = replica_id
         self.batch_size = batch_size
         self.record = BlockchainRecord(
-            genesis_allocations=genesis_allocations,
-            initial_deposit=initial_deposit,
-            genesis=genesis,
+            initial_deposit=initial_deposit, genesis=genesis
         )
         self.mempool = Mempool()
         #: Blocks appended from local SBC decisions, indexed by ASMR instance.

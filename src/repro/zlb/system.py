@@ -2,8 +2,9 @@
 
 :func:`deploy` is the one constructor of a deployment: from a
 :class:`~repro.common.config.FaultConfig` and a seed it provisions the keys,
-the client workload, the genesis, the deposit policy and — optionally — one of
-the two coalition attacks, and builds any of its
+the client workload, the genesis (funding every member's deposit under the
+one :data:`DEPOSIT_POLICY`) and — optionally — one of the two coalition
+attacks, and builds any of its
 :class:`~repro.zlb.node.ZLBReplica` processes on request.  :class:`ZLBSystem`
 puts every committee member (honest, deceitful and benign) and a pool of
 standby candidates for inclusion on the simulator, with the partition delays
@@ -40,6 +41,12 @@ from repro.smr.pool import CandidatePool
 from repro.zlb.blockchain_manager import BlockchainManager, replica_deposit_account
 from repro.zlb.node import ZLBReplica
 from repro.zlb.payment import DepositPolicy
+
+#: The deposit every deployment funds: the coalition's deposit covers a gain
+#: of up to 100 000 coins, final after 5 blocks.
+DEPOSIT_POLICY = DepositPolicy(
+    gain_bound=100_000, deposit_factor=1.0, finalization_blockdepth=5
+)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -185,7 +192,6 @@ class Deployment:
     pool_ids: List[ReplicaId]
     keys: ProvisionedKeys
     workload: TransferWorkload
-    deposit_policy: DepositPolicy
     protocol_config: ProtocolConfig
     plan: CoalitionPlan
     #: The deployment genesis ``(block, utxos)`` every replica starts from.
@@ -209,7 +215,7 @@ class Deployment:
             registry=self.keys.registry,
             blockchain=BlockchainManager(
                 replica_id=replica_id,
-                initial_deposit=self.deposit_policy.coalition_deposit,
+                initial_deposit=DEPOSIT_POLICY.coalition_deposit,
                 batch_size=self.protocol_config.batch_size,
                 genesis=self.genesis,
             ),
@@ -217,7 +223,7 @@ class Deployment:
             config=self.protocol_config,
             fault=fault,
             standby=standby,
-            finalization_blockdepth=self.deposit_policy.finalization_blockdepth,
+            finalization_blockdepth=DEPOSIT_POLICY.finalization_blockdepth,
         )
         if fault is FaultKind.DECEITFUL and self.strategy is not None:
             replica.attack_strategy = self.strategy
@@ -227,12 +233,11 @@ class Deployment:
 def deploy(
     fault_config: FaultConfig,
     seed: int = 0,
-    protocol_config: Optional[ProtocolConfig] = None,
-    deposit_policy: Optional[DepositPolicy] = None,
     attack: Optional[AttackSpec] = None,
     pool_size: Optional[int] = None,
     workload_accounts: int = 16,
-    batch_size: Optional[int] = None,
+    batch_size: int = 50,
+    confirmation: bool = True,
 ) -> Deployment:
     """Assemble a deployment as a pure function of its arguments.
 
@@ -241,12 +246,13 @@ def deploy(
     verify each other's signatures and agree on every genesis UTXO id.  The
     genesis allocates the workload's accounts, then one deposit per
     committee and pool member, then the attacker wallets; ``pool_size``
-    defaults to ``n``.
+    defaults to ``n``.  ``confirmation=False`` skips the confirmation phase,
+    so no proof of fraud ever forms and no membership change runs: that is
+    the Red Belly blockchain of Fig. 3, the same SBC without accountability.
     """
     n = fault_config.n
-    protocol_config = protocol_config or ProtocolConfig(batch_size=batch_size or 50)
-    deposit_policy = deposit_policy or DepositPolicy(
-        gain_bound=100_000, deposit_factor=1.0, finalization_blockdepth=5
+    protocol_config = ProtocolConfig(
+        batch_size=batch_size, confirmation_enabled=confirmation
     )
     pool_size = n if pool_size is None else pool_size
     plan = CoalitionPlan.from_fault_config(
@@ -258,7 +264,7 @@ def deploy(
 
     workload = TransferWorkload(num_accounts=workload_accounts, seed=seed)
     allocations: List[Tuple[str, int]] = list(workload.genesis_allocations)
-    per_replica_deposit = deposit_policy.per_replica_deposit(n)
+    per_replica_deposit = DEPOSIT_POLICY.per_replica_deposit(n)
     for replica_id in committee + pool_ids:
         allocations.append((replica_deposit_account(replica_id), per_replica_deposit))
 
@@ -301,7 +307,6 @@ def deploy(
         pool_ids=pool_ids,
         keys=keys,
         workload=workload,
-        deposit_policy=deposit_policy,
         protocol_config=protocol_config,
         plan=plan,
         genesis=genesis,
@@ -366,13 +371,12 @@ class ZLBSystem:
         fault_config: FaultConfig,
         seed: int = 0,
         delay: Union[str, DelayModel] = "aws",
-        protocol_config: Optional[ProtocolConfig] = None,
-        deposit_policy: Optional[DepositPolicy] = None,
         attack: Optional[AttackSpec] = None,
         pool_size: Optional[int] = None,
         workload_accounts: int = 16,
         workload_transactions: int = 200,
-        batch_size: Optional[int] = None,
+        batch_size: int = 50,
+        confirmation: bool = True,
         max_time: float = 3_600.0,
         max_events: Optional[int] = None,
         probe: Optional[Probe] = None,
@@ -391,12 +395,11 @@ class ZLBSystem:
         deployment = deploy(
             fault_config,
             seed=seed,
-            protocol_config=protocol_config,
-            deposit_policy=deposit_policy,
             attack=attack,
             pool_size=pool_size,
             workload_accounts=workload_accounts,
             batch_size=batch_size,
+            confirmation=confirmation,
         )
         plan = deployment.plan
 

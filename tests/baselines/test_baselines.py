@@ -1,12 +1,14 @@
-"""Tests for the HotStuff, Red Belly and Polygraph baselines."""
+"""Tests for the HotStuff baseline and for Red Belly, the ZLB deployment
+with confirmation off."""
+
+from typing import Dict
 
 import pytest
 
+from repro import obs
 from repro.baselines.hotstuff import HotStuffCluster
-from repro.baselines.polygraph_chain import PolygraphCluster
-from repro.baselines.redbelly import RedBellyCluster
 from repro.common.config import FaultConfig
-from repro.network.delays import UniformDelay
+from repro.zlb.system import ZLBSystem
 
 
 class TestHotStuff:
@@ -44,42 +46,65 @@ class TestHotStuff:
         assert replica.leader_of(4) == 0
 
 
+def _red_belly(n: int, transactions: int, batch_size: int, probe=None) -> ZLBSystem:
+    """Red Belly: the ZLB deployment with confirmation off and no pool."""
+    return ZLBSystem.create(
+        FaultConfig(n=n),
+        seed=1,
+        delay="aws",
+        workload_transactions=transactions,
+        batch_size=batch_size,
+        confirmation=False,
+        pool_size=0,
+        probe=probe,
+    )
+
+
+def _sent_by_group(snapshot) -> Dict[str, int]:
+    sent: Dict[str, int] = {}
+    for key, value in snapshot["counters"].items():
+        if key.startswith("net.messages_sent"):
+            group = key.split("protocol=")[1].split(",")[0].rstrip("}")
+            sent[group] = sent.get(group, 0) + value
+    return sent
+
+
 class TestRedBelly:
-    def test_chains_agree(self):
-        cluster = RedBellyCluster(4, seed=1, workload_transactions=40, batch_size=10)
-        cluster.run_instances(2)
-        assert len(set(cluster.chain_heights())) == 1
-        assert min(cluster.committed_transactions()) > 0
+    # Every replica commits the whole workload in two instances.
+    @pytest.mark.parametrize(
+        "n, transactions, batch_size, messages, simulated",
+        [
+            (4, 40, 10, 916, 0.6286966266826657),
+            (7, 120, 20, 4_854, 0.6511346544697985),
+        ],
+    )
+    def test_schedule_is_pinned(
+        self, n, transactions, batch_size, messages, simulated
+    ):
+        system = _red_belly(n, transactions, batch_size)
+        result = system.run_instances(2)
+        chains = [replica.blockchain for replica in system.replicas.values()]
+        assert [chain.transactions_committed for chain in chains] == [transactions] * n
+        assert [chain.chain_height() for chain in chains] == [2] * n
+        assert result.messages_sent == messages
+        assert result.simulated_time == simulated
 
     def test_no_membership_change_machinery(self):
-        cluster = RedBellyCluster(4, seed=2, workload_transactions=20, batch_size=10)
-        cluster.run_instances(1)
-        assert all(r.membership_outcomes == [] for r in cluster.replicas)
-
-
-class TestPolygraphChain:
-    def test_detects_but_does_not_recover(self):
-        cluster = PolygraphCluster(
-            FaultConfig.paper_attack(9),
-            seed=2,
-            cross_partition_delay=UniformDelay.from_mean(1.0),
+        probe = obs.Probe(metrics=obs.TelemetryRegistry())
+        red_belly = _red_belly(4, 40, 10, probe=probe)
+        result = red_belly.run_instances(2)
+        sent = _sent_by_group(result.telemetry)
+        assert sent and "asmr:confirm" not in sent
+        assert sum(sent.values()) == result.messages_sent
+        assert all(r.membership_outcomes == [] for r in red_belly.replicas.values())
+        # The same deployment with confirmation on does confirm.
+        zlb = ZLBSystem.create(
+            FaultConfig(n=4),
+            seed=1,
+            delay="aws",
             workload_transactions=40,
             batch_size=10,
+            pool_size=0,
+            probe=obs.Probe(metrics=obs.TelemetryRegistry()),
         )
-        cluster.run_instances(1, until=120)
-        # Accountability detects the coalition...
-        assert cluster.detection_times(), "expected at least one detection"
-        # ...but there is no membership change, so the committee never shrinks
-        # and the forked branches are never merged.
-        for replica in cluster.honest_replicas():
-            assert replica.membership_outcomes == []
-            assert len(replica.committee()) == 9
-
-    def test_fault_free_operation(self):
-        cluster = PolygraphCluster(
-            FaultConfig(n=4), seed=1, workload_transactions=20, batch_size=10
-        )
-        cluster.run_instances(1)
-        assert all(
-            r.decided_instances() == [0] for r in cluster.honest_replicas()
-        )
+        assert _sent_by_group(zlb.run_instances(2).telemetry)["asmr:confirm"] > 0

@@ -69,7 +69,6 @@ class TestProtocolConfig:
     def test_defaults_match_paper(self):
         cfg = ProtocolConfig()
         assert cfg.batch_size == 10_000
-        assert cfg.accountability_enabled
         assert cfg.confirmation_enabled
 
     def test_validation(self):
@@ -77,8 +76,6 @@ class TestProtocolConfig:
             ProtocolConfig(batch_size=0)
         with pytest.raises(ConfigurationError):
             ProtocolConfig(pof_threshold=0)
-        with pytest.raises(ConfigurationError):
-            ProtocolConfig(max_pending_instances=0)
 
 
 class TestSimulationConfig:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.common.errors import ConfigurationError
+from repro.ledger.block import make_genesis_block
 from repro.ledger.workload import TransferWorkload
 from repro.zlb.blockchain_manager import BlockchainManager, replica_deposit_account
 from repro.zlb.payment import DepositPolicy, ZeroLossPaymentSystem
@@ -15,7 +16,7 @@ def manager_and_workload():
     allocations.append((replica_deposit_account(0), 500))
     manager = BlockchainManager(
         replica_id=0,
-        genesis_allocations=allocations,
+        genesis=make_genesis_block(allocations),
         initial_deposit=1_000,
         batch_size=5,
     )

@@ -11,6 +11,7 @@ import pytest
 
 from repro.common.config import FaultConfig
 from repro.common.types import FaultKind, recovery_threshold
+from repro.ledger.block import make_genesis_block
 from repro.ledger.merge import BlockchainRecord
 from repro.ledger.transaction import TxInput, build_transfer
 from repro.ledger.utxo import UTXO, UTXOTable
@@ -25,7 +26,7 @@ def manager_and_workload():
     workload = TransferWorkload(num_accounts=6, seed=11)
     manager = BlockchainManager(
         replica_id=0,
-        genesis_allocations=list(workload.genesis_allocations),
+        genesis=workload.genesis,
         initial_deposit=1_000,
         batch_size=5,
     )
@@ -75,7 +76,7 @@ class TestStatefulProposalValidation:
         manager, workload = manager_and_workload
         tx_bob, tx_carol, allocations = double_spend_pair(amount=100, seed=3)
         manager2 = BlockchainManager(
-            replica_id=0, genesis_allocations=allocations, initial_deposit=100
+            replica_id=0, genesis=make_genesis_block(allocations), initial_deposit=100
         )
         manager2.record.append_block([tx_bob])
         assert not manager2.validate_proposal(1, [tx_carol])
@@ -133,7 +134,7 @@ class TestMergeRemoteDecision:
     def test_phantom_remote_transactions_rejected(self):
         tx_bob, tx_carol, allocations = double_spend_pair(amount=500, seed=4)
         manager = BlockchainManager(
-            replica_id=0, genesis_allocations=allocations, initial_deposit=1_000
+            replica_id=0, genesis=make_genesis_block(allocations), initial_deposit=1_000
         )
         attacker = Wallet("pipeline-attacker")
         phantom_input = TxInput(
@@ -151,7 +152,7 @@ class TestMergeRemoteDecision:
     def test_genuine_remote_double_spend_realises_gain(self):
         tx_bob, tx_carol, allocations = double_spend_pair(amount=500, seed=5)
         manager = BlockchainManager(
-            replica_id=0, genesis_allocations=allocations, initial_deposit=1_000
+            replica_id=0, genesis=make_genesis_block(allocations), initial_deposit=1_000
         )
         manager.record.append_block([tx_bob])
         manager.blocks_by_instance[0] = manager.record.blocks[-1]
@@ -173,7 +174,7 @@ class TestMergeRemoteDecision:
         base for the branch's balances to diverge from."""
         tx_bob, tx_carol, allocations = double_spend_pair(amount=500, seed=8)
         manager = BlockchainManager(
-            replica_id=0, genesis_allocations=allocations, initial_deposit=1_000
+            replica_id=0, genesis=make_genesis_block(allocations), initial_deposit=1_000
         )
         # No blocks_by_instance entry for instance 3.
         outcome = manager.merge_remote_decision(3, {2: [tx_carol]})
@@ -184,7 +185,7 @@ class TestMergeRemoteDecision:
     def test_merge_never_rewinds_the_journal(self, monkeypatch):
         tx_bob, tx_carol, allocations = double_spend_pair(amount=500, seed=5)
         manager = BlockchainManager(
-            replica_id=0, genesis_allocations=allocations, initial_deposit=1_000
+            replica_id=0, genesis=make_genesis_block(allocations), initial_deposit=1_000
         )
         manager.record.append_block([tx_bob])
         manager.blocks_by_instance[0] = manager.record.blocks[-1]
@@ -205,7 +206,7 @@ class TestMergeRemoteDecision:
         nothing is journalled, and ``RefundInputs`` still runs."""
         tx_bob, tx_carol, allocations = double_spend_pair(amount=500, seed=5)
         manager = BlockchainManager(
-            replica_id=0, genesis_allocations=allocations, initial_deposit=1_000
+            replica_id=0, genesis=make_genesis_block(allocations), initial_deposit=1_000
         )
         record = manager.record
         record.append_block([tx_bob])

@@ -6,8 +6,10 @@ import pytest
 
 import repro
 from repro.common.config import FaultConfig
+from repro.common.errors import ConfigurationError
 from repro.consensus.certificates import _VOTE_DIGESTS, _clear_memos
-from repro.zlb.system import AttackSpec, ZLBSystem
+from repro.scenarios import ScenarioSpec, system_for
+from repro.zlb.system import AttackSpec, ZLBSystem, deploy
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +91,12 @@ class TestSystemConstruction:
         )
         standby = [r for r in system.replicas.values() if r.standby]
         assert len(standby) == 3
+
+    def test_empty_batches_are_refused(self):
+        with pytest.raises(ConfigurationError):
+            deploy(FaultConfig(n=4), batch_size=0)
+        with pytest.raises(ConfigurationError):
+            system_for(ScenarioSpec(family="quickstart", n=4, batch_size=0))
 
 
 def _benign_fingerprint():
