@@ -56,7 +56,8 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from repro.common.errors import InvalidCertificateError
 from repro.common.memo import AgedMemo
 from repro.common.types import ReplicaId, quorum_size
-from repro.crypto.signatures import SignedPayload, payload_digest
+from repro.crypto.hashing import hash_payload
+from repro.crypto.signatures import SignedPayload
 
 #: Canonical-payload digests of votes, keyed by the vote identity tuple
 #: ``(context, round, kind, value_digest)``.  Recipients rebuild their own
@@ -207,7 +208,7 @@ def _vote_digest(
         return _VOTE_DIGESTS[key]
     except KeyError:
         pass
-    digest = payload_digest(vote_payload(context, round_number, kind, value_digest))
+    digest = hash_payload(vote_payload(context, round_number, kind, value_digest))
     _VOTE_DIGESTS[key] = digest
     return digest
 

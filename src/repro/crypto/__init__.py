@@ -11,7 +11,7 @@ interface:
   exercises identical code paths.
 """
 
-from repro.crypto.hashing import sha256_hex, sha256_bytes, hash_payload
+from repro.crypto.hashing import sha256_hex, hash_payload
 from repro.crypto.merkle import MerkleTree, merkle_root
 from repro.crypto.ecdsa import (
     EcdsaKeyPair,
@@ -31,7 +31,6 @@ from repro.crypto.signatures import (
 
 __all__ = [
     "sha256_hex",
-    "sha256_bytes",
     "hash_payload",
     "MerkleTree",
     "merkle_root",

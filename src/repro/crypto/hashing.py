@@ -12,10 +12,8 @@ from __future__ import annotations
 import hashlib
 from typing import Any
 
-
-def sha256_bytes(data: bytes) -> bytes:
-    """Return the raw SHA-256 digest of ``data``."""
-    return hashlib.sha256(data).digest()
+#: Bases whose subclasses :func:`_encode` encodes as the base.
+_SUBCLASSABLE = (int, float, str, bytes, list, tuple, set, frozenset, dict)
 
 
 def sha256_hex(data: bytes) -> str:
@@ -35,34 +33,82 @@ def canonical_bytes(payload: Any) -> bytes:
 
 
 def _encode(value: Any) -> bytes:
+    """One branch per exact builtin type, each leaf one ``bytes %`` format; a
+    list, tuple or dict writes its ``str`` and ``int`` members in place.  The
+    fallback at the end holds the encoding's rules, in their order, for
+    everything else: subclasses, then self-encoding objects."""
+    kind = type(value)
+    if kind is str:
+        data = value.encode()
+        return b"S%d:%s;" % (len(data), data)
+    if kind is int:
+        return b"I%d;" % value
+    if kind is list or kind is tuple:
+        body = bytearray()
+        for item in value:
+            kind = type(item)
+            if kind is str:
+                data = item.encode()
+                body += b"S%d:%s;" % (len(data), data)
+            elif kind is int:
+                body += b"I%d;" % item
+            else:
+                body += _encode(item)
+        return b"L%d:%s;" % (len(value), body)
+    if kind is dict:
+        pairs = []
+        for key, item in value.items():
+            kind = type(key)
+            if kind is str:
+                data = key.encode()
+                key = b"S%d:%s;" % (len(data), data)
+            elif kind is int:
+                key = b"I%d;" % key
+            else:
+                key = _encode(key)
+            kind = type(item)
+            if kind is str:
+                data = item.encode()
+                item = b"S%d:%s;" % (len(data), data)
+            elif kind is int:
+                item = b"I%d;" % item
+            else:
+                item = _encode(item)
+            pairs += ((key, item),)  # no append call per entry
+        pairs.sort()
+        body = bytearray()
+        for key, item in pairs:
+            body += key
+            body += item
+        return b"D%d:%s;" % (len(pairs), body)
     if value is None:
         return b"N;"
-    if isinstance(value, bool):
+    if kind is bool:
         return b"B1;" if value else b"B0;"
-    if isinstance(value, int):
-        encoded = str(value).encode("ascii")
-        return b"I" + encoded + b";"
-    if isinstance(value, float):
-        encoded = repr(value).encode("ascii")
-        return b"F" + encoded + b";"
-    if isinstance(value, str):
-        encoded = value.encode("utf-8")
-        return b"S" + str(len(encoded)).encode("ascii") + b":" + encoded + b";"
-    if isinstance(value, bytes):
-        return b"Y" + str(len(value)).encode("ascii") + b":" + value + b";"
-    if isinstance(value, (list, tuple)):
-        inner = b"".join(_encode(item) for item in value)
-        return b"L" + str(len(value)).encode("ascii") + b":" + inner + b";"
-    if isinstance(value, (set, frozenset)):
-        encoded_items = sorted(_encode(item) for item in value)
-        inner = b"".join(encoded_items)
-        return b"E" + str(len(value)).encode("ascii") + b":" + inner + b";"
-    if isinstance(value, dict):
-        encoded_items = sorted(
-            (_encode(key), _encode(val)) for key, val in value.items()
-        )
-        inner = b"".join(key + val for key, val in encoded_items)
-        return b"D" + str(len(value)).encode("ascii") + b":" + inner + b";"
+    if kind is bytes:
+        return b"Y%d:%s;" % (len(value), value)
+    if kind is float:
+        return b"F%a;" % value
+    if kind is set or kind is frozenset:
+        return b"E%d:%s;" % (len(value), b"".join(sorted(map(_encode, value))))
+    # A subclass (``IntEnum``, str enum, named tuple) takes its first base's
+    # rule, through its own ``str`` / ``repr`` / ``encode`` / iteration.
+    if isinstance(value, _SUBCLASSABLE):
+        if isinstance(value, int):
+            return b"I%s;" % str(value).encode("ascii")
+        if isinstance(value, float):
+            return b"F%s;" % repr(value).encode("ascii")
+        if isinstance(value, str):
+            data = value.encode("utf-8")
+            return b"S%d:%s;" % (len(data), data)
+        if isinstance(value, bytes):
+            return b"Y%d:%s;" % (len(value), value)
+        if isinstance(value, (list, tuple)):
+            return b"L%d:%s;" % (len(value), b"".join(map(_encode, value)))
+        if isinstance(value, (set, frozenset)):
+            return b"E%d:%s;" % (len(value), b"".join(sorted(map(_encode, value))))
+        pairs = sorted((_encode(key), _encode(item)) for key, item in value.items())
+        return b"D%d:%s;" % (len(value), b"".join(key + item for key, item in pairs))
     # Objects that memoise their own canonical encoding (e.g. transactions,
     # which are immutable once built and re-hashed on every proposal digest)
     # short-circuit the recursive walk entirely.
@@ -78,4 +124,4 @@ def _encode(value: Any) -> bytes:
 
 def hash_payload(payload: Any) -> str:
     """Return the hex SHA-256 digest of the canonical encoding of ``payload``."""
-    return sha256_hex(canonical_bytes(payload))
+    return hashlib.sha256(canonical_bytes(payload)).hexdigest()

@@ -14,12 +14,12 @@ from typing import Any, Dict, Iterable, Optional
 from repro.common.errors import InvalidSignatureError
 from repro.common.memo import AgedMemo
 from repro.common.types import ReplicaId
+from repro.crypto.hashing import hash_payload
 from repro.crypto.signatures import (
     EcdsaSigner,
     SignedPayload,
     Signer,
     SimulatedSigner,
-    payload_digest,
     scheme_for,
 )
 
@@ -87,7 +87,7 @@ class KeyRegistry:
         raising: a Byzantine replica may claim an arbitrary identity, and the
         protocol treats such messages as invalid, not as crashes.
         """
-        return self.verify_digest(payload_digest(payload), signed)
+        return self.verify_digest(hash_payload(payload), signed)
 
     def verify_digest(self, digest: str, signed: SignedPayload) -> bool:
         """Verify ``signed`` against a precomputed canonical payload digest.

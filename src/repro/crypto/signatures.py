@@ -24,7 +24,7 @@ from repro.crypto.ecdsa import (
     ecdsa_sign,
     ecdsa_verify,
 )
-from repro.crypto.hashing import canonical_bytes, sha256_hex
+from repro.crypto.hashing import hash_payload
 
 
 @dataclasses.dataclass(frozen=True)
@@ -61,10 +61,10 @@ class Signer:
         """Sign ``payload`` and return a :class:`SignedPayload`.
 
         ``digest`` is the caller's statement that it is ``payload``'s
-        canonical digest (:func:`payload_digest`) — the contract of
-        :meth:`~repro.crypto.keys.KeyRegistry.verify_digest` — and spares
-        encoding the payload; without it the payload is encoded here.  The
-        signature is the same either way.
+        canonical digest (:func:`~repro.crypto.hashing.hash_payload`) — the
+        contract of :meth:`~repro.crypto.keys.KeyRegistry.verify_digest` — and
+        spares encoding the payload; without it the payload is encoded here.
+        The signature is the same either way.
         """
         raise NotImplementedError
 
@@ -82,7 +82,7 @@ class SignatureScheme:
         """Return True when ``signed`` is a valid signature on ``payload``."""
         if self.scheme_name != signed.scheme:
             return False
-        if payload_digest(payload) != signed.payload_hash:
+        if hash_payload(payload) != signed.payload_hash:
             return False
         return self.verify_digest(signed.payload_hash, signed, public_material)
 
@@ -100,11 +100,6 @@ class SignatureScheme:
         raise NotImplementedError
 
 
-def payload_digest(payload: Any) -> str:
-    """Hex digest of the canonical encoding of ``payload``."""
-    return sha256_hex(canonical_bytes(payload))
-
-
 class EcdsaSigner(Signer):
     """Signs payload hashes with secp256k1 ECDSA (paper §4.2.4)."""
 
@@ -116,7 +111,7 @@ class EcdsaSigner(Signer):
 
     def sign(self, payload: Any, digest: Optional[str] = None) -> SignedPayload:
         if digest is None:
-            digest = payload_digest(payload)
+            digest = hash_payload(payload)
         signature = ecdsa_sign(self._keypair.private_key, digest.encode("ascii"))
         return SignedPayload(
             signer=self.replica,
@@ -168,7 +163,7 @@ class SimulatedSigner(Signer):
 
     def sign(self, payload: Any, digest: Optional[str] = None) -> SignedPayload:
         if digest is None:
-            digest = payload_digest(payload)
+            digest = hash_payload(payload)
         tag = hmac.digest(self._secret, digest.encode("ascii"), "sha256")
         return SignedPayload(
             signer=self.replica,

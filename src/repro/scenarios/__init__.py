@@ -33,7 +33,7 @@ from repro.scenarios.registry import (
     run_spec,
     scenario,
 )
-from repro.scenarios.runner import RunOutcome, ScenarioRunner, SweepReport, run_family, run_specs
+from repro.scenarios.runner import RunOutcome, ScenarioRunner, SweepReport, run_specs
 from repro.scenarios.spec import (
     SPEC_SCHEMA_VERSION,
     ScenarioSpec,
@@ -57,7 +57,6 @@ __all__ = [
     "iter_families",
     "register",
     "run_spec",
-    "run_family",
     "run_specs",
     "run_system",
     "scenario",

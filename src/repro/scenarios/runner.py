@@ -269,19 +269,6 @@ class ScenarioRunner:
             self.progress(outcome, completed, total)
 
 
-def run_family(
-    family: str,
-    scale: str = "small",
-    jobs: int = 1,
-    store: Optional[ResultStore] = None,
-    progress: Optional[ProgressCallback] = None,
-) -> SweepReport:
-    """Expand and run one family's grid (the CLI's workhorse)."""
-    specs = registry.expand(family, scale)
-    runner = ScenarioRunner(store=store, jobs=jobs, progress=progress)
-    return runner.run(specs)
-
-
 def run_specs(
     specs: Sequence[ScenarioSpec],
     store: Optional[ResultStore] = None,

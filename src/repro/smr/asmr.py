@@ -69,7 +69,7 @@ DEFAULT_CONFIRMATION_DELTA = 5.0 / 9.0
 #: Consensus messages and CONFIRMs for instances past the local target are
 #: kept for replay (see ``ASMRReplica._route_lazy_sbc`` and
 #: ``_handle_confirm``): this many instances past it, this many messages per
-#: sender.
+#: sender (and early membership traffic, see ``_park_membership``).
 AHEAD_WINDOW = 8
 AHEAD_PER_SENDER = 1024
 
@@ -239,8 +239,10 @@ class ASMRReplica(BaseReplica):
         self._pending_confirms: Dict[int, List[Tuple[ReplicaId, Dict[str, Any]]]] = {}
         self._pending_confirms_by: Dict[ReplicaId, int] = {}
         #: Exclusion / inclusion messages no started consensus owns yet, in
-        #: arrival order (see ``_park_membership``).
+        #: arrival order, and how many each sender has there (see
+        #: ``_park_membership``).
         self._parked_membership: List[Tuple[Topic, ReplicaId, str, Dict[str, Any]]] = []
+        self._parked_membership_by: Dict[ReplicaId, int] = {}
         #: Consensus messages for instances past ``target_instances``, by sender.
         self._ahead: Dict[ReplicaId, List[Tuple[Topic, str, Dict[str, Any]]]] = {}
         #: Open per-instance root spans (traced runs only).
@@ -708,6 +710,7 @@ class ASMRReplica(BaseReplica):
         route what was parked again, in arrival order.  What is still early
         lands on ``_park_membership`` and parks again, in the same order."""
         parked, self._parked_membership = self._parked_membership, []
+        self._parked_membership_by = {}
         for message_topic, sender, kind, body in parked:
             self.route(message_topic, sender, kind, body)
 
@@ -851,11 +854,18 @@ class ASMRReplica(BaseReplica):
         """Fallback at ``("excl",)`` / ``("incl",)``, reached while no started
         consensus owns the deeper ``(root, epoch)`` prefix.  This epoch's (a
         phase this replica has not reached) or a later one's is kept, in
-        arrival order, for ``_replay_parked_membership``; a finished epoch has
-        no consensus left to hear it and is dropped."""
+        arrival order, for ``_replay_parked_membership``, up to
+        ``AHEAD_PER_SENDER`` per sender (more is dropped and counted, so a
+        peer sending a far epoch over and over cannot grow the list); a
+        finished epoch has no consensus left to hear it and is dropped."""
         segments = message_topic.segments
         if len(segments) > 1 and type(segments[1]) is int and segments[1] >= self.epoch:
-            self._parked_membership.append((message_topic, sender, kind, body))
+            parked = self._parked_membership_by.get(sender, 0)
+            if parked < AHEAD_PER_SENDER:
+                self._parked_membership.append((message_topic, sender, kind, body))
+                self._parked_membership_by[sender] = parked + 1
+            elif self.probe is not None:
+                self.probe.count("membership.parked_dropped")
         elif self.probe is not None:
             self.probe.count("membership.stale_messages")
 

@@ -3,12 +3,12 @@
 import pytest
 
 from repro.common.errors import InvalidSignatureError
+from repro.crypto.hashing import hash_payload
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.signatures import (
     EcdsaSigner,
     SignedPayload,
     SimulatedSigner,
-    payload_digest,
     scheme_for,
 )
 
@@ -96,8 +96,8 @@ class TestKeyRegistry:
 
 class TestPayloadDigest:
     def test_stable(self):
-        assert payload_digest({"a": 1}) == payload_digest({"a": 1})
-        assert payload_digest({"a": 1}) != payload_digest({"a": 2})
+        assert hash_payload({"a": 1}) == hash_payload({"a": 1})
+        assert hash_payload({"a": 1}) != hash_payload({"a": 2})
 
 
 #: A vote statement, its canonical digest and replica 3's tag over it under
@@ -114,10 +114,10 @@ class TestSignGivenDigest:
     @pytest.mark.parametrize("signer", [SimulatedSigner(3), EcdsaSigner(3)], ids=["hmac", "ecdsa"])
     @pytest.mark.parametrize("payload", [PINNED_PAYLOAD, "x", {"vote": 1, "round": 3}])
     def test_signature_is_byte_identical(self, signer, payload):
-        assert signer.sign(payload, payload_digest(payload)) == signer.sign(payload)
+        assert signer.sign(payload, hash_payload(payload)) == signer.sign(payload)
 
     def test_hmac_tag_is_pinned(self):
-        assert payload_digest(PINNED_PAYLOAD) == PINNED_DIGEST
+        assert hash_payload(PINNED_PAYLOAD) == PINNED_DIGEST
         signer = SimulatedSigner(3, root_secret=b"repro-simulated")
         for signed in (signer.sign(PINNED_PAYLOAD), signer.sign(PINNED_PAYLOAD, PINNED_DIGEST)):
             assert signed.payload_hash == PINNED_DIGEST
@@ -158,14 +158,14 @@ class TestVerifiedSignatureCache:
         # check runs before the cache is consulted.
         assert not keys.registry.verify({"vote": 0}, signed)
         assert not keys.registry.verify_digest(
-            payload_digest({"vote": 0}), signed
+            hash_payload({"vote": 0}), signed
         )
 
     def test_negative_verdicts_cached_without_poisoning(self):
         keys = KeyRegistry.provision(range(2))
         forged = SignedPayload(
             signer=1,
-            payload_hash=payload_digest("x"),
+            payload_hash=hash_payload("x"),
             signature=b"garbage",
             scheme="simulated",
         )

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.errors import InvalidTransactionError
-from repro.crypto.signatures import payload_digest
+from repro.crypto.hashing import hash_payload
 from repro.ledger.block import make_genesis_block
 from repro.ledger.transaction import (
     PAPER_TX_SIZE_BYTES,
@@ -233,7 +233,7 @@ class TestIdIsTheSignedDigest:
         body = tx.body_payload()
         for wallet in wallets:
             signed = tx.signatures[wallet.address]
-            assert tx.tx_id == payload_digest(body) == signed.payload_hash
+            assert tx.tx_id == hash_payload(body) == signed.payload_hash
             assert signed == wallet.sign(body)
         tx.verify()
 

@@ -11,7 +11,7 @@ from repro.network.simulator import NetworkSimulator
 from repro.network.topic import Topic, topic
 from repro.obs.core import Probe
 from repro.obs.metrics import TelemetryRegistry
-from repro.smr.asmr import ASMRReplica
+from repro.smr.asmr import AHEAD_PER_SENDER, ASMRReplica
 from repro.smr.membership import MembershipChange
 from repro.smr.pool import CandidatePool
 
@@ -312,3 +312,23 @@ class TestEarlyInclusionTraffic:
         early = stale[0].topic.segments[:1] + (1,) + stale[0].topic.segments[2:]
         replica.route(Topic.of(*early), 1, stale[0].kind, stale[0].body)
         assert [message[0].segments for message in replica._parked_membership] == [early]
+
+    def test_a_flood_of_far_epochs_is_capped_per_sender_and_counted(self):
+        culprits = (4, 5, 6)
+        simulator, replicas, changes, _ = _replicas(7, culprits, lambda rid: culprits)
+        replica = replicas[0]
+        replica.probe = Probe(metrics=TelemetryRegistry())
+        far = Topic.of("excl", 10**9, "bin", 0)
+        for _ in range(10_000):
+            replica.route(far, 1, "BVAL", {"value": 0})
+        assert len(replica._parked_membership) == AHEAD_PER_SENDER
+        counters = replica.probe.metrics.snapshot()["counters"]
+        assert counters["membership.parked_dropped"] == 10_000 - AHEAD_PER_SENDER
+        # The cap is the flooding sender's alone: another peer still parks,
+        # and the committee's own membership change completes.
+        replica.route(far, 2, "BVAL", {"value": 0})
+        assert len(replica._parked_membership) == AHEAD_PER_SENDER + 1
+        simulator.run()
+        assert sorted(_outcomes(replicas)) == [0, 1, 2, 3]
+        counters = replica.probe.metrics.snapshot()["counters"]
+        assert counters["membership.parked_dropped"] == 10_000 - AHEAD_PER_SENDER
