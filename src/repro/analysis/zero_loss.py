@@ -135,13 +135,6 @@ def branch_bound(n: int, deceitful: int, benign: int = 0) -> int:
     return max(1, math.floor((n - deceitful) / denominator))
 
 
-def deceitful_ratio_to_branches(delta: float, n: int = 90) -> int:
-    """Convenience wrapper mapping a deceitful ratio to the branch bound."""
-    if not 0.0 <= delta <= 1.0:
-        raise ConfigurationError("the deceitful ratio must be in [0, 1]")
-    return branch_bound(n, int(math.floor(delta * n)))
-
-
 def attack_success_probability(
     disagreements: int, attempts: int, laplace_smoothing: bool = True
 ) -> float:

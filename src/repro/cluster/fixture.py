@@ -51,7 +51,7 @@ class ClusterSpec:
             (``tcp`` only).
         timeout: per-worker wall-clock budget in seconds.
         obs: give every worker a fully instrumented probe (metrics, tracing
-            with invariant monitors, streaming sampler) and stream periodic
+            with a flight recorder, streaming sampler) and stream periodic
             obs frames to the launcher.  Strictly observational: the committed
             chain of a given seed is identical with ``obs`` on or off.
     """

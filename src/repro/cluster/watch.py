@@ -241,12 +241,12 @@ class ClusterWatcher(Watcher):
         offset = frame.get("epoch_offset")
         if isinstance(offset, (int, float)):
             self._epoch_offsets[replica_id] = float(offset)
+        for violation in frame.get("violations") or ():
+            self._record(row, violation)
         obs = frame.get("obs")
         if isinstance(obs, dict):
             self._report_obs[replica_id] = obs
             row.spans_truncated += int(obs.get("spans_truncated") or 0)
-            for violation in (obs.get("monitors") or {}).get("violations") or ():
-                self._record(row, violation)
 
     def note_crash(self, replica_id: int, exit_code: Any) -> None:
         """Mark a replica that exited without a report (collector-thread safe)."""

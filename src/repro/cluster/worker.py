@@ -12,20 +12,19 @@ stdout: ``ready`` once the listener is bound, ``connected`` once every peer
 dial completed, periodic ``obs`` frames while the spec's ``obs`` is set, and
 exactly one final ``report``.
 
-The worker always counts (a metrics registry — its snapshot rides in the
-report).  With ``obs`` set its :class:`~repro.obs.core.Probe` carries every
-back-end, the ``"all"`` level of a simulator cell — the trace runtime
-(tracer in a per-replica id namespace, flight recorder, online invariant
-monitors with the ledger baseline registered) and a
-:class:`~repro.obs.series.StreamingSampler` — and it streams periodic obs
-frames: committed counters, events/sec, mempool depth, sliding p50/p99
-time-to-commit, per-instance commit digests (the launcher's cross-replica
-agreement input), any monitor violations and the flight-recorder ring
-increment since the previous frame, with a count of whatever that increment
-had to leave out.  The final report additionally carries the worker's spans
-and trace events so the launcher can merge one cluster-wide causal trace.
-Without it the worker emits zero obs frames and its report is
-byte-identical to the plain protocol.
+The worker always counts and checks: a metrics registry's snapshot and its
+replica's invariant ``violations`` ride in the report.  With ``obs`` set its
+:class:`~repro.obs.core.Probe` carries every back-end, the ``"all"`` level of
+a simulator cell — the trace runtime (tracer in a per-replica id namespace,
+flight recorder) and a :class:`~repro.obs.series.StreamingSampler` — and it
+streams periodic obs frames: committed counters, events/sec, mempool depth,
+sliding p50/p99 time-to-commit, per-instance commit digests (the launcher's
+cross-replica agreement input), any monitor violations and the
+flight-recorder ring increment since the previous frame, with a count of
+whatever that increment had to leave out.  The final report additionally
+carries the worker's spans and trace events so the launcher can merge one
+cluster-wide causal trace.  Without it the worker emits zero obs frames and
+its report is byte-identical to the plain protocol.
 
 ``SIGTERM`` drains cleanly: the worker stops waiting, emits its report with
 ``"status": "terminated"`` and exits 0, so a launcher-initiated shutdown is
@@ -139,7 +138,7 @@ class _ObsShipper:
             str(instance): by_instance[instance].block_hash for instance in recent
         }
 
-        monitors = self.trace.monitors
+        monitors = self.replica.monitors
         fresh_violations = [
             violation.to_dict()
             for violation in monitors.violations[self._last_violations :]
@@ -166,8 +165,8 @@ class _ObsShipper:
         }
 
     def report_extra(self) -> Dict[str, Any]:
-        """The obs block of the final report: spans, events, monitor status,
-        and how much of each the size caps cut."""
+        """The obs block of the final report: spans, events, and how much
+        of each the size caps cut."""
         tracer = self.trace.tracer
         spans = tracer.span_records()[-wire.MAX_REPORT_SPANS :]
         events = tracer.events[-wire.MAX_REPORT_SPANS :]
@@ -180,7 +179,6 @@ class _ObsShipper:
             ),
             "ring_skipped": self.ring_skipped,
             "recorder_evicted": self.recorder_evicted,
-            "monitors": self.trace.monitors.status(),
             "recorder_events": len(self.trace.recorder),
         }
 
@@ -321,6 +319,9 @@ async def _run(spec: ClusterSpec, replica_id: int) -> int:
         },
         "chain": replica.chain_summary(),
         "telemetry": probe.metrics.snapshot(),
+        "violations": [
+            violation.to_dict() for violation in replica.monitors.violations
+        ],
     }
     if shipper is not None:
         # One last frame so the launcher's dashboard/forensics see the final

@@ -19,7 +19,6 @@ from typing import Any, Container, Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.common.types import ReplicaId
 from repro.consensus.certificates import (
-    Certificate,
     SignedVote,
     VoteKind,
     verify_vote,
@@ -207,16 +206,6 @@ def extract_pofs_from_grouped(
                 )
                 pending.remove(signer)
     return [pofs[culprit] for culprit in sorted(pofs)]
-
-
-def extract_pofs_from_certificates(
-    certificates: Iterable[Certificate],
-) -> List[ProofOfFraud]:
-    """Extract PoFs from the union of the votes of several certificates."""
-    votes: List[SignedVote] = []
-    for certificate in certificates:
-        votes.extend(certificate.votes)
-    return extract_pofs_from_votes(votes)
 
 
 def merge_pofs(

@@ -8,12 +8,14 @@ disabled-mode contract) whose back-ends answer four questions:
   :func:`repro.obs.export.render_report`;
 * where did the time go — :mod:`repro.obs.critical_path` (time-to-commit
   per protocol phase);
-* what happened before the crash — :mod:`repro.obs.trace` (causal spans),
-  :mod:`repro.obs.recorder` (flight recorder) and :mod:`repro.obs.monitors`
-  (online invariant monitors);
+* what happened before the crash — :mod:`repro.obs.trace` (causal spans)
+  and :mod:`repro.obs.recorder` (flight recorder);
 * watch it live — :mod:`repro.obs.series` (streamed samples),
   :mod:`repro.obs.watch` (terminal dashboard) and :mod:`repro.obs.serve`
   (``/metrics`` and ``/state``).
+
+The online invariant monitors (:mod:`repro.obs.monitors`) need no probe: each
+deployment owns them, so every run is checked.
 
 :mod:`repro.obs.export` writes every artefact (JSON, JSONL, CSV, Prometheus
 text, Chrome trace).  Typical use::

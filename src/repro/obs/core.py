@@ -18,8 +18,10 @@ the guard.  A live probe carries up to three back-ends — ``metrics``
 (:class:`~repro.obs.series.StreamingSampler`) — and each verb is bound at
 construction to its back-end's method or, when that back-end is absent, to
 one shared no-op.  The few sites that need a back-end itself (the tracer to
-install a context, the invariant ``monitors``) read the slot under a second
-check.
+install a context, the flight recorder) read the slot under a second check.
+The invariant monitors are not a back-end: every deployment owns one
+:class:`~repro.obs.monitors.MonitorSet` and its replicas call it with or
+without a probe, so a bare run is checked as fully as an instrumented one.
 
 Everything here is observational: no back-end consumes randomness or
 schedules anything, so fixed-seed runs are byte-identical at every
@@ -56,7 +58,7 @@ class Probe:
     """One run's instrumentation: back-end slots plus the verbs bound to them."""
 
     __slots__ = (
-        "metrics", "trace", "monitors", "sampler", "cell",
+        "metrics", "trace", "sampler", "cell",
         # metrics verbs
         "count", "observe", "gauge", "mark",
         # trace verbs
@@ -74,8 +76,6 @@ class Probe:
     ) -> None:
         self.metrics = metrics
         self.trace = trace
-        #: The trace back-end's online invariant monitors, or None.
-        self.monitors = trace.monitors if trace is not None else None
         self.sampler = sampler
         self.cell = cell
         #: ``count(name, amount=1, **labels)``

@@ -17,24 +17,21 @@ The paper's safety claims become live assertions instead of post-hoc checks:
   attack gain must be covered by seized deposits and no honest deposit may
   be left short.
 
-A violation is recorded (and logged at WARNING); when a flight recorder is
-attached, the first violation triggers a causally-ordered JSONL dump so the
-message history leading up to the trip is preserved.  ``strict=True``
-escalates violations to :class:`InvariantViolationError` for tests that want
-to fail hard at the exact tripping event.
+Every deployment owns one :class:`MonitorSet` (``repro.zlb.system.deploy``)
+and its replicas call it directly, so every run is checked, traced or not.
+A violation is recorded (and logged at WARNING); when a traced run attaches
+its flight recorder and that recorder names a dump path, the first violation
+triggers a causally-ordered JSONL dump so the message history leading up to
+the trip is preserved.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.common.logging import get_logger
 
 logger = get_logger("repro.obs.monitors")
-
-
-class InvariantViolationError(RuntimeError):
-    """Raised by a strict monitor at the moment an invariant trips."""
 
 
 class InvariantViolation:
@@ -66,45 +63,33 @@ class InvariantViolation:
 
 
 class MonitorSet:
-    """All online monitors of one traced run."""
+    """All online monitors of one deployment."""
 
     def __init__(
         self,
+        honest: Optional[Iterable[Any]] = None,
         expect_disagreement: bool = False,
-        strict: bool = False,
         recorder: Optional[Any] = None,
-        dump_path: Optional[Any] = None,
     ):
+        #: Honest replica ids; None means "treat every replica as honest".
+        self._honest: Optional[Set[Any]] = None if honest is None else set(honest)
         #: True when the scenario deliberately stages a coalition attack, in
         #: which case honest-honest disagreement on the attacked instance is
         #: the *point* and must not be flagged.
         self.expect_disagreement = expect_disagreement
-        self.strict = strict
+        #: A traced run's flight recorder, dumped to its ``dump_path`` on the
+        #: first violation.
         self.recorder = recorder
-        self.dump_path = dump_path
         self.violations: List[InvariantViolation] = []
         #: Path of the flight-recorder dump written on the first violation.
         self.dump_written: Optional[str] = None
         self._keys: Set[Tuple[Any, ...]] = set()
-        #: Honest replica ids; None means "treat every replica as honest".
-        self._honest: Optional[Set[Any]] = None
         #: (epoch, instance) -> replica -> decided digest (honest only).
         self._decisions: Dict[Tuple[int, int], Dict[Any, str]] = {}
         #: replica -> genesis conserved total (supply + deposit).
         self._baselines: Dict[Any, float] = {}
 
     # -- configuration ------------------------------------------------------------
-
-    def configure(
-        self,
-        honest: Optional[Any] = None,
-        expect_disagreement: Optional[bool] = None,
-    ) -> None:
-        """Install the scenario's fault plan before the run starts."""
-        if honest is not None:
-            self._honest = set(honest)
-        if expect_disagreement is not None:
-            self.expect_disagreement = expect_disagreement
 
     def register_ledger(self, replica: Any, conserved_total: float) -> None:
         """Record ``replica``'s genesis conserved total (supply + deposit)."""
@@ -135,15 +120,14 @@ class MonitorSet:
         violation = InvariantViolation(name, replica, at, detail)
         self.violations.append(violation)
         logger.warning("invariant violated: %s", violation.describe())
+        recorder = self.recorder
         if (
-            self.recorder is not None
-            and self.dump_path is not None
+            recorder is not None
+            and recorder.dump_path is not None
             and self.dump_written is None
         ):
-            self.dump_written = self.recorder.dump_jsonl(self.dump_path)
+            self.dump_written = recorder.dump_jsonl(recorder.dump_path)
             logger.warning("flight recorder dumped to %s", self.dump_written)
-        if self.strict:
-            raise InvariantViolationError(violation.describe())
 
     # -- agreement -------------------------------------------------------------------
 
@@ -277,16 +261,3 @@ class MonitorSet:
                 key=("shortfall",),
                 deposit_shortfall=deposit_shortfall,
             )
-
-    # -- summary ----------------------------------------------------------------------
-
-    def status(self) -> Dict[str, Any]:
-        """JSON-serialisable monitor outcome for runner persistence."""
-        return {
-            "ok": self.ok,
-            "expect_disagreement": self.expect_disagreement,
-            "tracked_instances": len(self._decisions),
-            "tracked_ledgers": len(self._baselines),
-            "violations": [violation.to_dict() for violation in self.violations],
-            "dump": self.dump_written,
-        }

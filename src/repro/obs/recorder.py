@@ -9,7 +9,9 @@ processes events in timestamp order, sorting the union of all buffers by
 ``(t, seq)`` reconstructs the causal order of everything retained.
 
 The recorder is only ever touched from :class:`~repro.obs.trace.TraceRuntime`
-hooks (enabled mode) — the disabled path never sees it.  Dumps are JSONL: a
+hooks (enabled mode) — the disabled path never sees it — and by the
+deployment's invariant monitors, which dump it to its ``dump_path`` on the
+first violation.  Dumps are JSONL: a
 header record stating how much was recorded, retained, evicted and skipped —
 a truncated dump says it is truncated — then one event per line, so they
 stream into ``jq``/pandas unchanged; :meth:`render` produces the compact text
@@ -32,10 +34,13 @@ DEFAULT_CAPACITY = 512
 class FlightRecorder:
     """Last-N delivery/timer events per replica, merged in causal order."""
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY):
+    def __init__(self, capacity: int = DEFAULT_CAPACITY, dump_path: Any = None):
         if capacity <= 0:
             raise ValueError("flight recorder capacity must be positive")
         self.capacity = capacity
+        #: Where the invariant monitors dump the ring on the first violation
+        #: (None: never dumped by them).
+        self.dump_path = dump_path
         self._buffers: Dict[Any, Deque[Dict[str, Any]]] = {}
         self._seq = itertools.count()
         self._recorded = 0

@@ -3,8 +3,10 @@ back-end).
 
 Answers "what caused what, and what happened before the crash": a
 :class:`TraceRuntime` bundles the span/event :class:`Tracer` with the flight
-recorder and the online invariant monitors, and rides in the ``trace`` slot
-of a :class:`~repro.obs.core.Probe`.  Causality flows through three
+recorder, and rides in the ``trace`` slot of a
+:class:`~repro.obs.core.Probe`.  The invariant monitors are not part of it:
+each deployment owns its own (:mod:`repro.obs.monitors`), and a traced run
+only attaches its recorder to them for the dump.  Causality flows through three
 mechanisms:
 
 * every :class:`~repro.network.message.Message` carries an optional
@@ -262,44 +264,39 @@ def topic_trace_attrs(topic: Any) -> Dict[str, Any]:
 
 
 class TraceRuntime:
-    """Bundles the tracer with the flight recorder and invariant monitors.
+    """Bundles the tracer with the flight recorder.
 
     The transports drive it through the hooks of the
     :class:`~repro.obs.core.Probe` that carries it.
     """
 
-    __slots__ = ("tracer", "recorder", "monitors")
+    __slots__ = ("tracer", "recorder")
 
     def __init__(
-        self,
-        tracer: Optional[Tracer] = None,
-        recorder: Optional[Any] = None,
-        monitors: Optional[Any] = None,
+        self, tracer: Optional[Tracer] = None, recorder: Optional[Any] = None
     ):
         self.tracer = tracer if tracer is not None else Tracer()
         self.recorder = recorder
-        self.monitors = monitors
 
     @classmethod
     def enabled(
         cls,
         recorder_capacity: int = 512,
         dump_path: Optional[Any] = None,
-        strict: bool = False,
         id_base: int = 0,
     ) -> "TraceRuntime":
-        """A fully wired runtime: tracer + flight recorder + monitors.
+        """A fully wired runtime: tracer + flight recorder.
 
-        ``id_base`` namespaces span/trace ids (see :class:`Tracer`); cluster
-        workers pass :func:`replica_id_base` so per-process traces merge.
+        ``dump_path`` is where the deployment's invariant monitors dump the
+        recorder on the first violation.  ``id_base`` namespaces span/trace
+        ids (see :class:`Tracer`); cluster workers pass
+        :func:`replica_id_base` so per-process traces merge.
         """
-        from repro.obs.monitors import MonitorSet
         from repro.obs.recorder import FlightRecorder
 
-        recorder = FlightRecorder(capacity=recorder_capacity)
-        monitors = MonitorSet(recorder=recorder, dump_path=dump_path, strict=strict)
         return cls(
-            tracer=Tracer(id_base=id_base), recorder=recorder, monitors=monitors
+            tracer=Tracer(id_base=id_base),
+            recorder=FlightRecorder(capacity=recorder_capacity, dump_path=dump_path),
         )
 
     # -- summaries -------------------------------------------------------------------
@@ -315,8 +312,6 @@ class TraceRuntime:
             "events": len(tracer.events),
             "critical_path": critical_path(tracer),
         }
-        if self.monitors is not None:
-            summary["monitors"] = self.monitors.status()
         if self.recorder is not None:
             summary["recorder_events"] = len(self.recorder)
         return summary

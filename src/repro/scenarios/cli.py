@@ -15,8 +15,11 @@ sweep serves every already-computed cell from cache.  ``--instrument LEVEL``
 instruments every cell: ``metrics`` (per-protocol message counts, per-phase
 latency histograms, recovery timelines — ``report`` prints the stored
 snapshots' rows, one table per metric type, and ``--csv`` writes the same
-rows), ``trace`` (causal spans and invariant monitors), ``live`` (time
-series) or ``all``::
+rows), ``trace`` (causal spans and the flight recorder), ``live`` (time
+series) or ``all``.  Every deploying cell is checked against the paper's
+invariants whatever the level (agreement, validity, supply conservation,
+zero-loss accounting): its row carries ``violations``, and ``run`` and
+``sweep`` print them and exit 1 when any row has one::
 
     python -m repro.scenarios sweep fig4 --jobs 4 --watch --serve 9100
     python -m repro.scenarios run fig4 --instrument live --series-out series.jsonl
@@ -33,10 +36,9 @@ complete, events/sec, simulated time, ETA) streamed from the workers;
 
 It prints the critical-path analysis (which phase — mempool wait, RBC,
 binary rounds or commit — dominates time-to-commit, per percentile), writes
-a Chrome-tracing/Perfetto-compatible JSON export, checks the online
-invariant monitors (agreement, validity, supply conservation, zero-loss
-accounting) and exits non-zero — dumping the flight recorder — when any
-invariant tripped.
+a Chrome-tracing/Perfetto-compatible JSON export, reports the row's
+invariant violations and exits non-zero when any invariant tripped — the
+flight recorder it adds is dumped on the first trip.
 """
 
 from __future__ import annotations
@@ -101,6 +103,7 @@ def _run_families(
                 flush=True,
             )
     obs_snapshots: List[dict] = []
+    violated = False
     try:
         for name in families:
             specs = registry.expand(name, args.scale)
@@ -121,6 +124,13 @@ def _run_families(
             )
             if print_rows:
                 print(format_table(report.rows))
+            for outcome in report.outcomes:
+                for violation in outcome.row.get("violations") or ():
+                    violated = True
+                    print(
+                        f"INVARIANT VIOLATION {outcome.spec.label()}: {violation}",
+                        file=sys.stderr,
+                    )
             obs_snapshots.extend(
                 outcome.obs for outcome in report.outcomes if outcome.obs
             )
@@ -139,7 +149,7 @@ def _run_families(
         if server is not None:
             server.stop()
     _export_obs(obs_snapshots, args.series_out, args.series_csv)
-    return 0
+    return 1 if violated else 0
 
 
 def _export_obs(
@@ -200,15 +210,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     runtime = TraceRuntime.enabled(dump_path=args.dump)
     with obs_core.activate(obs_core.Probe(trace=runtime)):
         row = registry.run_spec(spec)
-    # End-of-run zero-loss accounting, for rows that carry the ledger totals
-    # (coalition-attack families do; fault-free families have nothing to seize).
-    if {"realized_gain", "seized_deposit"} <= set(row):
-        runtime.monitors.finalize(
-            row["realized_gain"],
-            row["seized_deposit"],
-            row.get("deposit_shortfall") or 0,
-            at=row.get("simulated_time_s"),
-        )
 
     print(format_table([row]))
     summary = runtime.summary()
@@ -223,15 +224,14 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if args.tree:
         print(f"span tree: {write_json(span_tree(spans), args.tree)}")
 
-    monitors = runtime.monitors
-    if monitors.ok:
+    violations = row.get("violations") or ()
+    if not violations:
         print("invariant monitors: all green")
         return 0
     print("invariant monitors: VIOLATED", file=sys.stderr)
-    for violation in monitors.violations:
-        print(f"  {violation.describe()}", file=sys.stderr)
-    if monitors.dump_written:
-        print(f"flight recorder dump: {args.dump}", file=sys.stderr)
+    for violation in violations:
+        print(f"  {violation}", file=sys.stderr)
+    print(f"flight recorder dump: {args.dump}", file=sys.stderr)
     return 1
 
 
@@ -289,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="LEVEL",
             help="instrument every cell and store what the level collects: "
             "metrics (counters and latency histograms, see `report`), trace "
-            "(causal spans, invariant monitors), live (streamed time series, "
+            "(causal spans, flight recorder), live (streamed time series, "
             "see --series-out) or all",
         )
         p.add_argument(
@@ -351,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace = sub.add_parser(
         "trace",
-        help="replay one cell with causal tracing and invariant monitors",
+        help="replay one cell with causal tracing and the flight recorder",
     )
     trace.add_argument("family", help="scenario family name (see `list`)")
     trace.add_argument(

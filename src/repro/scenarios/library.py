@@ -498,6 +498,7 @@ def _run_churn_cell(spec: ScenarioSpec) -> Dict[str, Any]:
     disagreements = 0
     committed = 0
     simulated = 0.0
+    violations: List[str] = []
     for round_index in range(rounds):
         result = run_system(
             spec.with_overrides(seed=spec.seed + 1_000 * round_index)
@@ -512,6 +513,7 @@ def _run_churn_cell(spec: ScenarioSpec) -> Dict[str, Any]:
         disagreements += result.disagreements
         committed += result.committed_transactions
         simulated += result.simulated_time
+        violations.extend(result.violations)
     return {
         "n": spec.n,
         "seed": spec.seed,
@@ -532,6 +534,7 @@ def _run_churn_cell(spec: ScenarioSpec) -> Dict[str, Any]:
         "disagreements_total": disagreements,
         "committed_transactions": committed,
         "simulated_time_s": round(simulated, 3),
+        "violations": violations,
     }
 
 

@@ -72,7 +72,7 @@ class ScenarioSpec:
             default) or one of :data:`repro.obs.core.LEVELS`: ``"metrics"``
             (counters and latency histograms, rendered by ``python -m
             repro.scenarios report``), ``"trace"`` (causal spans, flight
-            recorder, invariant monitors), ``"live"`` (streamed time series,
+            recorder), ``"live"`` (streamed time series,
             exported with ``--series-out``) or ``"all"``.  What
             the level's back-ends collected is persisted next to the result
             row.  Part of the content hash, so instrumented and bare runs of

@@ -58,6 +58,7 @@ from repro.crypto.hashing import hash_payload
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.signatures import Signer
 from repro.network.topic import Topic, topic
+from repro.obs.monitors import MonitorSet
 from repro.smr.membership import MembershipChange, MembershipOutcome
 from repro.smr.pool import CandidatePool
 from repro.smr.replica import BaseReplica
@@ -204,8 +205,12 @@ class ASMRReplica(BaseReplica):
         on_exclude: Optional[Callable[[List[ReplicaId]], None]] = None,
         standby: bool = False,
         finalization_blockdepth: int = 5,
+        monitors: Optional[MonitorSet] = None,
     ):
         super().__init__(replica_id, committee, signer, registry, fault=fault)
+        #: The deployment's invariant monitors; a replica built on its own
+        #: checks against a set of its own.
+        self.monitors = monitors if monitors is not None else MonitorSet()
         self.config = config or ProtocolConfig()
         #: ``m``: how far behind the decided head an instance retires (the
         #: payment layer's finalization blockdepth; 5 is its default too).
@@ -352,10 +357,13 @@ class ASMRReplica(BaseReplica):
                 digest=decision.digest,
             )
             probe.finish(self._instance_spans.pop(decision.instance, None), now)
-            if probe.monitors is not None:
-                probe.monitors.on_decision(
-                    self.replica_id, record.epoch, decision.instance, decision.digest, now
-                )
+        self.monitors.on_decision(
+            self.replica_id,
+            record.epoch,
+            decision.instance,
+            decision.digest,
+            record.decided_at,
+        )
         if self.on_commit is not None:
             self.on_commit(decision.instance, decision)
         if self.config.confirmation_enabled:
@@ -471,8 +479,7 @@ class ASMRReplica(BaseReplica):
                     instance=instance,
                     remote=sender,
                 )
-                if probe.monitors is not None:
-                    probe.monitors.on_disagreement(self.replica_id, instance, now)
+            self.monitors.on_disagreement(self.replica_id, instance, self.now)
         record.conflicting_digests.add(str(remote_digest))
         self._record_disagreeing_slots(record, body)
         self._reconcile(record, sender, body)

@@ -10,6 +10,7 @@ from repro.consensus.sbc import SBCDecision
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.signatures import Signer
 from repro.ledger.transaction import Transaction
+from repro.obs.monitors import MonitorSet
 from repro.smr.asmr import ASMRReplica
 from repro.smr.pool import CandidatePool
 from repro.zlb.blockchain_manager import BlockchainManager
@@ -30,6 +31,7 @@ class ZLBReplica(ASMRReplica):
         fault: FaultKind = FaultKind.HONEST,
         standby: bool = False,
         finalization_blockdepth: int = 5,
+        monitors: Optional[MonitorSet] = None,
     ):
         self.blockchain = blockchain
         #: Admission times of pending transactions, recorded only while a
@@ -50,6 +52,7 @@ class ZLBReplica(ASMRReplica):
             on_exclude=self._exclude,
             standby=standby,
             finalization_blockdepth=finalization_blockdepth,
+            monitors=monitors,
         )
 
     # -- lifecycle ------------------------------------------------------------------
@@ -92,11 +95,21 @@ class ZLBReplica(ASMRReplica):
         return self.blockchain.validate_proposal(proposer, payload)
 
     def _commit(self, instance: int, decision: SBCDecision) -> None:
-        block = self.blockchain.commit_decision(instance, decision)
+        blockchain = self.blockchain
+        block = blockchain.commit_decision(instance, decision)
+        now = self.now
+        report = blockchain.last_append_report
+        self.monitors.on_commit(
+            self.replica_id,
+            instance,
+            report.invalid,
+            report.phantom,
+            blockchain.conserved_total(),
+            now,
+        )
         probe = self.probe
         if probe is None:
             return
-        now = self.now
         admitted = self._admitted_at
         if admitted is not None:
             for tx in block.transactions:
@@ -113,24 +126,16 @@ class ZLBReplica(ASMRReplica):
             txs=len(block.transactions),
             height=block.index,
         )
-        monitors = probe.monitors
-        if monitors is not None:
-            report = self.blockchain.last_append_report
-            monitors.on_commit(
-                self.replica_id,
-                instance,
-                report.invalid if report is not None else 0,
-                report.phantom if report is not None else 0,
-                self.blockchain.conserved_total(),
-                now,
-            )
 
     def _merge(self, instance: int, remote_proposals: Dict[ReplicaId, Any]) -> None:
         outcome = self.blockchain.merge_remote_decision(instance, remote_proposals)
+        now = self.now
+        self.monitors.on_merge(
+            self.replica_id, instance, self.blockchain.conserved_total(), now
+        )
         probe = self.probe
         if probe is None:
             return
-        now = self.now
         probe.count("zlb.merges")
         probe.count("zlb.merged_transactions", outcome.merged_transactions)
         probe.mark("zlb.recovery", "merged", now)
@@ -142,19 +147,12 @@ class ZLBReplica(ASMRReplica):
             merged=outcome.merged_transactions,
             refunded=outcome.refunded_amount,
         )
-        monitors = probe.monitors
-        if monitors is not None:
-            monitors.on_merge(
-                self.replica_id, instance, self.blockchain.conserved_total(), now
-            )
 
     def _exclude(self, excluded: List[ReplicaId]) -> None:
         self.blockchain.punish_replicas(excluded)
-        probe = self.probe
-        if probe is not None and probe.monitors is not None:
-            probe.monitors.on_punish(
-                self.replica_id, self.blockchain.conserved_total(), self.now
-            )
+        self.monitors.on_punish(
+            self.replica_id, self.blockchain.conserved_total(), self.now
+        )
 
     # -- client API ------------------------------------------------------------------
 

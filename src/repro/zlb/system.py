@@ -37,6 +37,7 @@ from repro.network.delays import DelayModel, PartitionedDelay, delay_model_from_
 from repro.network.simulator import NetworkSimulator
 from repro.obs import core as obs_core
 from repro.obs.core import Probe
+from repro.obs.monitors import MonitorSet
 from repro.smr.pool import CandidatePool
 from repro.zlb.blockchain_manager import BlockchainManager, replica_deposit_account
 from repro.zlb.node import ZLBReplica
@@ -108,6 +109,9 @@ class SystemResult:
     seized_deposit: int = 0
     #: Metrics snapshot of the run (None without a metrics back-end).
     telemetry: Optional[Dict[str, Any]] = None
+    #: The deployment's invariant violations so far, one
+    #: ``InvariantViolation.describe()`` line each (empty when every claim held).
+    violations: List[str] = dataclasses.field(default_factory=list)
 
     @property
     def disagreements(self) -> int:
@@ -171,6 +175,7 @@ class SystemResult:
             "realized_gain": self.realized_gain,
             "seized_deposit": self.seized_deposit,
             "attacker_net_gain": self.attacker_net_gain,
+            "violations": list(self.violations),
         }
 
     def chain_summary(self) -> Dict[str, Any]:
@@ -196,11 +201,14 @@ class Deployment:
     plan: CoalitionPlan
     #: The deployment genesis ``(block, utxos)`` every replica starts from.
     genesis: Tuple[Block, List[UTXO]]
+    #: The invariant monitors every replica of the deployment reports to.
+    monitors: MonitorSet
     #: The coalition's shared attack, given to every deceitful member.
     strategy: Optional[AttackStrategy] = None
 
     def replica(self, replica_id: ReplicaId) -> ZLBReplica:
-        """Build member ``replica_id`` with its own blockchain manager."""
+        """Build member ``replica_id`` with its own blockchain manager, its
+        conserved-value baseline registered with the deployment's monitors."""
         if replica_id not in self.keys.signers:
             raise ConfigurationError(
                 f"replica {replica_id} is not in a deployment of "
@@ -224,7 +232,9 @@ class Deployment:
             fault=fault,
             standby=standby,
             finalization_blockdepth=DEPOSIT_POLICY.finalization_blockdepth,
+            monitors=self.monitors,
         )
+        self.monitors.register_ledger(replica_id, replica.blockchain.conserved_total())
         if fault is FaultKind.DECEITFUL and self.strategy is not None:
             replica.attack_strategy = self.strategy
         return replica
@@ -310,22 +320,18 @@ def deploy(
         protocol_config=protocol_config,
         plan=plan,
         genesis=genesis,
+        monitors=MonitorSet(
+            honest=[r for r in committee if plan.fault_of(r) is FaultKind.HONEST],
+            expect_disagreement=attack is not None,
+        ),
         strategy=strategy,
     )
 
 
 def register_replicas(probe: Optional[Probe], replicas: Sequence[ZLBReplica]) -> None:
-    """Show a probe the replicas of this process: each one's conserved-value
-    baseline to its invariant monitors, and the active ones' aggregate
-    mempool occupancy to its sampler (standby pools never receive traffic)."""
-    if probe is None:
-        return
-    if probe.monitors is not None:
-        for replica in replicas:
-            probe.monitors.register_ledger(
-                replica.replica_id, replica.blockchain.conserved_total()
-            )
-    if probe.sampler is not None:
+    """Show a probe's sampler the active replicas' aggregate mempool
+    occupancy (standby pools never receive traffic)."""
+    if probe is not None and probe.sampler is not None:
         active = [replica for replica in replicas if not replica.standby]
         probe.sampler.register_gauge(
             "mempool.pending",
@@ -386,10 +392,9 @@ class ZLBSystem:
         ``probe`` instruments the whole stack (simulator, broadcast,
         consensus, membership, blockchain managers); it defaults to the probe
         installed by :func:`repro.obs.activate`, i.e. None — uninstrumented —
-        unless a scenario cell activated one.  When the probe carries
-        invariant monitors they are configured here with the honest set, the
-        expected-disagreement flag, and each replica's conserved-value
-        baseline.
+        unless a scenario cell activated one.  The deployment's invariant
+        monitors check the run either way; a traced probe only attaches its
+        flight recorder to them, for the dump on the first violation.
         """
         probe = probe if probe is not None else obs_core.current()
         deployment = deploy(
@@ -433,15 +438,8 @@ class ZLBSystem:
             replica = replicas[replica_id] = deployment.replica(replica_id)
             simulator.add_process(replica)
 
-        if probe is not None and probe.monitors is not None:
-            probe.monitors.configure(
-                honest={
-                    replica_id
-                    for replica_id in deployment.committee
-                    if plan.fault_of(replica_id) is FaultKind.HONEST
-                },
-                expect_disagreement=attack is not None,
-            )
+        if probe is not None and probe.trace is not None:
+            deployment.monitors.recorder = probe.trace.recorder
         register_replicas(probe, list(replicas.values()))
 
         system = ZLBSystem(deployment, simulator, replicas)
@@ -486,13 +484,25 @@ class ZLBSystem:
         for replica in self.replicas.values():
             if not replica.standby and replica.fault is not FaultKind.BENIGN:
                 replica.submit_instances(count)
-        self.simulator.run(until=until)
-        return self.result()
+        return self.run(until=until)
 
     def run(self, until: Optional[float] = None) -> SystemResult:
-        """Drain pending events without requesting new instances."""
+        """Drain pending events without requesting new instances.
+
+        The result carries every violation the deployment's monitors recorded
+        so far, after the end-of-run zero-loss check.
+        """
         self.simulator.run(until=until)
-        return self.result()
+        result = self.result()
+        monitors = self.deployment.monitors
+        monitors.finalize(
+            result.realized_gain,
+            result.seized_deposit,
+            result.deposit_shortfall,
+            at=result.simulated_time,
+        )
+        result.violations = [violation.describe() for violation in monitors.violations]
+        return result
 
     # -- results -----------------------------------------------------------------------------------
 

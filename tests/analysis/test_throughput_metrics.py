@@ -117,6 +117,7 @@ class TestMetrics:
             "realized_gain",
             "seized_deposit",
             "attacker_net_gain",
+            "violations",
         ]
 
     def test_row_rounds_recovery_times_to_the_millisecond(self):

@@ -5,7 +5,6 @@ import pytest
 from repro.analysis.zero_loss import (
     attack_success_probability,
     branch_bound,
-    deceitful_ratio_to_branches,
     expected_gain,
     expected_punishment,
     g_function,
@@ -91,7 +90,6 @@ class TestToleratedProbability:
 class TestBranchBound:
     def test_paper_ratio_half_gives_three(self):
         assert branch_bound(18, 9) == 3
-        assert deceitful_ratio_to_branches(0.5, n=18) == 3
 
     def test_no_deceitful_single_branch(self):
         assert branch_bound(10, 0) == 1

@@ -312,6 +312,7 @@ REPORT_KEYS = {
     "transport",
     "chain",
     "telemetry",
+    "violations",
 }
 
 
@@ -389,6 +390,8 @@ class TestClusterCLI:
             assert result.spec.transport == transport
             for report in result.reports.values():
                 assert set(report.keys()) == REPORT_KEYS, transport
+                # A bare worker checks every invariant all the same.
+                assert report["violations"] == [], transport
 
     def test_violations_fail_the_run_and_are_printed_by_name(
         self, tmp_path, monkeypatch, capsys

@@ -97,7 +97,7 @@ class TestIngestion:
                 "committed": 1,
                 "total_transactions": 1,
                 "blocks": 1,
-                "obs": {"monitors": {"violations": [trip]}},
+                "violations": [trip],
             }
         )
         assert watcher.violations == [dict(trip, replica_id=1)]
@@ -351,9 +351,8 @@ class TestLossAccounting:
         )
         transport = SimpleNamespace(messages_delivered=0, connected_peers=lambda: [])
         loop = SimpleNamespace(time=lambda: 1.0)
-        shipper = _ObsShipper(
-            0, SimpleNamespace(blockchain=blockchain), transport, probe, loop
-        )
+        replica = SimpleNamespace(blockchain=blockchain, monitors=MonitorSet())
+        shipper = _ObsShipper(0, replica, transport, probe, loop)
         return shipper, probe.trace.recorder
 
     def test_oversized_frame_reports_what_it_skipped(self):

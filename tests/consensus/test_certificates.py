@@ -22,7 +22,6 @@ from repro.consensus.certificates import (
 from repro.consensus.proofs import (
     ProofOfFraud,
     culprits,
-    extract_pofs_from_certificates,
     extract_pofs_from_grouped,
     extract_pofs_from_votes,
     group_votes,
@@ -206,7 +205,7 @@ class TestProofOfFraud:
         # Replicas 2..4 sign both values: they equivocated.
         cert_x = Certificate.from_votes([_vote(h, value="x") for h in hosts[:5]])
         cert_y = Certificate.from_votes([_vote(h, value="y") for h in hosts[2:]])
-        pofs = extract_pofs_from_certificates([cert_x, cert_y])
+        pofs = extract_pofs_from_votes([*cert_x.votes, *cert_y.votes])
         assert culprits(pofs) == {2, 3, 4}
 
     def test_merge_pofs_deduplicates_and_verifies(self, hosts, keys):

@@ -4,12 +4,11 @@ import json
 
 import pytest
 
+from repro.common.config import FaultConfig
 from repro.network.message import Message
+from repro.obs.core import Probe
+from repro.obs.monitors import MonitorSet
 from repro.obs.trace import TraceContext, TraceRuntime
-from repro.obs.monitors import (
-    InvariantViolationError,
-    MonitorSet,
-)
 from repro.obs.recorder import REPORT_CLOCK, FlightRecorder, merge_worker_events
 
 
@@ -182,8 +181,7 @@ class TestAgreementMonitor:
         assert monitors.ok
 
     def test_deceitful_replicas_do_not_count(self):
-        monitors = MonitorSet()
-        monitors.configure(honest={0, 1})
+        monitors = MonitorSet(honest={0, 1})
         monitors.on_decision(0, epoch=0, instance=1, digest="d1", at=1.0)
         monitors.on_decision(5, epoch=0, instance=1, digest="d2", at=1.1)
         assert monitors.ok
@@ -252,11 +250,11 @@ class TestValidityAndSupplyMonitors:
         )
         baseline = record.utxos.total_supply() + record.deposit
 
-        recorder = FlightRecorder()
+        dump_path = tmp_path / "flight.jsonl"
+        recorder = FlightRecorder(dump_path=dump_path)
         recorder.record(0.5, replica=0, kind="deliver", detail="PROPOSE batch-1")
         recorder.record(1.0, replica=0, kind="deliver", detail="DECIDE batch-1")
-        dump_path = tmp_path / "flight.jsonl"
-        monitors = MonitorSet(recorder=recorder, dump_path=dump_path)
+        monitors = MonitorSet(recorder=recorder)
         monitors.register_ledger(0, baseline)
 
         # Forge a coin: an output no transaction ever created.
@@ -296,14 +294,6 @@ class TestValidityAndSupplyMonitors:
         monitors.on_punish(0, conserved_total=70, at=3.0)
         assert monitors.ok
 
-    def test_strict_mode_raises(self):
-        monitors = MonitorSet(strict=True)
-        monitors.register_ledger(0, conserved_total=100)
-        with pytest.raises(InvariantViolationError):
-            monitors.on_commit(
-                0, instance=1, invalid=0, phantom=0, conserved_total=101, at=1.0
-            )
-
 
 class TestZeroLossFinalize:
     def test_gain_within_seizure_is_green(self):
@@ -322,22 +312,53 @@ class TestZeroLossFinalize:
         monitors.finalize(realized_gain=0, seized_deposit=0, deposit_shortfall=10)
         assert not monitors.ok
 
-    def test_status_is_json_serialisable(self):
+    def test_violations_ship_as_json(self):
+        # What a cluster worker's report carries.
         monitors = MonitorSet()
         monitors.register_ledger(0, conserved_total=100)
         monitors.on_decision(0, epoch=0, instance=1, digest="d", at=1.0)
         monitors.finalize(realized_gain=1, seized_deposit=0)
-        status = monitors.status()
-        assert status["ok"] is False
-        json.dumps(status)
+        assert monitors.ok is False
+        json.dumps([violation.to_dict() for violation in monitors.violations])
 
 
 class TestRuntimeWiring:
-    def test_enabled_builds_recorder_and_monitors(self):
+    def test_enabled_builds_a_recorder_and_no_monitors(self):
         runtime = TraceRuntime.enabled(recorder_capacity=16)
         assert runtime.recorder is not None
-        assert runtime.monitors is not None
-        assert runtime.monitors.ok
+        assert TraceRuntime.__slots__ == ("tracer", "recorder")
+
+    def test_the_deployment_owns_the_monitors_of_every_replica(self):
+        from repro.zlb.system import deploy
+
+        deployment = deploy(FaultConfig(n=4), pool_size=0)
+        replicas = [deployment.replica(replica_id) for replica_id in range(4)]
+        assert all(replica.monitors is deployment.monitors for replica in replicas)
+        assert deployment.monitors.ok
+        assert set(deployment.monitors._baselines) == {0, 1, 2, 3}
+        assert not deployment.monitors.expect_disagreement
+
+    def test_an_attacked_deployment_expects_disagreement_among_the_honest(self):
+        from repro.zlb.system import AttackSpec, deploy
+
+        deployment = deploy(FaultConfig.paper_attack(9), attack=AttackSpec())
+        monitors = deployment.monitors
+        assert monitors.expect_disagreement
+        deceitful = deployment.plan.deceitful
+        assert deceitful and not any(monitors._is_honest(r) for r in deceitful)
+        honest = set(deployment.committee) - set(deceitful)
+        assert all(monitors._is_honest(replica_id) for replica_id in honest)
+
+    def test_a_traced_system_attaches_its_recorder_for_the_dump(self, tmp_path):
+        from repro.zlb.system import ZLBSystem
+
+        probe = Probe(trace=TraceRuntime.enabled(dump_path=tmp_path / "d.jsonl"))
+        system = ZLBSystem.create(
+            FaultConfig(n=4), workload_transactions=0, probe=probe
+        )
+        assert system.deployment.monitors.recorder is probe.trace.recorder
+        bare = ZLBSystem.create(FaultConfig(n=4), workload_transactions=0)
+        assert bare.deployment.monitors.recorder is None
 
     def test_summary_is_json_serialisable(self):
         runtime = TraceRuntime.enabled()

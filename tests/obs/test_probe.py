@@ -36,7 +36,7 @@ class TestVerbBinding:
     def test_trace_only_probe_counts_nothing(self):
         probe = Probe(trace=TraceRuntime.enabled())
         assert probe.count is _noop and probe.observe is _noop
-        assert probe.monitors is probe.trace.monitors
+        assert probe.trace.recorder is not None
         span = probe.start_span("rbc", 0, 0.0, instance=3)
         probe.event("rbc.deliver", 0, 1.0, instance=3)
         probe.finish(span, 1.0)
@@ -45,7 +45,8 @@ class TestVerbBinding:
 
     def test_empty_probe_is_all_noops(self):
         probe = Probe()
-        assert probe.monitors is None
+        # The invariant monitors belong to the deployment, not to a probe.
+        assert not hasattr(probe, "monitors")
         assert probe.timer_context() is None
         fired = []
         probe.fire_timer(lambda: fired.append(1), None, 0.0, owner=0)
@@ -98,7 +99,7 @@ class TestLevels:
     def test_live_builds_a_sampler_and_nothing_else(self):
         probe = Probe.at_level("live")
         assert isinstance(probe.sampler, StreamingSampler)
-        assert probe.metrics is None and probe.trace is None and probe.monitors is None
+        assert probe.metrics is None and probe.trace is None
         assert probe.count is _noop and probe.event is _noop
         assert probe.sample == probe.sampler.observe
 

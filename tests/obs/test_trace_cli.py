@@ -75,6 +75,32 @@ class TestTraceSubcommand:
         assert spans  # per-transaction span trees, roots at depth 0
         assert all("children" in root for root in spans)
 
+    def test_a_violation_exits_1_and_dumps_the_flight_recorder(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.common.config import FaultConfig
+        from repro.ledger.utxo import UTXO
+        from repro.zlb.system import ZLBSystem
+
+        def forged_cell(spec):
+            # The traced probe is active here: create attaches its recorder.
+            system = ZLBSystem.create(FaultConfig(n=4), workload_transactions=40)
+            system.replicas[1].blockchain.record.utxos.add(
+                UTXO(utxo_id="forged:0", account="mallory", amount=5)
+            )
+            return system.run_instances(1).to_row()
+
+        monkeypatch.setattr(registry, "run_spec", forged_cell)
+        dump = tmp_path / "flight.jsonl"
+        out = tmp_path / "t.json"
+        code = main(["trace", "quickstart", "--out", str(out), "--dump", str(dump)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "invariant monitors: VIOLATED" in err
+        assert "[supply-conservation]" in err and "replica=1:" in err
+        header = json.loads(dump.read_text().splitlines()[0])
+        assert header["header"] == "flight-dump" and header["recorded"] > 0
+
     def test_cell_index_out_of_range(self, capsys):
         code = main(["trace", "quickstart", "--cell", "99"])
         assert code == 2

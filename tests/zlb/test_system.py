@@ -8,7 +8,10 @@ import repro
 from repro.common.config import FaultConfig
 from repro.common.errors import ConfigurationError
 from repro.consensus.certificates import _VOTE_DIGESTS, _clear_memos
-from repro.scenarios import ScenarioSpec, system_for
+from repro.ledger.utxo import UTXO
+from repro.obs import core as obs_core
+from repro.scenarios import ScenarioSpec, registry, system_for
+from repro.scenarios.cli import main
 from repro.zlb.system import AttackSpec, ZLBSystem, deploy
 
 
@@ -97,6 +100,54 @@ class TestSystemConstruction:
             deploy(FaultConfig(n=4), batch_size=0)
         with pytest.raises(ConfigurationError):
             system_for(ScenarioSpec(family="quickstart", n=4, batch_size=0))
+
+
+def _bare_system():
+    return ZLBSystem.create(
+        FaultConfig(n=4), seed=3, delay="aws", workload_transactions=40, batch_size=10
+    )
+
+
+def _forged_system():
+    """A bare system whose honest replica 0 holds a coin no transaction made."""
+    system = _bare_system()
+    system.replicas[0].blockchain.record.utxos.add(
+        UTXO(utxo_id="forged:0", account="mallory", amount=777)
+    )
+    return system
+
+
+class TestInvariantsInBareRuns:
+    """No probe is active: the deployment's own monitors check every run."""
+
+    @pytest.fixture(autouse=True)
+    def bare(self):
+        # Shield the suite's flight-recorder probe: these runs are bare.
+        with obs_core.activate(None):
+            yield
+
+    def test_a_forged_coin_trips_supply_conservation_and_does_not_leak(self):
+        assert obs_core.current() is None
+        forged = _forged_system().run_instances(1)
+        (violation,) = forged.violations
+        assert violation.startswith("[supply-conservation]")
+        assert "replica=0:" in violation and "minted=777" in violation
+        assert forged.to_row()["violations"] == forged.violations
+        # A second deployment in the same process starts from clean monitors.
+        clean = _bare_system().run_instances(1)
+        assert clean.violations == [] and clean.to_row()["violations"] == []
+
+    def test_scenarios_run_exits_1_when_a_row_carries_a_violation(
+        self, monkeypatch, capsys
+    ):
+        def forged_cell(spec):
+            return _forged_system().run_instances(1).to_row()
+
+        monkeypatch.setattr(registry, "run_spec", forged_cell)
+        assert main(["run", "quickstart", "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert "INVARIANT VIOLATION quickstart" in err
+        assert "[supply-conservation]" in err
 
 
 def _benign_fingerprint():
