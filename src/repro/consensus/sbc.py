@@ -21,11 +21,16 @@ the confirmation phase.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.common.types import ReplicaId, byzantine_tolerance
-from repro.consensus.binary import BinaryConsensus
-from repro.consensus.certificates import Certificate, SignedVote
+from repro.consensus.binary import BinaryConsensus, value_digest
+from repro.consensus.certificates import (
+    Certificate,
+    SignedVote,
+    VoteKind,
+    certificate_from_payload,
+)
 from repro.consensus.host import ProtocolHost
 from repro.crypto.hashing import hash_payload
 from repro.network.router import Handler, Router
@@ -115,14 +120,118 @@ class SBCDecision:
         """True when the two decisions are for the same instance but differ."""
         return self.instance == other.instance and self.digest != other.digest
 
-    def summary_payload(self) -> Dict[str, Any]:
-        """Compact content summary exchanged during confirmation."""
-        return {
+    def to_record(self, epoch: int, proposals: bool = False) -> Dict[str, Any]:
+        """The decision as a peer reads it: the body of a CONFIRM and, with
+        ``proposals``, the answer to a fetch (:func:`decision_from_record`
+        reads it back).  ``epoch`` is the epoch the instance was decided in."""
+        record = {
             "instance": self.instance,
             "digest": self.digest,
             "bitmask": dict(self.bitmask),
             "proposal_digests": dict(self.proposal_digests),
+            "binary_certificates": {
+                slot: cert.to_payload() for slot, cert in self.binary_certificates.items()
+            },
+            "rbc_certificates": {
+                slot: cert.to_payload() for slot, cert in self.rbc_certificates.items()
+            },
+            "epoch": epoch,
         }
+        if proposals:
+            record["proposals"] = dict(self.proposals)
+        return record
+
+
+def verified_certificates(
+    host: ProtocolHost, payloads: Any, committee: Sequence[ReplicaId]
+) -> Optional[Dict[ReplicaId, Certificate]]:
+    """Parse a peer's ``slot -> certificate`` map and verify every entry
+    against ``committee``; None as soon as one does not parse or verify."""
+    if type(payloads) is not dict:
+        return None
+    certificates: Dict[ReplicaId, Certificate] = {}
+    for slot, payload in payloads.items():
+        try:
+            certificate = certificate_from_payload(payload)
+        except (KeyError, TypeError, ValueError):
+            return None
+        if not certificate.is_valid(host, committee):
+            return None
+        certificates[slot] = certificate
+    return certificates
+
+
+def decision_from_record(
+    host: ProtocolHost,
+    record: Dict[str, Any],
+    committee: Sequence[ReplicaId],
+    topic: Topic,
+) -> Optional[SBCDecision]:
+    """The decision a peer's record (:meth:`SBCDecision.to_record` with
+    proposals) proves, or None when it proves nothing.
+
+    ``topic`` is the instance's SBC topic (``("sbc", epoch, instance)``) and
+    ``committee`` the committee that ran it.  The record proves its decision
+    when every slot of the committee has a binary certificate for its bit,
+    every included slot an RBC certificate for its proposal digest — all
+    under the instance's contexts and valid against ``committee`` — every
+    included proposal hashes to its digest, and the digest recomputed from
+    bitmask and proposal digests is the record's.  The certificates' votes
+    are the decision's justification: what a retired decision keeps.  No
+    included payload passed the local validator, so every slot is
+    ``unvalidated``.
+    """
+    bitmask = record.get("bitmask")
+    digests = record.get("proposal_digests")
+    proposals = record.get("proposals")
+    if type(bitmask) is not dict or type(digests) is not dict or type(proposals) is not dict:
+        return None
+    if set(bitmask) != set(committee):
+        return None
+    binary = verified_certificates(host, record.get("binary_certificates"), committee)
+    ready = verified_certificates(host, record.get("rbc_certificates"), committee)
+    included = sorted(slot for slot, bit in bitmask.items() if bit == 1)
+    if binary is None or ready is None or set(binary) != set(bitmask):
+        return None
+    if set(ready) != set(included) or set(digests) != set(included):
+        return None
+    justification: List[SignedVote] = []
+    for slot, bit in bitmask.items():
+        certificate = binary[slot]
+        if (
+            type(bit) is not int
+            or bit not in (0, 1)
+            or certificate.kind is not VoteKind.AUX
+            or certificate.context != topic.child("bin", slot).canonical
+            or certificate.value_digest != value_digest(bit)
+        ):
+            return None
+        justification += certificate.votes
+    for slot in included:
+        certificate = ready[slot]
+        if (
+            slot not in proposals
+            or certificate.kind is not VoteKind.RBC_READY
+            or certificate.context != topic.child("rbc", slot).canonical
+            or certificate.value_digest != digests[slot]
+            or hash_payload(proposals[slot]) != digests[slot]
+        ):
+            return None
+        justification += certificate.votes
+    decision = SBCDecision(
+        instance=record.get("instance"),
+        bitmask=dict(bitmask),
+        proposals={slot: proposals[slot] for slot in included},
+        binary_certificates=binary,
+        justification_votes=justification,
+        rbc_certificates=ready,
+        decided_at=host.now,
+        unvalidated_slots=tuple(included),
+        proposal_digests=dict(digests),
+    )
+    if decision.digest != record.get("digest"):
+        return None
+    return decision
 
 
 class SetByzantineConsensus:

@@ -44,6 +44,7 @@ import dataclasses
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.common.errors import InvalidTransactionError, LedgerError
+from repro.crypto.hashing import hash_payload, sha256_hex
 from repro.ledger.block import Block, make_genesis_block
 from repro.ledger.transaction import Transaction, TxInput
 from repro.ledger.utxo import UTXO, UTXOTable, UTXOView
@@ -507,6 +508,23 @@ class BlockchainRecord:
         the zero-loss analysis (Appendix B) chooses deposits so this stays 0.
         """
         return max(0, -self.deposit)
+
+    def state_digest(self) -> str:
+        """Digest of the state two honest records must end on alike: the
+        sorted UTXO ids, the deposit and the sorted punished accounts.
+        Heights may differ after a merge, and so are left out.  The ids
+        (``<tx id>:<index>``, no newline) are hashed first, as one
+        newline-joined string: a constant number of calls however many
+        outputs the record holds."""
+        utxo_ids = sorted([utxo.utxo_id for utxo in self.utxos])
+        return hash_payload(
+            [
+                "ledger-state",
+                sha256_hex("\n".join(utxo_ids).encode()),
+                self.deposit,
+                sorted(self.punished_accounts),
+            ]
+        )
 
     def summary(self) -> Dict[str, int]:
         """Counts used by tests and experiment reports."""

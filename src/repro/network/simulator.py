@@ -198,6 +198,10 @@ class NetworkSimulator(Transport):
         """Lift a previous :meth:`disconnect`."""
         self._disconnected.discard(replica_id)
 
+    def is_connected(self, replica_id: ReplicaId) -> bool:
+        """False between :meth:`disconnect` and :meth:`reconnect`."""
+        return replica_id not in self._disconnected
+
     # -- event submission ----------------------------------------------------
 
     @property

@@ -15,7 +15,12 @@ The paper's safety claims become live assertions instead of post-hoc checks:
   and the deposit account (the zero-loss accounting identity of the ledger);
 * **zero loss** (finalize) — at the end of an attacked run the realized
   attack gain must be covered by seized deposits and no honest deposit may
-  be left short.
+  be left short;
+* **convergence** (finalize) — at the end of every run the honest replicas
+  that are up hold one ledger state
+  (:meth:`~repro.ledger.merge.BlockchainRecord.state_digest`): after an
+  exclusion and a merge as much as in a fault-free run.  Joiners are not
+  checked yet: catch-up does not ship the chain.
 
 Every deployment owns one :class:`MonitorSet` (``repro.zlb.system.deploy``)
 and its replicas call it directly, so every run is checked, traced or not.
@@ -236,13 +241,29 @@ class MonitorSet:
         seized_deposit: float,
         deposit_shortfall: float = 0,
         at: Optional[float] = None,
+        state_digests: Optional[Dict[Any, str]] = None,
     ) -> None:
-        """End-of-run zero-loss accounting (the paper's headline claim).
+        """End-of-run zero-loss accounting (the paper's headline claim) and
+        convergence: ``state_digests`` maps each replica that is up to its
+        ledger's state digest, and two honest ones must not differ.
 
         Unlike the other monitors this is not incremental: mid-run a merge can
-        transiently refund before the matching punishment lands, so the check
-        only makes sense once the run has settled.
+        transiently refund before the matching punishment lands, and a
+        replica can still be filling a gap, so the check only makes sense
+        once the run has settled.
         """
+        by_digest: Dict[str, List[Any]] = {}
+        for replica, digest in sorted((state_digests or {}).items()):
+            if self._is_honest(replica):
+                by_digest.setdefault(digest, []).append(replica)
+        if len(by_digest) > 1:
+            self._trip(
+                "convergence",
+                None,
+                at,
+                key=("convergence",),
+                replicas_by_state=sorted(by_digest.values()),
+            )
         if realized_gain > seized_deposit:
             self._trip(
                 "zero-loss",

@@ -31,6 +31,27 @@ late conflicting CONFIRM can still be cross-checked against
 with the same horizon (:mod:`repro.common.memo`).  Retirement sends nothing,
 so it moves no schedule.
 
+**Ordered commit.**  A decision reaches ``on_commit`` one way only: in
+instance order, once every instance below it is committed
+(``next_commit``), whether the local SBC decided it or a peer's record
+supplied it.  A merge for instance ``k`` waits for ``k``'s commit, so it
+lands on a branch that holds ``k``'s block.
+
+**Gap fill.**  A replica that decides an instance past an undecided one, or
+holds a CONFIRM for an undecided instance from a member of an epoch older
+than its own record of it (an instance it aborted and restarted, or has not
+restarted yet: nobody runs it again), fetches that instance's decision
+record from ``t + 1`` members — a PULL that wants nothing named, answered
+with :meth:`~repro.consensus.sbc.SBCDecision.to_record` and its proposals,
+once per requester and only to a member; a member that has not decided the
+instance yet answers when it does.  The first record that proves its
+decision against the committee of its epoch
+(:func:`~repro.consensus.sbc.decision_from_record`) is adopted: the local
+SBC of the instance detaches and the decision goes the way of a local one —
+monitors, CONFIRM, parked CONFIRMs, ordered commit.  A later record that
+proves a different decision is a conflicting confirmation.  Neither case
+occurs in a fault-free run, so a fault-free run fetches nothing.
+
 The replica is application-agnostic: the payment system plugs in through the
 ``proposal_factory`` (what to propose), ``proposal_validator`` (is a proposal
 acceptable) and the ``on_commit`` / ``on_merge`` / ``on_exclude`` callbacks.
@@ -43,7 +64,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set,
 
 from repro.common.config import ProtocolConfig
 from repro.common.memo import AgedMemo
-from repro.common.types import FaultKind, ReplicaId, recovery_threshold
+from repro.common.types import FaultKind, ReplicaId, byzantine_tolerance, recovery_threshold
 from repro.consensus.certificates import VoteKind, certificate_from_payload, retire_memos
 from repro.consensus.proofs import (
     GroupedVotes,
@@ -53,7 +74,12 @@ from repro.consensus.proofs import (
     group_votes,
     merge_pofs,
 )
-from repro.consensus.sbc import SBCDecision, SetByzantineConsensus
+from repro.consensus.sbc import (
+    SBCDecision,
+    SetByzantineConsensus,
+    decision_from_record,
+    verified_certificates,
+)
 from repro.crypto.hashing import hash_payload
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.signatures import Signer
@@ -230,7 +256,19 @@ class ASMRReplica(BaseReplica):
         self.epoch = 0
         self.target_instances = 0
         self.next_instance = 0
+        #: The next instance ``on_commit`` takes: every one below it is
+        #: committed, in order (a joiner starts at its catch-up's cursor).
+        self.next_commit = 0
         self.instances: Dict[int, InstanceRecord] = {}
+        #: The committee of every epoch this replica knows, to verify a
+        #: fetched decision record of that epoch against.
+        self._epoch_committees: Dict[int, Tuple[ReplicaId, ...]] = {0: tuple(committee)}
+        #: Instances whose decision record was fetched, and the members asked
+        #: that have not answered yet (see ``_fetch``).
+        self._fetches: Dict[int, Set[ReplicaId]] = {}
+        #: Members whose fetch of an instance undecided here waits for the
+        #: decision (see ``_handle_fetch``).
+        self._waiting_fetches: Dict[int, Set[ReplicaId]] = {}
         self._sbc: Dict[int, SetByzantineConsensus] = {}
         self.pofs: Dict[ReplicaId, ProofOfFraud] = {}
         self.detected_at: Optional[float] = None
@@ -248,7 +286,8 @@ class ASMRReplica(BaseReplica):
         #: ``_park_membership``).
         self._parked_membership: List[Tuple[Topic, ReplicaId, str, Dict[str, Any]]] = []
         self._parked_membership_by: Dict[ReplicaId, int] = {}
-        #: Consensus messages for instances past ``target_instances``, by sender.
+        #: Consensus messages for instances past ``target_instances`` or of
+        #: the next epoch, by sender.
         self._ahead: Dict[ReplicaId, List[Tuple[Topic, str, Dict[str, Any]]]] = {}
         #: Open per-instance root spans (traced runs only).
         self._instance_spans: Dict[int, Any] = {}
@@ -272,16 +311,24 @@ class ASMRReplica(BaseReplica):
         self.target_instances += count
         if self._transport is not None and not self.standby:
             self._maybe_start_next_instance()
-            ahead, self._ahead = self._ahead, {}
-            for sender, messages in ahead.items():
-                for message_topic, kind, body in messages:
-                    self.route(message_topic, sender, kind, body)
+            self._replay_ahead()
+
+    def _replay_ahead(self) -> None:
+        """Route what ``_route_lazy_sbc`` kept again; what is still ahead
+        lands there and is kept again."""
+        ahead, self._ahead = self._ahead, {}
+        for sender, messages in ahead.items():
+            for message_topic, kind, body in messages:
+                self.route(message_topic, sender, kind, body)
 
     def _maybe_start_next_instance(self) -> None:
         if self.standby or self.fault is FaultKind.BENIGN:
             return
         if self.membership_change is not None and self.membership_change.outcome is None:
             return
+        while self.next_instance in self.instances:
+            # Adopted from a peer's record before this replica reached it.
+            self.next_instance += 1
         if self.next_instance >= self.target_instances:
             return
         previous = self.instances.get(self.next_instance - 1)
@@ -364,15 +411,32 @@ class ASMRReplica(BaseReplica):
             decision.digest,
             record.decided_at,
         )
-        if self.on_commit is not None:
-            self.on_commit(decision.instance, decision)
+        self._commit_in_order()
         if self.config.confirmation_enabled:
-            self._broadcast_confirmation(decision)
+            self._broadcast_confirmation(record)
         self._process_pending_confirms(decision.instance)
+        if self._waiting_fetches:
+            for requester in sorted(self._waiting_fetches.pop(decision.instance, ())):
+                self._serve_record(record, requester)
+        for gap in range(self.next_commit, decision.instance):
+            # Decided past an undecided instance: fetch what was missed.
+            self._fetch(gap)
         self._maybe_start_next_instance()
         horizon = decision.instance - self.finalization_blockdepth
         if horizon >= 0:
             self._retire(horizon)
+
+    def _commit_in_order(self) -> None:
+        """Hand ``on_commit`` every decided instance from ``next_commit`` on,
+        in instance order, each followed by the merges that waited for it."""
+        record = self.instances.get(self.next_commit)
+        while record is not None and record.decision is not None:
+            self.next_commit += 1
+            if self.on_commit is not None:
+                self.on_commit(record.instance, record.decision)
+            if record.pending_merges:
+                self._run_ready_merges(record)
+            record = self.instances.get(self.next_commit)
 
     def _retire(self, horizon: int) -> None:
         """Retire every live instance up to ``horizon`` that is settled here
@@ -404,22 +468,12 @@ class ASMRReplica(BaseReplica):
         needed = int((DEFAULT_CONFIRMATION_DELTA + 1.0 / 3.0) * n) + 1
         return min(n, needed)
 
-    def _broadcast_confirmation(self, decision: SBCDecision) -> None:
-        body = {
-            "instance": decision.instance,
-            "digest": decision.digest,
-            "bitmask": dict(decision.bitmask),
-            "proposal_digests": dict(decision.proposal_digests),
-            "binary_certificates": {
-                slot: cert.to_payload()
-                for slot, cert in decision.binary_certificates.items()
-            },
-            "rbc_certificates": {
-                slot: cert.to_payload()
-                for slot, cert in decision.rbc_certificates.items()
-            },
-        }
-        self.emit(self.CONFIRM_TOPIC.child(decision.instance), "CONFIRM", body)
+    def _broadcast_confirmation(self, record: InstanceRecord) -> None:
+        self.emit(
+            self.CONFIRM_TOPIC.child(record.instance),
+            "CONFIRM",
+            record.decision.to_record(record.epoch),
+        )
 
     def _handle_confirm(self, sender: ReplicaId, body: Dict[str, Any]) -> None:
         instance = body.get("instance")
@@ -437,6 +491,8 @@ class ASMRReplica(BaseReplica):
             ):
                 self._pending_confirms.setdefault(instance, []).append((sender, body))
                 self._pending_confirms_by[sender] = parked + 1
+                if self._decided_in_older_epoch(record, sender, body):
+                    self._fetch(instance)
             elif self.probe is not None:
                 self.probe.count("asmr.dropped_confirms")
             return
@@ -484,6 +540,22 @@ class ASMRReplica(BaseReplica):
         self._record_disagreeing_slots(record, body)
         self._reconcile(record, sender, body)
         self._extract_pofs_from_confirm(record, body)
+
+    def _decided_in_older_epoch(
+        self, record: Optional[InstanceRecord], sender: ReplicaId, body: Dict[str, Any]
+    ) -> bool:
+        """True when a member of an epoch this replica knows confirms an
+        instance undecided here as decided in that epoch, and it is older
+        than this replica's record of the instance (its own epoch, with no
+        record): an instance it aborted and restarted, or has not restarted
+        yet.  Nobody runs that instance again for it."""
+        epoch = body.get("epoch")
+        committee = self._epoch_committees.get(epoch) if type(epoch) is int else None
+        return (
+            committee is not None
+            and sender in committee
+            and epoch < (self.epoch if record is None else record.epoch)
+        )
 
     def _process_pending_confirms(self, instance: int) -> None:
         for sender, body in self._pending_confirms.pop(instance, []):
@@ -543,7 +615,10 @@ class ASMRReplica(BaseReplica):
 
     def _run_ready_merges(self, record: InstanceRecord) -> None:
         """Hand ``on_merge`` every waiting remote decision whose proposals are
-        all here, in the order their CONFIRMs arrived."""
+        all here, in the order their CONFIRMs arrived — once the instance is
+        committed here: a merge lands on a branch that holds its block."""
+        if record.instance >= self.next_commit:
+            return
         local = record.decision
         waiting: List[Dict[ReplicaId, str]] = []
         for remote_digests in record.pending_merges:
@@ -567,12 +642,19 @@ class ASMRReplica(BaseReplica):
     def _handle_pull(self, sender: ReplicaId, body: Dict[str, Any]) -> None:
         """Serve decided proposals to a replica whose decision conflicts: only
         what this replica decided under the digest asked for, once per
-        (requester, slot), only to members of the instance's committee."""
+        (requester, slot), only to members (``_is_member``).  A PULL that
+        wants nothing named is a fetch (``_handle_fetch``)."""
         record = self._record_named_in(body)
         wanted = body.get("wanted")
-        if record is None or record.decision is None or not isinstance(wanted, dict):
+        if wanted is None:
+            self._handle_fetch(sender, body.get("instance"), record)
             return
-        if sender not in record.committee:
+        if (
+            record is None
+            or record.decision is None
+            or not isinstance(wanted, dict)
+            or not self._is_member(sender, record)
+        ):
             return
         decision = record.decision
         proposals = {}
@@ -590,10 +672,20 @@ class ASMRReplica(BaseReplica):
                 {"instance": record.instance, "proposals": proposals},
             )
 
+    def _is_member(self, sender: ReplicaId, record: Optional[InstanceRecord]) -> bool:
+        """A member of the instance's committee here, or of the current one:
+        a replica that joined since may have decided the instance again
+        after this replica decided it in the epoch before."""
+        return sender in self.committee() or (record is not None and sender in record.committee)
+
     def _handle_proposals(self, sender: ReplicaId, body: Dict[str, Any]) -> None:
         """Keep the pulled proposals this replica asked ``sender`` for and
         whose hash is the digest ``sender`` confirmed; drop everything else,
-        and anything ``sender`` sends for the same slot afterwards."""
+        and anything ``sender`` sends for the same slot afterwards.  A body
+        with a digest answers a fetch (``_handle_fetched``)."""
+        if "digest" in body:
+            self._handle_fetched(sender, body)
+            return
         record = self._record_named_in(body)
         proposals = body.get("proposals")
         if record is None or not isinstance(proposals, dict):
@@ -609,6 +701,120 @@ class ASMRReplica(BaseReplica):
                 stored = True
         if stored:
             self._run_ready_merges(record)
+
+    # -- gap fill: fetch a decision record ------------------------------------------------------
+
+    def _fetch(self, instance: int) -> None:
+        """Ask ``t + 1`` members for instance ``instance``'s decision record
+        (a PULL that wants nothing named), once per instance: the senders of
+        the CONFIRMs parked for it that are members of an epoch this replica
+        knows first, then the committee in id order.  Nothing is fetched
+        below ``next_commit`` or for a decided instance."""
+        record = self.instances.get(instance)
+        if (
+            instance in self._fetches
+            or instance < self.next_commit
+            or (record is not None and record.decision is not None)
+        ):
+            return
+        committee = record.committee if record is not None else tuple(self.committee())
+        members = set(committee).union(*self._epoch_committees.values())
+        candidates = [
+            sender for sender, _ in self._pending_confirms.get(instance, ()) if sender in members
+        ]
+        asked: List[ReplicaId] = []
+        for member in candidates + sorted(committee):
+            if member != self.replica_id and member not in asked:
+                asked.append(member)
+                if len(asked) > byzantine_tolerance(len(committee)):
+                    break
+        self._fetches[instance] = set(asked)
+        if self.probe is not None:
+            self.probe.count("asmr.fetches")
+        for member in asked:
+            self.emit_to(
+                member, self.CONFIRM_TOPIC.child(instance), "PULL", {"instance": instance}
+            )
+
+    def _handle_fetch(
+        self, sender: ReplicaId, instance: Any, record: Optional[InstanceRecord]
+    ) -> None:
+        """Answer a member's fetch with the decision record and its proposals,
+        once per (requester, instance).  Undecided here, the fetch waits for
+        the decision (``_on_sbc_decided`` answers it), as far ahead as
+        ``_ahead`` keeps consensus traffic; anything else is dropped and
+        counted."""
+        if record is not None and record.decision is not None:
+            if self._is_member(sender, record) and (sender, None) not in record.pulls_served:
+                self._serve_record(record, sender)
+                return
+        elif (
+            type(instance) is int
+            and self.next_commit <= instance <= self.target_instances + AHEAD_WINDOW
+            and self._is_member(sender, record)
+        ):
+            self._waiting_fetches.setdefault(instance, set()).add(sender)
+            return
+        if self.probe is not None:
+            self.probe.count("asmr.dropped_fetches")
+
+    def _serve_record(self, record: InstanceRecord, requester: ReplicaId) -> None:
+        # ``None`` stands for the whole record in ``pulls_served``.
+        record.pulls_served.add((requester, None))
+        self.emit_to(
+            requester,
+            self.CONFIRM_TOPIC.child(record.instance),
+            "PROPOSALS",
+            record.decision.to_record(record.epoch, proposals=True),
+        )
+
+    def _handle_fetched(self, sender: ReplicaId, body: Dict[str, Any]) -> None:
+        """A fetched decision record: one answer per member asked.  The first
+        that proves its decision (``decision_from_record``, against the
+        committee of the epoch it names) is adopted; a later one that proves
+        a different decision is a conflicting confirmation.  Anything else is
+        dropped and counted, and the gap stays open."""
+        instance = body.get("instance")
+        asked = self._fetches.get(instance) if type(instance) is int else None
+        epoch = body.get("epoch")
+        committee = self._epoch_committees.get(epoch) if type(epoch) is int else None
+        decision = None
+        if asked is not None and sender in asked:
+            asked.discard(sender)
+            if committee is not None:
+                decision = decision_from_record(
+                    self, body, committee, self.SBC_ROOT.child(epoch, instance)
+                )
+        if decision is None:
+            if self.probe is not None:
+                self.probe.count("asmr.dropped_records")
+            return
+        record = self.instances.get(instance)
+        if record is not None and record.decision is not None:
+            if record.decision.digest != decision.digest:
+                self._handle_confirm(sender, body)
+            return
+        self._adopt(decision, epoch, committee)
+
+    def _adopt(
+        self, decision: SBCDecision, epoch: int, committee: Tuple[ReplicaId, ...]
+    ) -> None:
+        """Decide ``decision``, a peer's proven one, as if the local SBC had:
+        the local SBC of the instance (if any) detaches, and the record takes
+        the epoch and committee the decision was reached in."""
+        instance = decision.instance
+        component = self._sbc.pop(instance, None)
+        if component is not None:
+            component.detach()
+        record = self.instances.get(instance)
+        if record is None:
+            record = self.instances[instance] = InstanceRecord(
+                instance=instance, epoch=epoch, committee=committee, started_at=self.now
+            )
+        record.epoch, record.committee, record.aborted = epoch, committee, False
+        if self.probe is not None:
+            self.probe.count("asmr.adopted_records")
+        self._on_sbc_decided(decision)
 
     # -- accountability: PoF extraction and gossip ----------------------------------------------
 
@@ -676,17 +882,18 @@ class ASMRReplica(BaseReplica):
         if self.membership_change is not None:
             self.membership_change.learn_pofs(self.pofs)
             return
-        if len(self.pofs) < self.pof_threshold():
+        # Only members count: a proof against a replica excluded already
+        # (learnt again from a late CONFIRM) has been acted on.
+        committee = set(self.committee())
+        relevant_pofs = {
+            culprit: pof for culprit, pof in self.pofs.items() if culprit in committee
+        }
+        if len(relevant_pofs) < self.pof_threshold():
             return
         # Stop the pending ASMR consensus (Alg. 1 line 19).
         for record in self.instances.values():
             if record.decision is None:
                 record.aborted = True
-        relevant_pofs = {
-            culprit: pof
-            for culprit, pof in self.pofs.items()
-            if culprit in set(self.committee())
-        }
         if self.probe is not None:
             self.probe.mark("zlb.recovery", "exclusion_started", self.now)
         self.log.info(
@@ -738,6 +945,7 @@ class ASMRReplica(BaseReplica):
         ]
         new_committee.extend(outcome.included)
         self.update_committee(new_committee)
+        self._epoch_committees[self.epoch + 1] = tuple(new_committee)
         if self.on_exclude is not None and outcome.excluded:
             self.on_exclude(list(outcome.excluded))
         # Send the chain state to the replicas that just joined (Fig. 5 right).
@@ -765,6 +973,14 @@ class ASMRReplica(BaseReplica):
         if aborted:
             self.next_instance = min(self.next_instance, aborted[0])
         self._maybe_start_next_instance()
+        self._replay_ahead()
+        for instance in sorted(self._pending_confirms):
+            record = self.instances.get(instance)
+            if any(
+                self._decided_in_older_epoch(record, sender, body)
+                for sender, body in self._pending_confirms[instance]
+            ):
+                self._fetch(instance)
 
     # -- catch-up of newly included replicas ------------------------------------------------------------
 
@@ -813,15 +1029,8 @@ class ASMRReplica(BaseReplica):
         verified = 0
         for block in blocks:
             committee = block.get("committee", list(self.committee()))
-            for payload in block.get("binary_certificates", {}).values():
-                try:
-                    certificate = certificate_from_payload(payload)
-                except (KeyError, TypeError, ValueError):
-                    # A certificate that does not parse is an invalid one.
-                    break
-                if not certificate.is_valid(self, committee):
-                    break
-            else:
+            certificates = block.get("binary_certificates", {})
+            if verified_certificates(self, certificates, committee) is not None:
                 verified += 1
         self.catchup_blocks_verified = verified
         self.catchup_completed_at = self.now
@@ -839,6 +1048,8 @@ class ASMRReplica(BaseReplica):
         self.next_instance = max(
             self.next_instance, int(body.get("next_instance", 0))
         )
+        self.next_commit = max(self.next_commit, self.next_instance)
+        self._epoch_committees[self.epoch] = tuple(self.committee())
         self._maybe_start_next_instance()
 
     # -- message routing ---------------------------------------------------------------------------------------
@@ -891,6 +1102,10 @@ class ASMRReplica(BaseReplica):
         if not isinstance(epoch, int) or not isinstance(instance, int):
             return
         if epoch != self.epoch:
+            if epoch == self.epoch + 1:
+                # A peer finished the membership change first and runs the
+                # next epoch: keep it for when this replica gets there.
+                self._keep_ahead(message_topic, sender, kind, body)
             return
         if instance in self.instances:
             if instance not in self._sbc and self.probe is not None:
@@ -905,21 +1120,25 @@ class ASMRReplica(BaseReplica):
             # it lands here again).  Far ahead, or past the sender's share of
             # the buffer, it is dropped.
             if instance <= self.target_instances + AHEAD_WINDOW:
-                kept = self._ahead.setdefault(sender, [])
-                if len(kept) < AHEAD_PER_SENDER:
-                    kept.append((message_topic, kind, body))
+                self._keep_ahead(message_topic, sender, kind, body)
             return
         # Catch up with the instance another replica already started.
         while self.next_instance <= instance:
             to_start = self.next_instance
             self.next_instance += 1
-            self._start_instance(to_start)
+            if to_start not in self.instances:
+                self._start_instance(to_start)
         if instance in self.instances:
             # Started above: the instance's own prefix now shadows this
             # fallback.  (When ``next_instance`` already moved past an
             # instance this replica never ran — a replica included mid-epoch
             # adopts the sender's view — the message is dropped, as before.)
             self.route(message_topic, sender, kind, body)
+
+    def _keep_ahead(self, message_topic: Topic, sender: ReplicaId, kind: str, body: Dict[str, Any]) -> None:
+        kept = self._ahead.setdefault(sender, [])
+        if len(kept) < AHEAD_PER_SENDER:
+            kept.append((message_topic, kind, body))
 
     # -- metrics ---------------------------------------------------------------------------------------------------
 

@@ -490,9 +490,12 @@ class ZLBSystem:
         """Drain pending events without requesting new instances.
 
         The result carries every violation the deployment's monitors recorded
-        so far, after the end-of-run zero-loss check.
+        so far, after the end-of-run zero-loss and convergence checks (the
+        latter over the honest members that are connected: a crashed one is
+        checked once it is back).
         """
-        self.simulator.run(until=until)
+        simulator = self.simulator
+        simulator.run(until=until)
         result = self.result()
         monitors = self.deployment.monitors
         monitors.finalize(
@@ -500,6 +503,11 @@ class ZLBSystem:
             result.seized_deposit,
             result.deposit_shortfall,
             at=result.simulated_time,
+            state_digests={
+                replica.replica_id: replica.blockchain.record.state_digest()
+                for replica in self.honest_replicas()
+                if simulator.is_connected(replica.replica_id)
+            },
         )
         result.violations = [violation.describe() for violation in monitors.violations]
         return result

@@ -83,11 +83,14 @@ def _small_proposal(instance: int, replica_id: int) -> Dict[str, int]:
 def decided_asmr_committee(
     n: int = 4,
     proposal_factory: Callable[[int, int], Any] = _small_proposal,
+    cut_off: Sequence[int] = (),
 ):
     """``n`` fault-free ASMR replicas that decided and confirmed instance 0.
 
-    ``proposal_factory(instance, replica_id)`` makes each proposal.  Returns
-    ``(simulator, replicas, seen)`` with ``seen`` the :func:`tap` of
+    ``proposal_factory(instance, replica_id)`` makes each proposal.  The
+    replicas in ``cut_off`` are disconnected while instance 0 runs and
+    reconnected after: each started it and holds no decision for it.
+    Returns ``(simulator, replicas, seen)`` with ``seen`` the :func:`tap` of
     everything delivered so far and from now on.
     """
     keys = KeyRegistry.provision(range(n))
@@ -106,7 +109,11 @@ def decided_asmr_committee(
         simulator.add_process(replica)
         replicas.append(replica)
     seen = tap(replicas)
+    for replica_id in cut_off:
+        simulator.disconnect(replica_id)
     for replica in replicas:
         replica.submit_instances(1)
     simulator.run()
+    for replica_id in cut_off:
+        simulator.reconnect(replica_id)
     return simulator, replicas, seen

@@ -24,6 +24,8 @@ from repro.crypto.hashing import hash_payload
 from repro.crypto.signatures import SimulatedSigner
 from repro.network.codec import decode_message, encode_message
 from repro.network.message import Message
+from repro.obs.core import Probe
+from repro.obs.metrics import TelemetryRegistry
 from repro.rbc.bracha import ReliableBroadcast
 from repro.smr.asmr import ASMRReplica
 from repro.smr.membership import MembershipChange
@@ -411,3 +413,182 @@ class TestAccountability:
             assert standby.catchup_blocks_verified == verified
             assert not standby.standby
             assert (standby.epoch, standby.committee(), standby.next_instance) == (1, joined, 2)
+
+
+#: name -> a genuine fetched record -> one that proves nothing.
+HOSTILE_RECORDS = {
+    "a certificate that does not verify": lambda r: {
+        **r,
+        "binary_certificates": {
+            **r["binary_certificates"],
+            0: _with(
+                r["binary_certificates"][0],
+                6,
+                [(signer, signature[::-1]) for signer, signature in r["binary_certificates"][0][6]],
+            ),
+        },
+    },
+    "a proposal that does not hash to its digest": lambda r: {
+        **r, "proposals": {**r["proposals"], 0: {"instance": 0, "from": "someone else"}}
+    },
+    "a digest that is not the bitmask's and digests'": lambda r: {
+        **r, "digest": hash_payload("a decision nobody made")
+    },
+    "a slot missing from the bitmask": lambda r: {
+        **r, "bitmask": {slot: bit for slot, bit in r["bitmask"].items() if slot != 0}
+    },
+    "a proposal missing": lambda r: {
+        **r, "proposals": {slot: p for slot, p in r["proposals"].items() if slot != 0}
+    },
+    "an epoch nobody ran": lambda r: {**r, "epoch": 7},
+}
+
+
+class TestFetchedRecords:
+    """A replica that missed instance 0 fetches its decision record from
+    t + 1 = 2 members (0 and 1).  A record that proves nothing is dropped,
+    counted, and leaves the gap open; the genuine one from the other asked
+    member then fills it."""
+
+    @staticmethod
+    def _gap():
+        simulator, replicas, seen = decided_asmr_committee(cut_off=(3,))
+        gap = replicas[3]
+        gap.probe = Probe(metrics=TelemetryRegistry())
+        assert gap.instances[0].decision is None
+        gap._fetch(0)
+        genuine = replicas[1].instances[0].decision.to_record(0, proposals=True)
+        return simulator, replicas, seen, gap, genuine
+
+    @staticmethod
+    def _dropped(replica, name):
+        return replica.probe.metrics.snapshot()["counters"].get(name, 0)
+
+    def _filled_by(self, gap, genuine, sender):
+        gap._handle_proposals(sender, _delivered("PROPOSALS", genuine, sender=sender))
+        assert gap.instances[0].decision.digest == genuine["digest"]
+        assert gap.decided_instances() == [0] and gap.next_commit == 1
+
+    @confused(HOSTILE_RECORDS)
+    def test_a_record_that_proves_nothing_is_dropped(self, confusion):
+        simulator, replicas, seen, gap, genuine = self._gap()
+        hostile = HOSTILE_RECORDS[confusion](genuine)
+        gap._handle_proposals(1, _delivered("PROPOSALS", hostile))
+        assert gap.instances[0].decision is None and gap.next_commit == 0
+        assert self._dropped(gap, "asmr.dropped_records") == 1
+        # Replica 1 had its one answer; what it sends next is not read.
+        gap._handle_proposals(1, _delivered("PROPOSALS", genuine))
+        assert gap.instances[0].decision is None
+        assert self._dropped(gap, "asmr.dropped_records") == 2
+        self._filled_by(gap, genuine, 0)
+
+    @pytest.mark.parametrize("sender, instance", [(2, 0), (1, 1)], ids=["member", "instance"])
+    def test_a_record_not_asked_for_is_dropped(self, sender, instance):
+        simulator, replicas, seen, gap, genuine = self._gap()
+        unasked = {**genuine, "instance": instance}
+        gap._handle_proposals(sender, _delivered("PROPOSALS", unasked, sender=sender))
+        assert gap.instances[0].decision is None and 1 not in gap.instances
+        assert self._dropped(gap, "asmr.dropped_records") == 1
+        self._filled_by(gap, genuine, 1)
+
+    def test_the_fetch_goes_to_t_plus_one_members_and_fills_the_gap(self):
+        simulator, replicas, seen, gap, genuine = self._gap()
+        del seen[:]
+        simulator.run()
+        pulls = of_kind(seen, "PULL")
+        assert [(m.sender, m.recipient, m.body) for m in pulls] == [
+            (3, 0, {"instance": 0}), (3, 1, {"instance": 0})
+        ]
+        answers = of_kind(seen, "PROPOSALS")
+        assert [(m.sender, m.recipient) for m in answers] == [(0, 3), (1, 3)]
+        assert gap.instances[0].decision.digest == genuine["digest"]
+        assert gap.decided_instances() == [0] and gap.next_commit == 1
+        # The adopted decision is confirmed like a local one.
+        assert of_kind(seen, "CONFIRM")[0].sender == 3
+        assert self._dropped(gap, "asmr.dropped_records") == 0
+
+    def test_a_confirm_decided_in_an_older_epoch_fetches_the_record(self):
+        """Replica 3 restarted instance 0 in epoch 1 (as a membership change
+        does with an aborted instance): a CONFIRM of epoch 0 for it is a
+        decision nobody runs again.  One of its own epoch is only parked."""
+        simulator, replicas, seen = decided_asmr_committee(cut_off=(3,))
+        gap = replicas[3]
+        confirm = replicas[1].instances[0].decision.to_record(0)
+        del seen[:]
+        gap._handle_confirm(1, _delivered("CONFIRM", confirm, sender=1))
+        assert gap._fetches == {} and len(gap._pending_confirms[0]) == 1
+        gap.epoch = gap.instances[0].epoch = 1
+        gap._handle_confirm(2, _delivered("CONFIRM", confirm, sender=2))
+        simulator.run()
+        # The confirmers first, then the committee: t + 1 = 2 of them.
+        pulls = of_kind(seen, "PULL")
+        assert [(m.recipient, m.body) for m in pulls] == [(1, {"instance": 0}), (2, {"instance": 0})]
+        record = gap.instances[0]
+        assert record.decision.digest == confirm["digest"] and record.epoch == 0
+        assert gap.next_commit == 1 and record.matching_confirmations == {1, 2, 3}
+
+    def test_a_fetch_from_a_non_member_is_not_served(self):
+        simulator, replicas, seen, gap, genuine = self._gap()
+        server = replicas[0]
+        server.probe = Probe(metrics=TelemetryRegistry())
+        del seen[:]
+        server._handle_pull(99, _delivered("PULL", {"instance": 0}, sender=99))
+        simulator.run()
+        assert [m for m in seen if m.recipient == 99] == []
+        assert self._dropped(server, "asmr.dropped_fetches") == 1
+
+    def test_a_fetch_repeated_by_one_requester_is_served_once(self):
+        simulator, replicas, seen, gap, genuine = self._gap()
+        server = replicas[2]
+        server.probe = Probe(metrics=TelemetryRegistry())
+        del seen[:]
+        for _ in range(3):
+            server._handle_pull(3, _delivered("PULL", {"instance": 0}, sender=3))
+        simulator.run()
+        served = [m for m in of_kind(seen, "PROPOSALS") if m.sender == 2]
+        assert len(served) == 1 and served[0].body["digest"] == genuine["digest"]
+        assert self._dropped(server, "asmr.dropped_fetches") == 2
+
+    @pytest.mark.parametrize(
+        "sender, epoch", [(99, 0), (1, -1), (1, 7)], ids=["non-member", "negative", "unknown"]
+    )
+    def test_a_stale_confirm_that_proves_no_epoch_fetches_nothing(self, sender, epoch):
+        """Only a member of an epoch this replica knows can make it fetch,
+        or be asked by a fetch; the gap it holds is then filled by the first
+        real fetch."""
+        simulator, replicas, seen = decided_asmr_committee(cut_off=(3,))
+        gap = replicas[3]
+        gap.epoch = gap.instances[0].epoch = 1
+        confirm = {**replicas[1].instances[0].decision.to_record(0), "epoch": epoch}
+        del seen[:]
+        gap._handle_confirm(sender, _delivered("CONFIRM", confirm, sender=sender))
+        simulator.run()
+        assert gap._fetches == {} and of_kind(seen, "PULL") == []
+        gap._fetch(0)
+        simulator.run()
+        assert {m.recipient for m in of_kind(seen, "PULL")} == {0, 1}
+        assert gap.decided_instances() == [0] and gap.next_commit == 1
+
+    def test_a_fetch_waits_for_a_member_that_has_not_decided(self):
+        """Replica 6 asks 5, 0 and 1; 0 and 1 are down and 5 has not decided
+        instance 0.  5 answers once it decides (here: by a fetch of its own,
+        from 2), and 6 fills its gap from that answer."""
+        simulator, replicas, seen = decided_asmr_committee(n=7, cut_off=(5, 6))
+        server, gap = replicas[5], replicas[6]
+        server.probe = Probe(metrics=TelemetryRegistry())
+        confirm = replicas[2].instances[0].decision.to_record(0)
+        gap.epoch = gap.instances[0].epoch = 1
+        simulator.disconnect(0)
+        simulator.disconnect(1)
+        del seen[:]
+        gap._handle_confirm(5, _delivered("CONFIRM", confirm, sender=5))
+        simulator.run()
+        assert [m.recipient for m in of_kind(seen, "PULL")] == [5]
+        assert of_kind(seen, "PROPOSALS") == [] and gap.instances[0].decision is None
+        assert self._dropped(server, "asmr.dropped_fetches") == 0
+        server._fetch(0)
+        simulator.run()
+        answers = [(m.sender, m.recipient) for m in of_kind(seen, "PROPOSALS")]
+        assert answers == [(2, 5), (5, 6)]
+        assert server.decided_instances() == gap.decided_instances() == [0]
+        assert gap.instances[0].decision.digest == confirm["digest"]

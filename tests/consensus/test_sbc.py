@@ -74,8 +74,15 @@ class TestSBCBasics:
         assert decision.instance == 0
         assert decision.decided_at > 0
         assert len(decision.justification_votes) > 0
-        summary = decision.summary_payload()
-        assert summary["digest"] == decision.digest
+        record = decision.to_record(epoch=3)
+        assert record["digest"] == decision.digest
+        assert (record["instance"], record["epoch"]) == (0, 3)
+        assert record["bitmask"] == decision.bitmask
+        assert record["proposal_digests"] == decision.proposal_digests
+        assert sorted(record["binary_certificates"]) == sorted(decision.bitmask)
+        assert sorted(record["rbc_certificates"]) == decision.included_slots()
+        assert "proposals" not in record
+        assert decision.to_record(3, proposals=True)["proposals"] == decision.proposals
 
 
 class TestSBCFaultTolerance:

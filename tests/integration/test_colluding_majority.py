@@ -16,6 +16,8 @@ from repro.obs.core import Probe
 from repro.obs.metrics import TelemetryRegistry
 from repro.zlb.system import AttackSpec, ZLBSystem
 
+from tests.consensus.harness import of_kind, tap
+
 
 @pytest.fixture(scope="module")
 def attack_run():
@@ -97,6 +99,26 @@ class TestColludingMajorityRecovery:
         _, _, result = attack_run
         assert result.deposit_shortfall == 0
 
+    def test_the_initial_honest_members_end_on_one_ledger(self, attack_run):
+        _, system, result = attack_run
+        assert result.violations == []
+        honest = [replica for replica in system.honest_replicas() if replica.replica_id < 9]
+        assert len({r.blockchain.record.state_digest() for r in honest}) == 1
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a joiner starts from genesis: catch-up does not ship the chain "
+        "yet (ROADMAP item 1 (c))",
+    )
+    def test_the_final_committee_ends_on_one_ledger(self, attack_run):
+        _, system, result = attack_run
+        digests = {
+            system.replicas[replica_id].blockchain.record.state_digest()
+            for replica_id in result.final_committee
+            if system.replicas[replica_id] in system.honest_replicas()
+        }
+        assert len(digests) == 1
+
 
 def test_a_restarted_instance_leaves_no_route_behind(monkeypatch):
     """The membership change restarts the aborted instance under the next
@@ -169,6 +191,33 @@ def test_recovery_leaves_no_membership_route_and_nothing_parked(seed):
         assert replica.route(late, replica.replica_id, "BVAL", {"round": 0, "value": 1})
         assert replica._parked_membership == []
         assert replica.probe.metrics.snapshot()["counters"] == {"membership.stale_messages": 1}
+
+
+def test_a_proof_against_an_excluded_replica_starts_no_membership_change():
+    """After recovery a late CONFIRM can teach a replica the proofs of fraud
+    against the replicas it already excluded.  They were acted on: counting
+    them again started an exclusion with nobody to exclude, which aborted
+    the pending instances and never completed."""
+    system = ZLBSystem.create(
+        FaultConfig.paper_attack(9),
+        seed=1,
+        delay="aws",
+        attack=AttackSpec(kind="rbbcast", cross_partition_delay="1000ms"),
+        workload_transactions=12 * 9,
+        batch_size=10,
+        max_time=300.0,
+    )
+    seen = tap(system.replicas.values())
+    assert system.run_instances(1, until=300.0).recovered
+    gossip = [message.body for message in of_kind(seen, "POFS")]
+    for replica in system.honest_replicas():
+        if replica.replica_id >= 9:
+            continue
+        assert replica.excluded_replicas and replica.membership_change is None
+        for body in gossip:
+            replica._handle_pofs(0, body)
+        assert set(replica.pofs) >= replica.excluded_replicas
+        assert replica.membership_change is None and replica.epoch == 1
 
 
 class TestReliableBroadcastAttack:

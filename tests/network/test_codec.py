@@ -705,12 +705,14 @@ def _init_of_50_transfers():
 
 
 #: ``size_bytes()`` and the sha256 of each frame, as the recursive codec wrote
-#: them; the single-pass walks must write every byte the same.
+#: them; the single-pass walks must write every byte the same.  CONFIRM was
+#: re-pinned when its body became ``SBCDecision.to_record``, which adds the
+#: epoch the instance was decided in (3 072 B before).
 WIRE_PINS = {
     "AUX": (290, "a310a36cd512ea8e3c99e88b620047f7d45b36ba32c7641eec656da8de5d6821"),
     "BVAL": (62, "feeedfc48148e24de96f36533af08c133c685dd2e74d672a87940f9c673447b2"),
     "CATCHUP": (7674, "673458c0cf9dfb03297667db8a9f6ff3d9751cc7f77228367737476c80417a4e"),
-    "CONFIRM": (3072, "6eac5a5ee7a68d0bcd703f88a2b4065a1f895d8a0d02f8937bebc4416026d2a4"),
+    "CONFIRM": (3083, "72013884bb2ae032b94241f3f9e4621fdd0df81e5a4fde74ee596d620027b257"),
     "DECIDE": (612, "fb67a65375d5873fcf56c5e94a2f80af61e3f77b5f63fda210c8c7e7160ef535"),
     "ECHO": (351, "332c3e6f7d838358d9b1e735bd4da213d81c3278b2773a81fa30e3464409585b"),
     "INIT": (1876, "8113c67ad02c1bae5fab6f31cf15f1b374c9a5393c2d9f05b87d2dd89ac2ee03"),

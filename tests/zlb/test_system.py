@@ -129,9 +129,12 @@ class TestInvariantsInBareRuns:
     def test_a_forged_coin_trips_supply_conservation_and_does_not_leak(self):
         assert obs_core.current() is None
         forged = _forged_system().run_instances(1)
-        (violation,) = forged.violations
+        # The coin is minted, and replica 0's ledger is not its peers'.
+        violation, diverged = forged.violations
         assert violation.startswith("[supply-conservation]")
         assert "replica=0:" in violation and "minted=777" in violation
+        assert diverged.startswith("[convergence]")
+        assert "replicas_by_state=[[0], [1, 2, 3]]" in diverged
         assert forged.to_row()["violations"] == forged.violations
         # A second deployment in the same process starts from clean monitors.
         clean = _bare_system().run_instances(1)
