@@ -320,6 +320,16 @@ class SetByzantineConsensus:
         if slot in self._rbc:
             self._rbc[slot].broadcast(payload)
 
+    def waits_for_proposals(self) -> bool:
+        """Every binary consensus decided; a slot decided 1 lacks its proposal."""
+        bits = self._bits
+        return len(bits) == len(self.slots) and any(
+            bit == 1
+            and slot not in self._proposals
+            and slot not in self._rejected_proposals
+            for slot, bit in bits.items()
+        )
+
     # -- routing -------------------------------------------------------------------
 
     def routes(self) -> Iterator[Tuple[Topic, Handler]]:

@@ -29,6 +29,7 @@ from repro.network.delays import (
     UniformDelay,
     delay_model_from_name,
 )
+from repro.network.faults import LinkFaults
 from repro.network.partition import PartitionSpec
 from repro.network.router import RoutedProcess, Router
 from repro.network.simulator import NetworkSimulator, Process
@@ -51,6 +52,7 @@ __all__ = [
     "PartitionedDelay",
     "UniformDelay",
     "delay_model_from_name",
+    "LinkFaults",
     "PartitionSpec",
     "NetworkSimulator",
     "Process",

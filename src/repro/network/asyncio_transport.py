@@ -49,6 +49,7 @@ from repro.network.codec import (
     decode_message,
     frame_message,
 )
+from repro.network.faults import LinkFaults
 from repro.network.message import Message
 from repro.network.transport import Process, Transport
 
@@ -97,15 +98,18 @@ class AsyncioTransport(Transport):
         replica_id: ReplicaId,
         endpoints: Dict[ReplicaId, Endpoint],
         probe=None,
+        faults: Optional[LinkFaults] = None,
     ):
         if replica_id not in endpoints:
             raise SimulationError(f"no endpoint declared for replica {replica_id}")
         self.replica_id = replica_id
         self.endpoints: Dict[ReplicaId, Endpoint] = dict(endpoints)
         self.probe = probe
+        #: The link faults this node's sends and deliveries obey (the
+        #: transports of an in-process committee may share one).
+        self.faults = faults if faults is not None else LinkFaults()
         self._membership: Tuple[ReplicaId, ...] = tuple(sorted(endpoints))
         self._processes: Dict[ReplicaId, Process] = {}
-        self._disconnected: Set[ReplicaId] = set()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._writers: Dict[ReplicaId, asyncio.StreamWriter] = {}
@@ -139,20 +143,8 @@ class AsyncioTransport(Transport):
         if self._started:
             process.on_start()
 
-    def remove_process(self, replica_id: ReplicaId) -> None:
-        self._processes.pop(replica_id, None)
-
     def membership_view(self) -> Tuple[ReplicaId, ...]:
         return self._membership
-
-    def replica_ids(self) -> List[ReplicaId]:
-        return list(self._membership)
-
-    def disconnect(self, replica_id: ReplicaId) -> None:
-        self._disconnected.add(replica_id)
-
-    def reconnect(self, replica_id: ReplicaId) -> None:
-        self._disconnected.discard(replica_id)
 
     def connected_peers(self) -> List[ReplicaId]:
         """Peers with a live outgoing connection (obs frames report these)."""
@@ -294,10 +286,13 @@ class AsyncioTransport(Transport):
         if probe is not None:
             probe.on_send(message, self.now, count)
 
-    def _count_dropped(self, count: int = 1) -> None:
+    def _count_dropped(self, message: Optional[Message], count: int = 1) -> None:
         self.messages_dropped += count
         if self.probe is not None:
-            self.probe.count("net.messages_dropped", count)
+            if message is None:  # an undecodable frame
+                self.probe.count("net.messages_dropped", count)
+            else:
+                self.probe.on_drop(message, self.now, count)
 
     def _write_frame(self, recipient: ReplicaId, frame: bytes) -> bool:
         writer = self._writers.get(recipient)
@@ -322,12 +317,9 @@ class AsyncioTransport(Transport):
     def _deliver_local(self, message: Message) -> None:
         if self._closed:
             return
-        if message.recipient in self._disconnected:
-            self._count_dropped()
-            return
         process = self._processes.get(message.recipient)
-        if process is None:
-            self._count_dropped()
+        if process is None or message.recipient in self.faults.cut_replicas:
+            self._count_dropped(message)
             return
         self._dispatch(process, message)
 
@@ -348,17 +340,17 @@ class AsyncioTransport(Transport):
         """Send a point-to-point message (local loopback or socket frame)."""
         if self.probe is not None:
             self.probe.stamp(message)
-        if (
-            message.sender in self._disconnected
-            or message.recipient in self._disconnected
+        faults = self.faults
+        if (faults.cut_replicas or faults.loss_rate) and not faults.reachable(
+            message.sender, (message.recipient,)
         ):
-            self._count_dropped()
+            self._count_dropped(message)
         elif message.recipient in self._processes:
             # Local delivery stays asynchronous (never re-entrant from send),
             # matching the simulator's queue semantics.
             self._require_loop().call_soon(self._deliver_local, message)
         elif not self._write_frame(message.recipient, frame_message(message)):
-            self._count_dropped()
+            self._count_dropped(message)
         self._count_sent(message, 1)
 
     def submit_broadcast(self, message: Message, targets: Sequence[ReplicaId]) -> None:
@@ -375,22 +367,24 @@ class AsyncioTransport(Transport):
             return
         if self.probe is not None:
             self.probe.stamp(message)
-        if message.sender in self._disconnected:
-            self._count_dropped(count)
-            targets = ()  # nothing goes out; the send is still counted below
+        faults = self.faults
+        if faults.cut_replicas or faults.loss_rate:
+            reachable = [
+                target for _, target in faults.reachable(message.sender, targets)
+            ]
+            if len(reachable) < count:
+                self._count_dropped(message, count - len(reachable))
+            targets = reachable  # the send is still counted in full below
         frame: Optional[bytes] = None
         loop = self._require_loop()
         for target in targets:
-            if target in self._disconnected:
-                self._count_dropped()
-                continue
             if target in self._processes:
                 loop.call_soon(self._deliver_local, message.with_recipient(target))
                 continue
             if frame is None:
                 frame = frame_message(message)
             if not self._write_frame(target, frame):
-                self._count_dropped()
+                self._count_dropped(message)
         self._count_sent(message, count)
 
     # -- receiving -----------------------------------------------------------
@@ -419,7 +413,7 @@ class AsyncioTransport(Transport):
                     log.exception(
                         "replica %s received an undecodable frame", self.replica_id
                     )
-                    self._count_dropped()
+                    self._count_dropped(None)
                     continue
                 if message.recipient is None:
                     message.recipient = self.replica_id

@@ -14,6 +14,9 @@ seconds for a (sender, recipient) pair.  :class:`PartitionedDelay` composes a
 base model with a cross-partition model to reproduce the attack setup where
 partitions of honest replicas are slowed down while deceitful replicas
 communicate normally with every partition.
+
+A delay model only delays; which messages a fault drops is
+:mod:`repro.network.faults`' decision.
 """
 
 from __future__ import annotations
@@ -83,8 +86,8 @@ class DelayModel:
         per-call lookups out of the fan-out loop.  A composite model's
         per-target branching *is* its RNG order: :class:`PartitionedDelay`
         batches and keeps that order (it can tell which model a target draws
-        from without drawing), :class:`LossyDelay` and
-        :class:`HighJitterDelay` draw to decide and inherit this loop.
+        from without drawing), :class:`HighJitterDelay` draws to decide and
+        inherits this loop.
         """
         sample = self.sample
         return [sample(sender, target, rng) for target in targets]
@@ -283,40 +286,6 @@ class HighJitterDelay(DelayModel):
         return (1 - p) * self.base.mean_delay() + p * self.spike.mean_delay()
 
 
-class LossyDelay(DelayModel):
-    """A lossy network: a fraction of messages never arrives.
-
-    The simulator has no drop hook in the delay path, so a loss is modelled as
-    a delay beyond any simulation horizon (``drop_delay`` defaults to ~31
-    years): the event stays queued but is never processed.  Protocols built on
-    retransmission-free quorums (like the ones here) survive moderate loss
-    because quorums only need ``2n/3 + 1`` of the ``n`` copies.
-    """
-
-    def __init__(
-        self,
-        base: Optional[DelayModel] = None,
-        loss_rate: float = 0.05,
-        drop_delay: float = 1e9,
-    ):
-        if not 0 <= loss_rate < 1:
-            raise ConfigurationError("loss_rate must be within [0, 1)")
-        if drop_delay <= 0:
-            raise ConfigurationError("drop_delay must be positive")
-        self.base = base or GammaDelay()
-        self.loss_rate = loss_rate
-        self.drop_delay = drop_delay
-
-    def sample(self, sender: ReplicaId, recipient: ReplicaId, rng: random.Random) -> float:
-        if rng.random() < self.loss_rate:
-            return self.drop_delay
-        return self.base.sample(sender, recipient, rng)
-
-    def mean_delay(self) -> float:
-        # The mean of *delivered* messages: drops never count as latency.
-        return self.base.mean_delay()
-
-
 class PartitionedDelay(DelayModel):
     """Attack-scenario delays: slow down honest cross-partition links only.
 
@@ -368,7 +337,7 @@ def delay_model_from_name(name: str) -> DelayModel:
 
     Accepted names: ``"aws"`` / ``"aws-like"``, ``"gamma"``, ``"200ms"``,
     ``"500ms"``, ``"1000ms"``, ``"5000ms"``, ``"10000ms"`` (uniform with that
-    mean), ``"constant"``, ``"jitter"`` / ``"high-jitter"`` and ``"lossy"``.
+    mean), ``"constant"`` and ``"jitter"`` / ``"high-jitter"``.
     """
     key = name.strip().lower()
     if key in ("aws", "aws-like", "awslike"):
@@ -379,8 +348,6 @@ def delay_model_from_name(name: str) -> DelayModel:
         return ConstantDelay()
     if key in ("jitter", "high-jitter", "highjitter"):
         return HighJitterDelay()
-    if key == "lossy":
-        return LossyDelay()
     if key.endswith("ms"):
         try:
             mean_ms = float(key[:-2])

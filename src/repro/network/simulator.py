@@ -36,12 +36,13 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.config import SimulationConfig
 from repro.common.errors import SimulationError
 from repro.common.types import ReplicaId
 from repro.network.delays import ConstantDelay, DelayModel
+from repro.network.faults import LinkFaults
 from repro.network.message import Message
 from repro.network.transport import Process, Transport
 from repro.obs import core as obs_core
@@ -123,9 +124,12 @@ class NetworkSimulator(Transport):
         delay_model: Optional[DelayModel] = None,
         config: Optional[SimulationConfig] = None,
         probe: Optional[Probe] = None,
+        faults: Optional[LinkFaults] = None,
     ):
         self.delay_model = delay_model or ConstantDelay(0.01)
         self.config = config or SimulationConfig()
+        #: The run's link faults; replace them only between runs.
+        self.faults = faults if faults is not None else LinkFaults()
         #: The run's probe, or None (uninstrumented — the default).  Falls
         #: back to the probe installed by ``obs.activate`` so a scenario cell
         #: can instrument the whole stack it builds.  Instrumentation is
@@ -143,7 +147,6 @@ class NetworkSimulator(Transport):
         #: Cached sorted membership view, rebuilt only when membership changes.
         self._membership_view: Tuple[ReplicaId, ...] = ()
         self._timers: Dict[int, _Event] = {}
-        self._disconnected: Set[ReplicaId] = set()
         self._now: float = 0.0
         self._started = False
         #: Live count of queued, non-cancelled deliveries and timers
@@ -170,18 +173,9 @@ class NetworkSimulator(Transport):
         if self._started:
             process.on_start()
 
-    def remove_process(self, replica_id: ReplicaId) -> None:
-        """Remove a process; queued messages to it will be dropped on delivery."""
-        if self._processes.pop(replica_id, None) is not None:
-            self._membership_view = tuple(sorted(self._processes))
-
     def membership_view(self) -> Tuple[ReplicaId, ...]:
         """Cached sorted tuple of registered replica ids (do not mutate)."""
         return self._membership_view
-
-    def replica_ids(self) -> List[ReplicaId]:
-        """Sorted list of currently registered replica ids."""
-        return list(self._membership_view)
 
     def process_for(self, replica_id: ReplicaId) -> Process:
         """Return the process registered for ``replica_id``."""
@@ -189,18 +183,6 @@ class NetworkSimulator(Transport):
             return self._processes[replica_id]
         except KeyError:
             raise SimulationError(f"no process registered for {replica_id}") from None
-
-    def disconnect(self, replica_id: ReplicaId) -> None:
-        """Drop all future messages to and from ``replica_id`` (crash/benign mute)."""
-        self._disconnected.add(replica_id)
-
-    def reconnect(self, replica_id: ReplicaId) -> None:
-        """Lift a previous :meth:`disconnect`."""
-        self._disconnected.discard(replica_id)
-
-    def is_connected(self, replica_id: ReplicaId) -> bool:
-        """False between :meth:`disconnect` and :meth:`reconnect`."""
-        return replica_id not in self._disconnected
 
     # -- event submission ----------------------------------------------------
 
@@ -210,27 +192,9 @@ class NetworkSimulator(Transport):
         return self._now
 
     def submit(self, message: Message) -> None:
-        """Queue ``message`` for delivery after a sampled delay."""
-        self.messages_sent += 1
-        probe = self.probe
-        if probe is not None:
-            probe.on_send(message, self._now)
-        if (
-            message.sender in self._disconnected
-            or message.recipient in self._disconnected
-        ):
-            self.messages_dropped += 1
-            if probe is not None:
-                probe.on_drop(message, self._now)
-            return
-        delay = self.delay_model.sample(message.sender, message.recipient, self.rng)
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay} sampled")
-        event = _Event(_Event.BROADCAST, message)
-        event.deliveries = [(self._now + delay, 0, message.recipient)]
-        event.fanout = 1
-        heapq.heappush(self._queue, (self._now + delay, next(self._sequence), event))
-        self._pending += 1
+        """Queue ``message`` for delivery after a sampled delay (a fan-out of
+        one: the same draws, event and counters as a one-target broadcast)."""
+        self.submit_broadcast(message, (message.recipient,))
 
     def submit_broadcast(
         self, message: Message, targets: Sequence[ReplicaId]
@@ -251,26 +215,17 @@ class NetworkSimulator(Transport):
             # opens its own child span under the shared context.
             probe.on_send(message, self._now, count)
         sender = message.sender
-        if sender in self._disconnected:
-            self.messages_dropped += count
-            if probe is not None:
-                probe.on_drop(message, self._now, count)
-            return
-        # Filter disconnected targets *before* sampling: the scalar submission
-        # loop never consumed randomness for dropped recipients, and the
-        # batched path must not either (seeded-run parity).
-        disconnected = self._disconnected
-        if disconnected:
-            reachable = [
-                (order, target)
-                for order, target in enumerate(targets)
-                if target not in disconnected
-            ]
+        faults = self.faults
+        if faults.cut_replicas or faults.loss_rate:
+            # Faults drop before sampling: the scalar submission loop never
+            # consumed delay randomness for dropped recipients, and the
+            # batched path must not either (seeded-run parity).
+            reachable = faults.reachable(sender, targets)
             dropped = count - len(reachable)
             if dropped:
                 self.messages_dropped += dropped
                 if probe is not None:
-                    probe.count("net.messages_dropped", dropped)
+                    probe.on_drop(message, self._now, dropped)
             if not reachable:
                 return
             delays = self.delay_model.sample_many(
@@ -356,7 +311,7 @@ class NetworkSimulator(Transport):
         processed = 0
         queue = self._queue
         # Both containers are only ever mutated in place, never rebound.
-        disconnected = self._disconnected
+        cut = self.faults.cut_replicas
         processes = self._processes
         while queue and processed < budget:
             time, seq, event = queue[0]
@@ -400,7 +355,7 @@ class NetworkSimulator(Transport):
                     recipient = deliveries[cursor][2]
                     message.recipient = recipient
                     cursor += 1
-                    if recipient in disconnected or recipient not in processes:
+                    if recipient in cut or recipient not in processes:
                         self.messages_dropped += 1
                         if probe is not None:
                             probe.on_drop(message, self._now)

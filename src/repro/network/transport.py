@@ -16,8 +16,11 @@ The split mirrors the two halves of the interface:
 
 * :class:`Clock` — time and timers (``now`` / ``schedule`` / ``cancel``).
 * :class:`Transport` — a clock plus delivery (``submit`` /
-  ``submit_broadcast``), membership (``add_process`` / ``membership_view``)
-  and link control (``disconnect`` / ``reconnect``).
+  ``submit_broadcast``) and membership (``add_process`` /
+  ``membership_view``).
+
+Which messages a cut replica or a lossy link drops, both backends ask their
+:class:`~repro.network.faults.LinkFaults` (``transport.faults``).
 
 Implementations must honour the delivery contract protocol code relies on:
 messages submitted by a process are delivered *asynchronously* (never
@@ -58,7 +61,7 @@ class Clock:
 
 
 class Transport(Clock):
-    """A clock plus message delivery, membership and link control."""
+    """A clock plus message delivery and membership."""
 
     #: The run's :class:`~repro.obs.core.Probe`, or None (uninstrumented).
     #: Processes cache it once at bind time and guard every instrumented
@@ -71,20 +74,8 @@ class Transport(Clock):
         """Register a process and bind it to this transport."""
         raise NotImplementedError
 
-    def remove_process(self, replica_id: ReplicaId) -> None:
-        """Remove a process; in-flight messages to it are dropped."""
-        raise NotImplementedError
-
     def membership_view(self) -> Tuple[ReplicaId, ...]:
         """Sorted tuple of reachable replica ids (do not mutate)."""
-        raise NotImplementedError
-
-    def disconnect(self, replica_id: ReplicaId) -> None:
-        """Drop all future traffic to and from ``replica_id``."""
-        raise NotImplementedError
-
-    def reconnect(self, replica_id: ReplicaId) -> None:
-        """Lift a previous :meth:`disconnect`."""
         raise NotImplementedError
 
     # -- delivery ------------------------------------------------------------

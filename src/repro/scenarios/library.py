@@ -6,10 +6,10 @@ Registers every experiment of the paper as a declarative scenario family —
 
 * ``churn`` — committee churn under repeated membership changes: consecutive
   attack/recovery rounds, measuring how exclusion/inclusion costs accumulate;
-* ``crash-recovery`` — honest replicas crash mid-run (``disconnect``) and come
-  back (``reconnect``); the committee must keep committing through the outage;
-* ``jitter-stress`` — fault-free committees under the high-jitter and lossy
-  delay models, measuring throughput degradation relative to the calm
+* ``crash-recovery`` — honest replicas crash mid-run (their links are cut) and
+  come back (healed); the committee must keep committing through the outage;
+* ``jitter-stress`` — fault-free committees under high-jitter delays and on
+  lossy links, measuring throughput degradation relative to the calm
   ``gamma`` baseline.
 
 Every family follows the same contract: a grid builder expands
@@ -563,11 +563,11 @@ def _crash_recovery_grid(scale: str) -> List[ScenarioSpec]:
     tags=("extra", "faults"),
 )
 def _run_crash_recovery_cell(spec: ScenarioSpec) -> Dict[str, Any]:
-    """Three phases: healthy -> ``crashes`` replicas disconnected -> rejoined.
+    """Three phases: healthy -> ``crashes`` replicas cut off -> rejoined.
 
     Crashed replicas keep their deposits and state but drop every message
-    (the simulator's ``disconnect``); as long as ``crashes < n/3`` the
-    remaining quorum keeps deciding, and after ``reconnect`` the stragglers
+    (the simulator's ``faults.cut``); as long as ``crashes < n/3`` the
+    remaining quorum keeps deciding, and after ``faults.heal`` the stragglers
     rejoin the message flow.  The row records committed transactions after
     each phase so throughput through the outage is visible.
     """
@@ -582,13 +582,13 @@ def _run_crash_recovery_cell(spec: ScenarioSpec) -> Dict[str, Any]:
     )
     crashed = committee[-crashes:]
     for replica_id in crashed:
-        system.simulator.disconnect(replica_id)
+        system.simulator.faults.cut(replica_id)
     # Fresh client traffic per phase: transfers routed to a crashed replica's
-    # mempool stall until it reconnects, so phase deltas show the outage cost.
+    # mempool stall until it is healed, so phase deltas show the outage cost.
     system.submit_workload(spec.workload_transactions)
     outage = system.run_instances(phase_instances, until=spec.max_time)
     for replica_id in crashed:
-        system.simulator.reconnect(replica_id)
+        system.simulator.faults.heal(replica_id)
     system.submit_workload(spec.workload_transactions)
     final = system.run_instances(phase_instances, until=spec.max_time)
 
@@ -639,8 +639,9 @@ def _run_jitter_stress_cell(spec: ScenarioSpec) -> Dict[str, Any]:
     """One fault-free run under a hostile delay model.
 
     ``gamma`` cells provide the calm baseline; ``jitter`` cells inject
-    multi-hundred-ms spikes on a fifth of the links and ``lossy`` cells drop
-    5% of all messages outright.  Quorum-based protocols should keep deciding
+    multi-hundred-ms spikes on a fifth of the links and ``lossy`` cells lose
+    5% of all messages at send (the simulator's link faults), counted as
+    ``undelivered_messages``.  Quorum-based protocols should keep deciding
     in all three, at degraded throughput.
     """
     start = time.perf_counter()
@@ -652,9 +653,7 @@ def _run_jitter_stress_cell(spec: ScenarioSpec) -> Dict[str, Any]:
             "seed": spec.seed,
             "delay": spec.delay,
             "wall_clock_s": round(time.perf_counter() - start, 3),
-            # Lost messages are modelled as never-arriving events, so after the
-            # run they are exactly the ones still queued past the horizon.
-            "undelivered_messages": system.simulator.pending_events(),
+            "undelivered_messages": system.simulator.messages_dropped,
         }
     )
     return row

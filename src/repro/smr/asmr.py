@@ -37,20 +37,22 @@ instance order, once every instance below it is committed
 supplied it.  A merge for instance ``k`` waits for ``k``'s commit, so it
 lands on a branch that holds ``k``'s block.
 
-**Gap fill.**  A replica that decides an instance past an undecided one, or
+**Gap fill.**  A replica that decides an instance past an undecided one,
 holds a CONFIRM for an undecided instance from a member of an epoch older
 than its own record of it (an instance it aborted and restarted, or has not
-restarted yet: nobody runs it again), fetches that instance's decision
-record from ``t + 1`` members — a PULL that wants nothing named, answered
-with :meth:`~repro.consensus.sbc.SBCDecision.to_record` and its proposals,
-once per requester and only to a member; a member that has not decided the
-instance yet answers when it does.  The first record that proves its
-decision against the committee of its epoch
+restarted yet: nobody runs it again), or whose SBC still lacks the proposal
+of a slot decided 1 :data:`PROPOSAL_WAIT_S` after a CONFIRM for the instance
+came (that slot's reliable broadcast lost a message), fetches the instance's
+decision record from ``t + 1`` members — a PULL that wants nothing named,
+answered with :meth:`~repro.consensus.sbc.SBCDecision.to_record` and its
+proposals, once per requester and only to a member; a member that has not
+decided the instance yet answers when it does.  The first record that proves
+its decision against the committee of its epoch
 (:func:`~repro.consensus.sbc.decision_from_record`) is adopted: the local
 SBC of the instance detaches and the decision goes the way of a local one —
 monitors, CONFIRM, parked CONFIRMs, ordered commit.  A later record that
-proves a different decision is a conflicting confirmation.  Neither case
-occurs in a fault-free run, so a fault-free run fetches nothing.
+proves a different decision is a conflicting confirmation.  None of the
+three occurs in a fault-free scenario cell: those fetch nothing.
 
 The replica is application-agnostic: the payment system plugs in through the
 ``proposal_factory`` (what to propose), ``proposal_validator`` (is a proposal
@@ -99,6 +101,12 @@ DEFAULT_CONFIRMATION_DELTA = 5.0 / 9.0
 #: sender (and early membership traffic, see ``_park_membership``).
 AHEAD_WINDOW = 8
 AHEAD_PER_SENDER = 1024
+
+#: How long an SBC may wait for the proposal of a slot decided 1 after a
+#: CONFIRM for its instance came before the replica fetches the decision
+#: record (see "Gap fill").  Without loss the broadcast completes within two
+#: hops; the longest such wait on the scenario grids is 0.45 s (high jitter).
+PROPOSAL_WAIT_S = 2.0
 
 #: The votes of a CONFIRM body's certificates, grouped, by ``id(body)``: the
 #: identity memo of the disagreement path.  CONFIRM bodies cross the simulated
@@ -269,6 +277,8 @@ class ASMRReplica(BaseReplica):
         #: Members whose fetch of an instance undecided here waits for the
         #: decision (see ``_handle_fetch``).
         self._waiting_fetches: Dict[int, Set[ReplicaId]] = {}
+        #: The :data:`PROPOSAL_WAIT_S` timer of each instance that has one.
+        self._proposal_waits: Dict[int, int] = {}
         self._sbc: Dict[int, SetByzantineConsensus] = {}
         self.pofs: Dict[ReplicaId, ProofOfFraud] = {}
         self.detected_at: Optional[float] = None
@@ -392,6 +402,10 @@ class ASMRReplica(BaseReplica):
             return
         record.decision = decision
         record.decided_at = self.now
+        if self._proposal_waits:
+            timer = self._proposal_waits.pop(decision.instance, None)
+            if timer is not None:
+                self.transport.cancel(timer)
         probe = self.probe
         if probe is not None:
             now = record.decided_at
@@ -493,6 +507,14 @@ class ASMRReplica(BaseReplica):
                 self._pending_confirms_by[sender] = parked + 1
                 if self._decided_in_older_epoch(record, sender, body):
                     self._fetch(instance)
+                elif (
+                    instance not in self._proposal_waits
+                    and instance in self._sbc
+                    and self._sbc[instance].waits_for_proposals()
+                ):
+                    self._proposal_waits[instance] = self.set_timer(
+                        PROPOSAL_WAIT_S, lambda: self._fetch(instance)
+                    )
             elif self.probe is not None:
                 self.probe.count("asmr.dropped_confirms")
             return

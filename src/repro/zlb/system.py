@@ -34,6 +34,7 @@ from repro.ledger.utxo import UTXO, UTXOTable
 from repro.ledger.wallet import Wallet
 from repro.ledger.workload import TransferWorkload
 from repro.network.delays import DelayModel, PartitionedDelay, delay_model_from_name
+from repro.network.faults import LinkFaults
 from repro.network.simulator import NetworkSimulator
 from repro.obs import core as obs_core
 from repro.obs.core import Probe
@@ -48,6 +49,10 @@ from repro.zlb.payment import DepositPolicy
 DEPOSIT_POLICY = DepositPolicy(
     gain_bound=100_000, deposit_factor=1.0, finalization_blockdepth=5
 )
+
+#: The ``lossy`` value of the delay axis: gamma delays, and each message to
+#: each target lost with this probability.
+LOSSY_LOSS_RATE = 0.05
 
 
 @dataclasses.dataclass(frozen=True)
@@ -360,16 +365,6 @@ class ZLBSystem:
         self.replicas = replicas
         self.instances_requested = 0
 
-    @property
-    def transport(self) -> NetworkSimulator:
-        """The deployment's transport backend (here always the simulator).
-
-        ``ZLBSystem`` drives simulated experiments, so the backend is the
-        discrete-event :class:`NetworkSimulator`; real-socket deployments are
-        assembled per process by :mod:`repro.cluster` instead.
-        """
-        return self.simulator
-
     # -- construction ----------------------------------------------------------------
 
     @staticmethod
@@ -389,6 +384,8 @@ class ZLBSystem:
     ) -> "ZLBSystem":
         """Build a complete deployment; see the class docstring for the pieces.
 
+        ``delay`` is a delay model, a name :func:`delay_model_from_name`
+        knows, or ``"lossy"`` (see :data:`LOSSY_LOSS_RATE`).
         ``probe`` instruments the whole stack (simulator, broadcast,
         consensus, membership, blockchain managers); it defaults to the probe
         installed by :func:`repro.obs.activate`, i.e. None — uninstrumented —
@@ -410,6 +407,9 @@ class ZLBSystem:
 
         # Delay model: base everywhere, slowed links between honest partitions
         # while an attack is running.
+        loss_rate = 0.0
+        if delay == "lossy":
+            delay, loss_rate = "gamma", LOSSY_LOSS_RATE
         base_delay = (
             delay if isinstance(delay, DelayModel) else delay_model_from_name(delay)
         )
@@ -432,6 +432,7 @@ class ZLBSystem:
                 )
             ),
             probe=probe,
+            faults=LinkFaults(loss_rate=loss_rate, seed=seed),
         )
         replicas: Dict[ReplicaId, ZLBReplica] = {}
         for replica_id in deployment.committee + deployment.pool_ids:
@@ -491,11 +492,12 @@ class ZLBSystem:
 
         The result carries every violation the deployment's monitors recorded
         so far, after the end-of-run zero-loss and convergence checks (the
-        latter over the honest members that are connected: a crashed one is
+        latter over the honest members that are not cut: a crashed one is
         checked once it is back).
         """
         simulator = self.simulator
         simulator.run(until=until)
+        cut = simulator.faults.cut_replicas
         result = self.result()
         monitors = self.deployment.monitors
         monitors.finalize(
@@ -506,7 +508,7 @@ class ZLBSystem:
             state_digests={
                 replica.replica_id: replica.blockchain.record.state_digest()
                 for replica in self.honest_replicas()
-                if simulator.is_connected(replica.replica_id)
+                if replica.replica_id not in cut
             },
         )
         result.violations = [violation.describe() for violation in monitors.violations]

@@ -88,8 +88,8 @@ def decided_asmr_committee(
     """``n`` fault-free ASMR replicas that decided and confirmed instance 0.
 
     ``proposal_factory(instance, replica_id)`` makes each proposal.  The
-    replicas in ``cut_off`` are disconnected while instance 0 runs and
-    reconnected after: each started it and holds no decision for it.
+    replicas in ``cut_off`` are cut while instance 0 runs and healed
+    after: each started it and holds no decision for it.
     Returns ``(simulator, replicas, seen)`` with ``seen`` the :func:`tap` of
     everything delivered so far and from now on.
     """
@@ -110,10 +110,10 @@ def decided_asmr_committee(
         replicas.append(replica)
     seen = tap(replicas)
     for replica_id in cut_off:
-        simulator.disconnect(replica_id)
+        simulator.faults.cut(replica_id)
     for replica in replicas:
         replica.submit_instances(1)
     simulator.run()
     for replica_id in cut_off:
-        simulator.reconnect(replica_id)
+        simulator.faults.heal(replica_id)
     return simulator, replicas, seen

@@ -578,8 +578,8 @@ class TestFetchedRecords:
         server.probe = Probe(metrics=TelemetryRegistry())
         confirm = replicas[2].instances[0].decision.to_record(0)
         gap.epoch = gap.instances[0].epoch = 1
-        simulator.disconnect(0)
-        simulator.disconnect(1)
+        simulator.faults.cut(0)
+        simulator.faults.cut(1)
         del seen[:]
         gap._handle_confirm(5, _delivered("CONFIRM", confirm, sender=5))
         simulator.run()

@@ -1,6 +1,6 @@
 """Integration: honest replicas end on one ledger.
 
-A replica that misses an instance — it was disconnected while the others
+A replica that misses an instance — it was cut off while the others
 decided it, lost a message of it, or aborted it for a membership change after
 its peers had decided it — fetches the instance's decision record from
 ``t + 1`` members, verifies it against the instance's committee and commits
@@ -77,11 +77,15 @@ def test_crashed_replicas_fill_what_they_missed(crashes, seed, monkeypatch):
         assert system.replicas[replica_id].next_commit == 6
 
 
-def test_a_lossy_network_leaves_no_gap(monkeypatch):
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_a_lossy_network_leaves_no_gap(seed, monkeypatch):
+    """At seeds 1, 2 and 4 a member's last instance waits for a proposal
+    whose broadcast lost messages: it fetches the decision ``PROPOSAL_WAIT_S``
+    after a peer's CONFIRM came, or nothing ever decides it there."""
     spec = ScenarioSpec(
         family="jitter-stress",
         n=7,
-        seed=1,
+        seed=seed,
         delay="lossy",
         workload_transactions=120,
         batch_size=20,
@@ -139,14 +143,14 @@ def test_a_coin_swapped_into_one_honest_ledger_trips_convergence():
 
 
 def test_a_crashed_replica_is_checked_once_it_is_back():
-    """Mid-outage a disconnected member is not up: it is not compared."""
+    """Mid-outage a cut member is not up: it is not compared."""
     system = ZLBSystem.create(
         FaultConfig(n=4), seed=3, delay="aws", workload_transactions=40, batch_size=10
     )
     assert system.run_instances(1).violations == []
-    system.simulator.disconnect(3)
+    system.simulator.faults.cut(3)
     assert system.run_instances(1).violations == []
     assert system.replicas[3].decided_instances() == [0]
-    system.simulator.reconnect(3)
+    system.simulator.faults.heal(3)
     assert system.run_instances(1).violations == []
     assert system.replicas[3].decided_instances() == [0, 1, 2]

@@ -151,25 +151,6 @@ class TestAsyncioTransport:
 
         asyncio.run(scenario())
 
-    def test_disconnect_drops_and_reconnect_restores(self, tmp_path):
-        async def scenario():
-            transports, processes = await _boot(_uds_endpoints(tmp_path, 2))
-            t0 = transports[0]
-            t0.disconnect(1)
-            processes[0].send_to(1, "proto", "LOST", {})
-            await asyncio.sleep(0.1)
-            assert t0.messages_dropped == 1
-            assert processes[1].got == []
-            t0.reconnect(1)
-            processes[0].send_to(1, "proto", "FOUND", {})
-            await asyncio.sleep(0.1)
-            try:
-                assert [g[:2] for g in processes[1].got] == [(0, "FOUND")]
-            finally:
-                await _close_all(transports)
-
-        asyncio.run(scenario())
-
     def test_wall_clock_timers_fire_and_cancel(self, tmp_path):
         async def scenario():
             transports, processes = await _boot(_uds_endpoints(tmp_path, 1))

@@ -12,7 +12,6 @@ from repro.network.delays import (
     ConstantDelay,
     GammaDelay,
     HighJitterDelay,
-    LossyDelay,
     PartitionedDelay,
     UniformDelay,
     delay_model_from_name,
@@ -161,26 +160,6 @@ class TestHighJitterDelay:
             HighJitterDelay(base_mean=0)
 
 
-class TestLossyDelay:
-    def test_losses_become_never_arriving_delays(self):
-        rng = random.Random(1)
-        model = LossyDelay(base=ConstantDelay(0.01), loss_rate=0.25, drop_delay=1e9)
-        samples = [model.sample(0, 1, rng) for _ in range(2_000)]
-        lost = sum(1 for s in samples if s == 1e9)
-        assert 0.2 < lost / len(samples) < 0.3
-        assert all(s == 0.01 for s in samples if s != 1e9)
-
-    def test_mean_counts_delivered_only(self):
-        model = LossyDelay(base=ConstantDelay(0.01), loss_rate=0.5)
-        assert model.mean_delay() == 0.01
-
-    def test_invalid_loss_rate_rejected(self):
-        with pytest.raises(ConfigurationError):
-            LossyDelay(loss_rate=1.0)
-        with pytest.raises(ConfigurationError):
-            LossyDelay(drop_delay=0)
-
-
 class TestDelayModelFromName:
     def test_named_models(self):
         assert isinstance(delay_model_from_name("aws"), AwsRegionDelay)
@@ -189,7 +168,6 @@ class TestDelayModelFromName:
         assert isinstance(delay_model_from_name("constant"), ConstantDelay)
         assert isinstance(delay_model_from_name("jitter"), HighJitterDelay)
         assert isinstance(delay_model_from_name("high-jitter"), HighJitterDelay)
-        assert isinstance(delay_model_from_name("lossy"), LossyDelay)
 
     def test_uniform_from_ms(self):
         model = delay_model_from_name("500ms")
@@ -218,7 +196,6 @@ class TestSampleMany:
         "gamma",
         "constant",
         "jitter",
-        "lossy",
         "200ms",
         "500ms",
         "1000ms",

@@ -110,6 +110,14 @@ class TestSimulatorBasics:
         with pytest.raises(SimulationError):
             p.send_to(1, "x", "Y", {})
 
+    def test_message_to_unknown_replica_dropped(self):
+        sim = NetworkSimulator(ConstantDelay(0.01))
+        a = Recorder(0)
+        sim.add_process(a)
+        a.send_to(99, "p", "X", {})
+        sim.run()
+        assert sim.messages_dropped == 1
+
 
 class TestTimers:
     def test_timer_fires_in_order(self):
@@ -191,38 +199,6 @@ class TestRunControl:
         assert fired == []
 
 
-class TestDisconnect:
-    def test_messages_to_disconnected_dropped(self):
-        sim = NetworkSimulator(ConstantDelay(0.01))
-        a, b = Recorder(0), Recorder(1)
-        sim.add_process(a)
-        sim.add_process(b)
-        sim.disconnect(1)
-        a.send_to(1, "p", "X", {})
-        sim.run()
-        assert b.received == []
-        assert sim.messages_dropped == 1
-
-    def test_reconnect_restores_delivery(self):
-        sim = NetworkSimulator(ConstantDelay(0.01))
-        a, b = Recorder(0), Recorder(1)
-        sim.add_process(a)
-        sim.add_process(b)
-        sim.disconnect(1)
-        sim.reconnect(1)
-        a.send_to(1, "p", "X", {})
-        sim.run()
-        assert len(b.received) == 1
-
-    def test_message_to_unknown_replica_dropped(self):
-        sim = NetworkSimulator(ConstantDelay(0.01))
-        a = Recorder(0)
-        sim.add_process(a)
-        a.send_to(99, "p", "X", {})
-        sim.run()
-        assert sim.messages_dropped == 1
-
-
 class TestBroadcastFanOut:
     """The fan-out-aware broadcast kernel and the cached membership view."""
 
@@ -240,7 +216,7 @@ class TestBroadcastFanOut:
         assert sim.messages_sent == 6
         assert sim.messages_delivered == 6
 
-    def test_membership_view_tracks_add_and_remove(self):
+    def test_membership_view_tracks_late_add(self):
         sim = NetworkSimulator(ConstantDelay(0.01))
         for i in (3, 1, 2):
             sim.add_process(Recorder(i))
@@ -248,21 +224,20 @@ class TestBroadcastFanOut:
         late = Recorder(0)
         sim.add_process(late)
         assert sim.membership_view() == (0, 1, 2, 3)
-        sim.remove_process(2)
-        assert sim.membership_view() == (0, 1, 3)
-        assert sim.replica_ids() == [0, 1, 3]
 
     def test_broadcast_after_membership_change_uses_fresh_view(self):
         sim = NetworkSimulator(ConstantDelay(0.01))
-        processes = [Recorder(i) for i in range(3)]
+        processes = [Recorder(i) for i in range(2)]
         for p in processes:
             sim.add_process(p)
-        sim.remove_process(2)
+        processes[0].broadcast("proto", "HI", {})
+        late = Recorder(2)
+        sim.add_process(late)
         processes[0].broadcast("proto", "HI", {})
         sim.run()
-        assert len(processes[0].received) == 1
-        assert len(processes[1].received) == 1
-        assert len(processes[2].received) == 0
+        assert len(processes[0].received) == 2
+        assert len(processes[1].received) == 2
+        assert len(late.received) == 1
 
     def test_equivocating_restricted_broadcasts(self):
         """Regression: per-partition (restricted-recipient) broadcasts must
@@ -279,18 +254,6 @@ class TestBroadcastFanOut:
             p.replica_id: [m.body["value"] for _, m in p.received] for p in processes
         }
         assert values == {0: [], 1: [0], 2: [0], 3: [1], 4: [1]}
-
-    def test_broadcast_skips_disconnected_recipients(self):
-        sim = NetworkSimulator(ConstantDelay(0.01))
-        processes = [Recorder(i) for i in range(4)]
-        for p in processes:
-            sim.add_process(p)
-        sim.disconnect(2)
-        processes[0].broadcast("proto", "HI", {})
-        sim.run()
-        assert sim.messages_dropped == 1
-        assert len(processes[2].received) == 0
-        assert len(processes[1].received) == 1
 
     def test_empty_recipient_list_is_noop(self):
         sim = NetworkSimulator(ConstantDelay(0.01))
@@ -379,22 +342,18 @@ class TestEventOrdering:
             (0.5, "last", 0),
         ]
 
-    @pytest.mark.parametrize(
-        "gone", [None, "disconnected", "disconnected in flight", "removed in flight"]
-    )
+    @pytest.mark.parametrize("gone", [None, "cut", "cut in flight"])
     def test_a_send_to_is_a_fan_out_of_one(self, gone):
         def run(submit):
             sim, processes, log = self._committee(UniformDelay.from_mean(0.2), size=3)
-            if gone == "disconnected":
-                sim.disconnect(1)
+            if gone == "cut":
+                sim.faults.cut(1)
             processes[0].send_to(2, "p", "before", {})
             submit(processes[0])
             processes[2].send_to(1, "p", "after", {})
             queued = sim.pending_events()
-            if gone == "disconnected in flight":
-                sim.disconnect(1)
-            elif gone == "removed in flight":
-                sim.remove_process(1)
+            if gone == "cut in flight":
+                sim.faults.cut(1)
             events = sim.run().events
             counters = (sim.messages_sent, sim.messages_delivered, sim.messages_dropped)
             return log, queued, events, sim.now, counters, sim.pending_events()
@@ -407,7 +366,7 @@ class TestEventOrdering:
         assert sorted(kind for _, kind, _ in log) == (
             ["before"] if gone else ["after", "before", "x"]
         )
-        assert queued == events == (1 if gone == "disconnected" else 3)
+        assert queued == events == (1 if gone == "cut" else 3)
 
     def _load(self, sim, processes, log):
         """Two interleaving broadcasts, a point-to-point and two timers."""
@@ -504,7 +463,7 @@ class TestFanOutDelivery:
 
     def _run(self, delays, probe=None, victims=()):
         """Two interleaving six-way broadcasts; the first delivery of all
-        disconnects ``victims[0]`` and unregisters ``victims[1]``."""
+        cuts both ``victims``."""
         sim = NetworkSimulator(delays, SimulationConfig(seed=5), probe=probe)
         log = []
 
@@ -512,8 +471,8 @@ class TestFanOutDelivery:
             def on_message(self, message):
                 log.append((message.kind, self.replica_id))
                 if victims and len(log) == 1:
-                    sim.disconnect(victims[0])
-                    sim.remove_process(victims[1])
+                    for victim in victims:
+                        sim.faults.cut(victim)
 
         processes = [Logger(i) for i in range(6)]
         for process in processes:
