@@ -45,10 +45,15 @@ def main() -> None:
     print()
     print(render_report([("fig4 n=9", snapshot)], metric_filter="rbc."))
 
-    timeline = snapshot["timelines"]["zlb.recovery"]["first"]
+    # A recovery gauge's min is the first time that step happened anywhere.
+    recovery = {
+        key[len("zlb.recovery.") : -len("_s")]: gauge["min"]
+        for key, gauge in snapshot["gauges"].items()
+        if key.startswith("zlb.recovery.")
+    }
     print("\nrecovery timeline (simulated seconds):")
-    for mark, at in sorted(timeline.items(), key=lambda item: item[1]):
-        print(f"  {at:8.3f}s  {mark}")
+    for step, at in sorted(recovery.items(), key=lambda item: item[1]):
+        print(f"  {at:8.3f}s  {step}")
 
     out_dir = Path(tempfile.mkdtemp())
     json_path = write_json(snapshot, out_dir / "profile.json")

@@ -12,8 +12,8 @@ violated zero-loss accounting or tripped an online invariant monitor.
 Observability flags:
 
 * ``--obs`` — the cluster's single instrumentation switch: every worker
-  traces, samples and records its flight ring; workers stream live obs
-  frames and ship their spans for the merged cluster trace.  The invariant
+  traces and records its flight ring; workers stream live obs frames and
+  ship their spans for the merged cluster trace.  The invariant
   monitors need no switch: every worker's report carries its violations.
 * ``--watch`` — live per-replica dashboard on stderr (in-place on a TTY).
 * ``--serve PORT`` — loopback HTTP endpoint with Prometheus ``/metrics`` and
@@ -72,7 +72,7 @@ def _parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
     parser.add_argument(
         "--obs",
         action="store_true",
-        help="activate cross-process tracing, sampling and flight recording",
+        help="activate cross-process tracing, obs frames and flight recording",
     )
     parser.add_argument(
         "--watch",

@@ -51,8 +51,8 @@ class ClusterSpec:
             (``tcp`` only).
         timeout: per-worker wall-clock budget in seconds.
         obs: give every worker a fully instrumented probe (metrics, tracing
-            with a flight recorder, streaming sampler) and stream periodic
-            obs frames to the launcher.  Strictly observational: the committed
+            with a flight recorder) and stream periodic obs frames to the
+            launcher.  Strictly observational: the committed
             chain of a given seed is identical with ``obs`` on or off.
     """
 

@@ -12,7 +12,7 @@ Event kinds (one dict per line, ``event`` selects the shape):
   timestamps onto the shared wall clock (the causal-merge anchor).
 * ``connected`` — all peer dials completed; carries the peer list.
 * ``obs`` — periodic observability frame (only with ``--obs``): committed
-  counters, rates, sliding p50/p99 time-to-commit, mempool depth, span
+  counters, rates, p50/p99 time-to-commit, mempool depth, span
   summary, per-instance commit digests, monitor violations and the flight
   ring increment since the previous frame.
 * ``report`` — exactly once at the end: final counters, latencies, zero-loss

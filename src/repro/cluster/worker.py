@@ -13,12 +13,14 @@ dial completed, periodic ``obs`` frames while the spec's ``obs`` is set, and
 exactly one final ``report``.
 
 The worker always counts and checks: a metrics registry's snapshot and its
-replica's invariant ``violations`` ride in the report.  With ``obs`` set its
-:class:`~repro.obs.core.Probe` carries every back-end, the ``"all"`` level of
-a simulator cell — the trace runtime (tracer in a per-replica id namespace,
-flight recorder) and a :class:`~repro.obs.series.StreamingSampler` — and it
-streams periodic obs frames: committed counters, events/sec, mempool depth,
-sliding p50/p99 time-to-commit, per-instance commit digests (the launcher's
+replica's invariant ``violations`` ride in the report, and the replica's
+``zlb.commit_latency_s`` histogram is the one measurement of wall-clock
+time-to-commit (the report's ``commit_latencies_s`` are its retained
+samples).  With ``obs`` set its :class:`~repro.obs.core.Probe` also carries
+the trace runtime (tracer in a per-replica id namespace, flight recorder) —
+the ``"all"`` level of a simulator cell — and it streams periodic obs
+frames: committed counters, delivered messages per second, mempool depth,
+p50/p99 time-to-commit, per-instance commit digests (the launcher's
 cross-replica agreement input), any monitor violations and the
 flight-recorder ring increment since the previous frame, with a count of
 whatever that increment had to leave out.  The final report additionally
@@ -40,14 +42,13 @@ import signal
 import sys
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.analysis.metrics import percentiles
 from repro.cluster import protocol as wire
 from repro.cluster.fixture import ClusterSpec, build_node, endpoints_for
 from repro.network.asyncio_transport import AsyncioTransport
 from repro.obs.core import Probe
 from repro.obs.metrics import TelemetryRegistry
-from repro.obs.series import StreamingSampler
 from repro.obs.trace import TraceRuntime, replica_id_base
-from repro.zlb.system import register_replicas
 
 #: How often the commit-completion poll wakes up.
 POLL_INTERVAL_S = 0.02
@@ -75,10 +76,10 @@ class _ObsShipper:
     """Builds the periodic obs frames of one worker.
 
     Holds the incremental-shipping cursors: the flight-ring sequence number
-    and violation count already sent, and the committed count at the previous
-    frame (for the per-frame tx/s rate) — plus the running totals of what the
-    shipped forensics left out, so no hole in a merged flight dump or trace
-    goes unreported.
+    and violation count already sent, and the committed and delivered counts
+    at the previous frame (for the per-frame tx/s and events/s rates) — plus
+    the running totals of what the shipped forensics left out, so no hole in
+    a merged flight dump or trace goes unreported.
     """
 
     def __init__(self, replica_id, replica, transport, probe, loop):
@@ -86,7 +87,7 @@ class _ObsShipper:
         self.replica = replica
         self.transport = transport
         self.trace = probe.trace
-        self.sampler = probe.sampler
+        self.latency = probe.metrics.histogram("zlb.commit_latency_s")
         self.loop = loop
         self.frames_sent = 0
         #: Flight events cut from oversized frames / evicted from the ring
@@ -96,6 +97,7 @@ class _ObsShipper:
         self._last_ring_seq = -1
         self._last_violations = 0
         self._last_committed = 0
+        self._last_delivered = 0
         self._last_t: Optional[float] = None
 
     def _ring_increment(self) -> Dict[str, Any]:
@@ -120,17 +122,18 @@ class _ObsShipper:
         now = self.loop.time()
         transport = self.transport
         blockchain = self.replica.blockchain
-        self.sampler.tick(now, transport.messages_delivered)
-
         committed = blockchain.transactions_committed
+        delivered = transport.messages_delivered
         if self._last_t is None:
-            tx_per_s = 0.0
+            tx_per_s = events_per_sec = 0.0
         else:
-            tx_per_s = (committed - self._last_committed) / max(
-                now - self._last_t, 1e-9
-            )
+            elapsed = max(now - self._last_t, 1e-9)
+            tx_per_s = (committed - self._last_committed) / elapsed
+            events_per_sec = (delivered - self._last_delivered) / elapsed
         self._last_committed = committed
+        self._last_delivered = delivered
         self._last_t = now
+        samples = self.latency.samples
 
         by_instance = blockchain.blocks_by_instance
         recent = sorted(by_instance)[-COMMIT_DIGEST_WINDOW:]
@@ -153,11 +156,11 @@ class _ObsShipper:
             "committed": committed,
             "blocks": len(by_instance),
             "tx_per_s": tx_per_s,
-            "events_per_sec": self.sampler.events_per_sec,
+            "events_per_sec": events_per_sec,
             "mempool": len(blockchain.mempool),
             "peers": len(transport.connected_peers()),
-            "messages_delivered": transport.messages_delivered,
-            "commit_latency": self.sampler.quantile_current("commit_latency_s"),
+            "messages_delivered": delivered,
+            "commit_latency": percentiles(samples, (50.0, 99.0)) if samples else {},
             "spans": len(self.trace.tracer.spans),
             "commits": commits,
             "violations": fresh_violations,
@@ -199,18 +202,13 @@ async def _run(spec: ClusterSpec, replica_id: int) -> int:
     node = build_node(spec, replica_id)
     replica = node.replica
 
+    trace = None
     if spec.obs:
-        probe = Probe(
-            metrics=TelemetryRegistry(),
-            trace=TraceRuntime.enabled(
-                recorder_capacity=DEFAULT_RING_CAPACITY,
-                id_base=replica_id_base(replica_id),
-            ),
-            sampler=StreamingSampler(cadence_s=DEFAULT_OBS_CADENCE_S),
+        trace = TraceRuntime.enabled(
+            recorder_capacity=DEFAULT_RING_CAPACITY,
+            id_base=replica_id_base(replica_id),
         )
-        register_replicas(probe, [replica])
-    else:
-        probe = Probe(metrics=TelemetryRegistry())
+    probe = Probe(metrics=TelemetryRegistry(), trace=trace)
 
     transport = AsyncioTransport(replica_id, endpoints_for(spec), probe=probe)
     transport.add_process(replica)
@@ -220,22 +218,11 @@ async def _run(spec: ClusterSpec, replica_id: int) -> int:
     await transport.connect(timeout=spec.timeout)
     wire.emit(wire.connected_frame(replica_id, transport.connected_peers()))
 
-    # Wall-clock time-to-commit: stamp every share transaction at admission,
-    # close the interval when the commit callback lands its block.
-    admit_times: Dict[str, float] = {}
-    latencies: List[float] = []
+    # Stop as soon as the commit that completes the workload lands.
     original_on_commit = replica.on_commit
 
     def _hooked_on_commit(instance: int, decision) -> None:
         original_on_commit(instance, decision)
-        block = replica.blockchain.blocks_by_instance.get(instance)
-        if block is None:
-            return
-        now = loop.time()
-        for transaction in block.transactions:
-            admitted_at = admit_times.pop(transaction.tx_id, None)
-            if admitted_at is not None:
-                latencies.append(now - admitted_at)
         if replica.blockchain.transactions_committed >= node.total_transactions:
             stop.set()
 
@@ -257,9 +244,6 @@ async def _run(spec: ClusterSpec, replica_id: int) -> int:
 
     started_at = loop.time()
     accepted = replica.submit_transactions(node.share)
-    admitted_at = loop.time()
-    for transaction in node.share:
-        admit_times.setdefault(transaction.tx_id, admitted_at)
 
     transport.start_processes()
     replica.submit_instances(node.instances_needed)
@@ -306,7 +290,7 @@ async def _run(spec: ClusterSpec, replica_id: int) -> int:
         "total_transactions": node.total_transactions,
         "blocks": len(replica.blockchain.blocks_by_instance),
         "duration_s": finished_at - started_at,
-        "commit_latencies_s": latencies,
+        "commit_latencies_s": probe.metrics.histogram("zlb.commit_latency_s").samples,
         "conserved_ok": (
             replica.blockchain.conserved_total() == node.conserved_baseline
         ),

@@ -25,10 +25,10 @@ bound :class:`~repro.obs.core.Probe` stamps the active
 under the decoded context, and timer callbacks restore the context captured
 at ``schedule`` time — so one payment's causal span tree crosses every worker
 process it touches.  The same hooks feed the same counters
-(``net.messages_sent``, ``net.bytes_sent``, ``net.messages_delivered``,
-``net.messages_dropped``) and per-protocol-group rate series as the
-simulator's, so snapshots from a real cluster and a simulated run line up
-column for column.
+(``net.messages_sent`` and ``net.bytes_sent`` by protocol group and kind,
+``net.messages_delivered``, ``net.messages_dropped``) as the simulator's, so
+snapshots from a real cluster and a simulated run line up column for
+column.
 """
 
 from __future__ import annotations

@@ -46,7 +46,7 @@ from repro.network.faults import LinkFaults
 from repro.network.message import Message
 from repro.network.transport import Process, Transport
 from repro.obs import core as obs_core
-from repro.obs.core import Probe
+from repro.obs.core import TICK_S, Probe
 
 __all__ = [
     "NetworkSimulator",
@@ -136,10 +136,8 @@ class NetworkSimulator(Transport):
         #: observational only — it consumes no randomness and schedules
         #: nothing, so seeded runs are bit-identical with it on or off.
         self.probe = probe if probe is not None else obs_core.current()
-        if self.probe is not None and self.probe.sampler is not None:
-            # The sampler adopts this simulator's horizon and pending-events
-            # gauge.
-            self.probe.sampler.attach(self)
+        #: Simulated time of the probe's next tick (every ``TICK_S``).
+        self.next_tick = 0.0
         self.rng = random.Random(self.config.seed)
         self._queue: List[Tuple[float, int, _Event]] = []
         self._sequence = itertools.count()
@@ -304,10 +302,7 @@ class NetworkSimulator(Transport):
         deadline = self.config.max_time if until is None else until
         budget = self.config.max_events if max_events is None else max_events
         probe = self.probe
-        metrics = sampler = None
-        if probe is not None:
-            metrics = probe.metrics
-            sampler = probe.sampler
+        metrics = probe.metrics if probe is not None else None
         processed = 0
         queue = self._queue
         # Both containers are only ever mutated in place, never rebound.
@@ -327,8 +322,9 @@ class NetworkSimulator(Transport):
                     continue
             if time > self._now:
                 self._now = time
-            if sampler is not None and self._now >= sampler.next_tick:
-                sampler.tick(self._now, self.events_processed)
+            if probe is not None and self._now >= self.next_tick:
+                self.next_tick = self._now + TICK_S
+                probe.tick(self._now, self.events_processed)
             processed += 1
             self.events_processed += 1
             self._pending -= 1
@@ -397,8 +393,9 @@ class NetworkSimulator(Transport):
                     # broadcast never counted.
                     if next_time > self._now:
                         self._now = next_time
-                    if sampler is not None and self._now >= sampler.next_tick:
-                        sampler.tick(self._now, self.events_processed)
+                    if probe is not None and self._now >= self.next_tick:
+                        self.next_tick = self._now + TICK_S
+                        probe.tick(self._now, self.events_processed)
                     processed += 1
                     self.events_processed += 1
                     self._pending -= 1

@@ -12,13 +12,15 @@ call site reads it once, guards once, and then speaks verbs::
 
 so an uninstrumented run pays one pointer comparison per site and not a
 single Python call: there is no null-object probe and no helper in front of
-the guard.  A live probe carries up to three back-ends — ``metrics``
-(:class:`~repro.obs.metrics.TelemetryRegistry`), ``trace``
-(:class:`~repro.obs.trace.TraceRuntime`) and ``sampler``
-(:class:`~repro.obs.series.StreamingSampler`) — and each verb is bound at
+the guard.  A live probe carries up to two back-ends — ``metrics``
+(:class:`~repro.obs.metrics.TelemetryRegistry`) and ``trace``
+(:class:`~repro.obs.trace.TraceRuntime`) — and each verb is bound at
 construction to its back-end's method or, when that back-end is absent, to
 one shared no-op.  The few sites that need a back-end itself (the tracer to
 install a context, the flight recorder) read the slot under a second check.
+The simulator's run loop calls :meth:`Probe.tick` every :data:`TICK_S`
+simulated seconds: it samples the metrics into their time series and hands
+a watcher's publisher one progress event.
 The invariant monitors are not a back-end: every deployment owns one
 :class:`~repro.obs.monitors.MonitorSet` and its replicas call it with or
 without a probe, so a bare run is checked as fully as an instrumented one.
@@ -38,16 +40,19 @@ above :mod:`repro.common.context` and its obs siblings.
 
 from __future__ import annotations
 
+from time import perf_counter
 from typing import Any, Callable, Dict, Optional
 
 from repro.common.context import ActivationScope
 from repro.obs.metrics import TelemetryRegistry, protocol_group
-from repro.obs.series import StreamingSampler
 from repro.obs.trace import TraceContext, TraceRuntime
 
 #: What ``ScenarioSpec.instrument`` and ``--instrument`` accept besides "":
-#: metrics only, trace only, the live plane (streaming sampler), everything.
-LEVELS = ("metrics", "trace", "live", "all")
+#: metrics only, trace only, both.
+LEVELS = ("metrics", "trace", "all")
+
+#: Simulated seconds between two :meth:`Probe.tick` calls.
+TICK_S = 0.25
 
 
 def _noop(*args: Any, **kwargs: Any) -> None:
@@ -58,34 +63,31 @@ class Probe:
     """One run's instrumentation: back-end slots plus the verbs bound to them."""
 
     __slots__ = (
-        "metrics", "trace", "sampler", "cell",
+        "metrics", "trace", "publisher", "_last_wall", "_last_events",
         # metrics verbs
-        "count", "observe", "gauge", "mark",
+        "count", "observe", "gauge",
         # trace verbs
         "event", "start_span", "finish",
-        # sampler verb
-        "sample",
     )
 
     def __init__(
         self,
         metrics: Optional[TelemetryRegistry] = None,
         trace: Optional[TraceRuntime] = None,
-        sampler: Optional[StreamingSampler] = None,
-        cell: Optional[str] = None,
+        publisher: Optional[Callable[[Dict[str, Any]], None]] = None,
     ) -> None:
         self.metrics = metrics
         self.trace = trace
-        self.sampler = sampler
-        self.cell = cell
+        #: A watcher's sink for the progress event of every tick, or None.
+        self.publisher = publisher
+        self._last_wall = perf_counter()
+        self._last_events = 0
         #: ``count(name, amount=1, **labels)``
         self.count = metrics.count if metrics is not None else _noop
         #: ``observe(name, value, **labels)`` — one histogram sample
         self.observe = metrics.observe if metrics is not None else _noop
         #: ``gauge(name, value, **labels)``
         self.gauge = metrics.set_gauge if metrics is not None else _noop
-        #: ``mark(timeline, label, at)``
-        self.mark = metrics.mark if metrics is not None else _noop
         tracer = trace.tracer if trace is not None else None
         #: ``event(name, replica, at, **attrs)`` — structured point event
         self.event = tracer.event if tracer is not None else _noop
@@ -93,32 +95,53 @@ class Probe:
         self.start_span = tracer.start_span if tracer is not None else _noop
         #: ``finish(span, at)``
         self.finish = tracer.finish if tracer is not None else _noop
-        #: ``sample(series, value)`` — one streamed latency observation
-        self.sample = sampler.observe if sampler is not None else _noop
 
     @classmethod
     def at_level(
         cls,
         level: str,
         publisher: Optional[Callable[[Dict[str, Any]], None]] = None,
-        cell: Optional[str] = None,
     ) -> "Probe":
-        """The probe of one instrumentation level (see :data:`LEVELS`).
-
-        A ``publisher`` adds the live plane whatever the level: a watcher
-        needs the sampler's progress ticks even around a bare cell.
-        """
+        """The probe of one instrumentation level (see :data:`LEVELS`), with
+        a watcher's ``publisher`` if one is given."""
         if level and level not in LEVELS:
             raise ValueError(
                 f"unknown instrumentation level {level!r}; known: {', '.join(LEVELS)}"
             )
-        live = level in ("live", "all") or publisher is not None
         return cls(
             metrics=TelemetryRegistry() if level in ("metrics", "all") else None,
             trace=TraceRuntime.enabled() if level in ("trace", "all") else None,
-            sampler=StreamingSampler(publisher=publisher) if live else None,
-            cell=cell,
+            publisher=publisher,
         )
+
+    def tick(self, now: float, events: int) -> None:
+        """Sample the metrics at ``now`` and publish one progress event.
+
+        ``events`` is the simulator's processed-event count; the rate is
+        host-side (events per wall-clock second since the previous tick), so
+        it is recorded as the ``sim.events_per_sec`` gauge and never fed
+        back into the run.
+        """
+        wall = perf_counter()
+        if events < self._last_events:
+            # A new simulator (``churn`` builds one per round) counts from 0.
+            self._last_events = 0
+        rate = (events - self._last_events) / max(wall - self._last_wall, 1e-9)
+        self._last_wall = wall
+        self._last_events = events
+        metrics = self.metrics
+        if metrics is not None:
+            metrics.set_gauge("sim.events_per_sec", rate)
+            metrics.sample(now)
+        if self.publisher is not None:
+            self.publisher(
+                {
+                    "kind": "tick",
+                    "sim_time": now,
+                    "events": events,
+                    "events_per_sec": rate,
+                }
+            )
 
     # -- transport hooks ---------------------------------------------------------
     #
@@ -126,23 +149,15 @@ class Probe:
     # back-ends present.
 
     def on_send(self, message: Any, now: float, count: int = 1) -> None:
-        """One submission reaching ``count`` recipients: count it, stamp the
-        active trace context on the envelope, feed the per-group rate series."""
+        """One submission reaching ``count`` recipients: count it by protocol
+        group and kind, and stamp the active trace context on the envelope."""
         metrics = self.metrics
-        sampler = self.sampler
-        if metrics is not None or sampler is not None:
+        if metrics is not None:
             group = protocol_group(message.topic)
-            if metrics is not None:
-                kind = message.kind
-                metrics.count("net.messages_sent", count, protocol=group, kind=kind)
-                metrics.count(
-                    "net.bytes_sent",
-                    message.size_bytes() * count,
-                    protocol=group,
-                    kind=kind,
-                )
-            if sampler is not None:
-                sampler.count_message(group, count)
+            kind = message.kind
+            metrics.count("net.messages_sent", count, protocol=group, kind=kind)
+            size = message.size_bytes() * count
+            metrics.count("net.bytes_sent", size, protocol=group, kind=kind)
         self.stamp(message)
         trace = self.trace
         if trace is not None and trace.recorder is not None:
@@ -229,23 +244,15 @@ class Probe:
 
     # -- end-of-run artefacts ----------------------------------------------------
 
-    def live_snapshot(self) -> Dict[str, Any]:
-        """Series + totals of the live plane."""
-        snap = self.sampler.snapshot()
-        snap["cell"] = self.cell
-        return snap
-
     def artefacts(self) -> Dict[str, Dict[str, Any]]:
         """What a result store persists next to the row, by record key:
-        ``telemetry`` (metrics snapshot), ``trace`` (summary) and ``obs``
-        (live snapshot) — each only when its back-end is present."""
+        ``telemetry`` (metrics snapshot, time series included) and ``trace``
+        (summary) — each only when its back-end is present."""
         found: Dict[str, Dict[str, Any]] = {}
         if self.metrics is not None:
             found["telemetry"] = self.metrics.snapshot()
         if self.trace is not None:
             found["trace"] = self.trace.summary()
-        if self.sampler is not None:
-            found["obs"] = self.live_snapshot()
         return found
 
 

@@ -125,9 +125,8 @@ def snapshot_rows(snapshot: Dict[str, Any], cell: str = "") -> List[Dict[str, An
     def add(kind: str, key: str, **fields: Any) -> None:
         name, labels = split_metric_key(key)
         rendered = ",".join(f"{k}={v}" for k, v in sorted(labels.items()))
-        metric = name + fields.pop("suffix", "")
         rows.append(
-            {"cell": cell, "type": kind, "metric": metric, "labels": rendered, **fields}
+            {"cell": cell, "type": kind, "metric": name, "labels": rendered, **fields}
         )
 
     for key, value in snapshot.get("counters", {}).items():
@@ -147,9 +146,6 @@ def snapshot_rows(snapshot: Dict[str, Any], cell: str = "") -> List[Dict[str, An
             key,
             **{field: summary.get(field) for field in _HISTOGRAM_FIELDS},
         )
-    for key, summary in snapshot.get("timelines", {}).items():
-        for mark, at in summary.get("first", {}).items():
-            add("timeline", key, suffix=f".{mark}", value=at)
     return rows
 
 
@@ -171,7 +167,7 @@ def telemetry_cells(
         snapshot = record.get("telemetry")
         if snapshot and any(
             snapshot.get(section)
-            for section in ("counters", "gauges", "histograms", "timelines")
+            for section in ("counters", "gauges", "histograms")
         ):
             cells.append((record.get("label") or record.get("hash", "?"), snapshot))
     return cells
@@ -225,15 +221,13 @@ def render_report(
 # -- sampled time series -------------------------------------------------------
 
 
-def series_rows(snapshots: Iterable[Dict[str, Any]]) -> Iterator[Dict[str, Any]]:
-    """One ``{cell, series, t, value}`` row per sampled point.
-
-    Each snapshot must carry a ``cell`` label next to its ``series`` (the
-    shape :meth:`repro.obs.core.Probe.live_snapshot` produces).
-    """
-    for snap in snapshots:
-        cell = snap.get("cell")
-        for name, series in snap.get("series", {}).items():
+def series_rows(
+    cells: Iterable[Tuple[str, Dict[str, Any]]]
+) -> Iterator[Dict[str, Any]]:
+    """One ``{cell, series, t, value}`` row per sampled point of every
+    ``(label, metrics snapshot)`` cell."""
+    for cell, snapshot in cells:
+        for name, series in snapshot.get("series", {}).items():
             for sim_time, value in series["points"]:
                 yield {"cell": cell, "series": name, "t": sim_time, "value": value}
 

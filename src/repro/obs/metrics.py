@@ -1,34 +1,41 @@
 """Metric primitives and the per-run registry (the ``metrics`` back-end).
 
-Answers "how many, how long": instrumented code reaches the registry through
-the ``count`` / ``observe`` / ``gauge`` / ``mark`` verbs of its
-:class:`~repro.obs.core.Probe`.
+Answers "how many, how long, and when": instrumented code reaches the
+registry through the ``count`` / ``observe`` / ``gauge`` verbs of its
+:class:`~repro.obs.core.Probe`, and the probe's tick calls
+:meth:`TelemetryRegistry.sample` to append one point per metric to a bounded
+time series.
 
 Primitives:
 
 * :class:`Counter` — monotonically increasing count (messages, bytes, commits);
 * :class:`Gauge` — last-written value plus its observed min/max (queue depth,
-  mempool occupancy);
+  mempool occupancy; the ``zlb.recovery.*_s`` gauges' ``min`` is the first
+  time a recovery step happened on any replica);
 * :class:`Histogram` — sample series summarised as count/mean/std/ci95 and
   p50/p95/p99 (per-phase latencies, round counts, certificate sizes), using
-  the shared :func:`repro.analysis.metrics.percentiles` helper;
-* :class:`Timeline` — ordered ``(label, time)`` marks for cross-phase stories
-  such as the detection → exclusion → merge recovery of ZLB.
+  the shared :func:`repro.analysis.metrics.percentiles` helper.
 
 Metrics are identified by name plus optional low-cardinality labels, created
 lazily on first touch and snapshotted into a plain JSON-serialisable dict that
 the scenario :class:`~repro.scenarios.store.ResultStore` persists next to each
-result row.
+result row.  The snapshot's ``series`` are the sampled points: a counter's
+or gauge's value at each tick, and a histogram's p50/p99 over what it
+observed since the previous tick (``name.p50``, ``name.p99``).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from collections import deque
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 # NOTE: this module must not import other repro packages at module level —
 # the network simulator imports it (through repro.obs.core), so a top-level
 # import of e.g. repro.analysis would close an import cycle.  Summaries import
 # repro.analysis.metrics lazily inside Histogram.snapshot instead.
+
+#: Points one series keeps; older points fall off and are counted as dropped.
+SERIES_POINTS = 2048
 
 #: Labels are rendered into metric keys as ``name{k=v,k2=v2}``.
 MetricKey = str
@@ -117,14 +124,19 @@ class Histogram:
     unbiased estimates afterwards (see :data:`HISTOGRAM_RESERVOIR_SIZE` for
     the error bound).  The reservoir's RNG is seeded per-instance, never the
     global ``random`` state, so instrumented runs stay bit-reproducible.
+    ``recent`` holds the newest ``capacity`` observations since the last
+    :meth:`TelemetryRegistry.sample`, which empties it.
     """
 
-    __slots__ = ("samples", "capacity", "_observed", "_sum", "_min", "_max", "_rng")
+    __slots__ = (
+        "samples", "recent", "capacity", "_observed", "_sum", "_min", "_max", "_rng",
+    )
 
     def __init__(self, capacity: int = HISTOGRAM_RESERVOIR_SIZE) -> None:
         if capacity < 1:
             raise ValueError(f"histogram capacity must be >= 1, got {capacity}")
         self.samples: List[float] = []
+        self.recent: Deque[float] = deque(maxlen=capacity)
         self.capacity = capacity
         self._observed = 0
         self._sum = 0.0
@@ -134,6 +146,7 @@ class Histogram:
 
     def observe(self, value: float) -> None:
         value = float(value)
+        self.recent.append(value)
         self._observed += 1
         self._sum += value
         if self._min is None or value < self._min:
@@ -170,43 +183,6 @@ class Histogram:
         return summary
 
 
-class Timeline:
-    """Ordered ``(label, time)`` marks recording a cross-phase story.
-
-    Multiple replicas mark the same label (every honest replica detects the
-    coalition); :meth:`first` reduces that to the system-level time the event
-    first happened anywhere, which is what the paper's detect/exclude/merge
-    plots report.
-    """
-
-    __slots__ = ("marks",)
-
-    def __init__(self) -> None:
-        self.marks: List[Tuple[str, float]] = []
-
-    def mark(self, label: str, at: float) -> None:
-        self.marks.append((label, float(at)))
-
-    def first(self, label: str) -> Optional[float]:
-        """Earliest time ``label`` was marked, or None."""
-        times = [at for mark, at in self.marks if mark == label]
-        return min(times) if times else None
-
-    def labels(self) -> List[str]:
-        """Distinct labels in order of first occurrence."""
-        seen: List[str] = []
-        for label, _ in self.marks:
-            if label not in seen:
-                seen.append(label)
-        return seen
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {
-            "first": {label: self.first(label) for label in self.labels()},
-            "marks": len(self.marks),
-        }
-
-
 class TelemetryRegistry:
     """All metrics of one run, created lazily and snapshotted as plain JSON."""
 
@@ -214,7 +190,8 @@ class TelemetryRegistry:
         self._counters: Dict[MetricKey, Counter] = {}
         self._gauges: Dict[MetricKey, Gauge] = {}
         self._histograms: Dict[MetricKey, Histogram] = {}
-        self._timelines: Dict[MetricKey, Timeline] = {}
+        self._series: Dict[str, Deque[Tuple[float, float]]] = {}
+        self._dropped: Dict[str, int] = {}
 
     # -- metric accessors ------------------------------------------------------
 
@@ -239,13 +216,6 @@ class TelemetryRegistry:
             histogram = self._histograms[key] = Histogram()
         return histogram
 
-    def timeline(self, name: str, **labels: Any) -> Timeline:
-        key = metric_key(name, labels)
-        timeline = self._timelines.get(key)
-        if timeline is None:
-            timeline = self._timelines[key] = Timeline()
-        return timeline
-
     # -- write verbs (what a Probe binds) ---------------------------------------
 
     def count(self, name: str, amount: float = 1, **labels: Any) -> None:
@@ -257,18 +227,42 @@ class TelemetryRegistry:
     def set_gauge(self, name: str, value: float, **labels: Any) -> None:
         self.gauge(name, **labels).set(value)
 
-    def mark(self, name: str, label: str, at: float) -> None:
-        self.timeline(name).mark(label, at)
+    # -- time series (the probe's tick) -----------------------------------------
+
+    def sample(self, now: float) -> None:
+        """Append one point per counter, gauge and histogram at time ``now``.
+
+        A histogram's points are the p50 and p99 of what it observed since
+        the previous call; one that observed nothing adds no point.
+        """
+        from repro.analysis.metrics import percentiles
+
+        record = self._record
+        for key, counter in self._counters.items():
+            record(key, now, counter.value)
+        for key, gauge in self._gauges.items():
+            if gauge.value is not None:
+                record(key, now, gauge.value)
+        for key, histogram in self._histograms.items():
+            recent = histogram.recent
+            if recent:
+                name, brace, labels = key.partition("{")
+                for quantile, value in percentiles(recent, (50.0, 99.0)).items():
+                    record(f"{name}.{quantile}{brace}{labels}", now, value)
+                recent.clear()
+
+    def _record(self, name: str, now: float, value: float) -> None:
+        ring = self._series.get(name)
+        if ring is None:
+            ring = self._series[name] = deque(maxlen=SERIES_POINTS)
+        elif len(ring) == SERIES_POINTS:
+            self._dropped[name] = self._dropped.get(name, 0) + 1
+        ring.append((now, value))
 
     # -- snapshot --------------------------------------------------------------
 
     def __len__(self) -> int:
-        return (
-            len(self._counters)
-            + len(self._gauges)
-            + len(self._histograms)
-            + len(self._timelines)
-        )
+        return len(self._counters) + len(self._gauges) + len(self._histograms)
 
     def snapshot(self) -> Dict[str, Any]:
         """Plain-dict form of every metric (JSON-serialisable, sorted keys)."""
@@ -283,9 +277,12 @@ class TelemetryRegistry:
                 key: self._histograms[key].snapshot()
                 for key in sorted(self._histograms)
             },
-            "timelines": {
-                key: self._timelines[key].snapshot()
-                for key in sorted(self._timelines)
+            "series": {
+                name: {
+                    "points": [[t, v] for t, v in self._series[name]],
+                    "dropped": self._dropped.get(name, 0),
+                }
+                for name in sorted(self._series)
             },
         }
 

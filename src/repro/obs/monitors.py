@@ -89,8 +89,10 @@ class MonitorSet:
         #: Path of the flight-recorder dump written on the first violation.
         self.dump_written: Optional[str] = None
         self._keys: Set[Tuple[Any, ...]] = set()
-        #: (epoch, instance) -> replica -> decided digest (honest only).
-        self._decisions: Dict[Tuple[int, int], Dict[Any, str]] = {}
+        #: (epoch, instance) -> (replica, digest) of the first honest
+        #: decision: a set of digests disagrees exactly when one differs from
+        #: the first, so memory stays one entry per instance whatever n is.
+        self._decisions: Dict[Tuple[int, int], Tuple[Any, str]] = {}
         #: replica -> genesis conserved total (supply + deposit).
         self._baselines: Dict[Any, float] = {}
 
@@ -140,26 +142,23 @@ class MonitorSet:
         self, replica: Any, epoch: int, instance: int, digest: str, at: float
     ) -> None:
         """An ASMR replica decided ``digest`` for ``(epoch, instance)``."""
-        if not self._is_honest(replica):
+        if self.expect_disagreement or not self._is_honest(replica):
             return
-        branch = self._decisions.setdefault((epoch, instance), {})
-        branch[replica] = digest
-        if self.expect_disagreement:
-            return
-        for other, other_digest in branch.items():
-            if other_digest != digest:
-                self._trip(
-                    "agreement",
-                    replica,
-                    at,
-                    key=(epoch, instance),
-                    epoch=epoch,
-                    instance=instance,
-                    other=other,
-                    digest=digest,
-                    other_digest=other_digest,
-                )
-                return
+        other, other_digest = self._decisions.setdefault(
+            (epoch, instance), (replica, digest)
+        )
+        if other_digest != digest:
+            self._trip(
+                "agreement",
+                replica,
+                at,
+                key=(epoch, instance),
+                epoch=epoch,
+                instance=instance,
+                other=other,
+                digest=digest,
+                other_digest=other_digest,
+            )
 
     def on_disagreement(self, replica: Any, instance: int, at: float) -> None:
         """A replica observed a conflicting confirmation (phase ②)."""

@@ -10,7 +10,7 @@ and :meth:`Watcher.prometheus_text` for :class:`repro.obs.serve.WatchServer`.
 queue pump, throttled rendering, the serve surface; a concrete watcher says
 what a row is (a *row type*: header, line, ``to_dict``, which ``to_dict``
 fields are Prometheus series) and how one event folds into the rows.  :class:`SweepWatcher` (one row per
-scenario cell: ``cell-start`` / sampler ``tick`` / ``cell-end`` events) lives
+scenario cell: ``cell-start`` / probe ``tick`` / ``cell-end`` events) lives
 here; :class:`repro.cluster.watch.ClusterWatcher` (one row per replica
 process) adds the cluster's safety monitors and forensics on top.
 

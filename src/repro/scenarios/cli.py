@@ -13,22 +13,22 @@ one family and prints the result rows as a table; ``sweep`` executes one or
 more families against a JSONL :class:`ResultStore`, so re-running the same
 sweep serves every already-computed cell from cache.  ``--instrument LEVEL``
 instruments every cell: ``metrics`` (per-protocol message counts, per-phase
-latency histograms, recovery timelines — ``report`` prints the stored
-snapshots' rows, one table per metric type, and ``--csv`` writes the same
-rows), ``trace`` (causal spans and the flight recorder), ``live`` (time
-series) or ``all``.  Every deploying cell is checked against the paper's
+latency histograms, recovery gauges and their time series — ``report``
+prints the stored snapshots' rows, one table per metric type, and ``--csv``
+writes the same rows), ``trace`` (causal spans and the flight recorder) or
+``all``.  Every deploying cell is checked against the paper's
 invariants whatever the level (agreement, validity, supply conservation,
 zero-loss accounting): its row carries ``violations``, and ``run`` and
 ``sweep`` print them and exit 1 when any row has one::
 
     python -m repro.scenarios sweep fig4 --jobs 4 --watch --serve 9100
-    python -m repro.scenarios run fig4 --instrument live --series-out series.jsonl
+    python -m repro.scenarios run fig4 --instrument metrics --series-out series.jsonl
 
 ``--watch`` renders an in-place terminal table of per-cell progress (percent
 complete, events/sec, simulated time, ETA) streamed from the workers;
 ``--serve PORT`` additionally exposes the same state as Prometheus text
 (``/metrics``) and JSON (``/state``) on loopback.  ``--series-out`` /
-``--series-csv`` export what the ``live`` level stored.
+``--series-csv`` export the time series the ``metrics`` level sampled.
 
 ``trace`` replays a single cell with causal tracing on::
 
@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.analysis.metrics import format_table
 from repro.common.errors import ConfigurationError
@@ -102,7 +102,7 @@ def _run_families(
                 "(/metrics, /state)",
                 flush=True,
             )
-    obs_snapshots: List[dict] = []
+    series_cells: List[Tuple[str, dict]] = []
     violated = False
     try:
         for name in families:
@@ -131,8 +131,10 @@ def _run_families(
                         f"INVARIANT VIOLATION {outcome.spec.label()}: {violation}",
                         file=sys.stderr,
                     )
-            obs_snapshots.extend(
-                outcome.obs for outcome in report.outcomes if outcome.obs
+            series_cells.extend(
+                (outcome.spec.label(), outcome.telemetry)
+                for outcome in report.outcomes
+                if outcome.telemetry
             )
             if print_rows and instrument in ("metrics", "all"):
                 # `run --instrument metrics` renders the snapshots inline:
@@ -148,19 +150,21 @@ def _run_families(
     finally:
         if server is not None:
             server.stop()
-    _export_obs(obs_snapshots, args.series_out, args.series_csv)
+    _export_series(series_cells, args.series_out, args.series_csv)
     return 1 if violated else 0
 
 
-def _export_obs(
-    snapshots: List[dict], series_out: Optional[str], series_csv: Optional[str]
+def _export_series(
+    cells: List[Tuple[str, dict]],
+    series_out: Optional[str],
+    series_csv: Optional[str],
 ) -> None:
-    """Export the time series of the obs snapshots a run/sweep collected."""
-    if not snapshots or not (series_out or series_csv):
+    """Export the time series of the telemetry a run/sweep collected."""
+    if not cells or not (series_out or series_csv):
         return
     from repro.obs.export import SERIES_COLUMNS, series_rows, write_csv, write_jsonl
 
-    points = list(series_rows(snapshots))
+    points = list(series_rows(cells))
     if series_out:
         write_jsonl(points, series_out)
         print(f"time series: {series_out} ({len(points)} points)")
@@ -170,11 +174,11 @@ def _export_obs(
 
 
 def _instrument_level(args: argparse.Namespace) -> str:
-    """``--instrument``, widened to include the live plane when an export
-    flag needs its snapshots to produce an artefact."""
+    """``--instrument``, widened to include metrics when an export flag
+    needs their time series to produce an artefact."""
     level = args.instrument
     if args.series_out or args.series_csv:
-        return "live" if level in ("", "live") else "all"
+        return "metrics" if level in ("", "metrics") else "all"
     return level
 
 
@@ -288,9 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
             default="",
             metavar="LEVEL",
             help="instrument every cell and store what the level collects: "
-            "metrics (counters and latency histograms, see `report`), trace "
-            "(causal spans, flight recorder), live (streamed time series, "
-            "see --series-out) or all",
+            "metrics (counters, gauges, latency histograms and their time "
+            "series, see `report` and --series-out), trace (causal spans, "
+            "flight recorder) or all",
         )
         p.add_argument(
             "--watch",
@@ -311,14 +315,14 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             metavar="PATH",
             help="write sampled time series as JSONL, one point per line "
-            "(implies --instrument live)",
+            "(implies --instrument metrics)",
         )
         p.add_argument(
             "--series-csv",
             default=None,
             metavar="PATH",
             help="write sampled time series as plot-ready long-form CSV "
-            "(implies --instrument live)",
+            "(implies --instrument metrics)",
         )
         p.add_argument(
             "--log-level",

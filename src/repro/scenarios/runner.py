@@ -52,12 +52,11 @@ class RunOutcome:
     cached: bool
     wall_clock_s: float
     #: What ``spec.instrument`` collected (see ``Probe.artefacts``), each None
-    #: unless the level includes its back-end: the metrics snapshot, ...
+    #: unless the level includes its back-end: the metrics snapshot (time
+    #: series included) ...
     telemetry: Optional[Dict[str, Any]] = None
-    #: ... the trace summary ...
+    #: ... and the trace summary.
     trace: Optional[Dict[str, Any]] = None
-    #: ... and the live snapshot — series and totals.
-    obs: Optional[Dict[str, Any]] = None
 
 
 @dataclasses.dataclass
@@ -84,14 +83,13 @@ def _execute_cell(
     When the spec asks for instrumentation, a fresh probe of that level is
     activated around the cell — every instrumented constructor below
     (simulators, ZLB systems) picks it up — and what it collected rides along
-    with the row, keyed like the store record (``telemetry``/``trace``/``obs``).
+    with the row, keyed like the store record (``telemetry``/``trace``).
 
-    One twist: with a watch sink installed the probe also carries the live
-    plane — without touching the spec or its hash — because the live watcher
-    needs the sampler's progress ticks.  Instrumentation is purely
-    observational (no randomness, no scheduling), so watching a bare cell
-    cannot perturb it; the live snapshot is only *persisted* when the spec
-    itself asked for it.
+    With a watch sink installed the probe also carries the watcher's
+    publisher — without touching the spec or its hash — so every tick
+    publishes a progress event, around a bare cell too.  Instrumentation is
+    purely observational (no randomness, no scheduling), so watching a cell
+    cannot perturb it.
     """
     spec = ScenarioSpec.from_json(payload)
     start = time.perf_counter()
@@ -102,14 +100,10 @@ def _execute_cell(
         publisher({"kind": "cell-start", "max_time": spec.max_time})
     artefacts: Dict[str, Dict[str, Any]] = {}
     if spec.instrument or publisher is not None:
-        probe = obs_core.Probe.at_level(
-            spec.instrument, publisher=publisher, cell=spec.label()
-        )
+        probe = obs_core.Probe.at_level(spec.instrument, publisher=publisher)
         with obs_core.activate(probe):
             row = registry.run_spec(spec)
         artefacts = probe.artefacts()
-        if spec.instrument not in ("live", "all"):
-            artefacts.pop("obs", None)
     else:
         row = registry.run_spec(spec)
     elapsed = time.perf_counter() - start
@@ -155,7 +149,6 @@ class ScenarioRunner:
                     wall_clock_s=0.0,
                     telemetry=record.get("telemetry"),
                     trace=record.get("trace"),
-                    obs=record.get("obs"),
                 )
                 completed += 1
                 self._notify(outcomes[index], completed, len(specs))
@@ -183,7 +176,6 @@ class ScenarioRunner:
                             outcome.wall_clock_s,
                             telemetry=outcome.telemetry,
                             trace=outcome.trace,
-                            obs=outcome.obs,
                         )
                     completed += 1
                     self._notify(outcome, completed, len(specs))

@@ -71,9 +71,9 @@ class ScenarioSpec:
         instrument: instrumentation level of the cell — ``""`` (bare, the
             default) or one of :data:`repro.obs.core.LEVELS`: ``"metrics"``
             (counters and latency histograms, rendered by ``python -m
-            repro.scenarios report``), ``"trace"`` (causal spans, flight
-            recorder), ``"live"`` (streamed time series,
-            exported with ``--series-out``) or ``"all"``.  What
+            repro.scenarios report``, and their time series, exported
+            with ``--series-out``), ``"trace"`` (causal spans, flight
+            recorder) or ``"all"``.  What
             the level's back-ends collected is persisted next to the result
             row.  Part of the content hash, so instrumented and bare runs of
             the same cell cache separately.

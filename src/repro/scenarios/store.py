@@ -96,15 +96,13 @@ class ResultStore:
         wall_clock_s: float = 0.0,
         telemetry: Optional[Dict[str, Any]] = None,
         trace: Optional[Dict[str, Any]] = None,
-        obs: Optional[Dict[str, Any]] = None,
     ) -> Dict[str, Any]:
         """Append one result record and index it.
 
-        ``telemetry`` (metrics snapshot), ``trace`` (trace summary) and
-        ``obs`` (live snapshot: time series and totals) are what
-        the cell's ``spec.instrument`` level collected; each is stored
-        verbatim so reports can be rendered from the JSONL file long after
-        the sweep.
+        ``telemetry`` (metrics snapshot, time series included) and ``trace``
+        (trace summary) are what the cell's ``spec.instrument`` level
+        collected; each is stored verbatim so reports can be rendered from
+        the JSONL file long after the sweep.
         """
         record = {
             "hash": spec.spec_hash,
@@ -118,8 +116,6 @@ class ResultStore:
             record["telemetry"] = telemetry
         if trace is not None:
             record["trace"] = trace
-        if obs is not None:
-            record["obs"] = obs
         directory = os.path.dirname(self.path)
         if directory:
             os.makedirs(directory, exist_ok=True)

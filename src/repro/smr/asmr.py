@@ -549,7 +549,7 @@ class ASMRReplica(BaseReplica):
             if probe is not None:
                 now = self.now
                 probe.count("zlb.disagreement_instances")
-                probe.mark("zlb.recovery", "disagreement", now)
+                probe.gauge("zlb.recovery.disagreement_s", now)
                 probe.event(
                     "asmr.disagreement",
                     self.replica_id,
@@ -895,7 +895,7 @@ class ASMRReplica(BaseReplica):
                     sorted(self.pofs),
                 )
                 if probe is not None:
-                    probe.mark("zlb.recovery", "detected", self.detected_at)
+                    probe.gauge("zlb.recovery.detected_s", self.detected_at)
         self._maybe_start_membership_change()
 
     # -- ③/④ membership change --------------------------------------------------------------------
@@ -917,7 +917,7 @@ class ASMRReplica(BaseReplica):
             if record.decision is None:
                 record.aborted = True
         if self.probe is not None:
-            self.probe.mark("zlb.recovery", "exclusion_started", self.now)
+            self.probe.gauge("zlb.recovery.exclusion_started_s", self.now)
         self.log.info(
             "membership change started (epoch %s): excluding %s",
             self.epoch,
@@ -953,8 +953,8 @@ class ASMRReplica(BaseReplica):
     def _on_membership_complete(self, outcome: MembershipOutcome) -> None:
         probe = self.probe
         if probe is not None:
-            probe.mark("zlb.recovery", "excluded", outcome.exclusion_decided_at)
-            probe.mark("zlb.recovery", "included", outcome.inclusion_decided_at)
+            probe.gauge("zlb.recovery.excluded_s", outcome.exclusion_decided_at)
+            probe.gauge("zlb.recovery.included_s", outcome.inclusion_decided_at)
         self.membership_outcomes.append(outcome)
         self.excluded_replicas.update(outcome.excluded)
         self.log.info(

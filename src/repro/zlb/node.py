@@ -34,8 +34,8 @@ class ZLBReplica(ASMRReplica):
         monitors: Optional[MonitorSet] = None,
     ):
         self.blockchain = blockchain
-        #: Admission times of pending transactions, recorded only while a
-        #: sampler is live (feeds the time-to-commit sliding series).
+        #: Admission times of pending transactions, recorded only while the
+        #: probe has metrics (feeds the ``zlb.commit_latency_s`` histogram).
         self._admitted_at: Optional[Dict[str, float]] = None
         super().__init__(
             replica_id=replica_id,
@@ -72,7 +72,7 @@ class ZLBReplica(ASMRReplica):
 
             self.blockchain.mempool.hook = _update
             _update(self.blockchain.mempool)
-            if probe.sampler is not None:
+            if probe.metrics is not None:
                 self._admitted_at = {}
 
     # -- ASMR hooks ---------------------------------------------------------------
@@ -115,7 +115,7 @@ class ZLBReplica(ASMRReplica):
             for tx in block.transactions:
                 admitted_at = admitted.pop(tx.tx_id, None)
                 if admitted_at is not None:
-                    probe.sample("commit_latency_s", now - admitted_at)
+                    probe.observe("zlb.commit_latency_s", now - admitted_at)
         probe.count("zlb.blocks_committed")
         probe.count("zlb.transactions_committed", len(block.transactions))
         probe.event(
@@ -138,7 +138,7 @@ class ZLBReplica(ASMRReplica):
             return
         probe.count("zlb.merges")
         probe.count("zlb.merged_transactions", outcome.merged_transactions)
-        probe.mark("zlb.recovery", "merged", now)
+        probe.gauge("zlb.recovery.merged_s", now)
         probe.event(
             "zlb.merge",
             self.replica_id,

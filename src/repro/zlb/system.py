@@ -15,7 +15,7 @@ that §5.2–§5.3 inject between honest partitions; a cluster worker
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.adversary.attacks import (
     RBC_ATTACK_NAMES,
@@ -333,21 +333,6 @@ def deploy(
     )
 
 
-def register_replicas(probe: Optional[Probe], replicas: Sequence[ZLBReplica]) -> None:
-    """Show a probe's sampler the active replicas' aggregate mempool
-    occupancy (standby pools never receive traffic)."""
-    if probe is not None and probe.sampler is not None:
-        active = [replica for replica in replicas if not replica.standby]
-        probe.sampler.register_gauge(
-            "mempool.pending",
-            lambda: sum(len(r.blockchain.mempool) for r in active),
-        )
-        probe.sampler.register_gauge(
-            "mempool.pending_bytes",
-            lambda: sum(r.blockchain.mempool.pending_bytes for r in active),
-        )
-
-
 class ZLBSystem:
     """A deployed ZLB committee (plus candidate pool) on the simulator."""
 
@@ -441,7 +426,6 @@ class ZLBSystem:
 
         if probe is not None and probe.trace is not None:
             deployment.monitors.recorder = probe.trace.recorder
-        register_replicas(probe, list(replicas.values()))
 
         system = ZLBSystem(deployment, simulator, replicas)
         if workload_transactions > 0:

@@ -372,6 +372,19 @@ class TestClusterCLI:
             assert "telemetry" not in report
             assert "commit_latencies_s" not in report
 
+    def test_the_default_run_times_each_accepted_transfer_once(self, tmp_path):
+        # A worker's latencies are its replica's zlb.commit_latency_s samples:
+        # one per transfer it admitted, far below the 4 096-sample reservoir.
+        out_path = tmp_path / "cluster.json"
+        proc = _run_cluster_cli(["--json", str(out_path)])
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        result = json.loads(out_path.read_text())
+        assert result["committed"] == 200
+        reports = list(result["replicas"].values())
+        assert sum(report["accepted"] for report in reports) == 200
+        for report in reports:
+            assert report["latency_count"] == report["accepted"] > 0
+
     def test_no_obs_report_shape_is_unchanged(self, tmp_path):
         # Acceptance pin: with observability off, the worker report carries
         # exactly the pre-obs key set — no trace fields leak in, and the

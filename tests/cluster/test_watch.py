@@ -12,6 +12,8 @@ import queue
 import time
 from time import perf_counter
 
+import pytest
+
 from repro.cluster import protocol as wire
 from repro.cluster.watch import STALL_AFTER_S, ClusterWatcher
 from repro.obs.monitors import MonitorSet
@@ -340,11 +342,11 @@ class TestLossAccounting:
         from types import SimpleNamespace
 
         from repro.cluster.worker import _ObsShipper
-        from repro.obs import Probe, StreamingSampler, TraceRuntime
+        from repro.obs import Probe, TelemetryRegistry, TraceRuntime
 
         probe = Probe(
+            metrics=TelemetryRegistry(),
             trace=TraceRuntime.enabled(recorder_capacity=ring_capacity),
-            sampler=StreamingSampler(),
         )
         blockchain = SimpleNamespace(
             transactions_committed=0, blocks_by_instance={}, mempool=[]
@@ -423,3 +425,39 @@ class TestLossAccounting:
             }
         )
         assert watcher.state()["replicas"][0]["spans_truncated"] == 7
+
+
+class TestShipperFrame:
+    """A frame's rates and latency quantiles come from the replica's own
+    counters and its ``zlb.commit_latency_s`` histogram."""
+
+    def test_commit_latency_quantiles_and_events_per_sec(self):
+        from types import SimpleNamespace
+
+        from repro.cluster.worker import _ObsShipper
+        from repro.obs import Probe, TelemetryRegistry, TraceRuntime
+
+        probe = Probe(metrics=TelemetryRegistry(), trace=TraceRuntime.enabled())
+        clock = {"t": 10.0}
+        blockchain = SimpleNamespace(
+            transactions_committed=0, blocks_by_instance={}, mempool=[]
+        )
+        transport = SimpleNamespace(messages_delivered=100, connected_peers=lambda: [])
+        replica = SimpleNamespace(blockchain=blockchain, monitors=MonitorSet())
+        loop = SimpleNamespace(time=lambda: clock["t"])
+        shipper = _ObsShipper(0, replica, transport, probe, loop)
+
+        first = shipper.frame()
+        assert first["commit_latency"] == {}
+        assert first["events_per_sec"] == first["tx_per_s"] == 0.0
+
+        for latency in (0.1, 0.2, 0.3, 0.4, 0.5):
+            probe.observe("zlb.commit_latency_s", latency)
+        blockchain.transactions_committed = 5
+        transport.messages_delivered = 600
+        clock["t"] = 10.5
+        frame = shipper.frame()
+        assert frame["commit_latency"] == pytest.approx({"p50": 0.3, "p99": 0.496})
+        assert frame["events_per_sec"] == pytest.approx(1000.0)
+        assert frame["tx_per_s"] == pytest.approx(10.0)
+        assert frame["messages_delivered"] == 600

@@ -2,17 +2,20 @@
 
 No back-end consumes randomness or schedules events.  This module drives the
 same golden Figure 4 cell as ``tests/scenarios/test_fig4_golden.py`` at every
-instrumentation level — bare, ``metrics``, ``trace``, ``live`` and ``all`` —
-and requires every run to agree on every outcome down to the last float bit
-of the simulated clock.
+instrumentation level — bare, ``metrics``, ``trace`` and ``all``, each with
+and without a watcher's publisher — and requires every run to agree on every
+outcome down to the last float bit of the simulated clock.
 
 It also checks the direction nobody else does: after an ``all`` cell, a bare
 cell in the *same process* must produce the very row a bare cell produces
 first thing in a fresh process, with no probe left active — instrumentation
-leaves nothing behind in the activation scope or in module-level state.
+leaves nothing behind in the activation scope or in module-level state.  It
+does so for the fig4 golden cell and for the first small ``churn`` cell,
+which builds one simulator per round.
 
-And it pins what the ``live`` level's sampler streams on a real cell: event
-rate, per-protocol message rates, commit-latency quantiles and totals.
+And it pins the time series the ``metrics`` level samples on a real cell:
+event rate, per-protocol message counts, mempool depth and commit-latency
+quantiles.
 """
 
 import json
@@ -41,9 +44,16 @@ PINNED = (
 GOLDEN_CELL = 6
 
 
-@pytest.mark.parametrize("instrument", ["", "metrics", "trace", "live", "all"])
-def test_golden_cell_is_byte_identical_at_every_level(instrument):
-    probe = obs.Probe.at_level(instrument) if instrument else None
+@pytest.mark.parametrize("watched", [False, True], ids=["unwatched", "watched"])
+@pytest.mark.parametrize("instrument", ["", "metrics", "trace", "all"])
+def test_golden_cell_is_byte_identical_at_every_level(instrument, watched):
+    events = []
+    publisher = events.append if watched else None
+    probe = (
+        obs.Probe.at_level(instrument, publisher=publisher)
+        if instrument or watched
+        else None
+    )
     with obs.activate(probe):
         result = run_system(GOLDEN_SPEC)
     assert {key: getattr(result, key) for key in PINNED} == {
@@ -53,12 +63,16 @@ def test_golden_cell_is_byte_identical_at_every_level(instrument):
     if probe is not None:
         # Each level collected exactly its own artefacts.
         expected = {
+            "": set(),
             "metrics": {"telemetry"},
             "trace": {"trace"},
-            "live": {"obs"},
-            "all": {"telemetry", "trace", "obs"},
+            "all": {"telemetry", "trace"},
         }[instrument]
         assert set(probe.artefacts()) == expected
+    if watched:
+        assert len(events) > 10
+        assert {event["kind"] for event in events} == {"tick"}
+        assert events[-1]["events"] > events[0]["events"]
 
 
 _LEAK_SCRIPT = """
@@ -67,19 +81,19 @@ from repro import obs
 from repro.scenarios import registry
 from repro.scenarios.runner import ScenarioRunner
 
-bare = registry.expand("fig4", "small")[CELL]
-for level in sys.argv[1:]:
+bare = registry.expand(sys.argv[1], "small")[int(sys.argv[2])]
+for level in sys.argv[3:]:
     row = ScenarioRunner().run([bare.with_overrides(instrument=level)]).outcomes[0].row
 print(json.dumps({"row": row, "active": obs.current() is not None}, sort_keys=True))
 """
 
 
-def _run_in_fresh_process(*levels):
+def _run_in_fresh_process(family, cell, *levels):
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
     env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
     done = subprocess.run(
-        [sys.executable, "-c", _LEAK_SCRIPT.replace("CELL", str(GOLDEN_CELL)), *levels],
+        [sys.executable, "-c", _LEAK_SCRIPT, family, str(cell), *levels],
         env=env,
         capture_output=True,
         text=True,
@@ -94,8 +108,8 @@ def test_bare_cell_after_a_fully_instrumented_one_is_untouched():
     assert (spec.n, spec.attack, spec.cross_partition_delay, spec.seed) == (
         9, "binary", "1000ms", 1,
     )
-    first_in_process = _run_in_fresh_process("")
-    after_all = _run_in_fresh_process("all", "")
+    first_in_process = _run_in_fresh_process("fig4", GOLDEN_CELL, "")
+    after_all = _run_in_fresh_process("fig4", GOLDEN_CELL, "all", "")
     assert after_all == first_in_process
     assert json.loads(after_all)["active"] is False
     assert (
@@ -104,15 +118,25 @@ def test_bare_cell_after_a_fully_instrumented_one_is_untouched():
     )
 
 
-def test_golden_cell_sampler_streams_series_quantiles_and_totals():
-    probe = obs.Probe.at_level("live", cell="golden")
+def test_a_bare_churn_cell_after_an_instrumented_one_is_untouched():
+    """``churn`` builds one simulator per round under one probe."""
+    spec = registry.expand("churn", "small")[0]
+    assert spec.param("rounds") > 1
+    first_in_process = _run_in_fresh_process("churn", 0, "")
+    after_all = _run_in_fresh_process("churn", 0, "all", "")
+    assert after_all == first_in_process
+    assert json.loads(after_all)["active"] is False
+
+
+def test_golden_cell_metrics_sample_series_and_quantiles():
+    probe = obs.Probe.at_level("metrics")
     with obs.activate(probe):
         run_system(GOLDEN_SPEC)
-    snap = probe.live_snapshot()
+    series = probe.metrics.snapshot()["series"]
 
-    assert snap["cell"] == "golden"
-    series = snap["series"]
-    assert len(series["events_per_sec"]["points"]) > 10
-    assert any(name.startswith("msgs_per_sec:") for name in series)
-    assert series["commit_latency_s.p99"]["points"]
-    assert snap["totals"]["events_processed"] > 0
+    assert len(series["sim.events_per_sec"]["points"]) > 10
+    assert any(name.startswith("net.messages_sent{") for name in series)
+    assert any(name.startswith("mempool.pending{") for name in series)
+    assert series["zlb.commit_latency_s.p50"]["points"]
+    assert series["zlb.commit_latency_s.p99"]["points"]
+    assert all(ring["dropped"] == 0 for ring in series.values())

@@ -1,5 +1,7 @@
 """Unit tests for the metric primitives, the registry and the activation scope."""
 
+import csv
+import json
 import math
 import timeit
 
@@ -7,12 +9,13 @@ import pytest
 
 from repro.analysis.metrics import percentiles, summarize_latencies
 from repro.obs import Probe, activate, current
+from repro.obs.export import SERIES_COLUMNS, series_rows, write_csv, write_jsonl
 from repro.obs.metrics import (
     Counter,
     Gauge,
     Histogram,
+    SERIES_POINTS,
     TelemetryRegistry,
-    Timeline,
     metric_key,
     protocol_group,
     split_metric_key,
@@ -108,15 +111,11 @@ class TestPrimitives:
         assert summary["count"] == 0
         assert summary["p99"] == 0.0
 
-    def test_timeline_first_and_labels(self):
-        timeline = Timeline()
-        timeline.mark("detected", 3.0)
-        timeline.mark("detected", 1.5)
-        timeline.mark("excluded", 9.0)
-        assert timeline.first("detected") == 1.5
-        assert timeline.first("missing") is None
-        assert timeline.labels() == ["detected", "excluded"]
-        assert timeline.snapshot()["first"] == {"detected": 1.5, "excluded": 9.0}
+    def test_gauge_min_is_the_first_time_of_a_recovery_step(self):
+        gauge = Gauge()
+        for at in (3.0, 1.5, 9.0):
+            gauge.set(at)
+        assert gauge.snapshot() == {"value": 9.0, "min": 1.5, "max": 9.0, "writes": 3}
 
 
 class TestRegistry:
@@ -126,29 +125,97 @@ class TestRegistry:
         assert registry.counter("c", a=1) is not registry.counter("c", a=2)
         assert registry.histogram("h") is registry.histogram("h")
         assert registry.gauge("g") is registry.gauge("g")
-        assert registry.timeline("t") is registry.timeline("t")
 
     def test_len_counts_all_metrics(self):
         registry = TelemetryRegistry()
         registry.counter("a")
         registry.gauge("b")
         registry.histogram("c")
-        registry.timeline("d")
-        assert len(registry) == 4
+        assert len(registry) == 3
 
     def test_snapshot_is_json_serialisable(self):
-        import json
-
         registry = TelemetryRegistry()
         registry.counter("msgs", protocol="rbc").inc(3)
         registry.gauge("depth").set(17)
         registry.histogram("lat").observe(0.5)
-        registry.timeline("story").mark("start", 0.0)
+        registry.sample(0.25)
         snapshot = registry.snapshot()
         round_tripped = json.loads(json.dumps(snapshot))
         assert round_tripped["counters"]["msgs{protocol=rbc}"] == 3
         assert round_tripped["histograms"]["lat"]["count"] == 1
-        assert round_tripped["timelines"]["story"]["first"]["start"] == 0.0
+        assert round_tripped["series"]["depth"] == {"points": [[0.25, 17]], "dropped": 0}
+
+
+class TestSeries:
+    def test_a_sample_adds_one_point_per_counter_and_gauge(self):
+        registry = TelemetryRegistry()
+        registry.count("net.messages_sent", 50, protocol="sbc:rbc")
+        registry.set_gauge("mempool.pending", 7, replica=0)
+        registry.gauge("never.written")
+        registry.sample(0.0)
+        registry.count("net.messages_sent", 10, protocol="sbc:rbc")
+        registry.sample(0.25)
+        series = registry.snapshot()["series"]
+        assert series["net.messages_sent{protocol=sbc:rbc}"]["points"] == [
+            [0.0, 50],
+            [0.25, 60],
+        ]
+        assert series["mempool.pending{replica=0}"]["points"] == [[0.0, 7], [0.25, 7]]
+        assert "never.written" not in series
+
+    def test_a_histogram_point_covers_what_it_observed_since_the_last_sample(self):
+        registry = TelemetryRegistry()
+        for value in (1.0, 1.0, 1.0):
+            registry.observe("zlb.commit_latency_s", value)
+        registry.sample(0.25)
+        registry.sample(0.5)  # nothing observed in between: no point
+        for value in (1.5, 2.5):
+            registry.observe("zlb.commit_latency_s", value)
+        registry.observe("rbc.deliver_s", 4.0, replica=3)
+        registry.sample(0.75)
+        series = registry.snapshot()["series"]
+        assert series["zlb.commit_latency_s.p50"]["points"] == [[0.25, 1.0], [0.75, 2.0]]
+        assert series["zlb.commit_latency_s.p99"]["points"][-1][1] == pytest.approx(2.49)
+        assert series["rbc.deliver_s.p99{replica=3}"]["points"] == [[0.75, 4.0]]
+        # The whole-run summary still covers every observation.
+        assert registry.snapshot()["histograms"]["zlb.commit_latency_s"]["count"] == 5
+
+    def test_a_ring_keeps_the_newest_points_and_counts_the_dropped(self):
+        registry = TelemetryRegistry()
+        registry.count("c")
+        for tick in range(SERIES_POINTS + 5):
+            registry.sample(tick * 0.25)
+        series = registry.snapshot()["series"]["c"]
+        assert len(series["points"]) == SERIES_POINTS
+        assert series["points"][0][0] == 5 * 0.25
+        assert series["dropped"] == 5
+
+    def test_series_export_as_jsonl_and_long_form_csv(self, tmp_path):
+        registry = TelemetryRegistry()
+        registry.count("net.messages_sent", 10, protocol="sbc:bin")
+        registry.observe("zlb.commit_latency_s", 0.5)
+        registry.sample(0.25)
+        cells = [("cell-a", registry.snapshot())]
+        rows = list(series_rows(cells))
+        assert {row["cell"] for row in rows} == {"cell-a"}
+        assert {row["series"] for row in rows} == {
+            "net.messages_sent{protocol=sbc:bin}",
+            "zlb.commit_latency_s.p50",
+            "zlb.commit_latency_s.p99",
+        }
+        jsonl = write_jsonl(series_rows(cells), tmp_path / "series.jsonl")
+        assert [json.loads(line) for line in open(jsonl)] == rows
+        path = write_csv(series_rows(cells), tmp_path / "series.csv", columns=SERIES_COLUMNS)
+        with open(path, newline="") as handle:
+            lines = list(csv.reader(handle))
+        assert lines[0] == ["cell", "series", "t", "value"]
+        assert len(lines) - 1 == len(rows)
+
+    def test_recent_observations_are_bounded_without_samples(self):
+        histogram = Histogram(capacity=4)
+        for value in range(10):
+            histogram.observe(value)
+        assert list(histogram.recent) == [6.0, 7.0, 8.0, 9.0]
 
 
 class TestActivation:

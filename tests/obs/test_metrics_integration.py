@@ -127,13 +127,18 @@ class TestStackInstrumentation:
         result = system.run_instances(1)
         assert result.telemetry is None
 
-    def test_attack_run_records_recovery_timeline(self, attack_snapshot):
+    def test_attack_run_records_recovery_gauges(self, attack_snapshot):
         result, snapshot = attack_snapshot
         assert result.recovered
-        timeline = snapshot["timelines"]["zlb.recovery"]["first"]
-        for mark in ("disagreement", "detected", "exclusion_started", "excluded", "included"):
-            assert timeline[mark] is not None
-        assert timeline["detected"] <= timeline["excluded"] <= timeline["included"]
+        # A recovery gauge's min is the first time the step happened anywhere.
+        first = {
+            step: snapshot["gauges"][f"zlb.recovery.{step}_s"]["min"]
+            for step in (
+                "disagreement", "detected", "exclusion_started", "excluded",
+                "included", "merged",
+            )
+        }
+        assert first["detected"] <= first["excluded"] <= first["included"]
         # Membership phases and merge activity were measured too.
         assert snapshot["histograms"]["membership.exclusion_s"]["count"] > 0
         assert snapshot["counters"]["zlb.merges"] > 0
@@ -249,6 +254,13 @@ class TestScenarioIntegration:
         assert "telemetry report — 1 instrumented cells" in printed
         assert "telemetry-tiny n=4 seed=7 metrics" in printed
 
+    def test_report_shows_commit_latency_and_recovery_gauges(self, attack_snapshot):
+        _, snapshot = attack_snapshot
+        rendered = render_report([("fig4 n=9 seed=1", snapshot)])
+        assert "zlb.commit_latency_s" in rendered
+        assert "zlb.recovery.detected_s" in rendered
+        assert "zlb.recovery.included_s" in rendered
+
     def test_metric_filter_restricts_rows(self, attack_snapshot):
         _, snapshot = attack_snapshot
         cells = [("fig4 n=9 seed=1", snapshot)]
@@ -257,7 +269,7 @@ class TestScenarioIntegration:
         assert all("rbc." in row["metric"] for row in rows)
         rendered = render_report(cells, metric_filter="rbc.")
         assert "== histogram ==" in rendered
-        assert "== timeline ==" not in rendered  # zlb.recovery.* is filtered
+        assert "== gauge ==" not in rendered  # zlb.recovery.* is filtered
 
     @pytest.mark.parametrize("metric_filter", [None, "rbc."])
     def test_text_report_and_csv_carry_the_same_rows(
@@ -289,7 +301,7 @@ class TestScenarioIntegration:
         assert sorted(printed) == sorted(exported)
         kinds = {kind for _, kind, _, _ in exported}
         if metric_filter is None:
-            assert kinds == {"counter", "gauge", "histogram", "timeline"}
+            assert kinds == {"counter", "gauge", "histogram"}
         else:
             assert exported
             assert all(metric_filter in metric for _, _, metric, _ in exported)
@@ -301,14 +313,13 @@ class TestExporters:
         registry_.counter("c", protocol="rbc").inc(2)
         registry_.gauge("g").set(4)
         registry_.histogram("h").observe(1.0)
-        registry_.timeline("t").mark("start", 0.5)
+        registry_.sample(0.25)
         rows = snapshot_rows(registry_.snapshot(), cell="cell-a")
         by_type = {row["type"] for row in rows}
-        assert by_type == {"counter", "gauge", "histogram", "timeline"}
+        assert by_type == {"counter", "gauge", "histogram"}
         assert all(row["cell"] == "cell-a" for row in rows)
-        timeline_row = next(row for row in rows if row["type"] == "timeline")
-        assert timeline_row["metric"] == "t.start"
-        assert timeline_row["value"] == 0.5
+        gauge_row = next(row for row in rows if row["type"] == "gauge")
+        assert (gauge_row["metric"], gauge_row["value"]) == ("g", 4)
 
     def test_write_json_and_csv(self, tmp_path):
         registry_ = obs.TelemetryRegistry()

@@ -196,6 +196,34 @@ class TestAgreementMonitor:
         assert [v.detail["instance"] for v in monitors.violations] == [1, 2]
         assert [v.replica for v in monitors.violations] == [1, 1]
 
+    def test_a_third_replicas_differing_digest_trips_once(self):
+        monitors = MonitorSet()
+        monitors.on_decision(0, epoch=0, instance=1, digest="a", at=1.0)
+        monitors.on_decision(1, epoch=0, instance=1, digest="a", at=1.1)
+        monitors.on_decision(2, epoch=0, instance=1, digest="b", at=1.2)
+        monitors.on_decision(3, epoch=0, instance=1, digest="c", at=1.3)
+        assert [
+            (v.name, v.replica, v.detail["other"]) for v in monitors.violations
+        ] == [("agreement", 2, 0)]
+
+    def test_a_replica_that_re_decides_differently_trips(self):
+        monitors = MonitorSet()
+        monitors.on_decision(0, epoch=0, instance=1, digest="a", at=1.0)
+        monitors.on_decision(0, epoch=0, instance=1, digest="b", at=1.1)
+        assert [(v.replica, v.detail["other"]) for v in monitors.violations] == [
+            (0, 0)
+        ]
+
+    def test_the_table_holds_one_entry_per_instance_whatever_n(self):
+        monitors = MonitorSet()
+        for instance in range(4):
+            for replica in range(10):
+                monitors.on_decision(
+                    replica, epoch=0, instance=instance, digest=f"d{instance}", at=1.0
+                )
+        assert monitors.ok
+        assert monitors._decisions == {(0, i): (0, f"d{i}") for i in range(4)}
+
     def test_the_same_instance_in_a_later_epoch_trips_again(self):
         monitors = MonitorSet()
         for epoch in (0, 1):

@@ -6,7 +6,7 @@ import inspect
 
 import pytest
 
-from repro.obs import Probe, StreamingSampler, TraceRuntime
+from repro.obs import Probe, TraceRuntime
 from repro.obs.core import LEVELS, _noop
 from repro.obs.trace import TraceContext
 
@@ -14,24 +14,21 @@ from repro.obs.trace import TraceContext
 class TestVerbBinding:
     def test_metrics_only_probe_binds_other_verbs_to_the_shared_noop(self):
         probe = Probe.at_level("metrics")
-        assert probe.trace is None and probe.sampler is None
-        for verb in ("event", "start_span", "finish", "sample"):
+        assert probe.trace is None
+        for verb in ("event", "start_span", "finish"):
             assert getattr(probe, verb) is _noop
         # The no-op swallows every call shape its live counterparts take.
         assert probe.start_span("rbc", 0, 0.0, instance=3) is None
         probe.finish(None, 1.0)
         probe.event("rbc.deliver", 0, 1.0, instance=3)
-        probe.sample("commit_latency_s", 0.1)
         # ... while the metrics verbs are live.
         probe.count("c", 2, protocol="rbc")
         probe.observe("h", 1.5)
         probe.gauge("g", 4, replica=1)
-        probe.mark("t", "start", 0.5)
         snapshot = probe.metrics.snapshot()
         assert snapshot["counters"] == {"c{protocol=rbc}": 2}
         assert snapshot["histograms"]["h"]["count"] == 1
         assert snapshot["gauges"]["g{replica=1}"]["value"] == 4
-        assert snapshot["timelines"]["t"]["first"] == {"start": 0.5}
 
     def test_trace_only_probe_counts_nothing(self):
         probe = Probe(trace=TraceRuntime.enabled())
@@ -85,44 +82,55 @@ class TestLevels:
         probe = Probe.at_level(level)
         assert (probe.metrics is not None) == (level in ("metrics", "all"))
         assert (probe.trace is not None) == (level in ("trace", "all"))
-        assert (probe.sampler is not None) == (level in ("live", "all"))
-        keys = {"metrics": {"telemetry"}, "trace": {"trace"}, "live": {"obs"}}
-        expected = {"telemetry", "trace", "obs"} if level == "all" else keys[level]
+        keys = {"metrics": {"telemetry"}, "trace": {"trace"}}
+        expected = {"telemetry", "trace"} if level == "all" else keys[level]
         assert set(probe.artefacts()) == expected
 
-    def test_a_publisher_adds_the_live_plane_to_any_level(self):
+    def test_a_publisher_rides_on_any_level(self):
         events = []
         probe = Probe.at_level("", publisher=events.append)
         assert probe.metrics is None and probe.trace is None
-        assert probe.sampler.publisher == events.append
+        assert probe.publisher == events.append
+        assert probe.artefacts() == {}
 
-    def test_live_builds_a_sampler_and_nothing_else(self):
-        probe = Probe.at_level("live")
-        assert isinstance(probe.sampler, StreamingSampler)
-        assert probe.metrics is None and probe.trace is None
-        assert probe.count is _noop and probe.event is _noop
-        assert probe.sample == probe.sampler.observe
+    def test_two_back_end_slots_and_six_verbs(self):
+        assert LEVELS == ("metrics", "trace", "all")
+        verbs = {"count", "observe", "gauge", "event", "start_span", "finish"}
+        assert verbs <= set(Probe.__slots__)
+        assert not {"sampler", "sample", "mark", "cell", "profiler"} & set(
+            Probe.__slots__
+        )
 
-    def test_live_snapshot_is_the_sampler_snapshot_plus_the_cell(self):
-        probe = Probe.at_level("live", cell="c1")
-        probe.sample("commit_latency_s", 0.25)
-        snap = probe.live_snapshot()
-        assert set(snap) == {
-            "cadence_s", "series", "message_totals", "totals", "cell",
-        }
-        assert snap["cell"] == "c1"
-        assert probe.sampler.quantile_current("commit_latency_s") == {
-            "p50": 0.25,
-            "p99": 0.25,
-        }
-        assert probe.artefacts()["obs"]["cell"] == "c1"
+    @pytest.mark.parametrize("level", ["verbose", "live"])
+    def test_unknown_level_rejected(self, level):
+        with pytest.raises(ValueError, match="unknown instrumentation level"):
+            Probe.at_level(level)
 
-    def test_no_host_profiler_and_no_publisher_slot(self):
-        assert not {"profiler", "enter", "exit", "publisher"} & set(Probe.__slots__)
 
-    def test_unknown_level_rejected(self):
-        with pytest.raises(ValueError):
-            Probe.at_level("verbose")
+class TestTick:
+    def test_a_tick_samples_the_metrics_and_publishes_progress(self):
+        events = []
+        probe = Probe.at_level("metrics", publisher=events.append)
+        probe.observe("zlb.commit_latency_s", 0.5)
+        probe.tick(0.25, 40)
+        (event,) = events
+        assert (event["kind"], event["sim_time"], event["events"]) == ("tick", 0.25, 40)
+        assert event["events_per_sec"] > 0
+        snapshot = probe.metrics.snapshot()
+        assert snapshot["series"]["zlb.commit_latency_s.p99"]["points"] == [[0.25, 0.5]]
+        assert snapshot["gauges"]["sim.events_per_sec"]["value"] == event["events_per_sec"]
+
+    def test_a_new_simulator_restarting_the_event_count_keeps_the_rate_positive(self):
+        events = []
+        probe = Probe(publisher=events.append)
+        probe.tick(30.0, 5_000)
+        probe.tick(0.0, 10)
+        assert [event["events_per_sec"] >= 0 for event in events] == [True, True]
+
+    def test_a_trace_only_tick_records_nothing(self):
+        probe = Probe.at_level("trace")
+        probe.tick(0.25, 10)
+        assert probe.artefacts()["trace"]["spans"] == 0
 
 
 class TestLayering:

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.scenarios.cli import _instrument_level, build_parser, main
 
 
@@ -60,7 +62,7 @@ class TestObsFlags:
         capsys.readouterr()
         assert series.exists() and series_csv.exists()
 
-    def test_series_export_widens_the_level_to_the_live_plane(self):
+    def test_series_export_widens_the_level_to_metrics(self):
         parser = build_parser()
 
         def level(*argv):
@@ -68,19 +70,25 @@ class TestObsFlags:
 
         assert level() == ""
         assert level("--instrument", "trace") == "trace"
-        assert level("--series-out", "s.jsonl") == "live"
-        assert level("--instrument", "live", "--series-csv", "s.csv") == "live"
-        assert level("--instrument", "metrics", "--series-csv", "s.csv") == "all"
+        assert level("--series-out", "s.jsonl") == "metrics"
+        assert level("--instrument", "metrics", "--series-csv", "s.csv") == "metrics"
+        assert level("--instrument", "trace", "--series-csv", "s.csv") == "all"
 
-    def test_obs_snapshots_are_stored_and_cached(self, tmp_path, capsys):
+    def test_the_live_level_is_gone(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "appendix-b", "--instrument", "live"])
+        assert "invalid choice: 'live'" in capsys.readouterr().err
+
+    def test_metrics_snapshots_are_stored_and_cached(self, tmp_path, capsys):
         out_path = str(tmp_path / "results.jsonl")
-        assert main(["run", "appendix-b", "--instrument", "live", "--out", out_path, "--quiet"]) == 0
+        argv = ["run", "appendix-b", "--instrument", "metrics", "--out", out_path, "--quiet"]
+        assert main(argv) == 0
         capsys.readouterr()
         with open(out_path) as handle:
             records = [json.loads(line) for line in handle]
-        assert all("obs" in record for record in records)
-        # Obs-enabled specs hash differently from bare ones, so the obs run
+        assert all("telemetry" in record and "obs" not in record for record in records)
+        # Instrumented specs hash differently from bare ones, so the run
         # caches under its own key and a repeat run is served from cache.
-        assert main(["run", "appendix-b", "--instrument", "live", "--out", out_path, "--quiet"]) == 0
+        assert main(argv) == 0
         out = capsys.readouterr().out
         assert "5 cache hits" in out

@@ -112,7 +112,7 @@ class TestInstrumentLevel:
             for name in self.PINNED_GRID_DIGESTS
         } == self.PINNED_GRID_DIGESTS
 
-    @pytest.mark.parametrize("level", ["metrics", "trace", "live", "all"])
+    @pytest.mark.parametrize("level", ["metrics", "trace", "all"])
     def test_each_level_hashes_labels_and_round_trips(self, level):
         bare = ScenarioSpec(family="fig3", n=10)
         instrumented = bare.with_overrides(instrument=level)
@@ -124,13 +124,15 @@ class TestInstrumentLevel:
     def test_levels_hash_apart(self):
         hashes = {
             ScenarioSpec(family="fig3", n=10, instrument=level).spec_hash
-            for level in ("", "metrics", "trace", "live", "all")
+            for level in ("", "metrics", "trace", "all")
         }
-        assert len(hashes) == 5
+        assert len(hashes) == 4
 
     def test_unknown_level_rejected(self):
         with pytest.raises(ConfigurationError):
             ScenarioSpec(family="fig3", n=10, instrument="everything")
+        with pytest.raises(ConfigurationError, match="unknown instrumentation level"):
+            ScenarioSpec(family="fig3", n=10, instrument="live")
 
 
 class TestRoundTrip:
