@@ -49,7 +49,7 @@ class TestObsFlags:
             main(
                 [
                     "run",
-                    "appendix-b",
+                    "quickstart",
                     "--quiet",
                     "--series-out",
                     str(series),
@@ -60,7 +60,18 @@ class TestObsFlags:
             == 0
         )
         capsys.readouterr()
-        assert series.exists() and series_csv.exists()
+        rows = [json.loads(line) for line in series.read_text().splitlines()]
+        assert set(rows[0]) == {"cell", "series", "t", "value"}
+        assert len(series_csv.read_text().splitlines()) == len(rows) + 1
+        names = {row["series"] for row in rows}
+        for expected in (
+            "net.messages_sent{kind=",
+            "mempool.pending{replica=",
+            "zlb.commit_latency_s.p50",
+            "zlb.commit_latency_s.p99",
+            "sim.events_per_sec",
+        ):
+            assert any(name.startswith(expected) for name in names), expected
 
     def test_series_export_widens_the_level_to_metrics(self):
         parser = build_parser()
