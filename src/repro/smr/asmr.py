@@ -54,6 +54,18 @@ monitors, CONFIRM, parked CONFIRMs, ordered commit.  A later record that
 proves a different decision is a conflicting confirmation.  None of the
 three occurs in a fault-free scenario cell: those fetch nothing.
 
+**Early traffic.**  What a replica hears before it reaches the phase parks in
+one :class:`EarlyTraffic` until it is released: a CONFIRM for an undecided
+instance by its decision; consensus traffic past ``target_instances`` or of
+the next epoch by a target raise or an epoch change; exclusion / inclusion
+traffic of this or a later epoch by the attach of a membership change's
+consensus.  It is routed again in arrival order (consensus traffic grouped by
+sender, senders in the order they first parked), and what is still early
+parks again.  A sender parks :data:`AHEAD_PER_SENDER` messages of all kinds
+together.  A drop counts in ``asmr.early_dropped`` by ``reason``: ``far``
+(past :data:`AHEAD_WINDOW` instances ahead, two or more epochs ahead, or no
+instance), ``full`` (past the sender's share) or ``stale`` (a finished epoch).
+
 The replica is application-agnostic: the payment system plugs in through the
 ``proposal_factory`` (what to propose), ``proposal_validator`` (is a proposal
 acceptable) and the ``on_commit`` / ``on_merge`` / ``on_exclude`` callbacks.
@@ -95,10 +107,8 @@ from repro.smr.replica import BaseReplica
 #: (the paper requires messages from more than (delta + 1/3) * n replicas).
 DEFAULT_CONFIRMATION_DELTA = 5.0 / 9.0
 
-#: Consensus messages and CONFIRMs for instances past the local target are
-#: kept for replay (see ``ASMRReplica._route_lazy_sbc`` and
-#: ``_handle_confirm``): this many instances past it, this many messages per
-#: sender (and early membership traffic, see ``_park_membership``).
+#: Early traffic parks this many instances past the local target, and this
+#: many messages per sender (see "Early traffic").
 AHEAD_WINDOW = 8
 AHEAD_PER_SENDER = 1024
 
@@ -194,6 +204,53 @@ class InstanceRecord:
         return bool(self.conflicting_digests)
 
 
+class EarlyTraffic:
+    """The messages a replica heard before it reached their phase, each
+    parked under what releases it: an instance (its CONFIRMs), ``"ahead"``
+    (consensus traffic) or ``"membership"`` (see "Early traffic")."""
+
+    def __init__(self, host: BaseReplica) -> None:
+        self._host = host
+        #: Release key -> the messages waiting for it, in arrival order, as
+        #: the router hands them: ``(topic, sender, kind, body)``.
+        self.parked: Dict[Any, List[tuple]] = {}
+        #: How many messages each sender has parked, under every key.
+        self._held: Dict[ReplicaId, int] = {}
+
+    def park(self, key: Any, message: tuple) -> bool:
+        """Park ``message`` until ``key`` is released; past the sender's
+        share it is dropped and counted instead, and False returned."""
+        sender = message[1]
+        held = self._held.get(sender, 0)
+        if held >= AHEAD_PER_SENDER:
+            self.drop("full")
+            return False
+        self.parked.setdefault(key, []).append(message)
+        self._held[sender] = held + 1
+        return True
+
+    def drop(self, reason: str) -> None:
+        """Count an early message that does not park."""
+        probe = self._host.probe
+        if probe is not None:
+            probe.count("asmr.early_dropped", reason=reason)
+
+    def replay(self, key: Any) -> None:
+        """Route again what waited for ``key``; what is still early parks
+        again.  Consensus traffic comes out grouped by sender: the order the
+        pinned schedules were recorded in."""
+        messages = self.parked.pop(key, [])
+        for message in messages:
+            self._held[message[1]] -= 1
+        if key == "ahead":
+            first: Dict[ReplicaId, int] = {}
+            for message in messages:
+                first.setdefault(message[1], len(first))
+            messages.sort(key=lambda message: first[message[1]])
+        for message in messages:
+            self._host.route(*message)
+
+
 class ASMRReplica(BaseReplica):
     """A replica running accountable SMR with membership changes.
 
@@ -203,10 +260,9 @@ class ASMRReplica(BaseReplica):
     * ``("asmr", "confirm")`` / ``("asmr", "pofs")`` / ``("asmr", "catchup")``
       for the confirmation/accountability/catch-up phases;
     * ``("sbc",)`` as a fallback that lazily starts consensus instances other
-      replicas already began;
+      replicas already began, and parks what is early;
     * ``("excl",)`` / ``("incl",)`` as a fallback that parks what no started
-      consensus of a membership change owns yet, and drops what belongs to an
-      epoch that is over.
+      consensus of a membership change owns yet.
 
     Every Set Byzantine Consensus — of phase ①, exclusion or inclusion — is
     reached the same way: when it starts, its
@@ -287,18 +343,7 @@ class ASMRReplica(BaseReplica):
         self.excluded_replicas: Set[ReplicaId] = set()
         self.catchup_completed_at: Optional[float] = None
         self.catchup_blocks_verified = 0
-        #: CONFIRMs for instances not decided here yet, and how many each
-        #: sender has waiting (see ``_handle_confirm``).
-        self._pending_confirms: Dict[int, List[Tuple[ReplicaId, Dict[str, Any]]]] = {}
-        self._pending_confirms_by: Dict[ReplicaId, int] = {}
-        #: Exclusion / inclusion messages no started consensus owns yet, in
-        #: arrival order, and how many each sender has there (see
-        #: ``_park_membership``).
-        self._parked_membership: List[Tuple[Topic, ReplicaId, str, Dict[str, Any]]] = []
-        self._parked_membership_by: Dict[ReplicaId, int] = {}
-        #: Consensus messages for instances past ``target_instances`` or of
-        #: the next epoch, by sender.
-        self._ahead: Dict[ReplicaId, List[Tuple[Topic, str, Dict[str, Any]]]] = {}
+        self._early = EarlyTraffic(self)
         #: Open per-instance root spans (traced runs only).
         self._instance_spans: Dict[int, Any] = {}
 
@@ -321,15 +366,7 @@ class ASMRReplica(BaseReplica):
         self.target_instances += count
         if self._transport is not None and not self.standby:
             self._maybe_start_next_instance()
-            self._replay_ahead()
-
-    def _replay_ahead(self) -> None:
-        """Route what ``_route_lazy_sbc`` kept again; what is still ahead
-        lands there and is kept again."""
-        ahead, self._ahead = self._ahead, {}
-        for sender, messages in ahead.items():
-            for message_topic, kind, body in messages:
-                self.route(message_topic, sender, kind, body)
+            self._early.replay("ahead")
 
     def _maybe_start_next_instance(self) -> None:
         if self.standby or self.fault is FaultKind.BENIGN:
@@ -428,7 +465,7 @@ class ASMRReplica(BaseReplica):
         self._commit_in_order()
         if self.config.confirmation_enabled:
             self._broadcast_confirmation(record)
-        self._process_pending_confirms(decision.instance)
+        self._early.replay(decision.instance)
         if self._waiting_fetches:
             for requester in sorted(self._waiting_fetches.pop(decision.instance, ())):
                 self._serve_record(record, requester)
@@ -493,18 +530,10 @@ class ASMRReplica(BaseReplica):
         instance = body.get("instance")
         record = self.instances.get(instance) if type(instance) is int else None
         if record is None or record.decision is None:
-            # Not decided here yet: wait for the decision, as far ahead and as
-            # many per sender as ``_ahead`` keeps consensus traffic.  Anything
-            # else (an instance that is not an int, one far ahead, a flood)
-            # is dropped and counted.
-            parked = self._pending_confirms_by.get(sender, 0)
-            if (
-                type(instance) is int
-                and 0 <= instance <= self.target_instances + AHEAD_WINDOW
-                and parked < AHEAD_PER_SENDER
-            ):
-                self._pending_confirms.setdefault(instance, []).append((sender, body))
-                self._pending_confirms_by[sender] = parked + 1
+            # Not decided here yet: early traffic.
+            if type(instance) is not int or not 0 <= instance <= self.target_instances + AHEAD_WINDOW:
+                self._early.drop("far")
+            elif self._early.park(instance, (self.CONFIRM_TOPIC, sender, "CONFIRM", body)):
                 if self._decided_in_older_epoch(record, sender, body):
                     self._fetch(instance)
                 elif (
@@ -515,8 +544,6 @@ class ASMRReplica(BaseReplica):
                     self._proposal_waits[instance] = self.set_timer(
                         PROPOSAL_WAIT_S, lambda: self._fetch(instance)
                     )
-            elif self.probe is not None:
-                self.probe.count("asmr.dropped_confirms")
             return
         local = record.decision
         remote_digest = body.get("digest")
@@ -578,11 +605,6 @@ class ASMRReplica(BaseReplica):
             and sender in committee
             and epoch < (self.epoch if record is None else record.epoch)
         )
-
-    def _process_pending_confirms(self, instance: int) -> None:
-        for sender, body in self._pending_confirms.pop(instance, []):
-            self._pending_confirms_by[sender] -= 1
-            self._handle_confirm(sender, body)
 
     def _record_disagreeing_slots(self, record: InstanceRecord, body: Dict[str, Any]) -> None:
         local = record.decision
@@ -742,7 +764,7 @@ class ASMRReplica(BaseReplica):
         committee = record.committee if record is not None else tuple(self.committee())
         members = set(committee).union(*self._epoch_committees.values())
         candidates = [
-            sender for sender, _ in self._pending_confirms.get(instance, ()) if sender in members
+            message[1] for message in self._early.parked.get(instance, ()) if message[1] in members
         ]
         asked: List[ReplicaId] = []
         for member in candidates + sorted(committee):
@@ -763,9 +785,8 @@ class ASMRReplica(BaseReplica):
     ) -> None:
         """Answer a member's fetch with the decision record and its proposals,
         once per (requester, instance).  Undecided here, the fetch waits for
-        the decision (``_on_sbc_decided`` answers it), as far ahead as
-        ``_ahead`` keeps consensus traffic; anything else is dropped and
-        counted."""
+        the decision (``_on_sbc_decided`` answers it), as far ahead as early
+        traffic parks; anything else is dropped and counted."""
         if record is not None and record.decision is not None:
             if self._is_member(sender, record) and (sender, None) not in record.pulls_served:
                 self._serve_record(record, sender)
@@ -934,21 +955,12 @@ class ASMRReplica(BaseReplica):
         )
         change.exclusion.attach(self.router)
         change.start()
-        self._replay_parked_membership()
+        self._early.replay("membership")
 
     def _on_inclusion_started(self) -> None:
         """The inclusion consensus has proposed: what beat it here is parked."""
         self.membership_change.inclusion.attach(self.router)
-        self._replay_parked_membership()
-
-    def _replay_parked_membership(self) -> None:
-        """A consensus of the membership change just attached its routes:
-        route what was parked again, in arrival order.  What is still early
-        lands on ``_park_membership`` and parks again, in the same order."""
-        parked, self._parked_membership = self._parked_membership, []
-        self._parked_membership_by = {}
-        for message_topic, sender, kind, body in parked:
-            self.route(message_topic, sender, kind, body)
+        self._early.replay("membership")
 
     def _on_membership_complete(self, outcome: MembershipOutcome) -> None:
         probe = self.probe
@@ -995,12 +1007,13 @@ class ASMRReplica(BaseReplica):
         if aborted:
             self.next_instance = min(self.next_instance, aborted[0])
         self._maybe_start_next_instance()
-        self._replay_ahead()
-        for instance in sorted(self._pending_confirms):
+        self._early.replay("ahead")
+        # The keys that are instances hold CONFIRMs.
+        for instance in sorted(key for key in self._early.parked if type(key) is int):
             record = self.instances.get(instance)
             if any(
-                self._decided_in_older_epoch(record, sender, body)
-                for sender, body in self._pending_confirms[instance]
+                self._decided_in_older_epoch(record, message[1], message[3])
+                for message in self._early.parked[instance]
             ):
                 self._fetch(instance)
 
@@ -1092,22 +1105,14 @@ class ASMRReplica(BaseReplica):
 
     def _park_membership(self, message_topic: Topic, sender: ReplicaId, kind: str, body: Dict[str, Any]) -> None:
         """Fallback at ``("excl",)`` / ``("incl",)``, reached while no started
-        consensus owns the deeper ``(root, epoch)`` prefix.  This epoch's (a
-        phase this replica has not reached) or a later one's is kept, in
-        arrival order, for ``_replay_parked_membership``, up to
-        ``AHEAD_PER_SENDER`` per sender (more is dropped and counted, so a
-        peer sending a far epoch over and over cannot grow the list); a
-        finished epoch has no consensus left to hear it and is dropped."""
+        consensus owns the deeper ``(root, epoch)`` prefix: this epoch's (a
+        phase this replica has not reached) or a later one's is early
+        traffic; a finished epoch has no consensus left to hear it."""
         segments = message_topic.segments
         if len(segments) > 1 and type(segments[1]) is int and segments[1] >= self.epoch:
-            parked = self._parked_membership_by.get(sender, 0)
-            if parked < AHEAD_PER_SENDER:
-                self._parked_membership.append((message_topic, sender, kind, body))
-                self._parked_membership_by[sender] = parked + 1
-            elif self.probe is not None:
-                self.probe.count("membership.parked_dropped")
-        elif self.probe is not None:
-            self.probe.count("membership.stale_messages")
+            self._early.park("membership", (message_topic, sender, kind, body))
+        else:
+            self._early.drop("stale")
 
     def _route_lazy_sbc(self, message_topic: Topic, sender: ReplicaId, kind: str, body: Dict[str, Any]) -> None:
         """Create consensus instances lazily when another replica started first.
@@ -1123,26 +1128,22 @@ class ASMRReplica(BaseReplica):
         epoch, instance = segments[1], segments[2]
         if not isinstance(epoch, int) or not isinstance(instance, int):
             return
-        if epoch != self.epoch:
-            if epoch == self.epoch + 1:
-                # A peer finished the membership change first and runs the
-                # next epoch: keep it for when this replica gets there.
-                self._keep_ahead(message_topic, sender, kind, body)
-            return
-        if instance in self.instances:
+        if epoch == self.epoch and instance in self.instances:
             if instance not in self._sbc and self.probe is not None:
                 # Retired: every member confirmed it, nobody needs an answer.
                 self.probe.count("asmr.retired_messages")
             return
-        if instance > self.target_instances:
-            # Beyond anything this replica was asked to run.  On real sockets
-            # each replica's driver budgets instances on its own clock, so a
-            # peer can be there first: keep the message until
-            # ``submit_instances`` catches up (which replays it: still ahead,
-            # it lands here again).  Far ahead, or past the sender's share of
-            # the buffer, it is dropped.
-            if instance <= self.target_instances + AHEAD_WINDOW:
-                self._keep_ahead(message_topic, sender, kind, body)
+        if epoch != self.epoch or instance > self.target_instances:
+            # Early: a peer finished the membership change first, or its
+            # driver (real sockets) budgets instances on its own clock.
+            if epoch < self.epoch:
+                self._early.drop("stale")
+            elif epoch > self.epoch + 1 or (
+                epoch == self.epoch and instance > self.target_instances + AHEAD_WINDOW
+            ):
+                self._early.drop("far")
+            else:
+                self._early.park("ahead", (message_topic, sender, kind, body))
             return
         # Catch up with the instance another replica already started.
         while self.next_instance <= instance:
@@ -1156,11 +1157,6 @@ class ASMRReplica(BaseReplica):
             # instance this replica never ran — a replica included mid-epoch
             # adopts the sender's view — the message is dropped, as before.)
             self.route(message_topic, sender, kind, body)
-
-    def _keep_ahead(self, message_topic: Topic, sender: ReplicaId, kind: str, body: Dict[str, Any]) -> None:
-        kept = self._ahead.setdefault(sender, [])
-        if len(kept) < AHEAD_PER_SENDER:
-            kept.append((message_topic, kind, body))
 
     # -- metrics ---------------------------------------------------------------------------------------------------
 

@@ -516,7 +516,7 @@ class TestFetchedRecords:
         confirm = replicas[1].instances[0].decision.to_record(0)
         del seen[:]
         gap._handle_confirm(1, _delivered("CONFIRM", confirm, sender=1))
-        assert gap._fetches == {} and len(gap._pending_confirms[0]) == 1
+        assert gap._fetches == {} and len(gap._early.parked[0]) == 1
         gap.epoch = gap.instances[0].epoch = 1
         gap._handle_confirm(2, _delivered("CONFIRM", confirm, sender=2))
         simulator.run()

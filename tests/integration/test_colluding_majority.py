@@ -179,7 +179,7 @@ def test_recovery_leaves_no_membership_route_and_nothing_parked(seed):
     assert system.run_instances(1, until=300.0).recovered
     for replica in system.honest_replicas():
         assert replica.membership_change is None and replica.epoch == 1
-        assert replica._parked_membership == []
+        assert "membership" not in replica._early.parked
         assert sorted(
             segments
             for _, table in replica.router._tables
@@ -189,8 +189,8 @@ def test_recovery_leaves_no_membership_route_and_nothing_parked(seed):
         replica.probe = Probe(metrics=TelemetryRegistry())
         late = topic("incl", 0, "bin", replica.replica_id)
         assert replica.route(late, replica.replica_id, "BVAL", {"round": 0, "value": 1})
-        assert replica._parked_membership == []
-        assert replica.probe.metrics.snapshot()["counters"] == {"membership.stale_messages": 1}
+        assert "membership" not in replica._early.parked
+        assert replica.probe.metrics.snapshot()["counters"] == {"asmr.early_dropped{reason=stale}": 1}
 
 
 def test_a_proof_against_an_excluded_replica_starts_no_membership_change():

@@ -10,8 +10,8 @@ It also checks the direction nobody else does: after an ``all`` cell, a bare
 cell in the *same process* must produce the very row a bare cell produces
 first thing in a fresh process, with no probe left active — instrumentation
 leaves nothing behind in the activation scope or in module-level state.  It
-does so for the fig4 golden cell and for the first small ``churn`` cell,
-which builds one simulator per round.
+does so for the fig4 golden cell and for the first small ``churn`` (which
+builds one simulator per round), ``fig5`` and ``sec53`` cells.
 
 And it pins the time series the ``metrics`` level samples on a real cell:
 event rate, per-protocol message counts, mempool depth and commit-latency
@@ -118,12 +118,14 @@ def test_bare_cell_after_a_fully_instrumented_one_is_untouched():
     )
 
 
-def test_a_bare_churn_cell_after_an_instrumented_one_is_untouched():
-    """``churn`` builds one simulator per round under one probe."""
-    spec = registry.expand("churn", "small")[0]
-    assert spec.param("rounds") > 1
-    first_in_process = _run_in_fresh_process("churn", 0, "")
-    after_all = _run_in_fresh_process("churn", 0, "all", "")
+@pytest.mark.parametrize("family, cell", [("churn", 0), ("fig5", 0), ("sec53", 0)])
+def test_a_bare_churn_cell_after_an_instrumented_one_is_untouched(family, cell):
+    """``churn`` builds one simulator per round under one probe; ``fig5``
+    times the membership change and ``sec53`` runs 5-10 s partitions."""
+    if family == "churn":
+        assert registry.expand(family, "small")[cell].param("rounds") > 1
+    first_in_process = _run_in_fresh_process(family, cell, "")
+    after_all = _run_in_fresh_process(family, cell, "all", "")
     assert after_all == first_in_process
     assert json.loads(after_all)["active"] is False
 

@@ -281,4 +281,4 @@ class TestAheadOfTarget:
             assert replica.decided_instances() == [0, 1, 2]
         digests = {r.instances[2].decision.digest for r in replicas}
         assert len(digests) == 1
-        assert replicas[0]._ahead == {}
+        assert "ahead" not in replicas[0]._early.parked

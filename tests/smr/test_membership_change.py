@@ -223,7 +223,7 @@ class TestEarlyInclusionTraffic:
         assert sorted(_outcomes(replicas)) == [1, 2, 3]
         # With no inclusion consensus to hear it, all of it sits in the
         # replica's one list, in arrival order.
-        parked = list(late._parked_membership)
+        parked = list(late._early.parked["membership"])
         assert changes[0].inclusion is None and parked
         assert {message[0].segments[:2] for message in parked} == {("incl", 0)}
         # The exclusion traffic lands: replica 0 decides, starts its inclusion
@@ -236,7 +236,7 @@ class TestEarlyInclusionTraffic:
         for message in held:
             deliver(message)
         simulator.run()
-        assert replayed == parked and late._parked_membership == []
+        assert replayed == parked and "membership" not in late._early.parked
         outcomes = _outcomes(replicas)
         assert sorted(outcomes) == [0, 1, 2, 3]
         assert {tuple(outcome.excluded) for outcome in outcomes.values()} == {culprits}
@@ -249,7 +249,7 @@ class TestEarlyInclusionTraffic:
         # (before PR 24: ``membership_change = None``, same effect), so
         # replica 0 — which never hears replica 3 — decides the exclusion,
         # proposes to an inclusion consensus nobody runs any more and cannot
-        # fetch slot 3's value.  A known gap (ROADMAP item 6 (f)), pinned so a
+        # fetch slot 3's value.  A known gap (ROADMAP item 1 (c)), pinned so a
         # change to it is seen; the catch-up of a late member is its fix.
         culprits = (4, 5, 6)
         simulator, replicas, changes, pofs = _replicas(
@@ -305,13 +305,13 @@ class TestEarlyInclusionTraffic:
         stale = [m for m in seen if m.topic.segments[0] in ("excl", "incl")][:5]
         for message in stale:
             replica.on_message(message)
-        assert len(stale) == 5 and replica._parked_membership == []
+        assert len(stale) == 5 and "membership" not in replica._early.parked
         counters = replica.probe.metrics.snapshot()["counters"]
-        assert counters["membership.stale_messages"] == 5
+        assert counters["asmr.early_dropped{reason=stale}"] == 5
         # The next epoch's is early, not stale: it waits for that change.
         early = stale[0].topic.segments[:1] + (1,) + stale[0].topic.segments[2:]
         replica.route(Topic.of(*early), 1, stale[0].kind, stale[0].body)
-        assert [message[0].segments for message in replica._parked_membership] == [early]
+        assert [message[0].segments for message in replica._early.parked["membership"]] == [early]
 
     def test_a_flood_of_far_epochs_is_capped_per_sender_and_counted(self):
         culprits = (4, 5, 6)
@@ -321,14 +321,29 @@ class TestEarlyInclusionTraffic:
         far = Topic.of("excl", 10**9, "bin", 0)
         for _ in range(10_000):
             replica.route(far, 1, "BVAL", {"value": 0})
-        assert len(replica._parked_membership) == AHEAD_PER_SENDER
+        assert len(replica._early.parked["membership"]) == AHEAD_PER_SENDER
         counters = replica.probe.metrics.snapshot()["counters"]
-        assert counters["membership.parked_dropped"] == 10_000 - AHEAD_PER_SENDER
+        assert counters["asmr.early_dropped{reason=full}"] == 10_000 - AHEAD_PER_SENDER
         # The cap is the flooding sender's alone: another peer still parks,
         # and the committee's own membership change completes.
         replica.route(far, 2, "BVAL", {"value": 0})
-        assert len(replica._parked_membership) == AHEAD_PER_SENDER + 1
+        assert len(replica._early.parked["membership"]) == AHEAD_PER_SENDER + 1
+        # One share covers every kind: a sender that filled it with CONFIRMs
+        # parks nothing else, and another's consensus and membership traffic
+        # still park.
+        for _ in range(AHEAD_PER_SENDER):
+            replica._handle_confirm(3, {"instance": 0, "digest": "early"})
+        next_epoch = Topic.of("sbc", 1, 1, "bin", 0)
+        for sender in (3, 2):
+            replica.route(far, sender, "BVAL", {"value": 0})
+            replica.route(next_epoch, sender, "BVAL", {"value": 0})
+        assert len(replica._early.parked[0]) == AHEAD_PER_SENDER
+        assert len(replica._early.parked["membership"]) == AHEAD_PER_SENDER + 2
+        assert [message[1] for message in replica._early.parked["ahead"]] == [2]
+        flood_drops = 10_000 - AHEAD_PER_SENDER + 2
+        counters = replica.probe.metrics.snapshot()["counters"]
+        assert counters["asmr.early_dropped{reason=full}"] == flood_drops
         simulator.run()
         assert sorted(_outcomes(replicas)) == [0, 1, 2, 3]
         counters = replica.probe.metrics.snapshot()["counters"]
-        assert counters["membership.parked_dropped"] == 10_000 - AHEAD_PER_SENDER
+        assert counters["asmr.early_dropped{reason=full}"] == flood_drops

@@ -20,6 +20,7 @@ from repro.consensus.certificates import (
 from repro.consensus.proofs import accountable_votes, extract_pofs_from_grouped, group_votes
 from repro.crypto.hashing import hash_payload
 from repro.network.message import Message
+from repro.network.topic import topic
 from repro.obs.core import Probe
 from repro.obs.metrics import TelemetryRegistry
 from repro.smr.asmr import AHEAD_PER_SENDER, AHEAD_WINDOW, ASMRReplica, _confirm_grouped_votes
@@ -189,15 +190,44 @@ def test_confirms_park_only_near_the_target_and_only_an_int_instance():
         replica._handle_confirm(1, {"instance": instance, "digest": "far ahead"})
     replica._handle_confirm(1, {"instance": "abc", "digest": "not an instance"})
     replica._handle_confirm(1, {"instance": True, "digest": "not an instance"})
-    assert replica._pending_confirms == {}
+    assert replica._early.parked == {}
     assert not replica.instances[1].disagreed
-    assert _counters(replica)["asmr.dropped_confirms"] == 10_002
+    assert _counters(replica)["asmr.early_dropped{reason=far}"] == 10_002
     # Within the window a sender parks at most its share.
     ahead = replica.target_instances + AHEAD_WINDOW
     for _ in range(AHEAD_PER_SENDER + 5):
         replica._handle_confirm(2, {"instance": ahead, "digest": "early"})
-    assert len(replica._pending_confirms[ahead]) == AHEAD_PER_SENDER
-    assert _counters(replica)["asmr.dropped_confirms"] == 10_007
+    assert len(replica._early.parked[ahead]) == AHEAD_PER_SENDER
+    assert _counters(replica)["asmr.early_dropped{reason=full}"] == 5
+
+
+@pytest.mark.parametrize(
+    "epoch, past_target, flood, reason",
+    [
+        (1, AHEAD_WINDOW + 1, 5, "far"),
+        (3, 1, 5, "far"),
+        (0, 1, 5, "stale"),
+        (1, AHEAD_WINDOW, AHEAD_PER_SENDER + 5, "full"),
+        (2, 0, AHEAD_PER_SENDER + 5, "full"),
+    ],
+    ids=["past the window", "two epochs ahead", "a finished epoch", "past the share",
+         "the next epoch past the share"],
+)
+def test_consensus_traffic_that_cannot_park_is_dropped_and_counted(
+    epoch, past_target, flood, reason
+):
+    """In epoch 1, consensus traffic for an instance up to ``AHEAD_WINDOW``
+    past the target or of epoch 2 parks, up to the sender's share; the rest
+    was dropped without a count."""
+    simulator, replicas, _ = decided_asmr_committee()
+    replica = replicas[0]
+    replica.epoch = 1
+    replica.probe = Probe(metrics=TelemetryRegistry())
+    message_topic = topic("sbc", epoch, replica.target_instances + past_target, "bin", 0)
+    for _ in range(flood):
+        replica.route(message_topic, 1, "BVAL", {"round": 0, "value": 1})
+    assert len(replica._early.parked.get("ahead", [])) == flood - 5
+    assert _counters(replica) == {f"asmr.early_dropped{{reason={reason}}}": 5}
 
 
 # -- accountability survives retirement ------------------------------------------------------
