@@ -266,7 +266,7 @@ async def _run(spec: ClusterSpec, replica_id: int) -> int:
             # stragglers (peers join instances up to their own target).
             if (
                 replica.next_instance >= replica.target_instances
-                and len(replica.decided_instances()) >= replica.target_instances
+                and len(replica.history.decided) >= replica.target_instances
             ):
                 replica.submit_instances(1)
     finished_at = loop.time()

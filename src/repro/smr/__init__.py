@@ -3,7 +3,8 @@
 from repro.smr.replica import BaseReplica
 from repro.smr.pool import CandidatePool
 from repro.smr.membership import MembershipChange, MembershipOutcome
-from repro.smr.asmr import ASMRReplica, InstanceRecord
+from repro.smr.log import DecisionLog, InstanceRecord
+from repro.smr.asmr import ASMRReplica
 
 __all__ = [
     "BaseReplica",
@@ -11,5 +12,6 @@ __all__ = [
     "MembershipChange",
     "MembershipOutcome",
     "ASMRReplica",
+    "DecisionLog",
     "InstanceRecord",
 ]

@@ -16,43 +16,8 @@ Each replica runs the five phases of Figure 2 for every consensus index:
 ⑤ **Reconciliation** — the decisions of the conflicting branches are merged
    (the Blockchain Manager turns this into a block merge, Alg. 2).
 
-**Retirement.**  A replica holds a window of instances, not its history.  On
-deciding instance ``k`` it retires every instance ``i <= k - m`` (``m``, the
-finalization blockdepth of §5 / Appendix B) that it decided, saw no
-conflicting digest for, and got a matching CONFIRM for from every other member
-of ``i``'s committee: nobody can still need a FETCH/VALUE or a vote from it.
-The instance's Set Byzantine Consensus detaches — broadcasts, binary
-instances, votes and its 2n + 1 routes go — and what it sends afterwards falls
-to the lazy-start fallback, which drops and counts it.  The record and the
-decision stay: digest, bitmask, proposals and both certificate maps, which the
-chain, catch-up and a PULL read, and the justification narrowed to the votes a
-late conflicting CONFIRM can still be cross-checked against
-(:func:`~repro.consensus.proofs.accountable_votes`).  The per-vote memos age
-with the same horizon (:mod:`repro.common.memo`).  Retirement sends nothing,
-so it moves no schedule.
-
-**Ordered commit.**  A decision reaches ``on_commit`` one way only: in
-instance order, once every instance below it is committed
-(``next_commit``), whether the local SBC decided it or a peer's record
-supplied it.  A merge for instance ``k`` waits for ``k``'s commit, so it
-lands on a branch that holds ``k``'s block.
-
-**Gap fill.**  A replica that decides an instance past an undecided one,
-holds a CONFIRM for an undecided instance from a member of an epoch older
-than its own record of it (an instance it aborted and restarted, or has not
-restarted yet: nobody runs it again), or whose SBC still lacks the proposal
-of a slot decided 1 :data:`PROPOSAL_WAIT_S` after a CONFIRM for the instance
-came (that slot's reliable broadcast lost a message), fetches the instance's
-decision record from ``t + 1`` members — a PULL that wants nothing named,
-answered with :meth:`~repro.consensus.sbc.SBCDecision.to_record` and its
-proposals, once per requester and only to a member; a member that has not
-decided the instance yet answers when it does.  The first record that proves
-its decision against the committee of its epoch
-(:func:`~repro.consensus.sbc.decision_from_record`) is adopted: the local
-SBC of the instance detaches and the decision goes the way of a local one —
-monitors, CONFIRM, parked CONFIRMs, ordered commit.  A later record that
-proves a different decision is a conflicting confirmation.  None of the
-three occurs in a fault-free scenario cell: those fetch nothing.
+The decided history — ordered commit, retirement, gap fill and catch-up — is
+the replica's :class:`~repro.smr.log.DecisionLog` (``history``).
 
 **Early traffic.**  What a replica hears before it reaches the phase parks in
 one :class:`EarlyTraffic` until it is released: a CONFIRM for an undecided
@@ -73,32 +38,26 @@ acceptable) and the ``on_commit`` / ``on_merge`` / ``on_exclude`` callbacks.
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.common.config import ProtocolConfig
 from repro.common.memo import AgedMemo
-from repro.common.types import FaultKind, ReplicaId, byzantine_tolerance, recovery_threshold
+from repro.common.types import FaultKind, ReplicaId, recovery_threshold
 from repro.consensus.certificates import VoteKind, certificate_from_payload, retire_memos
 from repro.consensus.proofs import (
     GroupedVotes,
     ProofOfFraud,
-    accountable_votes,
     extract_pofs_from_grouped,
     group_votes,
     merge_pofs,
 )
-from repro.consensus.sbc import (
-    SBCDecision,
-    SetByzantineConsensus,
-    decision_from_record,
-    verified_certificates,
-)
+from repro.consensus.sbc import SBCDecision, SetByzantineConsensus
 from repro.crypto.hashing import hash_payload
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.signatures import Signer
 from repro.network.topic import Topic, topic
 from repro.obs.monitors import MonitorSet
+from repro.smr.log import DecisionLog, InstanceRecord
 from repro.smr.membership import MembershipChange, MembershipOutcome
 from repro.smr.pool import CandidatePool
 from repro.smr.replica import BaseReplica
@@ -114,8 +73,9 @@ AHEAD_PER_SENDER = 1024
 
 #: How long an SBC may wait for the proposal of a slot decided 1 after a
 #: CONFIRM for its instance came before the replica fetches the decision
-#: record (see "Gap fill").  Without loss the broadcast completes within two
-#: hops; the longest such wait on the scenario grids is 0.45 s (high jitter).
+#: record (see "Gap fill" in :mod:`repro.smr.log`).  Without loss the
+#: broadcast completes within two hops; the longest such wait on the scenario
+#: grids is 0.45 s (high jitter).
 PROPOSAL_WAIT_S = 2.0
 
 #: The votes of a CONFIRM body's certificates, grouped, by ``id(body)``: the
@@ -157,51 +117,6 @@ def _confirm_grouped_votes(body: Dict[str, Any]) -> GroupedVotes:
     grouped = group_votes(votes)
     _CONFIRM_GROUPED[key] = (body, grouped)
     return grouped
-
-
-@dataclasses.dataclass
-class InstanceRecord:
-    """Book-keeping for one consensus index at one replica."""
-
-    instance: int
-    epoch: int
-    committee: Tuple[ReplicaId, ...]
-    started_at: float
-    decision: Optional[SBCDecision] = None
-    decided_at: Optional[float] = None
-    confirmed_at: Optional[float] = None
-    aborted: bool = False
-    # Digests decided by other replicas that conflict with ours.
-    conflicting_digests: Set[str] = dataclasses.field(default_factory=set)
-    # Slots on which some remote decision disagreed with ours.
-    disagreeing_slots: Set[ReplicaId] = dataclasses.field(default_factory=set)
-    matching_confirmations: Set[ReplicaId] = dataclasses.field(default_factory=set)
-    # Reconciliation pulls.  Senders whose conflicting CONFIRM was processed
-    # (one each); for each missing (slot, digest) the confirmers asked for it
-    # and whether each replied — every confirmer once, until a reply checks
-    # out or ``recovery_threshold`` of them were asked; the hash-checked
-    # replies; the remote decisions (slot -> digest) whose merge waits for a
-    # reply; and the (requester, slot) pairs this replica already served.
-    conflicting_senders: Set[ReplicaId] = dataclasses.field(default_factory=set)
-    pulls_asked: Dict[Tuple[ReplicaId, str], Dict[ReplicaId, bool]] = dataclasses.field(
-        default_factory=dict
-    )
-    pulled: Dict[Tuple[ReplicaId, str], Any] = dataclasses.field(default_factory=dict)
-    pending_merges: List[Dict[ReplicaId, str]] = dataclasses.field(default_factory=list)
-    pulls_served: Set[Tuple[ReplicaId, ReplicaId]] = dataclasses.field(
-        default_factory=set
-    )
-    #: The decision's justification votes grouped, once the first conflicting
-    #: CONFIRM needs them (a disagreed instance never retires, so they never
-    #: go stale).
-    justification_groups: Optional[GroupedVotes] = dataclasses.field(
-        default=None, repr=False
-    )
-
-    @property
-    def disagreed(self) -> bool:
-        """True when at least one conflicting decision was observed."""
-        return bool(self.conflicting_digests)
 
 
 class EarlyTraffic:
@@ -320,19 +235,10 @@ class ASMRReplica(BaseReplica):
         self.epoch = 0
         self.target_instances = 0
         self.next_instance = 0
-        #: The next instance ``on_commit`` takes: every one below it is
-        #: committed, in order (a joiner starts at its catch-up's cursor).
-        self.next_commit = 0
-        self.instances: Dict[int, InstanceRecord] = {}
-        #: The committee of every epoch this replica knows, to verify a
-        #: fetched decision record of that epoch against.
-        self._epoch_committees: Dict[int, Tuple[ReplicaId, ...]] = {0: tuple(committee)}
-        #: Instances whose decision record was fetched, and the members asked
-        #: that have not answered yet (see ``_fetch``).
-        self._fetches: Dict[int, Set[ReplicaId]] = {}
-        #: Members whose fetch of an instance undecided here waits for the
-        #: decision (see ``_handle_fetch``).
-        self._waiting_fetches: Dict[int, Set[ReplicaId]] = {}
+        self.history = DecisionLog(self, committee)
+        #: The history's own records, by instance, and its decided ones.
+        self.instances: Dict[int, InstanceRecord] = self.history.records
+        self.decided_instances = self.history.decided_instances
         #: The :data:`PROPOSAL_WAIT_S` timer of each instance that has one.
         self._proposal_waits: Dict[int, int] = {}
         self._sbc: Dict[int, SetByzantineConsensus] = {}
@@ -341,8 +247,6 @@ class ASMRReplica(BaseReplica):
         self.membership_change: Optional[MembershipChange] = None
         self.membership_outcomes: List[MembershipOutcome] = []
         self.excluded_replicas: Set[ReplicaId] = set()
-        self.catchup_completed_at: Optional[float] = None
-        self.catchup_blocks_verified = 0
         self._early = EarlyTraffic(self)
         #: Open per-instance root spans (traced runs only).
         self._instance_spans: Dict[int, Any] = {}
@@ -387,13 +291,7 @@ class ASMRReplica(BaseReplica):
         self._start_instance(instance)
 
     def _start_instance(self, instance: int) -> None:
-        record = InstanceRecord(
-            instance=instance,
-            epoch=self.epoch,
-            committee=tuple(self.committee()),
-            started_at=self.now,
-        )
-        self.instances[instance] = record
+        self.history.open(instance, self.epoch, tuple(self.committee()))
         probe = self.probe
         tracer = None
         if probe is not None and probe.trace is not None:
@@ -434,11 +332,10 @@ class ASMRReplica(BaseReplica):
     # -- ① consensus ---------------------------------------------------------------------
 
     def _on_sbc_decided(self, decision: SBCDecision) -> None:
-        record = self.instances.get(decision.instance)
-        if record is None or record.decision is not None or record.aborted:
+        history = self.history
+        record = history.decide(decision)
+        if record is None:
             return
-        record.decision = decision
-        record.decided_at = self.now
         if self._proposal_waits:
             timer = self._proposal_waits.pop(decision.instance, None)
             if timer is not None:
@@ -447,69 +344,33 @@ class ASMRReplica(BaseReplica):
         if probe is not None:
             now = record.decided_at
             probe.observe("asmr.instance_decide_s", now - record.started_at)
-            probe.event(
-                "asmr.decide",
-                self.replica_id,
-                now,
-                instance=decision.instance,
-                digest=decision.digest,
-            )
+            instance, digest = decision.instance, decision.digest
+            probe.event("asmr.decide", self.replica_id, now, instance=instance, digest=digest)
             probe.finish(self._instance_spans.pop(decision.instance, None), now)
         self.monitors.on_decision(
-            self.replica_id,
-            record.epoch,
-            decision.instance,
-            decision.digest,
-            record.decided_at,
+            self.replica_id, record.epoch, decision.instance, decision.digest, record.decided_at
         )
-        self._commit_in_order()
+        history.commit()
         if self.config.confirmation_enabled:
             self._broadcast_confirmation(record)
         self._early.replay(decision.instance)
-        if self._waiting_fetches:
-            for requester in sorted(self._waiting_fetches.pop(decision.instance, ())):
-                self._serve_record(record, requester)
-        for gap in range(self.next_commit, decision.instance):
+        history.serve_waiting(record)
+        for gap in range(history.next_commit, decision.instance):
             # Decided past an undecided instance: fetch what was missed.
             self._fetch(gap)
         self._maybe_start_next_instance()
         horizon = decision.instance - self.finalization_blockdepth
         if horizon >= 0:
-            self._retire(horizon)
+            history.retire(horizon, self._sbc)
+            depth = self.finalization_blockdepth
+            self._registry.retire(horizon, depth)
+            retire_memos(horizon, depth)
+            _CONFIRM_GROUPED.retire(horizon, depth)
 
-    def _commit_in_order(self) -> None:
-        """Hand ``on_commit`` every decided instance from ``next_commit`` on,
-        in instance order, each followed by the merges that waited for it."""
-        record = self.instances.get(self.next_commit)
-        while record is not None and record.decision is not None:
-            self.next_commit += 1
-            if self.on_commit is not None:
-                self.on_commit(record.instance, record.decision)
-            if record.pending_merges:
-                self._run_ready_merges(record)
-            record = self.instances.get(self.next_commit)
-
-    def _retire(self, horizon: int) -> None:
-        """Retire every live instance up to ``horizon`` that is settled here
-        (see the module docstring), and age the memos with the horizon."""
-        me = self.replica_id
-        for instance in [instance for instance in self._sbc if instance <= horizon]:
-            record = self.instances[instance]
-            decision = record.decision
-            # A conflicting digest is what merges and pulls wait on.
-            if decision is None or record.disagreed:
-                continue
-            confirmed = record.matching_confirmations
-            if any(member != me and member not in confirmed for member in record.committee):
-                continue
-            self._sbc.pop(instance).detach()
-            decision.justification_votes = accountable_votes(decision.justification_votes)
-            if self.probe is not None:
-                self.probe.count("asmr.retired_instances")
-        depth = self.finalization_blockdepth
-        self._registry.retire(horizon, depth)
-        retire_memos(horizon, depth)
-        _CONFIRM_GROUPED.retire(horizon, depth)
+    def _fetch(self, instance: int) -> None:
+        """Fetch ``instance``'s decision record, from its CONFIRMs' senders first."""
+        parked = self._early.parked.get(instance, ())
+        self.history.fetch(instance, [message[1] for message in parked])
 
     # -- ② confirmation --------------------------------------------------------------------
 
@@ -520,11 +381,8 @@ class ASMRReplica(BaseReplica):
         return min(n, needed)
 
     def _broadcast_confirmation(self, record: InstanceRecord) -> None:
-        self.emit(
-            self.CONFIRM_TOPIC.child(record.instance),
-            "CONFIRM",
-            record.decision.to_record(record.epoch),
-        )
+        body = record.decision.to_record(record.epoch)
+        self.emit(self.CONFIRM_TOPIC.child(record.instance), "CONFIRM", body)
 
     def _handle_confirm(self, sender: ReplicaId, body: Dict[str, Any]) -> None:
         instance = body.get("instance")
@@ -567,24 +425,18 @@ class ASMRReplica(BaseReplica):
         if not record.conflicting_digests:
             self.log.info(
                 "disagreement on instance %s: remote %s decided %s, local %s",
-                instance,
-                sender,
-                remote_digest,
-                local.digest,
-            )
+                instance, sender, remote_digest, local.digest,
+            )  # fmt: skip
             probe = self.probe
             if probe is not None:
                 now = self.now
                 probe.count("zlb.disagreement_instances")
                 probe.gauge("zlb.recovery.disagreement_s", now)
                 probe.event(
-                    "asmr.disagreement",
-                    self.replica_id,
-                    now,
-                    instance=instance,
-                    remote=sender,
+                    "asmr.disagreement", self.replica_id, now, instance=instance, remote=sender
                 )
             self.monitors.on_disagreement(self.replica_id, instance, self.now)
+            self.history.disagreed[instance] = record
         record.conflicting_digests.add(str(remote_digest))
         self._record_disagreeing_slots(record, body)
         self._reconcile(record, sender, body)
@@ -599,7 +451,7 @@ class ASMRReplica(BaseReplica):
         record): an instance it aborted and restarted, or has not restarted
         yet.  Nobody runs that instance again for it."""
         epoch = body.get("epoch")
-        committee = self._epoch_committees.get(epoch) if type(epoch) is int else None
+        committee = self.history.epoch_committees.get(epoch) if type(epoch) is int else None
         return (
             committee is not None
             and sender in committee
@@ -648,12 +500,8 @@ class ASMRReplica(BaseReplica):
                 asked[sender] = False
                 wanted[slot] = digest
         if wanted:
-            self.emit_to(
-                sender,
-                self.CONFIRM_TOPIC.child(record.instance),
-                "PULL",
-                {"instance": record.instance, "wanted": wanted},
-            )
+            pull = {"instance": record.instance, "wanted": wanted}
+            self.emit_to(sender, self.CONFIRM_TOPIC.child(record.instance), "PULL", pull)
         record.pending_merges.append(remote_digests)
         self._run_ready_merges(record)
 
@@ -661,7 +509,7 @@ class ASMRReplica(BaseReplica):
         """Hand ``on_merge`` every waiting remote decision whose proposals are
         all here, in the order their CONFIRMs arrived — once the instance is
         committed here: a merge lands on a branch that holds its block."""
-        if record.instance >= self.next_commit:
+        if record.instance >= self.history.next_commit:
             return
         local = record.decision
         waiting: List[Dict[ReplicaId, str]] = []
@@ -686,18 +534,18 @@ class ASMRReplica(BaseReplica):
     def _handle_pull(self, sender: ReplicaId, body: Dict[str, Any]) -> None:
         """Serve decided proposals to a replica whose decision conflicts: only
         what this replica decided under the digest asked for, once per
-        (requester, slot), only to members (``_is_member``).  A PULL that
-        wants nothing named is a fetch (``_handle_fetch``)."""
-        record = self._record_named_in(body)
+        (requester, slot), only to members.  A PULL that wants nothing named
+        is a fetch (``DecisionLog.serve``)."""
         wanted = body.get("wanted")
         if wanted is None:
-            self._handle_fetch(sender, body.get("instance"), record)
+            self.history.serve(sender, body.get("instance"), self.target_instances + AHEAD_WINDOW)
             return
+        record = self._record_named_in(body)
         if (
             record is None
             or record.decision is None
             or not isinstance(wanted, dict)
-            or not self._is_member(sender, record)
+            or not self.history.is_member(sender, record)
         ):
             return
         decision = record.decision
@@ -709,26 +557,16 @@ class ASMRReplica(BaseReplica):
                 record.pulls_served.add((sender, slot))
                 proposals[slot] = decision.proposals[slot]
         if proposals:
-            self.emit_to(
-                sender,
-                self.CONFIRM_TOPIC.child(record.instance),
-                "PROPOSALS",
-                {"instance": record.instance, "proposals": proposals},
-            )
-
-    def _is_member(self, sender: ReplicaId, record: Optional[InstanceRecord]) -> bool:
-        """A member of the instance's committee here, or of the current one:
-        a replica that joined since may have decided the instance again
-        after this replica decided it in the epoch before."""
-        return sender in self.committee() or (record is not None and sender in record.committee)
+            reply = {"instance": record.instance, "proposals": proposals}
+            self.emit_to(sender, self.CONFIRM_TOPIC.child(record.instance), "PROPOSALS", reply)
 
     def _handle_proposals(self, sender: ReplicaId, body: Dict[str, Any]) -> None:
         """Keep the pulled proposals this replica asked ``sender`` for and
         whose hash is the digest ``sender`` confirmed; drop everything else,
         and anything ``sender`` sends for the same slot afterwards.  A body
-        with a digest answers a fetch (``_handle_fetched``)."""
+        with a digest answers a fetch (``DecisionLog.fetched``)."""
         if "digest" in body:
-            self._handle_fetched(sender, body)
+            self.history.fetched(sender, body, self._sbc)
             return
         record = self._record_named_in(body)
         proposals = body.get("proposals")
@@ -745,119 +583,6 @@ class ASMRReplica(BaseReplica):
                 stored = True
         if stored:
             self._run_ready_merges(record)
-
-    # -- gap fill: fetch a decision record ------------------------------------------------------
-
-    def _fetch(self, instance: int) -> None:
-        """Ask ``t + 1`` members for instance ``instance``'s decision record
-        (a PULL that wants nothing named), once per instance: the senders of
-        the CONFIRMs parked for it that are members of an epoch this replica
-        knows first, then the committee in id order.  Nothing is fetched
-        below ``next_commit`` or for a decided instance."""
-        record = self.instances.get(instance)
-        if (
-            instance in self._fetches
-            or instance < self.next_commit
-            or (record is not None and record.decision is not None)
-        ):
-            return
-        committee = record.committee if record is not None else tuple(self.committee())
-        members = set(committee).union(*self._epoch_committees.values())
-        candidates = [
-            message[1] for message in self._early.parked.get(instance, ()) if message[1] in members
-        ]
-        asked: List[ReplicaId] = []
-        for member in candidates + sorted(committee):
-            if member != self.replica_id and member not in asked:
-                asked.append(member)
-                if len(asked) > byzantine_tolerance(len(committee)):
-                    break
-        self._fetches[instance] = set(asked)
-        if self.probe is not None:
-            self.probe.count("asmr.fetches")
-        for member in asked:
-            self.emit_to(
-                member, self.CONFIRM_TOPIC.child(instance), "PULL", {"instance": instance}
-            )
-
-    def _handle_fetch(
-        self, sender: ReplicaId, instance: Any, record: Optional[InstanceRecord]
-    ) -> None:
-        """Answer a member's fetch with the decision record and its proposals,
-        once per (requester, instance).  Undecided here, the fetch waits for
-        the decision (``_on_sbc_decided`` answers it), as far ahead as early
-        traffic parks; anything else is dropped and counted."""
-        if record is not None and record.decision is not None:
-            if self._is_member(sender, record) and (sender, None) not in record.pulls_served:
-                self._serve_record(record, sender)
-                return
-        elif (
-            type(instance) is int
-            and self.next_commit <= instance <= self.target_instances + AHEAD_WINDOW
-            and self._is_member(sender, record)
-        ):
-            self._waiting_fetches.setdefault(instance, set()).add(sender)
-            return
-        if self.probe is not None:
-            self.probe.count("asmr.dropped_fetches")
-
-    def _serve_record(self, record: InstanceRecord, requester: ReplicaId) -> None:
-        # ``None`` stands for the whole record in ``pulls_served``.
-        record.pulls_served.add((requester, None))
-        self.emit_to(
-            requester,
-            self.CONFIRM_TOPIC.child(record.instance),
-            "PROPOSALS",
-            record.decision.to_record(record.epoch, proposals=True),
-        )
-
-    def _handle_fetched(self, sender: ReplicaId, body: Dict[str, Any]) -> None:
-        """A fetched decision record: one answer per member asked.  The first
-        that proves its decision (``decision_from_record``, against the
-        committee of the epoch it names) is adopted; a later one that proves
-        a different decision is a conflicting confirmation.  Anything else is
-        dropped and counted, and the gap stays open."""
-        instance = body.get("instance")
-        asked = self._fetches.get(instance) if type(instance) is int else None
-        epoch = body.get("epoch")
-        committee = self._epoch_committees.get(epoch) if type(epoch) is int else None
-        decision = None
-        if asked is not None and sender in asked:
-            asked.discard(sender)
-            if committee is not None:
-                decision = decision_from_record(
-                    self, body, committee, self.SBC_ROOT.child(epoch, instance)
-                )
-        if decision is None:
-            if self.probe is not None:
-                self.probe.count("asmr.dropped_records")
-            return
-        record = self.instances.get(instance)
-        if record is not None and record.decision is not None:
-            if record.decision.digest != decision.digest:
-                self._handle_confirm(sender, body)
-            return
-        self._adopt(decision, epoch, committee)
-
-    def _adopt(
-        self, decision: SBCDecision, epoch: int, committee: Tuple[ReplicaId, ...]
-    ) -> None:
-        """Decide ``decision``, a peer's proven one, as if the local SBC had:
-        the local SBC of the instance (if any) detaches, and the record takes
-        the epoch and committee the decision was reached in."""
-        instance = decision.instance
-        component = self._sbc.pop(instance, None)
-        if component is not None:
-            component.detach()
-        record = self.instances.get(instance)
-        if record is None:
-            record = self.instances[instance] = InstanceRecord(
-                instance=instance, epoch=epoch, committee=committee, started_at=self.now
-            )
-        record.epoch, record.committee, record.aborted = epoch, committee, False
-        if self.probe is not None:
-            self.probe.count("asmr.adopted_records")
-        self._on_sbc_decided(decision)
 
     # -- accountability: PoF extraction and gossip ----------------------------------------------
 
@@ -940,9 +665,7 @@ class ASMRReplica(BaseReplica):
         if self.probe is not None:
             self.probe.gauge("zlb.recovery.exclusion_started_s", self.now)
         self.log.info(
-            "membership change started (epoch %s): excluding %s",
-            self.epoch,
-            sorted(relevant_pofs),
+            "membership change started (epoch %s): excluding %s", self.epoch, sorted(relevant_pofs)
         )
         self.membership_change = change = MembershipChange(
             host=self,
@@ -971,20 +694,19 @@ class ASMRReplica(BaseReplica):
         self.excluded_replicas.update(outcome.excluded)
         self.log.info(
             "membership change complete: excluded %s, included %s",
-            outcome.excluded,
-            outcome.included,
-        )
+            outcome.excluded, outcome.included,
+        )  # fmt: skip
         new_committee = [
             replica for replica in self.committee() if replica not in outcome.excluded
         ]
         new_committee.extend(outcome.included)
         self.update_committee(new_committee)
-        self._epoch_committees[self.epoch + 1] = tuple(new_committee)
+        self.history.epoch_committees[self.epoch + 1] = tuple(new_committee)
         if self.on_exclude is not None and outcome.excluded:
             self.on_exclude(list(outcome.excluded))
         # Send the chain state to the replicas that just joined (Fig. 5 right).
         for replica in outcome.included:
-            self._send_catchup(replica)
+            self.history.send_catchup(replica)
         # Clear the treated PoFs (Alg. 1 line 39) and prepare the next epoch.
         for culprit in outcome.excluded:
             self.pofs.pop(culprit, None)
@@ -994,11 +716,8 @@ class ASMRReplica(BaseReplica):
         self.epoch += 1
         # Restart the aborted consensus instances with the new committee
         # (Alg. 1 line 49 / Fig. 2 "goto ①").
-        aborted = sorted(
-            instance
-            for instance, record in self.instances.items()
-            if record.aborted and record.decision is None
-        )
+        records = self.instances.items()
+        aborted = sorted(i for i, record in records if record.aborted and record.decision is None)
         for instance in aborted:
             old_component = self._sbc.pop(instance, None)
             if old_component is not None:
@@ -1017,76 +736,6 @@ class ASMRReplica(BaseReplica):
             ):
                 self._fetch(instance)
 
-    # -- catch-up of newly included replicas ------------------------------------------------------------
-
-    def _send_catchup(self, replica: ReplicaId) -> None:
-        blocks = []
-        for instance in sorted(self.instances):
-            record = self.instances[instance]
-            if record.decision is None:
-                continue
-            blocks.append(
-                {
-                    "instance": instance,
-                    "digest": record.decision.digest,
-                    "bitmask": dict(record.decision.bitmask),
-                    "proposals": dict(record.decision.proposals),
-                    "binary_certificates": {
-                        slot: cert.to_payload()
-                        for slot, cert in record.decision.binary_certificates.items()
-                    },
-                    "committee": list(record.committee),
-                }
-            )
-        self.emit_to(
-            replica,
-            self.CATCHUP_TOPIC,
-            "CATCHUP",
-            {
-                "blocks": blocks,
-                # The new replica adopts the post-change view so it can take
-                # part in the restarted instances right away.
-                "epoch": self.epoch + 1,
-                "committee": [
-                    r for r in self.committee() if r not in self.excluded_replicas
-                ],
-                "target_instances": self.target_instances,
-                "next_instance": max(
-                    (i + 1 for i in self.decided_instances()), default=0
-                ),
-            },
-        )
-
-    def _handle_catchup(self, sender: ReplicaId, body: Dict[str, Any]) -> None:
-        if self.catchup_completed_at is not None:
-            return
-        blocks = body.get("blocks", [])
-        verified = 0
-        for block in blocks:
-            committee = block.get("committee", list(self.committee()))
-            certificates = block.get("binary_certificates", {})
-            if verified_certificates(self, certificates, committee) is not None:
-                verified += 1
-        self.catchup_blocks_verified = verified
-        self.catchup_completed_at = self.now
-        if not self.standby:
-            return
-        # Join the committee: adopt the sender's post-membership-change view.
-        self.standby = False
-        new_committee = body.get("committee")
-        if new_committee and self.replica_id in new_committee:
-            self.update_committee(new_committee)
-        self.epoch = max(self.epoch, int(body.get("epoch", self.epoch)))
-        self.target_instances = max(
-            self.target_instances, int(body.get("target_instances", 0))
-        )
-        self.next_instance = max(
-            self.next_instance, int(body.get("next_instance", 0))
-        )
-        self.next_commit = max(self.next_commit, self.next_instance)
-        self._epoch_committees[self.epoch] = tuple(self.committee())
-        self._maybe_start_next_instance()
-
     # -- message routing ---------------------------------------------------------------------------------------
 
     def _route_confirm(self, message_topic: Topic, sender: ReplicaId, kind: str, body: Dict[str, Any]) -> None:
@@ -1101,7 +750,7 @@ class ASMRReplica(BaseReplica):
         self._handle_pofs(sender, body)
 
     def _route_catchup(self, message_topic: Topic, sender: ReplicaId, kind: str, body: Dict[str, Any]) -> None:
-        self._handle_catchup(sender, body)
+        self.history.join(body)
 
     def _park_membership(self, message_topic: Topic, sender: ReplicaId, kind: str, body: Dict[str, Any]) -> None:
         """Fallback at ``("excl",)`` / ``("incl",)``, reached while no started
@@ -1157,26 +806,3 @@ class ASMRReplica(BaseReplica):
             # instance this replica never ran — a replica included mid-epoch
             # adopts the sender's view — the message is dropped, as before.)
             self.route(message_topic, sender, kind, body)
-
-    # -- metrics ---------------------------------------------------------------------------------------------------
-
-    def decided_instances(self) -> List[int]:
-        """Indices of instances with a local decision, in order."""
-        return sorted(
-            instance
-            for instance, record in self.instances.items()
-            if record.decision is not None
-        )
-
-    def total_disagreeing_slots(self) -> int:
-        """Total number of (instance, slot) pairs on which this replica observed
-        a decision conflicting with its own — the paper's "disagreements"."""
-        return sum(len(record.disagreeing_slots) for record in self.instances.values())
-
-    def disagreement_instances(self) -> List[int]:
-        """Instances on which a disagreement was observed."""
-        return sorted(
-            instance
-            for instance, record in self.instances.items()
-            if record.disagreed
-        )

@@ -530,8 +530,8 @@ class ZLBSystem:
             detail = {
                 "fault": replica.fault.value,
                 "decided_instances": replica.decided_instances(),
-                "disagreement_instances": replica.disagreement_instances(),
-                "disagreeing_slots": replica.total_disagreeing_slots(),
+                "disagreement_instances": replica.history.disagreement_instances(),
+                "disagreeing_slots": replica.history.total_disagreeing_slots(),
                 "detected_at": replica.detected_at,
                 "membership_outcomes": replica.membership_outcomes,
                 "chain": replica.chain_summary(),
@@ -540,11 +540,9 @@ class ZLBSystem:
             per_replica[replica_id] = detail
             if replica.fault is not FaultKind.HONEST:
                 continue
-            for instance, record in replica.instances.items():
-                for slot in record.disagreeing_slots:
-                    disagreeing_pairs.add((instance, slot))
-                if record.disagreed:
-                    disagreement_instances.add(instance)
+            for instance, record in replica.history.disagreed.items():
+                disagreeing_pairs.update((instance, slot) for slot in record.disagreeing_slots)
+                disagreement_instances.add(instance)
             if replica.detected_at is not None:
                 detect_times.append(replica.detected_at)
             for outcome in replica.membership_outcomes:

@@ -121,6 +121,19 @@ HOSTILE_ROUNDS = {
 }
 
 
+#: name -> a genuine CATCHUP body -> one of another shape.
+MALFORMED_CATCHUPS = {
+    "a block that is not a dict": lambda b: {**b, "blocks": [1]},
+    "a block committee that is an int": lambda b: {
+        **b, "blocks": [{**b["blocks"][0], "committee": 7}]
+    },
+    "a committee that is an int": lambda b: {**b, "committee": 7},
+    "an epoch that is a str": lambda b: {**b, "epoch": "x"},
+    "a target that is a str": lambda b: {**b, "target_instances": "x"},
+    "a next instance that is a str": lambda b: {**b, "next_instance": "x"},
+}
+
+
 def confused(table):
     return pytest.mark.parametrize("confusion", sorted(table))
 
@@ -359,6 +372,18 @@ class TestAccountability:
             "committee": [0, 1, 2, 3],
         }
 
+    @staticmethod
+    def _standby(simulator, replicas, standby_id):
+        standby = ASMRReplica(
+            replica_id=standby_id,
+            committee=[0, 1, 2, 3],
+            signer=SimulatedSigner(standby_id),
+            registry=replicas[0].registry,
+            standby=True,
+        )
+        simulator.add_process(standby)
+        return standby
+
     @confused(CONFUSED_CERTIFICATES)
     def test_handle_catchup_skips_a_confused_certificate(self, confusion):
         simulator, replicas, seen = decided_asmr_committee()
@@ -366,12 +391,12 @@ class TestAccountability:
         body = {"blocks": [block], "epoch": 0, "committee": [0, 1, 2, 3]}
         del seen[:]
         before = (replicas[0].epoch, replicas[0].committee(), replicas[0].decided_instances())
-        replicas[0]._handle_catchup(1, _delivered("CATCHUP", body))
+        replicas[0].history.join(_delivered("CATCHUP", body))
         simulator.run()
-        assert replicas[0].catchup_completed_at is not None
+        assert replicas[0].history.catchup_completed_at is not None
         # A certificate that does not parse is an invalid one: the block's
         # three good certificates do not make it a verified block.
-        assert replicas[0].catchup_blocks_verified == 0
+        assert replicas[0].history.catchup_blocks_verified == 0
         after = (replicas[0].epoch, replicas[0].committee(), replicas[0].decided_instances())
         assert after == before and seen == []
 
@@ -390,14 +415,7 @@ class TestAccountability:
             (5, self._catchup_block(replicas[1], 1), 2),
         ):
             joined = [0, 1, 2, 3, standby_id]
-            standby = ASMRReplica(
-                replica_id=standby_id,
-                committee=[0, 1, 2, 3],
-                signer=SimulatedSigner(standby_id),
-                registry=replicas[0].registry,
-                standby=True,
-            )
-            simulator.add_process(standby)
+            standby = self._standby(simulator, replicas, standby_id)
             body = {
                 "blocks": [self._catchup_block(replicas[1], 0), second_block],
                 "epoch": 1,
@@ -409,10 +427,48 @@ class TestAccountability:
                 standby_id, ASMRReplica.CATCHUP_TOPIC, "CATCHUP", _delivered("CATCHUP", body)
             )
             simulator.run()
-            assert standby.catchup_completed_at is not None
-            assert standby.catchup_blocks_verified == verified
+            assert standby.history.catchup_completed_at is not None
+            assert standby.history.catchup_blocks_verified == verified
             assert not standby.standby
             assert (standby.epoch, standby.committee(), standby.next_instance) == (1, joined, 2)
+
+    @confused(MALFORMED_CATCHUPS)
+    def test_a_malformed_catchup_is_dropped_before_the_standby_changes(self, confusion):
+        """A CATCHUP of any other shape used to raise half way through the
+        join — fatal to a simulator run — after the catch-up was marked
+        complete, so the standby never read a good one.  It is dropped and
+        counted before anything changes, and the good one still joins."""
+        simulator, replicas, _ = decided_asmr_committee()
+        standby = self._standby(simulator, replicas, 4)
+        standby.probe = Probe(metrics=TelemetryRegistry())
+        good = {
+            "blocks": [self._catchup_block(replicas[1], 0)],
+            "epoch": 1,
+            "committee": [0, 1, 2, 3, 4],
+            "target_instances": 1,
+            "next_instance": 1,
+        }
+
+        def state():
+            history = standby.history
+            return (
+                standby.standby, standby.epoch, standby.committee(), standby.target_instances,
+                standby.next_instance, history.next_commit, history.catchup_completed_at,
+                history.catchup_blocks_verified,
+            )  # fmt: skip
+
+        before = state()
+        for body in (MALFORMED_CATCHUPS[confusion](good), good):
+            replicas[1].emit_to(
+                4, ASMRReplica.CATCHUP_TOPIC, "CATCHUP", _delivered("CATCHUP", body)
+            )
+            simulator.run()
+            if body is not good:
+                assert state() == before
+        counters = standby.probe.metrics.snapshot()["counters"]
+        assert counters.get("asmr.dropped_catchups") == 1
+        assert state()[:6] == (False, 1, [0, 1, 2, 3, 4], 1, 1, 1)
+        assert standby.history.catchup_blocks_verified == 1
 
 
 #: name -> a genuine fetched record -> one that proves nothing.
@@ -467,14 +523,14 @@ class TestFetchedRecords:
     def _filled_by(self, gap, genuine, sender):
         gap._handle_proposals(sender, _delivered("PROPOSALS", genuine, sender=sender))
         assert gap.instances[0].decision.digest == genuine["digest"]
-        assert gap.decided_instances() == [0] and gap.next_commit == 1
+        assert gap.decided_instances() == [0] and gap.history.next_commit == 1
 
     @confused(HOSTILE_RECORDS)
     def test_a_record_that_proves_nothing_is_dropped(self, confusion):
         simulator, replicas, seen, gap, genuine = self._gap()
         hostile = HOSTILE_RECORDS[confusion](genuine)
         gap._handle_proposals(1, _delivered("PROPOSALS", hostile))
-        assert gap.instances[0].decision is None and gap.next_commit == 0
+        assert gap.instances[0].decision is None and gap.history.next_commit == 0
         assert self._dropped(gap, "asmr.dropped_records") == 1
         # Replica 1 had its one answer; what it sends next is not read.
         gap._handle_proposals(1, _delivered("PROPOSALS", genuine))
@@ -502,7 +558,7 @@ class TestFetchedRecords:
         answers = of_kind(seen, "PROPOSALS")
         assert [(m.sender, m.recipient) for m in answers] == [(0, 3), (1, 3)]
         assert gap.instances[0].decision.digest == genuine["digest"]
-        assert gap.decided_instances() == [0] and gap.next_commit == 1
+        assert gap.decided_instances() == [0] and gap.history.next_commit == 1
         # The adopted decision is confirmed like a local one.
         assert of_kind(seen, "CONFIRM")[0].sender == 3
         assert self._dropped(gap, "asmr.dropped_records") == 0
@@ -516,7 +572,7 @@ class TestFetchedRecords:
         confirm = replicas[1].instances[0].decision.to_record(0)
         del seen[:]
         gap._handle_confirm(1, _delivered("CONFIRM", confirm, sender=1))
-        assert gap._fetches == {} and len(gap._early.parked[0]) == 1
+        assert gap.history._fetches == {} and len(gap._early.parked[0]) == 1
         gap.epoch = gap.instances[0].epoch = 1
         gap._handle_confirm(2, _delivered("CONFIRM", confirm, sender=2))
         simulator.run()
@@ -525,7 +581,7 @@ class TestFetchedRecords:
         assert [(m.recipient, m.body) for m in pulls] == [(1, {"instance": 0}), (2, {"instance": 0})]
         record = gap.instances[0]
         assert record.decision.digest == confirm["digest"] and record.epoch == 0
-        assert gap.next_commit == 1 and record.matching_confirmations == {1, 2, 3}
+        assert gap.history.next_commit == 1 and record.matching_confirmations == {1, 2, 3}
 
     def test_a_fetch_from_a_non_member_is_not_served(self):
         simulator, replicas, seen, gap, genuine = self._gap()
@@ -563,11 +619,11 @@ class TestFetchedRecords:
         del seen[:]
         gap._handle_confirm(sender, _delivered("CONFIRM", confirm, sender=sender))
         simulator.run()
-        assert gap._fetches == {} and of_kind(seen, "PULL") == []
+        assert gap.history._fetches == {} and of_kind(seen, "PULL") == []
         gap._fetch(0)
         simulator.run()
         assert {m.recipient for m in of_kind(seen, "PULL")} == {0, 1}
-        assert gap.decided_instances() == [0] and gap.next_commit == 1
+        assert gap.decided_instances() == [0] and gap.history.next_commit == 1
 
     def test_a_fetch_waits_for_a_member_that_has_not_decided(self):
         """Replica 6 asks 5, 0 and 1; 0 and 1 are down and 5 has not decided

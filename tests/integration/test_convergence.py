@@ -74,7 +74,7 @@ def test_crashed_replicas_fill_what_they_missed(crashes, seed, monkeypatch):
     assert row["decided_instances"] == 6
     _assert_one_ledger(system)
     for replica_id in row["crashed_replicas"]:
-        assert system.replicas[replica_id].next_commit == 6
+        assert system.replicas[replica_id].history.next_commit == 6
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
@@ -122,7 +122,7 @@ def test_a_fault_free_cell_fetches_nothing():
     result = system.run_instances(3)
     assert result.violations == []
     assert of_kind(seen, "PULL") == [] and of_kind(seen, "PROPOSALS") == []
-    assert all(replica._fetches == {} for replica in system.replicas.values())
+    assert all(replica.history._fetches == {} for replica in system.replicas.values())
     _assert_one_ledger(system)
 
 

@@ -525,7 +525,7 @@ def _messages_of_every_kind():
     )
     replicas[0]._broadcast_pofs([ProofOfFraud(culprit=3, first=first, second=second)])
     simulator.run()
-    replicas[0]._send_catchup(1)
+    replicas[0].history.send_catchup(1)
     simulator.run()
     messages = {}
     for message in seen:

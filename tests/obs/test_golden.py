@@ -118,10 +118,13 @@ def test_bare_cell_after_a_fully_instrumented_one_is_untouched():
     )
 
 
-@pytest.mark.parametrize("family, cell", [("churn", 0), ("fig5", 0), ("sec53", 0)])
+@pytest.mark.parametrize(
+    "family, cell", [("churn", 0), ("fig5", 0), ("fig6", 0), ("sec53", 0)]
+)
 def test_a_bare_churn_cell_after_an_instrumented_one_is_untouched(family, cell):
     """``churn`` builds one simulator per round under one probe; ``fig5``
-    times the membership change and ``sec53`` runs 5-10 s partitions."""
+    times the membership change, ``fig6`` reads a blockdepth off an attack and
+    ``sec53`` runs 5-10 s partitions."""
     if family == "churn":
         assert registry.expand(family, "small")[cell].param("rounds") > 1
     first_in_process = _run_in_fresh_process(family, cell, "")
