@@ -8,8 +8,11 @@ Demonstrates the instrumentation subsystem:
    binary/set consensus, membership change, blockchain managers) records
    into the active registry;
 2. read the headline numbers straight off the snapshot: per-protocol message
-   and byte counts, per-phase latency percentiles, and the
-   detection → exclusion → merge recovery timeline;
+   and byte counts, per-phase latency percentiles, where time-to-commit went
+   (the ``zlb.phase.*_s`` histograms: mempool wait, reliable broadcast,
+   binary consensus, commit — under the attack the commit phase dominates,
+   since replicas cut off by the partition commit only after the membership
+   change) and the detection → exclusion → merge recovery timeline;
 3. export the snapshot as JSON and flattened CSV — the same artefacts
    ``python -m repro.scenarios sweep --instrument metrics`` stores per cell and
    ``python -m repro.scenarios report`` renders.
@@ -23,7 +26,14 @@ import tempfile
 from pathlib import Path
 
 from repro import obs
-from repro.obs.export import render_report, snapshot_rows, write_csv, write_json
+from repro.obs.export import (
+    PHASE_PREFIX,
+    dominant_phase,
+    render_report,
+    snapshot_rows,
+    write_csv,
+    write_json,
+)
 from repro.scenarios import ScenarioSpec, run_system
 
 
@@ -44,6 +54,11 @@ def main() -> None:
     snapshot = registry.snapshot()
     print()
     print(render_report([("fig4 n=9", snapshot)], metric_filter="rbc."))
+
+    # Where time-to-commit went, phase by phase.
+    print()
+    print(render_report([("fig4 n=9", snapshot)], metric_filter=PHASE_PREFIX))
+    print(f"dominant phase: {dominant_phase([snapshot])}")
 
     # A recovery gauge's min is the first time that step happened anywhere.
     recovery = {

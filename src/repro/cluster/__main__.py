@@ -6,8 +6,10 @@ Example::
         --transactions 200 --batch-size 50
 
 prints wall-clock throughput and p50/p99 time-to-commit measured across the
-whole committee, and exits non-zero if any replica crashed, timed out,
-violated zero-loss accounting or tripped an online invariant monitor.
+whole committee, where that time went — every worker's ``zlb.phase.*_s``
+histogram rows (mempool wait, reliable broadcast, binary consensus, commit)
+and the dominant phase — and exits non-zero if any replica crashed, timed
+out, violated zero-loss accounting or tripped an online invariant monitor.
 
 Observability flags:
 
@@ -36,6 +38,7 @@ from repro.cluster.fixture import ClusterSpec
 from repro.cluster.launcher import run_cluster
 from repro.common.errors import ConfigurationError
 from repro.common.logging import configure_logging
+from repro.obs.export import PHASE_PREFIX, dominant_phase, render_report
 
 
 def _parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
@@ -145,6 +148,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"  time-to-commit p50 {result.latency_p50_s * 1000:.1f}ms "
             f"p99 {result.latency_p99_s * 1000:.1f}ms"
         )
+    telemetry = [
+        (f"replica {replica_id}", report["telemetry"])
+        for replica_id, report in sorted(result.reports.items())
+        if report.get("telemetry")
+    ]
+    if telemetry:
+        print(render_report(telemetry, metric_filter=PHASE_PREFIX))
+        print(f"  dominant phase: {dominant_phase(s for _, s in telemetry)}")
     print(f"  zero-loss accounting: {'ok' if result.zero_loss else 'VIOLATED'}")
     if result.obs_frames:
         print(f"  obs frames received: {result.obs_frames}")

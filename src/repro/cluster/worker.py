@@ -40,6 +40,7 @@ import asyncio
 import json
 import signal
 import sys
+from itertools import islice
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis.metrics import percentiles
@@ -135,10 +136,12 @@ class _ObsShipper:
         self._last_t = now
         samples = self.latency.samples
 
+        # Blocks are appended in instance order: the newest are the last keys.
         by_instance = blockchain.blocks_by_instance
-        recent = sorted(by_instance)[-COMMIT_DIGEST_WINDOW:]
+        recent = list(islice(reversed(by_instance), COMMIT_DIGEST_WINDOW))
         commits = {
-            str(instance): by_instance[instance].block_hash for instance in recent
+            str(instance): by_instance[instance].block_hash
+            for instance in reversed(recent)
         }
 
         monitors = self.replica.monitors

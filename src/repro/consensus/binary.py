@@ -110,8 +110,7 @@ class BinaryConsensus:
         self.context = self.topic.canonical
         self.on_decide = on_decide
         # Instrumentation (None when off): latency and one span run from
-        # first activity to the decision; round/decide events feed the
-        # critical-path analysis.
+        # first activity to the decision, with round/decide events.
         self._probe = host.probe
         self._started_at: Optional[float] = None
         self._span = None

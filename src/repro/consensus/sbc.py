@@ -245,6 +245,7 @@ class SetByzantineConsensus:
         proposal_validator: Optional[ProposalValidator] = None,
         protocol_prefix: TopicLike = "sbc",
         zero_phase_grace: float = 0.05,
+        phase_marks: Optional[List[float]] = None,
     ):
         self.host = host
         self.instance = instance
@@ -266,6 +267,10 @@ class SetByzantineConsensus:
         # hears of it) to local decision.
         self._probe = host.probe
         self._created_at = host.now
+        #: ``[start, last RBC delivery, last binary decision]`` of the ASMR
+        #: instance this SBC decides, moved forward as slots deliver and
+        #: decide (instrumented ASMR instances only; see ``ASMRReplica``).
+        self.phase_marks = phase_marks
         # The instance span opens under the active context — the proposer's
         # root span, or the delivery span of whatever message caused a lazy
         # start — and closes at the decision.
@@ -394,6 +399,8 @@ class SetByzantineConsensus:
     # -- sub-component callbacks --------------------------------------------------------
 
     def _on_rbc_deliver(self, proposer: ReplicaId, value: Any, certificate: Certificate) -> None:
+        if self.phase_marks is not None:
+            self.phase_marks[1] = self.host.now
         if self.proposal_validator is not None and not self.proposal_validator(
             proposer, value
         ):
@@ -442,6 +449,8 @@ class SetByzantineConsensus:
     def _on_binary_decide(self, slot: ReplicaId, value: int, certificate: Certificate) -> None:
         if slot in self._bits:
             return
+        if self.phase_marks is not None:
+            self.phase_marks[2] = self.host.now
         self._bits[slot] = value
         self._binary_certs[slot] = certificate
         self._maybe_complete()

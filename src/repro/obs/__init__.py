@@ -8,8 +8,10 @@ disabled-mode contract) whose back-ends answer four questions:
   sampled every :data:`~repro.obs.core.TICK_S` simulated seconds by
   :meth:`Probe.tick` and compared across a sweep by
   :func:`repro.obs.export.render_report`;
-* where did the time go — :mod:`repro.obs.critical_path` (time-to-commit
-  per protocol phase);
+* where did the time go — the same registry: four ``zlb.phase.*_s``
+  histograms split time-to-commit into mempool wait, reliable broadcast,
+  binary consensus and commit, on the simulator and on real sockets alike
+  (:func:`repro.obs.export.dominant_phase` names the largest);
 * what happened before the crash — :mod:`repro.obs.trace` (causal spans)
   and :mod:`repro.obs.recorder` (flight recorder);
 * watch it live — the tick's progress events, folded by
@@ -23,17 +25,18 @@ deployment owns them, so every run is checked.
 text, Chrome trace).  Typical use::
 
     from repro import obs
+    from repro.obs.export import PHASE_PREFIX, dominant_phase, render_report
 
-    probe = obs.Probe.at_level("all")
+    probe = obs.Probe.at_level("metrics")
     with obs.activate(probe):
         system = ZLBSystem.create(...)   # picks up the active probe
         system.run_instances(2)
-    print(probe.metrics.snapshot()["histograms"])
-    print(obs.render_critical_path(obs.critical_path(probe.trace.tracer)))
+    snapshot = probe.metrics.snapshot()
+    print(render_report([("cell", snapshot)], metric_filter=PHASE_PREFIX))
+    print(dominant_phase([snapshot]))
 """
 
 from repro.obs.core import LEVELS, Probe, activate, current
-from repro.obs.critical_path import critical_path, render_critical_path
 from repro.obs.metrics import TelemetryRegistry
 from repro.obs.trace import TraceRuntime
 
@@ -42,8 +45,6 @@ __all__ = [
     "Probe",
     "activate",
     "current",
-    "critical_path",
-    "render_critical_path",
     "TelemetryRegistry",
     "TraceRuntime",
 ]

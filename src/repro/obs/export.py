@@ -35,6 +35,10 @@ METRIC_COLUMNS = (
 #: The summary fields a histogram row fills.
 _HISTOGRAM_FIELDS = ("count", "mean", "std", "ci95", "p50", "p95", "p99", "min", "max")
 
+#: Name prefix of the four histograms (``mempool``, ``rbc``, ``binary``,
+#: ``commit``, each ``..._s``) that split time-to-commit into Fig. 2's phases.
+PHASE_PREFIX = "zlb.phase."
+
 #: Column order of sampled time-series CSV exports (plot-ready long form).
 SERIES_COLUMNS = ("cell", "series", "t", "value")
 
@@ -216,6 +220,22 @@ def render_report(
     for kind, table in sorted(tables.items()):
         sections.append(f"\n== {kind} ==\n{format_table(table)}")
     return "\n".join(sections)
+
+
+def dominant_phase(snapshots: Iterable[Dict[str, Any]]) -> Optional[str]:
+    """The phase whose :data:`PHASE_PREFIX` samples have the largest mean,
+    pooled over ``snapshots`` (one per replica of a cluster, or one run's);
+    None when no phase was observed."""
+    totals: Dict[str, List[float]] = {}
+    for snapshot in snapshots:
+        for key, summary in snapshot.get("histograms", {}).items():
+            if key.startswith(PHASE_PREFIX) and summary.get("count"):
+                total = totals.setdefault(key[len(PHASE_PREFIX) : -len("_s")], [0.0, 0])
+                total[0] += summary["mean"] * summary["count"]
+                total[1] += summary["count"]
+    if not totals:
+        return None
+    return max(totals, key=lambda phase: totals[phase][0] / totals[phase][1])
 
 
 # -- sampled time series -------------------------------------------------------

@@ -3,8 +3,8 @@
 Answers "how many, how long, and when": instrumented code reaches the
 registry through the ``count`` / ``observe`` / ``gauge`` verbs of its
 :class:`~repro.obs.core.Probe`, and the probe's tick calls
-:meth:`TelemetryRegistry.sample` to append one point per metric to a bounded
-time series.
+:meth:`TelemetryRegistry.sample` to append a point to a metric's bounded
+time series whenever its value changed since the series' last point.
 
 Primitives:
 
@@ -20,8 +20,10 @@ Metrics are identified by name plus optional low-cardinality labels, created
 lazily on first touch and snapshotted into a plain JSON-serialisable dict that
 the scenario :class:`~repro.scenarios.store.ResultStore` persists next to each
 result row.  The snapshot's ``series`` are the sampled points: a counter's
-or gauge's value at each tick, and a histogram's p50/p99 over what it
-observed since the previous tick (``name.p50``, ``name.p99``).
+or gauge's value at a tick, and a histogram's p50/p99 over what it observed
+since the previous tick (``name.p50``, ``name.p99``).  A tick that finds the
+value of the series' last point adds none, so a flat stretch is one point
+(a step function: each point holds until the next).
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 # import of e.g. repro.analysis would close an import cycle.  Summaries import
 # repro.analysis.metrics lazily inside Histogram.snapshot instead.
 
-#: Points one series keeps; older points fall off and are counted as dropped.
+#: Points one series keeps; older points fall off and are counted as dropped
+#: (an unchanged value appends nothing, so it drops nothing either).
 SERIES_POINTS = 2048
 
 #: Labels are rendered into metric keys as ``name{k=v,k2=v2}``.
@@ -230,7 +233,8 @@ class TelemetryRegistry:
     # -- time series (the probe's tick) -----------------------------------------
 
     def sample(self, now: float) -> None:
-        """Append one point per counter, gauge and histogram at time ``now``.
+        """Append a point at time ``now`` to every counter, gauge and
+        histogram series whose value changed since its last point.
 
         A histogram's points are the p50 and p99 of what it observed since
         the previous call; one that observed nothing adds no point.
@@ -255,6 +259,8 @@ class TelemetryRegistry:
         ring = self._series.get(name)
         if ring is None:
             ring = self._series[name] = deque(maxlen=SERIES_POINTS)
+        elif ring[-1][1] == value:
+            return
         elif len(ring) == SERIES_POINTS:
             self._dropped[name] = self._dropped.get(name, 0) + 1
         ring.append((now, value))

@@ -27,8 +27,9 @@ fig4 golden outcomes hold with tracing on or off.
 
 Protocol components additionally emit structured point *events*
 (``rbc.deliver``, ``bin.decide``, ``zlb.commit``, ...) carrying the consensus
-instance; the critical-path analysis consumes those rather than reconstructing
-phases from the span tree.
+instance: instant marks on the Chrome trace's lanes.  Where the time to
+commit went is not read off them but off the metrics registry's
+``zlb.phase.*_s`` histograms.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ class Tracer:
     def __init__(self, id_base: int = 0) -> None:
         self.spans: List[Span] = []
         #: Structured point events: dicts with name/replica/t/trace/span plus
-        #: free-form attrs — the critical-path analysis input.
+        #: free-form attrs.
         self.events: List[Dict[str, Any]] = []
         self.id_base = id_base
         self._span_ids = itertools.count(id_base + 1)
@@ -303,14 +304,11 @@ class TraceRuntime:
 
     def summary(self) -> Dict[str, Any]:
         """JSON-serialisable digest persisted by the scenario runner."""
-        from repro.obs.critical_path import critical_path
-
         tracer = self.tracer
         summary: Dict[str, Any] = {
             "traces": tracer.trace_count(),
             "spans": len(tracer.spans),
             "events": len(tracer.events),
-            "critical_path": critical_path(tracer),
         }
         if self.recorder is not None:
             summary["recorder_events"] = len(self.recorder)

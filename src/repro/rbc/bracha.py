@@ -95,8 +95,7 @@ class ReliableBroadcast:
         self.delivered_digest: Optional[str] = None
         # Instrumentation (None when off): phase latencies are measured from
         # the first local activity of the instance, a span covers first
-        # activity to delivery, and phase events carry the instance/slot for
-        # the critical-path analysis.
+        # activity to delivery, and phase events carry the instance/slot.
         self._probe = host.probe
         self._started_at: Optional[float] = None
         self._span = None

@@ -30,15 +30,16 @@ complete, events/sec, simulated time, ETA) streamed from the workers;
 (``/metrics``) and JSON (``/state``) on loopback.  ``--series-out`` /
 ``--series-csv`` export the time series the ``metrics`` level sampled.
 
-``trace`` replays a single cell with causal tracing on::
+``trace`` replays a single cell at ``all``::
 
     python -m repro.scenarios trace fig4 --cell 0 --out trace.json
 
-It prints the critical-path analysis (which phase — mempool wait, RBC,
-binary rounds or commit — dominates time-to-commit, per percentile), writes
-a Chrome-tracing/Perfetto-compatible JSON export, reports the row's
-invariant violations and exits non-zero when any invariant tripped — the
-flight recorder it adds is dumped on the first trip.
+It prints the ``zlb.phase.*_s`` histogram rows (which phase — mempool wait,
+RBC, binary rounds or commit — dominates time-to-commit, per percentile;
+``report`` prints the same rows of a stored cell), writes a
+Chrome-tracing/Perfetto-compatible JSON export, reports the row's invariant
+violations and exits non-zero when any invariant tripped — the flight
+recorder it adds is dumped on the first trip.
 """
 
 from __future__ import annotations
@@ -196,8 +197,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs import core as obs_core
-    from repro.obs.critical_path import render_critical_path
-    from repro.obs.export import chrome_trace, span_tree, write_json
+    from repro.obs.export import (
+        PHASE_PREFIX,
+        chrome_trace,
+        dominant_phase,
+        render_report,
+        span_tree,
+        write_json,
+    )
+    from repro.obs.metrics import TelemetryRegistry
     from repro.obs.trace import TraceRuntime
 
     specs = registry.expand(args.family, args.scale)
@@ -208,11 +216,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    spec = specs[args.cell].with_overrides(instrument="trace")
+    spec = specs[args.cell].with_overrides(instrument="all")
     print(f"tracing cell: {spec.label()}", flush=True)
 
     runtime = TraceRuntime.enabled(dump_path=args.dump)
-    with obs_core.activate(obs_core.Probe(trace=runtime)):
+    metrics = TelemetryRegistry()
+    with obs_core.activate(obs_core.Probe(metrics=metrics, trace=runtime)):
         row = registry.run_spec(spec)
 
     print(format_table([row]))
@@ -221,7 +230,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         f"traces: {summary['traces']}  spans: {summary['spans']}  "
         f"events: {summary['events']}"
     )
-    print(render_critical_path(summary["critical_path"]))
+    snapshot = metrics.snapshot()
+    print(render_report([(spec.label(), snapshot)], metric_filter=PHASE_PREFIX))
+    print(f"dominant phase: {dominant_phase([snapshot])}")
     spans = runtime.tracer.span_records()
     trace = chrome_trace(spans, runtime.tracer.events)
     print(f"chrome trace: {write_json(trace, args.out, indent=None)}")

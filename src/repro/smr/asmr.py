@@ -250,6 +250,11 @@ class ASMRReplica(BaseReplica):
         self._early = EarlyTraffic(self)
         #: Open per-instance root spans (traced runs only).
         self._instance_spans: Dict[int, Any] = {}
+        #: ``[start, last RBC delivery, last binary decision]`` of every
+        #: instance started here and not committed yet — a restart keeps the
+        #: first start — while the probe has metrics (a ZLB replica turns it
+        #: on and observes the phases at commit).
+        self._phase_marks: Optional[Dict[int, List[float]]] = None
 
         router = self.router
         router.register(self.CONFIRM_TOPIC, self._route_confirm)
@@ -310,6 +315,10 @@ class ASMRReplica(BaseReplica):
             )
             self._instance_spans[instance] = span
             previous = tracer.activate(span.ctx)
+        marks = self._phase_marks
+        if marks is not None:
+            now = self.now
+            marks = marks.setdefault(instance, [now, now, now])
         try:
             component = SetByzantineConsensus(
                 host=self,
@@ -317,13 +326,12 @@ class ASMRReplica(BaseReplica):
                 on_decide=self._on_sbc_decided,
                 proposal_validator=self.proposal_validator,
                 protocol_prefix=self.SBC_ROOT.child(self.epoch),
+                phase_marks=marks,
             )
             self._sbc[instance] = component
             # Its ("sbc", epoch, instance) prefix now shadows the lazy
             # fallback registered at ("sbc",).
             component.attach(self.router)
-            if probe is not None:
-                probe.event("sbc.propose", self.replica_id, self.now, instance=instance)
             component.propose(self.proposal_factory(instance))
         finally:
             if tracer is not None:
@@ -343,7 +351,6 @@ class ASMRReplica(BaseReplica):
         probe = self.probe
         if probe is not None:
             now = record.decided_at
-            probe.observe("asmr.instance_decide_s", now - record.started_at)
             instance, digest = decision.instance, decision.digest
             probe.event("asmr.decide", self.replica_id, now, instance=instance, digest=digest)
             probe.finish(self._instance_spans.pop(decision.instance, None), now)

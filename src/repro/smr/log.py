@@ -363,12 +363,3 @@ class DecisionLog:
     def decided_instances(self) -> List[int]:
         """Indices of instances with a local decision, in order."""
         return list(self.decided)
-
-    def total_disagreeing_slots(self) -> int:
-        """Total number of (instance, slot) pairs on which this replica observed
-        a decision conflicting with its own — the paper's "disagreements"."""
-        return sum(len(record.disagreeing_slots) for record in self.disagreed.values())
-
-    def disagreement_instances(self) -> List[int]:
-        """Instances on which a disagreement was observed."""
-        return sorted(self.disagreed)

@@ -109,7 +109,7 @@ class _RestrictedHost(ProtocolHost):
         self._set_committee(committee)
         # The restricted consensus reports metrics only: its trace events
         # would carry the epoch where ASMR instances carry the instance
-        # number, aliasing instance ids in the critical-path analysis.
+        # number, aliasing instance ids on the Chrome trace.
         probe = base.probe
         if probe is not None and probe.metrics is not None:
             self.probe = Probe(metrics=probe.metrics)

@@ -35,8 +35,11 @@ class ZLBReplica(ASMRReplica):
     ):
         self.blockchain = blockchain
         #: Admission times of pending transactions, recorded only while the
-        #: probe has metrics (feeds the ``zlb.commit_latency_s`` histogram).
+        #: probe has metrics: until the commit (``zlb.commit_latency_s``) and,
+        #: in ``_unproposed``, until the first proposal batch of this replica
+        #: that carries one (``zlb.phase.mempool_s``).
         self._admitted_at: Optional[Dict[str, float]] = None
+        self._unproposed: Optional[Dict[str, float]] = None
         super().__init__(
             replica_id=replica_id,
             committee=committee,
@@ -74,21 +77,20 @@ class ZLBReplica(ASMRReplica):
             _update(self.blockchain.mempool)
             if probe.metrics is not None:
                 self._admitted_at = {}
+                self._unproposed = {}
+                self._phase_marks = {}
 
     # -- ASMR hooks ---------------------------------------------------------------
 
     def _make_proposal(self, instance: int) -> List[Transaction]:
         batch = self.blockchain.next_proposal(instance)
-        probe = self.probe
-        if probe is not None and batch:
-            # Closes the per-transaction mempool wait opened by mempool.admit.
-            probe.event(
-                "mempool.batch",
-                self.replica_id,
-                self.now,
-                instance=instance,
-                txs=[tx.tx_id for tx in batch],
-            )
+        unproposed = self._unproposed
+        if unproposed:
+            now = self.now
+            for tx in batch:
+                tx_id = tx.tx_id
+                if tx_id in unproposed:
+                    self.probe.observe("zlb.phase.mempool_s", now - unproposed.pop(tx_id))
         return batch
 
     def _validate_proposal(self, proposer: ReplicaId, payload: Any) -> bool:
@@ -112,10 +114,24 @@ class ZLBReplica(ASMRReplica):
             return
         admitted = self._admitted_at
         if admitted is not None:
+            unproposed = self._unproposed
             for tx in block.transactions:
-                admitted_at = admitted.pop(tx.tx_id, None)
+                tx_id = tx.tx_id
+                admitted_at = admitted.pop(tx_id, None)
                 if admitted_at is not None:
                     probe.observe("zlb.commit_latency_s", now - admitted_at)
+                    if tx_id in unproposed:
+                        # Committed from another replica's proposal.
+                        del unproposed[tx_id]
+        marks = self._phase_marks
+        if marks is not None and instance in marks:
+            # Fig. 2's phases of an instance started here, from its first
+            # start: RBC deliveries, binary decisions, local append.
+            start, rbc_end, bin_end = marks.pop(instance)
+            bin_end = max(bin_end, rbc_end)
+            probe.observe("zlb.phase.rbc_s", rbc_end - start)
+            probe.observe("zlb.phase.binary_s", bin_end - rbc_end)
+            probe.observe("zlb.phase.commit_s", max(now, bin_end) - bin_end)
         probe.count("zlb.blocks_committed")
         probe.count("zlb.transactions_committed", len(block.transactions))
         probe.event(
@@ -159,13 +175,10 @@ class ZLBReplica(ASMRReplica):
     def submit_transaction(self, transaction: Transaction) -> bool:
         """Client entry point: enqueue a payment request at this replica."""
         accepted = self.blockchain.submit_transaction(transaction)
-        probe = self.probe
-        if accepted and probe is not None:
-            now = self.now
-            if self._admitted_at is not None:
-                self._admitted_at[transaction.tx_id] = now
-            # Opens the per-transaction mempool wait; closed by mempool.batch.
-            probe.event("mempool.admit", self.replica_id, now, tx=transaction.tx_id)
+        admitted = self._admitted_at
+        if accepted and admitted is not None:
+            tx_id = transaction.tx_id
+            admitted[tx_id] = self._unproposed[tx_id] = self.now
         return accepted
 
     def submit_transactions(self, transactions) -> int:
@@ -173,11 +186,13 @@ class ZLBReplica(ASMRReplica):
         admitted = self._admitted_at
         if admitted is None:
             return self.blockchain.submit_transactions(transactions)
+        unproposed = self._unproposed
         accepted = 0
         now = self.now
         for transaction in transactions:
             if self.blockchain.submit_transaction(transaction):
-                admitted[transaction.tx_id] = now
+                tx_id = transaction.tx_id
+                admitted[tx_id] = unproposed[tx_id] = now
                 accepted += 1
         return accepted
 

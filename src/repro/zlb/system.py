@@ -530,8 +530,6 @@ class ZLBSystem:
             detail = {
                 "fault": replica.fault.value,
                 "decided_instances": replica.decided_instances(),
-                "disagreement_instances": replica.history.disagreement_instances(),
-                "disagreeing_slots": replica.history.total_disagreeing_slots(),
                 "detected_at": replica.detected_at,
                 "membership_outcomes": replica.membership_outcomes,
                 "chain": replica.chain_summary(),

@@ -385,6 +385,23 @@ class TestClusterCLI:
         for report in reports:
             assert report["latency_count"] == report["accepted"] > 0
 
+    def test_every_worker_splits_time_to_commit_into_four_phases(self, tmp_path):
+        # The phase histograms ride in every worker's registry snapshot, with
+        # one mempool sample per transfer the worker admitted: workers submit
+        # through submit_transactions, which the trace events never saw.
+        out_path = tmp_path / "cluster.json"
+        proc = _run_cluster_cli(["--json", str(out_path), "--json-full"])
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "zlb.phase.mempool_s" in proc.stdout
+        assert "dominant phase: " in proc.stdout
+        reports = json.loads(out_path.read_text())["replicas"].values()
+        assert sum(report["accepted"] for report in reports) == 200
+        for report in reports:
+            histograms = report["telemetry"]["histograms"]
+            for phase in ("mempool", "rbc", "binary", "commit"):
+                assert histograms[f"zlb.phase.{phase}_s"]["count"] > 0, phase
+            assert histograms["zlb.phase.mempool_s"]["count"] == report["accepted"]
+
     def test_no_obs_report_shape_is_unchanged(self, tmp_path):
         # Acceptance pin: with observability off, the worker report carries
         # exactly the pre-obs key set — no trace fields leak in, and the

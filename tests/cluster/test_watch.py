@@ -461,3 +461,24 @@ class TestShipperFrame:
         assert frame["events_per_sec"] == pytest.approx(1000.0)
         assert frame["tx_per_s"] == pytest.approx(10.0)
         assert frame["messages_delivered"] == 600
+
+    def test_commit_digests_are_the_newest_instances_in_order(self):
+        from types import SimpleNamespace
+
+        from repro.cluster.worker import COMMIT_DIGEST_WINDOW, _ObsShipper
+        from repro.obs import Probe, TelemetryRegistry, TraceRuntime
+
+        probe = Probe(metrics=TelemetryRegistry(), trace=TraceRuntime.enabled())
+        # Blocks land in commit order, which is instance order.
+        blocks = {i: SimpleNamespace(block_hash=f"h{i}") for i in range(20)}
+        blockchain = SimpleNamespace(
+            transactions_committed=0, blocks_by_instance=blocks, mempool=[]
+        )
+        transport = SimpleNamespace(messages_delivered=0, connected_peers=lambda: [])
+        replica = SimpleNamespace(blockchain=blockchain, monitors=MonitorSet())
+        loop = SimpleNamespace(time=lambda: 1.0)
+        frame = _ObsShipper(0, replica, transport, probe, loop).frame()
+        newest = range(20 - COMMIT_DIGEST_WINDOW, 20)
+        assert COMMIT_DIGEST_WINDOW == 8
+        assert list(frame["commits"].items()) == [(str(i), f"h{i}") for i in newest]
+        assert frame["blocks"] == 20

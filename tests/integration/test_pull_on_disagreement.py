@@ -71,7 +71,7 @@ def test_rbbcast_cell_pulls_each_conflicting_proposal_once_and_stays_green():
         for record in replica.instances.values():
             assert record.pending_merges == []
             assert set(record.pulled) == set(record.pulls_asked)
-        if replica.history.disagreement_instances():
+        if replica.history.disagreed:
             assert replica.blockchain.merge_outcomes
             merged += 1
     assert merged > 0

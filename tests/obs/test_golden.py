@@ -26,6 +26,7 @@ import sys
 import pytest
 
 from repro import obs
+from repro.obs.export import dominant_phase
 from repro.scenarios import registry, run_system
 
 from tests.scenarios.test_fig4_golden import GOLDEN, GOLDEN_SPEC
@@ -88,12 +89,42 @@ print(json.dumps({"row": row, "active": obs.current() is not None}, sort_keys=Tr
 """
 
 
-def _run_in_fresh_process(family, cell, *levels):
+#: Total cProfile calls of the golden cell at each level, after one warm
+#: bare cell, in one fresh interpreter: ``{"bare": ..., "metrics": ...}``.
+_COST_SCRIPT = """
+import cProfile, json, pstats
+from repro import obs
+from repro.scenarios import run_system
+from tests.scenarios.test_fig4_golden import GOLDEN_SPEC
+
+run_system(GOLDEN_SPEC)
+calls = {}
+for level in ("", "metrics", "trace", "all"):
+    with obs.activate(obs.Probe.at_level(level) if level else None):
+        profile = cProfile.Profile()
+        profile.enable()
+        run_system(GOLDEN_SPEC)
+        profile.disable()
+    calls[level or "bare"] = pstats.Stats(profile).total_calls
+print(json.dumps(calls))
+"""
+
+#: Calls of the golden cell at each level over its bare calls, as measured
+#: (819 632 bare calls); each level may cost at most 0.01 more.  Before the
+#: phases moved into the metrics registry: 1.775, 1.369 and 2.093 of 819 728.
+LEVEL_COST = {"metrics": 1.761, "trace": 1.368, "all": 2.079}
+
+
+def _fresh_python(script, *args):
+    """The last stdout line of ``script`` run by a fresh interpreter with
+    ``src`` and the repo root importable."""
     env = dict(os.environ)
-    src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
-    env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
+    root = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, os.pardir))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(root, "src"), root, env.get("PYTHONPATH", "")]
+    )
     done = subprocess.run(
-        [sys.executable, "-c", _LEAK_SCRIPT, family, str(cell), *levels],
+        [sys.executable, "-c", script, *args],
         env=env,
         capture_output=True,
         text=True,
@@ -101,6 +132,19 @@ def _run_in_fresh_process(family, cell, *levels):
         check=True,
     )
     return done.stdout.strip().splitlines()[-1]
+
+
+def _run_in_fresh_process(family, cell, *levels):
+    return _fresh_python(_LEAK_SCRIPT, family, str(cell), *levels)
+
+
+def test_what_each_instrumentation_level_costs():
+    calls = json.loads(_fresh_python(_COST_SCRIPT))
+    ratios = {level: calls[level] / calls["bare"] for level in LEVEL_COST}
+    assert all(ratios[level] <= LEVEL_COST[level] + 0.01 for level in LEVEL_COST), (
+        calls,
+        ratios,
+    )
 
 
 def test_bare_cell_after_a_fully_instrumented_one_is_untouched():
@@ -145,3 +189,28 @@ def test_golden_cell_metrics_sample_series_and_quantiles():
     assert series["zlb.commit_latency_s.p50"]["points"]
     assert series["zlb.commit_latency_s.p99"]["points"]
     assert all(ring["dropped"] == 0 for ring in series.values())
+
+
+def test_golden_cell_splits_time_to_commit_into_four_phases():
+    """The ``zlb.phase.*_s`` histograms at ``metrics``: one mempool sample per
+    transaction at its first proposal batch, one rbc / binary / commit sample
+    per (replica, instance) started and committed.  Replica 5 commits
+    instances 0 and 1, replica 7 instance 1, only after the membership
+    change: timed from the first start, that wait is the commit phase (up
+    to 15.7 s)."""
+    probe = obs.Probe.at_level("metrics")
+    with obs.activate(probe):
+        run_system(GOLDEN_SPEC)
+    histograms = probe.metrics.snapshot()["histograms"]
+    phases = {
+        phase: histograms[f"zlb.phase.{phase}_s"]
+        for phase in ("mempool", "rbc", "binary", "commit")
+    }
+    assert {phase: row["count"] for phase, row in phases.items()} == {
+        "mempool": 100, "rbc": 18, "binary": 18, "commit": 18,
+    }
+    assert {phase: round(row["max"], 4) for phase, row in phases.items()} == {
+        "mempool": 16.6893, "rbc": 0.2874, "binary": 0.7246, "commit": 15.7098,
+    }
+    assert "asmr.instance_decide_s" not in histograms
+    assert dominant_phase([{"histograms": histograms}]) == "commit"

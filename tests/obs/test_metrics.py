@@ -147,7 +147,7 @@ class TestRegistry:
 
 
 class TestSeries:
-    def test_a_sample_adds_one_point_per_counter_and_gauge(self):
+    def test_a_sample_adds_a_point_per_counter_and_gauge_that_changed(self):
         registry = TelemetryRegistry()
         registry.count("net.messages_sent", 50, protocol="sbc:rbc")
         registry.set_gauge("mempool.pending", 7, replica=0)
@@ -155,12 +155,15 @@ class TestSeries:
         registry.sample(0.0)
         registry.count("net.messages_sent", 10, protocol="sbc:rbc")
         registry.sample(0.25)
+        registry.set_gauge("mempool.pending", 3, replica=0)
+        registry.sample(0.5)
         series = registry.snapshot()["series"]
+        # An unchanged value adds no point: the last one holds until the next.
         assert series["net.messages_sent{protocol=sbc:rbc}"]["points"] == [
             [0.0, 50],
             [0.25, 60],
         ]
-        assert series["mempool.pending{replica=0}"]["points"] == [[0.0, 7], [0.25, 7]]
+        assert series["mempool.pending{replica=0}"]["points"] == [[0.0, 7], [0.5, 3]]
         assert "never.written" not in series
 
     def test_a_histogram_point_covers_what_it_observed_since_the_last_sample(self):
@@ -182,12 +185,16 @@ class TestSeries:
 
     def test_a_ring_keeps_the_newest_points_and_counts_the_dropped(self):
         registry = TelemetryRegistry()
-        registry.count("c")
         for tick in range(SERIES_POINTS + 5):
+            registry.count("c")
+            registry.sample(tick * 0.25)
+        # Unchanged ticks append nothing, so they drop nothing either.
+        for tick in range(SERIES_POINTS + 5, SERIES_POINTS + 10):
             registry.sample(tick * 0.25)
         series = registry.snapshot()["series"]["c"]
         assert len(series["points"]) == SERIES_POINTS
-        assert series["points"][0][0] == 5 * 0.25
+        assert series["points"][0] == [5 * 0.25, 6]
+        assert series["points"][-1] == [(SERIES_POINTS + 4) * 0.25, SERIES_POINTS + 5]
         assert series["dropped"] == 5
 
     def test_series_export_as_jsonl_and_long_form_csv(self, tmp_path):

@@ -112,7 +112,8 @@ class TestStackInstrumentation:
             "rbc.deliver_s",
             "consensus.binary.rounds",
             "consensus.sbc.decide_s",
-            "asmr.instance_decide_s",
+            "zlb.phase.rbc_s",
+            "zlb.phase.binary_s",
         ):
             assert histograms[metric]["count"] > 0
         for field in ("mean", "ci95", "p50", "p95", "p99"):

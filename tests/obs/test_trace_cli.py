@@ -20,7 +20,7 @@ class TestRunnerTracePersistence:
         outcome = first.outcomes[0]
         assert not outcome.cached
         assert isinstance(outcome.trace, dict)
-        assert {"traces", "spans", "events", "critical_path"} <= set(outcome.trace)
+        assert {"traces", "spans", "events"} <= set(outcome.trace)
 
         # The JSONL record carries the summary verbatim.
         record = json.loads(path.read_text().strip().splitlines()[-1])

@@ -89,8 +89,7 @@ class TestASMRFaultFree:
 
     def test_metrics_helpers(self):
         replicas, _, _ = build_asmr_cluster(n=4, instances=1)
-        assert replicas[0].history.total_disagreeing_slots() == 0
-        assert replicas[0].history.disagreement_instances() == []
+        assert replicas[0].history.disagreed == {}
 
 
 # -- digest-only CONFIRM, proposals pulled on disagreement ----------------------
