@@ -9,8 +9,9 @@ Layout:
 
 * :mod:`repro.scenarios.spec` — the frozen spec value object (hash + JSON)
   and the one way to deploy it: ``system_for(spec)`` / ``run_system(spec)``;
-* :mod:`repro.scenarios.registry` — named families, ``@scenario`` decorator,
-  sweep-grid expansion;
+* :mod:`repro.scenarios.registry` — named families (grid, cell runner and
+  the paper's claims over the rows), ``@scenario`` decorator, sweep-grid
+  expansion;
 * :mod:`repro.scenarios.runner` — serial / ``multiprocessing`` execution with
   progress callbacks and wall-clock accounting;
 * :mod:`repro.scenarios.store` — the JSONL result cache keyed by spec hash;

@@ -19,7 +19,9 @@ writes the same rows), ``trace`` (causal spans and the flight recorder) or
 ``all``.  Every deploying cell is checked against the paper's
 invariants whatever the level (agreement, validity, supply conservation,
 zero-loss accounting): its row carries ``violations``, and ``run`` and
-``sweep`` print them and exit 1 when any row has one::
+``sweep`` print them and exit 1 when any row has one.  They also print the
+verdict of each of the family's claims (the paper's statements across cells,
+read from the rows, cached ones included) and exit 1 when one fails::
 
     python -m repro.scenarios sweep fig4 --jobs 4 --watch --serve 9100
     python -m repro.scenarios run fig4 --instrument metrics --series-out series.jsonl
@@ -104,10 +106,11 @@ def _run_families(
                 flush=True,
             )
     series_cells: List[Tuple[str, dict]] = []
-    violated = False
+    failed = False
     try:
         for name in families:
-            specs = registry.expand(name, args.scale)
+            family = registry.get_family(name)
+            specs = family.expand(args.scale)
             if instrument:
                 specs = [spec.with_overrides(instrument=instrument) for spec in specs]
             runner = ScenarioRunner(
@@ -127,11 +130,19 @@ def _run_families(
                 print(format_table(report.rows))
             for outcome in report.outcomes:
                 for violation in outcome.row.get("violations") or ():
-                    violated = True
+                    failed = True
                     print(
                         f"INVARIANT VIOLATION {outcome.spec.label()}: {violation}",
                         file=sys.stderr,
                     )
+            rows = [
+                dict(outcome.row, wall_clock_s=outcome.wall_clock_s)
+                for outcome in report.outcomes
+            ]
+            for claim, reason in family.verdicts(rows):
+                failed = failed or reason is not None
+                verdict = "holds" if reason is None else f"FAILED: {reason}"
+                print(f"claim {name} / {claim}: {verdict}")
             series_cells.extend(
                 (outcome.spec.label(), outcome.telemetry)
                 for outcome in report.outcomes
@@ -152,7 +163,7 @@ def _run_families(
         if server is not None:
             server.stop()
     _export_series(series_cells, args.series_out, args.series_csv)
-    return 1 if violated else 0
+    return 1 if failed else 0
 
 
 def _export_series(

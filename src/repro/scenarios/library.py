@@ -14,10 +14,12 @@ Registers every experiment of the paper as a declarative scenario family —
 
 Every family follows the same contract: a grid builder expands
 ``sizes x seeds x attack variants`` for a scale (``small`` keeps cells
-laptop-sized, ``full`` matches the paper), and a cell runner turns one
-:class:`ScenarioSpec` into a flat JSON-serialisable row.  Rows carry the cell
-axes (``n``, ``seed``, ``delay``/``attack`` where relevant) so aggregation
-(means over seeds, figure tables) can happen downstream without re-running.
+laptop-sized, ``full`` matches the paper), a cell runner turns one
+:class:`ScenarioSpec` into a flat JSON-serialisable row, and a paper family
+declares beside its grid the claims ``run`` / ``sweep`` check on the rows.
+Rows carry the cell axes (``n``, ``seed``, ``delay``/``attack`` where
+relevant) so aggregation (means over seeds, figure tables) can happen
+downstream without re-running.
 Cells that deploy a committee build it with
 :func:`~repro.scenarios.spec.system_for` — the spec is the whole
 configuration.
@@ -26,13 +28,13 @@ Three measurements that are not sweeps live next to their figure:
 :func:`run_measured_comparison` (Fig. 3 on the message-level
 implementations: ZLB, Red Belly as ZLB with confirmation off, and HotStuff),
 :func:`run_catchup_timing` (Fig. 5, right) and
-:func:`build_merge_fixture` / :func:`merge_two_blocks` (Table 1).
+:func:`merge_two_blocks` (Table 1).
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.analysis.throughput import ThroughputModel, available_protocols
 from repro.analysis.zero_loss import (
@@ -49,7 +51,7 @@ from repro.ledger.block import Block
 from repro.ledger.merge import BlockchainRecord
 from repro.ledger.workload import conflicting_blocks_workload
 from repro.network.delays import AwsRegionDelay
-from repro.scenarios.registry import expand_grid, scenario
+from repro.scenarios.registry import Claim, every, expand_grid, rows_where, scenario
 from repro.scenarios.spec import ScenarioSpec, run_system, system_for
 from repro.zlb.system import ZLBSystem
 
@@ -103,6 +105,49 @@ def attack_row(spec: ScenarioSpec) -> Dict[str, Any]:
     return row
 
 
+def _means_by_n(rows: List[Dict[str, Any]], *fields: str, **match: Any) -> Dict[int, Dict]:
+    """By committee size, the mean of each field over the seeds of the rows
+    matching ``match`` (a row whose field is None left out)."""
+    selected = rows_where(rows, **match)
+    means: Dict[int, Dict] = {}
+    for n in sorted({row["n"] for row in selected}):
+        means[n] = {"n": n}
+        for field in fields:
+            values = [row[field] for row in selected if row["n"] == n and row[field] is not None]
+            means[n][field] = round(sum(values) / len(values), 3) if values else None
+    return means
+
+
+def _ends(test: Callable[[Dict, Dict], bool], *fields: str, **match: Any) -> Claim:
+    """The claim that ``test(smallest, largest)`` holds on the means of
+    ``fields`` at the smallest and the largest committee size."""
+
+    def claim(rows: List[Dict[str, Any]]) -> Optional[str]:
+        means = _means_by_n(rows, *fields, **match)
+        ends = (means[min(means)], means[max(means)])
+        if test(*ends):
+            return None
+        return " -> ".join(" ".join(f"{k}={v}" for k, v in end.items()) for end in ends)
+
+    return claim
+
+
+def _rises_with_delay(field: str, low: str, high: str, **match: Any) -> Claim:
+    """The claim that, at every committee size, the mean of ``field`` over
+    seeds is no lower at delay ``high`` than at ``low``."""
+
+    def claim(rows: List[Dict[str, Any]]) -> Optional[str]:
+        at = [_means_by_n(rows, field, delay=delay, **match) for delay in (low, high)]
+        failed = []
+        for n in sorted(set(at[0]) | set(at[1])):
+            before, after = (means.get(n, {}).get(field) for means in at)
+            if None in (before, after) or after < before:
+                failed.append(f"n={n}: {after} at {high}, {before} at {low}")
+        return "; ".join(failed) or None
+
+    return claim
+
+
 def throughput_row(n: int) -> Dict[str, Any]:
     """The calibrated phase-level model at committee size ``n``: tx/s per protocol."""
     model = ThroughputModel(AwsRegionDelay())
@@ -128,6 +173,24 @@ def _fig3_grid(scale: str) -> List[ScenarioSpec]:
     description="Throughput of ZLB vs Polygraph/HotStuff/Red Belly (phase model)",
     grid=_fig3_grid,
     tags=("paper", "model"),
+    claims={
+        "Red Belly is at least as fast as ZLB at every n": every(
+            lambda row: row["Red Belly"] >= row["ZLB"], "n", "Red Belly", "ZLB"
+        ),
+        "ZLB is 4-8x HotStuff at the largest n": _ends(
+            lambda small, large: 4.0 <= large["zlb_vs_hotstuff"] <= 8.0, "zlb_vs_hotstuff"
+        ),
+        "Polygraph leads ZLB at the smallest n and trails it at the largest": _ends(
+            lambda small, large: small["Polygraph"] > small["ZLB"]
+            and large["Polygraph"] < large["ZLB"],
+            "Polygraph", "ZLB",
+        ),
+        "ZLB gains throughput with n, HotStuff gains at most 5 %": _ends(
+            lambda small, large: large["ZLB"] > small["ZLB"]
+            and large["HotStuff"] <= small["HotStuff"] * 1.05,
+            "ZLB", "HotStuff",
+        ),
+    },
 )
 def _run_fig3_cell(spec: ScenarioSpec) -> Dict[str, Any]:
     row = throughput_row(spec.n)
@@ -201,6 +264,24 @@ def _fig4_grid(scale: str) -> List[ScenarioSpec]:
     description="Disagreeing decisions per committee size under both attacks",
     grid=_fig4_grid,
     tags=("paper", "attack"),
+    claims={
+        "binary 1000 ms: disagrees, recovers, excludes >= n/3": every(
+            lambda row: row["disagreements"] > 0
+            and row["recovered"]
+            and row["excluded_replicas"] >= row["n"] // 3,
+            "n", "seed", "disagreements", "recovered", "excluded_replicas",
+            attack="binary", delay="1000ms",
+        ),
+        # The attack window shrinks as the committee grows.  One seed can
+        # double a count, hence the mean over seeds; at toy sizes it is the
+        # per-replica rate that falls (the absolute drop follows from it at
+        # n = 20..100).
+        "binary 1000 ms: disagreements per replica fall from the smallest n to the largest": _ends(
+            lambda small, large: small["disagreements"] / small["n"]
+            >= large["disagreements"] / large["n"],
+            "disagreements", attack="binary", delay="1000ms",
+        ),
+    },
 )
 def _run_fig4_cell(spec: ScenarioSpec) -> Dict[str, Any]:
     return attack_row(spec)
@@ -220,6 +301,17 @@ def _fig5_grid(scale: str) -> List[ScenarioSpec]:
     description="Detect / exclude / include times of the membership change",
     grid=_fig5_grid,
     tags=("paper", "attack"),
+    claims={
+        "every recovered run times detection, exclusion and inclusion": every(
+            lambda row: None
+            not in (row["detect_time_s"], row["exclusion_time_s"], row["inclusion_time_s"]),
+            "n", "delay", "seed", "detect_time_s", "exclusion_time_s", "inclusion_time_s",
+            recovered=True,
+        ),
+        "detection comes no sooner at 1000 ms than at 500 ms, per n": _rises_with_delay(
+            "detect_time_s", "500ms", "1000ms"
+        ),
+    },
 )
 def _run_fig5_cell(spec: ScenarioSpec) -> Dict[str, Any]:
     return attack_row(spec)
@@ -292,6 +384,12 @@ def _fig6_grid(scale: str) -> List[ScenarioSpec]:
     description="Minimum finalization blockdepth for zero loss (D = G/10)",
     grid=_fig6_grid,
     tags=("paper", "attack", "analysis"),
+    claims={
+        "every row has m >= 0 and 0 < rho < 1": every(
+            lambda row: row["min_blockdepth"] >= 0 and 0.0 < row["estimated_rho"] < 1.0,
+            "n", "attack", "delay", "seed", "min_blockdepth", "estimated_rho",
+        ),
+    },
 )
 def _run_fig6_cell(spec: ScenarioSpec) -> Dict[str, Any]:
     """Theorem .5 on the measured attack: the success probability of one
@@ -322,11 +420,27 @@ def _table1_grid(scale: str) -> List[ScenarioSpec]:
     return expand_grid("table1", axes)
 
 
+def _merge_time_linear(rows: List[Dict[str, Any]]) -> Optional[str]:
+    """Roughly linear, as the paper's 0.55 / 4.20 / 41.38 ms for 100 / 1 000
+    / 10 000 transactions: the fastest seed of each block size is slower
+    than the one of the size before, and 10x the transactions take less
+    than 50x the time."""
+    fastest: Dict[int, float] = {}
+    for row in rows_where(rows):
+        size, took = row["blocksize_txs"], row["merge_time_ms"]
+        fastest[size] = min(fastest.get(size, took), took)
+    times = [fastest[size] for size in sorted(fastest)]
+    if all(b > a for a, b in zip(times, times[1:])) and fastest[1_000] < 50 * fastest[100]:
+        return None
+    return "fastest merge_time_ms by block size: " + str(fastest)
+
+
 @scenario(
     "table1",
     description="Local wall-clock time to merge two fully-conflicting blocks",
     grid=_table1_grid,
     tags=("paper", "local"),
+    claims={"merge time rises with block size, 1 000 / 100 below 50x": _merge_time_linear},
 )
 def _run_table1_cell(spec: ScenarioSpec) -> Dict[str, Any]:
     blocksize = spec.param("blocksize", 100)
@@ -338,8 +452,9 @@ def _run_table1_cell(spec: ScenarioSpec) -> Dict[str, Any]:
     }
 
 
-def build_merge_fixture(num_transactions: int, seed: int = 0):
-    """Prepare a record that applied branch A and the conflicting branch-B block."""
+def merge_two_blocks(num_transactions: int, seed: int = 0) -> float:
+    """Return the wall-clock seconds to merge one fully-conflicting block: a
+    record that applied branch A merges the conflicting branch-B block."""
     branch_a, branch_b, allocations = conflicting_blocks_workload(
         num_transactions, seed=seed
     )
@@ -351,12 +466,6 @@ def build_merge_fixture(num_transactions: int, seed: int = 0):
     conflicting_block = Block(
         index=1, parent_hash="other-branch", transactions=tuple(branch_b)
     )
-    return record, conflicting_block
-
-
-def merge_two_blocks(num_transactions: int, seed: int = 0) -> float:
-    """Return the wall-clock seconds to merge one fully-conflicting block."""
-    record, conflicting_block = build_merge_fixture(num_transactions, seed=seed)
     start = time.perf_counter()
     outcome = record.merge_block(conflicting_block)
     elapsed = time.perf_counter() - start
@@ -386,11 +495,32 @@ def _appendix_b_grid(scale: str) -> List[ScenarioSpec]:
     ]
 
 
+#: Appendix B's minimum blockdepths with ``D = G/10``, by (delta, rho).
+APPENDIX_B_DEPTHS = {
+    (0.5, 0.55): 4, (0.5, 0.9): 28, (0.6, 0.9): 37, (0.64, 0.9): 46, (0.66, 0.9): 58,
+}  # fmt: skip
+
+
+def _blockdepth_grows_with_delta(rows: List[Dict[str, Any]]) -> Optional[str]:
+    """More deceitful replicas, more branches, a deeper finalization window."""
+    depths = {row["delta"]: row["min_blockdepth"] for row in rows_where(rows, rho=0.9)}
+    ordered = [depths[delta] for delta in sorted(depths)]
+    return None if ordered == sorted(ordered) else f"m by delta: {depths}"
+
+
 @scenario(
     "appendix-b",
     description="Appendix B closed-form (delta, rho) -> minimum blockdepth table",
     grid=_appendix_b_grid,
     tags=("paper", "theory"),
+    claims={
+        "m within one block of the paper's 4 / 28 / 37 / 46 / 58": every(
+            lambda row: abs(row["min_blockdepth"] - APPENDIX_B_DEPTHS[row["delta"], row["rho"]])
+            <= 1,
+            "delta", "rho", "min_blockdepth",
+        ),
+        "m grows with delta at rho = 0.9": _blockdepth_grows_with_delta,
+    },
 )
 def _run_appendix_b_cell(spec: ScenarioSpec) -> Dict[str, Any]:
     delta = spec.param("delta")
@@ -424,6 +554,13 @@ def _sec53_grid(scale: str) -> List[ScenarioSpec]:
     description="Disagreements under catastrophic 5-10 s partition delays",
     grid=_sec53_grid,
     tags=("paper", "attack"),
+    # Binary attack only: the reliable broadcast attack's count is timing
+    # noise around the coalition's own slots (24 at 5 s, 23 at 10 s, n = 12).
+    claims={
+        "binary: no fewer disagreements at 10 s than at 5 s, per n": _rises_with_delay(
+            "disagreements", "5000ms", "10000ms", attack="binary"
+        ),
+    },
 )
 def _run_sec53_cell(spec: ScenarioSpec) -> Dict[str, Any]:
     return attack_row(spec)

@@ -1,6 +1,6 @@
 """Named scenario families and sweep-grid expansion.
 
-A *family* bundles three things under a stable name:
+A *family* bundles four things under a stable name:
 
 * a **grid builder** — ``scale ("small" | "full") -> list of ScenarioSpec``,
   typically produced with :func:`expand_grid` over ``sizes x seeds x attack
@@ -8,11 +8,17 @@ A *family* bundles three things under a stable name:
 * a **cell runner** — ``ScenarioSpec -> row`` (a flat JSON-serialisable dict),
   executed by the :class:`~repro.scenarios.runner.ScenarioRunner` either
   in-process or inside a worker pool;
+* **claims** — the paper's statements across cells, each a name and a
+  predicate over the rows of a sweep of the family (cached rows included,
+  each with its cell's ``wall_clock_s``) that returns ``None`` when the claim
+  holds, or a one-line reason quoting the numbers it read.  A claim that
+  selects no rows (:func:`rows_where`) fails: it never holds vacuously.
+  ``run`` and ``sweep`` print every verdict and exit 1 on a failed one;
 * a description and tags for ``python -m repro.scenarios list``.
 
 Families register themselves with the :func:`scenario` decorator::
 
-    @scenario("fig4", description="...", grid=_fig4_grid)
+    @scenario("fig4", description="...", grid=_fig4_grid, claims={...})
     def _run_fig4_cell(spec: ScenarioSpec) -> Dict[str, object]:
         ...
 
@@ -34,6 +40,7 @@ from repro.scenarios.spec import ScenarioSpec
 
 GridBuilder = Callable[[str], List[ScenarioSpec]]
 CellRunner = Callable[[ScenarioSpec], Dict[str, Any]]
+Claim = Callable[[List[Dict[str, Any]]], Optional[str]]
 
 _SPEC_FIELDS = {field.name for field in dataclasses.fields(ScenarioSpec)}
 
@@ -47,6 +54,21 @@ class ScenarioFamily:
     build: GridBuilder
     run: CellRunner
     tags: Tuple[str, ...] = ()
+    claims: Tuple[Tuple[str, Claim], ...] = ()
+
+    def verdicts(self, rows: List[Dict[str, Any]]) -> List[Tuple[str, Optional[str]]]:
+        """Each claim's name and verdict over ``rows``: ``None`` when it holds,
+        else why not (a field the rows lack fails the claim too)."""
+        verdicts = []
+        for name, claim in self.claims:
+            try:
+                reason = claim(rows)
+            except KeyError as error:
+                reason = f"rows lack {error}"
+            except LookupError as error:
+                reason = str(error)
+            verdicts.append((name, reason))
+        return verdicts
 
     def expand(self, scale: str = "small") -> List[ScenarioSpec]:
         """Expand the sweep grid at the given scale."""
@@ -79,6 +101,7 @@ def scenario(
     description: str = "",
     grid: GridBuilder,
     tags: Sequence[str] = (),
+    claims: Optional[Mapping[str, Claim]] = None,
 ) -> Callable[[CellRunner], CellRunner]:
     """Decorator registering the decorated function as a family's cell runner."""
 
@@ -91,6 +114,7 @@ def scenario(
                 build=grid,
                 run=run,
                 tags=tuple(tags),
+                claims=tuple((claims or {}).items()),
             )
         )
         return run
@@ -144,6 +168,32 @@ def expand(name: str, scale: str = "small") -> List[ScenarioSpec]:
 def run_spec(spec: ScenarioSpec) -> Dict[str, Any]:
     """Execute one cell through its family's runner."""
     return get_family(spec.family).run(spec)
+
+
+def rows_where(rows: List[Dict[str, Any]], **fields: Any) -> List[Dict[str, Any]]:
+    """The rows whose ``fields`` equal the given values; a claim that selects
+    none fails (raises ``LookupError``, which :meth:`ScenarioFamily.verdicts`
+    reports)."""
+    selected = [
+        row for row in rows if all(row.get(key) == value for key, value in fields.items())
+    ]
+    if not selected:
+        shown = ", ".join(f"{key}={value!r}" for key, value in fields.items())
+        raise LookupError(f"no rows match {shown or 'the claim'}")
+    return selected
+
+
+def every(test: Callable[[Dict[str, Any]], bool], *shown: str, **match: Any) -> Claim:
+    """The claim that ``test`` holds on every row matching ``match`` (every
+    row when none is given); it quotes the ``shown`` fields of each row it
+    fails on."""
+
+    def claim(rows: List[Dict[str, Any]]) -> Optional[str]:
+        failed = [row for row in rows_where(rows, **match) if not test(row)]
+        quoted = [" ".join(f"{field}={row[field]}" for field in shown) for row in failed]
+        return "; ".join(quoted) or None
+
+    return claim
 
 
 def expand_grid(

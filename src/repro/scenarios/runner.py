@@ -146,7 +146,9 @@ class ScenarioRunner:
                     spec=spec,
                     row=dict(record["row"]),
                     cached=True,
-                    wall_clock_s=0.0,
+                    # What the cell took when it ran, so a claim on wall
+                    # clock reads a measurement on a resumed sweep too.
+                    wall_clock_s=record["wall_clock_s"],
                     telemetry=record.get("telemetry"),
                     trace=record.get("trace"),
                 )

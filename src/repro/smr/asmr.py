@@ -665,10 +665,10 @@ class ASMRReplica(BaseReplica):
         }
         if len(relevant_pofs) < self.pof_threshold():
             return
-        # Stop the pending ASMR consensus (Alg. 1 line 19).
-        for record in self.instances.values():
-            if record.decision is None:
-                record.aborted = True
+        # Stop the pending ASMR consensus (Alg. 1 line 19).  No instance past
+        # the target has started: later traffic is parked, not run.
+        for record in self.history.undecided(self.target_instances):
+            record.aborted = True
         if self.probe is not None:
             self.probe.gauge("zlb.recovery.exclusion_started_s", self.now)
         self.log.info(
@@ -723,8 +723,8 @@ class ASMRReplica(BaseReplica):
         self.epoch += 1
         # Restart the aborted consensus instances with the new committee
         # (Alg. 1 line 49 / Fig. 2 "goto ①").
-        records = self.instances.items()
-        aborted = sorted(i for i, record in records if record.aborted and record.decision is None)
+        undecided = self.history.undecided(self.target_instances)
+        aborted = [record.instance for record in undecided if record.aborted]
         for instance in aborted:
             old_component = self._sbc.pop(instance, None)
             if old_component is not None:

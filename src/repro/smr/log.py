@@ -163,6 +163,18 @@ class DecisionLog:
                 host._run_ready_merges(record)
             record = self.records.get(self.next_commit)
 
+    def undecided(self, last: int) -> List[InstanceRecord]:
+        """The records of ``next_commit`` .. ``last`` with no decision, in
+        instance order.  None lies below ``next_commit``: :meth:`commit`
+        moves past decided records only, and a standby's :meth:`join` past
+        instances it never started (it holds adopted, decided ones at most)."""
+        records = self.records
+        return [
+            record
+            for record in map(records.get, range(self.next_commit, last + 1))
+            if record is not None and record.decision is None
+        ]
+
     def retire(self, horizon: int, live: Dict[int, Any]) -> None:
         """Retire every instance of ``live`` (instance -> the replica's SBC)
         up to ``horizon`` that is settled here (see "Retirement")."""

@@ -61,14 +61,21 @@ class TestMinimumBlockdepth:
     def test_monotone_in_rho(self):
         depths = [minimum_blockdepth(3, 0.1, rho) for rho in (0.1, 0.3, 0.5, 0.7, 0.9)]
         assert depths == sorted(depths)
+        # Fig. 6: larger committees lower rho, and with it m ("m < 5 blocks
+        # for n > 80").
+        assert minimum_blockdepth(3, 0.1, 0.3) < minimum_blockdepth(3, 0.1, 0.9)
+        assert minimum_blockdepth(3, 0.1, 0.2) < 5
 
     def test_monotone_in_deposit(self):
+        depths = [minimum_blockdepth(3, b, 0.9) for b in (0.05, 0.1, 0.5, 1.0, 2.0)]
+        assert depths == sorted(depths, reverse=True)
         assert minimum_blockdepth(3, 1.0, 0.9) < minimum_blockdepth(3, 0.05, 0.9)
 
     def test_boundary_is_tight(self):
-        m = minimum_blockdepth(a=3, b=0.1, rho=0.8)
-        assert g_function(3, 0.1, 0.8, m) >= 0
-        assert g_function(3, 0.1, 0.8, m - 1) < 0
+        for b, rho in [(0.1, 0.8), (0.05, 0.9), (0.1, 0.9), (0.5, 0.9), (1.0, 0.9), (2.0, 0.9)]:
+            m = minimum_blockdepth(a=3, b=b, rho=rho)
+            assert g_function(3, b, rho, m) >= 0
+            assert m == 0 or g_function(3, b, rho, m - 1) < 0
 
     def test_degenerate_cases(self):
         assert minimum_blockdepth(a=1, b=0.1, rho=0.99) == 0

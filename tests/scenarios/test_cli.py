@@ -1,9 +1,11 @@
 """CLI surface: list / run / sweep / obs artifacts."""
 
+import dataclasses
 import json
 
 import pytest
 
+from repro.scenarios import registry
 from repro.scenarios.cli import _instrument_level, build_parser, main
 
 
@@ -34,6 +36,19 @@ class TestSweep:
         second = capsys.readouterr().out
         assert "fig3: 5 cells — 5 cache hits, 0 executed" in second
         assert "appendix-b: 5 cells — 5 cache hits, 0 executed" in second
+        # Claims read cached rows too.
+        assert "claim fig3 / ZLB is 4-8x HotStuff at the largest n: holds" in second
+
+    def test_a_failed_claim_is_printed_and_fails_the_run(self, monkeypatch, capsys):
+        family = registry.get_family("appendix-b")
+        claims = family.claims + (("never holds", lambda rows: f"read {len(rows)} rows"),)
+        monkeypatch.setitem(
+            registry._REGISTRY, "appendix-b", dataclasses.replace(family, claims=claims)
+        )
+        assert main(["run", "appendix-b", "--quiet"]) == 1
+        out = capsys.readouterr().out
+        assert "claim appendix-b / m grows with delta at rho = 0.9: holds" in out
+        assert "claim appendix-b / never holds: FAILED: read 5 rows" in out
 
 
 class TestObsFlags:

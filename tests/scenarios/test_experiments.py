@@ -1,9 +1,14 @@
-"""Tests for the paper's figures as registered families (fast paths only;
-heavy cells run in benchmarks/)."""
+"""Tests for the paper's figures as registered families, and for the
+measurements that are not grid cells.  What the paper states across a
+family's cells is its claims (``tests/scenarios/test_claims.py``)."""
 
 from repro.analysis.zero_loss import theoretical_blockdepth_curve
 from repro.scenarios import expand, run_specs
-from repro.scenarios.library import merge_two_blocks, run_catchup_timing
+from repro.scenarios.library import (
+    merge_two_blocks,
+    run_catchup_timing,
+    run_measured_comparison,
+)
 
 
 class TestSweepConfiguration:
@@ -28,30 +33,30 @@ class TestFig3Rows:
         assert {"ZLB", "Polygraph", "HotStuff", "Red Belly"} <= set(rows[0])
         assert [row["n"] for row in rows] == [10, 20, 40, 60, 90]
 
-    def test_paper_shape(self):
-        by_n = {row["n"]: row for row in run_specs(expand("fig3", "small"))}
-        assert by_n[90]["Red Belly"] > by_n[90]["ZLB"] > by_n[90]["HotStuff"]
-        assert by_n[10]["Polygraph"] > by_n[10]["ZLB"]
-        assert by_n[90]["Polygraph"] < by_n[90]["ZLB"]
+    def test_measured_sbc_decides_more_per_instance_than_hotstuff(self):
+        """The structural reason behind Fig. 3 on the message-level
+        implementations: SBC-based chains decide many proposals per
+        instance, HotStuff exactly one."""
+        results = run_measured_comparison(n=7, transactions=120)
+        per_instance = {name: detail["tx_per_instance"] for name, detail in results.items()}
+        assert per_instance["ZLB"] > per_instance["HotStuff"]
+        assert per_instance["Red Belly"] > per_instance["HotStuff"]
 
 
 class TestTable1:
-    def test_merge_time_positive_and_monotone(self):
-        rows = run_specs(expand("table1", "small"))
-        assert [row["blocksize_txs"] for row in rows] == [100, 1_000]
-        assert rows[0]["merge_time_ms"] > 0
-        assert rows[1]["merge_time_ms"] > rows[0]["merge_time_ms"]
-
     def test_merge_two_blocks_single_call(self):
         assert merge_two_blocks(50) > 0
 
 
 class TestFig5Catchup:
     def test_catchup_rows(self):
-        rows = run_catchup_timing(sizes=[9], block_counts=(5, 10))
-        assert len(rows) == 2
-        by_blocks = {row["blocks"]: row["catchup_s"] for row in rows}
-        assert by_blocks[10] >= by_blocks[5] * 0.5  # timing noise tolerated
+        """More blocks to verify take longer, and so do a larger committee's
+        larger certificates (timing noise tolerated)."""
+        rows = run_catchup_timing(sizes=[9, 18], block_counts=(5, 10))
+        assert len(rows) == 4
+        by_key = {(row["n"], row["blocks"]): row["catchup_s"] for row in rows}
+        assert by_key[(9, 10)] >= by_key[(9, 5)] * 0.5
+        assert by_key[(18, 10)] >= by_key[(9, 10)] * 0.5
 
 
 class TestFig6Theory:
@@ -59,14 +64,3 @@ class TestFig6Theory:
         rows = theoretical_blockdepth_curve()
         depths = [row["min_blockdepth"] for row in rows]
         assert depths == sorted(depths)
-
-
-class TestAppendixB:
-    def test_rows_match_paper_within_rounding(self):
-        by_case = {
-            (row["delta"], row["rho"]): row["min_blockdepth"]
-            for row in run_specs(expand("appendix-b"))
-        }
-        assert abs(by_case[(0.5, 0.55)] - 4) <= 1
-        assert abs(by_case[(0.5, 0.9)] - 28) <= 1
-        assert abs(by_case[(0.6, 0.9)] - 37) <= 1

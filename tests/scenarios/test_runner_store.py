@@ -1,8 +1,7 @@
 """Runner execution modes and store cache behavior.
 
 The serial-vs-parallel equality test uses cheap families (``fig3`` and
-``appendix-b``) so the whole module stays fast; the heavy attack cells are
-covered by the benchmark suite.
+``appendix-b``) so the whole module stays fast.
 """
 
 import json
@@ -63,6 +62,19 @@ class TestStoreCaching:
         assert second.cache_hits == len(specs)
         assert second.executed == 0
         assert second.rows == first.rows
+
+    def test_a_cache_hit_carries_the_stored_wall_clock(self, tmp_path):
+        """What a cached cell took when it ran, not 0: a claim on wall clock
+        must read a measurement on a resumed sweep."""
+        path = tmp_path / "results.jsonl"
+        specs = registry.expand("table1", "small")[:1]
+        ScenarioRunner(store=ResultStore(path)).run(specs)
+        stored = ResultStore(path).get(specs[0])["wall_clock_s"]
+
+        (outcome,) = ScenarioRunner(store=ResultStore(path)).run(specs).outcomes
+        assert outcome.cached
+        assert stored > 0
+        assert outcome.wall_clock_s == stored
 
     def test_partial_cache_runs_only_missing_cells(self, tmp_path):
         path = tmp_path / "results.jsonl"
