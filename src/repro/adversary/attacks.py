@@ -49,10 +49,15 @@ def _slot_of(protocol: TopicLike, layer: str) -> Optional[int]:
 class BinaryConsensusAttack(AttackStrategy):
     """Per-partition equivocation on the binary consensus of attacked slots.
 
-    For an attacked slot ``j`` and a partition ``p``, the coalition votes 1
-    when ``j % branches == p`` and 0 otherwise, so each partition is steered
+    For an attacked slot ``j`` and a partition ``p``, the coalition votes 0
+    when ``j % branches == p`` and 1 otherwise, so each partition is steered
     towards a different subset of included proposals (up to ``branches``
-    distinct decisions, the Appendix B bound).
+    distinct decisions, the Appendix B bound).  1 is round 1's fallback: every
+    partition but one decides the slot in round 1, before a cross-partition
+    message can land, and partition ``j % branches`` decides 0 in round 2.
+    Pushing 1 to the one partition instead leaves ``branches - 1`` partitions
+    two rounds to decide in, and the count stops rising with the partition
+    delay (``sec53``, n = 12: 4 disagreements at 5 s, 2 at 10 s).
     """
 
     name = "binary-consensus"
@@ -70,7 +75,7 @@ class BinaryConsensusAttack(AttackStrategy):
     def value_for(self, slot: ReplicaId, partition_index: int) -> int:
         """The bit the coalition pushes for ``slot`` towards ``partition_index``."""
         branches = max(1, self.plan.num_branches)
-        return 1 if slot % branches == partition_index else 0
+        return 0 if slot % branches == partition_index else 1
 
     def filter_incoming(self, replica: Any, message: Any) -> bool:
         """Ignore DECIDE certificates on attacked slots.
@@ -102,7 +107,7 @@ class BinaryConsensusAttack(AttackStrategy):
             return True
         if kind not in (BinaryConsensus.BVAL, BinaryConsensus.AUX):
             return False
-        round_number = int(body.get("round", 0))
+        round_number = body["round"]
         recipient_set = set(recipients)
         for partition_index, partition in enumerate(self.plan.partition.partitions):
             value = self.value_for(slot, partition_index)

@@ -3,9 +3,9 @@
 The component follows the leaderless BV-broadcast + AUX structure of DBFT (the
 binary consensus underlying Red Belly and Polygraph):
 
-* each round ``r`` starts by BV-broadcasting the current estimate (``BVAL``
-  messages, echoed once ``ceil(n/3)`` support is seen, accepted into
-  ``bin_values`` at a quorum);
+* rounds are numbered from 1, as in DBFT; each round ``r`` starts by
+  BV-broadcasting the current estimate (``BVAL`` messages, echoed once
+  ``ceil(n/3)`` support is seen, accepted into ``bin_values`` at a quorum);
 * once ``bin_values`` is non-empty, the replica broadcasts a *signed*
   ``AUX(r, w)`` vote for a single value ``w``;
 * once a quorum of AUX votes whose values all lie in ``bin_values`` is
@@ -21,7 +21,10 @@ equivocation checks because BV-broadcast legitimately echoes both values.
 
 The deterministic fallback value (``round mod 2``) replaces DBFT's weak
 coordinator; it preserves safety unconditionally and terminates in every
-scenario the simulator exercises.
+scenario the simulator exercises.  Round 1's fallback is 1, so a slot whose
+proposal every replica delivered (all estimates 1) decides in round 1: one
+BVAL and one AUX per replica.  A BVAL or AUX that names no round, or a round
+below 1, is dropped; DECIDE votes carry round 0.
 """
 
 from __future__ import annotations
@@ -116,6 +119,8 @@ class BinaryConsensus:
         self._span = None
         if self._probe is not None:
             self._trace_attrs = topic_trace_attrs(self.topic)
+        #: The current round, from 1 (0 until the instance starts): the
+        #: number of rounds taken once it decided.
         self.round = 0
         self.estimate: Optional[int] = None
         self.decided = False
@@ -144,7 +149,7 @@ class BinaryConsensus:
         self.started = True
         self._trace_started()
         self.estimate = 1 if value else 0
-        self._start_round(0)
+        self._start_round(1)
 
     def _trace_started(self) -> None:
         if self._started_at is None:
@@ -232,8 +237,8 @@ class BinaryConsensus:
         try:
             round_number = body["round"]
         except KeyError:
-            round_number = 0
-        if type(round_number) is not int or round_number < 0:
+            return
+        if type(round_number) is not int or round_number < 1:
             return
         try:
             value = 1 if body["value"] else 0
@@ -273,8 +278,8 @@ class BinaryConsensus:
         try:
             round_number = body["round"]
         except KeyError:
-            round_number = 0
-        if type(round_number) is not int or round_number < 0:
+            return
+        if type(round_number) is not int or round_number < 1:
             return
         try:
             value = 1 if body["value"] else 0
@@ -379,7 +384,7 @@ class BinaryConsensus:
         if probe is not None:
             now = self.host.now
             probe.count("consensus.binary.decided", value=value)
-            probe.observe("consensus.binary.rounds", self.round + 1)
+            probe.observe("consensus.binary.rounds", self.round)
             probe.observe("consensus.binary.certificate_votes", len(certificate.votes))
             if self._started_at is not None:
                 probe.observe("consensus.binary.decide_s", now - self._started_at)

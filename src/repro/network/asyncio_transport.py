@@ -58,6 +58,11 @@ log = get_logger("repro.net")
 #: How often a blocked :meth:`AsyncioTransport.connect` retries a peer dial.
 CONNECT_RETRY_S = 0.05
 
+#: Frames queued for a peer this node has not dialed yet; past this many a
+#: frame to it is dropped and counted, so a peer that never connects holds a
+#: bounded queue.
+PENDING_PER_PEER = 1024
+
 
 @dataclasses.dataclass(frozen=True)
 class Endpoint:
@@ -117,7 +122,8 @@ class AsyncioTransport(Transport):
         # Peers connect (and start sending) in arbitrary order, so a replica
         # can be asked to respond to a message before its own connect() loop
         # has reached the responder's peer; dropping those frames would stall
-        # the broadcast protocols, buffering them preserves delivery.
+        # the broadcast protocols, buffering them preserves delivery (up to
+        # PENDING_PER_PEER each).
         self._pending: Dict[ReplicaId, List[bytes]] = {
             peer: [] for peer in self._membership if peer != replica_id
         }
@@ -298,7 +304,7 @@ class AsyncioTransport(Transport):
         writer = self._writers.get(recipient)
         if writer is None:
             pending = self._pending.get(recipient)
-            if pending is not None:
+            if pending is not None and len(pending) < PENDING_PER_PEER:
                 pending.append(frame)
                 return True
         if writer is None or writer.is_closing():

@@ -82,7 +82,7 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 #: Deepest nesting either half accepts, counting each list, tuple, dict and
 #: registered object (one level above its payload) open at once.  The deepest
-#: frame the protocol sends is a ``CATCHUP`` at 11 (blocks, proposals,
+#: frame the protocol sends is a ``CATCHUP`` at 11 (records, proposals,
 #: transactions, their inputs); an ``INIT`` is 8 and every other kind at most 6
 #: (``tests/network/test_codec.py::TestDepthBound``).
 MAX_DEPTH = 32

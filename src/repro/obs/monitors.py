@@ -19,8 +19,8 @@ The paper's safety claims become live assertions instead of post-hoc checks:
 * **convergence** (finalize) — at the end of every run the honest replicas
   that are up hold one ledger state
   (:meth:`~repro.ledger.merge.BlockchainRecord.state_digest`): after an
-  exclusion and a merge as much as in a fault-free run.  Joiners are not
-  checked yet: catch-up does not ship the chain.
+  exclusion and a merge as much as in a fault-free run, the replicas a
+  membership change included among them: catch-up ships the chain.
 
 Every deployment owns one :class:`MonitorSet` (``repro.zlb.system.deploy``)
 and its replicas call it directly, so every run is checked, traced or not.

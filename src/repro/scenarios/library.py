@@ -1,7 +1,7 @@
 """The built-in scenario library.
 
 Registers every experiment of the paper as a declarative scenario family —
-``fig3`` .. ``fig6``, ``table1``, ``appendix-b``, ``sec53`` and the
+``fig3``, ``fig4`` (which Fig. 5 reads too), ``fig6``, ``table1``, ``appendix-b``, ``sec53`` and the
 ``quickstart`` walkthrough — plus three families the paper does not plot:
 
 * ``churn`` — committee churn under repeated membership changes: consecutive
@@ -24,11 +24,13 @@ Cells that deploy a committee build it with
 :func:`~repro.scenarios.spec.system_for` — the spec is the whole
 configuration.
 
-Three measurements that are not sweeps live next to their figure:
+Two measurements that are not sweeps live next to their figure:
 :func:`run_measured_comparison` (Fig. 3 on the message-level
-implementations: ZLB, Red Belly as ZLB with confirmation off, and HotStuff),
-:func:`run_catchup_timing` (Fig. 5, right) and
-:func:`merge_two_blocks` (Table 1).
+implementations: ZLB, Red Belly as ZLB with confirmation off, and HotStuff)
+and :func:`merge_two_blocks` (Table 1).  Fig. 5 reads the ``fig4`` binary
+rows: detection, exclusion and inclusion times and, on the right, the time
+from the inclusion to the joiners holding the chain (``catchup_time_s``),
+measured on the catch-up the replicas run.
 """
 
 from __future__ import annotations
@@ -45,8 +47,6 @@ from repro.analysis.zero_loss import (
 from repro.baselines.hotstuff import HotStuffCluster
 from repro.common.config import FaultConfig
 from repro.common.errors import ConfigurationError
-from repro.consensus.certificates import Certificate, VoteKind, make_vote
-from repro.crypto.keys import KeyRegistry
 from repro.ledger.block import Block
 from repro.ledger.merge import BlockchainRecord
 from repro.ledger.workload import conflicting_blocks_workload
@@ -261,7 +261,8 @@ def _fig4_grid(scale: str) -> List[ScenarioSpec]:
 
 @scenario(
     "fig4",
-    description="Disagreeing decisions per committee size under both attacks",
+    description="Disagreements per committee size under both attacks (Fig. 4) and the "
+    "membership change's times (Fig. 5)",
     grid=_fig4_grid,
     tags=("paper", "attack"),
     claims={
@@ -281,93 +282,20 @@ def _fig4_grid(scale: str) -> List[ScenarioSpec]:
             >= large["disagreements"] / large["n"],
             "disagreements", attack="binary", delay="1000ms",
         ),
+        # Fig. 5 reads the binary panel's rows: the membership change's times.
+        "binary: every recovered run times detection, exclusion and inclusion": every(
+            lambda row: None
+            not in (row["detect_time_s"], row["exclusion_time_s"], row["inclusion_time_s"]),
+            "n", "delay", "seed", "detect_time_s", "exclusion_time_s", "inclusion_time_s",
+            attack="binary", recovered=True,
+        ),
+        "binary: detection comes no sooner at 1000 ms than at 500 ms, per n": _rises_with_delay(
+            "detect_time_s", "500ms", "1000ms", attack="binary"
+        ),
     },
 )
 def _run_fig4_cell(spec: ScenarioSpec) -> Dict[str, Any]:
     return attack_row(spec)
-
-
-def _fig5_grid(scale: str) -> List[ScenarioSpec]:
-    return _attack_grid(
-        "fig5",
-        scale,
-        {"cross_partition_delay": ("gamma", "aws", "500ms", "1000ms")},
-        attack="binary",
-    )
-
-
-@scenario(
-    "fig5",
-    description="Detect / exclude / include times of the membership change",
-    grid=_fig5_grid,
-    tags=("paper", "attack"),
-    claims={
-        "every recovered run times detection, exclusion and inclusion": every(
-            lambda row: None
-            not in (row["detect_time_s"], row["exclusion_time_s"], row["inclusion_time_s"]),
-            "n", "delay", "seed", "detect_time_s", "exclusion_time_s", "inclusion_time_s",
-            recovered=True,
-        ),
-        "detection comes no sooner at 1000 ms than at 500 ms, per n": _rises_with_delay(
-            "detect_time_s", "500ms", "1000ms"
-        ),
-    },
-)
-def _run_fig5_cell(spec: ScenarioSpec) -> Dict[str, Any]:
-    return attack_row(spec)
-
-
-def run_catchup_timing(
-    sizes: Sequence[int] = ATTACK_SIZES["small"],
-    block_counts: Sequence[int] = (10, 20, 30),
-    votes_per_certificate: Optional[int] = None,
-) -> List[Dict[str, object]]:
-    """Figure 5 (right): wall-clock time to verify a catch-up of N blocks.
-
-    A new replica joining after a membership change must verify one quorum
-    certificate per block; the certificate size grows with the committee, which
-    is why the catch-up time grows roughly linearly with ``n``.
-    """
-    rows: List[Dict[str, object]] = []
-    for n in sizes:
-        keys = KeyRegistry.provision(range(n))
-
-        class _Host:
-            def __init__(self, replica_id: int):
-                self.replica_id = replica_id
-
-            def sign(self, payload, digest=None):
-                return keys.signer_for(self.replica_id).sign(payload, digest)
-
-            def verify(self, payload, signed):
-                return keys.registry.verify(payload, signed)
-
-        quorum = votes_per_certificate or (2 * n // 3 + 1)
-        hosts = [_Host(i) for i in range(n)]
-        verifier = hosts[0]
-        for blocks in block_counts:
-            # One distinct certificate per block, built outside the timed
-            # section: a real catch-up verifies a *different* certificate for
-            # every block, so the timing must not collapse into the
-            # verified-signature / certificate-validity caches (which would
-            # measure dict probes, not signature checks).
-            certificates = [
-                Certificate.from_votes(
-                    make_vote(
-                        hosts[i], f"catchup:block:{blocks}:{b}", 0, VoteKind.AUX, "digest"
-                    )
-                    for i in range(quorum)
-                )
-                for b in range(blocks)
-            ]
-            start = time.perf_counter()
-            for certificate in certificates:
-                certificate.verify(verifier, committee=range(n))
-            elapsed = time.perf_counter() - start
-            rows.append(
-                {"n": n, "blocks": blocks, "catchup_s": round(elapsed, 4)}
-            )
-    return rows
 
 
 def _fig6_grid(scale: str) -> List[ScenarioSpec]:

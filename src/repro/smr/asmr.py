@@ -358,7 +358,8 @@ class ASMRReplica(BaseReplica):
             self.replica_id, record.epoch, decision.instance, decision.digest, record.decided_at
         )
         history.commit()
-        if self.config.confirmation_enabled:
+        # A joiner confirms nothing it caught up on: it was not a member.
+        if self.config.confirmation_enabled and self.replica_id in record.committee:
             self._broadcast_confirmation(record)
         self._early.replay(decision.instance)
         history.serve_waiting(record)
@@ -509,29 +510,32 @@ class ASMRReplica(BaseReplica):
         if wanted:
             pull = {"instance": record.instance, "wanted": wanted}
             self.emit_to(sender, self.CONFIRM_TOPIC.child(record.instance), "PULL", pull)
-        record.pending_merges.append(remote_digests)
+        record.pending_merges.append(body)
         self._run_ready_merges(record)
 
     def _run_ready_merges(self, record: InstanceRecord) -> None:
         """Hand ``on_merge`` every waiting remote decision whose proposals are
         all here, in the order their CONFIRMs arrived — once the instance is
-        committed here: a merge lands on a branch that holds its block."""
+        committed here: a merge lands on a branch that holds its block.  The
+        first merge of each digest is kept as a record for catch-up."""
         if record.instance >= self.history.next_commit:
             return
         local = record.decision
-        waiting: List[Dict[ReplicaId, str]] = []
-        for remote_digests in record.pending_merges:
+        waiting: List[Dict[str, Any]] = []
+        for body in record.pending_merges:
             proposals: Dict[ReplicaId, Any] = {}
-            for slot, digest in remote_digests.items():
+            for slot, digest in body["proposal_digests"].items():
                 if local.proposal_digests.get(slot) == digest:
                     proposals[slot] = local.proposals[slot]
                 elif (slot, digest) in record.pulled:
                     proposals[slot] = record.pulled[(slot, digest)]
                 else:
-                    waiting.append(remote_digests)
+                    waiting.append(body)
                     break
             else:
                 self.on_merge(record.instance, proposals)
+                if all(merged.get("digest") != body.get("digest") for merged in record.merged):
+                    record.merged.append({**body, "proposals": proposals})
         record.pending_merges = waiting
 
     def _record_named_in(self, body: Dict[str, Any]) -> Optional[InstanceRecord]:
@@ -712,8 +716,8 @@ class ASMRReplica(BaseReplica):
         if self.on_exclude is not None and outcome.excluded:
             self.on_exclude(list(outcome.excluded))
         # Send the chain state to the replicas that just joined (Fig. 5 right).
-        for replica in outcome.included:
-            self.history.send_catchup(replica)
+        if outcome.included:
+            self.history.send_catchup(list(outcome.included))
         # Clear the treated PoFs (Alg. 1 line 39) and prepare the next epoch.
         for culprit in outcome.excluded:
             self.pofs.pop(culprit, None)
@@ -734,6 +738,12 @@ class ASMRReplica(BaseReplica):
             self.next_instance = min(self.next_instance, aborted[0])
         self._maybe_start_next_instance()
         self._early.replay("ahead")
+        self._fetch_decided_in_older_epochs()
+
+    def _fetch_decided_in_older_epochs(self) -> None:
+        """Fetch each instance a parked CONFIRM shows decided in an epoch
+        older than this replica's record of it: after an epoch change, the
+        CONFIRMs that came before it read differently."""
         # The keys that are instances hold CONFIRMs.
         for instance in sorted(key for key in self._early.parked if type(key) is int):
             record = self.instances.get(instance)
@@ -757,7 +767,10 @@ class ASMRReplica(BaseReplica):
         self._handle_pofs(sender, body)
 
     def _route_catchup(self, message_topic: Topic, sender: ReplicaId, kind: str, body: Dict[str, Any]) -> None:
-        self.history.join(body)
+        if kind == "MORE":
+            self.history.serve_catchup(sender, body.get("cursor"))
+        else:
+            self.history.join(sender, body, self._sbc)
 
     def _park_membership(self, message_topic: Topic, sender: ReplicaId, kind: str, body: Dict[str, Any]) -> None:
         """Fallback at ``("excl",)`` / ``("incl",)``, reached while no started

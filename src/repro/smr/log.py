@@ -38,17 +38,35 @@ SBC of the instance detaches and the decision goes the way of a local one —
 monitors, CONFIRM, parked CONFIRMs, ordered commit.  A later record that
 proves a different decision is a conflicting confirmation.  None of the
 three occurs in a fault-free scenario cell: those fetch nothing.
+
+**Catch-up.**  A membership change ends with every member sending each
+replica it included a CATCHUP: the view after the change (its epoch, the
+committee of every epoch, the excluded replicas, the target and the first
+instance the joiner runs) and the first :data:`CATCHUP_RECORDS` decided
+instances, each as the record a fetch is answered with
+(:meth:`~repro.consensus.sbc.SBCDecision.to_record` and its proposals)
+followed by the records of the conflicting decisions merged into it.  A
+``cursor`` names the instance the rest starts at; the joiner asks the first
+member it heard from for it (``MORE``), one chunk at a time.  The joiner
+takes the view once ``t + 1`` members of the committee it names sent the same
+one, and every record that proves its decision against the committee of its
+epoch: one for an instance it holds no decision for is adopted as a fetched
+one is, one that proves another decision is merged into it.  Then it
+punishes the excluded replicas and runs the instances the committee runs.
 """
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.common.types import ReplicaId, byzantine_tolerance
 from repro.consensus.proofs import GroupedVotes, accountable_votes
-from repro.consensus.sbc import SBCDecision, decision_from_record, verified_certificates
+from repro.consensus.sbc import SBCDecision, decision_from_record
+
+#: Decided instances one CATCHUP carries at most (see "Catch-up").
+CATCHUP_RECORDS = 16
 
 
 @dataclass
@@ -77,8 +95,11 @@ class InstanceRecord:
     conflicting_senders: Set[ReplicaId] = field(default_factory=set)
     pulls_asked: Dict[Tuple[ReplicaId, str], Dict[ReplicaId, bool]] = field(default_factory=dict)
     pulled: Dict[Tuple[ReplicaId, str], Any] = field(default_factory=dict)
-    pending_merges: List[Dict[ReplicaId, str]] = field(default_factory=list)
+    pending_merges: List[Dict[str, Any]] = field(default_factory=list)
     pulls_served: Set[Tuple[ReplicaId, ReplicaId]] = field(default_factory=set)
+    #: The records of the conflicting decisions merged here, one per digest,
+    #: with their proposals: what a catch-up sends after the instance's own.
+    merged: List[Dict[str, Any]] = field(default_factory=list)
     #: The decision's justification votes grouped, once the first conflicting
     #: CONFIRM needs them (a disagreed instance never retires, so they never
     #: go stale).
@@ -93,6 +114,28 @@ class InstanceRecord:
 def _ids(value: Any) -> bool:
     """A committee as the wire carries one: a list of replica ids."""
     return type(value) is list and all(type(replica) is int for replica in value)
+
+
+def _view(body: Dict[str, Any]) -> Optional[Tuple[Any, ...]]:
+    """The view a CATCHUP names, hashable — ``(epoch, committees, excluded)``
+    — or None when the body is not of the shape :meth:`DecisionLog.send_catchup`
+    sends."""
+    records, committees, excluded = body.get("records"), body.get("committees"), body.get("excluded")
+    counters = [body.get(key) for key in ("epoch", "target_instances", "next_instance")]
+    cursor = body.get("cursor")
+    if not (
+        type(records) is list
+        and all(type(record) is dict for record in records)
+        and type(committees) is dict
+        and all(type(epoch) is int and _ids(ids) for epoch, ids in committees.items())
+        and _ids(excluded)
+        and all(type(counter) is int for counter in counters)
+        and counters[0] in committees
+        and (cursor is None or type(cursor) is int)
+    ):
+        return None
+    ordered = tuple((epoch, tuple(committees[epoch])) for epoch in sorted(committees))
+    return counters[0], ordered, tuple(sorted(excluded))
 
 
 class DecisionLog:
@@ -129,8 +172,16 @@ class DecisionLog:
         #: Members whose fetch of an instance undecided here waits for the
         #: decision (see :meth:`serve`).
         self._waiting_fetches: Dict[int, Set[ReplicaId]] = {}
+        #: A standby's first CATCHUP from each member, with the view it
+        #: names, until ``t + 1`` name the same one; then the member that
+        #: answers its ``MORE``.
+        self._catchups: Dict[ReplicaId, Tuple[Tuple[Any, ...], Dict[str, Any]]] = {}
+        self._catchup_source: Optional[ReplicaId] = None
+        #: Joiners this replica sent a catch-up, and the cursor each may ask
+        #: for next.
+        self._joiners: Dict[ReplicaId, Optional[int]] = {}
+        #: When this replica, included, held every caught-up record.
         self.catchup_completed_at: Optional[float] = None
-        self.catchup_blocks_verified = 0
 
     # -- deciding, committing, retiring ------------------------------------------------
 
@@ -305,70 +356,138 @@ class DecisionLog:
 
     # -- catch-up of newly included replicas (Fig. 5 right) --------------------------
 
-    def send_catchup(self, replica: ReplicaId) -> None:
-        """Send ``replica``, just included, the decided chain and the view
-        after the membership change: it takes part in the restarted
-        instances right away."""
+    def send_catchup(self, replicas: List[ReplicaId], cursor: int = 0) -> None:
+        """Send ``replicas``, included, the view after the membership change
+        and the decided instances from ``cursor`` on (see "Catch-up"): one
+        body for all of them."""
         host = self._host
-        blocks = []
-        for instance in self.decided:
+        decided = self.decided
+        first = bisect_left(decided, cursor)
+        chunk = decided[first : first + CATCHUP_RECORDS]
+        records: List[Dict[str, Any]] = []
+        for instance in chunk:
             record = self.records[instance]
-            decision = record.decision
-            certificates = decision.binary_certificates
-            blocks.append({
-                "instance": instance,
-                "digest": decision.digest,
-                "bitmask": dict(decision.bitmask),
-                "proposals": dict(decision.proposals),
-                "binary_certificates": {s: c.to_payload() for s, c in certificates.items()},
-                "committee": list(record.committee),
-            })  # fmt: skip
-        host.emit_to(replica, host.CATCHUP_TOPIC, "CATCHUP", {
-            "blocks": blocks,
-            "epoch": host.epoch + 1,
-            "committee": [r for r in host.committee() if r not in host.excluded_replicas],
+            records.append(record.decision.to_record(record.epoch, proposals=True))
+            records += record.merged
+        next_cursor = chunk[-1] + 1 if first + CATCHUP_RECORDS < len(decided) else None
+        for replica in replicas:
+            self._joiners[replica] = next_cursor
+        committees = self.epoch_committees
+        host.emit(host.CATCHUP_TOPIC, "CATCHUP", {
+            "records": records,
+            "cursor": next_cursor,
+            "epoch": max(committees),
+            "committees": {epoch: list(ids) for epoch, ids in committees.items()},
+            "excluded": sorted(host.excluded_replicas),
             "target_instances": host.target_instances,
-            "next_instance": self.decided[-1] + 1 if self.decided else 0,
-        })  # fmt: skip
+            "next_instance": self.next_commit,
+        }, recipients=replicas)  # fmt: skip
 
-    def join(self, body: Dict[str, Any]) -> None:
-        """Read the first CATCHUP of the shape :meth:`send_catchup` sends (any
-        other is dropped and counted before anything changes): count the
-        blocks whose certificates verify and, on a standby, join the
-        committee in the sender's post-change view."""
+    def serve_catchup(self, replica: ReplicaId, cursor: Any) -> None:
+        """Answer a joiner's ``MORE``: the chunk at the cursor the last one
+        named, once; anything else is dropped and counted."""
+        if type(cursor) is int and self._joiners.get(replica) == cursor:
+            self.send_catchup([replica], cursor)
+        elif self._host.probe is not None:
+            self._host.probe.count("asmr.dropped_catchups")
+
+    def join(self, sender: ReplicaId, body: Dict[str, Any], live: Dict[int, Any]) -> None:
+        """Read a CATCHUP (see "Catch-up"): a standby parks the first of each
+        member of the committee it names until ``t + 1`` name the same view,
+        then joins; a joined replica takes the records of its source's next
+        chunk.  A body of another shape, from a non-member, or reaching a
+        replica that is neither is dropped and counted."""
         host = self._host
-        if self.catchup_completed_at is not None:
+        view = _view(body)
+        if view is not None and host.standby:
+            epoch, committees, excluded = view
+            committee = dict(committees)[epoch]
+            if sender in committee and host.replica_id in committee:
+                self._catchups.setdefault(sender, (view, body))
+                bodies = {
+                    member: parked
+                    for member, (named, parked) in self._catchups.items()
+                    if named == view
+                }
+                if len(bodies) > byzantine_tolerance(len(committee)):
+                    self._join(view, bodies, live)
+                return
+        elif view is not None and sender == self._catchup_source:
+            self._take_records(body["records"], live)
+            self._ask_for_more(sender, body)
             return
-        blocks, committee = body.get("blocks", []), body.get("committee")
-        counters = [body.get(key, 0) for key in ("epoch", "target_instances", "next_instance")]
-        if not (
-            type(blocks) is list
-            and all(type(block) is dict and _ids(block.get("committee", [])) for block in blocks)
-            and (committee is None or _ids(committee))
-            and all(type(counter) is int for counter in counters)
-        ):
-            if host.probe is not None:
-                host.probe.count("asmr.dropped_catchups")
-            return
-        verified = 0
-        for block in blocks:
-            certificates = block.get("binary_certificates", {})
-            block_committee = block.get("committee", list(host.committee()))
-            if verified_certificates(host, certificates, block_committee) is not None:
-                verified += 1
-        self.catchup_blocks_verified = verified
-        self.catchup_completed_at = host.now
-        if not host.standby:
-            return
+        if host.probe is not None:
+            host.probe.count("asmr.dropped_catchups")
+
+    def _join(self, view: Tuple[Any, ...], bodies: Dict[ReplicaId, Dict[str, Any]], live: Dict) -> None:
+        """Join in ``view``, which ``bodies`` (sender -> CATCHUP) name: take
+        their records, punish the excluded replicas, run the committee's
+        instances."""
+        host = self._host
+        epoch, committees, excluded = view
+        self._catchups = {}
+        self.epoch_committees.update(committees)
+        host.update_committee(list(self.epoch_committees[epoch]))
+        host.epoch = max(host.epoch, epoch)
+        host.excluded_replicas.update(excluded)
+        # The least of t + 1 members' counters is one an honest member sent.
+        host.target_instances = max(
+            host.target_instances, min(body["target_instances"] for body in bodies.values())
+        )
+        host.next_instance = max(
+            host.next_instance, min(body["next_instance"] for body in bodies.values())
+        )
+        for body in bodies.values():
+            self._take_records(body["records"], live)
+        if excluded and host.on_exclude is not None:
+            host.on_exclude(list(excluded))
         host.standby = False
-        if committee and host.replica_id in committee:
-            host.update_committee(committee)
-        host.epoch = max(host.epoch, body.get("epoch", host.epoch))
-        host.target_instances = max(host.target_instances, body.get("target_instances", 0))
-        host.next_instance = max(host.next_instance, body.get("next_instance", 0))
-        self.next_commit = max(self.next_commit, host.next_instance)
-        self.epoch_committees[host.epoch] = tuple(host.committee())
+        self._catchup_source = source = next(iter(bodies))
+        self._ask_for_more(source, bodies[source])
         host._maybe_start_next_instance()
+        host._fetch_decided_in_older_epochs()
+
+    def _ask_for_more(self, source: ReplicaId, body: Dict[str, Any]) -> None:
+        host = self._host
+        if body["cursor"] is None:
+            self._catchup_source = None
+            self.catchup_completed_at = host.now
+        else:
+            host.emit_to(source, host.CATCHUP_TOPIC, "MORE", {"cursor": body["cursor"]})
+
+    def _take_records(self, records: List[Dict[str, Any]], live: Dict) -> None:
+        """Adopt each record that proves a decision for an instance with none
+        here; merge each that proves another decision for one decided here.
+        A record already held costs a digest comparison; one that proves
+        nothing is dropped and counted."""
+        host = self._host
+        for body in records:
+            instance, epoch, digest = body.get("instance"), body.get("epoch"), body.get("digest")
+            record = self.records.get(instance) if type(instance) is int else None
+            decided = record is not None and record.decision is not None
+            if decided and (
+                digest == record.decision.digest
+                or any(other.get("digest") == digest for other in record.pending_merges)
+                or any(other.get("digest") == digest for other in record.merged)
+            ):
+                continue
+            committee = self.epoch_committees.get(epoch) if type(epoch) is int else None
+            decision = None
+            if committee is not None and type(instance) is int:
+                topic = host.SBC_ROOT.child(epoch, instance)
+                decision = decision_from_record(host, body, committee, topic)
+            if decision is None:
+                if host.probe is not None:
+                    host.probe.count("asmr.dropped_records")
+            elif not decided:
+                self.adopt(decision, epoch, committee, live)
+            elif host.on_merge is not None:
+                local = record.decision.proposal_digests
+                for slot, proposal_digest in decision.proposal_digests.items():
+                    if local.get(slot) != proposal_digest:
+                        record.pulled[(slot, proposal_digest)] = decision.proposals[slot]
+                record.pending_merges.append(body)
+                host._run_ready_merges(record)
 
     # -- views -------------------------------------------------------------------------
 

@@ -112,6 +112,10 @@ class SystemResult:
     realized_gain: int = 0
     #: Value seized from the coalition (slashed deposits plus confiscations).
     seized_deposit: int = 0
+    #: Mean time from a joiner's inclusion (the first honest member's
+    #: decision) to the joiner holding every caught-up record (Fig. 5, right);
+    #: None when nobody joined.
+    catchup_time: Optional[float] = None
     #: Metrics snapshot of the run (None without a metrics back-end).
     telemetry: Optional[Dict[str, Any]] = None
     #: The deployment's invariant violations so far, one
@@ -174,6 +178,7 @@ class SystemResult:
             "detect_time_s": seconds(self.detect_time),
             "exclusion_time_s": seconds(self.exclusion_time),
             "inclusion_time_s": seconds(self.inclusion_time),
+            "catchup_time_s": seconds(self.catchup_time),
             "excluded_replicas": len(self.excluded),
             "included_replicas": len(self.included),
             "deposit_shortfall": self.deposit_shortfall,
@@ -326,7 +331,8 @@ def deploy(
         plan=plan,
         genesis=genesis,
         monitors=MonitorSet(
-            honest=[r for r in committee if plan.fault_of(r) is FaultKind.HONEST],
+            # The candidates are honest: once included, they are checked too.
+            honest=[r for r in committee if plan.fault_of(r) is FaultKind.HONEST] + pool_ids,
             expect_disagreement=attack is not None,
         ),
         strategy=strategy,
@@ -523,6 +529,8 @@ class ZLBSystem:
         realized_gain = 0
         seized = 0
         final_committee: List[ReplicaId] = []
+        #: Each joiner's inclusion, as the first honest member decided it.
+        included_at: Dict[ReplicaId, float] = {}
 
         for replica_id, replica in sorted(self.replicas.items()):
             if replica.standby:
@@ -548,6 +556,9 @@ class ZLBSystem:
                 inclusion_times.append(outcome.inclusion_duration)
                 excluded = sorted(set(excluded) | set(outcome.excluded))
                 included = sorted(set(included) | set(outcome.included))
+                for joiner in outcome.included:
+                    at = included_at.get(joiner, outcome.inclusion_decided_at)
+                    included_at[joiner] = min(at, outcome.inclusion_decided_at)
             committed = max(committed, replica.blockchain.transactions_committed)
             shortfall = max(shortfall, replica.blockchain.record.deposit_shortfall())
             # Gain/seizure must stay a *consistent pair* from one record (the
@@ -565,6 +576,11 @@ class ZLBSystem:
             if not final_committee:
                 final_committee = list(replica.committee())
 
+        catchup_times = [
+            self.replicas[joiner].history.catchup_completed_at - at
+            for joiner, at in included_at.items()
+            if self.replicas[joiner].history.catchup_completed_at is not None
+        ]
         probe = self.simulator.probe
         return SystemResult(
             n=self.fault_config.n,
@@ -589,6 +605,7 @@ class ZLBSystem:
             deposit_shortfall=shortfall,
             realized_gain=realized_gain,
             seized_deposit=seized,
+            catchup_time=sum(catchup_times) / len(catchup_times) if catchup_times else None,
             telemetry=(
                 probe.metrics.snapshot()
                 if probe is not None and probe.metrics is not None

@@ -111,6 +111,7 @@ class TestMetrics:
             "detect_time_s",
             "exclusion_time_s",
             "inclusion_time_s",
+            "catchup_time_s",
             "excluded_replicas",
             "included_replicas",
             "deposit_shortfall",

@@ -70,12 +70,14 @@ def _sent_by_group(snapshot) -> Dict[str, int]:
 
 
 class TestRedBelly:
-    # Every replica commits the whole workload in two instances.
+    # Every replica commits the whole workload in two instances (916 and
+    # 4 854 messages, 0.6287 and 0.6511 s while a benign slot took two binary
+    # rounds).
     @pytest.mark.parametrize(
         "n, transactions, batch_size, messages, simulated",
         [
-            (4, 40, 10, 916, 0.6286966266826657),
-            (7, 120, 20, 4_854, 0.6511346544697985),
+            (4, 40, 10, 732, 0.6175088010736863),
+            (7, 120, 20, 3_691, 0.6187539271287275),
         ],
     )
     def test_schedule_is_pinned(

@@ -118,8 +118,8 @@ class TestBinaryConsensusCertificates:
         component = _attach_binary(replicas, "bin:0:0", {})[3]
 
         def aux(value):
-            vote = make_vote(replicas[1], "bin:0:0", 0, VoteKind.AUX, value_digest(value))
-            return vote, {"round": 0, "value": value, "vote": vote.to_payload()}
+            vote = make_vote(replicas[1], "bin:0:0", 1, VoteKind.AUX, value_digest(value))
+            return vote, {"round": 1, "value": value, "vote": vote.to_payload()}
 
         first, body = aux(1)
         for decided in (False, True):
@@ -151,7 +151,7 @@ class TestBinaryConsensusRobustness:
         simulator, replicas, _ = build_cluster(4)
         decisions = {}
         components = _attach_binary(replicas, "bin:0:0", decisions)
-        replicas[0].broadcast("bin:0:0", BinaryConsensus.AUX, {"round": 0, "value": 1})
+        replicas[0].broadcast("bin:0:0", BinaryConsensus.AUX, {"round": 1, "value": 1})
         for replica_id in range(4):
             components[replica_id].propose(1)
         simulator.run()
@@ -221,8 +221,8 @@ class _FourDictBinaryConsensus(BinaryConsensus):
     def _handle_bval(self, sender, body):
         if self.decided:
             return
-        round_number = body.get("round", 0)
-        if type(round_number) is not int or round_number < 0:
+        round_number = body.get("round")
+        if type(round_number) is not int or round_number < 1:
             return
         value = 1 if body.get("value") else 0
         per_round = self._bval_received.setdefault(round_number, {0: set(), 1: set()})
@@ -249,8 +249,8 @@ class _FourDictBinaryConsensus(BinaryConsensus):
             self._try_resolve_round(self.round)
 
     def _handle_aux(self, sender, body):
-        round_number = body.get("round", 0)
-        if type(round_number) is not int or round_number < 0:
+        round_number = body.get("round")
+        if type(round_number) is not int or round_number < 1:
             return
         value = 1 if body.get("value") else 0
         payload = body.get("vote")
@@ -317,14 +317,14 @@ _BITS = st.integers(0, 1)
 @st.composite
 def _aux_schedules(draw):
     """A committee size and a shuffled schedule for replica 0's instance:
-    ``propose``, and for every round 0-3 and sender the BVALs it backs and its
+    ``propose``, and for every round 1-4 and sender the BVALs it backs and its
     AUX — sometimes sent twice, sometimes followed by the other value — plus
     up to two members leaving the committee.  Shuffling is what delivers BVAL
     and AUX out of round order: before ``bin_values`` fills, before
     ``propose``, for rounds not yet reached and for rounds left behind."""
     n = draw(st.sampled_from([4, 7]))
     ops = [("propose", draw(_BITS))]
-    for round_number in range(4):
+    for round_number in range(1, 5):
         for sender in range(n):
             for value in sorted(draw(st.sets(_BITS, min_size=1))):
                 ops.append(("bval", sender, round_number, value))

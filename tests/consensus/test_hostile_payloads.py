@@ -118,19 +118,22 @@ HOSTILE_ROUNDS = {
     "an infinite float": 1e400,
     "a bool": True,
     "negative": -1,
+    "zero": 0,
 }
 
 
 #: name -> a genuine CATCHUP body -> one of another shape.
 MALFORMED_CATCHUPS = {
-    "a block that is not a dict": lambda b: {**b, "blocks": [1]},
-    "a block committee that is an int": lambda b: {
-        **b, "blocks": [{**b["blocks"][0], "committee": 7}]
-    },
-    "a committee that is an int": lambda b: {**b, "committee": 7},
+    "records that are not a list": lambda b: {**b, "records": 7},
+    "a record that is not a dict": lambda b: {**b, "records": [1]},
+    "committees that are a list": lambda b: {**b, "committees": [[0, 1, 2, 3]]},
+    "a committee that is an int": lambda b: {**b, "committees": {**b["committees"], 1: 7}},
     "an epoch that is a str": lambda b: {**b, "epoch": "x"},
+    "an epoch with no committee": lambda b: {**b, "epoch": 2},
+    "excluded replicas that are an int": lambda b: {**b, "excluded": 7},
     "a target that is a str": lambda b: {**b, "target_instances": "x"},
     "a next instance that is a str": lambda b: {**b, "next_instance": "x"},
+    "a cursor that is a str": lambda b: {**b, "cursor": "x"},
 }
 
 
@@ -199,8 +202,8 @@ class TestBinaryConsensus:
     @confused(CONFUSED_VOTES)
     def test_handle_aux_drops_a_confused_vote(self, confusion):
         simulator, replicas, seen, component, _ = self._instance()
-        vote = make_vote(replicas[1], self.CONTEXT, 0, VoteKind.AUX, value_digest(1))
-        body = {"round": 0, "value": 1, "vote": vote.to_payload()}
+        vote = make_vote(replicas[1], self.CONTEXT, 1, VoteKind.AUX, value_digest(1))
+        body = {"round": 1, "value": 1, "vote": vote.to_payload()}
         hostile = {**body, "vote": CONFUSED_VOTES[confusion](body["vote"])}
         component.handle(component.topic, 1, "AUX", _delivered("AUX", hostile))
         simulator.run()
@@ -208,25 +211,25 @@ class TestBinaryConsensus:
         assert seen == []
         component.handle(component.topic, 1, "AUX", _delivered("AUX", body))
         assert component.collected_votes == [vote]
-        assert list(component._rounds) == [0] and component._rounds[0].aux_votes == {1: vote}
+        assert list(component._rounds) == [1] and component._rounds[1].aux_votes == {1: vote}
 
     @confused(HOSTILE_ROUNDS)
     def test_handle_bval_drops_a_round_that_is_not_one(self, confusion):
         simulator, replicas, seen, component, _ = self._instance()
-        body = {"round": 0, "value": 1}
+        body = {"round": 1, "value": 1}
         hostile = {**body, "round": HOSTILE_ROUNDS[confusion]}
         component.handle(component.topic, 1, "BVAL", _delivered("BVAL", hostile))
         simulator.run()
         assert component._rounds == {} and component._bval_rounds == [] and seen == []
         component.handle(component.topic, 1, "BVAL", _delivered("BVAL", body))
-        assert list(component._rounds) == [0]
-        assert component._rounds[0].bval_received == (set(), {1})
+        assert list(component._rounds) == [1]
+        assert component._rounds[1].bval_received == (set(), {1})
 
     @confused(HOSTILE_ROUNDS)
     def test_handle_aux_drops_a_round_that_is_not_one(self, confusion):
         simulator, replicas, seen, component, _ = self._instance()
-        vote = make_vote(replicas[1], self.CONTEXT, 0, VoteKind.AUX, value_digest(1))
-        body = {"round": 0, "value": 1, "vote": vote.to_payload()}
+        vote = make_vote(replicas[1], self.CONTEXT, 1, VoteKind.AUX, value_digest(1))
+        body = {"round": 1, "value": 1, "vote": vote.to_payload()}
         hostile = {**body, "round": HOSTILE_ROUNDS[confusion]}
         component.handle(component.topic, 1, "AUX", _delivered("AUX", hostile))
         simulator.run()
@@ -234,22 +237,30 @@ class TestBinaryConsensus:
         assert seen == []
         component.handle(component.topic, 1, "AUX", _delivered("AUX", body))
         assert component.collected_votes == [vote]
-        assert list(component._rounds) == [0] and component._rounds[0].aux_votes == {1: vote}
+        assert list(component._rounds) == [1] and component._rounds[1].aux_votes == {1: vote}
 
-    def test_missing_fields_read_as_their_defaults(self):
-        """Fields are read by subscript; what is not there still reads as
-        ``dict.get`` read it: round 0, value 0, and no vote is no AUX."""
+    def test_a_missing_round_is_dropped_and_other_fields_read_as_their_defaults(self):
+        """A BVAL or AUX that names no round is dropped, as one for round 0
+        (rounds start at 1); a missing value reads as 0, and no vote is no
+        AUX."""
         simulator, replicas, seen, component, _ = self._instance()
-        vote = make_vote(replicas[1], self.CONTEXT, 0, VoteKind.AUX, value_digest(0))
-        component.handle(component.topic, 1, "AUX", _delivered("AUX", {"round": 0, "value": 0}))
-        assert component.collected_votes == [] and component._rounds == {}
+        vote = make_vote(replicas[1], self.CONTEXT, 1, VoteKind.AUX, value_digest(0))
         component.handle(component.topic, 1, "AUX", _delivered("AUX", {"vote": vote.to_payload()}))
+        component.handle(component.topic, 2, "BVAL", _delivered("BVAL", {"value": 1}))
+        assert component.collected_votes == [] and component._rounds == {}
+        component.handle(component.topic, 1, "AUX", _delivered("AUX", {"round": 1, "value": 0}))
+        assert component.collected_votes == [] and component._rounds == {}
+        component.handle(
+            component.topic, 1, "AUX", _delivered("AUX", {"round": 1, "vote": vote.to_payload()})
+        )
         assert component.collected_votes == [vote]
-        assert component._rounds[0].aux_votes == {1: vote}
-        assert component._rounds[0].aux_counts == [1, 0]
-        component.handle(component.topic, 2, "BVAL", _delivered("BVAL", {}))
-        assert list(component._rounds) == [0]
-        assert component._rounds[0].bval_received == ({2}, set())
+        assert component._rounds[1].aux_votes == {1: vote}
+        assert component._rounds[1].aux_counts == [1, 0]
+        component.handle(component.topic, 2, "BVAL", _delivered("BVAL", {"round": 1}))
+        assert list(component._rounds) == [1]
+        assert component._rounds[1].bval_received == ({2}, set())
+        simulator.run()
+        assert seen == []
 
     @confused(CONFUSED_CERTIFICATES)
     def test_handle_decide_drops_a_confused_certificate(self, confusion):
@@ -353,24 +364,20 @@ class TestAccountability:
         assert sorted(change.pofs) == [3]
 
     @staticmethod
-    def _catchup_block(replica, instance, confuse=None):
-        """The block ``_send_catchup`` builds for ``instance``, slot 0's
-        certificate optionally confused."""
-        decision = replica.instances[instance].decision
-        certificates = {
-            slot: certificate.to_payload()
-            for slot, certificate in decision.binary_certificates.items()
+    def _catchup(replica, instances, joined, **fields):
+        """The CATCHUP ``replica`` sends a standby included into ``joined``
+        after ``instances`` were decided, ``fields`` overriding."""
+        records = replica.history.records
+        body = {
+            "records": [records[k].decision.to_record(0, proposals=True) for k in instances],
+            "cursor": None,
+            "epoch": 1,
+            "committees": {0: [0, 1, 2, 3], 1: joined},
+            "excluded": [],
+            "target_instances": len(instances),
+            "next_instance": len(instances),
         }
-        if confuse is not None:
-            certificates[0] = confuse(certificates[0])
-        return {
-            "instance": instance,
-            "digest": decision.digest,
-            "bitmask": dict(decision.bitmask),
-            "proposals": dict(decision.proposals),
-            "binary_certificates": certificates,
-            "committee": [0, 1, 2, 3],
-        }
+        return {**body, **fields}
 
     @staticmethod
     def _standby(simulator, replicas, standby_id):
@@ -382,93 +389,104 @@ class TestAccountability:
             standby=True,
         )
         simulator.add_process(standby)
+        standby.probe = Probe(metrics=TelemetryRegistry())
         return standby
 
-    @confused(CONFUSED_CERTIFICATES)
-    def test_handle_catchup_skips_a_confused_certificate(self, confusion):
-        simulator, replicas, seen = decided_asmr_committee()
-        block = self._catchup_block(replicas[1], 0, CONFUSED_CERTIFICATES[confusion])
-        body = {"blocks": [block], "epoch": 0, "committee": [0, 1, 2, 3]}
-        del seen[:]
-        before = (replicas[0].epoch, replicas[0].committee(), replicas[0].decided_instances())
-        replicas[0].history.join(_delivered("CATCHUP", body))
+    @staticmethod
+    def _send(simulator, sender, standby_id, body):
+        sender.emit_to(
+            standby_id, ASMRReplica.CATCHUP_TOPIC, "CATCHUP", _delivered("CATCHUP", body)
+        )
         simulator.run()
-        assert replicas[0].history.catchup_completed_at is not None
-        # A certificate that does not parse is an invalid one: the block's
-        # three good certificates do not make it a verified block.
-        assert replicas[0].history.catchup_blocks_verified == 0
-        after = (replicas[0].epoch, replicas[0].committee(), replicas[0].decided_instances())
-        assert after == before and seen == []
 
-    def test_catchup_counts_only_blocks_whose_certificates_all_parse(self):
-        """Two decided blocks reach a standby over the wire, the second with
-        a type-confused certificate: one block verifies, nothing raises, and
-        the standby still joins.  The same body untouched verifies both."""
+    @confused(CONFUSED_CERTIFICATES)
+    def test_a_record_with_a_confused_certificate_proves_nothing(self, confusion):
+        """The first member's record of instance 0 carries a type-confused
+        certificate: it is dropped and counted, and the standby takes the
+        instance from the second member's good record."""
+        simulator, replicas, _ = decided_asmr_committee()
+        standby = self._standby(simulator, replicas, 4)
+        joined = [0, 1, 2, 3, 4]
+        bad = self._catchup(replicas[1], [0], joined)
+        certificates = bad["records"][0]["binary_certificates"]
+        bad["records"][0]["binary_certificates"] = {
+            **certificates, 0: CONFUSED_CERTIFICATES[confusion](certificates[0])
+        }
+        self._send(simulator, replicas[1], 4, bad)
+        assert standby.standby and standby.decided_instances() == []
+        self._send(simulator, replicas[2], 4, self._catchup(replicas[2], [0], joined))
+        counters = standby.probe.metrics.snapshot()["counters"]
+        assert counters.get("asmr.dropped_records") == 1
+        assert not standby.standby and standby.decided_instances() == [0]
+        assert standby.instances[0].decision.digest == replicas[1].instances[0].decision.digest
+
+    def test_a_bad_record_is_dropped_and_counted_and_the_joiner_joins_from_the_good_ones(self):
+        """Two decided instances reach a standby over the wire, the second
+        record with a type-confused certificate in both members' CATCHUPs:
+        both are dropped and counted, nothing raises, and the standby joins
+        holding instance 0 — in the committee, epoch and cursor t + 1
+        members sent, not before."""
         simulator, replicas, _ = decided_asmr_committee()
         for replica in replicas:
             replica.submit_instances(1)
         simulator.run()
         assert all(replica.decided_instances() == [0, 1] for replica in replicas)
         confuse = CONFUSED_CERTIFICATES["entry signature is a str"]
-        for standby_id, second_block, verified in (
-            (4, self._catchup_block(replicas[1], 1, confuse), 1),
-            (5, self._catchup_block(replicas[1], 1), 2),
-        ):
-            joined = [0, 1, 2, 3, standby_id]
-            standby = self._standby(simulator, replicas, standby_id)
-            body = {
-                "blocks": [self._catchup_block(replicas[1], 0), second_block],
-                "epoch": 1,
-                "committee": joined,
-                "target_instances": 2,
-                "next_instance": 2,
+        standby = self._standby(simulator, replicas, 4)
+        joined = [0, 1, 2, 3, 4]
+        for sender in replicas[1:3]:
+            body = self._catchup(sender, [0, 1], joined)
+            certificates = body["records"][1]["binary_certificates"]
+            body["records"][1]["binary_certificates"] = {
+                **certificates, 0: confuse(certificates[0])
             }
-            replicas[1].emit_to(
-                standby_id, ASMRReplica.CATCHUP_TOPIC, "CATCHUP", _delivered("CATCHUP", body)
-            )
-            simulator.run()
-            assert standby.history.catchup_completed_at is not None
-            assert standby.history.catchup_blocks_verified == verified
-            assert not standby.standby
-            assert (standby.epoch, standby.committee(), standby.next_instance) == (1, joined, 2)
+            self._send(simulator, sender, 4, body)
+            # One member is not t + 1 of a committee of five.
+            assert standby.standby == (sender is replicas[1])
+        counters = standby.probe.metrics.snapshot()["counters"]
+        assert counters.get("asmr.dropped_records") == 2
+        assert standby.decided_instances() == [0] and standby.history.next_commit == 1
+        assert (standby.epoch, standby.committee(), standby.target_instances) == (1, joined, 2)
+        assert standby.history.catchup_completed_at is not None
+
+    def test_a_view_needs_t_plus_one_members_of_its_committee(self):
+        """A CATCHUP from a replica outside the committee it names is dropped;
+        two members naming different views each stay one of two."""
+        simulator, replicas, _ = decided_asmr_committee()
+        standby = self._standby(simulator, replicas, 4)
+        joined = [0, 1, 2, 3, 4]
+        self._send(simulator, replicas[3], 4, self._catchup(replicas[3], [0], [0, 1, 2, 4, 5]))
+        self._send(simulator, replicas[1], 4, self._catchup(replicas[1], [0], joined))
+        self._send(simulator, replicas[2], 4, self._catchup(replicas[2], [0], joined, excluded=[3]))
+        counters = standby.probe.metrics.snapshot()["counters"]
+        assert counters.get("asmr.dropped_catchups") == 1
+        assert standby.standby and standby.decided_instances() == []
+        self._send(simulator, replicas[0], 4, self._catchup(replicas[0], [0], joined))
+        assert not standby.standby and standby.decided_instances() == [0]
 
     @confused(MALFORMED_CATCHUPS)
     def test_a_malformed_catchup_is_dropped_before_the_standby_changes(self, confusion):
-        """A CATCHUP of any other shape used to raise half way through the
-        join — fatal to a simulator run — after the catch-up was marked
-        complete, so the standby never read a good one.  It is dropped and
-        counted before anything changes, and the good one still joins."""
+        """A CATCHUP of any other shape is dropped and counted before
+        anything changes, and the good ones still join."""
         simulator, replicas, _ = decided_asmr_committee()
         standby = self._standby(simulator, replicas, 4)
-        standby.probe = Probe(metrics=TelemetryRegistry())
-        good = {
-            "blocks": [self._catchup_block(replicas[1], 0)],
-            "epoch": 1,
-            "committee": [0, 1, 2, 3, 4],
-            "target_instances": 1,
-            "next_instance": 1,
-        }
+        good = self._catchup(replicas[1], [0], [0, 1, 2, 3, 4])
 
         def state():
             history = standby.history
             return (
                 standby.standby, standby.epoch, standby.committee(), standby.target_instances,
                 standby.next_instance, history.next_commit, history.catchup_completed_at,
-                history.catchup_blocks_verified,
             )  # fmt: skip
 
         before = state()
-        for body in (MALFORMED_CATCHUPS[confusion](good), good):
-            replicas[1].emit_to(
-                4, ASMRReplica.CATCHUP_TOPIC, "CATCHUP", _delivered("CATCHUP", body)
-            )
-            simulator.run()
-            if body is not good:
-                assert state() == before
+        self._send(simulator, replicas[1], 4, MALFORMED_CATCHUPS[confusion](good))
+        assert state() == before
+        for sender in replicas[1:3]:
+            self._send(simulator, sender, 4, good)
         counters = standby.probe.metrics.snapshot()["counters"]
         assert counters.get("asmr.dropped_catchups") == 1
         assert state()[:6] == (False, 1, [0, 1, 2, 3, 4], 1, 1, 1)
-        assert standby.history.catchup_blocks_verified == 1
 
 
 #: name -> a genuine fetched record -> one that proves nothing.

@@ -4,9 +4,22 @@ import pytest
 
 from repro.common.types import FaultKind
 from repro.consensus.sbc import SetByzantineConsensus
-from repro.network.delays import UniformDelay
+from repro.network.delays import ConstantDelay, UniformDelay
+from repro.obs.core import Probe
+from repro.obs.metrics import TelemetryRegistry
 
-from tests.consensus.harness import build_cluster, decided_asmr_committee, router_tables
+from collections import Counter
+
+from repro.common.config import FaultConfig
+from repro.zlb.system import ZLBSystem
+
+from tests.consensus.harness import (
+    build_cluster,
+    decided_asmr_committee,
+    of_kind,
+    router_tables,
+    tap,
+)
 
 
 def _attach_sbc(replicas, instance, decisions, validator=None):
@@ -83,6 +96,40 @@ class TestSBCBasics:
         assert sorted(record["rbc_certificates"]) == decision.included_slots()
         assert "proposals" not in record
         assert decision.to_record(3, proposals=True)["proposals"] == decision.proposals
+
+
+class TestOneRoundInABenignInstance:
+    def test_every_slot_decides_in_round_one(self):
+        """Rounds start at 1, whose fallback is 1: in a fault-free n = 4
+        deployment where every proposal arrives in time, every binary
+        consensus of every instance decides 1 in its first round, and each
+        replica sends each slot one BVAL and one AUX."""
+        system = ZLBSystem.create(
+            FaultConfig(n=4),
+            seed=1,
+            delay=ConstantDelay(0.01),
+            workload_transactions=40,
+            batch_size=10,
+            probe=Probe(metrics=TelemetryRegistry()),
+        )
+        replicas = list(system.replicas.values())
+        seen = tap(replicas)
+        result = system.run_instances(2)
+        assert not result.violations
+        rounds = result.telemetry["histograms"]["consensus.binary.rounds"]
+        assert rounds["count"] == 2 * 4 * 4 and rounds["max"] == 1
+        for replica in system.honest_replicas():
+            for sbc in replica._sbc.values():
+                assert sbc.decision.bitmask == {slot: 1 for slot in range(4)}
+                assert {binary.round for binary in sbc._binary.values()} == {1}
+        for kind in ("BVAL", "AUX"):
+            sent = Counter(
+                (message.sender, message.topic, message.body["round"])
+                for message in of_kind(seen, kind)
+            )
+            # 2 instances x 4 slots x 4 senders, each delivered to 4 members.
+            assert len(sent) == 2 * 4 * 4 and set(sent.values()) == {4}
+            assert {round_number for _, _, round_number in sent} == {1}
 
 
 class TestSBCFaultTolerance:

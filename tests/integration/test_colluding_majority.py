@@ -105,11 +105,6 @@ class TestColludingMajorityRecovery:
         honest = [replica for replica in system.honest_replicas() if replica.replica_id < 9]
         assert len({r.blockchain.record.state_digest() for r in honest}) == 1
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="a joiner starts from genesis: catch-up does not ship the chain "
-        "yet (ROADMAP item 1 (c))",
-    )
     def test_the_final_committee_ends_on_one_ledger(self, attack_run):
         _, system, result = attack_run
         digests = {

@@ -70,7 +70,9 @@ def test_rbbcast_cell_pulls_each_conflicting_proposal_once_and_stays_green():
     for replica in system.honest_replicas():
         for record in replica.instances.values():
             assert record.pending_merges == []
-            assert set(record.pulled) == set(record.pulls_asked)
+            # A joiner took what it merged from its catch-up: it asked nobody.
+            if replica.replica_id < system.fault_config.n:
+                assert set(record.pulled) == set(record.pulls_asked)
         if replica.history.disagreed:
             assert replica.blockchain.merge_outcomes
             merged += 1

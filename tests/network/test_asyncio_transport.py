@@ -12,7 +12,9 @@ import struct
 
 import pytest
 
-from repro.network.asyncio_transport import AsyncioTransport, Endpoint
+from repro.network.asyncio_transport import PENDING_PER_PEER, AsyncioTransport, Endpoint
+from repro.obs.core import Probe
+from repro.obs.metrics import TelemetryRegistry
 from repro.network.transport import Process, Transport
 
 
@@ -148,6 +150,29 @@ class TestAsyncioTransport:
                 assert [g[:2] for g in p1.got] == [(0, "EARLY")]
             finally:
                 await _close_all([t0, t1])
+
+        asyncio.run(scenario())
+
+    def test_a_peer_that_never_dials_holds_a_bounded_queue(self, tmp_path):
+        """Frames to a peer this node has not dialed queue up to
+        ``PENDING_PER_PEER``; each one past it is dropped and counted, in
+        ``messages_dropped`` and ``net.messages_dropped`` alike."""
+
+        async def scenario():
+            telemetry = TelemetryRegistry()
+            t0 = AsyncioTransport(0, _uds_endpoints(tmp_path, 2), probe=Probe(metrics=telemetry))
+            p0 = Recorder(0)
+            t0.add_process(p0)
+            await t0.start()
+            try:
+                for x in range(PENDING_PER_PEER + 3):
+                    p0.send_to(1, "proto", "EARLY", {"x": x})
+                assert len(t0._pending[1]) == PENDING_PER_PEER
+                assert t0.messages_dropped == 3 and t0.messages_sent == PENDING_PER_PEER + 3
+                dropped = telemetry.snapshot()["counters"]
+                assert sum(v for k, v in dropped.items() if k.startswith("net.messages_dropped")) == 3
+            finally:
+                await t0.close()
 
         asyncio.run(scenario())
 

@@ -525,7 +525,7 @@ def _messages_of_every_kind():
     )
     replicas[0]._broadcast_pofs([ProofOfFraud(culprit=3, first=first, second=second)])
     simulator.run()
-    replicas[0].history.send_catchup(1)
+    replicas[0].history.send_catchup([1])
     simulator.run()
     messages = {}
     for message in seen:
@@ -651,8 +651,9 @@ class TestDepthBound:
     """One nesting bound for both halves, far above any frame the protocol sends."""
 
     def test_deepest_frame_of_every_kind(self, frames, monkeypatch):
-        # A CATCHUP nests deepest: envelope, body, blocks, block, proposals,
-        # one proposal, transaction, its payload, inputs, input, its payload.
+        # A CATCHUP nests deepest: envelope, body, records, record,
+        # proposals, one proposal, transaction, its payload, inputs, input,
+        # its payload.
         depths = {kind: _depth(frame, monkeypatch) for kind, frame in frames.items()}
         assert depths == {
             "INIT": 8,
@@ -707,11 +708,14 @@ def _init_of_50_transfers():
 #: ``size_bytes()`` and the sha256 of each frame, as the recursive codec wrote
 #: them; the single-pass walks must write every byte the same.  CONFIRM was
 #: re-pinned when its body became ``SBCDecision.to_record``, which adds the
-#: epoch the instance was decided in (3 072 B before).
+#: epoch the instance was decided in (3 072 B before).  AUX and BVAL were
+#: re-pinned when binary rounds started at 1 (their round field), CATCHUP
+#: when it began to carry decision records, a cursor and the view's
+#: committees (7 674 B before).
 WIRE_PINS = {
-    "AUX": (290, "a310a36cd512ea8e3c99e88b620047f7d45b36ba32c7641eec656da8de5d6821"),
-    "BVAL": (62, "feeedfc48148e24de96f36533af08c133c685dd2e74d672a87940f9c673447b2"),
-    "CATCHUP": (7674, "673458c0cf9dfb03297667db8a9f6ff3d9751cc7f77228367737476c80417a4e"),
+    "AUX": (290, "0653cdcae788d997155bcfa981ea213450df607c370dc812dedf0babf8b64e07"),
+    "BVAL": (62, "8c1a16d2c60cd4b720fe7fdf12da29fbbb3da6cd24881f9eebc7e8518134e921"),
+    "CATCHUP": (9305, "28ea759f6c59373d6332067522e0d664adb22b90afa1070c8328aaa7809d9991"),
     "CONFIRM": (3083, "72013884bb2ae032b94241f3f9e4621fdd0df81e5a4fde74ee596d620027b257"),
     "DECIDE": (612, "fb67a65375d5873fcf56c5e94a2f80af61e3f77b5f63fda210c8c7e7160ef535"),
     "ECHO": (351, "332c3e6f7d838358d9b1e735bd4da213d81c3278b2773a81fa30e3464409585b"),

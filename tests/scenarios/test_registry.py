@@ -55,7 +55,6 @@ class TestLibrary:
         for name in (
             "fig3",
             "fig4",
-            "fig5",
             "fig6",
             "table1",
             "appendix-b",
@@ -70,7 +69,7 @@ class TestLibrary:
             assert name in names
 
     def test_full_scale_grids_strictly_larger(self):
-        for name in ("fig4", "fig5", "fig6", "sec53", "table1"):
+        for name in ("fig4", "fig6", "sec53", "table1"):
             family = registry.get_family(name)
             assert len(family.expand("full")) > len(family.expand("small"))
 

@@ -43,7 +43,7 @@ class TestHash:
             _attack_spec(cross_partition_delay="500ms"),
             _attack_spec(instances=3),
             _attack_spec(max_time=600.0),
-            _attack_spec(family="fig5"),
+            _attack_spec(family="fig6"),
             _attack_spec(params={"rounds": 3}),
         ]
         hashes = {base.spec_hash} | {variant.spec_hash for variant in variants}
@@ -93,7 +93,6 @@ class TestInstrumentLevel:
         "crash-recovery": ("f41174b9a7270d66", "44fe79728017edaf"),
         "fig3": ("1c7c35d3a5b5938d", "2e3987b940c04c20"),
         "fig4": ("74968f1e29bfd865", "c9f4a71317c9c39a"),
-        "fig5": ("3187838de4dfcd1f", "6655e2e9ab716c01"),
         "fig6": ("69eba215b337db7c", "bad1828daabf005d"),
         "jitter-stress": ("4ad8ceb3895f5feb", "46c77cb69910373c"),
         "quickstart": ("5252b4d87f0c3d8a", "5252b4d87f0c3d8a"),

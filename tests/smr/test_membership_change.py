@@ -249,8 +249,10 @@ class TestEarlyInclusionTraffic:
         # (before PR 24: ``membership_change = None``, same effect), so
         # replica 0 — which never hears replica 3 — decides the exclusion,
         # proposes to an inclusion consensus nobody runs any more and cannot
-        # fetch slot 3's value.  A known gap (ROADMAP item 1 (c)), pinned so a
-        # change to it is seen; the catch-up of a late member is its fix.
+        # fetch slot 3's value.  A known gap (ROADMAP item 1 (e)), pinned so a
+        # change to it is seen.  Catch-up does not mend it: it serves the
+        # replicas a change included, and replica 0 is a member that needs
+        # the change's outcome, which nothing sends it yet.
         culprits = (4, 5, 6)
         simulator, replicas, changes, pofs = _replicas(
             7, culprits, lambda rid: (5, 6) if rid == 0 else culprits

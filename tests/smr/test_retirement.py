@@ -41,12 +41,14 @@ def _counters(replica):
 
 #: The 300-instance cell at the commit before retirement: every signature
 #: verdict and vote-statement digest was still cached at the end, and these
-#: were its outputs.
+#: were its outputs.  Its schedule, re-recorded when binary rounds started at
+#: 1 (before: 137 294 messages, 857 committed, head ``e4910a2c…``); the memo
+#: sizes are the bounds' base and stay the pre-retirement ones.
 PARENT_VERIFIED = 19_280
 PARENT_VOTE_DIGESTS = 6_920
-PARENT_MESSAGES_SENT = 137_294
-PARENT_COMMITTED = 857
-PARENT_HEAD = "e4910a2c88229016958bf8d882b7909fe1c96a7b532dc4b2d6549abac4b9d1ae"
+PARENT_MESSAGES_SENT = 118_098
+PARENT_COMMITTED = 818
+PARENT_HEAD = "f74c958491e733cfff2c645dd7ee8980b07e1a372d1d63db92636a12d64b4a2d"
 
 
 def _window_cell():
