@@ -368,7 +368,8 @@ class ASMRReplica(BaseReplica):
             self._fetch(gap)
         self._maybe_start_next_instance()
         horizon = decision.instance - self.finalization_blockdepth
-        if horizon >= 0:
+        # A record a joiner caught up on is history: it moves no horizon.
+        if horizon >= 0 and decision.instance >= history.live_from:
             history.retire(horizon, self._sbc)
             depth = self.finalization_blockdepth
             self._registry.retire(horizon, depth)
@@ -430,10 +431,17 @@ class ASMRReplica(BaseReplica):
         if sender in record.conflicting_senders:
             return
         record.conflicting_senders.add(sender)
+        self._disagree(record, sender, body)
+        self._extract_pofs_from_confirm(record, body)
+
+    def _disagree(self, record: InstanceRecord, sender: ReplicaId, body: Dict[str, Any]) -> None:
+        """``body`` records another decision of ``record``'s instance, from
+        ``sender``: note the disagreement and merge the decision (⑤)."""
+        instance, remote_digest = record.instance, body.get("digest")
         if not record.conflicting_digests:
             self.log.info(
                 "disagreement on instance %s: remote %s decided %s, local %s",
-                instance, sender, remote_digest, local.digest,
+                instance, sender, remote_digest, record.decision.digest,
             )  # fmt: skip
             probe = self.probe
             if probe is not None:
@@ -448,7 +456,6 @@ class ASMRReplica(BaseReplica):
         record.conflicting_digests.add(str(remote_digest))
         self._record_disagreeing_slots(record, body)
         self._reconcile(record, sender, body)
-        self._extract_pofs_from_confirm(record, body)
 
     def _decided_in_older_epoch(
         self, record: Optional[InstanceRecord], sender: ReplicaId, body: Dict[str, Any]

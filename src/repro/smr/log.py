@@ -47,12 +47,16 @@ instances, each as the record a fetch is answered with
 (:meth:`~repro.consensus.sbc.SBCDecision.to_record` and its proposals)
 followed by the records of the conflicting decisions merged into it.  A
 ``cursor`` names the instance the rest starts at; the joiner asks the first
-member it heard from for it (``MORE``), one chunk at a time.  The joiner
-takes the view once ``t + 1`` members of the committee it names sent the same
-one, and every record that proves its decision against the committee of its
-epoch: one for an instance it holds no decision for is adopted as a fetched
-one is, one that proves another decision is merged into it.  Then it
-punishes the excluded replicas and runs the instances the committee runs.
+member it heard from for it (``MORE``), one chunk at a time, and fetches the
+rest instance by instance if a chunk is :data:`CATCHUP_WAIT_S` late.  The
+joiner takes a view that agrees with every committee it knows once ``t + 1``
+members of the newest of them (the genesis committee, for a standby) sent the
+same one, and every record that proves its decision against the committee of
+its epoch: one for an instance it holds no decision for is adopted as a
+fetched one is, one that proves another decision is a conflict, merged as a
+conflicting CONFIRM is.  Then it punishes the excluded replicas and runs the
+instances the committee runs.  The records it caught up on are history:
+they retire nothing and age no memo.
 """
 
 from __future__ import annotations
@@ -67,6 +71,10 @@ from repro.consensus.sbc import SBCDecision, decision_from_record
 
 #: Decided instances one CATCHUP carries at most (see "Catch-up").
 CATCHUP_RECORDS = 16
+
+#: How long a joiner waits for the chunk a ``MORE`` asked for before it
+#: fetches the rest of the history instance by instance.
+CATCHUP_WAIT_S = 2.0
 
 
 @dataclass
@@ -148,9 +156,10 @@ class DecisionLog:
     reads the replica's (``host``) clock, probe, id, topics and committee,
     and calls back into it for ``on_commit`` (read at each commit),
     ``_run_ready_merges``, ``_on_sbc_decided`` (an adopted record),
-    ``_handle_confirm`` (a record proving another decision) and ``emit_to``;
-    a standby's :meth:`join` also sets its view and calls ``update_committee``
-    and ``_maybe_start_next_instance``.
+    ``_handle_confirm`` (a fetched record proving another decision) and ``emit_to``;
+    a standby's :meth:`join` also sets its view and calls ``update_committee``,
+    ``_disagree`` (a caught-up record proving another decision),
+    ``_maybe_start_next_instance`` and ``_fetch`` (what its catch-up left).
     """
 
     def __init__(self, host: Any, committee: List[ReplicaId]) -> None:
@@ -174,9 +183,14 @@ class DecisionLog:
         self._waiting_fetches: Dict[int, Set[ReplicaId]] = {}
         #: A standby's first CATCHUP from each member, with the view it
         #: names, until ``t + 1`` name the same one; then the member that
-        #: answers its ``MORE``.
+        #: answers its ``MORE`` while a chunk is due, and the timer of the
+        #: wait for it.
         self._catchups: Dict[ReplicaId, Tuple[Tuple[Any, ...], Dict[str, Any]]] = {}
         self._catchup_source: Optional[ReplicaId] = None
+        self._source_wait: Optional[int] = None
+        #: The first instance this replica ran live: a joiner's catch-up
+        #: holds the ones below it (0 for a founding member).
+        self.live_from = 0
         #: Joiners this replica sent a catch-up, and the cursor each may ask
         #: for next.
         self._joiners: Dict[ReplicaId, Optional[int]] = {}
@@ -217,8 +231,7 @@ class DecisionLog:
     def undecided(self, last: int) -> List[InstanceRecord]:
         """The records of ``next_commit`` .. ``last`` with no decision, in
         instance order.  None lies below ``next_commit``: :meth:`commit`
-        moves past decided records only, and a standby's :meth:`join` past
-        instances it never started (it holds adopted, decided ones at most)."""
+        moves past decided records only (a joiner's, adopted ones too)."""
         records = self.records
         return [
             record
@@ -259,11 +272,14 @@ class DecisionLog:
         (a PULL that wants nothing named), once per instance: those of
         ``candidates`` (the senders of its parked CONFIRMs) that are members
         of an epoch this replica knows first, then the committee in id order.
-        Nothing is fetched below ``next_commit`` or for a decided instance."""
+        Nothing is fetched below ``next_commit``, for a decided instance, or
+        below :attr:`live_from` while a catch-up chunk is due: it carries it."""
         host = self._host
         record = self.records.get(instance)
         decided = record is not None and record.decision is not None
         if decided or instance in self._fetches or instance < self.next_commit:
+            return
+        if self._catchup_source is not None and instance < self.live_from:
             return
         committee = record.committee if record is not None else tuple(host.committee())
         members = set(committee).union(*self.epoch_committees.values())
@@ -311,35 +327,41 @@ class DecisionLog:
 
     def fetched(self, sender: ReplicaId, body: Dict[str, Any], live: Dict[int, Any]) -> None:
         """A fetched decision record: one answer per member asked.  The first
-        that proves its decision (``decision_from_record``, against the
-        committee of the epoch it names) is adopted; a later one that proves
-        a different decision is a conflicting confirmation.  Anything else is
-        dropped and counted, and the gap stays open."""
-        host = self._host
+        that proves its decision (:meth:`_prove`) is adopted; a later one that
+        proves a different decision is a conflicting confirmation.  Anything
+        else is dropped and counted, and the gap stays open."""
         instance = body.get("instance")
         asked = self._fetches.get(instance) if type(instance) is int else None
-        epoch = body.get("epoch")
-        committee = self.epoch_committees.get(epoch) if type(epoch) is int else None
         decision = None
         if asked is not None and sender in asked:
             asked.discard(sender)
-            if committee is not None:
-                topic = host.SBC_ROOT.child(epoch, instance)
-                decision = decision_from_record(host, body, committee, topic)
+            decision = self._prove(body)
+        elif self._host.probe is not None:
+            self._host.probe.count("asmr.dropped_records")
         if decision is None:
-            if host.probe is not None:
-                host.probe.count("asmr.dropped_records")
             return
         record = self.records.get(instance)
-        if record is not None and record.decision is not None:
-            if record.decision.digest != decision.digest:
-                host._handle_confirm(sender, body)
-            return
-        self.adopt(decision, epoch, committee, live)
+        if record is None or record.decision is None:
+            self.adopt(decision, body["epoch"], live)
+        elif record.decision.digest != decision.digest:
+            self._host._handle_confirm(sender, body)
 
-    def adopt(
-        self, decision: SBCDecision, epoch: int, committee: Tuple[ReplicaId, ...], live: Dict
-    ) -> None:
+    def _prove(self, body: Dict[str, Any]) -> Optional[SBCDecision]:
+        """The decision a peer's record proves against the committee of the
+        epoch it names (:func:`~repro.consensus.sbc.decision_from_record`);
+        None, dropped and counted, when it proves nothing."""
+        host = self._host
+        instance, epoch = body.get("instance"), body.get("epoch")
+        committee = self.epoch_committees.get(epoch) if type(epoch) is int else None
+        decision = None
+        if committee is not None and type(instance) is int:
+            topic = host.SBC_ROOT.child(epoch, instance)
+            decision = decision_from_record(host, body, committee, topic)
+        if decision is None and host.probe is not None:
+            host.probe.count("asmr.dropped_records")
+        return decision
+
+    def adopt(self, decision: SBCDecision, epoch: int, live: Dict) -> None:
         """Decide ``decision``, a peer's proven one, as if the local SBC had:
         the instance's SBC (if any) leaves ``live`` and detaches, and the
         record takes the epoch and committee the decision was reached in."""
@@ -347,6 +369,7 @@ class DecisionLog:
         component = live.pop(instance, None)
         if component is not None:
             component.detach()
+        committee = self.epoch_committees[epoch]
         record = self.records.get(instance) or self.open(instance, epoch, committee)
         record.epoch, record.committee, record.aborted = epoch, committee, False
         host = self._host
@@ -393,28 +416,39 @@ class DecisionLog:
 
     def join(self, sender: ReplicaId, body: Dict[str, Any], live: Dict[int, Any]) -> None:
         """Read a CATCHUP (see "Catch-up"): a standby parks the first of each
-        member of the committee it names until ``t + 1`` name the same view,
-        then joins; a joined replica takes the records of its source's next
-        chunk.  A body of another shape, from a non-member, or reaching a
-        replica that is neither is dropped and counted."""
+        sender until ``t + 1`` members of the newest committee it knows name
+        the same view, then joins; a joined replica takes the records of the
+        chunk its ``MORE`` asked its source for.  A body of another shape,
+        one naming a committee this replica knows otherwise, from a sender
+        that is not a member of both committees, or reaching a replica that
+        is neither a standby in the committee named nor waiting on the
+        sender's chunk is dropped and counted."""
         host = self._host
         view = _view(body)
         if view is not None and host.standby:
             epoch, committees, excluded = view
-            committee = dict(committees)[epoch]
-            if sender in committee and host.replica_id in committee:
+            named = dict(committees)
+            known = self.epoch_committees
+            anchor = known[max(known)]
+            if (
+                all(named.get(number) == ids for number, ids in known.items())
+                and sender in anchor
+                and sender in named[epoch]
+                and host.replica_id in named[epoch]
+            ):
                 self._catchups.setdefault(sender, (view, body))
                 bodies = {
                     member: parked
-                    for member, (named, parked) in self._catchups.items()
-                    if named == view
+                    for member, (viewed, parked) in self._catchups.items()
+                    if viewed == view
                 }
-                if len(bodies) > byzantine_tolerance(len(committee)):
+                if len(bodies) > byzantine_tolerance(len(anchor)):
                     self._join(view, bodies, live)
                 return
         elif view is not None and sender == self._catchup_source:
-            self._take_records(body["records"], live)
-            self._ask_for_more(sender, body)
+            host.transport.cancel(self._source_wait)
+            self._take_records(sender, body["records"], live)
+            self._ask_for_more(sender, body["cursor"])
             return
         if host.probe is not None:
             host.probe.count("asmr.dropped_catchups")
@@ -422,7 +456,7 @@ class DecisionLog:
     def _join(self, view: Tuple[Any, ...], bodies: Dict[ReplicaId, Dict[str, Any]], live: Dict) -> None:
         """Join in ``view``, which ``bodies`` (sender -> CATCHUP) name: take
         their records, punish the excluded replicas, run the committee's
-        instances."""
+        instances from the first one a sender's history does not hold."""
         host = self._host
         epoch, committees, excluded = view
         self._catchups = {}
@@ -434,60 +468,66 @@ class DecisionLog:
         host.target_instances = max(
             host.target_instances, min(body["target_instances"] for body in bodies.values())
         )
-        host.next_instance = max(
-            host.next_instance, min(body["next_instance"] for body in bodies.values())
-        )
-        for body in bodies.values():
-            self._take_records(body["records"], live)
+        self.live_from = min(body["next_instance"] for body in bodies.values())
+        host.next_instance = max(host.next_instance, self.live_from)
+        for sender, body in bodies.items():
+            self._take_records(sender, body["records"], live)
         if excluded and host.on_exclude is not None:
             host.on_exclude(list(excluded))
         host.standby = False
-        self._catchup_source = source = next(iter(bodies))
-        self._ask_for_more(source, bodies[source])
+        source = next(iter(bodies))
+        self._ask_for_more(source, bodies[source]["cursor"])
         host._maybe_start_next_instance()
         host._fetch_decided_in_older_epochs()
 
-    def _ask_for_more(self, source: ReplicaId, body: Dict[str, Any]) -> None:
+    def _ask_for_more(self, source: ReplicaId, cursor: Optional[int]) -> None:
+        """Ask ``source`` for the chunk at ``cursor``; with none, the catch-up
+        is complete and what it left undecided is fetched."""
         host = self._host
-        if body["cursor"] is None:
+        if cursor is None:
             self._catchup_source = None
             self.catchup_completed_at = host.now
+            self._fetch_history()
         else:
-            host.emit_to(source, host.CATCHUP_TOPIC, "MORE", {"cursor": body["cursor"]})
+            self._catchup_source = source
+            host.emit_to(source, host.CATCHUP_TOPIC, "MORE", {"cursor": cursor})
+            self._source_wait = host.set_timer(CATCHUP_WAIT_S, self._source_stalled)
 
-    def _take_records(self, records: List[Dict[str, Any]], live: Dict) -> None:
+    def _source_stalled(self) -> None:
+        """The source did not answer a ``MORE`` in time: fetch the rest."""
+        self._catchup_source = None
+        self._fetch_history()
+
+    def _fetch_history(self) -> None:
+        """Fetch each instance below :attr:`live_from` still undecided here."""
+        for instance in range(self.next_commit, self.live_from):
+            self._host._fetch(instance)
+
+    def _take_records(self, sender: ReplicaId, records: List[Dict[str, Any]], live: Dict) -> None:
         """Adopt each record that proves a decision for an instance with none
-        here; merge each that proves another decision for one decided here.
-        A record already held costs a digest comparison; one that proves
-        nothing is dropped and counted."""
+        here; one that proves another decision is a conflict, merged as a
+        conflicting CONFIRM is, with the proposals it carries.  A record
+        already held costs a digest comparison."""
         host = self._host
         for body in records:
-            instance, epoch, digest = body.get("instance"), body.get("epoch"), body.get("digest")
+            instance, digest = body.get("instance"), body.get("digest")
             record = self.records.get(instance) if type(instance) is int else None
             decided = record is not None and record.decision is not None
             if decided and (
-                digest == record.decision.digest
-                or any(other.get("digest") == digest for other in record.pending_merges)
-                or any(other.get("digest") == digest for other in record.merged)
+                digest == record.decision.digest or digest in record.conflicting_digests
             ):
                 continue
-            committee = self.epoch_committees.get(epoch) if type(epoch) is int else None
-            decision = None
-            if committee is not None and type(instance) is int:
-                topic = host.SBC_ROOT.child(epoch, instance)
-                decision = decision_from_record(host, body, committee, topic)
+            decision = self._prove(body)
             if decision is None:
-                if host.probe is not None:
-                    host.probe.count("asmr.dropped_records")
-            elif not decided:
-                self.adopt(decision, epoch, committee, live)
-            elif host.on_merge is not None:
-                local = record.decision.proposal_digests
-                for slot, proposal_digest in decision.proposal_digests.items():
-                    if local.get(slot) != proposal_digest:
-                        record.pulled[(slot, proposal_digest)] = decision.proposals[slot]
-                record.pending_merges.append(body)
-                host._run_ready_merges(record)
+                continue
+            if not decided:
+                self.adopt(decision, body["epoch"], live)
+                continue
+            local = record.decision.proposal_digests
+            for slot, proposal_digest in decision.proposal_digests.items():
+                if local.get(slot) != proposal_digest:
+                    record.pulled[(slot, proposal_digest)] = decision.proposals[slot]
+            host._disagree(record, sender, body)
 
     # -- views -------------------------------------------------------------------------
 

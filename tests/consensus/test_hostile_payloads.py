@@ -464,6 +464,37 @@ class TestAccountability:
         self._send(simulator, replicas[0], 4, self._catchup(replicas[0], [0], joined))
         assert not standby.standby and standby.decided_instances() == [0]
 
+    @pytest.mark.parametrize(
+        "committees, dropped",
+        [
+            # Epoch 0's committee rewritten: a view this standby knows is false.
+            ({0: [1, 4]}, 1),
+            # A new epoch of two: one sender is not t + 1 of the genesis four.
+            ({0: [0, 1, 2, 3], 1: [1, 4]}, 0),
+        ],
+    )
+    def test_one_member_cannot_name_the_committee_a_standby_joins(self, committees, dropped):
+        """One member names a committee of itself and the standby, excluding
+        the others: the standby neither joins nor punishes anyone, and still
+        joins the view t + 1 genesis members send."""
+        simulator, replicas, _ = decided_asmr_committee()
+        standby = self._standby(simulator, replicas, 4)
+        punished = []
+        standby.on_exclude = punished.extend
+        forged = self._catchup(
+            replicas[1], [0], [1, 4], committees=committees, epoch=max(committees), excluded=[0, 2, 3]
+        )
+        self._send(simulator, replicas[1], 4, forged)
+        assert standby.standby and standby.decided_instances() == [] and punished == []
+        assert standby.excluded_replicas == set() and standby.committee() == [0, 1, 2, 3]
+        assert standby.history.epoch_committees == {0: (0, 1, 2, 3)}
+        counters = standby.probe.metrics.snapshot()["counters"]
+        assert counters.get("asmr.dropped_catchups", 0) == dropped
+        joined = [0, 1, 2, 3, 4]
+        for sender in replicas[2:4]:
+            self._send(simulator, sender, 4, self._catchup(sender, [0], joined))
+        assert not standby.standby and standby.committee() == joined and punished == []
+
     @confused(MALFORMED_CATCHUPS)
     def test_a_malformed_catchup_is_dropped_before_the_standby_changes(self, confusion):
         """A CATCHUP of any other shape is dropped and counted before

@@ -70,9 +70,11 @@ def test_rbbcast_cell_pulls_each_conflicting_proposal_once_and_stays_green():
     for replica in system.honest_replicas():
         for record in replica.instances.values():
             assert record.pending_merges == []
-            # A joiner took what it merged from its catch-up: it asked nobody.
             if replica.replica_id < system.fault_config.n:
                 assert set(record.pulled) == set(record.pulls_asked)
+            else:
+                # A joiner merges what its catch-up carried: it asks nobody.
+                assert record.pulls_asked == {}
         if replica.history.disagreed:
             assert replica.blockchain.merge_outcomes
             merged += 1

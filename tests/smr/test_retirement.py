@@ -42,8 +42,11 @@ def _counters(replica):
 #: The 300-instance cell at the commit before retirement: every signature
 #: verdict and vote-statement digest was still cached at the end, and these
 #: were its outputs.  Its schedule, re-recorded when binary rounds started at
-#: 1 (before: 137 294 messages, 857 committed, head ``e4910a2c…``); the memo
-#: sizes are the bounds' base and stay the pre-retirement ones.
+#: 1 (before: 137 294 messages, 857 committed, head ``e4910a2c…``).  Replica
+#: 3's proposal misses the zero phase's grace in 288 of the 300 instances
+#: (280 before), and a slot decided 0 now takes two rounds: 912 transfers are
+#: included (920 before) and 94 of them do not apply at commit (63 before).
+#: The memo sizes are the bounds' base and stay the pre-retirement ones.
 PARENT_VERIFIED = 19_280
 PARENT_VOTE_DIGESTS = 6_920
 PARENT_MESSAGES_SENT = 118_098
