@@ -24,11 +24,10 @@ bound :class:`~repro.obs.core.Probe` stamps the active
 (``on_send``), the codec carries it on the wire, deliveries open child spans
 under the decoded context, and timer callbacks restore the context captured
 at ``schedule`` time — so one payment's causal span tree crosses every worker
-process it touches.  The same hooks feed the same counters
-(``net.messages_sent`` and ``net.bytes_sent`` by protocol group and kind,
-``net.messages_delivered``, ``net.messages_dropped``) as the simulator's, so
-snapshots from a real cluster and a simulated run line up column for
-column.
+process it touches.  The same hooks feed the simulator's counters
+(``net.messages_sent`` by protocol group and kind, ``net.messages_delivered``,
+``net.messages_dropped``), and this transport alone adds ``net.bytes_sent``:
+the bytes its frames take, which the simulator never builds.
 """
 
 from __future__ import annotations
@@ -287,10 +286,11 @@ class AsyncioTransport(Transport):
 
     def _count_sent(self, message: Message, count: int) -> None:
         self.messages_sent += count
-        self.bytes_sent += message.size_bytes() * count
+        nbytes = message.size_bytes() * count
+        self.bytes_sent += nbytes
         probe = self.probe
         if probe is not None:
-            probe.on_send(message, self.now, count)
+            probe.on_send(message, self.now, count, nbytes)
 
     def _count_dropped(self, message: Optional[Message], count: int = 1) -> None:
         self.messages_dropped += count

@@ -53,9 +53,9 @@ built deterministically), so content digests of encoded frames are stable.
 Framing for stream transports: :func:`frame_message` prefixes the encoded
 envelope with a 4-byte big-endian length; :data:`FRAME_HEADER_SIZE` is what a
 reader must consume first.  :meth:`Message.size_bytes` reports exactly
-``len(frame_message(message))`` of the *bare* envelope so byte counters in
-telemetry mean the same thing under the simulator and the asyncio backend,
-with tracing enabled or not.
+``len(frame_message(message))`` of the *bare* envelope, traced or not.  Only
+the socket transport counts bytes, from the frames it writes; to size
+simulated traffic, tap deliveries and sum ``size_bytes()``.
 
 Trace propagation: a message whose ``trace_ctx`` is set encodes as a 6-tuple
 whose last element is the ``(trace_id, span_id)`` pair, so causality survives
@@ -421,10 +421,10 @@ def message_frame_size(message: Message) -> int:
     """Frame length of the bare envelope (header plus encoded 5-tuple).
 
     Deliberately excludes the optional trace-context tail: ``size_bytes`` is
-    memoised and feeds telemetry byte counters, which must report the same
-    number whether or not tracing happens to have stamped the message —
-    fixed-seed byte-identity with tracing on/off depends on it.  The traced
-    frame a socket actually writes is a handful of bytes longer.
+    memoised and feeds the socket transport's byte counters, which must
+    report the same number whether or not tracing happens to have stamped the
+    message.  The traced frame a socket actually writes is a handful of bytes
+    longer.
     """
     return FRAME_HEADER_SIZE + len(encode_message(message, include_trace=False))
 

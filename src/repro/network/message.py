@@ -9,8 +9,8 @@ accountability can later re-verify it independently of the envelope.
 
 Broadcasts share **one** envelope across all recipients (the simulator fills
 in ``recipient`` as each delivery pops); bodies are shared too and treated as
-immutable once sent.  The envelope memoises its estimated wire size so
-telemetry-enabled runs never re-walk a body dictionary twice.
+immutable once sent.  The envelope memoises its exact wire size, so the
+socket transport encodes a body once to both write and count it.
 """
 
 from __future__ import annotations
@@ -82,22 +82,15 @@ class Message:
         """Memoised exact wire size: the codec's length-prefixed frame length.
 
         This is what the asyncio transport writes per recipient for an
-        untraced message, so per-protocol byte counters in telemetry/obs mean
-        the same thing under the simulator and the real backend.  The optional
-        trace-context tail is excluded on purpose: counters must not change
-        when tracing stamps a context (see ``codec.message_frame_size``).
-        Bodies carrying objects the codec does not know (test doubles) fall
-        back to the canonical-encoding estimate (:func:`estimate_size_bytes`).
+        untraced message.  The optional trace-context tail is excluded on
+        purpose: counters must not change when tracing stamps a context (see
+        ``codec.message_frame_size``).
         """
         size = self._size
         if size is None:
-            from repro.network.codec import CodecError, message_frame_size
+            from repro.network.codec import message_frame_size
 
-            try:
-                size = message_frame_size(self)
-            except (CodecError, TypeError):
-                size = estimate_size_bytes(self.body)
-            self._size = size
+            size = self._size = message_frame_size(self)
         return size
 
     def with_recipient(self, recipient: ReplicaId) -> "Message":
@@ -136,20 +129,3 @@ class Message:
 
     def __repr__(self) -> str:
         return f"Message({self.describe()}, uid={self.uid})"
-
-
-def estimate_size_bytes(body: Dict[str, Any], base_overhead: int = 64) -> int:
-    """Rough wire-size estimate of a message body, used by the cost models.
-
-    The estimate counts canonical-encoding bytes plus a fixed envelope
-    overhead.  It only needs to be *consistent*, not exact: the throughput
-    model compares protocols whose messages are estimated the same way.
-    """
-    from repro.crypto.hashing import canonical_bytes
-
-    try:
-        return base_overhead + len(canonical_bytes(body))
-    except TypeError:
-        # Bodies containing non-canonical objects (rare, test-only) fall back
-        # to a conservative flat estimate.
-        return base_overhead + 512

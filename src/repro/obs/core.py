@@ -148,16 +148,16 @@ class Probe:
     # Both transports call these under their one guard; each fans out to the
     # back-ends present.
 
-    def on_send(self, message: Any, now: float, count: int = 1) -> None:
-        """One submission reaching ``count`` recipients: count it by protocol
-        group and kind, and stamp the active trace context on the envelope."""
+    def on_send(self, message: Any, now: float, count: int = 1, nbytes: int = 0) -> None:
+        """Count a submission to ``count`` recipients (and the ``nbytes`` a
+        socket's frames took) by group and kind; stamp its trace context."""
         metrics = self.metrics
         if metrics is not None:
             group = protocol_group(message.topic)
             kind = message.kind
             metrics.count("net.messages_sent", count, protocol=group, kind=kind)
-            size = message.size_bytes() * count
-            metrics.count("net.bytes_sent", size, protocol=group, kind=kind)
+            if nbytes:
+                metrics.count("net.bytes_sent", nbytes, protocol=group, kind=kind)
         self.stamp(message)
         trace = self.trace
         if trace is not None and trace.recorder is not None:
@@ -168,8 +168,7 @@ class Probe:
 
         ``on_send`` does it for every submission; the socket transport calls
         it earlier, because the context has to be on the envelope before the
-        frame is encoded and the frame is what yields the size ``on_send``
-        counts.
+        frame is encoded.
         """
         trace = self.trace
         if trace is not None and message.trace_ctx is None:

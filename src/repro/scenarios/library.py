@@ -543,6 +543,11 @@ def _churn_grid(scale: str) -> List[ScenarioSpec]:
     description="Committee churn: repeated attack -> membership-change rounds",
     grid=_churn_grid,
     tags=("extra", "attack", "membership"),
+    claims={
+        "every round recovers": every(
+            lambda row: row["recovered_rounds"] == row["rounds"], "n", "rounds", "recovered_rounds"
+        ),
+    },
 )
 def _run_churn_cell(spec: ScenarioSpec) -> Dict[str, Any]:
     """Back-to-back recovery rounds on successive committees.
@@ -626,6 +631,11 @@ def _crash_recovery_grid(scale: str) -> List[ScenarioSpec]:
     description="Honest replicas crash mid-run and reconnect; liveness holds",
     grid=_crash_recovery_grid,
     tags=("extra", "faults"),
+    claims={
+        "every outage commits": every(
+            lambda row: row["progress_during_outage"], "n", "crashes", "committed_during_outage"
+        ),
+    },
 )
 def _run_crash_recovery_cell(spec: ScenarioSpec) -> Dict[str, Any]:
     """Three phases: healthy -> ``crashes`` replicas cut off -> rejoined.
@@ -677,6 +687,10 @@ def _run_crash_recovery_cell(spec: ScenarioSpec) -> Dict[str, Any]:
     return row
 
 
+#: The transfers every ``jitter-stress`` cell submits, at either scale.
+STRESS_TRANSACTIONS = 120
+
+
 def _jitter_stress_grid(scale: str) -> List[ScenarioSpec]:
     if scale == "full":
         axes = {"delay": ("gamma", "jitter", "lossy"), "n": (10, 20, 40), "seed": (1, 2, 3)}
@@ -686,7 +700,7 @@ def _jitter_stress_grid(scale: str) -> List[ScenarioSpec]:
         "jitter-stress",
         axes,
         base={
-            "workload_transactions": 120,
+            "workload_transactions": STRESS_TRANSACTIONS,
             "batch_size": 20,
             "instances": 3,
             "max_time": 300.0,
@@ -699,6 +713,15 @@ def _jitter_stress_grid(scale: str) -> List[ScenarioSpec]:
     description="Fault-free throughput under high-jitter and lossy networks",
     grid=_jitter_stress_grid,
     tags=("extra", "network"),
+    claims={
+        "every delay model commits the whole workload": every(
+            lambda row: row["committed_transactions"] == STRESS_TRANSACTIONS,
+            "n", "delay", "committed_transactions",
+        ),
+        "the lossy links lose messages": every(
+            lambda row: row["undelivered_messages"] > 0, "n", "undelivered_messages", delay="lossy"
+        ),
+    },
 )
 def _run_jitter_stress_cell(spec: ScenarioSpec) -> Dict[str, Any]:
     """One fault-free run under a hostile delay model.
@@ -706,8 +729,7 @@ def _run_jitter_stress_cell(spec: ScenarioSpec) -> Dict[str, Any]:
     ``gamma`` cells provide the calm baseline; ``jitter`` cells inject
     multi-hundred-ms spikes on a fifth of the links and ``lossy`` cells lose
     5% of all messages at send (the simulator's link faults), counted as
-    ``undelivered_messages``.  Quorum-based protocols should keep deciding
-    in all three, at degraded throughput.
+    ``undelivered_messages``; every one commits the whole workload.
     """
     start = time.perf_counter()
     system = system_for(spec)

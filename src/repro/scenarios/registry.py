@@ -8,8 +8,8 @@ A *family* bundles four things under a stable name:
 * a **cell runner** — ``ScenarioSpec -> row`` (a flat JSON-serialisable dict),
   executed by the :class:`~repro.scenarios.runner.ScenarioRunner` either
   in-process or inside a worker pool;
-* **claims** — the paper's statements across cells, each a name and a
-  predicate over the rows of a sweep of the family (cached rows included,
+* **claims** — statements across cells (the paper's, in a paper family),
+  each a name and a predicate over the rows of a sweep (cached rows included,
   each with its cell's ``wall_clock_s``) that returns ``None`` when the claim
   holds, or a one-line reason quoting the numbers it read.  A claim that
   selects no rows (:func:`rows_where`) fails: it never holds vacuously.

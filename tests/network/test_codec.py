@@ -293,15 +293,6 @@ class TestMessageEnvelopes:
         assert message.size_bytes() == len(frame_message(message))
         assert message.size_bytes() == message_frame_size(message)
 
-    def test_size_bytes_falls_back_for_unencodable_bodies(self):
-        class Alien:
-            pass
-
-        message = Message(
-            sender=0, recipient=1, protocol="t", kind="K", body={"x": Alien()}
-        )
-        assert message.size_bytes() > 0  # estimate fallback, no raise
-
     def test_trace_context_rides_the_wire(self):
         # Tentpole: a payment's causal chain must survive process hops, so
         # the envelope optionally carries (trace id, span id).
@@ -340,9 +331,9 @@ class TestMessageEnvelopes:
         assert len(encode_message(traced)) > len(encode_message(bare))
 
     def test_size_bytes_ignores_trace_context(self):
-        # Byte-identity pin: size_bytes feeds the simulator's telemetry byte
+        # Byte-identity pin: size_bytes feeds the socket transport's byte
         # counters and is memoised, so stamping a context after the fact must
-        # not change it — fixed-seed byte counters agree with tracing on/off.
+        # not change it — byte counters agree with tracing on/off.
         message = Message(
             sender=1, recipient=None, protocol="t", kind="K", body={"n": 7}
         )

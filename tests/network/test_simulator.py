@@ -5,7 +5,7 @@ import pytest
 from repro.common.config import SimulationConfig
 from repro.common.errors import SimulationError
 from repro.network.delays import ConstantDelay, UniformDelay
-from repro.network.message import Message, estimate_size_bytes
+from repro.network.message import Message
 from repro.network import simulator as simulator_module
 from repro.network.simulator import NetworkSimulator, Process
 from repro.obs.core import Probe
@@ -541,8 +541,3 @@ class TestMessageHelpers:
     def test_describe(self):
         message = Message(sender=0, recipient=1, protocol="p", kind="K")
         assert "p/K" in message.describe()
-
-    def test_estimate_size_monotone(self):
-        small = estimate_size_bytes({"v": 1})
-        large = estimate_size_bytes({"v": list(range(100))})
-        assert large > small

@@ -27,6 +27,7 @@ import sys
 import pytest
 
 from repro import obs
+from repro.network import codec
 from repro.obs.export import dominant_phase
 from repro.scenarios import registry, run_system
 
@@ -77,6 +78,23 @@ def test_golden_cell_is_byte_identical_at_every_level(instrument, watched):
         assert events[-1]["events"] > events[0]["events"]
 
 
+@pytest.mark.parametrize("instrument", ["metrics", "all"])
+def test_the_simulator_never_encodes_a_message(instrument, monkeypatch):
+    """Bytes are counted where a frame exists: the simulator passes messages
+    by reference, so an instrumented cell never runs the wire codec."""
+    encoded = []
+    encode = codec.encode_message
+
+    def counting(message, *args, **kwargs):
+        encoded.append(message.kind)
+        return encode(message, *args, **kwargs)
+
+    monkeypatch.setattr(codec, "encode_message", counting)
+    with obs.activate(obs.Probe.at_level(instrument)):
+        run_system(GOLDEN_SPEC)
+    assert encoded == []
+
+
 _LEAK_SCRIPT = """
 import json, sys
 from repro import obs
@@ -111,11 +129,13 @@ print(json.dumps(calls))
 """
 
 #: Calls of the golden cell at each level over its bare calls, as measured
-#: (840 067 bare calls); each level may cost at most 0.01 more.  Before binary
-#: rounds started at 1 and the included replicas caught up on the chain:
-#: 1.761, 1.368 and 2.079 of 819 632; before the phases moved into the
-#: metrics registry: 1.775, 1.369 and 2.093 of 819 728.
-LEVEL_COST = {"metrics": 1.658, "trace": 1.307, "all": 1.922}
+#: (840 504 bare calls); each level may cost at most 0.01 more.  While the
+#: simulated probe encoded every message to count ``net.bytes_sent``: 1.658,
+#: 1.307 and 1.922 of 840 067; before binary rounds started at 1 and the
+#: included replicas caught up on the chain: 1.761, 1.368 and 2.079 of
+#: 819 632; before the phases moved into the metrics registry: 1.775, 1.369
+#: and 2.093 of 819 728.
+LEVEL_COST = {"metrics": 1.179, "trace": 1.307, "all": 1.442}
 
 
 def _fresh_python(script, *args):
