@@ -261,6 +261,16 @@ class BinaryConsensus:
                 self._broadcast_aux(state)
                 self._try_resolve_round(state)
 
+    def forget(self, members: Set[ReplicaId]) -> None:
+        """Count no BVAL or AUX of ``members``: they left the committee."""
+        for state in self._rounds.values():
+            for senders in state.bval_received:
+                senders.difference_update(members)
+            for member in members:
+                vote = state.aux_votes.pop(member, None)
+                if vote is not None:
+                    state.aux_counts[vote.value_digest == _DIGEST_OF[1]] -= 1
+
     def recheck(self) -> None:
         """Re-apply the thresholds to the votes held (the committee shrank)."""
         if self.decided:

@@ -369,8 +369,8 @@ class SetByzantineConsensus:
         """The host's committee lost ``slots`` (the exclusion consensus
         shrinks while it runs, Alg. 1 lines 23–27): forget their broadcasts
         and binary instances — their routes go with them, so what is still
-        sent to one falls to :meth:`handle` — and re-apply every threshold to
-        what is left."""
+        sent to one falls to :meth:`handle` — and their votes in the others,
+        and re-apply every threshold to what is left."""
         if self.decided:
             return
         gone = set(slots)
@@ -391,8 +391,9 @@ class SetByzantineConsensus:
                 per_slot.pop(slot, None)
         self._adopted_slots -= gone
         for slot in self.slots:
-            self._rbc[slot].recheck()
-            self._binary[slot].recheck()
+            for component in (self._rbc[slot], self._binary[slot]):
+                component.forget(gone)
+                component.recheck()
         self._maybe_start_zero_phase()
         self._maybe_complete()
 

@@ -279,6 +279,13 @@ class ReliableBroadcast:
             self._vouched(sender, digest)
         self._maybe_deliver(digest)
 
+    def forget(self, members: Set[ReplicaId]) -> None:
+        """Count no ECHO or READY of ``members``: they left the committee."""
+        for tally in (self._echo_votes, self._ready_votes):
+            for votes in tally.values():
+                for member in members:
+                    votes.pop(member, None)
+
     def recheck(self) -> None:
         """Re-apply the thresholds to the votes held (the committee shrank)."""
         for digest, votes in list(self._echo_votes.items()):

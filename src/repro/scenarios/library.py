@@ -292,6 +292,13 @@ def _fig4_grid(scale: str) -> List[ScenarioSpec]:
         "binary: detection comes no sooner at 1000 ms than at 500 ms, per n": _rises_with_delay(
             "detect_time_s", "500ms", "1000ms", attack="binary"
         ),
+        # A joiner holds the chain only once a member's records prove its
+        # view: one that never joins leaves the run without a catch-up time.
+        "every recovered run's joiners hold the chain": every(
+            lambda row: row["included_replicas"] == 0 or row["catchup_time_s"] is not None,
+            "n", "attack", "delay", "seed", "included_replicas", "catchup_time_s",
+            recovered=True,
+        ),
     },
 )
 def _run_fig4_cell(spec: ScenarioSpec) -> Dict[str, Any]:

@@ -58,7 +58,7 @@ from repro.crypto.signatures import Signer
 from repro.network.topic import Topic, topic
 from repro.obs.monitors import MonitorSet
 from repro.smr.log import DecisionLog, InstanceRecord
-from repro.smr.membership import MembershipChange, MembershipOutcome
+from repro.smr.membership import MembershipChange, MembershipOutcome, next_committee
 from repro.smr.pool import CandidatePool
 from repro.smr.replica import BaseReplica
 
@@ -714,12 +714,11 @@ class ASMRReplica(BaseReplica):
             "membership change complete: excluded %s, included %s",
             outcome.excluded, outcome.included,
         )  # fmt: skip
-        new_committee = [
-            replica for replica in self.committee() if replica not in outcome.excluded
-        ]
-        new_committee.extend(outcome.included)
+        change = self.membership_change
+        new_committee = next_committee(self.committee(), outcome.excluded, outcome.included)
         self.update_committee(new_committee)
-        self.history.epoch_committees[self.epoch + 1] = tuple(new_committee)
+        self.history.epoch_committees[self.epoch + 1] = new_committee
+        self.history.changes.append(change.records)
         if self.on_exclude is not None and outcome.excluded:
             self.on_exclude(list(outcome.excluded))
         # Send the chain state to the replicas that just joined (Fig. 5 right).
@@ -728,8 +727,9 @@ class ASMRReplica(BaseReplica):
         # Clear the treated PoFs (Alg. 1 line 39) and prepare the next epoch.
         for culprit in outcome.excluded:
             self.pofs.pop(culprit, None)
-        self.membership_change.exclusion.detach()
-        self.membership_change.inclusion.detach()
+        change.exclusion.detach()
+        if change.inclusion is not None:
+            change.inclusion.detach()
         self.membership_change = None
         self.epoch += 1
         # Restart the aborted consensus instances with the new committee
@@ -783,12 +783,16 @@ class ASMRReplica(BaseReplica):
         """Fallback at ``("excl",)`` / ``("incl",)``, reached while no started
         consensus owns the deeper ``(root, epoch)`` prefix: this epoch's (a
         phase this replica has not reached) or a later one's is early
-        traffic; a finished epoch has no consensus left to hear it."""
+        traffic; a finished epoch has no consensus left to hear it.  A
+        member's INIT to a finished inclusion consensus is answered with the
+        records that prove its outcome (``DecisionLog.serve_change``)."""
         segments = message_topic.segments
         if len(segments) > 1 and type(segments[1]) is int and segments[1] >= self.epoch:
             self._early.park("membership", (message_topic, sender, kind, body))
-        else:
-            self._early.drop("stale")
+            return
+        self._early.drop("stale")
+        if kind == "INIT" and segments[0] == "incl" and len(segments) > 1:
+            self.history.serve_change(sender, segments[1])
 
     def _route_lazy_sbc(self, message_topic: Topic, sender: ReplicaId, kind: str, body: Dict[str, Any]) -> None:
         """Create consensus instances lazily when another replica started first.

@@ -40,34 +40,49 @@ proves a different decision is a conflicting confirmation.  None of the
 three occurs in a fault-free scenario cell: those fetch nothing.
 
 **Catch-up.**  A membership change ends with every member sending each
-replica it included a CATCHUP: the view after the change (its epoch, the
-committee of every epoch, the excluded replicas, the target and the first
-instance the joiner runs) and the first :data:`CATCHUP_RECORDS` decided
-instances, each as the record a fetch is answered with
-(:meth:`~repro.consensus.sbc.SBCDecision.to_record` and its proposals)
-followed by the records of the conflicting decisions merged into it.  A
-``cursor`` names the instance the rest starts at; the joiner asks the first
-member it heard from for it (``MORE``), one chunk at a time, and fetches the
-rest instance by instance if a chunk is :data:`CATCHUP_WAIT_S` late.  The
-joiner takes a view that agrees with every committee it knows once ``t + 1``
-members of the newest of them (the genesis committee, for a standby) sent the
-same one, and every record that proves its decision against the committee of
-its epoch: one for an instance it holds no decision for is adopted as a
-fetched one is, one that proves another decision is a conflict, merged as a
-conflicting CONFIRM is.  Then it punishes the excluded replicas and runs the
-instances the committee runs.  The records it caught up on are history:
-they retire nothing and age no memo.
+replica it included a CATCHUP: the records of every membership change so far
+(:attr:`DecisionLog.changes`: each change's exclusion and inclusion
+decisions as :meth:`~repro.consensus.sbc.SBCDecision.to_record` with
+proposals, and a proof of fraud against each member of the committee the
+exclusion consensus ran without), the target and the first instance the
+joiner runs, and the first :data:`CATCHUP_RECORDS` decided instances, each
+as the record a fetch is answered with followed by the records of the
+conflicting decisions merged into it.  A ``cursor`` names the instance the
+rest starts at; the joiner asks the first member it joined on for it
+(``MORE``), one chunk at a time, and fetches the rest instance by instance if
+a chunk is :data:`CATCHUP_WAIT_S` late.  A joiner takes no view on a count:
+it re-derives every committee from the genesis committee, one change after
+the other, through the one record proof (:meth:`DecisionLog._prove`) — an
+exclusion record against the slots it names, accepted only if every member of
+the committee they leave out is the culprit of a proof of fraud that
+verifies; what it decided excluded are the culprits of the verified proofs
+of fraud its decided proposals carry, and the inclusion record, proven
+against the rest, chooses who joins (:func:`~repro.smr.membership.
+excluded_by`, :func:`~repro.smr.membership.included_by`, shared with the
+live change).  It joins on the first CATCHUP whose records prove a committee
+naming it and the sender, and takes every record of every CATCHUP that
+proves its decision against the committee of its epoch: one for an instance
+it holds no decision for is adopted as a fetched one is, one that proves
+another decision is a conflict, merged as a conflicting CONFIRM is.  Then it
+punishes the excluded replicas and runs the instances the committee runs.
+The records it caught up on are history: they retire nothing and age no
+memo.  A member still in the inclusion consensus of a change its peers
+finished sends them its INIT, which each answers once with its CATCHUP
+(:meth:`DecisionLog.serve_change`): the member completes its change from the
+outcome the records prove.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.common.types import ReplicaId, byzantine_tolerance
 from repro.consensus.proofs import GroupedVotes, accountable_votes
 from repro.consensus.sbc import SBCDecision, decision_from_record
+from repro.network.topic import Topic
+from repro.smr.membership import excluded_by, included_by, next_committee, verified_pofs
 
 #: Decided instances one CATCHUP carries at most (see "Catch-up").
 CATCHUP_RECORDS = 16
@@ -119,31 +134,18 @@ class InstanceRecord:
         return bool(self.conflicting_digests)
 
 
-def _ids(value: Any) -> bool:
-    """A committee as the wire carries one: a list of replica ids."""
-    return type(value) is list and all(type(replica) is int for replica in value)
-
-
-def _view(body: Dict[str, Any]) -> Optional[Tuple[Any, ...]]:
-    """The view a CATCHUP names, hashable — ``(epoch, committees, excluded)``
-    — or None when the body is not of the shape :meth:`DecisionLog.send_catchup`
-    sends."""
-    records, committees, excluded = body.get("records"), body.get("committees"), body.get("excluded")
-    counters = [body.get(key) for key in ("epoch", "target_instances", "next_instance")]
-    cursor = body.get("cursor")
-    if not (
+def _is_catchup(body: Dict[str, Any]) -> bool:
+    """True when a CATCHUP body is of the shape :meth:`DecisionLog.send_catchup`
+    sends: what it proves is checked later."""
+    records, changes, cursor = body.get("records"), body.get("changes"), body.get("cursor")
+    return (
         type(records) is list
         and all(type(record) is dict for record in records)
-        and type(committees) is dict
-        and all(type(epoch) is int and _ids(ids) for epoch, ids in committees.items())
-        and _ids(excluded)
-        and all(type(counter) is int for counter in counters)
-        and counters[0] in committees
+        and type(changes) is list
+        and all(type(change) is dict for change in changes)
+        and all(type(body.get(key)) is int for key in ("target_instances", "next_instance"))
         and (cursor is None or type(cursor) is int)
-    ):
-        return None
-    ordered = tuple((epoch, tuple(committees[epoch])) for epoch in sorted(committees))
-    return counters[0], ordered, tuple(sorted(excluded))
+    )
 
 
 class DecisionLog:
@@ -159,7 +161,8 @@ class DecisionLog:
     ``_handle_confirm`` (a fetched record proving another decision) and ``emit_to``;
     a standby's :meth:`join` also sets its view and calls ``update_committee``,
     ``_disagree`` (a caught-up record proving another decision),
-    ``_maybe_start_next_instance`` and ``_fetch`` (what its catch-up left).
+    ``_maybe_start_next_instance`` and ``_fetch`` (what its catch-up left);
+    a stuck member's completes its ``membership_change`` (``complete_from``).
     """
 
     def __init__(self, host: Any, committee: List[ReplicaId]) -> None:
@@ -181,11 +184,13 @@ class DecisionLog:
         #: Members whose fetch of an instance undecided here waits for the
         #: decision (see :meth:`serve`).
         self._waiting_fetches: Dict[int, Set[ReplicaId]] = {}
-        #: A standby's first CATCHUP from each member, with the view it
-        #: names, until ``t + 1`` name the same one; then the member that
-        #: answers its ``MORE`` while a chunk is due, and the timer of the
-        #: wait for it.
-        self._catchups: Dict[ReplicaId, Tuple[Tuple[Any, ...], Dict[str, Any]]] = {}
+        #: The records of every membership change, by epoch: what a joiner
+        #: proves every committee by (see "Catch-up"), and the (member,
+        #: epoch) pairs they were sent for a stale inclusion INIT.
+        self.changes: List[Dict[str, Any]] = []
+        self._changes_served: Set[Tuple[ReplicaId, int]] = set()
+        #: The member that answers a joiner's ``MORE`` while a chunk is due,
+        #: and the timer of the wait for it.
         self._catchup_source: Optional[ReplicaId] = None
         self._source_wait: Optional[int] = None
         #: The first instance this replica ran live: a joiner's catch-up
@@ -196,6 +201,9 @@ class DecisionLog:
         self._joiners: Dict[ReplicaId, Optional[int]] = {}
         #: When this replica, included, held every caught-up record.
         self.catchup_completed_at: Optional[float] = None
+        #: The instance below which a joiner has fetched its history: it
+        #: fetches on as its commits reach it (see :meth:`_fetch_history`).
+        self._history_fetched: Optional[int] = None
 
     # -- deciding, committing, retiring ------------------------------------------------
 
@@ -227,6 +235,9 @@ class DecisionLog:
             if record.pending_merges:
                 host._run_ready_merges(record)
             record = self.records.get(self.next_commit)
+        fetched = self._history_fetched
+        if fetched is not None and fetched < min(self.live_from, self.next_commit + CATCHUP_RECORDS):
+            self._fetch_history()
 
     def undecided(self, last: int) -> List[InstanceRecord]:
         """The records of ``next_commit`` .. ``last`` with no decision, in
@@ -346,20 +357,52 @@ class DecisionLog:
         elif record.decision.digest != decision.digest:
             self._host._handle_confirm(sender, body)
 
-    def _prove(self, body: Dict[str, Any]) -> Optional[SBCDecision]:
-        """The decision a peer's record proves against the committee of the
-        epoch it names (:func:`~repro.consensus.sbc.decision_from_record`);
-        None, dropped and counted, when it proves nothing."""
+    def _prove(
+        self,
+        body: Dict[str, Any],
+        committee: Optional[Sequence[ReplicaId]] = None,
+        topic: Optional[Topic] = None,
+    ) -> Optional[SBCDecision]:
+        """The decision a peer's record proves
+        (:func:`~repro.consensus.sbc.decision_from_record`): an instance's
+        against the committee of the epoch it names, a membership change's
+        consensus against the ``committee`` and ``topic`` given.  None,
+        dropped and counted, when it proves nothing."""
         host = self._host
-        instance, epoch = body.get("instance"), body.get("epoch")
-        committee = self.epoch_committees.get(epoch) if type(epoch) is int else None
+        if topic is None:
+            instance, epoch = body.get("instance"), body.get("epoch")
+            committee = self.epoch_committees.get(epoch) if type(epoch) is int else None
+            if committee is not None and type(instance) is int:
+                topic = host.SBC_ROOT.child(epoch, instance)
         decision = None
-        if committee is not None and type(instance) is int:
-            topic = host.SBC_ROOT.child(epoch, instance)
+        if topic is not None:
             decision = decision_from_record(host, body, committee, topic)
         if decision is None and host.probe is not None:
             host.probe.count("asmr.dropped_records")
         return decision
+
+    def _prove_change(
+        self, epoch: int, committee: Sequence[ReplicaId], change: Dict[str, Any]
+    ) -> Optional[Tuple[List[ReplicaId], List[ReplicaId]]]:
+        """What the records of epoch ``epoch``'s membership change prove it
+        excluded from ``committee`` and included, or None.  The exclusion
+        consensus ran over the slots its record names: ``committee`` less
+        members ``change`` carries a proof of fraud against that verifies."""
+        host = self._host
+        exclusion, inclusion = change.get("exclusion"), change.get("inclusion")
+        slots = exclusion.get("bitmask") if type(exclusion) is dict else None
+        if type(slots) is not dict or type(inclusion) is not dict or not set(slots) <= set(committee):
+            return None
+        left_out = [member for member in committee if member not in slots]
+        if len(verified_pofs(host, change.get("pofs"), left_out)) < len(left_out):
+            return None
+        decision = self._prove(exclusion, list(slots), host.EXCLUSION_ROOT.child(epoch))
+        if decision is None:
+            return None
+        excluded = sorted(excluded_by(host, decision, committee))
+        remaining = [member for member in committee if member not in excluded]
+        decision = self._prove(inclusion, remaining, host.INCLUSION_ROOT.child(epoch))
+        return None if decision is None else (excluded, included_by(decision, len(excluded)))
 
     def adopt(self, decision: SBCDecision, epoch: int, live: Dict) -> None:
         """Decide ``decision``, a peer's proven one, as if the local SBC had:
@@ -380,9 +423,9 @@ class DecisionLog:
     # -- catch-up of newly included replicas (Fig. 5 right) --------------------------
 
     def send_catchup(self, replicas: List[ReplicaId], cursor: int = 0) -> None:
-        """Send ``replicas``, included, the view after the membership change
-        and the decided instances from ``cursor`` on (see "Catch-up"): one
-        body for all of them."""
+        """Send ``replicas``, included, the records of every membership
+        change and the decided instances from ``cursor`` on (see
+        "Catch-up"): one body for all of them."""
         host = self._host
         decided = self.decided
         first = bisect_left(decided, cursor)
@@ -395,13 +438,10 @@ class DecisionLog:
         next_cursor = chunk[-1] + 1 if first + CATCHUP_RECORDS < len(decided) else None
         for replica in replicas:
             self._joiners[replica] = next_cursor
-        committees = self.epoch_committees
         host.emit(host.CATCHUP_TOPIC, "CATCHUP", {
             "records": records,
             "cursor": next_cursor,
-            "epoch": max(committees),
-            "committees": {epoch: list(ids) for epoch, ids in committees.items()},
-            "excluded": sorted(host.excluded_replicas),
+            "changes": list(self.changes),
             "target_instances": host.target_instances,
             "next_instance": self.next_commit,
         }, recipients=replicas)  # fmt: skip
@@ -414,71 +454,115 @@ class DecisionLog:
         elif self._host.probe is not None:
             self._host.probe.count("asmr.dropped_catchups")
 
+    def serve_change(self, member: ReplicaId, epoch: Any) -> None:
+        """``member`` proposed to the inclusion consensus of ``epoch``, a
+        change this replica completed: send it the CATCHUP whose records
+        prove the outcome (see :meth:`join`), once per (member, epoch)."""
+        if (
+            type(epoch) is int
+            and epoch < len(self.changes)
+            and member in self.epoch_committees[epoch + 1]
+            and (member, epoch) not in self._changes_served
+        ):
+            self._changes_served.add((member, epoch))
+            self.send_catchup([member])
+
     def join(self, sender: ReplicaId, body: Dict[str, Any], live: Dict[int, Any]) -> None:
-        """Read a CATCHUP (see "Catch-up"): a standby parks the first of each
-        sender until ``t + 1`` members of the newest committee it knows name
-        the same view, then joins; a joined replica takes the records of the
-        chunk its ``MORE`` asked its source for.  A body of another shape,
-        one naming a committee this replica knows otherwise, from a sender
-        that is not a member of both committees, or reaching a replica that
-        is neither a standby in the committee named nor waiting on the
-        sender's chunk is dropped and counted."""
+        """Read a CATCHUP (see "Catch-up").  A standby joins on the first
+        whose membership records prove, from the genesis committee, a view
+        whose committee holds the standby and the sender; a member still in
+        the consensus of a change the records prove completes the change;
+        any other replica takes the records, and the chunk its ``MORE``
+        asked its source for moves its catch-up on.  A body of another
+        shape, or one reaching a standby that proves no such view, is
+        dropped and counted.
+
+        Nothing proves the two counters, so each is bounded: ``live_from``
+        is at most ``next_instance`` and, when the body carries the rest of
+        the history (no cursor), one past the last instance its records
+        prove — an honest ``next_commit`` never exceeds either — and the
+        history below it is fetched :data:`CATCHUP_RECORDS` instances at a
+        time; ``target_instances`` is at least ``live_from``, which an
+        honest member's target never is below."""
         host = self._host
-        view = _view(body)
-        if view is not None and host.standby:
-            epoch, committees, excluded = view
-            named = dict(committees)
-            known = self.epoch_committees
-            anchor = known[max(known)]
-            if (
-                all(named.get(number) == ids for number, ids in known.items())
-                and sender in anchor
-                and sender in named[epoch]
-                and host.replica_id in named[epoch]
-            ):
-                self._catchups.setdefault(sender, (view, body))
-                bodies = {
-                    member: parked
-                    for member, (viewed, parked) in self._catchups.items()
-                    if viewed == view
-                }
-                if len(bodies) > byzantine_tolerance(len(anchor)):
-                    self._join(view, bodies, live)
+        if _is_catchup(body):
+            if not host.standby:
+                if not self._complete_change(body["changes"]):
+                    self._take_records(sender, body["records"], live)
+                    if sender == self._catchup_source:
+                        host.transport.cancel(self._source_wait)
+                        if body["cursor"] is None:
+                            self._bound_live_from()
+                        self._ask_for_more(sender, body["cursor"])
                 return
-        elif view is not None and sender == self._catchup_source:
-            host.transport.cancel(self._source_wait)
-            self._take_records(sender, body["records"], live)
-            self._ask_for_more(sender, body["cursor"])
-            return
+            view = self._proven_view(body["changes"])
+            members = () if view is None else view[0][len(body["changes"])]
+            if sender in members and host.replica_id in members:
+                self._join(sender, body, view, live)
+                return
         if host.probe is not None:
             host.probe.count("asmr.dropped_catchups")
 
-    def _join(self, view: Tuple[Any, ...], bodies: Dict[ReplicaId, Dict[str, Any]], live: Dict) -> None:
-        """Join in ``view``, which ``bodies`` (sender -> CATCHUP) name: take
-        their records, punish the excluded replicas, run the committee's
-        instances from the first one a sender's history does not hold."""
+    def _complete_change(self, changes: List[Dict[str, Any]]) -> bool:
+        """Complete the membership change this replica still runs with the
+        outcome the records of its epoch in ``changes`` prove; False when it
+        runs none or they prove nothing."""
+        change = self._host.membership_change
+        if change is None or change.epoch >= len(changes):
+            return False
+        records = changes[change.epoch]
+        outcome = self._prove_change(change.epoch, self.epoch_committees[change.epoch], records)
+        if outcome is not None:
+            change.complete_from(*outcome, records)
+        return outcome is not None
+
+    def _proven_view(
+        self, changes: List[Dict[str, Any]]
+    ) -> Optional[Tuple[Dict[int, Tuple[ReplicaId, ...]], List[ReplicaId]]]:
+        """The committee of every epoch and the replicas excluded, as
+        ``changes`` prove them one change after the other from the genesis
+        committee; None when one proves nothing."""
+        committees = {0: self.epoch_committees[0]}
+        excluded: List[ReplicaId] = []
+        for epoch, change in enumerate(changes):
+            outcome = self._prove_change(epoch, committees[epoch], change)
+            if outcome is None:
+                return None
+            excluded += outcome[0]
+            committees[epoch + 1] = next_committee(committees[epoch], *outcome)
+        return committees, excluded
+
+    def _join(self, sender: ReplicaId, body: Dict[str, Any], view: Tuple[Any, ...], live: Dict) -> None:
+        """Join in the ``view`` ``sender``'s ``body`` proves: take its
+        records, punish the excluded replicas, run the committee's instances
+        from the first one the sender's history does not hold."""
         host = self._host
-        epoch, committees, excluded = view
-        self._catchups = {}
+        committees, excluded = view
+        self.changes = list(body["changes"])
+        epoch = len(self.changes)
         self.epoch_committees.update(committees)
-        host.update_committee(list(self.epoch_committees[epoch]))
+        host.update_committee(list(committees[epoch]))
+        # Nobody a change included is a candidate any more, itself included.
+        host.pool.mark_included(set().union(*committees.values()))
         host.epoch = max(host.epoch, epoch)
         host.excluded_replicas.update(excluded)
-        # The least of t + 1 members' counters is one an honest member sent.
-        host.target_instances = max(
-            host.target_instances, min(body["target_instances"] for body in bodies.values())
-        )
-        self.live_from = min(body["next_instance"] for body in bodies.values())
+        self.live_from = body["next_instance"]
+        self._take_records(sender, body["records"], live)
+        if body["cursor"] is None:
+            self._bound_live_from()
+        host.target_instances = max(host.target_instances, body["target_instances"], self.live_from)
         host.next_instance = max(host.next_instance, self.live_from)
-        for sender, body in bodies.items():
-            self._take_records(sender, body["records"], live)
         if excluded and host.on_exclude is not None:
-            host.on_exclude(list(excluded))
+            host.on_exclude(sorted(set(excluded)))
         host.standby = False
-        source = next(iter(bodies))
-        self._ask_for_more(source, bodies[source]["cursor"])
+        self._ask_for_more(sender, body["cursor"])
         host._maybe_start_next_instance()
         host._fetch_decided_in_older_epochs()
+
+    def _bound_live_from(self) -> None:
+        """The source sent the last chunk: :attr:`live_from` is at most one
+        past the last instance decided here (see :meth:`join`)."""
+        self.live_from = min(self.live_from, self.decided[-1] + 1 if self.decided else 0)
 
     def _ask_for_more(self, source: ReplicaId, cursor: Optional[int]) -> None:
         """Ask ``source`` for the chunk at ``cursor``; with none, the catch-up
@@ -499,8 +583,12 @@ class DecisionLog:
         self._fetch_history()
 
     def _fetch_history(self) -> None:
-        """Fetch each instance below :attr:`live_from` still undecided here."""
-        for instance in range(self.next_commit, self.live_from):
+        """Fetch the instances below :attr:`live_from` still undecided here,
+        up to :data:`CATCHUP_RECORDS` past ``next_commit``: :meth:`commit`
+        fetches on as they land, so no count a peer sent bounds a loop."""
+        first = self.next_commit if self._history_fetched is None else self._history_fetched
+        last = self._history_fetched = max(first, min(self.live_from, self.next_commit + CATCHUP_RECORDS))
+        for instance in range(max(first, self.next_commit), last):
             self._host._fetch(instance)
 
     def _take_records(self, sender: ReplicaId, records: List[Dict[str, Any]], live: Dict) -> None:

@@ -33,7 +33,7 @@ callback.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.common.types import ReplicaId
 from repro.consensus.host import ProtocolHost
@@ -94,6 +94,61 @@ def choose_included(
             break
         index += 1
     return chosen
+
+
+def verified_pofs(
+    host: ProtocolHost, payloads: Any, committee: Iterable[ReplicaId]
+) -> Dict[ReplicaId, ProofOfFraud]:
+    """The first proof of fraud in ``payloads`` that verifies, by culprit,
+    for each culprit in ``committee``; anything else is skipped."""
+    members = set(committee)
+    found: Dict[ReplicaId, ProofOfFraud] = {}
+    for payload in payloads if isinstance(payloads, list) else ():
+        try:
+            pof = ProofOfFraud.from_payload(payload)
+        except (KeyError, TypeError, ValueError):
+            continue
+        if pof.culprit in members and pof.culprit not in found and pof.verify(host):
+            found[pof.culprit] = pof
+    return found
+
+
+def excluded_by(
+    host: ProtocolHost, decision: SBCDecision, committee: Iterable[ReplicaId]
+) -> Dict[ReplicaId, ProofOfFraud]:
+    """What an exclusion decision excludes from ``committee`` (Alg. 1 line
+    29): the culprits of the proofs of fraud its decided proposals carry that
+    verify.  Adopted-unvalidated slots (``SBCDecision.unvalidated_slots``)
+    may carry any shape: only lists are read."""
+    payloads = [
+        payload
+        for proposal in decision.decided_payloads()
+        if isinstance(proposal, list)
+        for payload in proposal
+    ]
+    return verified_pofs(host, payloads, committee)
+
+
+def included_by(decision: SBCDecision, count: int) -> List[ReplicaId]:
+    """What an inclusion decision includes: ``count`` candidates chosen from
+    its decided proposals (Alg. 1 lines 41–48), screened to candidate ids —
+    adopted-unvalidated slots bypass the proposal validator."""
+    decided_lists = [
+        [candidate for candidate in p if isinstance(candidate, int)]
+        for p in decision.decided_payloads()
+        if isinstance(p, list)
+    ]
+    return choose_included(count, decided_lists)
+
+
+def next_committee(
+    committee: Iterable[ReplicaId], excluded: Sequence[ReplicaId], included: Sequence[ReplicaId]
+) -> Tuple[ReplicaId, ...]:
+    """The committee after a change: ``committee`` in id order without the
+    excluded replicas, then the included ones."""
+    return tuple(
+        [replica for replica in sorted(committee) if replica not in excluded] + list(included)
+    )
 
 
 class _RestrictedHost(ProtocolHost):
@@ -184,6 +239,11 @@ class MembershipChange:
         self.outcome: Optional[MembershipOutcome] = None
         self.excluded: List[ReplicaId] = []
         self.included: List[ReplicaId] = []
+        #: What a joiner proves the completed change by: both decisions as
+        #: records with their proposals, and a proof of fraud for every
+        #: member of ``C`` the exclusion consensus ran without (see
+        #: "Catch-up" in :mod:`repro.smr.log`).
+        self.records: Optional[Dict[str, Any]] = None
 
         # C' = C \ culprits already identified locally (Alg. 1 line 20).
         self.exclusion_committee = [
@@ -243,21 +303,10 @@ class MembershipChange:
             probe.observe(
                 "membership.exclusion_s", self.exclusion_decided_at - self.started_at
             )
-        culprit_set: Set[ReplicaId] = set()
-        for payload_list in decision.decided_payloads():
-            if not isinstance(payload_list, list):
-                # Adopted-unvalidated slots (SBCDecision.unvalidated_slots)
-                # may carry arbitrary shapes; PoFs are re-verified below.
-                continue
-            for payload in payload_list:
-                try:
-                    pof = ProofOfFraud.from_payload(payload)
-                except (KeyError, TypeError, ValueError):
-                    continue
-                if pof.verify(self.host) and pof.culprit in self.initial_committee:
-                    culprit_set.add(pof.culprit)
-                    self.pofs.setdefault(pof.culprit, pof)
-        self.excluded = sorted(culprit_set)
+        culprits = excluded_by(self.host, decision, self.initial_committee)
+        for culprit, pof in culprits.items():
+            self.pofs.setdefault(culprit, pof)
+        self.excluded = sorted(culprits)
         self._start_inclusion()
 
     # -- inclusion consensus -----------------------------------------------------------
@@ -287,14 +336,28 @@ class MembershipChange:
         return all(isinstance(candidate, int) for candidate in value)
 
     def _on_inclusion_decided(self, decision: SBCDecision) -> None:
-        # Re-screen shape: adopted-unvalidated slots bypass the proposal
-        # validator, and choose_included must only ever see candidate ids.
-        decided_lists = [
-            [candidate for candidate in p if isinstance(candidate, int)]
-            for p in decision.decided_payloads()
-            if isinstance(p, list)
-        ]
-        self.included = choose_included(len(self.excluded), decided_lists)
+        exclusion = self.exclusion.decision
+        left_out = [member for member in self.initial_committee if member not in exclusion.bitmask]
+        self._complete(included_by(decision, len(self.excluded)), {
+            "exclusion": exclusion.to_record(self.epoch, proposals=True),
+            "inclusion": decision.to_record(self.epoch, proposals=True),
+            "pofs": [self.pofs[member].to_payload() for member in left_out],
+        })  # fmt: skip
+
+    def complete_from(
+        self, excluded: List[ReplicaId], included: List[ReplicaId], records: Dict[str, Any]
+    ) -> None:
+        """Complete with the outcome a peer's ``records`` of this change
+        prove (:meth:`~repro.smr.log.DecisionLog.join`): the consensus this
+        replica still runs is one its peers finished."""
+        if self.exclusion_decided_at is None:
+            self.exclusion_decided_at = self.host.now
+        self.excluded = list(excluded)
+        self._complete(list(included), records)
+
+    def _complete(self, included: List[ReplicaId], records: Dict[str, Any]) -> None:
+        self.records = records
+        self.included = included
         self.pool.mark_included(self.included)
         assert self.exclusion_decided_at is not None
         probe = self.host.probe

@@ -114,7 +114,7 @@ class SystemResult:
     seized_deposit: int = 0
     #: Mean time from a joiner's inclusion (the first honest member's
     #: decision) to the joiner holding every caught-up record (Fig. 5, right);
-    #: None when nobody joined.
+    #: None when nobody joined, or when a joiner never held the chain.
     catchup_time: Optional[float] = None
     #: Metrics snapshot of the run (None without a metrics back-end).
     telemetry: Optional[Dict[str, Any]] = None
@@ -559,8 +559,6 @@ class ZLBSystem:
                 for joiner in outcome.included:
                     at = included_at.get(joiner, outcome.inclusion_decided_at)
                     included_at[joiner] = min(at, outcome.inclusion_decided_at)
-            committed = max(committed, replica.blockchain.transactions_committed)
-            shortfall = max(shortfall, replica.blockchain.record.deposit_shortfall())
             # Gain/seizure must stay a *consistent pair* from one record (the
             # zero-loss arithmetic compares them): take both from the honest
             # replica that accounted the largest realised gain, i.e. the one
@@ -576,11 +574,21 @@ class ZLBSystem:
             if not final_committee:
                 final_committee = list(replica.committee())
 
-        catchup_times = [
-            self.replicas[joiner].history.catchup_completed_at - at
-            for joiner, at in included_at.items()
-            if self.replicas[joiner].history.catchup_completed_at is not None
-        ]
+        # One honest member of the final committee that is up reads the
+        # ledger: the convergence monitor checks that the others agree.
+        cut = self.simulator.faults.cut_replicas
+        for replica_id in sorted(final_committee):
+            replica = self.replicas[replica_id]
+            if replica.fault is FaultKind.HONEST and replica_id not in cut:
+                committed = replica.blockchain.transactions_committed
+                shortfall = replica.blockchain.record.deposit_shortfall()
+                break
+        # A joiner that never held the chain leaves no catch-up time at all.
+        completed = [self.replicas[joiner].history.catchup_completed_at for joiner in included_at]
+        catchup_time = None
+        if completed and None not in completed:
+            catchup_times = [done - at for done, at in zip(completed, included_at.values())]
+            catchup_time = sum(catchup_times) / len(catchup_times)
         probe = self.simulator.probe
         return SystemResult(
             n=self.fault_config.n,
@@ -605,7 +613,7 @@ class ZLBSystem:
             deposit_shortfall=shortfall,
             realized_gain=realized_gain,
             seized_deposit=seized,
-            catchup_time=sum(catchup_times) / len(catchup_times) if catchup_times else None,
+            catchup_time=catchup_time,
             telemetry=(
                 probe.metrics.snapshot()
                 if probe is not None and probe.metrics is not None

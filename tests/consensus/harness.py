@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.common.config import ProtocolConfig, SimulationConfig
 from repro.common.types import FaultKind
+from repro.consensus.certificates import VoteKind, make_vote
+from repro.consensus.proofs import ProofOfFraud
+from repro.crypto.hashing import hash_payload
 from repro.crypto.keys import KeyRegistry
 from repro.network.delays import ConstantDelay, DelayModel
 from repro.network.simulator import NetworkSimulator
@@ -117,3 +121,29 @@ def decided_asmr_committee(
     for replica_id in cut_off:
         simulator.faults.heal(replica_id)
     return simulator, replicas, seen
+
+
+def proof_of_fraud(replica: BaseReplica) -> ProofOfFraud:
+    """A valid proof of fraud: ``replica`` signed two values for one step."""
+    first, second = (
+        make_vote(replica, "sbc:0:0:bin:0", 0, VoteKind.AUX, hash_payload(value))
+        for value in ("one", "other")
+    )
+    return ProofOfFraud(culprit=replica.replica_id, first=first, second=second)
+
+
+def start_inclusion(simulator, replicas, culprit: int, joiner: int, live: int = 0) -> None:
+    """Start a genuine membership change on every replica of ``replicas``
+    but ``culprit``, cut off: it excludes ``culprit`` on a proof of fraud
+    and includes ``joiner``, the pool's one candidate; ``live`` more
+    instances wait for it.  Runs nothing: a completing member sends
+    ``joiner`` its CATCHUP, dropped unless ``joiner`` is a process by then."""
+    simulator.faults.cut(culprit)
+    pof = proof_of_fraud(replicas[culprit])
+    for replica in replicas:
+        if replica.replica_id != culprit:
+            replica.pool = CandidatePool([joiner])
+            replica.config = dataclasses.replace(replica.config, pof_threshold=1)
+            replica.pofs[culprit] = pof
+            replica._maybe_start_membership_change()
+            replica.submit_instances(live)

@@ -31,7 +31,17 @@ from repro.smr.asmr import ASMRReplica
 from repro.smr.membership import MembershipChange
 from repro.smr.pool import CandidatePool
 
-from tests.consensus.harness import build_cluster, decided_asmr_committee, of_kind, tap
+from tests.consensus.harness import (
+    build_cluster,
+    decided_asmr_committee,
+    of_kind,
+    start_inclusion,
+    tap,
+)
+
+#: The committee after a genuine membership change excluded replica 3 and
+#: included replica 4.
+JOINED = [0, 1, 2, 4]
 
 
 def _delivered(kind, body, sender=1, topic="t"):
@@ -122,15 +132,14 @@ HOSTILE_ROUNDS = {
 }
 
 
-#: name -> a genuine CATCHUP body -> one of another shape.
+#: name -> a genuine CATCHUP body -> one of another shape, or one whose
+#: membership records prove nothing.
 MALFORMED_CATCHUPS = {
     "records that are not a list": lambda b: {**b, "records": 7},
     "a record that is not a dict": lambda b: {**b, "records": [1]},
-    "committees that are a list": lambda b: {**b, "committees": [[0, 1, 2, 3]]},
-    "a committee that is an int": lambda b: {**b, "committees": {**b["committees"], 1: 7}},
-    "an epoch that is a str": lambda b: {**b, "epoch": "x"},
-    "an epoch with no committee": lambda b: {**b, "epoch": 2},
-    "excluded replicas that are an int": lambda b: {**b, "excluded": 7},
+    "changes that are not a list": lambda b: {**b, "changes": {0: b["changes"][0]}},
+    "a change that is not a dict": lambda b: {**b, "changes": [7]},
+    "a change that proves nothing": lambda b: {**b, "changes": [{}]},
     "a target that is a str": lambda b: {**b, "target_instances": "x"},
     "a next instance that is a str": lambda b: {**b, "next_instance": "x"},
     "a cursor that is a str": lambda b: {**b, "cursor": "x"},
@@ -364,16 +373,32 @@ class TestAccountability:
         assert sorted(change.pofs) == [3]
 
     @staticmethod
-    def _catchup(replica, instances, joined, **fields):
-        """The CATCHUP ``replica`` sends a standby included into ``joined``
-        after ``instances`` were decided, ``fields`` overriding."""
+    def _included(instances=1, n=4):
+        """``n`` members that decided ``instances`` instances, then ran a
+        genuine membership change that excluded replica ``n - 1`` on a proof
+        of fraud and included replica ``n`` — not a process yet, so the
+        CATCHUPs the members sent it at the end were lost.  The culprit is
+        healed: it can send again."""
+        simulator, replicas, _ = decided_asmr_committee(n=n)
+        for replica in replicas:
+            replica.submit_instances(instances - 1)
+        simulator.run()
+        start_inclusion(simulator, replicas, culprit=n - 1, joiner=n)
+        simulator.run()
+        simulator.faults.heal(n - 1)
+        for replica in replicas[:-1]:
+            assert replica.committee() == [*range(n - 1), n]
+        return simulator, replicas
+
+    @staticmethod
+    def _catchup(replica, instances, **fields):
+        """The CATCHUP ``replica`` sends a standby its membership change
+        included, after ``instances`` were decided, ``fields`` overriding."""
         records = replica.history.records
         body = {
             "records": [records[k].decision.to_record(0, proposals=True) for k in instances],
             "cursor": None,
-            "epoch": 1,
-            "committees": {0: [0, 1, 2, 3], 1: joined},
-            "excluded": [],
+            "changes": replica.history.changes,
             "target_instances": len(instances),
             "next_instance": len(instances),
         }
@@ -383,9 +408,10 @@ class TestAccountability:
     def _standby(simulator, replicas, standby_id):
         standby = ASMRReplica(
             replica_id=standby_id,
-            committee=[0, 1, 2, 3],
+            committee=list(range(len(replicas))),
             signer=SimulatedSigner(standby_id),
             registry=replicas[0].registry,
+            pool=CandidatePool([standby_id, standby_id + 1]),
             standby=True,
         )
         simulator.add_process(standby)
@@ -402,106 +428,153 @@ class TestAccountability:
     @confused(CONFUSED_CERTIFICATES)
     def test_a_record_with_a_confused_certificate_proves_nothing(self, confusion):
         """The first member's record of instance 0 carries a type-confused
-        certificate: it is dropped and counted, and the standby takes the
-        instance from the second member's good record."""
-        simulator, replicas, _ = decided_asmr_committee()
+        certificate: it is dropped and counted — the standby joins on the
+        view the member's membership records prove, holding nothing — and
+        it takes the instance from the second member's good record."""
+        simulator, replicas = self._included()
         standby = self._standby(simulator, replicas, 4)
-        joined = [0, 1, 2, 3, 4]
-        bad = self._catchup(replicas[1], [0], joined)
+        bad = self._catchup(replicas[1], [0])
         certificates = bad["records"][0]["binary_certificates"]
         bad["records"][0]["binary_certificates"] = {
             **certificates, 0: CONFUSED_CERTIFICATES[confusion](certificates[0])
         }
         self._send(simulator, replicas[1], 4, bad)
-        assert standby.standby and standby.decided_instances() == []
-        self._send(simulator, replicas[2], 4, self._catchup(replicas[2], [0], joined))
+        assert not standby.standby and standby.decided_instances() == []
+        self._send(simulator, replicas[2], 4, self._catchup(replicas[2], [0]))
         counters = standby.probe.metrics.snapshot()["counters"]
         assert counters.get("asmr.dropped_records") == 1
-        assert not standby.standby and standby.decided_instances() == [0]
+        assert standby.decided_instances() == [0]
         assert standby.instances[0].decision.digest == replicas[1].instances[0].decision.digest
 
     def test_a_bad_record_is_dropped_and_counted_and_the_joiner_joins_from_the_good_ones(self):
         """Two decided instances reach a standby over the wire, the second
         record with a type-confused certificate in both members' CATCHUPs:
         both are dropped and counted, nothing raises, and the standby joins
-        holding instance 0 — in the committee, epoch and cursor t + 1
-        members sent, not before."""
-        simulator, replicas, _ = decided_asmr_committee()
-        for replica in replicas:
-            replica.submit_instances(1)
-        simulator.run()
-        assert all(replica.decided_instances() == [0, 1] for replica in replicas)
+        on the first, holding instance 0, in the committee and epoch the
+        membership records prove."""
+        simulator, replicas = self._included(instances=2)
         confuse = CONFUSED_CERTIFICATES["entry signature is a str"]
         standby = self._standby(simulator, replicas, 4)
-        joined = [0, 1, 2, 3, 4]
         for sender in replicas[1:3]:
-            body = self._catchup(sender, [0, 1], joined)
+            body = self._catchup(sender, [0, 1])
             certificates = body["records"][1]["binary_certificates"]
             body["records"][1]["binary_certificates"] = {
                 **certificates, 0: confuse(certificates[0])
             }
             self._send(simulator, sender, 4, body)
-            # One member is not t + 1 of a committee of five.
-            assert standby.standby == (sender is replicas[1])
+            assert not standby.standby
         counters = standby.probe.metrics.snapshot()["counters"]
         assert counters.get("asmr.dropped_records") == 2
         assert standby.decided_instances() == [0] and standby.history.next_commit == 1
-        assert (standby.epoch, standby.committee(), standby.target_instances) == (1, joined, 2)
+        assert (standby.epoch, standby.committee(), standby.target_instances) == (1, JOINED, 2)
         assert standby.history.catchup_completed_at is not None
 
-    def test_a_view_needs_t_plus_one_members_of_its_committee(self):
-        """A CATCHUP from a replica outside the committee it names is dropped;
-        two members naming different views each stay one of two."""
-        simulator, replicas, _ = decided_asmr_committee()
+    def test_a_view_nobody_proves_is_dropped_and_counted(self):
+        """CATCHUPs whose membership records prove no view naming the
+        standby — none, a change whose exclusion leaves replica 3 out with
+        no proof of fraud, one whose inclusion decision was rewritten to
+        include replica 5 — are dropped and counted; the genuine one joins."""
+        simulator, replicas = self._included()
         standby = self._standby(simulator, replicas, 4)
-        joined = [0, 1, 2, 3, 4]
-        self._send(simulator, replicas[3], 4, self._catchup(replicas[3], [0], [0, 1, 2, 4, 5]))
-        self._send(simulator, replicas[1], 4, self._catchup(replicas[1], [0], joined))
-        self._send(simulator, replicas[2], 4, self._catchup(replicas[2], [0], joined, excluded=[3]))
+        (change,) = replicas[1].history.changes
+        inclusion = change["inclusion"]
+        rewritten = {**inclusion, "proposals": {slot: [5] for slot in inclusion["proposals"]}}
+        for changes in (
+            [],
+            [{**change, "pofs": []}],
+            [{**change, "inclusion": rewritten}],
+        ):
+            self._send(simulator, replicas[1], 4, self._catchup(replicas[1], [0], changes=changes))
         counters = standby.probe.metrics.snapshot()["counters"]
-        assert counters.get("asmr.dropped_catchups") == 1
+        assert counters.get("asmr.dropped_catchups") == 3
         assert standby.standby and standby.decided_instances() == []
-        self._send(simulator, replicas[0], 4, self._catchup(replicas[0], [0], joined))
+        assert standby.history.epoch_committees == {0: (0, 1, 2, 3)}
+        self._send(simulator, replicas[0], 4, self._catchup(replicas[0], [0]))
         assert not standby.standby and standby.decided_instances() == [0]
+        assert standby.committee() == JOINED and standby.excluded_replicas == {3}
+        assert standby.pool.available() == [5]
 
-    @pytest.mark.parametrize(
-        "committees, dropped",
-        [
-            # Epoch 0's committee rewritten: a view this standby knows is false.
-            ({0: [1, 4]}, 1),
-            # A new epoch of two: one sender is not t + 1 of the genesis four.
-            ({0: [0, 1, 2, 3], 1: [1, 4]}, 0),
-        ],
-    )
-    def test_one_member_cannot_name_the_committee_a_standby_joins(self, committees, dropped):
-        """One member names a committee of itself and the standby, excluding
-        the others: the standby neither joins nor punishes anyone, and still
-        joins the view t + 1 genesis members send."""
-        simulator, replicas, _ = decided_asmr_committee()
+    @staticmethod
+    def _forged(replicas, committees, excluded):
+        """A coalition's CATCHUP: genuine records of instance 0, the view it
+        wants as the committees and excluded replicas a CATCHUP once named,
+        and as its membership records the decision of instance 0 replayed
+        for both consensuses of a change, with no proof of fraud."""
+        record = replicas[0].history.records[0].decision.to_record(0, proposals=True)
+        return {
+            "records": [record],
+            "cursor": None,
+            "epoch": max(committees),
+            "committees": committees,
+            "excluded": excluded,
+            "changes": [{"exclusion": record, "inclusion": record, "pofs": []}],
+            "target_instances": 1,
+            "next_instance": 1,
+        }
+
+    def test_two_deceitful_members_cannot_name_the_committee_a_standby_joins(self):
+        """At n = 4 the coalition's two members are t + 1.  Both send a
+        CATCHUP naming a committee of theirs and the standby, excluding the
+        honest two: the standby stays a standby of the genesis committee,
+        punishes no one, and still joins the view the membership records of
+        a genuine change prove."""
+        simulator, replicas = self._included()
         standby = self._standby(simulator, replicas, 4)
         punished = []
         standby.on_exclude = punished.extend
-        forged = self._catchup(
-            replicas[1], [0], [1, 4], committees=committees, epoch=max(committees), excluded=[0, 2, 3]
-        )
-        self._send(simulator, replicas[1], 4, forged)
+        forged = self._forged(replicas, {0: [0, 1, 2, 3], 1: [2, 3, 4]}, [0, 1])
+        for sender in replicas[2:4]:
+            self._send(simulator, sender, 4, forged)
         assert standby.standby and standby.decided_instances() == [] and punished == []
         assert standby.excluded_replicas == set() and standby.committee() == [0, 1, 2, 3]
         assert standby.history.epoch_committees == {0: (0, 1, 2, 3)}
         counters = standby.probe.metrics.snapshot()["counters"]
-        assert counters.get("asmr.dropped_catchups", 0) == dropped
-        joined = [0, 1, 2, 3, 4]
-        for sender in replicas[2:4]:
-            self._send(simulator, sender, 4, self._catchup(sender, [0], joined))
-        assert not standby.standby and standby.committee() == joined and punished == []
+        assert counters.get("asmr.dropped_catchups") == 2
+        self._send(simulator, replicas[0], 4, self._catchup(replicas[0], [0]))
+        assert not standby.standby and standby.committee() == JOINED and punished == [3]
+
+    def test_the_papers_coalition_cannot_name_a_committee_at_n_18(self):
+        """At n = 18 the coalition holds d = ceil(5n/9) - 1 = 9 members.  Six
+        of them (t + 1) send a forged CATCHUP excluding the nine honest
+        members: nothing changes at the standby and no one is punished."""
+        simulator, replicas, _ = decided_asmr_committee(n=18)
+        standby = self._standby(simulator, replicas, 18)
+        punished = []
+        standby.on_exclude = punished.extend
+        coalition = list(range(9))
+        forged = self._forged(
+            replicas, {0: list(range(18)), 1: [*coalition, *range(18, 27)]}, list(range(9, 18))
+        )
+        for sender in replicas[:6]:
+            self._send(simulator, sender, 18, forged)
+        assert standby.standby and standby.decided_instances() == [] and punished == []
+        assert standby.excluded_replicas == set() and standby.committee() == list(range(18))
+        assert standby.history.epoch_committees == {0: tuple(range(18))}
+        counters = standby.probe.metrics.snapshot()["counters"]
+        assert counters.get("asmr.dropped_catchups") == 6
+
+    @pytest.mark.parametrize("counter", [{"next_instance": 10**12}, {"target_instances": 0}])
+    def test_a_hostile_counter_neither_hangs_the_joiner_nor_loses_its_history(self, counter):
+        """A CATCHUP that proves its view and its record but names a next
+        instance no member ran, or a target of nothing: the joiner holds
+        instance 0, runs from instance 1 and fetches nothing."""
+        simulator, replicas = self._included()
+        standby = self._standby(simulator, replicas, 4)
+        self._send(simulator, replicas[1], 4, self._catchup(replicas[1], [0], **counter))
+        history = standby.history
+        assert not standby.standby and standby.decided_instances() == [0]
+        assert (history.next_commit, history.live_from, standby.next_instance) == (1, 1, 1)
+        assert standby.target_instances == 1 and history.catchup_completed_at is not None
+        assert "asmr.fetches" not in standby.probe.metrics.snapshot()["counters"]
 
     @confused(MALFORMED_CATCHUPS)
     def test_a_malformed_catchup_is_dropped_before_the_standby_changes(self, confusion):
-        """A CATCHUP of any other shape is dropped and counted before
-        anything changes, and the good ones still join."""
-        simulator, replicas, _ = decided_asmr_committee()
+        """A CATCHUP of any other shape, or whose membership records prove
+        nothing, is dropped and counted before anything changes, and the
+        good ones still join."""
+        simulator, replicas = self._included()
         standby = self._standby(simulator, replicas, 4)
-        good = self._catchup(replicas[1], [0], [0, 1, 2, 3, 4])
+        good = self._catchup(replicas[1], [0])
 
         def state():
             history = standby.history
@@ -517,7 +590,7 @@ class TestAccountability:
             self._send(simulator, sender, 4, good)
         counters = standby.probe.metrics.snapshot()["counters"]
         assert counters.get("asmr.dropped_catchups") == 1
-        assert state()[:6] == (False, 1, [0, 1, 2, 3, 4], 1, 1, 1)
+        assert state()[:6] == (False, 1, JOINED, 1, 1, 1)
 
 
 #: name -> a genuine fetched record -> one that proves nothing.

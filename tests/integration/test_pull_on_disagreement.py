@@ -14,7 +14,8 @@ import pytest
 from repro import obs
 from repro.common.config import FaultConfig
 from repro.common.types import recovery_threshold
-from repro.scenarios import ScenarioSpec, run_system
+from repro.consensus.certificates import certificate_from_payload
+from repro.scenarios import ScenarioSpec, system_for
 from repro.zlb.system import AttackSpec, ZLBSystem
 
 from tests.consensus.harness import of_kind, tap
@@ -86,15 +87,25 @@ def test_rbbcast_cell_recovers_when_one_replica_starts_from_fewer_pofs(seed):
     # On these seeds one honest replica's first conflicting CONFIRM proves
     # three of the four culprits: its exclusion committee has to shrink while
     # the consensus runs (Alg. 1 lines 23-27), or nobody is ever excluded.
-    result = run_system(
-        ScenarioSpec(
-            family="fig4",
-            n=9,
-            attack="rbbcast",
-            cross_partition_delay="1000ms",
-            seed=seed,
-        )
+    spec = ScenarioSpec(
+        family="fig4", n=9, attack="rbbcast", cross_partition_delay="1000ms", seed=seed
     )
+    system = system_for(spec)
+    result = system.run_instances(spec.instances, until=spec.max_time)
     assert result.disagreements > 0
     assert result.excluded == [0, 1, 2, 3] and result.included == [9, 10, 11, 12]
     assert result.recovered
+    # A joiner proves the exclusion by its record: every certificate in it
+    # holds against the slots the consensus ended with — a vote of a member
+    # that left C' while it ran counts toward no quorum.
+    slot_sets = set()
+    for replica_id in range(4, 9):
+        replica = system.replicas[replica_id]
+        (change,) = replica.history.changes
+        record = change["exclusion"]
+        slots = sorted(record["bitmask"])
+        slot_sets.add(tuple(slots))
+        for group in ("binary_certificates", "rbc_certificates"):
+            for payload in record[group].values():
+                assert certificate_from_payload(payload).is_valid(replica, slots)
+    assert (4, 5, 6, 7, 8) in slot_sets

@@ -22,7 +22,10 @@ LIVE = ("fig3", "appendix-b", "table1", "churn", "crash-recovery", "jitter-stres
 def _attack(n, delay, disagreements, attack="binary", **fields):
     """An attack row with the fields the claims read, as at seed 1."""
     row = {"n": n, "seed": 1, "attack": attack, "delay": delay, "disagreements": disagreements}
-    return {**row, "recovered": True, "excluded_replicas": n // 2, **fields}
+    return {
+        **row, "recovered": True, "excluded_replicas": n // 2, "included_replicas": n // 2,
+        "catchup_time_s": 0.05, **fields,
+    }  # fmt: skip
 
 
 #: Rows the other families' claims hold on, read off their sweeps.
@@ -83,6 +86,7 @@ BREAKS = [
     ("fig4", 2, _where({"n": 12, "delay": "1000ms", "attack": "binary"}, inclusion_time_s=None)),
     ("fig4", 3, _where({"n": 18, "delay": "1000ms", "attack": "binary"}, detect_time_s=0.1)),
     ("fig4", 3, _where({"n": 9, "delay": "500ms", "attack": "binary"}, detect_time_s=None)),
+    ("fig4", 4, _where({"n": 12, "delay": "1000ms", "attack": "binary"}, catchup_time_s=None)),
     ("fig6", 0, _where({"n": 9}, min_blockdepth=-1)),
     ("fig6", 0, _where({"n": 18}, estimated_rho=1.0)),
     ("sec53", 0, _where({"n": 12, "attack": "binary", "delay": "10000ms"}, disagreements=1)),

@@ -13,11 +13,13 @@ from repro.obs.metrics import TelemetryRegistry
 from repro.smr.asmr import ASMRReplica
 from repro.smr.log import CATCHUP_RECORDS, CATCHUP_WAIT_S
 
-from tests.consensus.harness import decided_asmr_committee, of_kind
+from tests.consensus.harness import decided_asmr_committee, of_kind, start_inclusion
 
 #: Enough decided instances for a first chunk, a full MORE and a short one.
 HISTORY = 2 * CATCHUP_RECORDS + 4
-JOINED = [0, 1, 2, 3, 4]
+#: The committee after a membership change excluded replica 3 and included
+#: replica 4.
+JOINED = [0, 1, 2, 4]
 
 
 def _counters(replica):
@@ -25,8 +27,8 @@ def _counters(replica):
 
 
 def _long_history():
-    """Four members that decided :data:`HISTORY` instances, then included
-    replica 4 (a standby) into epoch 1 and sent it their catch-ups."""
+    """Four members that decided :data:`HISTORY` instances, and replica 4, a
+    standby in their pool."""
     simulator, replicas, seen = decided_asmr_committee()
     for replica in replicas:
         replica.submit_instances(HISTORY - 1)
@@ -43,18 +45,14 @@ def _long_history():
         replica.probe = Probe(metrics=TelemetryRegistry())
     for replica in replicas:
         assert replica.decided_instances() == list(range(HISTORY))
-        # What a membership change that included replica 4 leaves behind.
-        replica.update_committee(JOINED)
-        replica.history.epoch_committees[1] = tuple(JOINED)
-        replica.epoch = 1
     return simulator, replicas, seen, standby
 
 
-def _send_catchups(replicas, live=0):
-    """Each member starts ``live`` more instances, then sends its catch-up."""
-    for replica in replicas:
-        replica.submit_instances(live)
-        replica.history.send_catchup([4])
+def _send_catchups(simulator, replicas, live=0):
+    """A membership change excludes replica 3 and includes replica 4, with
+    ``live`` more instances to run after it: each member that completes it
+    sends replica 4 its catch-up."""
+    start_inclusion(simulator, replicas, culprit=3, joiner=4, live=live)
 
 
 def _on_the_members_history(standby, replicas, length=HISTORY):
@@ -86,7 +84,7 @@ def test_a_joiner_takes_a_long_history_chunk_by_chunk(monkeypatch):
         replica.history.serve_catchup = lambda joiner, cursor, replica=replica, serve=serve: (
             replica.set_timer(CATCHUP_WAIT_S / 4, lambda: serve(joiner, cursor))
         )
-    _send_catchups(replicas, live=1)
+    _send_catchups(simulator, replicas, live=1)
     simulator.run()
     _on_the_members_history(standby, replicas, HISTORY + 1)
     completed = standby.history.catchup_completed_at
@@ -114,10 +112,29 @@ def test_a_joiner_whose_source_goes_quiet_fetches_the_rest():
     simulator, replicas, seen, standby = _long_history()
     for replica in replicas:
         replica.history.serve_catchup = lambda joiner, cursor: None
-    _send_catchups(replicas)
+    _send_catchups(simulator, replicas)
     simulator.run(until=simulator.now + CATCHUP_WAIT_S / 2)
     assert standby.decided_instances() == list(range(CATCHUP_RECORDS))
     assert "asmr.fetches" not in _counters(standby)
     simulator.run()
     _on_the_members_history(standby, replicas)
     assert _counters(standby)["asmr.fetches"] == HISTORY - CATCHUP_RECORDS
+
+
+def test_a_far_next_instance_from_a_quiet_source_cannot_hang_the_joiner():
+    """The CATCHUP the joiner joins on names a next instance no member ran
+    (nothing proves that counter) and its source never answers MORE: the
+    joiner fetches the history :data:`CATCHUP_RECORDS` instances at a time,
+    ends on the members' history, and asks for at most one wave past it."""
+    simulator, replicas, seen, standby = _long_history()
+    for replica in replicas:
+        replica.history.serve_catchup = lambda joiner, cursor: None
+    join = standby.history.join
+    standby.history.join = lambda sender, body, live: join(
+        sender, {**body, "next_instance": 10**12}, live
+    )
+    _send_catchups(simulator, replicas)
+    simulator.run()
+    _on_the_members_history(standby, replicas)
+    fetches = _counters(standby)["asmr.fetches"]
+    assert HISTORY - CATCHUP_RECORDS < fetches <= HISTORY

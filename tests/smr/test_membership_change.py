@@ -2,6 +2,7 @@
 
 from repro.common.config import ProtocolConfig, SimulationConfig
 from repro.common.types import FaultKind
+from repro.consensus.binary import value_digest
 from repro.consensus.certificates import VoteKind, make_vote
 from repro.consensus.proofs import ProofOfFraud
 from repro.crypto.hashing import hash_payload
@@ -193,6 +194,31 @@ class TestShrinkingExclusionCommittee:
             assert certificate.signers() <= {0, 1, 2} and len(certificate.votes) == 3
         assert outcomes[0].excluded == outcomes[1].excluded == [4, 5, 6]
 
+    def test_a_dropped_member_s_votes_count_toward_no_quorum(self):
+        # Replica 4 voted in replica 0's exclusion consensus before its PoF
+        # came: once it leaves C', its BVAL, AUX, ECHO and READY count in no
+        # tally of the slots that stay — a certificate built from them would
+        # not verify against the slots the record names.
+        culprits = (4, 5, 6)
+        simulator, changes, outcomes, pofs = _changes(7, culprits, lambda rid: (5, 6))
+        culprit = simulator.process_for(4)
+        exclusion = changes[0].exclusion
+        binary, rbc = exclusion._binary[0], exclusion._rbc[0]
+        aux = make_vote(culprit, binary.context, 1, VoteKind.AUX, value_digest(1))
+        binary.handle(binary.topic, 4, "BVAL", {"round": 1, "value": 1})
+        binary.handle(binary.topic, 4, "AUX", {"round": 1, "value": 1, "vote": aux.to_payload()})
+        digest = hash_payload("a proposal")
+        for kind, name in ((VoteKind.RBC_ECHO, "ECHO"), (VoteKind.RBC_READY, "READY")):
+            vote = make_vote(culprit, rbc.context, 0, kind, digest)
+            rbc.handle(rbc.topic, 4, name, {"digest": digest, "vote": vote.to_payload()})
+        state = binary._rounds[1]
+        assert 4 in state.bval_received[1] and state.aux_counts == [0, 1]
+        assert 4 in rbc._echo_votes[digest] and 4 in rbc._ready_votes[digest]
+        changes[0].learn_pofs(pofs)
+        assert 4 not in exclusion.slots
+        assert state.bval_received == (set(), set()) and state.aux_counts == [0, 0]
+        assert state.aux_votes == {} and rbc._echo_votes[digest] == rbc._ready_votes[digest] == {}
+
     def test_known_culprits_and_a_decided_exclusion_are_left_alone(self):
         culprits = (3,)
         simulator, changes, outcomes, pofs = _changes(4, culprits, lambda rid: culprits)
@@ -242,40 +268,34 @@ class TestEarlyInclusionTraffic:
         assert {tuple(outcome.excluded) for outcome in outcomes.values()} == {culprits}
         assert len({tuple(outcome.included) for outcome in outcomes.values()}) == 1
 
-    def test_a_replica_left_behind_by_detached_peers_is_stuck_in_inclusion(self):
+    def test_a_replica_left_behind_by_detached_peers_completes_from_their_records(self):
         # The scenario of ``test_the_exclusion_consensus_decides_at_the_
-        # shrunken_quorum`` on real replicas.  There the peers' completed
-        # changes keep answering; a real replica detaches when it completes
-        # (before PR 24: ``membership_change = None``, same effect), so
-        # replica 0 — which never hears replica 3 — decides the exclusion,
-        # proposes to an inclusion consensus nobody runs any more and cannot
-        # fetch slot 3's value.  A known gap (ROADMAP item 1 (e)), pinned so a
-        # change to it is seen.  Catch-up does not mend it: it serves the
-        # replicas a change included, and replica 0 is a member that needs
-        # the change's outcome, which nothing sends it yet.
+        # shrunken_quorum`` on real replicas, whose changes detach when they
+        # complete: replica 0 — which never hears replica 3 — decides the
+        # exclusion and proposes to an inclusion consensus nobody runs any
+        # more.  Each peer answers that INIT, once, with the CATCHUP whose
+        # membership records prove the outcome, and replica 0 completes its
+        # change from it: the same exclusion and inclusion as its peers.
         culprits = (4, 5, 6)
         simulator, replicas, changes, pofs = _replicas(
             7, culprits, lambda rid: (5, 6) if rid == 0 else culprits
         )
+        seen = tap(replicas.values())
         deliver = replicas[0].on_message
         replicas[0].on_message = lambda message: message.sender == 3 or deliver(message)
         simulator.run()
         assert sorted(_outcomes(replicas)) == [1, 2, 3] and not changes[0].exclusion.decided
         changes[0].learn_pofs(pofs)
         simulator.run()
-        assert changes[0].exclusion.decided and changes[0].excluded == [4, 5, 6]
-        assert changes[0].inclusion is not None and not changes[0].inclusion.decided
-        assert sorted(_outcomes(replicas)) == [1, 2, 3]
-        # It hears everybody and the same late start completes.
-        simulator, replicas, changes, pofs = _replicas(
-            7, culprits, lambda rid: (5, 6) if rid == 0 else culprits
-        )
-        simulator.run()
-        changes[0].learn_pofs(pofs)
-        simulator.run()
+        assert changes[0].exclusion.decided and not changes[0].inclusion.decided
         outcomes = _outcomes(replicas)
         assert sorted(outcomes) == [0, 1, 2, 3]
+        assert {tuple(outcome.excluded) for outcome in outcomes.values()} == {culprits}
         assert len({tuple(outcome.included) for outcome in outcomes.values()}) == 1
+        assert replicas[0].committee() == replicas[1].committee() and replicas[0].epoch == 1
+        # Replica 3's answer is lost with the rest of what it sends.
+        answers = [m for m in seen if m.kind == "CATCHUP"]
+        assert sorted((m.sender, m.recipient) for m in answers) == [(1, 0), (2, 0)]
 
     def test_a_completed_change_leaves_only_the_root_fallbacks(self):
         culprits = (4, 5, 6)
