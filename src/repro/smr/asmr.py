@@ -271,7 +271,8 @@ class ASMRReplica(BaseReplica):
             self._maybe_start_next_instance()
 
     def submit_instances(self, count: int) -> None:
-        """Ask the replica to run ``count`` more consensus instances."""
+        """Ask the replica to run ``count`` more consensus instances; a
+        standby runs them once a membership change includes it."""
         self.target_instances += count
         if self._transport is not None and not self.standby:
             self._maybe_start_next_instance()
@@ -524,7 +525,9 @@ class ASMRReplica(BaseReplica):
         """Hand ``on_merge`` every waiting remote decision whose proposals are
         all here, in the order their CONFIRMs arrived — once the instance is
         committed here: a merge lands on a branch that holds its block.  The
-        first merge of each digest is kept as a record for catch-up."""
+        first merge of each digest is kept as a record for catch-up, and
+        forwarded to the replicas outside the committee the instance's record
+        was sent to (``DecisionLog.forward_merge``)."""
         if record.instance >= self.history.next_commit:
             return
         local = record.decision
@@ -543,6 +546,7 @@ class ASMRReplica(BaseReplica):
                 self.on_merge(record.instance, proposals)
                 if all(merged.get("digest") != body.get("digest") for merged in record.merged):
                     record.merged.append({**body, "proposals": proposals})
+                    self.history.forward_merge(record)
         record.pending_merges = waiting
 
     def _record_named_in(self, body: Dict[str, Any]) -> Optional[InstanceRecord]:

@@ -30,46 +30,54 @@ of a slot decided 1 ``PROPOSAL_WAIT_S`` after a CONFIRM for the instance
 came (that slot's reliable broadcast lost a message), fetches the instance's
 decision record from ``t + 1`` members — a PULL that wants nothing named,
 answered with :meth:`~repro.consensus.sbc.SBCDecision.to_record` and its
-proposals, once per requester and only to a member; a member that has not
+proposals, and the records of the conflicting decisions merged into it
+(``merged``), once per requester and only to a member; a member that has not
 decided the instance yet answers when it does.  The first record that proves
 its decision against the committee of its epoch
 (:func:`~repro.consensus.sbc.decision_from_record`) is adopted: the local
 SBC of the instance detaches and the decision goes the way of a local one —
-monitors, CONFIRM, parked CONFIRMs, ordered commit.  A later record that
-proves a different decision is a conflicting confirmation.  None of the
-three occurs in a fault-free scenario cell: those fetch nothing.
+monitors, CONFIRM, parked CONFIRMs, ordered commit.  A replica that was no
+member of that committee hears no CONFIRM of the instance: it takes the
+merged records of every answer, as a catch-up's, and a member that sent it
+the instance's record — answering a fetch or in a catch-up chunk — forwards
+each merge it makes afterwards (:meth:`DecisionLog.forward_merge`), read
+once per member.  A later record that proves a different decision is a
+conflicting confirmation.  None of the three occurs
+in a fault-free scenario cell: those fetch nothing.
 
 **Catch-up.**  A membership change ends with every member sending each
 replica it included a CATCHUP: the records of every membership change so far
 (:attr:`DecisionLog.changes`: each change's exclusion and inclusion
 decisions as :meth:`~repro.consensus.sbc.SBCDecision.to_record` with
 proposals, and a proof of fraud against each member of the committee the
-exclusion consensus ran without), the target and the first instance the
-joiner runs, and the first :data:`CATCHUP_RECORDS` decided instances, each
-as the record a fetch is answered with followed by the records of the
-conflicting decisions merged into it.  A ``cursor`` names the instance the
-rest starts at; the joiner asks the first member it joined on for it
-(``MORE``), one chunk at a time, and fetches the rest instance by instance if
-a chunk is :data:`CATCHUP_WAIT_S` late.  A joiner takes no view on a count:
-it re-derives every committee from the genesis committee, one change after
-the other, through the one record proof (:meth:`DecisionLog._prove`) — an
-exclusion record against the slots it names, accepted only if every member of
-the committee they leave out is the culprit of a proof of fraud that
+exclusion consensus ran without), the first instance the joiner runs, and
+the first :data:`CATCHUP_RECORDS` decided instances, each as the record a
+fetch is answered with followed by the records of the conflicting decisions
+merged into it.  A ``cursor`` names the instance the rest starts at; the
+joiner asks the member it joined on (its source) for it (``MORE``), one
+chunk at a time, and fetches the rest instance by instance if a chunk is
+:data:`CATCHUP_WAIT_S` late.  A joiner takes no view on a count: it
+re-derives every committee from the genesis committee, one change after the
+other, through the one record proof (:meth:`DecisionLog._prove`) — an
+exclusion record against the slots it names, accepted only if every member
+of the committee they leave out is the culprit of a proof of fraud that
 verifies; what it decided excluded are the culprits of the verified proofs
 of fraud its decided proposals carry, and the inclusion record, proven
 against the rest, chooses who joins (:func:`~repro.smr.membership.
 excluded_by`, :func:`~repro.smr.membership.included_by`, shared with the
-live change).  It joins on the first CATCHUP whose records prove a committee
-naming it and the sender, and takes every record of every CATCHUP that
-proves its decision against the committee of its epoch: one for an instance
-it holds no decision for is adopted as a fetched one is, one that proves
-another decision is a conflict, merged as a conflicting CONFIRM is.  Then it
-punishes the excluded replicas and runs the instances the committee runs.
-The records it caught up on are history: they retire nothing and age no
-memo.  A member still in the inclusion consensus of a change its peers
-finished sends them its INIT, which each answers once with its CATCHUP
-(:meth:`DecisionLog.serve_change`): the member completes its change from the
-outcome the records prove.
+live change).  It proves the first CATCHUP of each genesis member, joins on
+the first whose records prove a committee naming it and the sender, and
+takes the records of its source's chunks that prove their decision against
+the committee of their epoch: one for an instance it holds no decision for
+is adopted as a fetched one is, one that proves another decision is a
+conflict, merged as a conflicting CONFIRM is.  Then it punishes the excluded
+replicas and runs the instances its own driver asks for from the first one
+its source's history does not hold.  The records it caught up on are
+history: they retire nothing and age no memo.  A member still in the
+inclusion consensus of a change its peers finished sends them its INIT,
+which each answers once with a CATCHUP that carries the membership records
+alone (:meth:`DecisionLog.serve_change`): the member completes its change
+from the outcome they prove.
 """
 
 from __future__ import annotations
@@ -82,7 +90,13 @@ from repro.common.types import ReplicaId, byzantine_tolerance
 from repro.consensus.proofs import GroupedVotes, accountable_votes
 from repro.consensus.sbc import SBCDecision, decision_from_record
 from repro.network.topic import Topic
-from repro.smr.membership import excluded_by, included_by, next_committee, verified_pofs
+from repro.smr.membership import (
+    MembershipChange,
+    excluded_by,
+    included_by,
+    next_committee,
+    verified_pofs,
+)
 
 #: Decided instances one CATCHUP carries at most (see "Catch-up").
 CATCHUP_RECORDS = 16
@@ -123,6 +137,9 @@ class InstanceRecord:
     #: The records of the conflicting decisions merged here, one per digest,
     #: with their proposals: what a catch-up sends after the instance's own.
     merged: List[Dict[str, Any]] = field(default_factory=list)
+    #: The replicas outside the committee this record was sent to (a fetch's
+    #: answer, a catch-up): each later merge is forwarded to them.
+    sent_to: Set[ReplicaId] = field(default_factory=set)
     #: The decision's justification votes grouped, once the first conflicting
     #: CONFIRM needs them (a disagreed instance never retires, so they never
     #: go stale).
@@ -134,16 +151,19 @@ class InstanceRecord:
         return bool(self.conflicting_digests)
 
 
+def _dicts(value: Any) -> bool:
+    """True when ``value`` is a list of dicts, as records are sent."""
+    return type(value) is list and all(type(item) is dict for item in value)
+
+
 def _is_catchup(body: Dict[str, Any]) -> bool:
     """True when a CATCHUP body is of the shape :meth:`DecisionLog.send_catchup`
     sends: what it proves is checked later."""
-    records, changes, cursor = body.get("records"), body.get("changes"), body.get("cursor")
+    cursor = body.get("cursor")
     return (
-        type(records) is list
-        and all(type(record) is dict for record in records)
-        and type(changes) is list
-        and all(type(change) is dict for change in changes)
-        and all(type(body.get(key)) is int for key in ("target_instances", "next_instance"))
+        _dicts(body.get("records"))
+        and _dicts(body.get("changes"))
+        and type(body.get("next_instance")) is int
         and (cursor is None or type(cursor) is int)
     )
 
@@ -158,11 +178,12 @@ class DecisionLog:
     reads the replica's (``host``) clock, probe, id, topics and committee,
     and calls back into it for ``on_commit`` (read at each commit),
     ``_run_ready_merges``, ``_on_sbc_decided`` (an adopted record),
-    ``_handle_confirm`` (a fetched record proving another decision) and ``emit_to``;
-    a standby's :meth:`join` also sets its view and calls ``update_committee``,
-    ``_disagree`` (a caught-up record proving another decision),
-    ``_maybe_start_next_instance`` and ``_fetch`` (what its catch-up left);
-    a stuck member's completes its ``membership_change`` (``complete_from``).
+    ``_handle_confirm`` (a fetched record proving another decision),
+    ``_disagree`` (a fetched or caught-up record of a merged decision) and
+    ``emit_to``; a standby's :meth:`join` also sets its view and calls
+    ``update_committee``, ``_maybe_start_next_instance`` and ``_fetch``
+    (what its catch-up left); a stuck member's completes its
+    ``membership_change`` (``complete_from``).
     """
 
     def __init__(self, host: Any, committee: List[ReplicaId]) -> None:
@@ -189,17 +210,22 @@ class DecisionLog:
         #: epoch) pairs they were sent for a stale inclusion INIT.
         self.changes: List[Dict[str, Any]] = []
         self._changes_served: Set[Tuple[ReplicaId, int]] = set()
+        #: The (sender, epoch) pairs whose CATCHUP was proven here: one each.
+        self._catchups_proven: Set[Tuple[ReplicaId, int]] = set()
         #: The member that answers a joiner's ``MORE`` while a chunk is due,
-        #: and the timer of the wait for it.
+        #: the timer of the wait for it, and one past the last instance its
+        #: chunks named.
         self._catchup_source: Optional[ReplicaId] = None
         self._source_wait: Optional[int] = None
+        self._source_end = 0
         #: The first instance this replica ran live: a joiner's catch-up
         #: holds the ones below it (0 for a founding member).
         self.live_from = 0
         #: Joiners this replica sent a catch-up, and the cursor each may ask
         #: for next.
         self._joiners: Dict[ReplicaId, Optional[int]] = {}
-        #: When this replica, included, held every caught-up record.
+        #: When this replica, included, held every caught-up record (the
+        #: last chunk's, or every fetched one below :attr:`live_from`).
         self.catchup_completed_at: Optional[float] = None
         #: The instance below which a joiner has fetched its history: it
         #: fetches on as its commits reach it (see :meth:`_fetch_history`).
@@ -236,8 +262,10 @@ class DecisionLog:
                 host._run_ready_merges(record)
             record = self.records.get(self.next_commit)
         fetched = self._history_fetched
-        if fetched is not None and fetched < min(self.live_from, self.next_commit + CATCHUP_RECORDS):
-            self._fetch_history()
+        if fetched is not None:
+            if fetched < min(self.live_from, self.next_commit + CATCHUP_RECORDS):
+                self._fetch_history()
+            self._held()
 
     def undecided(self, last: int) -> List[InstanceRecord]:
         """The records of ``next_commit`` .. ``last`` with no decision, in
@@ -332,30 +360,66 @@ class DecisionLog:
     def _send_record(self, record: InstanceRecord, requester: ReplicaId) -> None:
         # ``None`` stands for the whole record in ``pulls_served``.
         record.pulls_served.add((requester, None))
+        if requester not in record.committee:
+            record.sent_to.add(requester)
         body = record.decision.to_record(record.epoch, proposals=True)
+        body["merged"] = record.merged
         host = self._host
         host.emit_to(requester, host.CONFIRM_TOPIC.child(record.instance), "PROPOSALS", body)
 
     def fetched(self, sender: ReplicaId, body: Dict[str, Any], live: Dict[int, Any]) -> None:
         """A fetched decision record: one answer per member asked.  The first
         that proves its decision (:meth:`_prove`) is adopted; a later one that
-        proves a different decision is a conflicting confirmation.  Anything
-        else is dropped and counted, and the gap stays open."""
+        proves a different decision is a conflicting confirmation.  Outside
+        the instance's committee, this replica also takes the merged records
+        each answer carries, and one merge each member forwards later (see
+        "Gap fill").  Anything else is dropped and
+        counted, and the gap stays open."""
         instance = body.get("instance")
         asked = self._fetches.get(instance) if type(instance) is int else None
+        record = self.records.get(instance) if type(instance) is int else None
         decision = None
         if asked is not None and sender in asked:
             asked.discard(sender)
             decision = self._prove(body)
+        elif (
+            self._outside(record)
+            and self.is_member(sender, record)
+            and sender not in record.conflicting_senders
+        ):
+            record.conflicting_senders.add(sender)
+            self._take_records(sender, [body], live)
+            return
         elif self._host.probe is not None:
             self._host.probe.count("asmr.dropped_records")
         if decision is None:
             return
-        record = self.records.get(instance)
         if record is None or record.decision is None:
             self.adopt(decision, body["epoch"], live)
         elif record.decision.digest != decision.digest:
             self._host._handle_confirm(sender, body)
+        merged = body.get("merged")
+        if self._outside(self.records[instance]) and _dicts(merged):
+            self._take_records(sender, merged, live)
+
+    def _outside(self, record: Optional[InstanceRecord]) -> bool:
+        """True when this replica holds ``record``'s decision but was no
+        member of its committee: it hears no CONFIRM of it."""
+        return (
+            record is not None
+            and record.decision is not None
+            and self._host.replica_id not in record.committee
+        )
+
+    def forward_merge(self, record: InstanceRecord) -> None:
+        """``record``'s instance merged another decision after this replica
+        sent its record to replicas outside its committee: send them the
+        merged record too (see "Gap fill")."""
+        host = self._host
+        for requester in sorted(record.sent_to):
+            host.emit_to(
+                requester, host.CONFIRM_TOPIC.child(record.instance), "PROPOSALS", record.merged[-1]
+            )
 
     def _prove(
         self,
@@ -426,7 +490,6 @@ class DecisionLog:
         """Send ``replicas``, included, the records of every membership
         change and the decided instances from ``cursor`` on (see
         "Catch-up"): one body for all of them."""
-        host = self._host
         decided = self.decided
         first = bisect_left(decided, cursor)
         chunk = decided[first : first + CATCHUP_RECORDS]
@@ -435,14 +498,20 @@ class DecisionLog:
             record = self.records[instance]
             records.append(record.decision.to_record(record.epoch, proposals=True))
             records += record.merged
+            record.sent_to.update(replicas)
         next_cursor = chunk[-1] + 1 if first + CATCHUP_RECORDS < len(decided) else None
         for replica in replicas:
             self._joiners[replica] = next_cursor
+        self._emit_catchup(replicas, records, next_cursor)
+
+    def _emit_catchup(
+        self, replicas: List[ReplicaId], records: List[Dict[str, Any]], cursor: Optional[int]
+    ) -> None:
+        host = self._host
         host.emit(host.CATCHUP_TOPIC, "CATCHUP", {
             "records": records,
-            "cursor": next_cursor,
+            "cursor": cursor,
             "changes": list(self.changes),
-            "target_instances": host.target_instances,
             "next_instance": self.next_commit,
         }, recipients=replicas)  # fmt: skip
 
@@ -455,62 +524,72 @@ class DecisionLog:
             self._host.probe.count("asmr.dropped_catchups")
 
     def serve_change(self, member: ReplicaId, epoch: Any) -> None:
-        """``member`` proposed to the inclusion consensus of ``epoch``, a
-        change this replica completed: send it the CATCHUP whose records
-        prove the outcome (see :meth:`join`), once per (member, epoch)."""
+        """``member``, another replica, proposed to the inclusion consensus
+        of ``epoch``, a change this replica completed: send it a CATCHUP
+        whose membership records prove the outcome (see :meth:`join`), and
+        no history — it holds it — once per (member, epoch)."""
         if (
             type(epoch) is int
             and epoch < len(self.changes)
+            and member != self._host.replica_id
             and member in self.epoch_committees[epoch + 1]
             and (member, epoch) not in self._changes_served
         ):
             self._changes_served.add((member, epoch))
-            self.send_catchup([member])
+            self._emit_catchup([member], [], None)
 
     def join(self, sender: ReplicaId, body: Dict[str, Any], live: Dict[int, Any]) -> None:
-        """Read a CATCHUP (see "Catch-up").  A standby joins on the first
-        whose membership records prove, from the genesis committee, a view
-        whose committee holds the standby and the sender; a member still in
-        the consensus of a change the records prove completes the change;
-        any other replica takes the records, and the chunk its ``MORE``
-        asked its source for moves its catch-up on.  A body of another
-        shape, or one reaching a standby that proves no such view, is
-        dropped and counted.
+        """Read a CATCHUP (see "Catch-up").  A chunk from the source a joiner
+        asked moves its catch-up on.  Otherwise only the first CATCHUP of a
+        member of the newest committee known here is proven, per epoch: a
+        standby joins on one whose membership records prove, from the
+        genesis committee, a view whose committee holds the standby and the
+        sender, and a member still in the consensus of a change the records
+        prove completes the change.  Anything else — another shape, another
+        sender, a view or outcome nobody proves — is dropped and counted.
 
-        Nothing proves the two counters, so each is bounded: ``live_from``
-        is at most ``next_instance`` and, when the body carries the rest of
-        the history (no cursor), one past the last instance its records
-        prove — an honest ``next_commit`` never exceeds either — and the
+        Nothing proves ``next_instance``, so it is bounded: :attr:`live_from`
+        is at most the replica's own target, which its driver sets as every
+        member's (a CATCHUP names none), and, once the source sent the rest
+        of the history (no cursor), one past the last instance the source's
+        records name — an honest ``next_commit`` exceeds neither; the
         history below it is fetched :data:`CATCHUP_RECORDS` instances at a
-        time; ``target_instances`` is at least ``live_from``, which an
-        honest member's target never is below."""
+        time."""
         host = self._host
         if _is_catchup(body):
+            changes = body["changes"]
             if not host.standby:
-                if not self._complete_change(body["changes"]):
-                    self._take_records(sender, body["records"], live)
-                    if sender == self._catchup_source:
-                        host.transport.cancel(self._source_wait)
-                        if body["cursor"] is None:
-                            self._bound_live_from()
-                        self._ask_for_more(sender, body["cursor"])
-                return
-            view = self._proven_view(body["changes"])
-            members = () if view is None else view[0][len(body["changes"])]
-            if sender in members and host.replica_id in members:
-                self._join(sender, body, view, live)
-                return
+                if sender == self._catchup_source:
+                    host.transport.cancel(self._source_wait)
+                    self._read_chunk(sender, body, live)
+                    return
+                change = host.membership_change
+                if change is not None and change.epoch < len(changes) and self._first_from(sender):
+                    if self._complete_change(change, changes[change.epoch]):
+                        return
+            elif self._first_from(sender):
+                view = self._proven_view(changes)
+                members = () if view is None else view[0][len(changes)]
+                if sender in members and host.replica_id in members:
+                    self._join(sender, body, view, live)
+                    return
         if host.probe is not None:
             host.probe.count("asmr.dropped_catchups")
 
-    def _complete_change(self, changes: List[Dict[str, Any]]) -> bool:
-        """Complete the membership change this replica still runs with the
-        outcome the records of its epoch in ``changes`` prove; False when it
-        runs none or they prove nothing."""
-        change = self._host.membership_change
-        if change is None or change.epoch >= len(changes):
+    def _first_from(self, sender: ReplicaId) -> bool:
+        """True for the first CATCHUP this epoch of ``sender``, a member of
+        the newest committee known here (the genesis one, for a standby):
+        the one whose records are proven."""
+        key, known = (sender, self._host.epoch), self.epoch_committees
+        if key in self._catchups_proven or sender not in known[max(known)]:
             return False
-        records = changes[change.epoch]
+        self._catchups_proven.add(key)
+        return True
+
+    def _complete_change(self, change: MembershipChange, records: Dict[str, Any]) -> bool:
+        """Complete ``change``, the membership change this replica still
+        runs, with the outcome its ``records`` prove; False when they prove
+        nothing."""
         outcome = self._prove_change(change.epoch, self.epoch_committees[change.epoch], records)
         if outcome is not None:
             change.complete_from(*outcome, records)
@@ -546,23 +625,30 @@ class DecisionLog:
         host.pool.mark_included(set().union(*committees.values()))
         host.epoch = max(host.epoch, epoch)
         host.excluded_replicas.update(excluded)
-        self.live_from = body["next_instance"]
-        self._take_records(sender, body["records"], live)
-        if body["cursor"] is None:
-            self._bound_live_from()
-        host.target_instances = max(host.target_instances, body["target_instances"], self.live_from)
+        self.live_from = min(body["next_instance"], host.target_instances)
         host.next_instance = max(host.next_instance, self.live_from)
+        self._read_chunk(sender, body, live)
         if excluded and host.on_exclude is not None:
             host.on_exclude(sorted(set(excluded)))
         host.standby = False
-        self._ask_for_more(sender, body["cursor"])
         host._maybe_start_next_instance()
         host._fetch_decided_in_older_epochs()
 
-    def _bound_live_from(self) -> None:
-        """The source sent the last chunk: :attr:`live_from` is at most one
-        past the last instance decided here (see :meth:`join`)."""
-        self.live_from = min(self.live_from, self.decided[-1] + 1 if self.decided else 0)
+    def _read_chunk(self, source: ReplicaId, body: Dict[str, Any], live: Dict) -> None:
+        """Take the records of ``source``'s chunk and ask for the next one.
+        The last chunk (no cursor) bounds :attr:`live_from`, and the next
+        instance the replica starts with it, to one past the last instance
+        the source's records name (see :meth:`join`)."""
+        host = self._host
+        records = body["records"]
+        self._take_records(source, records, live)
+        named = [record.get("instance") for record in records]
+        self._source_end = max([self._source_end, *(k + 1 for k in named if type(k) is int)])
+        if body["cursor"] is None and self._source_end < self.live_from:
+            self.live_from = self._source_end
+            host.next_instance = min(host.next_instance, self.live_from)
+            host._maybe_start_next_instance()
+        self._ask_for_more(source, body["cursor"])
 
     def _ask_for_more(self, source: ReplicaId, cursor: Optional[int]) -> None:
         """Ask ``source`` for the chunk at ``cursor``; with none, the catch-up
@@ -581,6 +667,13 @@ class DecisionLog:
         """The source did not answer a ``MORE`` in time: fetch the rest."""
         self._catchup_source = None
         self._fetch_history()
+        self._held()
+
+    def _held(self) -> None:
+        """A joiner whose source went quiet holds its history once it
+        committed every instance below :attr:`live_from`."""
+        if self.catchup_completed_at is None and self.next_commit >= self.live_from:
+            self.catchup_completed_at = self._host.now
 
     def _fetch_history(self) -> None:
         """Fetch the instances below :attr:`live_from` still undecided here,

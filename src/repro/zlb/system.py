@@ -470,10 +470,11 @@ class ZLBSystem:
     def run_instances(
         self, count: int = 1, until: Optional[float] = None
     ) -> SystemResult:
-        """Ask every active committee member to run ``count`` more instances."""
+        """Ask every active replica to run ``count`` more instances: a
+        standby holds the target for when a membership change includes it."""
         self.instances_requested += count
         for replica in self.replicas.values():
-            if not replica.standby and replica.fault is not FaultKind.BENIGN:
+            if replica.fault is not FaultKind.BENIGN:
                 replica.submit_instances(count)
         return self.run(until=until)
 

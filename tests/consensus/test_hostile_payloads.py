@@ -28,6 +28,7 @@ from repro.obs.core import Probe
 from repro.obs.metrics import TelemetryRegistry
 from repro.rbc.bracha import ReliableBroadcast
 from repro.smr.asmr import ASMRReplica
+from repro.smr.log import DecisionLog
 from repro.smr.membership import MembershipChange
 from repro.smr.pool import CandidatePool
 
@@ -140,7 +141,6 @@ MALFORMED_CATCHUPS = {
     "changes that are not a list": lambda b: {**b, "changes": {0: b["changes"][0]}},
     "a change that is not a dict": lambda b: {**b, "changes": [7]},
     "a change that proves nothing": lambda b: {**b, "changes": [{}]},
-    "a target that is a str": lambda b: {**b, "target_instances": "x"},
     "a next instance that is a str": lambda b: {**b, "next_instance": "x"},
     "a cursor that is a str": lambda b: {**b, "cursor": "x"},
 }
@@ -399,23 +399,27 @@ class TestAccountability:
             "records": [records[k].decision.to_record(0, proposals=True) for k in instances],
             "cursor": None,
             "changes": replica.history.changes,
-            "target_instances": len(instances),
             "next_instance": len(instances),
         }
         return {**body, **fields}
 
     @staticmethod
-    def _standby(simulator, replicas, standby_id):
+    def _standby(simulator, replicas, standby_id, target=1):
+        """Replica ``standby_id``, a standby whose driver asked for
+        ``target`` instances, as the members' did."""
+        signer = SimulatedSigner(standby_id)
+        replicas[0].registry.register_signer(signer)
         standby = ASMRReplica(
             replica_id=standby_id,
             committee=list(range(len(replicas))),
-            signer=SimulatedSigner(standby_id),
+            signer=signer,
             registry=replicas[0].registry,
             pool=CandidatePool([standby_id, standby_id + 1]),
             standby=True,
         )
         simulator.add_process(standby)
         standby.probe = Probe(metrics=TelemetryRegistry())
+        standby.submit_instances(target)
         return standby
 
     @staticmethod
@@ -429,8 +433,8 @@ class TestAccountability:
     def test_a_record_with_a_confused_certificate_proves_nothing(self, confusion):
         """The first member's record of instance 0 carries a type-confused
         certificate: it is dropped and counted — the standby joins on the
-        view the member's membership records prove, holding nothing — and
-        it takes the instance from the second member's good record."""
+        view the member's membership records prove — and, the record named,
+        it fetches the instance from the members."""
         simulator, replicas = self._included()
         standby = self._standby(simulator, replicas, 4)
         bad = self._catchup(replicas[1], [0])
@@ -439,22 +443,22 @@ class TestAccountability:
             **certificates, 0: CONFUSED_CERTIFICATES[confusion](certificates[0])
         }
         self._send(simulator, replicas[1], 4, bad)
-        assert not standby.standby and standby.decided_instances() == []
-        self._send(simulator, replicas[2], 4, self._catchup(replicas[2], [0]))
         counters = standby.probe.metrics.snapshot()["counters"]
-        assert counters.get("asmr.dropped_records") == 1
+        assert not standby.standby and standby.history.live_from == 1
+        assert counters.get("asmr.dropped_records") == 1 and counters.get("asmr.fetches") == 1
         assert standby.decided_instances() == [0]
         assert standby.instances[0].decision.digest == replicas[1].instances[0].decision.digest
 
     def test_a_bad_record_is_dropped_and_counted_and_the_joiner_joins_from_the_good_ones(self):
         """Two decided instances reach a standby over the wire, the second
         record with a type-confused certificate in both members' CATCHUPs:
-        both are dropped and counted, nothing raises, and the standby joins
-        on the first, holding instance 0, in the committee and epoch the
-        membership records prove."""
+        the first member's bad record is dropped and counted, nothing
+        raises, and the standby joins on its CATCHUP, holding instance 0, in
+        the committee and epoch the membership records prove, and fetches
+        instance 1; the second member's CATCHUP is not read."""
         simulator, replicas = self._included(instances=2)
         confuse = CONFUSED_CERTIFICATES["entry signature is a str"]
-        standby = self._standby(simulator, replicas, 4)
+        standby = self._standby(simulator, replicas, 4, target=2)
         for sender in replicas[1:3]:
             body = self._catchup(sender, [0, 1])
             certificates = body["records"][1]["binary_certificates"]
@@ -464,8 +468,9 @@ class TestAccountability:
             self._send(simulator, sender, 4, body)
             assert not standby.standby
         counters = standby.probe.metrics.snapshot()["counters"]
-        assert counters.get("asmr.dropped_records") == 2
-        assert standby.decided_instances() == [0] and standby.history.next_commit == 1
+        assert counters.get("asmr.dropped_records") == 1
+        assert counters.get("asmr.dropped_catchups") == counters.get("asmr.fetches") == 1
+        assert standby.decided_instances() == [0, 1] and standby.history.next_commit == 2
         assert (standby.epoch, standby.committee(), standby.target_instances) == (1, JOINED, 2)
         assert standby.history.catchup_completed_at is not None
 
@@ -508,7 +513,6 @@ class TestAccountability:
             "committees": committees,
             "excluded": excluded,
             "changes": [{"exclusion": record, "inclusion": record, "pofs": []}],
-            "target_instances": 1,
             "next_instance": 1,
         }
 
@@ -553,25 +557,77 @@ class TestAccountability:
         counters = standby.probe.metrics.snapshot()["counters"]
         assert counters.get("asmr.dropped_catchups") == 6
 
-    @pytest.mark.parametrize("counter", [{"next_instance": 10**12}, {"target_instances": 0}])
+    @pytest.mark.parametrize(
+        "counter",
+        [
+            {"next_instance": 10**12},
+            {"next_instance": 10**12, "cursor": 1},
+            {"target_instances": 10**12},
+            {"target_instances": 0},
+        ],
+        ids=["far next instance", "far next instance and a cursor", "far target", "no target"],
+    )
     def test_a_hostile_counter_neither_hangs_the_joiner_nor_loses_its_history(self, counter):
         """A CATCHUP that proves its view and its record but names a next
-        instance no member ran, or a target of nothing: the joiner holds
-        instance 0, runs from instance 1 and fetches nothing."""
+        instance no member ran — with the rest of the history, or with a
+        cursor its source never serves — or a target (a field no CATCHUP
+        has): the joiner holds instance 0, runs from instance 1 with its
+        driver's target and fetches nothing, and it completes the next
+        membership change as a member."""
         simulator, replicas = self._included()
         standby = self._standby(simulator, replicas, 4)
         self._send(simulator, replicas[1], 4, self._catchup(replicas[1], [0], **counter))
         history = standby.history
         assert not standby.standby and standby.decided_instances() == [0]
         assert (history.next_commit, history.live_from, standby.next_instance) == (1, 1, 1)
-        assert standby.target_instances == 1 and history.catchup_completed_at is not None
+        assert standby.target_instances == 1
         assert "asmr.fetches" not in standby.probe.metrics.snapshot()["counters"]
+        start_inclusion(simulator, [*replicas[:3], standby], culprit=2, joiner=5)
+        simulator.run()
+        for member in (replicas[0], replicas[1], standby):
+            assert member.membership_change is None
+            assert (member.epoch, member.committee()) == (2, [0, 1, 4, 5])
+
+    def test_only_a_genesis_member_s_first_catchup_is_proven(self, monkeypatch):
+        """A CATCHUP from a replica outside the committee, to a member that
+        runs no membership change or to a standby, and a standby's second
+        CATCHUP from one member are dropped and counted with no record
+        proven; another member's first one still joins."""
+        simulator, replicas = self._included()
+        standby = self._standby(simulator, replicas, 4)
+        outsider = self._standby(simulator, replicas, 5)
+        replicas[0].probe = Probe(metrics=TelemetryRegistry())
+        proven = []
+        prove = DecisionLog._prove
+        monkeypatch.setattr(
+            DecisionLog, "_prove", lambda log, *args: proven.append(log) or prove(log, *args)
+        )
+        good = self._catchup(replicas[1], [0])
+        for recipient in (0, 4):
+            self._send(simulator, outsider, recipient, good)
+        assert proven == []
+        (change,) = good["changes"]
+        inclusion = change["inclusion"]
+        rewritten = {**inclusion, "proposals": {slot: [5] for slot in inclusion["proposals"]}}
+        forged = {**good, "changes": [{**change, "inclusion": rewritten}]}
+        self._send(simulator, replicas[1], 4, forged)
+        # Its exclusion record proves, its inclusion record does not.
+        assert proven == [standby.history] * 2
+        self._send(simulator, replicas[1], 4, good)
+        assert proven == [standby.history] * 2 and standby.standby
+        dropped = [
+            replica.probe.metrics.snapshot()["counters"]["asmr.dropped_catchups"]
+            for replica in (replicas[0], standby)
+        ]
+        assert dropped == [1, 3]
+        self._send(simulator, replicas[2], 4, self._catchup(replicas[2], [0]))
+        assert not standby.standby and standby.decided_instances() == [0]
 
     @confused(MALFORMED_CATCHUPS)
     def test_a_malformed_catchup_is_dropped_before_the_standby_changes(self, confusion):
         """A CATCHUP of any other shape, or whose membership records prove
-        nothing, is dropped and counted before anything changes, and the
-        good ones still join."""
+        nothing, is dropped and counted before anything changes, and another
+        member's good one still joins."""
         simulator, replicas = self._included()
         standby = self._standby(simulator, replicas, 4)
         good = self._catchup(replicas[1], [0])
@@ -586,8 +642,7 @@ class TestAccountability:
         before = state()
         self._send(simulator, replicas[1], 4, MALFORMED_CATCHUPS[confusion](good))
         assert state() == before
-        for sender in replicas[1:3]:
-            self._send(simulator, sender, 4, good)
+        self._send(simulator, replicas[2], 4, self._catchup(replicas[2], [0]))
         counters = standby.probe.metrics.snapshot()["counters"]
         assert counters.get("asmr.dropped_catchups") == 1
         assert state()[:6] == (False, 1, JOINED, 1, 1, 1)

@@ -14,7 +14,7 @@ import pytest
 from repro.common.config import FaultConfig
 from repro.ledger.utxo import UTXO
 from repro.obs import core as obs_core
-from repro.scenarios import ScenarioSpec, library, registry, system_for
+from repro.scenarios import ScenarioSpec, expand, library, registry, system_for
 from repro.zlb.blockchain_manager import replica_deposit_account
 from repro.zlb.system import ZLBSystem
 
@@ -112,6 +112,23 @@ def test_the_initial_honest_members_converge_after_an_attack(attack, cross):
     result = system.run_instances(spec.instances, until=spec.max_time)
     assert result.violations == [] and result.recovered
     _assert_one_ledger(system)
+
+
+def test_joiners_take_the_merges_of_what_they_fetch():
+    """The second round of the small churn cell (seed 1001, n = 9): the
+    joiners fetch instance 0, decided two ways in the fork, from replica 5,
+    which answers while its merge of the other decision still waits for
+    the commit; it forwards the merge once made, and every joiner holds the
+    members' ledger (joiners 10 and 11 held another state without it)."""
+    (spec,) = [spec for spec in expand("churn", "small") if spec.param("rounds") == 2]
+    spec = spec.with_overrides(seed=1001)
+    system = system_for(spec)
+    result = system.run_instances(spec.instances, until=spec.max_time)
+    assert result.violations == [] and result.included == [9, 10, 11, 12]
+    joiners = [system.replicas[replica_id] for replica_id in result.included]
+    assert all(0 in joiner.history.disagreed for joiner in joiners)
+    states = {replica.blockchain.record.state_digest() for replica in system.honest_replicas()}
+    assert len(states) == 1
 
 
 def test_a_fault_free_cell_fetches_nothing():

@@ -704,11 +704,11 @@ def _init_of_50_transfers():
 #: when it began to carry decision records, a cursor and the view's
 #: committees (7 674 B before), and again when the records of the
 #: membership changes replaced the committees and the excluded replicas
-#: (9 305 B before).
+#: (9 305 B before), and when the target left it (9 258 B before).
 WIRE_PINS = {
     "AUX": (290, "0653cdcae788d997155bcfa981ea213450df607c370dc812dedf0babf8b64e07"),
     "BVAL": (62, "8c1a16d2c60cd4b720fe7fdf12da29fbbb3da6cd24881f9eebc7e8518134e921"),
-    "CATCHUP": (9258, "05b4a347d28b7ae69820af152eb0fb0388b414940a4f9695fd734499fcf51bd1"),
+    "CATCHUP": (9235, "98b2b55f3e7abb5e7bbc6e466e3e80dbed2238904a8469e82e8fdf3bd9c4425d"),
     "CONFIRM": (3083, "72013884bb2ae032b94241f3f9e4621fdd0df81e5a4fde74ee596d620027b257"),
     "DECIDE": (612, "fb67a65375d5873fcf56c5e94a2f80af61e3f77b5f63fda210c8c7e7160ef535"),
     "ECHO": (351, "332c3e6f7d838358d9b1e735bd4da213d81c3278b2773a81fa30e3464409585b"),

@@ -28,19 +28,23 @@ def _counters(replica):
 
 def _long_history():
     """Four members that decided :data:`HISTORY` instances, and replica 4, a
-    standby in their pool."""
+    standby in their pool whose driver asked for as many."""
     simulator, replicas, seen = decided_asmr_committee()
     for replica in replicas:
         replica.submit_instances(HISTORY - 1)
     simulator.run()
+    signer = SimulatedSigner(4)
+    # Its key is known: once a member, it votes.
+    replicas[0].registry.register_signer(signer)
     standby = ASMRReplica(
         replica_id=4,
         committee=[0, 1, 2, 3],
-        signer=SimulatedSigner(4),
+        signer=signer,
         registry=replicas[0].registry,
         standby=True,
     )
     simulator.add_process(standby)
+    standby.submit_instances(HISTORY)
     for replica in [*replicas, standby]:
         replica.probe = Probe(metrics=TelemetryRegistry())
     for replica in replicas:
@@ -48,10 +52,11 @@ def _long_history():
     return simulator, replicas, seen, standby
 
 
-def _send_catchups(simulator, replicas, live=0):
+def _send_catchups(simulator, replicas, standby, live=0):
     """A membership change excludes replica 3 and includes replica 4, with
-    ``live`` more instances to run after it: each member that completes it
-    sends replica 4 its catch-up."""
+    ``live`` more instances to run after it, at the members and at the
+    standby: each member that completes it sends replica 4 its catch-up."""
+    standby.submit_instances(live)
     start_inclusion(simulator, replicas, culprit=3, joiner=4, live=live)
 
 
@@ -84,7 +89,7 @@ def test_a_joiner_takes_a_long_history_chunk_by_chunk(monkeypatch):
         replica.history.serve_catchup = lambda joiner, cursor, replica=replica, serve=serve: (
             replica.set_timer(CATCHUP_WAIT_S / 4, lambda: serve(joiner, cursor))
         )
-    _send_catchups(simulator, replicas, live=1)
+    _send_catchups(simulator, replicas, standby, live=1)
     simulator.run()
     _on_the_members_history(standby, replicas, HISTORY + 1)
     completed = standby.history.catchup_completed_at
@@ -112,29 +117,58 @@ def test_a_joiner_whose_source_goes_quiet_fetches_the_rest():
     simulator, replicas, seen, standby = _long_history()
     for replica in replicas:
         replica.history.serve_catchup = lambda joiner, cursor: None
-    _send_catchups(simulator, replicas)
+    _send_catchups(simulator, replicas, standby)
     simulator.run(until=simulator.now + CATCHUP_WAIT_S / 2)
     assert standby.decided_instances() == list(range(CATCHUP_RECORDS))
     assert "asmr.fetches" not in _counters(standby)
     simulator.run()
     _on_the_members_history(standby, replicas)
     assert _counters(standby)["asmr.fetches"] == HISTORY - CATCHUP_RECORDS
+    assert standby.history.catchup_completed_at is not None
 
 
-def test_a_far_next_instance_from_a_quiet_source_cannot_hang_the_joiner():
-    """The CATCHUP the joiner joins on names a next instance no member ran
-    (nothing proves that counter) and its source never answers MORE: the
-    joiner fetches the history :data:`CATCHUP_RECORDS` instances at a time,
-    ends on the members' history, and asks for at most one wave past it."""
-    simulator, replicas, seen, standby = _long_history()
-    for replica in replicas:
-        replica.history.serve_catchup = lambda joiner, cursor: None
+def _far_next_instance(standby):
+    """Every CATCHUP reaching ``standby`` names a next instance no member
+    ran: nothing proves that counter."""
     join = standby.history.join
     standby.history.join = lambda sender, body, live: join(
         sender, {**body, "next_instance": 10**12}, live
     )
-    _send_catchups(simulator, replicas)
+
+
+def test_a_far_next_instance_from_a_quiet_source_cannot_hang_the_joiner():
+    """The CATCHUP the joiner joins on carries a cursor and a far next
+    instance, and its source never answers MORE: the joiner runs from its
+    own target, fetches the history below it :data:`CATCHUP_RECORDS`
+    instances at a time and nothing past it, ends on the members' history,
+    and completes the next membership change as a member."""
+    simulator, replicas, seen, standby = _long_history()
+    for replica in replicas:
+        replica.history.serve_catchup = lambda joiner, cursor: None
+    _far_next_instance(standby)
+    _send_catchups(simulator, replicas, standby)
     simulator.run()
     _on_the_members_history(standby, replicas)
-    fetches = _counters(standby)["asmr.fetches"]
-    assert HISTORY - CATCHUP_RECORDS < fetches <= HISTORY
+    assert _counters(standby)["asmr.fetches"] == HISTORY - CATCHUP_RECORDS
+    assert (standby.history.live_from, standby.next_instance) == (HISTORY, HISTORY)
+    assert standby.target_instances == HISTORY
+    # Replica 2 is excluded next and replica 5 (no process) included.
+    start_inclusion(simulator, [*replicas[:3], standby], culprit=2, joiner=5)
+    simulator.run()
+    for member in (replicas[0], replicas[1], standby):
+        assert member.membership_change is None
+        assert (member.epoch, member.committee()) == (2, [0, 1, 4, 5])
+
+
+def test_the_last_chunk_bounds_a_far_next_instance():
+    """Every chunk of the joiner's source names a far next instance: the
+    joiner waits at its own target, past the one live instance, until the
+    last chunk bounds it to one past what it holds; it then runs the live
+    instance and ends on the members' history."""
+    simulator, replicas, seen, standby = _long_history()
+    _far_next_instance(standby)
+    _send_catchups(simulator, replicas, standby, live=1)
+    simulator.run()
+    _on_the_members_history(standby, replicas, HISTORY + 1)
+    assert len(of_kind(seen, "MORE")) == 2
+    assert standby.history.live_from <= HISTORY + 1 == standby.next_instance

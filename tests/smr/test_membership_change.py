@@ -296,6 +296,23 @@ class TestEarlyInclusionTraffic:
         # Replica 3's answer is lost with the rest of what it sends.
         answers = [m for m in seen if m.kind == "CATCHUP"]
         assert sorted((m.sender, m.recipient) for m in answers) == [(1, 0), (2, 0)]
+        # It hears everybody: the same late start completes through the
+        # inclusion consensus itself.  Its peers, detached, still answer its
+        # late INIT, and their answers come after it completed.
+        simulator, replicas, changes, pofs = _replicas(
+            7, culprits, lambda rid: (5, 6) if rid == 0 else culprits
+        )
+        seen = tap(replicas.values())
+        simulator.run()
+        changes[0].learn_pofs(pofs)
+        simulator.run()
+        assert changes[0].inclusion.decided
+        outcomes = _outcomes(replicas)
+        assert sorted(outcomes) == [0, 1, 2, 3]
+        assert len({tuple(outcome.included) for outcome in outcomes.values()}) == 1
+        answers = [m for m in seen if m.kind == "CATCHUP"]
+        assert sorted((m.sender, m.recipient) for m in answers) == [(1, 0), (2, 0), (3, 0)]
+        assert replicas[0].membership_change is None and replicas[0].epoch == 1
 
     def test_a_completed_change_leaves_only_the_root_fallbacks(self):
         culprits = (4, 5, 6)
