@@ -123,7 +123,7 @@ class BinaryConsensusAttack(AttackStrategy):
                 forged_body = {
                     "round": round_number,
                     "value": value,
-                    "vote": vote.to_payload(),
+                    "vote": vote,
                 }
             replica.broadcast(protocol, kind, forged_body, recipients=targets)
         # Bridging replicas (the rest of the coalition and benign replicas)
@@ -144,7 +144,7 @@ class BinaryConsensusAttack(AttackStrategy):
                 forged_body = {
                     "round": round_number,
                     "value": value,
-                    "vote": vote.to_payload(),
+                    "vote": vote,
                 }
             replica.broadcast(protocol, kind, forged_body, recipients=bridge_targets)
         return True
@@ -195,7 +195,7 @@ class ReliableBroadcastAttack(AttackStrategy):
             # The wire shapes of rbc/bracha.py: only INIT ships the value.
             digest = hash_payload(value)
             vote = make_vote(replica, protocol, 0, vote_kind, digest)
-            forged_body = {"digest": digest, "vote": vote.to_payload()}
+            forged_body = {"digest": digest, "vote": vote}
             if kind == ReliableBroadcast.INIT:
                 forged_body = {"value": value, **forged_body}
             replica.broadcast(protocol, kind, forged_body, recipients=targets)

@@ -41,7 +41,6 @@ from repro.consensus.certificates import (
     collect_vote,
     make_vote,
     verify_vote,
-    vote_from_payload,
 )
 from repro.consensus.host import ProtocolHost
 from repro.crypto.hashing import hash_payload
@@ -208,7 +207,7 @@ class BinaryConsensus:
         self.host.emit(
             self.topic,
             self.AUX,
-            {"round": round_number, "value": chosen, "vote": vote.to_payload()},
+            {"round": round_number, "value": chosen, "vote": vote},
         )
 
     # -- message handling -----------------------------------------------------------
@@ -296,8 +295,10 @@ class BinaryConsensus:
         except KeyError:
             value = 0
         try:
-            vote = vote_from_payload(body["vote"])
-        except (KeyError, ValueError, TypeError):
+            vote = body["vote"]
+        except KeyError:
+            return
+        if type(vote) is not SignedVote:
             return
         if (
             vote.signer != sender
@@ -418,7 +419,7 @@ class BinaryConsensus:
                 {
                     "value": value,
                     "certificate": certificate.to_payload(),
-                    "vote": decide_vote.to_payload(),
+                    "vote": decide_vote,
                 },
             )
         self.on_decide(self.context, value, certificate)

@@ -6,13 +6,29 @@ value).  A :class:`Certificate` bundles a quorum (``ceil(2|C|/3)``) of such
 votes for the same value; conflicting certificates are the raw material from
 which proofs of fraud are extracted (:mod:`repro.consensus.proofs`).
 
+Where a vote is parsed
+----------------------
+
+A message body's ``"vote"`` is the :class:`SignedVote` itself, and every
+handler drops a ``"vote"`` of any other type (``type(vote) is SignedVote``).
+That is the trust boundary: bytes become a vote only in the wire decoder,
+which runs :func:`vote_from_payload` — arity and the exact type of every
+field — on the codec's registered ``vote`` object, once per frame a socket
+reads; a vote made in the process comes only from :func:`make_vote`.  So in
+the simulator nobody parses a vote — every recipient shares the sender's
+frozen object — and on a socket each process parses each vote it receives
+once.  Certificates and proofs of fraud travel as the tuples below and are
+rebuilt by :func:`certificate_from_payload` and
+:meth:`~repro.consensus.proofs.ProofOfFraud.from_payload` in the handler.
+
 Wire layouts
 ------------
 
-``to_payload()`` is what message bodies and the codec's ``signed-vote`` /
-``certificate`` / ``proof-of-fraud`` objects carry; ``*_from_payload`` accept
-exactly these tuples and nothing else.  They are positional — no field names
-on the wire — and say each thing once::
+``to_payload()`` is the payload of the codec's ``vote``, ``certificate`` and
+``proof-of-fraud`` objects, and bodies carry the certificate and proof tuples
+themselves; ``*_from_payload`` accept exactly these tuples and nothing else
+(:func:`vote_from_payload` also returns a :class:`SignedVote` it is given).
+They are positional — no field names on the wire — and say each thing once::
 
     vote         (context, round, kind, value_digest,
                   signer, signature, scheme, payload_hash[, signature_signer])
@@ -60,10 +76,10 @@ from repro.crypto.hashing import hash_payload
 from repro.crypto.signatures import SignedPayload
 
 #: Canonical-payload digests of votes, keyed by the vote identity tuple
-#: ``(context, round, kind, value_digest)``.  Recipients rebuild their own
-#: :class:`SignedVote` objects from a shared broadcast body, and every
-#: honest replica signs the same statement, so a per-object memo alone would
-#: re-encode the same payload once per recipient and once per signer; the
+#: ``(context, round, kind, value_digest)``.  Every honest replica signs the
+#: same statement, and recipients in other processes hold their own decoded
+#: :class:`SignedVote` objects, so a per-object memo alone would re-encode
+#: the same payload once per signer and once per decoded copy; the
 #: module-level map makes each distinct vote payload canonicalised once per
 #: process while its instance is live.  Content-addressed, so sharing across
 #: runs is safe.
@@ -158,11 +174,9 @@ class SignedVote:
 
     def to_payload(self) -> Tuple[Any, ...]:
         """Wire tuple of the vote (layout in the module docstring), built once
-        per object.
-
-        ``_send_echo``/``_send_ready`` previously re-built (and canonical
-        encoding re-encoded) this payload for every broadcast fan-out; the
-        memo makes it one construction per vote.
+        per object: the codec encodes a vote through it, and a vote can be
+        encoded more than once (a certificate's fallback entry, a proof of
+        fraud, the canonical hash).
         """
         cached = self.__dict__.get("_payload")
         if cached is None:
@@ -260,7 +274,10 @@ def verify_vote(vote: SignedVote, verifier: Any) -> bool:
     Verifiers exposing the digest-first entry point (``verify_digest``) skip
     re-encoding the vote payload: the memoised canonical digest plus the key
     registry's verified-signature cache turn the fan-out re-verification of a
-    vote into two dict probes.
+    vote into two dict probes.  A replica host's ``verify_digest`` is its
+    registry's bound method, so a verified vote costs this frame and one in
+    :meth:`~repro.crypto.keys.KeyRegistry.verify_digest`, which checks the
+    digest against ``payload_hash``, the signer is known and the scheme.
     """
     signature = vote.signature
     if signature.signer != vote.signer:
@@ -523,12 +540,16 @@ def vote_from_payload(payload: Tuple[Any, ...]) -> SignedVote:
 
     The tuple comes off the wire, so arity and the exact type of every field
     are checked here and anything else raises ``TypeError`` / ``ValueError`` /
-    ``KeyError`` (an unknown kind), which every handler treats as "drop the
-    message": a ``str`` signature or
-    a list-valued scheme would otherwise only surface as a ``TypeError`` from
-    inside signature verification.
+    ``KeyError`` (an unknown kind), which the decoder turns into a
+    ``CodecError`` and a handler parsing a proof of fraud or a certificate
+    into "drop the message": a ``str`` signature or a list-valued scheme would
+    otherwise only surface as a ``TypeError`` from inside signature
+    verification.  A :class:`SignedVote` (a decoded body's ``"vote"``) is
+    returned as it is.
     """
     if type(payload) is not tuple:
+        if type(payload) is SignedVote:
+            return payload
         raise TypeError("vote payload is not a tuple")
     (
         context,

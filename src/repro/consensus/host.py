@@ -96,9 +96,10 @@ class ProtocolHost:
 
     #: Hosts backed by a :class:`KeyRegistry` additionally expose
     #: ``verify_digest(digest, signed)`` (digest-first verification through
-    #: the registry's verified-signature cache) and ``verification_token``
-    #: (the registry's cache identity).  Both are optional — callers discover
-    #: them by attribute lookup so minimal test hosts keep working.
+    #: the registry's verified-signature cache — the registry's bound method,
+    #: held as an instance attribute) and ``verification_token`` (the
+    #: registry's cache identity).  Both are optional — callers discover them
+    #: by attribute lookup so minimal test hosts keep working.
 
     # -- communication -------------------------------------------------------------
 

@@ -28,14 +28,18 @@ frame, and a length or an integer one builtin call (``bytes.index``, to find
 where its digits end).  The encoder appends every node to one ``bytearray``.
 Neither half nests deeper than :data:`MAX_DEPTH` containers.
 
-Signed votes, certificates and proofs of fraud — whether as registered
-objects or as the ``to_payload()`` tuples protocol bodies carry under ``vote``,
-``certificate``, ``binary_certificates`` / ``rbc_certificates`` and ``pofs`` —
-are *positional*: a tuple costs one node per field where a string-keyed dict
-costs two plus the key bytes, and a certificate states what was signed once
-instead of once per vote (the layouts, and the per-vote fallback that keeps
-them lossless, are in :mod:`repro.consensus.certificates`).  At n=4 an
-``ECHO`` frame is about 350 B and a ``CONFIRM`` about 3 KB.
+A body's ``vote`` is a :class:`~repro.consensus.certificates.SignedVote`,
+written as the registered ``vote`` object: the decoder parses it — arity and
+field types — once per frame, and no handler parses it again (in the
+simulator, which encodes nothing, nobody parses it).  Certificates and proofs
+of fraud ride as the ``to_payload()`` tuples bodies carry under
+``certificate``, ``binary_certificates`` / ``rbc_certificates`` and ``pofs``,
+and the handler rebuilds them.  All three are *positional*: a tuple costs one
+node per field where a string-keyed dict costs two plus the key bytes, and a
+certificate states what was signed once instead of once per vote (the
+layouts, and the per-vote fallback that keeps them lossless, are in
+:mod:`repro.consensus.certificates`).  At n=4 an ``ECHO`` frame is about
+360 B and a ``CONFIRM`` about 3 KB.
 
 Nothing a peer announces is trusted, and only canonical bytes are accepted:
 a length, count or integer must be written the way ``%d`` writes it (no
@@ -171,8 +175,11 @@ def _encode_into(value: Any, out: bytearray, depth: int) -> None:
         out += b"R"
         out += _DOUBLE.pack(value)
     else:
-        registered = _TO_WIRE.get(kind)
-        if registered is None:
+        # Subscripted, not ``.get``: every vote-bearing frame encodes a
+        # registered object, and a subscript costs no call.
+        try:
+            registered = _TO_WIRE[kind]
+        except KeyError:
             # Subclasses of registered types (rare) fall back to an
             # isinstance scan before giving up.
             for base, candidate in _TO_WIRE.items():
@@ -182,7 +189,7 @@ def _encode_into(value: Any, out: bytearray, depth: int) -> None:
             else:
                 raise CodecError(
                     f"cannot encode value of type {kind.__name__}: {value!r}"
-                )
+                ) from None
         if depth > MAX_DEPTH:
             raise _too_deep()
         prefix, encode = registered
@@ -459,12 +466,10 @@ def _register_standard_objects() -> None:
             scheme=payload["scheme"],
         ),
     )
-    register_object(
-        "signed-vote",
-        SignedVote,
-        lambda vote: vote.to_payload(),
-        vote_from_payload,
-    )
+    # The one place bytes become a vote (``repro.consensus.certificates``,
+    # "Where a vote is parsed"); a short name, as every vote-bearing frame
+    # carries it.
+    register_object("vote", SignedVote, SignedVote.to_payload, vote_from_payload)
     register_object(
         "certificate",
         Certificate,

@@ -49,7 +49,6 @@ from repro.consensus.certificates import (
     collect_vote,
     make_vote,
     verify_vote,
-    vote_from_payload,
 )
 from repro.consensus.host import ProtocolHost
 from repro.crypto.hashing import hash_payload
@@ -157,7 +156,7 @@ class ReliableBroadcast:
         self.host.emit(
             self.topic,
             self.INIT,
-            {"value": value, "digest": digest, "vote": vote.to_payload()},
+            {"value": value, "digest": digest, "vote": vote},
         )
 
     def _send_echo(self, digest: str) -> None:
@@ -168,7 +167,7 @@ class ReliableBroadcast:
             self._phase("echo", "rbc.init_to_echo_s")
         vote = make_vote(self.host, self.context, 0, VoteKind.RBC_ECHO, digest)
         collect_vote(self._collected, vote)
-        self.host.emit(self.topic, self.ECHO, {"digest": digest, "vote": vote.to_payload()})
+        self.host.emit(self.topic, self.ECHO, {"digest": digest, "vote": vote})
 
     def _send_ready(self, digest: str) -> None:
         if self._ready_sent:
@@ -178,7 +177,7 @@ class ReliableBroadcast:
             self._phase("ready", "rbc.init_to_ready_s")
         vote = make_vote(self.host, self.context, 0, VoteKind.RBC_READY, digest)
         collect_vote(self._collected, vote)
-        self.host.emit(self.topic, self.READY, {"digest": digest, "vote": vote.to_payload()})
+        self.host.emit(self.topic, self.READY, {"digest": digest, "vote": vote})
 
     def _send_value(self, requester: ReplicaId, digest: str) -> None:
         self._served.setdefault(digest, set()).add(requester)
@@ -226,9 +225,11 @@ class ReliableBroadcast:
         self, body: Dict[str, Any], sender: ReplicaId, expected_kind: VoteKind
     ) -> Optional[SignedVote]:
         try:
-            vote = vote_from_payload(body["vote"])
+            vote = body["vote"]
             digest = body["digest"]
-        except (KeyError, ValueError, TypeError):
+        except KeyError:
+            return None
+        if type(vote) is not SignedVote:
             return None
         if vote.signer != sender or vote.context != self.context:
             return None

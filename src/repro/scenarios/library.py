@@ -387,25 +387,39 @@ def _run_table1_cell(spec: ScenarioSpec) -> Dict[str, Any]:
     }
 
 
+#: How many merges :func:`merge_two_blocks` times; it returns the fastest.
+MERGE_REPEATS = 5
+
+
 def merge_two_blocks(num_transactions: int, seed: int = 0) -> float:
     """Return the wall-clock seconds to merge one fully-conflicting block: a
-    record that applied branch A merges the conflicting branch-B block."""
-    branch_a, branch_b, allocations = conflicting_blocks_workload(
-        num_transactions, seed=seed
-    )
-    record = BlockchainRecord(
-        genesis_allocations=allocations,
-        initial_deposit=100 * num_transactions,
-    )
-    record.append_block(branch_a)
-    conflicting_block = Block(
-        index=1, parent_hash="other-branch", transactions=tuple(branch_b)
-    )
-    start = time.perf_counter()
-    outcome = record.merge_block(conflicting_block)
-    elapsed = time.perf_counter() - start
-    assert outcome.merged_transactions == num_transactions
-    return elapsed
+    record that applied branch A merges the conflicting branch-B block.
+
+    The fastest of :data:`MERGE_REPEATS` merges: a co-tenant of the host can
+    only slow a merge down, and one timing alone is whatever it left of the
+    CPU (100 transfers once took 285 ms beside a sweep).  Each merge gets a
+    fresh record and freshly built transactions, since a transaction caches
+    its signature check and a second merge of the same objects would not
+    verify them.
+    """
+    fastest = float("inf")
+    for _ in range(MERGE_REPEATS):
+        branch_a, branch_b, allocations = conflicting_blocks_workload(
+            num_transactions, seed=seed
+        )
+        record = BlockchainRecord(
+            genesis_allocations=allocations,
+            initial_deposit=100 * num_transactions,
+        )
+        record.append_block(branch_a)
+        conflicting_block = Block(
+            index=1, parent_hash="other-branch", transactions=tuple(branch_b)
+        )
+        start = time.perf_counter()
+        outcome = record.merge_block(conflicting_block)
+        fastest = min(fastest, time.perf_counter() - start)
+        assert outcome.merged_transactions == num_transactions
+    return fastest
 
 
 def _appendix_b_grid(scale: str) -> List[ScenarioSpec]:

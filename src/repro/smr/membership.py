@@ -162,6 +162,12 @@ class _RestrictedHost(ProtocolHost):
     def __init__(self, base: ProtocolHost, committee: Iterable[ReplicaId]):
         self._base = base
         self._set_committee(committee)
+        # The base's registry method itself, bound once; a base host without
+        # the digest-first entry point leaves this one without it too
+        # (``verify_vote`` discovers it by attribute lookup).
+        verify_digest = getattr(base, "verify_digest", None)
+        if verify_digest is not None:
+            self.verify_digest = verify_digest
         # The restricted consensus reports metrics only: its trace events
         # would carry the epoch where ASMR instances carry the instance
         # number, aliasing instance ids on the Chrome trace.
@@ -193,12 +199,6 @@ class _RestrictedHost(ProtocolHost):
 
     def verify(self, payload: Any, signed) -> bool:
         return self._base.verify(payload, signed)
-
-    @property
-    def verify_digest(self):
-        # Delegated as an attribute so a base host without the digest-first
-        # entry point keeps this host without it too (getattr discovery).
-        return getattr(self._base, "verify_digest")
 
     @property
     def verification_token(self):

@@ -43,6 +43,9 @@ class BaseReplica(RoutedProcess, ProtocolHost):
         self._set_committee(committee)
         self._signer = signer
         self._registry = registry
+        #: The registry's own method, not a host method forwarding to it:
+        #: ``verify_vote`` reaches the verdict cache in one frame.
+        self.verify_digest = registry.verify_digest
         self.fault = fault
         self.attack_strategy: Optional[Any] = None
 
@@ -73,9 +76,6 @@ class BaseReplica(RoutedProcess, ProtocolHost):
 
     def verify(self, payload: Any, signed: SignedPayload) -> bool:
         return self._registry.verify(payload, signed)
-
-    def verify_digest(self, digest: str, signed: SignedPayload) -> bool:
-        return self._registry.verify_digest(digest, signed)
 
     @property
     def verification_token(self) -> int:

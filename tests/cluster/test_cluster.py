@@ -23,8 +23,12 @@ from repro.cluster.fixture import ClusterSpec, build_node, endpoints_for
 from repro.cluster.launcher import _worker_argv
 from repro.common.config import FaultConfig
 from repro.common.errors import ConfigurationError
+from repro.consensus import certificates
+from repro.network import asyncio_transport, codec
 from repro.network.asyncio_transport import AsyncioTransport
 from repro.zlb.system import ZLBSystem
+
+from tests.consensus.harness import tap
 
 
 def _spec(tmp_path, **overrides):
@@ -216,6 +220,65 @@ class TestInProcessCluster:
             assert list(node.replica.committee()) == spec.committee
 
 
+class TestVotesParsedOnce:
+    """A vote is parsed where bytes become one, in the decoder, and nowhere
+    else: never in the simulator, once per frame a socket reads."""
+
+    @staticmethod
+    def _count_parses(monkeypatch):
+        """Count the calls of the codec's registered vote decoder and, apart,
+        of every ``vote_from_payload`` a module of the stack holds."""
+        calls = {"decoder": 0, "elsewhere": 0}
+        original = certificates.vote_from_payload
+
+        def counting(where):
+            def parse(payload):
+                calls[where] += 1
+                return original(payload)
+
+            return parse
+
+        monkeypatch.setitem(codec._FROM_WIRE, "vote", counting("decoder"))
+        elsewhere = counting("elsewhere")
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro.") and getattr(module, "vote_from_payload", None) is original:
+                monkeypatch.setattr(module, "vote_from_payload", elsewhere)
+        return calls
+
+    def test_the_simulator_parses_no_vote(self, tmp_path, monkeypatch):
+        spec = _spec(tmp_path)
+        system = ZLBSystem.create(
+            FaultConfig(n=spec.n),
+            seed=spec.seed,
+            pool_size=0,
+            workload_accounts=spec.accounts,
+            workload_transactions=spec.transactions,
+            batch_size=spec.batch_size,
+        )
+        calls = self._count_parses(monkeypatch)
+        delivered = tap(system.replicas.values())
+        system.run_instances(spec.instances_needed)
+        votes = [message for message in delivered if "vote" in message.body]
+        assert len(votes) > 100
+        assert calls == {"decoder": 0, "elsewhere": 0}
+
+    def test_a_socket_parses_each_vote_it_reads_once(self, tmp_path, monkeypatch):
+        calls = self._count_parses(monkeypatch)
+        decoded = []
+
+        def decode(data, decode=asyncio_transport.decode_message):
+            message = decode(data)
+            decoded.append(message)
+            return message
+
+        monkeypatch.setattr(asyncio_transport, "decode_message", decode)
+        nodes = _run_in_process(_spec(tmp_path))
+        assert all(node.replica.blockchain.chain_height() >= 1 for node in nodes)
+        frames = sum(1 for message in decoded if "vote" in message.body)
+        assert frames > 100
+        assert calls == {"decoder": frames, "elsewhere": 0}
+
+
 class TestWireBudget:
     """Proposals cross each link once: votes and confirmations carry digests."""
 
@@ -282,8 +345,9 @@ class TestWireBudget:
         # The proposal itself grows with the batch, and only INIT carries it.
         assert min(large["INIT"]) > 5 * max(small["INIT"])
         for sizes in (small, large):
-            # A vote is one positional tuple (347-349 B a frame; the keyed
-            # dict-in-dict form it replaced was 461-465 B), and a certificate
+            # A vote is one registered object over a positional tuple
+            # (355-357 B a frame; 347-349 as a bare tuple, before its 8-byte
+            # wire name; the keyed dict-in-dict form was 461-465 B), and a certificate
             # states its step once and then lists (signer, signature) pairs
             # (CONFIRM 3 075 B at n=4; repeating the step per vote was 9 928).
             assert max(sizes["ECHO"]) < 400 and max(sizes["READY"]) < 400

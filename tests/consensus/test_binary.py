@@ -7,11 +7,11 @@ from repro.common.types import FaultKind
 from repro.consensus.binary import BinaryConsensus, value_digest
 from repro.consensus.certificates import (
     Certificate,
+    SignedVote,
     VoteKind,
     collect_vote,
     make_vote,
     verify_vote,
-    vote_from_payload,
 )
 from repro.consensus.proofs import extract_pofs_from_votes
 from repro.network.delays import UniformDelay
@@ -119,7 +119,7 @@ class TestBinaryConsensusCertificates:
 
         def aux(value):
             vote = make_vote(replicas[1], "bin:0:0", 1, VoteKind.AUX, value_digest(value))
-            return vote, {"round": 1, "value": value, "vote": vote.to_payload()}
+            return vote, {"round": 1, "value": value, "vote": vote}
 
         first, body = aux(1)
         for decided in (False, True):
@@ -215,7 +215,7 @@ class _FourDictBinaryConsensus(BinaryConsensus):
         self.host.emit(
             self.topic,
             self.AUX,
-            {"round": round_number, "value": chosen, "vote": vote.to_payload()},
+            {"round": round_number, "value": chosen, "vote": vote},
         )
 
     def _handle_bval(self, sender, body):
@@ -253,12 +253,8 @@ class _FourDictBinaryConsensus(BinaryConsensus):
         if type(round_number) is not int or round_number < 1:
             return
         value = 1 if body.get("value") else 0
-        payload = body.get("vote")
-        if payload is None:
-            return
-        try:
-            vote = vote_from_payload(payload)
-        except (KeyError, ValueError, TypeError):
+        vote = body.get("vote")
+        if type(vote) is not SignedVote:
             return
         if (
             vote.signer != sender
@@ -434,7 +430,7 @@ class TestAuxTallyMatchesRescan:
             )
             component.handle(
                 component.topic,
-                sender, "AUX", {"round": round_number, "value": value, "vote": vote.to_payload()}
+                sender, "AUX", {"round": round_number, "value": value, "vote": vote}
             )
 
     @settings(max_examples=200, deadline=None)

@@ -81,6 +81,12 @@ class TestSignedVote:
         vote = _vote(hosts[2])
         assert vote_from_payload(vote.to_payload()) == vote
 
+    def test_a_vote_object_is_returned_as_it_is(self, hosts):
+        # A decoded body's "vote" is already the object: parsing it again is
+        # the identity, so a reader of either form gets the vote.
+        vote = _vote(hosts[2])
+        assert vote_from_payload(vote) is vote
+
     @pytest.mark.parametrize("memo", ["warm", "cleared"])
     @pytest.mark.parametrize("use_ecdsa", [False, True], ids=["hmac", "ecdsa"])
     def test_signature_equals_signing_the_payload(self, memo, use_ecdsa):

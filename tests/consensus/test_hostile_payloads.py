@@ -2,13 +2,19 @@
 
 A peer can send a vote, certificate or proof of fraud made of perfectly legal
 wire primitives in the wrong places — a ``str`` where the signature bytes go,
-a list for the scheme, a field too few.  Such a body decodes cleanly, so the
-codec cannot stop it; ``vote_from_payload`` / ``certificate_from_payload`` /
-``ProofOfFraud.from_payload`` must, with the ``TypeError`` / ``ValueError``
-every handler already treats as "drop it".  Before they checked field types
-the str signature travelled on to ``hmac.compare_digest`` and the list scheme
-into a cache key, and the ``TypeError`` came out of ``handle`` — logged and
-survived on the asyncio transport, fatal to a simulator run.
+a list for the scheme, a field too few.  Before the parsers checked field
+types the str signature travelled on to ``hmac.compare_digest`` and the list
+scheme into a cache key, and the ``TypeError`` came out of ``handle`` — logged
+and survived on the asyncio transport, fatal to a simulator run.
+
+A body's vote has two entry points.  Written as the codec's registered
+``vote`` object, a confused one fails ``decode_message`` with ``CodecError``:
+``vote_from_payload`` runs in the decoder.  Written as a bare tuple (or any
+other value) under ``"vote"``, it decodes cleanly and reaches the handler,
+which drops anything that is not a ``SignedVote``.  Certificates and proofs
+of fraud travel as tuples, so a confused one decodes cleanly too and
+``certificate_from_payload`` / ``ProofOfFraud.from_payload`` must stop it in
+the handler, with the ``TypeError`` / ``ValueError`` it treats as "drop it".
 
 Every case goes through the real codec (``encode_message`` ->
 ``decode_message``) into the real handler, next to the untouched body as a
@@ -22,7 +28,7 @@ from repro.consensus.certificates import Certificate, VoteKind, make_vote
 from repro.consensus.proofs import ProofOfFraud
 from repro.crypto.hashing import hash_payload
 from repro.crypto.signatures import SimulatedSigner
-from repro.network.codec import decode_message, encode_message
+from repro.network.codec import CodecError, decode_message, encode_message, encode_value
 from repro.network.message import Message
 from repro.obs.core import Probe
 from repro.obs.metrics import TelemetryRegistry
@@ -48,6 +54,15 @@ JOINED = [0, 1, 2, 4]
 def _delivered(kind, body, sender=1, topic="t"):
     """``body`` as the far side of a socket gets it."""
     return decode_message(encode_message(Message(sender, None, topic, kind, body))).body
+
+
+def _vote_frame(kind, body, written, sender=1, topic="t"):
+    """The frame of ``body`` with its vote, the registered ``vote`` object,
+    written with ``written`` as its payload."""
+    frame = encode_message(Message(sender, None, topic, kind, body))
+    genuine = b"OS4;vote" + encode_value(body["vote"].to_payload())
+    assert frame.count(genuine) == 1
+    return frame.replace(genuine, b"OS4;vote" + encode_value(written))
 
 
 def _with(payload, index, value):
@@ -78,6 +93,11 @@ CONFUSED_VOTES = {
     "the keyed dict": lambda v: dict(zip(VOTE_FIELDS, v)),
     "nothing": lambda v: (),
 }
+
+#: What a handler is handed under ``"vote"`` when the frame carried a plain
+#: value there: every confused shape, and the genuine wire tuple itself —
+#: a body's vote is the ``SignedVote``, never its tuple.
+BARE_VOTES = {**CONFUSED_VOTES, "the genuine tuple": tuple}
 
 #: name -> certificate tuple -> a payload that is not a certificate.
 CONFUSED_CERTIFICATES = {
@@ -167,13 +187,22 @@ class TestReliableBroadcast:
     def _body(self, replica, kind):
         digest = hash_payload("value")
         vote = make_vote(replica, self.CONTEXT, 0, kind, digest)
-        return {"digest": digest, "vote": vote.to_payload()}
+        return {"digest": digest, "vote": vote}
 
     @confused(CONFUSED_VOTES)
+    def test_a_confused_vote_frame_does_not_decode(self, confusion):
+        _, replicas, _, _ = self._instance()
+        body = self._body(replicas[1], VoteKind.RBC_ECHO)
+        genuine = body["vote"].to_payload()
+        with pytest.raises(CodecError):
+            decode_message(_vote_frame("ECHO", body, CONFUSED_VOTES[confusion](genuine)))
+        assert decode_message(_vote_frame("ECHO", body, genuine)).body == body
+
+    @confused(BARE_VOTES)
     def test_handle_drops_a_confused_echo(self, confusion):
         simulator, replicas, seen, component = self._instance()
         body = self._body(replicas[1], VoteKind.RBC_ECHO)
-        hostile = {**body, "vote": CONFUSED_VOTES[confusion](body["vote"])}
+        hostile = {**body, "vote": BARE_VOTES[confusion](body["vote"].to_payload())}
         component.handle(component.topic, 1, "ECHO", _delivered("ECHO", hostile))
         simulator.run()
         assert component.collected_votes == [] and component._echo_votes == {}
@@ -181,13 +210,13 @@ class TestReliableBroadcast:
         component.handle(component.topic, 1, "ECHO", _delivered("ECHO", body))
         assert len(component.collected_votes) == 1 and len(component._echo_votes) == 1
 
-    @confused(CONFUSED_VOTES)
+    @confused(BARE_VOTES)
     def test_handle_drops_a_confused_ready_after_delivery(self, confusion):
         # Votes are still collected after delivery (they are PoF material).
         simulator, replicas, seen, component = self._instance()
         component.delivered = True
         body = self._body(replicas[2], VoteKind.RBC_READY)
-        hostile = {**body, "vote": CONFUSED_VOTES[confusion](body["vote"])}
+        hostile = {**body, "vote": BARE_VOTES[confusion](body["vote"].to_payload())}
         component.handle(component.topic, 2, "READY", _delivered("READY", hostile))
         assert component.collected_votes == []
         component.handle(component.topic, 2, "READY", _delivered("READY", body))
@@ -208,12 +237,12 @@ class TestBinaryConsensus:
         )
         return simulator, replicas, seen, component, decided
 
-    @confused(CONFUSED_VOTES)
+    @confused(BARE_VOTES)
     def test_handle_aux_drops_a_confused_vote(self, confusion):
         simulator, replicas, seen, component, _ = self._instance()
         vote = make_vote(replicas[1], self.CONTEXT, 1, VoteKind.AUX, value_digest(1))
-        body = {"round": 1, "value": 1, "vote": vote.to_payload()}
-        hostile = {**body, "vote": CONFUSED_VOTES[confusion](body["vote"])}
+        body = {"round": 1, "value": 1, "vote": vote}
+        hostile = {**body, "vote": BARE_VOTES[confusion](vote.to_payload())}
         component.handle(component.topic, 1, "AUX", _delivered("AUX", hostile))
         simulator.run()
         assert component.collected_votes == [] and component._rounds == {}
@@ -238,7 +267,7 @@ class TestBinaryConsensus:
     def test_handle_aux_drops_a_round_that_is_not_one(self, confusion):
         simulator, replicas, seen, component, _ = self._instance()
         vote = make_vote(replicas[1], self.CONTEXT, 1, VoteKind.AUX, value_digest(1))
-        body = {"round": 1, "value": 1, "vote": vote.to_payload()}
+        body = {"round": 1, "value": 1, "vote": vote}
         hostile = {**body, "round": HOSTILE_ROUNDS[confusion]}
         component.handle(component.topic, 1, "AUX", _delivered("AUX", hostile))
         simulator.run()
@@ -254,13 +283,13 @@ class TestBinaryConsensus:
         AUX."""
         simulator, replicas, seen, component, _ = self._instance()
         vote = make_vote(replicas[1], self.CONTEXT, 1, VoteKind.AUX, value_digest(0))
-        component.handle(component.topic, 1, "AUX", _delivered("AUX", {"vote": vote.to_payload()}))
+        component.handle(component.topic, 1, "AUX", _delivered("AUX", {"vote": vote}))
         component.handle(component.topic, 2, "BVAL", _delivered("BVAL", {"value": 1}))
         assert component.collected_votes == [] and component._rounds == {}
         component.handle(component.topic, 1, "AUX", _delivered("AUX", {"round": 1, "value": 0}))
         assert component.collected_votes == [] and component._rounds == {}
         component.handle(
-            component.topic, 1, "AUX", _delivered("AUX", {"round": 1, "vote": vote.to_payload()})
+            component.topic, 1, "AUX", _delivered("AUX", {"round": 1, "vote": vote})
         )
         assert component.collected_votes == [vote]
         assert component._rounds[1].aux_votes == {1: vote}

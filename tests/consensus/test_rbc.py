@@ -98,7 +98,7 @@ class TestReliableBroadcast:
         replicas[1].broadcast(
             "rbc:0:0",
             ReliableBroadcast.INIT,
-            {"value": "evil", "digest": digest, "vote": vote.to_payload()},
+            {"value": "evil", "digest": digest, "vote": vote},
         )
         simulator.run()
         assert deliveries == {}
@@ -144,7 +144,7 @@ class _LyingVoucher(PassiveStrategy):
 
 def _vote_body(replica, kind, digest=DIGEST):
     vote = make_vote(replica, CONTEXT, 0, kind, digest)
-    return {"digest": digest, "vote": vote.to_payload()}
+    return {"digest": digest, "vote": vote}
 
 
 class TestCollectedVotes:
@@ -160,14 +160,11 @@ class TestCollectedVotes:
             component.delivered = delivered
             for _ in range(500):
                 component.handle(component.topic, 1, ReliableBroadcast.ECHO, echo)
-        assert [vote.to_payload() for vote in component.collected_votes] == [echo["vote"]]
+        assert component.collected_votes == [echo["vote"]]
         other = _vote_body(replicas[1], VoteKind.RBC_ECHO, digest=hash_payload("other"))
         for _ in range(2):
             component.handle(component.topic, 1, ReliableBroadcast.ECHO, other)
-        assert [vote.to_payload() for vote in component.collected_votes] == [
-            echo["vote"],
-            other["vote"],
-        ]
+        assert component.collected_votes == [echo["vote"], other["vote"]]
         (pof,) = extract_pofs_from_votes(component.collected_votes)
         assert pof.culprit == 1 and pof.verify(replicas[0])
 

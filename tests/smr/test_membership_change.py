@@ -206,11 +206,11 @@ class TestShrinkingExclusionCommittee:
         binary, rbc = exclusion._binary[0], exclusion._rbc[0]
         aux = make_vote(culprit, binary.context, 1, VoteKind.AUX, value_digest(1))
         binary.handle(binary.topic, 4, "BVAL", {"round": 1, "value": 1})
-        binary.handle(binary.topic, 4, "AUX", {"round": 1, "value": 1, "vote": aux.to_payload()})
+        binary.handle(binary.topic, 4, "AUX", {"round": 1, "value": 1, "vote": aux})
         digest = hash_payload("a proposal")
         for kind, name in ((VoteKind.RBC_ECHO, "ECHO"), (VoteKind.RBC_READY, "READY")):
             vote = make_vote(culprit, rbc.context, 0, kind, digest)
-            rbc.handle(rbc.topic, 4, name, {"digest": digest, "vote": vote.to_payload()})
+            rbc.handle(rbc.topic, 4, name, {"digest": digest, "vote": vote})
         state = binary._rounds[1]
         assert 4 in state.bval_received[1] and state.aux_counts == [0, 1]
         assert 4 in rbc._echo_votes[digest] and 4 in rbc._ready_votes[digest]
