@@ -3,9 +3,11 @@
 Signature checks, vote-statement digests, certificate validity and the vote
 groups of a CONFIRM are each computed once and looked up many times, and every
 entry belongs to one consensus instance: its context, its votes, its
-certificates.  Once the replicas retire an instance (:mod:`repro.smr.asmr`)
-nothing looks those entries up again, so a memo that kept them would grow by
-one instance's worth per block for as long as the process lives.
+certificates.  The four memos are the deployment's: its key registry owns them
+(:class:`~repro.crypto.keys.KeyRegistry`), so they die with it.  Once the
+replicas retire an instance (:mod:`repro.smr.asmr`) nothing looks its entries
+up again, so a memo that kept them would grow by one instance's worth per
+block for as long as the deployment lives.
 
 An :class:`AgedMemo` keeps two generations.  The dict itself is the current
 one, so a hit is a plain dict probe (``memo[key]``) with no Python frame;
@@ -16,7 +18,7 @@ generation and starts a new current one.  It happens when the retirement
 horizon the replicas report (:meth:`AgedMemo.retire`) has moved the
 finalization blockdepth past the last shift, so an entry nobody reads outlives
 its instance by one to two depths.  A generation that reaches ``cap`` entries
-also shifts: that bounds what hostile input can make a process keep.
+also shifts: that bounds what hostile input can make a deployment keep.
 """
 
 from __future__ import annotations
@@ -59,20 +61,7 @@ class AgedMemo(dict):
 
     def retire(self, horizon: int, depth: int) -> None:
         """Every instance up to ``horizon`` is retired or may be: shift once
-        the horizon is ``depth`` past the last shift.
-
-        The replicas of one deployment report horizons within a few instances
-        of each other, so one far below the last shift means the numbering
-        restarted (a new deployment in the same process): count from there.
-        """
+        the horizon is ``depth`` past the last shift."""
         if horizon >= self._shifted_at + depth:
             self.shift()
             self._shifted_at = horizon
-        elif horizon + 2 * depth < self._shifted_at:
-            self._shifted_at = horizon
-
-    def reset(self) -> None:
-        """Forget both generations."""
-        dict.clear(self)
-        self.previous = {}
-        self._shifted_at = 0

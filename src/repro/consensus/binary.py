@@ -13,11 +13,14 @@ binary consensus underlying Red Belly and Polygraph):
   deterministic fallback value decides, otherwise the estimate is updated and
   the next round starts.
 
-Accountability: AUX and DECIDE votes are signed; an honest replica sends at
-most one AUX per round and at most one DECIDE per instance, so two different
-signed AUX (or DECIDE) values from the same replica in the same round are a
-proof of fraud.  ``BVAL`` is deliberately unsigned and excluded from the
-equivocation checks because BV-broadcast legitimately echoes both values.
+Accountability: AUX votes are signed; an honest replica sends at most one
+AUX per round, so two different signed AUX values from the same replica in
+the same round are a proof of fraud.  A ``DECIDE`` message carries the
+value and the AUX certificate it was decided on, which is what a recipient
+checks; the replica's own signed DECIDE vote is not sent, it stays among the
+votes it collected, which its decision's justification carries.  ``BVAL`` is
+deliberately unsigned and excluded from the equivocation checks because
+BV-broadcast legitimately echoes both values.
 
 The deterministic fallback value (``round mod 2``) replaces DBFT's weak
 coordinator; it preserves safety unconditionally and terminates in every
@@ -416,10 +419,6 @@ class BinaryConsensus:
             self.host.emit(
                 self.topic,
                 self.DECIDE,
-                {
-                    "value": value,
-                    "certificate": certificate.to_payload(),
-                    "vote": decide_vote,
-                },
+                {"value": value, "certificate": certificate.to_payload()},
             )
         self.on_decide(self.context, value, certificate)

@@ -57,58 +57,24 @@ conflicting certificates are evidence, so they must arrive as they were made.
 
 The pre-image a replica signs is :func:`vote_payload`, not any of the above:
 the wire form can change without invalidating a signature.  Its canonical
-digest is computed once per process per statement while the statement's
-instance is live (``_VOTE_DIGESTS``) and serves signing and verifying alike:
-:func:`make_vote` hands it to the signer, :func:`verify_vote` to the key
-registry.
+digest is computed once per deployment per statement while the statement's
+instance is live — the key registry's ``vote_digests``, which a host exposes
+as an attribute — and serves signing and verifying alike: :func:`make_vote`
+hands it to the signer, :func:`verify_vote` to the key registry.  The
+per-signer validity of a certificate is the registry's too
+(``cert_validity``).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Sequence, Set, Tuple
 
 from repro.common.errors import InvalidCertificateError
-from repro.common.memo import AgedMemo
 from repro.common.types import ReplicaId, quorum_size
 from repro.crypto.hashing import hash_payload
 from repro.crypto.signatures import SignedPayload
-
-#: Canonical-payload digests of votes, keyed by the vote identity tuple
-#: ``(context, round, kind, value_digest)``.  Every honest replica signs the
-#: same statement, and recipients in other processes hold their own decoded
-#: :class:`SignedVote` objects, so a per-object memo alone would re-encode
-#: the same payload once per signer and once per decoded copy; the
-#: module-level map makes each distinct vote payload canonicalised once per
-#: process while its instance is live.  Content-addressed, so sharing across
-#: runs is safe.
-_VOTE_DIGESTS: AgedMemo = AgedMemo(cap=1 << 20)
-
-#: Per-signer signature validity of certificates, keyed by certificate
-#: content (see :meth:`Certificate._content_key`).  A certificate is re-verified
-#: by every recipient and again by the exclusion consensus against shrinking
-#: committees; with the validity map cached, each re-check is set arithmetic.
-_CERT_VALIDITY: AgedMemo = AgedMemo(cap=1 << 20)
-
-
-def retire_memos(horizon: int, depth: int) -> None:
-    """Instances up to ``horizon`` are retired: age both memo tables.
-
-    A statement or a certificate belongs to one instance, so neither table
-    keeps an entry long after its instance retired (how:
-    :mod:`repro.common.memo`); the cap of a generation bounds what hostile
-    input can add.
-    """
-    _VOTE_DIGESTS.retire(horizon, depth)
-    _CERT_VALIDITY.retire(horizon, depth)
-
-
-def _clear_memos() -> None:
-    """Drop the module-level memo tables (exposed for tests)."""
-    _VOTE_DIGESTS.reset()
-    _CERT_VALIDITY.reset()
-
 
 class VoteKind(enum.Enum):
     """The signed message kinds that participate in accountability.
@@ -154,13 +120,9 @@ class SignedVote:
         return vote_payload(self.context, self.round, self.kind, self.value_digest)
 
     def payload_digest(self) -> str:
-        """Canonical digest of :meth:`vote_payload`, memoised process-wide.
-
-        Every recipient of a broadcast vote re-derives the same digest to
-        verify the signature; the memo collapses that to one encoding per
-        distinct vote (see ``_VOTE_DIGESTS``).
-        """
-        return _vote_digest(self.context, self.round, self.kind, self.value_digest)
+        """Canonical digest of :meth:`vote_payload` (not memoised: a host's
+        ``vote_digests`` is what signing and verifying read)."""
+        return hash_payload(self.vote_payload())
 
     def conflicts_with(self, other: "SignedVote") -> bool:
         """True when the two votes prove equivocation by the same signer."""
@@ -211,35 +173,31 @@ def vote_payload(context: Any, round_number: int, kind: VoteKind, value_digest: 
     }
 
 
-def _vote_digest(
-    context: str, round_number: int, kind: VoteKind, value_digest: str
-) -> str:
-    """Memoised canonical digest of a vote payload."""
-    # ``_value_`` is the member's own attribute; ``.value`` is a descriptor
-    # that costs two frames, and this runs once per vote verified.
-    key = (context, round_number, kind._value_, value_digest)
-    try:
-        return _VOTE_DIGESTS[key]
-    except KeyError:
-        pass
-    digest = hash_payload(vote_payload(context, round_number, kind, value_digest))
-    _VOTE_DIGESTS[key] = digest
-    return digest
-
-
 def make_vote(
     host: Any, context: Any, round_number: int, kind: VoteKind, value_digest: str
 ) -> SignedVote:
     """Create a vote signed by ``host`` (any object exposing ``sign`` and ``replica_id``).
 
     ``context`` accepts a string or a Topic; votes carry the canonical string.
-    ``host.sign(payload, digest)`` gets the statement's memoised digest, so
-    a statement every replica signs is encoded once per process, not once
-    per signer.
+    ``host.sign(payload, digest)`` gets the statement's digest from the
+    host's ``vote_digests``, so a statement is encoded once per deployment;
+    a host without one gets ``None``, and its signer encodes it.
     """
     context = str(context)
-    digest = _vote_digest(context, round_number, kind, value_digest)
-    signature = host.sign(vote_payload(context, round_number, kind, value_digest), digest)
+    payload = vote_payload(context, round_number, kind, value_digest)
+    try:
+        digests = host.vote_digests
+    except AttributeError:
+        digest = None
+    else:
+        # ``_value_`` is the member's own attribute; ``.value`` is a
+        # descriptor that costs two frames.
+        key = (context, round_number, kind._value_, value_digest)
+        try:
+            digest = digests[key]
+        except KeyError:
+            digest = digests[key] = hash_payload(payload)
+    signature = host.sign(payload, digest)
     return SignedVote(
         context=context,
         round=round_number,
@@ -271,11 +229,9 @@ def verify_vote(vote: SignedVote, verifier: Any) -> bool:
     Also rejects votes whose embedded signer does not match the signature's
     signer — a Byzantine replica cannot attribute its vote to someone else.
 
-    Verifiers exposing the digest-first entry point (``verify_digest``) skip
-    re-encoding the vote payload: the memoised canonical digest plus the key
-    registry's verified-signature cache turn the fan-out re-verification of a
-    vote into two dict probes.  A replica host's ``verify_digest`` is its
-    registry's bound method, so a verified vote costs this frame and one in
+    A verifier exposing its registry's ``verify_digest`` and ``vote_digests``
+    (a replica host, a registry) skips re-encoding the payload: re-verifying
+    a broadcast vote is two dict probes, this frame and one in
     :meth:`~repro.crypto.keys.KeyRegistry.verify_digest`, which checks the
     digest against ``payload_hash``, the signer is known and the scheme.
     """
@@ -284,15 +240,15 @@ def verify_vote(vote: SignedVote, verifier: Any) -> bool:
         return False
     try:
         verify_digest = verifier.verify_digest
+        digests = verifier.vote_digests
     except AttributeError:
         return verifier.verify(vote.vote_payload(), signature)
-    # ``_vote_digest`` with its hit read in place: every recipient of a
-    # broadcast vote but the first finds the digest here.
-    kind = vote.kind
+    # Every recipient of a broadcast vote but the first finds the digest.
+    key = (vote.context, vote.round, vote.kind._value_, vote.value_digest)
     try:
-        digest = _VOTE_DIGESTS[vote.context, vote.round, kind._value_, vote.value_digest]
+        digest = digests[key]
     except KeyError:
-        digest = _vote_digest(vote.context, vote.round, kind, vote.value_digest)
+        digest = digests[key] = hash_payload(vote.vote_payload())
     return verify_digest(digest, signature)
 
 
@@ -380,38 +336,28 @@ class Certificate:
         """Per-signer signature validity, verified once per deployment.
 
         The map is independent of the committee a later check restricts to —
-        validity is a property of the deployment's PKI, shared by every host
-        of a run — so a certificate that already passed against a superset
-        committee is re-checked against a shrunken one with set arithmetic
-        alone.  Entries are shared across recipients through ``_CERT_VALIDITY``
-        keyed by the verifier's registry token plus the certificate content;
-        verifiers without a token (minimal test doubles) still get the
-        per-instance memo.
+        validity is a property of the deployment's PKI — so a re-check
+        against a shrunken committee is set arithmetic alone.  The verifier's
+        ``cert_validity`` (its key registry's) holds it by certificate
+        content, one entry for every recipient; a verifier without one (a
+        minimal test double) verifies every time.
         """
-        token = getattr(verifier, "verification_token", None)
-        cached = self.__dict__.get("_validity")
-        if cached is not None and self.__dict__.get("_validity_token") == token:
-            return cached
-        global_key: Optional[Tuple[Any, ...]] = None
-        validity: Optional[Dict[ReplicaId, bool]] = None
-        if token is not None:
-            global_key = (token,) + self._content_key()
+        memo = getattr(verifier, "cert_validity", None)
+        if memo is not None:
+            key = self._content_key()
             try:
-                validity = _CERT_VALIDITY[global_key]
+                return memo[key]
             except KeyError:
                 pass
-        if validity is None:
-            validity = {}
-            for vote in self.votes:
-                ok = verify_vote(vote, verifier)
-                previous = validity.get(vote.signer)
-                # A signer appearing twice must have *all* its votes valid —
-                # matching the vote-order scan this map replaces.
-                validity[vote.signer] = ok if previous is None else (previous and ok)
-            if global_key is not None:
-                _CERT_VALIDITY[global_key] = validity
-        self._validity = validity
-        self._validity_token = token
+        validity: Dict[ReplicaId, bool] = {}
+        for vote in self.votes:
+            ok = verify_vote(vote, verifier)
+            previous = validity.get(vote.signer)
+            # A signer appearing twice must have *all* its votes valid —
+            # matching the vote-order scan this map replaces.
+            validity[vote.signer] = ok if previous is None else (previous and ok)
+        if memo is not None:
+            memo[key] = validity
         return validity
 
     def verify(self, verifier: Any, committee: Sequence[ReplicaId]) -> None:

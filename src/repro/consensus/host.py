@@ -94,12 +94,10 @@ class ProtocolHost:
         """Verify a signed payload against the PKI."""
         raise NotImplementedError
 
-    #: Hosts backed by a :class:`KeyRegistry` additionally expose
-    #: ``verify_digest(digest, signed)`` (digest-first verification through
-    #: the registry's verified-signature cache — the registry's bound method,
-    #: held as an instance attribute) and ``verification_token`` (the
-    #: registry's cache identity).  Both are optional — callers discover them
-    #: by attribute lookup so minimal test hosts keep working.
+    #: Hosts backed by a :class:`KeyRegistry` also expose, as instance
+    #: attributes, its ``verify_digest(digest, signed)`` and its
+    #: ``vote_digests`` and ``cert_validity`` memos; callers discover them by
+    #: attribute lookup, so minimal test hosts keep working.
 
     # -- communication -------------------------------------------------------------
 

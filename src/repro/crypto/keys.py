@@ -4,11 +4,15 @@ The paper assumes a standard PKI common to all replicas (§3.2).  The registry
 is the single verification entry point used by the accountability layer:
 certificates and proofs of fraud are validated by calling
 :meth:`KeyRegistry.verify` on each embedded :class:`SignedPayload`.
+
+A registry is one deployment's (every simulated replica and standby shares
+it, a cluster worker builds its own), so it also owns what the deployment's
+hosts share: the per-vote memos (:mod:`repro.common.memo`) and the topic
+table (:class:`~repro.network.topic.TopicTable`).  They die with it.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Dict, Iterable, Optional
 
 from repro.common.errors import InvalidSignatureError
@@ -22,11 +26,6 @@ from repro.crypto.signatures import (
     SimulatedSigner,
     scheme_for,
 )
-
-#: Process-unique registry tokens: caches living outside the registry (e.g.
-#: certificate validity maps) key their entries by this token so verdicts
-#: from one deployment's PKI can never leak into another's.
-_REGISTRY_TOKENS = itertools.count(1)
 
 
 class KeyRegistry:
@@ -52,19 +51,30 @@ class KeyRegistry:
         #: misses the cache; tampering the *payload* is caught by the digest
         #: comparison done before the cache is ever consulted.
         self._verified: AgedMemo = AgedMemo(cap=1 << 20)
-        #: Unique identity of this registry for external verification caches.
-        self.verification_token: int = next(_REGISTRY_TOKENS)
+        #: The digests of vote statements, the per-signer validity of
+        #: certificates and the grouped votes of a CONFIRM body: see their
+        #: readers in :mod:`repro.consensus.certificates` and
+        #: :mod:`repro.smr.asmr`.
+        self.vote_digests: AgedMemo = AgedMemo(cap=1 << 20)
+        self.cert_validity: AgedMemo = AgedMemo(cap=1 << 20)
+        self.confirm_grouped: AgedMemo = AgedMemo(cap=1 << 14)
+        # Imported here: the network package's codec imports the consensus
+        # layer, which imports this module.
+        from repro.network.topic import TopicTable
+
+        self.topics = TopicTable()
 
     def register(self, replica: ReplicaId, scheme: str, public_material: Any) -> None:
         """Register (or overwrite) the public material of ``replica``."""
         if replica in self._public:
             # Overwriting a key changes what verifies: drop the replica's
-            # cached verdicts and retire the token so external caches keyed
-            # by it go stale too (rare — provisioning and inclusion only).
+            # signature verdicts and every certificate's (rare — provisioning
+            # and inclusion only).
             for generation in (self._verified, self._verified.previous):
                 for key in [key for key in generation if key[0] == replica]:
                     del generation[key]
-            self.verification_token = next(_REGISTRY_TOKENS)
+            for generation in (self.cert_validity, self.cert_validity.previous):
+                generation.clear()
         self._public[replica] = public_material
         self._schemes[replica] = scheme
 
@@ -117,8 +127,9 @@ class KeyRegistry:
         return ok
 
     def retire(self, horizon: int, depth: int) -> None:
-        """Instances up to ``horizon`` are retired: age the verdict cache."""
-        self._verified.retire(horizon, depth)
+        """Instances up to ``horizon`` are retired: age the four memos."""
+        for memo in (self._verified, self.vote_digests, self.cert_validity, self.confirm_grouped):
+            memo.retire(horizon, depth)
 
     def require_valid(self, payload: Any, signed: SignedPayload) -> None:
         """Raise :class:`InvalidSignatureError` when verification fails."""

@@ -33,7 +33,7 @@ from repro.network.faults import LinkFaults
 from repro.network.partition import PartitionSpec
 from repro.network.router import RoutedProcess, Router
 from repro.network.simulator import NetworkSimulator, Process
-from repro.network.topic import Topic, TopicLike, as_topic, topic
+from repro.network.topic import Topic, TopicLike, TopicTable, as_topic, topic
 from repro.network.transport import Clock, Transport
 from repro.network.asyncio_transport import AsyncioTransport, Endpoint
 
@@ -41,6 +41,7 @@ __all__ = [
     "Message",
     "Topic",
     "TopicLike",
+    "TopicTable",
     "as_topic",
     "topic",
     "Router",

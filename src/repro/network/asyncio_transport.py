@@ -50,6 +50,7 @@ from repro.network.codec import (
 )
 from repro.network.faults import LinkFaults
 from repro.network.message import Message
+from repro.network.topic import TopicTable
 from repro.network.transport import Process, Transport
 
 log = get_logger("repro.net")
@@ -114,6 +115,9 @@ class AsyncioTransport(Transport):
         self.faults = faults if faults is not None else LinkFaults()
         self._membership: Tuple[ReplicaId, ...] = tuple(sorted(endpoints))
         self._processes: Dict[ReplicaId, Process] = {}
+        #: The topic table frames are decoded against: the deployment's, once
+        #: a replica of it is added (see :meth:`add_process`).
+        self._topics: Optional[TopicTable] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._writers: Dict[ReplicaId, asyncio.StreamWriter] = {}
@@ -145,6 +149,9 @@ class AsyncioTransport(Transport):
             raise SimulationError(f"replica {process.replica_id} already registered")
         process.bind(self)
         self._processes[process.replica_id] = process
+        registry = getattr(process, "registry", None)
+        if registry is not None:
+            self._topics = registry.topics
         if self._started:
             process.on_start()
 
@@ -414,7 +421,7 @@ class AsyncioTransport(Transport):
                     break
                 payload = await reader.readexactly(length)
                 try:
-                    message = decode_message(payload)
+                    message = decode_message(payload, self._topics)
                 except CodecError:
                     log.exception(
                         "replica %s received an undecodable frame", self.replica_id

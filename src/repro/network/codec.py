@@ -73,10 +73,10 @@ unchanged.
 from __future__ import annotations
 
 import struct
-from typing import Any, Callable, Dict, List, Tuple, Type
+from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 from repro.network.message import Message
-from repro.network.topic import Topic
+from repro.network.topic import Topic, TopicTable
 
 #: Bytes of the length prefix a stream reader consumes before each frame.
 FRAME_HEADER_SIZE = 4
@@ -364,8 +364,12 @@ def encode_message(message: Message, include_trace: bool = True) -> bytes:
     return encode_value(fields)
 
 
-def decode_message(data: bytes) -> Message:
+def decode_message(data: bytes, topics: Optional[TopicTable] = None) -> Message:
     """Rebuild a :class:`Message` from :func:`encode_message` bytes.
+
+    The topic is resolved against ``topics`` — the receiving node's table,
+    so a topic it uses decodes to its own interned object — or, without one,
+    decodes to a private topic.
 
     The decoded envelope gets a fresh local ``uid`` (uids are process-local
     tie-breakers, not wire identity).  Both envelope shapes decode: the bare
@@ -390,7 +394,7 @@ def decode_message(data: bytes) -> Message:
             "wire envelope has a sender, recipient, topic, kind or body of the wrong type"
         )
     try:
-        topic = Topic.from_wire(topic_text)
+        topic = Topic.parse(topic_text) if topics is None else topics.from_wire(topic_text)
     except ValueError as exc:
         raise CodecError(f"wire topic {topic_text!r} does not parse: {exc}") from exc
     message = Message(

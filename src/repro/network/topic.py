@@ -10,11 +10,14 @@ replaces the string with a tuple of path segments::
     ("asmr", "confirm", 2)      # confirmation of instance 2
     ("excl", 1, "bin", 4)       # exclusion consensus of epoch 1, slot 4
 
-Topics are **interned**: building the same segment tuple twice returns the
-same object, so hot-path dictionary lookups hash a cached value and routing
-never re-parses anything.  The canonical string form (segments joined with
-``":"``) is kept only for human-facing output and for signed vote contexts,
-and is computed lazily once per unique topic.
+Topics are **interned per deployment**: its :class:`TopicTable` (the key
+registry's ``topics``) returns the same object for the same segment tuple, so
+hot-path dictionary lookups hash a cached value and routing never re-parses
+anything.  Hosts build their root topics there and :meth:`Topic.child`
+interns into its parent's table; :meth:`Topic.of` builds a *private* topic,
+which routes, compares and hashes like any other.  The canonical string form
+(segments joined with ``":"``) is kept for human-facing output and signed
+vote contexts, computed lazily once per topic object.
 """
 
 from __future__ import annotations
@@ -28,23 +31,16 @@ Segment = Union[str, int]
 #: Anything accepted where a topic is expected.
 TopicLike = Union["Topic", str, Tuple[Segment, ...]]
 
-_INTERNED: Dict[Tuple[Segment, ...], "Topic"] = {}
-#: Canonical text -> interned topic, filled by :meth:`Topic.from_wire`.
-_BY_TEXT: Dict[str, "Topic"] = {}
-
 
 class Topic:
-    """An interned, immutable protocol path.
+    """An immutable protocol path, interned in a :class:`TopicTable` or private."""
 
-    Use :func:`topic` (or :meth:`Topic.of`) to construct; direct instantiation
-    bypasses interning and is reserved for the intern table itself and for
-    :meth:`from_wire`.
-    """
+    __slots__ = ("segments", "_table", "_canonical", "_hash", "_group")
 
-    __slots__ = ("segments", "_canonical", "_hash", "_group")
-
-    def __init__(self, segments: Tuple[Segment, ...]):
+    def __init__(self, segments: Tuple[Segment, ...], table: Optional["TopicTable"] = None):
         self.segments = segments
+        #: The table this topic is interned in; None for a private topic.
+        self._table = table
         self._canonical: Optional[str] = None
         self._hash = hash(segments)
         #: Telemetry cache: the low-cardinality protocol group of this topic,
@@ -55,53 +51,26 @@ class Topic:
 
     @staticmethod
     def of(*segments: Segment) -> "Topic":
-        """Return the interned topic for ``segments``."""
-        existing = _INTERNED.get(segments)
-        if existing is not None:
-            return existing
-        created = Topic(segments)
-        _INTERNED[segments] = created
-        return created
+        """A private topic for ``segments``."""
+        return Topic(segments)
 
     @staticmethod
     def parse(text: str) -> "Topic":
-        """Parse a canonical ``":"``-joined string into an interned topic.
+        """Parse a canonical ``":"``-joined string into a private topic.
 
-        Decimal segments become ints so ``Topic.parse(str(t)) is t`` holds for
-        every topic built from strings and non-negative ints.
+        Decimal segments become ints so ``Topic.parse(str(t)) == t`` holds for
+        every topic built from strings and non-negative ints.  (A list
+        comprehension: a generator would cost a call per segment.)
         """
-        return Topic.of(
-            *(int(part) if part.isdigit() else part for part in text.split(":"))
-        )
-
-    @staticmethod
-    def from_wire(text: str) -> "Topic":
-        """:meth:`parse` for a topic a peer sent: the interned topic when one
-        exists, a private one otherwise, so a peer inventing topics grows no
-        table here.  Routing reads segments, so both dispatch alike.
-
-        An interned topic is found by its text in one probe once it has been
-        parsed here.  Only the text a topic prints as is indexed, and only when
-        it parses back to that topic — ``("sbc", "0")`` prints as ``sbc:0``,
-        which parses to ``("sbc", 0)`` — so the index returns exactly what the
-        parse would and holds no more entries than the intern table."""
-        try:
-            return _BY_TEXT[text]
-        except KeyError:
-            pass
-        segments = tuple(
-            int(part) if part.isdigit() else part for part in text.split(":")
-        )
-        existing = _INTERNED.get(segments)
-        if existing is None:
-            return Topic(segments)
-        if existing.canonical == text:
-            _BY_TEXT[text] = existing
-        return existing
+        return Topic(tuple([int(part) if part.isdigit() else part for part in text.split(":")]))
 
     def child(self, *suffix: Segment) -> "Topic":
-        """The interned topic extending this one with ``suffix`` segments."""
-        return Topic.of(*self.segments, *suffix)
+        """The topic extending this one with ``suffix`` segments, interned in
+        this topic's table (private when this one is)."""
+        table = self._table
+        if table is None:
+            return Topic(self.segments + suffix)
+        return table.of(*self.segments, *suffix)
 
     # -- inspection ----------------------------------------------------------
 
@@ -110,7 +79,7 @@ class Topic:
         """Canonical string form (lazily computed, cached)."""
         text = self._canonical
         if text is None:
-            text = ":".join(str(segment) for segment in self.segments)
+            text = ":".join(map(str, self.segments))
             self._canonical = text
         return text
 
@@ -142,13 +111,55 @@ class Topic:
         return f"Topic({self.canonical!r})"
 
     def __reduce__(self):
-        # Re-intern on unpickle so identity-based caches stay coherent.
-        return (Topic.of, tuple(self.segments))
+        # A table is one deployment's: an unpickled topic is private.
+        return (Topic, (self.segments,))
+
+
+class TopicTable:
+    """One deployment's interned topics: they die with it."""
+
+    __slots__ = ("_interned", "_by_text")
+
+    def __init__(self) -> None:
+        self._interned: Dict[Tuple[Segment, ...], Topic] = {}
+        #: Canonical text -> interned topic, filled by :meth:`from_wire`.
+        self._by_text: Dict[str, Topic] = {}
+
+    def __len__(self) -> int:
+        return len(self._interned)
+
+    def of(self, *segments: Segment) -> Topic:
+        """Return the interned topic for ``segments``."""
+        existing = self._interned.get(segments)
+        if existing is None:
+            existing = self._interned[segments] = Topic(segments, self)
+        return existing
+
+    def from_wire(self, text: str) -> Topic:
+        """The topic a peer sent: the interned one when it exists, a private
+        one otherwise, so a peer inventing topics grows no table.
+
+        Once parsed here, an interned topic is found by its text in one
+        probe.  Only the text a topic prints as is indexed, and only when it
+        parses back to that topic (``("sbc", "0")`` prints as ``sbc:0``,
+        which parses to ``("sbc", 0)``), so the index returns what the parse
+        would."""
+        try:
+            return self._by_text[text]
+        except KeyError:
+            pass
+        parsed = Topic.parse(text)
+        existing = self._interned.get(parsed.segments)
+        if existing is None:
+            return parsed
+        if existing.canonical == text:
+            self._by_text[text] = existing
+        return existing
 
 
 def topic(*segments: Segment) -> Topic:
-    """Shorthand for :meth:`Topic.of`."""
-    return Topic.of(*segments)
+    """Shorthand for :meth:`Topic.of`: a private topic."""
+    return Topic(segments)
 
 
 def as_topic(value: TopicLike) -> Topic:
@@ -158,5 +169,5 @@ def as_topic(value: TopicLike) -> Topic:
     if isinstance(value, str):
         return Topic.parse(value)
     if isinstance(value, tuple):
-        return Topic.of(*value)
+        return Topic(value)
     raise TypeError(f"cannot interpret {value!r} as a topic")

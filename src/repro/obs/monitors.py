@@ -22,6 +22,10 @@ The paper's safety claims become live assertions instead of post-hoc checks:
   exclusion and a merge as much as in a fault-free run, the replicas a
   membership change included among them: catch-up ships the chain.
 
+Liveness is apart from these: ``finalize`` lists in ``liveness`` each
+instance an honest replica that is up started and has not decided (a stall,
+which a later run may still end).
+
 Every deployment owns one :class:`MonitorSet` (``repro.zlb.system.deploy``)
 and its replicas call it directly, so every run is checked, traced or not.
 A violation is recorded (and logged at WARNING); when a traced run attaches
@@ -86,6 +90,8 @@ class MonitorSet:
         #: first violation.
         self.recorder = recorder
         self.violations: List[InvariantViolation] = []
+        #: The stalls the last :meth:`finalize` found (see the module docstring).
+        self.liveness: List[InvariantViolation] = []
         #: Path of the flight-recorder dump written on the first violation.
         self.dump_written: Optional[str] = None
         self._keys: Set[Tuple[Any, ...]] = set()
@@ -241,16 +247,28 @@ class MonitorSet:
         deposit_shortfall: float = 0,
         at: Optional[float] = None,
         state_digests: Optional[Dict[Any, str]] = None,
+        undecided: Optional[Dict[Any, Iterable[int]]] = None,
     ) -> None:
         """End-of-run zero-loss accounting (the paper's headline claim) and
         convergence: ``state_digests`` maps each replica that is up to its
         ledger's state digest, and two honest ones must not differ.
+        ``undecided`` maps each replica that is up to the instances it
+        started and has not decided (the ``liveness`` verdict).
 
         Unlike the other monitors this is not incremental: mid-run a merge can
         transiently refund before the matching punishment lands, and a
         replica can still be filling a gap, so the check only makes sense
         once the run has settled.
         """
+        stalled: Dict[int, List[Any]] = {}
+        for replica, instances in sorted((undecided or {}).items()):
+            if self._is_honest(replica):
+                for instance in instances:
+                    stalled.setdefault(instance, []).append(replica)
+        self.liveness = [
+            InvariantViolation("liveness", None, at, {"instance": instance, "replicas": holders})
+            for instance, holders in sorted(stalled.items())
+        ]
         by_digest: Dict[str, List[Any]] = {}
         for replica, digest in sorted((state_digests or {}).items()):
             if self._is_honest(replica):

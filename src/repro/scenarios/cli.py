@@ -19,7 +19,9 @@ writes the same rows), ``trace`` (causal spans and the flight recorder) or
 ``all``.  Every deploying cell is checked against the paper's
 invariants whatever the level (agreement, validity, supply conservation,
 zero-loss accounting): its row carries ``violations``, and ``run`` and
-``sweep`` print them and exit 1 when any row has one.  They also print the
+``sweep`` print them and exit 1 when any row has one, and print apart each
+row whose ``stalled_instances`` (instances an honest member started and had
+not decided) is not 0.  They also print the
 verdict of each of the family's claims (the paper's statements across cells,
 read from the rows, cached ones included) and exit 1 when one fails::
 
@@ -133,6 +135,13 @@ def _run_families(
                     failed = True
                     print(
                         f"INVARIANT VIOLATION {outcome.spec.label()}: {violation}",
+                        file=sys.stderr,
+                    )
+                stalled = outcome.row.get("stalled_instances")
+                if stalled:
+                    print(
+                        f"STALLED {outcome.spec.label()}: {stalled} instance(s) "
+                        "started by an honest member and undecided",
                         file=sys.stderr,
                     )
             rows = [

@@ -535,6 +535,11 @@ def _quickstart_grid(scale: str) -> List[ScenarioSpec]:
     description="Fault-free 7-replica committee committing client payments",
     grid=_quickstart_grid,
     tags=("example",),
+    claims={
+        "every cell is live": every(
+            lambda row: row["stalled_instances"] == 0, "n", "seed", "stalled_instances"
+        ),
+    },
 )
 def _run_quickstart_cell(spec: ScenarioSpec) -> Dict[str, Any]:
     row = run_system(spec).to_row()
@@ -590,6 +595,7 @@ def _run_churn_cell(spec: ScenarioSpec) -> Dict[str, Any]:
     committed = 0
     simulated = 0.0
     violations: List[str] = []
+    stalled = 0
     for round_index in range(rounds):
         result = run_system(
             spec.with_overrides(seed=spec.seed + 1_000 * round_index)
@@ -605,6 +611,7 @@ def _run_churn_cell(spec: ScenarioSpec) -> Dict[str, Any]:
         committed += result.committed_transactions
         simulated += result.simulated_time
         violations.extend(result.violations)
+        stalled += result.stalled_instances
     return {
         "n": spec.n,
         "seed": spec.seed,
@@ -626,6 +633,7 @@ def _run_churn_cell(spec: ScenarioSpec) -> Dict[str, Any]:
         "committed_transactions": committed,
         "simulated_time_s": round(simulated, 3),
         "violations": violations,
+        "stalled_instances": stalled,
     }
 
 

@@ -41,9 +41,8 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.common.config import ProtocolConfig
-from repro.common.memo import AgedMemo
 from repro.common.types import FaultKind, ReplicaId, recovery_threshold
-from repro.consensus.certificates import VoteKind, certificate_from_payload, retire_memos
+from repro.consensus.certificates import VoteKind, certificate_from_payload
 from repro.consensus.proofs import (
     GroupedVotes,
     ProofOfFraud,
@@ -55,7 +54,7 @@ from repro.consensus.sbc import SBCDecision, SetByzantineConsensus
 from repro.crypto.hashing import hash_payload
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.signatures import Signer
-from repro.network.topic import Topic, topic
+from repro.network.topic import Topic
 from repro.obs.monitors import MonitorSet
 from repro.smr.log import DecisionLog, InstanceRecord
 from repro.smr.membership import MembershipChange, MembershipOutcome, next_committee
@@ -78,27 +77,22 @@ AHEAD_PER_SENDER = 1024
 #: grids is 0.45 s (high jitter).
 PROPOSAL_WAIT_S = 2.0
 
-#: The votes of a CONFIRM body's certificates, grouped, by ``id(body)``: the
-#: identity memo of the disagreement path.  CONFIRM bodies cross the simulated
-#: wire *by reference*: every recipient dispatches the same dict object, so
-#: parsing the carried certificates once per broadcast (instead of once per
-#: recipient) changes nothing but the host clock.  Entries pin the keyed
-#: object itself, which keeps its ``id()`` stable for the lifetime of the
-#: entry; the memo ages with the retirement horizon.
-_CONFIRM_GROUPED: AgedMemo = AgedMemo(cap=1 << 14)
-
-
-def _confirm_grouped_votes(body: Dict[str, Any]) -> GroupedVotes:
+def _confirm_grouped_votes(memo: Dict[int, Any], body: Dict[str, Any]) -> GroupedVotes:
     """Votes carried by a CONFIRM body's certificates, parsed+grouped once.
 
     A binary certificate is read for its AUX votes and an RBC certificate
     for its READY votes — all an honest one holds — so a retired decision's
     narrowed justification (:func:`accountable_votes`) meets any CONFIRM as
     the full one did.
+
+    ``memo`` is the deployment's ``confirm_grouped``, keyed by ``id(body)``:
+    simulated bodies cross the wire *by reference*, so this parses once per
+    broadcast, not per recipient.  An entry pins its body, which keeps the
+    ``id()`` stable while the entry lives.
     """
     key = id(body)
     try:
-        hit = _CONFIRM_GROUPED[key]
+        hit = memo[key]
         if hit[0] is body:
             return hit[1]
     except KeyError:
@@ -115,7 +109,7 @@ def _confirm_grouped_votes(body: Dict[str, Any]) -> GroupedVotes:
                 continue
             votes += [vote for vote in certificate.votes if vote.kind is kind]
     grouped = group_votes(votes)
-    _CONFIRM_GROUPED[key] = (body, grouped)
+    memo[key] = (body, grouped)
     return grouped
 
 
@@ -187,13 +181,6 @@ class ASMRReplica(BaseReplica):
     ``detach`` (instance replaced, membership change complete).
     """
 
-    CONFIRM_TOPIC = topic("asmr", "confirm")
-    POFS_TOPIC = topic("asmr", "pofs")
-    CATCHUP_TOPIC = topic("asmr", "catchup")
-    SBC_ROOT = topic("sbc")
-    EXCLUSION_ROOT = topic("excl")
-    INCLUSION_ROOT = topic("incl")
-
     def __init__(
         self,
         replica_id: ReplicaId,
@@ -213,6 +200,15 @@ class ASMRReplica(BaseReplica):
         monitors: Optional[MonitorSet] = None,
     ):
         super().__init__(replica_id, committee, signer, registry, fault=fault)
+        #: The root topics, interned in the deployment's table like every
+        #: child of them.
+        root = registry.topics.of
+        self.CONFIRM_TOPIC = root("asmr", "confirm")
+        self.POFS_TOPIC = root("asmr", "pofs")
+        self.CATCHUP_TOPIC = root("asmr", "catchup")
+        self.SBC_ROOT = root("sbc")
+        self.EXCLUSION_ROOT = root("excl")
+        self.INCLUSION_ROOT = root("incl")
         #: The deployment's invariant monitors; a replica built on its own
         #: checks against a set of its own.
         self.monitors = monitors if monitors is not None else MonitorSet()
@@ -372,10 +368,7 @@ class ASMRReplica(BaseReplica):
         # A record a joiner caught up on is history: it moves no horizon.
         if horizon >= 0 and decision.instance >= history.live_from:
             history.retire(horizon, self._sbc)
-            depth = self.finalization_blockdepth
-            self._registry.retire(horizon, depth)
-            retire_memos(horizon, depth)
-            _CONFIRM_GROUPED.retire(horizon, depth)
+            self._registry.retire(horizon, self.finalization_blockdepth)
 
     def _fetch(self, instance: int) -> None:
         """Fetch ``instance``'s decision record, from its CONFIRMs' senders first."""
@@ -619,7 +612,7 @@ class ASMRReplica(BaseReplica):
                 record.decision.justification_votes
             )
         new_pofs = extract_pofs_from_grouped(
-            local, _confirm_grouped_votes(body), skip=self.pofs
+            local, _confirm_grouped_votes(self._registry.confirm_grouped, body), skip=self.pofs
         )
         added = merge_pofs(self.pofs, new_pofs, verifier=self)
         if added:

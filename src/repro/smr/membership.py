@@ -39,7 +39,6 @@ from repro.common.types import ReplicaId
 from repro.consensus.host import ProtocolHost
 from repro.consensus.proofs import ProofOfFraud
 from repro.consensus.sbc import SBCDecision, SetByzantineConsensus
-from repro.network.topic import topic
 from repro.obs.core import Probe
 from repro.smr.pool import CandidatePool
 
@@ -162,12 +161,12 @@ class _RestrictedHost(ProtocolHost):
     def __init__(self, base: ProtocolHost, committee: Iterable[ReplicaId]):
         self._base = base
         self._set_committee(committee)
-        # The base's registry method itself, bound once; a base host without
-        # the digest-first entry point leaves this one without it too
-        # (``verify_vote`` discovers it by attribute lookup).
-        verify_digest = getattr(base, "verify_digest", None)
-        if verify_digest is not None:
-            self.verify_digest = verify_digest
+        # The base's registry method and memos themselves, when it has them
+        # (``verify_vote`` and ``Certificate.verify`` look them up).
+        for name in ("verify_digest", "vote_digests", "cert_validity"):
+            shared = getattr(base, name, None)
+            if shared is not None:
+                setattr(self, name, shared)
         # The restricted consensus reports metrics only: its trace events
         # would carry the epoch where ASMR instances carry the instance
         # number, aliasing instance ids on the Chrome trace.
@@ -199,10 +198,6 @@ class _RestrictedHost(ProtocolHost):
 
     def verify(self, payload: Any, signed) -> bool:
         return self._base.verify(payload, signed)
-
-    @property
-    def verification_token(self):
-        return getattr(self._base, "verification_token", None)
 
     def emit(self, protocol, kind, body, recipients=None):
         targets = list(recipients) if recipients is not None else list(self._committee)
@@ -255,7 +250,7 @@ class MembershipChange:
             instance=epoch,
             on_decide=self._on_exclusion_decided,
             proposal_validator=self._validate_exclusion_proposal,
-            protocol_prefix=topic("excl"),
+            protocol_prefix=host.registry.topics.of("excl"),
         )
         self.inclusion: Optional[SetByzantineConsensus] = None
         self._inclusion_host: Optional[_RestrictedHost] = None
@@ -321,7 +316,7 @@ class MembershipChange:
             instance=self.epoch,
             on_decide=self._on_inclusion_decided,
             proposal_validator=self._validate_inclusion_proposal,
-            protocol_prefix=topic("incl"),
+            protocol_prefix=self.host.registry.topics.of("incl"),
         )
         proposal = self.pool.take(len(self.excluded))
         self.inclusion.propose(list(proposal))

@@ -43,9 +43,11 @@ class BaseReplica(RoutedProcess, ProtocolHost):
         self._set_committee(committee)
         self._signer = signer
         self._registry = registry
-        #: The registry's own method, not a host method forwarding to it:
-        #: ``verify_vote`` reaches the verdict cache in one frame.
+        #: The registry's own method and memos, not host methods forwarding
+        #: to them: ``verify_vote`` reaches the verdict cache in one frame.
         self.verify_digest = registry.verify_digest
+        self.vote_digests = registry.vote_digests
+        self.cert_validity = registry.cert_validity
         self.fault = fault
         self.attack_strategy: Optional[Any] = None
 
@@ -76,10 +78,6 @@ class BaseReplica(RoutedProcess, ProtocolHost):
 
     def verify(self, payload: Any, signed: SignedPayload) -> bool:
         return self._registry.verify(payload, signed)
-
-    @property
-    def verification_token(self) -> int:
-        return self._registry.verification_token
 
     @property
     def registry(self) -> KeyRegistry:

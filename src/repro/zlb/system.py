@@ -121,6 +121,9 @@ class SystemResult:
     #: The deployment's invariant violations so far, one
     #: ``InvariantViolation.describe()`` line each (empty when every claim held).
     violations: List[str] = dataclasses.field(default_factory=list)
+    #: The instances an honest member that is up started and had not decided
+    #: when the run returned (the monitors' ``liveness`` verdict).
+    stalled_instances: int = 0
 
     @property
     def disagreements(self) -> int:
@@ -186,6 +189,7 @@ class SystemResult:
             "seized_deposit": self.seized_deposit,
             "attacker_net_gain": self.attacker_net_gain,
             "violations": list(self.violations),
+            "stalled_instances": self.stalled_instances,
         }
 
     def chain_summary(self) -> Dict[str, Any]:
@@ -482,27 +486,35 @@ class ZLBSystem:
         """Drain pending events without requesting new instances.
 
         The result carries every violation the deployment's monitors recorded
-        so far, after the end-of-run zero-loss and convergence checks (the
-        latter over the honest members that are not cut: a crashed one is
-        checked once it is back).
+        so far, after the end-of-run zero-loss and convergence checks, and
+        the instances they found stalled (the latter two over the honest
+        members that are not cut: a crashed one is checked once it is back).
         """
         simulator = self.simulator
         simulator.run(until=until)
         cut = simulator.faults.cut_replicas
         result = self.result()
         monitors = self.deployment.monitors
+        up = [replica for replica in self.honest_replicas() if replica.replica_id not in cut]
         monitors.finalize(
             result.realized_gain,
             result.seized_deposit,
             result.deposit_shortfall,
             at=result.simulated_time,
             state_digests={
-                replica.replica_id: replica.blockchain.record.state_digest()
-                for replica in self.honest_replicas()
-                if replica.replica_id not in cut
+                replica.replica_id: replica.blockchain.record.state_digest() for replica in up
+            },
+            undecided={
+                replica.replica_id: [
+                    instance
+                    for instance, record in replica.instances.items()
+                    if record.decision is None
+                ]
+                for replica in up
             },
         )
         result.violations = [violation.describe() for violation in monitors.violations]
+        result.stalled_instances = len(monitors.liveness)
         return result
 
     # -- results -----------------------------------------------------------------------------------

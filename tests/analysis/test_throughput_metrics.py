@@ -119,6 +119,7 @@ class TestMetrics:
             "seized_deposit",
             "attacker_net_gain",
             "violations",
+            "stalled_instances",
         ]
 
     def test_row_rounds_recovery_times_to_the_millisecond(self):

@@ -261,13 +261,16 @@ class TestVotesParsedOnce:
         votes = [message for message in delivered if "vote" in message.body]
         assert len(votes) > 100
         assert calls == {"decoder": 0, "elsewhere": 0}
+        # A DECIDE carries its certificate, not the decider's own vote.
+        decides = [message for message in delivered if message.kind == "DECIDE"]
+        assert decides and not any("vote" in message.body for message in decides)
 
     def test_a_socket_parses_each_vote_it_reads_once(self, tmp_path, monkeypatch):
         calls = self._count_parses(monkeypatch)
         decoded = []
 
-        def decode(data, decode=asyncio_transport.decode_message):
-            message = decode(data)
+        def decode(data, topics=None, decode=asyncio_transport.decode_message):
+            message = decode(data, topics)
             decoded.append(message)
             return message
 

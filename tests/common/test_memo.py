@@ -46,17 +46,6 @@ class TestAgedMemo:
         memo.retire(15, depth=5)
         assert memo.previous is not before
 
-    def test_a_horizon_far_below_the_last_shift_restarts_the_count(self):
-        """A new deployment in the same process numbers its instances from 0."""
-        memo = _memo()
-        memo.retire(300, depth=5)
-        memo.retire(0, depth=5)
-        memo["a"] = 1
-        memo.retire(4, depth=5)
-        assert dict(memo) == {"a": 1}
-        memo.retire(5, depth=5)
-        assert memo.previous == {"a": 1}
-
     def test_a_generation_at_its_cap_shifts_on_the_next_miss(self):
         memo = AgedMemo(cap=3)
         for key in range(10):
@@ -65,10 +54,3 @@ class TestAgedMemo:
             memo[key] = key
             assert len(memo) <= 3 and len(memo.previous) <= 3
         assert dict(memo) == {9: 9} and memo.previous == {6: 6, 7: 7, 8: 8}
-
-    def test_reset_forgets_both_generations(self):
-        memo = _memo(a=1)
-        memo.shift()
-        memo["b"] = 2
-        memo.reset()
-        assert dict(memo) == {} and memo.previous == {}

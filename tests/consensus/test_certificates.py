@@ -8,11 +8,9 @@ from hypothesis import example, given, settings, strategies as st
 from repro.common.errors import InvalidCertificateError
 from repro.common.types import quorum_size
 from repro.consensus.certificates import (
-    _VOTE_DIGESTS,
     Certificate,
     SignedVote,
     VoteKind,
-    _clear_memos,
     certificate_from_payload,
     make_vote,
     verify_vote,
@@ -44,6 +42,19 @@ class _Host:
 
     def verify(self, payload, signed):
         return self._keys.registry.verify(payload, signed)
+
+
+class _RegistryHost(_Host):
+    """Host exposing its registry's entry point and memos, like real replicas:
+    every host of one registry shares the vote digests and the
+    certificate-validity verdicts."""
+
+    def __init__(self, keys, replica_id):
+        super().__init__(keys, replica_id)
+        registry = keys.registry
+        self.verify_digest = registry.verify_digest
+        self.vote_digests = registry.vote_digests
+        self.cert_validity = registry.cert_validity
 
 
 @pytest.fixture
@@ -87,21 +98,23 @@ class TestSignedVote:
         vote = _vote(hosts[2])
         assert vote_from_payload(vote) is vote
 
-    @pytest.mark.parametrize("memo", ["warm", "cleared"])
+    @pytest.mark.parametrize("memo", ["warm", "cold"])
     @pytest.mark.parametrize("use_ecdsa", [False, True], ids=["hmac", "ecdsa"])
     def test_signature_equals_signing_the_payload(self, memo, use_ecdsa):
-        # make_vote signs the digest _VOTE_DIGESTS holds for the statement;
-        # whether another replica put it there or this call computes it, the
-        # signature is the one signing the encoded payload gives.
+        # make_vote signs the digest the deployment's vote_digests holds for
+        # the statement; whether another replica put it there or this call
+        # computes it, the signature is the one signing the encoded payload
+        # gives.
         keys = KeyRegistry.provision(range(3), use_ecdsa=use_ecdsa)
         statement = ("bin:0:1", 2, VoteKind.AUX, "x")
         key = ("bin:0:1", 2, "aux", "x")
-        make_vote(_Host(keys, 0), *statement)
-        assert key in _VOTE_DIGESTS
-        if memo == "cleared":
-            _clear_memos()
-        vote = make_vote(_Host(keys, 1), *statement)
-        assert key in _VOTE_DIGESTS
+        make_vote(_RegistryHost(keys, 0), *statement)
+        assert key in keys.registry.vote_digests
+        signer = _RegistryHost(keys, 1)
+        if memo == "cold":
+            signer.vote_digests = KeyRegistry().vote_digests
+        vote = make_vote(signer, *statement)
+        assert key in signer.vote_digests
         assert vote.signature == keys.signer_for(1).sign(vote_payload(*statement))
         assert verify_vote(vote, keys.registry)
 
@@ -326,58 +339,35 @@ class TestGroupedExtractionMatchesFlatScan:
         assert all(pof.is_well_formed() for pof in found)
 
 
-class _TokenHost(_Host):
-    """Host exposing the registry's verification token, like real replicas.
-
-    With the token present the certificate-validity cache is shared across
-    hosts of the same deployment (``_CERT_VALIDITY``); without it only the
-    per-instance memo applies.
-    """
-
-    @property
-    def verification_token(self):
-        return self._keys.registry.verification_token
-
-    def verify_digest(self, digest, signed):
-        return self._keys.registry.verify_digest(digest, signed)
 
 
 class TestCertificateValidityCache:
     """Memoised certificate verification must be invisible to correctness."""
 
     def test_repeat_verification_is_idempotent(self, keys, hosts):
-        from repro.consensus.certificates import _clear_memos
-
-        _clear_memos()
         votes = [_vote(host, value="x") for host in hosts[:5]]
         certificate = Certificate.from_votes(votes)
-        host = _TokenHost(keys, 0)
+        host = _RegistryHost(keys, 0)
         for _ in range(3):
             certificate.verify(host, committee=range(7))
             assert certificate.is_valid(host, committee=range(7))
 
     def test_shrinking_committee_recheck_uses_cached_validity(self, keys, hosts):
-        from repro.consensus.certificates import _CERT_VALIDITY, _clear_memos
-
-        _clear_memos()
         votes = [_vote(host, value="x") for host in hosts[:5]]
         certificate = Certificate.from_votes(votes)
-        host = _TokenHost(keys, 0)
+        host = _RegistryHost(keys, 0)
         certificate.verify(host, committee=range(7))
-        assert len(_CERT_VALIDITY) == 1
+        assert len(keys.registry.cert_validity) == 1
         # Exclusion shrinks the committee (Alg. 1 lines 31-36): the re-check
         # must reuse the cached per-signer validity, not re-verify, and the
         # committee restriction must still bite.
         assert certificate.is_valid(host, committee=[0, 1, 2, 6])
         assert not certificate.is_valid(host, committee=[4, 5, 6])
-        assert len(_CERT_VALIDITY) == 1
+        assert len(keys.registry.cert_validity) == 1
 
     def test_cache_is_keyed_per_registry(self, hosts):
-        from repro.consensus.certificates import _clear_memos
-
-        _clear_memos()
         keys_a = KeyRegistry.provision(range(7))
-        host_a = _TokenHost(keys_a, 0)
+        host_a = _RegistryHost(keys_a, 0)
         votes = [
             make_vote(_Host(keys_a, i), "bin:0:1", 0, VoteKind.AUX, "x")
             for i in range(5)
@@ -385,42 +375,52 @@ class TestCertificateValidityCache:
         certificate = Certificate.from_votes(votes)
         certificate.verify(host_a, committee=range(7))
         # A different deployment (fresh registry, different keys) must not
-        # inherit the cached verdict: its token differs, so the signatures
+        # inherit the cached verdict: it has its own memo, so the signatures
         # are re-checked and rejected.
         keys_b = KeyRegistry.provision(range(7), root_secret=b"other-deployment")
-        host_b = _TokenHost(keys_b, 0)
+        host_b = _RegistryHost(keys_b, 0)
         assert not certificate.is_valid(host_b, committee=range(7))
         # And the original deployment still accepts it afterwards.
         assert certificate.is_valid(host_a, committee=range(7))
 
-    def test_rebuilt_certificate_shares_cache_entry(self, keys, hosts):
-        from repro.consensus.certificates import _CERT_VALIDITY, _clear_memos
+    def test_key_overwrite_drops_the_certificate_verdicts(self, keys, hosts):
+        # The rotated key decided signer 0's validity in the cached map: the
+        # overwrite must drop it, so the old vote fails the re-check, while a
+        # certificate without signer 0 still verifies.
+        votes = [_vote(host, value="x") for host in hosts[:6]]
+        with_zero, without_zero = Certificate.from_votes(votes), Certificate.from_votes(votes[1:])
+        host = _RegistryHost(keys, 1)
+        with_zero.verify(host, committee=range(7))
+        without_zero.verify(host, committee=range(7))
+        assert len(keys.registry.cert_validity) == 2
+        keys.add_replica(0, root_secret=b"rotated")
+        assert not keys.registry.cert_validity and not keys.registry.cert_validity.previous
+        with pytest.raises(InvalidCertificateError, match="invalid signature from 0"):
+            with_zero.verify(host, committee=range(7))
+        assert without_zero.is_valid(host, committee=range(7))
 
-        _clear_memos()
+    def test_rebuilt_certificate_shares_cache_entry(self, keys, hosts):
         votes = [_vote(host, value="x") for host in hosts[:5]]
         certificate = Certificate.from_votes(votes)
-        host = _TokenHost(keys, 0)
+        host = _RegistryHost(keys, 0)
         certificate.verify(host, committee=range(7))
         rebuilt = certificate_from_payload(certificate.to_payload())
         rebuilt.verify(host, committee=range(7))
         # Same content, same registry: one shared entry, not one per object.
-        assert len(_CERT_VALIDITY) == 1
+        assert len(keys.registry.cert_validity) == 1
 
     def test_tampered_vote_rejected_despite_warm_cache(self, keys, hosts):
         from dataclasses import replace
 
-        from repro.consensus.certificates import _clear_memos
-
-        _clear_memos()
         votes = [_vote(host, value="x") for host in hosts[:5]]
-        Certificate.from_votes(votes).verify(_TokenHost(keys, 0), committee=range(7))
+        Certificate.from_votes(votes).verify(_RegistryHost(keys, 0), committee=range(7))
         # Swap one vote's signature for another signer's: the tampered
         # certificate has different content, so it misses the cache and the
         # fresh check rejects it.
         forged = replace(votes[0], signature=votes[1].signature)
         tampered = Certificate.from_votes([forged] + votes[1:])
         with pytest.raises(InvalidCertificateError):
-            tampered.verify(_TokenHost(keys, 0), committee=range(7))
+            tampered.verify(_RegistryHost(keys, 0), committee=range(7))
 
 
 # -- wire payloads: positional, factored, lossless -------------------------------
@@ -478,8 +478,6 @@ class TestWirePayloads:
 
     @pytest.mark.parametrize("case", sorted(AWKWARD_CERTIFICATES))
     def test_certificate_is_lossless_and_judged_the_same(self, keys, hosts, case):
-        from repro.consensus.certificates import _clear_memos
-
         votes = [_vote(host, value="x") for host in hosts[:5]]
         other = _vote(hosts[1], value="x", context="bin:9:9")
         certificate = Certificate(
@@ -488,11 +486,12 @@ class TestWirePayloads:
         rebuilt = certificate_from_payload(_over_the_wire(certificate.to_payload()))
         assert rebuilt == certificate
         assert rebuilt._content_key() == certificate._content_key()
-        host = _TokenHost(keys, 0)
-        _clear_memos()
+        # Each side judges with memos of its own: the same keys, provisioned
+        # again, in a registry that has seen nothing.
+        host = _RegistryHost(KeyRegistry.provision(range(7)), 0)
         before = self._verdict(certificate, host)
         per_vote = [verify_vote(vote, host) for vote in certificate.votes]
-        _clear_memos()
+        host = _RegistryHost(KeyRegistry.provision(range(7)), 0)
         assert self._verdict(rebuilt, host) == before
         assert [verify_vote(vote, host) for vote in rebuilt.votes] == per_vote
         assert (before == "valid") == (case in ("quorum", "duplicate signers"))

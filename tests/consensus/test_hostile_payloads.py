@@ -454,7 +454,7 @@ class TestAccountability:
     @staticmethod
     def _send(simulator, sender, standby_id, body):
         sender.emit_to(
-            standby_id, ASMRReplica.CATCHUP_TOPIC, "CATCHUP", _delivered("CATCHUP", body)
+            standby_id, sender.CATCHUP_TOPIC, "CATCHUP", _delivered("CATCHUP", body)
         )
         simulator.run()
 

@@ -7,7 +7,6 @@ and decoded signed content must still verify against the same PKI.
 """
 
 import hashlib
-import sys
 import time
 
 import pytest
@@ -42,7 +41,7 @@ from repro.network.codec import (
 )
 from repro.network.message import Message
 from repro.network.router import Router
-from repro.network.topic import Topic
+from repro.network.topic import Topic, TopicTable
 from repro.obs.trace import TraceContext
 from repro.smr.replica import BaseReplica
 
@@ -215,32 +214,35 @@ class TestRegisteredObjects:
 class TestMessageEnvelopes:
     def test_envelope_roundtrip_preserves_interned_topic(self):
         workload = TransferWorkload(num_accounts=4, seed=1)
+        topics = TopicTable()
         message = Message(
             sender=3,
             recipient=None,
-            protocol=Topic.of("sbc", 0, 5, "rbc", 2),
+            protocol=topics.of("sbc", 0, 5, "rbc", 2),
             kind="INIT",
             body={"proposal": workload.batch(2), "instance": 5},
         )
-        decoded = decode_message(encode_message(message))
+        decoded = decode_message(encode_message(message), topics)
         assert decoded.sender == 3
         assert decoded.recipient is None
         assert decoded.topic is message.topic  # interning survives the wire
         assert decoded.kind == "INIT"
         assert decoded.body == message.body
+        # Without a table the topic is a private one that routes alike.
+        private = decode_message(encode_message(message)).topic
+        assert private is not message.topic and private == message.topic
 
     def test_invented_topics_intern_nothing(self):
         """A peer can put any topic in an envelope: decoding 10 000 invented
         ones adds nothing to the intern table, and what they decode to still
         routes by its segments."""
-        interned = sys.modules["repro.network.topic"]._INTERNED
-        by_text = sys.modules["repro.network.topic"]._BY_TEXT
-        before = len(interned), len(by_text)
+        topics = TopicTable()
+        topics.of("junk", 0)
         decoded = [
-            decode_message(encode_value((1, 0, f"junk:{index}:rbc", "ECHO", {})))
+            decode_message(encode_value((1, 0, f"junk:{index}:rbc", "ECHO", {})), topics)
             for index in range(10_000)
         ]
-        assert (len(interned), len(by_text)) == before
+        assert (len(topics), len(topics._by_text)) == (1, 0)
         assert decoded[7].topic == Topic.of("junk", 7, "rbc")
         router, seen = Router(), []
         router.register(("junk", 7), lambda topic, *_: seen.append(topic.segments))
@@ -249,27 +251,31 @@ class TestMessageEnvelopes:
         assert seen == [("junk", 7, "rbc")]
 
     def test_an_interned_topic_is_found_by_its_text(self):
-        by_text = sys.modules["repro.network.topic"]._BY_TEXT
-        topic = Topic.of("wire", 3, "rbc", 1)
+        topics = TopicTable()
+        by_text = topics._by_text
+        topic = topics.of("wire", 3, "rbc", 1)
         assert "wire:3:rbc:1" not in by_text
-        assert Topic.from_wire("wire:3:rbc:1") is topic
+        assert topics.from_wire("wire:3:rbc:1") is topic
         assert by_text["wire:3:rbc:1"] is topic
-        assert Topic.from_wire("wire:3:rbc:1") is topic
+        assert topics.from_wire("wire:3:rbc:1") is topic
+        # Another deployment's table knows nothing of it.
+        assert TopicTable().from_wire("wire:3:rbc:1") is not topic
 
     def test_the_text_index_returns_what_the_parse_returns(self):
         """``("lookalike", "0")`` prints as ``lookalike:0``, which parses to
         ``("lookalike", 0)``: the text indexes whichever topic the parse finds,
         and never one whose text does not parse back to it."""
-        by_text = sys.modules["repro.network.topic"]._BY_TEXT
-        text_segment = Topic.of("lookalike", "0")
-        private = Topic.from_wire("lookalike:0")
+        topics = TopicTable()
+        by_text = topics._by_text
+        text_segment = topics.of("lookalike", "0")
+        private = topics.from_wire("lookalike:0")
         assert private is not text_segment and private.segments == ("lookalike", 0)
         assert "lookalike:0" not in by_text
-        int_segment = Topic.of("lookalike", 0)
-        assert Topic.from_wire("lookalike:0") is int_segment
+        int_segment = topics.of("lookalike", 0)
+        assert topics.from_wire("lookalike:0") is int_segment
         assert by_text["lookalike:0"] is int_segment
         # Text the topic does not print as still finds it, unindexed.
-        assert Topic.from_wire("lookalike:00") is int_segment
+        assert topics.from_wire("lookalike:00") is int_segment
         assert "lookalike:00" not in by_text
 
     def test_frame_is_header_plus_payload(self):
@@ -507,7 +513,8 @@ def _same(decoded, value):
 
 
 def _messages_of_every_kind():
-    """One real message of each kind an n=4 committee puts on the wire."""
+    """One real message of each kind an n=4 committee puts on the wire, and
+    the committee's topic table."""
     simulator, replicas, seen = decided_asmr_committee(
         proposal_factory=lambda k, rid: TransferWorkload(num_accounts=4, seed=rid).batch(2)
     )
@@ -522,14 +529,14 @@ def _messages_of_every_kind():
     messages = {}
     for message in seen:
         messages.setdefault(message.kind, message)
-    return messages
+    return messages, replicas[0].registry.topics
 
 
 def _frames_of_every_kind():
     """One real frame of each kind an n=4 committee puts on the wire."""
     return {
         kind: encode_message(message)
-        for kind, message in _messages_of_every_kind().items()
+        for kind, message in _messages_of_every_kind()[0].items()
     }
 
 
@@ -690,11 +697,13 @@ class TestDepthBound:
 
 
 def _init_of_50_transfers():
-    """The INIT of a committee whose proposals are 50 transfers each."""
-    _, _, seen = decided_asmr_committee(
+    """The INIT of a committee whose proposals are 50 transfers each, and the
+    committee's topic table."""
+    _, replicas, seen = decided_asmr_committee(
         proposal_factory=lambda k, rid: TransferWorkload(num_accounts=8, seed=rid).batch(50)
     )
-    return next(message for message in seen if message.kind == "INIT")
+    init = next(message for message in seen if message.kind == "INIT")
+    return init, replicas[0].registry.topics
 
 
 #: ``size_bytes()`` and the sha256 of each frame, as the recursive codec wrote
@@ -709,13 +718,14 @@ def _init_of_50_transfers():
 #: vote-bearing frame (AUX, DECIDE, ECHO, INIT, READY) grew by the 8 bytes of
 #: the registered ``vote`` object's name when a body's vote became the
 #: ``SignedVote`` itself (AUX 290, DECIDE 612, ECHO 351, INIT 1 876, INIT-50
-#: 38 215 and READY 353 B before).
+#: 38 215 and READY 353 B before).  DECIDE lost 240 B when it stopped carrying
+#: the decider's own vote, which no recipient read (620 B before).
 WIRE_PINS = {
     "AUX": (298, "ccf16b35994eb5ca5fbacceaccf036270840e8e5594e6cda2866fd5c7110295e"),
     "BVAL": (62, "8c1a16d2c60cd4b720fe7fdf12da29fbbb3da6cd24881f9eebc7e8518134e921"),
     "CATCHUP": (9235, "98b2b55f3e7abb5e7bbc6e466e3e80dbed2238904a8469e82e8fdf3bd9c4425d"),
     "CONFIRM": (3083, "72013884bb2ae032b94241f3f9e4621fdd0df81e5a4fde74ee596d620027b257"),
-    "DECIDE": (620, "f8912c3b651f81b619ed8290d7645143ba75ad2f377426b049d012b16bd68d7a"),
+    "DECIDE": (380, "28df84a42c3d93600b761fd8cb82aa91d1fd129a8f2d97b01810069e09e6ca28"),
     "ECHO": (359, "9ed101d7b378e49cb373b4b6a9b41b8b1e9800cbd835a29ec1df005466494fa7"),
     "INIT": (1884, "acfcb262a48bc44b9dca721360daeb989704095fcf2fb45a9eb9a45e618cd54c"),
     "INIT-50": (38223, "a57dba86d23a901b6d2979b12cb90aa36b1f1dca845519bb74281039006b392c"),
@@ -727,19 +737,21 @@ WIRE_PINS = {
 class TestWireIsByteIdentical:
     @pytest.fixture(scope="class")
     def sent(self):
-        messages = _messages_of_every_kind()
-        messages["INIT-50"] = _init_of_50_transfers()
-        return messages
+        """Each kind's message, and the topic table of its sender."""
+        messages, topics = _messages_of_every_kind()
+        sent = {kind: (message, topics) for kind, message in messages.items()}
+        sent["INIT-50"] = _init_of_50_transfers()
+        return sent
 
     def test_every_frame_and_size_is_pinned(self, sent):
         assert {
             kind: (message.size_bytes(), hashlib.sha256(encode_message(message)).hexdigest())
-            for kind, message in sent.items()
+            for kind, (message, _) in sent.items()
         } == WIRE_PINS
 
     def test_every_frame_decodes_to_what_was_sent(self, sent):
-        for message in sent.values():
-            decoded = decode_message(encode_message(message))
+        for message, topics in sent.values():
+            decoded = decode_message(encode_message(message), topics)
             assert decoded.topic is message.topic
             assert (decoded.sender, decoded.recipient, decoded.kind) == (
                 message.sender,

@@ -7,23 +7,33 @@ import pytest
 from repro.network.message import Message
 from repro.network.router import RoutedProcess, Router
 from repro.network.simulator import NetworkSimulator
-from repro.network.topic import Topic, as_topic, topic
+from repro.network.topic import Topic, TopicTable, as_topic, topic
 from repro.obs.metrics import protocol_group
 
 
 class TestTopic:
     def test_interning_returns_same_object(self):
-        assert topic("sbc", 0, 3) is topic("sbc", 0, 3)
-        assert topic("sbc", 0, 3) is Topic.of("sbc", 0, 3)
+        topics = TopicTable()
+        assert topics.of("sbc", 0, 3) is topics.of("sbc", 0, 3)
+        # Another deployment's table, or none, builds its own object.
+        assert TopicTable().of("sbc", 0, 3) is not topics.of("sbc", 0, 3)
+        assert topic("sbc", 0, 3) is not topic("sbc", 0, 3)
+        assert topic("sbc", 0, 3) == Topic.of("sbc", 0, 3) == topics.of("sbc", 0, 3)
 
     def test_child_extends_and_interns(self):
-        base = topic("sbc", 0, 3)
-        assert base.child("rbc", 5) is topic("sbc", 0, 3, "rbc", 5)
+        topics = TopicTable()
+        base = topics.of("sbc", 0, 3)
+        assert base.child("rbc", 5) is topics.of("sbc", 0, 3, "rbc", 5)
+        private = topic("sbc", 0, 3).child("rbc", 5)
+        assert private == base.child("rbc", 5) and private is not base.child("rbc", 5)
+        assert len(topics) == 2
 
     def test_canonical_string_round_trips(self):
-        original = topic("sbc", 0, 3, "rbc", 5)
+        topics = TopicTable()
+        original = topics.of("sbc", 0, 3, "rbc", 5)
         assert str(original) == "sbc:0:3:rbc:5"
-        assert Topic.parse(str(original)) is original
+        assert Topic.parse(str(original)) == original
+        assert topics.from_wire(str(original)) is original
 
     def test_parse_converts_decimal_segments(self):
         parsed = as_topic("excl:1:bin:4")
@@ -31,7 +41,7 @@ class TestTopic:
 
     def test_as_topic_accepts_tuple_and_topic(self):
         from_tuple = as_topic(("asmr", "confirm", 2))
-        assert from_tuple is topic("asmr", "confirm", 2)
+        assert from_tuple == topic("asmr", "confirm", 2)
         assert as_topic(from_tuple) is from_tuple
 
     def test_equality_and_hash(self):
@@ -39,10 +49,11 @@ class TestTopic:
         assert topic("a", 1) != topic("a", 2)
         assert hash(topic("a", 1)) == hash(topic("a", 1))
 
-    def test_pickle_reinterns(self):
-        original = topic("sbc", 7, 1, "bin", 2)
+    def test_pickle_gives_an_equal_private_topic(self):
+        original = TopicTable().of("sbc", 7, 1, "bin", 2)
         clone = pickle.loads(pickle.dumps(original))
-        assert clone is original
+        assert clone == original and clone is not original
+        assert clone.child("x") == original.child("x")
 
     def test_protocol_group_cached_per_topic(self):
         instance = topic("sbc", 0, 3, "rbc", 5)
@@ -53,7 +64,7 @@ class TestTopic:
 
     def test_message_normalises_protocol(self):
         message = Message(sender=0, recipient=1, protocol="sbc:0:1:bin:2", kind="AUX")
-        assert message.topic is topic("sbc", 0, 1, "bin", 2)
+        assert message.topic == topic("sbc", 0, 1, "bin", 2)
         assert message.protocol == "sbc:0:1:bin:2"
 
 

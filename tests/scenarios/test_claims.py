@@ -4,7 +4,7 @@ The cheap families' claims run live on their small grids (``fig4``, ``fig6``
 and ``sec53`` run live in CI's invariant sweep, ``scale`` at full scale).
 The non-paper families' claims are the ones CI used to check inline on that
 sweep: every churn round recovers, every outage commits, and the lossy links
-lose messages.
+lose messages; and the quickstart cell is live.
 Every claim is also fed rows it holds on and then a change that breaks it,
 its positive control, and rows it cannot read, on which it must fail.
 """
@@ -16,7 +16,7 @@ import pytest
 from repro.scenarios import ScenarioRunner, expand, get_family, iter_families
 from repro.scenarios.library import throughput_row
 
-LIVE = ("fig3", "appendix-b", "table1", "churn", "crash-recovery", "jitter-stress")
+LIVE = ("fig3", "appendix-b", "table1", "churn", "crash-recovery", "jitter-stress", "quickstart")
 
 
 def _attack(n, delay, disagreements, attack="binary", **fields):
@@ -98,6 +98,7 @@ BREAKS = [
     ("crash-recovery", 0, _where({"n": 10, "crashes": 2}, progress_during_outage=False)),
     ("jitter-stress", 0, _where({"delay": "jitter"}, committed_transactions=119)),
     ("jitter-stress", 1, _where({"delay": "lossy"}, undelivered_messages=0)),
+    ("quickstart", 0, _where({"n": 7}, stalled_instances=1)),
 ]
 
 CLAIMED = [family for family in iter_families() if family.claims]
@@ -118,7 +119,7 @@ def test_the_cheap_families_claims_hold_live(holding_rows):
 def test_every_paper_family_has_claims_and_every_claim_a_positive_control():
     assert {family.name for family in CLAIMED} == {
         "fig3", "fig4", "fig6", "table1", "appendix-b", "sec53", "scale",
-        "churn", "crash-recovery", "jitter-stress",
+        "churn", "crash-recovery", "jitter-stress", "quickstart",
     }  # fmt: skip
     assert {(family, index) for family, index, _ in BREAKS} == {
         (family.name, index) for family in CLAIMED for index in range(len(family.claims))

@@ -1,8 +1,8 @@
 """Every registered family, smallest cell: repeatable and pinned.
 
 Each family's first ``small`` cell runs twice in one process.  The two rows
-must be equal — the module-level memo tables and caches outlive a cell, so a
-second run that differed would mean state leaks between cells — and both must
+must be equal — a second run that differed would mean state leaks between
+cells — and both must
 equal the row recorded in ``first_cell_rows.json``, so a change to a grid, a
 cell runner or the stack underneath shows up as a row diff in the family it
 moved.  Wall-clock keys are left out of the comparison.

@@ -121,7 +121,7 @@ def _cluster_with_merges(n=4, instances=1):
 
 
 class TestConfirmationPull:
-    TOPIC = ASMRReplica.CONFIRM_TOPIC.child(0)
+    TOPIC = topic("asmr", "confirm", 0)
 
     def test_confirm_carries_digests_and_agreement_pulls_nothing(self):
         _, replicas, merges, seen = _cluster_with_merges()
@@ -214,7 +214,7 @@ class TestConfirmationPull:
         del seen[:]
         for _ in range(2):
             replicas[1].send_to(0, self.TOPIC, "PULL", {"instance": 0, "wanted": wanted})
-        replicas[1].send_to(0, ASMRReplica.CONFIRM_TOPIC.child(7), "PULL", {"instance": 7, "wanted": wanted})
+        replicas[1].send_to(0, replicas[1].CONFIRM_TOPIC.child(7), "PULL", {"instance": 7, "wanted": wanted})
         replicas[1].send_to(0, self.TOPIC, "PULL", {"instance": [0], "wanted": wanted})
         replicas[1].send_to(0, self.TOPIC, "PULL", {"instance": 0, "wanted": "everything"})
         # Not a member of the instance's committee.

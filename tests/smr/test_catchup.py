@@ -104,7 +104,7 @@ def test_a_joiner_takes_a_long_history_chunk_by_chunk(monkeypatch):
     ]
     source = replicas[asked[0].recipient]
     assert {message.recipient for message in asked} == {source.replica_id}
-    standby.emit_to(source.replica_id, ASMRReplica.CATCHUP_TOPIC, "MORE", {"cursor": CATCHUP_RECORDS})
+    standby.emit_to(source.replica_id, standby.CATCHUP_TOPIC, "MORE", {"cursor": CATCHUP_RECORDS})
     simulator.run()
     assert _counters(source).get("asmr.dropped_catchups") == 1
     assert len(of_kind(seen, "MORE")) == 3

@@ -11,7 +11,6 @@ import pytest
 
 from repro.common.config import FaultConfig
 from repro.consensus.certificates import (
-    _VOTE_DIGESTS,
     Certificate,
     VoteKind,
     certificate_from_payload,
@@ -23,7 +22,7 @@ from repro.network.message import Message
 from repro.network.topic import topic
 from repro.obs.core import Probe
 from repro.obs.metrics import TelemetryRegistry
-from repro.smr.asmr import AHEAD_PER_SENDER, AHEAD_WINDOW, ASMRReplica, _confirm_grouped_votes
+from repro.smr.asmr import AHEAD_PER_SENDER, AHEAD_WINDOW, _confirm_grouped_votes
 from repro.zlb.system import AttackSpec, ZLBSystem
 
 from tests.consensus.harness import build_cluster, decided_asmr_committee, of_kind
@@ -64,7 +63,7 @@ def _window_cell():
 def test_a_replica_holds_a_window_of_instances_not_its_history():
     """300 instances at n=4: every table that grew by an instance's worth per
     block is O(m), the schedule is the one before retirement, and a second
-    cell in the same process — whose memos now age — equals the first."""
+    cell in the same process equals the first."""
     fingerprints = []
     for _ in range(2):
         system, result = _window_cell()
@@ -89,11 +88,12 @@ def test_a_replica_holds_a_window_of_instances_not_its_history():
             tables = {length: len(table) for length, table in replica.router._tables}
             assert tables[5] <= 2 * 4 * (M + 1) and tables[3] <= M + 1
         # Both generations of a memo hold about two depths of instances,
-        # where it used to keep the whole run; the process-wide one too, on
-        # the second cell, whose instance numbers start again from 0.
+        # where it used to keep the whole run; each cell's registry holds
+        # its own.
+        registry = system.replicas[0].registry
         for memo, parent in (
-            (system.replicas[0].registry._verified, PARENT_VERIFIED),
-            (_VOTE_DIGESTS, PARENT_VOTE_DIGESTS),
+            (registry._verified, PARENT_VERIFIED),
+            (registry.vote_digests, PARENT_VOTE_DIGESTS),
         ):
             assert memo.previous
             assert len(memo) + len(memo.previous) <= (2 * M + 2) * parent / 300
@@ -145,7 +145,7 @@ def test_a_retired_instance_keeps_its_decision_and_drops_its_traffic():
     assert _counters(replica)["asmr.retired_messages"] == 2
     # A PULL is still served from the decision.
     wanted = {2: decision.proposal_digests[2]}
-    replicas[1].send_to(0, ASMRReplica.CONFIRM_TOPIC.child(0), "PULL", {"instance": 0, "wanted": wanted})
+    replicas[1].send_to(0, replicas[1].CONFIRM_TOPIC.child(0), "PULL", {"instance": 0, "wanted": wanted})
     simulator.run()
     served = of_kind(seen, "PROPOSALS")
     assert [m.body["proposals"] for m in served] == [{2: decision.proposals[2]}]
@@ -251,14 +251,15 @@ def test_a_confirm_certificate_of_another_kind_adds_no_votes():
     aux = votes(VoteKind.AUX, "sbc:0:0:bin:0")
     echo_payload = Certificate.from_votes(votes(VoteKind.RBC_ECHO, "sbc:0:0:rbc:0")).to_payload()
     aux_payload = Certificate.from_votes(aux).to_payload()
+    memo = replicas[0].registry.confirm_grouped
     assert not _confirm_grouped_votes(
-        {"binary_certificates": {0: echo_payload}, "rbc_certificates": {0: aux_payload}}
+        memo, {"binary_certificates": {0: echo_payload}, "rbc_certificates": {0: aux_payload}}
     )
     # An AUX certificate smuggling an ECHO vote: only the AUX votes count.
     (echo,) = votes(VoteKind.RBC_ECHO, "sbc:0:0:bin:0")[:1]
     mixed = Certificate(aux[0].context, 0, VoteKind.AUX, "digest", tuple(aux) + (echo,))
     assert certificate_from_payload(mixed.to_payload()).votes[-1].kind is VoteKind.RBC_ECHO
-    grouped = _confirm_grouped_votes({"binary_certificates": {0: mixed.to_payload()}})
+    grouped = _confirm_grouped_votes(memo, {"binary_certificates": {0: mixed.to_payload()}})
     assert sorted(key[0] for key in grouped) == [1, 2, 3]
     assert {key[3] for key in grouped} == {VoteKind.AUX.value}
 
@@ -305,7 +306,8 @@ def test_a_narrowed_decision_yields_the_proofs_of_the_full_one(kind, seed):
             group_votes(justification), group_votes(_every_certificate_vote(body))
         )
         narrowed = extract_pofs_from_grouped(
-            group_votes(accountable_votes(justification)), _confirm_grouped_votes(body)
+            group_votes(accountable_votes(justification)),
+            _confirm_grouped_votes(system.deployment.keys.registry.confirm_grouped, body),
         )
         assert narrowed == full
         convicted += len(full)

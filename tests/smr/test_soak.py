@@ -4,72 +4,57 @@ An n=4 benign deployment (seed 1, 200 transfers in batches of 50) spends its
 workload in the first :data:`WARM` instances, then runs :data:`EMPTY` more
 under ``tracemalloc``.  Every per-instance index grows by exactly one entry
 per instance — the records, the blocks, the monitors' decisions — and the
-topic intern table by the ten topics of an instance; the bytes retained over
-the empty stretch stay under :data:`RETAINED_BYTES_PER_INSTANCE`.  Shedding
-the history (a retired instance kept in its served form, checkpoints) shows
-here first: tighten the counts and the bound as it lands.
-
-The cell runs in a fresh interpreter: the intern table and the per-vote memos
-are per process, and what earlier tests left in them would move both.
+deployment's topic table by the ten topics of an instance; the bytes
+retained over the empty stretch stay under
+:data:`RETAINED_BYTES_PER_INSTANCE`.  Shedding the history (a retired
+instance kept in its served form, checkpoints) shows here first: tighten the
+counts and the bound as it lands.  The memos and the topic table are the
+deployment's, so the cell runs in the test process.
 """
 
-import json
-import os
-import subprocess
-import sys
+import gc
+import tracemalloc
+
+from repro.common.config import FaultConfig
+from repro.zlb.system import ZLBSystem
 
 WARM = 200
 EMPTY = 200
 
 #: Retained bytes per empty instance, all four members together.  Measured
-#: 84 753 (CPython 3.11, x86-64; repeated runs agree within 10 bytes); the
-#: bound leaves 18 % of margin.
+#: 42 948 in the test process (CPython 3.11, x86-64; 43 949 while the memos
+#: and topics were the process's, in a fresh interpreter; 84 753 when the
+#: bound was set, which left 18 % of margin then).
 RETAINED_BYTES_PER_INSTANCE = 100_000
-
-_SOAK_SCRIPT = """
-import gc, importlib, json, sys, tracemalloc
-from repro.common.config import FaultConfig
-from repro.zlb.system import ZLBSystem
-
-interned = importlib.import_module("repro.network.topic")._INTERNED
-warm, empty = int(sys.argv[1]), int(sys.argv[2])
-system = ZLBSystem.create(FaultConfig(n=4), seed=1, workload_transactions=200, batch_size=50)
-spent = system.run_instances(warm)
-gc.collect()
-tracemalloc.start()
-topics, before = len(interned), tracemalloc.get_traced_memory()[0]
-soaked = system.run_instances(empty)
-gc.collect()
-retained = tracemalloc.get_traced_memory()[0] - before
-tracemalloc.stop()
-members = [r for r in system.replicas.values() if not r.standby]
-print(json.dumps({
-    "committed": [spent.committed_transactions, soaked.committed_transactions],
-    "violations": spent.violations + soaked.violations,
-    "members": len(members),
-    "instances": sorted({len(r.instances) for r in members}),
-    "blocks": sorted({len(r.blockchain.blocks_by_instance) for r in members}),
-    "decided": sorted({len(r.decided_instances()) for r in members}),
-    "interned": len(interned) - topics,
-    "monitor_decisions": len(system.deployment.monitors._decisions),
-    "retained_per_instance": retained / empty,
-}))
-"""
 
 
 def _soak():
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
-    env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
-    done = subprocess.run(
-        [sys.executable, "-c", _SOAK_SCRIPT, str(WARM), str(EMPTY)],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=600,
-        check=True,
+    system = ZLBSystem.create(
+        FaultConfig(n=4), seed=1, workload_transactions=200, batch_size=50
     )
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    topics = system.deployment.keys.registry.topics
+    spent = system.run_instances(WARM)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        interned, before = len(topics), tracemalloc.get_traced_memory()[0]
+        soaked = system.run_instances(EMPTY)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    members = [r for r in system.replicas.values() if not r.standby]
+    return {
+        "committed": [spent.committed_transactions, soaked.committed_transactions],
+        "violations": spent.violations + soaked.violations,
+        "members": len(members),
+        "instances": sorted({len(r.instances) for r in members}),
+        "blocks": sorted({len(r.blockchain.blocks_by_instance) for r in members}),
+        "decided": sorted({len(r.decided_instances()) for r in members}),
+        "interned": len(topics) - interned,
+        "monitor_decisions": len(system.deployment.monitors._decisions),
+        "retained_per_instance": retained / EMPTY,
+    }
 
 
 def test_the_decided_history_grows_by_one_instance_per_instance():

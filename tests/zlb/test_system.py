@@ -1,5 +1,7 @@
 """End-to-end tests of the ZLB system (fault-free runs)."""
 
+import cProfile
+import os
 import textwrap
 
 import pytest
@@ -7,12 +9,13 @@ import pytest
 import repro
 from repro.common.config import FaultConfig
 from repro.common.errors import ConfigurationError
-from repro.consensus.certificates import _VOTE_DIGESTS, _clear_memos
 from repro.ledger.utxo import UTXO
 from repro.obs import core as obs_core
 from repro.scenarios import ScenarioSpec, registry, system_for
 from repro.scenarios.cli import main
 from repro.zlb.system import AttackSpec, ZLBSystem, deploy
+
+from tests.scenarios.test_fig4_golden import GOLDEN_SPEC
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +156,43 @@ class TestInvariantsInBareRuns:
         assert "[supply-conservation]" in err
 
 
+def _stalled_system():
+    """A binary attack whose instance 0 no honest member decides: it commits
+    nothing and breaks no invariant, and the simulator's queue drains."""
+    return ZLBSystem.create(
+        FaultConfig(9, 2, 2),
+        seed=1,
+        attack=AttackSpec(kind="binary", cross_partition_delay="1000ms"),
+        workload_transactions=108,
+        batch_size=10,
+    )
+
+
+class TestLiveness:
+    """A run that decides nothing is reported, apart from the violations."""
+
+    def test_an_undecided_instance_is_reported_as_stalled(self):
+        system = _stalled_system()
+        result = system.run_instances(2, until=300)
+        assert result.committed_transactions == 0 and result.violations == []
+        assert result.stalled_instances == 1 == result.to_row()["stalled_instances"]
+        (stall,) = system.deployment.monitors.liveness
+        assert stall.detail == {"instance": 0, "replicas": [4, 5, 6, 7, 8]}
+        assert _bare_system().run_instances(1).stalled_instances == 0
+
+    def test_scenarios_run_prints_a_stalled_row_and_the_claim_fails(
+        self, monkeypatch, capsys
+    ):
+        def stalled_cell(spec):
+            return _stalled_system().run_instances(2, until=300).to_row()
+
+        monkeypatch.setattr(registry, "run_spec", stalled_cell)
+        assert main(["run", "quickstart", "--quiet"]) == 1
+        captured = capsys.readouterr()
+        assert "STALLED quickstart" in captured.err
+        assert "claim quickstart / every cell is live: FAILED" in captured.out
+
+
 def _benign_fingerprint():
     system = ZLBSystem.create(
         FaultConfig(n=7), seed=2, delay="aws", workload_transactions=60, batch_size=10
@@ -178,10 +218,11 @@ def _fingerprints():
 
 
 def test_a_cell_after_another_in_one_process_equals_a_fresh_one():
-    """Signing and verifying read process-wide memos (``_VOTE_DIGESTS``,
-    ``_CERT_VALIDITY``): whatever an earlier cell left in them must not move a
-    later cell's schedule.  Nor may cut replicas or loss draws: they live on
-    each cell's simulator, not in the process."""
+    """Signing and verifying read memos, and hosts intern topics, that belong
+    to the deployment: an attack cell run in between must not move a later
+    cell's schedule.  Nor may cut replicas or loss draws: they live on each
+    cell's simulator, not in the process."""
+    before = _fingerprints()
     attack = ZLBSystem.create(
         FaultConfig.paper_attack(9),
         seed=1,
@@ -192,11 +233,79 @@ def test_a_cell_after_another_in_one_process_equals_a_fresh_one():
         max_time=300.0,
     )
     assert attack.run_instances(1, until=300.0).disagreements
-    assert _VOTE_DIGESTS
+    assert attack.deployment.keys.registry.vote_digests
     after_attack = _fingerprints()
     assert after_attack[1][1]["undelivered_messages"] > 0
-    _clear_memos()
-    assert _fingerprints() == after_attack
+    assert after_attack == before
+
+
+# -- a deployment's work is its own --------------------------------------------------
+
+CRASH_SPEC = registry.expand("crash-recovery")[0]
+
+
+def _step(system, spec, profile, count):
+    profile.enable()
+    try:
+        return system.run_instances(count, until=spec.max_time)
+    finally:
+        profile.disable()
+
+
+def _calls(profile):
+    """The calls of the program's own functions: the process around them
+    (the stdlib logger's level cache, the test harness) makes calls of its
+    own that depend on what ran before."""
+    return sum(
+        entry.callcount
+        for entry in profile.getstats()
+        if f"{os.sep}repro{os.sep}" in getattr(entry.code, "co_filename", "")
+    )
+
+
+def _solo(spec, steps):
+    """Deploy ``spec`` and run it ``steps`` (instances per step): the last
+    row and the calls its steps made."""
+    system, profile = system_for(spec), cProfile.Profile()
+    for count in steps:
+        result = _step(system, spec, profile, count)
+    return result.to_row(), _calls(profile)
+
+
+def _golden_around_a_crash_recovery_cell():
+    first = _solo(GOLDEN_SPEC, [GOLDEN_SPEC.instances])
+    registry.run_spec(CRASH_SPEC)
+    return [(_solo(GOLDEN_SPEC, [GOLDEN_SPEC.instances]), first)]
+
+
+def _two_live_deployments_in_turn():
+    specs = (GOLDEN_SPEC, CRASH_SPEC)
+    systems = [system_for(spec) for spec in specs]
+    profiles = [cProfile.Profile() for _ in specs]
+    results = [None] * len(specs)
+    for _ in range(2):
+        for index, spec in enumerate(specs):
+            results[index] = _step(systems[index], spec, profiles[index], 1)
+    return [
+        ((result.to_row(), _calls(profile)), _solo(spec, [1, 1]))
+        for spec, result, profile in zip(specs, results, profiles)
+    ]
+
+
+@pytest.mark.parametrize(
+    "schedule", [_golden_around_a_crash_recovery_cell, _two_live_deployments_in_turn]
+)
+def test_a_deployments_work_does_not_depend_on_what_ran_before_it(schedule):
+    """The same row and the same number of calls as the deployment run on its
+    own: the golden cell after a crash-recovery cell (while the memos and the
+    topic table were the process's: 280 374 calls after 281 883), and the
+    golden and crash-recovery deployments live together, stepped in turn
+    (then 251 230 calls where the crash-recovery one alone made 250 975).
+    The runs are bare: a probe is shared by every deployment it watches."""
+    with obs_core.activate(None):
+        pairs = schedule()
+    for observed, solo in pairs:
+        assert observed == solo
 
 
 def test_package_docstring_quickstart_runs(capsys):
