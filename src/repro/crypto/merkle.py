@@ -8,6 +8,7 @@ catch-up (Figure 5, right).
 from __future__ import annotations
 
 import dataclasses
+from hashlib import sha256
 from typing import Any, List, Sequence, Tuple
 
 from repro.crypto.hashing import hash_payload, sha256_hex
@@ -21,15 +22,26 @@ def merkle_root(leaves: Sequence[Any]) -> str:
     """Return the Merkle root of ``leaves`` (hashed with :func:`hash_payload`).
 
     An empty sequence hashes to the digest of the empty payload list so that
-    empty blocks still have a well-defined, unique root.
+    empty blocks still have a well-defined, unique root.  Leaves and pairs
+    are hashed in place: a ``str`` leaf's pre-image is the one
+    :func:`~repro.crypto.hashing.canonical_bytes` writes for it.
     """
     if not leaves:
         return hash_payload(["empty-merkle-tree"])
-    level: List[str] = [hash_payload(leaf) for leaf in leaves]
+    level: List[str] = []
+    for leaf in leaves:
+        if type(leaf) is str:
+            data = leaf.encode()
+            level += (sha256(b"S%d:%s;" % (len(data), data)).hexdigest(),)
+        else:
+            level += (hash_payload(leaf),)
     while len(level) > 1:
         if len(level) % 2 == 1:
-            level.append(level[-1])
-        level = [_combine(level[i], level[i + 1]) for i in range(0, len(level), 2)]
+            level += (level[-1],)
+        level = [
+            sha256((level[i] + level[i + 1]).encode("ascii")).hexdigest()
+            for i in range(0, len(level), 2)
+        ]
     return level[0]
 
 

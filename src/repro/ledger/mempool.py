@@ -85,11 +85,11 @@ class Mempool:
 
     def remove_decided(self, tx_ids: Iterable[str]) -> int:
         """Drop transactions that have been decided elsewhere; returns count."""
+        pending = self._pending
         removed = 0
         for tx_id in tx_ids:
-            transaction = self._pending.pop(tx_id, None)
-            if transaction is not None:
-                self._pending_bytes -= transaction.wire_size()
+            if tx_id in pending:
+                self._pending_bytes -= pending.pop(tx_id).wire_size()
                 removed += 1
         if removed and self.hook is not None:
             self.hook(self)

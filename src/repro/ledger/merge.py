@@ -11,13 +11,13 @@ accounts are confiscated.
 
 Two properties make the record *execution-validated*:
 
-* **Stateful screening.**  Appends filter each block through a copy-on-write
-  :class:`~repro.ledger.utxo.UTXOView` of the branch state (duplicates,
-  structurally invalid transactions, intra-block double spends and unknown
-  inputs are dropped and counted), and merges reject *phantom* transactions —
-  ones whose inputs never existed anywhere in this record's history.  A
-  phantom input is not a double spend: refunding it from the deposit would let
-  an attacker mint claims against coins that were never at risk, so it is
+* **Stateful screening.**  An append walks each transaction once: one loop
+  checks it against the live UTXO table and applies it there (duplicates,
+  structurally invalid transactions, double spends and unknown inputs are
+  dropped and counted), and merges reject *phantom* transactions — ones
+  whose inputs never existed anywhere in this record's history.  A phantom
+  input is not a double spend: refunding it from the deposit would let an
+  attacker mint claims against coins that were never at risk, so it is
   rejected instead of funded.
 * **Fork awareness.**  Every state mutation is journalled (created ids,
   consumed UTXOs), so :meth:`view_at` can reconstruct the UTXO view at any
@@ -159,25 +159,94 @@ class BlockchainRecord:
         return tx_id in self.known_tx_ids
 
     def _record_delta(
-        self, created_ids: Sequence[str], consumed: Iterable[UTXO]
+        self, created_ids: Sequence[str], consumed: Sequence[UTXO]
     ) -> None:
         """Journal one mutation, cancelling transient outputs (created and
         consumed within the same delta) so rewinding never sees them.  A
         mutation that created and consumed nothing leaves no entry for
         :meth:`view_at` to walk."""
-        consumed = list(consumed)
         if not consumed and not created_ids:
             return
+        made = set(created_ids)
+        consumed_index = self._consumed
+        transient: Set[str] = set()
+        durable_consumed: List[UTXO] = []
         for utxo in consumed:
-            self._consumed[utxo.utxo_id] = utxo
-        transient = set(created_ids) & {utxo.utxo_id for utxo in consumed}
-        durable_created = tuple(uid for uid in created_ids if uid not in transient)
-        durable_consumed = tuple(
-            utxo for utxo in consumed if utxo.utxo_id not in transient
-        )
-        self._journal.append((durable_created, durable_consumed))
+            consumed_index[utxo.utxo_id] = utxo
+            if utxo.utxo_id in made:
+                transient.add(utxo.utxo_id)
+            else:
+                durable_consumed += (utxo,)
+        if transient:
+            created_ids = [uid for uid in created_ids if uid not in transient]
+        self._journal.append((tuple(created_ids), tuple(durable_consumed)))
 
     # -- validation ------------------------------------------------------------
+
+    def _screen(
+        self,
+        transactions: Iterable[Transaction],
+        state: UTXOTable | UTXOView,
+        assume_verified: bool,
+        report: AppendReport,
+        spent: Dict[str, UTXO],
+    ) -> List[UTXO]:
+        """The commit's one screening loop: check each transaction against
+        ``state`` — the live table, or a throwaway view of it — and apply it
+        there in the same step.  Accepted transactions go to
+        ``report.accepted`` and every consumed UTXO to ``spent``; returns
+        the created outputs.
+
+        The rules, in order: a duplicate is already known or repeated in the
+        batch; the shape, then (unless ``assume_verified``) the signatures
+        must verify; a missing input is a double-spend attempt
+        (``conflicting``) if it was consumed — on this branch or by an
+        earlier transaction of the batch — and ``phantom`` if it never
+        existed; an account or amount mismatch is ``invalid``.
+        """
+        known_tx_ids = self.known_tx_ids
+        consumed_index = self._consumed
+        apply = state.apply_transaction
+        accepted = report.accepted
+        batch_tx_ids: Dict[str, None] = {}
+        created: List[UTXO] = []
+        for transaction in transactions:
+            tx_id = transaction.tx_id
+            if tx_id in known_tx_ids or tx_id in batch_tx_ids:
+                report.duplicate += 1
+                continue
+            try:
+                transaction.verify_shape()
+            except InvalidTransactionError:
+                report.invalid += 1
+                continue
+            if not assume_verified and not transaction.is_valid_cached():
+                report.invalid += 1
+                continue
+            try:
+                # Applying both reserves the consumed inputs (so later
+                # conflicting transactions are dropped) and exposes the
+                # created outputs to later transactions of the batch.
+                created += apply(transaction, spent)
+            except InvalidTransactionError:
+                # Refused before anything moved: classify it.
+                missing = [
+                    tx_input.utxo_id
+                    for tx_input in transaction.inputs
+                    if not state.contains(tx_input.utxo_id)
+                ]
+                if not missing:
+                    report.invalid += 1
+                elif any(
+                    uid not in consumed_index and uid not in spent for uid in missing
+                ):
+                    report.phantom += 1
+                else:
+                    report.conflicting += 1
+                continue
+            accepted += (transaction,)
+            batch_tx_ids[tx_id] = None
+        return created
 
     def filter_for_append(
         self, transactions: Iterable[Transaction], assume_verified: bool = False
@@ -190,56 +259,12 @@ class BlockchainRecord:
         skips the (expensive) signature re-verification for transactions that
         already passed it upstream — the deployment pipeline verifies at
         mempool submission and again at proposal validation, so the commit
-        path only re-checks shape and execution semantics.
+        path only re-checks shape and execution semantics.  The record is
+        left as it was: this runs :meth:`append_block`'s screening loop on a
+        throwaway view.
         """
         report = AppendReport()
-        view = self.utxos.overlay()
-        batch_tx_ids: Set[str] = set()
-        batch_spent: Set[str] = set()
-        for transaction in transactions:
-            if (
-                transaction.tx_id in self.known_tx_ids
-                or transaction.tx_id in batch_tx_ids
-            ):
-                report.duplicate += 1
-                continue
-            try:
-                transaction.verify_shape()
-            except InvalidTransactionError:
-                report.invalid += 1
-                continue
-            if not assume_verified and not transaction.is_valid_cached():
-                report.invalid += 1
-                continue
-            missing = [
-                tx_input.utxo_id
-                for tx_input in transaction.inputs
-                if not view.contains(tx_input.utxo_id)
-            ]
-            if missing:
-                # A missing input that was consumed — on this branch or by an
-                # earlier transaction of this batch — is a double-spend
-                # attempt; one that never existed anywhere is phantom.
-                if any(
-                    uid not in self._consumed and uid not in batch_spent
-                    for uid in missing
-                ):
-                    report.phantom += 1
-                else:
-                    report.conflicting += 1
-                continue
-            try:
-                # Applying to the view both reserves the consumed inputs (so
-                # later conflicting transactions are dropped) and exposes the
-                # freshly created outputs to later transactions in the batch.
-                view.apply_transaction(transaction)
-            except InvalidTransactionError:
-                # Input exists but its account/amount disagree with the table.
-                report.invalid += 1
-                continue
-            report.accepted.append(transaction)
-            batch_tx_ids.add(transaction.tx_id)
-            batch_spent.update(tx_input.utxo_id for tx_input in transaction.inputs)
+        self._screen(transactions, self.utxos.overlay(), assume_verified, report, {})
         return report
 
     def append_block(
@@ -249,16 +274,29 @@ class BlockchainRecord:
         timestamp: float = 0.0,
         validate: bool = True,
         assume_verified: bool = False,
+        report: Optional[AppendReport] = None,
     ) -> Block:
         """Append a new block on the local branch, applying its transactions.
 
+        Each transaction is screened against the live table and applied in
+        the same loop (the rules of :meth:`filter_for_append`); ``report``,
+        when given, receives what was accepted and why the rest was dropped.
         With ``validate=False`` the caller vouches that the transactions were
-        already screened with :meth:`filter_for_append` against the current
-        state; the batch is then applied without re-checking.
+        already screened against the current state; they are applied
+        without screening.
         """
-        txs = list(transactions)
+        spent: Dict[str, UTXO] = {}
         if validate:
-            txs = self.filter_for_append(txs, assume_verified=assume_verified).accepted
+            if report is None:
+                report = AppendReport()
+            created = self._screen(transactions, self.utxos, assume_verified, report, spent)
+            txs = report.accepted
+        else:
+            txs = list(transactions)
+            created = []
+            apply = self.utxos.apply_transaction
+            for transaction in txs:
+                created += apply(transaction, spent)
         block = Block(
             index=self.height + 1,
             parent_hash=self.head_hash,
@@ -266,16 +304,11 @@ class BlockchainRecord:
             proposers=proposers,
             timestamp=timestamp,
         )
-        created_ids: List[str] = []
-        consumed: List[UTXO] = []
-        for transaction in txs:
-            consumed_tx, created_tx = self.utxos.apply_validated(transaction)
-            consumed.extend(consumed_tx)
-            created_ids.extend(utxo.utxo_id for utxo in created_tx)
-            self.known_tx_ids.add(transaction.tx_id)
+        self.known_tx_ids.update(block.tx_ids())
         self.blocks.append(block)
-        consumed.extend(self._confiscate_punished_outputs(txs))
-        self._record_delta(created_ids, consumed)
+        consumed = list(spent.values())
+        consumed += self._confiscate_punished_outputs(txs)
+        self._record_delta([utxo.utxo_id for utxo in created], consumed)
         self._height_seq[block.index] = len(self._journal)
         return block
 
@@ -320,11 +353,10 @@ class BlockchainRecord:
         for transaction in block.transactions:
             if transaction.tx_id not in known_tx_ids and not transaction.is_valid_cached():
                 continue
-            if branch.can_apply(transaction):
-                try:
-                    branch.apply_transaction(transaction)
-                except (InvalidTransactionError, LedgerError):
-                    pass
+            try:
+                branch.apply_transaction(transaction)
+            except (InvalidTransactionError, LedgerError):
+                pass
         return branch.balance_deltas()
 
     # -- deposits and punishment ------------------------------------------------
@@ -363,7 +395,7 @@ class BlockchainRecord:
             for index, tx_output in enumerate(transaction.outputs):
                 if tx_output.account not in self.punished_accounts:
                     continue
-                utxo_id = transaction.output_utxo_id(index)
+                utxo_id = "%s:%d" % (transaction.tx_id, index)
                 if self.utxos.contains(utxo_id):
                     seized.append(self.utxos.remove(utxo_id))
                     self.deposit += tx_output.amount
@@ -432,7 +464,7 @@ class BlockchainRecord:
             if punished:
                 for index, tx_output in enumerate(transaction.outputs):
                     if tx_output.account in punished:
-                        utxo_id = transaction.output_utxo_id(index)
+                        utxo_id = "%s:%d" % (transaction.tx_id, index)
                         if utxos_contains(utxo_id):
                             consumed.append(self.utxos.remove(utxo_id))
                             self.deposit += tx_output.amount
@@ -473,8 +505,9 @@ class BlockchainRecord:
                 outcome.refunded_amount += amount
                 outcome.realized_gain += amount
                 self.realized_attack_gain += amount
+        tx_id = transaction.tx_id
         for index, tx_output in enumerate(transaction.outputs):
-            utxo_id = transaction.output_utxo_id(index)
+            utxo_id = "%s:%d" % (tx_id, index)
             # Outputs have positive amounts by shape validation, so the
             # membership test here licenses the unchecked insert.
             if not utxos_contains(utxo_id):
@@ -486,7 +519,7 @@ class BlockchainRecord:
                     )
                 )
                 created_ids.append(utxo_id)
-        self.known_tx_ids.add(transaction.tx_id)
+        self.known_tx_ids.add(tx_id)
 
     def _refund_inputs(self, outcome: MergeOutcome, consumed: List[UTXO]) -> None:
         """``RefundInputs`` (Alg. 2 lines 24–28)."""

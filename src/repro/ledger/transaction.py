@@ -76,15 +76,14 @@ class Transaction:
     signatures: Dict[str, SignedPayload] = dataclasses.field(default_factory=dict)
     public_materials: Dict[str, Any] = dataclasses.field(default_factory=dict)
     signer_names: Dict[str, Any] = dataclasses.field(default_factory=dict)
-    #: Memoised identity/encoding caches.  Inputs, outputs and the nonce are
-    #: fixed at construction (signatures are added later but are not part of
-    #: the body hash), so these never go stale.  Transactions are re-hashed on
-    #: every proposal digest, confirmation cross-check and block commit — the
-    #: hottest non-network path of the simulator — which is why both the id
-    #: and the canonical encoding are cached.
-    _tx_id: Optional[str] = dataclasses.field(
-        default=None, init=False, repr=False, compare=False
-    )
+    #: Content-derived identifier, the hash of the body: set once by
+    #: ``__post_init__``, a plain attribute read.  Inputs, outputs and the
+    #: nonce are fixed at construction (signatures are added later but are
+    #: not part of the body), so it never goes stale; a decoded transfer
+    #: recomputes it from its body, since the wire does not carry it.
+    tx_id: str = dataclasses.field(init=False, repr=False, compare=False)
+    #: Memoised canonical encoding: transfers are re-hashed on every proposal
+    #: digest and confirmation cross-check.
     _canonical: Optional[bytes] = dataclasses.field(
         default=None, init=False, repr=False, compare=False
     )
@@ -97,6 +96,9 @@ class Transaction:
         default=None, init=False, repr=False, compare=False
     )
 
+    def __post_init__(self) -> None:
+        self.tx_id = hash_payload(self.body_payload())
+
     # -- identity ------------------------------------------------------------
 
     def body_payload(self) -> Dict[str, Any]:
@@ -106,15 +108,6 @@ class Transaction:
             "outputs": [tx_output.to_payload() for tx_output in self.outputs],
             "nonce": self.nonce,
         }
-
-    @property
-    def tx_id(self) -> str:
-        """Content-derived transaction identifier (hash of the body)."""
-        tx_id = self._tx_id
-        if tx_id is None:
-            tx_id = hash_payload(self.body_payload())
-            self._tx_id = tx_id
-        return tx_id
 
     def to_payload(self) -> Dict[str, Any]:
         return {"tx_id": self.tx_id, "body": self.body_payload()}
@@ -177,21 +170,34 @@ class Transaction:
     # -- verification --------------------------------------------------------
 
     def verify_shape(self) -> None:
-        """Check structural validity (no signature or UTXO-existence checks)."""
-        if not self.inputs:
+        """Check structural validity (no signature or UTXO-existence checks).
+
+        Plain loops, no generator: it runs for every transfer a replica
+        validates or commits."""
+        inputs, outputs = self.inputs, self.outputs
+        if not inputs:
             raise InvalidTransactionError("transaction has no inputs")
-        if not self.outputs:
+        if not outputs:
             raise InvalidTransactionError("transaction has no outputs")
-        if any(tx_output.amount <= 0 for tx_output in self.outputs):
-            raise InvalidTransactionError("outputs must carry positive amounts")
-        if any(tx_input.amount <= 0 for tx_input in self.inputs):
-            raise InvalidTransactionError("inputs must carry positive amounts")
-        seen_inputs = {tx_input.utxo_id for tx_input in self.inputs}
-        if len(seen_inputs) != len(self.inputs):
+        total_output = 0
+        for tx_output in outputs:
+            if tx_output.amount <= 0:
+                raise InvalidTransactionError("outputs must carry positive amounts")
+            total_output += tx_output.amount
+        total_input = 0
+        spent: Dict[str, None] = {}
+        repeated = False
+        for tx_input in inputs:
+            if tx_input.amount <= 0:
+                raise InvalidTransactionError("inputs must carry positive amounts")
+            total_input += tx_input.amount
+            repeated = repeated or tx_input.utxo_id in spent
+            spent[tx_input.utxo_id] = None
+        if repeated:
             raise InvalidTransactionError("transaction spends the same UTXO twice")
-        if self.total_output() > self.total_input():
+        if total_output > total_input:
             raise InvalidTransactionError(
-                f"outputs ({self.total_output()}) exceed inputs ({self.total_input()})"
+                f"outputs ({total_output}) exceed inputs ({total_input})"
             )
 
     def verify_signatures(self) -> None:
@@ -236,12 +242,12 @@ class Transaction:
         validation, commit screening, merges).  Signature verification
         dominates that cost; one global check per object is enough.
         """
-        fingerprint = (len(self.signatures), len(self.public_materials))
+        signatures, materials = len(self.signatures), len(self.public_materials)
         cached = self._valid_cache
-        if cached is not None and cached[:2] == fingerprint:
+        if cached is not None and cached[0] == signatures and cached[1] == materials:
             return cached[2]
         ok = self.is_valid()
-        self._valid_cache = (fingerprint[0], fingerprint[1], ok)
+        self._valid_cache = (signatures, materials, ok)
         return ok
 
 

@@ -18,7 +18,7 @@ dictionary lookups instead of scans.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set
 
 from repro.common.errors import InvalidTransactionError, LedgerError
 from repro.ledger.transaction import Transaction, TxInput
@@ -42,22 +42,6 @@ class UTXO:
             "account": self.account,
             "amount": self.amount,
         }
-
-
-def _check_inputs_against_state(state, transaction: Transaction) -> None:
-    """Raise unless every input is spendable in ``state`` (a table or view)
-    and its recorded account/amount agree with the stored UTXO — the single
-    validation rule shared by the table commit path and overlay screening."""
-    for tx_input in transaction.inputs:
-        utxo = state.get(tx_input.utxo_id)
-        if utxo is None:
-            raise InvalidTransactionError(
-                f"input {tx_input.utxo_id} is not spendable"
-            )
-        if utxo.account != tx_input.account or utxo.amount != tx_input.amount:
-            raise InvalidTransactionError(
-                f"input {tx_input.utxo_id} does not match the UTXO table"
-            )
 
 
 class UTXOTable:
@@ -172,38 +156,70 @@ class UTXOTable:
         """True when every input of ``transaction`` is currently spendable."""
         return all(self.contains(tx_input.utxo_id) for tx_input in transaction.inputs)
 
-    def apply_transaction(self, transaction: Transaction) -> List[UTXO]:
-        """Atomically consume the inputs and create the outputs.
+    def apply_transaction(
+        self, transaction: Transaction, spent: Optional[Dict[str, UTXO]] = None
+    ) -> List[UTXO]:
+        """Atomically consume the inputs and create the outputs; returns the
+        created outputs and adds the consumed ones, by id, to ``spent``.
 
-        Raises :class:`InvalidTransactionError` when any input is not
-        spendable or recorded amounts disagree with the table; on failure the
-        table is left untouched.
+        Raises :class:`InvalidTransactionError` when an input is repeated,
+        not spendable or disagrees with the table on account or amount, and
+        :class:`LedgerError` for an output that is present or not positive.
+        Everything is checked before anything moves, so on failure the table
+        is left untouched; the moves are written in place, in this frame.
         """
-        _check_inputs_against_state(self, transaction)
-        _, created = self.apply_validated(transaction)
-        return created
-
-    def apply_validated(self, transaction: Transaction) -> Tuple[List[UTXO], List[UTXO]]:
-        """Apply a transaction already validated against this state.
-
-        Skips the input/table cross-checks of :meth:`apply_transaction` (the
-        batch commit path validates whole blocks against a
-        :class:`UTXOView` first) and returns ``(consumed, created)`` so the
-        caller can journal the state delta.  An unspendable input still
-        raises, but may leave the table partially mutated — only call this
-        with pre-validated transactions.
-        """
-        consumed = [self.remove(tx_input.utxo_id) for tx_input in transaction.inputs]
+        by_id = self._by_id
+        consumed: Dict[str, UTXO] = {}
+        for tx_input in transaction.inputs:
+            utxo_id = tx_input.utxo_id
+            if utxo_id in consumed:
+                raise InvalidTransactionError(f"input {utxo_id} is spent twice")
+            try:
+                utxo = by_id[utxo_id]
+            except KeyError:
+                raise InvalidTransactionError(f"input {utxo_id} is not spendable") from None
+            if utxo.account != tx_input.account or utxo.amount != tx_input.amount:
+                raise InvalidTransactionError(
+                    f"input {utxo_id} does not match the UTXO table"
+                )
+            consumed[utxo_id] = utxo
+        tx_id = transaction.tx_id
         created: List[UTXO] = []
-        for index, tx_output in enumerate(transaction.outputs):
-            utxo = UTXO(
-                utxo_id=transaction.output_utxo_id(index),
-                account=tx_output.account,
-                amount=tx_output.amount,
-            )
-            self.add(utxo)
-            created.append(utxo)
-        return consumed, created
+        index = 0
+        for tx_output in transaction.outputs:
+            utxo_id = "%s:%d" % (tx_id, index)
+            if utxo_id in by_id or tx_output.amount <= 0:
+                raise LedgerError(f"UTXO {utxo_id} already present or not positive")
+            created += (UTXO(utxo_id, tx_output.account, tx_output.amount),)
+            index += 1
+        by_account, balance = self._by_account, self._balance
+        for utxo_id in consumed:
+            utxo = consumed[utxo_id]
+            account = utxo.account
+            del by_id[utxo_id]
+            account_ids = by_account[account]
+            del account_ids[utxo_id]
+            if not account_ids:
+                del by_account[account]
+            remaining = balance[account] - utxo.amount
+            if remaining:
+                balance[account] = remaining
+            else:
+                del balance[account]
+            self._supply -= utxo.amount
+        for utxo in created:
+            utxo_id, account = utxo.utxo_id, utxo.account
+            by_id[utxo_id] = utxo
+            if account in by_account:
+                by_account[account][utxo_id] = None
+                balance[account] += utxo.amount
+            else:
+                by_account[account] = {utxo_id: None}
+                balance[account] = utxo.amount
+            self._supply += utxo.amount
+        if spent is not None:
+            spent |= consumed
+        return created
 
     def total_supply(self) -> int:
         """Sum of every unspent output — conserved by valid transactions."""
@@ -229,16 +245,16 @@ class UTXOView:
     """A copy-on-write overlay over a base :class:`UTXOTable` or another view.
 
     The view records only its own additions and removals; reads fall through
-    to the base.  It backs the three places the ledger pipeline needs scratch
-    or divergent state without paying for a full copy:
+    to the base.  It backs the places the ledger pipeline needs scratch or
+    divergent state without paying for a full copy:
 
     * stateful proposal validation (does this batch apply to my branch?),
-    * the append path's intra-block conflict screening, and
+    * ``BlockchainRecord.filter_for_append``, which runs the commit's one
+      screening loop on a throwaway view instead of the live table, and
     * a remote branch's divergent balances, replayed from the fork point
       when somebody asks (``BlockchainRecord.branch_balance_deltas``).
 
-    Views are cheap to create and discard; committing one is simply applying
-    the accepted transactions to the base table.
+    Views are cheap to create and discard; a commit never goes through one.
     """
 
     __slots__ = ("_base", "_added", "_removed", "_balance_delta")
@@ -274,11 +290,7 @@ class UTXOView:
     # -- writes --------------------------------------------------------------
 
     def _credit(self, account: str, amount: int) -> None:
-        delta = self._balance_delta.get(account, 0) + amount
-        if delta:
-            self._balance_delta[account] = delta
-        else:
-            self._balance_delta.pop(account, None)
+        self._balance_delta[account] = self._balance_delta.get(account, 0) + amount
 
     def add(self, utxo: UTXO) -> None:
         """Insert a new unspent output into the view; duplicates rejected."""
@@ -313,24 +325,59 @@ class UTXOView:
         """True when every input of ``transaction`` is spendable in the view."""
         return all(self.contains(tx_input.utxo_id) for tx_input in transaction.inputs)
 
-    def apply_transaction(self, transaction: Transaction) -> List[UTXO]:
+    def apply_transaction(
+        self, transaction: Transaction, spent: Optional[Dict[str, UTXO]] = None
+    ) -> List[UTXO]:
         """Consume the inputs and create the outputs within the view.
 
-        Same checks as :meth:`UTXOTable.apply_transaction`; on failure the
-        view is left untouched.
+        Same checks, same return and same ``spent`` as
+        :meth:`UTXOTable.apply_transaction`, in one frame, and on failure
+        the view is left untouched.  An output id names its own transfer, so
+        it is present only once the transfer was applied, and then its
+        inputs are spent: the input check has refused it already.
         """
-        _check_inputs_against_state(self, transaction)
+        added, removed, base = self._added, self._removed, self._base
+        consumed: Dict[str, UTXO] = {}
         for tx_input in transaction.inputs:
-            self.remove(tx_input.utxo_id)
+            utxo_id = tx_input.utxo_id
+            if utxo_id in consumed:
+                raise InvalidTransactionError(f"input {utxo_id} is spent twice")
+            if utxo_id in removed:
+                utxo = None
+            elif utxo_id in added:
+                utxo = added[utxo_id]
+            else:
+                utxo = base.get(utxo_id)
+            if utxo is None:
+                raise InvalidTransactionError(f"input {utxo_id} is not spendable")
+            if utxo.account != tx_input.account or utxo.amount != tx_input.amount:
+                raise InvalidTransactionError(
+                    f"input {utxo_id} does not match the UTXO table"
+                )
+            consumed[utxo_id] = utxo
+        tx_id = transaction.tx_id
         created: List[UTXO] = []
-        for index, tx_output in enumerate(transaction.outputs):
-            utxo = UTXO(
-                utxo_id=transaction.output_utxo_id(index),
-                account=tx_output.account,
-                amount=tx_output.amount,
-            )
-            self.add(utxo)
-            created.append(utxo)
+        index = 0
+        for tx_output in transaction.outputs:
+            if tx_output.amount <= 0:
+                raise LedgerError(f"output {index} of {tx_id} must have positive amount")
+            created += (UTXO("%s:%d" % (tx_id, index), tx_output.account, tx_output.amount),)
+            index += 1
+        delta = self._balance_delta
+        for utxo_id in consumed:
+            utxo = consumed[utxo_id]
+            account = utxo.account
+            if utxo_id in added:
+                del added[utxo_id]
+            else:
+                removed.add(utxo_id)
+            delta[account] = (delta[account] if account in delta else 0) - utxo.amount
+        for utxo in created:
+            added[utxo.utxo_id] = utxo
+            account = utxo.account
+            delta[account] = (delta[account] if account in delta else 0) + utxo.amount
+        if spent is not None:
+            spent |= consumed
         return created
 
     def overlay(self) -> "UTXOView":
@@ -340,5 +387,6 @@ class UTXOView:
     # -- introspection -------------------------------------------------------
 
     def balance_deltas(self) -> Dict[str, int]:
-        """Per-account balance change of this view relative to its base."""
-        return dict(self._balance_delta)
+        """Per-account balance change of this view relative to its base
+        (accounts whose balance did not move are left out)."""
+        return {account: delta for account, delta in self._balance_delta.items() if delta}

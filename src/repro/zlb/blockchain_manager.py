@@ -41,17 +41,16 @@ def replica_deposit_account(replica: ReplicaId) -> str:
 def _flatten_payloads(payloads: Iterable[Any]) -> List[Transaction]:
     """Flatten decided/remote proposal payloads into a deduplicated
     transaction list, skipping anything that is not a list of transactions
-    (adopted-unvalidated slots may carry arbitrary shapes)."""
-    transactions: List[Transaction] = []
-    seen: set = set()
+    (adopted-unvalidated slots may carry arbitrary shapes).  A transaction
+    costs a type test and a dict lookup, no call."""
+    transactions: Dict[str, Transaction] = {}
     for payload in payloads:
         if not isinstance(payload, list):
             continue
         for transaction in payload:
-            if isinstance(transaction, Transaction) and transaction.tx_id not in seen:
-                seen.add(transaction.tx_id)
-                transactions.append(transaction)
-    return transactions
+            if type(transaction) is Transaction and transaction.tx_id not in transactions:
+                transactions[transaction.tx_id] = transaction
+    return list(transactions.values())
 
 
 @dataclasses.dataclass
@@ -135,24 +134,22 @@ class BlockchainManager:
         if not isinstance(payload, list):
             self._reject_proposal()
             return False
-        view = self.record.utxos.overlay()
+        known_tx_ids = self.record.known_tx_ids
+        apply = self.record.utxos.overlay().apply_transaction
         for item in payload:
-            if not isinstance(item, Transaction):
+            if type(item) is not Transaction:
                 self._reject_proposal()
                 return False
-            if self.record.contains_tx(item.tx_id):
+            if item.tx_id in known_tx_ids:
                 continue
             if not item.is_valid_cached():
                 self._reject_proposal()
                 return False
-            if not view.can_apply(item):
-                self._reject_proposal()
-                return False
             try:
-                view.apply_transaction(item)
+                apply(item)
             except InvalidTransactionError:
-                # Input exists but its recorded account/amount disagree
-                # with the branch's UTXO table.
+                # An input is not spendable on this branch, or its recorded
+                # account/amount disagree with the branch's UTXO table.
                 self._reject_proposal()
                 return False
         self.stats.proposals_validated += 1
@@ -175,18 +172,16 @@ class BlockchainManager:
         case duplicates, intra-block conflicts and non-executable
         transactions are dropped and counted.
         """
-        transactions = _flatten_payloads(decision.decided_payloads())
-        report = self.record.filter_for_append(
-            transactions, assume_verified=not decision.unvalidated_slots
+        report = AppendReport()
+        block = self.record.append_block(
+            _flatten_payloads(decision.decided_payloads()),
+            proposers=tuple(decision.included_slots()),
+            timestamp=decision.decided_at,
+            assume_verified=not decision.unvalidated_slots,
+            report=report,
         )
         self._count_commit_report(report)
         self.last_append_report = report
-        block = self.record.append_block(
-            report.accepted,
-            proposers=tuple(decision.included_slots()),
-            timestamp=decision.decided_at,
-            validate=False,
-        )
         self.blocks_by_instance[instance] = block
         self.mempool.remove_decided(block.tx_ids())
         self.transactions_committed += len(block.transactions)

@@ -129,8 +129,12 @@ print(json.dumps(calls))
 """
 
 #: Calls of the golden cell at each level over its bare calls, as measured
-#: (828 443 bare calls, and 150 510, 257 703 and 371 812 more at the three
-#: levels); each level may cost at most 0.01 more.  While every recipient
+#: (644 008 bare calls, and 149 260, 257 815 and 370 692 more at the three
+#: levels); each level may cost at most 0.01 more.  While each transfer was
+#: screened on an overlay and applied again — the extra calls 150 510,
+#: 257 815 and 371 942 over 831 155 bare ones — 1.182, 1.311 and 1.449
+#: (measured over 828 443 bare calls, and 150 510, 257 703 and 371 812
+#: more, before each deployment owned its memos).  While every recipient
 #: parsed each vote again — the same extra calls over 846 029 bare ones —
 #: 1.178, 1.305 and 1.440 (recorded as 1.179, 1.307 and 1.442 of 840 504).
 #: While the simulated probe encoded every message to count
@@ -139,7 +143,7 @@ print(json.dumps(calls))
 #: included replicas caught up on the chain: 1.761, 1.368 and 2.079 of
 #: 819 632; before the phases moved into the metrics registry: 1.775, 1.369
 #: and 2.093 of 819 728.
-LEVEL_COST = {"metrics": 1.182, "trace": 1.311, "all": 1.449}
+LEVEL_COST = {"metrics": 1.232, "trace": 1.401, "all": 1.576}
 
 
 def _fresh_python(script, *args):
