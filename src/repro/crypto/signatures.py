@@ -31,8 +31,10 @@ from repro.crypto.hashing import hash_payload
 class SignedPayload:
     """A payload together with the signer id and signature bytes.
 
-    The payload hash, not the payload itself, is what gets signed; the hash is
-    recomputed at verification time so a tampered payload fails verification.
+    The payload hash, not the payload itself, is what gets signed.  A verifier
+    holds the canonical digest of the payload it received (hashed, or memoised
+    where the payload lives) and checks it against ``payload_hash``, so a
+    tampered payload fails verification.
     """
 
     signer: ReplicaId
@@ -78,24 +80,16 @@ class SignatureScheme:
 
     scheme_name = "abstract"
 
-    def verify(self, payload: Any, signed: SignedPayload, public_material: Any) -> bool:
-        """Return True when ``signed`` is a valid signature on ``payload``."""
-        if self.scheme_name != signed.scheme:
-            return False
-        if hash_payload(payload) != signed.payload_hash:
-            return False
-        return self.verify_digest(signed.payload_hash, signed, public_material)
-
     def verify_digest(
         self, digest: str, signed: SignedPayload, public_material: Any
     ) -> bool:
         """Return True when ``signed`` validly signs the given payload digest.
 
-        Callers that already hold the payload's canonical digest (memoised
-        votes, the key registry's verified-signature cache) use this entry
-        point to skip re-encoding the payload; the caller is responsible for
-        checking ``digest == signed.payload_hash`` binds the digest to the
-        payload it claims to sign.
+        The caller holds the payload's canonical digest (the key registry
+        hashes what it is handed, a transaction keeps its body's as
+        ``tx_id``) and is responsible for checking that ``digest ==
+        signed.payload_hash`` binds the digest to the payload it claims to
+        sign; a scheme checks the scheme name and the signature.
         """
         raise NotImplementedError
 

@@ -76,11 +76,14 @@ class Transaction:
     signatures: Dict[str, SignedPayload] = dataclasses.field(default_factory=dict)
     public_materials: Dict[str, Any] = dataclasses.field(default_factory=dict)
     signer_names: Dict[str, Any] = dataclasses.field(default_factory=dict)
-    #: Content-derived identifier, the hash of the body: set once by
-    #: ``__post_init__``, a plain attribute read.  Inputs, outputs and the
-    #: nonce are fixed at construction (signatures are added later but are
-    #: not part of the body), so it never goes stale; a decoded transfer
-    #: recomputes it from its body, since the wire does not carry it.
+    #: Content-derived identifier, the canonical digest of
+    #: :meth:`body_payload`: set once by ``__post_init__``, a plain attribute
+    #: read.  Signatures are checked against it (:meth:`verify_signatures`),
+    #: so it must stay the digest of the body it sits on: inputs, outputs and
+    #: the nonce are fixed at construction and nothing reassigns them
+    #: (signatures are added later but are not part of the body; a
+    #: ``dataclasses.replace`` constructs again), and a decoded transfer
+    #: recomputes it from its own body and never reads it off the wire.
     tx_id: str = dataclasses.field(init=False, repr=False, compare=False)
     #: Memoised canonical encoding: transfers are re-hashed on every proposal
     #: digest and confirmation cross-check.
@@ -201,8 +204,13 @@ class Transaction:
             )
 
     def verify_signatures(self) -> None:
-        """Check that every source account signed the body and owns its address."""
-        body = self.body_payload()
+        """Check that every source account signed the body and owns its address.
+
+        A signature is checked against ``tx_id``, the body's digest, which
+        ``__post_init__`` computed from this object's own body (see the
+        field): the body is not encoded or hashed again here.
+        """
+        tx_id = self.tx_id
         for account in self.source_accounts:
             signed = self.signatures.get(account)
             material = self.public_materials.get(account)
@@ -216,7 +224,7 @@ class Transaction:
                 raise InvalidTransactionError(
                     f"address {account} is not bound to the provided key material"
                 )
-            if not verify_wallet_signature(body, signed, material):
+            if not verify_wallet_signature(tx_id, signed, material):
                 raise InvalidTransactionError(
                     f"invalid signature for source account {account}"
                 )

@@ -73,14 +73,17 @@ class Wallet:
 
 
 def verify_wallet_signature(
-    payload: Any, signed: SignedPayload, public_material: Any
+    digest: str, signed: SignedPayload, public_material: Any
 ) -> bool:
-    """Verify a wallet signature given the embedded public material."""
+    """Verify a wallet signature over the payload whose canonical digest is
+    ``digest``, given the embedded public material."""
+    if signed.payload_hash != digest:
+        return False
     try:
         scheme = scheme_for(signed.scheme)
     except Exception:
         return False
-    return scheme.verify(payload, signed, public_material)
+    return scheme.verify_digest(digest, signed, public_material)
 
 
 def address_matches_material(

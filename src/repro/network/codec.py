@@ -24,9 +24,11 @@ by ``;``::
 
 Each half is one pass.  The decoder is one loop that reads scalars in place
 and keeps the open containers on an explicit stack: a node costs no Python
-frame, and a length or an integer one builtin call (``bytes.index``, to find
-where its digits end).  The encoder appends every node to one ``bytearray``.
-Neither half nests deeper than :data:`MAX_DEPTH` containers.
+frame, and a length or an integer of up to 18 digits no call (the loop reads
+its digits itself).  The encoder appends every node to one ``bytearray``, and
+a container writes its ``str`` and ``int`` members in place: a frame per
+container, not per leaf.  Neither half nests deeper than :data:`MAX_DEPTH`
+containers.
 
 A body's ``vote`` is a :class:`~repro.consensus.certificates.SignedVote`,
 written as the registered ``vote`` object: the decoder parses it — arity and
@@ -137,7 +139,11 @@ def _too_deep() -> CodecError:
 
 
 def _encode_into(value: Any, out: bytearray, depth: int) -> None:
-    """Append ``value``'s encoding to ``out``; a container here is level ``depth``."""
+    """Append ``value``'s encoding to ``out``; a container here is level ``depth``.
+
+    A list, tuple or dict writes its ``str`` and ``int`` members in place, as
+    :func:`repro.crypto.hashing._encode` does: a frame per container and per
+    other member, not per leaf."""
     kind = type(value)
     if kind is str:
         raw = value.encode()
@@ -145,28 +151,30 @@ def _encode_into(value: Any, out: bytearray, depth: int) -> None:
         out += raw
     elif kind is int:
         out += b"I%d;" % value
-    elif kind is tuple:
+    elif kind is tuple or kind is list or kind is dict:
         if depth > MAX_DEPTH:
             raise _too_deep()
-        out += b"P%d;" % len(value)
-        for item in value:
-            _encode_into(item, out, depth + 1)
+        if kind is dict:
+            out += b"D%d;" % len(value)
+            groups = value.items()  # each pair writes its key, then its value
+        else:
+            out += (b"P%d;" if kind is tuple else b"L%d;") % len(value)
+            groups = (value,)
+        depth += 1
+        for group in groups:
+            for item in group:
+                kind = type(item)
+                if kind is str:
+                    raw = item.encode()
+                    out += b"S%d;" % len(raw)
+                    out += raw
+                elif kind is int:
+                    out += b"I%d;" % item
+                else:
+                    _encode_into(item, out, depth)
     elif kind is bytes:
         out += b"B%d;" % len(value)
         out += value
-    elif kind is dict:
-        if depth > MAX_DEPTH:
-            raise _too_deep()
-        out += b"D%d;" % len(value)
-        for key, item in value.items():
-            _encode_into(key, out, depth + 1)
-            _encode_into(item, out, depth + 1)
-    elif kind is list:
-        if depth > MAX_DEPTH:
-            raise _too_deep()
-        out += b"L%d;" % len(value)
-        for item in value:
-            _encode_into(item, out, depth + 1)
     elif value is None:
         out += b"N"
     elif kind is bool:
@@ -210,6 +218,22 @@ def encode_value(value: Any) -> bytes:
 _N, _T, _F, _I, _R, _S, _B, _L, _P, _D, _O = b"NTFIRSBLPDO"
 #: Tags followed by a length or a count.
 _COUNTED = b"SBLPD"
+#: Bytes of a decimal number, as ``data[pos]`` reads them.
+_ZERO, _NINE, _MINUS, _SEMICOLON = b"09-;"
+#: An integer is read digit by digit up to 18 digits; a longer one takes
+#: :func:`_long_integer`, ``int``'s parse and its digit limit.
+_LONG = 10**17
+
+
+def _long_integer(data: bytes, start: int) -> Tuple[int, int]:
+    """The integer of more than 18 digits written at ``data[start:]``, and
+    the offset of the ``;`` after it."""
+    end = data.index(b";", start)
+    digits = data[start:end]
+    value = int(digits)
+    if digits != b"%d" % value:
+        raise CodecError(f"integer {digits!r} at offset {start} is not canonical")
+    return value, end
 
 
 def _decode_at(data: bytes, pos: int, stop: int) -> Tuple[Any, int]:
@@ -228,19 +252,29 @@ def _decode_at(data: bytes, pos: int, stop: int) -> Tuple[Any, int]:
         tag = data[pos]
         if tag in _COUNTED:
             # An announced number is not trusted: it must be written the way
-            # ``%d`` writes it and lie in ``0 <= n <= stop - start``.  Every
-            # element takes at least a byte, so the same bound holds for
-            # counts, and ``L999999999;`` costs one comparison instead of a
-            # billion loop turns.
-            end = data.index(b";", pos + 1)
-            digits = data[pos + 1 : end]
-            length = int(digits)
-            if length < 0 or digits != b"%d" % length or end + length >= stop:
+            # ``%d`` writes it (digits, no leading zero) and lie in ``0 <= n
+            # <= stop - start``.  Every element takes at least a byte, so the
+            # same bound holds for counts; the digits are read until the
+            # number passes it, so ``L999999999;`` costs a few loop turns
+            # instead of a billion.
+            pos += 1
+            length = data[pos] - _ZERO
+            pos += 1
+            byte = data[pos]
+            if 0 < length <= 9:
+                while _ZERO <= byte <= _NINE:
+                    length = 10 * length + byte - _ZERO
+                    if length >= stop - pos:
+                        break
+                    pos += 1
+                    byte = data[pos]
+            elif length:
+                byte = None  # not a digit
+            if byte != _SEMICOLON or pos + length >= stop:
                 raise CodecError(
-                    f"length {digits!r} at offset {pos + 1} is malformed or "
-                    "exceeds the buffer"
+                    f"length at offset {pos} is malformed or exceeds the buffer"
                 )
-            pos = end + 1
+            pos += 1
             if tag == _S:
                 value = str(data[pos : pos + length], "utf-8")
                 pos += length
@@ -260,12 +294,28 @@ def _decode_at(data: bytes, pos: int, stop: int) -> Tuple[Any, int]:
                     opener, items, index, size = tag, [None] * length, 0, length
                 continue
         elif tag == _I:
-            end = data.index(b";", pos + 1)
-            digits = data[pos + 1 : end]
-            value = int(digits)
-            if digits != b"%d" % value:
-                raise CodecError(f"integer {digits!r} at offset {pos + 1} is not canonical")
-            pos = end + 1
+            # The same rules, and a ``-`` only before a digit other than 0.
+            start = pos + 1
+            negative = data[start] == _MINUS
+            pos = start + negative
+            value = data[pos] - _ZERO
+            pos += 1
+            byte = data[pos]
+            if 0 < value <= 9:
+                while _ZERO <= byte <= _NINE and value < _LONG:
+                    value = 10 * value + byte - _ZERO
+                    pos += 1
+                    byte = data[pos]
+                if _ZERO <= byte <= _NINE:
+                    value, pos = _long_integer(data, start)
+                    byte = _SEMICOLON
+                elif negative:
+                    value = -value
+            elif value or negative:
+                byte = None  # not a digit, or "-0"
+            if byte != _SEMICOLON:
+                raise CodecError(f"integer at offset {start} is not canonical")
+            pos += 1
         elif tag == _N:
             value = None
             pos += 1

@@ -103,8 +103,11 @@ class BlockchainManager:
     # -- client-facing --------------------------------------------------------------
 
     def submit_transaction(self, transaction: Transaction) -> bool:
-        """Accept a client transaction into the mempool (§4.2: permissionless)."""
-        if not transaction.is_valid():
+        """Accept a client transaction into the mempool (§4.2: permissionless).
+
+        The verdict is kept on the transaction, so validating a proposal
+        that carries it does not verify it again."""
+        if not transaction.is_valid_cached():
             return False
         if self.record.contains_tx(transaction.tx_id):
             return False

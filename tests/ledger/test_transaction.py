@@ -1,9 +1,12 @@
 """Unit tests for transactions and wallets."""
 
+import dataclasses
+
 import pytest
 
 from repro.common.errors import InvalidTransactionError
 from repro.crypto.hashing import hash_payload
+from repro.crypto.signatures import EcdsaSigner
 from repro.ledger.block import make_genesis_block
 from repro.ledger.transaction import (
     PAPER_TX_SIZE_BYTES,
@@ -14,7 +17,8 @@ from repro.ledger.transaction import (
     build_transfer,
 )
 from repro.ledger.utxo import UTXOTable
-from repro.ledger.wallet import Wallet
+from repro.ledger.wallet import Wallet, verify_wallet_signature
+from repro.network.codec import decode_value, encode_value
 
 
 @pytest.fixture
@@ -246,3 +250,70 @@ class TestIdIsTheSignedDigest:
         assert tx.signatures[alice.address].signature.hex() == (
             "825f163334c5dfd9861f4bd9255c9dbb1762a06e23fff077010bb8e0323fd26a"
         )
+
+
+class TestSignatureAgainstTheId:
+    """A signature is checked against ``tx_id``, the digest of the body it
+    sits on: every way of pairing it with another body still fails."""
+
+    def _pair(self, funded):
+        alice, bob, carol, table = funded
+        inputs = table.select_inputs(alice.address, 100)
+        tx = build_transfer(alice, inputs, [(bob.address, 100)], nonce=0)
+        other = build_transfer(alice, inputs, [(carol.address, 100)], nonce=1)
+        return alice, carol, tx, other
+
+    def test_a_signature_under_another_bodys_digest(self, funded):
+        alice, _, tx, other = self._pair(funded)
+        tx.signatures[alice.address] = other.signatures[alice.address]
+        with pytest.raises(InvalidTransactionError, match="invalid signature"):
+            tx.verify_signatures()
+
+    def test_another_bodys_tag_claiming_this_digest(self, funded):
+        alice, _, tx, other = self._pair(funded)
+        tx.signatures[alice.address] = dataclasses.replace(
+            other.signatures[alice.address], payload_hash=tx.tx_id
+        )
+        with pytest.raises(InvalidTransactionError, match="invalid signature"):
+            tx.verify_signatures()
+
+    @pytest.mark.parametrize("scheme", ["simulated-hmac-v2", EcdsaSigner.scheme_name])
+    def test_a_scheme_name_mismatch(self, funded, scheme):
+        alice, _, tx, _ = self._pair(funded)
+        signed = tx.signatures[alice.address]
+        forged = dataclasses.replace(signed, scheme=scheme)
+        material = tx.public_materials[alice.address]
+        assert verify_wallet_signature(tx.tx_id, signed, material)
+        assert not verify_wallet_signature(tx.tx_id, forged, material)
+        tx.signatures[alice.address] = forged
+        assert not tx.is_valid()
+
+    def test_a_replaced_output_after_signing(self, funded):
+        _, carol, tx, _ = self._pair(funded)
+        tx.verify_signatures()
+        changed = dataclasses.replace(
+            tx, outputs=(TxOutput(account=carol.address, amount=100),) + tx.outputs[1:]
+        )
+        assert changed.signatures is tx.signatures
+        assert changed.tx_id != tx.tx_id
+        with pytest.raises(InvalidTransactionError, match="invalid signature"):
+            changed.verify_signatures()
+
+    def test_a_wire_payload_with_a_forged_tx_id(self, funded):
+        """The wire carries no id a decoder reads: a payload naming the id
+        its signatures were made under decodes to the id of its own body."""
+        alice, _, tx, other = self._pair(funded)
+        payload = {
+            "tx_id": tx.tx_id,
+            "inputs": list(other.inputs),
+            "outputs": list(other.outputs),
+            "nonce": other.nonce,
+            "signatures": dict(tx.signatures),
+            "public_materials": dict(tx.public_materials),
+            "signer_names": dict(tx.signer_names),
+        }
+        decoded = decode_value(b"OS11;transaction" + encode_value(payload))
+        assert decoded.tx_id == other.tx_id != tx.tx_id
+        assert not decoded.is_valid()
+        with pytest.raises(InvalidTransactionError, match="invalid signature"):
+            decoded.verify_signatures()

@@ -110,8 +110,11 @@ print(json.dumps({"row": row, "active": obs.current() is not None}, sort_keys=Tr
 
 #: Total cProfile calls of the golden cell at each level, after one warm
 #: bare cell, in one fresh interpreter: ``{"bare": ..., "metrics": ...}``.
+#: Summed over ``Profile.getstats()``: ``pstats`` keys a function by file,
+#: line and name, so the dataclass ``__init__``s, all ``<string>:2``,
+#: would overwrite each other instead of adding up.
 _COST_SCRIPT = """
-import cProfile, json, pstats
+import cProfile, json
 from repro import obs
 from repro.scenarios import run_system
 from tests.scenarios.test_fig4_golden import GOLDEN_SPEC
@@ -124,13 +127,17 @@ for level in ("", "metrics", "trace", "all"):
         profile.enable()
         run_system(GOLDEN_SPEC)
         profile.disable()
-    calls[level or "bare"] = pstats.Stats(profile).total_calls
+    calls[level or "bare"] = sum(entry.callcount for entry in profile.getstats())
 print(json.dumps(calls))
 """
 
 #: Calls of the golden cell at each level over its bare calls, as measured
-#: (644 008 bare calls, and 149 260, 257 815 and 370 692 more at the three
-#: levels); each level may cost at most 0.01 more.  While each transfer was
+#: (656 388 bare calls, and 149 260, 257 815 and 370 692 more at the three
+#: levels); each level may cost at most 0.01 more.  While a transfer's
+#: signature check hashed its body again and admission kept no verdict:
+#: 1.223, 1.386 and 1.554 of 668 516, recorded as 1.232, 1.401 and 1.576 of
+#: the 644 008 that ``pstats`` counted (it merges the dataclass
+#: ``__init__``s), with the same extra calls.  While each transfer was
 #: screened on an overlay and applied again — the extra calls 150 510,
 #: 257 815 and 371 942 over 831 155 bare ones — 1.182, 1.311 and 1.449
 #: (measured over 828 443 bare calls, and 150 510, 257 703 and 371 812
@@ -143,7 +150,7 @@ print(json.dumps(calls))
 #: included replicas caught up on the chain: 1.761, 1.368 and 2.079 of
 #: 819 632; before the phases moved into the metrics registry: 1.775, 1.369
 #: and 2.093 of 819 728.
-LEVEL_COST = {"metrics": 1.232, "trace": 1.401, "all": 1.576}
+LEVEL_COST = {"metrics": 1.227, "trace": 1.393, "all": 1.565}
 
 
 def _fresh_python(script, *args):
